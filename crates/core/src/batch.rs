@@ -22,19 +22,19 @@
 //!   paged).
 //!
 //! Implementations: [`FastSession`] (one slot, contiguous KV),
-//! [`BatchedFastSession`] (M slots, contiguous per-slot KV),
 //! [`PagedEngine`] (M slots over a shared page pool — the serving
-//! configuration), and [`FtEngine`] (one slot over the fault-tolerant
-//! tensor-parallel [`FtSession`]). Every implementation emits **the same
+//! configuration), [`crate::streamed::StreamedEngine`] (M slots, weights
+//! streamed from the offload tier), and [`FtEngine`] (one slot over the
+//! fault-tolerant tensor-parallel [`FtSession`]). Every implementation emits **the same
 //! token stream** for a given prompt — the microkernel
 //! accumulation-order invariant makes batching and paging invisible to the
 //! numerics — which is what lets the chaos suite use solo sessions as
 //! bitwise oracles for continuous-batched serving.
 
 use dsi_kernels::blocked::PanelWeights;
-use dsi_model::fast::{BatchedFastSession, FastSession};
+use dsi_model::fast::FastSession;
 use dsi_model::paged::{PageStats, PagedEngine, PagesExhausted};
-use dsi_parallel::supervisor::{FtSession, StepCtl, StepError};
+use dsi_parallel::supervisor::FtSession;
 use dsi_sim::fault::{EngineFaultInjector, EngineFaultKind};
 use serde::Serialize;
 use std::sync::Arc;
@@ -190,25 +190,6 @@ impl<B: PanelWeights> BatchEngine for FastSession<'_, '_, B> {
     }
 }
 
-impl<B: PanelWeights> BatchEngine for BatchedFastSession<'_, '_, B> {
-    fn max_slots(&self) -> usize {
-        self.seqs.len()
-    }
-
-    fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-        Ok(self.prefill_slot(slot, prompt))
-    }
-
-    fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-        self.decode_slots(slots, out);
-        Ok(())
-    }
-
-    fn release(&mut self, slot: usize) {
-        self.release_slot(slot);
-    }
-}
-
 impl<B: PanelWeights> BatchEngine for PagedEngine<'_, '_, B> {
     fn max_slots(&self) -> usize {
         PagedEngine::max_slots(self)
@@ -235,19 +216,36 @@ impl<B: PanelWeights> BatchEngine for PagedEngine<'_, '_, B> {
     }
 }
 
+/// The `kv_stats` of an engine that grows KV contiguously and meters it per
+/// token against a budget it reports but does not enforce: one-token pages.
+pub(crate) fn per_token_stats(budget: usize, in_use: usize, high_water: usize) -> PageStats {
+    PageStats {
+        pages_total: budget,
+        pages_in_use: in_use,
+        pages_free: budget.saturating_sub(in_use),
+        high_water,
+        page_tokens: 1,
+    }
+}
+
 /// The fault-tolerant tensor-parallel engine: one slot over an
 /// [`FtSession`], so TP execution plugs into the same scheduler seam as
-/// the fast-path engines. Faults surface as [`EngineError::Fault`] with
-/// the slot's sequence lost; the wrapper resets the session so the slot is
-/// reusable.
+/// the fast-path engines (`dsi-serve`'s single-flight mode is this engine
+/// under the one scheduler loop). Faults surface as [`EngineError::Fault`]
+/// with the slot's sequence lost; the session is reset at the next
+/// `prefill` (teardown of a group never runs inside `release`, which the
+/// scheduler calls under its state lock). KV is metered per token against `token_budget`
+/// through `kv_stats`, exactly as the streamed engine does.
 pub struct FtEngine {
     sess: FtSession,
     resident: bool,
+    token_budget: usize,
+    high_water: usize,
 }
 
 impl FtEngine {
-    pub fn new(sess: FtSession) -> Self {
-        FtEngine { sess, resident: false }
+    pub fn new(sess: FtSession, token_budget: usize) -> Self {
+        FtEngine { sess, resident: false, token_budget, high_water: 0 }
     }
 
     /// The wrapped session (fault report, TP degree, ...).
@@ -257,6 +255,14 @@ impl FtEngine {
 
     pub fn into_session(self) -> FtSession {
         self.sess
+    }
+
+    fn tokens_in_use(&self) -> usize {
+        if self.resident {
+            self.sess.context_len() + 1
+        } else {
+            0
+        }
     }
 }
 
@@ -268,42 +274,43 @@ impl BatchEngine for FtEngine {
     fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
         assert_eq!(slot, 0, "FtEngine has one slot");
         assert!(!self.resident, "prefill into occupied slot");
+        // Fresh context per request (also tears down a faulted group).
         self.sess.reset();
         let tok = self
             .sess
-            .begin_ctl(prompt, &StepCtl::NONE)
-            .and_then(|()| self.sess.generate_step_ctl(&StepCtl::NONE))
-            .map_err(|e| match e {
-                StepError::Fault(f) => EngineError::classified(f.to_string()),
-                StepError::Aborted(_) => unreachable!("StepCtl::NONE never aborts"),
-            })?;
+            .begin(prompt)
+            .and_then(|()| self.sess.generate_step())
+            .map_err(|f| EngineError::classified(f.to_string()))?;
         self.resident = true;
+        self.high_water = self.high_water.max(self.tokens_in_use());
         Ok(tok)
     }
 
     fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
         assert_eq!(slots, [0], "FtEngine has one slot");
         assert!(self.resident, "decode of free slot");
-        match self.sess.generate_step_ctl(&StepCtl::NONE) {
+        match self.sess.generate_step() {
             Ok(tok) => {
                 out.push(tok);
+                self.high_water = self.high_water.max(self.tokens_in_use());
                 Ok(())
             }
-            Err(StepError::Fault(f)) => {
+            Err(f) => {
                 // The sequence is unrecoverable: drop residency so the
                 // scheduler can reuse the slot after accounting the loss.
                 self.resident = false;
-                self.sess.reset();
                 Err(EngineError::classified(f.to_string()))
             }
-            Err(StepError::Aborted(_)) => unreachable!("StepCtl::NONE never aborts"),
         }
     }
 
     fn release(&mut self, slot: usize) {
         assert_eq!(slot, 0, "FtEngine has one slot");
         self.resident = false;
-        self.sess.reset();
+    }
+
+    fn kv_stats(&self) -> Option<PageStats> {
+        Some(per_token_stats(self.token_budget, self.tokens_in_use(), self.high_water))
     }
 }
 
@@ -344,6 +351,10 @@ impl<E: BatchEngine> FaultyEngine<E> {
 
     pub fn inner(&self) -> &E {
         &self.inner
+    }
+
+    pub fn into_inner(self) -> E {
+        self.inner
     }
 
     /// Apply the shared pre-call kinds; `Corrupt` is site-specific and
@@ -437,10 +448,12 @@ impl<E: BatchEngine> BatchEngine for FaultyEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsi_model::fast::PackedModel;
+    use crate::streamed::StreamedEngine;
+    use dsi_model::fast::{PackedModel, QuantizedPackedModel};
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
     use dsi_parallel::supervisor::FtConfig;
+    use dsi_zero::offload::{OffloadConfig, OffloadStore};
     use std::sync::Arc;
 
     fn model(seed: u64) -> GptModel {
@@ -461,28 +474,102 @@ mod tests {
         toks
     }
 
+    /// Drive `eng` through everything the scheduler asks of an engine and
+    /// hold every stream to `oracle(prompt, n)`: solo decode, a release +
+    /// prefix replay, and — when the engine has the slots — a ragged join,
+    /// a mid-stream retirement and the reuse of the retired slot.
+    fn drive_lifecycle<E: BatchEngine>(
+        eng: &mut E,
+        oracle: impl Fn(&[usize], usize) -> Vec<usize>,
+        label: &str,
+    ) {
+        let multi = eng.max_slots() >= 2;
+        let prompts = [vec![3usize, 1, 4, 1, 5], vec![7, 6], vec![11, 12, 13, 14]];
+        let mut streams: [Vec<usize>; 3] = Default::default();
+        // One ragged step over `(slot, stream)` pairs, slots ascending.
+        let decode = |eng: &mut E, pairs: &[(usize, usize)], streams: &mut [Vec<usize>; 3]| {
+            let slots: Vec<usize> = pairs.iter().map(|&(slot, _)| slot).collect();
+            let mut step = Vec::new();
+            eng.decode_step(&slots, &mut step).unwrap();
+            for (&(_, stream), tok) in pairs.iter().zip(step) {
+                streams[stream].push(tok);
+            }
+        };
+
+        streams[0].push(eng.prefill(0, &prompts[0]).unwrap());
+        decode(eng, &[(0, 0)], &mut streams);
+        decode(eng, &[(0, 0)], &mut streams);
+        if multi {
+            // Stream 1 joins at a different position.
+            streams[1].push(eng.prefill(1, &prompts[1]).unwrap());
+            decode(eng, &[(0, 0), (1, 1)], &mut streams);
+        }
+        // Recovery: release slot 0 and replay its committed prefix (prompt
+        // plus every generated token but the last, whose KV row only the
+        // step that consumes it writes).
+        eng.release(0);
+        let committed: Vec<usize> = prompts[0]
+            .iter()
+            .chain(&streams[0][..streams[0].len() - 1])
+            .copied()
+            .collect();
+        let replayed = eng.prefill(0, &committed).unwrap();
+        assert_eq!(Some(&replayed), streams[0].last(), "{label}: replay reproduces the last token");
+        if multi {
+            decode(eng, &[(0, 0), (1, 1)], &mut streams);
+            // Stream 0 retires mid-batch; stream 2 takes over its slot.
+            eng.release(0);
+            streams[2].push(eng.prefill(0, &prompts[2]).unwrap());
+            for _ in 0..3 {
+                decode(eng, &[(0, 2), (1, 1)], &mut streams);
+            }
+            eng.release(1);
+        } else {
+            decode(eng, &[(0, 0)], &mut streams);
+        }
+        eng.release(0);
+        for (p, got) in prompts.iter().zip(&streams).filter(|(_, got)| !got.is_empty()) {
+            assert_eq!(got, &oracle(p, got.len()), "{label}: prompt {p:?}");
+        }
+        if let Some(kv) = eng.kv_stats() {
+            assert_eq!(kv.pages_in_use, 0, "{label}: released engine holds no KV");
+        }
+    }
+
+    /// The token-identity matrix of the one decode step: every engine, over
+    /// every weight source and KV sink, emits the solo `FastSession` stream.
     #[test]
     fn every_engine_emits_the_same_tokens() {
         let m = model(11);
         let pm = PackedModel::pack(&m);
-        let prompt = [3usize, 1, 4, 1, 5];
-        let want = pm.session(prompt.len()).generate(&prompt, 6);
+        let f32_oracle = |p: &[usize], n: usize| pm.session(p.len()).generate(p, n);
 
-        let mut fast = pm.session(prompt.len());
-        assert_eq!(run_slot0(&mut fast, &prompt, 6), want, "FastSession");
+        drive_lifecycle(&mut pm.session(8), f32_oracle, "FastSession");
+        // page_tokens = 3 misaligns pages with the AVX 8-block.
+        drive_lifecycle(&mut PagedEngine::new(&pm, 3, 32, 3), f32_oracle, "PagedEngine f32");
 
-        let mut batched = pm.slot_session(3, prompt.len());
-        assert_eq!(run_slot0(&mut batched, &prompt, 6), want, "BatchedFastSession");
+        let qm = QuantizedPackedModel::quantize_pack(&m, 32);
+        let int8_oracle = |p: &[usize], n: usize| qm.session(p.len()).generate(p, n);
+        drive_lifecycle(&mut PagedEngine::new(&qm, 3, 32, 4), int8_oracle, "PagedEngine int8");
 
-        let mut paged = PagedEngine::new(&pm, 3, 32, 4);
-        assert_eq!(run_slot0(&mut paged, &prompt, 6), want, "PagedEngine");
+        let path = std::env::temp_dir().join("dsi_batch_engine_matrix.bin");
+        dsi_model::io::save(&m, &path).expect("save");
+        let probe = OffloadStore::open(&path, OffloadConfig::default()).expect("probe");
+        // Room for one of the model's two panels: every layer of every
+        // pass is fetched from the tier.
+        let tight = OffloadConfig {
+            resident_budget_bytes: probe.panel_bytes(),
+            ..OffloadConfig::default()
+        };
+        drop(probe);
+        let store = OffloadStore::open(&path, tight).expect("open");
+        drive_lifecycle(&mut StreamedEngine::new(store, 3, 4096), f32_oracle, "StreamedEngine");
+        let _ = std::fs::remove_file(path);
 
-        let mut ft = FtEngine::new(FtSession::new(
-            Arc::new(model(11)),
-            prompt.len(),
-            FtConfig::new(2),
-        ));
-        assert_eq!(run_slot0(&mut ft, &prompt, 6), want, "FtEngine tp=2");
+        for tp in [1, 2] {
+            let sess = FtSession::new(Arc::new(model(11)), 8, FtConfig::new(tp));
+            drive_lifecycle(&mut FtEngine::new(sess, 4096), f32_oracle, &format!("FtEngine tp={tp}"));
+        }
     }
 
     #[test]

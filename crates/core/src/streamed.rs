@@ -2,24 +2,15 @@
 //! [`OffloadStore`] — serve a model whose weight file exceeds the resident
 //! budget, token-identical to the fully-resident fast path.
 //!
-//! The engine holds **no layer weights of its own**. Each forward pass
-//! walks the layer stack checking panels out of the store one at a time:
-//!
-//! ```text
-//!   for l in 0..L {
-//!       panel = store.acquire(l)?          // resident hit or demand fetch
-//!       store.prefetch_ahead(l + 1)        // worker reads l+1.. meanwhile
-//!       layer_step(panel, ...)             // the dsi_model::fast kernels
-//!       drop(panel)                        // release-before-refetch
-//!   }
-//! ```
-//!
-//! The layer body, embedding, and logits stages are the *same free
-//! functions* (`dsi_model::fast::{embed_seq_into, layer_seq_step, ...}`)
-//! the resident `PackedModel` engines call, and the panel bytes round-trip
-//! bit-exactly through the v2 weight file — so streamed greedy decode is
-//! bit-identical to the [`FastSession`] oracle by construction, at every
-//! prefetch depth and budget. The proptest suite pins this.
+//! The engine holds **no layer weights of its own**. Each pass is the one
+//! `dsi_model::fast::step` every resident engine runs, with the store as
+//! its weight source: per layer the store checks the panel out
+//! (`acquire(l)`, resident hit or demand fetch), queues `l+1..` for the
+//! prefetch worker, and the panel drops before the next layer's is acquired
+//! (release-before-refetch). The panel bytes round-trip bit-exactly through
+//! the v2 weight file — so streamed greedy decode is bit-identical to the
+//! [`FastSession`] oracle by construction, at every prefetch depth and
+//! budget. The proptest suite pins this.
 //!
 //! Store failures surface as classified [`EngineError::Fault`]s (the
 //! `Display` strings of `OffloadError` land in the right `FaultClass`
@@ -32,31 +23,30 @@
 //! [`FastSession`]: dsi_model::fast::FastSession
 //! [`EngineError::Fault`]: crate::batch::EngineError
 
-use crate::batch::{BatchEngine, EngineError};
-use dsi_zero::offload::{OffloadError, OffloadStore};
-use dsi_model::fast::{
-    argmax, embed_rows_into, embed_seq_into, layer_rows_step, layer_seq_step, logits_into,
-    Scratch, StepRow,
-};
+use crate::batch::{per_token_stats, BatchEngine, EngineError};
+use dsi_model::fast::{self, argmax, Row, Scratch};
 use dsi_model::paged::PageStats;
 use dsi_model::reference::KvCache;
+use dsi_zero::offload::{OffloadError, OffloadStore};
 
-/// One slot's decode state: its KV context and the greedy token emitted by
-/// the last pass (the next pass's input).
+/// One slot's decode state besides its KV context: the greedy token emitted
+/// by the last pass (the next pass's input).
 struct StreamSlot {
-    cache: KvCache,
     last: usize,
     busy: bool,
 }
 
 /// A multi-slot greedy decode engine streaming weights from an
 /// [`OffloadStore`]. Construct with [`StreamedEngine::new`]; drive through
-/// the [`BatchEngine`] surface (`dsi-serve` does, in both single-flight
-/// and continuous modes).
+/// the [`BatchEngine`] surface (`dsi-serve` does).
 pub struct StreamedEngine {
     store: OffloadStore,
     scratch: Scratch,
     slots: Vec<StreamSlot>,
+    /// `caches[s]` is slot `s`'s KV context.
+    caches: Vec<KvCache>,
+    /// Reused row list of the current pass.
+    rows: Vec<Row>,
     /// Token-capacity budget reported through `kv_stats` (admission
     /// metering at `page_tokens = 1`).
     token_budget: usize,
@@ -72,13 +62,11 @@ impl StreamedEngine {
         let c = store.config().clone();
         StreamedEngine {
             scratch: Scratch::new(&c, max_slots),
-            slots: (0..max_slots)
-                .map(|_| StreamSlot {
-                    cache: KvCache::with_capacity(c.layers, c.hidden, c.max_seq),
-                    last: 0,
-                    busy: false,
-                })
+            slots: (0..max_slots).map(|_| StreamSlot { last: 0, busy: false }).collect(),
+            caches: (0..max_slots)
+                .map(|_| KvCache::with_capacity(c.layers, c.hidden, c.max_seq))
                 .collect(),
+            rows: Vec::with_capacity(max_slots),
             token_budget,
             high_water: 0,
             store,
@@ -91,55 +79,17 @@ impl StreamedEngine {
     }
 
     fn tokens_in_use(&self) -> usize {
-        self.slots.iter().filter(|s| s.busy).map(|s| s.cache.context_len() + 1).sum()
+        self.slots
+            .iter()
+            .zip(&self.caches)
+            .filter(|(s, _)| s.busy)
+            .map(|(_, c)| c.context_len() + 1)
+            .sum()
     }
 
-    /// One full layer sweep for `m` consecutive rows of slot `slot`'s
-    /// sequence (the prompt pass). KV state after an `Err` is unspecified.
-    fn forward_slot_seq(&mut self, slot: usize, ids: &[usize]) -> Result<(), OffloadError> {
-        let StreamedEngine { store, scratch, slots, .. } = self;
-        let c = store.config();
-        let m = ids.len();
-        let cache = &mut slots[slot].cache;
-        let offset = cache.context_len();
-        assert!(offset + m <= c.max_seq, "sequence exceeds max_seq");
-        scratch.ensure(c, m);
-        let rg = store.resident();
-        embed_seq_into(c, &rg.wte, &rg.wpe, ids, offset, scratch);
-        for l in 0..c.layers {
-            let panel = store.acquire(l)?;
-            store.prefetch_ahead(l + 1);
-            layer_seq_step(c, scratch, &panel, &mut cache.layers[l], m, offset);
-            // `panel` drops here: release-before-refetch, so the budget
-            // always has the in-use panel's slot back before the worker
-            // needs room for the next one.
-        }
-        logits_into(c, scratch, m, &rg.lnf_g, &rg.lnf_b, &rg.wte_packed);
-        Ok(())
-    }
-
-    /// One ragged decode step over `slot_ids` (strictly ascending, busy).
-    fn forward_slot_rows(&mut self, slot_ids: &[usize]) -> Result<(), OffloadError> {
-        let StreamedEngine { store, scratch, slots, .. } = self;
-        let c = store.config();
-        let m = slot_ids.len();
-        scratch.ensure(c, m);
-        let mut rows: Vec<StepRow<'_>> = slots
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| slot_ids.binary_search(i).is_ok())
-            .map(|(_, s)| StepRow { token: s.last, cache: &mut s.cache })
-            .collect();
-        assert_eq!(rows.len(), m, "decode_step: slot out of range");
-        let rg = store.resident();
-        embed_rows_into(c, &rg.wte, &rg.wpe, &rows, scratch);
-        for l in 0..c.layers {
-            let panel = store.acquire(l)?;
-            store.prefetch_ahead(l + 1);
-            layer_rows_step(c, scratch, &panel, &mut rows, l);
-        }
-        logits_into(c, scratch, m, &rg.lnf_g, &rg.lnf_b, &rg.wte_packed);
-        Ok(())
+    /// One pass of `self.rows`. KV state after an `Err` is unspecified.
+    fn pass(&mut self) -> Result<(), OffloadError> {
+        fast::step(&self.store, &mut self.caches[..], &mut self.scratch, &self.rows)
     }
 }
 
@@ -155,10 +105,11 @@ impl BatchEngine for StreamedEngine {
     fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
         assert!(!prompt.is_empty(), "empty prompt");
         assert!(!self.slots[slot].busy, "prefill into busy slot {slot}");
-        self.slots[slot].cache.clear();
-        if let Err(e) = self.forward_slot_seq(slot, prompt) {
+        self.caches[slot].clear();
+        Row::prompt_pass(&mut self.rows, slot, 0, prompt);
+        if let Err(e) = self.pass() {
             // Contract: on Err the slot stays free and holds nothing.
-            self.slots[slot].cache.clear();
+            self.caches[slot].clear();
             return Err(classify(e));
         }
         let vocab = self.store.config().vocab;
@@ -176,10 +127,16 @@ impl BatchEngine for StreamedEngine {
             slots.windows(2).all(|w| w[0] < w[1]),
             "decode_step: slots must be strictly ascending"
         );
+        self.rows.clear();
         for &s in slots {
             assert!(self.slots[s].busy, "decode_step on free slot {s}");
+            self.rows.push(Row {
+                seq: s,
+                token: self.slots[s].last,
+                pos: self.caches[s].context_len(),
+            });
         }
-        self.forward_slot_rows(slots).map_err(classify)?;
+        self.pass().map_err(classify)?;
         let vocab = self.store.config().vocab;
         for (r, &i) in slots.iter().enumerate() {
             let next = argmax(self.scratch.logits_row(r, vocab));
@@ -191,21 +148,12 @@ impl BatchEngine for StreamedEngine {
     }
 
     fn release(&mut self, slot: usize) {
-        let sq = &mut self.slots[slot];
-        sq.cache.clear();
-        sq.last = 0;
-        sq.busy = false;
+        self.caches[slot].clear();
+        self.slots[slot] = StreamSlot { last: 0, busy: false };
     }
 
     fn kv_stats(&self) -> Option<PageStats> {
-        let in_use = self.tokens_in_use();
-        Some(PageStats {
-            pages_total: self.token_budget,
-            pages_in_use: in_use,
-            pages_free: self.token_budget.saturating_sub(in_use),
-            high_water: self.high_water,
-            page_tokens: 1,
-        })
+        Some(per_token_stats(self.token_budget, self.tokens_in_use(), self.high_water))
     }
 }
 

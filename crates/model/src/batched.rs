@@ -4,14 +4,14 @@
 //! work (micro-batches of sequences, Sec. IV-C1) operates on.
 //!
 //! Greedy decode steps route through the packed M-row fast path
-//! ([`crate::fast::PackedModel::forward_rows`]): one ragged-batch forward
+//! ([`crate::fast::step`]): one ragged-batch forward
 //! advances every active sequence instead of the old one-model-call-per-
 //! sequence loop (kept as [`BatchSession::step_reference`], the oracle the
 //! fast route is proptested against). Sampled (non-greedy) decoding still
 //! uses the reference path — its RNG consumption is part of the session's
 //! observable behavior.
 
-use crate::fast::{self, PackedModel, Scratch, StepRow};
+use crate::fast::{self, PackedModel, Row, Scratch};
 use crate::reference::{GptModel, KvCache};
 use crate::sampling::Sampler;
 use dsi_kernels::tensor::Tensor;
@@ -20,7 +20,6 @@ use serde::Serialize;
 /// State of one sequence in a batch.
 #[derive(Debug, Clone)]
 pub struct SequenceState {
-    pub cache: KvCache,
     /// All tokens so far (prompt + generated).
     pub tokens: Vec<usize>,
     /// Tokens generated so far.
@@ -32,6 +31,8 @@ pub struct SequenceState {
 pub struct BatchSession<'m> {
     pub model: &'m GptModel,
     pub sequences: Vec<SequenceState>,
+    /// `caches[i]` is sequence `i`'s KV context.
+    pub caches: Vec<KvCache>,
     /// Token id that terminates a sequence (greedy EOS), if any.
     pub eos: Option<usize>,
     /// Per-sequence generation cap.
@@ -45,6 +46,7 @@ pub struct BatchSession<'m> {
 struct FastBatch<'m> {
     pm: PackedModel<'m>,
     scratch: Scratch,
+    rows: Vec<Row>,
 }
 
 /// Summary of a completed batch run.
@@ -64,17 +66,13 @@ impl<'m> BatchSession<'m> {
             .iter()
             .map(|p| {
                 assert!(!p.is_empty(), "empty prompt");
-                SequenceState {
-                    cache: KvCache::new(cfg.layers, cfg.hidden),
-                    tokens: p.clone(),
-                    generated: 0,
-                    finished: false,
-                }
+                SequenceState { tokens: p.clone(), generated: 0, finished: false }
             })
             .collect();
         BatchSession {
             model,
             sequences,
+            caches: prompts.iter().map(|_| KvCache::new(cfg.layers, cfg.hidden)).collect(),
             eos: None,
             max_new_tokens,
             fast: None,
@@ -84,9 +82,8 @@ impl<'m> BatchSession<'m> {
     /// Prompt phase: run every sequence's prompt, emit each one's first
     /// generated token via the sampler.
     pub fn prompt(&mut self, sampler: &mut Sampler) {
-        for s in &mut self.sequences {
-            let prompt = s.tokens.clone();
-            let logits = self.model.forward(&prompt, &mut s.cache);
+        for (s, cache) in self.sequences.iter_mut().zip(&mut self.caches) {
+            let logits = self.model.forward(&s.tokens, cache);
             let last = logits.row_slice(logits.rows() - 1, logits.rows());
             let next = sampler.sample(last.row(0));
             s.tokens.push(next);
@@ -114,12 +111,12 @@ impl<'m> BatchSession<'m> {
     /// unfinished sequence. Kept as the oracle the fast greedy route is
     /// proptested against, and as the path for sampled decoding.
     pub fn step_reference(&mut self, sampler: &mut Sampler) -> usize {
-        for s in &mut self.sequences {
+        for (s, cache) in self.sequences.iter_mut().zip(&mut self.caches) {
             if s.finished {
                 continue;
             }
             let last = *s.tokens.last().unwrap();
-            let logits = self.model.forward(&[last], &mut s.cache);
+            let logits = self.model.forward(&[last], cache);
             let next = sampler.sample(logits.row(0));
             s.tokens.push(next);
             s.generated += 1;
@@ -135,34 +132,27 @@ impl<'m> BatchSession<'m> {
     fn step_fast_greedy(&mut self) -> usize {
         let model = self.model;
         let batch = self.sequences.len();
-        let fb = self.fast.get_or_insert_with(|| {
-            let pm = PackedModel::pack(model);
-            let scratch = Scratch::new(&model.config, batch.max(1));
-            FastBatch { pm, scratch }
+        let fb = self.fast.get_or_insert_with(|| FastBatch {
+            pm: PackedModel::pack(model),
+            scratch: Scratch::new(&model.config, batch),
+            rows: Vec::with_capacity(batch),
         });
-        fb.scratch.ensure(&model.config, batch.max(1));
-        let mut rows: Vec<StepRow<'_>> = self
-            .sequences
-            .iter_mut()
-            .filter(|s| !s.finished)
-            .map(|s| StepRow {
+        fb.rows.clear();
+        for (i, s) in self.sequences.iter().enumerate().filter(|(_, s)| !s.finished) {
+            fb.rows.push(Row {
+                seq: i,
                 token: *s.tokens.last().unwrap(),
-                cache: &mut s.cache,
-            })
-            .collect();
-        if rows.is_empty() {
+                pos: self.caches[i].context_len(),
+            });
+        }
+        if fb.rows.is_empty() {
             return 0;
         }
-        fb.pm.forward_rows(&mut fb.scratch, &mut rows);
-        drop(rows);
+        let Ok(()) = fast::step(&fb.pm, &mut self.caches[..], &mut fb.scratch, &fb.rows);
         let vocab = model.config.vocab;
-        let mut r = 0;
-        for s in &mut self.sequences {
-            if s.finished {
-                continue;
-            }
+        for (r, row) in fb.rows.iter().enumerate() {
             let next = fast::argmax(fb.scratch.logits_row(r, vocab));
-            r += 1;
+            let s = &mut self.sequences[row.seq];
             s.tokens.push(next);
             s.generated += 1;
             if Some(next) == self.eos || s.generated >= self.max_new_tokens {
@@ -196,19 +186,19 @@ impl<'m> BatchSession<'m> {
     /// Aggregate KV bytes across the batch (the Sec. IV-B3 capacity
     /// pressure, observable).
     pub fn kv_bytes(&self) -> usize {
-        self.sequences.iter().map(|s| s.cache.total_bytes()).sum()
+        self.caches.iter().map(KvCache::total_bytes).sum()
     }
 
     /// Logits of the full batch's last tokens, stacked (for inspection).
     pub fn last_logits(&mut self) -> Tensor {
         let rows: Vec<Tensor> = self
             .sequences
-            .iter_mut()
-            .map(|s| {
+            .iter()
+            .zip(&self.caches)
+            .map(|(s, cache)| {
                 let last = *s.tokens.last().unwrap();
                 // Peek without mutating: clone the cache.
-                let mut c = s.cache.clone();
-                self.model.forward(&[last], &mut c)
+                self.model.forward(&[last], &mut cache.clone())
             })
             .collect();
         let refs: Vec<&Tensor> = rows.iter().collect();
@@ -250,8 +240,8 @@ mod tests {
         assert_eq!(report.total_generated, 6);
         // The cache holds the prompt plus every *forwarded* token; the last
         // sampled token is never fed back, so context = prompt + gen - 1.
-        assert_eq!(session.sequences[0].cache.context_len(), 1 + 3 - 1);
-        assert_eq!(session.sequences[1].cache.context_len(), 7 + 3 - 1);
+        assert_eq!(session.caches[0].context_len(), 1 + 3 - 1);
+        assert_eq!(session.caches[1].context_len(), 7 + 3 - 1);
     }
 
     #[test]

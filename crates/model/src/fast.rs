@@ -26,8 +26,11 @@
 //! (the packed GEMM sums in a different order); greedy decode is verified
 //! token-for-token against [`GptModel::generate`] in the property suite.
 
+use std::convert::Infallible;
+use std::ops::Deref;
+
 use crate::config::GptConfig;
-use crate::reference::{GptModel, KvCache, LayerKv, LayerWeights};
+use crate::reference::{GptModel, KvCache, LayerWeights};
 use dsi_kernels::blocked::{self, PackedB, PanelWeights};
 use dsi_kernels::fused;
 use dsi_kernels::quant::QuantizedPackedB;
@@ -162,13 +165,14 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
             pm: self,
             cache: KvCache::with_capacity(c.layers, c.hidden, c.max_seq),
             scratch: Scratch::new(c, max_prompt.max(1)),
+            rows: Vec::with_capacity(max_prompt.max(1)),
             last_m: 0,
             to_feed: None,
         }
     }
 
     /// Start a batched decode session stepping `prompts.len()` sequences
-    /// per forward pass (the `Engine`-step surface of ROADMAP item 1).
+    /// per forward pass.
     pub fn batched_session(
         &self,
         prompts: &[Vec<usize>],
@@ -181,235 +185,207 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
             .iter()
             .map(|p| {
                 assert!(!p.is_empty(), "empty prompt");
-                BatchedSeq {
-                    cache: KvCache::with_capacity(c.layers, c.hidden, c.max_seq),
-                    tokens: p.clone(),
-                    prompt_len: p.len(),
-                    generated: 0,
-                    finished: false,
-                }
+                BatchedSeq { tokens: p.clone(), prompt_len: p.len(), generated: 0, finished: false }
             })
             .collect();
+        let m = max_prompt.max(prompts.len());
         BatchedFastSession {
             pm: self,
             seqs,
-            scratch: Scratch::new(c, max_prompt.max(prompts.len()).max(1)),
+            caches: prompts
+                .iter()
+                .map(|_| KvCache::with_capacity(c.layers, c.hidden, c.max_seq))
+                .collect(),
+            scratch: Scratch::new(c, m),
+            rows: Vec::with_capacity(m),
             eos: None,
             max_new_tokens,
-            active_idx: Vec::with_capacity(prompts.len()),
         }
-    }
-
-    /// Start an **empty** batched session with `max_slots` reusable slots,
-    /// all initially released — the multi-slot contiguous-KV engine surface
-    /// behind `dsi-core`'s `BatchEngine` ([`BatchedFastSession::prefill_slot`]
-    /// / [`BatchedFastSession::decode_slots`] /
-    /// [`BatchedFastSession::release_slot`]).
-    pub fn slot_session(&self, max_slots: usize, max_prompt: usize) -> BatchedFastSession<'_, 'm, B> {
-        assert!(max_slots > 0);
-        let c = self.config();
-        BatchedFastSession {
-            pm: self,
-            seqs: (0..max_slots)
-                .map(|_| BatchedSeq {
-                    cache: KvCache::with_capacity(c.layers, c.hidden, c.max_seq),
-                    tokens: Vec::new(),
-                    prompt_len: 0,
-                    generated: 0,
-                    finished: true,
-                })
-                .collect(),
-            scratch: Scratch::new(c, max_prompt.max(max_slots).max(1)),
-            eos: None,
-            max_new_tokens: usize::MAX,
-            active_idx: Vec::with_capacity(max_slots),
-        }
-    }
-
-    /// Forward `ids` as consecutive positions of **one** sequence over
-    /// `cache`, leaving `[ids.len(), vocab]` logits in `scratch`. The
-    /// engine core shared by [`FastSession::forward`] and the batched
-    /// prompt phase.
-    pub fn forward_seq(&self, s: &mut Scratch, cache: &mut KvCache, ids: &[usize]) {
-        let c = self.config();
-        let m = ids.len();
-        let offset = cache.context_len();
-        assert!(offset + m <= c.max_seq, "sequence exceeds max_seq");
-        s.ensure(c, m);
-        embed_seq_into(c, &self.model.wte, &self.model.wpe, ids, offset, s);
-        for (l, pl) in self.layers.iter().enumerate() {
-            layer_seq_step(c, s, pl, &mut cache.layers[l], m, offset);
-        }
-        logits_into(c, s, m, self.model.lnf_g.data(), self.model.lnf_b.data(), &self.wte_packed);
-    }
-
-    /// Forward one token of **each of `rows.len()` independent sequences**
-    /// in a single ragged-batch pass: dense M-row GEMMs for regions 1/3/4/5
-    /// and the logits projection, per-row KV append and online-softmax
-    /// attention over each row's own cache (per-row lengths). Leaves
-    /// `[rows.len(), vocab]` logits in `scratch`, row `i` belonging to
-    /// `rows[i]`.
-    ///
-    /// Because every microkernel accumulates like the M=1 kernel, the
-    /// logits of row `i` are **bit-identical** to stepping that sequence
-    /// alone through [`PackedModel::forward_seq`].
-    pub fn forward_rows(&self, s: &mut Scratch, rows: &mut [StepRow<'_>]) {
-        let c = self.config();
-        let m = rows.len();
-        assert!(m > 0, "forward_rows: empty batch");
-        s.ensure(c, m);
-        embed_rows_into(c, &self.model.wte, &self.model.wpe, rows, s);
-        for (l, pl) in self.layers.iter().enumerate() {
-            layer_rows_step(c, s, pl, rows, l);
-        }
-        logits_into(c, s, m, self.model.lnf_g.data(), self.model.lnf_b.data(), &self.wte_packed);
     }
 }
 
 // ---------------------------------------------------------------------------
-// The fused forward pass, one free function per stage.
+// The fused forward pass: ONE step, generic over where the weights come
+// from and where the KV rows go.
 //
-// These are the single source of the Deep-Fusion kernel sequence: both the
-// fully-resident [`PackedModel`] engines and `dsi-zero`'s streamed engine
-// (which holds only a window of layer panels resident at a time) drive the
-// same functions, so "streamed decode is token-identical to the resident
-// oracle" holds by construction — the two paths cannot drift apart
-// numerically, only in where the `PackedLayer` came from.
+// Every executed engine — the resident [`FastSession`] and
+// [`BatchedFastSession`], `paged::PagedEngine`, and `dsi-core`'s streamed
+// engine (which holds only a window of layer panels resident at a time) —
+// drives this one function, so "paged / batched / streamed decode is
+// token-identical to the solo resident oracle" holds by construction: the
+// paths cannot drift apart numerically, only in where a `PackedLayer` came
+// from and where a K/V row lives.
 // ---------------------------------------------------------------------------
 
-/// Embedding stage for `ids` as consecutive positions (starting at
-/// `offset`) of one sequence: token row + position row fused into one write
-/// of `s.x`. Caller has run `s.ensure(c, ids.len())`.
-pub fn embed_seq_into(c: &GptConfig, wte: &Tensor, wpe: &Tensor, ids: &[usize], offset: usize, s: &mut Scratch) {
-    let h = c.hidden;
-    for (i, &id) in ids.iter().enumerate() {
-        assert!(id < c.vocab, "token id {id} out of vocab");
-        let te = wte.row(id);
-        let pe = wpe.row(offset + i);
-        for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
-            *x = t + p;
-        }
+/// One row of a pass: `token` of sequence `seq` at context position `pos`.
+/// A prompt pass is `m` rows of one sequence at consecutive positions; a
+/// decode step is one row each of `m` sequences. What `seq` names is up to
+/// the [`KvSink`] (a slot index, an index into a cache slice).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    pub seq: usize,
+    pub token: usize,
+    pub pos: usize,
+}
+
+impl Row {
+    /// Refill `rows` with a prompt pass: `ids` of sequence `seq` at
+    /// consecutive positions from `offset`.
+    pub fn prompt_pass(rows: &mut Vec<Row>, seq: usize, offset: usize, ids: &[usize]) {
+        rows.clear();
+        rows.extend(ids.iter().enumerate().map(|(i, &token)| Row { seq, token, pos: offset + i }));
     }
 }
 
-/// Embedding stage for one token of each of `rows.len()` independent
-/// sequences, each at its own cache position. Caller has run
-/// `s.ensure(c, rows.len())`.
-pub fn embed_rows_into(c: &GptConfig, wte: &Tensor, wpe: &Tensor, rows: &[StepRow<'_>], s: &mut Scratch) {
-    let h = c.hidden;
-    for (i, row) in rows.iter().enumerate() {
-        let pos = row.cache.context_len();
-        assert!(pos < c.max_seq, "sequence exceeds max_seq");
-        assert!(row.token < c.vocab, "token id {} out of vocab", row.token);
-        let te = wte.row(row.token);
-        let pe = wpe.row(pos);
-        for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
-            *x = t + p;
-        }
+/// Where a pass's weights come from: resident packed layers
+/// ([`PackedModel`]), or layer panels checked out of an offload tier one at
+/// a time (`dsi_zero::offload::OffloadStore`, fallibly).
+pub trait WeightSource {
+    type B: PanelWeights;
+    /// Layer `l`'s weights, held until the guard drops.
+    type Layer<'a>: Deref<Target = PackedLayer<Self::B>>
+    where
+        Self: 'a;
+    type Error;
+    fn config(&self) -> &GptConfig;
+    /// Token and position embedding tables.
+    fn embeddings(&self) -> (&Tensor, &Tensor);
+    /// Final layer-norm gain and bias.
+    fn lnf(&self) -> (&[f32], &[f32]);
+    /// `wteᵀ` packed as the logits projection.
+    fn logits_w(&self) -> &Self::B;
+    fn layer(&self, l: usize) -> Result<Self::Layer<'_>, Self::Error>;
+}
+
+impl<B: PanelWeights> WeightSource for PackedModel<'_, B> {
+    type B = B;
+    type Layer<'a>
+        = &'a PackedLayer<B>
+    where
+        Self: 'a;
+    type Error = Infallible;
+
+    fn config(&self) -> &GptConfig {
+        &self.model.config
+    }
+    fn embeddings(&self) -> (&Tensor, &Tensor) {
+        (&self.model.wte, &self.model.wpe)
+    }
+    fn lnf(&self) -> (&[f32], &[f32]) {
+        (self.model.lnf_g.data(), self.model.lnf_b.data())
+    }
+    fn logits_w(&self) -> &B {
+        &self.wte_packed
+    }
+    fn layer(&self, l: usize) -> Result<&PackedLayer<B>, Infallible> {
+        Ok(&self.layers[l])
     }
 }
 
-/// One transformer layer over `m` consecutive rows of a single sequence
-/// whose prior context length is `offset` (the `forward_seq` layer body):
-/// fused regions 1–5, KV appended in place to `kv`.
-pub fn layer_seq_step<B: PanelWeights>(
-    c: &GptConfig,
+/// Where a pass's K/V rows go and where attention reads them back from:
+/// contiguous per-sequence caches (`[KvCache]`), or a shared page pool
+/// addressed through per-sequence page tables (`paged::PagedEngine`).
+/// Implementations mark both methods `#[inline]`: they run once per row per
+/// layer inside [`step`], which is monomorphised in the *calling* crate, and
+/// a non-generic method is not inlined across crates without it (measured:
+/// ~2 % of a 0.7 ms batch-1 INT8 step).
+pub trait KvSink {
+    /// Store `row`'s K/V for `layer` at `row.pos` of sequence `row.seq`.
+    fn write(&mut self, layer: usize, row: Row, k: &[f32], v: &[f32]);
+    /// `row`'s query attends over positions `0..=row.pos` of its sequence.
+    fn attend(&self, layer: usize, row: Row, q: &[f32], heads: usize, out: &mut [f32]);
+}
+
+/// Contiguous KV: sequence `seq`'s cache is `self[seq]`, rows appended in
+/// place (amortized; no reallocation once capacity is reserved).
+impl KvSink for [KvCache] {
+    #[inline]
+    fn write(&mut self, layer: usize, row: Row, k: &[f32], v: &[f32]) {
+        let kv = &mut self[row.seq].layers[layer];
+        assert_eq!(kv.len(), row.pos, "contiguous KV appends in position order");
+        kv.append_row_slices(k, v);
+    }
+
+    #[inline]
+    fn attend(&self, layer: usize, row: Row, q: &[f32], heads: usize, out: &mut [f32]) {
+        let kv = &self[row.seq].layers[layer];
+        fused::attention_row_into(q, &kv.k, &kv.v, heads, row.pos, out);
+    }
+}
+
+/// One forward pass of `rows` through the whole model — embed; per layer
+/// the Fig. 1(c) fused regions (LN+QKV, KV write, attention, W_o,
+/// LN+FF1+GeLU, FF2); final LN + tied-embedding logits — leaving
+/// `[rows.len(), vocab]` logits in `s`, row `i` belonging to `rows[i]`.
+///
+/// Every K/V row of a layer is written before any query attends, which for
+/// a prompt pass is the causal stair-step (query `i` sees keys `0..=pos_i`)
+/// and for a decode step changes nothing (the rows belong to different
+/// sequences). Because every microkernel accumulates like the M=1 kernel,
+/// the logits of a row are **bit-identical** however the rows are batched.
+///
+/// On `Err` (a weight fetch failed) the KV state of the rows' sequences is
+/// unspecified.
+pub fn step<W: WeightSource, K: KvSink + ?Sized>(
+    w: &W,
+    kv: &mut K,
     s: &mut Scratch,
-    pl: &PackedLayer<B>,
-    kv: &mut LayerKv,
-    m: usize,
-    offset: usize,
-) {
-    let (h, heads) = (c.hidden, c.heads);
-    // Region 1: layer-norm rows → one M-row QKV GEMM → bias.
-    fused::ln_matmul_bias_into(
-        &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-        &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
-    );
-    // KV append in place (amortized; no reallocation at steady state).
-    for i in 0..m {
-        let row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-        kv.append_row_slices(&row[h..2 * h], &row[2 * h..3 * h]);
-    }
-    // Region 2: streaming-softmax attention over the cache, queries read in
-    // place from the QKV block (stride 3h) — no gather.
-    fused::attention_seq_into(
-        &s.qkv[..m * 3 * h], 3 * h, m, &kv.k, &kv.v, heads, offset,
-        &mut s.attn[..m * h],
-    );
-    // Region 3: output projection GEMM + bias + residual.
-    blocked::matmul_bias_add_into(
-        &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
-    );
-    std::mem::swap(&mut s.x, &mut s.y);
-    // Region 4: layer-norm → FF1 GEMM → bias → GeLU.
-    fused::ln_matmul_bias_gelu_into(
-        &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-        &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
-    );
-    // Region 5: FF2 GEMM + bias + residual.
-    blocked::matmul_bias_add_into(
-        &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
-        &mut s.y[..m * h],
-    );
-    std::mem::swap(&mut s.x, &mut s.y);
-}
-
-/// One transformer layer (`layer`) over a ragged batch: dense M-row GEMMs
-/// for regions 1/3/4/5, per-row KV append + online-softmax attention over
-/// each row's own cache (the `forward_rows` layer body).
-pub fn layer_rows_step<B: PanelWeights>(
-    c: &GptConfig,
-    s: &mut Scratch,
-    pl: &PackedLayer<B>,
-    rows: &mut [StepRow<'_>],
-    layer: usize,
-) {
+    rows: &[Row],
+) -> Result<(), W::Error> {
+    let c = w.config();
     let (h, heads) = (c.hidden, c.heads);
     let m = rows.len();
-    fused::ln_matmul_bias_into(
-        &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-        &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
-    );
-    // Ragged region 2: each row appends to and attends over its own cache
-    // at its own position.
-    for (i, row) in rows.iter_mut().enumerate() {
-        let kv = &mut row.cache.layers[layer];
-        let off = kv.len();
-        let qkv_row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-        kv.append_row_slices(&qkv_row[h..2 * h], &qkv_row[2 * h..3 * h]);
-        fused::attention_row_into(
-            &s.qkv[i * 3 * h..i * 3 * h + h],
-            &kv.k, &kv.v, heads, off,
-            &mut s.attn[i * h..(i + 1) * h],
-        );
-    }
-    blocked::matmul_bias_add_into(
-        &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
-    );
-    std::mem::swap(&mut s.x, &mut s.y);
-    fused::ln_matmul_bias_gelu_into(
-        &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-        &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
-    );
-    blocked::matmul_bias_add_into(
-        &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
-        &mut s.y[..m * h],
-    );
-    std::mem::swap(&mut s.x, &mut s.y);
-}
+    assert!(m > 0, "step: empty pass");
+    s.ensure(c, m);
 
-/// Final stage: layer-norm each of the `m` rows, then one M-row
-/// tied-embedding logits GEMM via the pre-packed `wteᵀ` into `s.logits`.
-pub fn logits_into<B: PanelWeights>(
-    c: &GptConfig,
-    s: &mut Scratch,
-    m: usize,
-    lnf_g: &[f32],
-    lnf_b: &[f32],
-    wte_packed: &B,
-) {
-    let h = c.hidden;
+    // Embedding: token row + position row fused into one write of `s.x`.
+    let (wte, wpe) = w.embeddings();
+    for (i, r) in rows.iter().enumerate() {
+        assert!(r.token < c.vocab, "token id {} out of vocab", r.token);
+        assert!(r.pos < c.max_seq, "sequence exceeds max_seq");
+        let (te, pe) = (wte.row(r.token), wpe.row(r.pos));
+        for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
+            *x = t + p;
+        }
+    }
+
+    for l in 0..c.layers {
+        let pl = w.layer(l)?;
+        // Region 1: layer-norm rows → one M-row QKV GEMM → bias.
+        fused::ln_matmul_bias_into(
+            &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
+            &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
+        );
+        for (i, &r) in rows.iter().enumerate() {
+            let row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
+            kv.write(l, r, &row[h..2 * h], &row[2 * h..3 * h]);
+        }
+        // Region 2: streaming-softmax attention, queries read in place from
+        // the QKV block (stride 3h) — no gather.
+        for (i, &r) in rows.iter().enumerate() {
+            kv.attend(l, r, &s.qkv[i * 3 * h..i * 3 * h + h], heads, &mut s.attn[i * h..(i + 1) * h]);
+        }
+        // Region 3: output projection GEMM + bias + residual.
+        blocked::matmul_bias_add_into(
+            &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
+        );
+        std::mem::swap(&mut s.x, &mut s.y);
+        // Region 4: layer-norm → FF1 GEMM → bias → GeLU.
+        fused::ln_matmul_bias_gelu_into(
+            &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
+            &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
+        );
+        // Region 5: FF2 GEMM + bias + residual.
+        blocked::matmul_bias_add_into(
+            &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
+            &mut s.y[..m * h],
+        );
+        std::mem::swap(&mut s.x, &mut s.y);
+    }
+
+    // Final layer-norm of each row, then one M-row tied-embedding logits
+    // GEMM via the pre-packed `wteᵀ`.
+    let (lnf_g, lnf_b) = w.lnf();
     for i in 0..m {
         fused::layernorm_row_into(
             &s.x[i * h..(i + 1) * h],
@@ -417,14 +393,8 @@ pub fn logits_into<B: PanelWeights>(
             &mut s.normed[i * h..(i + 1) * h],
         );
     }
-    blocked::matmul_into(&s.normed[..m * h], m, wte_packed, &mut s.logits[..m * c.vocab]);
-}
-
-/// One sequence's contribution to a batched decode step: the token to feed
-/// and the KV cache it extends.
-pub struct StepRow<'a> {
-    pub token: usize,
-    pub cache: &'a mut KvCache,
+    blocked::matmul_into(&s.normed[..m * h], m, w.logits_w(), &mut s.logits[..m * c.vocab]);
+    Ok(())
 }
 
 /// Preallocated intermediate buffers for the fused layer loop. Sized for
@@ -506,6 +476,8 @@ pub struct FastSession<'p, 'm, B = PackedB> {
     pm: &'p PackedModel<'m, B>,
     pub cache: KvCache,
     scratch: Scratch,
+    /// Reused row list of the current pass.
+    rows: Vec<Row>,
     /// Row count of the most recent [`FastSession::forward`] call; selects
     /// the sampling row inside the scratch logits buffer.
     last_m: usize,
@@ -539,7 +511,9 @@ impl<B: PanelWeights> FastSession<'_, '_, B> {
     /// `[ids.len(), vocab]` logits in scratch and returns them as a slice.
     pub fn forward(&mut self, ids: &[usize]) -> &[f32] {
         let m = ids.len();
-        self.pm.forward_seq(&mut self.scratch, &mut self.cache, ids);
+        Row::prompt_pass(&mut self.rows, 0, self.cache.context_len(), ids);
+        let Ok(()) =
+            step(self.pm, std::slice::from_mut(&mut self.cache), &mut self.scratch, &self.rows);
         self.last_m = m;
         &self.scratch.logits[..m * self.pm.config().vocab]
     }
@@ -619,7 +593,6 @@ impl<B: PanelWeights> FastSession<'_, '_, B> {
 /// State of one sequence inside a [`BatchedFastSession`].
 #[derive(Debug, Clone)]
 pub struct BatchedSeq {
-    pub cache: KvCache,
     /// All tokens so far (prompt + generated).
     pub tokens: Vec<usize>,
     pub prompt_len: usize,
@@ -636,29 +609,31 @@ pub struct BatchedSeq {
 /// Token streams are bit-identical to running each sequence alone through a
 /// [`FastSession`] — the microkernel accumulation-order invariant makes the
 /// batch decomposition invisible to the numerics. Scratch and KV storage
-/// are preallocated; steady-state steps reuse them (the only per-step
-/// allocation is the transient `StepRow` pointer list).
+/// are preallocated; steady-state steps allocate nothing.
 pub struct BatchedFastSession<'p, 'm, B = PackedB> {
     pm: &'p PackedModel<'m, B>,
     pub seqs: Vec<BatchedSeq>,
+    /// `caches[i]` is sequence `i`'s KV context.
+    caches: Vec<KvCache>,
     scratch: Scratch,
+    /// Reused row list of the current pass.
+    rows: Vec<Row>,
     /// Token id that terminates a sequence, if any.
     pub eos: Option<usize>,
     /// Per-sequence generation cap.
     pub max_new_tokens: usize,
-    /// Reused per-step list of unfinished sequence indices.
-    active_idx: Vec<usize>,
 }
 
 impl<B: PanelWeights> BatchedFastSession<'_, '_, B> {
-    /// Prompt phase: ingest every sequence's prompt (one `forward_seq`
-    /// each — prompts are ragged, so they cannot share a dense batch) and
-    /// emit each sequence's first greedy token.
+    /// Prompt phase: ingest every sequence's prompt (one pass each —
+    /// prompts are ragged, so they cannot share a dense batch) and emit
+    /// each sequence's first greedy token.
     pub fn prompt(&mut self) {
-        let c = self.pm.config();
-        for sq in &mut self.seqs {
-            self.pm.forward_seq(&mut self.scratch, &mut sq.cache, &sq.tokens.clone());
-            let next = argmax(self.scratch.logits_row(sq.prompt_len - 1, c.vocab));
+        let vocab = self.pm.config().vocab;
+        for (i, sq) in self.seqs.iter_mut().enumerate() {
+            Row::prompt_pass(&mut self.rows, i, 0, &sq.tokens);
+            let Ok(()) = step(self.pm, &mut self.caches[..], &mut self.scratch, &self.rows);
+            let next = argmax(self.scratch.logits_row(sq.prompt_len - 1, vocab));
             sq.tokens.push(next);
             sq.generated = 1;
             sq.finished = Some(next) == self.eos || sq.generated >= self.max_new_tokens;
@@ -670,35 +645,28 @@ impl<B: PanelWeights> BatchedFastSession<'_, '_, B> {
     /// token sampled. Returns how many sequences advanced.
     pub fn step(&mut self) -> usize {
         let vocab = self.pm.config().vocab;
-        self.active_idx.clear();
-        self.active_idx
-            .extend(self.seqs.iter().enumerate().filter(|(_, s)| !s.finished).map(|(i, _)| i));
-        if self.active_idx.is_empty() {
+        self.rows.clear();
+        for (i, sq) in self.seqs.iter().enumerate().filter(|(_, s)| !s.finished) {
+            self.rows.push(Row {
+                seq: i,
+                token: *sq.tokens.last().expect("non-empty prompt"),
+                pos: self.caches[i].context_len(),
+            });
+        }
+        if self.rows.is_empty() {
             return 0;
         }
-        let mut rows: Vec<StepRow<'_>> = self
-            .seqs
-            .iter_mut()
-            .filter(|s| !s.finished)
-            .map(|s| StepRow {
-                token: *s.tokens.last().expect("non-empty prompt"),
-                cache: &mut s.cache,
-            })
-            .collect();
-        self.pm.forward_rows(&mut self.scratch, &mut rows);
-        drop(rows);
-        let advanced = self.active_idx.len();
-        for r in 0..advanced {
-            let i = self.active_idx[r];
+        let Ok(()) = step(self.pm, &mut self.caches[..], &mut self.scratch, &self.rows);
+        for (r, row) in self.rows.iter().enumerate() {
             let next = argmax(self.scratch.logits_row(r, vocab));
-            let sq = &mut self.seqs[i];
+            let sq = &mut self.seqs[row.seq];
             sq.tokens.push(next);
             sq.generated += 1;
             if Some(next) == self.eos || sq.generated >= self.max_new_tokens {
                 sq.finished = true;
             }
         }
-        advanced
+        self.rows.len()
     }
 
     /// Run prompt + steps to completion; returns total generated tokens.
@@ -718,76 +686,12 @@ impl<B: PanelWeights> BatchedFastSession<'_, '_, B> {
         &s.tokens[s.prompt_len..]
     }
 
-    /// Engine-slot surface: (re)fill `slot` with a fresh prompt, run its
-    /// prompt pass, and return the first greedy token (recorded as the
-    /// slot's pending feed). Unlike [`BatchedFastSession::prompt`], slot
-    /// retirement (EOS, caps) is the *caller's* decision — this surface
-    /// only executes.
-    pub fn prefill_slot(&mut self, slot: usize, prompt: &[usize]) -> usize {
-        assert!(!prompt.is_empty(), "empty prompt");
-        let vocab = self.pm.config().vocab;
-        let sq = &mut self.seqs[slot];
-        sq.cache.clear();
-        sq.tokens.clear();
-        sq.tokens.extend_from_slice(prompt);
-        sq.prompt_len = prompt.len();
-        sq.finished = false;
-        self.pm.forward_seq(&mut self.scratch, &mut sq.cache, prompt);
-        let next = argmax(self.scratch.logits_row(prompt.len() - 1, vocab));
-        sq.tokens.push(next);
-        sq.generated = 1;
-        next
-    }
-
-    /// Engine-slot surface: advance the given slots (strictly ascending,
-    /// in-use) by one token each through a single ragged M-row pass,
-    /// appending each slot's new token to `out` in `slots` order.
-    pub fn decode_slots(&mut self, slots: &[usize], out: &mut Vec<usize>) {
-        assert!(!slots.is_empty(), "decode_slots: empty batch");
-        assert!(
-            slots.windows(2).all(|w| w[0] < w[1]),
-            "decode_slots: slots must be strictly ascending"
-        );
-        let vocab = self.pm.config().vocab;
-        let mut rows: Vec<StepRow<'_>> = self
-            .seqs
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| slots.binary_search(i).is_ok())
-            .map(|(_, s)| StepRow {
-                token: *s.tokens.last().expect("slot not prefilled"),
-                cache: &mut s.cache,
-            })
-            .collect();
-        assert_eq!(rows.len(), slots.len(), "decode_slots: slot out of range");
-        self.pm.forward_rows(&mut self.scratch, &mut rows);
-        drop(rows);
-        for (r, &i) in slots.iter().enumerate() {
-            let next = argmax(self.scratch.logits_row(r, vocab));
-            let sq = &mut self.seqs[i];
-            sq.tokens.push(next);
-            sq.generated += 1;
-            out.push(next);
-        }
-    }
-
-    /// Engine-slot surface: return `slot` to the released state, keeping
-    /// its KV capacity for the next occupant.
-    pub fn release_slot(&mut self, slot: usize) {
-        let sq = &mut self.seqs[slot];
-        sq.cache.clear();
-        sq.tokens.clear();
-        sq.prompt_len = 0;
-        sq.generated = 0;
-        sq.finished = true;
-    }
-
     /// Scratch + KV data pointers; unchanged values across steps prove the
     /// steady-state loop reuses its buffers.
     pub fn buffer_fingerprint(&self) -> Vec<usize> {
         let mut f = self.scratch_fingerprint();
-        for sq in &self.seqs {
-            for l in &sq.cache.layers {
+        for cache in &self.caches {
+            for l in &cache.layers {
                 f.push(l.k.data().as_ptr() as usize);
                 f.push(l.v.data().as_ptr() as usize);
             }

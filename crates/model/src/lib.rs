@@ -26,7 +26,6 @@ pub mod encoder;
 pub mod fast;
 pub mod io;
 pub mod paged;
-pub mod quantized;
 pub mod reference;
 pub mod sampling;
 pub mod zoo;
@@ -36,10 +35,9 @@ pub use beam::beam_search;
 pub use encoder::BertModel;
 pub use config::{BertConfig, GptConfig, MoeConfig};
 pub use fast::{
-    BatchedFastSession, BatchedSeq, FastSession, PackedLayer, PackedModel, QuantizedFastSession,
-    QuantizedPackedModel, StepRow,
+    BatchedFastSession, BatchedSeq, FastSession, KvSink, PackedLayer, PackedModel,
+    QuantizedFastSession, QuantizedPackedModel, Row, WeightSource,
 };
 pub use paged::{PagePool, PageStats, PagedEngine, PagedSeq, PagesExhausted};
-pub use quantized::QuantizedGptModel;
 pub use reference::{GptModel, KvCache, LayerKv, LayerWeights};
 pub use sampling::{Sampler, SamplerConfig};

@@ -26,8 +26,8 @@
 //!   drives.
 
 use crate::config::GptConfig;
-use crate::fast::{argmax, PackedModel, Scratch};
-use dsi_kernels::blocked::{self, PackedB, PanelWeights};
+use crate::fast::{self, argmax, KvSink, PackedModel, Row, Scratch};
+use dsi_kernels::blocked::{PackedB, PanelWeights};
 use dsi_kernels::fused::{self, PagedKvView};
 
 /// A page reservation failed: the pool has fewer free pages than the
@@ -219,12 +219,34 @@ impl PagePool {
     }
 }
 
-/// One resident sequence of a [`PagedEngine`].
-#[derive(Debug)]
-struct PagedSlot {
-    seq: PagedSeq,
-    /// The last emitted token, pending feed on the next decode step.
-    last: usize,
+/// The paged [`KvSink`]: K/V rows land in the shared pool through the page
+/// table `seqs[row.seq]`, and attention reads them back through the same
+/// table via `fused::attention_row_paged_into` — the same per-row attention
+/// core as the contiguous path, so logits are bit-identical.
+struct PagedKv<'a> {
+    pool: &'a mut PagePool,
+    seqs: &'a [PagedSeq],
+}
+
+impl KvSink for PagedKv<'_> {
+    #[inline]
+    fn write(&mut self, layer: usize, row: Row, k: &[f32], v: &[f32]) {
+        self.pool.write_row(&self.seqs[row.seq], layer, row.pos, k, v);
+    }
+
+    #[inline]
+    fn attend(&self, layer: usize, row: Row, q: &[f32], heads: usize, out: &mut [f32]) {
+        let (k, v) = self.pool.arenas(layer);
+        let view = PagedKvView {
+            k,
+            v,
+            pages: self.seqs[row.seq].pages(),
+            page_tokens: self.pool.page_tokens,
+            len: row.pos + 1,
+            offset: row.pos,
+        };
+        fused::attention_row_paged_into(q, &view, heads, out);
+    }
 }
 
 /// Multi-slot decode engine over one packed model and one [`PagePool`].
@@ -232,8 +254,14 @@ struct PagedSlot {
 pub struct PagedEngine<'p, 'm, B = PackedB> {
     pm: &'p PackedModel<'m, B>,
     pool: PagePool,
-    slots: Vec<Option<PagedSlot>>,
+    /// `seqs[slot]` is the slot's page table (empty while the slot is free).
+    seqs: Vec<PagedSeq>,
+    /// `last[slot]` is the slot's last emitted token, pending feed on the
+    /// next decode step; `None` while the slot is free.
+    last: Vec<Option<usize>>,
     scratch: Scratch,
+    /// Reused row list of the current pass.
+    rows: Vec<Row>,
 }
 
 impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
@@ -249,14 +277,16 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
         let c = pm.config();
         PagedEngine {
             pool: PagePool::new(c.layers, c.hidden, pages_total, page_tokens),
-            slots: (0..max_slots).map(|_| None).collect(),
-            scratch: Scratch::new(c, max_slots.max(1)),
+            seqs: vec![PagedSeq::new(); max_slots],
+            last: vec![None; max_slots],
+            scratch: Scratch::new(c, max_slots),
+            rows: Vec::with_capacity(max_slots),
             pm,
         }
     }
 
     pub fn max_slots(&self) -> usize {
-        self.slots.len()
+        self.seqs.len()
     }
 
     pub fn pool_stats(&self) -> PageStats {
@@ -269,22 +299,20 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
     }
 
     pub fn slot_in_use(&self, slot: usize) -> bool {
-        self.slots[slot].is_some()
+        self.last[slot].is_some()
     }
 
     /// Committed context length of an occupied slot.
     pub fn context_len(&self, slot: usize) -> usize {
-        self.slots[slot].as_ref().expect("slot not in use").seq.len()
+        assert!(self.slot_in_use(slot), "slot not in use");
+        self.seqs[slot].len()
     }
 
     /// Every occupied slot's page table (aliasing-audit operand: the tables
     /// must be pairwise disjoint, which `dsi-verify`'s page-alias check
     /// asserts in the test suites).
     pub fn page_tables(&self) -> Vec<&[u32]> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|s| s.seq.pages()))
-            .collect()
+        self.seqs.iter().filter(|s| !s.pages.is_empty()).map(|s| s.pages()).collect()
     }
 
     pub fn config(&self) -> &GptConfig {
@@ -295,14 +323,19 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
     /// (all-or-nothing), run the prompt pass, and return the first greedy
     /// token. On `Err` the slot stays free and no page is held.
     pub fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, PagesExhausted> {
-        assert!(self.slots[slot].is_none(), "prefill into occupied slot {slot}");
+        assert!(!self.slot_in_use(slot), "prefill into occupied slot {slot}");
         assert!(!prompt.is_empty(), "empty prompt");
+        // The table is published into the slot only once the pass has run:
+        // if the pass panics, the slot stays free for the scheduler's replay.
         let mut seq = PagedSeq::new();
         self.pool.reserve(&mut seq, prompt.len())?;
-        self.forward_seq_paged(&mut seq, prompt);
-        let vocab = self.pm.config().vocab;
-        let tok = argmax(self.scratch.logits_row(prompt.len() - 1, vocab));
-        self.slots[slot] = Some(PagedSlot { seq, last: tok });
+        Row::prompt_pass(&mut self.rows, 0, 0, prompt);
+        let mut kv = PagedKv { pool: &mut self.pool, seqs: std::slice::from_ref(&seq) };
+        let Ok(()) = fast::step(self.pm, &mut kv, &mut self.scratch, &self.rows);
+        let tok = argmax(self.scratch.logits_row(prompt.len() - 1, self.pm.config().vocab));
+        seq.len = prompt.len();
+        self.seqs[slot] = seq;
+        self.last[slot] = Some(tok);
         Ok(tok)
     }
 
@@ -319,25 +352,26 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
         );
         // Atomic page reservation for the whole step.
         let mut needed = 0;
+        self.rows.clear();
         for &si in slots {
-            let slot = self.slots[si].as_ref().expect("decode of free slot");
-            needed += self
-                .pool
-                .pages_for(slot.seq.len + 1)
-                .saturating_sub(slot.seq.pages.len());
+            let token = self.last[si].expect("decode of free slot");
+            let seq = &self.seqs[si];
+            needed += self.pool.pages_for(seq.len + 1).saturating_sub(seq.pages.len());
+            self.rows.push(Row { seq: si, token, pos: seq.len });
         }
         if needed > self.pool.free.len() {
             return Err(PagesExhausted { needed, free: self.pool.free.len() });
         }
         for &si in slots {
-            let slot = self.slots[si].as_mut().expect("decode of free slot");
-            self.pool.reserve(&mut slot.seq, 1).expect("reservation pre-checked");
+            self.pool.reserve(&mut self.seqs[si], 1).expect("reservation pre-checked");
         }
-        self.forward_rows_paged(slots);
+        let mut kv = PagedKv { pool: &mut self.pool, seqs: &self.seqs };
+        let Ok(()) = fast::step(self.pm, &mut kv, &mut self.scratch, &self.rows);
         let vocab = self.pm.config().vocab;
         for (r, &si) in slots.iter().enumerate() {
             let next = argmax(self.scratch.logits_row(r, vocab));
-            self.slots[si].as_mut().expect("occupied").last = next;
+            self.seqs[si].len += 1;
+            self.last[si] = Some(next);
             out.push(next);
         }
         Ok(())
@@ -345,162 +379,8 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
 
     /// Retire `slot`: return its pages to the free list.
     pub fn release(&mut self, slot: usize) {
-        let mut s = self.slots[slot].take().expect("release of free slot");
-        self.pool.release(&mut s.seq);
-    }
-
-    /// Mirror of `PackedModel::forward_seq` with the KV append and
-    /// attention read routed through the page pool. Same fused-region
-    /// sequence, same scratch layout, same per-row attention core —
-    /// logits are bit-identical to the contiguous path.
-    fn forward_seq_paged(&mut self, seq: &mut PagedSeq, ids: &[usize]) {
-        let c = self.pm.config();
-        let (h, heads) = (c.hidden, c.heads);
-        let pt = self.pool.page_tokens;
-        let m = ids.len();
-        let offset = seq.len;
-        assert!(offset + m <= c.max_seq, "sequence exceeds max_seq");
-        assert!(offset + m <= seq.pages.len() * pt, "forward past reservation");
-        self.scratch.ensure(c, m);
-        let s = &mut self.scratch;
-        let model = self.pm.model;
-
-        for (i, &id) in ids.iter().enumerate() {
-            assert!(id < c.vocab, "token id {id} out of vocab");
-            let te = model.wte.row(id);
-            let pe = model.wpe.row(offset + i);
-            for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
-                *x = t + p;
-            }
-        }
-
-        for (l, pl) in self.pm.layers.iter().enumerate() {
-            fused::ln_matmul_bias_into(
-                &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-                &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
-            );
-            for i in 0..m {
-                let row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-                self.pool.write_row(seq, l, offset + i, &row[h..2 * h], &row[2 * h..3 * h]);
-            }
-            let (ka, va) = self.pool.arenas(l);
-            for i in 0..m {
-                fused::attention_row_paged_into(
-                    &s.qkv[i * 3 * h..i * 3 * h + h],
-                    &PagedKvView {
-                        k: ka,
-                        v: va,
-                        pages: &seq.pages,
-                        page_tokens: pt,
-                        len: offset + i + 1,
-                        offset: offset + i,
-                    },
-                    heads,
-                    &mut s.attn[i * h..(i + 1) * h],
-                );
-            }
-            blocked::matmul_bias_add_into(
-                &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
-            );
-            std::mem::swap(&mut s.x, &mut s.y);
-            fused::ln_matmul_bias_gelu_into(
-                &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-                &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
-            );
-            blocked::matmul_bias_add_into(
-                &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
-                &mut s.y[..m * h],
-            );
-            std::mem::swap(&mut s.x, &mut s.y);
-        }
-
-        for i in 0..m {
-            fused::layernorm_row_into(
-                &s.x[i * h..(i + 1) * h],
-                model.lnf_g.data(), model.lnf_b.data(), 1e-5,
-                &mut s.normed[i * h..(i + 1) * h],
-            );
-        }
-        blocked::matmul_into(&s.normed[..m * h], m, &self.pm.wte_packed, &mut s.logits[..m * c.vocab]);
-        seq.len = offset + m;
-    }
-
-    /// Mirror of `PackedModel::forward_rows` over the page pool: one token
-    /// of each listed slot per call, dense M-row GEMMs, per-row paged
-    /// attention at each sequence's own position.
-    fn forward_rows_paged(&mut self, active: &[usize]) {
-        let c = self.pm.config();
-        let (h, heads) = (c.hidden, c.heads);
-        let pt = self.pool.page_tokens;
-        let m = active.len();
-        self.scratch.ensure(c, m);
-        let s = &mut self.scratch;
-        let model = self.pm.model;
-
-        for (i, &si) in active.iter().enumerate() {
-            let slot = self.slots[si].as_ref().expect("decode of free slot");
-            let pos = slot.seq.len;
-            assert!(pos < c.max_seq, "sequence exceeds max_seq");
-            let te = model.wte.row(slot.last);
-            let pe = model.wpe.row(pos);
-            for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
-                *x = t + p;
-            }
-        }
-
-        for (l, pl) in self.pm.layers.iter().enumerate() {
-            fused::ln_matmul_bias_into(
-                &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-                &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
-            );
-            for (i, &si) in active.iter().enumerate() {
-                let slot = self.slots[si].as_ref().expect("occupied");
-                let pos = slot.seq.len;
-                let qkv_row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-                self.pool
-                    .write_row(&slot.seq, l, pos, &qkv_row[h..2 * h], &qkv_row[2 * h..3 * h]);
-                let (ka, va) = self.pool.arenas(l);
-                fused::attention_row_paged_into(
-                    &s.qkv[i * 3 * h..i * 3 * h + h],
-                    &PagedKvView {
-                        k: ka,
-                        v: va,
-                        pages: slot.seq.pages(),
-                        page_tokens: pt,
-                        len: pos + 1,
-                        offset: pos,
-                    },
-                    heads,
-                    &mut s.attn[i * h..(i + 1) * h],
-                );
-            }
-            blocked::matmul_bias_add_into(
-                &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
-            );
-            std::mem::swap(&mut s.x, &mut s.y);
-            fused::ln_matmul_bias_gelu_into(
-                &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-                &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
-            );
-            blocked::matmul_bias_add_into(
-                &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
-                &mut s.y[..m * h],
-            );
-            std::mem::swap(&mut s.x, &mut s.y);
-        }
-
-        for i in 0..m {
-            fused::layernorm_row_into(
-                &s.x[i * h..(i + 1) * h],
-                model.lnf_g.data(), model.lnf_b.data(), 1e-5,
-                &mut s.normed[i * h..(i + 1) * h],
-            );
-        }
-        blocked::matmul_into(&s.normed[..m * h], m, &self.pm.wte_packed, &mut s.logits[..m * c.vocab]);
-        for &si in active {
-            let slot = self.slots[si].as_mut().expect("occupied");
-            slot.seq.len += 1;
-        }
+        self.last[slot].take().expect("release of free slot");
+        self.pool.release(&mut self.seqs[slot]);
     }
 }
 

@@ -42,13 +42,11 @@
 //!
 //! [`CollectiveError`]: dsi_sim::CollectiveError
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dsi_model::fast::argmax;
 use dsi_model::reference::{GptModel, KvCache};
-use dsi_sim::clock::{CancelToken, Clock};
 use dsi_sim::shmem::CommConfig;
 use dsi_sim::CollectiveErrorKind;
 use serde::Serialize;
@@ -80,102 +78,6 @@ impl std::fmt::Display for FaultError {
 }
 
 impl std::error::Error for FaultError {}
-
-/// Per-step control surface for bounded generation: cancellation,
-/// deadline, and a progress heartbeat. All fields are optional — the
-/// default [`StepCtl::NONE`] imposes nothing, so the unbounded surface
-/// ([`FtSession::generate`]) pays one branch per check site.
-///
-/// Checks happen **between** decode steps and between fault-recovery
-/// attempts, so the latency from `cancel()` (or a deadline passing) to the
-/// engine yielding is bounded by one step plus one collective
-/// timeout/backoff — never a hang, and never a torn step: an aborted
-/// session's committed history is exactly the emitted tokens.
-pub struct StepCtl<'a> {
-    /// Cooperative cancellation (watchdog, drain, impatient client).
-    pub cancel: Option<&'a CancelToken>,
-    /// Clock the deadline is measured against.
-    pub clock: Option<&'a Clock>,
-    /// Absolute deadline in `clock` nanoseconds; checked only when `clock`
-    /// is present.
-    pub deadline_ns: Option<u64>,
-    /// Progress heartbeat: stamped with `clock.now_ns()` after every
-    /// emitted token, so a watchdog can distinguish "slow" from "wedged".
-    pub progress_ns: Option<&'a AtomicU64>,
-}
-
-impl StepCtl<'_> {
-    /// The no-op control: never cancels, no deadline, no heartbeat.
-    pub const NONE: StepCtl<'static> =
-        StepCtl { cancel: None, clock: None, deadline_ns: None, progress_ns: None };
-
-    /// Which abort (if any) applies right now. Cancellation outranks the
-    /// deadline so a watchdog-cancelled request reports *why* it died even
-    /// when its deadline has also lapsed.
-    fn verdict(&self) -> Option<StepAbort> {
-        if self.cancel.is_some_and(|c| c.is_cancelled()) {
-            return Some(StepAbort::Cancelled);
-        }
-        if let (Some(clock), Some(deadline)) = (self.clock, self.deadline_ns) {
-            if clock.now_ns() >= deadline {
-                return Some(StepAbort::DeadlineExceeded);
-            }
-        }
-        None
-    }
-
-    /// Stamp the progress heartbeat (if armed).
-    fn tick(&self) {
-        if let (Some(p), Some(clock)) = (self.progress_ns, self.clock) {
-            p.store(clock.now_ns(), Ordering::Release);
-        }
-    }
-}
-
-/// Why a bounded step stopped without producing a token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepAbort {
-    /// The [`CancelToken`] was set.
-    Cancelled,
-    /// The absolute deadline passed.
-    DeadlineExceeded,
-}
-
-/// Failure of one bounded step: either a control-plane abort (the session
-/// stays healthy and *resumable* — the pending token is preserved) or a
-/// terminal fault (retries/degradation exhausted; reset before reuse).
-#[derive(Debug)]
-pub enum StepError {
-    Aborted(StepAbort),
-    Fault(FaultError),
-}
-
-impl std::fmt::Display for StepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StepError::Aborted(StepAbort::Cancelled) => write!(f, "cancelled"),
-            StepError::Aborted(StepAbort::DeadlineExceeded) => write!(f, "deadline exceeded"),
-            StepError::Fault(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-/// How a bounded generation ended early. `partial` is the exact prefix of
-/// tokens emitted before the abort — bit-identical to the same prefix of an
-/// unbounded run (the chaos and property suites assert this).
-#[derive(Debug)]
-pub struct GenError {
-    pub abort: StepError,
-    pub partial: Vec<usize>,
-}
-
-impl std::fmt::Display for GenError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "generation stopped after {} token(s): {}", self.partial.len(), self.abort)
-    }
-}
-
-impl std::error::Error for GenError {}
 
 /// Bounded retry-with-backoff policy for transient faults. The backoff
 /// doubles per attempt (capped at 64× the base), so a brief stall storm is
@@ -245,15 +147,6 @@ impl std::fmt::Display for StepFailure {
             StepFailure::Collective(e) => write!(f, "{e}"),
             StepFailure::Rank0Panic(p) => write!(f, "rank 0 panicked: {p}"),
         }
-    }
-}
-
-/// Unwrap a [`StepError`] produced under [`StepCtl::NONE`], where aborts
-/// are impossible by construction.
-fn unwrap_fault(e: StepError) -> FaultError {
-    match e {
-        StepError::Fault(f) => f,
-        StepError::Aborted(_) => unreachable!("StepCtl::NONE never aborts"),
     }
 }
 
@@ -329,8 +222,8 @@ pub struct FtSession {
     /// group this session ever builds.
     history: Vec<usize>,
     /// Token emitted by the last step that has not been fed yet (fed lazily
-    /// at the start of the next step). Preserved across control-plane
-    /// aborts, so a cancelled generation can resume token-identically.
+    /// at the start of the next step, so a caller that stops early never
+    /// pays for a step whose logits it will not sample).
     to_feed: Option<usize>,
     report: FtReport,
 }
@@ -373,77 +266,31 @@ impl FtSession {
     /// token-identical to `begin` + `n_tokens × generate_step` by
     /// construction.
     pub fn generate(&mut self, prompt: &[usize], n_tokens: usize) -> Result<Vec<usize>, FaultError> {
-        self.generate_bounded(prompt, n_tokens, &StepCtl::NONE).map_err(|e| match e.abort {
-            StepError::Fault(f) => f,
-            StepError::Aborted(_) => unreachable!("StepCtl::NONE never aborts"),
-        })
+        self.begin(prompt)?;
+        (0..n_tokens).map(|_| self.generate_step()).collect()
     }
 
     /// Ingest `prompt` as a committed step and arm step-wise generation.
     pub fn begin(&mut self, prompt: &[usize]) -> Result<(), FaultError> {
-        self.begin_ctl(prompt, &StepCtl::NONE).map_err(unwrap_fault)
-    }
-
-    /// [`FtSession::begin`] under a [`StepCtl`]: the prompt step itself can
-    /// be cancelled or deadline out (before any compute — the checks run at
-    /// the top of every recovery attempt).
-    pub fn begin_ctl(&mut self, prompt: &[usize], ctl: &StepCtl) -> Result<(), StepError> {
         assert!(!prompt.is_empty(), "empty prompt");
         self.to_feed = None;
-        self.step_committed(prompt, ctl)
+        self.step_committed(prompt)
     }
 
-    /// Emit the next greedy token (fault-tolerantly). See
-    /// [`FtSession::generate_step_ctl`] for the bounded variant.
+    /// Emit the next greedy token (fault-tolerantly). The previous step's
+    /// token (if any) is fed through the model first, so a caller can stop
+    /// between any two steps (deadline, cancellation) with the tokens
+    /// emitted so far forming an exact prefix of the full generation. On
+    /// `Err` the session must be [`FtSession::reset`] (or re-prompted via
+    /// `begin`) before reuse.
     pub fn generate_step(&mut self) -> Result<usize, FaultError> {
-        self.generate_step_ctl(&StepCtl::NONE).map_err(unwrap_fault)
-    }
-
-    /// Emit the next greedy token under a [`StepCtl`]. On a control-plane
-    /// abort ([`StepError::Aborted`]) the session stays healthy and the
-    /// pending token is preserved: a later `generate_step_ctl` resumes
-    /// token-identically. On [`StepError::Fault`] the session must be
-    /// [`FtSession::reset`] (or re-prompted via `begin`) before reuse.
-    pub fn generate_step_ctl(&mut self, ctl: &StepCtl) -> Result<usize, StepError> {
-        // Check before the free argmax path too: a step after `begin` feeds
-        // nothing, and a cancelled request must not emit through it.
-        if let Some(abort) = ctl.verdict() {
-            return Err(StepError::Aborted(abort));
-        }
         if let Some(t) = self.to_feed {
-            self.step_committed(&[t], ctl)?;
+            self.step_committed(&[t])?;
             self.to_feed = None;
         }
         let tok = argmax(self.sess.as_ref().expect("live session").last_logits());
         self.to_feed = Some(tok);
         Ok(tok)
-    }
-
-    /// Bounded greedy generation: `begin_ctl` + `n_tokens` steps, stopping
-    /// early on cancellation, deadline, or a terminal fault. The error
-    /// carries the exact prefix of tokens emitted before the stop, so a
-    /// serving layer can return partial output with a typed reason.
-    pub fn generate_bounded(
-        &mut self,
-        prompt: &[usize],
-        n_tokens: usize,
-        ctl: &StepCtl,
-    ) -> Result<Vec<usize>, GenError> {
-        if let Err(abort) = self.begin_ctl(prompt, ctl) {
-            return Err(GenError { abort, partial: Vec::new() });
-        }
-        ctl.tick();
-        let mut out = Vec::with_capacity(n_tokens);
-        for _ in 0..n_tokens {
-            match self.generate_step_ctl(ctl) {
-                Ok(tok) => {
-                    out.push(tok);
-                    ctl.tick();
-                }
-                Err(abort) => return Err(GenError { abort, partial: out }),
-            }
-        }
-        Ok(out)
     }
 
     /// Drop all request state — context history, pending KV, the live group
@@ -482,16 +329,10 @@ impl FtSession {
     }
 
     /// Feed `tokens` as one committed step, surviving faults. On success the
-    /// session's `last_logits()` covers the final fed position. The control
-    /// surface is checked at the top of every attempt (first try *and* each
-    /// retry/degrade), so a watchdog can break a stall-storm recovery loop
-    /// without waiting out the whole retry budget.
-    fn step_committed(&mut self, tokens: &[usize], ctl: &StepCtl) -> Result<(), StepError> {
+    /// session's `last_logits()` covers the final fed position.
+    fn step_committed(&mut self, tokens: &[usize]) -> Result<(), FaultError> {
         let mut attempt = 0u32;
         loop {
-            if let Some(abort) = ctl.verdict() {
-                return Err(StepError::Aborted(abort));
-            }
             if self.sess.is_none() {
                 self.build_session(tokens.len());
             }
@@ -506,7 +347,7 @@ impl FtSession {
                 match self.catch_step(&replay) {
                     Ok(()) => {}
                     Err(failure) => {
-                        self.handle_fault(failure, &mut attempt).map_err(StepError::Fault)?;
+                        self.handle_fault(failure, &mut attempt)?;
                         continue;
                     }
                 }
@@ -516,9 +357,7 @@ impl FtSession {
                     self.history.extend_from_slice(tokens);
                     return Ok(());
                 }
-                Err(failure) => {
-                    self.handle_fault(failure, &mut attempt).map_err(StepError::Fault)?
-                }
+                Err(failure) => self.handle_fault(failure, &mut attempt)?,
             }
         }
     }

@@ -6,18 +6,19 @@
 //! single-GPU decode path, the executed tensor-parallel engine, the
 //! fault-tolerant supervisor — only earns its keep once real, concurrent,
 //! misbehaving request streams are fronted safely. `dsi-serve` is that
-//! front: a multi-threaded serving runtime over
-//! [`FtSession`](dsi_parallel::supervisor::FtSession) with the four
+//! front: a multi-threaded serving runtime — one iteration-level scheduler
+//! ([`scheduler`]) over any `dsi_core::BatchEngine` — with the four
 //! overload-safety mechanisms a production endpoint needs:
 //!
 //! 1. **Bounded admission** ([`Server::submit`]) — a bounded queue plus a
-//!    KV-memory token budget (the same `kv_bytes_per_token` accounting the
-//!    planner's `InferenceEngine::max_batch` uses), with typed rejection
+//!    KV-memory page budget in the engine's own geometry (the same
+//!    `kv_bytes_per_token` accounting the planner's
+//!    `InferenceEngine::max_batch` uses), with typed rejection
 //!    ([`Rejected`]) so overload sheds load in O(1) instead of queueing
 //!    unboundedly.
 //! 2. **Deadlines & cancellation** — per-request deadlines and cooperative
-//!    [`Ticket::cancel`], both observed *between* decode steps through the
-//!    supervisor's `StepCtl` surface: an expired or cancelled request
+//!    [`Ticket::cancel`], both observed by the scheduler *between* decode
+//!    steps: an expired or cancelled request
 //!    yields its exact partial token prefix ([`Outcome::DeadlineExpired`],
 //!    [`Outcome::Evicted`]) and never a torn step or a hung engine.
 //! 3. **Circuit breaker** ([`breaker`]) — consecutive terminal faults open
@@ -26,22 +27,21 @@
 //!    recovery. Driven by the deterministic [`Clock`](dsi_sim::Clock), so
 //!    every transition is testable without sleeps.
 //! 4. **Watchdog & drain** — a progress-heartbeat watchdog cancels wedged
-//!    requests (routing teardown through the supervisor's bounded
-//!    dismantle), and [`Server::drain`] performs a graceful shutdown whose
+//!    requests, and [`Server::drain`] performs a graceful shutdown whose
 //!    final [`ServeReport`] asserts the accounting invariants
 //!    `submitted == admitted + rejected` and
 //!    `admitted == completed + evicted + deadline_expired` — under every
 //!    fault storm the chaos suite can script.
-
 //!
-//! Since the continuous-batching rewrite the runtime fronts **two engine
-//! disciplines** behind the same admission/drain machinery
-//! ([`server::EngineMode`]): the single-flight fault-tolerant `FtSession`
-//! path above, and an executed continuous-batching scheduler
-//! ([`scheduler`]) over a paged multi-slot engine
-//! ([`PagedEngine`](dsi_model::paged::PagedEngine)) — iteration-level
-//! admission, ragged M-row decode, mid-batch retirement, and
-//! page-granular KV accounting with typed page-exhaustion shedding.
+//! The scheduler — iteration-level admission, ragged M-row decode,
+//! mid-batch retirement, page-granular KV accounting with typed
+//! page-exhaustion shedding, prefix-replay fault recovery — is the only
+//! worker loop. The engines it fronts differ in slot count and page
+//! geometry only ([`server::EngineMode`]): one slot over the fault-tolerant
+//! tensor-parallel [`FtSession`](dsi_parallel::supervisor::FtSession)
+//! (single-flight), a paged multi-slot
+//! [`PagedEngine`](dsi_model::paged::PagedEngine) (continuous), or a
+//! streamed-weights engine ([`Server::start_streamed`]).
 
 pub mod breaker;
 pub mod scheduler;

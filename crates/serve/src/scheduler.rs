@@ -1,16 +1,19 @@
 //! The executed continuous-batching scheduler — `core::continuous`'s slot
-//! policy, now driving a real engine instead of a cost model.
+//! policy driving a real engine instead of a cost model, and the **only**
+//! worker loop of the serving runtime: every engine (paged, streamed,
+//! single-flight `FtEngine` at `max_slots = 1`) runs under it.
 //!
 //! Every iteration is three phases around one ragged decode step:
 //!
 //! 1. **Admit** (under the state lock): pop queued jobs into free slots
 //!    while [`SlotPolicy::can_admit`] holds *and* the page pool can seat
-//!    the job's prompt right now. The policy struct is the same one
-//!    `simulate_continuous` uses, so the simulator's admission discipline
-//!    and the runtime's cannot drift.
+//!    the job's prompt right now, net of the pages already promised to
+//!    earlier newcomers of the same iteration. The policy struct is the
+//!    same one `simulate_continuous` uses, so the simulator's admission
+//!    discipline and the runtime's cannot drift.
 //! 2. **Execute** (no lock): prefill newcomers (one prompt pass each),
-//!    then advance every resident one token through a single
-//!    `forward_rows` pass via [`BatchEngine::decode_step`]. Page growth
+//!    then advance every resident one token through a single ragged pass
+//!    via [`BatchEngine::decode_step`]. Page growth
 //!    for the step is reserved *before* compute; on exhaustion the newest
 //!    resident is shed with [`EvictReason::PagesExhausted`] (its exact
 //!    token prefix attached) and the step retries — never an abort, never
@@ -18,11 +21,11 @@
 //! 3. **Retire** (under the lock): resolve residents that completed
 //!    (`n_tokens` reached or [`eos`](crate::ServeConfig::eos) emitted),
 //!    were cancelled, or passed their deadline — mid-batch, without
-//!    disturbing neighbours. Counters, latencies, and the per-class
-//!    breakers see exactly the same transitions as the single-flight path,
-//!    so the `submitted == admitted + rejected` and
+//!    disturbing neighbours — and account them: counters, latencies, the
+//!    per-class breakers and their probes. This is the one place outcomes
+//!    are accounted, so the `submitted == admitted + rejected` and
 //!    `admitted == completed + evicted + deadline_expired` identities hold
-//!    unchanged.
+//!    for every engine.
 //!
 //! ## Fault tolerance: prefix replay
 //!
@@ -58,9 +61,9 @@
 //! [`dsi_verify::locks::continuous_scheduler_model`] via
 //! [`check_sched_trace`] at exit — the recovery transitions cannot drift
 //! from the verified model. `cargo xtask verify` runs [`live_trace_check`]
-//! as an end-to-end gate.
+//! as an end-to-end gate, over a continuous and a single-flight server.
 //!
-//! Because [`PagedEngine`] decode is bit-identical to a solo
+//! Because every engine's decode is bit-identical to a solo
 //! [`FastSession`](dsi_model::fast::FastSession) run (which is
 //! token-identical to `FtSession` at any TP degree), every outcome's token
 //! stream — full or partial — is an exact prefix of the request's solo
@@ -72,13 +75,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dsi_core::batch::{BatchEngine, EngineError, FaultClass, FaultyEngine};
+use dsi_core::batch::{BatchEngine, EngineError, FaultClass};
 use dsi_core::SlotPolicy;
-use dsi_model::fast::PackedModel;
-use dsi_model::paged::{PageStats, PagedEngine};
+use dsi_model::paged::PageStats;
 use dsi_model::reference::GptModel;
 use dsi_sim::clock::Clock;
-use dsi_sim::fault::EngineFaultInjector;
 use dsi_verify::locks::{check_sched_trace, SchedTraceOp};
 use serde::Serialize;
 
@@ -97,7 +98,7 @@ pub struct PageReport {
 }
 
 /// Scheduler-side counters and histograms, attached to the final
-/// `ServeReport` in continuous mode.
+/// `ServeReport`.
 #[derive(Debug, Clone, Serialize)]
 pub struct SchedReport {
     /// Ragged decode steps executed.
@@ -299,9 +300,10 @@ fn seat_resident<E: BatchEngine>(
                 return None;
             }
             StepVerdict::OutOfPages if fresh => {
-                // Admission checked the fit under the lock, but an
-                // injected allocator storm (or a broken invariant) can
-                // still surface here: shed typed rather than crash.
+                // Phase 1 checked the fit under the lock (net of this
+                // iteration's other newcomers), but an injected allocator
+                // storm (or a broken invariant) can still surface here:
+                // shed typed rather than crash.
                 return Some(Retire::PagesExhausted);
             }
             StepVerdict::OutOfPages => {
@@ -341,54 +343,15 @@ impl Tracer {
     }
 }
 
-/// The streamed-mode worker: the same scheduler as continuous mode over a
-/// [`StreamedEngine`] built by `Server::start_streamed` (weights paged in
-/// from the offload tier instead of resident in a `PackedModel`).
-/// Engine-fault injection wraps the streamed engine exactly like the paged
-/// one, so the chaos harness composes I/O faults (inside the store) with
-/// engine faults (at this seam).
-pub(crate) fn streamed_worker_loop(
-    shared: Arc<Shared>,
-    eng: dsi_core::StreamedEngine,
-    cont: ContinuousConfig,
-    eos: Option<usize>,
-    faults: Option<Arc<EngineFaultInjector>>,
-) {
-    match faults {
-        Some(inj) => run_scheduler(shared, FaultyEngine::new(eng, inj), cont, eos),
-        None => run_scheduler(shared, eng, cont, eos),
-    }
-}
-
-pub(crate) fn continuous_worker_loop(
-    shared: Arc<Shared>,
-    model: Arc<GptModel>,
-    cont: ContinuousConfig,
-    eos: Option<usize>,
-    faults: Option<Arc<EngineFaultInjector>>,
-) {
-    let pm = PackedModel::pack(&model);
-    match faults {
-        Some(inj) => {
-            let eng = FaultyEngine::new(
-                PagedEngine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens),
-                inj,
-            );
-            run_scheduler(shared, eng, cont, eos);
-        }
-        None => {
-            let eng = PagedEngine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens);
-            run_scheduler(shared, eng, cont, eos);
-        }
-    }
-}
-
-fn run_scheduler<E: BatchEngine>(
+/// The one worker loop: runs `eng` until the server drains, then hands it
+/// back (the single-flight wrapper reads the supervisor's fault report off
+/// it).
+pub(crate) fn run_scheduler<E: BatchEngine>(
     shared: Arc<Shared>,
     mut eng: E,
     cont: ContinuousConfig,
     eos: Option<usize>,
-) {
+) -> E {
     let policy = SlotPolicy::new(cont.max_slots);
     let mut residents: Vec<Option<Resident>> = (0..cont.max_slots).map(|_| None).collect();
     let mut admit_seq = 0u64;
@@ -407,6 +370,10 @@ fn run_scheduler<E: BatchEngine>(
         {
             let mut st = shared.state.lock().unwrap();
             tracer.rec(SchedTraceOp::Acquire);
+            // Newcomers prefill in phase 2, so the engine's free count does
+            // not shrink as they are accepted here: track what this
+            // iteration has already promised.
+            let mut free = eng.kv_stats().map_or(usize::MAX, |s| s.pages_free);
             loop {
                 let resident_count =
                     residents.iter().filter(|r| r.is_some()).count() + newcomers.len();
@@ -419,10 +386,10 @@ fn run_scheduler<E: BatchEngine>(
                 // jobs are never hopeless: submit rejects prompts larger
                 // than the whole pool.)
                 let need = eng.pages_for(job.prompt.len() + 1);
-                let free = eng.kv_stats().map_or(usize::MAX, |s| s.pages_free);
                 if need > free {
                     break;
                 }
+                free -= need;
                 let job = st.queue.pop_front().unwrap();
                 st.inflight_tokens -= job.cost;
                 // Stamp the heartbeat before publishing `running`, so the
@@ -459,16 +426,14 @@ fn run_scheduler<E: BatchEngine>(
         let now = shared.clock.now_ns();
         let mut retired: Vec<(usize, Retire)> = Vec::new();
         // Fault classes observed this iteration; fed to the per-class
-        // breakers in phase 3 (one `on_failure` per event, mirroring the
-        // single-flight path's one-per-terminal-fault discipline).
+        // breakers in phase 3 (one `on_failure` per event).
         let mut fault_events: Vec<FaultClass> = Vec::new();
         if !newcomers.is_empty() {
             tracer.rec(SchedTraceOp::Execute);
         }
         for (slot, job) in newcomers {
             // A job may be dead on arrival (cancelled or expired while
-            // queued) — resolve it without spending a prompt pass, exactly
-            // like the single-flight StepCtl check before `begin`.
+            // queued) — resolve it without spending a prompt pass.
             let mut resident =
                 Resident { job, tokens: Vec::new(), seated: false, replays: 0, admit_seq };
             admit_seq += 1;
@@ -741,6 +706,7 @@ fn run_scheduler<E: BatchEngine>(
     st.worker_done = true;
     drop(st);
     shared.idle.notify_all();
+    eng
 }
 
 /// Append retirements for residents that are complete (token budget or
@@ -769,47 +735,61 @@ fn scan_retirements(
 }
 
 /// End-to-end tracer gate for `cargo xtask verify`: run a short continuous
-/// serve with tracing forced on — batched completions, a cancel, an idle
-/// park, a drain — and diff the live scheduler's recorded trace against
-/// the verified lock model. Returns the diagnostics (empty = clean).
+/// serve and a short single-flight serve with tracing forced on — batched
+/// completions, a cancel, an idle park, a drain — and diff each live
+/// scheduler trace against the verified lock model. Returns the
+/// diagnostics (empty = clean).
 pub fn live_trace_check() -> Vec<dsi_verify::Diagnostic> {
     use crate::server::{EngineMode, Request, ServeConfig, Server};
     let model = Arc::new(GptModel::random(dsi_model::zoo::tiny(2), 7));
-    let mut cfg = ServeConfig::new(1);
-    cfg.mode = EngineMode::Continuous(ContinuousConfig {
+    let cont = ContinuousConfig {
         max_slots: 2,
         pages_total: 32,
         page_tokens: 4,
         trace: true,
         ..ContinuousConfig::default()
-    });
-    let srv = Server::start(model, cfg);
-    let tickets: Vec<_> = (0..3)
-        .map(|i| {
-            srv.submit(Request { prompt: vec![i + 1, i + 2], n_tokens: 4, deadline: None })
-                .expect("admission")
-        })
-        .collect();
-    let cancelled = srv
-        .submit(Request { prompt: vec![9, 9], n_tokens: 16, deadline: None })
-        .expect("admission");
-    cancelled.cancel();
-    for t in tickets {
-        t.wait();
+    };
+    let mut cfg = ServeConfig::new(1);
+    cfg.mode = EngineMode::Continuous(cont);
+    let continuous = Server::start(Arc::clone(&model), cfg);
+    // The single-slot discipline is the same loop at `max_slots = 1`.
+    let single = Server::start_single_flight(
+        model,
+        ServeConfig::new(1),
+        ContinuousConfig { max_slots: 1, page_tokens: 1, ..cont },
+    );
+    let mut diags = Vec::new();
+    for srv in [continuous, single] {
+        let tickets: Vec<_> = (0..3)
+            .map(|i| {
+                srv.submit(Request { prompt: vec![i + 1, i + 2], n_tokens: 4, deadline: None })
+                    .expect("admission")
+            })
+            .collect();
+        let cancelled = srv
+            .submit(Request { prompt: vec![9, 9], n_tokens: 16, deadline: None })
+            .expect("admission");
+        cancelled.cancel();
+        for t in tickets {
+            t.wait();
+        }
+        cancelled.wait();
+        // Let the scheduler park at least once before draining, so the
+        // trace contains the idle Wait shape too.
+        std::thread::sleep(Duration::from_millis(10));
+        let report = srv.drain(Duration::from_secs(5));
+        let trace = report.scheduler.expect("the scheduler attaches its report").trace;
+        diags.extend(check_sched_trace(&trace));
     }
-    cancelled.wait();
-    // Let the scheduler park at least once before draining, so the trace
-    // contains the idle Wait shape too.
-    std::thread::sleep(Duration::from_millis(10));
-    let report = srv.drain(Duration::from_secs(5));
-    let trace = report.scheduler.expect("continuous mode attaches a scheduler report").trace;
-    check_sched_trace(&trace)
+    diags
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsi_sim::clock::ManualClock;
+    use crate::server::{new_shared, ServeConfig};
+    use dsi_sim::clock::{CancelToken, ManualClock};
+    use std::sync::mpsc;
 
     /// Stub engine that advances a manual clock by a fixed amount inside
     /// every call — the deterministic stand-in for a slow/stalled step the
@@ -888,5 +868,99 @@ mod tests {
             "a stalled prefill must still be caught"
         );
         assert_eq!(eng.released, [0], "late prefill must release its seat");
+    }
+
+    /// Stub engine over a pool of one-token pages: a prefill pins
+    /// `prompt + 1` of them until the slot is released.
+    struct PoolEngine {
+        total: usize,
+        held: Vec<usize>,
+    }
+
+    impl BatchEngine for PoolEngine {
+        fn max_slots(&self) -> usize {
+            self.held.len()
+        }
+
+        fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
+            let (needed, free) = (prompt.len() + 1, self.kv_stats().unwrap().pages_free);
+            if needed > free {
+                return Err(EngineError::OutOfPages { needed, free });
+            }
+            self.held[slot] = needed;
+            Ok(7)
+        }
+
+        fn decode_step(
+            &mut self,
+            slots: &[usize],
+            out: &mut Vec<usize>,
+        ) -> Result<(), EngineError> {
+            out.extend(slots.iter().map(|_| 7));
+            Ok(())
+        }
+
+        fn release(&mut self, slot: usize) {
+            self.held[slot] = 0;
+        }
+
+        fn kv_stats(&self) -> Option<PageStats> {
+            let in_use = self.held.iter().sum();
+            Some(PageStats {
+                pages_total: self.total,
+                pages_in_use: in_use,
+                pages_free: self.total - in_use,
+                high_water: 0,
+                page_tokens: 1,
+            })
+        }
+    }
+
+    #[test]
+    fn newcomers_of_one_iteration_share_the_free_pages() {
+        // Two queued jobs of 3 pages each against 4 free pages and 2 free
+        // slots: each fits, both do not. The second must wait for the
+        // first to retire — not be admitted on the stale free count, fail
+        // its prefill, and be evicted without ever having run.
+        let cont = ContinuousConfig {
+            max_slots: 2,
+            pages_total: 4,
+            page_tokens: 1,
+            trace: true,
+            ..ContinuousConfig::default()
+        };
+        let shared = new_shared(&ServeConfig::new(1));
+        let mut tickets = Vec::new();
+        {
+            let mut st = shared.state.lock().unwrap();
+            for id in 0..2 {
+                let (tx, rx) = mpsc::channel();
+                tickets.push(rx);
+                st.inflight_tokens += 3;
+                st.queue.push_back(Job {
+                    id,
+                    prompt: vec![1, 2],
+                    n_tokens: 3,
+                    deadline_ns: None,
+                    cost: 3,
+                    cancel: CancelToken::new(),
+                    probe: None,
+                    submit_ns: 0,
+                    tx,
+                });
+            }
+            st.draining = true; // exit once both have resolved
+        }
+        run_scheduler(Arc::clone(&shared), PoolEngine { total: 4, held: vec![0; 2] }, cont, None);
+        for (id, rx) in tickets.into_iter().enumerate() {
+            let outcome = rx.recv().expect("resolved");
+            assert!(
+                matches!(&outcome, Outcome::Completed { tokens, .. } if tokens == &[7, 7, 7]),
+                "job {id} must wait its turn and complete, got {outcome:?}"
+            );
+        }
+        let st = shared.state.lock().unwrap();
+        assert_eq!(st.sched_report.as_ref().unwrap().page_evictions, 0);
+        assert_eq!((st.inflight_tokens, st.pool_pages), (0, 0));
     }
 }

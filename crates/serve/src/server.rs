@@ -2,21 +2,22 @@
 //!
 //! [`Server`] fronts one decode engine with the overload machinery a
 //! production inference endpoint needs and the underlying engine alone
-//! cannot provide. Two engine modes share every admission/accounting/drain
-//! path ([`EngineMode`]):
+//! cannot provide. There is **one** worker: the iteration-level scheduler
+//! of [`crate::scheduler`], generic over `dsi_core::BatchEngine`. It admits
+//! from the queue into free slots *every step*, decodes all residents
+//! through one ragged pass, and retires sequences at
+//! EOS/deadline/cancel mid-batch. Which engine it drives is decided by how
+//! the server was started, and nothing else differs between the modes but
+//! the engine's slot count and KV page geometry ([`EngineMode`]):
 //!
-//! * **Single-flight** — one request at a time over the fault-tolerant
-//!   tensor-parallel [`FtSession`](dsi_parallel::supervisor::FtSession)
-//!   (the PR-5 runtime, still the default).
-//! * **Continuous** — iteration-level batching over a multi-slot
-//!   [`PagedEngine`](dsi_model::paged::PagedEngine): the worker admits from
-//!   the queue into in-flight slots *every step*, decodes all residents
-//!   through one ragged M-row pass, and retires sequences at
-//!   EOS/deadline/cancel mid-batch (see [`crate::scheduler`]). KV admission
-//!   is page-granular: a request is admitted on its **prompt pages** only,
-//!   and per-step growth is reserved page-by-page at decode time — failure
-//!   there surfaces as a typed [`EvictReason::PagesExhausted`] eviction,
-//!   never an abort.
+//! * [`Server::start`] + [`EngineMode::SingleFlight`] — one slot over the
+//!   fault-tolerant tensor-parallel
+//!   [`FtSession`](dsi_parallel::supervisor::FtSession) (`FtEngine`), KV
+//!   metered per token against [`ServeConfig::kv_budget_tokens`];
+//! * [`Server::start`] + [`EngineMode::Continuous`] — a multi-slot
+//!   [`PagedEngine`](dsi_model::paged::PagedEngine) over a shared page pool;
+//! * [`Server::start_streamed`] — a `dsi_core::StreamedEngine` whose weights
+//!   stream from an offload tier, KV metered per token.
 //!
 //! * **Bounded admission** — [`Server::submit`] either admits a request
 //!   into a bounded queue or rejects it *typed* ([`Rejected`]): the queue
@@ -24,22 +25,23 @@
 //!   open, or the server is draining. Rejection is O(1) under one lock —
 //!   an overloaded server stays responsive precisely because saying "no"
 //!   is cheap.
-//! * **KV-memory admission** — each request's cost is its context length
-//!   (`prompt + n_tokens`, the KV rows it will pin); admission keeps the
-//!   sum over queued + running requests under `kv_budget_tokens`, the same
-//!   accounting `InferenceEngine::max_batch` derives capacity from
-//!   (`kv_bytes_per_token × context`). [`kv_budget_tokens`] converts a byte
-//!   budget to this unit.
+//! * **KV-memory admission** — one formula for every engine: a request is
+//!   admitted on its **prompt pages** only (`pages_for(prompt + 1)` in the
+//!   engine's geometry, against queued + resident pages), and per-step
+//!   growth is reserved page-by-page at decode time — failure there
+//!   surfaces as a typed [`EvictReason::PagesExhausted`] eviction, never an
+//!   abort. [`kv_budget_tokens`] converts a byte budget to tokens, the same
+//!   accounting `InferenceEngine::max_batch` derives capacity from.
 //! * **Deadlines with partial output** — each request can carry a deadline;
-//!   the step-wise `StepCtl` surface checks it between decode steps, so an
-//!   expired request returns [`Outcome::DeadlineExpired`] with the exact
-//!   prefix of tokens generated so far, never a torn step.
+//!   the scheduler checks it between decode steps, so an expired request
+//!   returns [`Outcome::DeadlineExpired`] with the exact prefix of tokens
+//!   generated so far, never a torn step.
 //! * **Watchdog** — a sidecar thread watches the progress heartbeat the
-//!   decode loop stamps after every token. No progress within
+//!   scheduler stamps after every step. No progress within
 //!   `progress_timeout` means the engine is wedged (or grinding through
-//!   fault recovery); the watchdog cancels the request, the supervisor's
-//!   bounded collectives guarantee the cancel is observed, and teardown
-//!   routes through `FtSession::reset` → `TpSession::dismantle`.
+//!   fault recovery); the watchdog cancels every resident, and the
+//!   engines' bounded steps (collective timeouts, fetch deadlines)
+//!   guarantee the cancel is observed.
 //! * **Graceful drain** — [`Server::drain`] stops admissions (typed
 //!   [`Rejected::Draining`]), lets queued work finish within a grace
 //!   period, then evicts the remainder and joins every thread. The final
@@ -61,22 +63,21 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use dsi_core::{BatchEngine, FaultClass, FaultyEngine, FtEngine, StreamedEngine};
+use dsi_model::fast::PackedModel;
+use dsi_model::paged::PagedEngine;
 use dsi_model::reference::GptModel;
 use dsi_model::GptConfig;
-use dsi_parallel::supervisor::{
-    FtConfig, FtReport, FtSession, RetryPolicy, StepAbort, StepCtl, StepError,
-};
+use dsi_parallel::supervisor::{FtConfig, FtReport, FtSession, RetryPolicy};
 use dsi_sim::clock::{CancelToken, Clock};
+use dsi_sim::fault::EngineFaultInjector;
 use dsi_sim::hw::DType;
 use dsi_sim::shmem::CommConfig;
+use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
 use serde::Serialize;
 
-use dsi_core::{FaultClass, StreamedEngine};
-use dsi_sim::fault::EngineFaultInjector;
-use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
-
 use crate::breaker::{BreakerConfig, BreakerSet, SetAdmission};
-use crate::scheduler::{continuous_worker_loop, streamed_worker_loop, SchedReport};
+use crate::scheduler::{run_scheduler, SchedReport};
 
 /// Convert a KV byte budget into admission tokens for
 /// [`ServeConfig::kv_budget_tokens`], using the same per-token accounting
@@ -85,36 +86,24 @@ pub fn kv_budget_tokens(model: &GptConfig, budget_bytes: f64) -> usize {
     (budget_bytes / model.kv_bytes_per_token(DType::Fp16)).floor() as usize
 }
 
-/// Which execution engine the worker drives. Admission, deadlines, the
-/// breaker, the watchdog, and drain are mode-independent; only the decode
-/// discipline and the KV accounting unit change.
+/// How [`Server::start`] sizes the engine under the one scheduler loop.
+/// Admission, deadlines, the breaker, the watchdog, and drain are
+/// mode-independent; only the slot count and the KV page geometry change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineMode {
-    /// One request at a time over a fault-tolerant `FtSession`. KV
-    /// admission reserves the whole request up front
-    /// (`prompt + n_tokens` against [`ServeConfig::kv_budget_tokens`]) —
-    /// correct for an engine that cannot shed memory mid-request.
+    /// One slot over a fault-tolerant tensor-parallel `FtSession`
+    /// ([`ServeConfig::tp`], [`ServeConfig::retry`]): one request decodes at
+    /// a time. KV is metered per token: the pool is
+    /// [`ServeConfig::kv_budget_tokens`] pages of one token.
     SingleFlight,
     /// Continuous batching over a paged multi-slot engine: admit into
     /// slots every step, ragged M-row decode, mid-batch retirement.
-    /// KV admission charges **prompt pages only**; decode growth reserves
-    /// page-by-page per step ([`EvictReason::PagesExhausted`] on failure).
+    /// [`Server::start_streamed`] reads the same sizing for the streamed
+    /// engine (which meters the same token capacity one token per page).
     Continuous(ContinuousConfig),
-    /// Continuous batching over `dsi_core::StreamedEngine` — weights
-    /// streamed from an offload tier under a resident budget, so the
-    /// served model's weight file may exceed memory. Same scheduler and
-    /// admission as [`EngineMode::Continuous`], but KV is metered at
-    /// **token granularity**: configure `page_tokens = 1` and
-    /// `pages_total` = the KV token budget (asserted by
-    /// [`Server::start_streamed`]). Single-flight discipline is
-    /// `max_slots = 1`. Start with [`Server::start_streamed`], not
-    /// [`Server::start`] (the engine is built from a weight *file*, and a
-    /// failed open must surface as a typed error before any thread
-    /// spawns).
-    Streamed(ContinuousConfig),
 }
 
-/// Sizing of the continuous engine (see [`EngineMode::Continuous`]).
+/// Sizing of the scheduler and its engine (see [`EngineMode::Continuous`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContinuousConfig {
     /// Sequence slots — the executed `dsi_core::SlotPolicy::max_slots`.
@@ -167,14 +156,14 @@ impl ContinuousConfig {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Initial TP degree of the engine (degrades on permanent faults).
-    /// Single-flight only: the continuous engine runs the packed
+    /// Single-flight only: the paged and streamed engines run the packed
     /// single-process fast path (token streams are TP-invariant, so the
     /// outputs are identical either way).
     pub tp: usize,
-    /// Engine discipline; see [`EngineMode`].
+    /// Engine sizing; see [`EngineMode`].
     pub mode: EngineMode,
-    /// Token id that terminates a generation early (continuous mode
-    /// retires the sequence mid-batch the step it appears).
+    /// Token id that terminates a generation early (the sequence retires
+    /// mid-batch the step it appears).
     pub eos: Option<usize>,
     /// Collective configuration (timeout, checksums, fault injection).
     pub comm: CommConfig,
@@ -184,8 +173,8 @@ pub struct ServeConfig {
     pub max_prompt: usize,
     /// Bounded admission queue depth (requests waiting, excluding running).
     pub queue_capacity: usize,
-    /// KV-memory budget in tokens of context across queued + running
-    /// requests; see [`kv_budget_tokens`].
+    /// Single-flight KV pool size in tokens of context (the pool is sized
+    /// by [`ContinuousConfig`] otherwise); see [`kv_budget_tokens`].
     pub kv_budget_tokens: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
@@ -197,12 +186,12 @@ pub struct ServeConfig {
     /// open window for memory faults than for timeouts. Last entry wins
     /// per class.
     pub breaker_class_overrides: Vec<(FaultClass, BreakerConfig)>,
-    /// Scripted engine-fault injection for the continuous scheduler
-    /// (chaos testing): the paged engine is wrapped in
+    /// Scripted engine-fault injection at the scheduler/engine seam (chaos
+    /// testing): whichever engine runs is wrapped in
     /// [`dsi_core::FaultyEngine`] driven by this injector. `None` (the
     /// default) runs the engine bare.
     pub engine_faults: Option<Arc<EngineFaultInjector>>,
-    /// Watchdog: cancel the running request if no token progress within
+    /// Watchdog: cancel every resident request if no token progress within
     /// this window. `None` disables the watchdog thread entirely.
     pub progress_timeout: Option<Duration>,
     /// Watchdog poll period (wall time; bounds cancel latency).
@@ -273,20 +262,18 @@ impl std::error::Error for Rejected {}
 /// Why an admitted request was evicted without completing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvictReason {
-    /// Terminal engine fault (retries and degradation exhausted) in the
-    /// single-flight path.
-    Fault(String),
     /// Cancelled — by the client, the watchdog, or drain-grace expiry.
     Cancelled,
-    /// Continuous mode: the KV page pool could not grow this sequence and
-    /// it was chosen as the shed victim (newest resident first). `partial`
-    /// holds the exact prefix generated before the shed.
+    /// The KV page pool could not grow this sequence and it was chosen as
+    /// the shed victim (newest resident first). `partial` holds the exact
+    /// prefix generated before the shed.
     PagesExhausted,
-    /// Continuous mode: the resident exhausted its prefix-replay budget
-    /// ([`ContinuousConfig::replay_budget`]) under repeated engine faults.
-    /// `partial` holds the committed prefix — every token in it survived
-    /// recovery bit-exact, so it is still a true prefix of the request's
-    /// solo generation.
+    /// The resident exhausted its prefix-replay budget
+    /// ([`ContinuousConfig::replay_budget`]; none in single-flight mode,
+    /// where the supervisor has already retried and degraded) under engine
+    /// faults. `partial` holds the committed prefix — every token in it
+    /// survived recovery bit-exact, so it is still a true prefix of the
+    /// request's solo generation.
     EngineFault { class: FaultClass, msg: String },
 }
 
@@ -358,10 +345,11 @@ pub struct ServeReport {
     pub p50_latency_s: f64,
     pub p95_latency_s: f64,
     pub p99_latency_s: f64,
-    /// The engine supervisor's own fault accounting.
+    /// The engine supervisor's own fault accounting (single-flight mode;
+    /// empty otherwise).
     pub ft: FtReport,
-    /// Continuous mode only: batch-occupancy / tokens-per-step histograms
-    /// and page-allocator statistics.
+    /// Batch-occupancy / tokens-per-step histograms and page-allocator
+    /// statistics of the scheduler loop.
     pub scheduler: Option<SchedReport>,
 }
 
@@ -380,10 +368,9 @@ pub(crate) struct Job {
     pub(crate) n_tokens: usize,
     /// Absolute serve-clock deadline.
     pub(crate) deadline_ns: Option<u64>,
-    /// Admission cost this job pins while queued — KV *tokens* in
-    /// single-flight mode, prompt KV *pages* in continuous mode. Released
-    /// when the outcome is delivered (single-flight) or when the job
-    /// becomes resident and the page pool takes over (continuous).
+    /// Admission cost this job pins while queued: its prompt KV pages.
+    /// Released when the job becomes resident and the engine's pool takes
+    /// over.
     pub(crate) cost: usize,
     pub(crate) cancel: CancelToken,
     /// `Some(class)` when this job is the half-open probe for that fault
@@ -415,23 +402,20 @@ pub(crate) struct Counters {
 
 pub(crate) struct State {
     pub(crate) queue: VecDeque<Job>,
-    /// Admission cost pinned by queued (+ running, in single-flight mode)
-    /// jobs, in the unit of [`Job::cost`].
+    /// Admission cost pinned by queued jobs, in the unit of [`Job::cost`].
     pub(crate) inflight_tokens: usize,
-    /// KV pages held by resident sequences, mirrored from the continuous
-    /// engine's pool each scheduler iteration (0 in single-flight mode).
-    /// Admission reads `inflight_tokens + pool_pages` against the pool
-    /// size.
+    /// KV pages held by resident sequences, mirrored from the engine's
+    /// pool each scheduler iteration. Admission reads
+    /// `inflight_tokens + pool_pages` against the pool size.
     pub(crate) pool_pages: usize,
-    /// Every in-flight request (one entry in single-flight mode, up to
-    /// `max_slots` in continuous mode), keyed by job id.
+    /// Every in-flight request (up to `max_slots`), keyed by job id.
     pub(crate) running: Vec<Running>,
     pub(crate) draining: bool,
     pub(crate) worker_done: bool,
     pub(crate) breaker: BreakerSet,
     pub(crate) counters: Counters,
     pub(crate) latencies_s: Vec<f64>,
-    pub(crate) ft_report: Option<FtReport>,
+    pub(crate) ft_report: FtReport,
     pub(crate) sched_report: Option<SchedReport>,
     pub(crate) next_id: u64,
 }
@@ -449,9 +433,8 @@ pub(crate) struct Shared {
     pub(crate) clock: Clock,
 }
 
-/// Fresh shared state for a server, mode-independent (used by both
-/// [`Server::start`] and [`Server::start_streamed`]).
-fn new_shared(cfg: &ServeConfig) -> Arc<Shared> {
+/// Fresh shared state for a server.
+pub(crate) fn new_shared(cfg: &ServeConfig) -> Arc<Shared> {
     Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::new(),
@@ -463,7 +446,7 @@ fn new_shared(cfg: &ServeConfig) -> Arc<Shared> {
             breaker: BreakerSet::new(cfg.breaker.clone(), &cfg.breaker_class_overrides),
             counters: Counters::default(),
             latencies_s: Vec::new(),
-            ft_report: None,
+            ft_report: FtReport::default(),
             sched_report: None,
             next_id: 0,
         }),
@@ -486,89 +469,138 @@ fn spawn_watchdog(cfg: &ServeConfig, shared: &Arc<Shared>) -> Option<JoinHandle<
     })
 }
 
+/// The scheduler's sizing for `cfg.mode`. Single-flight is one slot over a
+/// per-token pool of `kv_budget_tokens`, with no replay at this level: the
+/// supervisor inside `FtSession` has already retried and degraded
+/// ([`ServeConfig::retry`]), so a fault that reaches the scheduler is
+/// terminal.
+fn sizing(cfg: &ServeConfig) -> ContinuousConfig {
+    match cfg.mode {
+        EngineMode::SingleFlight => ContinuousConfig {
+            max_slots: 1,
+            pages_total: cfg.kv_budget_tokens,
+            page_tokens: 1,
+            replay_budget: 0,
+            ..ContinuousConfig::default()
+        },
+        EngineMode::Continuous(c) => c,
+    }
+}
+
+/// What the worker thread needs to run the one scheduler loop over
+/// whichever engine it built.
+struct Worker {
+    shared: Arc<Shared>,
+    cont: ContinuousConfig,
+    eos: Option<usize>,
+    faults: Option<Arc<EngineFaultInjector>>,
+}
+
+impl Worker {
+    /// Run the scheduler loop over `eng` until drain (wrapped in the
+    /// scripted fault injector when armed) and hand the engine back.
+    fn run<E: BatchEngine>(&self, eng: E) -> E {
+        let shared = Arc::clone(&self.shared);
+        match &self.faults {
+            Some(inj) => {
+                let eng = FaultyEngine::new(eng, Arc::clone(inj));
+                run_scheduler(shared, eng, self.cont, self.eos).into_inner()
+            }
+            None => run_scheduler(shared, eng, self.cont, self.eos),
+        }
+    }
+}
+
 /// The serving runtime. Owns a worker thread (which owns the engine) and an
 /// optional watchdog thread; see the module docs for the full contract.
 pub struct Server {
     shared: Arc<Shared>,
     cfg: ServeConfig,
+    /// The engine's slot count and page geometry, as admission sees them.
+    cont: ContinuousConfig,
     start_ns: u64,
     worker: Option<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Spawn the runtime over `model`. The engine group itself is built
-    /// lazily on the first request (inside `FtSession`).
+    /// Spawn the runtime over `model`, resident in memory: the engine
+    /// `cfg.mode` sizes (see [`EngineMode`]).
     pub fn start(model: Arc<GptModel>, cfg: ServeConfig) -> Server {
-        let shared = new_shared(&cfg);
-        let start_ns = cfg.clock.now_ns();
+        let cont = sizing(&cfg);
+        match cfg.mode {
+            EngineMode::SingleFlight => Self::start_single_flight(model, cfg, cont),
+            EngineMode::Continuous(_) => Self::spawn(cfg, cont, move |w| {
+                let pm = PackedModel::pack(&model);
+                w.run(PagedEngine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens));
+            }),
+        }
+    }
 
-        let worker = {
-            let shared = Arc::clone(&shared);
-            match cfg.mode {
-                EngineMode::SingleFlight => {
-                    let ft_cfg =
-                        FtConfig { tp: cfg.tp, comm: cfg.comm.clone(), retry: cfg.retry.clone() };
-                    let max_prompt = cfg.max_prompt;
-                    std::thread::Builder::new()
-                        .name("dsi-serve-worker".into())
-                        .spawn(move || worker_loop(shared, model, max_prompt, ft_cfg))
-                        .expect("spawn serve worker")
-                }
-                EngineMode::Continuous(cont) => {
-                    let eos = cfg.eos;
-                    let faults = cfg.engine_faults.clone();
-                    std::thread::Builder::new()
-                        .name("dsi-serve-scheduler".into())
-                        .spawn(move || continuous_worker_loop(shared, model, cont, eos, faults))
-                        .expect("spawn serve scheduler")
-                }
-                EngineMode::Streamed(_) => {
-                    panic!("EngineMode::Streamed decodes from a weight file: use Server::start_streamed")
-                }
-            }
-        };
-
-        let watchdog = spawn_watchdog(&cfg, &shared);
-        Server { shared, cfg, start_ns, worker: Some(worker), watchdog }
+    /// One slot over the fault-tolerant TP session (its group is built
+    /// lazily on the first request); the supervisor's fault report is read
+    /// off the engine once the loop has drained, for the final
+    /// [`ServeReport`].
+    pub(crate) fn start_single_flight(
+        model: Arc<GptModel>,
+        cfg: ServeConfig,
+        cont: ContinuousConfig,
+    ) -> Server {
+        let ft_cfg = FtConfig { tp: cfg.tp, comm: cfg.comm.clone(), retry: cfg.retry.clone() };
+        let max_prompt = cfg.max_prompt;
+        Self::spawn(cfg, cont, move |w| {
+            let sess = FtSession::new(model, max_prompt, ft_cfg);
+            let mut sess = w.run(FtEngine::new(sess, cont.pages_total)).into_session();
+            // Tear the group down with bounded joins before reporting.
+            sess.reset();
+            w.shared.state.lock().unwrap().ft_report = sess.report().clone();
+        })
     }
 
     /// Spawn the runtime over a **weight file** served through the tiered
-    /// offload store: `cfg.mode` must be [`EngineMode::Streamed`]. The
-    /// store is opened on the caller's thread so a missing/corrupt/
-    /// unopenable file (or an injected open fault) surfaces as a typed
-    /// `Err` here, before any thread exists. The scheduler, admission,
-    /// breakers, watchdog, and drain behave exactly as in continuous mode;
-    /// `offload` controls the resident budget, prefetch depth, fetch
-    /// deadlines, and I/O fault injection.
+    /// offload store. The store is opened on the caller's thread so a
+    /// missing/corrupt/unopenable file (or an injected open fault) surfaces
+    /// as a typed `Err` here, before any thread exists. The scheduler,
+    /// admission, breakers, watchdog, and drain are the ones every engine
+    /// gets; `offload` controls the resident budget, prefetch depth, fetch
+    /// deadlines, and I/O fault injection. The tier meters KV per token:
+    /// the capacity `cfg.mode` sizes, at one token per page.
     pub fn start_streamed(
         path: impl AsRef<Path>,
         offload: OffloadConfig,
         cfg: ServeConfig,
     ) -> Result<Server, OffloadError> {
-        let cont = match cfg.mode {
-            EngineMode::Streamed(c) => c,
-            _ => panic!("Server::start_streamed requires EngineMode::Streamed"),
-        };
-        assert_eq!(
-            cont.page_tokens, 1,
-            "streamed mode meters KV per token: set page_tokens = 1 and pages_total = token budget"
-        );
+        let c = sizing(&cfg);
+        let cont =
+            ContinuousConfig { pages_total: c.pages_total * c.page_tokens, page_tokens: 1, ..c };
         let store = OffloadStore::open(path, offload)?;
         let eng = StreamedEngine::new(store, cont.max_slots, cont.pages_total);
+        Ok(Self::spawn(cfg, cont, move |w| {
+            w.run(eng);
+        }))
+    }
+
+    /// The one spawn: `body` builds its engine on the worker thread and
+    /// runs it to drain through [`Worker::run`].
+    fn spawn(
+        cfg: ServeConfig,
+        cont: ContinuousConfig,
+        body: impl FnOnce(Worker) + Send + 'static,
+    ) -> Server {
         let shared = new_shared(&cfg);
         let start_ns = cfg.clock.now_ns();
-        let worker = {
-            let shared = Arc::clone(&shared);
-            let eos = cfg.eos;
-            let faults = cfg.engine_faults.clone();
-            std::thread::Builder::new()
-                .name("dsi-serve-streamer".into())
-                .spawn(move || streamed_worker_loop(shared, eng, cont, eos, faults))
-                .expect("spawn streamed scheduler")
+        let w = Worker {
+            shared: Arc::clone(&shared),
+            cont,
+            eos: cfg.eos,
+            faults: cfg.engine_faults.clone(),
         };
+        let worker = std::thread::Builder::new()
+            .name("dsi-serve-scheduler".into())
+            .spawn(move || body(w))
+            .expect("spawn serve scheduler");
         let watchdog = spawn_watchdog(&cfg, &shared);
-        Ok(Server { shared, cfg, start_ns, worker: Some(worker), watchdog })
+        Server { shared, cfg, cont, start_ns, worker: Some(worker), watchdog }
     }
 
     /// Admit or reject `req`. Admission is O(1) under one lock: breaker
@@ -601,25 +633,14 @@ impl Server {
             st.counters.rejected_queue_full += 1;
             return Err(Rejected::QueueFull);
         }
-        // KV admission. Single-flight reserves the whole request in tokens
-        // (the engine cannot shed memory mid-request); continuous charges
-        // prompt pages only — decode growth is reserved per step by the
+        // KV admission charges prompt pages only (prompt + the first
+        // generated token, which prefill always materializes), in the
+        // engine's geometry; decode growth is reserved per step by the
         // scheduler, with typed page-exhaustion eviction as the backstop.
-        let (cost, over_budget) = match &self.cfg.mode {
-            EngineMode::SingleFlight => {
-                let cost = req.prompt.len() + req.n_tokens;
-                (cost, st.inflight_tokens + cost > self.cfg.kv_budget_tokens)
-            }
-            EngineMode::Continuous(c) | EngineMode::Streamed(c) => {
-                // Prompt + the first generated token, which prefill always
-                // materializes.
-                let cost = c.pages_for(req.prompt.len() + 1);
-                // A request whose prompt alone exceeds the pool could never
-                // run; reject it outright rather than wedging the queue.
-                let hopeless = cost > c.pages_total;
-                (cost, hopeless || st.inflight_tokens + st.pool_pages + cost > c.pages_total)
-            }
-        };
+        // A request whose prompt alone exceeds the pool could never run, so
+        // it is rejected here too rather than wedging the queue.
+        let cost = self.cont.pages_for(req.prompt.len() + 1);
+        let over_budget = st.inflight_tokens + st.pool_pages + cost > self.cont.pages_total;
         if over_budget {
             if let Some(pc) = probe {
                 st.breaker.abort_probe(pc, now);
@@ -728,7 +749,7 @@ impl Server {
             p50_latency_s: dsi_core::percentile(&lat, 0.50),
             p95_latency_s: dsi_core::percentile(&lat, 0.95),
             p99_latency_s: dsi_core::percentile(&lat, 0.99),
-            ft: st.ft_report.clone().unwrap_or_default(),
+            ft: st.ft_report.clone(),
             scheduler: st.sched_report.clone(),
         };
         // Accounting invariants — always on, under every fault storm: no
@@ -750,102 +771,6 @@ impl Server {
         }
         report
     }
-}
-
-fn worker_loop(shared: Arc<Shared>, model: Arc<GptModel>, max_prompt: usize, ft_cfg: FtConfig) {
-    let mut session = FtSession::new(model, max_prompt, ft_cfg);
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    // Stamp the heartbeat before publishing `running`, so the
-                    // watchdog never reads a stale heartbeat for a fresh job.
-                    shared.progress_ns.store(shared.clock.now_ns(), Ordering::Release);
-                    st.running.push(Running { id: job.id, cancel: job.cancel.clone() });
-                    break Some(job);
-                }
-                if st.draining {
-                    break None;
-                }
-                st = shared.work.wait(st).unwrap();
-            }
-        };
-        let Some(job) = job else { break };
-
-        // Fresh context per request (also tears down a faulted group).
-        session.reset();
-        let ctl = StepCtl {
-            cancel: Some(&job.cancel),
-            clock: Some(&shared.clock),
-            deadline_ns: job.deadline_ns,
-            progress_ns: Some(&shared.progress_ns),
-        };
-        let result = session.generate_bounded(&job.prompt, job.n_tokens, &ctl);
-        let now = shared.clock.now_ns();
-
-        let mut st = shared.state.lock().unwrap();
-        st.running.clear();
-        st.inflight_tokens -= job.cost;
-        let outcome = match result {
-            Ok(tokens) => {
-                st.counters.completed += 1;
-                let latency_s = (now - job.submit_ns) as f64 / 1e9;
-                st.latencies_s.push(latency_s);
-                st.breaker.on_success(job.probe);
-                Outcome::Completed { tokens, latency_s }
-            }
-            Err(e) => match e.abort {
-                StepError::Aborted(StepAbort::DeadlineExceeded) => {
-                    st.counters.deadline_expired += 1;
-                    if let Some(pc) = job.probe {
-                        // The probe proved nothing: re-probe immediately.
-                        st.breaker.abort_probe(pc, now);
-                    }
-                    Outcome::DeadlineExpired { partial: e.partial }
-                }
-                StepError::Aborted(StepAbort::Cancelled) => {
-                    st.counters.evicted += 1;
-                    if let Some(pc) = job.probe {
-                        st.breaker.abort_probe(pc, now);
-                    }
-                    Outcome::Evicted { partial: e.partial, reason: EvictReason::Cancelled }
-                }
-                StepError::Fault(f) => {
-                    st.counters.evicted += 1;
-                    // Route the terminal fault to its class breaker: a
-                    // collective timeout trips Timeout, a poisoned worker
-                    // trips Panic — independent thresholds, independent
-                    // probes.
-                    let msg = f.to_string();
-                    st.breaker.on_failure(FaultClass::classify(&msg), now);
-                    // A probe that faulted in a *different* class proved
-                    // nothing about the class it was probing: abort it so
-                    // that breaker re-opens for an immediate re-probe
-                    // instead of leaking HalfOpen (which would reject all
-                    // admissions forever). No-op when the fault was the
-                    // probed class — on_failure above already re-opened it.
-                    if let Some(pc) = job.probe {
-                        st.breaker.abort_probe(pc, now);
-                    }
-                    Outcome::Evicted { partial: e.partial, reason: EvictReason::Fault(msg) }
-                }
-            },
-        };
-        drop(st);
-        // Delivery outside the lock; a dropped ticket is not an error.
-        let _ = job.tx.send(outcome);
-        shared.idle.notify_all();
-    }
-
-    // Tear the group down with bounded joins, then publish the engine's
-    // fault report for the final ServeReport.
-    session.reset();
-    let mut st = shared.state.lock().unwrap();
-    st.ft_report = Some(session.report().clone());
-    st.worker_done = true;
-    drop(st);
-    shared.idle.notify_all();
 }
 
 fn watchdog_loop(shared: Arc<Shared>, timeout: Duration, poll: Duration) {
@@ -876,7 +801,6 @@ fn watchdog_loop(shared: Arc<Shared>, timeout: Duration, poll: Duration) {
         st = shared.idle.wait_timeout(st, poll).unwrap().0;
     }
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -943,7 +867,7 @@ mod tests {
     #[test]
     fn queue_full_and_memory_pressure_reject_typed() {
         let mut cfg = quiet_cfg(2);
-        cfg.queue_capacity = 1;
+        cfg.queue_capacity = 2;
         cfg.kv_budget_tokens = 20;
         // Wedge the first request (slow, not faulted) so admission state is
         // deterministic while we probe the limits.
@@ -953,23 +877,27 @@ mod tests {
         let t = srv
             .submit(Request { prompt: vec![1; 8], n_tokens: 8, deadline: None })
             .unwrap();
-        // Let the worker pop it (it is now wedged mid-prompt, queue empty).
+        // Let the scheduler seat it (it is now wedged mid-prompt, queue empty).
         std::thread::sleep(Duration::from_millis(30));
-        // Another 16-token request would breach the 20-token KV budget.
+        // Admission charges prompt pages (prompt + 1 tokens at one token per
+        // page): 9 queue behind the wedged request, and 12 more would
+        // breach the 20-token pool.
+        let t2 = srv.submit(Request { prompt: vec![1; 8], n_tokens: 8, deadline: None }).unwrap();
         assert_eq!(
-            srv.submit(Request { prompt: vec![1; 8], n_tokens: 8, deadline: None }).err(),
+            srv.submit(Request { prompt: vec![1; 11], n_tokens: 8, deadline: None }).err(),
             Some(Rejected::MemoryPressure)
         );
-        // Fill the single queue slot, then overflow it.
-        let t2 = srv.submit(Request { prompt: vec![1], n_tokens: 1, deadline: None }).unwrap();
+        // Fill the second queue slot, then overflow the queue.
+        let t3 = srv.submit(Request { prompt: vec![1], n_tokens: 1, deadline: None }).unwrap();
         assert_eq!(
             srv.submit(Request { prompt: vec![1], n_tokens: 1, deadline: None }).err(),
             Some(Rejected::QueueFull)
         );
-        assert!(matches!(t.wait(), Outcome::Completed { .. }));
-        assert!(matches!(t2.wait(), Outcome::Completed { .. }));
+        for t in [t, t2, t3] {
+            assert!(matches!(t.wait(), Outcome::Completed { .. }));
+        }
         let report = srv.drain(Duration::from_secs(5));
-        assert_eq!(report.admitted, 2);
+        assert_eq!(report.admitted, 3);
         assert_eq!(report.rejected_memory, 1);
         assert_eq!(report.rejected_queue_full, 1);
     }
@@ -1052,7 +980,7 @@ mod tests {
         let mut faulted = 0;
         for _ in 0..2 {
             let t = srv.submit(Request { prompt: vec![1, 2], n_tokens: 3, deadline: None }).unwrap();
-            if matches!(t.wait(), Outcome::Evicted { reason: EvictReason::Fault(_), .. }) {
+            if matches!(t.wait(), Outcome::Evicted { reason: EvictReason::EngineFault { .. }, .. }) {
                 faulted += 1;
             }
         }
@@ -1102,10 +1030,11 @@ mod tests {
         let srv = Server::start(tiny_model(), cfg);
 
         let t = srv.submit(Request { prompt: vec![1, 2], n_tokens: 3, deadline: None }).unwrap();
-        let Outcome::Evicted { reason: EvictReason::Fault(msg), .. } = t.wait() else {
+        let Outcome::Evicted { reason: EvictReason::EngineFault { class, msg }, .. } = t.wait()
+        else {
             panic!("expected terminal fault")
         };
-        assert_eq!(FaultClass::classify(&msg), FaultClass::Timeout, "{msg}");
+        assert_eq!(class, FaultClass::Timeout, "{msg}");
         assert_eq!(
             srv.submit(Request { prompt: vec![1], n_tokens: 1, deadline: None }).err(),
             Some(Rejected::BreakerOpen)
@@ -1113,10 +1042,11 @@ mod tests {
 
         std::thread::sleep(Duration::from_millis(25));
         let probe = srv.submit(Request { prompt: vec![1], n_tokens: 2, deadline: None }).unwrap();
-        let Outcome::Evicted { reason: EvictReason::Fault(msg), .. } = probe.wait() else {
+        let Outcome::Evicted { reason: EvictReason::EngineFault { class, msg }, .. } = probe.wait()
+        else {
             panic!("expected the probe to fault")
         };
-        assert_eq!(FaultClass::classify(&msg), FaultClass::Panic, "{msg}");
+        assert_eq!(class, FaultClass::Panic, "{msg}");
 
         // The aborted Timeout probe re-opens with an elapsed window: the
         // very next submit becomes its probe and (faults consumed)
@@ -1216,7 +1146,7 @@ mod tests {
         }
         let report = srv.drain(Duration::from_secs(5));
         assert_eq!(report.completed, 6);
-        let sched = report.scheduler.expect("continuous mode attaches a scheduler report");
+        let sched = report.scheduler.expect("the scheduler attaches its report");
         assert!(sched.steps > 0 && sched.prefills == 6);
         assert_eq!(sched.pages.fragmentation, 0);
         assert_eq!(sched.occupancy_hist.iter().sum::<u64>(), sched.steps);

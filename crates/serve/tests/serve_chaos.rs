@@ -15,6 +15,9 @@
 //!   the outcomes the *clients* observed, closing the loop);
 //! * **every ticket resolves exactly once** — no request is lost under any
 //!   storm;
+//! * **token identity** — every completion equals, and every partial is an
+//!   exact prefix of, the same prompt's solo fault-free generation, in the
+//!   single-flight sweep as in the continuous one (both run one loop);
 //! * **bounded tail latency** — when deadlines are armed, completed
 //!   requests finished within deadline + recovery slack.
 
@@ -114,6 +117,9 @@ impl Scenario {
 fn run_scenario(sc: &Scenario) -> (u64, u64, u64, u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(sc.seed.wrapping_mul(0x9e37_79b9));
     let model = Arc::new(GptModel::random(zoo::tiny(2), sc.seed ^ 0xabcd));
+    // The solo oracle: a fault-free session of its own (token streams are
+    // TP-invariant and survive every recovery bit-exact).
+    let mut oracle = FtSession::new(Arc::clone(&model), 8, FtConfig::new(1));
     let srv = Server::start(model, sc.config());
 
     let mut tickets = Vec::new();
@@ -125,12 +131,12 @@ fn run_scenario(sc: &Scenario) -> (u64, u64, u64, u64) {
             n_tokens: range(&mut rng, 1, 10) as usize,
             deadline: None,
         };
-        match srv.submit(req) {
+        match srv.submit(req.clone()) {
             Ok(t) => {
                 if sc.cancel_every.is_some_and(|k| i % k == k - 1) {
                     t.cancel();
                 }
-                tickets.push(t);
+                tickets.push((req, t));
             }
             Err(
                 Rejected::QueueFull
@@ -150,19 +156,26 @@ fn run_scenario(sc: &Scenario) -> (u64, u64, u64, u64) {
 
     // Every ticket resolves exactly once; tally what the clients saw.
     let (mut completed, mut evicted, mut expired) = (0u64, 0u64, 0u64);
-    for t in tickets {
+    for (i, (req, t)) in tickets.into_iter().enumerate() {
+        let want = oracle.generate(&req.prompt, req.n_tokens).unwrap();
+        oracle.reset();
+        let label = format!("seed {} ticket {i}", sc.seed);
         match t.wait() {
             Outcome::Completed { tokens, .. } => {
-                assert!(!tokens.is_empty(), "seed {}: completed with no tokens", sc.seed);
+                assert_eq!(tokens, want, "{label}: completed stream diverged");
                 completed += 1;
             }
-            Outcome::Evicted { reason, .. } => {
-                if let EvictReason::Fault(msg) = &reason {
-                    assert!(!msg.is_empty(), "seed {}: fault eviction without a cause", sc.seed);
+            Outcome::Evicted { reason, partial } => {
+                if let EvictReason::EngineFault { msg, .. } = &reason {
+                    assert!(!msg.is_empty(), "{label}: fault eviction without a cause");
                 }
+                assert_eq!(&want[..partial.len()], &partial[..], "{label}: partial not a prefix");
                 evicted += 1;
             }
-            Outcome::DeadlineExpired { .. } => expired += 1,
+            Outcome::DeadlineExpired { partial } => {
+                assert_eq!(&want[..partial.len()], &partial[..], "{label}: partial not a prefix");
+                expired += 1;
+            }
         }
     }
 
@@ -367,10 +380,7 @@ fn continuous_chaos_token_identity_sweep() {
                 }
                 Outcome::Evicted { partial, reason } => {
                     assert!(
-                        !matches!(
-                            reason,
-                            EvictReason::Fault(_) | EvictReason::EngineFault { .. }
-                        ),
+                        !matches!(reason, EvictReason::EngineFault { .. }),
                         "{label}: un-faulted paged engine cannot fault"
                     );
                     assert_eq!(
@@ -396,7 +406,7 @@ fn continuous_chaos_token_identity_sweep() {
         assert_eq!(report.deadline_expired, expired, "seed {seed}");
         assert_eq!(report.rejected_total(), rejected, "seed {seed}");
         assert_eq!(report.admitted, completed + evicted + expired, "seed {seed}");
-        let sched = report.scheduler.expect("continuous scheduler report");
+        let sched = report.scheduler.expect("scheduler report");
         assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: fragmentation");
         assert_eq!(
             sched.occupancy_hist.iter().sum::<u64>(),

@@ -19,10 +19,12 @@
 //!    starves every thread that needs them, and waiting without the mutex
 //!    is UB-by-contract for `std::sync::Condvar`.
 //!
-//! [`serve_runtime_model`] encodes `dsi-serve`'s actual design — one state
-//! mutex, two condvars tied to it — and [`check_lock_order`] over it is a
-//! regression gate: any future change that adds a second lock with an
+//! [`continuous_scheduler_model`] encodes `dsi-serve`'s actual design — one
+//! state mutex, two condvars tied to it — and [`check_lock_order`] over it
+//! is a regression gate: any future change that adds a second lock with an
 //! inconsistent order shows up as a `lock-cycle` diagnostic in the sweep.
+//! The model is not only a transcription: [`check_sched_trace`] diffs the
+//! *live* scheduler's recorded trace against it.
 
 use std::collections::BTreeSet;
 
@@ -171,67 +173,17 @@ pub fn check_lock_order(n_locks: usize, threads: &[ThreadModel]) -> Vec<Diagnost
 /// single node and no edges at all.
 pub const SERVE_STATE: usize = 0;
 
-/// `dsi-serve`'s synchronization design, transcribed thread by thread:
-/// submitters take the state mutex once per admission; the worker holds it
-/// only to pop/account (never across a decode); the watchdog holds it only
-/// to inspect and cancel; drain holds it across a condvar wait on `idle`.
-/// Any future edit that adds a second lock ordered inconsistently against
-/// the state mutex turns this from a clean model into a `lock-cycle`
-/// diagnostic in [`crate::sweep::verify_all`].
-pub fn serve_runtime_model() -> (usize, Vec<ThreadModel>) {
-    use LockOp::*;
-    let threads = vec![
-        // submit(): one critical section — admission checks + enqueue.
-        ThreadModel::new(
-            "submitter",
-            vec![Acquire(SERVE_STATE), Release(SERVE_STATE)],
-        ),
-        // worker: wait for work, pop, run *unlocked*, re-lock to account.
-        ThreadModel::new(
-            "worker",
-            vec![
-                Acquire(SERVE_STATE),
-                Wait { mutex: SERVE_STATE }, // work condvar
-                Release(SERVE_STATE),
-                // decode runs with no serve lock held
-                Acquire(SERVE_STATE),
-                Release(SERVE_STATE),
-            ],
-        ),
-        // watchdog: periodic inspect-and-cancel under the state lock.
-        ThreadModel::new(
-            "watchdog",
-            vec![
-                Acquire(SERVE_STATE),
-                Wait { mutex: SERVE_STATE }, // idle condvar (timed)
-                Release(SERVE_STATE),
-            ],
-        ),
-        // drain: flag under the lock, then wait for the worker on `idle`.
-        ThreadModel::new(
-            "drain",
-            vec![
-                Acquire(SERVE_STATE),
-                Release(SERVE_STATE),
-                Acquire(SERVE_STATE),
-                Wait { mutex: SERVE_STATE }, // idle condvar (timed)
-                Release(SERVE_STATE),
-            ],
-        ),
-    ];
-    (1, threads)
-}
-
-/// The continuous-batching scheduler's synchronization design
-/// (`dsi-serve::scheduler::continuous_worker_loop`), transcribed phase by
-/// phase: **admit** under the state mutex (waiting on the `work` condvar
+/// The serving scheduler's synchronization design
+/// (`dsi-serve::scheduler::run_scheduler`, the one worker loop of every
+/// engine mode — single-flight is the same loop at one slot), transcribed
+/// phase by phase: **admit** under the state mutex (waiting on the `work` condvar
 /// when no request is queued and no sequence is resident), **execute** —
 /// prefills plus one batched decode step — with *no* lock held, and
 /// **retire** under the mutex again (outcome channels are sent to only
-/// after it is dropped). The same single-mutex/two-condvar discipline as
-/// the single-flight worker, so the lock graph stays a single node; any
-/// second lock introduced by a future scheduler change shows up here as a
-/// `lock-cycle` or `wait-holding-lock` diagnostic.
+/// after it is dropped). With a single mutex and two condvars tied to it
+/// the lock graph is a single node; any second lock introduced by a future
+/// scheduler change shows up here as a `lock-cycle` or `wait-holding-lock`
+/// diagnostic.
 pub fn continuous_scheduler_model() -> (usize, Vec<ThreadModel>) {
     use LockOp::*;
     let threads = vec![
@@ -453,13 +405,6 @@ pub fn check_sched_trace(trace: &[SchedTraceOp]) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serve_model_is_clean() {
-        let (n, threads) = serve_runtime_model();
-        let diags = check_lock_order(n, &threads);
-        assert!(diags.is_empty(), "serve lock model: {diags:#?}");
-    }
 
     #[test]
     fn continuous_scheduler_model_is_clean() {

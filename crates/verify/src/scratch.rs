@@ -23,7 +23,7 @@
 //! published by [`dsi_model::fast::scratch_layout`] — so the verifier and
 //! the executor derive buffer capacities from the same source and cannot
 //! drift silently. [`batched_decode_step_trace`] does the same for the
-//! ragged-batch step (`PackedModel::forward_rows`): M sequences share the
+//! ragged-batch step (`dsi_model::fast::step` over M sequences): they share the
 //! row-stacked scratch but each owns a private KV cache, so the trace
 //! carries per-row KV buffers and per-row attention launches at ragged
 //! offsets.
@@ -311,7 +311,7 @@ pub fn decode_step_trace(c: &GptConfig, m: usize, offset: usize) -> (Arena, Vec<
 }
 
 /// Build the step trace of one batched decode step
-/// (`PackedModel::forward_rows`) over `offsets.len()` sequences, sequence
+/// (`dsi_model::fast::step`) over `offsets.len()` sequences, sequence
 /// `i` entering at its own KV offset `offsets[i]` (ragged contexts). The
 /// dense regions (1, 3, 4, 5 and the final layer-norm + logits) are single
 /// M-row launches over the shared row-stacked scratch; the KV append and

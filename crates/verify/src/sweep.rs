@@ -152,7 +152,7 @@ pub fn verify_all() -> SweepReport {
             x
         }));
 
-        // --- Pass 2b: batched ragged-offset decode (forward_rows). ---
+        // --- Pass 2b: batched ragged-offset decode (an M-row `fast::step`). ---
         // Each batch size the M-row dispatcher distinguishes, at staggered
         // per-row offsets so no two rows are at the same context length.
         for m in [1usize, 2, 4, 8, 16] {
@@ -228,24 +228,20 @@ pub fn verify_all() -> SweepReport {
         }));
     }
 
-    // --- Pass 3c': serving-runtime lock models (dsi-serve). ---
-    // The multi-threaded control planes in the workspace: the single-flight
-    // worker and the continuous-batching scheduler. Each held-while-acquiring
+    // --- Pass 3c': serving-runtime lock model (dsi-serve). ---
+    // The multi-threaded control plane in the workspace: submitters, the
+    // one scheduler loop, the watchdog, drain. The held-while-acquiring
     // graph must stay acyclic and every condvar wait disciplined. A future
     // second lock ordered inconsistently against the state mutex fails the
     // sweep here.
-    for (what, (n_locks, threads)) in [
-        ("serve runtime", crate::locks::serve_runtime_model()),
-        ("continuous scheduler", crate::locks::continuous_scheduler_model()),
-    ] {
-        report.collective_programs += 1;
-        report.diagnostics.extend(
-            crate::locks::check_lock_order(n_locks, &threads).into_iter().map(|mut x| {
-                x.site = format!("{what}: {}", x.site);
-                x
-            }),
-        );
-    }
+    let (n_locks, threads) = crate::locks::continuous_scheduler_model();
+    report.collective_programs += 1;
+    report.diagnostics.extend(
+        crate::locks::check_lock_order(n_locks, &threads).into_iter().map(|mut x| {
+            x.site = format!("serve scheduler: {}", x.site);
+            x
+        }),
+    );
 
     // --- Pass 3c'': serving-runtime state machines (dsi-serve). ---
     // The circuit breaker explored exhaustively over every event sequence

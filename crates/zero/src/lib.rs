@@ -24,14 +24,12 @@
 //!
 //! `dsi_core::streamed::StreamedEngine` is the decode loop over the store
 //! (it lives in `dsi-core` because the `BatchEngine` trait does), and
-//! `dsi-serve` hosts it in both single-flight and continuous modes.
+//! `dsi-serve` hosts it under its one scheduler loop (`Server::start_streamed`).
 
 pub mod engine;
 pub mod offload;
-pub mod store;
 pub mod tiers;
 
 pub use engine::{ZeroInference, ZeroReport};
 pub use offload::{OffloadConfig, OffloadError, OffloadStats, OffloadStore, ResidentGroup};
-pub use store::{streamed_forward, StreamingStore};
 pub use tiers::{cpu_only_feasible, gpu_only_feasible, place_weights, Tier};

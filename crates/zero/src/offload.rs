@@ -11,7 +11,8 @@
 //! `resident_budget_bytes` of packed layer panels live in memory at once,
 //! so a model whose weight file dwarfs the budget still decodes — the
 //! `StreamedEngine` built on top is token-identical to the fully-resident
-//! fast path because both drive the same `dsi_model::fast` stage functions.
+//! fast path because both drive the same `dsi_model::fast::step`, the store
+//! being its [`WeightSource`].
 //!
 //! ## Concurrency shape
 //!
@@ -46,7 +47,7 @@
 use dsi_kernels::blocked::{PackedB, PanelWeights};
 use dsi_kernels::tensor::Tensor;
 use dsi_model::config::GptConfig;
-use dsi_model::fast::PackedLayer;
+use dsi_model::fast::{PackedLayer, WeightSource};
 use dsi_model::io::{self, IoError, PanelDirectory};
 use dsi_sim::fault::{apply_stall, IoFaultInjector, IoFaultKind};
 use dsi_sim::Clock;
@@ -595,6 +596,35 @@ impl OffloadStore {
     }
 }
 
+/// The streamed weight source of `dsi_model::fast::step`: each layer's
+/// panel is checked out for the duration of that layer (resident hit or
+/// demand fetch) while the worker reads the following layers, and dropped
+/// before the next is acquired (release-before-refetch, so the budget has
+/// the in-use panel's room back before the worker needs it).
+impl WeightSource for OffloadStore {
+    type B = PackedB;
+    type Layer<'a> = Arc<PackedLayer<PackedB>>;
+    type Error = OffloadError;
+
+    fn config(&self) -> &GptConfig {
+        OffloadStore::config(self)
+    }
+    fn embeddings(&self) -> (&Tensor, &Tensor) {
+        (&self.resident.wte, &self.resident.wpe)
+    }
+    fn lnf(&self) -> (&[f32], &[f32]) {
+        (&self.resident.lnf_g, &self.resident.lnf_b)
+    }
+    fn logits_w(&self) -> &PackedB {
+        &self.resident.wte_packed
+    }
+    fn layer(&self, l: usize) -> Result<Arc<PackedLayer<PackedB>>, OffloadError> {
+        let panel = self.acquire(l)?;
+        self.prefetch_ahead(l + 1);
+        Ok(panel)
+    }
+}
+
 impl Drop for OffloadStore {
     fn drop(&mut self) {
         let _ = self.inner.queue.send(SHUTDOWN);
@@ -829,6 +859,16 @@ mod tests {
             assert_eq!(p.ln1_g, m.layers[l].ln1_g.data());
             assert_eq!(p.b_ff2, m.layers[l].b_ff2.data());
         }
+        // With room for everything, each layer is read from the tier
+        // exactly once; a second pass is all hits.
+        let once = store.stats();
+        let file: u64 = (0..3).map(|l| store.inner.dir.layer_panel(l).len as u64).sum();
+        assert_eq!(once.bytes_read, file, "one fetch per layer");
+        for l in 0..3 {
+            store.acquire(l).expect("resident");
+        }
+        let twice = store.stats();
+        assert_eq!((twice.bytes_read, twice.hits), (once.bytes_read, once.hits + 3));
         let _ = std::fs::remove_file(path);
     }
 

@@ -63,7 +63,7 @@ proptest! {
         let mut fast = BatchSession::new(&m, &prompts, max_new);
         fast.eos = eos;
         let mut sampler = Sampler::new(SamplerConfig::greedy(), 0);
-        fast.run(&mut sampler); // step() routes greedy through forward_rows
+        fast.run(&mut sampler); // step() routes greedy through the M-row fast path
 
         let mut refr = BatchSession::new(&m, &prompts, max_new);
         refr.eos = eos;

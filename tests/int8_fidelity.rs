@@ -2,12 +2,15 @@
 //! (`QuantizedPackedModel`) against the FP32 packed path and the portable
 //! scalar oracle.
 //!
-//! Three layers of guarantee, strongest first:
+//! Four layers of guarantee, strongest first:
 //! * **Bit-exactness** — the AVX2 INT8 microkernels round identically to
 //!   the scalar oracle `matmul_quantized` (mul-then-add, group-outer
 //!   order), so vectorization adds zero error on top of quantization.
 //! * **Logit drift** — quantization error through a full forward stays
 //!   under a fixed bound vs the FP32 packed path.
+//! * **Cross-entropy** — next-token loss under INT8 weights stays within a
+//!   fixed distance of the FP32 reference model's (quantization is a
+//!   performance technique; the distribution must survive it).
 //! * **Greedy agreement** — decoded tokens mostly agree with FP32; decode
 //!   never crashes or stalls regardless of seed.
 
@@ -16,12 +19,12 @@ use deepspeed_inference::kernels::quant::{matmul_quantized, QuantizedMatrix, Qua
 use deepspeed_inference::kernels::tensor::Tensor;
 use deepspeed_inference::model::fast::{PackedModel, QuantizedPackedModel};
 use deepspeed_inference::model::reference::GptModel;
+use deepspeed_inference::model::sampling::cross_entropy;
 use deepspeed_inference::zoo;
 use proptest::prelude::*;
 
 /// Max absolute logit drift FP32 → INT8 on the tiny zoo model. Calibrated
-/// against the long-standing `quantized.rs` bound (0.6 for one forward of
-/// the reference INT8 model at group 32).
+/// at 0.6 for one forward at group 32.
 const MAX_LOGIT_DRIFT: f32 = 0.6;
 
 /// Minimum aggregate greedy-token agreement rate FP32 vs INT8, pooled over
@@ -114,6 +117,22 @@ fn int8_greedy_agreement_rate() {
         rate >= MIN_AGREE_RATE,
         "pooled greedy agreement {rate:.2} below {MIN_AGREE_RATE}"
     );
+}
+
+/// Next-token cross-entropy over a short sequence: the INT8 packed forward
+/// against the FP32 *reference* model (not the packed path), at the bound
+/// the reference INT8 model was held to.
+#[test]
+fn int8_cross_entropy_close() {
+    let m = GptModel::random(zoo::tiny(2), 31);
+    let q = QuantizedPackedModel::quantize_pack(&m, 32);
+    let ids = [2usize, 4, 6, 8, 10, 12];
+    let targets = &ids[1..];
+    let l_fp = m.forward_full(&ids);
+    let l_q = Tensor::from_vec(&[ids.len(), m.config.vocab], q.session(ids.len()).forward(&ids).to_vec());
+    let ce_fp = cross_entropy(&l_fp.row_slice(0, 5), targets);
+    let ce_q = cross_entropy(&l_q.row_slice(0, 5), targets);
+    assert!((ce_fp - ce_q).abs() < 0.1, "cross-entropy drift: fp {ce_fp} int8 {ce_q}");
 }
 
 /// The INT8 weight stream is under half the FP32 stream — the Sec. III-D

@@ -1,5 +1,5 @@
 //! Property tests for the extension subsystems: tiled fused execution,
-//! streaming weight store, pipeline-parallel functional execution,
+//! pipeline-parallel functional execution,
 //! checkpoints, precision emulation, sampling, and the serving simulator.
 
 use deepspeed_inference::kernels::exec::{layer_forward_tiled, layer_forward_whole, LayerTensors};
@@ -7,12 +7,11 @@ use deepspeed_inference::kernels::fusion::FusionPlan;
 use deepspeed_inference::kernels::precision::{to_bf16, to_fp16};
 use deepspeed_inference::kernels::tensor::Tensor;
 use deepspeed_inference::model::io;
-use deepspeed_inference::model::reference::{GptModel, KvCache};
+use deepspeed_inference::model::reference::GptModel;
 use deepspeed_inference::model::sampling::{Sampler, SamplerConfig};
 use deepspeed_inference::model::zoo;
 use deepspeed_inference::parallel::pipeline::PipelineSchedule;
 use deepspeed_inference::parallel::pp_exec::PipelinedModel;
-use deepspeed_inference::zero::store::streamed_forward;
 use proptest::prelude::*;
 
 proptest! {
@@ -44,24 +43,6 @@ proptest! {
             got.allclose(&want, 1e-3),
             "diff {}", got.max_abs_diff(&want)
         );
-    }
-
-    /// The streaming weight store yields reference-identical logits for any
-    /// prefetch depth and prompt.
-    #[test]
-    fn streamed_forward_equivalence(
-        prefetch in 0usize..5,
-        len in 1usize..8,
-        seed in 0u64..100,
-    ) {
-        let m = GptModel::random(zoo::tiny(3), seed);
-        let ids: Vec<usize> = (0..len).map(|i| (i * 7 + seed as usize) % 101).collect();
-        let mut cache = KvCache::new(3, 64);
-        let (got, stats) = streamed_forward(&m, &ids, &mut cache, prefetch);
-        let want = m.forward_full(&ids);
-        prop_assert!(got.allclose(&want, 1e-4));
-        prop_assert_eq!(stats.fetches, 3);
-        prop_assert!(stats.peak_resident <= prefetch + 1);
     }
 
     /// Pipeline-parallel scheduled execution equals unpipelined generation
