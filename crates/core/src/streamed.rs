@@ -7,8 +7,9 @@
 //! its weight source: per layer the store checks the panel out
 //! (`acquire(l)`, resident hit or demand fetch), queues `l+1..` for the
 //! prefetch worker, and the panel drops before the next layer's is acquired
-//! (release-before-refetch). The panel bytes round-trip bit-exactly through
-//! the v2 weight file — so streamed greedy decode is bit-identical to the
+//! (release-before-refetch). The weight file stores each layer as the very
+//! `PackedLayer` floats the resident path packs in memory, copied out
+//! bit-exactly — so streamed greedy decode is bit-identical to the
 //! [`FastSession`] oracle by construction, at every prefetch depth and
 //! budget. The proptest suite pins this.
 //!

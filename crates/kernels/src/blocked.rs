@@ -268,8 +268,8 @@ fn gemv(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
 /// A weight matrix packed for repeated right-multiplication: logically
 /// `[k, n]`, stored as `n.div_ceil(PANEL)` panels of `PANEL` consecutive
 /// output columns (`data[jp * k * PANEL + i * PANEL + jr] == B[i, jp*PANEL +
-/// jr]`, zero past column `n`).
-#[derive(Debug, Clone)]
+/// jr]`, zero past column `n`). `Default` is the empty `[0, 0]` operand.
+#[derive(Debug, Clone, Default)]
 pub struct PackedB {
     k: usize,
     n: usize,
@@ -306,6 +306,46 @@ impl PackedB {
         let (n, k) = (bt.rows(), bt.cols());
         let bd = bt.data();
         Self::with_writer(k, n, |i, j| bd[j * k + i])
+    }
+
+    /// Floats a `[k, n]` operand occupies in panel layout (`None` when the
+    /// product overflows — `k` and `n` may come from a file header).
+    pub fn packed_len(k: usize, n: usize) -> Option<usize> {
+        n.div_ceil(PANEL).checked_mul(PANEL)?.checked_mul(k)
+    }
+
+    /// Adopt floats that are already in panel layout (the array
+    /// [`PackedB::as_packed`] exposes, e.g. read back from a weight file):
+    /// no transform, only the length check every kernel's bounds argument
+    /// rests on. `None` if `data` is not exactly `packed_len(k, n)` floats.
+    pub fn from_packed(k: usize, n: usize, data: Vec<f32>) -> Option<Self> {
+        (Self::packed_len(k, n) == Some(data.len())).then_some(PackedB { k, n, data })
+    }
+
+    /// The packed float array, exactly as the kernels stream it.
+    pub fn as_packed(&self) -> &[f32] {
+        &self.data
+    }
+
+    /// Give the packed float array back, e.g. so a retired operand's buffer
+    /// can be refilled and re-adopted instead of reallocated.
+    pub fn into_packed(self) -> Vec<f32> {
+        self.data
+    }
+
+    /// Rebuild the row-major `[k, n]` matrix — the inverse permutation of
+    /// [`PackedB::pack`], bit for bit (the zero padding is dropped).
+    pub fn unpack(&self) -> Tensor {
+        let (k, n) = (self.k, self.n);
+        let mut out = vec![0.0f32; k * n];
+        for (jp, panel) in self.data.chunks_exact((k * PANEL).max(1)).enumerate() {
+            let j0 = jp * PANEL;
+            let width = (n - j0).min(PANEL);
+            for (i, row) in panel.chunks_exact(PANEL).enumerate() {
+                out[i * n + j0..i * n + j0 + width].copy_from_slice(&row[..width]);
+            }
+        }
+        Tensor::from_vec(&[k, n], out)
     }
 
     pub fn k(&self) -> usize {
@@ -579,6 +619,33 @@ mod tests {
         let c1 = matmul_packed(&a, &PackedB::pack(&b));
         let c2 = matmul_packed(&a, &PackedB::from_pre_transposed(&bt));
         assert!(c1.allclose(&c2, 0.0));
+    }
+
+    #[test]
+    fn unpack_and_adopt_invert_pack_bitwise() {
+        // Full panels, a ragged tail, n < PANEL, and a single row.
+        for (k, n) in [(16, 64), (48, 144), (7, 5), (1, 33), (64, 101)] {
+            let b = Tensor::randn(&[k, n], 1.0, 91);
+            let pb = PackedB::pack(&b);
+            assert_eq!(PackedB::packed_len(k, n), Some(pb.as_packed().len()));
+            let back = pb.unpack();
+            assert_eq!(back.shape(), b.shape());
+            assert_eq!(back.data(), b.data(), "({k},{n}) unpack");
+            let adopted = PackedB::from_packed(k, n, pb.as_packed().to_vec()).expect("exact length");
+            assert_eq!(adopted.as_packed(), pb.as_packed());
+            assert_eq!((adopted.k(), adopted.n()), (k, n));
+        }
+    }
+
+    #[test]
+    fn adopt_rejects_a_length_the_kernels_would_overrun() {
+        let pb = PackedB::pack(&Tensor::randn(&[8, 40], 1.0, 92));
+        let mut short = pb.as_packed().to_vec();
+        short.pop();
+        assert!(PackedB::from_packed(8, 40, short).is_none());
+        // The same floats claimed for a wider operand: one more panel needed.
+        assert!(PackedB::from_packed(8, 65, pb.as_packed().to_vec()).is_none());
+        assert!(PackedB::from_packed(usize::MAX, 40, Vec::new()).is_none());
     }
 
     #[test]

@@ -39,7 +39,7 @@ use dsi_kernels::tensor::Tensor;
 /// One layer's weights in execution layout: GEMM operands packed (FP32
 /// panels by default, group-quantized INT8 panels for the
 /// [`QuantizedPackedModel`] fast path), vectors as plain slices.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PackedLayer<B = PackedB> {
     pub ln1_g: Vec<f32>,
     pub ln1_b: Vec<f32>,
@@ -83,6 +83,27 @@ impl<B> PackedLayer<B> {
 impl PackedLayer<PackedB> {
     pub fn pack(lw: &LayerWeights) -> Self {
         Self::pack_with(lw, PackedB::pack)
+    }
+
+    /// The row-major layer this was packed from, bit for bit — the inverse
+    /// of [`PackedLayer::pack`] (how `io::from_bytes` rebuilds a model from
+    /// a weight file that stores execution layout).
+    pub fn unpack(self) -> LayerWeights {
+        let vector = |v: Vec<f32>| Tensor::from_vec(&[v.len()], v);
+        LayerWeights {
+            ln1_g: vector(self.ln1_g),
+            ln1_b: vector(self.ln1_b),
+            w_qkv: self.w_qkv.unpack(),
+            b_qkv: vector(self.b_qkv),
+            w_o: self.w_o.unpack(),
+            b_o: vector(self.b_o),
+            ln2_g: vector(self.ln2_g),
+            ln2_b: vector(self.ln2_b),
+            w_ff1: self.w_ff1.unpack(),
+            b_ff1: vector(self.b_ff1),
+            w_ff2: self.w_ff2.unpack(),
+            b_ff2: vector(self.b_ff2),
+        }
     }
 }
 

@@ -17,10 +17,11 @@
 //!   Schedules run on the discrete-event engine so overlap is simulated,
 //!   not assumed.
 //! * [`offload`] — the **executed** tiered weight store: a memory-mapped,
-//!   per-panel-checksummed v2 weight file served under a resident-byte
-//!   budget by a prefetch worker, with seeded I/O fault injection, bounded
-//!   re-reads, clock-measured fetch deadlines, and graceful degradation to
-//!   synchronous fetch when the prefetcher dies.
+//!   per-panel-checksummed v3 weight file (layers in packed execution
+//!   layout) served under a resident-byte budget by a prefetch worker,
+//!   with seeded I/O fault injection, bounded re-reads, clock-measured
+//!   fetch deadlines, and graceful degradation to synchronous fetch when
+//!   the prefetcher dies.
 //!
 //! `dsi_core::streamed::StreamedEngine` is the decode loop over the store
 //! (it lives in `dsi-core` because the `BatchEngine` trait does), and

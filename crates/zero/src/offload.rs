@@ -3,12 +3,13 @@
 //! big slow tier, stream layers into compute memory" (Sec. VI), made real
 //! and fault-hardened.
 //!
-//! [`OffloadStore`] opens a v2 `model::io` weight file (version header +
-//! per-panel CRC32, see `dsi_model::io`), keeps the small always-needed
-//! group resident (embeddings + final layer-norm + the packed logits
-//! operand), and serves transformer layers as [`PackedLayer`] panels on
-//! demand under a **resident-byte budget**: at most
-//! `resident_budget_bytes` of packed layer panels live in memory at once,
+//! [`OffloadStore`] opens a v3 `model::io` weight file (version header +
+//! per-panel CRC32C, layer panels stored in the packed execution layout
+//! the kernels consume — see `dsi_model::io`), keeps the small
+//! always-needed group resident (embeddings + final layer-norm + the
+//! packed logits operand), and serves transformer layers as
+//! [`PackedLayer`] panels on demand under a **resident-byte budget**: at
+//! most `resident_budget_bytes` of packed layer panels live in memory at once,
 //! so a model whose weight file dwarfs the budget still decodes — the
 //! `StreamedEngine` built on top is token-identical to the fully-resident
 //! fast path because both drive the same `dsi_model::fast::step`, the store
@@ -18,14 +19,17 @@
 //!
 //! One background worker owns the prefetch queue. The decode thread calls
 //! [`OffloadStore::acquire`] for layer `l` and immediately
-//! [`OffloadStore::prefetch_ahead`] for `l+1`, so the worker reads,
-//! checksums, and packs upcoming panels while the GEMMs of the current
-//! layer run — the overlap the analytical model in [`crate::engine`] costs
-//! out. Panels are handed out as `Arc`s; a panel still held by the decode
-//! loop is *pinned* (strong count > 1) and never evicted. Eviction picks
-//! the unpinned panel with the **furthest next use under the cyclic layer
-//! schedule** (decode touches layers `0..L` round-robin, which is LRU's
-//! pathological case; distance-to-next-use is Belady-optimal here).
+//! [`OffloadStore::prefetch_ahead`] for `l+1`, so the worker copies
+//! upcoming panels out of the mapping and checksums the copies while the
+//! GEMMs of the current layer run — the overlap the analytical model in
+//! [`crate::engine`] costs out. A fetch is a copy and a verify and nothing
+//! else: the tier is read, not rebuilt (`OffloadStats::{fetch_ns,
+//! checksum_ns}` say what bounds it). Panels are handed out as `Arc`s; a
+//! panel still held by the decode loop is *pinned* (strong count > 1) and
+//! never evicted. Eviction picks the unpinned panel with the **furthest
+//! next use under the cyclic layer schedule** (decode touches layers `0..L`
+//! round-robin, which is LRU's pathological case; distance-to-next-use is
+//! Belady-optimal here).
 //!
 //! ## Fault surface
 //!
@@ -34,7 +38,7 @@
 //!   a fetch deadline measured on the injected [`Clock`] and fails typed
 //!   (`FetchTimeout` — `Timeout` breaker class) instead of wedging;
 //! * **short reads** and **corrupt panels** are detected (byte count /
-//!   CRC32 against the panel directory) and re-read with backoff up to
+//!   CRC32C against the panel directory) and re-read with backoff up to
 //!   `read_retries` times before the typed `Corruption`-class error;
 //! * **failed open / handle loss** kills the prefetch worker; the store
 //!   degrades to synchronous demand fetch on the decode thread — decode
@@ -57,7 +61,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Typed failures of the tiered weight store. The `Display` strings are
 /// deliberate: `dsi_core::batch::FaultClass::classify` bins faults by
@@ -71,7 +75,7 @@ pub enum OffloadError {
     /// The file is structurally bad (bad magic/version/shape/checksum at
     /// open time).
     Io(IoError),
-    /// A layer panel failed its CRC32 against the directory on every
+    /// A layer panel failed its CRC32C against the directory on every
     /// attempt.
     ChecksumFailed { layer: usize, attempts: usize },
     /// A layer panel read came back short on every attempt.
@@ -187,6 +191,13 @@ pub struct OffloadStats {
     pub stall_ms: u64,
     /// Payload bytes read from the backing tier (including re-reads).
     pub bytes_read: u64,
+    /// Wall nanoseconds inside panel fetches that ended in a panel: copy
+    /// and verify, plus any injected stall and re-read backoff on the way.
+    /// `bytes_read / fetch_ns` is the tier's achieved bandwidth.
+    pub fetch_ns: u64,
+    /// The part of `fetch_ns` spent checksumming the copied panel (and
+    /// checking its headers) — what bounds a fetch, as a counter.
+    pub checksum_ns: u64,
     /// High-water mark of resident layer-panel bytes.
     pub peak_resident_bytes: usize,
 }
@@ -321,6 +332,11 @@ struct CacheState {
     inflight: Vec<usize>,
     /// Typed failures parked for the next `acquire(layer)` to consume.
     failed: HashMap<usize, OffloadError>,
+    /// The last evicted panel, kept so the next fetch refills its buffers
+    /// instead of faulting in fresh ones. Not resident (nothing can acquire
+    /// it) and not new memory: it is the one panel a fetch in flight has
+    /// always held beyond the budget, kept between fetches.
+    spare: Option<PackedLayer<PackedB>>,
     resident_bytes: usize,
     /// The layer most recently acquired — anchors the cyclic
     /// distance-to-next-use eviction order.
@@ -346,7 +362,7 @@ struct Inner {
 /// Sentinel the drop/kill paths enqueue to stop the worker.
 const SHUTDOWN: usize = usize::MAX;
 
-/// A fault-hardened tiered weight store over a v2 panel file. See the
+/// A fault-hardened tiered weight store over a v3 panel file. See the
 /// module docs for the design; `StreamedEngine` is the decode loop on top.
 pub struct OffloadStore {
     inner: Arc<Inner>,
@@ -386,7 +402,7 @@ impl OffloadStore {
         // decode step.
         let p0 = dir.panels[0];
         let payload = &backing.bytes()[p0.offset..p0.offset + p0.len];
-        if io::crc32(payload) != p0.crc {
+        if io::checksum(payload) != p0.crc {
             return Err(OffloadError::Io(IoError::ChecksumMismatch { panel: 0 }));
         }
         let (wte, wpe, lnf_g, lnf_b) = io::parse_resident_panel(payload, &dir.config)?;
@@ -641,12 +657,16 @@ struct Fetched {
 }
 
 impl Inner {
-    /// Read, verify, parse, and pack one layer panel, re-reading (bounded,
-    /// with backoff) on short or checksum-failing reads. Every read
-    /// consumes one global `read_calls` coordinate for fault addressing.
+    /// Copy one layer panel out of the tier and verify the copy, re-reading
+    /// (bounded, with backoff) on short or checksum-failing reads. The file
+    /// stores execution layout, so this is all a fetch is: no parse, no
+    /// pack. Every read consumes one global `read_calls` coordinate for
+    /// fault addressing.
     fn fetch_panel(&self, layer: usize) -> Result<Fetched, OffloadError> {
+        let started = Instant::now();
+        let mut recycle = self.state.lock().unwrap().spare.take();
         let entry = *self.dir.layer_panel(layer);
-        let src = &self.backing.bytes()[entry.offset..entry.offset + entry.len];
+        let mapped = &self.backing.bytes()[entry.offset..entry.offset + entry.len];
         let mut stats = OffloadStats::default();
         let mut short = 0usize;
         let mut crc_bad = 0usize;
@@ -658,42 +678,52 @@ impl Inner {
             }
             let call = self.read_calls.fetch_add(1, Ordering::SeqCst);
             let fault = self.cfg.faults.as_ref().and_then(|f| f.at_read(call));
-            let mut buf: Vec<u8>;
-            match fault {
+            // What this read returns: the mapped panel, or — under an
+            // injected fault — an unfaithful rendition of it.
+            let corrupted: Vec<u8>;
+            let src = match fault {
                 Some(IoFaultKind::SlowRead { millis }) => {
                     apply_stall(millis);
                     stats.slow_reads += 1;
                     stats.stall_ms += millis;
-                    buf = src.to_vec();
+                    mapped
                 }
-                Some(IoFaultKind::ShortRead) => {
-                    buf = src[..entry.len / 2].to_vec();
-                }
+                Some(IoFaultKind::ShortRead) => &mapped[..entry.len / 2],
                 Some(IoFaultKind::CorruptPanel) => {
-                    buf = src.to_vec();
-                    let mid = buf.len() / 2;
-                    buf[mid] ^= 0x40;
+                    let mut bytes = mapped.to_vec();
+                    bytes[entry.len / 2] ^= 0x40;
+                    corrupted = bytes;
+                    &corrupted
                 }
                 Some(IoFaultKind::FailOpen) => {
                     return Err(OffloadError::HandleLost { layer });
                 }
-                None => buf = src.to_vec(),
-            }
-            stats.bytes_read += buf.len() as u64;
-            if buf.len() < entry.len {
+                None => mapped,
+            };
+            stats.bytes_read += src.len() as u64;
+            if src.len() < entry.len {
                 short += 1;
                 stats.short_read_retries += 1;
                 continue;
             }
-            if io::crc32(&buf) != entry.crc {
-                crc_bad += 1;
-                stats.checksum_retries += 1;
-                continue;
+            // Order of trust: copy into buffers the panel owns, checksum
+            // the copy, and only then let anything read it.
+            let copied = io::CopiedPanel::copy_from(src, &self.dir.config, recycle.take())?;
+            let verifying = Instant::now();
+            let verified = copied.verify(1 + layer, entry.crc);
+            stats.checksum_ns += verifying.elapsed().as_nanos() as u64;
+            match verified {
+                Ok(panel) => {
+                    let bytes = packed_layer_bytes(&panel);
+                    stats.fetch_ns += started.elapsed().as_nanos() as u64;
+                    return Ok(Fetched { panel: Arc::new(panel), bytes, stats });
+                }
+                Err(IoError::ChecksumMismatch { .. }) => {
+                    crc_bad += 1;
+                    stats.checksum_retries += 1;
+                }
+                Err(e) => return Err(e.into()),
             }
-            let lw = io::parse_layer_panel(&buf, &self.dir.config)?;
-            let panel = PackedLayer::pack(&lw);
-            let bytes = packed_layer_bytes(&panel);
-            return Ok(Fetched { panel: Arc::new(panel), bytes, stats });
         }
         Err(if crc_bad >= short {
             OffloadError::ChecksumFailed { layer, attempts }
@@ -725,6 +755,8 @@ fn merge_stats(into: &mut OffloadStats, from: OffloadStats) {
     into.slow_reads += from.slow_reads;
     into.stall_ms += from.stall_ms;
     into.bytes_read += from.bytes_read;
+    into.fetch_ns += from.fetch_ns;
+    into.checksum_ns += from.checksum_ns;
 }
 
 /// Insert a fetched panel, evicting unpinned panels (furthest next use
@@ -755,6 +787,8 @@ fn insert_with_evict(
                 let e = st.resident.remove(&v).expect("victim resident");
                 st.resident_bytes -= e.bytes;
                 st.stats.evictions += 1;
+                // Unpinned means this was the last handle.
+                st.spare = Arc::try_unwrap(e.panel).ok();
             }
             None => {
                 st.stats.prefetch_dropped += 1;
@@ -842,6 +876,27 @@ mod tests {
         (m, path)
     }
 
+    /// Every field of a served panel against the in-memory packing of the
+    /// same layer, bit for bit — the equality that makes streamed decode
+    /// token-identical by construction.
+    fn assert_panel_is_packed_layer(got: &PackedLayer<PackedB>, m: &GptModel, l: usize) {
+        fn runs(p: &PackedLayer<PackedB>) -> [&[f32]; 12] {
+            [
+                &p.ln1_g, &p.ln1_b, p.w_qkv.as_packed(), &p.b_qkv, p.w_o.as_packed(), &p.b_o,
+                &p.ln2_g, &p.ln2_b, p.w_ff1.as_packed(), &p.b_ff1, p.w_ff2.as_packed(), &p.b_ff2,
+            ]
+        }
+        fn shapes(p: &PackedLayer<PackedB>) -> [(usize, usize); 4] {
+            [&p.w_qkv, &p.w_o, &p.w_ff1, &p.w_ff2].map(|b| (b.k(), b.n()))
+        }
+        let want = &dsi_model::fast::PackedModel::pack(m).layers[l];
+        assert_eq!(shapes(got), shapes(want), "layer {l} operand shapes");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, (g, w)) in runs(got).into_iter().zip(runs(want)).enumerate() {
+            assert_eq!(bits(g), bits(w), "layer {l} field {i}");
+        }
+    }
+
     fn tight_budget(path: &Path) -> usize {
         // Probe: open unbounded once to learn the panel size, then budget
         // for exactly two panels (in-use + one prefetch).
@@ -856,8 +911,7 @@ mod tests {
         assert_eq!(store.layers(), 3);
         for l in 0..3 {
             let p = store.acquire(l).expect("acquire");
-            assert_eq!(p.ln1_g, m.layers[l].ln1_g.data());
-            assert_eq!(p.b_ff2, m.layers[l].b_ff2.data());
+            assert_panel_is_packed_layer(&p, &m, l);
         }
         // With room for everything, each layer is read from the tier
         // exactly once; a second pass is all hits.
@@ -897,12 +951,14 @@ mod tests {
         let store = OffloadStore::open(&path, cfg).expect("open");
         assert!(store.file_bytes() > budget, "file must exceed the resident budget");
         assert_eq!(store.effective_depth(), 1, "budget clamps depth to one ahead");
-        // Three full passes over the layers — forced eviction every pass.
+        // Three full passes over the layers — forced eviction every pass,
+        // so every fetch after the first few refills an evicted panel's
+        // buffers with another layer's weights.
         for _ in 0..3 {
             for l in 0..4 {
                 let p = store.acquire(l).expect("acquire");
                 store.prefetch_ahead(l + 1);
-                assert_eq!(p.ln2_b, m.layers[l].ln2_b.data());
+                assert_panel_is_packed_layer(&p, &m, l);
             }
         }
         let st = store.stats();
@@ -951,6 +1007,36 @@ mod tests {
         match OffloadStore::open(&path, cfg) {
             Err(OffloadError::ChecksumFailed { layer: 0, attempts: 3 }) => {}
             other => panic!("expected ChecksumFailed, got {:?}", other.map(|_| ())),
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn bit_rot_on_disk_is_typed_for_every_panel() {
+        // Not an injected fault: the file itself is wrong, one flipped bit
+        // mid-payload per panel. The resident group fails the open; a layer
+        // panel fails its fetch after the bounded re-reads, naming the layer.
+        let (_m, path) = save_model(3, 37, "rot");
+        let clean = std::fs::read(&path).expect("read");
+        let dir = io::read_directory(&clean).expect("directory");
+        let cfg = || OffloadConfig { retry_backoff: Duration::ZERO, ..OffloadConfig::default() };
+        for (i, p) in dir.panels.iter().enumerate() {
+            let mut bytes = clean.clone();
+            bytes[p.offset + p.len / 2] ^= 0x04;
+            std::fs::write(&path, &bytes).expect("write");
+            // Layer 0 is the open-time probe, so its rot also fails the open.
+            let opened = OffloadStore::open(&path, cfg());
+            match (i, opened) {
+                (0, Err(OffloadError::Io(IoError::ChecksumMismatch { panel: 0 }))) => {}
+                (1, Err(OffloadError::ChecksumFailed { layer: 0, attempts: 3 })) => {}
+                (_, Ok(store)) if i >= 2 => match store.acquire(i - 1) {
+                    Err(OffloadError::ChecksumFailed { layer, attempts: 3 }) => {
+                        assert_eq!(layer, i - 1)
+                    }
+                    other => panic!("panel {i}: got {:?}", other.map(|_| ())),
+                },
+                (_, other) => panic!("panel {i}: got {:?}", other.map(|_| ())),
+            }
         }
         let _ = std::fs::remove_file(path);
     }
