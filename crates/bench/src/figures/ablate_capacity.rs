@@ -3,12 +3,12 @@
 //! (skewed) routing distributions — the quality/latency trade-off behind
 //! the `c_e` term of Sec. V-C.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_kernels::tensor::Tensor;
 use dsi_moe::gating::top_k_gating;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Ablation — expert capacity factor (128 experts, 1024 tokens, top-1)\n");
     let tokens = 1024usize;
     let experts = 128usize;
@@ -53,5 +53,5 @@ fn main() {
         "\nlow capacity drops tokens (quality loss); high capacity wastes buffer\n\
          memory and all-to-all payload — the c_e knob of Sec. V-C."
     );
-    emit("ablate_capacity", &json);
+    emit(dir, "ablate_capacity", &json);
 }

@@ -4,7 +4,7 @@
 //! at a time and measure the per-layer token-generation time — separating
 //! the launch-overhead savings from the activation-traffic savings.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_kernels::cost::{self, gemm_policy, mem_policy, ExecConfig, GemmImpl};
 use dsi_kernels::fusion::{fuse, FusionPlan};
@@ -34,7 +34,7 @@ fn layer_time(gpu: &GpuSpec, plan: &FusionPlan, cuda_graph: bool) -> f64 {
     t + cost::launch_time(gpu, launches, &cfg)
 }
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Ablation — Deep-Fusion region contributions (GPT-J layer, batch 1, ctx 128)\n");
     let gpu = GpuSpec::a100_40gb();
     // Cumulative plans: each adds one Fig. 1(c) region.
@@ -89,5 +89,5 @@ fn main() {
         ));
     }
     print_table(&["configuration", "kernels", "us/layer", "vs unfused"], &rows);
-    emit("ablate_fusion", &json);
+    emit(dir, "ablate_fusion", &json);
 }

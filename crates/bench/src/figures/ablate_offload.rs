@@ -2,11 +2,11 @@
 //! KV pressure — naive shared-link, staggered shared-link, and dedicated
 //! links, on the paired-GPU PCIe timeline simulator.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_parallel::offload::OffloadSpec;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Ablation — KV offload PCIe scheduling (24 layers, 1 ms/layer compute)\n");
     let base = OffloadSpec {
         layers: 24,
@@ -76,5 +76,5 @@ fn main() {
         "\nodd/even staggering recovers the dedicated-link step time on shared links\n\
          until the link itself saturates (Sec. IV-C3)."
     );
-    emit("ablate_offload", &json);
+    emit(dir, "ablate_offload", &json);
 }

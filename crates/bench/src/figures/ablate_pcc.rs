@@ -2,13 +2,13 @@
 //! tensor-slicing degree — the `O(p)` → `O(p/L) + O(L)` rewrite of
 //! Sec. V-B, including where it does *not* help (L = 1, small p).
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_sim::collectives::Collectives;
 use dsi_sim::hw::ClusterSpec;
 use dsi_sim::topology::Topology;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Ablation — PCC vs flat all-to-all (64 KiB per rank)\n");
     let bytes = 64.0 * 1024.0;
     let mut rows = Vec::new();
@@ -46,5 +46,5 @@ fn main() {
         "\npaper (Sec. V-B): at 128 GPUs with 8-way slicing the overhead drops from\n\
          (128 C1 + C2) to (16 C1 + C2); the L=8 column shows that ~8x trend."
     );
-    emit("ablate_pcc", &json);
+    emit(dir, "ablate_pcc", &json);
 }

@@ -5,12 +5,12 @@
 //! implementations across batch sizes and locates the crossover the
 //! selection policy hard-codes.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_kernels::cost::{exec_time, gemm_policy, GemmImpl, KernelCost};
 use dsi_sim::hw::{DType, GpuSpec};
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Ablation — SBI-GeMM vs cuBLAS crossover (A100, 4096x12288 GEMM)\n");
     let gpu = GpuSpec::a100_40gb();
     let (k, n) = (4096.0, 12288.0);
@@ -53,5 +53,5 @@ fn main() {
         "\nmodel crossover at m ≈ {:?}; the selection policy switches at m > 32.",
         crossover
     );
-    emit("ablate_sbi", &json);
+    emit(dir, "ablate_sbi", &json);
 }

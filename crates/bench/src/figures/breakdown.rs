@@ -3,13 +3,13 @@
 //! FasterTransformer, at small and large batch.
 
 use dsi_baselines::exec::ExecStyle;
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_kernels::cost::ExecConfig;
 use dsi_model::zoo::table1;
 use dsi_sim::hw::GpuSpec;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Per-layer kernel-time breakdown (token generation, ctx 128)\n");
     let gpu = GpuSpec::a100_40gb();
     let cfg = ExecConfig::fp16(true);
@@ -57,5 +57,5 @@ fn main() {
         );
         println!();
     }
-    emit("breakdown", &json);
+    emit(dir, "breakdown", &json);
 }

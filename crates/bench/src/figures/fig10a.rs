@@ -2,14 +2,14 @@
 //! (Megatron) baseline, +Deep-Fusion, +Deep-Fusion+SBI-GeMM (= DeepSpeed).
 
 use dsi_baselines::exec::ExecStyle;
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_kernels::cost::ExecConfig;
 use dsi_model::zoo::dense_by_name;
 use dsi_sim::hw::ClusterSpec;
 use dsi_sim::topology::Topology;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 10(a) — GPT-2 kernel breakdown: token-generation latency (prompt 128)\n");
     let topo = Topology::new(ClusterSpec::dgx_a100(1));
     let model = dense_by_name("GPT-2-1.5B").unwrap();
@@ -39,5 +39,5 @@ fn main() {
         &["batch", "PyTorch ms", "+Deep-Fusion ms", "+SBI-GeMM ms"],
         &rows,
     );
-    emit("fig10a", &json);
+    emit(dir, "fig10a", &json);
 }

@@ -1,7 +1,7 @@
 //! Fig. 10(b): throughput improvement of the 530B model under the pipeline
 //! optimizations of Sec. IV, enabled cumulatively.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::engine::{EngineConfig, InferenceEngine};
 use dsi_core::report::Row;
 use dsi_model::zoo::dense_by_name;
@@ -10,7 +10,7 @@ use dsi_sim::hw::ClusterSpec;
 const PROMPT: usize = 512;
 const GEN: usize = 50;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 10(b) — 530B (TP8×PP5, 40 GPUs) pipeline-optimization ablation\n");
     let model = dense_by_name("LM-530B").unwrap();
     let cluster = ClusterSpec::dgx_a100(5);
@@ -59,5 +59,5 @@ fn main() {
         &["configuration", "best batch", "tokens/s", "vs base", "bubble"],
         &rows,
     );
-    emit("fig10b", &json);
+    emit(dir, "fig10b", &json);
 }

@@ -2,13 +2,13 @@
 //! single V100 — large at small batch, diminishing as compute hides the
 //! fetch (Sec. VII-E5).
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_model::zoo::dense_by_name;
 use dsi_sim::hw::NodeSpec;
 use dsi_zero::engine::ZeroInference;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 10(c) — prefetching impact on ZeRO-Inference (GPT-50B, 1×V100)\n");
     let model = dense_by_name("GPT-50B").unwrap();
     let node = NodeSpec::dgx2_v100();
@@ -31,5 +31,5 @@ fn main() {
         json.push(Row::new("fig10c", "prefetch-2", "GPT-50B", "batch", b as f64, on.flops_per_gpu / 1e12, "TFLOPS"));
     }
     print_table(&["batch", "no prefetch TFLOPS", "prefetch TFLOPS", "gain"], &rows);
-    emit("fig10c", &json);
+    emit(dir, "fig10c", &json);
 }

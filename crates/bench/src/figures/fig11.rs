@@ -1,14 +1,14 @@
 //! Fig. 11: aggregate memory bandwidth scalability of DeepSpeed-MoE vs the
 //! PyTorch baseline, 52B MoE model, 8 → 128 GPUs.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_model::zoo::table2;
 use dsi_moe::system::{MoeSystem, MoeSystemKind};
 
 const BATCH_PER_GPU: usize = 8;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 11 — aggregate memory bandwidth, 52B MoE (1.3B+MoE-128), weak scaling\n");
     let cfg = table2().into_iter().next().unwrap(); // 1.3B+MoE-128
     let ds = MoeSystem::new(cfg.clone(), MoeSystemKind::DeepSpeed);
@@ -29,5 +29,5 @@ fn main() {
         json.push(Row::new("fig11", "DeepSpeed-MoE", "1.3B+MoE-128", "gpus", gpus as f64, bds / 1e12, "TB/s"));
     }
     print_table(&["GPUs", "baseline TB/s", "DeepSpeed TB/s", "advantage"], &rows);
-    emit("fig11", &json);
+    emit(dir, "fig11", &json);
 }

@@ -2,13 +2,13 @@
 //! (batch 1, sequence 128, A100).
 
 use dsi_baselines::exec::ExecStyle;
-use dsi_bench::{emit, ms, print_table};
+use crate::{emit, ms, print_table};
 use dsi_core::report::Row;
 use dsi_kernels::cost::ExecConfig;
 use dsi_model::zoo::encoders;
 use dsi_sim::hw::GpuSpec;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 12 — encoder latency vs E.T. (batch 1, seq 128, A100)\n");
     let gpu = GpuSpec::a100_40gb();
     let cfg = ExecConfig::fp16(true);
@@ -30,5 +30,5 @@ fn main() {
     }
     print_table(&["model", "E.T. ms", "DeepSpeed ms", "speedup"], &rows);
     println!("\npaper: 1.7x (DistilBERT) and 1.4x (BERT).");
-    emit("fig12", &json);
+    emit(dir, "fig12", &json);
 }

@@ -1,7 +1,7 @@
 //! Fig. 13: prompt-processing latency with hybrid scheduling vs
 //! FasterTransformer for GPT-3 175B on 2×8 A100, batch 24 (Sec. VII-E3).
 
-use dsi_bench::{emit, ms, print_table};
+use crate::{emit, ms, print_table};
 use dsi_core::engine::{EngineConfig, InferenceEngine};
 use dsi_core::report::Row;
 use dsi_model::zoo::dense_by_name;
@@ -11,7 +11,7 @@ const BATCH: usize = 24;
 const PROMPT: usize = 512;
 const GEN: usize = 8;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 13 — 175B prompt latency, hybrid scheduling vs FT (batch {BATCH})\n");
     let model = dense_by_name("LM-175B").unwrap();
     let cluster = ClusterSpec::dgx_a100(2);
@@ -58,5 +58,5 @@ fn main() {
          issue the authors flag as future work — our roofline model reproduces the\n\
          ordering, not that anomaly)."
     );
-    emit("fig13", &json);
+    emit(dir, "fig13", &json);
 }

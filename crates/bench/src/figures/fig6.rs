@@ -6,7 +6,7 @@
 //! tensor-parallel mapping.
 
 use dsi_baselines::exec::ExecStyle;
-use dsi_bench::{emit, ms, print_table};
+use crate::{emit, ms, print_table};
 use dsi_core::report::Row;
 use dsi_kernels::cost::ExecConfig;
 use dsi_model::zoo::table1;
@@ -17,7 +17,7 @@ const PROMPT: usize = 128;
 const GEN: usize = 8;
 const BATCHES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 6 — dense latency/throughput vs FasterTransformer");
     println!("workload: prompt {PROMPT}, generate {GEN} tokens\n");
     let topo = Topology::new(ClusterSpec::dgx_a100(2)); // up to TP=16
@@ -76,5 +76,5 @@ fn main() {
             &rows,
         );
     }
-    emit("fig6", &json);
+    emit(dir, "fig6", &json);
 }

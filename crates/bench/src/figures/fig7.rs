@@ -3,14 +3,14 @@
 //!
 //! Workload (Sec. VII-A3): batch 8, per-token generation latency.
 
-use dsi_bench::{emit, ms, print_table};
+use crate::{emit, ms, print_table};
 use dsi_core::report::Row;
 use dsi_model::zoo::table2;
 use dsi_moe::system::{MoeSystem, MoeSystemKind};
 
 const BATCH: usize = 8;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 7 — MoE token latency & throughput vs PyTorch baseline (batch {BATCH})\n");
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -61,5 +61,5 @@ fn main() {
         &rows,
     );
     println!("\nheadline: the 1T model row must sit under 25 ms (Sec. VII-B2).");
-    emit("fig7", &json);
+    emit(dir, "fig7", &json);
 }

@@ -4,7 +4,7 @@
 //! Workload (Sec. VII-A3): prompt 512, generate 50 tokens, best batch per
 //! configuration.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::engine::{EngineConfig, InferenceEngine};
 use dsi_core::report::Row;
 use dsi_model::zoo::dense_by_name;
@@ -13,7 +13,7 @@ use dsi_sim::hw::ClusterSpec;
 const PROMPT: usize = 512;
 const GEN: usize = 50;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 8 — massive-model throughput vs FT (prompt {PROMPT}, gen {GEN}, best batch)\n");
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -39,5 +39,5 @@ fn main() {
         "\nnote: FT TP-only on 8 GPUs cannot hold 530B at all (133 GB/GPU needed);\n\
          the paper likewise could not run FT with TP+PP without crashing (Sec. VII-C)."
     );
-    emit("fig8", &json);
+    emit(dir, "fig8", &json);
 }

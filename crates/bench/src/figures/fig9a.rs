@@ -1,13 +1,13 @@
 //! Fig. 9(a): ZeRO-Inference throughput of GPT-NeoX-20B across batch sizes
 //! on a single A6000.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_model::zoo::dense_by_name;
 use dsi_sim::hw::NodeSpec;
 use dsi_zero::engine::ZeroInference;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 9(a) — GPT-NeoX-20B throughput vs batch size (1×A6000, ZeRO-Inference)\n");
     let z = ZeroInference::new(
         dense_by_name("GPT-NeoX-20B").unwrap(),
@@ -42,5 +42,5 @@ fn main() {
         ));
     }
     print_table(&["batch", "TFLOPS", "% of peak", "fetch stall"], &rows);
-    emit("fig9a", &json);
+    emit(dir, "fig9a", &json);
 }

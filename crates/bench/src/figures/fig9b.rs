@@ -2,13 +2,13 @@
 //! model-scale democratization result (25× larger than GPU-only, 10× larger
 //! than CPU-only, >50% of peak).
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_model::zoo::table1;
 use dsi_sim::hw::NodeSpec;
 use dsi_zero::engine::ZeroInference;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 9(b) — throughput across models on 1×A6000\n");
     let node = NodeSpec::lambda_a6000();
     let mut rows = Vec::new();
@@ -56,5 +56,5 @@ fn main() {
         "\nheadlines: ZeRO-Inference serves 530B (25x the GPU-only 20B limit, 10x the\n\
          CPU-only 50B limit) at >50% of the A6000's 158.4 TFLOPS peak."
     );
-    emit("fig9b", &json);
+    emit(dir, "fig9b", &json);
 }

@@ -1,13 +1,13 @@
 //! Fig. 9(c): ZeRO-Inference scalability of GPT-50B over 1–16 V100s on a
 //! DGX-2, exploiting aggregate PCIe bandwidth (Sec. VI-B).
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_model::zoo::dense_by_name;
 use dsi_sim::hw::NodeSpec;
 use dsi_zero::engine::ZeroInference;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Fig. 9(c) — GPT-50B scaling on a DGX-2 (V100), ZeRO-Inference\n");
     let node = NodeSpec::dgx2_v100();
     let model = dense_by_name("GPT-50B").unwrap();
@@ -44,5 +44,5 @@ fn main() {
         &rows,
     );
     println!("\nheadline: single GPU ≈67 TFLOPS (53% of V100 peak), near-linear to 16 GPUs.");
-    emit("fig9c", &json);
+    emit(dir, "fig9c", &json);
 }

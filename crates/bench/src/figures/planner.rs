@@ -3,16 +3,15 @@
 //! the "optimal parallelism strategy" question of Sec. I, answered
 //! mechanically, including a what-if on post-paper hardware.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::planner::{plan, Objective};
 use dsi_core::report::Row;
 use dsi_model::zoo::table1;
 use dsi_sim::hw::ClusterSpec;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let nodes: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let hw = args.get(2).map(|s| s.as_str()).unwrap_or("a100");
+pub fn run(dir: &std::path::Path, args: &[String]) {
+    let nodes: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let hw = args.get(1).map(|s| s.as_str()).unwrap_or("a100");
     let cluster = match hw {
         "h100" => ClusterSpec::dgx_h100(nodes),
         _ => ClusterSpec::dgx_a100(nodes),
@@ -23,7 +22,7 @@ fn main() {
         cluster.node.gpu.name,
         cluster.total_gpus()
     );
-    println!("usage: planner [nodes] [a100|h100]\n");
+    println!("usage: figures planner [nodes] [a100|h100]\n");
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -68,5 +67,5 @@ fn main() {
         &["model", "best latency plan (b=1)", "best throughput plan"],
         &rows,
     );
-    emit("planner", &json);
+    emit(dir, "planner", &json);
 }

@@ -2,14 +2,14 @@
 //! (HBM, FLOPs, launch overhead, NVLink, network) actually governs latency —
 //! the roofline attributions of the paper, made explicit per configuration.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::engine::EngineConfig;
 use dsi_core::report::Row;
 use dsi_core::whatif::{sensitivities, ALL_KNOBS};
 use dsi_model::zoo::dense_by_name;
 use dsi_sim::hw::ClusterSpec;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Hardware sensitivity — latency elasticity per knob (2x probe)\n");
     let cases: [(&str, &str, usize, usize, usize, usize); 5] = [
         ("GPT-2 b=1 FT (launch-heavy)", "GPT-2-1.5B", 1, 1, 1, 1),
@@ -59,5 +59,5 @@ fn main() {
          the attributions match the paper's: HBM at small batch, FLOPs at large,\n\
          launch overhead for tiny models, the network only for cross-node TP."
     );
-    emit("sensitivity", &json);
+    emit(dir, "sensitivity", &json);
 }

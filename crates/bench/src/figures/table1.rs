@@ -1,11 +1,11 @@
 //! Table I: model configurations used for the dense inference evaluation.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_model::zoo::table1;
 use dsi_sim::hw::DType;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Table I — dense model configurations (paper Sec. VII-A3)\n");
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -44,5 +44,5 @@ fn main() {
         ],
         &rows,
     );
-    emit("table1", &json);
+    emit(dir, "table1", &json);
 }

@@ -1,10 +1,10 @@
 //! Table II: model configurations used for the sparse (MoE) evaluation.
 
-use dsi_bench::{emit, print_table};
+use crate::{emit, print_table};
 use dsi_core::report::Row;
 use dsi_model::zoo::table2;
 
-fn main() {
+pub fn run(dir: &std::path::Path, _args: &[String]) {
     println!("Table II — sparse model configurations (paper Sec. VII-A3)\n");
     let mut rows = Vec::new();
     let mut json = Vec::new();
@@ -44,5 +44,5 @@ fn main() {
         ],
         &rows,
     );
-    emit("table2", &json);
+    emit(dir, "table2", &json);
 }

@@ -335,7 +335,7 @@ impl BatchEngine for FtEngine {
 ///   [`EngineFaultInjector::pending`] rather than vanishing silently.
 ///
 /// With an empty plan the wrapper costs one atomic scan per call — the
-/// armed-idle overhead `bench_serve` gates at < 2%.
+/// armed-idle overhead `bench_robustness` gates in its serve section.
 pub struct FaultyEngine<E: BatchEngine> {
     inner: E,
     injector: Arc<EngineFaultInjector>,

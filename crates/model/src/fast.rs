@@ -163,7 +163,7 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
 
     /// Bytes of packed weight storage streamed by one full forward pass
     /// (all four layer GEMM operands plus the logits projection) — the
-    /// denominator of the decode bench's effective-bandwidth number.
+    /// denominator of the benchmark's `kernels.gemm_gbps`.
     pub fn weight_stream_bytes(&self) -> usize {
         self.layers
             .iter()
@@ -191,47 +191,15 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
             to_feed: None,
         }
     }
-
-    /// Start a batched decode session stepping `prompts.len()` sequences
-    /// per forward pass.
-    pub fn batched_session(
-        &self,
-        prompts: &[Vec<usize>],
-        max_new_tokens: usize,
-    ) -> BatchedFastSession<'_, 'm, B> {
-        assert!(!prompts.is_empty());
-        let c = self.config();
-        let max_prompt = prompts.iter().map(Vec::len).max().unwrap_or(1);
-        let seqs = prompts
-            .iter()
-            .map(|p| {
-                assert!(!p.is_empty(), "empty prompt");
-                BatchedSeq { tokens: p.clone(), prompt_len: p.len(), generated: 0, finished: false }
-            })
-            .collect();
-        let m = max_prompt.max(prompts.len());
-        BatchedFastSession {
-            pm: self,
-            seqs,
-            caches: prompts
-                .iter()
-                .map(|_| KvCache::with_capacity(c.layers, c.hidden, c.max_seq))
-                .collect(),
-            scratch: Scratch::new(c, m),
-            rows: Vec::with_capacity(m),
-            eos: None,
-            max_new_tokens,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // The fused forward pass: ONE step, generic over where the weights come
 // from and where the KV rows go.
 //
-// Every executed engine — the resident [`FastSession`] and
-// [`BatchedFastSession`], `paged::PagedEngine`, and `dsi-core`'s streamed
-// engine (which holds only a window of layer panels resident at a time) —
+// Every executed engine — the resident [`FastSession`],
+// `paged::PagedEngine`, and `dsi-core`'s streamed engine (which holds only
+// a window of layer panels resident at a time) —
 // drives this one function, so "paged / batched / streamed decode is
 // token-identical to the solo resident oracle" holds by construction: the
 // paths cannot drift apart numerically, only in where a `PackedLayer` came
@@ -611,130 +579,6 @@ impl<B: PanelWeights> FastSession<'_, '_, B> {
     }
 }
 
-/// State of one sequence inside a [`BatchedFastSession`].
-#[derive(Debug, Clone)]
-pub struct BatchedSeq {
-    /// All tokens so far (prompt + generated).
-    pub tokens: Vec<usize>,
-    pub prompt_len: usize,
-    /// Tokens generated so far.
-    pub generated: usize,
-    pub finished: bool,
-}
-
-/// Greedy batched decode over a packed model: **M sequences advance per
-/// forward pass** through the M-row microkernels, each over its own KV
-/// cache (ragged lengths, early EOS). Construct via
-/// [`PackedModel::batched_session`].
-///
-/// Token streams are bit-identical to running each sequence alone through a
-/// [`FastSession`] — the microkernel accumulation-order invariant makes the
-/// batch decomposition invisible to the numerics. Scratch and KV storage
-/// are preallocated; steady-state steps allocate nothing.
-pub struct BatchedFastSession<'p, 'm, B = PackedB> {
-    pm: &'p PackedModel<'m, B>,
-    pub seqs: Vec<BatchedSeq>,
-    /// `caches[i]` is sequence `i`'s KV context.
-    caches: Vec<KvCache>,
-    scratch: Scratch,
-    /// Reused row list of the current pass.
-    rows: Vec<Row>,
-    /// Token id that terminates a sequence, if any.
-    pub eos: Option<usize>,
-    /// Per-sequence generation cap.
-    pub max_new_tokens: usize,
-}
-
-impl<B: PanelWeights> BatchedFastSession<'_, '_, B> {
-    /// Prompt phase: ingest every sequence's prompt (one pass each —
-    /// prompts are ragged, so they cannot share a dense batch) and emit
-    /// each sequence's first greedy token.
-    pub fn prompt(&mut self) {
-        let vocab = self.pm.config().vocab;
-        for (i, sq) in self.seqs.iter_mut().enumerate() {
-            Row::prompt_pass(&mut self.rows, i, 0, &sq.tokens);
-            let Ok(()) = step(self.pm, &mut self.caches[..], &mut self.scratch, &self.rows);
-            let next = argmax(self.scratch.logits_row(sq.prompt_len - 1, vocab));
-            sq.tokens.push(next);
-            sq.generated = 1;
-            sq.finished = Some(next) == self.eos || sq.generated >= self.max_new_tokens;
-        }
-    }
-
-    /// One batched generation step: every unfinished sequence's pending
-    /// token is fed through a single M-row forward pass and its next greedy
-    /// token sampled. Returns how many sequences advanced.
-    pub fn step(&mut self) -> usize {
-        let vocab = self.pm.config().vocab;
-        self.rows.clear();
-        for (i, sq) in self.seqs.iter().enumerate().filter(|(_, s)| !s.finished) {
-            self.rows.push(Row {
-                seq: i,
-                token: *sq.tokens.last().expect("non-empty prompt"),
-                pos: self.caches[i].context_len(),
-            });
-        }
-        if self.rows.is_empty() {
-            return 0;
-        }
-        let Ok(()) = step(self.pm, &mut self.caches[..], &mut self.scratch, &self.rows);
-        for (r, row) in self.rows.iter().enumerate() {
-            let next = argmax(self.scratch.logits_row(r, vocab));
-            let sq = &mut self.seqs[row.seq];
-            sq.tokens.push(next);
-            sq.generated += 1;
-            if Some(next) == self.eos || sq.generated >= self.max_new_tokens {
-                sq.finished = true;
-            }
-        }
-        self.rows.len()
-    }
-
-    /// Run prompt + steps to completion; returns total generated tokens.
-    pub fn run(&mut self) -> usize {
-        self.prompt();
-        let mut guard = 0;
-        while self.step() > 0 {
-            guard += 1;
-            assert!(guard <= self.max_new_tokens + 1, "runaway generation");
-        }
-        self.seqs.iter().map(|s| s.generated).sum()
-    }
-
-    /// Generated suffix of sequence `i`.
-    pub fn output(&self, i: usize) -> &[usize] {
-        let s = &self.seqs[i];
-        &s.tokens[s.prompt_len..]
-    }
-
-    /// Scratch + KV data pointers; unchanged values across steps prove the
-    /// steady-state loop reuses its buffers.
-    pub fn buffer_fingerprint(&self) -> Vec<usize> {
-        let mut f = self.scratch_fingerprint();
-        for cache in &self.caches {
-            for l in &cache.layers {
-                f.push(l.k.data().as_ptr() as usize);
-                f.push(l.v.data().as_ptr() as usize);
-            }
-        }
-        f
-    }
-
-    fn scratch_fingerprint(&self) -> Vec<usize> {
-        let s = &self.scratch;
-        let (a, b) = (s.x.as_ptr() as usize, s.y.as_ptr() as usize);
-        vec![
-            s.normed.as_ptr() as usize,
-            s.qkv.as_ptr() as usize,
-            s.attn.as_ptr() as usize,
-            s.ff.as_ptr() as usize,
-            s.logits.as_ptr() as usize,
-            a.min(b),
-            a.max(b),
-        ]
-    }
-}
-
 /// Greedy sampling over one logits row, shared by every session front-end
 /// (fast path, TP engine, benches) so tie-breaking cannot drift.
 #[inline]
@@ -823,49 +667,6 @@ mod tests {
             sess.forward(&[(t * 13 + 2) % 101]);
             assert_eq!(sess.buffer_fingerprint(), fp, "token {t} reallocated");
             assert_eq!(sess.scratch_reserved(), reserved);
-        }
-    }
-
-    #[test]
-    fn batched_decode_token_identical_to_per_sequence() {
-        // The acceptance gate: batched FP32 decode must be *token-identical*
-        // (in fact bit-identical in logits) to per-sequence FastSession runs.
-        let m = model(2, 17);
-        let pm = PackedModel::pack(&m);
-        let prompts = vec![vec![1, 2, 3], vec![9usize, 8, 7, 6], vec![4], vec![5, 5]];
-        let mut bs = pm.batched_session(&prompts, 6);
-        bs.run();
-        for (i, p) in prompts.iter().enumerate() {
-            let mut solo = pm.session(p.len());
-            let want = solo.generate(p, 6);
-            assert_eq!(bs.output(i), &want[..], "sequence {i}");
-        }
-    }
-
-    #[test]
-    fn batched_eos_and_caps_respected() {
-        let m = model(2, 23);
-        let pm = PackedModel::pack(&m);
-        let first = pm.session(3).generate(&[1, 2, 3], 1)[0];
-        let mut bs = pm.batched_session(&[vec![1, 2, 3], vec![4, 5]], 10);
-        bs.eos = Some(first);
-        bs.run();
-        assert_eq!(bs.seqs[0].generated, 1, "eos must stop sequence 0");
-        assert!(bs.seqs[1].generated <= 10);
-        assert!(bs.seqs.iter().all(|s| s.finished));
-    }
-
-    #[test]
-    fn batched_steady_state_reuses_buffers() {
-        let m = model(2, 29);
-        let pm = PackedModel::pack(&m);
-        let mut bs = pm.batched_session(&[vec![1, 2], vec![3, 4, 5], vec![6]], 16);
-        bs.prompt();
-        bs.step();
-        let fp = bs.buffer_fingerprint();
-        for _ in 0..6 {
-            bs.step();
-            assert_eq!(bs.buffer_fingerprint(), fp, "batched step reallocated");
         }
     }
 

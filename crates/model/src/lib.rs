@@ -35,8 +35,8 @@ pub use beam::beam_search;
 pub use encoder::BertModel;
 pub use config::{BertConfig, GptConfig, MoeConfig};
 pub use fast::{
-    BatchedFastSession, BatchedSeq, FastSession, KvSink, PackedLayer, PackedModel,
-    QuantizedFastSession, QuantizedPackedModel, Row, WeightSource,
+    FastSession, KvSink, PackedLayer, PackedModel, QuantizedFastSession, QuantizedPackedModel, Row,
+    WeightSource,
 };
 pub use paged::{PagePool, PageStats, PagedEngine, PagedSeq, PagesExhausted};
 pub use reference::{GptModel, KvCache, LayerKv, LayerWeights};

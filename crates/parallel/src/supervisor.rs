@@ -115,7 +115,7 @@ impl FtConfig {
 }
 
 /// What the supervisor did to keep decoding alive — the chaos harness's
-/// and `bench_fault`'s observability surface.
+/// and `bench_robustness`'s observability surface.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct FtReport {
     /// Transient faults retried at the same degree.

@@ -70,6 +70,7 @@ fn sweep_fault_kinds_across_injection_sites() {
         ("reduce/decode", FaultSite::Reduce { epoch: 14 }),
         ("layer/prompt", FaultSite::Layer { token: 1, layer: 0 }),
         ("layer/decode", FaultSite::Layer { token: 4, layer: 1 }),
+        ("layer/late-decode", FaultSite::Layer { token: 5, layer: 1 }),
     ];
     let kinds = [
         ("stall", FaultKind::Stall { millis: 1200 }),

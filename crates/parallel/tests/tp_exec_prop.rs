@@ -47,3 +47,19 @@ proptest! {
         }
     }
 }
+
+/// The wide model the robustness bench decodes (h=256, 6 layers, 8 heads:
+/// per-layer GEMM work dominates the two all-reduces) at tp ∈ {1, 2, 4},
+/// over a 32-token sequence.
+#[test]
+fn wide_model_is_token_identical_at_every_tp_degree() {
+    let config =
+        GptConfig { name: "bench-tp".into(), hidden: 256, layers: 6, heads: 8, vocab: 512, max_seq: 128 };
+    let model = GptModel::random(config, 42);
+    let prompt = [1usize, 2, 3, 4];
+    let want = PackedModel::pack(&model).session(prompt.len()).generate(&prompt, 28);
+    for tp in [1usize, 2, 4] {
+        let got = Arc::new(TpPackedModel::shard(&model, tp)).session(prompt.len()).generate(&prompt, 28);
+        assert_eq!(got, want, "tp={tp} diverged from the fast path");
+    }
+}

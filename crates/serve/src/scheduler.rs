@@ -85,7 +85,7 @@ use serde::Serialize;
 
 use crate::server::{ContinuousConfig, EvictReason, Job, Outcome, Running, Shared};
 
-/// Page-allocator statistics at drain, for BENCH_serve.json.
+/// Page-allocator statistics at drain, for BENCH_robustness.json.
 #[derive(Debug, Clone, Serialize)]
 pub struct PageReport {
     pub pages_total: usize,

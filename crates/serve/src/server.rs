@@ -1153,7 +1153,7 @@ mod tests {
         // No batch-formation assert here: on a single-core host the OS can
         // hand the CPU to the scheduler after every submit, legitimately
         // serializing the run (occupancy 1). Batch formation is gated where
-        // it is deterministic — `bench_serve --smoke` keeps the engine
+        // it is deterministic — `bench_robustness --smoke` keeps the engine
         // saturated under a sustained 3× burst and asserts occupancy > 1.
         assert!(sched.mean_occupancy >= 1.0, "mean occupancy {}", sched.mean_occupancy);
     }

@@ -16,7 +16,7 @@
 //!   injector compiled from it fires each spec **once** (so a recovered
 //!   group does not re-hit the same fault on replay) and costs a single
 //!   `Option` check per hook when no plan is installed — the fault path is
-//!   zero-work when injection is disabled, which the `bench_fault` harness
+//!   zero-work when injection is disabled, which `bench_robustness`
 //!   measures.
 //!
 //! Faults model the four failure classes of the issue: rank stall/slowdown

@@ -7,7 +7,8 @@
 //!   reference loop the greedy route retired;
 //! * a solo `FastSession` per prompt — the batch-of-one packed path, which
 //!   the M-row kernels are bit-identical to by construction (every output
-//!   element accumulates over k sequentially in one register lane).
+//!   element accumulates over k sequentially in one register lane); the
+//!   batched packed engine held to it is `PagedEngine`.
 
 use deepspeed_inference::model::batched::BatchSession;
 use deepspeed_inference::model::fast::PackedModel;
@@ -16,22 +17,11 @@ use deepspeed_inference::model::sampling::{Sampler, SamplerConfig};
 use deepspeed_inference::zoo;
 use proptest::prelude::*;
 
+mod common;
+use common::{build_prompts, paged_decode};
+
 fn model(layers: usize, seed: u64) -> GptModel {
     GptModel::random(zoo::tiny(layers), seed)
-}
-
-/// Build `m` ragged prompts from a generated pool of lengths and tokens.
-fn build_prompts(m: usize, lens: &[usize], tokens: &[usize]) -> Vec<Vec<usize>> {
-    let mut prompts = Vec::with_capacity(m);
-    let mut cursor = 0usize;
-    for i in 0..m {
-        let len = lens[i % lens.len()];
-        let p: Vec<usize> =
-            (0..len).map(|j| tokens[(cursor + j) % tokens.len()]).collect();
-        cursor += len;
-        prompts.push(p);
-    }
-    prompts
 }
 
 proptest! {
@@ -86,25 +76,27 @@ proptest! {
         }
     }
 
-    /// `BatchedFastSession` (packed weights end to end, M-row steps) is
-    /// token-identical to running each prompt alone through `FastSession`.
+    /// `PagedEngine` (packed weights end to end, ragged M-row steps over
+    /// paged KV) is token-identical to running each prompt alone through
+    /// `FastSession`: every dispatcher row count M ∈ 1..=16, ragged prompt
+    /// lengths, and a page size that misaligns with the 8-lane block.
     #[test]
-    fn batched_fast_session_matches_per_sequence(
-        mi in 0usize..4,
+    fn paged_engine_matches_per_sequence(
+        batch in 1usize..17,
         seed in 0u64..500,
         max_new in 1usize..8,
+        pi in 0usize..3,
         lens in prop::collection::vec(1usize..7, 8..9),
         tokens in prop::collection::vec(0usize..101, 24..49),
     ) {
-        let batch = [1usize, 2, 4, 8][mi];
+        let page_tokens = [3usize, 5, 7][pi];
         let prompts = build_prompts(batch, &lens, &tokens);
         let m = model(2, seed);
         let pm = PackedModel::pack(&m);
-        let mut sess = pm.batched_session(&prompts, max_new);
-        sess.run();
+        let got = paged_decode(&pm, &prompts, max_new, page_tokens);
         for (i, p) in prompts.iter().enumerate() {
             let want = pm.session(p.len()).generate(p, max_new);
-            prop_assert_eq!(sess.output(i), &want[..], "sequence {} diverged", i);
+            prop_assert_eq!(&got[i], &want, "sequence {} diverged", i);
         }
     }
 }

@@ -23,6 +23,9 @@ use deepspeed_inference::model::sampling::cross_entropy;
 use deepspeed_inference::zoo;
 use proptest::prelude::*;
 
+mod common;
+use common::{build_prompts, paged_decode};
+
 /// Max absolute logit drift FP32 → INT8 on the tiny zoo model. Calibrated
 /// at 0.6 for one forward at group 32.
 const MAX_LOGIT_DRIFT: f32 = 0.6;
@@ -136,7 +139,7 @@ fn int8_cross_entropy_close() {
 }
 
 /// The INT8 weight stream is under half the FP32 stream — the Sec. III-D
-/// bandwidth claim the decode bench's throughput ratio rests on.
+/// bandwidth claim INT8 decode throughput rests on.
 #[test]
 fn int8_stream_bytes_under_half_of_fp32() {
     let m = GptModel::random(zoo::tiny(4), 9);
@@ -146,17 +149,30 @@ fn int8_stream_bytes_under_half_of_fp32() {
     assert!(ratio < 0.5, "INT8/FP32 stream ratio {ratio:.3}");
 }
 
-/// Batched INT8 decode is step-for-step identical to solo INT8 decode —
-/// the batching invariant holds per dtype, not just for FP32.
-#[test]
-fn batched_int8_matches_per_sequence_int8() {
-    let m = GptModel::random(zoo::tiny(2), 55);
-    let q = QuantizedPackedModel::quantize_pack(&m, 32);
-    let prompts = vec![vec![1, 2, 3], vec![7], vec![9, 8, 7, 6, 5]];
-    let mut sess = q.batched_session(&prompts, 6);
-    sess.run();
-    for (i, p) in prompts.iter().enumerate() {
-        let want = q.session(p.len()).generate(p, 6);
-        assert_eq!(sess.output(i), &want[..], "sequence {i}");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Batched INT8 decode is step-for-step identical to solo INT8 decode —
+    /// the batching invariant holds per dtype, not just for FP32: every
+    /// dispatcher row count M ∈ 1..=16 through `PagedEngine`, ragged
+    /// prompts, pages that misalign with the 8-lane block.
+    #[test]
+    fn batched_int8_matches_per_sequence_int8(
+        batch in 1usize..17,
+        seed in 0u64..500,
+        max_new in 1usize..8,
+        pi in 0usize..3,
+        lens in prop::collection::vec(1usize..7, 8..9),
+        tokens in prop::collection::vec(0usize..101, 24..49),
+    ) {
+        let page_tokens = [3usize, 5, 7][pi];
+        let m = GptModel::random(zoo::tiny(2), seed);
+        let q = QuantizedPackedModel::quantize_pack(&m, 32);
+        let prompts = build_prompts(batch, &lens, &tokens);
+        let got = paged_decode(&q, &prompts, max_new, page_tokens);
+        for (i, p) in prompts.iter().enumerate() {
+            let want = q.session(p.len()).generate(p, max_new);
+            prop_assert_eq!(&got[i], &want, "sequence {} diverged", i);
+        }
     }
 }
