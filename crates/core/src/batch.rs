@@ -164,6 +164,13 @@ pub trait BatchEngine {
     fn kv_stats(&self) -> Option<PageStats> {
         None
     }
+
+    /// Of the context `slot` was last prefilled with, the leading tokens
+    /// whose K/V rows were found resident (shared pages) rather than
+    /// computed. Engines that share nothing compute every row.
+    fn attached_tokens(&self, _slot: usize) -> usize {
+        0
+    }
 }
 
 impl<B: PanelWeights> BatchEngine for FastSession<'_, '_, B> {
@@ -213,6 +220,10 @@ impl<B: PanelWeights> BatchEngine for PagedEngine<'_, '_, B> {
 
     fn kv_stats(&self) -> Option<PageStats> {
         Some(self.pool_stats())
+    }
+
+    fn attached_tokens(&self, slot: usize) -> usize {
+        PagedEngine::attached_tokens(self, slot)
     }
 }
 
@@ -443,6 +454,10 @@ impl<E: BatchEngine> BatchEngine for FaultyEngine<E> {
     fn kv_stats(&self) -> Option<PageStats> {
         self.inner.kv_stats()
     }
+
+    fn attached_tokens(&self, slot: usize) -> usize {
+        self.inner.attached_tokens(slot)
+    }
 }
 
 #[cfg(test)]
@@ -476,15 +491,18 @@ mod tests {
 
     /// Drive `eng` through everything the scheduler asks of an engine and
     /// hold every stream to `oracle(prompt, n)`: solo decode, a release +
-    /// prefix replay, and — when the engine has the slots — a ragged join,
-    /// a mid-stream retirement and the reuse of the retired slot.
+    /// prefix replay, and — when the engine has the slots — a ragged join
+    /// of a prompt sharing its first `shared` tokens' pages with a resident
+    /// (0 for engines that share nothing), a mid-stream retirement and the
+    /// reuse of the retired slot.
     fn drive_lifecycle<E: BatchEngine>(
         eng: &mut E,
         oracle: impl Fn(&[usize], usize) -> Vec<usize>,
+        shared: usize,
         label: &str,
     ) {
         let multi = eng.max_slots() >= 2;
-        let prompts = [vec![3usize, 1, 4, 1, 5], vec![7, 6], vec![11, 12, 13, 14]];
+        let prompts = [vec![3usize, 1, 4, 1, 5], vec![3, 1, 4, 1, 7, 6], vec![11, 12, 13, 14]];
         let mut streams: [Vec<usize>; 3] = Default::default();
         // One ragged step over `(slot, stream)` pairs, slots ascending.
         let decode = |eng: &mut E, pairs: &[(usize, usize)], streams: &mut [Vec<usize>; 3]| {
@@ -500,8 +518,10 @@ mod tests {
         decode(eng, &[(0, 0)], &mut streams);
         decode(eng, &[(0, 0)], &mut streams);
         if multi {
-            // Stream 1 joins at a different position.
+            // Stream 1 joins at a different position, over the pages of
+            // the prefix it shares with stream 0 where the engine shares.
             streams[1].push(eng.prefill(1, &prompts[1]).unwrap());
+            assert_eq!(eng.attached_tokens(1), shared, "{label}: shared-prefix join");
             decode(eng, &[(0, 0), (1, 1)], &mut streams);
         }
         // Recovery: release slot 0 and replay its committed prefix (prompt
@@ -544,13 +564,13 @@ mod tests {
         let pm = PackedModel::pack(&m);
         let f32_oracle = |p: &[usize], n: usize| pm.session(p.len()).generate(p, n);
 
-        drive_lifecycle(&mut pm.session(8), f32_oracle, "FastSession");
+        drive_lifecycle(&mut pm.session(8), f32_oracle, 0, "FastSession");
         // page_tokens = 3 misaligns pages with the AVX 8-block.
-        drive_lifecycle(&mut PagedEngine::new(&pm, 3, 32, 3), f32_oracle, "PagedEngine f32");
+        drive_lifecycle(&mut PagedEngine::new(&pm, 3, 32, 3), f32_oracle, 3, "PagedEngine f32");
 
         let qm = QuantizedPackedModel::quantize_pack(&m, 32);
         let int8_oracle = |p: &[usize], n: usize| qm.session(p.len()).generate(p, n);
-        drive_lifecycle(&mut PagedEngine::new(&qm, 3, 32, 4), int8_oracle, "PagedEngine int8");
+        drive_lifecycle(&mut PagedEngine::new(&qm, 3, 32, 4), int8_oracle, 4, "PagedEngine int8");
 
         let path = std::env::temp_dir().join("dsi_batch_engine_matrix.bin");
         dsi_model::io::save(&m, &path).expect("save");
@@ -563,12 +583,12 @@ mod tests {
         };
         drop(probe);
         let store = OffloadStore::open(&path, tight).expect("open");
-        drive_lifecycle(&mut StreamedEngine::new(store, 3, 4096), f32_oracle, "StreamedEngine");
+        drive_lifecycle(&mut StreamedEngine::new(store, 3, 4096), f32_oracle, 0, "StreamedEngine");
         let _ = std::fs::remove_file(path);
 
         for tp in [1, 2] {
             let sess = FtSession::new(Arc::new(model(11)), 8, FtConfig::new(tp));
-            drive_lifecycle(&mut FtEngine::new(sess, 4096), f32_oracle, &format!("FtEngine tp={tp}"));
+            drive_lifecycle(&mut FtEngine::new(sess, 4096), f32_oracle, 0, &format!("FtEngine tp={tp}"));
         }
     }
 

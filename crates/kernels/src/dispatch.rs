@@ -214,12 +214,6 @@ pub fn mr_for(m: usize, dtype: GemmDtype) -> usize {
     table().mr_for(m, dtype)
 }
 
-/// Human/JSON-friendly view of the table for the decode bench.
-pub fn summary() -> Vec<(usize, usize, usize)> {
-    let t = table();
-    PROBE_M.iter().map(|&m| (m, t.f32_mr[m], t.int8_mr[m])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,13 +36,23 @@
 //! [`EngineError::Fault`], or a step that completes past the
 //! deadline is a **fault**: the step's tokens (if any) are discarded and
 //! every active resident is recovered by *prefix replay* — release its
-//! possibly-poisoned pages, then re-prefill the committed prefix
+//! table, then re-prefill the committed prefix
 //! (`prompt ++ tokens[..len-1]`), which reproduces the last committed
 //! token bit-exactly because greedy decode is a pure function of the
-//! committed context. Every poisoned slot is released **before** any
-//! replay reserves (replay demand equals pre-fault demand, so every replay
-//! fits by construction — the protocol `dsi-verify`'s recovery-program
-//! checker proves). A resident that keeps faulting past
+//! committed context. What a faulted step may have poisoned is state *past*
+//! the committed prefix, which lives only in pages the resident holds
+//! alone; the shared front of its table (prompt pages some prefill
+//! published, see [`dsi_model::paged`]) lies wholly behind every holder's
+//! write frontier and was published only after the pass that filled it
+//! returned, so it is never poisoned, keeps its prefix-index entry across
+//! the release, and the replay — a prefill like any other — re-attaches to
+//! it instead of recomputing it. Every slot is released **before** any
+//! replay reserves: each replay can attach every page it shared before the
+//! fault (its committed context is no shorter than the prompt it attached
+//! under) and needs no more private pages than it held, so the replays
+//! together need no more distinct pages than were in use before the fault
+//! and every one fits by construction — the protocol `dsi-verify`'s
+//! recovery-program checker proves. A resident that keeps faulting past
 //! [`ContinuousConfig::replay_budget`] is evicted with the typed
 //! [`EvictReason::EngineFault`]. Each fault's class feeds that class's
 //! circuit breaker ([`crate::breaker::BreakerSet`]).
@@ -105,6 +115,12 @@ pub struct SchedReport {
     pub steps: u64,
     /// Prompt passes executed (== admissions into slots).
     pub prefills: u64,
+    /// Context tokens whose rows a seating pass (admission prefill or
+    /// prefix replay) computed...
+    pub prompt_tokens_prefilled: u64,
+    /// ...and those it found resident in pages an earlier prompt filled
+    /// ([`BatchEngine::attached_tokens`]; 0 for engines that share nothing).
+    pub prompt_tokens_attached: u64,
     /// `occupancy_hist[b]` = decode steps that ran with `b` residents.
     pub occupancy_hist: Vec<u64>,
     /// `tokens_per_step_hist[t]` = decode steps that emitted `t` tokens.
@@ -239,15 +255,19 @@ fn guarded_decode<E: BatchEngine>(
     }
 }
 
+/// What seating passes (admission prefills, prefix replays) and recoveries
+/// have done so far.
 #[derive(Default)]
-struct RecoveryCounters {
+struct SeatCounters {
     recoveries: u64,
     replays: u64,
     engine_fault_evictions: u64,
+    prompt_tokens_prefilled: u64,
+    prompt_tokens_attached: u64,
 }
 
 /// Charge one recovery attempt against the resident's budget.
-fn charge_replay(r: &mut Resident, counters: &mut RecoveryCounters, budget: u32) -> bool {
+fn charge_replay(r: &mut Resident, counters: &mut SeatCounters, budget: u32) -> bool {
     if r.replays >= budget {
         return false;
     }
@@ -267,7 +287,7 @@ fn seat_resident<E: BatchEngine>(
     cont: &ContinuousConfig,
     clock: &Clock,
     fault_events: &mut Vec<FaultClass>,
-    counters: &mut RecoveryCounters,
+    counters: &mut SeatCounters,
 ) -> Option<Retire> {
     loop {
         let fresh = resident.tokens.is_empty();
@@ -287,6 +307,9 @@ fn seat_resident<E: BatchEngine>(
         };
         match guarded_prefill(eng, slot, &ctx, cont.step_deadline, clock) {
             StepVerdict::Ok(tok) => {
+                let attached = eng.attached_tokens(slot);
+                counters.prompt_tokens_attached += attached as u64;
+                counters.prompt_tokens_prefilled += (ctx.len() - attached) as u64;
                 if fresh {
                     resident.tokens.push(tok);
                 } else {
@@ -309,7 +332,7 @@ fn seat_resident<E: BatchEngine>(
             StepVerdict::OutOfPages => {
                 // Real exhaustion is impossible during replay: every
                 // poisoned slot was released before any replay reserves
-                // and replay demand equals pre-fault demand. Only an
+                // and replay demand never exceeds pre-fault demand. Only an
                 // injected storm reaches this arm; it burns budget like
                 // any other fault.
                 fault_events.push(FaultClass::Memory);
@@ -358,7 +381,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     let mut steps = 0u64;
     let mut prefills = 0u64;
     let mut page_evictions = 0u64;
-    let mut counters = RecoveryCounters::default();
+    let mut counters = SeatCounters::default();
     let mut occupancy_hist = vec![0u64; cont.max_slots + 1];
     let mut tokens_per_step_hist = vec![0u64; cont.max_slots + 1];
     let mut tracer = Tracer { on: cont.trace, ops: Vec::new() };
@@ -532,9 +555,10 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                         counters.recoveries += 1;
                         fault_events.push(class);
                         // Release every poisoned slot BEFORE any replay
-                        // reserves — replay demand equals pre-fault
-                        // demand, so all replays fit (the release-first
-                        // protocol dsi-verify's recovery checker proves).
+                        // reserves — replay demand never exceeds
+                        // pre-fault demand, so all replays fit (the
+                        // release-first protocol dsi-verify's recovery
+                        // checker proves).
                         for &slot in &active {
                             let r = residents[slot].as_mut().expect("occupied");
                             if r.seated {
@@ -688,6 +712,8 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     st.sched_report = Some(SchedReport {
         steps,
         prefills,
+        prompt_tokens_prefilled: counters.prompt_tokens_prefilled,
+        prompt_tokens_attached: counters.prompt_tokens_attached,
         mean_occupancy: if steps > 0 { total_occ as f64 / steps as f64 } else { 0.0 },
         occupancy_hist,
         tokens_per_step_hist,

@@ -1148,6 +1148,8 @@ mod tests {
         assert_eq!(report.completed, 6);
         let sched = report.scheduler.expect("the scheduler attaches its report");
         assert!(sched.steps > 0 && sched.prefills == 6);
+        // Six unrelated 3-token prompts: every row computed, none attached.
+        assert_eq!((sched.prompt_tokens_prefilled, sched.prompt_tokens_attached), (18, 0));
         assert_eq!(sched.pages.fragmentation, 0);
         assert_eq!(sched.occupancy_hist.iter().sum::<u64>(), sched.steps);
         // No batch-formation assert here: on a single-core host the OS can
@@ -1156,6 +1158,42 @@ mod tests {
         // it is deterministic — `bench_robustness --smoke` keeps the engine
         // saturated under a sustained 3× burst and asserts occupancy > 1.
         assert!(sched.mean_occupancy >= 1.0, "mean occupancy {}", sched.mean_occupancy);
+    }
+
+    #[test]
+    fn continuous_shared_prefix_prefills_only_what_nobody_has() {
+        // The benchmark's `serve_shared_prefix` shape at a quarter scale:
+        // one prefix of exactly three pages on every prompt, suffixes of
+        // 1–3 tokens. Only the first admission computes the prefix; every
+        // later one attaches its three pages — off a live holder or off the
+        // free list — and prefills its suffix, ≈ 86 % of prompt tokens.
+        let model = tiny_model();
+        let prompts: Vec<Vec<usize>> = (0..12usize)
+            .map(|i| (30..42).chain((0..1 + i % 3).map(|j| (5 * i + j) % 29)).collect())
+            .collect();
+        let srv = Server::start(Arc::clone(&model), continuous_cfg(3, 64, 4));
+        let tickets: Vec<_> = prompts
+            .iter()
+            .map(|p| {
+                srv.submit(Request { prompt: p.clone(), n_tokens: 4, deadline: None }).unwrap()
+            })
+            .collect();
+        for (t, p) in tickets.into_iter().zip(&prompts) {
+            let want =
+                FtSession::new(Arc::clone(&model), 64, FtConfig::new(1)).generate(p, 4).unwrap();
+            let Outcome::Completed { tokens, .. } = t.wait() else { panic!("expected completion") };
+            assert_eq!(tokens, want);
+        }
+        let report = srv.drain(Duration::from_secs(5));
+        let sched = report.scheduler.expect("the scheduler attaches its report");
+        let total: u64 = prompts.iter().map(|p| p.len() as u64).sum();
+        assert_eq!(sched.prefills, 12);
+        assert_eq!(sched.prompt_tokens_attached, 12 * 11);
+        assert_eq!(sched.prompt_tokens_prefilled, total - 12 * 11);
+        // Three shared pages plus, per resident, a tail page and at most
+        // one page of growth — not the 3 × 5 the slots would pin unshared.
+        assert!(sched.pages.high_water <= 3 + 3 * 2, "high water {}", sched.pages.high_water);
+        assert_eq!(sched.pages.fragmentation, 0);
     }
 
     #[test]

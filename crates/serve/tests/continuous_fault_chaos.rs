@@ -1,10 +1,14 @@
 //! Chaos sweep for the fault-tolerant continuous-batching path.
 //!
-//! Ten seeded scenarios drive the continuous scheduler through scripted
+//! Sixteen seeded scenarios drive the continuous scheduler through scripted
 //! engine-fault storms — decode/prefill panics, stalls past the step
 //! deadline, page-content corruption, transient page-exhaustion storms
 //! (`dsi_sim::fault::EngineFaultPlan::random`) — layered over the usual
-//! client churn (cancellations, tight deadlines, ~2× page overload).
+//! client churn (cancellations, tight deadlines, ~2× page overload). In
+//! the last six every prompt opens with one of one or two multi-page
+//! prefixes and the pool is sized to the *shared* demand (less than the
+//! residents would need unshared), so release-all-then-replay has to
+//! re-attach to the shared pages to fit.
 //!
 //! Every seed must hold the full contract:
 //!
@@ -20,7 +24,8 @@
 //!
 //! Across the sweep we additionally require that recovery actually ran
 //! (recoveries > 0 and replays > 0 in the scheduler reports) — a sweep
-//! that never faults proves nothing.
+//! that never faults proves nothing — and that the shared-prefix seeds
+//! attached pages and replayed over them.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,19 +53,34 @@ fn continuous_fault_storms_recover_bit_exact() {
     let mut total_replays = 0u64;
     let mut total_completed = 0u64;
     let mut total_fault_evictions = 0u64;
+    let (mut shared_attached, mut shared_replays) = (0u64, 0u64);
 
-    for seed in 0u64..10 {
+    for seed in 0u64..16 {
         let mut rng = seed.wrapping_mul(0xD134_2543_DE82_EF95).wrapping_add(7);
+        // Seeds 10.. put a 5-token prefix (two whole 2-token pages and a
+        // bit) from one (even seeds) or two families in front of every
+        // prompt. Three residents of up to 8 + 8 tokens need 3 × 8 pages
+        // unshared; sharing the two prefix pages of one family they need
+        // 2 + 3 × 6.
+        let shared = seed >= 10;
+        let families = if shared { 1 + seed % 2 } else { 0 };
+        let pages_total = if shared { 20 } else { 24 };
 
-        // Request mix: prompts of 2–5 tokens, budgets of 3–8 tokens, about
-        // 2× the page pool's steady-state capacity so admission, shedding,
-        // and recovery all contend.
+        // Request mix: prompts of 2–5 tokens (behind the prefix, 1–3),
+        // budgets of 3–8 tokens, about 2× the page pool's steady-state
+        // capacity so admission, shedding, and recovery all contend.
         let n_requests = 12usize;
         let requests: Vec<(Vec<usize>, usize)> = (0..n_requests)
             .map(|_| {
-                let plen = 2 + (splitmix(&mut rng) % 4) as usize;
-                let prompt: Vec<usize> =
-                    (0..plen).map(|_| (splitmix(&mut rng) % 50) as usize + 1).collect();
+                let mut prompt: Vec<usize> = if shared {
+                    let family = splitmix(&mut rng) % families;
+                    (0..5).map(|j| (60 + 10 * family + j) as usize).collect()
+                } else {
+                    Vec::new()
+                };
+                let plen =
+                    if shared { 1 + splitmix(&mut rng) % 3 } else { 2 + splitmix(&mut rng) % 4 };
+                prompt.extend((0..plen).map(|_| (splitmix(&mut rng) % 50) as usize + 1));
                 let n_tokens = 3 + (splitmix(&mut rng) % 6) as usize;
                 (prompt, n_tokens)
             })
@@ -85,7 +105,7 @@ fn continuous_fault_storms_recover_bit_exact() {
         let mut cfg = ServeConfig::new(1);
         cfg.mode = EngineMode::Continuous(ContinuousConfig {
             max_slots: 3,
-            pages_total: 24,
+            pages_total,
             page_tokens: 2,
             replay_budget: 4,
             step_deadline: Some(Duration::from_millis(10)),
@@ -172,11 +192,17 @@ fn continuous_fault_storms_recover_bit_exact() {
         total_recoveries += sched.recoveries;
         total_replays += sched.replays;
         total_completed += completed;
+        if shared {
+            shared_attached += sched.prompt_tokens_attached;
+            shared_replays += sched.replays;
+        }
     }
 
     // The sweep must actually exercise the machinery it claims to cover.
     assert!(total_recoveries > 0, "sweep never triggered a fault recovery");
     assert!(total_replays > 0, "sweep never replayed a committed prefix");
+    assert!(shared_attached > 0, "shared-prefix seeds never attached a page");
+    assert!(shared_replays > 0, "shared-prefix seeds never replayed over shared pages");
     assert!(
         total_completed > 20,
         "sweep too destructive to prove liveness: {total_completed} completions"

@@ -281,8 +281,16 @@ impl ContinuousScenario {
 fn continuous_chaos_token_identity_sweep() {
     let mut total_completed = 0u64;
     let mut total_page_evictions = 0u64;
-    for seed in 0..10u64 {
+    let mut total_attached = 0u64;
+    // Seeds 10.. open every prompt with one of two 5-token prefixes (two
+    // whole 2-token pages and a bit): joins attach to pages a resident or a
+    // retired request filled, under the same cancel / deadline / shed churn.
+    for seed in 0..14u64 {
         let mut sc = ContinuousScenario::from_seed(seed);
+        let shared = seed >= 10;
+        if shared {
+            sc.page_tokens = 2;
+        }
         if seed == 0 {
             // One deterministic overcommit scenario: an 8-token pool under
             // requests of up to ~17 tokens guarantees the page-exhaustion
@@ -302,8 +310,12 @@ fn continuous_chaos_token_identity_sweep() {
         // comparing against tp=2 checks the whole chain).
         let mut requests: Vec<(Vec<usize>, usize)> = (0..sc.n_requests)
             .map(|i| {
-                let plen = range(&mut rng, 1, 7) as usize;
-                let prompt: Vec<usize> = (0..plen).map(|j| (3 * i + j) % 97).collect();
+                let plen = range(&mut rng, 1, if shared { 4 } else { 7 }) as usize;
+                let mut prompt: Vec<usize> = (0..plen).map(|j| (3 * i + j) % 97).collect();
+                if shared {
+                    let family = i % 2;
+                    prompt.splice(0..0, (0..5).map(|j| 20 * (family + 1) + j));
+                }
                 let n_tokens = range(&mut rng, 1, 12) as usize;
                 (prompt, n_tokens)
             })
@@ -413,9 +425,16 @@ fn continuous_chaos_token_identity_sweep() {
             sched.steps,
             "seed {seed}: occupancy histogram covers every step"
         );
+        if shared {
+            total_attached += sched.prompt_tokens_attached;
+        } else {
+            // No faults, so no replays: distinct prompts attach nothing.
+            assert_eq!(sched.prompt_tokens_attached, 0, "seed {seed}: unrelated prompts shared");
+        }
         total_completed += completed;
         total_page_evictions += sched.page_evictions;
     }
+    assert!(total_attached > 0, "shared-prefix seeds never attached a page");
     assert!(total_completed > 30, "sweep too lenient: {total_completed} completions");
     // At least one seed must have actually exercised page shedding.
     assert!(total_page_evictions > 0, "sweep never hit page exhaustion");

@@ -217,10 +217,11 @@ pub fn check_breaker_model(threshold: u32, window: u64, depth: usize) -> Vec<Dia
 /// One step of a scheduler fault-recovery program, over engine slot ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryOp {
-    /// An engine fault poisons every listed resident slot (its pages hold
-    /// state past the committed prefix and cannot be trusted).
+    /// An engine fault poisons every listed resident slot (its private
+    /// pages hold state past the committed prefix and cannot be trusted).
     Fault { slots: Vec<usize> },
-    /// The slot's pages are returned to the pool.
+    /// The slot's references are dropped; pages nobody else holds return
+    /// to the pool.
     Release { slot: usize },
     /// The slot is re-seated by prefilling its committed prefix
     /// (re-reserving pages from the pool).
@@ -241,12 +242,22 @@ enum SlotPages {
 }
 
 /// Check a recovery program for the page-accounting protocol the replay
-/// design requires: a faulted slot's pages must be **released before the
+/// design requires: a faulted slot's table must be **released before the
 /// slot is re-seated or evicted** (else the pool double-books — the
 /// `replay-page-leak` diagnostic), a release must not run twice
 /// (`replay-double-release`, the exact bug `PagePool::release`'s
-/// double-free debug-assert catches at runtime), and by the end of the
+/// always-on refcount assert catches at runtime), and by the end of the
 /// program no slot may still be poisoned (`unrecovered-slot`).
+///
+/// With prefix sharing, "poisoned" covers the slot's *table* and the pages
+/// it holds alone — everything at or past its committed prefix. The shared
+/// front of the table (published prompt pages) is never written after
+/// publication, so a fault cannot have touched it: `Release` drops the
+/// slot's references, the front stays resident while another holder or its
+/// index entry keeps it, and `Replay` re-attaches to it. The protocol is
+/// unchanged because release-all-first still bounds replay demand by
+/// pre-fault demand: every replay can attach every page it shared before
+/// (`scratch::check_page_tables` proves the live tables keep that shape).
 pub fn check_recovery_program(n_slots: usize, ops: &[RecoveryOp]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut slots = vec![SlotPages::Clean; n_slots];

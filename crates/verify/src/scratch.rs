@@ -471,47 +471,86 @@ pub fn aliased_batched_rows_trace(h: usize) -> (Arena, Vec<Step>) {
     (arena, steps)
 }
 
-/// Paged-KV disjointness check: the page tables of all live sequences
-/// must map **pairwise-distinct** pages, each inside the pool. The paged
-/// engine's correctness argument ("same FLOPs, different addressing")
-/// silently collapses if two sequences ever share a page — each decode
-/// step would overwrite the other's KV rows and both streams would go
-/// wrong without any kernel-level fault — so the sweep re-proves
-/// disjointness over a live allocator's tables, and the negative control
-/// seeds exactly that two-sequences-one-page defect.
-pub fn check_page_tables(pages_total: usize, tables: &[Vec<u32>]) -> Vec<Diagnostic> {
+/// Paged-KV sharing-discipline check over the page tables of all live
+/// sequences, each with its committed length (its write frontier: the next
+/// row it writes is `len`). The paged engine's correctness argument ("same
+/// FLOPs, different addressing") survives prefix sharing only if a page
+/// reachable from two tables is one no holder will ever write and one that
+/// means the same context to both, so the check proves exactly that:
+///
+/// * every page lies inside the pool and appears at most once per table;
+/// * a page in several tables sits at the **same index** in each, under an
+///   **identical run of preceding pages** (`page-alias` otherwise — two
+///   sequences reading or writing one page as different context rows);
+/// * a page in several tables lies **wholly below every holder's write
+///   frontier** (`write-after-share` otherwise — the holder's next rows
+///   would land in a page another sequence attends over).
+///
+/// The sweep re-proves it over a live allocator's tables after
+/// share/release/resurrect churn; the negative controls seed a crossed
+/// table and a write-after-share table.
+pub fn check_page_tables(
+    pages_total: usize,
+    page_tokens: usize,
+    tables: &[(&[u32], usize)],
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    // First owner of each page, for the witness in the alias message.
-    let mut owner: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
-    for (s, table) in tables.iter().enumerate() {
+    // First holder of each page and the index it holds it at.
+    let mut owner: std::collections::BTreeMap<u32, (usize, usize)> =
+        std::collections::BTreeMap::new();
+    let mut flag = |code: &'static str, s: usize, slot: usize, msg: String| {
+        diags.push(Diagnostic::new(
+            Pass::Scratch,
+            code,
+            format!("seq {s} table entry {slot}"),
+            msg,
+        ));
+    };
+    for (s, &(table, len)) in tables.iter().enumerate() {
         for (slot, &p) in table.iter().enumerate() {
             if p as usize >= pages_total {
-                diags.push(Diagnostic::new(
-                    Pass::Scratch,
+                flag(
                     "page-out-of-range",
-                    format!("seq {s} table entry {slot}"),
+                    s,
+                    slot,
                     format!("page {p} outside pool of {pages_total} pages"),
-                ));
+                );
                 continue;
             }
-            match owner.get(&p) {
-                Some(&first) if first == s => diags.push(Diagnostic::new(
-                    Pass::Scratch,
+            let Some(&(first, at)) = owner.get(&p) else {
+                owner.insert(p, (s, slot));
+                continue;
+            };
+            if first == s {
+                flag("page-alias", s, slot, format!("page {p} mapped twice by the same sequence"));
+                continue;
+            }
+            let (other, other_len) = tables[first];
+            if at != slot || other[..at] != table[..slot] {
+                flag(
                     "page-alias",
-                    format!("seq {s} table entry {slot}"),
-                    format!("page {p} mapped twice by the same sequence"),
-                )),
-                Some(&first) => diags.push(Diagnostic::new(
-                    Pass::Scratch,
-                    "page-alias",
-                    format!("seq {s} table entry {slot}"),
+                    s,
+                    slot,
                     format!(
-                        "page {p} already mapped by seq {first}: two sequences \
-                         writing one page corrupt each other's KV rows"
+                        "page {p} already mapped by seq {first} at entry {at} under a different \
+                         run of pages: the two read one page as different context rows"
                     ),
-                )),
-                None => {
-                    owner.insert(p, s);
+                );
+                continue;
+            }
+            let shared_rows = (slot + 1) * page_tokens;
+            for (holder, frontier) in [(first, other_len), (s, len)] {
+                if frontier < shared_rows {
+                    flag(
+                        "write-after-share",
+                        s,
+                        slot,
+                        format!(
+                            "page {p} is shared with seq {first} but seq {holder} has committed \
+                             only {frontier} of its {shared_rows} leading rows: its next write \
+                             lands in a page another sequence attends over"
+                        ),
+                    );
                 }
             }
         }
@@ -648,24 +687,45 @@ mod tests {
 
     #[test]
     fn disjoint_page_tables_are_clean() {
-        let d = check_page_tables(8, &[vec![0, 3, 6], vec![1, 4], vec![7]]);
+        let d = check_page_tables(8, 4, &[(&[0, 3, 6], 9), (&[1, 4], 5), (&[7], 0)]);
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
-    fn shared_and_duplicated_pages_are_flagged() {
-        // Cross-sequence share (page 2) and an intra-table duplicate (5, 5).
-        let d = check_page_tables(8, &[vec![0, 2], vec![2, 3], vec![5, 5]]);
-        assert_eq!(
-            d.iter().filter(|x| x.code == "page-alias").count(),
-            2,
-            "{d:?}"
+    fn a_shared_front_behind_every_frontier_is_clean() {
+        // Pages 0 and 1 shared by all three, page 2 by two; every holder has
+        // committed past the pages it shares (frontier == page end counts).
+        let d = check_page_tables(
+            8,
+            4,
+            &[(&[0, 1, 2, 3], 13), (&[0, 1, 2, 4], 12), (&[0, 1, 5], 8)],
         );
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn crossed_and_duplicated_pages_are_flagged() {
+        // Page 2 at a different index, page 6 at the same index but under a
+        // different front, and an intra-table duplicate (5, 5).
+        let d = check_page_tables(
+            8,
+            4,
+            &[(&[0, 2], 8), (&[2, 3], 8), (&[1, 6], 8), (&[4, 6], 8), (&[5, 5], 8)],
+        );
+        assert_eq!(d.iter().filter(|x| x.code == "page-alias").count(), 3, "{d:?}");
+    }
+
+    #[test]
+    fn shared_page_at_a_write_frontier_is_flagged() {
+        // Seq 1 shares page 1 (rows 4..8) but has committed only 6 rows.
+        let d = check_page_tables(8, 4, &[(&[0, 1, 2], 12), (&[0, 1, 5], 6)]);
+        assert_eq!(d.iter().filter(|x| x.code == "write-after-share").count(), 1, "{d:?}");
+        assert!(d.iter().all(|x| x.code == "write-after-share"), "{d:?}");
     }
 
     #[test]
     fn out_of_range_page_is_flagged() {
-        let d = check_page_tables(4, &[vec![0, 4]]);
+        let d = check_page_tables(4, 4, &[(&[0, 4], 5)]);
         assert!(d.iter().any(|x| x.code == "page-out-of-range"), "{d:?}");
     }
 

@@ -187,31 +187,55 @@ pub fn verify_all() -> SweepReport {
         }
     }
 
-    // --- Pass 2c: paged-KV allocator page-table disjointness. ---
-    // Reserve/release/re-reserve churn on a real `PagePool` (the continuous
-    // scheduler's allocator), then prove every live table maps distinct
-    // in-range pages. Free-list recycling is exactly where an aliasing bug
-    // would creep in, so the churn retires a middle sequence and grows the
-    // survivors through the recycled pages before checking.
+    // --- Pass 2c: paged-KV allocator page-sharing discipline. ---
+    // Share/release/resurrect/re-reserve churn on a real `PagePool` (the
+    // continuous scheduler's allocator), then prove every live table maps
+    // in-range pages and shares them only as a common front wholly behind
+    // every holder's write frontier. Free-list recycling of pages that
+    // still carry a prefix-index entry is exactly where an aliasing bug
+    // would creep in, so the churn retires the publisher of a shared front,
+    // re-attaches to it from the free list, recycles a retired family's
+    // pages under a new one, and grows every survivor before checking.
     {
         use dsi_model::paged::{PagePool, PagedSeq};
         let mut pool = PagePool::new(2, 16, 24, 4);
-        let mut seqs: Vec<PagedSeq> = (0..4).map(|_| PagedSeq::new()).collect();
-        for (i, s) in seqs.iter_mut().enumerate() {
-            pool.reserve(s, 3 + 5 * i).expect("sweep pool sized to fit");
-        }
-        let mut mid = seqs.remove(1);
-        pool.release(&mut mid);
+        let prompt = |family: usize, tail: usize| -> Vec<usize> {
+            (0..9).map(|j| 10 * family + j).chain((0..tail).map(|j| 100 + tail + j)).collect()
+        };
+        let seat = |pool: &mut PagePool, p: &[usize]| {
+            let mut s = PagedSeq::new();
+            pool.reserve_prompt(&mut s, p).expect("sweep pool sized to fit");
+            pool.commit_prompt(&mut s, p);
+            s
+        };
+        let mut seqs: Vec<PagedSeq> = [(1, 1), (1, 3), (2, 2), (1, 6)]
+            .iter()
+            .map(|&(f, t)| seat(&mut pool, &prompt(f, t)))
+            .collect();
+        // The publisher of family 1's front and all of family 2 retire...
+        let mut gone = seqs.remove(0);
+        pool.release(&mut gone);
+        let mut gone = seqs.remove(1);
+        pool.release(&mut gone);
+        // ...family 3 recycles family 2's pages, family 1 gains a sharer.
+        seqs.push(seat(&mut pool, &prompt(3, 4)));
+        seqs.push(seat(&mut pool, &prompt(1, 2)));
         for s in seqs.iter_mut() {
-            pool.reserve(s, 20).expect("recycled pages cover the growth");
+            pool.reserve(s, 7).expect("recycled pages cover the growth");
         }
-        let tables: Vec<Vec<u32>> = seqs.iter().map(|s| s.pages().to_vec()).collect();
+        let tables: Vec<(&[u32], usize)> = seqs.iter().map(|s| (s.pages(), s.len())).collect();
+        assert!(
+            pool.stats().pages_in_use < tables.iter().map(|(t, _)| t.len()).sum(),
+            "the churn must leave shared pages to check"
+        );
         report.scratch_traces += 1;
         report.diagnostics.extend(
-            crate::scratch::check_page_tables(24, &tables).into_iter().map(|mut x| {
-                x.site = format!("paged-kv pool: {}", x.site);
-                x
-            }),
+            crate::scratch::check_page_tables(24, pool.page_tokens(), &tables).into_iter().map(
+                |mut x| {
+                    x.site = format!("paged-kv pool: {}", x.site);
+                    x
+                },
+            ),
         );
     }
 
@@ -420,14 +444,32 @@ pub fn negative_controls() -> Vec<Control> {
         diagnostics: check_trace(&arena, &steps, &[]),
     });
 
-    // Paged KV: two sequences whose page tables share a page — the defect
-    // class the continuous engine's disjointness argument rules out. Both
-    // streams would silently corrupt each other's KV rows, so the checker
-    // must flag it before any kernel runs.
+    // Paged KV: two sequences whose page tables cross — one page at two
+    // different indices, i.e. read as two different runs of context rows.
+    // Prefix sharing lets tables share a common front and nothing else;
+    // both streams would silently corrupt each other's KV rows, so the
+    // checker must flag it before any kernel runs.
     out.push(Control {
         name: "two sequences mapped to one page (paged-KV alias)",
         expect_code: "page-alias",
-        diagnostics: crate::scratch::check_page_tables(8, &[vec![0, 1, 2], vec![3, 2, 4]]),
+        diagnostics: crate::scratch::check_page_tables(
+            8,
+            4,
+            &[(&[0, 1, 2], 12), (&[3, 2, 4], 12)],
+        ),
+    });
+
+    // Paged KV: a legitimately placed shared page that one holder has not
+    // finished writing — there is no copy-on-write, so the holder's next
+    // row would land in a page its sharer attends over.
+    out.push(Control {
+        name: "shared page at a holder's write frontier (write-after-share)",
+        expect_code: "write-after-share",
+        diagnostics: crate::scratch::check_page_tables(
+            8,
+            4,
+            &[(&[0, 1, 2], 12), (&[0, 1, 5], 6)],
+        ),
     });
 
     // Collective: one rank skips its layer-0 FF2 all-reduce.
@@ -597,7 +639,7 @@ mod tests {
     #[test]
     fn every_negative_control_fires() {
         let controls = negative_controls();
-        assert_eq!(controls.len(), 17);
+        assert_eq!(controls.len(), 18);
         for c in &controls {
             assert!(c.fired(), "control `{}` produced {:?}", c.name, c.diagnostics);
         }

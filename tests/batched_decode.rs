@@ -18,7 +18,7 @@ use deepspeed_inference::zoo;
 use proptest::prelude::*;
 
 mod common;
-use common::{build_prompts, paged_decode};
+use common::{build_family_prompts, build_prompts, paged_decode, shared_prefix_churn};
 
 fn model(layers: usize, seed: u64) -> GptModel {
     GptModel::random(zoo::tiny(layers), seed)
@@ -98,6 +98,31 @@ proptest! {
             let want = pm.session(p.len()).generate(p, max_new);
             prop_assert_eq!(&got[i], &want, "sequence {} diverged", i);
         }
+    }
+
+    /// Prefix sharing is invisible to the numerics and to the books: 2–8
+    /// prompts from 1–3 shared-prefix families (suffixes from empty to over
+    /// a page, prompts ending exactly on a page boundary or shorter than a
+    /// page) joined, decoded, retired, replayed and recovered in a random
+    /// order stay bitwise equal to their solo `FastSession`s, with the pool
+    /// identity, distinct-page accounting and the sharing discipline held
+    /// after every transition.
+    #[test]
+    fn shared_prefix_churn_matches_per_sequence(
+        n in 2usize..9,
+        families in 1usize..4,
+        seed in 0u64..500,
+        max_new in 2usize..7,
+        pi in 0usize..3,
+        picks in prop::collection::vec(0usize..1000, 12..13),
+        tokens in prop::collection::vec(0usize..101, 40..60),
+        ops in prop::collection::vec(0usize..1000, 10..40),
+    ) {
+        let page_tokens = [3usize, 5, 16][pi];
+        let prompts = build_family_prompts(n, families, page_tokens, &picks, &tokens);
+        let m = model(2, seed);
+        let pm = PackedModel::pack(&m);
+        shared_prefix_churn(&pm, &prompts, page_tokens, max_new, &ops);
     }
 }
 

@@ -24,7 +24,7 @@ use deepspeed_inference::zoo;
 use proptest::prelude::*;
 
 mod common;
-use common::{build_prompts, paged_decode};
+use common::{build_family_prompts, build_prompts, paged_decode, shared_prefix_churn};
 
 /// Max absolute logit drift FP32 → INT8 on the tiny zoo model. Calibrated
 /// at 0.6 for one forward at group 32.
@@ -174,5 +174,27 @@ proptest! {
             let want = q.session(p.len()).generate(p, max_new);
             prop_assert_eq!(&got[i], &want, "sequence {} diverged", i);
         }
+    }
+
+    /// Prefix sharing holds per dtype too: the shared-prefix churn of
+    /// `tests/batched_decode.rs` over INT8 weights, every stream bitwise
+    /// equal to its solo INT8 session, the books held after every
+    /// transition.
+    #[test]
+    fn shared_prefix_churn_matches_per_sequence_int8(
+        n in 2usize..9,
+        families in 1usize..4,
+        seed in 0u64..500,
+        max_new in 2usize..7,
+        pi in 0usize..3,
+        picks in prop::collection::vec(0usize..1000, 12..13),
+        tokens in prop::collection::vec(0usize..101, 40..60),
+        ops in prop::collection::vec(0usize..1000, 10..40),
+    ) {
+        let page_tokens = [3usize, 5, 16][pi];
+        let prompts = build_family_prompts(n, families, page_tokens, &picks, &tokens);
+        let m = GptModel::random(zoo::tiny(2), seed);
+        let q = QuantizedPackedModel::quantize_pack(&m, 32);
+        shared_prefix_churn(&q, &prompts, page_tokens, max_new, &ops);
     }
 }
