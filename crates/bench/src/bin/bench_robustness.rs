@@ -551,7 +551,8 @@ fn batch_prompts(slots: usize) -> Vec<Vec<usize>> {
 /// amortizes the weight stream).
 fn run_streamed(store: OffloadStore, want: &[Vec<usize>]) -> (f64, OffloadStats) {
     let slots = want.len();
-    let mut eng = StreamedEngine::new(store, slots, 65_536);
+    // Room for every slot's 4-token prompt plus its generation.
+    let mut eng = StreamedEngine::new(store, slots, slots * (4 + want[0].len()));
     let t0 = Instant::now();
     let mut streams: Vec<Vec<usize>> = batch_prompts(slots)
         .iter()
@@ -569,7 +570,7 @@ fn run_streamed(store: OffloadStore, want: &[Vec<usize>]) -> (f64, OffloadStats)
     }
     let dt = t0.elapsed().as_secs_f64();
     assert_eq!(streams, want, "offload: streamed decode diverged from the resident oracle");
-    (dt, eng.store().stats())
+    (dt, eng.weights().stats())
 }
 
 /// A pure-`SlowRead` storm: `n` stalls of `millis` each, spread evenly

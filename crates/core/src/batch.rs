@@ -1,10 +1,7 @@
 //! The batched engine step trait — the seam that lets one scheduler drive
 //! many execution engines.
 //!
-//! Before this trait, `dsi-serve`'s worker was welded 1:1 to
-//! [`FtSession`]: one request owned the whole session, so the M-row
-//! microkernels of the fast path never saw M>1 in production. The trait
-//! factors the *slot lifecycle* out of the execution engine:
+//! The trait is the *slot lifecycle*, factored out of the execution engine:
 //!
 //! ```text
 //!   free ──prefill(slot, prompt)──▶ resident ──decode_step*──▶ resident
@@ -21,22 +18,30 @@
 //! * `release` retires a slot (returning its KV pages, if the engine is
 //!   paged).
 //!
-//! Implementations: [`FastSession`] (one slot, contiguous KV),
-//! [`PagedEngine`] (M slots over a shared page pool — the serving
-//! configuration), [`crate::streamed::StreamedEngine`] (M slots, weights
-//! streamed from the offload tier), and [`FtEngine`] (one slot over the
-//! fault-tolerant tensor-parallel [`FtSession`]). Every implementation emits **the same
+//! Implementations: [`FastSession`] (one slot, contiguous KV — the oracle),
+//! [`Engine`] (M slots over a shared page pool, the serving configuration,
+//! over whichever [`WeightSource`] it was built on: a resident packed model
+//! as `PagedEngine`, the offload tier as [`crate::streamed::StreamedEngine`]
+//! builds it), and [`FtEngine`] (one slot over the fault-tolerant
+//! tensor-parallel [`FtSession`]). Every implementation emits **the same
 //! token stream** for a given prompt — the microkernel
-//! accumulation-order invariant makes batching and paging invisible to the
-//! numerics — which is what lets the chaos suite use solo sessions as
-//! bitwise oracles for continuous-batched serving.
+//! accumulation-order invariant makes batching, paging and streaming
+//! invisible to the numerics — which is what lets the chaos suite use solo
+//! sessions as bitwise oracles for continuous-batched serving.
+//!
+//! Failures are classed by type: every error an engine can surface maps to
+//! its [`FaultClass`] through an exhaustive `match` on its variants (here
+//! for the TP supervisor's [`FaultError`], in [`crate::streamed`] for the
+//! offload tier's), never by reading its message.
 
 use dsi_kernels::blocked::PanelWeights;
-use dsi_model::fast::FastSession;
-use dsi_model::paged::{PageStats, PagedEngine, PagesExhausted};
-use dsi_parallel::supervisor::FtSession;
-use dsi_sim::fault::{EngineFaultInjector, EngineFaultKind};
+use dsi_model::fast::{FastSession, WeightSource};
+use dsi_model::paged::{Engine, PageStats, PagesExhausted, StepError};
+use dsi_parallel::supervisor::{FaultError, FtSession};
+use dsi_parallel::RankFailureCause;
+use dsi_sim::fault::{CollectiveErrorKind, EngineFaultInjector, EngineFaultKind};
 use serde::Serialize;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// The failure classes an engine fault is binned into. Each class gets its
@@ -59,23 +64,22 @@ impl FaultClass {
     /// All classes, in breaker-set order.
     pub const ALL: [FaultClass; 4] =
         [FaultClass::Timeout, FaultClass::Panic, FaultClass::Corruption, FaultClass::Memory];
+}
 
-    /// Bin a fault message into a class by keyword. The messages are our
-    /// own `Display` impls ([`dsi_sim::fault::CollectiveError`],
-    /// [`dsi_parallel::supervisor::FaultError`], injected-fault strings),
-    /// so the mapping is deterministic; unknown text defaults to `Panic`
-    /// (the most conservative class: the engine's state is suspect).
-    pub fn classify(msg: &str) -> FaultClass {
-        let m = msg.to_ascii_lowercase();
-        if m.contains("timed out") || m.contains("stall") || m.contains("deadline") {
-            FaultClass::Timeout
-        } else if m.contains("corrupt") {
-            FaultClass::Corruption
-        } else if m.contains("pages") || m.contains("memory") {
-            FaultClass::Memory
-        } else {
-            // "poisoned", "panic", "dropped its barrier", "exit", ...
-            FaultClass::Panic
+/// The class of a terminal supervisor failure is that of the step failure
+/// which ended it, whether it spent the retry budget or the last rank.
+impl From<&FaultError> for FaultClass {
+    fn from(e: &FaultError) -> Self {
+        let (FaultError::RetriesExhausted { last, .. } | FaultError::Unrecoverable(last)) = e;
+        match &last.cause {
+            RankFailureCause::Collective(c) => match &c.kind {
+                CollectiveErrorKind::Timeout { .. } => FaultClass::Timeout,
+                CollectiveErrorKind::Poisoned => FaultClass::Panic,
+                CollectiveErrorKind::Corrupt { .. } => FaultClass::Corruption,
+                CollectiveErrorKind::InjectedExit => FaultClass::Panic,
+            },
+            RankFailureCause::Panicked(_) => FaultClass::Panic,
+            RankFailureCause::Unjoined => FaultClass::Timeout,
         }
     }
 }
@@ -106,9 +110,24 @@ pub enum EngineError {
 }
 
 impl EngineError {
-    /// Build a `Fault` by classifying `msg` (see [`FaultClass::classify`]).
+    /// Build a `Fault` by binning `msg` into a class by keyword; unknown
+    /// text is `Panic` (the most conservative class: the engine's state is
+    /// suspect). A shim kept for callers outside the workspace that hold
+    /// only a message (the frozen benchmark's replica): nothing in the
+    /// workspace calls it, every error type converts through its `From`
+    /// impl instead.
     pub fn classified(msg: String) -> Self {
-        EngineError::Fault { class: FaultClass::classify(&msg), msg }
+        let m = msg.to_ascii_lowercase();
+        let class = if m.contains("timed out") || m.contains("stall") || m.contains("deadline") {
+            FaultClass::Timeout
+        } else if m.contains("corrupt") {
+            FaultClass::Corruption
+        } else if m.contains("pages") || m.contains("memory") {
+            FaultClass::Memory
+        } else {
+            FaultClass::Panic
+        };
+        EngineError::Fault { class, msg }
     }
 }
 
@@ -128,6 +147,31 @@ impl std::error::Error for EngineError {}
 impl From<PagesExhausted> for EngineError {
     fn from(e: PagesExhausted) -> Self {
         EngineError::OutOfPages { needed: e.needed, free: e.free }
+    }
+}
+
+/// A resident packed model never fails to produce a layer.
+impl From<Infallible> for EngineError {
+    fn from(e: Infallible) -> Self {
+        match e {}
+    }
+}
+
+impl From<FaultError> for EngineError {
+    fn from(e: FaultError) -> Self {
+        EngineError::Fault { class: FaultClass::from(&e), msg: e.to_string() }
+    }
+}
+
+impl<E> From<StepError<E>> for EngineError
+where
+    EngineError: From<E>,
+{
+    fn from(e: StepError<E>) -> Self {
+        match e {
+            StepError::Pages(p) => p.into(),
+            StepError::Weights(w) => w.into(),
+        }
     }
 }
 
@@ -197,25 +241,31 @@ impl<B: PanelWeights> BatchEngine for FastSession<'_, '_, B> {
     }
 }
 
-impl<B: PanelWeights> BatchEngine for PagedEngine<'_, '_, B> {
+/// The paged engine over any weight source whose failures have a class: a
+/// weight fetch that fails mid-pass is an `EngineError::Fault`, a pool that
+/// cannot seat the pass is `OutOfPages`.
+impl<W: WeightSource> BatchEngine for Engine<W>
+where
+    EngineError: From<W::Error>,
+{
     fn max_slots(&self) -> usize {
-        PagedEngine::max_slots(self)
+        Engine::max_slots(self)
     }
 
     fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-        PagedEngine::prefill(self, slot, prompt).map_err(EngineError::from)
+        Engine::prefill(self, slot, prompt).map_err(StepError::into)
     }
 
     fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-        PagedEngine::decode(self, slots, out).map_err(EngineError::from)
+        Engine::decode(self, slots, out).map_err(StepError::into)
     }
 
     fn release(&mut self, slot: usize) {
-        PagedEngine::release(self, slot);
+        Engine::release(self, slot);
     }
 
     fn pages_for(&self, tokens: usize) -> usize {
-        PagedEngine::pages_for(self, tokens)
+        Engine::pages_for(self, tokens)
     }
 
     fn kv_stats(&self) -> Option<PageStats> {
@@ -223,19 +273,7 @@ impl<B: PanelWeights> BatchEngine for PagedEngine<'_, '_, B> {
     }
 
     fn attached_tokens(&self, slot: usize) -> usize {
-        PagedEngine::attached_tokens(self, slot)
-    }
-}
-
-/// The `kv_stats` of an engine that grows KV contiguously and meters it per
-/// token against a budget it reports but does not enforce: one-token pages.
-pub(crate) fn per_token_stats(budget: usize, in_use: usize, high_water: usize) -> PageStats {
-    PageStats {
-        pages_total: budget,
-        pages_in_use: in_use,
-        pages_free: budget.saturating_sub(in_use),
-        high_water,
-        page_tokens: 1,
+        Engine::attached_tokens(self, slot)
     }
 }
 
@@ -245,8 +283,10 @@ pub(crate) fn per_token_stats(budget: usize, in_use: usize, high_water: usize) -
 /// under the one scheduler loop). Faults surface as [`EngineError::Fault`]
 /// with the slot's sequence lost; the session is reset at the next
 /// `prefill` (teardown of a group never runs inside `release`, which the
-/// scheduler calls under its state lock). KV is metered per token against `token_budget`
-/// through `kv_stats`, exactly as the streamed engine does.
+/// scheduler calls under its state lock). The session grows its KV
+/// contiguously, so `kv_stats` meters it per token — one-token pages —
+/// against a `token_budget` that admission reads and nothing enforces on a
+/// resident.
 pub struct FtEngine {
     sess: FtSession,
     resident: bool,
@@ -290,8 +330,7 @@ impl BatchEngine for FtEngine {
         let tok = self
             .sess
             .begin(prompt)
-            .and_then(|()| self.sess.generate_step())
-            .map_err(|f| EngineError::classified(f.to_string()))?;
+            .and_then(|()| self.sess.generate_step())?;
         self.resident = true;
         self.high_water = self.high_water.max(self.tokens_in_use());
         Ok(tok)
@@ -310,7 +349,7 @@ impl BatchEngine for FtEngine {
                 // The sequence is unrecoverable: drop residency so the
                 // scheduler can reuse the slot after accounting the loss.
                 self.resident = false;
-                Err(EngineError::classified(f.to_string()))
+                Err(f.into())
             }
         }
     }
@@ -321,7 +360,14 @@ impl BatchEngine for FtEngine {
     }
 
     fn kv_stats(&self) -> Option<PageStats> {
-        Some(per_token_stats(self.token_budget, self.tokens_in_use(), self.high_water))
+        let in_use = self.tokens_in_use();
+        Some(PageStats {
+            pages_total: self.token_budget,
+            pages_in_use: in_use,
+            pages_free: self.token_budget.saturating_sub(in_use),
+            high_water: self.high_water,
+            page_tokens: 1,
+        })
     }
 }
 
@@ -463,12 +509,15 @@ impl<E: BatchEngine> BatchEngine for FaultyEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streamed::StreamedEngine;
     use dsi_model::fast::{PackedModel, QuantizedPackedModel};
+    use dsi_model::io::IoError;
+    use dsi_model::paged::PagedEngine;
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
     use dsi_parallel::supervisor::FtConfig;
-    use dsi_zero::offload::{OffloadConfig, OffloadStore};
+    use dsi_parallel::RankFailure;
+    use dsi_sim::fault::CollectiveError;
+    use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
     use std::sync::Arc;
 
     fn model(seed: u64) -> GptModel {
@@ -583,7 +632,7 @@ mod tests {
         };
         drop(probe);
         let store = OffloadStore::open(&path, tight).expect("open");
-        drive_lifecycle(&mut StreamedEngine::new(store, 3, 4096), f32_oracle, 0, "StreamedEngine");
+        drive_lifecycle(&mut Engine::new(store, 3, 32, 3), f32_oracle, 3, "Engine over the tier");
         let _ = std::fs::remove_file(path);
 
         for tp in [1, 2] {
@@ -783,15 +832,71 @@ mod tests {
         }
     }
 
+    /// Every variant's class, pinned — and equal to the class the keyword
+    /// shim gives the variant's `Display` string: the shim still serves
+    /// callers that hold only a message, so the two must not drift. The two
+    /// rows at the end are where keywords cannot agree with the type: they
+    /// bin by whatever a path, an OS detail or a panic payload happens to
+    /// say.
     #[test]
-    fn fault_classification_maps_known_messages() {
-        assert_eq!(FaultClass::classify("rank 2 timed out at epoch 7"), FaultClass::Timeout);
-        assert_eq!(FaultClass::classify("step stalled past deadline"), FaultClass::Timeout);
-        assert_eq!(FaultClass::classify("corrupted chunk from rank 1"), FaultClass::Corruption);
-        assert_eq!(FaultClass::classify("group poisoned by rank 0"), FaultClass::Panic);
-        assert_eq!(FaultClass::classify("rank 3 dropped its barrier"), FaultClass::Panic);
-        assert_eq!(FaultClass::classify("out of kv pages: need 2, 0 free"), FaultClass::Memory);
-        assert_eq!(FaultClass::classify("???"), FaultClass::Panic, "unknown defaults to Panic");
+    fn every_error_variant_has_a_class_and_the_shim_agrees_on_its_message() {
+        use FaultClass::{Corruption, Memory, Panic, Timeout};
+        fn shim(msg: String) -> FaultClass {
+            match EngineError::classified(msg) {
+                EngineError::Fault { class, .. } => class,
+                EngineError::OutOfPages { .. } => unreachable!("the shim only builds faults"),
+            }
+        }
+        assert_eq!(shim("step stalled past deadline".into()), Timeout);
+        assert_eq!(shim("out of kv pages: need 2, 0 free".into()), Memory);
+        assert_eq!(shim("???".into()), Panic, "unknown defaults to Panic");
+
+        let offload = [
+            (OffloadError::FailedOpen { path: "/w.bin".into(), detail: "not found".into() }, Panic),
+            (OffloadError::Io(IoError::Io(std::io::Error::other("disk gone"))), Panic),
+            (OffloadError::Io(IoError::BadMagic), Panic),
+            (OffloadError::Io(IoError::BadVersion(2)), Panic),
+            (OffloadError::Io(IoError::Corrupt("layer panel")), Corruption),
+            (OffloadError::Io(IoError::ChecksumMismatch { panel: 0 }), Corruption),
+            (OffloadError::Io(IoError::PanelWidth { file: 16, build: 32 }), Panic),
+            (OffloadError::ChecksumFailed { layer: 1, attempts: 3 }, Corruption),
+            (OffloadError::ShortReadFailed { layer: 1, attempts: 3 }, Corruption),
+            (OffloadError::HandleLost { layer: 2 }, Panic),
+            (OffloadError::FetchTimeout { layer: 3, waited_ms: 10 }, Timeout),
+            (OffloadError::BudgetExhausted { need: 10, budget: 5 }, Memory),
+        ];
+        for (e, want) in offload {
+            assert_eq!(FaultClass::from(&e), want, "{e:?}");
+            assert_eq!(shim(e.to_string()), want, "{e}");
+        }
+
+        let collective = |kind| RankFailureCause::Collective(CollectiveError { rank: 1, kind, epoch: 7 });
+        let causes = [
+            (collective(CollectiveErrorKind::Timeout { stalled: vec![0] }), Timeout),
+            (collective(CollectiveErrorKind::Poisoned), Panic),
+            (collective(CollectiveErrorKind::Corrupt { owner: 0 }), Corruption),
+            (collective(CollectiveErrorKind::InjectedExit), Panic),
+            (RankFailureCause::Panicked("index out of bounds".into()), Panic),
+            (RankFailureCause::Unjoined, Timeout),
+        ];
+        for (cause, want) in causes {
+            let last = RankFailure { rank: 1, cause };
+            for e in [
+                FaultError::RetriesExhausted { attempts: 3, last: last.clone() },
+                FaultError::Unrecoverable(last),
+            ] {
+                assert_eq!(FaultClass::from(&e), want, "{e:?}");
+                assert_eq!(shim(e.to_string()), want, "{e}");
+            }
+        }
+
+        let mounted = OffloadError::FailedOpen { path: "/mnt/pages/w.bin".into(), detail: "EIO".into() };
+        assert_eq!((FaultClass::from(&mounted), shim(mounted.to_string())), (Panic, Memory));
+        let oom = FaultError::RetriesExhausted {
+            attempts: 1,
+            last: RankFailure { rank: 0, cause: RankFailureCause::Panicked("memory allocation failed".into()) },
+        };
+        assert_eq!((FaultClass::from(&oom), shim(oom.to_string())), (Panic, Memory));
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //!   latency and throughput. This is the object the examples and the
 //!   benchmark harness drive; the paper's Figs. 6, 8, 10(b) and 13 are all
 //!   sweeps over its configuration space.
+//! * [`batch`] — [`batch::BatchEngine`], the slot lifecycle one scheduler
+//!   drives every executed engine through, and the one error taxonomy:
+//!   every failure an engine can surface has a [`batch::FaultClass`] by type.
+//! * [`streamed`] — what is specific to serving from the offload tier (its
+//!   errors' classes, a token-budget constructor); the engine is
+//!   `dsi_model::paged::Engine` whatever feeds its weights.
 //! * [`report`] — serializable result rows shared by the bench binaries so
 //!   every figure emits machine-readable JSON next to its human-readable
 //!   table.

@@ -1,168 +1,84 @@
-//! The streamed decode engine: [`BatchEngine`] over an
-//! [`OffloadStore`] — serve a model whose weight file exceeds the resident
+//! Streamed decode: serve a model whose weight file exceeds the resident
 //! budget, token-identical to the fully-resident fast path.
 //!
-//! The engine holds **no layer weights of its own**. Each pass is the one
-//! `dsi_model::fast::step` every resident engine runs, with the store as
-//! its weight source: per layer the store checks the panel out
-//! (`acquire(l)`, resident hit or demand fetch), queues `l+1..` for the
-//! prefetch worker, and the panel drops before the next layer's is acquired
-//! (release-before-refetch). The weight file stores each layer as the very
-//! `PackedLayer` floats the resident path packs in memory, copied out
-//! bit-exactly — so streamed greedy decode is bit-identical to the
-//! [`FastSession`] oracle by construction, at every prefetch depth and
-//! budget. The proptest suite pins this.
+//! There is no streamed engine. ZeRO-Inference is the same pipeline with
+//! the weights fetched layer by layer, so the engine is
+//! `dsi_model::paged::Engine` with an [`OffloadStore`] as its
+//! `WeightSource`: per layer the store checks the panel out, queues the
+//! next ones for its prefetch worker, and the panel drops before the next
+//! is acquired. Slots, page accounting, budget enforcement, prefix sharing
+//! and the fault contracts are the engine's, whichever source feeds it, and
+//! the file stores each layer as the very floats the resident path packs —
+//! so streamed greedy decode is bit-identical to the `FastSession` oracle
+//! by construction (`tests/offload_oracle.rs` pins it).
 //!
-//! Store failures surface as classified [`EngineError::Fault`]s (the
-//! `Display` strings of `OffloadError` land in the right `FaultClass`
-//! bins), so the continuous-batching scheduler's release-and-replay
-//! protocol and per-class breakers handle a dying weight tier exactly like
-//! any other engine fault. A faulted step leaves the slot's KV
-//! unspecified; the scheduler's release-all-before-replay makes that
-//! unobservable.
-//!
-//! [`FastSession`]: dsi_model::fast::FastSession
-//! [`EngineError::Fault`]: crate::batch::EngineError
+//! What lives here is what is specific to the tier: the [`FaultClass`] of
+//! each [`OffloadError`] variant — an exhaustive `match`, so a new variant
+//! does not compile until it has a class — which is how a dying tier
+//! reaches the scheduler's release-and-replay protocol and per-class
+//! breakers like any other engine fault; and the constructor that sizes
+//! the page pool from a token budget.
 
-use crate::batch::{per_token_stats, BatchEngine, EngineError};
-use dsi_model::fast::{self, argmax, Row, Scratch};
-use dsi_model::paged::PageStats;
-use dsi_model::reference::KvCache;
+use crate::batch::{EngineError, FaultClass};
+use dsi_model::io::IoError;
+use dsi_model::paged::Engine;
 use dsi_zero::offload::{OffloadError, OffloadStore};
 
-/// One slot's decode state besides its KV context: the greedy token emitted
-/// by the last pass (the next pass's input).
-struct StreamSlot {
-    last: usize,
-    busy: bool,
+impl From<&OffloadError> for FaultClass {
+    fn from(e: &OffloadError) -> Self {
+        match e {
+            // The tier refused the handle, or lost it under a reader.
+            OffloadError::FailedOpen { .. } | OffloadError::HandleLost { .. } => FaultClass::Panic,
+            OffloadError::Io(io) => match io {
+                IoError::Corrupt(_) | IoError::ChecksumMismatch { .. } => FaultClass::Corruption,
+                IoError::Io(_)
+                | IoError::BadMagic
+                | IoError::BadVersion(_)
+                | IoError::PanelWidth { .. } => FaultClass::Panic,
+            },
+            // Bytes that came back wrong on every bounded re-read.
+            OffloadError::ChecksumFailed { .. } | OffloadError::ShortReadFailed { .. } => {
+                FaultClass::Corruption
+            }
+            OffloadError::FetchTimeout { .. } => FaultClass::Timeout,
+            OffloadError::BudgetExhausted { .. } => FaultClass::Memory,
+        }
+    }
 }
 
-/// A multi-slot greedy decode engine streaming weights from an
-/// [`OffloadStore`]. Construct with [`StreamedEngine::new`]; drive through
-/// the [`BatchEngine`] surface (`dsi-serve` does).
-pub struct StreamedEngine {
-    store: OffloadStore,
-    scratch: Scratch,
-    slots: Vec<StreamSlot>,
-    /// `caches[s]` is slot `s`'s KV context.
-    caches: Vec<KvCache>,
-    /// Reused row list of the current pass.
-    rows: Vec<Row>,
-    /// Token-capacity budget reported through `kv_stats` (admission
-    /// metering at `page_tokens = 1`).
-    token_budget: usize,
-    high_water: usize,
+impl From<OffloadError> for EngineError {
+    fn from(e: OffloadError) -> Self {
+        EngineError::Fault { class: FaultClass::from(&e), msg: e.to_string() }
+    }
 }
+
+/// Where the paged engine over an [`OffloadStore`] is built from a token
+/// budget instead of a page geometry. Not a type of engine: the name is the
+/// spelling callers already use.
+pub enum StreamedEngine {}
 
 impl StreamedEngine {
-    /// `max_slots` concurrent sequences over `store`, reporting
-    /// `token_budget` total KV tokens to the scheduler's admission math
-    /// (single-flight discipline is `max_slots = 1`).
-    pub fn new(store: OffloadStore, max_slots: usize, token_budget: usize) -> Self {
-        assert!(max_slots > 0);
-        let c = store.config().clone();
-        StreamedEngine {
-            scratch: Scratch::new(&c, max_slots),
-            slots: (0..max_slots).map(|_| StreamSlot { last: 0, busy: false }).collect(),
-            caches: (0..max_slots)
-                .map(|_| KvCache::with_capacity(c.layers, c.hidden, c.max_seq))
-                .collect(),
-            rows: Vec::with_capacity(max_slots),
-            token_budget,
-            high_water: 0,
-            store,
-        }
-    }
-
-    /// The underlying store (stats, prefetcher health, test hooks).
-    pub fn store(&self) -> &OffloadStore {
-        &self.store
-    }
-
-    fn tokens_in_use(&self) -> usize {
-        self.slots
-            .iter()
-            .zip(&self.caches)
-            .filter(|(s, _)| s.busy)
-            .map(|(_, c)| c.context_len() + 1)
-            .sum()
-    }
-
-    /// One pass of `self.rows`. KV state after an `Err` is unspecified.
-    fn pass(&mut self) -> Result<(), OffloadError> {
-        fast::step(&self.store, &mut self.caches[..], &mut self.scratch, &self.rows)
-    }
-}
-
-fn classify(e: OffloadError) -> EngineError {
-    EngineError::classified(e.to_string())
-}
-
-impl BatchEngine for StreamedEngine {
-    fn max_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-        assert!(!prompt.is_empty(), "empty prompt");
-        assert!(!self.slots[slot].busy, "prefill into busy slot {slot}");
-        self.caches[slot].clear();
-        Row::prompt_pass(&mut self.rows, slot, 0, prompt);
-        if let Err(e) = self.pass() {
-            // Contract: on Err the slot stays free and holds nothing.
-            self.caches[slot].clear();
-            return Err(classify(e));
-        }
-        let vocab = self.store.config().vocab;
-        let next = argmax(self.scratch.logits_row(prompt.len() - 1, vocab));
-        let sq = &mut self.slots[slot];
-        sq.last = next;
-        sq.busy = true;
-        self.high_water = self.high_water.max(self.tokens_in_use());
-        Ok(next)
-    }
-
-    fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-        assert!(!slots.is_empty(), "decode_step: empty batch");
-        assert!(
-            slots.windows(2).all(|w| w[0] < w[1]),
-            "decode_step: slots must be strictly ascending"
-        );
-        self.rows.clear();
-        for &s in slots {
-            assert!(self.slots[s].busy, "decode_step on free slot {s}");
-            self.rows.push(Row {
-                seq: s,
-                token: self.slots[s].last,
-                pos: self.caches[s].context_len(),
-            });
-        }
-        self.pass().map_err(classify)?;
-        let vocab = self.store.config().vocab;
-        for (r, &i) in slots.iter().enumerate() {
-            let next = argmax(self.scratch.logits_row(r, vocab));
-            self.slots[i].last = next;
-            out.push(next);
-        }
-        self.high_water = self.high_water.max(self.tokens_in_use());
-        Ok(())
-    }
-
-    fn release(&mut self, slot: usize) {
-        self.caches[slot].clear();
-        self.slots[slot] = StreamSlot { last: 0, busy: false };
-    }
-
-    fn kv_stats(&self) -> Option<PageStats> {
-        Some(per_token_stats(self.token_budget, self.tokens_in_use(), self.high_water))
+    /// `max_slots` concurrent sequences over `store` with room for
+    /// `token_budget` KV tokens between them: `ceil(token_budget / 16)`
+    /// pages of 16 tokens (the page size `ContinuousConfig::default()`
+    /// serves with), plus one page per slot for the partial page each
+    /// resident may end on.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(store: OffloadStore, max_slots: usize, token_budget: usize) -> Engine<OffloadStore> {
+        const PAGE_TOKENS: usize = 16;
+        let pages = token_budget.div_ceil(PAGE_TOKENS) + max_slots;
+        Engine::new(store, max_slots, pages, PAGE_TOKENS)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsi_zero::offload::OffloadConfig;
+    use crate::batch::BatchEngine;
     use dsi_model::fast::PackedModel;
+    use dsi_sim::fault::{IoFaultKind, IoFaultPlan, IoFaultSite, IoFaultSpec};
+    use dsi_zero::offload::OffloadConfig;
+    use std::sync::Arc;
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
 
@@ -217,7 +133,7 @@ mod tests {
             let want = pm.session(p.len()).generate(p, 6);
             assert_eq!(streams[s], want, "slot {s}");
         }
-        assert!(eng.store().stats().evictions > 0, "tight budget must evict");
+        assert!(eng.weights().stats().evictions > 0, "tight budget must evict");
         let _ = std::fs::remove_file(path);
     }
 
@@ -233,6 +149,117 @@ mod tests {
         let again = eng.prefill(0, &[5, 6]).expect("prefill again");
         assert_eq!(first, again);
         assert_eq!(again, pm.session(2).generate(&[5, 6], 1)[0]);
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// The benchmark's shape: four residents of 28 tokens on a budget of
+    /// 4 × 28. At 16-token pages each resident ends on a partial page, which
+    /// is what the per-slot page of the sizing rule is for; and the budget
+    /// is now a pool the engine enforces, not a number it reports.
+    #[test]
+    fn token_budget_seats_every_slot_and_is_enforced() {
+        let (_m, path) = saved(1, 53, "budget");
+        let store = OffloadStore::open(&path, OffloadConfig::default()).expect("open");
+        let mut eng = StreamedEngine::new(store, 4, 4 * 28);
+        let kv = eng.kv_stats().expect("paged");
+        assert_eq!((kv.pages_total, kv.page_tokens), (7 + 4, 16));
+        let prompt: Vec<usize> = (0..16).collect();
+        let mut out = Vec::new();
+        for s in 0..4 {
+            eng.prefill(s, &prompt).expect("prefill");
+        }
+        for _ in 16..28 {
+            eng.decode_step(&[0, 1, 2, 3], &mut out).expect("every slot fits its 28 tokens");
+        }
+        assert_eq!(eng.kv_stats().unwrap().pages_in_use, 8);
+        // Two more pages' worth of growth per slot does not fit 11 pages.
+        let err = (28..48).find_map(|_| eng.decode_step(&[0, 1, 2, 3], &mut out).err());
+        assert!(matches!(err, Some(EngineError::OutOfPages { .. })), "{err:?}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// The contracts release-all-then-replay rests on, under a tier that
+    /// fails mid-pass. One-panel budget, two layers, dead prefetcher: every
+    /// read is a demand fetch on this thread, so the read calls are layer 0
+    /// at the open (call 0) and then each miss in pass order.
+    #[test]
+    fn tier_faults_mid_pass_commit_nothing_and_leak_nothing() {
+        let (m, path) = saved(2, 59, "faults");
+        let panel = OffloadStore::open(&path, OffloadConfig::default()).expect("probe").panel_bytes();
+        let at = |call, kind| IoFaultSpec { site: IoFaultSite::Read { call }, kind };
+        let plan = IoFaultPlan::new(vec![
+            // Layer 1 of the joiner's prompt pass: the handle dies.
+            at(5, IoFaultKind::FailOpen),
+            // Layer 1 of the two-slot decode step: the one read allowed
+            // comes back corrupt.
+            at(8, IoFaultKind::CorruptPanel),
+        ]);
+        let cfg = OffloadConfig {
+            resident_budget_bytes: panel,
+            read_retries: 0,
+            faults: Some(Arc::new(plan.injector())),
+            ..OffloadConfig::default()
+        };
+        let store = OffloadStore::open(&path, cfg).expect("open");
+        store.kill_prefetcher();
+        let mut eng = Engine::new(store, 2, 16, 2);
+        let pm = PackedModel::pack(&m);
+        let prompts = [vec![3usize, 1, 4, 1, 5], vec![3, 1, 4, 1, 7, 6]];
+        let want: Vec<Vec<usize>> =
+            prompts.iter().map(|p| pm.session(p.len()).generate(p, 5)).collect();
+        let class = |e: EngineError| match e {
+            EngineError::Fault { class, .. } => class,
+            other => panic!("expected a fault, got {other}"),
+        };
+
+        // Reads 1–3: slot 0 prefills (publishing two pages) and steps once.
+        let mut streams = [vec![eng.prefill(0, &prompts[0]).expect("prefill")], vec![]];
+        eng.decode_step(&[0], &mut streams[0]).expect("decode");
+        let books = |e: &Engine<OffloadStore>| {
+            let st = e.pool_stats();
+            (st.pages_in_use, st.pages_free)
+        };
+        let before = books(&eng);
+
+        // Reads 4–5: the joiner attaches those two pages, reserves one, and
+        // loses the tier at layer 1.
+        let err = BatchEngine::prefill(&mut eng, 1, &prompts[1]).unwrap_err();
+        assert_eq!(class(err), FaultClass::Panic, "HandleLost");
+        assert!(!eng.slot_in_use(1), "the slot stays free");
+        assert_eq!(books(&eng), before, "attached and reserved pages all went back");
+        // Nothing of the failed pass was published: the retry (reads 6; layer
+        // 0 is still resident) attaches exactly what slot 0 had published.
+        streams[1].push(BatchEngine::prefill(&mut eng, 1, &prompts[1]).expect("retry"));
+        assert_eq!(eng.attached_tokens(1), 4);
+
+        // Reads 7–8: the step reserves, then fails at layer 1.
+        let lens = [eng.context_len(0), eng.context_len(1)];
+        let mut out = Vec::new();
+        let err = eng.decode_step(&[0, 1], &mut out).unwrap_err();
+        assert_eq!(class(err), FaultClass::Corruption, "ChecksumFailed");
+        assert!(out.is_empty(), "no token emitted");
+        assert_eq!([eng.context_len(0), eng.context_len(1)], lens, "no slot advanced");
+        let st = eng.pool_stats();
+        assert_eq!(st.pages_total, st.pages_in_use + st.pages_free);
+
+        // What the scheduler does next: release everything, replay every
+        // committed prefix, carry on — bit-exact, over the shared pages.
+        eng.release(0);
+        eng.release(1);
+        assert_eq!(eng.pool_stats().pages_in_use, 0);
+        for (slot, (p, s)) in prompts.iter().zip(&streams).enumerate() {
+            let committed = [&p[..], &s[..s.len() - 1]].concat();
+            assert_eq!(BatchEngine::prefill(&mut eng, slot, &committed).expect("replay"), s[s.len() - 1]);
+        }
+        assert_eq!(eng.attached_tokens(1), 4);
+        while streams[1].len() < 5 {
+            out.clear();
+            eng.decode_step(&[0, 1], &mut out).expect("decode");
+            streams[0].push(out[0]);
+            streams[1].push(out[1]);
+        }
+        assert_eq!(streams[0][..5], want[0][..]);
+        assert_eq!(streams[1], want[1]);
         let _ = std::fs::remove_file(path);
     }
 }

@@ -1,8 +1,9 @@
 //! Allocation guard for the one decode step: steady-state decode must not
 //! allocate per token on the decode thread, whichever weight source and KV
-//! sink the step runs over — the solo `FastSession`, `PagedEngine::decode`
-//! at M = 4, and `StreamedEngine::decode_step` at M = 4 (all panels
-//! resident, so the tier's own fetches stay out of the count).
+//! sink the step runs over — the solo `FastSession`, and the paged engine
+//! at M = 4 over a resident packed model (`PagedEngine`) and over the
+//! offload tier (`StreamedEngine`; all panels resident, so the tier's own
+//! fetches stay out of the count).
 //!
 //! This file holds exactly one test so no concurrently running test shares
 //! the counting allocator; the counter is per thread, so the offload
@@ -83,6 +84,8 @@ fn steady_state_decode_does_not_allocate() {
     let path = std::env::temp_dir().join("dsi_decode_alloc.bin");
     dsi_model::io::save(&model, &path).expect("save");
     let store = OffloadStore::open(&path, OffloadConfig::default()).expect("open");
+    // 16-token pages: the 21 tokens a slot reaches here cross one page
+    // boundary, inside the page table's first allocation.
     let mut streamed = StreamedEngine::new(store, 4, 4096);
     assert_eq!(steady_state_allocs(&mut streamed, 4), 0, "StreamedEngine");
     drop(streamed);

@@ -1,10 +1,11 @@
-//! Property tests for the streamed decode engine: across model shapes ×
-//! prefetch depths × resident budgets (including budgets so tight every
-//! layer step evicts the previous panel mid-stream), greedy decode through
-//! [`StreamedEngine`] is **bit-identical** to the fully-resident
-//! [`FastSession`] oracle. This is the correctness half of the streaming
-//! weight offload: the layer kernels are shared free functions and the
-//! panels round-trip bit-exactly through the checksummed v2 file, so any
+//! Property tests for streamed decode: across model shapes × prefetch
+//! depths × resident budgets (including budgets so tight every layer step
+//! evicts the previous panel mid-stream), greedy decode through
+//! [`StreamedEngine`] — the paged engine over the offload tier — is
+//! **bit-identical** to the fully-resident [`FastSession`] oracle. This is
+//! the correctness half of the streaming weight offload: both run the one
+//! `fast::step` and the panels are copied bit-exactly out of the
+//! checksummed v3 file, which stores them in execution layout, so any
 //! divergence here is a prefetch/eviction bug, not a numerics question.
 //!
 //! [`FastSession`]: dsi_model::fast::FastSession
@@ -17,7 +18,7 @@ use dsi_model::zoo;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
-/// Save a fresh random model to a uniquely-named v2 weight file.
+/// Save a fresh random model to a uniquely-named weight file.
 fn saved(layers: usize, seed: u64, tag: &str) -> (GptModel, PathBuf) {
     let m = GptModel::random(zoo::tiny(layers), seed);
     let path = std::env::temp_dir().join(format!(
@@ -65,7 +66,7 @@ proptest! {
         for _ in 1..n {
             eng.decode_step(&[0], &mut got).expect("decode");
         }
-        let stats = eng.store().stats();
+        let stats = eng.weights().stats();
         let _ = std::fs::remove_file(&path);
 
         prop_assert_eq!(

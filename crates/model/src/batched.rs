@@ -3,15 +3,12 @@
 //! termination — the request-level structure that the paper's scheduling
 //! work (micro-batches of sequences, Sec. IV-C1) operates on.
 //!
-//! Greedy decode steps route through the packed M-row fast path
-//! ([`crate::fast::step`]): one ragged-batch forward
-//! advances every active sequence instead of the old one-model-call-per-
-//! sequence loop (kept as [`BatchSession::step_reference`], the oracle the
-//! fast route is proptested against). Sampled (non-greedy) decoding still
-//! uses the reference path — its RNG consumption is part of the session's
-//! observable behavior.
+//! This is reference-level code: a step is one reference forward per
+//! unfinished sequence, sampled in sequence order (the RNG consumption
+//! order is part of the session's observable behaviour). The executed
+//! batched path — one ragged M-row pass over packed weights and paged KV —
+//! is [`crate::paged::Engine`], which this session serves as an oracle for.
 
-use crate::fast::{self, PackedModel, Row, Scratch};
 use crate::reference::{GptModel, KvCache};
 use crate::sampling::Sampler;
 use dsi_kernels::tensor::Tensor;
@@ -37,16 +34,6 @@ pub struct BatchSession<'m> {
     pub eos: Option<usize>,
     /// Per-sequence generation cap.
     pub max_new_tokens: usize,
-    /// Lazily-packed fast path for greedy steps (packing is paid once, on
-    /// the first greedy step).
-    fast: Option<FastBatch<'m>>,
-}
-
-/// Packed weights + row-stacked scratch for the greedy M-row step route.
-struct FastBatch<'m> {
-    pm: PackedModel<'m>,
-    scratch: Scratch,
-    rows: Vec<Row>,
 }
 
 /// Summary of a completed batch run.
@@ -75,7 +62,6 @@ impl<'m> BatchSession<'m> {
             caches: prompts.iter().map(|_| KvCache::new(cfg.layers, cfg.hidden)).collect(),
             eos: None,
             max_new_tokens,
-            fast: None,
         }
     }
 
@@ -92,25 +78,10 @@ impl<'m> BatchSession<'m> {
         }
     }
 
-    /// One generation step: every unfinished sequence advances by one token.
-    /// Returns how many sequences are still active.
-    ///
-    /// Greedy sampling (`temperature <= 0`) consumes no randomness and is
-    /// argmax-deterministic, so it routes through the packed M-row forward:
-    /// one model call per step instead of one per sequence. Any other
-    /// configuration falls back to [`Self::step_reference`].
+    /// One generation step: every unfinished sequence advances by one
+    /// token, one reference forward each. Returns how many sequences are
+    /// still active.
     pub fn step(&mut self, sampler: &mut Sampler) -> usize {
-        if sampler.config.temperature <= 0.0 {
-            self.step_fast_greedy()
-        } else {
-            self.step_reference(sampler)
-        }
-    }
-
-    /// The original serial per-sequence step: one reference forward per
-    /// unfinished sequence. Kept as the oracle the fast greedy route is
-    /// proptested against, and as the path for sampled decoding.
-    pub fn step_reference(&mut self, sampler: &mut Sampler) -> usize {
         for (s, cache) in self.sequences.iter_mut().zip(&mut self.caches) {
             if s.finished {
                 continue;
@@ -118,41 +89,6 @@ impl<'m> BatchSession<'m> {
             let last = *s.tokens.last().unwrap();
             let logits = self.model.forward(&[last], cache);
             let next = sampler.sample(logits.row(0));
-            s.tokens.push(next);
-            s.generated += 1;
-            if Some(next) == self.eos || s.generated >= self.max_new_tokens {
-                s.finished = true;
-            }
-        }
-        self.sequences.iter().filter(|s| !s.finished).count()
-    }
-
-    /// Greedy step through the M-row fast path: all unfinished sequences
-    /// advance in a single ragged-batch forward over packed weights.
-    fn step_fast_greedy(&mut self) -> usize {
-        let model = self.model;
-        let batch = self.sequences.len();
-        let fb = self.fast.get_or_insert_with(|| FastBatch {
-            pm: PackedModel::pack(model),
-            scratch: Scratch::new(&model.config, batch),
-            rows: Vec::with_capacity(batch),
-        });
-        fb.rows.clear();
-        for (i, s) in self.sequences.iter().enumerate().filter(|(_, s)| !s.finished) {
-            fb.rows.push(Row {
-                seq: i,
-                token: *s.tokens.last().unwrap(),
-                pos: self.caches[i].context_len(),
-            });
-        }
-        if fb.rows.is_empty() {
-            return 0;
-        }
-        let Ok(()) = fast::step(&fb.pm, &mut self.caches[..], &mut fb.scratch, &fb.rows);
-        let vocab = model.config.vocab;
-        for (r, row) in fb.rows.iter().enumerate() {
-            let next = fast::argmax(fb.scratch.logits_row(r, vocab));
-            let s = &mut self.sequences[row.seq];
             s.tokens.push(next);
             s.generated += 1;
             if Some(next) == self.eos || s.generated >= self.max_new_tokens {

@@ -197,9 +197,9 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
 // The fused forward pass: ONE step, generic over where the weights come
 // from and where the KV rows go.
 //
-// Every executed engine — the resident [`FastSession`],
-// `paged::PagedEngine`, and `dsi-core`'s streamed engine (which holds only
-// a window of layer panels resident at a time) —
+// Every executed engine — the resident [`FastSession`] and `paged::Engine`
+// over a packed model or over an offload tier (which holds only a window of
+// layer panels resident at a time) —
 // drives this one function, so "paged / batched / streamed decode is
 // token-identical to the solo resident oracle" holds by construction: the
 // paths cannot drift apart numerically, only in where a `PackedLayer` came
@@ -271,9 +271,42 @@ impl<B: PanelWeights> WeightSource for PackedModel<'_, B> {
     }
 }
 
+/// A borrowed source is a source, so an engine can own its tier or borrow a
+/// resident model through the same type parameter. `#[inline]` for the same
+/// reason as on [`KvSink`]: these forward once per layer inside [`step`].
+impl<T: WeightSource> WeightSource for &T {
+    type B = T::B;
+    type Layer<'a>
+        = T::Layer<'a>
+    where
+        Self: 'a;
+    type Error = T::Error;
+
+    #[inline]
+    fn config(&self) -> &GptConfig {
+        T::config(self)
+    }
+    #[inline]
+    fn embeddings(&self) -> (&Tensor, &Tensor) {
+        T::embeddings(self)
+    }
+    #[inline]
+    fn lnf(&self) -> (&[f32], &[f32]) {
+        T::lnf(self)
+    }
+    #[inline]
+    fn logits_w(&self) -> &T::B {
+        T::logits_w(self)
+    }
+    #[inline]
+    fn layer(&self, l: usize) -> Result<T::Layer<'_>, T::Error> {
+        T::layer(self, l)
+    }
+}
+
 /// Where a pass's K/V rows go and where attention reads them back from:
 /// contiguous per-sequence caches (`[KvCache]`), or a shared page pool
-/// addressed through per-sequence page tables (`paged::PagedEngine`).
+/// addressed through per-sequence page tables (`paged::Engine`).
 /// Implementations mark both methods `#[inline]`: they run once per row per
 /// layer inside [`step`], which is monomorphised in the *calling* crate, and
 /// a non-generic method is not inlined across crates without it (measured:

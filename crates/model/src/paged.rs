@@ -16,8 +16,11 @@
 //!   resolve through the table via `fused::attention_row_paged_into`, whose
 //!   FLOP sequence is shared with the contiguous kernel — paged decode is
 //!   **bit-identical** to [`crate::fast::FastSession`], not merely close.
-//! * [`PagedEngine`] hosts up to `max_slots` concurrent sequences over one
-//!   packed model and one scratch arena: `prefill` admits a prompt into a
+//! * [`Engine`] hosts up to `max_slots` concurrent sequences over one
+//!   [`WeightSource`] and one scratch arena — a resident packed model
+//!   ([`PagedEngine`], the alias the serving path and the benchmark name) or
+//!   an offload tier that hands layer panels out one at a time; the slot
+//!   lifecycle is the same code either way: `prefill` admits a prompt into a
 //!   free slot (attaching the prompt pages some earlier prompt already
 //!   filled and reserving the rest up front, all-or-nothing) and computes
 //!   only the rows nobody has computed, `decode` advances any subset of
@@ -25,7 +28,8 @@
 //!   granularity *per step*), and `release` drops a retired sequence's
 //!   references, returning the pages nobody else holds to the free list.
 //!   This is the execution surface `dsi-serve`'s continuous-batching
-//!   scheduler drives.
+//!   scheduler drives. A weight fetch that fails mid-pass ([`StepError::Weights`])
+//!   commits nothing: see [`Engine::prefill`] and [`Engine::decode`].
 //!
 //! ## Prefix sharing
 //!
@@ -62,9 +66,8 @@
 //!
 //! [`reserve`]: PagePool::reserve
 
-use crate::config::GptConfig;
-use crate::fast::{self, argmax, KvSink, PackedModel, Row, Scratch};
-use dsi_kernels::blocked::{PackedB, PanelWeights};
+use crate::fast::{self, argmax, KvSink, PackedModel, Row, Scratch, WeightSource};
+use dsi_kernels::blocked::PackedB;
 use dsi_kernels::fused::{self, PagedKvView};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -87,6 +90,16 @@ impl std::fmt::Display for PagesExhausted {
 }
 
 impl std::error::Error for PagesExhausted {}
+
+/// Why an [`Engine`] pass did not run to completion: the pool could not seat
+/// it (nothing moved — a scheduling signal), or the weight source failed
+/// under it (`Infallible` for a resident [`PackedModel`], so that variant
+/// does not exist there).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepError<E> {
+    Pages(PagesExhausted),
+    Weights(E),
+}
 
 /// One sequence's page table plus its committed context length.
 #[derive(Debug, Default, Clone)]
@@ -418,10 +431,10 @@ impl KvSink for PagedKv<'_> {
     }
 }
 
-/// Multi-slot decode engine over one packed model and one [`PagePool`].
+/// Multi-slot decode engine over one [`WeightSource`] and one [`PagePool`].
 /// See the module docs for the slot lifecycle.
-pub struct PagedEngine<'p, 'm, B = PackedB> {
-    pm: &'p PackedModel<'m, B>,
+pub struct Engine<W> {
+    w: W,
     pool: PagePool,
     /// `seqs[slot]` is the slot's page table (empty while the slot is free).
     seqs: Vec<PagedSeq>,
@@ -433,25 +446,30 @@ pub struct PagedEngine<'p, 'm, B = PackedB> {
     rows: Vec<Row>,
 }
 
-impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
+/// The engine over a resident packed model, borrowed.
+pub type PagedEngine<'p, 'm, B = PackedB> = Engine<&'p PackedModel<'m, B>>;
+
+impl<W: WeightSource> Engine<W> {
     /// An engine with `max_slots` sequence slots over a pool of
     /// `pages_total` pages of `page_tokens` tokens each.
-    pub fn new(
-        pm: &'p PackedModel<'m, B>,
-        max_slots: usize,
-        pages_total: usize,
-        page_tokens: usize,
-    ) -> Self {
+    pub fn new(w: W, max_slots: usize, pages_total: usize, page_tokens: usize) -> Self {
         assert!(max_slots > 0);
-        let c = pm.config();
-        PagedEngine {
-            pool: PagePool::new(c.layers, c.hidden, pages_total, page_tokens),
+        let c = w.config();
+        let pool = PagePool::new(c.layers, c.hidden, pages_total, page_tokens);
+        let scratch = Scratch::new(c, max_slots);
+        Engine {
+            pool,
             seqs: vec![PagedSeq::new(); max_slots],
             last: vec![None; max_slots],
-            scratch: Scratch::new(c, max_slots),
+            scratch,
             rows: Vec::with_capacity(max_slots),
-            pm,
+            w,
         }
+    }
+
+    /// The weight source (tier statistics, test hooks).
+    pub fn weights(&self) -> &W {
+        &self.w
     }
 
     pub fn max_slots(&self) -> usize {
@@ -491,15 +509,13 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
         self.seqs.iter().filter(|s| !s.pages.is_empty()).map(|s| (s.pages(), s.len)).collect()
     }
 
-    pub fn config(&self) -> &GptConfig {
-        self.pm.config()
-    }
-
     /// Admit a prompt into free `slot`: attach the prompt pages already
     /// resident and reserve the rest (all-or-nothing), run the prompt pass
     /// over the rows nobody has computed, and return the first greedy
-    /// token. On `Err` the slot stays free and no page is held.
-    pub fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, PagesExhausted> {
+    /// token. On `Err` — no room, or a weight fetch failed mid-pass — the
+    /// slot stays free, every page the prompt reserved or attached is
+    /// released, and nothing was published.
+    pub fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, StepError<W::Error>> {
         assert!(!self.slot_in_use(slot), "prefill into occupied slot {slot}");
         assert!(!prompt.is_empty(), "empty prompt");
         // The table is published into the slot (and its pages into the
@@ -507,11 +523,14 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
         // slot stays free for the scheduler's replay and nothing can attach
         // to rows that were never finished.
         let mut seq = PagedSeq::new();
-        let offset = self.pool.reserve_prompt(&mut seq, prompt)?;
+        let offset = self.pool.reserve_prompt(&mut seq, prompt).map_err(StepError::Pages)?;
         Row::prompt_pass(&mut self.rows, 0, offset, &prompt[offset..]);
         let mut kv = PagedKv { pool: &mut self.pool, seqs: std::slice::from_ref(&seq) };
-        let Ok(()) = fast::step(self.pm, &mut kv, &mut self.scratch, &self.rows);
-        let tok = argmax(self.scratch.logits_row(self.rows.len() - 1, self.pm.config().vocab));
+        if let Err(e) = fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows) {
+            self.pool.release(&mut seq);
+            return Err(StepError::Weights(e));
+        }
+        let tok = argmax(self.scratch.logits_row(self.rows.len() - 1, self.w.config().vocab));
         self.pool.commit_prompt(&mut seq, prompt);
         self.seqs[slot] = seq;
         self.last[slot] = Some(tok);
@@ -521,9 +540,18 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
     /// Advance the given occupied slots (strictly ascending) one token each
     /// in a single ragged M-row pass, pushing each new token to `out` in
     /// `slots` order. Page reservation for the step happens **before any
-    /// compute**, atomically across the batch: on `Err` no slot advanced
-    /// and no page moved, so the scheduler can retire a victim and retry.
-    pub fn decode(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), PagesExhausted> {
+    /// compute**, atomically across the batch: on `Err(Pages)` no slot
+    /// advanced and no page moved, so the scheduler can retire a victim and
+    /// retry. On `Err(Weights)` no slot advanced and no token was emitted
+    /// either; the step's pages stay reserved in their tables and the rows
+    /// at each stepped slot's frontier — its private tail page, never a
+    /// published one — are unspecified until the slot is released or
+    /// stepped again.
+    pub fn decode(
+        &mut self,
+        slots: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), StepError<W::Error>> {
         assert!(!slots.is_empty(), "decode: empty batch");
         assert!(
             slots.windows(2).all(|w| w[0] < w[1]),
@@ -539,14 +567,14 @@ impl<'p, 'm, B: PanelWeights> PagedEngine<'p, 'm, B> {
             self.rows.push(Row { seq: si, token, pos: seq.len });
         }
         if needed > self.pool.free.len() {
-            return Err(PagesExhausted { needed, free: self.pool.free.len() });
+            return Err(StepError::Pages(PagesExhausted { needed, free: self.pool.free.len() }));
         }
         for &si in slots {
             self.pool.reserve(&mut self.seqs[si], 1).expect("reservation pre-checked");
         }
         let mut kv = PagedKv { pool: &mut self.pool, seqs: &self.seqs };
-        let Ok(()) = fast::step(self.pm, &mut kv, &mut self.scratch, &self.rows);
-        let vocab = self.pm.config().vocab;
+        fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows).map_err(StepError::Weights)?;
+        let vocab = self.w.config().vocab;
         for (r, &si) in slots.iter().enumerate() {
             let next = argmax(self.scratch.logits_row(r, vocab));
             self.seqs[si].len += 1;
@@ -890,7 +918,7 @@ mod tests {
                     let ctx = [&prompts[s][..], &outs[s][..outs[s].len() - 1]].concat();
                     let tok = eng
                         .prefill(s, &ctx)
-                        .unwrap_or_else(|e| panic!("steps {steps} order {order:?} slot {s}: {e}"));
+                        .unwrap_or_else(|e| panic!("steps {steps} order {order:?} slot {s}: {e:?}"));
                     assert_eq!(tok, *outs[s].last().unwrap());
                 }
                 assert!(eng.pool_stats().pages_in_use <= demand);
@@ -919,7 +947,7 @@ mod tests {
         let mut active = vec![0usize, 1, 2];
         let mut out = Vec::new();
         let mut shed = 0;
-        while let Err(e) = eng.decode(&active, &mut out) {
+        while let Err(StepError::Pages(e)) = eng.decode(&active, &mut out) {
             assert_eq!(e.free, shed, "a shed sharer frees its one private page, no shared one");
             let victim = active.pop().expect("the loop ends before the batch is empty");
             eng.release(victim);
@@ -943,8 +971,7 @@ mod tests {
         eng.decode(&[0], &mut out).unwrap();
         // Position 4 needs a third page: typed failure, nothing advanced.
         let err = eng.decode(&[0], &mut out).unwrap_err();
-        assert_eq!(err.needed, 1);
-        assert_eq!(err.free, 0);
+        assert_eq!(err, StepError::Pages(PagesExhausted { needed: 1, free: 0 }));
         assert_eq!(eng.context_len(0), before + 1);
         assert_eq!(out.len(), 1);
         // Releasing the resident frees everything.
@@ -959,7 +986,7 @@ mod tests {
         let pm = PackedModel::pack(&m);
         let mut eng = PagedEngine::new(&pm, 1, 2, 2);
         let err = eng.prefill(0, &[1, 2, 3, 4, 5]).unwrap_err();
-        assert_eq!(err, PagesExhausted { needed: 3, free: 2 });
+        assert_eq!(err, StepError::Pages(PagesExhausted { needed: 3, free: 2 }));
         assert!(!eng.slot_in_use(0));
         assert_eq!(eng.pool_stats().pages_in_use, 0);
     }

@@ -52,18 +52,18 @@ use dsi_sim::CollectiveErrorKind;
 use serde::Serialize;
 
 use crate::tp_exec::{
-    panic_payload_to_string, RankFailureCause, TpPackedModel, TpSession,
+    panic_payload_to_string, RankFailure, RankFailureCause, TpPackedModel, TpSession,
 };
 
 /// Terminal failure of a fault-tolerant decode: retries and degradation
 /// could not produce a working group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultError {
-    /// The retry budget ran out; `last` describes the final fault.
-    RetriesExhausted { attempts: u32, last: String },
-    /// No feasible group remains (e.g. every rank's memory was lost and the
-    /// model cannot be resharded).
-    Unrecoverable(String),
+    /// The retry budget ran out; `last` is the step failure that spent it.
+    RetriesExhausted { attempts: u32, last: RankFailure },
+    /// No feasible group remains: the step failure took the last rank's
+    /// memory with it at tp=1, so there is nothing to reshard onto.
+    Unrecoverable(RankFailure),
 }
 
 impl std::fmt::Display for FaultError {
@@ -72,7 +72,9 @@ impl std::fmt::Display for FaultError {
             FaultError::RetriesExhausted { attempts, last } => {
                 write!(f, "retries exhausted after {attempts} attempts (last fault: {last})")
             }
-            FaultError::Unrecoverable(s) => write!(f, "unrecoverable fault: {s}"),
+            FaultError::Unrecoverable(last) => {
+                write!(f, "unrecoverable fault: the last rank was lost at tp=1 ({last})")
+            }
         }
     }
 }
@@ -131,23 +133,6 @@ pub struct FtReport {
     pub rows_salvaged: usize,
     /// KV rows re-prefilled across all rebuilds.
     pub rows_replayed: usize,
-}
-
-/// How a supervised step failed: a typed collective error from any rank, or
-/// rank 0's own panic (caught by the supervisor's unwind guard).
-#[derive(Debug)]
-enum StepFailure {
-    Collective(dsi_sim::CollectiveError),
-    Rank0Panic(String),
-}
-
-impl std::fmt::Display for StepFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StepFailure::Collective(e) => write!(f, "{e}"),
-            StepFailure::Rank0Panic(p) => write!(f, "rank 0 panicked: {p}"),
-        }
-    }
 }
 
 /// The largest TP degree `d ≤ survivors` with `heads.is_multiple_of(*d)` (degree 1 is
@@ -378,7 +363,7 @@ impl FtSession {
 
     /// Run one step on the live group, converting rank 0's own unwind into
     /// a typed failure (scripted panics can target rank 0 too).
-    fn catch_step(&mut self, tokens: &[usize]) -> Result<(), StepFailure> {
+    fn catch_step(&mut self, tokens: &[usize]) -> Result<(), RankFailure> {
         let sess = self.sess.as_mut().expect("live session");
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if tokens.len() == 1 && sess.context_len() > 0 {
@@ -389,12 +374,15 @@ impl FtSession {
         }));
         match res {
             Ok(Ok(())) => Ok(()),
-            Ok(Err(e)) => Err(StepFailure::Collective(e)),
+            Ok(Err(e)) => Err(RankFailure { rank: e.rank, cause: RankFailureCause::Collective(e) }),
             Err(payload) => {
                 // The unwind tore through the step: mark rank 0's memory
                 // untrustworthy so dismantle does not salvage it.
                 self.sess.as_mut().expect("live session").note_rank0_panic();
-                Err(StepFailure::Rank0Panic(panic_payload_to_string(payload)))
+                Err(RankFailure {
+                    rank: 0,
+                    cause: RankFailureCause::Panicked(panic_payload_to_string(payload)),
+                })
             }
         }
     }
@@ -402,7 +390,7 @@ impl FtSession {
     /// Dismantle the failed group, classify the fault, and prepare the next
     /// attempt: backoff-retry at the same degree for transient faults,
     /// degrade to fewer ranks for permanent ones.
-    fn handle_fault(&mut self, failure: StepFailure, attempt: &mut u32) -> Result<(), FaultError> {
+    fn handle_fault(&mut self, failure: RankFailure, attempt: &mut u32) -> Result<(), FaultError> {
         let sess = self.sess.take().expect("failed session");
         let old_tp = self.tp;
         let d = sess.dismantle();
@@ -411,8 +399,8 @@ impl FtSession {
         // Permanent = some rank's memory is gone: a caught panic, a scripted
         // crash (InjectedExit), or a thread wedged past the join deadline.
         let mut lost = vec![false; old_tp];
-        if let StepFailure::Rank0Panic(_) = &failure {
-            lost[0] = true;
+        if let RankFailureCause::Panicked(_) = &failure.cause {
+            lost[failure.rank] = true;
         }
         for f in &d.failures {
             self.report.faults.push(format!("tp={old_tp} rank {}: {}", f.rank, f.cause));
@@ -431,19 +419,14 @@ impl FtSession {
 
         *attempt += 1;
         if *attempt > self.cfg.retry.max_retries {
-            return Err(FaultError::RetriesExhausted {
-                attempts: *attempt,
-                last: failure.to_string(),
-            });
+            return Err(FaultError::RetriesExhausted { attempts: *attempt, last: failure });
         }
 
         let survivors = old_tp - lost.iter().filter(|&&l| l).count();
         if lost.iter().any(|&l| l) {
             // Permanent: degrade to the widest feasible surviving degree.
             if survivors == 0 && old_tp == 1 {
-                return Err(FaultError::Unrecoverable(format!(
-                    "the last rank was lost at tp=1 ({failure})"
-                )));
+                return Err(FaultError::Unrecoverable(failure));
             }
             let new_tp = degrade_tp(self.model.config.heads, survivors.max(1));
             self.report.degradations.push((old_tp, new_tp));

@@ -211,7 +211,7 @@ struct TpShared {
 // --- worker exit reporting --------------------------------------------------
 
 /// Why a rank left the group.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RankFailureCause {
     /// A collective call failed typed (timeout / poison / corrupt chunk /
     /// scripted crash).
@@ -233,11 +233,22 @@ impl std::fmt::Display for RankFailureCause {
     }
 }
 
-/// One rank's failure, as reported by [`TpSession::dismantle`].
-#[derive(Debug)]
+/// One rank's failure, as reported by [`TpSession::dismantle`] and carried
+/// by the supervisor's terminal `FaultError::RetriesExhausted`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankFailure {
     pub rank: usize,
     pub cause: RankFailureCause,
+}
+
+impl std::fmt::Display for RankFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.cause {
+            // A collective error names its reporting rank itself.
+            RankFailureCause::Collective(e) => write!(f, "{e}"),
+            cause => write!(f, "rank {} {cause}", self.rank),
+        }
+    }
 }
 
 /// A worker thread's exit report, sent over the salvage channel.

@@ -39,9 +39,9 @@
 //! worker loop. The engines it fronts differ in slot count and page
 //! geometry only ([`server::EngineMode`]): one slot over the fault-tolerant
 //! tensor-parallel [`FtSession`](dsi_parallel::supervisor::FtSession)
-//! (single-flight), a paged multi-slot
-//! [`PagedEngine`](dsi_model::paged::PagedEngine) (continuous), or a
-//! streamed-weights engine ([`Server::start_streamed`]).
+//! (single-flight), or the paged multi-slot
+//! [`Engine`](dsi_model::paged::Engine) over a resident packed model
+//! (continuous) or over the offload tier ([`Server::start_streamed`]).
 
 pub mod breaker;
 pub mod scheduler;

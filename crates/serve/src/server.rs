@@ -14,10 +14,11 @@
 //!   fault-tolerant tensor-parallel
 //!   [`FtSession`](dsi_parallel::supervisor::FtSession) (`FtEngine`), KV
 //!   metered per token against [`ServeConfig::kv_budget_tokens`];
-//! * [`Server::start`] + [`EngineMode::Continuous`] — a multi-slot
-//!   [`PagedEngine`](dsi_model::paged::PagedEngine) over a shared page pool;
-//! * [`Server::start_streamed`] — a `dsi_core::StreamedEngine` whose weights
-//!   stream from an offload tier, KV metered per token.
+//! * [`Server::start`] + [`EngineMode::Continuous`] — the multi-slot
+//!   [`paged::Engine`](dsi_model::paged::Engine) over a shared page pool
+//!   and a resident packed model;
+//! * [`Server::start_streamed`] — the same engine, the same pool geometry,
+//!   its weights streamed from an offload tier.
 //!
 //! * **Bounded admission** — [`Server::submit`] either admits a request
 //!   into a bounded queue or rejects it *typed* ([`Rejected`]): the queue
@@ -63,9 +64,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dsi_core::{BatchEngine, FaultClass, FaultyEngine, FtEngine, StreamedEngine};
+use dsi_core::{BatchEngine, FaultClass, FaultyEngine, FtEngine};
 use dsi_model::fast::PackedModel;
-use dsi_model::paged::PagedEngine;
+use dsi_model::paged::Engine;
 use dsi_model::reference::GptModel;
 use dsi_model::GptConfig;
 use dsi_parallel::supervisor::{FtConfig, FtReport, FtSession, RetryPolicy};
@@ -98,8 +99,8 @@ pub enum EngineMode {
     SingleFlight,
     /// Continuous batching over a paged multi-slot engine: admit into
     /// slots every step, ragged M-row decode, mid-batch retirement.
-    /// [`Server::start_streamed`] reads the same sizing for the streamed
-    /// engine (which meters the same token capacity one token per page).
+    /// [`Server::start_streamed`] builds the same engine over the same pool
+    /// geometry, fed from the offload tier.
     Continuous(ContinuousConfig),
 }
 
@@ -174,7 +175,10 @@ pub struct ServeConfig {
     /// Bounded admission queue depth (requests waiting, excluding running).
     pub queue_capacity: usize,
     /// Single-flight KV pool size in tokens of context (the pool is sized
-    /// by [`ContinuousConfig`] otherwise); see [`kv_budget_tokens`].
+    /// by [`ContinuousConfig`] otherwise); see [`kv_budget_tokens`]. The TP
+    /// session grows its KV contiguously, so under [`Server::start`] this is
+    /// an admission budget; under [`Server::start_streamed`] it is a pool of
+    /// that many one-token pages, allocated and enforced.
     pub kv_budget_tokens: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
@@ -532,7 +536,7 @@ impl Server {
             EngineMode::SingleFlight => Self::start_single_flight(model, cfg, cont),
             EngineMode::Continuous(_) => Self::spawn(cfg, cont, move |w| {
                 let pm = PackedModel::pack(&model);
-                w.run(PagedEngine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens));
+                w.run(Engine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens));
             }),
         }
     }
@@ -563,18 +567,17 @@ impl Server {
     /// as a typed `Err` here, before any thread exists. The scheduler,
     /// admission, breakers, watchdog, and drain are the ones every engine
     /// gets; `offload` controls the resident budget, prefetch depth, fetch
-    /// deadlines, and I/O fault injection. The tier meters KV per token:
-    /// the capacity `cfg.mode` sizes, at one token per page.
+    /// deadlines, and I/O fault injection. The engine is the paged engine
+    /// [`Server::start`] builds, over the pool `cfg.mode` sizes: real pages,
+    /// an enforced budget and prefix sharing, whatever feeds the weights.
     pub fn start_streamed(
         path: impl AsRef<Path>,
         offload: OffloadConfig,
         cfg: ServeConfig,
     ) -> Result<Server, OffloadError> {
-        let c = sizing(&cfg);
-        let cont =
-            ContinuousConfig { pages_total: c.pages_total * c.page_tokens, page_tokens: 1, ..c };
+        let cont = sizing(&cfg);
         let store = OffloadStore::open(path, offload)?;
-        let eng = StreamedEngine::new(store, cont.max_slots, cont.pages_total);
+        let eng = Engine::new(store, cont.max_slots, cont.pages_total, cont.page_tokens);
         Ok(Self::spawn(cfg, cont, move |w| {
             w.run(eng);
         }))

@@ -1,14 +1,17 @@
 //! Chaos sweep for the streamed weight-offload serving path.
 //!
-//! Ten seeded scenarios serve a model **bigger than the resident budget**
-//! through `Server::start_streamed` while a scripted I/O fault storm
+//! Fourteen seeded scenarios serve a model **bigger than the resident
+//! budget** through `Server::start_streamed` — the paged engine over the
+//! offload tier, 2-token pages — while a scripted I/O fault storm
 //! (`dsi_sim::fault::IoFaultPlan::random`) batters the weight tier:
 //! slow-tier reads stalling past the step deadline, short reads, panel
 //! corruption (re-read under checksum), and failed fetch handles — the
 //! last of which kills the prefetch worker outright and forces the store
 //! to degrade to synchronous fetch. The usual client churn rides on top:
 //! immediate cancellations, tight per-request deadlines, ~2× KV-budget
-//! overload.
+//! overload. Seeds 10.. open every prompt with one of two 5-token prefixes
+//! over a pool sized to the *shared* demand, so a recovery from a tier
+//! fault has to re-attach to the shared pages to fit.
 //!
 //! Every seed must hold the full contract:
 //!
@@ -21,6 +24,8 @@
 //!   to a resident un-faulted oracle of the same prompt, and every partial
 //!   is an exact prefix of it: neither a corrupt panel nor a mid-stream
 //!   eviction ever commits a wrong token.
+//! * **The pool's books hold** — `fragmentation == 0` at drain, and the
+//!   shared-prefix seeds did attach pages.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,16 +64,26 @@ fn streamed_io_fault_storms_recover_bit_exact() {
     let mut total_completed = 0u64;
     let mut total_recoveries = 0u64;
     let mut total_open_failures = 0u64;
+    let mut shared_attached = 0u64;
 
-    for seed in 0u64..10 {
+    for seed in 0u64..14 {
         let mut rng = seed.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(3);
+        // Seeds 10.. put a 5-token prefix (two whole 2-token pages and a
+        // bit) from one of two families in front of every prompt.
+        let shared = seed >= 10;
 
         let n_requests = 12usize;
         let requests: Vec<(Vec<usize>, usize)> = (0..n_requests)
             .map(|_| {
-                let plen = 2 + (splitmix(&mut rng) % 4) as usize;
-                let prompt: Vec<usize> =
-                    (0..plen).map(|_| (splitmix(&mut rng) % 50) as usize + 1).collect();
+                let mut prompt: Vec<usize> = if shared {
+                    let family = splitmix(&mut rng) % 2;
+                    (0..5).map(|j| (60 + 10 * family + j) as usize).collect()
+                } else {
+                    Vec::new()
+                };
+                let plen =
+                    if shared { 1 + splitmix(&mut rng) % 3 } else { 2 + splitmix(&mut rng) % 4 };
+                prompt.extend((0..plen).map(|_| (splitmix(&mut rng) % 50) as usize + 1));
                 let n_tokens = 3 + (splitmix(&mut rng) % 6) as usize;
                 (prompt, n_tokens)
             })
@@ -99,8 +114,10 @@ fn streamed_io_fault_storms_recover_bit_exact() {
         let mut cfg = ServeConfig::new(1);
         cfg.mode = EngineMode::Continuous(ContinuousConfig {
             max_slots: 3,
-            pages_total: 28, // KV tokens: ~2 full requests resident at once
-            page_tokens: 1,
+            // ~2 full requests resident at once: 13 tokens unshared, 16
+            // behind a prefix whose two pages the residents hold once.
+            pages_total: if shared { 16 } else { 14 },
+            page_tokens: 2,
             replay_budget: 4,
             step_deadline: Some(Duration::from_millis(50)),
             ..ContinuousConfig::default()
@@ -180,7 +197,10 @@ fn streamed_io_fault_storms_recover_bit_exact() {
         assert_eq!(class_sum, report.breaker_opens, "seed {seed}: per-class opens mismatch");
 
         let sched = report.scheduler.expect("streamed scheduler report");
-        assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: token-page fragmentation");
+        assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: page fragmentation");
+        if shared {
+            shared_attached += sched.prompt_tokens_attached;
+        }
         total_recoveries += sched.recoveries;
         total_completed += completed;
     }
@@ -194,6 +214,7 @@ fn streamed_io_fault_storms_recover_bit_exact() {
         total_recoveries + total_open_failures > 0,
         "sweep never surfaced an I/O fault to the runtime"
     );
+    assert!(shared_attached > 0, "shared-prefix seeds never attached a page");
     assert!(
         total_completed > 20,
         "sweep too destructive to prove liveness: {total_completed} completions"

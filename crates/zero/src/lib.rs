@@ -23,9 +23,12 @@
 //!   fetch deadlines, and graceful degradation to synchronous fetch when
 //!   the prefetcher dies.
 //!
-//! `dsi_core::streamed::StreamedEngine` is the decode loop over the store
-//! (it lives in `dsi-core` because the `BatchEngine` trait does), and
-//! `dsi-serve` hosts it under its one scheduler loop (`Server::start_streamed`).
+//! The store is a `dsi_model::fast::WeightSource`, so the decode loop over
+//! it is the one paged engine, `dsi_model::paged::Engine<OffloadStore>` —
+//! there is no streamed engine beside it. `dsi_core::streamed` gives each
+//! [`OffloadError`] its fault class and a token-budget constructor, and
+//! `dsi-serve` hosts the engine under its one scheduler loop
+//! (`Server::start_streamed`).
 
 pub mod engine;
 pub mod offload;

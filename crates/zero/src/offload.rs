@@ -11,9 +11,10 @@
 //! [`PackedLayer`] panels on demand under a **resident-byte budget**: at
 //! most `resident_budget_bytes` of packed layer panels live in memory at once,
 //! so a model whose weight file dwarfs the budget still decodes — the
-//! `StreamedEngine` built on top is token-identical to the fully-resident
-//! fast path because both drive the same `dsi_model::fast::step`, the store
-//! being its [`WeightSource`].
+//! paged engine (`dsi_model::paged::Engine`) over the store is
+//! token-identical to the same engine over a fully-resident model because
+//! it *is* the same engine driving the same `dsi_model::fast::step`, the
+//! store being its [`WeightSource`].
 //!
 //! ## Concurrency shape
 //!
@@ -44,9 +45,10 @@
 //!   degrades to synchronous demand fetch on the decode thread — decode
 //!   slows, it never wedges and never returns wrong bytes.
 //!
-//! The error `Display` strings are written to land in the right
-//! `dsi_core::batch::FaultClass` bins, which is how a dying weight tier
-//! trips the serving runtime's per-class circuit breakers.
+//! Each [`OffloadError`] variant has a `dsi_core::batch::FaultClass`
+//! (`dsi_core::streamed`, an exhaustive `match` on the variant), which is
+//! how a dying weight tier trips the serving runtime's per-class circuit
+//! breakers; the `Display` strings are for people.
 
 use dsi_kernels::blocked::{PackedB, PanelWeights};
 use dsi_kernels::tensor::Tensor;
@@ -63,11 +65,9 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Typed failures of the tiered weight store. The `Display` strings are
-/// deliberate: `dsi_core::batch::FaultClass::classify` bins faults by
-/// keyword, so a fetch timeout says "timed out" (`Timeout` breaker), a
-/// checksum failure says "corrupt" (`Corruption`), and a budget failure
-/// says "memory" (`Memory`).
+/// Typed failures of the tiered weight store. Adding a variant fails to
+/// compile in `dsi_core::streamed` until it is given a fault class there;
+/// nothing reads the `Display` wording.
 #[derive(Debug)]
 pub enum OffloadError {
     /// The weight file could not be opened / mapped.
@@ -363,7 +363,8 @@ struct Inner {
 const SHUTDOWN: usize = usize::MAX;
 
 /// A fault-hardened tiered weight store over a v3 panel file. See the
-/// module docs for the design; `StreamedEngine` is the decode loop on top.
+/// module docs for the design; the decode loop on top is
+/// `dsi_model::paged::Engine<OffloadStore>`.
 pub struct OffloadStore {
     inner: Arc<Inner>,
     resident: ResidentGroup,
@@ -1072,18 +1073,5 @@ mod tests {
             Err(OffloadError::FailedOpen { .. })
         ));
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn error_strings_land_in_the_right_breaker_classes() {
-        // The breaker bridge is Display-text based; pin the keywords.
-        let timeout = OffloadError::FetchTimeout { layer: 3, waited_ms: 10 }.to_string();
-        assert!(timeout.contains("timed out"));
-        let crc = OffloadError::ChecksumFailed { layer: 1, attempts: 3 }.to_string();
-        assert!(crc.contains("corrupt"));
-        let short = OffloadError::ShortReadFailed { layer: 1, attempts: 3 }.to_string();
-        assert!(short.contains("corrupt"));
-        let mem = OffloadError::BudgetExhausted { need: 10, budget: 5 }.to_string();
-        assert!(mem.contains("memory"));
     }
 }

@@ -1,8 +1,8 @@
 //! Helpers shared by the integration suites.
 
 use deepspeed_inference::kernels::blocked::PanelWeights;
-use deepspeed_inference::model::fast::PackedModel;
-use deepspeed_inference::model::paged::PagedEngine;
+use deepspeed_inference::model::fast::{PackedModel, WeightSource};
+use deepspeed_inference::model::paged::{Engine, PagedEngine};
 
 /// Greedy-decode every prompt to `max_new` tokens through one `PagedEngine`
 /// (slot `i` = prompt `i`, all slots stepped together).
@@ -77,7 +77,8 @@ pub fn build_family_prompts(
         .collect()
 }
 
-/// Drive one `PagedEngine` through a schedule of joins, ragged decode
+/// Drive one `paged::Engine` over `w` — a resident packed model or the
+/// offload tier — through a schedule of joins, ragged decode
 /// steps, retirements, single-slot prefix replays and whole-batch
 /// recoveries (release everything, then replay everything) over `prompts`,
 /// `ops` choosing the next transition. After **every** transition the books
@@ -85,27 +86,31 @@ pub fn build_family_prompts(
 /// reference, `total == in_use + free`, the tables keep the sharing
 /// discipline `verify::scratch::check_page_tables` proves, a recovery needs
 /// no more pages than the batch held before it — and at the end every
-/// stream must equal its solo `FastSession` and every page must be free.
-pub fn shared_prefix_churn<B: PanelWeights>(
-    pm: &PackedModel<'_, B>,
+/// stream must equal its solo `FastSession` over `oracle` (the same weights,
+/// resident) and every page must be free.
+pub fn shared_prefix_churn<W: WeightSource, B: PanelWeights>(
+    w: W,
+    oracle: &PackedModel<'_, B>,
     prompts: &[Vec<usize>],
     page_tokens: usize,
     max_new: usize,
     ops: &[usize],
-) {
+) where
+    W::Error: std::fmt::Debug,
+{
     use deepspeed_inference::verify::scratch::check_page_tables;
     use std::collections::BTreeSet;
 
     let slots = prompts.len().min(4);
     let longest = prompts.iter().map(Vec::len).max().expect("at least one prompt") + max_new;
     let pages = slots * longest.div_ceil(page_tokens);
-    let mut eng = PagedEngine::new(pm, slots, pages, page_tokens);
+    let mut eng = Engine::new(w, slots, pages, page_tokens);
     let mut streams: Vec<Vec<usize>> = vec![Vec::new(); prompts.len()];
     // `seated[slot]` = the prompt index resident in that slot.
     let mut seated: Vec<Option<usize>> = vec![None; slots];
     let mut next = 0usize;
 
-    let audit = |eng: &PagedEngine<'_, '_, B>, what: &str| {
+    let audit = |eng: &Engine<W>, what: &str| {
         let tables = eng.page_tables();
         let distinct: BTreeSet<u32> = tables.iter().flat_map(|(t, _)| t.iter().copied()).collect();
         let st = eng.pool_stats();
@@ -192,6 +197,6 @@ pub fn shared_prefix_churn<B: PanelWeights>(
     assert_eq!((st.pages_in_use, st.pages_free), (0, st.pages_total), "everything free at the end");
     for (i, p) in prompts.iter().enumerate() {
         streams[i].truncate(max_new);
-        assert_eq!(streams[i], pm.session(p.len()).generate(p, max_new), "prompt {i} ({p:?})");
+        assert_eq!(streams[i], oracle.session(p.len()).generate(p, max_new), "prompt {i} ({p:?})");
     }
 }

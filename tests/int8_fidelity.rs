@@ -195,6 +195,6 @@ proptest! {
         let prompts = build_family_prompts(n, families, page_tokens, &picks, &tokens);
         let m = GptModel::random(zoo::tiny(2), seed);
         let q = QuantizedPackedModel::quantize_pack(&m, 32);
-        shared_prefix_churn(&q, &prompts, page_tokens, max_new, &ops);
+        shared_prefix_churn(&q, &q, &prompts, page_tokens, max_new, &ops);
     }
 }
