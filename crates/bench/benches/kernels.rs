@@ -4,9 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dsi_kernels::ops;
 use dsi_kernels::quant::{matmul_quantized, QuantizedMatrix};
-use dsi_kernels::sbi::{gemm_sbi, SbiLayout, SbiPlan};
 use dsi_kernels::tensor::Tensor;
-use dsi_sim::hw::DType;
 
 fn bench_matmul(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul");
@@ -17,22 +15,6 @@ fn bench_matmul(c: &mut Criterion) {
             bch.iter(|| ops::matmul(black_box(&a), black_box(&b)))
         });
     }
-    g.finish();
-}
-
-fn bench_sbi_gemm(c: &mut Criterion) {
-    let (k, n) = (512usize, 1536usize);
-    let x = Tensor::randn(&[1, k], 1.0, 3);
-    let w = Tensor::randn(&[k, n], 0.1, 4);
-    let layout = SbiLayout::from_weights(&w, DType::Fp16);
-    let plan = SbiPlan::choose(k, n, 108);
-    let mut g = c.benchmark_group("sbi");
-    g.bench_function("gemm_sbi 1x512x1536", |b| {
-        b.iter(|| gemm_sbi(black_box(&x), black_box(&layout), plan))
-    });
-    g.bench_function("layout_transform 512x1536", |b| {
-        b.iter(|| SbiLayout::from_weights(black_box(&w), DType::Fp16))
-    });
     g.finish();
 }
 
@@ -94,7 +76,6 @@ fn bench_quantization(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
-    bench_sbi_gemm,
     bench_elementwise,
     bench_attention,
     bench_quantization

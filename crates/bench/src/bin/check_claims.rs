@@ -18,17 +18,18 @@ struct Claim {
     paper: f64,
     lo: f64,
     hi: f64,
-    measured: f64,
+    /// What this reproduction computes for the claim.
+    ours: f64,
 }
 
-fn check(claims: &mut Vec<Claim>, id: &'static str, description: &'static str, paper: f64, lo: f64, hi: f64, measured: f64) {
+fn check(claims: &mut Vec<Claim>, id: &'static str, description: &'static str, paper: f64, lo: f64, hi: f64, ours: f64) {
     claims.push(Claim {
         id,
         description,
         paper,
         lo,
         hi,
-        measured,
+        ours,
     });
 }
 
@@ -120,7 +121,7 @@ fn main() {
     );
     let mut failures = 0;
     for c in &claims {
-        let ok = c.measured >= c.lo && c.measured <= c.hi;
+        let ok = c.ours >= c.lo && c.ours <= c.hi;
         if !ok {
             failures += 1;
         }
@@ -128,7 +129,7 @@ fn main() {
             "{:<16} {:>8.2} {:>10.2} {:>7.2}–{:<8.2} {:>7}  {}",
             c.id,
             c.paper,
-            c.measured,
+            c.ours,
             c.lo,
             c.hi,
             if ok { "ok" } else { "FAIL" },

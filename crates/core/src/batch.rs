@@ -179,8 +179,8 @@ where
 /// drive. See the module docs for the slot lifecycle and the
 /// token-identity contract.
 pub trait BatchEngine {
-    /// Number of sequence slots (the scheduler's `SlotPolicy::max_slots`
-    /// must not exceed this).
+    /// Number of sequence slots (the scheduler's
+    /// `ContinuousConfig::max_slots` must not exceed this).
     fn max_slots(&self) -> usize;
 
     /// Admit `prompt` into free `slot`; returns the first greedy token.

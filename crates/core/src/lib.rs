@@ -13,6 +13,10 @@
 //! * [`streamed`] — what is specific to serving from the offload tier (its
 //!   errors' classes, a token-budget constructor); the engine is
 //!   `dsi_model::paged::Engine` whatever feeds its weights.
+//! * [`serving`] — the analytic request-level view: Poisson arrivals,
+//!   dynamic batching and latency percentiles over the engine's cost model
+//!   (capacity planning). Executed serving — continuous batching, faults,
+//!   replay, breakers — is `dsi-serve`'s scheduler over a [`BatchEngine`].
 //! * [`report`] — serializable result rows shared by the bench binaries so
 //!   every figure emits machine-readable JSON next to its human-readable
 //!   table.
@@ -21,7 +25,6 @@
 //! downstream users need a single dependency.
 
 pub mod batch;
-pub mod continuous;
 pub mod engine;
 pub mod planner;
 pub mod report;
@@ -42,12 +45,6 @@ pub use streamed::StreamedEngine;
 pub use engine::{EngineConfig, InferenceEngine, RunReport};
 pub use planner::{plan, Objective, Plan};
 pub use batch::{BatchEngine, EngineError, FaultClass, FaultyEngine, FtEngine};
-pub use continuous::{
-    simulate_continuous, simulate_continuous_with_faults, ContinuousPolicy, SlotPolicy,
-};
-pub use serving::{
-    simulate_serving, simulate_serving_with_faults, BatchPolicy, FaultProfile, ServingReport,
-    Workload,
-};
+pub use serving::{simulate_serving, BatchPolicy, ServingReport, Workload};
 pub use stats::percentile;
 pub use whatif::{scale_cluster, sensitivities, Knob, Sensitivity};

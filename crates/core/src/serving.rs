@@ -8,6 +8,10 @@
 //! arrivals into an [`InferenceEngine`] through a dynamic batcher, and
 //! reports p50/p95/p99 latency and goodput — so the kernel- and
 //! parallelism-level wins can be read as serving-level wins.
+//!
+//! It is a cost-model view for capacity planning. Continuous batching and
+//! fault handling are executed, not simulated: `dsi-serve`'s scheduler over
+//! a [`crate::BatchEngine`], with [`crate::FaultyEngine`] scripting faults.
 
 use crate::engine::InferenceEngine;
 use crate::stats::percentile;
@@ -39,39 +43,6 @@ pub struct BatchPolicy {
     pub max_wait: f64,
 }
 
-/// Request-level fault model for the serving simulations: every *execution
-/// attempt* of a request fails independently with probability
-/// `failure_rate`, drawn from a dedicated seed-driven RNG (arrival jitter is
-/// untouched, so a faulty run sees the same arrivals as a fault-free one).
-/// A failed attempt is retried — re-executed and charged again — up to
-/// `max_retries` times; a request that exhausts its budget is *evicted* and
-/// counted, never silently dropped: `completed + evicted == requests` always
-/// holds.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct FaultProfile {
-    /// Per-attempt failure probability in `[0, 1]`.
-    pub failure_rate: f64,
-    /// Retry budget per request (attempts beyond the first).
-    pub max_retries: usize,
-    /// Seed for the fault RNG (independent of the arrival seed).
-    pub seed: u64,
-}
-
-impl FaultProfile {
-    /// The fault-free profile: no attempt ever fails.
-    pub const NONE: FaultProfile = FaultProfile {
-        failure_rate: 0.0,
-        max_retries: 0,
-        seed: 0,
-    };
-}
-
-impl Default for FaultProfile {
-    fn default() -> Self {
-        Self::NONE
-    }
-}
-
 /// Simulation outcome.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServingReport {
@@ -80,28 +51,12 @@ pub struct ServingReport {
     pub p50: f64,
     pub p95: f64,
     pub p99: f64,
-    /// Mean size of *admission* batches — the batches the dynamic batcher
-    /// formed from fresh arrivals. Retry waves are excluded: they re-run a
-    /// subset of a batch that already ran, so folding them in would deflate
-    /// this figure relative to the batcher's actual behaviour (they are
-    /// reported separately as [`ServingReport::mean_retry_batch`]).
+    /// Mean size of the batches the dynamic batcher formed.
     pub mean_batch: f64,
-    /// Mean size of retry waves (re-executions of failed members), `0.0`
-    /// when no attempt ever failed. In the continuous simulation retries
-    /// restart *in place* inside the running batch rather than forming
-    /// waves, so it reports `0.0` here by construction.
-    pub mean_retry_batch: f64,
     /// Requests per second actually served.
     pub goodput: f64,
     /// Fraction of wall-clock the engine was busy.
     pub utilization: f64,
-    /// Execution attempts that failed (each retry that fails counts again).
-    pub failed_attempts: usize,
-    /// Retry attempts performed (failed attempts that had budget left).
-    pub retried: usize,
-    /// Requests evicted after exhausting their retry budget. Invariant:
-    /// `completed + evicted == workload.requests`.
-    pub evicted: usize,
 }
 
 /// Run the serving simulation. Deterministic for a given seed.
@@ -110,26 +65,9 @@ pub fn simulate_serving(
     workload: &Workload,
     policy: BatchPolicy,
 ) -> ServingReport {
-    simulate_serving_with_faults(engine, workload, policy, FaultProfile::NONE)
-}
-
-/// [`simulate_serving`] with a request-level [`FaultProfile`]: a batch runs,
-/// each member's attempt may fail, and the failed members are immediately
-/// re-executed as a retry wave (charged at the retry wave's batch size)
-/// before the engine moves on. Requests that exhaust their retry budget are
-/// evicted and counted in the report.
-pub fn simulate_serving_with_faults(
-    engine: &InferenceEngine,
-    workload: &Workload,
-    policy: BatchPolicy,
-    faults: FaultProfile,
-) -> ServingReport {
     assert!(workload.requests > 0 && policy.max_batch > 0);
-    assert!((0.0..=1.0).contains(&faults.failure_rate));
     let mut rng = ChaCha8Rng::seed_from_u64(workload.seed);
     let exp = rand::distributions::Uniform::new(0.0f64, 1.0);
-    let mut fault_rng = ChaCha8Rng::seed_from_u64(faults.seed);
-    let attempt_fails = |r: &mut ChaCha8Rng| -> bool { exp.sample(r) < faults.failure_rate };
 
     // Arrival times: exponential inter-arrivals (inverse CDF of uniforms).
     let mut arrivals = Vec::with_capacity(workload.requests);
@@ -155,10 +93,6 @@ pub fn simulate_serving_with_faults(
     let mut busy = 0.0f64;
     let mut latencies = Vec::with_capacity(workload.requests);
     let mut batches = Vec::new();
-    let mut retry_batches = Vec::new();
-    let mut failed_attempts = 0usize;
-    let mut retried = 0usize;
-    let mut evicted = 0usize;
     let mut i = 0;
     while i < arrivals.len() {
         // The batch window opens when the engine is free and the next
@@ -178,76 +112,25 @@ pub fn simulate_serving_with_faults(
         } else {
             open
         });
-        // Execute the batch; failed members form a retry wave that re-runs
-        // immediately (at the wave's own batch size) until everyone either
-        // completes or exhausts the retry budget.
-        let mut wave: Vec<usize> = (i..j).collect();
-        let mut end = start;
-        let mut budget = faults.max_retries;
-        let mut first_wave = true;
-        loop {
-            let b = wave.len();
-            let dur = exec_latency(b);
-            end += dur;
-            if first_wave {
-                batches.push(b as f64);
-            } else {
-                retry_batches.push(b as f64);
-            }
-            first_wave = false;
-            busy += dur;
-            let mut failed_wave = Vec::new();
-            for &r in &wave {
-                if attempt_fails(&mut fault_rng) {
-                    failed_attempts += 1;
-                    failed_wave.push(r);
-                } else {
-                    latencies.push(end - arrivals[r]);
-                }
-            }
-            if failed_wave.is_empty() {
-                break;
-            }
-            if budget == 0 {
-                evicted += failed_wave.len();
-                break;
-            }
-            budget -= 1;
-            retried += failed_wave.len();
-            wave = failed_wave;
-        }
+        let dur = exec_latency(j - i);
+        let end = start + dur;
+        batches.push((j - i) as f64);
+        busy += dur;
+        latencies.extend(arrivals[i..j].iter().map(|a| end - a));
         engine_free = end;
         i = j;
     }
 
     latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let wall = engine_free.max(*arrivals.last().unwrap());
-    // Always-on accounting invariant: release-mode chaos runs must not be
-    // able to silently miscount a request.
-    assert_eq!(
-        latencies.len() + evicted,
-        workload.requests,
-        "serving accounting violated: {} completed + {} evicted != {} requests",
-        latencies.len(),
-        evicted,
-        workload.requests
-    );
     ServingReport {
         completed: latencies.len(),
         p50: percentile(&latencies, 0.50),
         p95: percentile(&latencies, 0.95),
         p99: percentile(&latencies, 0.99),
         mean_batch: batches.iter().sum::<f64>() / batches.len() as f64,
-        mean_retry_batch: if retry_batches.is_empty() {
-            0.0
-        } else {
-            retry_batches.iter().sum::<f64>() / retry_batches.len() as f64
-        },
         goodput: latencies.len() as f64 / wall,
         utilization: busy / wall,
-        failed_attempts,
-        retried,
-        evicted,
     }
 }
 
@@ -365,136 +248,5 @@ mod tests {
         let rft = simulate_serving(&ft, &workload(10.0), policy);
         assert!(rds.p50 < rft.p50, "DS p50 {} vs FT {}", rds.p50, rft.p50);
         assert!(rds.p99 < rft.p99);
-    }
-
-    #[test]
-    fn fault_free_profile_is_the_identity() {
-        let e = engine();
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: 0.05,
-        };
-        let plain = simulate_serving(&e, &workload(20.0), policy);
-        let faulty =
-            simulate_serving_with_faults(&e, &workload(20.0), policy, FaultProfile::NONE);
-        assert_eq!(plain.p99, faulty.p99);
-        assert_eq!(plain.completed, faulty.completed);
-        assert_eq!(faulty.failed_attempts, 0);
-        assert_eq!(faulty.retried, 0);
-        assert_eq!(faulty.evicted, 0);
-    }
-
-    #[test]
-    fn faults_are_never_silently_dropped() {
-        // Every request is accounted for: completed + evicted == requests,
-        // and every failed attempt either became a retry or an eviction.
-        let e = engine();
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: 0.05,
-        };
-        for (rate, max_retries) in [(0.3, 0), (0.3, 2), (0.9, 1), (1.0, 3)] {
-            let f = FaultProfile {
-                failure_rate: rate,
-                max_retries,
-                seed: 77,
-            };
-            let r = simulate_serving_with_faults(&e, &workload(20.0), policy, f);
-            assert_eq!(
-                r.completed + r.evicted,
-                200,
-                "rate {rate} retries {max_retries}: {} completed, {} evicted",
-                r.completed,
-                r.evicted
-            );
-            assert_eq!(r.failed_attempts, r.retried + r.evicted);
-            if rate >= 1.0 {
-                // Certain failure: everything evicts after the full budget.
-                assert_eq!(r.evicted, 200);
-                assert_eq!(r.retried, 200 * max_retries);
-            } else {
-                assert!(r.failed_attempts > 0, "rate {rate} should trip at least once");
-            }
-        }
-    }
-
-    #[test]
-    fn retries_cost_throughput_but_save_requests() {
-        let e = engine();
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: 0.05,
-        };
-        let w = workload(20.0);
-        let no_retry = simulate_serving_with_faults(
-            &e,
-            &w,
-            policy,
-            FaultProfile { failure_rate: 0.25, max_retries: 0, seed: 5 },
-        );
-        let with_retry = simulate_serving_with_faults(
-            &e,
-            &w,
-            policy,
-            FaultProfile { failure_rate: 0.25, max_retries: 8, seed: 5 },
-        );
-        assert!(no_retry.evicted > 0);
-        assert!(with_retry.evicted < no_retry.evicted);
-        assert!(with_retry.completed > no_retry.completed);
-        // Re-execution is real work: the retrying run keeps the engine busy
-        // at least as long.
-        assert!(with_retry.utilization >= no_retry.utilization - 1e-9);
-    }
-
-    #[test]
-    fn retry_waves_are_reported_separately_from_admission_batches() {
-        let e = engine();
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: 0.05,
-        };
-        // No faults: no retry waves at all.
-        let clean = simulate_serving(&e, &workload(20.0), policy);
-        assert_eq!(clean.mean_retry_batch, 0.0);
-        // Faults without budget: failures evict immediately, still no waves.
-        let no_budget = simulate_serving_with_faults(
-            &e,
-            &workload(20.0),
-            policy,
-            FaultProfile { failure_rate: 0.3, max_retries: 0, seed: 7 },
-        );
-        assert_eq!(no_budget.mean_retry_batch, 0.0);
-        assert!(no_budget.evicted > 0);
-        // Faults with budget: retry waves exist and are measured on their
-        // own — they are re-runs of failed members, so each wave is no
-        // larger than the admission cap and at least one request wide.
-        let with_budget = simulate_serving_with_faults(
-            &e,
-            &workload(20.0),
-            policy,
-            FaultProfile { failure_rate: 0.3, max_retries: 4, seed: 7 },
-        );
-        assert!(with_budget.retried > 0);
-        assert!(
-            with_budget.mean_retry_batch >= 1.0
-                && with_budget.mean_retry_batch <= policy.max_batch as f64,
-            "mean retry wave {}",
-            with_budget.mean_retry_batch
-        );
-    }
-
-    #[test]
-    fn fault_runs_are_seed_deterministic() {
-        let e = engine();
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_wait: 0.05,
-        };
-        let f = FaultProfile { failure_rate: 0.4, max_retries: 2, seed: 123 };
-        let a = simulate_serving_with_faults(&e, &workload(20.0), policy, f);
-        let b = simulate_serving_with_faults(&e, &workload(20.0), policy, f);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.evicted, b.evicted);
-        assert_eq!(a.p99, b.p99);
     }
 }

@@ -79,6 +79,7 @@ mod tests {
     use dsi_sim::fault::{IoFaultKind, IoFaultPlan, IoFaultSite, IoFaultSpec};
     use dsi_zero::offload::OffloadConfig;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
 
@@ -175,6 +176,49 @@ mod tests {
         // Two more pages' worth of growth per slot does not fit 11 pages.
         let err = (28..48).find_map(|_| eng.decode_step(&[0, 1, 2, 3], &mut out).err());
         assert!(matches!(err, Some(EngineError::OutOfPages { .. })), "{err:?}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A worker read stalled past `fetch_timeout` fails the waiting
+    /// `acquire` typed and promptly — a Timeout-class engine fault, not a
+    /// wedge — and leaves the fetch running: once the slow panel lands, the
+    /// next `acquire` of that layer is a plain hit.
+    #[test]
+    fn slow_read_past_the_fetch_deadline_times_out_then_hits() {
+        let (_m, path) = saved(2, 61, "timeout");
+        // Read call 0 is the open-time probe of layer 0; call 1 is the
+        // worker's fetch of layer 1.
+        let plan = IoFaultPlan::new(vec![IoFaultSpec {
+            site: IoFaultSite::Read { call: 1 },
+            kind: IoFaultKind::SlowRead { millis: 400 },
+        }]);
+        let cfg = OffloadConfig {
+            fetch_timeout: Duration::from_millis(20),
+            faults: Some(Arc::new(plan.injector())),
+            ..OffloadConfig::default()
+        };
+        let store = OffloadStore::open(&path, cfg).expect("open");
+        let t0 = Instant::now();
+        let err = store.acquire(1).map(|_| ()).unwrap_err();
+        let waited = t0.elapsed();
+        assert!(matches!(err, OffloadError::FetchTimeout { layer: 1, .. }), "{err}");
+        assert!(
+            waited < Duration::from_millis(300),
+            "timed out after {waited:?}, not at the deadline"
+        );
+        match EngineError::from(err) {
+            EngineError::Fault { class, .. } => assert_eq!(class, FaultClass::Timeout),
+            other => panic!("expected a fault, got {other}"),
+        }
+        // The worker is still in the stalled read; wait for it to land.
+        while store.stats().prefetch_fetches == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "slow panel never landed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let hits = store.stats().hits;
+        store.acquire(1).expect("the landed panel");
+        assert_eq!(store.stats().hits, hits + 1, "served from the cache, not refetched");
+        assert_eq!(store.stats().slow_reads, 1);
         let _ = std::fs::remove_file(path);
     }
 

@@ -7,9 +7,8 @@
 //! The mapping is calibrated once per process at first use ("pack time"):
 //! every candidate `MR` is timed on a synthetic decode-shaped GEMM
 //! (`k = n = 256`, the skinny regime where the weight stream dominates) and
-//! the winner recorded per batch width. A static fallback seeded by the
-//! SBI interleave hint ([`crate::sbi::cpu_microkernel_rows`]) covers
-//! non-AVX builds and degenerate clocks.
+//! the winner recorded per batch width. A static fallback covers non-AVX
+//! builds.
 //!
 //! Correctness never depends on the table: every candidate accumulates each
 //! output element in the same order (see `blocked::gemm_block`), so dispatch
@@ -53,9 +52,6 @@ pub struct DispatchTable {
     /// (index 0 unused).
     pub f32_mr: [usize; MAX_M + 1],
     pub int8_mr: [usize; MAX_M + 1],
-    /// False when the static fallback was used (no AVX2, or a degenerate
-    /// clock made the timings meaningless).
-    pub measured: bool,
 }
 
 impl DispatchTable {
@@ -70,14 +66,15 @@ impl DispatchTable {
     }
 }
 
-/// Static fallback: the paper-motivated interleave hint caps growth, and a
-/// power-of-two block never overshoots the remaining rows.
+/// Static fallback: a per-dtype cap on the row block (one 64-byte weight
+/// line holds 16 f32 or 64 INT8 elements, so INT8 amortizes over more rows
+/// before it leaves the bandwidth-bound regime), and a power-of-two block
+/// never overshoots the remaining rows.
 fn fallback_table(dtype: GemmDtype) -> [usize; MAX_M + 1] {
-    let hint = crate::sbi::cpu_microkernel_rows(match dtype {
+    let cap = match dtype {
         GemmDtype::F32 => 4,
-        GemmDtype::Int8 => 1,
-    });
-    let cap = (hint * 2).min(8);
+        GemmDtype::Int8 => 8,
+    };
     let mut t = [1usize; MAX_M + 1];
     for (m, e) in t.iter_mut().enumerate().skip(1) {
         *e = largest_candidate_le(m.min(cap));
@@ -120,7 +117,6 @@ fn calibrate() -> DispatchTable {
     let mut table = DispatchTable {
         f32_mr: fallback_table(GemmDtype::F32),
         int8_mr: fallback_table(GemmDtype::Int8),
-        measured: false,
     };
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx2_fma() {
@@ -132,7 +128,6 @@ fn calibrate() -> DispatchTable {
         let qb = QuantizedPackedB::from_matrix(&QuantizedMatrix::quantize(&b, 64));
         let a = lcg_fill(MAX_M * k, 11);
         let mut out = vec![0.0f32; MAX_M * n];
-        let mut ok = true;
         for dtype in [GemmDtype::F32, GemmDtype::Int8] {
             let mut chosen = [0usize; MAX_M + 1];
             for &m in &PROBE_M {
@@ -170,9 +165,6 @@ fn calibrate() -> DispatchTable {
                             iters,
                         ),
                     };
-                    if ns == 0 {
-                        ok = false; // degenerate clock: keep the fallback
-                    }
                     if ns < best.0 {
                         best = (ns, cand);
                     }
@@ -192,9 +184,6 @@ fn calibrate() -> DispatchTable {
                 GemmDtype::F32 => table.f32_mr = chosen,
                 GemmDtype::Int8 => table.int8_mr = chosen,
             }
-        }
-        if ok {
-            table.measured = true;
         }
         // `out` participated in every timing; keep the compiler honest.
         std::hint::black_box(&out);
@@ -241,6 +230,15 @@ mod tests {
                 assert!(t[m] <= m);
             }
         }
+        // The caps as literals: f32 blocks stop at 4 rows, INT8 at 8.
+        assert_eq!(
+            fallback_table(GemmDtype::F32),
+            [1, 1, 2, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4]
+        );
+        assert_eq!(
+            fallback_table(GemmDtype::Int8),
+            [1, 1, 2, 2, 4, 4, 4, 4, 8, 8, 8, 8, 8, 8, 8, 8, 8]
+        );
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!
 //! * **Functional** — every operator of a transformer layer (GEMM,
 //!   layer-norm, softmax, attention with KV caching, GeLU, bias/residual,
-//!   quantize/dequantize, the SBI weight-layout transform) is implemented on
-//!   CPU with `rayon` data-parallelism, so the numerical claims (fused
-//!   dataflow ≡ unfused, sharded ≡ unsharded, INT8 error bounds) are *tested*,
-//!   not assumed.
+//!   quantize/dequantize) is implemented on CPU with `rayon`
+//!   data-parallelism, so the numerical claims (fused dataflow ≡ unfused,
+//!   sharded ≡ unsharded, INT8 error bounds) are *tested*, not assumed.
 //! * **Cost** — each operator carries a [`cost::KernelCost`] (FLOPs, bytes
 //!   moved, launch class). [`fusion`] partitions a layer's op-list into fused
 //!   regions under the paper's tile-dependency legality rule and recomputes
@@ -26,7 +25,11 @@
 //! provides single-pass kernels for the four Fig. 1(c) small-batch fusion
 //! regions, including a zero-allocation streaming-softmax attention. Both
 //! write into caller-provided scratch so steady-state decode allocates
-//! nothing per token.
+//! nothing per token. SBI-GeMM's ideas run here as that path's layout and
+//! dispatch: weights packed once into panels every row of a skinny GEMM
+//! streams in full cache lines, M-row microkernels bit-identical to the
+//! batch-1 kernel, and a [`dispatch`] table that *measures* which row block
+//! wins at each batch width instead of assuming the crossover.
 
 // Unsafe hygiene contract (enforced by `cargo xtask unsafe-audit` on the
 // comment side): every unsafe *operation* must sit in an explicit `unsafe`
@@ -44,7 +47,6 @@ pub mod graph;
 pub mod ops;
 pub mod precision;
 pub mod quant;
-pub mod sbi;
 pub mod tensor;
 
 pub use blocked::{PackedB, PanelWeights};

@@ -16,8 +16,8 @@
 //!    activations live in scratch rows, never in fresh tensors.
 //! 3. **Amortized KV cache** — the session reserves the full
 //!    prompt+generation KV budget up front and appends rows in place
-//!    ([`LayerKv::append_row_slices`]), replacing the seed's O(T²) per-token
-//!    `cat_rows` rebuild.
+//!    ([`LayerKv::append_row_slices`]), replacing the seed's O(T²)
+//!    per-token `cat_rows` rebuild.
 //! 4. **Scratch reuse** — [`Scratch`] owns every intermediate buffer; the
 //!    steady-state one-token decode loop performs **zero heap allocations**
 //!    (asserted by `Scratch::alloc_guard` in tests).
@@ -25,6 +25,8 @@
 //! Numerically the path tracks the reference within f32 reassociation noise
 //! (the packed GEMM sums in a different order); greedy decode is verified
 //! token-for-token against [`GptModel::generate`] in the property suite.
+//!
+//! [`LayerKv::append_row_slices`]: crate::reference::LayerKv::append_row_slices
 
 use std::convert::Infallible;
 use std::ops::Deref;

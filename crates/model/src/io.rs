@@ -593,7 +593,8 @@ pub fn from_bytes(buf: &[u8]) -> Result<GptModel, IoError> {
     Ok(GptModel { config: c, wte, wpe, layers: lws, lnf_g, lnf_b })
 }
 
-/// Save to a file (streamed: see [`write_model`]).
+/// Save to a file, streamed one panel at a time (never more than one packed
+/// layer in memory beyond the model itself).
 pub fn save(model: &GptModel, path: impl AsRef<Path>) -> Result<(), IoError> {
     let mut w = BufWriter::new(fs::File::create(path)?);
     write_model(model, &mut w)?;

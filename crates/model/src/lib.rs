@@ -8,16 +8,16 @@
 //! * [`zoo`] — the concrete models of the paper's evaluation: Table I's
 //!   dense family (GPT-2 1.5B through LM-530B), Table II's sparse family
 //!   (52B through 2T MoE), and the Fig. 12 encoders (DistilBERT, BERT).
-//! * [`reference`] — a complete functional GPT implementation (embedding,
-//!   transformer stack, KV cache, greedy decoding) on the CPU kernels of
-//!   `dsi-kernels`. It is the ground truth that tensor-parallel sharding,
+//! * [`reference`](mod@reference) — a complete functional GPT
+//!   implementation (embedding, transformer stack, KV cache, greedy
+//!   decoding) on the CPU kernels of `dsi-kernels`. It is the ground truth that tensor-parallel sharding,
 //!   MoE routing rewrites, and fused kernels are verified against.
 
 //! * [`fast`] — the executed Deep-Fusion path: the same decoder built from
 //!   packed-weight blocked GEMMs, the four Fig. 1(c) fused region kernels,
 //!   an amortized in-place KV cache, and reusable scratch, so steady-state
 //!   decode allocates nothing per token. Verified token-for-token against
-//!   [`reference`].
+//!   [`reference`](mod@reference).
 
 pub mod batched;
 pub mod beam;

@@ -43,7 +43,7 @@
 //! [`CollectiveError`] through [`TpSession::try_prompt`] /
 //! [`TpSession::try_decode`] instead of a hang. Worker threads run their
 //! rank loop under `catch_unwind`: on any exit — clean shutdown, collective
-//! failure, scripted crash, or panic — they report a [`WorkerExit`] over a
+//! failure, scripted crash, or panic — they report a `WorkerExit` over a
 //! salvage channel carrying their KV shard (when their memory is still
 //! trustworthy) and the failure cause (including the panic payload).
 //! [`TpSession::dismantle`] tears the group down with a *deadline* join —

@@ -160,10 +160,9 @@ pub enum SetAdmission {
     Reject,
 }
 
-/// One [`Breaker`] per [`FaultClass`], with independent thresholds and
-/// half-open probes — the PR-5 global breaker split per fault class so a
-/// stall storm cannot mask a panic storm (each class's failure count and
-/// open window are its own).
+/// One [`Breaker`] per [`FaultClass`], with independent failure counts,
+/// open windows and half-open probes — the PR-5 global breaker split per
+/// fault class so a stall storm cannot mask a panic storm.
 ///
 /// Admission is the conjunction of the per-class breakers: a request is
 /// admitted only if **no** class is open. When exactly the set's first
@@ -179,20 +178,10 @@ pub struct BreakerSet {
 }
 
 impl BreakerSet {
-    /// Every class starts from `base`; `overrides` replaces the tuning of
-    /// individual classes (independent thresholds are the point of the
-    /// split).
-    pub fn new(base: BreakerConfig, overrides: &[(FaultClass, BreakerConfig)]) -> Self {
-        let breakers = FaultClass::ALL.map(|class| {
-            let cfg = overrides
-                .iter()
-                .rev()
-                .find(|(c, _)| *c == class)
-                .map(|(_, cfg)| cfg.clone())
-                .unwrap_or_else(|| base.clone());
-            (class, Breaker::new(cfg))
-        });
-        BreakerSet { breakers }
+    /// One breaker per class, each tuned by `cfg` (the classes share the
+    /// tuning, not the failure counts or windows).
+    pub fn new(cfg: BreakerConfig) -> Self {
+        BreakerSet { breakers: FaultClass::ALL.map(|class| (class, Breaker::new(cfg.clone()))) }
     }
 
     fn get_mut(&mut self, class: FaultClass) -> &mut Breaker {
@@ -351,14 +340,11 @@ mod tests {
     }
 
     fn set(threshold: u32, window_ms: u64) -> BreakerSet {
-        BreakerSet::new(
-            BreakerConfig {
-                enabled: true,
-                failure_threshold: threshold,
-                open_window: Duration::from_millis(window_ms),
-            },
-            &[],
-        )
+        BreakerSet::new(BreakerConfig {
+            enabled: true,
+            failure_threshold: threshold,
+            open_window: Duration::from_millis(window_ms),
+        })
     }
 
     #[test]
@@ -399,22 +385,11 @@ mod tests {
     #[test]
     fn probe_for_one_class_while_another_stays_open() {
         let (clock, time) = Clock::manual();
-        let mut s = BreakerSet::new(
-            BreakerConfig {
-                enabled: true,
-                failure_threshold: 1,
-                open_window: Duration::from_millis(10),
-            },
-            &[(
-                FaultClass::Panic,
-                BreakerConfig {
-                    enabled: true,
-                    failure_threshold: 1,
-                    open_window: Duration::from_millis(50),
-                },
-            )],
-        );
+        let mut s = set(1, 50);
+        // One tuning, staggered failures: timeout opens at t = 0 ms, panic
+        // at t = 40 ms, so their windows end 40 ms apart.
         s.on_failure(FaultClass::Timeout, clock.now_ns());
+        time.advance(Duration::from_millis(40));
         s.on_failure(FaultClass::Panic, clock.now_ns());
         // Timeout's window elapses first: its probe runs while panic is
         // still open, and a probe success must not unlock panic.
@@ -453,13 +428,7 @@ mod tests {
             let mut real = breaker(2, 10);
             let mut model = BreakerModel::new(2, Duration::from_millis(10).as_nanos() as u64);
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x1234_5678);
-            let mut next = move || {
-                s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = s;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
+            let mut next = move || dsi_sim::fault::splitmix64(&mut s);
             for step in 0..200 {
                 let now = clock.now_ns();
                 match next() % 5 {

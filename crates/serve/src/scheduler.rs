@@ -1,16 +1,16 @@
-//! The executed continuous-batching scheduler — `core::continuous`'s slot
-//! policy driving a real engine instead of a cost model, and the **only**
-//! worker loop of the serving runtime: every engine (paged, streamed,
-//! single-flight `FtEngine` at `max_slots = 1`) runs under it.
+//! The executed continuous-batching scheduler — iteration-level batching
+//! (sequences join whenever a slot is free and retire the moment they
+//! finish) over a real engine, and the **only** worker loop of the serving
+//! runtime: every engine (paged, streamed, single-flight `FtEngine` at
+//! `max_slots = 1`) runs under it.
 //!
 //! Every iteration is three phases around one ragged decode step:
 //!
 //! 1. **Admit** (under the state lock): pop queued jobs into free slots
-//!    while [`SlotPolicy::can_admit`] holds *and* the page pool can seat
-//!    the job's prompt right now, net of the pages already promised to
-//!    earlier newcomers of the same iteration. The policy struct is the
-//!    same one `simulate_continuous` uses, so the simulator's admission
-//!    discipline and the runtime's cannot drift.
+//!    while fewer than [`ContinuousConfig::max_slots`] sequences are
+//!    resident *and* the page pool can seat the job's prompt right now, net
+//!    of the pages already promised to earlier newcomers of the same
+//!    iteration.
 //! 2. **Execute** (no lock): prefill newcomers (one prompt pass each),
 //!    then advance every resident one token through a single ragged pass
 //!    via [`BatchEngine::decode_step`]. Page growth
@@ -86,7 +86,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsi_core::batch::{BatchEngine, EngineError, FaultClass};
-use dsi_core::SlotPolicy;
 use dsi_model::paged::PageStats;
 use dsi_model::reference::GptModel;
 use dsi_sim::clock::Clock;
@@ -375,7 +374,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     cont: ContinuousConfig,
     eos: Option<usize>,
 ) -> E {
-    let policy = SlotPolicy::new(cont.max_slots);
     let mut residents: Vec<Option<Resident>> = (0..cont.max_slots).map(|_| None).collect();
     let mut admit_seq = 0u64;
     let mut steps = 0u64;
@@ -400,7 +398,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
             loop {
                 let resident_count =
                     residents.iter().filter(|r| r.is_some()).count() + newcomers.len();
-                if !policy.can_admit(resident_count) {
+                if resident_count >= cont.max_slots {
                     break;
                 }
                 let Some(job) = st.queue.front() else { break };

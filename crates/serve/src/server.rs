@@ -11,9 +11,8 @@
 //! the engine's slot count and KV page geometry ([`EngineMode`]):
 //!
 //! * [`Server::start`] + [`EngineMode::SingleFlight`] — one slot over the
-//!   fault-tolerant tensor-parallel
-//!   [`FtSession`](dsi_parallel::supervisor::FtSession) (`FtEngine`), KV
-//!   metered per token against [`ServeConfig::kv_budget_tokens`];
+//!   fault-tolerant tensor-parallel [`FtSession`] (`FtEngine`), KV metered
+//!   per token against [`ServeConfig::kv_budget_tokens`];
 //! * [`Server::start`] + [`EngineMode::Continuous`] — the multi-slot
 //!   [`paged::Engine`](dsi_model::paged::Engine) over a shared page pool
 //!   and a resident packed model;
@@ -51,10 +50,11 @@
 //!   `admitted == completed + evicted + deadline_expired` — every ticket
 //!   resolves exactly once, under every fault storm the chaos suite throws.
 //!
-//! Lock discipline: ONE mutex ([`State`]) + two condvars (`work`, `idle`)
-//! both tied to it, plus lock-free atomics (progress heartbeat, cancel
-//! flags). A single-mutex design is trivially deadlock-free; the lock-order
-//! audit in `dsi-verify::locks` encodes this as a regression gate.
+//! Lock discipline: ONE mutex (over the private `State`) + two condvars
+//! (`work`, `idle`) both tied to it, plus lock-free atomics (progress
+//! heartbeat, cancel flags). A single-mutex design is trivially
+//! deadlock-free; the lock-order audit in `dsi-verify::locks` encodes this
+//! as a regression gate.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -107,7 +107,7 @@ pub enum EngineMode {
 /// Sizing of the scheduler and its engine (see [`EngineMode::Continuous`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContinuousConfig {
-    /// Sequence slots — the executed `dsi_core::SlotPolicy::max_slots`.
+    /// Sequence slots: the scheduler admits while fewer are resident.
     pub max_slots: usize,
     /// KV pages in the pool, shared by all slots.
     pub pages_total: usize,
@@ -182,24 +182,19 @@ pub struct ServeConfig {
     pub kv_budget_tokens: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Base circuit-breaker configuration, applied to every fault class
+    /// Circuit-breaker configuration, applied to every fault class
     /// (timeout / panic / corruption / memory — each class trips and
     /// probes independently; see [`crate::breaker::BreakerSet`]).
     pub breaker: BreakerConfig,
-    /// Per-class overrides of [`ServeConfig::breaker`]: e.g. a longer
-    /// open window for memory faults than for timeouts. Last entry wins
-    /// per class.
-    pub breaker_class_overrides: Vec<(FaultClass, BreakerConfig)>,
     /// Scripted engine-fault injection at the scheduler/engine seam (chaos
     /// testing): whichever engine runs is wrapped in
     /// [`dsi_core::FaultyEngine`] driven by this injector. `None` (the
     /// default) runs the engine bare.
     pub engine_faults: Option<Arc<EngineFaultInjector>>,
     /// Watchdog: cancel every resident request if no token progress within
-    /// this window. `None` disables the watchdog thread entirely.
+    /// this window (polled every 2 ms of wall time). `None` disables the
+    /// watchdog thread entirely.
     pub progress_timeout: Option<Duration>,
-    /// Watchdog poll period (wall time; bounds cancel latency).
-    pub watchdog_poll: Duration,
     /// Time source for deadlines, the breaker window, latency accounting.
     pub clock: Clock,
 }
@@ -217,10 +212,8 @@ impl ServeConfig {
             kv_budget_tokens: 4096,
             default_deadline: None,
             breaker: BreakerConfig::default(),
-            breaker_class_overrides: Vec::new(),
             engine_faults: None,
             progress_timeout: None,
-            watchdog_poll: Duration::from_millis(2),
             clock: Clock::wall(),
         }
     }
@@ -447,7 +440,7 @@ pub(crate) fn new_shared(cfg: &ServeConfig) -> Arc<Shared> {
             running: Vec::new(),
             draining: false,
             worker_done: false,
-            breaker: BreakerSet::new(cfg.breaker.clone(), &cfg.breaker_class_overrides),
+            breaker: BreakerSet::new(cfg.breaker.clone()),
             counters: Counters::default(),
             latencies_s: Vec::new(),
             ft_report: FtReport::default(),
@@ -461,14 +454,16 @@ pub(crate) fn new_shared(cfg: &ServeConfig) -> Arc<Shared> {
     })
 }
 
+/// Watchdog poll period (wall time; bounds cancel latency).
+const WATCHDOG_POLL: Duration = Duration::from_millis(2);
+
 /// Spawn the progress watchdog, if configured.
 fn spawn_watchdog(cfg: &ServeConfig, shared: &Arc<Shared>) -> Option<JoinHandle<()>> {
     cfg.progress_timeout.map(|timeout| {
         let shared = Arc::clone(shared);
-        let poll = cfg.watchdog_poll;
         std::thread::Builder::new()
             .name("dsi-serve-watchdog".into())
-            .spawn(move || watchdog_loop(shared, timeout, poll))
+            .spawn(move || watchdog_loop(shared, timeout))
             .expect("spawn serve watchdog")
     })
 }
@@ -776,7 +771,7 @@ impl Server {
     }
 }
 
-fn watchdog_loop(shared: Arc<Shared>, timeout: Duration, poll: Duration) {
+fn watchdog_loop(shared: Arc<Shared>, timeout: Duration) {
     let timeout_ns = timeout.as_nanos() as u64;
     let mut st = shared.state.lock().unwrap();
     loop {
@@ -801,7 +796,7 @@ fn watchdog_loop(shared: Arc<Shared>, timeout: Duration, poll: Duration) {
                 }
             }
         }
-        st = shared.idle.wait_timeout(st, poll).unwrap().0;
+        st = shared.idle.wait_timeout(st, WATCHDOG_POLL).unwrap().0;
     }
 }
 
@@ -1076,7 +1071,6 @@ mod tests {
         let mut cfg = quiet_cfg(2);
         cfg.comm.timeout = Duration::from_secs(30); // detection alone won't save us
         cfg.progress_timeout = Some(Duration::from_millis(40));
-        cfg.watchdog_poll = Duration::from_millis(2);
         cfg.comm.injector = Some(Arc::new(stall_plan(0, 300).injector()));
         let srv = Server::start(tiny_model(), cfg);
         let t = srv.submit(Request { prompt: vec![1, 2], n_tokens: 50, deadline: None }).unwrap();

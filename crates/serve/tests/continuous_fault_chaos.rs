@@ -36,15 +36,7 @@ use dsi_parallel::supervisor::{FtConfig, FtSession};
 use dsi_serve::{
     ContinuousConfig, EngineMode, EvictReason, Outcome, Request, ServeConfig, Server,
 };
-use dsi_sim::fault::EngineFaultPlan;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use dsi_sim::fault::{splitmix64, EngineFaultPlan};
 
 #[test]
 fn continuous_fault_storms_recover_bit_exact() {
@@ -73,15 +65,15 @@ fn continuous_fault_storms_recover_bit_exact() {
         let requests: Vec<(Vec<usize>, usize)> = (0..n_requests)
             .map(|_| {
                 let mut prompt: Vec<usize> = if shared {
-                    let family = splitmix(&mut rng) % families;
+                    let family = splitmix64(&mut rng) % families;
                     (0..5).map(|j| (60 + 10 * family + j) as usize).collect()
                 } else {
                     Vec::new()
                 };
                 let plen =
-                    if shared { 1 + splitmix(&mut rng) % 3 } else { 2 + splitmix(&mut rng) % 4 };
-                prompt.extend((0..plen).map(|_| (splitmix(&mut rng) % 50) as usize + 1));
-                let n_tokens = 3 + (splitmix(&mut rng) % 6) as usize;
+                    if shared { 1 + splitmix64(&mut rng) % 3 } else { 2 + splitmix64(&mut rng) % 4 };
+                prompt.extend((0..plen).map(|_| (splitmix64(&mut rng) % 50) as usize + 1));
+                let n_tokens = 3 + (splitmix64(&mut rng) % 6) as usize;
                 (prompt, n_tokens)
             })
             .collect();
@@ -132,8 +124,8 @@ fn continuous_fault_storms_recover_bit_exact() {
                 }
                 Err(_) => rejected += 1,
             }
-            if splitmix(&mut rng) % 10 < 3 {
-                std::thread::sleep(Duration::from_millis(splitmix(&mut rng) % 3));
+            if splitmix64(&mut rng) % 10 < 3 {
+                std::thread::sleep(Duration::from_millis(splitmix64(&mut rng) % 3));
             }
         }
         let report = srv.drain(Duration::from_secs(20));

@@ -11,13 +11,15 @@
 //!   returns instead of hanging or panicking: which rank failed, what class
 //!   of failure, and at which collective epoch (the per-rank count of
 //!   barrier crossings, which doubles as the heartbeat the detector reads).
-//! * [`FaultPlan`] / [`FaultInjector`] — a deterministic, seed-driven fault
-//!   script. A plan is a list of [`FaultSpec`]s (rank × site × kind); the
-//!   injector compiled from it fires each spec **once** (so a recovered
-//!   group does not re-hit the same fault on replay) and costs a single
-//!   `Option` check per hook when no plan is installed — the fault path is
-//!   zero-work when injection is disabled, which `bench_robustness`
-//!   measures.
+//! * [`Script`] / [`Injector`] — a deterministic, seed-driven fault script
+//!   and its compiled form, one generic pair for every fault family
+//!   ([`FaultPlan`] for collectives, [`EngineFaultPlan`] for the batch
+//!   engines, [`IoFaultPlan`] for the weight tier). A script is a list of
+//!   specs; the injector compiled from it fires each spec **once** (so a
+//!   recovered group does not re-hit the same fault on replay) and costs a
+//!   single `Option` check per hook when no script is installed — the fault
+//!   path is zero-work when injection is disabled, which `bench_robustness`
+//!   measures. Seeded scripts draw from one [`splitmix64`] stream.
 //!
 //! Faults model the four failure classes of the issue: rank stall/slowdown
 //! (transient — the rank arrives late), dropped barrier arrival (the rank
@@ -120,35 +122,88 @@ pub struct FaultSpec {
     pub kind: FaultKind,
 }
 
-/// A deterministic fault script. Construct explicitly ([`FaultPlan::new`])
-/// or seed-driven ([`FaultPlan::random`]); compile with
-/// [`FaultPlan::injector`].
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct FaultPlan {
-    pub specs: Vec<FaultSpec>,
+/// One step of splitmix64, the reference mixer — deterministic and
+/// dependency-free. Every seeded fault script draws from it (the chaos
+/// harnesses sweep seeds, not RNG state), and so may a harness's own churn.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-impl FaultPlan {
-    pub fn new(specs: Vec<FaultSpec>) -> Self {
-        FaultPlan { specs }
+/// A deterministic fault script of one family's specs. Construct
+/// explicitly ([`Script::new`]) or seed-driven (each family's `random`,
+/// e.g. [`FaultPlan::random`]); compile with [`Script::injector`].
+#[derive(Debug, Clone)]
+pub struct Script<S> {
+    pub specs: Vec<S>,
+}
+
+impl<S> Default for Script<S> {
+    fn default() -> Self {
+        Script { specs: Vec::new() }
+    }
+}
+
+impl<S: Copy> Script<S> {
+    pub fn new(specs: Vec<S>) -> Self {
+        Script { specs }
     }
 
+    /// Compile the script into a fire-once injector.
+    pub fn injector(&self) -> Injector<S> {
+        Injector { specs: self.specs.iter().map(|&s| (s, AtomicBool::new(false))).collect() }
+    }
+}
+
+/// A compiled [`Script`]: each spec fires at most once across the
+/// injector's lifetime, so a supervisor that rebuilds the group, or a
+/// scheduler that replays, does not re-trip the same scripted fault (unless
+/// a *different* spec targets a later call index). Shared behind an `Arc`
+/// by whoever hosts the hooks; a `None` injector costs nothing.
+#[derive(Debug)]
+pub struct Injector<S> {
+    specs: Vec<(S, AtomicBool)>,
+}
+
+impl<S> Default for Injector<S> {
+    fn default() -> Self {
+        Injector { specs: Vec::new() }
+    }
+}
+
+impl<S: Copy> Injector<S> {
+    /// Number of specs that have not fired yet.
+    pub fn pending(&self) -> usize {
+        self.specs.iter().filter(|(_, fired)| !fired.load(Ordering::Relaxed)).count()
+    }
+
+    /// The first unfired spec `hit` accepts, consumed.
+    fn take(&self, hit: impl Fn(&S) -> bool) -> Option<S> {
+        self.specs
+            .iter()
+            .find(|(spec, fired)| hit(spec) && !fired.swap(true, Ordering::Relaxed))
+            .map(|(spec, _)| *spec)
+    }
+}
+
+/// The collective fault script ([`FaultSpec`]s: rank × site × kind).
+pub type FaultPlan = Script<FaultSpec>;
+/// A compiled [`FaultPlan`], shared by every rank of (possibly successive)
+/// communicators.
+pub type FaultInjector = Injector<FaultSpec>;
+
+impl FaultPlan {
     /// A seed-driven plan of `n` faults over `world` ranks: kinds and sites
-    /// are drawn from a splitmix64 stream, so the same seed always yields
-    /// the same script (the chaos harness sweeps seeds, not RNG state).
-    /// Epochs are drawn from `0..max_epoch`, layer sites from
-    /// `layers`/`tokens`.
+    /// are drawn from one [`splitmix64`] stream, so the same seed always
+    /// yields the same script. Epochs are drawn from `0..max_epoch`, layer
+    /// sites from `layers`/`tokens`.
     pub fn random(seed: u64, n: usize, world: usize, max_epoch: u64, layers: usize, tokens: usize) -> Self {
         assert!(world > 0 && max_epoch > 0 && layers > 0 && tokens > 0);
         let mut s = seed;
-        let mut next = move || -> u64 {
-            // splitmix64: the reference mixer — deterministic, dependency-free.
-            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = || splitmix64(&mut s);
         let specs = (0..n)
             .map(|_| {
                 let rank = (next() % world as u64) as usize;
@@ -170,24 +225,8 @@ impl FaultPlan {
                 FaultSpec { rank, site, kind }
             })
             .collect();
-        FaultPlan { specs }
+        Script { specs }
     }
-
-    /// Compile the plan into a fire-once injector.
-    pub fn injector(&self) -> FaultInjector {
-        FaultInjector {
-            specs: self.specs.iter().map(|&s| (s, AtomicBool::new(false))).collect(),
-        }
-    }
-}
-
-/// A compiled [`FaultPlan`]: each spec fires at most once across the
-/// injector's lifetime, so a supervisor that rebuilds the group and replays
-/// does not re-trip the same scripted fault. Shared behind an `Arc` by every
-/// rank of (possibly successive) communicators.
-#[derive(Debug)]
-pub struct FaultInjector {
-    specs: Vec<(FaultSpec, AtomicBool)>,
 }
 
 impl FaultInjector {
@@ -197,6 +236,7 @@ impl FaultInjector {
         self.take(|s| {
             s.rank == rank && matches!(s.site, FaultSite::Barrier { epoch: e } if e == epoch)
         })
+        .map(|s| s.kind)
     }
 
     /// The scripted fault for the reduce step of the all-reduce whose first
@@ -205,6 +245,7 @@ impl FaultInjector {
         self.take(|s| {
             s.rank == rank && matches!(s.site, FaultSite::Reduce { epoch: e } if e == epoch)
         })
+        .map(|s| s.kind)
     }
 
     /// The scripted fault for `rank` entering `layer` while the step covers
@@ -215,20 +256,7 @@ impl FaultInjector {
                 && matches!(s.site, FaultSite::Layer { token, layer: l }
                     if l == layer && token >= pos_lo && token < pos_hi)
         })
-    }
-
-    /// Number of specs that have not fired yet.
-    pub fn pending(&self) -> usize {
-        self.specs.iter().filter(|(_, fired)| !fired.load(Ordering::Relaxed)).count()
-    }
-
-    fn take(&self, hit: impl Fn(&FaultSpec) -> bool) -> Option<FaultKind> {
-        for (spec, fired) in &self.specs {
-            if hit(spec) && !fired.swap(true, Ordering::Relaxed) {
-                return Some(spec.kind);
-            }
-        }
-        None
+        .map(|s| s.kind)
     }
 }
 
@@ -286,33 +314,22 @@ pub struct EngineFaultSpec {
     pub kind: EngineFaultKind,
 }
 
-/// A deterministic engine-fault script, the paged-path analog of
-/// [`FaultPlan`]. Compile with [`EngineFaultPlan::injector`].
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct EngineFaultPlan {
-    pub specs: Vec<EngineFaultSpec>,
-}
+/// The engine-fault script, the paged-path analog of [`FaultPlan`].
+pub type EngineFaultPlan = Script<EngineFaultSpec>;
+/// A compiled [`EngineFaultPlan`], shared between the serving config and
+/// the engine wrapper.
+pub type EngineFaultInjector = Injector<EngineFaultSpec>;
 
 impl EngineFaultPlan {
-    pub fn new(specs: Vec<EngineFaultSpec>) -> Self {
-        EngineFaultPlan { specs }
-    }
-
     /// A seed-driven plan of `n` faults over the first `max_call` calls of
-    /// each kind, drawn from the same splitmix64 stream discipline as
-    /// [`FaultPlan::random`]: one seed, one script. `stall_millis` bounds
-    /// injected stalls (keep it above the scheduler's step deadline to make
-    /// stalls detectable, below the test's patience to keep runs fast).
+    /// each kind, drawn from one [`splitmix64`] stream like
+    /// [`FaultPlan::random`]. `stall_millis` bounds injected stalls (keep it
+    /// above the scheduler's step deadline to make stalls detectable, below
+    /// the test's patience to keep runs fast).
     pub fn random(seed: u64, n: usize, max_call: u64, stall_millis: u64) -> Self {
         assert!(max_call > 0 && stall_millis > 0);
         let mut s = seed;
-        let mut next = move || -> u64 {
-            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = || splitmix64(&mut s);
         let specs = (0..n)
             .map(|_| {
                 let kind = match next() % 4 {
@@ -329,49 +346,21 @@ impl EngineFaultPlan {
                 EngineFaultSpec { site, kind }
             })
             .collect();
-        EngineFaultPlan { specs }
+        Script { specs }
     }
-
-    /// Compile the plan into a fire-once injector.
-    pub fn injector(&self) -> EngineFaultInjector {
-        EngineFaultInjector {
-            specs: self.specs.iter().map(|&s| (s, AtomicBool::new(false))).collect(),
-        }
-    }
-}
-
-/// A compiled [`EngineFaultPlan`]: each spec fires at most once, so replay
-/// recovery does not re-trip the same scripted fault (unless a *different*
-/// spec targets a later call index). Shared behind an `Arc` between the
-/// serving config and the engine wrapper; a `None` injector costs nothing.
-#[derive(Debug, Default)]
-pub struct EngineFaultInjector {
-    specs: Vec<(EngineFaultSpec, AtomicBool)>,
 }
 
 impl EngineFaultInjector {
     /// The scripted fault for the `call`-th prefill, if any (consumes it).
     pub fn at_prefill(&self, call: u64) -> Option<EngineFaultKind> {
         self.take(|s| matches!(s.site, EngineFaultSite::Prefill { call: c } if c == call))
+            .map(|s| s.kind)
     }
 
     /// The scripted fault for the `call`-th decode step, if any.
     pub fn at_decode(&self, call: u64) -> Option<EngineFaultKind> {
         self.take(|s| matches!(s.site, EngineFaultSite::Decode { call: c } if c == call))
-    }
-
-    /// Number of specs that have not fired yet.
-    pub fn pending(&self) -> usize {
-        self.specs.iter().filter(|(_, fired)| !fired.load(Ordering::Relaxed)).count()
-    }
-
-    fn take(&self, hit: impl Fn(&EngineFaultSpec) -> bool) -> Option<EngineFaultKind> {
-        for (spec, fired) in &self.specs {
-            if hit(spec) && !fired.swap(true, Ordering::Relaxed) {
-                return Some(spec.kind);
-            }
-        }
-        None
+            .map(|s| s.kind)
     }
 }
 
@@ -422,34 +411,26 @@ pub struct IoFaultSpec {
     pub kind: IoFaultKind,
 }
 
-/// A deterministic I/O-fault script, the tier-reader analog of
-/// [`EngineFaultPlan`]. Compile with [`IoFaultPlan::injector`].
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct IoFaultPlan {
-    pub specs: Vec<IoFaultSpec>,
-}
+/// The I/O-fault script, the tier-reader analog of [`EngineFaultPlan`]. A
+/// fire-once spec lets a bounded re-read recover from a one-shot
+/// corruption; persistent corruption needs a script that targets the
+/// retry's call index too.
+pub type IoFaultPlan = Script<IoFaultSpec>;
+/// A compiled [`IoFaultPlan`], shared between the offload config and the
+/// tier reader.
+pub type IoFaultInjector = Injector<IoFaultSpec>;
 
 impl IoFaultPlan {
-    pub fn new(specs: Vec<IoFaultSpec>) -> Self {
-        IoFaultPlan { specs }
-    }
-
     /// A seed-driven plan of `n` faults over the first `max_call` reads,
-    /// drawn from the same splitmix64 stream discipline as
-    /// [`EngineFaultPlan::random`]: one seed, one script. `stall_millis`
-    /// bounds injected read stalls. `FailOpen` is only drawn at read sites
-    /// here (a storm that kills the open would end the run before it
-    /// starts); script open-faults explicitly when testing the open path.
+    /// drawn from one [`splitmix64`] stream like [`EngineFaultPlan::random`].
+    /// `stall_millis` bounds injected read stalls. `FailOpen` is only drawn
+    /// at read sites here (a storm that kills the open would end the run
+    /// before it starts); script open-faults explicitly when testing the
+    /// open path.
     pub fn random(seed: u64, n: usize, max_call: u64, stall_millis: u64) -> Self {
         assert!(max_call > 0 && stall_millis > 0);
         let mut s = seed;
-        let mut next = move || -> u64 {
-            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = || splitmix64(&mut s);
         let specs = (0..n)
             .map(|_| {
                 let kind = match next() % 4 {
@@ -464,50 +445,21 @@ impl IoFaultPlan {
                 IoFaultSpec { site, kind }
             })
             .collect();
-        IoFaultPlan { specs }
+        Script { specs }
     }
-
-    /// Compile the plan into a fire-once injector.
-    pub fn injector(&self) -> IoFaultInjector {
-        IoFaultInjector {
-            specs: self.specs.iter().map(|&s| (s, AtomicBool::new(false))).collect(),
-        }
-    }
-}
-
-/// A compiled [`IoFaultPlan`]: each spec fires at most once, so a bounded
-/// re-read recovers from a one-shot corruption (and persistent corruption
-/// needs a script that targets the retry's call index too). Shared behind
-/// an `Arc` between the offload config and the tier reader; a `None`
-/// injector costs nothing.
-#[derive(Debug, Default)]
-pub struct IoFaultInjector {
-    specs: Vec<(IoFaultSpec, AtomicBool)>,
 }
 
 impl IoFaultInjector {
     /// The scripted fault for the `call`-th open, if any (consumes it).
     pub fn at_open(&self, call: u64) -> Option<IoFaultKind> {
         self.take(|s| matches!(s.site, IoFaultSite::Open { call: c } if c == call))
+            .map(|s| s.kind)
     }
 
     /// The scripted fault for the `call`-th panel read, if any.
     pub fn at_read(&self, call: u64) -> Option<IoFaultKind> {
         self.take(|s| matches!(s.site, IoFaultSite::Read { call: c } if c == call))
-    }
-
-    /// Number of specs that have not fired yet.
-    pub fn pending(&self) -> usize {
-        self.specs.iter().filter(|(_, fired)| !fired.load(Ordering::Relaxed)).count()
-    }
-
-    fn take(&self, hit: impl Fn(&IoFaultSpec) -> bool) -> Option<IoFaultKind> {
-        for (spec, fired) in &self.specs {
-            if hit(spec) && !fired.swap(true, Ordering::Relaxed) {
-                return Some(spec.kind);
-            }
-        }
-        None
+            .map(|s| s.kind)
     }
 }
 
@@ -605,6 +557,67 @@ mod tests {
                 assert!((20..=40).contains(&millis), "stall {millis} out of band");
             }
         }
+    }
+
+    /// The chaos sweeps' seeds were chosen against these exact scripts: a
+    /// change to the draw order of any `random` would silently re-aim them.
+    #[test]
+    fn seed_42_collective_script_is_pinned() {
+        use FaultKind::*;
+        use FaultSite::*;
+        let spec = |rank, site, kind| FaultSpec { rank, site, kind };
+        assert_eq!(
+            FaultPlan::random(42, 8, 4, 16, 3, 10).specs,
+            vec![
+                spec(1, Reduce { epoch: 4 }, Corrupt),
+                spec(2, Reduce { epoch: 4 }, Panic),
+                spec(1, Layer { token: 6, layer: 2 }, Panic),
+                spec(3, Layer { token: 1, layer: 0 }, Stall { millis: 11 }),
+                spec(0, Barrier { epoch: 1 }, Stall { millis: 2 }),
+                spec(0, Reduce { epoch: 15 }, Exit),
+                spec(3, Reduce { epoch: 14 }, Corrupt),
+                spec(1, Reduce { epoch: 3 }, Panic),
+            ]
+        );
+    }
+
+    #[test]
+    fn seed_42_engine_script_is_pinned() {
+        use EngineFaultKind::*;
+        use EngineFaultSite::*;
+        let spec = |site, kind| EngineFaultSpec { site, kind };
+        assert_eq!(
+            EngineFaultPlan::random(42, 8, 32, 80).specs,
+            vec![
+                spec(Prefill { call: 20 }, Stall { millis: 61 }),
+                spec(Prefill { call: 29 }, Corrupt),
+                spec(Decode { call: 14 }, Panic),
+                spec(Decode { call: 23 }, Exhaust { calls: 2 }),
+                spec(Decode { call: 21 }, Panic),
+                spec(Prefill { call: 8 }, Stall { millis: 68 }),
+                spec(Decode { call: 16 }, Stall { millis: 72 }),
+                spec(Decode { call: 7 }, Stall { millis: 74 }),
+            ]
+        );
+    }
+
+    #[test]
+    fn seed_42_io_script_is_pinned() {
+        use IoFaultKind::*;
+        let read = |call, kind| IoFaultSpec { site: IoFaultSite::Read { call }, kind };
+        assert_eq!(
+            IoFaultPlan::random(42, 8, 64, 40).specs,
+            vec![
+                read(3, ShortRead),
+                read(20, CorruptPanel),
+                read(6, CorruptPanel),
+                read(36, ShortRead),
+                read(46, ShortRead),
+                read(62, FailOpen),
+                read(55, CorruptPanel),
+                read(53, SlowRead { millis: 25 }),
+            ]
+        );
     }
 
     #[test]

@@ -31,17 +31,6 @@ impl DType {
             DType::Int8 => 1,
         }
     }
-
-    /// The `M` factor of SBI-GeMM's cache-line layout (Sec. III-C3): how many
-    /// elements each thread reads along the input dimension so a 32-thread
-    /// warp consumes a full 128-byte L1 cache line.
-    pub const fn sbi_interleave(self) -> usize {
-        match self {
-            DType::Fp32 => 1,
-            DType::Fp16 => 2,
-            DType::Int8 => 4,
-        }
-    }
 }
 
 /// A single GPU device model.
@@ -380,14 +369,6 @@ mod tests {
         assert_eq!(DType::Fp32.bytes(), 4);
         assert_eq!(DType::Fp16.bytes(), 2);
         assert_eq!(DType::Int8.bytes(), 1);
-    }
-
-    #[test]
-    fn sbi_interleave_fills_cache_line() {
-        // 32 threads/warp * M elements * element size == 128-byte line.
-        for dt in [DType::Fp16, DType::Int8] {
-            assert_eq!(32 * dt.sbi_interleave() * dt.bytes(), 128);
-        }
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //!   a fetch deadline measured on the injected [`Clock`] and fails typed
 //!   (`FetchTimeout` — `Timeout` breaker class) instead of wedging;
 //! * **short reads** and **corrupt panels** are detected (byte count /
-//!   CRC32C against the panel directory) and re-read with backoff up to
-//!   `read_retries` times before the typed `Corruption`-class error;
+//!   CRC32C against the panel directory) and re-read with a fixed linear
+//!   backoff (1 ms × attempt) up to `read_retries` times before the typed
+//!   `Corruption`-class error;
 //! * **failed open / handle loss** kills the prefetch worker; the store
 //!   degrades to synchronous demand fetch on the decode thread — decode
 //!   slows, it never wedges and never returns wrong bytes.
@@ -124,6 +125,9 @@ impl From<IoError> for OffloadError {
     }
 }
 
+/// Wall-clock backoff before re-read `n` of a panel is `n ×` this.
+const RETRY_BACKOFF_MS: u64 = 1;
+
 /// Store configuration. `Default` is an unbounded resident budget with a
 /// depth-2 prefetch and generous wall-clock deadlines.
 #[derive(Debug, Clone)]
@@ -138,11 +142,9 @@ pub struct OffloadConfig {
     pub prefetch_depth: usize,
     /// Deadline for one `acquire`, measured on `clock`.
     pub fetch_timeout: Duration,
-    /// Bounded re-reads after a short or checksum-failing read.
+    /// Bounded re-reads after a short or checksum-failing read, each after
+    /// a wall-clock backoff of 1 ms × the attempt number.
     pub read_retries: usize,
-    /// Wall-clock backoff between re-reads (multiplied by the attempt
-    /// number).
-    pub retry_backoff: Duration,
     /// Deadline time source (manual in chaos tests, wall in production).
     pub clock: Clock,
     /// Seeded I/O fault injection; `None` in production.
@@ -156,7 +158,6 @@ impl Default for OffloadConfig {
             prefetch_depth: 2,
             fetch_timeout: Duration::from_secs(10),
             read_retries: 2,
-            retry_backoff: Duration::from_millis(1),
             clock: Clock::wall(),
             faults: None,
         }
@@ -674,8 +675,7 @@ impl Inner {
         let attempts = self.cfg.read_retries + 1;
         for attempt in 0..attempts {
             if attempt > 0 {
-                let backoff = self.cfg.retry_backoff.as_millis() as u64 * attempt as u64;
-                apply_stall(backoff);
+                apply_stall(RETRY_BACKOFF_MS * attempt as u64);
             }
             let call = self.read_calls.fetch_add(1, Ordering::SeqCst);
             let fault = self.cfg.faults.as_ref().and_then(|f| f.at_read(call));
@@ -1002,7 +1002,6 @@ mod tests {
         let cfg = OffloadConfig {
             faults: Some(Arc::new(IoFaultPlan::new(specs).injector())),
             read_retries: 2,
-            retry_backoff: Duration::from_millis(0),
             ..OffloadConfig::default()
         };
         match OffloadStore::open(&path, cfg) {
@@ -1020,13 +1019,12 @@ mod tests {
         let (_m, path) = save_model(3, 37, "rot");
         let clean = std::fs::read(&path).expect("read");
         let dir = io::read_directory(&clean).expect("directory");
-        let cfg = || OffloadConfig { retry_backoff: Duration::ZERO, ..OffloadConfig::default() };
         for (i, p) in dir.panels.iter().enumerate() {
             let mut bytes = clean.clone();
             bytes[p.offset + p.len / 2] ^= 0x04;
             std::fs::write(&path, &bytes).expect("write");
             // Layer 0 is the open-time probe, so its rot also fails the open.
-            let opened = OffloadStore::open(&path, cfg());
+            let opened = OffloadStore::open(&path, OffloadConfig::default());
             match (i, opened) {
                 (0, Err(OffloadError::Io(IoError::ChecksumMismatch { panel: 0 }))) => {}
                 (1, Err(OffloadError::ChecksumFailed { layer: 0, attempts: 3 })) => {}

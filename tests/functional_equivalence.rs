@@ -3,7 +3,6 @@
 //! must be bit-compatible (up to f32 accumulation order) with the reference.
 
 use deepspeed_inference::kernels::quant::{matmul_quantized, QuantizedMatrix};
-use deepspeed_inference::kernels::sbi::{gemm_sbi, SbiLayout, SbiPlan};
 use deepspeed_inference::kernels::tensor::Tensor;
 use deepspeed_inference::kernels::ops;
 use deepspeed_inference::model::reference::{layer_forward, GptModel, KvCache, LayerKv};
@@ -11,7 +10,6 @@ use deepspeed_inference::model::zoo;
 use deepspeed_inference::moe::layer::{ep_forward, MoeLayer};
 use deepspeed_inference::parallel::tp::{shard_layer, tp_layer_forward, tp_layer_forward_into};
 use deepspeed_inference::parallel::tp_exec::TpPackedModel;
-use deepspeed_inference::DType;
 
 /// Full-model tensor parallelism: shard every layer, run the whole stack
 /// with functional all-reduces, and compare logits with the reference.
@@ -135,21 +133,6 @@ fn moe_expert_parallel_equivalence_scaling() {
             "EP={ranks} diverges by {}",
             got.max_abs_diff(&reference)
         );
-    }
-}
-
-/// SBI-GeMM (with its cache-line weight layout and two-phase reduction)
-/// equals the straightforward GEMM for both kernel plans.
-#[test]
-fn sbi_gemm_equivalence_both_plans() {
-    for (k, n) in [(256usize, 64usize), (512, 4096)] {
-        let x = Tensor::randn(&[2, k], 1.0, 50);
-        let w = Tensor::randn(&[k, n], 0.2, 51);
-        let layout = SbiLayout::from_weights(&w, DType::Fp16);
-        let plan = SbiPlan::choose(k, n, 108);
-        let got = gemm_sbi(&x, &layout, plan);
-        let want = ops::matmul(&x, &w);
-        assert!(got.allclose(&want, 1e-3), "k={k} n={n} plan={plan:?}");
     }
 }
 
