@@ -10,7 +10,7 @@
 //! * region 1 — [`ln_matmul_bias_into`]: layer-norm → QKV GEMM → bias; the
 //!   normalized row never becomes a tensor, it lives in a scratch row reused
 //!   across rows and tokens.
-//! * region 2 — [`attention_into`]: score → softmax → weighted-sum in one
+//! * region 2 — [`attention_seq_into`]: score → softmax → weighted-sum in one
 //!   streaming pass over the keys (online softmax), with **no scores
 //!   buffer** of any size — the running max/sum rescale trick keeps state
 //!   in three registers plus the output accumulator.
@@ -101,15 +101,6 @@ pub fn ln_matmul_bias_gelu_into<B: PanelWeights + ?Sized>(
     matmul_bias_gelu_into(normed, m, w, bias, out);
 }
 
-/// Fused `x += bias` then GeLU, one pass over the rows (the eager pair
-/// `add_bias`; `gelu` reads and writes `x` twice).
-pub fn bias_gelu_inplace(x: &mut [f32], bias: &[f32]) {
-    let n = bias.len();
-    for row in x.chunks_exact_mut(n) {
-        crate::simd::bias_gelu_row(row, bias);
-    }
-}
-
 /// Fused `x += bias; x += residual` in one pass.
 pub fn bias_residual_inplace(x: &mut [f32], bias: &[f32], residual: &[f32]) {
     let n = bias.len();
@@ -128,27 +119,13 @@ pub fn bias_residual_inplace(x: &mut [f32], bias: &[f32], residual: &[f32]) {
 /// score → softmax → weighted-sum completes in a single traversal of the KV
 /// cache with O(1) extra state.
 ///
-/// Shapes match [`crate::ops::attention`]: `q = [t_new, h]` (as a slice),
-/// `k`/`v = [t_ctx, h]`, query `i` attends to context `<= causal_offset+i`.
-/// `out` must be `[t_new * h]`; it doubles as the accumulator.
-pub fn attention_into(
-    q: &[f32],
-    t_new: usize,
-    k: &Tensor,
-    v: &Tensor,
-    n_heads: usize,
-    causal_offset: usize,
-    out: &mut [f32],
-) {
-    let h = k.cols();
-    assert_eq!(q.len(), t_new * h, "attention: q size mismatch");
-    attention_seq_into(q, h, t_new, k, v, n_heads, causal_offset, out);
-}
-
-/// [`attention_into`] with a **strided** query: row `i`'s query lives at
-/// `q[i * q_stride .. i * q_stride + h]`. This lets the model layer read
-/// queries in place from the fused QKV scratch (`q_stride = 3h`) instead of
-/// gathering them into a contiguous buffer first.
+/// Shapes match [`crate::ops::attention`]: `k`/`v = [t_ctx, h]`, query `i`
+/// attends to context `<= causal_offset+i`. The query is **strided**: row
+/// `i`'s query lives at `q[i * q_stride .. i * q_stride + h]`, which lets
+/// the model layer read queries in place from the fused QKV scratch
+/// (`q_stride = 3h`) instead of gathering them into a contiguous buffer
+/// first; a contiguous `[t_new, h]` query is `q_stride = h`. `out` must be
+/// `[t_new * h]`; it doubles as the accumulator.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_seq_into(
     q: &[f32],
@@ -194,15 +171,6 @@ pub fn attention_row_into(
 ) {
     let visible = (offset + 1).min(k.rows());
     attention_row_core(q, k, v, n_heads, visible, out);
-}
-
-/// One sequence's KV cache plus the causal position of the query row being
-/// decoded against it (ragged-batch attention operand).
-pub struct KvView<'a> {
-    pub k: &'a Tensor,
-    pub v: &'a Tensor,
-    /// The query's position: it attends to keys `0..=offset`.
-    pub offset: usize,
 }
 
 /// One sequence's **paged** KV cache: K/V rows live in shared per-layer
@@ -294,41 +262,6 @@ impl RowIndex for PagedRows<'_> {
     #[inline(always)]
     fn row(&self, j: usize) -> usize {
         self.pages[j / self.page_tokens] as usize * self.page_tokens + j % self.page_tokens
-    }
-}
-
-/// Ragged-batch region-2 kernel: row `i` of the strided `q` block attends
-/// over its own `kvs[i]` (per-row KV tensors and per-row sequence length).
-/// This is [`attention_seq_into`] generalized from "one cache, stair-step
-/// offsets" to "one cache *per row*" — the batched-decode shape where every
-/// sequence is at a different position.
-pub fn attention_ragged_into(
-    q: &[f32],
-    q_stride: usize,
-    kvs: &[KvView<'_>],
-    n_heads: usize,
-    out: &mut [f32],
-) {
-    let m = kvs.len();
-    if m == 0 {
-        return;
-    }
-    let h = kvs[0].k.cols();
-    assert!(q_stride >= h, "attention: q stride narrower than hidden");
-    assert!(
-        (m - 1) * q_stride + h <= q.len(),
-        "attention: q size mismatch"
-    );
-    assert_eq!(out.len(), m * h, "attention: out size mismatch");
-    for (i, kv) in kvs.iter().enumerate() {
-        attention_row_into(
-            &q[i * q_stride..i * q_stride + h],
-            kv.k,
-            kv.v,
-            n_heads,
-            kv.offset,
-            &mut out[i * h..(i + 1) * h],
-        );
     }
 }
 
@@ -642,17 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn bias_gelu_pass_matches_unfused() {
-        let mut x = Tensor::randn(&[3, 8], 1.0, 21);
-        let bias = Tensor::randn(&[8], 0.5, 22);
-        let mut want = x.clone();
-        ops::add_bias(&mut want, &bias);
-        ops::gelu(&mut want);
-        bias_gelu_inplace(x.data_mut(), bias.data());
-        assert!(x.allclose(&want, 1e-6));
-    }
-
-    #[test]
     fn bias_residual_pass_matches_unfused() {
         let mut x = Tensor::randn(&[3, 8], 1.0, 31);
         let bias = Tensor::randn(&[8], 0.5, 32);
@@ -673,7 +595,7 @@ mod tests {
             let v = Tensor::randn(&[t_ctx, h], 1.0, 43);
             let want = ops::attention(&q, &k, &v, heads, off);
             let mut got = Tensor::zeros(&[t_new, h]);
-            attention_into(q.data(), t_new, &k, &v, heads, off, got.data_mut());
+            attention_seq_into(q.data(), h, t_new, &k, &v, heads, off, got.data_mut());
             assert!(
                 got.allclose(&want, 1e-5),
                 "({t_new},{t_ctx},{heads},{off}) diff {}",
@@ -696,7 +618,7 @@ mod tests {
             gathered.row_mut(i).copy_from_slice(&qkv.row(i)[..h]);
         }
         let mut want = Tensor::zeros(&[t_new, h]);
-        attention_into(gathered.data(), t_new, &k, &v, heads, off, want.data_mut());
+        attention_seq_into(gathered.data(), h, t_new, &k, &v, heads, off, want.data_mut());
         let mut got = Tensor::zeros(&[t_new, h]);
         attention_seq_into(qkv.data(), 3 * h, t_new, &k, &v, heads, off, got.data_mut());
         assert!(got.allclose(&want, 0.0));
@@ -704,32 +626,20 @@ mod tests {
 
     #[test]
     fn ragged_attention_matches_reference_per_row() {
-        // Each row has its own KV length/offset; every row must equal an
-        // independent single-query reference attention over its own cache.
+        // Each row has its own KV length/offset (the batched-decode shape
+        // `fast::step` runs row by row); every row must equal an independent
+        // single-query reference attention over its own cache.
         let heads = 2;
         let h = 8 * heads;
-        let lens = [1usize, 5, 3, 9];
-        let q = Tensor::randn(&[lens.len(), 3 * h], 1.0, 71);
-        let ks: Vec<Tensor> = (0..lens.len())
-            .map(|i| Tensor::randn(&[lens[i], h], 1.0, 72 + i as u64))
-            .collect();
-        let vs: Vec<Tensor> = (0..lens.len())
-            .map(|i| Tensor::randn(&[lens[i], h], 1.0, 90 + i as u64))
-            .collect();
-        let kvs: Vec<KvView<'_>> = (0..lens.len())
-            .map(|i| KvView { k: &ks[i], v: &vs[i], offset: lens[i] - 1 })
-            .collect();
-        let mut got = Tensor::zeros(&[lens.len(), h]);
-        attention_ragged_into(q.data(), 3 * h, &kvs, heads, got.data_mut());
-        for i in 0..lens.len() {
-            let qi = Tensor::from_vec(&[1, h], q.row(i)[..h].to_vec());
-            let want = ops::attention(&qi, &ks[i], &vs[i], heads, lens[i] - 1);
-            let gi = Tensor::from_vec(&[1, h], got.row(i).to_vec());
-            assert!(
-                gi.allclose(&want, 1e-5),
-                "row {i} diff {}",
-                gi.max_abs_diff(&want)
-            );
+        for (i, len) in [1usize, 5, 3, 9].into_iter().enumerate() {
+            let seed = 71 + 3 * i as u64;
+            let q = Tensor::randn(&[1, h], 1.0, seed);
+            let k = Tensor::randn(&[len, h], 1.0, seed + 1);
+            let v = Tensor::randn(&[len, h], 1.0, seed + 2);
+            let mut got = Tensor::zeros(&[1, h]);
+            attention_row_into(q.data(), &k, &v, heads, len - 1, got.data_mut());
+            let want = ops::attention(&q, &k, &v, heads, len - 1);
+            assert!(got.allclose(&want, 1e-5), "row {i} diff {}", got.max_abs_diff(&want));
         }
     }
 
@@ -836,7 +746,7 @@ mod tests {
         k.data_mut()[0] = f32::NAN;
         let v = Tensor::randn(&[3, 8], 1.0, 53);
         let mut got = Tensor::zeros(&[1, 8]);
-        attention_into(q.data(), 1, &k, &v, 1, 2, got.data_mut());
+        attention_seq_into(q.data(), 8, 1, &k, &v, 1, 2, got.data_mut());
         assert!(got.data().iter().all(|x| x.is_nan()));
     }
 }

@@ -1,27 +1,31 @@
-//! Circuit breaker over the supervisor's fault machinery.
+//! Circuit breaker over the engine's classed faults.
 //!
-//! The PR-4 supervisor retries and degrades *within* one request; what it
-//! cannot see is the pattern **across** requests. When the engine is
-//! systematically broken — a fault storm exhausting every retry budget —
-//! each admitted request still burns its full retry/backoff budget before
-//! failing, so a queue of doomed requests turns a component fault into a
-//! latency catastrophe for everyone behind it. The breaker is the standard
-//! production answer (and the robustness literature's: under saturation a
-//! server that admits everything degrades for everyone): repeated terminal
-//! [`FaultError`] outcomes **open** the breaker, new admissions fast-fail
-//! with [`Rejected::BreakerOpen`] instead of queueing behind a broken
-//! engine, and after a cool-down window a single **half-open probe**
-//! request is admitted to test recovery — success closes the breaker,
-//! failure re-opens it for another window.
+//! Recovery retries and replays *within* one request; what it cannot see is
+//! the pattern **across** requests. When the engine is systematically
+//! broken — a fault storm exhausting every replay budget — each admitted
+//! request still burns its full budget before failing, so a queue of
+//! doomed requests turns a component fault into a latency catastrophe for
+//! everyone behind it. The breaker is the standard production answer (and
+//! the robustness literature's: under saturation a server that admits
+//! everything degrades for everyone): every classed engine fault the
+//! scheduler sees (any engine's `EngineError::Fault`, a caught panic, a
+//! step past its deadline) counts against that class's breaker, repeated
+//! failures **open** it, new admissions fast-fail with
+//! [`Rejected::BreakerOpen`] instead of queueing behind a broken engine,
+//! and after a cool-down window a single **half-open probe** request is
+//! admitted to test recovery — success closes the breaker, failure
+//! re-opens it for another window.
 //!
 //! Time comes from [`dsi_sim::clock::Clock`], so the open-window and
 //! re-probe transitions are deterministic under a manual clock — every
-//! breaker test below is seed-free *and* sleep-free.
+//! breaker test below is seed-free *and* sleep-free. The same property lets
+//! [`explore`] check the real [`Breaker`] exhaustively: every event
+//! sequence up to a bounded depth, time advancing in nanosecond ticks.
 //!
-//! [`FaultError`]: dsi_parallel::supervisor::FaultError
 //! [`Rejected::BreakerOpen`]: crate::server::Rejected::BreakerOpen
 
 use dsi_core::FaultClass;
+use dsi_verify::{Diagnostic, Pass};
 use std::time::Duration;
 
 /// Breaker tuning. `enabled: false` turns the breaker into a pass-through
@@ -250,6 +254,131 @@ impl BreakerSet {
     }
 }
 
+/// One breaker event for [`explore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Admit,
+    Success,
+    Failure,
+    AbortProbe,
+    /// The clock advances one nanosecond.
+    Tick,
+}
+
+/// Exhaustively drive clones of `start` through every event sequence of
+/// length `depth` (the clock starting at 0 and advancing one nanosecond per
+/// `Tick`) and check the safety invariants after each transition: rejects
+/// only while open or probing, probes only after the window, at most one
+/// probe in flight, `opens` counts exactly the failure-driven transitions
+/// into `Open`, nothing else opens it, and a closed breaker never holds
+/// `failure_threshold` failures. Returns one diagnostic per violated
+/// invariant (deduplicated by code); empty means the breaker is safe over
+/// the whole bounded behaviour space.
+pub fn explore(start: &Breaker, depth: usize) -> Vec<Diagnostic> {
+    const EVENTS: [Event; 5] =
+        [Event::Admit, Event::Success, Event::Failure, Event::AbortProbe, Event::Tick];
+    let threshold = start.cfg.failure_threshold;
+    let mut diags: Vec<Diagnostic> = Vec::new();
+    let mut flag = |code: &'static str, trace: &[Event], msg: String| {
+        if !diags.iter().any(|d| d.code == code) {
+            let site = format!("event trace {trace:?}");
+            diags.push(Diagnostic::new(Pass::Collective, code, site, msg));
+        }
+    };
+    // Iterative DFS over event strings; the space is |EVENTS|^depth.
+    let mut stack: Vec<(Breaker, u64, Vec<Event>)> = vec![(start.clone(), 0, Vec::new())];
+    while let Some((node, now, path)) = stack.pop() {
+        if path.len() >= depth {
+            continue;
+        }
+        let (before, before_opens) = (node.state(), node.opens);
+        for ev in EVENTS {
+            let mut b = node.clone();
+            let mut t = now;
+            let mut trace = path.clone();
+            trace.push(ev);
+            match ev {
+                Event::Tick => t += 1,
+                Event::Admit => {
+                    // Admit only when closed, probe only once the window has
+                    // elapsed, reject only while open or probing.
+                    let verdict = b.admit(t);
+                    let (code, legal) = match verdict {
+                        BreakerAdmission::Admit => {
+                            ("breaker-admit-open", matches!(before, BreakerState::Closed { .. }))
+                        }
+                        BreakerAdmission::AdmitProbe => (
+                            "breaker-probe-early",
+                            matches!(before, BreakerState::Open { until_ns } if t >= until_ns)
+                                && b.state() == BreakerState::HalfOpen,
+                        ),
+                        BreakerAdmission::Reject => (
+                            "breaker-reject-closed",
+                            matches!(before, BreakerState::Open { until_ns } if t < until_ns)
+                                || before == BreakerState::HalfOpen,
+                        ),
+                    };
+                    if !legal {
+                        flag(code, &trace, format!("{verdict:?} from {before:?} at t={t}"));
+                    }
+                    // At most one probe in flight: a second admission while
+                    // half-open must reject.
+                    if b.state() == BreakerState::HalfOpen
+                        && b.clone().admit(t) != BreakerAdmission::Reject
+                    {
+                        flag("breaker-double-probe", &trace,
+                            "second admission while a probe is in flight".to_string());
+                    }
+                }
+                Event::Success => b.on_success(),
+                Event::Failure => b.on_failure(t),
+                Event::AbortProbe => b.abort_probe(t),
+            }
+            // Global invariants, after every transition.
+            if let BreakerState::Closed { consecutive_failures } = b.state() {
+                if consecutive_failures >= threshold {
+                    let msg = format!("closed, {consecutive_failures} failures ≥ {threshold}");
+                    flag("breaker-threshold-missed", &trace, msg);
+                }
+            }
+            let opened = matches!(b.state(), BreakerState::Open { .. })
+                && !matches!(before, BreakerState::Open { .. });
+            // `opens` counts transitions into Open caused by a failure; an
+            // aborted probe re-opens (window already elapsed) without
+            // counting — it observed nothing new about the engine.
+            let want_opens = before_opens + u32::from(opened && ev == Event::Failure);
+            if b.opens != want_opens {
+                let msg = format!("opens {before_opens} → {} on {ev:?}", b.opens);
+                flag("breaker-opens-miscount", &trace, msg);
+            }
+            if opened && !matches!(ev, Event::Failure | Event::AbortProbe) {
+                flag("breaker-spurious-open", &trace, format!("entered Open on {ev:?}"));
+            }
+            stack.push((b, t, trace));
+        }
+    }
+    diags
+}
+
+/// The `cargo xtask verify` breaker gate: [`explore`] a fresh [`Breaker`]
+/// at the (threshold, window-in-ns) tunings (1, 1), (2, 2) and (3, 1), to
+/// depth 6. Returns the diagnostics (empty = clean).
+pub fn breaker_explorer_check() -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
+    for (threshold, window_ns) in [(1u32, 1u64), (2, 2), (3, 1)] {
+        let b = Breaker::new(BreakerConfig {
+            enabled: true,
+            failure_threshold: threshold,
+            open_window: Duration::from_nanos(window_ns),
+        });
+        diags.extend(explore(&b, 6).into_iter().map(|mut d| {
+            d.site = format!("breaker t={threshold} w={window_ns}ns: {}", d.site);
+            d
+        }));
+    }
+    diags
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,67 +544,23 @@ mod tests {
         assert_eq!(s.admit(clock.now_ns()), SetAdmission::AdmitProbe(FaultClass::Corruption));
     }
 
-    /// Lock-step conformance against `dsi_verify::runtime::BreakerModel` —
-    /// the pure transcription that `check_breaker_model` explores
-    /// exhaustively. The verifier proves the *model* safe; this test pins
-    /// the executable breaker to the model under seeded random event
-    /// sequences, closing the loop.
     #[test]
-    fn breaker_conforms_to_verified_model_in_lockstep() {
-        use dsi_verify::runtime::{BreakerModel, ModelAdmission, ModelState};
-        for seed in 0..8u64 {
-            let (clock, time) = Clock::manual();
-            let mut real = breaker(2, 10);
-            let mut model = BreakerModel::new(2, Duration::from_millis(10).as_nanos() as u64);
-            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x1234_5678);
-            let mut next = move || dsi_sim::fault::splitmix64(&mut s);
-            for step in 0..200 {
-                let now = clock.now_ns();
-                match next() % 5 {
-                    0 => {
-                        let got = real.admit(now);
-                        let want = model.admit(now);
-                        let same = matches!(
-                            (got, want),
-                            (BreakerAdmission::Admit, ModelAdmission::Admit)
-                                | (BreakerAdmission::AdmitProbe, ModelAdmission::AdmitProbe)
-                                | (BreakerAdmission::Reject, ModelAdmission::Reject)
-                        );
-                        assert!(same, "seed {seed} step {step}: {got:?} vs model {want:?}");
-                    }
-                    1 => {
-                        real.on_success();
-                        model.on_success();
-                    }
-                    2 => {
-                        real.on_failure(now);
-                        model.on_failure(now);
-                    }
-                    3 => {
-                        real.abort_probe(now);
-                        model.abort_probe(now);
-                    }
-                    _ => time.advance(Duration::from_millis(next() % 8)),
-                }
-                let eq = match (real.state(), model.state) {
-                    (
-                        BreakerState::Closed { consecutive_failures },
-                        ModelState::Closed { failures },
-                    ) => consecutive_failures == failures,
-                    (BreakerState::Open { until_ns }, ModelState::Open { until }) => {
-                        until_ns == until
-                    }
-                    (BreakerState::HalfOpen, ModelState::HalfOpen) => true,
-                    _ => false,
-                };
-                assert!(
-                    eq,
-                    "seed {seed} step {step}: real {:?} diverged from model {:?}",
-                    real.state(),
-                    model.state
-                );
-                assert_eq!(real.opens, model.opens, "seed {seed} step {step}: opens diverged");
-            }
-        }
+    fn explorer_is_clean_on_the_real_breaker() {
+        let diags = breaker_explorer_check();
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
+    fn explorer_catches_a_closed_breaker_at_threshold() {
+        // No event sequence reaches this state; put a real breaker in it
+        // and the explorer must flag the first transition that keeps it.
+        let mut b = Breaker::new(BreakerConfig {
+            enabled: true,
+            failure_threshold: 2,
+            open_window: Duration::from_nanos(2),
+        });
+        b.state = BreakerState::Closed { consecutive_failures: 2 };
+        let diags = explore(&b, 1);
+        assert!(diags.iter().any(|d| d.code == "breaker-threshold-missed"), "{diags:#?}");
     }
 }

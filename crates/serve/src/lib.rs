@@ -48,9 +48,10 @@ pub mod scheduler;
 pub mod server;
 
 pub use breaker::{
-    Breaker, BreakerAdmission, BreakerConfig, BreakerSet, BreakerState, SetAdmission,
+    breaker_explorer_check, Breaker, BreakerAdmission, BreakerConfig, BreakerSet, BreakerState,
+    SetAdmission,
 };
-pub use scheduler::{live_trace_check, PageReport, SchedReport};
+pub use scheduler::{live_trace_check, LiveCheck, PageReport, SchedReport};
 pub use server::{
     kv_budget_tokens, ContinuousConfig, EngineMode, EvictReason, Outcome, Rejected, Request,
     ServeConfig, ServeReport, Server, Ticket,

@@ -52,7 +52,8 @@
 //! under) and needs no more private pages than it held, so the replays
 //! together need no more distinct pages than were in use before the fault
 //! and every one fits by construction — the protocol `dsi-verify`'s
-//! recovery-program checker proves. A resident that keeps faulting past
+//! recovery-program checker proves, on the steps this loop records (see
+//! the tracer below). A resident that keeps faulting past
 //! [`ContinuousConfig::replay_budget`] is evicted with the typed
 //! [`EvictReason::EngineFault`]. Each fault's class feeds that class's
 //! circuit breaker ([`crate::breaker::BreakerSet`]).
@@ -66,12 +67,17 @@
 //!
 //! With [`ContinuousConfig::trace`] on (default in debug builds), the loop
 //! records its actual lock acquire/release and admit/execute/recover/retire
-//! ordering as [`SchedTraceOp`]s, attaches the trace to the final
-//! [`SchedReport`], and self-checks it against
-//! [`dsi_verify::locks::continuous_scheduler_model`] via
-//! [`check_sched_trace`] at exit — the recovery transitions cannot drift
-//! from the verified model. `cargo xtask verify` runs [`live_trace_check`]
-//! as an end-to-end gate, over a continuous and a single-flight server.
+//! ordering as [`SchedTraceOp`]s, and with them every recovery step it
+//! takes — poison, release, replay, evict, per slot, a replay whose
+//! prefill fails recorded as a replay followed by a release — as
+//! [`SchedTraceOp::Recovery`]. It attaches the trace to the final
+//! [`SchedReport`] and self-checks it at exit: the lock and phase ordering
+//! against [`dsi_verify::locks::continuous_scheduler_model`] via
+//! [`check_sched_trace`], and each recorded recovery program
+//! ([`recorded_recoveries`]) with [`check_recovery_program`]. Neither can
+//! drift from the code, because the code writes them. `cargo xtask verify`
+//! runs [`live_trace_check`] as an end-to-end gate, over a continuous, a
+//! single-flight and a fault-scripted server.
 //!
 //! Because every engine's decode is bit-identical to a solo
 //! [`FastSession`](dsi_model::fast::FastSession) run (which is
@@ -90,9 +96,11 @@ use dsi_model::paged::PageStats;
 use dsi_model::reference::GptModel;
 use dsi_sim::clock::Clock;
 use dsi_verify::locks::{check_sched_trace, SchedTraceOp};
+use dsi_verify::runtime::{check_recovery_program, recorded_recoveries, RecoveryOp};
+use dsi_verify::{Diagnostic, Pass};
 use serde::Serialize;
 
-use crate::server::{ContinuousConfig, EvictReason, Job, Outcome, Running, Shared};
+use crate::server::{ContinuousConfig, EvictReason, Job, Outcome, Running, Server, Shared};
 
 /// Page-allocator statistics at drain, for BENCH_robustness.json.
 #[derive(Debug, Clone, Serialize)]
@@ -139,8 +147,8 @@ pub struct SchedReport {
     /// exhausting their replay budget.
     pub engine_fault_evictions: u64,
     /// Debug-build scheduler trace (lock + phase ordering of the live
-    /// worker); empty when tracing is off. Checked against the verified
-    /// model by [`check_sched_trace`].
+    /// worker, and the recovery steps it took); empty when tracing is off.
+    /// Checked by [`check_sched_trace`] and [`check_recovery_program`].
     pub trace: Vec<SchedTraceOp>,
     pub pages: PageReport,
 }
@@ -162,95 +170,46 @@ struct Resident {
     admit_seq: u64,
 }
 
+/// How a resident leaves its slot.
 enum Retire {
     Completed,
-    Cancelled,
     DeadlineExpired,
-    PagesExhausted,
-    EngineFault { class: FaultClass, msg: String },
-}
-
-/// Outcome of one guarded engine call.
-enum StepVerdict<T> {
-    Ok(T),
-    OutOfPages,
-    Fault { class: FaultClass, msg: String },
+    Evicted(EvictReason),
 }
 
 fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "engine panicked".to_string()
-    }
+    let text = p.downcast_ref::<&str>().copied().or(p.downcast_ref::<String>().map(String::as_str));
+    text.unwrap_or("engine panicked").to_string()
 }
 
-/// Prefill under `catch_unwind` + the step deadline. A success that lands
-/// past the deadline is treated as a timeout fault: the seat is undone
-/// (release) and the caller replays — bit-exactness makes the discard
-/// safe, and treating lateness as a fault is what lets a stall storm trip
-/// the Timeout breaker instead of silently degrading every neighbour.
-///
-/// Lateness is measured on the injected [`Clock`] (deterministic under a
-/// manual clock), and the deadline scales with the context length: a
-/// prefill does `prompt.len()` token-steps of work in one call, so a long
-/// but healthy prompt pass is not misread as a stall.
-fn guarded_prefill<E: BatchEngine>(
+/// One engine call under `catch_unwind` and a progress budget measured on
+/// the injected [`Clock`] (deterministic under a manual clock). A caught
+/// panic becomes a `Panic` fault carrying its payload text; a call that
+/// returns `Ok` past `budget_ns` becomes a `Timeout` fault — treating
+/// lateness as a fault is what lets a stall storm trip the Timeout breaker
+/// instead of silently degrading every neighbour, and bit-exact replay
+/// makes discarding the late result safe. `undo_late` first takes back what
+/// such a late call did. On any `Err` the caller discards the call's output.
+fn guarded<E: BatchEngine, T>(
     eng: &mut E,
-    slot: usize,
-    prompt: &[usize],
-    deadline: Option<Duration>,
     clock: &Clock,
-) -> StepVerdict<usize> {
+    budget_ns: Option<u64>,
+    call: impl FnOnce(&mut E) -> Result<T, EngineError>,
+    undo_late: impl FnOnce(&mut E),
+) -> Result<T, EngineError> {
     let t0 = clock.now_ns();
-    let r = catch_unwind(AssertUnwindSafe(|| eng.prefill(slot, prompt)));
-    let late = deadline.is_some_and(|d| {
-        let budget = (d.as_nanos() as u64).saturating_mul(prompt.len().max(1) as u64);
-        clock.now_ns().saturating_sub(t0) > budget
-    });
+    let r = catch_unwind(AssertUnwindSafe(|| call(&mut *eng)));
+    let late = budget_ns.is_some_and(|b| clock.now_ns().saturating_sub(t0) > b);
     match r {
-        Ok(Ok(tok)) if !late => StepVerdict::Ok(tok),
-        Ok(Ok(_)) => {
-            // Seated, but past the progress deadline: undo the seat and
-            // report a timeout fault (the slot is free again — the
-            // prefill contract the caller relies on).
-            eng.release(slot);
-            StepVerdict::Fault {
+        Ok(Ok(_)) if late => {
+            undo_late(eng);
+            Err(EngineError::Fault {
                 class: FaultClass::Timeout,
-                msg: "prefill stalled past the step deadline".to_string(),
-            }
+                msg: "engine call stalled past the step deadline".to_string(),
+            })
         }
-        Ok(Err(EngineError::OutOfPages { .. })) => StepVerdict::OutOfPages,
-        Ok(Err(EngineError::Fault { class, msg })) => StepVerdict::Fault { class, msg },
-        Err(p) => StepVerdict::Fault { class: FaultClass::Panic, msg: panic_msg(p) },
-    }
-}
-
-/// One ragged decode step under `catch_unwind` + the step deadline. On any
-/// fault verdict the contents of `out` are untrustworthy and the caller
-/// must discard them and replay every active resident.
-fn guarded_decode<E: BatchEngine>(
-    eng: &mut E,
-    slots: &[usize],
-    out: &mut Vec<usize>,
-    deadline: Option<Duration>,
-    clock: &Clock,
-) -> StepVerdict<()> {
-    let t0 = clock.now_ns();
-    let r = catch_unwind(AssertUnwindSafe(|| eng.decode_step(slots, out)));
-    let late =
-        deadline.is_some_and(|d| clock.now_ns().saturating_sub(t0) > d.as_nanos() as u64);
-    match r {
-        Ok(Ok(())) if !late => StepVerdict::Ok(()),
-        Ok(Ok(())) => StepVerdict::Fault {
-            class: FaultClass::Timeout,
-            msg: "decode step stalled past the step deadline".to_string(),
-        },
-        Ok(Err(EngineError::OutOfPages { .. })) => StepVerdict::OutOfPages,
-        Ok(Err(EngineError::Fault { class, msg })) => StepVerdict::Fault { class, msg },
-        Err(p) => StepVerdict::Fault { class: FaultClass::Panic, msg: panic_msg(p) },
+        Ok(r) => r,
+        Err(p) => Err(EngineError::Fault { class: FaultClass::Panic, msg: panic_msg(p) }),
     }
 }
 
@@ -260,9 +219,11 @@ fn guarded_decode<E: BatchEngine>(
 struct SeatCounters {
     recoveries: u64,
     replays: u64,
-    engine_fault_evictions: u64,
     prompt_tokens_prefilled: u64,
     prompt_tokens_attached: u64,
+    /// Fault classes seen this iteration; phase 3 feeds them to the
+    /// per-class breakers (one `on_failure` each).
+    faults: Vec<FaultClass>,
 }
 
 /// Charge one recovery attempt against the resident's budget.
@@ -276,36 +237,41 @@ fn charge_replay(r: &mut Resident, counters: &mut SeatCounters, budget: u32) -> 
 }
 
 /// Seat (fresh resident: admission prefill) or re-seat (recovery: prefix
-/// replay) `resident` into `slot`, retrying injected faults against the
-/// replay budget. Returns `Some(retire)` when the resident must be retired
-/// instead. On `None` the resident is seated and its last token committed.
+/// replay) `resident` into `slot`, retrying faults against the replay
+/// budget. On `Ok` the resident is seated and its last token committed;
+/// `Err` names why it must be evicted instead. A replay records each
+/// attempt, and a failed one also records the release the prefill contract
+/// implies (`Err` from prefill means the slot is free).
 fn seat_resident<E: BatchEngine>(
     eng: &mut E,
     slot: usize,
     resident: &mut Resident,
     cont: &ContinuousConfig,
     clock: &Clock,
-    fault_events: &mut Vec<FaultClass>,
     counters: &mut SeatCounters,
-) -> Option<Retire> {
+    tracer: &mut Tracer,
+) -> Result<(), EvictReason> {
+    let fresh = resident.tokens.is_empty();
+    // The committed engine context: the prompt, plus (when replaying) every
+    // generated token but the last, whose KV row is only materialized by
+    // the step that consumes it.
+    let committed = &resident.tokens[..resident.tokens.len().saturating_sub(1)];
+    let ctx: Vec<usize> = resident.job.prompt.iter().chain(committed).copied().collect();
+    // A prefill does `ctx.len()` token-steps of work in one call, so its
+    // deadline scales with the context: a long but healthy prompt pass is
+    // not misread as a stall.
+    let budget = cont
+        .step_deadline
+        .map(|d| (d.as_nanos() as u64).saturating_mul(ctx.len().max(1) as u64));
     loop {
-        let fresh = resident.tokens.is_empty();
-        let ctx: Vec<usize> = if fresh {
-            resident.job.prompt.clone()
-        } else {
-            // The committed engine context: prompt plus every generated
-            // token except the last (whose KV row is only materialized by
-            // the step that consumes it).
-            resident
-                .job
-                .prompt
-                .iter()
-                .chain(&resident.tokens[..resident.tokens.len() - 1])
-                .copied()
-                .collect()
-        };
-        match guarded_prefill(eng, slot, &ctx, cont.step_deadline, clock) {
-            StepVerdict::Ok(tok) => {
+        // A late prefill seated the slot: undo the seat, so the slot is
+        // free like after any other failed prefill.
+        let seated = guarded(eng, clock, budget, |e| e.prefill(slot, &ctx), |e| e.release(slot));
+        if !fresh {
+            tracer.recovery(RecoveryOp::Replay { slot });
+        }
+        let err = match seated {
+            Ok(tok) => {
                 let attached = eng.attached_tokens(slot);
                 counters.prompt_tokens_attached += attached as u64;
                 counters.prompt_tokens_prefilled += (ctx.len() - attached) as u64;
@@ -319,35 +285,31 @@ fn seat_resident<E: BatchEngine>(
                     );
                 }
                 resident.seated = true;
-                return None;
+                return Ok(());
             }
-            StepVerdict::OutOfPages if fresh => {
-                // Phase 1 checked the fit under the lock (net of this
-                // iteration's other newcomers), but an injected allocator
-                // storm (or a broken invariant) can still surface here:
-                // shed typed rather than crash.
-                return Some(Retire::PagesExhausted);
+            // Phase 1 checked the fit under the lock (net of this
+            // iteration's other newcomers), but an injected allocator storm
+            // (or a broken invariant) can still surface here: shed typed
+            // rather than crash.
+            Err(EngineError::OutOfPages { .. }) if fresh => {
+                return Err(EvictReason::PagesExhausted)
             }
-            StepVerdict::OutOfPages => {
-                // Real exhaustion is impossible during replay: every
-                // poisoned slot was released before any replay reserves
-                // and replay demand never exceeds pre-fault demand. Only an
-                // injected storm reaches this arm; it burns budget like
-                // any other fault.
-                fault_events.push(FaultClass::Memory);
-                if !charge_replay(resident, counters, cont.replay_budget) {
-                    return Some(Retire::EngineFault {
-                        class: FaultClass::Memory,
-                        msg: "replay budget exhausted under allocator storm".to_string(),
-                    });
-                }
-            }
-            StepVerdict::Fault { class, msg } => {
-                fault_events.push(class);
-                if !charge_replay(resident, counters, cont.replay_budget) {
-                    return Some(Retire::EngineFault { class, msg });
-                }
-            }
+            Err(e) => e,
+        };
+        if !fresh {
+            tracer.recovery(RecoveryOp::Release { slot });
+        }
+        // Real exhaustion is impossible during replay: every poisoned slot
+        // was released before any replay reserves and replay demand never
+        // exceeds pre-fault demand. Only an injected storm reaches here; it
+        // burns budget like any other fault.
+        let (class, msg) = match err {
+            EngineError::Fault { class, msg } => (class, msg),
+            oop => (FaultClass::Memory, oop.to_string()),
+        };
+        counters.faults.push(class);
+        if !charge_replay(resident, counters, cont.replay_budget) {
+            return Err(EvictReason::EngineFault { class, msg });
         }
     }
 }
@@ -362,6 +324,10 @@ impl Tracer {
         if self.on {
             self.ops.push(op);
         }
+    }
+
+    fn recovery(&mut self, op: RecoveryOp) {
+        self.rec(SchedTraceOp::Recovery(op));
     }
 }
 
@@ -378,7 +344,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     let mut admit_seq = 0u64;
     let mut steps = 0u64;
     let mut prefills = 0u64;
-    let mut page_evictions = 0u64;
+    let (mut page_evictions, mut engine_fault_evictions) = (0u64, 0u64);
     let mut counters = SeatCounters::default();
     let mut occupancy_hist = vec![0u64; cont.max_slots + 1];
     let mut tokens_per_step_hist = vec![0u64; cont.max_slots + 1];
@@ -446,46 +412,34 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
         // ---- Phase 2: execute (no lock held).
         let now = shared.clock.now_ns();
         let mut retired: Vec<(usize, Retire)> = Vec::new();
-        // Fault classes observed this iteration; fed to the per-class
-        // breakers in phase 3 (one `on_failure` per event).
-        let mut fault_events: Vec<FaultClass> = Vec::new();
         if !newcomers.is_empty() {
             tracer.rec(SchedTraceOp::Execute);
         }
         for (slot, job) in newcomers {
-            // A job may be dead on arrival (cancelled or expired while
-            // queued) — resolve it without spending a prompt pass.
             let mut resident =
                 Resident { job, tokens: Vec::new(), seated: false, replays: 0, admit_seq };
             admit_seq += 1;
-            if resident.job.cancel.is_cancelled() {
-                residents[slot] = Some(resident);
-                retired.push((slot, Retire::Cancelled));
-            } else if resident.job.deadline_ns.is_some_and(|d| now >= d) {
-                residents[slot] = Some(resident);
-                retired.push((slot, Retire::DeadlineExpired));
+            // A job may be dead on arrival (cancelled or expired while
+            // queued) — resolve it without spending a prompt pass.
+            if let Some(why) = due(&resident, eos, now) {
+                retired.push((slot, why));
             } else {
                 shared.progress_ns.store(shared.clock.now_ns(), Ordering::Release);
-                let retire = seat_resident(
+                let seated = seat_resident(
                     &mut eng,
                     slot,
                     &mut resident,
                     &cont,
                     &shared.clock,
-                    &mut fault_events,
                     &mut counters,
+                    &mut tracer,
                 );
-                match retire {
-                    None => prefills += 1,
-                    Some(Retire::PagesExhausted) => page_evictions += 1,
-                    Some(Retire::EngineFault { .. }) => counters.engine_fault_evictions += 1,
-                    Some(_) => unreachable!("seat_resident retires typed page/fault only"),
-                }
-                residents[slot] = Some(resident);
-                if let Some(why) = retire {
-                    retired.push((slot, why));
+                match seated {
+                    Ok(()) => prefills += 1,
+                    Err(reason) => retired.push((slot, Retire::Evicted(reason))),
                 }
             }
+            residents[slot] = Some(resident);
         }
 
         // Retire checks for residents that finished at prefill (n_tokens
@@ -498,20 +452,19 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
             .collect();
         if !active.is_empty() {
             tracer.rec(SchedTraceOp::Execute);
+            let budget = cont.step_deadline.map(|d| d.as_nanos() as u64);
             let mut step_out = Vec::with_capacity(active.len());
-            loop {
-                if active.is_empty() {
-                    break;
-                }
+            while !active.is_empty() {
                 step_out.clear();
-                match guarded_decode(
+                let step = guarded(
                     &mut eng,
-                    &active,
-                    &mut step_out,
-                    cont.step_deadline,
                     &shared.clock,
-                ) {
-                    StepVerdict::Ok(()) => {
+                    budget,
+                    |e| e.decode_step(&active, &mut step_out),
+                    |_| {},
+                );
+                match step {
+                    Ok(()) => {
                         occupancy_hist[active.len()] += 1;
                         tokens_per_step_hist[step_out.len()] += 1;
                         steps += 1;
@@ -525,7 +478,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                         }
                         break;
                     }
-                    StepVerdict::OutOfPages => {
+                    Err(EngineError::OutOfPages { .. }) => {
                         // Shed the newest resident and retry; nothing
                         // advanced, so every survivor's stream is intact.
                         let victim = *active
@@ -534,7 +487,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                                 residents[s].as_ref().expect("occupied").admit_seq
                             })
                             .expect("active is non-empty");
-                        page_evictions += 1;
                         // Free the victim's pages NOW so the retry can
                         // succeed; outcome delivery waits for phase 3.
                         let v = residents[victim].as_mut().expect("occupied");
@@ -542,16 +494,19 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                             eng.release(victim);
                             v.seated = false;
                         }
-                        retired.push((victim, Retire::PagesExhausted));
+                        retired.push((victim, Retire::Evicted(EvictReason::PagesExhausted)));
                         active.retain(|&s| s != victim);
                     }
-                    StepVerdict::Fault { class, msg } => {
+                    Err(EngineError::Fault { class, msg }) => {
                         // The step's output (if any) is discarded; every
                         // active resident's engine state is suspect.
                         // Recover each by prefix replay.
                         tracer.rec(SchedTraceOp::Recover);
                         counters.recoveries += 1;
-                        fault_events.push(class);
+                        counters.faults.push(class);
+                        for &slot in &active {
+                            tracer.recovery(RecoveryOp::Fault { slot });
+                        }
                         // Release every poisoned slot BEFORE any replay
                         // reserves — replay demand never exceeds
                         // pre-fault demand, so all replays fit (the
@@ -562,39 +517,35 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                             if r.seated {
                                 eng.release(slot);
                                 r.seated = false;
+                                tracer.recovery(RecoveryOp::Release { slot });
                             }
                         }
                         let mut keep = Vec::with_capacity(active.len());
                         for &slot in &active {
                             let r = residents[slot].as_mut().expect("occupied");
-                            let retire = if !charge_replay(r, &mut counters, cont.replay_budget)
-                            {
-                                Some(Retire::EngineFault { class, msg: msg.clone() })
-                            } else {
+                            let seated = if charge_replay(r, &mut counters, cont.replay_budget) {
                                 seat_resident(
                                     &mut eng,
                                     slot,
                                     r,
                                     &cont,
                                     &shared.clock,
-                                    &mut fault_events,
                                     &mut counters,
+                                    &mut tracer,
                                 )
+                            } else {
+                                Err(EvictReason::EngineFault { class, msg: msg.clone() })
                             };
-                            match retire {
-                                None => {
+                            match seated {
+                                Ok(()) => {
                                     shared
                                         .progress_ns
                                         .store(shared.clock.now_ns(), Ordering::Release);
                                     keep.push(slot);
                                 }
-                                Some(why) => {
-                                    if matches!(why, Retire::EngineFault { .. }) {
-                                        counters.engine_fault_evictions += 1;
-                                    } else {
-                                        page_evictions += 1;
-                                    }
-                                    retired.push((slot, why));
+                                Err(reason) => {
+                                    tracer.recovery(RecoveryOp::Evict { slot });
+                                    retired.push((slot, Retire::Evicted(reason)));
                                 }
                             }
                         }
@@ -615,7 +566,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
             // Fault events feed the per-class breakers first, so a probe
             // evicted by a fault of its own class sees Open (not
             // HalfOpen) when its abort is processed below.
-            for class in fault_events.drain(..) {
+            for class in counters.faults.drain(..) {
                 st.breaker.on_failure(class, now);
             }
             if !retired.is_empty() {
@@ -637,42 +588,27 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                         st.breaker.on_success(job.probe);
                         Outcome::Completed { tokens, latency_s }
                     }
-                    Retire::Cancelled => {
-                        st.counters.evicted += 1;
-                        if let Some(pc) = job.probe {
-                            st.breaker.abort_probe(pc, now);
-                        }
-                        Outcome::Evicted { partial: tokens, reason: EvictReason::Cancelled }
-                    }
                     Retire::DeadlineExpired => {
                         st.counters.deadline_expired += 1;
-                        if let Some(pc) = job.probe {
-                            st.breaker.abort_probe(pc, now);
-                        }
                         Outcome::DeadlineExpired { partial: tokens }
                     }
-                    Retire::PagesExhausted => {
+                    Retire::Evicted(reason) => {
                         st.counters.evicted += 1;
-                        if let Some(pc) = job.probe {
-                            st.breaker.abort_probe(pc, now);
+                        match reason {
+                            EvictReason::PagesExhausted => page_evictions += 1,
+                            EvictReason::EngineFault { .. } => engine_fault_evictions += 1,
+                            EvictReason::Cancelled => {}
                         }
-                        Outcome::Evicted { partial: tokens, reason: EvictReason::PagesExhausted }
-                    }
-                    Retire::EngineFault { class, msg } => {
-                        st.counters.evicted += 1;
-                        // The class breaker already counted the underlying
-                        // fault events; a probe evicted this way proved
-                        // nothing (abort_probe no-ops if the class
-                        // breaker re-opened above).
-                        if let Some(pc) = job.probe {
-                            st.breaker.abort_probe(pc, now);
-                        }
-                        Outcome::Evicted {
-                            partial: tokens,
-                            reason: EvictReason::EngineFault { class, msg },
-                        }
+                        Outcome::Evicted { partial: tokens, reason }
                     }
                 };
+                // A probe that ended without an answer proved nothing: abort
+                // it for an immediate re-probe (a no-op if a fault of its
+                // class re-opened the breaker above).
+                let answered = matches!(outcome, Outcome::Completed { .. });
+                if let Some(pc) = job.probe.filter(|_| !answered) {
+                    st.breaker.abort_probe(pc, now);
+                }
                 deliveries.push((job, outcome));
             }
             st.pool_pages = eng.kv_stats().map_or(0, |s| s.pages_in_use);
@@ -703,7 +639,10 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     // published; record it now so the attached trace is complete.
     tracer.rec(SchedTraceOp::Release);
     if tracer.on {
-        let diags = check_sched_trace(&tracer.ops);
+        let mut diags = check_sched_trace(&tracer.ops);
+        for prog in recorded_recoveries(&tracer.ops) {
+            diags.extend(check_recovery_program(&prog));
+        }
         debug_assert!(diags.is_empty(), "live scheduler trace diverged from model: {diags:#?}");
     }
     st.pool_pages = stats.pages_in_use;
@@ -718,7 +657,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
         page_evictions,
         recoveries: counters.recoveries,
         replays: counters.replays,
-        engine_fault_evictions: counters.engine_fault_evictions,
+        engine_fault_evictions,
         trace: tracer.ops,
         pages: PageReport {
             pages_total: stats.pages_total,
@@ -733,8 +672,22 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     eng
 }
 
-/// Append retirements for residents that are complete (token budget or
-/// EOS), cancelled, or past deadline — skipping slots already in `out`.
+/// Why `r` must leave its slot now, if it must: complete (token budget or
+/// EOS), cancelled, or past its deadline.
+fn due(r: &Resident, eos: Option<usize>, now: u64) -> Option<Retire> {
+    if r.tokens.len() >= r.job.n_tokens || (eos.is_some() && r.tokens.last() == eos.as_ref()) {
+        Some(Retire::Completed)
+    } else if r.job.cancel.is_cancelled() {
+        Some(Retire::Evicted(EvictReason::Cancelled))
+    } else if r.job.deadline_ns.is_some_and(|d| now >= d) {
+        Some(Retire::DeadlineExpired)
+    } else {
+        None
+    }
+}
+
+/// Append the retirements [`due`] finds among residents not already in
+/// `out`.
 fn scan_retirements(
     residents: &[Option<Resident>],
     eos: Option<usize>,
@@ -743,28 +696,69 @@ fn scan_retirements(
 ) {
     for (slot, r) in residents.iter().enumerate() {
         let Some(r) = r else { continue };
-        if r.tokens.is_empty() || out.iter().any(|(s, _)| *s == slot) {
+        if out.iter().any(|(s, _)| *s == slot) {
             continue;
         }
-        if r.tokens.len() >= r.job.n_tokens
-            || (eos.is_some() && r.tokens.last() == eos.as_ref())
-        {
-            out.push((slot, Retire::Completed));
-        } else if r.job.cancel.is_cancelled() {
-            out.push((slot, Retire::Cancelled));
-        } else if r.job.deadline_ns.is_some_and(|d| now >= d) {
-            out.push((slot, Retire::DeadlineExpired));
+        if let Some(why) = due(r, eos, now) {
+            out.push((slot, why));
         }
     }
 }
 
-/// End-to-end tracer gate for `cargo xtask verify`: run a short continuous
-/// serve and a short single-flight serve with tracing forced on — batched
-/// completions, a cancel, an idle park, a drain — and diff each live
-/// scheduler trace against the verified lock model. Returns the
-/// diagnostics (empty = clean).
-pub fn live_trace_check() -> Vec<dsi_verify::Diagnostic> {
-    use crate::server::{EngineMode, Request, ServeConfig, Server};
+/// What [`live_trace_check`] found.
+#[derive(Debug)]
+pub struct LiveCheck {
+    /// Every diagnostic (empty = clean).
+    pub diagnostics: Vec<Diagnostic>,
+    /// The recovery programs the fault-scripted server recorded, one per
+    /// recovery (the input of `dsi-verify`'s page-leak negative control).
+    pub recoveries: Vec<Vec<RecoveryOp>>,
+}
+
+impl LiveCheck {
+    /// Across [`LiveCheck::recoveries`]: replays that re-seated their
+    /// slot, replays whose prefill failed (a replay, then a release), and
+    /// evictions.
+    pub fn recovery_shape(&self) -> (usize, usize, usize) {
+        // Each op, seen together with the ops after it in its program.
+        let count = |f: fn(&[RecoveryOp]) -> bool| {
+            let tails = self.recoveries.iter().flat_map(|p| (0..p.len()).map(move |i| &p[i..]));
+            tails.filter(|t| f(t)).count()
+        };
+        let failed = count(|t| match t {
+            [RecoveryOp::Replay { slot }, RecoveryOp::Release { slot: s }, ..] => s == slot,
+            _ => false,
+        });
+        let replays = count(|t| matches!(t, [RecoveryOp::Replay { .. }, ..]));
+        (replays - failed, failed, count(|t| matches!(t, [RecoveryOp::Evict { .. }, ..])))
+    }
+}
+
+/// Drain `srv` and check the trace its scheduler recorded: the lock and
+/// phase ordering, and every recovery program in it. Returns the programs.
+fn check_drained(srv: Server, diags: &mut Vec<Diagnostic>) -> Vec<Vec<RecoveryOp>> {
+    let report = srv.drain(Duration::from_secs(5));
+    let trace = report.scheduler.expect("the scheduler attaches its report").trace;
+    diags.extend(check_sched_trace(&trace));
+    let recoveries = recorded_recoveries(&trace);
+    for prog in &recoveries {
+        diags.extend(check_recovery_program(prog));
+    }
+    recoveries
+}
+
+/// End-to-end tracer gate for `cargo xtask verify`: run three short serves
+/// with tracing forced on and check what each scheduler recorded — its lock
+/// and phase trace against the verified lock model, its recoveries with the
+/// recovery-program checker. A continuous and a single-flight server see
+/// batched completions, a cancel, an idle park and a drain; a continuous
+/// server under scripted engine faults must record a recovery whose replay
+/// re-seats, a replay whose prefill fails, and an eviction past the replay
+/// budget.
+pub fn live_trace_check() -> LiveCheck {
+    use crate::server::{EngineMode, Request, ServeConfig};
+    use dsi_sim::fault::EngineFaultSite::{Decode, Prefill};
+    use dsi_sim::fault::{EngineFaultKind, EngineFaultPlan, EngineFaultSpec};
     let model = Arc::new(GptModel::random(dsi_model::zoo::tiny(2), 7));
     let cont = ContinuousConfig {
         max_slots: 2,
@@ -775,10 +769,10 @@ pub fn live_trace_check() -> Vec<dsi_verify::Diagnostic> {
     };
     let mut cfg = ServeConfig::new(1);
     cfg.mode = EngineMode::Continuous(cont);
-    let continuous = Server::start(Arc::clone(&model), cfg);
+    let continuous = Server::start(Arc::clone(&model), cfg.clone());
     // The single-slot discipline is the same loop at `max_slots = 1`.
     let single = Server::start_single_flight(
-        model,
+        Arc::clone(&model),
         ServeConfig::new(1),
         ContinuousConfig { max_slots: 1, page_tokens: 1, ..cont },
     );
@@ -801,11 +795,36 @@ pub fn live_trace_check() -> Vec<dsi_verify::Diagnostic> {
         // Let the scheduler park at least once before draining, so the
         // trace contains the idle Wait shape too.
         std::thread::sleep(Duration::from_millis(10));
-        let report = srv.drain(Duration::from_secs(5));
-        let trace = report.scheduler.expect("the scheduler attaches its report").trace;
-        diags.extend(check_sched_trace(&trace));
+        check_drained(srv, &mut diags);
     }
-    diags
+
+    // The first request runs alone, so the first engine calls are its own:
+    // decode 0 is corrupted (a recovery), so is the replay's prefill 1 (a
+    // replay, then a release); prefill 2 re-seats it, and decode 1 faults
+    // again with its two-replay budget spent (an eviction). Decode 4 faults
+    // whoever is resident by then. Corruption, not a panic, keeps the
+    // output quiet; this server exercises recovery, not the breaker.
+    let faults = [Decode { call: 0 }, Prefill { call: 1 }, Decode { call: 1 }, Decode { call: 4 }]
+        .map(|site| EngineFaultSpec { site, kind: EngineFaultKind::Corrupt });
+    cfg.mode = EngineMode::Continuous(ContinuousConfig { replay_budget: 2, ..cont });
+    cfg.engine_faults = Some(Arc::new(EngineFaultPlan::new(faults.to_vec()).injector()));
+    cfg.breaker.enabled = false;
+    let faulted = Server::start(model, cfg);
+    let request = |i: usize| Request { prompt: vec![i + 1, i + 2], n_tokens: 6, deadline: None };
+    faulted.submit(request(0)).expect("admission").wait();
+    let rest: Vec<_> = (1..3).map(|i| faulted.submit(request(i)).expect("admission")).collect();
+    for t in rest {
+        t.wait();
+    }
+    let mut live = LiveCheck { recoveries: check_drained(faulted, &mut diags), diagnostics: diags };
+    let (seated, failed, evicted) = live.recovery_shape();
+    if seated == 0 || failed == 0 || evicted == 0 {
+        let (code, site) = ("live-recovery-incomplete", "fault-scripted server, each ≥ 1");
+        let recorded = &live.recoveries;
+        let msg = format!("{seated} replays, {failed} failed, {evicted} evicted: {recorded:?}");
+        live.diagnostics.push(Diagnostic::new(Pass::Collective, code, site, msg));
+    }
+    live
 }
 
 #[cfg(test)]
@@ -813,7 +832,7 @@ mod tests {
     use super::*;
     use crate::server::{new_shared, ServeConfig};
     use dsi_sim::clock::{CancelToken, ManualClock};
-    use std::sync::mpsc;
+    use std::sync::mpsc::{self, Receiver};
 
     /// Stub engine that advances a manual clock by a fixed amount inside
     /// every call — the deterministic stand-in for a slow/stalled step the
@@ -854,44 +873,122 @@ mod tests {
         (SlowEngine { time, advance: Duration::from_millis(advance_ms), released: Vec::new() }, clock)
     }
 
+    /// Decode through the one guard, with a per-step budget of `ms`.
+    fn guarded_decode<E: BatchEngine>(
+        eng: &mut E,
+        clock: &Clock,
+        ms: u64,
+    ) -> Result<Vec<usize>, EngineError> {
+        let mut out = Vec::new();
+        guarded(eng, clock, Some(ms * 1_000_000), |e| e.decode_step(&[0], &mut out), |_| {})
+            .map(|()| out)
+    }
+
     #[test]
     fn decode_past_deadline_is_a_timeout_fault_under_manual_clock() {
-        let deadline = Some(Duration::from_millis(10));
-        let mut out = Vec::new();
-
         let (mut eng, clock) = slow(20);
-        let v = guarded_decode(&mut eng, &[0], &mut out, deadline, &clock);
         assert!(
-            matches!(v, StepVerdict::Fault { class: FaultClass::Timeout, .. }),
+            matches!(
+                guarded_decode(&mut eng, &clock, 10),
+                Err(EngineError::Fault { class: FaultClass::Timeout, .. })
+            ),
             "a 20ms step against a 10ms deadline must be a timeout fault"
         );
 
         let (mut eng, clock) = slow(5);
-        out.clear();
-        let v = guarded_decode(&mut eng, &[0], &mut out, deadline, &clock);
-        assert!(matches!(v, StepVerdict::Ok(())), "a 5ms step is on time");
-        assert_eq!(out, [7]);
+        assert_eq!(guarded_decode(&mut eng, &clock, 10), Ok(vec![7]), "a 5ms step is on time");
+    }
+
+    /// A job for `prompt` whose admission pinned `cost` pages, and the
+    /// receiving end of its outcome channel.
+    fn job(id: u64, prompt: Vec<usize>, n_tokens: usize, cost: usize) -> (Job, Receiver<Outcome>) {
+        let (tx, rx) = mpsc::channel();
+        let (cancel, probe, deadline_ns) = (CancelToken::new(), None, None);
+        (Job { id, prompt, n_tokens, deadline_ns, cost, cancel, probe, submit_ns: 0, tx }, rx)
+    }
+
+    /// An admitted resident for `prompt`, not yet seated.
+    fn resident(prompt: Vec<usize>) -> Resident {
+        let job = job(0, prompt, 4, 0).0;
+        Resident { job, tokens: Vec::new(), seated: false, replays: 0, admit_seq: 0 }
     }
 
     #[test]
     fn prefill_deadline_scales_with_context_length() {
-        let deadline = Some(Duration::from_millis(10));
+        let cont = ContinuousConfig {
+            step_deadline: Some(Duration::from_millis(10)),
+            replay_budget: 0,
+            ..ContinuousConfig::default()
+        };
+        let mut tracer = Tracer { on: false, ops: Vec::new() };
+        let mut counters = SeatCounters::default();
 
         // 4 context tokens buy a 40ms budget: a 20ms prefill is healthy,
-        // not a stall — the long-prompt false-positive the review flagged.
+        // not a stall.
         let (mut eng, clock) = slow(20);
-        let v = guarded_prefill(&mut eng, 0, &[1, 2, 3, 4], deadline, &clock);
-        assert!(matches!(v, StepVerdict::Ok(7)), "long prompt must get a scaled budget");
+        let mut r = resident(vec![1, 2, 3, 4]);
+        let seated = seat_resident(&mut eng, 0, &mut r, &cont, &clock, &mut counters, &mut tracer);
+        assert_eq!(seated, Ok(()), "long prompt must get a scaled budget");
         assert!(eng.released.is_empty());
 
         // 50ms blows even the scaled budget: timeout fault, seat undone.
         let (mut eng, clock) = slow(50);
-        let v = guarded_prefill(&mut eng, 0, &[1, 2, 3, 4], deadline, &clock);
+        let mut r = resident(vec![1, 2, 3, 4]);
+        let seated = seat_resident(&mut eng, 0, &mut r, &cont, &clock, &mut counters, &mut tracer);
         assert!(
-            matches!(v, StepVerdict::Fault { class: FaultClass::Timeout, .. }),
-            "a stalled prefill must still be caught"
+            matches!(seated, Err(EvictReason::EngineFault { class: FaultClass::Timeout, .. })),
+            "a stalled prefill must still be caught, got {seated:?}"
         );
         assert_eq!(eng.released, [0], "late prefill must release its seat");
+    }
+
+    /// Stub engine whose every call panics, with a `&str` payload in
+    /// prefill and a `String` one in decode.
+    struct PanicEngine;
+
+    impl BatchEngine for PanicEngine {
+        fn max_slots(&self) -> usize {
+            1
+        }
+
+        fn prefill(&mut self, _slot: usize, _prompt: &[usize]) -> Result<usize, EngineError> {
+            panic!("prefill kernel assert")
+        }
+
+        fn decode_step(&mut self, rows: &[usize], _: &mut Vec<usize>) -> Result<(), EngineError> {
+            panic!("decode kernel assert on {} rows", rows.len())
+        }
+
+        fn release(&mut self, _slot: usize) {}
+    }
+
+    #[test]
+    fn one_guard_maps_panics_and_late_returns_to_classed_faults() {
+        let (clock, _time) = Clock::manual();
+        let prefill = guarded(&mut PanicEngine, &clock, None, |e| e.prefill(0, &[1]), |_| {});
+        let panic = |msg: &str| EngineError::Fault { class: FaultClass::Panic, msg: msg.into() };
+        assert_eq!(prefill, Err(panic("prefill kernel assert")));
+        let decode = guarded_decode(&mut PanicEngine, &clock, 10);
+        assert_eq!(decode, Err(panic("decode kernel assert on 1 rows")));
+
+        // A prefill that returns late is a timeout, and its seat is undone.
+        let (mut eng, clock) = slow(20);
+        let late = guarded(&mut eng, &clock, Some(10_000_000), |e| e.prefill(0, &[1]), |e| {
+            e.release(0)
+        });
+        assert!(matches!(late, Err(EngineError::Fault { class: FaultClass::Timeout, .. })));
+        assert_eq!(eng.released, [0], "late prefill must release its seat");
+    }
+
+    #[test]
+    fn live_recoveries_are_recorded_and_checked() {
+        let live = live_trace_check();
+        assert!(live.diagnostics.is_empty(), "{:#?}", live.diagnostics);
+        let (seated, failed, evicted) = live.recovery_shape();
+        assert!(seated >= 1 && failed >= 1 && evicted >= 1, "{:?}", live.recoveries);
+        // The live recording is what the page-leak control mutates.
+        let controls = dsi_verify::sweep::negative_controls(&live.recoveries);
+        assert!(dsi_verify::sweep::controls_all_fire(&controls));
     }
 
     /// Stub engine over a pool of one-token pages: a prefill pins
@@ -958,20 +1055,10 @@ mod tests {
         {
             let mut st = shared.state.lock().unwrap();
             for id in 0..2 {
-                let (tx, rx) = mpsc::channel();
+                let (job, rx) = job(id, vec![1, 2], 3, 3);
                 tickets.push(rx);
                 st.inflight_tokens += 3;
-                st.queue.push_back(Job {
-                    id,
-                    prompt: vec![1, 2],
-                    n_tokens: 3,
-                    deadline_ns: None,
-                    cost: 3,
-                    cancel: CancelToken::new(),
-                    probe: None,
-                    submit_ns: 0,
-                    tx,
-                });
+                st.queue.push_back(job);
             }
             st.draining = true; // exit once both have resolved
         }

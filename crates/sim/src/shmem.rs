@@ -39,9 +39,7 @@
 //! peers via the barrier's per-rank arrival heartbeats), when the group is
 //! poisoned by a dead peer ([`CollectiveErrorKind::Poisoned`] — previously a
 //! follow-on panic), or when the optional per-chunk checksum catches a
-//! corrupted reduce-scatter chunk ([`CollectiveErrorKind::Corrupt`]). The
-//! legacy panicking wrappers ([`ShmRank::barrier`],
-//! [`ShmRank::allreduce_sum`]) remain for callers without a recovery path.
+//! corrupted reduce-scatter chunk ([`CollectiveErrorKind::Corrupt`]).
 //!
 //! Failure never leaves dangling pointers behind: a timed-out rendezvous
 //! poisons the group (so a straggler cannot complete it late and run ahead
@@ -408,14 +406,6 @@ impl ShmRank {
         &self.comm.cfg
     }
 
-    /// Cross the group barrier (one arrival for this rank), panicking on
-    /// poison — the legacy wrapper over [`ShmRank::try_barrier`].
-    pub fn barrier(&mut self) {
-        if let Err(e) = self.try_barrier() {
-            panic!("shmem barrier failed: {e}");
-        }
-    }
-
     /// Cross the group barrier with the configured timeout. Consults the
     /// fault injector first (stall → sleep then arrive; dropped arrival →
     /// typed [`CollectiveErrorKind::InjectedExit`] without arriving, so
@@ -469,14 +459,6 @@ impl ShmRank {
         let start = owner * q + owner.min(rem);
         let width = q + usize::from(owner < rem);
         (start, start + width)
-    }
-
-    /// In-place all-reduce (sum), panicking on failure — the legacy wrapper
-    /// over [`ShmRank::try_allreduce_sum`].
-    pub fn allreduce_sum(&mut self, buf: &mut [f32]) {
-        if let Err(e) = self.try_allreduce_sum(buf) {
-            panic!("shmem allreduce failed: {e}");
-        }
     }
 
     /// In-place all-reduce (sum) of `buf` across all ranks: every rank calls
@@ -691,7 +673,7 @@ mod tests {
                 let results2 = Arc::clone(&results);
                 run_ranks(world, move |mut h, r| {
                     let mut buf = bufs[r].clone();
-                    h.allreduce_sum(&mut buf);
+                    h.try_allreduce_sum(&mut buf).expect("clean run");
                     results2.lock().unwrap()[r] = buf;
                 });
                 let got = results.lock().unwrap();
@@ -737,7 +719,7 @@ mod tests {
         run_ranks(world, move |mut h, r| {
             let mut buf = vec![r as f32 + 1.0; 16];
             for round in 0..rounds {
-                h.allreduce_sum(&mut buf);
+                h.try_allreduce_sum(&mut buf).expect("clean run");
                 let want = expected(world, round);
                 assert!(
                     buf.iter().all(|&v| v == want),
@@ -766,9 +748,9 @@ mod tests {
     fn world_one_is_identity() {
         let mut h = ShmComm::create(1).pop().unwrap();
         let mut buf = vec![3.0, 4.0];
-        h.allreduce_sum(&mut buf);
+        h.try_allreduce_sum(&mut buf).expect("world 1");
         assert_eq!(buf, vec![3.0, 4.0]);
-        h.barrier(); // trivially passes at world 1
+        h.try_barrier().expect("trivially passes at world 1");
     }
 
     #[test]
@@ -782,32 +764,13 @@ mod tests {
             let results2 = Arc::clone(&results);
             run_ranks(world, move |mut h, r| {
                 let mut buf = bufs[r].clone();
-                h.allreduce_sum(&mut buf);
+                h.try_allreduce_sum(&mut buf).expect("clean run");
                 results2.lock().unwrap()[r] = buf;
             });
             for b in results.lock().unwrap().iter() {
                 assert!(b.iter().all(|&v| v == want), "world {world} len {len}");
             }
         }
-    }
-
-    #[test]
-    fn poisoned_barrier_panics_waiters() {
-        let mut handles = ShmComm::create(2);
-        let waiter = handles.pop().unwrap();
-        let poisoner = handles.pop().unwrap();
-        let t = std::thread::spawn(move || {
-            let mut w = waiter;
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                w.barrier();
-            }));
-            caught.is_err()
-        });
-        // Give the waiter time to park in the spin loop, then poison
-        // instead of arriving.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        poisoner.poison();
-        assert!(t.join().unwrap(), "waiter must panic on poisoned barrier");
     }
 
     #[test]

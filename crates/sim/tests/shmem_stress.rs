@@ -63,7 +63,7 @@ fn allreduce_survives_adversarial_interleavings() {
                             thread::yield_now();
                         }
                     }
-                    comm.allreduce_sum(&mut buf[..len]);
+                    comm.try_allreduce_sum(&mut buf[..len]).expect("stress all-reduce");
                     for (i, &v) in buf[..len].iter().enumerate() {
                         let want: f32 =
                             (0..WORLD).map(|r| contribution(r, round, i)).sum();
@@ -105,7 +105,7 @@ fn barrier_publishes_prior_round_writes() {
                     if lcg(&mut noise).is_multiple_of(3) {
                         thread::yield_now();
                     }
-                    comm.barrier();
+                    comm.try_barrier().expect("stress barrier");
                     for (r, c) in counters.iter().enumerate() {
                         let seen = c.load(Ordering::Relaxed);
                         assert!(

@@ -399,7 +399,7 @@ pub fn tp_allreduce_programs(mapping: &Mapping3D, layers: usize, bytes: u64) -> 
 }
 
 /// The shared-memory backend's expansion of one in-place all-reduce
-/// (`dsi_sim::shmem::ShmRank::allreduce_sum`): a publish barrier so every
+/// (`dsi_sim::shmem::ShmRank::try_allreduce_sum`): a publish barrier so every
 /// rank's buffer pointer is visible, a chunked reduce-scatter where rank *r*
 /// reduces chunk *r* of every buffer in place, a barrier so all chunks are
 /// final before anyone reads a remote one, an all-gather copying the reduced

@@ -24,9 +24,11 @@
 //!   must be acyclic and every condvar wait must hold exactly its mutex.
 //!   Also hosts [`locks::check_sched_trace`], which diffs the continuous
 //!   scheduler's *live* debug-build trace against the hand-written model.
-//! * [`runtime`] — runtime state machines as checked models: the circuit
-//!   breaker (exhaustive bounded exploration) and the scheduler's
-//!   fault-recovery page protocol (release-before-replay).
+//! * [`runtime`] — runtime protocols as checked programs: the scheduler's
+//!   fault-recovery page protocol (release-before-replay), checked on the
+//!   recoveries the live scheduler records, and the offload tier's
+//!   prefetch protocol. (The serving circuit breaker is explored
+//!   exhaustively next to its code in `dsi-serve`.)
 //! * [`audit`] — unsafe-kernel audit: every `unsafe` block must carry a
 //!   `// SAFETY:` comment and every `unsafe fn` a `# Safety` doc section.
 //! * [`sweep`] — the `cargo xtask verify` entry point: runs the passes over

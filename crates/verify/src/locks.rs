@@ -29,6 +29,7 @@
 use std::collections::BTreeSet;
 
 use crate::collective::{find_cycle, DiGraph};
+use crate::runtime::RecoveryOp;
 use crate::{Diagnostic, Pass};
 
 /// One synchronization action of a modeled thread. Locks are small integer
@@ -233,9 +234,11 @@ pub fn continuous_scheduler_model() -> (usize, Vec<ThreadModel>) {
 /// One event recorded by the continuous scheduler's debug-build tracer.
 /// `Acquire`/`Wait`/`Release` are the *actual* state-mutex operations of
 /// the live scheduler thread; `Admit`/`Execute`/`Recover`/`Retire` mark
-/// which phase the surrounding work belongs to. [`check_sched_trace`]
-/// diffs a recorded trace against the scheduler thread of
-/// [`continuous_scheduler_model`].
+/// which phase the surrounding work belongs to, and `Recovery` carries each
+/// step a recovery takes. [`check_sched_trace`] diffs a recorded trace
+/// against the scheduler thread of [`continuous_scheduler_model`];
+/// [`crate::runtime::recorded_recoveries`] reads the recovery programs
+/// out of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum SchedTraceOp {
     /// Top of the scheduler loop (also opens the final report section).
@@ -251,7 +254,11 @@ pub enum SchedTraceOp {
     /// Prefill/decode engine work (must NOT hold the lock).
     Execute,
     /// Fault recovery — release + prefix replay (must NOT hold the lock).
+    /// Opens one recovery program.
     Recover,
+    /// One step of the recovery program the last `Recover` opened
+    /// (must NOT hold the lock).
+    Recovery(RecoveryOp),
     /// Outcome accounting (must hold the lock; delivery happens after
     /// release, which is why `Retire` sits inside the second section).
     Retire,
@@ -354,7 +361,7 @@ pub fn check_sched_trace(trace: &[SchedTraceOp]) -> Vec<Diagnostic> {
                         ));
                     }
                 }
-                T::Execute | T::Recover => {
+                T::Execute | T::Recover | T::Recovery(_) => {
                     if sec != 2 {
                         diags.push(Diagnostic::new(
                             Pass::Collective,
@@ -481,7 +488,9 @@ mod tests {
         // report section — the four shapes the live scheduler records.
         let trace = vec![
             IterStart, Acquire, Wait, Release,
-            IterStart, Acquire, Admit, Release, Execute, Recover, Execute, Acquire, Retire, Release,
+            IterStart, Acquire, Admit, Release, Execute, Recover,
+            Recovery(RecoveryOp::Fault { slot: 0 }), Recovery(RecoveryOp::Release { slot: 0 }),
+            Recovery(RecoveryOp::Replay { slot: 0 }), Execute, Acquire, Retire, Release,
             IterStart, Acquire, Release,
             IterStart, Acquire, Release,
         ];

@@ -25,11 +25,10 @@
 //! a rank skipping a shared-memory barrier crossing, a cyclic task graph,
 //! an undocumented `unsafe` block, a rank exiting mid-schedule (survivors
 //! must abort typed), a recv stranded by a dead sender, a survivor
-//! deadlock that an unrelated exit must not mask, and a fault recovery
-//! that replays a resident without releasing its poisoned pages — and
-//! returns the
-//! diagnostics each produced. CI fails if any control comes back clean: a
-//! verifier that stops detecting is worse than none.
+//! deadlock that an unrelated exit must not mask, and a live scheduler's
+//! recorded fault recovery with its page releases removed — and returns
+//! the diagnostics each produced. CI fails if any control comes back clean:
+//! a verifier that stops detecting is worse than none.
 
 use crate::collective::{
     check_exit_safety, check_pipeline, check_programs, ep_alltoall_programs, find_cycle,
@@ -267,39 +266,12 @@ pub fn verify_all() -> SweepReport {
         }),
     );
 
-    // --- Pass 3c'': serving-runtime state machines (dsi-serve). ---
-    // The circuit breaker explored exhaustively over every event sequence
-    // of bounded depth at the thresholds the serve configs use, and the
-    // scheduler's fault-recovery page protocol (release every poisoned
-    // slot before any replay reserves) over representative fan-outs.
-    for (threshold, window) in [(1u32, 1u64), (2, 2), (3, 1)] {
-        report.collective_programs += 1;
-        report.diagnostics.extend(
-            crate::runtime::check_breaker_model(threshold, window, 6).into_iter().map(|mut x| {
-                x.site = format!("breaker t={threshold} w={window}: {}", x.site);
-                x
-            }),
-        );
-    }
-    for (slots, evict) in [
-        (vec![0usize, 1, 2], vec![]),
-        (vec![0usize, 2, 5], vec![2usize]),
-        (vec![1usize], vec![1usize]),
-    ] {
-        let prog = crate::runtime::scheduler_recovery_program(&slots, &evict);
-        report.collective_programs += 1;
-        report.diagnostics.extend(
-            crate::runtime::check_recovery_program(8, &prog).into_iter().map(|mut x| {
-                x.site = format!("recovery slots={slots:?} evict={evict:?}: {}", x.site);
-                x
-            }),
-        );
-    }
-
-    // The streaming weight store's prefetch schedule (dsi-zero offload):
-    // the transcribed fetch/acquire/evict/release program must never use a
+    // --- Pass 3c'': the offload store's prefetch schedule (dsi-zero). ---
+    // The transcribed fetch/acquire/evict/release program must never use a
     // panel before it is resident, evict a pinned panel, or exceed the
     // resident budget, across layer counts × prefetch depths × budgets.
+    // (The serving breaker and recovery protocol are checked on the live
+    // code, in `dsi-serve`.)
     for layers in [2usize, 3, 5] {
         for depth in [0usize, 1, 2] {
             for capacity in [1usize, 2, 3] {
@@ -378,8 +350,11 @@ impl Control {
 }
 
 /// Seed one illegal plan per defect class and collect what the passes say.
-/// Every control must fire; [`controls_all_fire`] is the CI gate.
-pub fn negative_controls() -> Vec<Control> {
+/// `recorded` are recovery programs a live scheduler recorded
+/// ([`crate::runtime::recorded_recoveries`]); the recovery control removes
+/// their releases. Every control must fire; [`controls_all_fire`] is the
+/// CI gate.
+pub fn negative_controls(recorded: &[Vec<crate::runtime::RecoveryOp>]) -> Vec<Control> {
     let mut out = Vec::new();
     let base = || transformer_layer_ops_tp(2, 4, 4, 64, 4, 1, DType::Fp16);
 
@@ -566,23 +541,28 @@ pub fn negative_controls() -> Vec<Control> {
         diagnostics: simulate_rendezvous_with_exits(&progs, &ExitPlan::from([(1usize, 0)])),
     });
 
-    // Recovery protocol: a recovery that replays a victim without first
-    // releasing its poisoned pages would double-reserve (leak the old
-    // pages and break the replay-fits-by-construction argument); the
-    // recovery checker must flag the missing release.
+    // Recovery protocol: the live scheduler's recorded recoveries with
+    // their release steps removed — a recovery that re-seats or evicts a
+    // victim without first releasing its poisoned pages would double-reserve
+    // (leak the old pages and break the replay-fits-by-construction
+    // argument); the recovery checker must flag the missing release.
     {
         use crate::runtime::{check_recovery_program, RecoveryOp};
-        let bad = vec![
-            RecoveryOp::Fault { slots: vec![0, 1] },
-            RecoveryOp::Release { slot: 0 },
-            RecoveryOp::Replay { slot: 0 },
-            // Slot 1 replayed while still holding its poisoned pages.
-            RecoveryOp::Replay { slot: 1 },
-        ];
+        let diagnostics = recorded
+            .iter()
+            .flat_map(|prog| {
+                let bad: Vec<RecoveryOp> = prog
+                    .iter()
+                    .copied()
+                    .filter(|op| !matches!(op, RecoveryOp::Release { .. }))
+                    .collect();
+                check_recovery_program(&bad)
+            })
+            .collect();
         out.push(Control {
-            name: "recovery replays without releasing poisoned pages",
+            name: "recorded recovery with its releases removed",
             expect_code: "replay-page-leak",
-            diagnostics: check_recovery_program(2, &bad),
+            diagnostics,
         });
     }
 
@@ -638,7 +618,10 @@ mod tests {
 
     #[test]
     fn every_negative_control_fires() {
-        let controls = negative_controls();
+        use crate::runtime::RecoveryOp::*;
+        // The shape a live recovery records: poison, release, replay.
+        let recorded = [vec![Fault { slot: 1 }, Release { slot: 1 }, Replay { slot: 1 }]];
+        let controls = negative_controls(&recorded);
         assert_eq!(controls.len(), 18);
         for c in &controls {
             assert!(c.fired(), "control `{}` produced {:?}", c.name, c.diagnostics);

@@ -4,9 +4,10 @@
 //!
 //! Subcommands:
 //! * `verify` — run the full static sweep (`dsi_verify::sweep::verify_all`)
-//!   over every zoo model × figure configuration, then the negative
-//!   controls. Exit code 1 if the sweep finds a defect **or** any seeded
-//!   defect goes undetected.
+//!   over every zoo model × figure configuration, the serving fault path's
+//!   checks on the live code (the breaker explorer, the recorded scheduler
+//!   traces and recoveries), then the negative controls. Exit code 1 if a
+//!   check finds a defect **or** any seeded defect goes undetected.
 //! * `unsafe-audit` — walk every crate's sources and enforce the unsafe
 //!   hygiene contract (`// SAFETY:` on blocks, `# Safety` on fns).
 //! * `all` — both.
@@ -50,7 +51,36 @@ fn run_verify() -> ExitCode {
             eprintln!("  {d}");
         }
     }
-    let controls = dsi_verify::sweep::negative_controls();
+    // The serving fault path, checked as it runs: the exhaustive explorer
+    // over the real circuit breaker, and three short serves whose
+    // schedulers record their lock/phase trace and every recovery step.
+    let breaker_diags = dsi_serve::breaker_explorer_check();
+    if breaker_diags.is_empty() {
+        println!("  breaker explorer: the real Breaker is clean at (1,1), (2,2), (3,1), depth 6");
+    } else {
+        ok = false;
+        eprintln!("breaker explorer found violations:");
+        for d in &breaker_diags {
+            eprintln!("  {d}");
+        }
+    }
+    let live = dsi_serve::live_trace_check();
+    if live.diagnostics.is_empty() {
+        let (seated, failed, evicted) = live.recovery_shape();
+        println!("  live scheduler trace: clean against the lock model (3 servers)");
+        println!(
+            "  live recovery recording: {} recoveries ({seated} replays, {failed} failed \
+             replays, {evicted} evictions), clean",
+            live.recoveries.len()
+        );
+    } else {
+        ok = false;
+        eprintln!("live scheduler trace or recovery recording failed its check:");
+        for d in &live.diagnostics {
+            eprintln!("  {d}");
+        }
+    }
+    let controls = dsi_verify::sweep::negative_controls(&live.recoveries);
     for c in &controls {
         if c.fired() {
             println!("  control fired: {}", c.name);
@@ -60,20 +90,6 @@ fn run_verify() -> ExitCode {
                 "  CONTROL DEAD: `{}` expected `{}`, got {:?}",
                 c.name, c.expect_code, c.diagnostics
             );
-        }
-    }
-    // End-to-end tracer gate: run a short continuous serve with tracing
-    // forced on and diff the live scheduler's lock/phase trace against the
-    // verified model — the one check that cannot go stale against the
-    // executed code.
-    let trace_diags = dsi_serve::live_trace_check();
-    if trace_diags.is_empty() {
-        println!("  live scheduler trace: clean against the lock model");
-    } else {
-        ok = false;
-        eprintln!("live scheduler trace diverged from the model:");
-        for d in &trace_diags {
-            eprintln!("  {d}");
         }
     }
     if ok {

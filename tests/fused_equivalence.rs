@@ -69,24 +69,34 @@ proptest! {
         prop_assert!(got.allclose(&want, 1e-5), "diff {}", got.max_abs_diff(&want));
     }
 
-    /// Fused bias+GeLU (region 4 tail) and bias+residual (regions 3/5
-    /// tails) equal their unfused two-pass compositions.
+    /// Fused layernorm→GEMM→bias→GeLU (Fig. 1(c) region 4, whose GEMM
+    /// carries the bias+GeLU epilogue) and bias+residual (regions 3/5
+    /// tails) equal their unfused compositions.
     #[test]
     fn fused_epilogues_match_unfused(
         m in 1usize..4,
         n in 1usize..50,
         seed in 0u64..1000,
     ) {
-        let base = Tensor::randn(&[m, n], 1.0, seed);
+        let h = 16;
+        let x = Tensor::randn(&[m, h], 1.0, seed + 3);
+        let g = Tensor::randn(&[h], 0.3, seed + 4);
+        let b = Tensor::randn(&[h], 0.1, seed + 5);
+        let w = Tensor::randn(&[h, n], 0.5, seed + 6);
         let bias = Tensor::randn(&[n], 0.5, seed + 1);
-        let res = Tensor::randn(&[m, n], 1.0, seed + 2);
-
-        let mut want = base.clone();
+        let mut want = ops::matmul(&ops::layernorm(&x, &g, &b, 1e-5), &w);
         ops::add_bias(&mut want, &bias);
         ops::gelu(&mut want);
-        let mut got = base.clone();
-        fused::bias_gelu_inplace(got.data_mut(), bias.data());
+        let mut normed = vec![0.0f32; m * h];
+        let mut got = Tensor::zeros(&[m, n]);
+        fused::ln_matmul_bias_gelu_into(
+            x.data(), m, g.data(), b.data(), 1e-5, &PackedB::pack(&w), bias.data(),
+            &mut normed, got.data_mut(),
+        );
         prop_assert!(max_abs(got.data(), want.data()) <= 1e-5);
+
+        let base = Tensor::randn(&[m, n], 1.0, seed);
+        let res = Tensor::randn(&[m, n], 1.0, seed + 2);
 
         let mut want = base.clone();
         ops::add_bias(&mut want, &bias);
@@ -113,7 +123,7 @@ proptest! {
         let v = Tensor::randn(&[t_ctx, h], 1.0, seed + 2);
         let want = ops::attention(&q, &k, &v, heads, causal_offset);
         let mut got = Tensor::zeros(&[t_new, h]);
-        fused::attention_into(q.data(), t_new, &k, &v, heads, causal_offset, got.data_mut());
+        fused::attention_seq_into(q.data(), h, t_new, &k, &v, heads, causal_offset, got.data_mut());
         prop_assert!(
             got.allclose(&want, 1e-5),
             "diff {}", got.max_abs_diff(&want)
