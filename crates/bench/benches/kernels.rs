@@ -2,8 +2,9 @@
 //! substrate every equivalence test runs on.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use dsi_kernels::blocked::{Epilogue, PanelWeights};
 use dsi_kernels::ops;
-use dsi_kernels::quant::{matmul_quantized, QuantizedMatrix};
+use dsi_kernels::quant::{matmul_quantized, QuantizedMatrix, QuantizedPackedB};
 use dsi_kernels::tensor::Tensor;
 
 fn bench_matmul(c: &mut Criterion) {
@@ -59,6 +60,10 @@ fn bench_attention(c: &mut Criterion) {
     g.finish();
 }
 
+/// Quantization and the portable oracle `matmul_quantized`, not the executed
+/// kernel (that is `int8_gemv`). The oracle fuses each multiply-add with
+/// `f32::mul_add`; a build without the `fma` target feature turns each into
+/// a libm `fmaf` call, so this reads the oracle's cost on a portable build.
 fn bench_quantization(c: &mut Criterion) {
     let w = Tensor::randn(&[512, 1536], 0.1, 9);
     let x = Tensor::randn(&[4, 512], 1.0, 10);
@@ -73,11 +78,34 @@ fn bench_quantization(c: &mut Criterion) {
     g.finish();
 }
 
+/// The executed INT8 kernel (`PanelWeights::gemm`, M=1, group 32) on the
+/// benchmark model's five GEMM shapes `[k, n]`: QKV, W_o, FF1, FF2 and the
+/// logits. Each id ends in the operand's streamed bytes, so GB/s is bytes
+/// over time per iteration. One operand timed alone stays cache-resident,
+/// so this reads the kernel's issue rate, not DRAM bandwidth.
+fn bench_int8_gemv(c: &mut Criterion) {
+    // Calibrate the dispatch table first, so the first shape's timing
+    // calibration does not include it.
+    dsi_kernels::dispatch::table();
+    let mut g = c.benchmark_group("int8_gemv");
+    for &(k, n) in &[(256usize, 768usize), (256, 256), (256, 1024), (1024, 256), (256, 512)] {
+        let b = QuantizedPackedB::quantize_pack(&Tensor::randn(&[k, n], 0.1, 11), 32);
+        let a = Tensor::randn(&[1, k], 1.0, 12);
+        let mut out = vec![0.0f32; n];
+        let id = BenchmarkId::new(format!("{k}x{n}"), format!("{}B", b.storage_bytes()));
+        g.bench_with_input(id, &(), |bch, _| {
+            bch.iter(|| b.gemm(black_box(a.data()), 1, black_box(&mut out), Epilogue::None))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_elementwise,
     bench_attention,
-    bench_quantization
+    bench_quantization,
+    bench_int8_gemv
 );
 criterion_main!(benches);

@@ -14,11 +14,11 @@
 //! per output column for the whole `k` loop: each step broadcasts one
 //! element of `a` and fuses it into four 8-wide accumulators (AVX2+FMA when
 //! the CPU has it — detected once at runtime, `std::arch` only, no
-//! dependencies — otherwise a portable 32-lane scalar loop the
-//! auto-vectorizer handles). Four independent chains break the FMA latency
-//! serialization a single running sum would pay, and the output row is
-//! touched exactly once — no read-modify-write traffic like the naive
-//! saxpy form in [`crate::ops::matmul`].
+//! dependencies — otherwise a portable 32-lane scalar loop that rounds each
+//! multiply-add once, exactly like the FMA). Four independent chains break
+//! the FMA latency serialization a single running sum would pay, and the
+//! output row is touched exactly once — no read-modify-write traffic like
+//! the naive saxpy form in [`crate::ops::matmul`].
 //!
 //! Every kernel writes into a caller-provided output slice, so steady-state
 //! decode can run entirely out of preallocated scratch (see
@@ -231,9 +231,14 @@ mod avx {
     }
 }
 
-/// Portable fallback row kernel over the same panel layout. The fixed-width
-/// 32-lane accumulator loop is what the auto-vectorizer wants to see.
-fn gemv_scalar(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
+/// Portable fallback row kernel over the same panel layout. Each lane fuses
+/// its multiply-add with one rounding (`mul_add`), as `_mm256_fmadd_ps`
+/// does, so a host without AVX2 decodes the same tokens bit for bit.
+/// Exactness is chosen over speed here: built without the `fma` target
+/// feature, each `mul_add` is a libm `fmaf` call the auto-vectorizer cannot
+/// batch, ≈ 38× slower than a plain mul-then-add loop on x86_64 (DESIGN.md,
+/// "M-row microkernels").
+pub(crate) fn gemv_scalar(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
     let n = out.len();
     let n_panels = n.div_ceil(PANEL);
     debug_assert_eq!(a.len(), k);
@@ -244,7 +249,7 @@ fn gemv_scalar(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
         for (i, rows) in panel.chunks_exact(PANEL).enumerate() {
             let av = a[i];
             for (lane, &w) in acc.iter_mut().zip(rows) {
-                *lane += av * w;
+                *lane = av.mul_add(w, *lane);
             }
         }
         let j0 = jp * PANEL;
@@ -581,7 +586,8 @@ mod tests {
     #[test]
     fn scalar_fallback_matches_dispatch() {
         // Whatever the runtime dispatch picks must agree with the portable
-        // kernel on identical inputs.
+        // kernel on identical inputs, bit for bit: both round each
+        // multiply-add once, in the same order.
         let a = Tensor::randn(&[2, 48], 1.0, 15);
         let b = Tensor::randn(&[48, 77], 1.0, 16);
         let pb = PackedB::pack(&b);
@@ -592,7 +598,7 @@ mod tests {
             gemv_scalar(&a.data()[i * 48..(i + 1) * 48], 48, &pb.data, &mut want[i * 77..(i + 1) * 77]);
         }
         for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-5, "{g} vs {w}");
+            assert_eq!(g.to_bits(), w.to_bits(), "{g} vs {w}");
         }
     }
 

@@ -39,6 +39,8 @@
 pub mod blocked;
 pub mod simd;
 pub mod cost;
+#[cfg(test)]
+mod differential;
 pub mod dispatch;
 pub mod exec;
 pub mod fused;

@@ -6,6 +6,13 @@
 //! group-wise quantization: each group of `group_size` consecutive weights
 //! along the input dimension shares one `f32` scale, chosen so the group's
 //! max-abs value maps to 127.
+//!
+//! Because a group shares its scale, the GEMM factors it out: inside a
+//! group it sums `a · q` with one fused multiply-add per weight (`q as f32`
+//! is exact), and applies the scale once at the group's end. The scale
+//! multiply leaves the per-row loop, and each weight costs one rounding.
+//! [`matmul_quantized`] is the portable oracle that fixes this order; every
+//! executed path over [`QuantizedPackedB`] is bitwise equal to it.
 
 use crate::blocked::{Epilogue, PanelWeights, PANEL};
 use crate::ops;
@@ -88,32 +95,39 @@ impl QuantizedMatrix {
 /// materializing the f32 weights).
 ///
 /// This is the **portable oracle** for the AVX2 dequant-in-register kernels
-/// in [`QuantizedPackedB`]: group-blocked so the scale row is resolved once
-/// per group (not recomputed per element, as the old saxpy form did), with
-/// the per-term operation order `x * (q as f32 * scale)` — two roundings,
-/// plain mul then add — and a strictly sequential k-accumulation per output
-/// element. The AVX kernels perform the *same* three roundings in the same
-/// order, so oracle and kernel are bit-exact equals, not approximations
-/// (enforced by proptest). Deliberately no `x == 0.0` skip: the kernels
-/// don't skip, and `-0.0 + 0.0` normalization would otherwise diverge.
+/// in [`QuantizedPackedB`], and it fixes their rounding order. Per output
+/// element and per group `g`, a partial sum starts at `+0.0` and takes one
+/// fused multiply-add per row, `t = x.mul_add(q as f32, t)`. `q as f32` is
+/// exact, so each weight costs one rounding. The group's scale is then
+/// applied once, `acc = t.mul_add(scale, acc)`, with groups in order from
+/// `acc = +0.0`. The AVX kernels perform the same roundings in the same
+/// order, so oracle and kernel are bitwise equal, not approximations
+/// (enforced by proptest and the kernel crate's differential harness).
+/// Deliberately no `x == 0.0` skip: the kernels don't skip, and signed-zero
+/// normalization would otherwise diverge.
 pub fn matmul_quantized(x: &Tensor, wq: &QuantizedMatrix) -> Tensor {
     let [k, n] = wq.shape;
     assert_eq!(x.cols(), k, "quantized matmul inner-dim mismatch");
     let m = x.rows();
     let n_groups = k.div_ceil(wq.group_size);
     let mut out = Tensor::zeros(&[m, n]);
+    let mut t = vec![0.0f32; n];
     for i in 0..m {
         let xi = x.row(i);
         let orow = out.row_mut(i);
         for g in 0..n_groups {
             let lo = g * wq.group_size;
             let hi = (lo + wq.group_size).min(k);
-            let srow = &wq.scales[g * n..(g + 1) * n];
+            t.fill(0.0);
             for (r, &xv) in xi.iter().enumerate().take(hi).skip(lo) {
                 let qrow = &wq.q[r * n..(r + 1) * n];
-                for ((o, &qv), &s) in orow.iter_mut().zip(qrow).zip(srow) {
-                    *o += xv * (qv as f32 * s);
+                for (tl, &qv) in t.iter_mut().zip(qrow) {
+                    *tl = xv.mul_add(qv as f32, *tl);
                 }
+            }
+            let srow = &wq.scales[g * n..(g + 1) * n];
+            for ((o, &tl), &s) in orow.iter_mut().zip(&t).zip(srow) {
+                *o = tl.mul_add(s, *o);
             }
         }
     }
@@ -125,11 +139,12 @@ pub fn matmul_quantized(x: &Tensor, wq: &QuantizedMatrix) -> Tensor {
 /// (`scales[jp * n_groups * PANEL + g * PANEL + jr]`).
 ///
 /// The GEMM dequantizes **in registers**: 8 INT8 lanes are widened with
-/// `_mm256_cvtepi8_epi32`, converted via `_mm256_cvtepi32_ps`, and
-/// multiplied by the group's scale register — the FP32 weight row never
-/// exists in memory, so the decode loop streams ~¼ the weight bytes of the
-/// FP32 path (Sec. III-D's bandwidth argument executed on CPU). Padded tail
-/// columns store `q == 0`, `scale == 0.0` and are never written back.
+/// `_mm256_cvtepi8_epi32` and converted exactly via `_mm256_cvtepi32_ps`,
+/// FMA'd into a per-group partial sum, and the group's scale is applied to
+/// that sum once — the FP32 weight row never exists in memory, so the
+/// decode loop streams ~¼ the weight bytes of the FP32 path (Sec. III-D's
+/// bandwidth argument executed on CPU). Padded tail columns store
+/// `q == 0`, `scale == 0.0` and are never written back.
 #[derive(Debug, Clone)]
 pub struct QuantizedPackedB {
     k: usize,
@@ -199,9 +214,12 @@ impl QuantizedPackedB {
 }
 
 /// Portable fallback row kernel over the packed INT8 layout. Performs the
-/// identical rounding sequence (`x * (q as f32 * s)`, plain mul/add, group
-/// outer, row inner) as both [`matmul_quantized`] and the AVX kernels.
-fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, out: &mut [f32]) {
+/// identical rounding sequence as both [`matmul_quantized`] and the AVX
+/// kernels: per group, `t = x.mul_add(q as f32, t)` row by row from `+0.0`,
+/// then `acc = t.mul_add(scale, acc)`. Like `blocked::gemv_scalar` it pays
+/// a libm `fmaf` call per lane on a build without the `fma` target feature
+/// (≈ 14× the old mul-then-add loop on x86_64) to stay bitwise equal.
+pub(crate) fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, out: &mut [f32]) {
     let (k, n) = (b.k, b.n);
     debug_assert_eq!(a.len(), k);
     debug_assert_eq!(out.len(), n);
@@ -213,13 +231,17 @@ fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, out: &mut [f32]) {
         for g in 0..b.n_groups {
             let lo = g * b.group_size;
             let hi = (lo + b.group_size).min(k);
-            let srow = &sp[g * PANEL..(g + 1) * PANEL];
+            let mut t = [0.0f32; PANEL];
             for i in lo..hi {
                 let xv = a[i];
                 let qrow = &qp[i * PANEL..(i + 1) * PANEL];
-                for ((lane, &qv), &s) in acc.iter_mut().zip(qrow).zip(srow) {
-                    *lane += xv * (qv as f32 * s);
+                for (tl, &qv) in t.iter_mut().zip(qrow) {
+                    *tl = xv.mul_add(qv as f32, *tl);
                 }
+            }
+            let srow = &sp[g * PANEL..(g + 1) * PANEL];
+            for ((lane, &tl), &s) in acc.iter_mut().zip(&t).zip(srow) {
+                *lane = tl.mul_add(s, *lane);
             }
         }
         let j0 = jp * PANEL;
@@ -234,15 +256,19 @@ mod avx {
     use std::arch::x86_64::*;
 
     /// `MR`-row GEMM over panel-packed INT8 weights with dequant in
-    /// registers: per 8-column lane group, `q` bytes are widened
-    /// (`cvtepi8_epi32` → `cvtepi32_ps`), multiplied by the group-scale
-    /// register hoisted outside the group's k-rows, then accumulated with
-    /// **separate mul and add** (not FMA): the scalar oracle performs plain
-    /// two-rounding ops, and bit-exactness with the oracle is part of the
-    /// kernel's contract.
+    /// registers. Per group and 8-column lane group, `q` bytes are widened
+    /// exactly (`cvtepi8_epi32` → `cvtepi32_ps`) and FMA'd into a partial
+    /// sum, `t = a·q + t`; at the group's end the scale is applied once,
+    /// `acc = t·scale + acc`. That is one FMA per weight and row, and no
+    /// scale multiply inside the row loop. `acc` waits between groups in a
+    /// stack buffer (f32 store and reload are exact), so only the `MR * NR`
+    /// partial sums need registers across the rows. Every output lane keeps
+    /// one fixed order — rows in order within a group, groups in order — so
+    /// each `(MR, NR)` instantiation is bitwise equal to the `MR = 1` kernel
+    /// and to the scalar oracle, which rounds the same way.
     ///
     /// # Safety
-    /// Caller must have verified AVX2 support; `b` must uphold the
+    /// Caller must have verified AVX2+FMA support; `b` must uphold the
     /// `QuantizedPackedB` layout invariants; `a.len() == MR * b.k`;
     /// `out.len() == MR * b.n`; `PANEL % (8 * NR) == 0`.
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -267,54 +293,52 @@ mod avx {
                     b.scales.as_ptr().add(jp * b.n_groups * PANEL),
                 )
             };
+            let mut acc = [[0.0f32; PANEL]; MR];
             for cg in 0..PANEL / (8 * NR) {
                 let base = cg * 8 * NR;
-                let mut acc = [[_mm256_setzero_ps(); NR]; MR];
                 for g in 0..b.n_groups {
                     let lo = g * b.group_size;
                     let hi = (lo + b.group_size).min(k);
-                    // Group scales: NR registers alive for the whole group.
-                    let mut sv = [_mm256_setzero_ps(); NR];
-                    for (t, svt) in sv.iter_mut().enumerate() {
-                        // SAFETY: `g < n_groups`, `base + 8t + 8 <= PANEL`
-                        // keep the load inside scale panel `jp`.
-                        *svt = unsafe { _mm256_loadu_ps(sp.add(g * PANEL + base + 8 * t)) };
-                    }
+                    let mut t = [[_mm256_setzero_ps(); NR]; MR];
                     for i in lo..hi {
-                        // SAFETY: `i < k`, `base + 8t + 8 <= PANEL` keep the
+                        // SAFETY: `i < k`, `base + 8c + 8 <= PANEL` keep the
                         // 8-byte INT8 loads inside q-panel `jp`; `r * k + i
                         // < MR * k == a.len()` bounds the broadcasts.
                         unsafe {
                             let qrow = qp.add(i * PANEL + base);
-                            for (t, svt) in sv.iter().enumerate() {
-                                // Dequantize 8 lanes in registers: i8 → i32
-                                // → f32 → × scale. No FP32 weight memory.
-                                let qi = _mm_loadl_epi64(qrow.add(8 * t) as *const __m128i);
+                            for c in 0..NR {
+                                // Dequantize 8 lanes in registers, exactly:
+                                // i8 → i32 → f32. No FP32 weight memory.
+                                let qi = _mm_loadl_epi64(qrow.add(8 * c) as *const __m128i);
                                 let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
-                                let w = _mm256_mul_ps(qf, *svt);
-                                for (r, accr) in acc.iter_mut().enumerate() {
+                                for (r, tr) in t.iter_mut().enumerate() {
                                     let av = _mm256_set1_ps(*a.get_unchecked(r * k + i));
-                                    accr[t] = _mm256_add_ps(accr[t], _mm256_mul_ps(av, w));
+                                    tr[c] = _mm256_fmadd_ps(av, qf, tr[c]);
                                 }
                             }
                         }
                     }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    for (t, at) in accr.iter().enumerate() {
-                        let j0 = jp * PANEL + base + 8 * t;
-                        if j0 + 8 <= n {
-                            // SAFETY: `r < MR` and `j0 + 8 <= n` keep the
-                            // store inside row `r` of `out`.
-                            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(r * n + j0), *at) };
-                        } else if j0 < n {
-                            let mut tmp = [0.0f32; 8];
-                            // SAFETY: `tmp` is exactly 8 floats.
-                            unsafe { _mm256_storeu_ps(tmp.as_mut_ptr(), *at) };
-                            out[r * n + j0..r * n + n].copy_from_slice(&tmp[..n - j0]);
+                    for c in 0..NR {
+                        let lanes = base + 8 * c..base + 8 * c + 8;
+                        // SAFETY: `g < n_groups` and `base + 8c + 8 <= PANEL`
+                        // keep the load inside scale panel `jp`.
+                        let sv = unsafe { _mm256_loadu_ps(sp.add(g * PANEL + lanes.start)) };
+                        for (accr, tr) in acc.iter_mut().zip(&t) {
+                            let p = accr[lanes.clone()].as_mut_ptr();
+                            // SAFETY: `p` heads the 8-float slice `lanes` of
+                            // `accr`.
+                            unsafe {
+                                let sum = _mm256_fmadd_ps(tr[c], sv, _mm256_loadu_ps(p));
+                                _mm256_storeu_ps(p, sum);
+                            }
                         }
                     }
                 }
+            }
+            let j0 = jp * PANEL;
+            let width = (n - j0).min(PANEL);
+            for (r, accr) in acc.iter().enumerate() {
+                out[r * n + j0..r * n + j0 + width].copy_from_slice(&accr[..width]);
             }
         }
     }
@@ -325,8 +349,9 @@ mod avx {
     /// Same contract as [`gemm_block_int8`] with `MR == mr`.
     pub unsafe fn gemm_rows_int8(a: &[f32], mr: usize, b: &QuantizedPackedB, out: &mut [f32]) {
         // SAFETY: forwarded caller contract; each arm fixes MR == mr with an
-        // NR that keeps MR*NR acc + NR scale + 2 temps within 16 YMM regs
-        // (except the deliberately-spilling MR=16 candidate).
+        // NR that keeps the MR*NR partial sums + one weight + one broadcast
+        // within 16 YMM regs (except the deliberately-spilling MR=16
+        // candidate); the running sums wait in memory between groups.
         unsafe {
             match mr {
                 1 => gemm_block_int8::<1, 4>(a, b, out),

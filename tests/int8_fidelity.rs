@@ -4,8 +4,9 @@
 //!
 //! Four layers of guarantee, strongest first:
 //! * **Bit-exactness** — the AVX2 INT8 microkernels round identically to
-//!   the scalar oracle `matmul_quantized` (mul-then-add, group-outer
-//!   order), so vectorization adds zero error on top of quantization.
+//!   the scalar oracle `matmul_quantized` (per group, one FMA per weight
+//!   into a partial sum, then one FMA by the group scale; groups in order),
+//!   so vectorization adds zero error on top of quantization.
 //! * **Logit drift** — quantization error through a full forward stays
 //!   under a fixed bound vs the FP32 packed path.
 //! * **Cross-entropy** — next-token loss under INT8 weights stays within a
