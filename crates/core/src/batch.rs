@@ -285,8 +285,10 @@ where
 /// `prefill` (teardown of a group never runs inside `release`, which the
 /// scheduler calls under its state lock). The session grows its KV
 /// contiguously, so `kv_stats` meters it per token — one-token pages —
-/// against a `token_budget` that admission reads and nothing enforces on a
-/// resident.
+/// against a `token_budget` that admission reads and every pass enforces:
+/// a `prefill` or `decode_step` that would pass it returns `OutOfPages`
+/// before touching the session, so the scheduler sheds the request with
+/// `PagesExhausted` exactly as it does on the paged engines.
 pub struct FtEngine {
     sess: FtSession,
     resident: bool,
@@ -325,6 +327,10 @@ impl BatchEngine for FtEngine {
     fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
         assert_eq!(slot, 0, "FtEngine has one slot");
         assert!(!self.resident, "prefill into occupied slot");
+        let needed = prompt.len() + 1;
+        if needed > self.token_budget {
+            return Err(EngineError::OutOfPages { needed, free: self.token_budget });
+        }
         // Fresh context per request (also tears down a faulted group).
         self.sess.reset();
         let tok = self
@@ -339,6 +345,10 @@ impl BatchEngine for FtEngine {
     fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
         assert_eq!(slots, [0], "FtEngine has one slot");
         assert!(self.resident, "decode of free slot");
+        let free = self.token_budget.saturating_sub(self.tokens_in_use());
+        if free == 0 {
+            return Err(EngineError::OutOfPages { needed: 1, free });
+        }
         match self.sess.generate_step() {
             Ok(tok) => {
                 out.push(tok);
@@ -909,5 +919,24 @@ mod tests {
         let paged = PagedEngine::new(&pm, 1, 8, 4);
         assert_eq!(BatchEngine::pages_for(&paged, 7), 2);
         assert_eq!(BatchEngine::kv_stats(&paged).unwrap().pages_total, 8);
+    }
+
+    #[test]
+    fn ft_engine_enforces_its_token_budget() {
+        // Five tokens: a 5-token prompt (plus its pending token) never
+        // starts, a 3-token one decodes once and is then out of pages —
+        // with the session untouched by either refusal.
+        let sess = FtSession::new(Arc::new(model(17)), 8, FtConfig::new(1));
+        let mut ft = FtEngine::new(sess, 5);
+        assert_eq!(ft.prefill(0, &[1, 2, 3, 4, 5]), Err(EngineError::OutOfPages { needed: 6, free: 5 }));
+        assert_eq!(ft.session().context_len(), 0);
+        ft.prefill(0, &[1, 2, 3]).unwrap();
+        let mut out = Vec::new();
+        ft.decode_step(&[0], &mut out).unwrap();
+        assert_eq!(ft.decode_step(&[0], &mut out), Err(EngineError::OutOfPages { needed: 1, free: 0 }));
+        assert_eq!((out.len(), ft.session().context_len()), (1, 4));
+        assert_eq!(ft.kv_stats().unwrap().pages_in_use, 5);
+        ft.release(0);
+        assert_eq!(ft.kv_stats().unwrap().pages_in_use, 0);
     }
 }

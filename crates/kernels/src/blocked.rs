@@ -701,31 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn mrow_blocks_bit_identical_to_per_row() {
-        // Every forced microkernel (and whatever the measured dispatch
-        // picks) must produce bit-identical output to the M=1 row kernel:
-        // per output element the k-reduction runs sequentially in one lane
-        // regardless of the block shape, so dispatch is perf-only.
-        for (m, k, n) in [(2, 48, 77), (4, 64, 192), (8, 33, 12), (16, 64, 101), (5, 16, 32), (11, 20, 37)] {
-            let a = Tensor::randn(&[m, k], 1.0, 81);
-            let b = Tensor::randn(&[k, n], 1.0, 82);
-            let pb = PackedB::pack(&b);
-            let mut want = vec![0.0f32; m * n];
-            for i in 0..m {
-                gemv(&a.data()[i * k..(i + 1) * k], k, &pb.data, &mut want[i * n..(i + 1) * n]);
-            }
-            for force in [1, 2, 4, 8, 16] {
-                let mut got = vec![0.0f32; m * n];
-                gemm_f32_with(a.data(), m, &pb, &mut got, Epilogue::None, Some(force));
-                assert_eq!(got, want, "m={m} k={k} n={n} force={force}");
-            }
-            let mut got = vec![0.0f32; m * n];
-            gemm_f32_with(a.data(), m, &pb, &mut got, Epilogue::None, None);
-            assert_eq!(got, want, "m={m} k={k} n={n} dispatch");
-        }
-    }
-
-    #[test]
     fn nan_propagates_through_packed_gemm() {
         // The packed path must keep IEEE semantics: a NaN anywhere in the
         // reduction poisons every real output column (the zero-padded tail

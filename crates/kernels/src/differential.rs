@@ -29,6 +29,11 @@ const FF2_K: usize = 1024;
 /// One past the widest dispatch table entry, so the widest row block is
 /// followed by a ragged remainder.
 const MAX_M: usize = 17;
+/// Extra f32 `(k, n)` and INT8 `(k, n, group)` cases: the shapes the
+/// kernel modules once checked in loops of their own.
+const F32_CASES: [(usize, usize); 6] = [(48, 77), (64, 192), (33, 12), (64, 101), (16, 32), (20, 37)];
+const INT8_CASES: [(usize, usize, usize); 5] =
+    [(32, 16, 8), (48, 77, 16), (33, 40, 7), (64, 101, 32), (20, 37, 64)];
 /// Floats after each output slice that no kernel may write.
 const GUARD: usize = 16;
 /// What output buffers hold before a kernel runs: finite, so an unwritten
@@ -162,7 +167,7 @@ fn check_paths(
 
 #[test]
 fn f32_paths_match_the_fma_oracle_bitwise() {
-    for (case, (k, n)) in shapes().enumerate() {
+    for (case, (k, n)) in shapes().chain(F32_CASES).enumerate() {
         let seed = case as u64;
         let x = activations(k, seed);
         let w = weights(k, n, seed + 500);
@@ -181,22 +186,20 @@ fn f32_paths_match_the_fma_oracle_bitwise() {
 
 #[test]
 fn int8_paths_match_matmul_quantized_bitwise() {
-    for (case, (k, n)) in shapes().enumerate() {
+    let grid = shapes().flat_map(|(k, n)| [1, 7, 32, 64, k + 1].map(|group| (k, n, group)));
+    for (case, (k, n, group)) in grid.chain(INT8_CASES).enumerate() {
         let seed = case as u64;
         let x = activations(k, seed);
-        let w = weights(k, n, seed + 500);
-        for group in [1, 7, 32, 64, k + 1] {
-            let wq = QuantizedMatrix::quantize(&w, group);
-            let qb = QuantizedPackedB::from_matrix(&wq);
-            check_paths(
-                &format!("int8 k={k} n={n} group={group}"),
-                x.data(),
-                k,
-                n,
-                matmul_quantized(&x, &wq).data(),
-                |row, out| gemv_int8_scalar(row, &qb, out),
-                |a, m, out, force| gemm_int8_with(a, m, &qb, out, Epilogue::None, force),
-            );
-        }
+        let wq = QuantizedMatrix::quantize(&weights(k, n, seed + 500), group);
+        let qb = QuantizedPackedB::from_matrix(&wq);
+        check_paths(
+            &format!("int8 k={k} n={n} group={group}"),
+            x.data(),
+            k,
+            n,
+            matmul_quantized(&x, &wq).data(),
+            |row, out| gemv_int8_scalar(row, &qb, out),
+            |a, m, out, force| gemm_int8_with(a, m, &qb, out, Epilogue::None, force),
+        );
     }
 }

@@ -49,7 +49,9 @@
 //! [`TpSession::dismantle`] tears the group down with a *deadline* join —
 //! never hanging on a wedged thread — and returns everything salvaged, so a
 //! supervisor (see [`supervisor`](crate::supervisor)) can re-pack the KV to
-//! a smaller TP degree and resume decoding token-identically.
+//! a smaller TP degree and resume decoding token-identically. The salvage
+//! also carries each rank's recorded collective program
+//! ([`Dismantled::programs`]), which `dsi-verify` checks.
 //!
 //! [`FastSession`]: dsi_model::fast::FastSession
 //! [`CollectiveError`]: dsi_sim::CollectiveError
@@ -67,7 +69,8 @@ use dsi_model::config::GptConfig;
 use dsi_model::fast::argmax;
 use dsi_model::reference::{GptModel, KvCache};
 use dsi_sim::fault::{apply_stall, FaultKind};
-use dsi_sim::shmem::{CommConfig, ShmComm, ShmRank};
+use dsi_sim::shmem::{CommConfig, CommOp, ShmComm, ShmRank};
+use dsi_sim::FlightRecorder;
 use dsi_sim::{CollectiveError, CollectiveErrorKind};
 
 use crate::tp::shard_layer;
@@ -260,6 +263,8 @@ struct WorkerExit {
     /// process whose memory is gone (scripted exit, panic).
     kv: Option<KvCache>,
     cause: Option<RankFailureCause>,
+    /// Every collective op the rank executed.
+    ops: FlightRecorder<CommOp>,
 }
 
 /// Everything [`TpSession::dismantle`] could salvage from a (possibly
@@ -273,6 +278,10 @@ pub struct Dismantled {
     pub kv: Vec<Option<KvCache>>,
     /// Every failure observed during the group's lifetime and teardown.
     pub failures: Vec<RankFailure>,
+    /// `programs[rank]` is the collective program the rank executed, from
+    /// group creation through teardown (empty for a rank that never
+    /// reported back).
+    pub programs: Vec<FlightRecorder<CommOp>>,
 }
 
 // --- per-rank execution state ----------------------------------------------
@@ -621,49 +630,38 @@ impl TpSession {
                     // The rank loop runs under `catch_unwind` so that even a
                     // panicking worker reports an exit (with its payload)
                     // instead of silently dying; the state comes back out so
-                    // its KV shard can be salvaged.
+                    // its KV shard can be salvaged, and the handle stays
+                    // outside so its op recording always can.
+                    let comm = &mut rank_comm;
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                         move || {
                             let mut state = RankState::new(&model, r, max_prompt, seed_kv);
-                            let res = worker_loop(&mut state, &model, &shared, &mut rank_comm);
+                            let res = worker_loop(&mut state, &model, &shared, comm);
                             (state.kv, res)
                         },
                     ));
-                    let exit = match outcome {
-                        Ok((kv, Ok(()))) => WorkerExit { rank: r, kv: Some(kv), cause: None },
+                    let (kv, cause) = match outcome {
+                        Ok((kv, Ok(()))) => (Some(kv), None),
                         // A scripted crash models a dead process: its memory
                         // is gone, and it does NOT poison — peers must detect
                         // the loss through the timeout/heartbeat path.
                         Ok((_, Err(e))) if e.kind == CollectiveErrorKind::InjectedExit => {
-                            WorkerExit {
-                                rank: r,
-                                kv: None,
-                                cause: Some(RankFailureCause::Collective(e)),
-                            }
+                            (None, Some(RankFailureCause::Collective(e)))
                         }
                         // A typed collective failure leaves the rank's own
                         // memory intact: salvage the KV, poison so every
                         // peer unblocks promptly.
                         Ok((kv, Err(e))) => {
                             poisoner.poison();
-                            WorkerExit {
-                                rank: r,
-                                kv: Some(kv),
-                                cause: Some(RankFailureCause::Collective(e)),
-                            }
+                            (Some(kv), Some(RankFailureCause::Collective(e)))
                         }
                         Err(payload) => {
                             poisoner.poison();
-                            WorkerExit {
-                                rank: r,
-                                kv: None,
-                                cause: Some(RankFailureCause::Panicked(panic_payload_to_string(
-                                    payload,
-                                ))),
-                            }
+                            (None, Some(RankFailureCause::Panicked(panic_payload_to_string(payload))))
                         }
                     };
-                    let _ = tx.send(exit);
+                    let ops = rank_comm.recording().clone();
+                    let _ = tx.send(WorkerExit { rank: r, kv, cause, ops });
                 });
                 (r, handle)
             })
@@ -872,9 +870,12 @@ impl TpSession {
         let unjoined = join_with_deadline(&mut self.workers, deadline);
         let mut kv: Vec<Option<KvCache>> = (0..tp).map(|_| None).collect();
         let mut exited = vec![false; tp];
+        let mut programs = vec![FlightRecorder::default(); tp];
+        programs[0] = self.comm.recording().clone();
         while let Ok(exit) = self.exits.try_recv() {
             exited[exit.rank] = true;
             kv[exit.rank] = exit.kv;
+            programs[exit.rank] = exit.ops;
             if let Some(cause) = exit.cause {
                 failures.push(RankFailure { rank: exit.rank, cause });
             }
@@ -895,7 +896,7 @@ impl TpSession {
             ));
         }
         self.done = true;
-        Dismantled { kv, failures }
+        Dismantled { kv, failures, programs }
     }
 }
 

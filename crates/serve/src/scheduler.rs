@@ -987,7 +987,8 @@ mod tests {
         let (seated, failed, evicted) = live.recovery_shape();
         assert!(seated >= 1 && failed >= 1 && evicted >= 1, "{:?}", live.recoveries);
         // The live recording is what the page-leak control mutates.
-        let controls = dsi_verify::sweep::negative_controls(&live.recoveries);
+        let recorded = dsi_verify::sweep::record_live();
+        let controls = dsi_verify::sweep::negative_controls(&live.recoveries, &recorded);
         assert!(dsi_verify::sweep::controls_all_fire(&controls));
     }
 

@@ -25,7 +25,9 @@
 //! * [`fault`] — deterministic, seed-driven fault injection
 //!   ([`fault::FaultPlan`]) and the typed [`fault::CollectiveError`] the
 //!   hardened collectives report: rank stalls, dropped arrivals, scripted
-//!   panics, and corrupted reduce-scatter chunks, each fired at most once.
+//!   panics, and corrupted reduce-scatter chunks, each fired at most once,
+//! * [`recorder`] — the bounded [`FlightRecorder`] the executed runtimes
+//!   log their protocol steps into, for `dsi-verify` to check.
 //!
 //! The models here are rooflines: a kernel's execution time is
 //! `max(flops / peak, bytes / bandwidth) + launch overhead`, and a message's
@@ -39,6 +41,7 @@ pub mod collectives;
 pub mod engine;
 pub mod fault;
 pub mod hw;
+pub mod recorder;
 pub mod shmem;
 pub mod topology;
 pub mod trace;
@@ -48,7 +51,8 @@ pub use collectives::{allreduce_sum_slices, CollectiveCost, CommGroup};
 pub use fault::{CollectiveError, CollectiveErrorKind, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
 pub use fault::{EngineFaultInjector, EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec};
 pub use fault::{IoFaultInjector, IoFaultKind, IoFaultPlan, IoFaultSite, IoFaultSpec};
-pub use shmem::{CommConfig, SenseBarrier, ShmComm, ShmPoisoner, ShmRank};
+pub use recorder::FlightRecorder;
+pub use shmem::{CommConfig, CommOp, SenseBarrier, ShmComm, ShmPoisoner, ShmRank};
 pub use engine::{Resource, Schedule, Task, TaskGraph, TaskId};
 pub use hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
 pub use topology::Topology;

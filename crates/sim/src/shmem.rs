@@ -53,13 +53,15 @@
 //! corruption) threaded through the same hooks — one `Option` check per
 //! call when disabled, so the fault path costs nothing in production.
 //!
-//! The collective *program* this engine executes per buffer —
-//! barrier / reduce-scatter / barrier / all-gather / barrier — is modelled
-//! statically in `dsi-verify::collective::tp_exec_allreduce_programs`, so
-//! the race detector can prove the per-layer schedule deadlock-free (and a
-//! seeded missing-barrier control proves the detector still fires).
+//! Every rank records the collective *program* it executes — each barrier
+//! arrival with its epoch, each reduce-scatter and all-gather with its
+//! element count — into a [`FlightRecorder`] allocated with the group
+//! ([`ShmRank::recording`]). `dsi-verify` runs a real tensor-parallel
+//! session and checks those recordings for lock-step order and
+//! exit-safety, so the schedule it proves deadlock-free is the one that ran.
 
 use crate::fault::{apply_stall, CollectiveError, CollectiveErrorKind, FaultInjector, FaultKind};
+use crate::recorder::FlightRecorder;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -74,6 +76,19 @@ const SPINS_BEFORE_YIELD: u32 = 64;
 /// dominate a contended crossing, so the timeout is only probed every
 /// `YIELDS_PER_CLOCK_CHECK` rounds (timeouts are coarse by design).
 const YIELDS_PER_CLOCK_CHECK: u32 = 256;
+
+/// Collective ops each rank's recorder holds (a 2-layer step is 21).
+const RECORDED_OPS: usize = 1024;
+
+/// One collective step a rank executed: a barrier arrival (`epoch` = the
+/// rank's earlier crossings), or its reduce-scatter / all-gather phase of
+/// an all-reduce over an `elems`-long buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommOp {
+    Barrier { epoch: u64 },
+    ReduceScatter { elems: usize },
+    AllGather { elems: usize },
+}
 
 /// Group-wide collective configuration: rendezvous timeout, optional
 /// per-chunk checksums on the all-reduce, optional fault injection.
@@ -106,9 +121,8 @@ impl Default for CommConfig {
 ///
 /// A participant that panics would strand the others mid-spin, so the
 /// barrier carries a poison flag: [`SenseBarrier::poison`] fails every
-/// current and future waiter — as a panic through [`SenseBarrier::wait`], or
-/// as a typed [`CollectiveErrorKind::Poisoned`] through
-/// [`SenseBarrier::try_wait`]. A bounded waiter that times out poisons the
+/// current and future waiter with a typed [`CollectiveErrorKind::Poisoned`]
+/// from [`SenseBarrier::try_wait`]. A waiter that times out poisons the
 /// barrier itself on the way out, so one departed party fails the whole
 /// group instead of leaving a half-counted crossing a straggler could
 /// complete alone. Each party also publishes an arrival heartbeat (its
@@ -141,47 +155,11 @@ impl SenseBarrier {
         self.parties
     }
 
-    /// Cross the barrier. `local_sense` is the caller's thread-local sense
-    /// bit (start every participant at `false` and pass the same variable to
-    /// every crossing).
-    ///
-    /// Unbounded: waits forever for missing peers. Prefer
-    /// [`SenseBarrier::try_wait`] where a recovery path exists.
-    ///
-    /// # Panics
-    /// Panics if the barrier is [poisoned](Self::poison) — a peer died and
-    /// the rendezvous can never complete.
-    pub fn wait(&self, local_sense: &mut bool) {
-        let target = !*local_sense;
-        *local_sense = target;
-        // AcqRel: the arrival both publishes this thread's writes (release)
-        // and, for the last arriver, observes every peer's writes (acquire)
-        // before it releases them all via the sense store.
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
-            if self.poisoned.load(Ordering::Relaxed) {
-                panic!("shmem barrier poisoned: a peer rank panicked");
-            }
-            self.count.store(0, Ordering::Relaxed);
-            self.sense.store(target, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(Ordering::Acquire) != target {
-                if self.poisoned.load(Ordering::Relaxed) {
-                    panic!("shmem barrier poisoned: a peer rank panicked");
-                }
-                if spins < SPINS_BEFORE_YIELD {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Cross the barrier with a bounded wait. `party` is the caller's party
-    /// index (for the arrival heartbeat), `epoch` its count of *previous*
-    /// crossings. Fails typed instead of spinning forever:
+    /// Cross the barrier with a bounded wait. `local_sense` is the caller's
+    /// thread-local sense bit (start every participant at `false` and pass
+    /// the same variable to every crossing), `party` its party index (for
+    /// the arrival heartbeat), `epoch` its count of *previous* crossings.
+    /// Fails typed instead of spinning forever:
     /// [`CollectiveErrorKind::Poisoned`] if a peer died,
     /// [`CollectiveErrorKind::Timeout`] (naming the peers whose heartbeat
     /// still lags) if the rendezvous misses the deadline.
@@ -201,8 +179,9 @@ impl SenseBarrier {
         let target = !*local_sense;
         *local_sense = target;
         self.arrivals[party].store(epoch + 1, Ordering::Relaxed);
-        // AcqRel: as in `wait` — publish our writes, and for the releaser,
-        // observe everyone's.
+        // AcqRel: the arrival both publishes this thread's writes (release)
+        // and, for the last arriver, observes every peer's writes (acquire)
+        // before it releases them all via the sense store.
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             // Never release peers into a poisoned crossing: if any party
             // timed out (or died) here, it has already departed — a late
@@ -259,8 +238,8 @@ impl SenseBarrier {
     }
 
     /// Mark the group dead: every rank currently or subsequently waiting
-    /// fails (typed via [`try_wait`](Self::try_wait), by panic via
-    /// [`wait`](Self::wait)) instead of hanging. Called from rank panic
+    /// fails typed (via [`try_wait`](Self::try_wait)) instead of hanging.
+    /// Called from rank panic
     /// guards so one failing rank fails the whole group loudly.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Relaxed);
@@ -344,7 +323,13 @@ impl ShmComm {
             cfg,
         });
         (0..world)
-            .map(|rank| ShmRank { comm: Arc::clone(&comm), rank, sense: false, epoch: 0 })
+            .map(|rank| ShmRank {
+                comm: Arc::clone(&comm),
+                rank,
+                sense: false,
+                epoch: 0,
+                ops: FlightRecorder::with_capacity(RECORDED_OPS),
+            })
             .collect()
     }
 }
@@ -358,15 +343,17 @@ fn chunk_checksum(chunk: &[f32]) -> u64 {
 }
 
 /// A rank's handle on a [`ShmComm`]: carries the rank id, the thread-local
-/// barrier sense, and the rank's collective epoch (barrier crossings
-/// attempted — its heartbeat). Not `Clone` — exactly one handle per rank,
-/// so each collective call is one arrival per rank.
+/// barrier sense, the rank's collective epoch (barrier crossings
+/// attempted — its heartbeat), and the record of the ops it executed. Not
+/// `Clone` — exactly one handle per rank, so each collective call is one
+/// arrival per rank.
 #[derive(Debug)]
 pub struct ShmRank {
     comm: Arc<ShmComm>,
     rank: usize,
     sense: bool,
     epoch: u64,
+    ops: FlightRecorder<CommOp>,
 }
 
 /// A cloneable poison-only handle on a group's barrier. Panic guards hold
@@ -406,6 +393,12 @@ impl ShmRank {
         &self.comm.cfg
     }
 
+    /// Every collective op this rank executed, in order (bounded; see
+    /// [`FlightRecorder::overflowed`]).
+    pub fn recording(&self) -> &FlightRecorder<CommOp> {
+        &self.ops
+    }
+
     /// Cross the group barrier with the configured timeout. Consults the
     /// fault injector first (stall → sleep then arrive; dropped arrival →
     /// typed [`CollectiveErrorKind::InjectedExit`] without arriving, so
@@ -425,6 +418,7 @@ impl ShmRank {
             }
         }
         self.epoch += 1;
+        self.ops.record(CommOp::Barrier { epoch });
         self.comm
             .barrier
             .try_wait(self.rank, epoch, &mut self.sense, self.comm.cfg.timeout)
@@ -520,6 +514,7 @@ impl ShmRank {
         }
 
         let (lo, hi) = self.chunk(self.rank, len);
+        self.ops.record(CommOp::ReduceScatter { elems: len });
         // Reduce-scatter: sum this rank's owned chunk across every rank's
         // published window, in rank order, writing the result into our own
         // window. Every pointer targets a group-owned window of length `len`
@@ -573,6 +568,7 @@ impl ShmRank {
         }
         // Barrier 2: every owned chunk is fully reduced.
         self.try_barrier()?;
+        self.ops.record(CommOp::AllGather { elems: len });
         // All-gather: copy each foreign owner's reduced chunk from its
         // window into ours, verifying checksums when enabled. Same
         // group-ownership pointer validity as the reduce-scatter.
@@ -741,6 +737,27 @@ mod tests {
             } else {
                 base + world as f32 * (round - 1) as f32
             }
+        }
+    }
+
+    #[test]
+    fn every_rank_records_the_fenced_program_it_ran() {
+        let programs = Arc::new(Mutex::new(vec![Vec::new(); 2]));
+        let programs2 = Arc::clone(&programs);
+        run_ranks(2, move |mut h, r| {
+            h.try_allreduce_sum(&mut [1.0; 5]).expect("clean run");
+            programs2.lock().unwrap()[r] = h.recording().events();
+        });
+        use CommOp::*;
+        let want = [
+            Barrier { epoch: 0 },
+            ReduceScatter { elems: 5 },
+            Barrier { epoch: 1 },
+            AllGather { elems: 5 },
+            Barrier { epoch: 2 },
+        ];
+        for p in programs.lock().unwrap().iter() {
+            assert_eq!(p, &want);
         }
     }
 

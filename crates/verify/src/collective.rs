@@ -7,8 +7,9 @@
 //! group. Pipeline parallelism (Sec. IV-B) adds point-to-point send/recv
 //! pairs that must rendezvous, and schedules that must be acyclic.
 //!
-//! Programs are modelled per rank as ordered lists of [`Op`]s. Two
-//! detectors:
+//! Programs are modelled per rank as ordered lists of [`Op`]s; the executed
+//! tensor-parallel engine's are not written here but recorded by the running
+//! engine ([`record_tp_programs`]). Two detectors:
 //! * [`check_lockstep`] — the cheap static check: project each rank's
 //!   program onto one group's collectives and require identical sequences
 //!   (kind + bytes), with per-step rank/op provenance on mismatch;
@@ -24,11 +25,16 @@
 //! transfer must be a matched compute→network→compute hop.
 
 use crate::{Diagnostic, Pass};
+use dsi_model::reference::GptModel;
+use dsi_model::zoo;
 use dsi_parallel::mapping::Mapping3D;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
+use dsi_parallel::TpPackedModel;
 use dsi_sim::engine::{Resource, TaskGraph};
+use dsi_sim::shmem::CommOp;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Group collectives (matched across all members of `group`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -398,49 +404,31 @@ pub fn tp_allreduce_programs(mapping: &Mapping3D, layers: usize, bytes: u64) -> 
     (groups, programs)
 }
 
-/// The shared-memory backend's expansion of one in-place all-reduce
-/// (`dsi_sim::shmem::ShmRank::try_allreduce_sum`): a publish barrier so every
-/// rank's buffer pointer is visible, a chunked reduce-scatter where rank *r*
-/// reduces chunk *r* of every buffer in place, a barrier so all chunks are
-/// final before anyone reads a remote one, an all-gather copying the reduced
-/// chunks into each local buffer, and a release barrier so no rank unpublishes
-/// a buffer another rank is still reading.
-pub fn shmem_allreduce_ops(group: &[usize], bytes: u64, tag: &str) -> Vec<Op> {
-    vec![
-        Op::coll(CollKind::Barrier, group.to_vec(), 0, format!("{tag}.publish")),
-        Op::coll(CollKind::ReduceScatter, group.to_vec(), bytes, format!("{tag}.reduce")),
-        Op::coll(CollKind::Barrier, group.to_vec(), 0, format!("{tag}.reduced")),
-        Op::coll(CollKind::AllGather, group.to_vec(), bytes, format!("{tag}.gather")),
-        Op::coll(CollKind::Barrier, group.to_vec(), 0, format!("{tag}.release")),
-    ]
-}
-
-/// The collective program the *executed* tensor-parallel engine
-/// (`dsi-parallel::tp_exec::TpSession`) runs per forward step over its
-/// `world` threaded ranks: one step-dispatch barrier (the driver publishes
-/// the command/token, workers pick it up), then per layer the two
-/// row-parallel all-reduces of Sec. IV-A (attention output and FF2), each
-/// expanded into the shared-memory backend's barrier-fenced
-/// reduce-scatter + all-gather sequence. With `world == 1` the engine's
-/// all-reduce is a no-op early return, so only the step barrier remains.
-pub fn tp_exec_allreduce_programs(
-    world: usize,
-    layers: usize,
-    bytes: u64,
-) -> (Vec<Vec<usize>>, Programs) {
-    let group: Vec<usize> = (0..world).collect();
+/// Run a real tensor-parallel session (`dsi_parallel::tp_exec`) at `tp`
+/// ranks over a tiny 2-layer model — one prompt, two decode steps, then
+/// teardown — and return the collective program each rank *recorded*
+/// (`Dismantled::programs`): every barrier arrival, reduce-scatter and
+/// all-gather of the shared-memory backend, in the order the rank ran them.
+/// A recorder that wrapped is a `recording-overflow` diagnostic instead.
+pub fn record_tp_programs(tp: usize) -> Result<Programs, Diagnostic> {
+    let model = GptModel::random(zoo::tiny(2), 7);
+    let mut sess = Arc::new(TpPackedModel::shard(&model, tp)).session(3);
+    sess.generate(&[1, 2, 3], 3);
+    let group: Vec<usize> = (0..tp).collect();
     let mut programs = Programs::new();
-    for rank in 0..world {
-        let mut ops = vec![Op::coll(CollKind::Barrier, group.clone(), 0, "step.dispatch")];
-        if world > 1 {
-            for l in 0..layers {
-                ops.extend(shmem_allreduce_ops(&group, bytes, &format!("layer{l}.attn_out")));
-                ops.extend(shmem_allreduce_ops(&group, bytes, &format!("layer{l}.ff2")));
-            }
+    for (rank, rec) in sess.dismantle().programs.into_iter().enumerate() {
+        if rec.overflowed() {
+            return Err(Diagnostic::recording_overflow(format!("tp_exec tp={tp} rank {rank}")));
         }
-        programs.insert(rank, ops);
+        let coll = |kind, elems: usize, tag: String| Op::coll(kind, group.clone(), 4 * elems as u64, tag);
+        let ops = rec.events().into_iter().map(|op| match op {
+            CommOp::Barrier { epoch } => coll(CollKind::Barrier, 0, format!("barrier@{epoch}")),
+            CommOp::ReduceScatter { elems } => coll(CollKind::ReduceScatter, elems, "reduce-scatter".into()),
+            CommOp::AllGather { elems } => coll(CollKind::AllGather, elems, "all-gather".into()),
+        });
+        programs.insert(rank, ops.collect());
     }
-    (vec![group], programs)
+    Ok(programs)
 }
 
 /// The pipeline point-to-point program: within each (dp, tp) pipeline
@@ -657,33 +645,37 @@ mod tests {
         }
     }
 
+    fn recorded(world: usize) -> Programs {
+        record_tp_programs(world).expect("recorder holds the whole session")
+    }
+
     #[test]
-    fn tp_exec_programs_are_clean() {
-        for world in [1usize, 2, 4, 8] {
-            let (groups, progs) = tp_exec_allreduce_programs(world, 3, 4 * 256);
-            let d = check_programs(&groups, &progs);
+    fn recorded_tp_programs_are_clean_and_barrier_fenced() {
+        for world in [1usize, 2, 4] {
+            let progs = recorded(world);
+            let d = check_programs(&[(0..world).collect()], &progs);
             assert!(d.is_empty(), "world {world}: {d:?}");
-            // The expansion really is barrier-fenced: 1 step barrier plus
-            // 5 ops per all-reduce, 2 all-reduces per layer.
-            let want_len = if world > 1 { 1 + 3 * 2 * 5 } else { 1 };
-            assert_eq!(progs[&0].len(), want_len);
+            // Three step barriers and the shutdown barrier; beyond one rank,
+            // 5 ops per all-reduce, 2 all-reduces per layer, 2 layers a step.
+            let want_len = if world > 1 { 4 + 3 * 2 * 2 * 5 } else { 4 };
+            assert!(progs.values().all(|p| p.len() == want_len), "world {world}: {progs:?}");
         }
     }
 
     #[test]
     fn tp_exec_missing_barrier_detected() {
-        // Rank 1 skips the `.reduced` barrier between reduce-scatter and
-        // all-gather of layer 0's attention-output all-reduce: the lock-step
-        // check flags the shorter program and the rendezvous simulation
-        // reports the resulting stall.
-        let (groups, mut progs) = tp_exec_allreduce_programs(4, 2, 512);
+        // Rank 1 skips the barrier between the reduce-scatter and the
+        // all-gather of its first recorded all-reduce: the lock-step check
+        // flags the shorter program and the rendezvous simulation reports
+        // the resulting stall.
+        let mut progs = recorded(4);
         let victim = progs.get_mut(&1).unwrap();
-        let idx = victim
+        let rs = victim
             .iter()
-            .position(|op| matches!(op, Op::Coll { tag, .. } if tag == "layer0.attn_out.reduced"))
-            .expect("barrier op present");
-        victim.remove(idx);
-        let d = check_programs(&groups, &progs);
+            .position(|op| matches!(op, Op::Coll { kind: CollKind::ReduceScatter, .. }))
+            .expect("an all-reduce ran");
+        victim.remove(rs + 1);
+        let d = check_programs(&[(0..4).collect()], &progs);
         assert!(d.iter().any(|x| x.code == "collective-mismatch"), "{d:?}");
         assert!(d.iter().any(|x| x.code == "deadlock"), "{d:?}");
     }
@@ -761,7 +753,7 @@ mod tests {
     fn exit_before_collective_aborts_survivors_typed() {
         // Rank 1 dies mid-schedule: every survivor must reach a typed abort
         // (the timeout path), and *nobody* may be reported silently stuck.
-        let (_, progs) = tp_exec_allreduce_programs(4, 2, 512);
+        let progs = recorded(4);
         let len = progs[&0].len();
         for at in [0usize, 1, 7, len - 1] {
             let exits = ExitPlan::from([(1usize, at)]);
@@ -780,7 +772,7 @@ mod tests {
 
     #[test]
     fn exit_after_program_end_is_harmless() {
-        let (_, progs) = tp_exec_allreduce_programs(2, 1, 128);
+        let progs = recorded(2);
         let exits = ExitPlan::from([(1usize, progs[&1].len())]);
         let d = simulate_rendezvous_with_exits(&progs, &exits);
         assert!(d.is_empty(), "{d:?}");
@@ -788,7 +780,7 @@ mod tests {
 
     #[test]
     fn no_exits_matches_plain_rendezvous() {
-        let (_, progs) = tp_exec_allreduce_programs(4, 2, 512);
+        let progs = recorded(4);
         assert!(simulate_rendezvous_with_exits(&progs, &ExitPlan::new()).is_empty());
         assert!(simulate_rendezvous(&progs).is_empty());
     }

@@ -93,6 +93,12 @@ impl Diagnostic {
             message: message.into(),
         }
     }
+
+    /// A runtime recording whose bounded recorder wrapped: it no longer
+    /// starts at the beginning of the run, so it cannot be checked.
+    pub fn recording_overflow(site: String) -> Self {
+        Diagnostic::new(Pass::Collective, "recording-overflow", site, "the recorder wrapped; the recording is truncated")
+    }
 }
 
 impl fmt::Display for Diagnostic {

@@ -10,15 +10,21 @@
 //!   recovery steps it takes into its trace ([`SchedTraceOp::Recovery`]),
 //!   [`recorded_recoveries`] cuts that trace into one program per
 //!   recovery, and the scheduler checks them at exit.
-//! * [`PrefetchOp`] / [`check_prefetch_program`] — the streaming weight
-//!   store's fetch/acquire/release/evict protocol. Its input is still a
-//!   transcription, [`prefetch_program`].
+//! * [`check_prefetch_program`] — the streaming weight store's
+//!   fetch/acquire/evict protocol, checked on what a real store recorded
+//!   while the paged engine decoded over it ([`record_offload`]).
 //!
 //! The serving circuit breaker is checked where it lives: `dsi-serve`'s
 //! breaker module explores the real `Breaker` exhaustively (this crate
 //! cannot depend on `dsi-serve`).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use dsi_model::paged::Engine;
+use dsi_model::reference::GptModel;
+use dsi_model::zoo;
+use dsi_zero::offload::{OffloadConfig, OffloadStore, StoreEvent};
 
 use crate::locks::SchedTraceOp;
 use crate::{Diagnostic, Pass};
@@ -175,184 +181,101 @@ pub fn recorded_recoveries(trace: &[SchedTraceOp]) -> Vec<Vec<RecoveryOp>> {
 // Prefetch-program checker (the streaming weight offload of dsi-zero).
 // ---------------------------------------------------------------------------
 
-/// One step of an offload prefetch program, over weight-panel ids. This is
-/// the abstract event alphabet of `dsi_zero::offload::OffloadStore`: the
-/// worker (or a sync fallback) *fetches* panels into residency, the decode
-/// loop *acquires* (pins) and *releases* them, and the budget *evicts*
-/// unpinned residents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrefetchOp {
-    /// A panel becomes resident (checksum-verified read + pack).
-    Fetch { panel: usize },
-    /// The decode loop pins the panel for a layer step.
-    Acquire { panel: usize },
-    /// The decode loop drops its pin (release-before-refetch).
-    Release { panel: usize },
-    /// The budget evicts the panel.
-    Evict { panel: usize },
-}
-
-/// Per-panel state tracked by [`check_prefetch_program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PanelState {
-    Absent,
-    Resident { pinned: bool },
-}
-
-/// Check a prefetch program for the safety invariants of the streaming
-/// weight store:
+/// Check an offload store's recorded events ([`OffloadStore::events`]) for
+/// the safety invariants of the streaming weight store:
 ///
 /// * `use-before-resident` — a panel is acquired while absent: the decode
 ///   loop would compute on unfetched (or evicted) weights;
-/// * `evict-in-use` — an eviction removes a pinned panel out from under a
-///   running layer step (or a panel that is not resident at all);
+/// * `evict-in-use` — an eviction removes a pinned panel (its recorded
+///   `Arc` strong count says a layer step still holds it) or a panel that
+///   is not resident at all;
 /// * `refetch-without-evict` — a resident panel is fetched again: the
 ///   budget double-counts its bytes;
-/// * `release-unheld` — a release with no matching pin: the pin count
-///   (the store's `Arc` strong count) would underflow;
 /// * `offload-over-budget` — more than `capacity` panels resident at once.
+///
+/// Dropping a pin is not an event: the store hands out `Arc`s, whose drop
+/// it could only see through a hook on the hot path and whose count cannot
+/// underflow. The count an eviction records is what says a panel was free.
 pub fn check_prefetch_program(
     n_panels: usize,
     capacity: usize,
-    ops: &[PrefetchOp],
+    ops: &[StoreEvent],
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut panels = vec![PanelState::Absent; n_panels];
-    let mut resident = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        let site = |what: &str| format!("prefetch op {i} ({what})");
-        match *op {
-            PrefetchOp::Fetch { panel } => {
-                if matches!(panels[panel], PanelState::Resident { .. }) {
-                    diags.push(Diagnostic::new(
-                        Pass::Collective,
+    let mut resident = vec![false; n_panels];
+    let mut count = 0usize;
+    for (i, &op) in ops.iter().enumerate() {
+        let mut flag = |code, what: &str, msg: String| {
+            diags.push(Diagnostic::new(Pass::Collective, code, format!("prefetch op {i} ({what})"), msg))
+        };
+        match op {
+            StoreEvent::Fetch { layer } => {
+                if resident[layer] {
+                    flag(
                         "refetch-without-evict",
-                        site("fetch"),
-                        format!("panel {panel} fetched while already resident — budget double-counts"),
-                    ));
+                        "fetch",
+                        format!("panel {layer} fetched while already resident — budget double-counts"),
+                    );
                 } else {
-                    panels[panel] = PanelState::Resident { pinned: false };
-                    resident += 1;
+                    resident[layer] = true;
+                    count += 1;
                 }
-                if resident > capacity {
-                    diags.push(Diagnostic::new(
-                        Pass::Collective,
-                        "offload-over-budget",
-                        site("fetch"),
-                        format!("{resident} panels resident, budget holds {capacity}"),
-                    ));
+                if count > capacity {
+                    flag("offload-over-budget", "fetch", format!("{count} panels resident, budget holds {capacity}"));
                 }
             }
-            PrefetchOp::Acquire { panel } => match panels[panel] {
-                PanelState::Absent => diags.push(Diagnostic::new(
-                    Pass::Collective,
-                    "use-before-resident",
-                    site("acquire"),
-                    format!("panel {panel} used before its fetch completed — the layer step would read absent weights"),
-                )),
-                PanelState::Resident { .. } => {
-                    panels[panel] = PanelState::Resident { pinned: true };
+            StoreEvent::Acquire { layer } if !resident[layer] => flag(
+                "use-before-resident",
+                "acquire",
+                format!("panel {layer} used before its fetch completed — the layer step would read absent weights"),
+            ),
+            StoreEvent::Acquire { .. } => {}
+            StoreEvent::Evict { layer, strong } => {
+                if !resident[layer] {
+                    flag("evict-in-use", "evict", format!("panel {layer} evicted while not resident"));
+                    continue;
                 }
-            },
-            PrefetchOp::Release { panel } => match panels[panel] {
-                PanelState::Resident { pinned: true } => {
-                    panels[panel] = PanelState::Resident { pinned: false };
+                if strong > 1 {
+                    flag(
+                        "evict-in-use",
+                        "evict",
+                        format!("panel {layer} evicted while pinned ({strong} holders) by a running layer step"),
+                    );
                 }
-                _ => diags.push(Diagnostic::new(
-                    Pass::Collective,
-                    "release-unheld",
-                    site("release"),
-                    format!("panel {panel} released without a pin — the pin count underflows"),
-                )),
-            },
-            PrefetchOp::Evict { panel } => match panels[panel] {
-                PanelState::Resident { pinned: false } => {
-                    panels[panel] = PanelState::Absent;
-                    resident -= 1;
-                }
-                PanelState::Resident { pinned: true } => diags.push(Diagnostic::new(
-                    Pass::Collective,
-                    "evict-in-use",
-                    site("evict"),
-                    format!("panel {panel} evicted while pinned by a running layer step"),
-                )),
-                PanelState::Absent => diags.push(Diagnostic::new(
-                    Pass::Collective,
-                    "evict-in-use",
-                    site("evict"),
-                    format!("panel {panel} evicted while not resident"),
-                )),
-            },
+                resident[layer] = false;
+                count -= 1;
+            }
         }
     }
     diags
 }
 
-/// Transcribe the offload store's schedule for `layers` weight panels
-/// decoded round-robin (two full passes, so wraparound reuse and eviction
-/// are exercised), a prefetch `depth`, and a resident `capacity` in
-/// panels: fetch-on-demand before each acquire, prefetch up to `depth`
-/// panels ahead while the current one is pinned, evict the unpinned panel
-/// with the furthest next use under the cyclic order (the store's exact
-/// policy), drop prefetches that cannot fit, release before moving on.
-/// [`crate::sweep::verify_all`] checks this program clean across a grid of
-/// (layers × depth × capacity); the sweep's negative control acquires
-/// before fetching.
-pub fn prefetch_program(layers: usize, depth: usize, capacity: usize) -> Vec<PrefetchOp> {
-    assert!(layers > 0 && capacity > 0);
-    let mut ops = Vec::new();
-    let mut resident: Vec<usize> = Vec::new();
-    let depth = depth.min(capacity.saturating_sub(1)).min(layers.saturating_sub(1));
-    // Evict the unpinned resident with the furthest next use in cyclic
-    // layer order starting at `next`.
-    fn evict_furthest(
-        resident: &mut Vec<usize>,
-        ops: &mut Vec<PrefetchOp>,
-        layers: usize,
-        next: usize,
-        pinned: Option<usize>,
-    ) -> bool {
-        let victim = resident
-            .iter()
-            .copied()
-            .filter(|&p| Some(p) != pinned)
-            .max_by_key(|&p| (p + layers - next) % layers);
-        match victim {
-            Some(v) => {
-                resident.retain(|&p| p != v);
-                ops.push(PrefetchOp::Evict { panel: v });
-                true
-            }
-            None => false,
-        }
+/// Save a tiny `layers`-layer model, open an [`OffloadStore`] on it with a
+/// budget of `capacity` panels and a prefetch `depth`, run the paged engine
+/// over it for two passes (a prompt, then one decode step), and return the
+/// events the store recorded. A recorder that wrapped is a
+/// `recording-overflow` diagnostic instead.
+pub fn record_offload(layers: usize, depth: usize, capacity: usize) -> Result<Vec<StoreEvent>, Diagnostic> {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("dsi_verify_offload_{}_{run}.bin", std::process::id()));
+    dsi_model::io::save(&GptModel::random(zoo::tiny(layers), 11), &path).expect("save the tiny model");
+    let open = |budget: usize| {
+        let cfg = OffloadConfig { resident_budget_bytes: budget, prefetch_depth: depth, ..OffloadConfig::default() };
+        OffloadStore::open(&path, cfg).expect("open the store")
+    };
+    let panel_bytes = open(usize::MAX).panel_bytes();
+    let mut engine = Engine::new(open(capacity * panel_bytes), 1, 16, 4);
+    engine.prefill(0, &[1, 2, 3]).expect("prompt pass");
+    engine.decode(&[0], &mut Vec::new()).expect("decode pass");
+    let rec = engine.weights().events();
+    let _ = std::fs::remove_file(&path);
+    if rec.overflowed() {
+        return Err(Diagnostic::recording_overflow(format!(
+            "offload layers={layers} depth={depth} budget={capacity}"
+        )));
     }
-    for _pass in 0..2 {
-        for l in 0..layers {
-            if !resident.contains(&l) {
-                while resident.len() >= capacity {
-                    assert!(evict_furthest(&mut resident, &mut ops, layers, l, None));
-                }
-                ops.push(PrefetchOp::Fetch { panel: l });
-                resident.push(l);
-            }
-            ops.push(PrefetchOp::Acquire { panel: l });
-            for i in 1..=depth {
-                let t = (l + i) % layers;
-                if resident.contains(&t) {
-                    continue;
-                }
-                if resident.len() >= capacity
-                    && !evict_furthest(&mut resident, &mut ops, layers, (l + 1) % layers, Some(l))
-                {
-                    continue; // nothing evictable: the store drops the prefetch
-                }
-                ops.push(PrefetchOp::Fetch { panel: t });
-                resident.push(t);
-            }
-            ops.push(PrefetchOp::Release { panel: l });
-        }
-    }
-    ops
+    Ok(rec.events())
 }
 
 #[cfg(test)]
@@ -406,60 +329,45 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_program_is_clean_across_the_grid() {
-        for layers in [1usize, 2, 3, 5, 8] {
-            for depth in [0usize, 1, 2, 4] {
-                for capacity in [1usize, 2, 3, 6] {
-                    let ops = prefetch_program(layers, depth, capacity);
-                    let diags = check_prefetch_program(layers, capacity, &ops);
-                    assert!(
-                        diags.is_empty(),
-                        "layers={layers} depth={depth} capacity={capacity}: {diags:#?}"
-                    );
-                }
-            }
-        }
+    fn a_live_store_recording_under_a_tight_budget_is_clean() {
+        // Five panels through a two-panel budget with a prefetch ahead:
+        // every pass evicts, and whatever order the worker's timing put the
+        // events in, none is unsafe.
+        let ops = record_offload(5, 2, 2).expect("recorder holds both passes");
+        assert!(ops.iter().any(|op| matches!(op, StoreEvent::Evict { strong: 1, .. })), "{ops:?}");
+        assert_eq!(ops.iter().filter(|op| matches!(op, StoreEvent::Acquire { .. })).count(), 10);
+        let diags = check_prefetch_program(5, 2, &ops);
+        assert!(diags.is_empty(), "{diags:#?}");
     }
 
     #[test]
     fn acquire_before_fetch_is_use_before_resident() {
-        let diags = check_prefetch_program(2, 2, &[PrefetchOp::Acquire { panel: 0 }]);
+        let diags = check_prefetch_program(2, 2, &[StoreEvent::Acquire { layer: 0 }]);
         assert!(diags.iter().any(|d| d.code == "use-before-resident"), "{diags:#?}");
     }
 
     #[test]
-    fn evicting_a_pinned_panel_is_flagged() {
-        let ops = vec![
-            PrefetchOp::Fetch { panel: 0 },
-            PrefetchOp::Acquire { panel: 0 },
-            PrefetchOp::Evict { panel: 0 },
+    fn evicting_a_pinned_or_absent_panel_is_flagged() {
+        let ops = [
+            StoreEvent::Fetch { layer: 0 },
+            StoreEvent::Acquire { layer: 0 },
+            StoreEvent::Evict { layer: 0, strong: 2 },
+            StoreEvent::Evict { layer: 0, strong: 1 },
         ];
         let diags = check_prefetch_program(1, 1, &ops);
-        assert!(diags.iter().any(|d| d.code == "evict-in-use"), "{diags:#?}");
+        assert_eq!(diags.iter().filter(|d| d.code == "evict-in-use").count(), 2, "{diags:#?}");
     }
 
     #[test]
-    fn refetch_over_budget_and_unheld_release_are_flagged() {
-        let ops = vec![
-            PrefetchOp::Fetch { panel: 0 },
-            PrefetchOp::Fetch { panel: 0 }, // refetch-without-evict
-            PrefetchOp::Fetch { panel: 1 }, // offload-over-budget (capacity 1)
-            PrefetchOp::Release { panel: 1 }, // release-unheld (never pinned)
+    fn refetch_and_over_budget_are_flagged() {
+        let ops = [
+            StoreEvent::Fetch { layer: 0 },
+            StoreEvent::Fetch { layer: 0 }, // refetch-without-evict
+            StoreEvent::Fetch { layer: 1 }, // offload-over-budget (capacity 1)
         ];
         let diags = check_prefetch_program(2, 1, &ops);
         assert!(diags.iter().any(|d| d.code == "refetch-without-evict"), "{diags:#?}");
         assert!(diags.iter().any(|d| d.code == "offload-over-budget"), "{diags:#?}");
-        assert!(diags.iter().any(|d| d.code == "release-unheld"), "{diags:#?}");
-    }
-
-    #[test]
-    fn prefetch_program_respects_capacity_exactly() {
-        // Transcribed schedule for a tight budget keeps at most `capacity`
-        // resident and exercises eviction (layers > capacity).
-        let ops = prefetch_program(5, 2, 2);
-        assert!(ops.iter().any(|op| matches!(op, PrefetchOp::Evict { .. })), "{ops:#?}");
-        let diags = check_prefetch_program(5, 2, &ops);
-        assert!(diags.is_empty(), "{diags:#?}");
     }
 
     #[test]

@@ -18,19 +18,18 @@
 //!   (the arena never reallocates mid-decode, so out-of-bounds here means a
 //!   panic — or, for a hand-built plan, a quiet neighbour overwrite).
 //!
-//! [`decode_step_trace`] builds the trace of one `FastSession::forward`
-//! call from the model configuration alone, against the arena layout
-//! published by [`dsi_model::fast::scratch_layout`] — so the verifier and
-//! the executor derive buffer capacities from the same source and cannot
-//! drift silently. [`batched_decode_step_trace`] does the same for the
-//! ragged-batch step (`dsi_model::fast::step` over M sequences): they share the
-//! row-stacked scratch but each owns a private KV cache, so the trace
-//! carries per-row KV buffers and per-row attention launches at ragged
-//! offsets.
+//! [`step_trace`] builds the trace of one `dsi_model::fast::step` pass — the
+//! one layer step every engine runs — from the model configuration and the
+//! pass's rows alone, against the arena layout published by
+//! [`dsi_model::fast::scratch_layout`], so the verifier and the executor
+//! derive buffer capacities from the same source and cannot drift
+//! silently. Rows share the row-stacked scratch; each sequence owns its KV,
+//! so the trace carries per-sequence KV buffers and one attention launch
+//! per row.
 
 use crate::{Diagnostic, Pass};
 use dsi_model::config::GptConfig;
-use dsi_model::fast::scratch_layout;
+use dsi_model::fast::{scratch_layout, Row};
 use serde::Serialize;
 
 /// A half-open range of one named buffer.
@@ -215,235 +214,111 @@ fn intern(s: String) -> &'static str {
     }
 }
 
-/// Build the step trace of one `FastSession::forward(ids)` call with `m`
-/// tokens entering at KV offset `offset`, mirroring the region sequence of
-/// `dsi-model::fast` (embed → per-layer regions 1–5 with the x/y
-/// double-buffer swap → final layer-norm + logits). Attention reads its
-/// query rows *in place* from the QKV scratch at stride `3h` — there is no
-/// gather step and no `m == 1` special case, matching
-/// `fused::attention_seq_into`.
+/// Build the step trace of one `dsi_model::fast::step` pass over `rows`,
+/// mirroring its region sequence: embed; per layer one M-row region 1, a
+/// K/V write per row, an attention launch per row against that row's
+/// sequence's K/V (its query read in place from the QKV scratch at stride
+/// `3h`), then M-row regions 3–5 with the x/y double-buffer swap; final
+/// layer-norm + logits. A prompt pass is rows of one `seq` at consecutive
+/// positions, a decode step one row for each of m `seq`s.
 ///
-/// The arena combines the scratch buffers of [`scratch_layout`] with the
-/// per-layer KV tensors (capacity `max_seq × hidden` each, matching
-/// `KvCache::with_capacity`).
-pub fn decode_step_trace(c: &GptConfig, m: usize, offset: usize) -> (Arena, Vec<Step>) {
-    let h = c.hidden;
+/// The arena combines the scratch buffers of [`scratch_layout`] with one K
+/// and one V tensor per layer per sequence (capacity `max_seq × hidden`,
+/// matching `KvCache::with_capacity`) — two sequences touching one KV
+/// tensor would be cross-sequence corruption. The third value is the KV
+/// rows earlier passes wrote: every sequence's rows below its first
+/// position in this pass.
+pub fn step_trace(c: &GptConfig, rows: &[Row]) -> (Arena, Vec<Step>, Vec<SliceRef>) {
+    let (h, m) = (c.hidden, rows.len());
+    assert!(m > 0, "a pass has at least one row");
+    let kv = |l: usize, seq: usize, side: &str| intern(format!("kv{l}.s{seq}.{side}"));
+    let mut seqs: Vec<usize> = rows.iter().map(|r| r.seq).collect();
+    seqs.sort_unstable();
+    seqs.dedup();
     let mut buffers: Vec<(&'static str, usize)> = scratch_layout(c, m).to_vec();
-    // KV tensors: one K and one V per layer.
+    let mut written = Vec::new();
     for l in 0..c.layers {
-        buffers.push((intern(format!("kv{l}.k")), c.max_seq * h));
-        buffers.push((intern(format!("kv{l}.v")), c.max_seq * h));
+        for &seq in &seqs {
+            let first = rows.iter().filter(|r| r.seq == seq).map(|r| r.pos).min().unwrap_or(0);
+            for side in ["k", "v"] {
+                buffers.push((kv(l, seq, side), c.max_seq * h));
+                if first > 0 {
+                    written.push(SliceRef::new(kv(l, seq, side), 0, first * h));
+                }
+            }
+        }
     }
-    let kv_name = |l: usize, side: &str| intern(format!("kv{l}.{side}"));
-
-    let mut steps = Vec::new();
-    // Embedding writes the first activation buffer.
-    steps.push(Step::new(
-        "embed",
-        vec![],
-        vec![SliceRef::new("x", 0, m * h)],
-    ));
+    // `width` floats per row, over all m rows.
+    let all = |buf: &'static str, width: usize| SliceRef::new(buf, 0, m * width);
+    let mut steps = vec![Step::new("embed", vec![], vec![all("x", h)])];
     // The x/y swap: `cur` holds the live activations, `alt` the spare.
     let (mut cur, mut alt) = ("x", "y");
     for l in 0..c.layers {
-        let kn = kv_name(l, "k");
-        let vn = kv_name(l, "v");
-        // Region 1: layer-norm → QKV GEMM → bias. `normed` holds all m
-        // normalized rows (the M-row GEMM consumes them in one launch).
+        // Region 1: layer-norm → QKV GEMM → bias, one M-row launch.
         steps.push(Step::new(
             format!("l{l}.r1.ln_qkv"),
-            vec![SliceRef::new(cur, 0, m * h)],
-            vec![SliceRef::new("normed", 0, m * h), SliceRef::new("qkv", 0, m * 3 * h)],
+            vec![all(cur, h)],
+            vec![all("normed", h), all("qkv", 3 * h)],
         ));
-        // KV append in place at the context offset.
-        steps.push(Step::new(
-            format!("l{l}.kv_append"),
-            vec![SliceRef::new("qkv", 0, m * 3 * h)],
-            vec![
-                SliceRef::new(kn, offset * h, (offset + m) * h),
-                SliceRef::new(vn, offset * h, (offset + m) * h),
-            ],
-        ));
-        // Region 2: attention over the cache, query rows read in place from
-        // the QKV scratch (stride 3h).
-        steps.push(Step::new(
-            format!("l{l}.r2.attention"),
-            vec![
-                SliceRef::new("qkv", 0, m * 3 * h),
-                SliceRef::new(kn, 0, (offset + m) * h),
-                SliceRef::new(vn, 0, (offset + m) * h),
-            ],
-            vec![SliceRef::new("attn", 0, m * h)],
-        ));
+        // Every row's K/V is written before any row attends.
+        for (i, r) in rows.iter().enumerate() {
+            let at = |side| SliceRef::new(kv(l, r.seq, side), r.pos * h, (r.pos + 1) * h);
+            steps.push(Step::new(
+                format!("l{l}.row{i}.kv_write"),
+                vec![SliceRef::new("qkv", i * 3 * h, (i + 1) * 3 * h)],
+                vec![at("k"), at("v")],
+            ));
+        }
+        // Region 2: attention over positions `0..=pos` of the row's own
+        // sequence, the query read in place from the QKV scratch.
+        for (i, r) in rows.iter().enumerate() {
+            let upto = |side| SliceRef::new(kv(l, r.seq, side), 0, (r.pos + 1) * h);
+            steps.push(Step::new(
+                format!("l{l}.row{i}.attention"),
+                vec![SliceRef::new("qkv", i * 3 * h, i * 3 * h + h), upto("k"), upto("v")],
+                vec![SliceRef::new("attn", i * h, (i + 1) * h)],
+            ));
+        }
         // Region 3: output projection + bias + residual (reads the residual
         // stream from `cur`, writes the spare).
-        steps.push(Step::new(
-            format!("l{l}.r3.attn_out"),
-            vec![SliceRef::new("attn", 0, m * h), SliceRef::new(cur, 0, m * h)],
-            vec![SliceRef::new(alt, 0, m * h)],
-        ));
+        steps.push(Step::new(format!("l{l}.r3.attn_out"), vec![all("attn", h), all(cur, h)], vec![all(alt, h)]));
         std::mem::swap(&mut cur, &mut alt);
         // Region 4: layer-norm → FF1 GEMM → bias → GeLU.
         steps.push(Step::new(
             format!("l{l}.r4.ln_ff1"),
-            vec![SliceRef::new(cur, 0, m * h)],
-            vec![SliceRef::new("normed", 0, m * h), SliceRef::new("ff", 0, m * 4 * h)],
+            vec![all(cur, h)],
+            vec![all("normed", h), all("ff", 4 * h)],
         ));
         // Region 5: FF2 GEMM + bias + residual.
-        steps.push(Step::new(
-            format!("l{l}.r5.ff2"),
-            vec![SliceRef::new("ff", 0, m * 4 * h), SliceRef::new(cur, 0, m * h)],
-            vec![SliceRef::new(alt, 0, m * h)],
-        ));
+        steps.push(Step::new(format!("l{l}.r5.ff2"), vec![all("ff", 4 * h), all(cur, h)], vec![all(alt, h)]));
         std::mem::swap(&mut cur, &mut alt);
     }
-    steps.push(Step::new(
-        "final_ln",
-        vec![SliceRef::new(cur, 0, m * h)],
-        vec![SliceRef::new("normed", 0, m * h)],
-    ));
-    steps.push(Step::new(
-        "logits",
-        vec![SliceRef::new("normed", 0, m * h)],
-        vec![SliceRef::new("logits", 0, m * c.vocab)],
-    ));
-    (Arena { buffers }, steps)
+    steps.push(Step::new("final_ln", vec![all(cur, h)], vec![all("normed", h)]));
+    steps.push(Step::new("logits", vec![all("normed", h)], vec![all("logits", c.vocab)]));
+    (Arena { buffers }, steps, written)
 }
 
-/// Build the step trace of one batched decode step
-/// (`dsi_model::fast::step`) over `offsets.len()` sequences, sequence
-/// `i` entering at its own KV offset `offsets[i]` (ragged contexts). The
-/// dense regions (1, 3, 4, 5 and the final layer-norm + logits) are single
-/// M-row launches over the shared row-stacked scratch; the KV append and
-/// attention are per-row launches against that row's *private* KV buffers
-/// (`kv{l}.r{i}.k/v`), which is exactly the isolation the batched path must
-/// preserve — two rows touching the same KV tensor would be cross-sequence
-/// corruption.
-pub fn batched_decode_step_trace(c: &GptConfig, offsets: &[usize]) -> (Arena, Vec<Step>) {
-    let h = c.hidden;
-    let m = offsets.len();
-    assert!(m > 0, "batched trace needs at least one row");
-    let mut buffers: Vec<(&'static str, usize)> = scratch_layout(c, m).to_vec();
-    for l in 0..c.layers {
-        for i in 0..m {
-            buffers.push((intern(format!("kv{l}.r{i}.k")), c.max_seq * h));
-            buffers.push((intern(format!("kv{l}.r{i}.v")), c.max_seq * h));
-        }
-    }
-    let kv_name = |l: usize, i: usize, side: &str| intern(format!("kv{l}.r{i}.{side}"));
-
-    let mut steps = Vec::new();
-    steps.push(Step::new(
-        "embed",
-        vec![],
-        vec![SliceRef::new("x", 0, m * h)],
-    ));
-    let (mut cur, mut alt) = ("x", "y");
-    for l in 0..c.layers {
-        steps.push(Step::new(
-            format!("l{l}.r1.ln_qkv"),
-            vec![SliceRef::new(cur, 0, m * h)],
-            vec![SliceRef::new("normed", 0, m * h), SliceRef::new("qkv", 0, m * 3 * h)],
-        ));
-        for (i, &off) in offsets.iter().enumerate() {
-            let kn = kv_name(l, i, "k");
-            let vn = kv_name(l, i, "v");
-            steps.push(Step::new(
-                format!("l{l}.row{i}.kv_append"),
-                vec![SliceRef::new("qkv", i * 3 * h, (i + 1) * 3 * h)],
-                vec![
-                    SliceRef::new(kn, off * h, (off + 1) * h),
-                    SliceRef::new(vn, off * h, (off + 1) * h),
-                ],
-            ));
-            steps.push(Step::new(
-                format!("l{l}.row{i}.attention"),
-                vec![
-                    SliceRef::new("qkv", i * 3 * h, i * 3 * h + h),
-                    SliceRef::new(kn, 0, (off + 1) * h),
-                    SliceRef::new(vn, 0, (off + 1) * h),
-                ],
-                vec![SliceRef::new("attn", i * h, (i + 1) * h)],
-            ));
-        }
-        steps.push(Step::new(
-            format!("l{l}.r3.attn_out"),
-            vec![SliceRef::new("attn", 0, m * h), SliceRef::new(cur, 0, m * h)],
-            vec![SliceRef::new(alt, 0, m * h)],
-        ));
-        std::mem::swap(&mut cur, &mut alt);
-        steps.push(Step::new(
-            format!("l{l}.r4.ln_ff1"),
-            vec![SliceRef::new(cur, 0, m * h)],
-            vec![SliceRef::new("normed", 0, m * h), SliceRef::new("ff", 0, m * 4 * h)],
-        ));
-        steps.push(Step::new(
-            format!("l{l}.r5.ff2"),
-            vec![SliceRef::new("ff", 0, m * 4 * h), SliceRef::new(cur, 0, m * h)],
-            vec![SliceRef::new(alt, 0, m * h)],
-        ));
-        std::mem::swap(&mut cur, &mut alt);
-    }
-    steps.push(Step::new(
-        "final_ln",
-        vec![SliceRef::new(cur, 0, m * h)],
-        vec![SliceRef::new("normed", 0, m * h)],
-    ));
-    steps.push(Step::new(
-        "logits",
-        vec![SliceRef::new("normed", 0, m * h)],
-        vec![SliceRef::new("logits", 0, m * c.vocab)],
-    ));
-    (Arena { buffers }, steps)
+/// Check one [`step_trace`] against its own arena.
+fn verify_step(c: &GptConfig, rows: &[Row]) -> Vec<Diagnostic> {
+    let (arena, steps, written) = step_trace(c, rows);
+    check_trace(&arena, &steps, &written)
 }
 
-/// Assumed-initialized KV rows for a trace entering at `offset > 0`: rows
-/// `0..offset` of every layer's K and V were appended by earlier calls.
-pub fn kv_preinit(arena: &Arena, c: &GptConfig, offset: usize) -> Vec<SliceRef> {
-    if offset == 0 {
-        return Vec::new();
-    }
-    arena
-        .buffers
-        .iter()
-        .filter(|(n, _)| n.starts_with("kv"))
-        .map(|&(n, _)| SliceRef::new(n, 0, offset * c.hidden))
-        .collect()
-}
-
-/// Assumed-initialized KV rows for a batched trace: row `i`'s private K/V
-/// buffers hold `0..offsets[i]` context rows from earlier steps.
-pub fn batched_kv_preinit(c: &GptConfig, offsets: &[usize]) -> Vec<SliceRef> {
-    let mut pre = Vec::new();
-    for l in 0..c.layers {
-        for (i, &off) in offsets.iter().enumerate() {
-            if off == 0 {
-                continue;
-            }
-            pre.push(SliceRef::new(intern(format!("kv{l}.r{i}.k")), 0, off * c.hidden));
-            pre.push(SliceRef::new(intern(format!("kv{l}.r{i}.v")), 0, off * c.hidden));
-        }
-    }
-    pre
-}
-
-/// Verify the fast decode path of one model config for both phases:
-/// multi-row prompt ingestion and steady-state single-token decode.
+/// Verify the fast decode path of one model config for both phases: a
+/// `prompt_len`-row prompt pass and the single-row decode step after it.
 pub fn verify_decode_plan(c: &GptConfig, prompt_len: usize) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let (arena, steps) = decode_step_trace(c, prompt_len.max(1), 0);
-    diags.extend(check_trace(&arena, &steps, &[]));
-    let (arena, steps) = decode_step_trace(c, 1, prompt_len);
-    let pre = kv_preinit(&arena, c, prompt_len);
-    diags.extend(check_trace(&arena, &steps, &pre));
+    let n = prompt_len.max(1);
+    let prompt: Vec<Row> = (0..n).map(|pos| Row { seq: 0, token: 0, pos }).collect();
+    let mut diags = verify_step(c, &prompt);
+    diags.extend(verify_step(c, &[Row { seq: 0, token: 0, pos: n }]));
     diags
 }
 
-/// Verify one batched decode step at ragged per-row KV offsets.
+/// Verify one batched decode step: one row for each sequence, sequence `i`
+/// at its own position `offsets[i]` (ragged contexts).
 pub fn verify_batched_decode_plan(c: &GptConfig, offsets: &[usize]) -> Vec<Diagnostic> {
-    let (arena, steps) = batched_decode_step_trace(c, offsets);
-    let pre = batched_kv_preinit(c, offsets);
-    check_trace(&arena, &steps, &pre)
+    let rows: Vec<Row> = offsets.iter().enumerate().map(|(seq, &pos)| Row { seq, token: 0, pos }).collect();
+    verify_step(c, &rows)
 }
 
 /// Seeded negative control for the batched layout: two M-row attention
@@ -563,13 +438,15 @@ mod tests {
     use super::*;
     use dsi_model::zoo;
 
+    /// `m` rows of sequence `seq` at consecutive positions from `from`.
+    fn pass(seq: usize, from: usize, m: usize) -> Vec<Row> {
+        (from..from + m).map(|pos| Row { seq, token: 0, pos }).collect()
+    }
+
     #[test]
     fn fast_path_trace_is_clean() {
-        for (m, off) in [(1usize, 0usize), (4, 0), (1, 7), (8, 0)] {
-            let c = zoo::tiny(3);
-            let (arena, steps) = decode_step_trace(&c, m, off);
-            let pre = kv_preinit(&arena, &c, off);
-            let d = check_trace(&arena, &steps, &pre);
+        for (m, off) in [(1usize, 0usize), (4, 0), (1, 7), (8, 0), (3, 5)] {
+            let d = verify_step(&zoo::tiny(3), &pass(0, off, m));
             assert!(d.is_empty(), "m={m} off={off}: {d:?}");
         }
     }
@@ -594,7 +471,7 @@ mod tests {
         // Two rows of the same layer must reference distinct KV buffers —
         // the trace-level statement of per-sequence cache isolation.
         let c = zoo::tiny(1);
-        let (arena, _) = batched_decode_step_trace(&c, &[4, 7]);
+        let (arena, _, _) = step_trace(&c, &[pass(0, 4, 1), pass(1, 7, 1)].concat());
         let kv: Vec<&str> =
             arena.buffers.iter().map(|&(n, _)| n).filter(|n| n.starts_with("kv")).collect();
         let unique: std::collections::HashSet<&str> = kv.iter().copied().collect();
@@ -614,8 +491,8 @@ mod tests {
 
     #[test]
     fn interner_returns_stable_pointers() {
-        let a = super::intern("kv0.r0.k".to_string());
-        let b = super::intern("kv0.r0.k".to_string());
+        let a = super::intern("kv0.s0.k".to_string());
+        let b = super::intern("kv0.s0.k".to_string());
         assert!(std::ptr::eq(a, b), "same name must intern to one allocation");
     }
 
@@ -734,8 +611,8 @@ mod tests {
         // A prompt longer than the scratch arena was sized for: the trace
         // built with the *small* arena must flag the overflow statically.
         let c = zoo::tiny(1);
-        let (small_arena, _) = decode_step_trace(&c, 2, 0);
-        let (_, big_steps) = decode_step_trace(&c, 8, 0);
+        let (small_arena, _, _) = step_trace(&c, &pass(0, 0, 2));
+        let (_, big_steps, _) = step_trace(&c, &pass(0, 0, 8));
         let d = check_trace(&small_arena, &big_steps, &[]);
         assert!(d.iter().any(|x| x.code == "scratch-oob"), "{d:?}");
     }

@@ -11,31 +11,35 @@
 //!   the batched ragged-offset step at every dispatcher batch size
 //!   M ∈ {1, 2, 4, 8, 16};
 //! * **Collective** — tensor-parallel all-reduce programs for each Fig. 6
-//!   mapping, the executed TP engine's barrier-fenced shared-memory
-//!   all-reduce schedule at its bench degrees, pipeline p2p programs and
-//!   task-graph structure for the Fig. 8 mappings, expert-parallel
-//!   all-to-all programs for each Table II model;
+//!   mapping, pipeline p2p programs and task-graph structure for the Fig. 8
+//!   mappings, expert-parallel all-to-all programs for each Table II model;
+//! * **Recorded** — what the running code recorded ([`record_live`]): the
+//!   executed TP engine's per-rank collective programs at tp ∈ {1, 2, 4}
+//!   (lock-step, deadlock-freedom, exit-safety) and the offload store's
+//!   events over a grid of layers × prefetch depths × budgets;
 //! * **Audit** — runs separately in xtask (it needs the source tree).
 //!
 //! [`negative_controls`] seeds one defect of each class the verifier claims
 //! to catch — a dtype-mixed region, a corrupted GEMM contraction, an illegal
 //! fusion boundary, an aliased scratch write, a pair of aliasing M-row
 //! attention regions in the batched layout, two sequences mapped to one KV
-//! page in the paged allocator, a rank skipping an all-reduce,
-//! a rank skipping a shared-memory barrier crossing, a cyclic task graph,
-//! an undocumented `unsafe` block, a rank exiting mid-schedule (survivors
-//! must abort typed), a recv stranded by a dead sender, a survivor
-//! deadlock that an unrelated exit must not mask, and a live scheduler's
-//! recorded fault recovery with its page releases removed — and returns
+//! page in the paged allocator, a rank skipping an all-reduce, a recorded
+//! TP program with one barrier crossing removed, a cyclic task graph, an
+//! undocumented `unsafe` block, a rank exiting mid-way through a recorded
+//! TP program (survivors must abort typed), a recv stranded by a dead
+//! sender, a survivor deadlock that an unrelated exit must not mask, a live
+//! scheduler's recorded fault recovery with its page releases removed, and
+//! a recorded store run with a panel's first fetch removed — and returns
 //! the diagnostics each produced. CI fails if any control comes back clean:
 //! a verifier that stops detecting is worse than none.
 
 use crate::collective::{
     check_exit_safety, check_pipeline, check_programs, ep_alltoall_programs, find_cycle,
-    pp_p2p_programs, simulate_rendezvous, simulate_rendezvous_with_exits, tp_allreduce_programs,
-    tp_exec_allreduce_programs, DiGraph, ExitPlan, Op, Programs,
+    pp_p2p_programs, record_tp_programs, simulate_rendezvous, simulate_rendezvous_with_exits,
+    tp_allreduce_programs, CollKind, DiGraph, ExitPlan, Op, Programs,
 };
 use crate::ir::verify_layer_plan;
+use crate::runtime::{check_prefetch_program, record_offload};
 use crate::scratch::{check_trace, Arena, SliceRef, Step};
 use crate::{Diagnostic, Pass};
 use dsi_kernels::fusion::FusionPlan;
@@ -44,6 +48,7 @@ use dsi_model::zoo;
 use dsi_parallel::mapping::Mapping3D;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
 use dsi_sim::hw::DType;
+use dsi_zero::offload::StoreEvent;
 
 /// Outcome of one sweep: how much was checked, and everything found.
 #[derive(Debug, Clone)]
@@ -61,6 +66,47 @@ impl SweepReport {
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
+}
+
+/// What the running code recorded: per TP degree, each rank's collective
+/// program; per offload run `(layers, depth, budget in panels)`, the
+/// store's events; and a `recording-overflow` for each recorder that
+/// wrapped (its run is left out).
+#[derive(Debug, Clone, Default)]
+pub struct Recorded {
+    pub tp: Vec<(usize, Programs)>,
+    pub offload: Vec<((usize, usize, usize), Vec<StoreEvent>)>,
+    pub overflows: Vec<Diagnostic>,
+}
+
+impl Recorded {
+    fn tp(&self, world: usize) -> Programs {
+        self.tp.iter().find(|(w, _)| *w == world).map(|(_, p)| p.clone()).unwrap_or_default()
+    }
+}
+
+/// Run the executed TP engine at tp ∈ {1, 2, 4} and the paged engine over
+/// an offload store for layers {2, 3, 5} × prefetch depth {0, 1, 2} × a
+/// budget of {1, 2, 3} panels, and collect what each recorded.
+pub fn record_live() -> Recorded {
+    let mut r = Recorded::default();
+    for tp in [1usize, 2, 4] {
+        match record_tp_programs(tp) {
+            Ok(p) => r.tp.push((tp, p)),
+            Err(d) => r.overflows.push(d),
+        }
+    }
+    for layers in [2usize, 3, 5] {
+        for depth in [0usize, 1, 2] {
+            for budget in [1usize, 2, 3] {
+                match record_offload(layers, depth, budget) {
+                    Ok(ev) => r.offload.push(((layers, depth, budget), ev)),
+                    Err(d) => r.overflows.push(d),
+                }
+            }
+        }
+    }
+    r
 }
 
 fn canonical_plans() -> Vec<(&'static str, FusionPlan)> {
@@ -102,13 +148,14 @@ fn fig8_spec(pp: usize) -> PipelineSpec {
     }
 }
 
-/// Run every static pass over every zoo model × figure configuration.
-pub fn verify_all() -> SweepReport {
+/// Run every static pass over every zoo model × figure configuration, and
+/// over what the runtimes `recorded` ([`record_live`]).
+pub fn verify_all(recorded: &Recorded) -> SweepReport {
     let mut report = SweepReport {
         ir_plans: 0,
         scratch_traces: 0,
         collective_programs: 0,
-        diagnostics: Vec::new(),
+        diagnostics: recorded.overflows.clone(),
     };
     let plans = canonical_plans();
     let prompt = 128usize;
@@ -142,8 +189,9 @@ pub fn verify_all() -> SweepReport {
         }
 
         // --- Pass 2: scratch arena of the fast decode path. ---
-        // Trace a 16-token prompt: long enough to exercise the strided
-        // multi-row attention, cheap enough to run for the 530B layer count.
+        // Trace a 16-row prompt pass (each row attending over its causal
+        // prefix) and the decode step after it: cheap enough to run for
+        // the 530B layer count.
         let d = crate::scratch::verify_decode_plan(c, 16);
         report.scratch_traces += 2; // prompt + decode trace
         report.diagnostics.extend(d.into_iter().map(|mut x| {
@@ -238,14 +286,14 @@ pub fn verify_all() -> SweepReport {
         );
     }
 
-    // --- Pass 3c: executed TP engine's barrier-fenced shmem programs. ---
-    // The threaded engine (dsi-parallel::tp_exec) runs at the bench degrees
-    // {1, 2, 4}; verify its per-step barrier/reduce-scatter/all-gather
-    // schedule is deadlock-free at each.
-    for world in [1usize, 2, 4] {
-        let (groups, progs) = tp_exec_allreduce_programs(world, 4, 4 * 256);
+    // --- Pass 3c: the executed TP engine's recorded programs. ---
+    // Each rank's barrier / reduce-scatter / all-gather sequence as the
+    // threaded engine (dsi-parallel::tp_exec) ran it at the bench degrees
+    // {1, 2, 4}: lock-step across ranks and deadlock-free.
+    for (world, progs) in &recorded.tp {
         report.collective_programs += 1;
-        report.diagnostics.extend(check_programs(&groups, &progs).into_iter().map(|mut x| {
+        let group: Vec<usize> = (0..*world).collect();
+        report.diagnostics.extend(check_programs(&[group], progs).into_iter().map(|mut x| {
             x.site = format!("tp_exec world={world}: {}", x.site);
             x
         }));
@@ -266,30 +314,19 @@ pub fn verify_all() -> SweepReport {
         }),
     );
 
-    // --- Pass 3c'': the offload store's prefetch schedule (dsi-zero). ---
-    // The transcribed fetch/acquire/evict/release program must never use a
-    // panel before it is resident, evict a pinned panel, or exceed the
-    // resident budget, across layer counts × prefetch depths × budgets.
-    // (The serving breaker and recovery protocol are checked on the live
-    // code, in `dsi-serve`.)
-    for layers in [2usize, 3, 5] {
-        for depth in [0usize, 1, 2] {
-            for capacity in [1usize, 2, 3] {
-                let prog = crate::runtime::prefetch_program(layers, depth, capacity);
-                report.collective_programs += 1;
-                report.diagnostics.extend(
-                    crate::runtime::check_prefetch_program(layers, capacity, &prog)
-                        .into_iter()
-                        .map(|mut x| {
-                            x.site = format!(
-                                "prefetch layers={layers} depth={depth} cap={capacity}: {}",
-                                x.site
-                            );
-                            x
-                        }),
-                );
-            }
-        }
+    // --- Pass 3c'': the offload store's recorded events (dsi-zero). ---
+    // No run may use a panel before it is resident, evict a pinned panel,
+    // or exceed the resident budget, in whatever order the prefetch
+    // worker's timing produced. (The serving breaker and recovery protocol
+    // are checked on the live code, in `dsi-serve`.)
+    for &((layers, depth, budget), ref events) in &recorded.offload {
+        report.collective_programs += 1;
+        report.diagnostics.extend(check_prefetch_program(layers, budget, events).into_iter().map(
+            |mut x| {
+                x.site = format!("offload layers={layers} depth={depth} budget={budget}: {}", x.site);
+                x
+            },
+        ));
     }
 
     // --- Pass 3d: Table II expert-parallel all-to-all programs. ---
@@ -304,21 +341,20 @@ pub fn verify_all() -> SweepReport {
         }));
     }
 
-    // --- Pass 3e: exit-safety of the executed TP engine's schedule. ---
-    // Model "rank r exits at op e" for every rank × a sample of epochs: the
-    // hardened runtime's bounded timeouts must convert every such loss into
-    // a typed abort on the survivors — never a silent deadlock. The typed
-    // aborts are the expected outcome; `check_exit_safety` returns only
-    // what is left silently stuck.
-    for world in [2usize, 4] {
-        let (_, progs) = tp_exec_allreduce_programs(world, 2, 512);
+    // --- Pass 3e: exit-safety of the executed TP engine's programs. ---
+    // Model "rank r exits at op e" on the recorded programs for every rank ×
+    // a sample of epochs: the hardened runtime's bounded timeouts must
+    // convert every such loss into a typed abort on the survivors — never a
+    // silent deadlock. The typed aborts are the expected outcome;
+    // `check_exit_safety` returns only what is left silently stuck.
+    for (world, progs) in recorded.tp.iter().filter(|(world, _)| *world > 1) {
         let len = progs[&0].len();
-        for rank in 0..world {
+        for rank in 0..*world {
             for at in [0usize, 1, len / 2, len - 1] {
                 let exits = ExitPlan::from([(rank, at)]);
                 report.collective_programs += 1;
                 report.diagnostics.extend(
-                    check_exit_safety(&progs, &exits).into_iter().map(|mut x| {
+                    check_exit_safety(progs, &exits).into_iter().map(|mut x| {
                         x.site = format!(
                             "tp_exec world={world}, rank {rank} exits at op {at}: {}",
                             x.site
@@ -350,11 +386,15 @@ impl Control {
 }
 
 /// Seed one illegal plan per defect class and collect what the passes say.
-/// `recorded` are recovery programs a live scheduler recorded
+/// `recoveries` are recovery programs a live scheduler recorded
 /// ([`crate::runtime::recorded_recoveries`]); the recovery control removes
-/// their releases. Every control must fire; [`controls_all_fire`] is the
+/// their releases. The TP and offload controls mutate `recorded` runs
+/// ([`record_live`]). Every control must fire; [`controls_all_fire`] is the
 /// CI gate.
-pub fn negative_controls(recorded: &[Vec<crate::runtime::RecoveryOp>]) -> Vec<Control> {
+pub fn negative_controls(
+    recoveries: &[Vec<crate::runtime::RecoveryOp>],
+    recorded: &Recorded,
+) -> Vec<Control> {
     let mut out = Vec::new();
     let base = || transformer_layer_ops_tp(2, 4, 4, 64, 4, 1, DType::Fp16);
 
@@ -464,19 +504,20 @@ pub fn negative_controls(recorded: &[Vec<crate::runtime::RecoveryOp>]) -> Vec<Co
         diagnostics: check_programs(&groups, &progs),
     });
 
-    // Collective: the executed TP engine with one barrier crossing missing
-    // (rank 1 races past the reduce-scatter/all-gather fence).
-    let (groups, mut progs) = tp_exec_allreduce_programs(4, 2, 512);
-    let victim = progs.get_mut(&1).unwrap();
-    let idx = victim
-        .iter()
-        .position(|op| matches!(op, Op::Coll { tag, .. } if tag == "layer0.attn_out.reduced"))
-        .expect("barrier op present");
-    victim.remove(idx);
+    // Collective: the executed TP engine's recording with one barrier
+    // crossing missing — rank 1 races past the fence between the
+    // reduce-scatter and the all-gather of its first all-reduce.
+    let mut progs = recorded.tp(4);
+    if let Some(ops) = progs.get_mut(&1) {
+        let first_rs = ops.iter().position(|op| matches!(op, Op::Coll { kind: CollKind::ReduceScatter, .. }));
+        if let Some(rs) = first_rs {
+            ops.remove(rs + 1);
+        }
+    }
     out.push(Control {
-        name: "missing barrier in shmem all-reduce (rank 1 skips the fence)",
+        name: "recorded shmem all-reduce with a barrier removed (rank 1 skips the fence)",
         expect_code: "deadlock",
-        diagnostics: check_programs(&groups, &progs),
+        diagnostics: check_programs(&[(0..4).collect()], &progs),
     });
 
     // Pipeline: a cyclic dependency graph.
@@ -521,13 +562,15 @@ pub fn negative_controls(recorded: &[Vec<crate::runtime::RecoveryOp>]) -> Vec<Co
         ),
     });
 
-    // Exit modelling: a rank dying mid-schedule must surface as a *typed*
-    // abort on every survivor (the timeout path), not a hang.
-    let (_, progs) = tp_exec_allreduce_programs(2, 1, 512);
+    // Exit modelling: rank 1 dying half-way through a recorded world-2
+    // program must surface as a *typed* abort on rank 0 (the timeout path),
+    // not a hang.
+    let progs = recorded.tp(2);
+    let mid = progs.get(&1).map_or(0, |ops| ops.len() / 2);
     out.push(Control {
-        name: "rank exit mid-schedule (survivors abort typed)",
+        name: "rank exit mid-way through a recorded program (survivors abort typed)",
         expect_code: "collective-abort",
-        diagnostics: simulate_rendezvous_with_exits(&progs, &ExitPlan::from([(1usize, 3)])),
+        diagnostics: simulate_rendezvous_with_exits(&progs, &ExitPlan::from([(1usize, mid)])),
     });
 
     // Exit modelling, p2p edge: a receiver stranded by a dead sender must
@@ -548,7 +591,7 @@ pub fn negative_controls(recorded: &[Vec<crate::runtime::RecoveryOp>]) -> Vec<Co
     // argument); the recovery checker must flag the missing release.
     {
         use crate::runtime::{check_recovery_program, RecoveryOp};
-        let diagnostics = recorded
+        let diagnostics = recoveries
             .iter()
             .flat_map(|prog| {
                 let bad: Vec<RecoveryOp> = prog
@@ -566,18 +609,26 @@ pub fn negative_controls(recorded: &[Vec<crate::runtime::RecoveryOp>]) -> Vec<Co
         });
     }
 
-    // Prefetch protocol: a decode loop that acquires a weight panel before
-    // its fetch completed would compute on absent weights — the streaming
-    // offload checker must flag the use-before-resident.
-    {
-        use crate::runtime::{check_prefetch_program, PrefetchOp};
-        let bad = vec![PrefetchOp::Acquire { panel: 0 }];
-        out.push(Control {
-            name: "prefetch acquires a panel before it is resident",
-            expect_code: "use-before-resident",
-            diagnostics: check_prefetch_program(1, 1, &bad),
-        });
-    }
+    // Prefetch protocol: a recorded store run with the first fetch of the
+    // first acquired panel removed — the decode loop would compute on
+    // absent weights, and the offload checker must flag the
+    // use-before-resident.
+    let diagnostics = recorded.offload.first().map_or_else(Vec::new, |((layers, _, budget), ev)| {
+        let mut bad = ev.clone();
+        if let Some(&StoreEvent::Acquire { layer }) =
+            bad.iter().find(|e| matches!(e, StoreEvent::Acquire { .. }))
+        {
+            if let Some(i) = bad.iter().position(|e| *e == StoreEvent::Fetch { layer }) {
+                bad.remove(i);
+            }
+        }
+        check_prefetch_program(*layers, *budget, &bad)
+    });
+    out.push(Control {
+        name: "recorded store run with a panel's first fetch removed",
+        expect_code: "use-before-resident",
+        diagnostics,
+    });
 
     // Exit safety: a genuine deadlock among *survivors* (send/send cycle)
     // must still be reported even when an unrelated rank exits — the abort
@@ -607,7 +658,7 @@ mod tests {
 
     #[test]
     fn full_sweep_is_clean() {
-        let r = verify_all();
+        let r = verify_all(&record_live());
         assert!(r.is_clean(), "sweep found defects: {:#?}", r.diagnostics);
         // Sanity: the sweep actually covered things.
         assert!(r.ir_plans >= 9 * 2 * 3 * 4, "ir_plans = {}", r.ir_plans);
@@ -620,8 +671,11 @@ mod tests {
     fn every_negative_control_fires() {
         use crate::runtime::RecoveryOp::*;
         // The shape a live recovery records: poison, release, replay.
-        let recorded = [vec![Fault { slot: 1 }, Release { slot: 1 }, Replay { slot: 1 }]];
-        let controls = negative_controls(&recorded);
+        let recoveries = [vec![Fault { slot: 1 }, Release { slot: 1 }, Replay { slot: 1 }]];
+        let recorded = record_live();
+        assert!(recorded.overflows.is_empty(), "{:?}", recorded.overflows);
+        assert_eq!((recorded.tp.len(), recorded.offload.len()), (3, 27));
+        let controls = negative_controls(&recoveries, &recorded);
         assert_eq!(controls.len(), 18);
         for c in &controls {
             assert!(c.fired(), "control `{}` produced {:?}", c.name, c.diagnostics);

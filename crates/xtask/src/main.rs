@@ -4,10 +4,12 @@
 //!
 //! Subcommands:
 //! * `verify` — run the full static sweep (`dsi_verify::sweep::verify_all`)
-//!   over every zoo model × figure configuration, the serving fault path's
-//!   checks on the live code (the breaker explorer, the recorded scheduler
-//!   traces and recoveries), then the negative controls. Exit code 1 if a
-//!   check finds a defect **or** any seeded defect goes undetected.
+//!   over every zoo model × figure configuration and over what the executed
+//!   TP engine and offload store recorded (printed per run; a recorder that
+//!   wrapped fails the sweep), the serving fault path's checks on the live
+//!   code (the breaker explorer, the recorded scheduler traces and
+//!   recoveries), then the negative controls. Exit code 1 if a check finds
+//!   a defect **or** any seeded defect goes undetected.
 //! * `unsafe-audit` — walk every crate's sources and enforce the unsafe
 //!   hygiene contract (`// SAFETY:` on blocks, `# Safety` on fns).
 //! * `all` — both.
@@ -38,11 +40,19 @@ fn main() -> ExitCode {
 }
 
 fn run_verify() -> ExitCode {
-    let report = dsi_verify::sweep::verify_all();
+    let recorded = dsi_verify::sweep::record_live();
+    let report = dsi_verify::sweep::verify_all(&recorded);
     println!(
         "xtask verify: {} IR plans, {} scratch traces, {} collective programs checked",
         report.ir_plans, report.scratch_traces, report.collective_programs
     );
+    for (tp, progs) in &recorded.tp {
+        let ops: Vec<usize> = progs.values().map(Vec::len).collect();
+        println!("  live TP recording: tp={tp}, ops per rank {ops:?}");
+    }
+    let runs: Vec<String> =
+        recorded.offload.iter().map(|((l, d, b), ev)| format!("{l}/{d}/{b}: {}", ev.len())).collect();
+    println!("  live offload recording, events per layers/depth/budget run: {}", runs.join(", "));
     let mut ok = true;
     if !report.is_clean() {
         ok = false;
@@ -80,7 +90,7 @@ fn run_verify() -> ExitCode {
             eprintln!("  {d}");
         }
     }
-    let controls = dsi_verify::sweep::negative_controls(&live.recoveries);
+    let controls = dsi_verify::sweep::negative_controls(&live.recoveries, &recorded);
     for c in &controls {
         if c.fired() {
             println!("  control fired: {}", c.name);

@@ -35,5 +35,7 @@ pub mod offload;
 pub mod tiers;
 
 pub use engine::{ZeroInference, ZeroReport};
-pub use offload::{OffloadConfig, OffloadError, OffloadStats, OffloadStore, ResidentGroup};
+pub use offload::{
+    OffloadConfig, OffloadError, OffloadStats, OffloadStore, ResidentGroup, StoreEvent,
+};
 pub use tiers::{cpu_only_feasible, gpu_only_feasible, place_weights, Tier};

@@ -32,6 +32,15 @@
 //! round-robin, which is LRU's pathological case; distance-to-next-use is
 //! Belady-optimal here).
 //!
+//! The store records the protocol it runs: every panel made resident
+//! (`Fetch`), every checkout (`Acquire`) and every eviction with the pin
+//! count it saw (`Evict`) lands in a bounded [`FlightRecorder`], written
+//! under the state lock those paths already hold and read through
+//! [`OffloadStore::events`]. `dsi-verify` drives the paged engine over
+//! real stores and checks each recording (no use before resident, no
+//! eviction of a pinned panel, the budget respected) in whatever order the
+//! worker's timing produced.
+//!
 //! ## Fault surface
 //!
 //! Every tier read is a seam for `dsi_sim::fault::IoFaultInjector`:
@@ -57,7 +66,7 @@ use dsi_model::config::GptConfig;
 use dsi_model::fast::{PackedLayer, WeightSource};
 use dsi_model::io::{self, IoError, PanelDirectory};
 use dsi_sim::fault::{apply_stall, IoFaultInjector, IoFaultKind};
-use dsi_sim::Clock;
+use dsi_sim::{Clock, FlightRecorder};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::Path;
@@ -127,6 +136,22 @@ impl From<IoError> for OffloadError {
 
 /// Wall-clock backoff before re-read `n` of a panel is `n ×` this.
 const RETRY_BACKOFF_MS: u64 = 1;
+
+/// Store events the recorder holds before it overwrites the oldest.
+const RECORDED_EVENTS: usize = 1024;
+
+/// One step of the store's residency protocol, as [`OffloadStore::events`]
+/// returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreEvent {
+    /// Layer `layer`'s panel became resident (checksum-verified copy).
+    Fetch { layer: usize },
+    /// The decode loop checked the resident panel out (pinned it).
+    Acquire { layer: usize },
+    /// The budget evicted the panel; `strong` is its `Arc` strong count at
+    /// that moment (1 = held by the cache alone, more = pinned).
+    Evict { layer: usize, strong: usize },
+}
 
 /// Store configuration. `Default` is an unbounded resident budget with a
 /// depth-2 prefetch and generous wall-clock deadlines.
@@ -344,6 +369,7 @@ struct CacheState {
     last_acquired: usize,
     worker_dead: bool,
     stats: OffloadStats,
+    events: FlightRecorder<StoreEvent>,
 }
 
 struct Inner {
@@ -422,7 +448,10 @@ impl OffloadStore {
             dir,
             cfg,
             depth: 0, // set below once panel_bytes is known
-            state: Mutex::new(CacheState::default()),
+            state: Mutex::new(CacheState {
+                events: FlightRecorder::with_capacity(RECORDED_EVENTS),
+                ..CacheState::default()
+            }),
             cv: Condvar::new(),
             read_calls: AtomicU64::new(0),
             queue: tx,
@@ -496,6 +525,12 @@ impl OffloadStore {
         self.inner.state.lock().unwrap().stats
     }
 
+    /// The store's recorded fetch / acquire / evict events, oldest first
+    /// (bounded; see [`FlightRecorder::overflowed`]).
+    pub fn events(&self) -> FlightRecorder<StoreEvent> {
+        self.inner.state.lock().unwrap().events.clone()
+    }
+
     /// Whether the background prefetcher is still serving the queue.
     pub fn prefetcher_alive(&self) -> bool {
         !self.inner.state.lock().unwrap().worker_dead
@@ -557,6 +592,7 @@ impl OffloadStore {
         loop {
             if let Some(panel) = st.resident.get(&l).map(|e| Arc::clone(&e.panel)) {
                 st.last_acquired = l;
+                st.events.record(StoreEvent::Acquire { layer: l });
                 if waited_demand {
                     st.stats.demand_fetches += 1;
                 } else {
@@ -786,6 +822,8 @@ fn insert_with_evict(
         match victim {
             Some(v) => {
                 let e = st.resident.remove(&v).expect("victim resident");
+                let strong = Arc::strong_count(&e.panel);
+                st.events.record(StoreEvent::Evict { layer: v, strong });
                 st.resident_bytes -= e.bytes;
                 st.stats.evictions += 1;
                 // Unpinned means this was the last handle.
@@ -800,6 +838,7 @@ fn insert_with_evict(
     st.resident_bytes += bytes;
     st.stats.peak_resident_bytes = st.stats.peak_resident_bytes.max(st.resident_bytes);
     st.resident.insert(layer, CacheEntry { panel, bytes });
+    st.events.record(StoreEvent::Fetch { layer });
     true
 }
 
@@ -965,6 +1004,19 @@ mod tests {
         let st = store.stats();
         assert!(st.evictions > 0, "tight budget must evict");
         assert!(st.peak_resident_bytes <= budget, "budget respected");
+        // The recording agrees with the counters, and no eviction saw a pin.
+        let rec = store.events();
+        let evicts: Vec<_> = rec
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                StoreEvent::Evict { strong, .. } => Some(strong),
+                _ => None,
+            })
+            .collect();
+        assert!(!rec.overflowed());
+        assert_eq!(evicts.len() as u64, st.evictions);
+        assert!(evicts.iter().all(|&s| s == 1), "{evicts:?}");
         let _ = std::fs::remove_file(path);
     }
 
