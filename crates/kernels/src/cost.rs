@@ -251,8 +251,6 @@ pub mod mem_policy {
     pub const ATTENTION_BW_EFF_EAGER: f64 = 0.40;
     /// Attention math efficiency (small GEMMs per head).
     pub const ATTENTION_COMPUTE_EFF: f64 = 0.25;
-    /// Data-layout transforms (transposes).
-    pub const LAYOUT_BW_EFF: f64 = 0.70;
 }
 
 /// Execution-time roofline for one kernel, excluding launch overhead.

@@ -47,7 +47,6 @@ pub mod fused;
 pub mod fusion;
 pub mod graph;
 pub mod ops;
-pub mod precision;
 pub mod quant;
 pub mod tensor;
 

@@ -73,10 +73,6 @@ impl Tensor {
         &self.shape
     }
 
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
-    }
-
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -95,18 +91,6 @@ impl Tensor {
 
     pub fn into_data(self) -> Vec<f32> {
         self.data
-    }
-
-    /// Reinterpret with a new shape of the same element count.
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
-        assert_eq!(
-            shape.iter().product::<usize>(),
-            self.data.len(),
-            "reshape {shape:?} incompatible with {} elements",
-            self.data.len()
-        );
-        self.shape = shape.to_vec();
-        self
     }
 
     /// Number of rows when viewed as a 2-D `[rows, cols]` matrix (all leading

@@ -674,6 +674,32 @@ mod tests {
         assert!(diff < 1e-3, "max diff {diff}");
     }
 
+    /// Greedy tie-breaking is part of token identity: the engines' `argmax`
+    /// and the oracle's `ops::argmax_rows` must pick the same index on every
+    /// NaN-free row, ties included.
+    #[test]
+    fn argmax_breaks_ties_like_the_oracle() {
+        let (inf, ninf) = (f32::INFINITY, f32::NEG_INFINITY);
+        let rows: [&[f32]; 12] = [
+            &[3.0, 1.0, 2.0],
+            &[3.0, 3.0, 1.0, 2.0],
+            &[1.0, 3.0, 3.0, 2.0],
+            &[1.0, 2.0, 3.0, 3.0],
+            &[3.0, 1.0, 3.0, 2.0, 3.0],
+            &[0.5; 5],
+            &[7.0],
+            &[1.0, inf, 2.0, inf],
+            &[ninf, ninf, ninf],
+            &[ninf, -1.0, ninf],
+            &[-0.0, 0.0, -1.0],
+            &[0.0, -0.0, -1.0],
+        ];
+        for row in rows {
+            let t = Tensor::from_vec(&[1, row.len()], row.to_vec());
+            assert_eq!(argmax(row), dsi_kernels::ops::argmax_rows(&t)[0], "row {row:?}");
+        }
+    }
+
     #[test]
     fn fast_generate_matches_reference_generate() {
         for seed in [1u64, 9, 33] {

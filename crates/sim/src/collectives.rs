@@ -71,21 +71,6 @@ impl Collectives {
         }
     }
 
-    /// Ring reduce-scatter (same wire traffic as all-gather).
-    pub fn reduce_scatter(topo: &Topology, group: &[usize], bytes: f64) -> CollectiveCost {
-        let n = group.len();
-        if n <= 1 {
-            return CollectiveCost::ZERO;
-        }
-        let link = topo.ring_bottleneck(group);
-        let steps = n - 1;
-        let chunk = bytes / n as f64;
-        CollectiveCost {
-            time: steps as f64 * (link.latency + chunk / link.bw),
-            bytes_on_wire: steps as f64 * chunk,
-        }
-    }
-
     /// Flat (pairwise-exchange) all-to-all: each rank holds `bytes_per_rank`
     /// and sends a `1/n` slice to every peer. `(n-1)` rounds; each round's
     /// latency depends on whether the peer is on-node or off-node, which is
@@ -159,40 +144,6 @@ impl Collectives {
             a2a,
             ag,
         )
-    }
-
-    /// Hierarchical (two-level) all-reduce: ring reduce-scatter inside each
-    /// node, ring all-reduce of the shards across nodes (one flow per local
-    /// slot, sharing the injection bandwidth), then ring all-gather inside
-    /// each node. This is how NCCL survives cross-node tensor parallelism:
-    /// only `1/gpus_per_node` of the tensor crosses the network per slot.
-    pub fn allreduce_hierarchical(topo: &Topology, group: &[usize], bytes: f64) -> CollectiveCost {
-        let n = group.len();
-        if n <= 1 {
-            return CollectiveCost::ZERO;
-        }
-        let (per_node, spanned) = topo.group_node_span(group);
-        if spanned <= 1 {
-            return Self::allreduce(topo, group, bytes);
-        }
-        let local = per_node.iter().copied().filter(|&c| c > 0).max().unwrap();
-        // Intra-node reduce-scatter and all-gather over `local` ranks.
-        let intra_group: Vec<usize> = group.iter().copied().take(local).collect();
-        let rs = Self::reduce_scatter(topo, &intra_group, bytes);
-        let ag = Self::allgather(topo, &intra_group, bytes / local as f64);
-        // Inter-node all-reduce of one shard per local slot; `local`
-        // concurrent flows share each node's injection bandwidth.
-        let inter_bw = topo.cluster.inter_bw / local as f64;
-        let shard = bytes / local as f64;
-        let steps = 2 * (spanned - 1);
-        let inter_time =
-            steps as f64 * (topo.cluster.inter_latency + shard / (spanned as f64) / inter_bw);
-        CollectiveCost {
-            time: rs.time + inter_time + ag.time,
-            bytes_on_wire: rs.bytes_on_wire
-                + steps as f64 * shard / spanned as f64
-                + ag.bytes_on_wire,
-        }
     }
 
     /// Tree broadcast of `bytes` from the first rank of `group`.
@@ -350,75 +301,6 @@ impl CommGroup {
             *b = src.clone();
         }
     }
-
-    /// Two-level all-reduce executed functionally: reduce-scatter within
-    /// each node-group of `local` ranks, all-reduce across groups, all-gather
-    /// within groups. Must (and does, see tests) equal [`Self::allreduce_sum`].
-    pub fn allreduce_sum_hierarchical(&mut self, local: usize) {
-        let n = self.world();
-        if n <= 1 {
-            return;
-        }
-        assert!(local >= 1 && n.is_multiple_of(local), "local must divide world size");
-        let groups = n / local;
-        if groups == 1 || local == 1 {
-            self.allreduce_sum();
-            return;
-        }
-        let len = self.buffers[0].len();
-        assert!(len.is_multiple_of(local), "buffer must split across local ranks");
-        // Stage 1: reduce-scatter within each group.
-        let mut shards: Vec<Vec<Vec<f32>>> = Vec::with_capacity(groups);
-        for g in 0..groups {
-            let bufs: Vec<Vec<f32>> =
-                (0..local).map(|r| self.buffers[g * local + r].clone()).collect();
-            let mut cg = CommGroup::new(bufs);
-            cg.reduce_scatter_sum();
-            shards.push(cg.buffers);
-        }
-        // Stage 2: all-reduce each slot's shard across groups.
-        #[allow(clippy::needless_range_loop)] // slot/g index the 2-D shard grid
-        for slot in 0..local {
-            let bufs: Vec<Vec<f32>> = (0..groups).map(|g| shards[g][slot].clone()).collect();
-            let mut cg = CommGroup::new(bufs);
-            cg.allreduce_sum();
-            for (g, b) in cg.buffers.into_iter().enumerate() {
-                shards[g][slot] = b;
-            }
-        }
-        // Stage 3: all-gather within each group.
-        #[allow(clippy::needless_range_loop)]
-        for g in 0..groups {
-            let mut cg = CommGroup::new(shards[g].clone());
-            cg.allgather();
-            for r in 0..local {
-                self.buffers[g * local + r] = cg.buffers[r].clone();
-            }
-        }
-    }
-
-    /// Reduce-scatter (sum): buffer split into `n` chunks, rank `r` keeps the
-    /// summed chunk `r`.
-    pub fn reduce_scatter_sum(&mut self) {
-        let n = self.world();
-        if n <= 1 {
-            return;
-        }
-        let len = self.buffers[0].len();
-        assert!(len.is_multiple_of(n) && self.buffers.iter().all(|b| b.len() == len));
-        let chunk = len / n;
-        let mut out: Vec<Vec<f32>> = Vec::with_capacity(n);
-        for r in 0..n {
-            let mut acc = vec![0.0f32; chunk];
-            for b in &self.buffers {
-                for (a, x) in acc.iter_mut().zip(&b[r * chunk..(r + 1) * chunk]) {
-                    *a += x;
-                }
-            }
-            out.push(acc);
-        }
-        self.buffers = out;
-    }
 }
 
 #[cfg(test)]
@@ -481,44 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_allreduce_beats_flat_ring_cross_node() {
-        // Cross-node TP (the Fig. 13 MP-only pathology): the two-level
-        // schedule moves 1/8 of the tensor per slot over the network and
-        // wins decisively.
-        let t = topo(4);
-        let group: Vec<usize> = (0..32).collect();
-        let bytes = 3e8;
-        let flat = Collectives::allreduce(&t, &group, bytes);
-        let hier = Collectives::allreduce_hierarchical(&t, &group, bytes);
-        assert!(
-            hier.time < flat.time / 2.0,
-            "hier {} flat {}",
-            hier.time,
-            flat.time
-        );
-        // Within one node the two collapse to the same ring.
-        let intra: Vec<usize> = (0..8).collect();
-        let a = Collectives::allreduce(&t, &intra, bytes);
-        let b = Collectives::allreduce_hierarchical(&t, &intra, bytes);
-        assert!((a.time - b.time).abs() < 1e-12);
-    }
-
-    #[test]
-    fn functional_hierarchical_allreduce_equals_flat() {
-        for (world, local) in [(4usize, 2usize), (8, 4), (6, 3), (8, 1)] {
-            let len = 12; // divisible by every `local` above
-            let bufs: Vec<Vec<f32>> = (0..world)
-                .map(|r| (0..len).map(|i| (r * len + i) as f32).collect())
-                .collect();
-            let mut flat = CommGroup::new(bufs.clone());
-            flat.allreduce_sum();
-            let mut hier = CommGroup::new(bufs);
-            hier.allreduce_sum_hierarchical(local);
-            assert_eq!(flat.buffers, hier.buffers, "world {world} local {local}");
-        }
-    }
-
-    #[test]
     fn allreduce_sum_slices_matches_comm_group() {
         for world in [1usize, 2, 3, 5] {
             let mut bufs: Vec<Vec<f32>> = (0..world)
@@ -569,14 +413,6 @@ mod tests {
         g.alltoall();
         g.alltoall();
         assert_eq!(g.buffers, orig);
-    }
-
-    #[test]
-    fn functional_reduce_scatter() {
-        let mut g = CommGroup::new(vec![vec![1.0, 2.0], vec![10.0, 20.0]]);
-        g.reduce_scatter_sum();
-        assert_eq!(g.buffers[0], vec![11.0]);
-        assert_eq!(g.buffers[1], vec![22.0]);
     }
 
     #[test]

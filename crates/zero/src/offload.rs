@@ -798,8 +798,10 @@ fn merge_stats(into: &mut OffloadStats, from: OffloadStats) {
 
 /// Insert a fetched panel, evicting unpinned panels (furthest next use
 /// under the cyclic layer schedule first) until it fits. Returns `false`
-/// (and drops the panel) if nothing evictable makes room — possible only
-/// for a prefetched panel racing a pinned one.
+/// (and drops the panel) if the layer is already resident — a worker fetch
+/// that finished after a dead-worker `acquire` fetched the layer inline —
+/// or if nothing evictable makes room, possible only for a prefetched
+/// panel racing a pinned one.
 fn insert_with_evict(
     st: &mut CacheState,
     dir: &PanelDirectory,
@@ -808,6 +810,9 @@ fn insert_with_evict(
     bytes: usize,
     budget: usize,
 ) -> bool {
+    if st.resident.contains_key(&layer) {
+        return false;
+    }
     let layers = dir.layers();
     while st.resident_bytes + bytes > budget {
         // Next layer the decode loop will ask for, under the cyclic
@@ -1104,6 +1109,53 @@ mod tests {
             assert_eq!(p.b_qkv, m.layers[l].b_qkv.data());
         }
         assert!(store.stats().sync_fallbacks >= 2, "layers 1/2 fetched inline");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// A prefetch still in flight when the worker is killed lands after
+    /// `acquire` has fetched the same layer inline. The late copy is
+    /// dropped: no bytes counted twice, no second `Fetch` recorded.
+    #[test]
+    fn late_prefetch_after_kill_does_not_double_count() {
+        let (_m, path) = save_model(3, 41, "late");
+        // Read call 0 is the open-time probe of layer 0; call 1 is the
+        // worker's fetch of layer 1, slowed so the kill and the inline
+        // fetch land mid-read.
+        let plan = IoFaultPlan::new(vec![IoFaultSpec {
+            site: IoFaultSite::Read { call: 1 },
+            kind: IoFaultKind::SlowRead { millis: 300 },
+        }]);
+        let cfg = OffloadConfig {
+            faults: Some(Arc::new(plan.injector())),
+            ..OffloadConfig::default()
+        };
+        let mut store = OffloadStore::open(&path, cfg).expect("open");
+        let panel = store.panel_bytes();
+        store.prefetch_ahead(1);
+        // Kill once the worker's slowed read of layer 1 has begun.
+        while store.inner.read_calls.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        store.kill_prefetcher();
+        store.acquire(1).expect("sync acquire");
+        let worker = store.worker.take().expect("worker");
+        worker.join().expect("worker exits");
+
+        let st = store.stats();
+        let peak = st.peak_resident_bytes;
+        assert!(peak <= 2 * panel, "peak {peak} B > 2 panels of {panel} B");
+        let mut resident = std::collections::HashSet::new();
+        for e in store.events().events() {
+            match e {
+                StoreEvent::Fetch { layer } => {
+                    assert!(resident.insert(layer), "layer {layer} refetched, no evict");
+                }
+                StoreEvent::Evict { layer, .. } => {
+                    resident.remove(&layer);
+                }
+                StoreEvent::Acquire { .. } => {}
+            }
+        }
         let _ = std::fs::remove_file(path);
     }
 

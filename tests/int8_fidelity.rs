@@ -16,11 +16,11 @@
 //!   never crashes or stalls regardless of seed.
 
 use deepspeed_inference::kernels::blocked::{Epilogue, PanelWeights};
+use deepspeed_inference::kernels::ops;
 use deepspeed_inference::kernels::quant::{matmul_quantized, QuantizedMatrix, QuantizedPackedB};
 use deepspeed_inference::kernels::tensor::Tensor;
 use deepspeed_inference::model::fast::{PackedModel, QuantizedPackedModel};
 use deepspeed_inference::model::reference::GptModel;
-use deepspeed_inference::model::sampling::cross_entropy;
 use deepspeed_inference::zoo;
 use proptest::prelude::*;
 
@@ -121,6 +121,27 @@ fn int8_greedy_agreement_rate() {
         rate >= MIN_AGREE_RATE,
         "pooled greedy agreement {rate:.2} below {MIN_AGREE_RATE}"
     );
+}
+
+/// Mean next-token cross-entropy of `targets` under `[n, vocab]` logits.
+fn cross_entropy(logits: &Tensor, targets: &[usize]) -> f32 {
+    assert_eq!(logits.rows(), targets.len());
+    let mut total = 0.0;
+    for (r, &t) in targets.iter().enumerate() {
+        let mut row = Tensor::from_vec(&[1, logits.cols()], logits.row(r).to_vec());
+        ops::softmax_rows(&mut row);
+        total -= row.row(0)[t].max(1e-9).ln();
+    }
+    total / targets.len() as f32
+}
+
+#[test]
+fn cross_entropy_prefers_correct_targets() {
+    let l = Tensor::from_vec(&[2, 3], vec![5.0, 0.0, 0.0, 0.0, 5.0, 0.0]);
+    let good = cross_entropy(&l, &[0, 1]);
+    let bad = cross_entropy(&l, &[2, 2]);
+    assert!(good < bad);
+    assert!(good < 0.1);
 }
 
 /// Next-token cross-entropy over a short sequence: the INT8 packed forward

@@ -1,14 +1,12 @@
 //! Property tests for the extension subsystems: tiled fused execution,
 //! pipeline-parallel functional execution,
-//! checkpoints, precision emulation, sampling, and the serving simulator.
+//! checkpoints, and the serving simulator.
 
 use deepspeed_inference::kernels::exec::{layer_forward_tiled, layer_forward_whole, LayerTensors};
 use deepspeed_inference::kernels::fusion::FusionPlan;
-use deepspeed_inference::kernels::precision::{to_bf16, to_fp16};
 use deepspeed_inference::kernels::tensor::Tensor;
 use deepspeed_inference::model::io;
 use deepspeed_inference::model::reference::GptModel;
-use deepspeed_inference::model::sampling::{Sampler, SamplerConfig};
 use deepspeed_inference::model::zoo;
 use deepspeed_inference::parallel::pipeline::PipelineSchedule;
 use deepspeed_inference::parallel::pp_exec::PipelinedModel;
@@ -81,45 +79,6 @@ proptest! {
         prop_assert_eq!(back.layers.len(), layers);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         prop_assert!(io::from_bytes(&bytes[..cut]).is_err());
-    }
-
-    /// FP16 rounding: bounded error, idempotent, monotone.
-    #[test]
-    fn fp16_rounding_properties(a in -6e4f32..6e4, b in -6e4f32..6e4) {
-        for v in [a, b] {
-            let r = to_fp16(v);
-            prop_assert_eq!(to_fp16(r), r, "idempotent");
-            if v.abs() > 1e-4 {
-                prop_assert!(((r - v) / v).abs() <= 1.0 / 1024.0, "v={v} r={r}");
-            }
-            let rb = to_bf16(v);
-            prop_assert_eq!(to_bf16(rb), rb);
-        }
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(to_fp16(lo) <= to_fp16(hi), "monotone");
-    }
-
-    /// Sampling with any filter always returns a token the filter admits,
-    /// and greedy equals temperature→0 behavior.
-    #[test]
-    fn sampler_support_and_greedy(
-        vocab in 2usize..20,
-        k in 1usize..6,
-        seed in 0u64..200,
-    ) {
-        let logits: Vec<f32> = (0..vocab).map(|i| ((i * 37 + seed as usize) % 11) as f32 * 0.3).collect();
-        let k = k.min(vocab);
-        let mut s = Sampler::new(SamplerConfig::top_k(k, 0.8), seed);
-        // Determine the admissible set: the k highest logits.
-        let mut idx: Vec<usize> = (0..vocab).collect();
-        idx.sort_by(|&a, &b| logits[b].partial_cmp(&logits[a]).unwrap().then(a.cmp(&b)));
-        let admissible: std::collections::HashSet<usize> = idx[..k].iter().copied().collect();
-        for _ in 0..32 {
-            let t = s.sample(&logits);
-            prop_assert!(admissible.contains(&t), "token {} outside top-{}", t, k);
-        }
-        let mut greedy = Sampler::new(SamplerConfig::greedy(), seed);
-        prop_assert_eq!(greedy.sample(&logits), idx[0]);
     }
 }
 
