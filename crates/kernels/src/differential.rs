@@ -14,7 +14,10 @@
 //! keeps it green. Each output slice is followed by a guard region the
 //! kernels must leave untouched.
 
-use crate::blocked::{gemm_f32_with, gemv_scalar, Epilogue, PackedB};
+use crate::blocked::{
+    gemm_f32_with, gemv_scalar, matmul_bias_add_into, matmul_into, Epilogue, PackedB, PanelWeights,
+};
+use crate::fused::bias_residual_inplace;
 use crate::dispatch::MR_CANDIDATES;
 use crate::quant::{
     gemm_int8_with, gemv_int8_scalar, matmul_quantized, QuantizedMatrix, QuantizedPackedB,
@@ -201,5 +204,38 @@ fn int8_paths_match_matmul_quantized_bitwise() {
             |row, out| gemv_int8_scalar(row, &qb, out),
             |a, m, out, force| gemm_int8_with(a, m, &qb, out, Epilogue::None, force),
         );
+    }
+}
+
+/// A tensor-parallel rank finishes W_o/FF2 as `matmul_into`, an all-reduce
+/// and `bias_residual_inplace`; a single-process step fuses the same
+/// `o += bias + residual` into the GEMM's epilogue. The two must agree bit
+/// for bit (NaN by NaN-ness) at every row count, so a tp = 1 rank reproduces
+/// the fast path's logits exactly.
+#[test]
+fn unfused_bias_residual_matches_the_fused_epilogue_bitwise() {
+    fn check<B: PanelWeights>(what: &str, w: &B, x: &Tensor, bias: &[f32], res: &Tensor) {
+        let n = w.n();
+        for m in 1..=16 {
+            let (a, r) = (&x.data()[..m * w.k()], &res.data()[..m * n]);
+            let mut want = vec![SENTINEL; m * n + GUARD];
+            matmul_bias_add_into(a, m, w, bias, r, &mut want[..m * n]);
+            let mut got = vec![SENTINEL; m * n + GUARD];
+            matmul_into(a, m, w, &mut got[..m * n]);
+            bias_residual_inplace(&mut got[..m * n], bias, r);
+            assert_same(&got, &want[..m * n], &format!("{what} m={m}"));
+        }
+    }
+    for (case, (k, n)) in shapes().enumerate() {
+        let seed = case as u64;
+        let x = activations(k, seed);
+        let res = activations(n, seed + 1000);
+        let bias = Tensor::randn(&[n], 0.5, seed + 2000);
+        let w = weights(k, n, seed + 500);
+        check(&format!("f32 k={k} n={n}"), &PackedB::pack(&w), &x, bias.data(), &res);
+        for group in [7, 64] {
+            let qb = QuantizedPackedB::from_matrix(&QuantizedMatrix::quantize(&w, group));
+            check(&format!("int8 k={k} n={n} group={group}"), &qb, &x, bias.data(), &res);
+        }
     }
 }

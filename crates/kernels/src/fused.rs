@@ -10,10 +10,11 @@
 //! * region 1 — [`ln_matmul_bias_into`]: layer-norm → QKV GEMM → bias; the
 //!   normalized row never becomes a tensor, it lives in a scratch row reused
 //!   across rows and tokens.
-//! * region 2 — [`attention_seq_into`]: score → softmax → weighted-sum in one
-//!   streaming pass over the keys (online softmax), with **no scores
-//!   buffer** of any size — the running max/sum rescale trick keeps state
-//!   in three registers plus the output accumulator.
+//! * region 2 — [`attention_row_into`] (or [`attention_row_paged_into`]
+//!   through a page table), one launch per query row: score → softmax →
+//!   weighted-sum in one streaming pass over the keys (online softmax), with
+//!   **no scores buffer** of any size — the running max/sum rescale trick
+//!   keeps state in three registers plus the output accumulator.
 //! * regions 3/5 — `blocked::matmul_bias_add_into`: projection GEMM with
 //!   the bias and residual folded into the output write.
 //! * region 4 — [`ln_matmul_bias_gelu_into`]: layer-norm → FF1 GEMM → bias
@@ -112,55 +113,17 @@ pub fn bias_residual_inplace(x: &mut [f32], bias: &[f32], residual: &[f32]) {
     }
 }
 
-/// Fig. 1(c) region 2: multi-head causal attention as one streaming pass
-/// per (head, query) over the visible keys — the score row is never
+/// Fig. 1(c) region 2 for one query row: multi-head causal attention as one
+/// streaming pass per head over the visible keys — the score row is never
 /// materialized. Uses the online-softmax recurrence: on a new running max
 /// the accumulator and weight sum are rescaled by `exp(m_old - m_new)`, so
 /// score → softmax → weighted-sum completes in a single traversal of the KV
 /// cache with O(1) extra state.
 ///
-/// Shapes match [`crate::ops::attention`]: `k`/`v = [t_ctx, h]`, query `i`
-/// attends to context `<= causal_offset+i`. The query is **strided**: row
-/// `i`'s query lives at `q[i * q_stride .. i * q_stride + h]`, which lets
-/// the model layer read queries in place from the fused QKV scratch
-/// (`q_stride = 3h`) instead of gathering them into a contiguous buffer
-/// first; a contiguous `[t_new, h]` query is `q_stride = h`. `out` must be
-/// `[t_new * h]`; it doubles as the accumulator.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_seq_into(
-    q: &[f32],
-    q_stride: usize,
-    t_new: usize,
-    k: &Tensor,
-    v: &Tensor,
-    n_heads: usize,
-    causal_offset: usize,
-    out: &mut [f32],
-) {
-    let t_ctx = k.rows();
-    let h = k.cols();
-    assert!(q_stride >= h, "attention: q stride narrower than hidden");
-    assert!(
-        t_new == 0 || (t_new - 1) * q_stride + h <= q.len(),
-        "attention: q size mismatch"
-    );
-    assert_eq!(out.len(), t_new * h, "attention: out size mismatch");
-    for i in 0..t_new {
-        let visible = (causal_offset + i + 1).min(t_ctx);
-        attention_row_core(
-            &q[i * q_stride..i * q_stride + h],
-            k,
-            v,
-            n_heads,
-            visible,
-            &mut out[i * h..(i + 1) * h],
-        );
-    }
-}
-
-/// One query row of a **ragged batch**: each sequence carries its own KV
-/// tensors and causal position. The query attends to keys `0..=offset`
-/// (clamped to the cache length).
+/// `k`/`v = [t_ctx, h]`; the query attends to keys `0..=offset` (clamped to
+/// the cache length), so query row `i` of a causal block at `offset0` is
+/// this call at `offset0 + i`. Each row of a **ragged batch** carries its
+/// own KV tensors and position. `out` (`[h]`) doubles as the accumulator.
 pub fn attention_row_into(
     q: &[f32],
     k: &Tensor,
@@ -595,33 +558,15 @@ mod tests {
             let v = Tensor::randn(&[t_ctx, h], 1.0, 43);
             let want = ops::attention(&q, &k, &v, heads, off);
             let mut got = Tensor::zeros(&[t_new, h]);
-            attention_seq_into(q.data(), h, t_new, &k, &v, heads, off, got.data_mut());
+            for i in 0..t_new {
+                attention_row_into(q.row(i), &k, &v, heads, off + i, got.row_mut(i));
+            }
             assert!(
                 got.allclose(&want, 1e-5),
                 "({t_new},{t_ctx},{heads},{off}) diff {}",
                 got.max_abs_diff(&want)
             );
         }
-    }
-
-    #[test]
-    fn strided_query_matches_contiguous() {
-        // Reading queries in place from a QKV-shaped block (stride 3h) must
-        // equal gathering them into a contiguous buffer first.
-        let (t_new, t_ctx, heads, off) = (3, 7, 2, 4);
-        let h = 8 * heads;
-        let qkv = Tensor::randn(&[t_new, 3 * h], 1.0, 61);
-        let k = Tensor::randn(&[t_ctx, h], 1.0, 62);
-        let v = Tensor::randn(&[t_ctx, h], 1.0, 63);
-        let mut gathered = Tensor::zeros(&[t_new, h]);
-        for i in 0..t_new {
-            gathered.row_mut(i).copy_from_slice(&qkv.row(i)[..h]);
-        }
-        let mut want = Tensor::zeros(&[t_new, h]);
-        attention_seq_into(gathered.data(), h, t_new, &k, &v, heads, off, want.data_mut());
-        let mut got = Tensor::zeros(&[t_new, h]);
-        attention_seq_into(qkv.data(), 3 * h, t_new, &k, &v, heads, off, got.data_mut());
-        assert!(got.allclose(&want, 0.0));
     }
 
     #[test]
@@ -746,7 +691,7 @@ mod tests {
         k.data_mut()[0] = f32::NAN;
         let v = Tensor::randn(&[3, 8], 1.0, 53);
         let mut got = Tensor::zeros(&[1, 8]);
-        attention_seq_into(q.data(), 8, 1, &k, &v, 1, 2, got.data_mut());
+        attention_row_into(q.data(), &k, &v, 1, 2, got.data_mut());
         assert!(got.data().iter().all(|x| x.is_nan()));
     }
 }

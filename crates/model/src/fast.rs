@@ -197,15 +197,16 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
 
 // ---------------------------------------------------------------------------
 // The fused forward pass: ONE step, generic over where the weights come
-// from and where the KV rows go.
+// from, where the KV rows go, and how the row-parallel projections finish.
 //
-// Every executed engine — the resident [`FastSession`] and `paged::Engine`
+// Every executed engine — the resident [`FastSession`], `paged::Engine`
 // over a packed model or over an offload tier (which holds only a window of
-// layer panels resident at a time) —
-// drives this one function, so "paged / batched / streamed decode is
-// token-identical to the solo resident oracle" holds by construction: the
-// paths cannot drift apart numerically, only in where a `PackedLayer` came
-// from and where a K/V row lives.
+// layer panels resident at a time), and each tensor-parallel rank over its
+// column/row shard — drives this one function, so "paged / batched /
+// streamed / TP decode is token-identical to the solo resident oracle"
+// holds by construction: the paths cannot drift apart numerically, only in
+// where a `PackedLayer` came from, where a K/V row lives, and whether a
+// projection is all-reduced before its bias and residual.
 // ---------------------------------------------------------------------------
 
 /// One row of a pass: `token` of sequence `seq` at context position `pos`.
@@ -337,10 +338,63 @@ impl KvSink for [KvCache] {
     }
 }
 
-/// One forward pass of `rows` through the whole model — embed; per layer
+/// The row-parallel seam of a pass: what runs at the top of each layer and
+/// how the two row-parallel projections (W_o, FF2) finish. Like [`KvSink`]
+/// it is a monomorphised parameter of [`step`], not a branch inside it.
+/// Single-process engines pass [`Solo`]; a tensor-parallel rank
+/// (`dsi_parallel::tp_exec`) passes a seam that owns the rank's fault site
+/// and all-reduces its partial projection before the bias and residual.
+pub trait RowParallel<E> {
+    /// Layer `layer` of the pass over `rows` is about to run.
+    fn at_layer(&mut self, layer: usize, rows: &[Row]) -> Result<(), E>;
+    /// `out = a·w + bias + residual` over `m` rows, where `a·w` may be this
+    /// rank's share of a row-sharded product.
+    fn project<B: PanelWeights>(
+        &mut self,
+        a: &[f32],
+        m: usize,
+        w: &B,
+        bias: &[f32],
+        residual: &[f32],
+        out: &mut [f32],
+    ) -> Result<(), E>;
+}
+
+/// The seam of every single-process engine: no fault site, and the
+/// projection is the fused `blocked::matmul_bias_add_into`.
+#[derive(Debug, Clone, Copy)]
+pub struct Solo;
+
+impl<E> RowParallel<E> for Solo {
+    #[inline]
+    fn at_layer(&mut self, _: usize, _: &[Row]) -> Result<(), E> {
+        Ok(())
+    }
+
+    #[inline]
+    fn project<B: PanelWeights>(
+        &mut self,
+        a: &[f32],
+        m: usize,
+        w: &B,
+        bias: &[f32],
+        residual: &[f32],
+        out: &mut [f32],
+    ) -> Result<(), E> {
+        blocked::matmul_bias_add_into(a, m, w, bias, residual, out);
+        Ok(())
+    }
+}
+
+/// One forward pass of `rows` through every layer — embed, then per layer
 /// the Fig. 1(c) fused regions (LN+QKV, KV write, attention, W_o,
-/// LN+FF1+GeLU, FF2); final LN + tied-embedding logits — leaving
-/// `[rows.len(), vocab]` logits in `s`, row `i` belonging to `rows[i]`.
+/// LN+FF1+GeLU, FF2) — leaving the `[rows.len(), h]` final activations in
+/// `s` for [`logits`].
+///
+/// The QKV, attention and FF widths and the head count are read from each
+/// layer's panels, so the same pass runs a full layer or one tensor-parallel
+/// rank's column shard of it; `seam` finishes the two row-parallel
+/// projections ([`RowParallel`]).
 ///
 /// Every K/V row of a layer is written before any query attends, which for
 /// a prompt pass is the causal stair-step (query `i` sees keys `0..=pos_i`)
@@ -348,16 +402,17 @@ impl KvSink for [KvCache] {
 /// sequences). Because every microkernel accumulates like the M=1 kernel,
 /// the logits of a row are **bit-identical** however the rows are batched.
 ///
-/// On `Err` (a weight fetch failed) the KV state of the rows' sequences is
-/// unspecified.
-pub fn step<W: WeightSource, K: KvSink + ?Sized>(
+/// On `Err` (a weight fetch or the seam failed) the KV state of the rows'
+/// sequences is unspecified.
+pub fn step<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Error>>(
     w: &W,
     kv: &mut K,
     s: &mut Scratch,
     rows: &[Row],
+    seam: &mut R,
 ) -> Result<(), W::Error> {
     let c = w.config();
-    let (h, heads) = (c.hidden, c.heads);
+    let h = c.hidden;
     let m = rows.len();
     assert!(m > 0, "step: empty pass");
     s.ensure(c, m);
@@ -374,41 +429,47 @@ pub fn step<W: WeightSource, K: KvSink + ?Sized>(
     }
 
     for l in 0..c.layers {
+        seam.at_layer(l, rows)?;
         let pl = w.layer(l)?;
+        // This layer's widths: `a` attention columns (`heads` heads of
+        // `h / c.heads`), `f` FF neurons.
+        let (a, f) = (pl.w_qkv.n() / 3, pl.w_ff1.n());
+        let heads = a * c.heads / h;
         // Region 1: layer-norm rows → one M-row QKV GEMM → bias.
         fused::ln_matmul_bias_into(
             &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-            &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * h],
+            &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * a],
         );
         for (i, &r) in rows.iter().enumerate() {
-            let row = &s.qkv[i * 3 * h..(i + 1) * 3 * h];
-            kv.write(l, r, &row[h..2 * h], &row[2 * h..3 * h]);
+            let row = &s.qkv[i * 3 * a..(i + 1) * 3 * a];
+            kv.write(l, r, &row[a..2 * a], &row[2 * a..3 * a]);
         }
         // Region 2: streaming-softmax attention, queries read in place from
-        // the QKV block (stride 3h) — no gather.
+        // the QKV block (stride 3a) — no gather.
         for (i, &r) in rows.iter().enumerate() {
-            kv.attend(l, r, &s.qkv[i * 3 * h..i * 3 * h + h], heads, &mut s.attn[i * h..(i + 1) * h]);
+            kv.attend(l, r, &s.qkv[i * 3 * a..i * 3 * a + a], heads, &mut s.attn[i * a..(i + 1) * a]);
         }
         // Region 3: output projection GEMM + bias + residual.
-        blocked::matmul_bias_add_into(
-            &s.attn[..m * h], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h],
-        );
+        seam.project(&s.attn[..m * a], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h])?;
         std::mem::swap(&mut s.x, &mut s.y);
         // Region 4: layer-norm → FF1 GEMM → bias → GeLU.
         fused::ln_matmul_bias_gelu_into(
             &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-            &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * h],
+            &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * f],
         );
         // Region 5: FF2 GEMM + bias + residual.
-        blocked::matmul_bias_add_into(
-            &s.ff[..m * 4 * h], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h],
-            &mut s.y[..m * h],
-        );
+        seam.project(&s.ff[..m * f], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h], &mut s.y[..m * h])?;
         std::mem::swap(&mut s.x, &mut s.y);
     }
+    Ok(())
+}
 
-    // Final layer-norm of each row, then one M-row tied-embedding logits
-    // GEMM via the pre-packed `wteᵀ`.
+/// The head of an `m`-row pass [`step`] left in `s`: final layer-norm of
+/// each row, then one M-row tied-embedding logits GEMM via the pre-packed
+/// `wteᵀ`, leaving `[m, vocab]` logits in `s`, row `i` belonging to the
+/// pass's row `i`.
+pub fn logits<W: WeightSource>(w: &W, s: &mut Scratch, m: usize) {
+    let (h, vocab) = (w.config().hidden, w.config().vocab);
     let (lnf_g, lnf_b) = w.lnf();
     for i in 0..m {
         fused::layernorm_row_into(
@@ -417,8 +478,7 @@ pub fn step<W: WeightSource, K: KvSink + ?Sized>(
             &mut s.normed[i * h..(i + 1) * h],
         );
     }
-    blocked::matmul_into(&s.normed[..m * h], m, w.logits_w(), &mut s.logits[..m * c.vocab]);
-    Ok(())
+    blocked::matmul_into(&s.normed[..m * h], m, w.logits_w(), &mut s.logits[..m * vocab]);
 }
 
 /// Preallocated intermediate buffers for the fused layer loop. Sized for
@@ -520,15 +580,12 @@ impl<B: PanelWeights> FastSession<'_, '_, B> {
     }
 
     /// The `[vocab]` logits row of the most recently forwarded position —
-    /// the row greedy sampling reads. Centralizes the
-    /// `(m - 1) * vocab` slice math so session front-ends (this one and
-    /// `dsi-parallel`'s `TpSession`) never duplicate it.
+    /// the row greedy sampling reads.
     ///
     /// Panics if no `forward` has run yet.
     pub fn last_logits(&self) -> &[f32] {
         assert!(self.last_m > 0, "last_logits() before any forward()");
-        let vocab = self.pm.config().vocab;
-        &self.scratch.logits[(self.last_m - 1) * vocab..self.last_m * vocab]
+        self.scratch.logits_row(self.last_m - 1, self.pm.config().vocab)
     }
 
     /// Forward `ids` through all layers, extending the KV cache; leaves
@@ -536,8 +593,10 @@ impl<B: PanelWeights> FastSession<'_, '_, B> {
     pub fn forward(&mut self, ids: &[usize]) -> &[f32] {
         let m = ids.len();
         Row::prompt_pass(&mut self.rows, 0, self.cache.context_len(), ids);
-        let Ok(()) =
-            step(self.pm, std::slice::from_mut(&mut self.cache), &mut self.scratch, &self.rows);
+        let Ok(()) = step(
+            self.pm, std::slice::from_mut(&mut self.cache), &mut self.scratch, &self.rows, &mut Solo,
+        );
+        logits(self.pm, &mut self.scratch, m);
         self.last_m = m;
         &self.scratch.logits[..m * self.pm.config().vocab]
     }

@@ -66,7 +66,7 @@
 //!
 //! [`reserve`]: PagePool::reserve
 
-use crate::fast::{self, argmax, KvSink, PackedModel, Row, Scratch, WeightSource};
+use crate::fast::{self, argmax, KvSink, PackedModel, Row, Scratch, Solo, WeightSource};
 use dsi_kernels::blocked::PackedB;
 use dsi_kernels::fused::{self, PagedKvView};
 use std::collections::HashMap;
@@ -526,10 +526,11 @@ impl<W: WeightSource> Engine<W> {
         let offset = self.pool.reserve_prompt(&mut seq, prompt).map_err(StepError::Pages)?;
         Row::prompt_pass(&mut self.rows, 0, offset, &prompt[offset..]);
         let mut kv = PagedKv { pool: &mut self.pool, seqs: std::slice::from_ref(&seq) };
-        if let Err(e) = fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows) {
+        if let Err(e) = fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, &mut Solo) {
             self.pool.release(&mut seq);
             return Err(StepError::Weights(e));
         }
+        fast::logits(&self.w, &mut self.scratch, self.rows.len());
         let tok = argmax(self.scratch.logits_row(self.rows.len() - 1, self.w.config().vocab));
         self.pool.commit_prompt(&mut seq, prompt);
         self.seqs[slot] = seq;
@@ -573,7 +574,9 @@ impl<W: WeightSource> Engine<W> {
             self.pool.reserve(&mut self.seqs[si], 1).expect("reservation pre-checked");
         }
         let mut kv = PagedKv { pool: &mut self.pool, seqs: &self.seqs };
-        fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows).map_err(StepError::Weights)?;
+        fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, &mut Solo)
+            .map_err(StepError::Weights)?;
+        fast::logits(&self.w, &mut self.scratch, self.rows.len());
         let vocab = self.w.config().vocab;
         for (r, &si) in slots.iter().enumerate() {
             let next = argmax(self.scratch.logits_row(r, vocab));

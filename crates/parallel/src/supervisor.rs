@@ -293,26 +293,6 @@ impl FtSession {
         self.to_feed = None;
     }
 
-    /// Shut the current group down cleanly (if any), salvaging its KV for a
-    /// potential later `generate` on the same context.
-    pub fn park(&mut self) {
-        if let Some(sess) = self.sess.take() {
-            let d = sess.dismantle();
-            if let Some((kv, rows)) = repack_kv(
-                &d.kv,
-                self.history.len(),
-                self.model.config.hidden,
-                self.model.config.layers,
-                self.model.config.max_seq,
-                self.tp,
-            ) {
-                if rows == self.history.len() {
-                    self.pending_kv = Some(kv);
-                }
-            }
-        }
-    }
-
     /// Feed `tokens` as one committed step, surviving faults. On success the
     /// session's `last_logits()` covers the final fed position.
     fn step_committed(&mut self, tokens: &[usize]) -> Result<(), FaultError> {
@@ -680,23 +660,5 @@ mod tests {
         assert_eq!(s2.context_len(), committed);
         let got_b = s2.generate(&[got_a[2]], 4);
         assert_eq!(got_b, want_b);
-    }
-
-    #[test]
-    fn park_salvages_kv_for_reuse() {
-        let m = model(2, 67);
-        let want_a = baseline(&m, &[3, 1], 3);
-        let mut ft = FtSession::new(Arc::clone(&m), 4, FtConfig::new(2));
-        let got_a = ft.generate(&[3, 1], 3).expect("clean");
-        assert_eq!(got_a, want_a);
-        ft.park();
-        // Continue on the parked context: must match an uninterrupted run.
-        let tpm = Arc::new(TpPackedModel::shard(&m, 1));
-        let mut oracle = tpm.session(2);
-        let _ = oracle.generate(&[3, 1], 3);
-        let want_b = oracle.generate(&[want_a[2]], 3);
-        let got_b = ft.generate(&[got_a[2]], 3).expect("resume");
-        assert_eq!(got_b, want_b);
-        assert_eq!(ft.report().rows_replayed, 0, "park salvage must avoid replay");
     }
 }

@@ -21,34 +21,16 @@ use dsi_model::reference::{LayerKv, LayerWeights};
 use dsi_sim::collectives::allreduce_sum_slices;
 use dsi_sim::hw::DType;
 
-/// One rank's shard of a transformer layer.
+/// One rank's shard of a transformer layer: `w_qkv` is the `[h, 3h/tp]`
+/// column shard (this rank's q | k | v columns), `w_ff1` the `[h, 4h/tp]`
+/// column shard, `w_o`/`w_ff2` the `[h/tp, h]`/`[4h/tp, h]` row shards, and
+/// the two row-parallel biases are divided by `tp` so the all-reduce
+/// applies each exactly once.
 #[derive(Debug, Clone)]
 pub struct TpLayer {
-    /// Tensor-parallel degree.
-    pub tp: usize,
-    /// This shard's rank within the TP group.
-    pub rank: usize,
     /// Heads owned by this rank.
     pub heads: usize,
-    /// Replicated input layer-norm.
-    pub ln1_g: Tensor,
-    pub ln1_b: Tensor,
-    /// Column shard `[h, 3h/tp]` (q-cols | k-cols | v-cols of this rank).
-    pub w_qkv: Tensor,
-    pub b_qkv: Tensor,
-    /// Row shard `[h/tp, h]` of the output projection.
-    pub w_o: Tensor,
-    /// Output bias, applied once after the all-reduce (held by every rank,
-    /// divided by tp so the reduce applies it exactly once).
-    pub b_o: Tensor,
-    pub ln2_g: Tensor,
-    pub ln2_b: Tensor,
-    /// Column shard `[h, 4h/tp]`.
-    pub w_ff1: Tensor,
-    pub b_ff1: Tensor,
-    /// Row shard `[4h/tp, h]`.
-    pub w_ff2: Tensor,
-    pub b_ff2: Tensor,
+    pub w: LayerWeights,
 }
 
 /// Split a layer's weights across `tp` ranks.
@@ -79,10 +61,7 @@ pub fn shard_layer(lw: &LayerWeights, total_heads: usize, tp: usize) -> Vec<TpLa
             let mut scaled_bff2 = lw.b_ff2.clone();
             ops::scale_inplace(&mut scaled_bff2, 1.0 / tp as f32);
 
-            TpLayer {
-                tp,
-                rank: r,
-                heads: total_heads / tp,
+            let w = LayerWeights {
                 ln1_g: lw.ln1_g.clone(),
                 ln1_b: lw.ln1_b.clone(),
                 w_qkv,
@@ -95,13 +74,15 @@ pub fn shard_layer(lw: &LayerWeights, total_heads: usize, tp: usize) -> Vec<TpLa
                 b_ff1: Tensor::from_vec(&[fs], lw.b_ff1.data()[r * fs..(r + 1) * fs].to_vec()),
                 w_ff2: lw.w_ff2.row_slice(r * fs, (r + 1) * fs),
                 b_ff2: scaled_bff2,
-            }
+            };
+            TpLayer { heads: total_heads / tp, w }
         })
         .collect()
 }
 
 /// One rank's partial attention-block output (pre-all-reduce).
 fn rank_attention_partial(shard: &TpLayer, x: &Tensor, kv: &mut LayerKv) -> Tensor {
+    let (heads, shard) = (shard.heads, &shard.w);
     let hs = shard.w_o.rows();
     let offset = kv.len();
     let normed = ops::layernorm(x, &shard.ln1_g, &shard.ln1_b, 1e-5);
@@ -111,7 +92,7 @@ fn rank_attention_partial(shard: &TpLayer, x: &Tensor, kv: &mut LayerKv) -> Tens
     let k = qkv.col_slice(hs, 2 * hs);
     let v = qkv.col_slice(2 * hs, 3 * hs);
     kv.append(&k, &v);
-    let attn = ops::attention(&q, &kv.k, &kv.v, shard.heads, offset);
+    let attn = ops::attention(&q, &kv.k, &kv.v, heads, offset);
     let mut out = ops::matmul(&attn, &shard.w_o);
     ops::add_bias(&mut out, &shard.b_o);
     out
@@ -119,6 +100,7 @@ fn rank_attention_partial(shard: &TpLayer, x: &Tensor, kv: &mut LayerKv) -> Tens
 
 /// One rank's partial FFN-block output (pre-all-reduce).
 fn rank_ffn_partial(shard: &TpLayer, x: &Tensor) -> Tensor {
+    let shard = &shard.w;
     let normed = ops::layernorm(x, &shard.ln2_g, &shard.ln2_b, 1e-5);
     let mut ff = ops::matmul(&normed, &shard.w_ff1);
     ops::add_bias(&mut ff, &shard.b_ff1);
@@ -185,7 +167,7 @@ pub fn tp_layer_comm_bytes(tokens: usize, hidden: usize, act_dtype: DType) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsi_model::reference::{layer_forward, LayerWeights};
+    use dsi_model::reference::layer_forward;
 
     fn reference_and_shards(tp: usize) -> (LayerWeights, Vec<TpLayer>) {
         let lw = LayerWeights::random(64, 9);
@@ -240,7 +222,7 @@ mod tests {
         // Total sharded GEMM parameters equal the unsharded layer's.
         let shard_params: usize = shards
             .iter()
-            .map(|s| s.w_qkv.len() + s.w_o.len() + s.w_ff1.len() + s.w_ff2.len())
+            .map(|s| s.w.w_qkv.len() + s.w.w_o.len() + s.w.w_ff1.len() + s.w.w_ff2.len())
             .sum();
         let full = lw.w_qkv.len() + lw.w_o.len() + lw.w_ff1.len() + lw.w_ff2.len();
         assert_eq!(shard_params, full);

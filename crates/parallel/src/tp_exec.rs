@@ -8,14 +8,20 @@
 //! * **Pack-time sharding** — [`TpPackedModel::shard`] splits every layer
 //!   with [`tp::shard_layer`](crate::tp::shard_layer) (column-parallel
 //!   QKV/FF1, row-parallel W_o/FF2, heads contiguous per rank) and packs
-//!   each shard into the panel layout of `dsi_kernels::blocked::PackedB`,
-//!   exactly like `PackedModel` packs the full weights. The output biases
-//!   are kept *full* and applied once after the all-reduce (the functional
-//!   path instead pre-divides them by `tp`; summing `tp` rounded copies of
-//!   `b/tp` is not bit-stable, applying `b` once is).
+//!   each shard into a `dsi_model::fast::PackedLayer`, exactly like
+//!   `PackedModel` packs the full weights. The output biases are kept
+//!   *full* and applied once after the all-reduce (the functional path
+//!   instead pre-divides them by `tp`; summing `tp` rounded copies of `b/tp`
+//!   is not bit-stable, applying `b` once is).
+//! * **The one layer loop** — a rank's pass is `dsi_model::fast::step` over
+//!   its shard (a `WeightSource` view of the model at that rank) and a
+//!   one-element `[KvCache]` sink, with a row-parallel seam that holds the
+//!   rank's layer fault site and finishes W_o/FF2 as partial GEMM →
+//!   all-reduce → bias + residual. `step` reads the shard widths from the
+//!   panels; only rank 0 runs the logits head.
 //! * **One OS thread per rank** — [`TpSession`] runs rank 0 inline on the
 //!   caller's thread and spawns ranks `1..tp` as worker threads, each with
-//!   its own scratch arena and KV shard (`h/tp` columns — the KV memory
+//!   its own `fast::Scratch` and KV shard (`h/tp` columns — the KV memory
 //!   saving of Sec. IV-A). Workers are pinned to distinct cores when the
 //!   host has enough of them (best-effort `sched_setaffinity`).
 //! * **Shared-memory collectives** — the two per-layer all-reduces run on
@@ -34,7 +40,9 @@
 //! columns (each output column has its own accumulator chain), attention
 //! heads are disjoint, and the row-parallel partial sums only reassociate
 //! the same f32 additions the fused epilogue performs — the property suite
-//! asserts exact token equality across random configs.
+//! asserts exact token equality across random configs. At `tp = 1` the
+//! logits are bit-identical too: partial GEMM + `bias_residual_inplace` is
+//! the fused `matmul_bias_add_into` epilogue's expression.
 //!
 //! ## Failure handling
 //!
@@ -62,11 +70,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dsi_kernels::blocked::{self, PackedB};
+use dsi_kernels::blocked::{self, PackedB, PanelWeights};
 use dsi_kernels::fused;
 use dsi_kernels::tensor::Tensor;
 use dsi_model::config::GptConfig;
-use dsi_model::fast::argmax;
+use dsi_model::fast::{self, argmax, PackedLayer, Row, RowParallel, Scratch, WeightSource};
 use dsi_model::reference::{GptModel, KvCache};
 use dsi_sim::fault::{apply_stall, FaultKind};
 use dsi_sim::shmem::{CommConfig, CommOp, ShmComm, ShmRank};
@@ -75,32 +83,6 @@ use dsi_sim::{CollectiveError, CollectiveErrorKind};
 
 use crate::tp::shard_layer;
 
-/// One rank's shard of one layer, in execution layout (packed GEMM panels,
-/// bias vectors as plain slices). Mirrors `dsi_model::fast::PackedLayer`,
-/// but with `w_qkv`/`w_ff1` column-sharded, `w_o`/`w_ff2` row-sharded, and
-/// the two output biases full-width (applied once post-reduce).
-#[derive(Debug)]
-pub struct TpPackedShard {
-    pub ln1_g: Vec<f32>,
-    pub ln1_b: Vec<f32>,
-    /// `[h, 3h/tp]` column shard (this rank's q|k|v columns), packed.
-    pub w_qkv: PackedB,
-    pub b_qkv: Vec<f32>,
-    /// `[h/tp, h]` row shard of the output projection, packed.
-    pub w_o: PackedB,
-    /// Full `[h]` output bias, applied once after the all-reduce.
-    pub b_o: Vec<f32>,
-    pub ln2_g: Vec<f32>,
-    pub ln2_b: Vec<f32>,
-    /// `[h, 4h/tp]` column shard, packed.
-    pub w_ff1: PackedB,
-    pub b_ff1: Vec<f32>,
-    /// `[4h/tp, h]` row shard, packed.
-    pub w_ff2: PackedB,
-    /// Full `[h]` FF2 bias, applied once after the all-reduce.
-    pub b_ff2: Vec<f32>,
-}
-
 /// A model sharded and packed for `tp` executed ranks. Owns everything the
 /// rank threads touch (replicated embeddings, final layer-norm, per-rank
 /// packed shards), so it can sit behind an `Arc` shared across threads.
@@ -108,8 +90,9 @@ pub struct TpPackedShard {
 pub struct TpPackedModel {
     config: GptConfig,
     tp: usize,
-    /// `shards[rank][layer]`.
-    shards: Vec<Vec<TpPackedShard>>,
+    /// `shards[rank][layer]`: `w_qkv`/`w_ff1` column shards, `w_o`/`w_ff2`
+    /// row shards, `b_o`/`b_ff2` full-width (applied once post-reduce).
+    shards: Vec<Vec<PackedLayer>>,
     /// Replicated `[vocab, h]` token embedding (also the logits operand).
     wte: Tensor,
     /// Replicated `[max_seq, h]` position embedding.
@@ -126,24 +109,13 @@ impl TpPackedModel {
     /// `tp | heads` (and therefore `tp | hidden`).
     pub fn shard(model: &GptModel, tp: usize) -> Self {
         let c = model.config.clone();
-        let mut shards: Vec<Vec<TpPackedShard>> =
+        let mut shards: Vec<Vec<PackedLayer>> =
             (0..tp).map(|_| Vec::with_capacity(c.layers)).collect();
         for lw in &model.layers {
             for (r, s) in shard_layer(lw, c.heads, tp).iter().enumerate() {
-                shards[r].push(TpPackedShard {
-                    ln1_g: s.ln1_g.data().to_vec(),
-                    ln1_b: s.ln1_b.data().to_vec(),
-                    w_qkv: PackedB::pack(&s.w_qkv),
-                    b_qkv: s.b_qkv.data().to_vec(),
-                    w_o: PackedB::pack(&s.w_o),
-                    b_o: lw.b_o.data().to_vec(),
-                    ln2_g: s.ln2_g.data().to_vec(),
-                    ln2_b: s.ln2_b.data().to_vec(),
-                    w_ff1: PackedB::pack(&s.w_ff1),
-                    b_ff1: s.b_ff1.data().to_vec(),
-                    w_ff2: PackedB::pack(&s.w_ff2),
-                    b_ff2: lw.b_ff2.data().to_vec(),
-                });
+                // The row-parallel biases stay whole: applied once, post-reduce.
+                let (b_o, b_ff2) = (lw.b_o.data().to_vec(), lw.b_ff2.data().to_vec());
+                shards[r].push(PackedLayer { b_o, b_ff2, ..PackedLayer::pack(&s.w) });
             }
         }
         TpPackedModel {
@@ -286,173 +258,124 @@ pub struct Dismantled {
 
 // --- per-rank execution state ----------------------------------------------
 
-/// One rank's private buffers: KV shard plus a scratch arena mirroring
-/// `dsi_model::fast::Scratch`, sized once at session start so the
-/// steady-state decode loop performs zero heap allocations (alloc-guard
-/// tested).
+/// Rank `rank`'s view of a [`TpPackedModel`] as `fast::step` reads it: its
+/// shard of every layer plus the replicated embeddings, final layer-norm
+/// and logits operand.
+struct RankShard<'a> {
+    model: &'a TpPackedModel,
+    rank: usize,
+}
+
+impl WeightSource for RankShard<'_> {
+    type B = PackedB;
+    type Layer<'a>
+        = &'a PackedLayer
+    where
+        Self: 'a;
+    /// A resident shard never fails to yield a layer; a rank's pass fails
+    /// only in its [`AllReduce`] seam.
+    type Error = CollectiveError;
+
+    fn config(&self) -> &GptConfig {
+        &self.model.config
+    }
+    fn embeddings(&self) -> (&Tensor, &Tensor) {
+        (&self.model.wte, &self.model.wpe)
+    }
+    fn lnf(&self) -> (&[f32], &[f32]) {
+        (&self.model.lnf_g, &self.model.lnf_b)
+    }
+    fn logits_w(&self) -> &PackedB {
+        &self.model.wte_packed
+    }
+    fn layer(&self, l: usize) -> Result<&PackedLayer, CollectiveError> {
+        Ok(&self.model.shards[self.rank][l])
+    }
+}
+
+/// A rank's row-parallel seam: the layer-site fault hook, and W_o/FF2 as
+/// this rank's partial GEMM → all-reduce → full bias + residual.
+struct AllReduce<'c>(&'c mut ShmRank);
+
+impl RowParallel<CollectiveError> for AllReduce<'_> {
+    /// One `Option` check when no injector is installed. The site key is
+    /// the sequence-position range the pass covers, so a "token 5, layer 2"
+    /// script fires whether position 5 arrives in the prompt batch or as a
+    /// decode step. A scripted crash fails typed; an injected panic panics
+    /// here (the worker's `catch_unwind` converts it to a
+    /// [`RankFailureCause::Panicked`] report).
+    fn at_layer(&mut self, l: usize, rows: &[Row]) -> Result<(), CollectiveError> {
+        let comm = &*self.0;
+        let Some(inj) = comm.injector() else { return Ok(()) };
+        match inj.at_layer(comm.rank(), rows[0].pos, rows[rows.len() - 1].pos + 1, l) {
+            Some(FaultKind::Stall { millis }) => apply_stall(millis),
+            Some(FaultKind::Exit) => {
+                return Err(CollectiveError {
+                    rank: comm.rank(),
+                    kind: CollectiveErrorKind::InjectedExit,
+                    epoch: comm.epoch(),
+                });
+            }
+            Some(FaultKind::Panic) => {
+                panic!("injected fault: rank {} panics at layer {l}", comm.rank())
+            }
+            Some(FaultKind::Corrupt) | None => {}
+        }
+        Ok(())
+    }
+
+    fn project<B: PanelWeights>(
+        &mut self,
+        a: &[f32],
+        m: usize,
+        w: &B,
+        bias: &[f32],
+        residual: &[f32],
+        out: &mut [f32],
+    ) -> Result<(), CollectiveError> {
+        blocked::matmul_into(a, m, w, out);
+        self.0.try_allreduce_sum(out)?;
+        fused::bias_residual_inplace(out, bias, residual);
+        Ok(())
+    }
+}
+
+/// One rank's private buffers: its KV shard and one `fast::Scratch`, sized
+/// once at session start so the steady-state decode loop performs zero
+/// heap allocations (alloc-guard tested).
 struct RankState {
     rank: usize,
-    /// Max prompt rows the scratch is sized for.
-    m_max: usize,
     /// KV shard: `h/tp` columns per layer.
     kv: KvCache,
-    /// `[m, h]` replicated activations.
-    x: Vec<f32>,
-    /// `[m, h]` layer-norm rows (interior of the fused regions).
-    normed: Vec<f32>,
-    /// `[m, 3h/tp]` sharded QKV output; attention reads query rows in place
-    /// at stride `3h/tp` (no gather buffer).
-    qkv: Vec<f32>,
-    /// `[m, h/tp]` attention context over this rank's heads.
-    attn: Vec<f32>,
-    /// `[m, h]` row-parallel partial output; the all-reduce buffer.
-    part: Vec<f32>,
-    /// `[m, 4h/tp]` sharded FF1 activation.
-    ff: Vec<f32>,
-    /// `[m, vocab]` logits (rank 0 only; empty on workers).
-    logits: Vec<f32>,
-    /// Workers' private copy of the prompt (filled under the hand-off lock,
-    /// released before compute starts so ranks never serialize on it).
-    ids_buf: Vec<usize>,
-    /// Row count of the most recent forward (selects the sampling row).
-    last_m: usize,
+    scratch: Scratch,
+    /// The rows of the next pass.
+    rows: Vec<Row>,
 }
 
 impl RankState {
     fn new(model: &TpPackedModel, rank: usize, max_prompt: usize, kv: Option<KvCache>) -> Self {
         let c = &model.config;
         let m = max_prompt.max(1);
-        let hs = c.hidden / model.tp;
-        let kv = match kv {
-            Some(kv) => {
-                assert_eq!(kv.layers.len(), c.layers, "seeded KV layer count");
-                kv
-            }
-            None => KvCache::with_capacity(c.layers, hs, c.max_seq),
-        };
-        RankState {
-            rank,
-            m_max: m,
-            kv,
-            x: vec![0.0; m * c.hidden],
-            normed: vec![0.0; m * c.hidden],
-            qkv: vec![0.0; m * 3 * hs],
-            attn: vec![0.0; m * hs],
-            part: vec![0.0; m * c.hidden],
-            ff: vec![0.0; m * 4 * hs],
-            logits: if rank == 0 { vec![0.0; m * c.vocab] } else { Vec::new() },
-            ids_buf: Vec::with_capacity(m),
-            last_m: 0,
-        }
+        let kv = kv.unwrap_or_else(|| KvCache::with_capacity(c.layers, c.hidden / model.tp, c.max_seq));
+        assert_eq!(kv.layers.len(), c.layers, "seeded KV layer count");
+        RankState { rank, kv, scratch: Scratch::new(c, m), rows: Vec::with_capacity(m) }
     }
 
-    /// Forward `ids` through this rank's layer shards, meeting the group at
-    /// the two per-layer all-reduces. Every rank computes the full `[m, h]`
-    /// activations (replicated, as in Megatron) but only its own slice of
-    /// heads / FF neurons; rank 0 additionally computes logits.
-    ///
-    /// Fails typed when a collective rendezvous fails (the error names the
-    /// reporting rank, failure kind, and collective epoch) or when the fault
-    /// injector scripts a crash at a layer site; an injected panic at a
-    /// layer site panics here (the worker's `catch_unwind` converts it to a
-    /// [`RankFailureCause::Panicked`] report).
-    fn try_forward(
-        &mut self,
-        model: &TpPackedModel,
-        comm: &mut ShmRank,
-        ids: &[usize],
-    ) -> Result<(), CollectiveError> {
-        let c = &model.config;
-        let (h, tp) = (c.hidden, model.tp);
-        let hs = h / tp;
-        let heads = c.heads / tp;
-        let m = ids.len();
-        let offset = self.kv.context_len();
-        assert!(m <= self.m_max, "step of {m} rows exceeds scratch capacity");
-        assert!(offset + m <= c.max_seq, "sequence exceeds max_seq");
-        let s = self;
+    /// Queue `ids` as the next pass's rows, after the rank's context.
+    fn feed(&mut self, ids: &[usize]) {
+        Row::prompt_pass(&mut self.rows, 0, self.kv.context_len(), ids);
+    }
 
-        // Replicated embedding: token row + position row.
-        for (i, &id) in ids.iter().enumerate() {
-            assert!(id < c.vocab, "token id {id} out of vocab");
-            let te = model.wte.row(id);
-            let pe = model.wpe.row(offset + i);
-            for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
-                *x = t + p;
-            }
+    /// Run the queued rows through `fast::step` over this rank's shard,
+    /// meeting the group at the two per-layer all-reduces. Activations are
+    /// replicated, so the logits head is rank-local: rank 0 alone runs it.
+    fn run(&mut self, model: &TpPackedModel, comm: &mut ShmRank) -> Result<(), CollectiveError> {
+        let w = RankShard { model, rank: self.rank };
+        let kv = std::slice::from_mut(&mut self.kv);
+        fast::step(&w, kv, &mut self.scratch, &self.rows, &mut AllReduce(comm))?;
+        if self.rank == 0 {
+            fast::logits(&w, &mut self.scratch, self.rows.len());
         }
-
-        for (l, pl) in model.shards[s.rank].iter().enumerate() {
-            // Layer-site fault hook: one `Option` check when no injector is
-            // installed. The site key is the sequence-position range this
-            // step covers, so a "token 5, layer 2" script fires whether
-            // position 5 arrives in the prompt batch or as a decode step.
-            if let Some(inj) = comm.injector() {
-                match inj.at_layer(s.rank, offset, offset + m, l) {
-                    Some(FaultKind::Stall { millis }) => apply_stall(millis),
-                    Some(FaultKind::Exit) => {
-                        return Err(CollectiveError {
-                            rank: s.rank,
-                            kind: CollectiveErrorKind::InjectedExit,
-                            epoch: comm.epoch(),
-                        });
-                    }
-                    Some(FaultKind::Panic) => {
-                        panic!("injected fault: rank {} panics at layer {l}", s.rank)
-                    }
-                    Some(FaultKind::Corrupt) | None => {}
-                }
-            }
-            let kv = &mut s.kv.layers[l];
-            // Region 1: layer-norm → sharded QKV GEMM → bias.
-            fused::ln_matmul_bias_into(
-                &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-                &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * hs],
-            );
-            // KV shard append in place (this rank's heads only).
-            for i in 0..m {
-                let row = &s.qkv[i * 3 * hs..(i + 1) * 3 * hs];
-                kv.append_row_slices(&row[hs..2 * hs], &row[2 * hs..3 * hs]);
-            }
-            // Region 2: streaming-softmax attention over this rank's heads,
-            // reading query rows in place from the QKV scratch (stride
-            // 3h/tp) — no gather, no m == 1 special case.
-            fused::attention_seq_into(
-                &s.qkv[..m * 3 * hs], 3 * hs, m, &kv.k, &kv.v, heads, offset,
-                &mut s.attn[..m * hs],
-            );
-            // Region 3: row-parallel output projection → all-reduce →
-            // bias + residual (applied once, post-reduce).
-            blocked::matmul_into(&s.attn[..m * hs], m, &pl.w_o, &mut s.part[..m * h]);
-            comm.try_allreduce_sum(&mut s.part[..m * h])?;
-            fused::bias_residual_inplace(&mut s.part[..m * h], &pl.b_o, &s.x[..m * h]);
-            std::mem::swap(&mut s.x, &mut s.part);
-            // Region 4: layer-norm → sharded FF1 GEMM → bias → GeLU.
-            fused::ln_matmul_bias_gelu_into(
-                &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-                &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * 4 * hs],
-            );
-            // Region 5: row-parallel FF2 → all-reduce → bias + residual.
-            blocked::matmul_into(&s.ff[..m * 4 * hs], m, &pl.w_ff2, &mut s.part[..m * h]);
-            comm.try_allreduce_sum(&mut s.part[..m * h])?;
-            fused::bias_residual_inplace(&mut s.part[..m * h], &pl.b_ff2, &s.x[..m * h]);
-            std::mem::swap(&mut s.x, &mut s.part);
-        }
-
-        // Logits on rank 0 only: final layer-norm + tied-embedding GEMM
-        // (replicated activations make the projection rank-local).
-        if s.rank == 0 {
-            for i in 0..m {
-                fused::layernorm_row_into(
-                    &s.x[i * h..(i + 1) * h], &model.lnf_g, &model.lnf_b, 1e-5,
-                    &mut s.normed[i * h..(i + 1) * h],
-                );
-            }
-            blocked::matmul_into(
-                &s.normed[..m * h], m, &model.wte_packed, &mut s.logits[..m * c.vocab],
-            );
-        }
-        s.last_m = m;
         Ok(())
     }
 }
@@ -514,23 +437,13 @@ fn worker_loop(
         comm.try_barrier()?;
         match shared.cmd.load(Ordering::Relaxed) {
             CMD_SHUTDOWN => return Ok(()),
-            CMD_PROMPT => {
-                {
-                    let p = shared.prompt.lock().unwrap();
-                    state.ids_buf.clear();
-                    state.ids_buf.extend_from_slice(&p);
-                } // drop the guard before compute
-                let ids = std::mem::take(&mut state.ids_buf);
-                let r = state.try_forward(model, comm, &ids);
-                state.ids_buf = ids;
-                r?;
-            }
-            CMD_DECODE => {
-                let id = shared.token.load(Ordering::Relaxed);
-                state.try_forward(model, comm, &[id])?;
-            }
+            // The hand-off guard drops at the end of the statement, before
+            // compute, so ranks never serialize on it.
+            CMD_PROMPT => state.feed(&shared.prompt.lock().unwrap()),
+            CMD_DECODE => state.feed(&[shared.token.load(Ordering::Relaxed)]),
             other => panic!("tp_exec: invalid step command {other}"),
         }
+        state.run(model, comm)?;
     }
 }
 
@@ -576,10 +489,8 @@ pub struct TpSession {
     rank0_lost: bool,
     /// `dismantle` ran: `Drop` has nothing left to do.
     done: bool,
-    /// Token emitted by the last [`TpSession::try_generate_step`] that has
-    /// not been fed yet (fed lazily at the start of the next step, so an
-    /// early stop never pays for an unsampled forward).
-    to_feed: Option<usize>,
+    /// Most rows a pass may carry (every rank's scratch is sized for it).
+    max_prompt: usize,
 }
 
 impl TpSession {
@@ -679,7 +590,7 @@ impl TpSession {
             failed: None,
             rank0_lost: false,
             done: false,
-            to_feed: None,
+            max_prompt: max_prompt.max(1),
         }
     }
 
@@ -702,9 +613,9 @@ impl TpSession {
     ///
     /// [`FastSession::last_logits`]: dsi_model::fast::FastSession::last_logits
     pub fn last_logits(&self) -> &[f32] {
-        assert!(self.rank0.last_m > 0, "last_logits() before any step");
-        let vocab = self.model.config.vocab;
-        &self.rank0.logits[(self.rank0.last_m - 1) * vocab..self.rank0.last_m * vocab]
+        let m = self.rank0.rows.len();
+        assert!(m > 0, "last_logits() before any step");
+        self.rank0.scratch.logits_row(m - 1, self.model.config.vocab)
     }
 
     /// Feed a multi-token prompt step. On failure the session is dead:
@@ -712,7 +623,7 @@ impl TpSession {
     /// [`TpSession::dismantle`] salvages what survives.
     pub fn try_prompt(&mut self, prompt: &[usize]) -> Result<(), CollectiveError> {
         assert!(!prompt.is_empty(), "empty prompt");
-        assert!(prompt.len() <= self.rank0.m_max, "prompt exceeds session max_prompt");
+        assert!(prompt.len() <= self.max_prompt, "prompt exceeds session max_prompt");
         {
             let mut p = self.shared.prompt.lock().unwrap();
             p.clear();
@@ -748,7 +659,8 @@ impl TpSession {
         if let Err(e) = self.comm.try_barrier() {
             return Err(self.fail(e));
         }
-        match self.rank0.try_forward(&self.model, &mut self.comm, ids) {
+        self.rank0.feed(ids);
+        match self.rank0.run(&self.model, &mut self.comm) {
             Ok(()) => {
                 // The workers have read the command (they joined this step's
                 // all-reduces), so a later shutdown store cannot race it.
@@ -781,31 +693,6 @@ impl TpSession {
         self.inflight = true;
     }
 
-    /// Ingest `prompt` and arm step-wise generation: after `try_begin`,
-    /// each [`TpSession::try_generate_step`] emits the next greedy token.
-    /// Token-identical to one-shot [`TpSession::generate`], which is
-    /// implemented on top of this pair.
-    pub fn try_begin(&mut self, prompt: &[usize]) -> Result<(), CollectiveError> {
-        self.try_prompt(prompt)?;
-        self.to_feed = None;
-        Ok(())
-    }
-
-    /// Emit the next greedy token: feed the previously emitted token (if
-    /// any) through the group, then sample the fresh logits row. A caller
-    /// can stop between any two steps — the emitted tokens form an exact
-    /// prefix of the full generation, and the unfed final token costs no
-    /// group step.
-    pub fn try_generate_step(&mut self) -> Result<usize, CollectiveError> {
-        if let Some(t) = self.to_feed {
-            self.try_decode(t)?;
-            self.to_feed = None;
-        }
-        let tok = argmax(self.last_logits());
-        self.to_feed = Some(tok);
-        Ok(tok)
-    }
-
     /// Greedy generation with the exact [`FastSession`] semantics: process
     /// `prompt`, then emit `n_tokens` tokens (`n_tokens == 0` ingests the
     /// prompt and returns no tokens).
@@ -815,15 +702,19 @@ impl TpSession {
     ///
     /// [`FastSession`]: dsi_model::fast::FastSession
     pub fn generate(&mut self, prompt: &[usize], n_tokens: usize) -> Vec<usize> {
-        if let Err(e) = self.try_begin(prompt) {
+        let mut out = Vec::with_capacity(n_tokens);
+        if let Err(e) = self.try_prompt(prompt) {
             self.panic_with_failures(e);
         }
-        let mut out = Vec::with_capacity(n_tokens);
-        for _ in 0..n_tokens {
-            match self.try_generate_step() {
-                Ok(tok) => out.push(tok),
-                Err(e) => self.panic_with_failures(e),
+        while out.len() < n_tokens {
+            // Feed the previous token, if any: the last one emitted is never
+            // fed, so no group step is spent on logits nobody samples.
+            if let Some(&t) = out.last() {
+                if let Err(e) = self.try_decode(t) {
+                    self.panic_with_failures(e);
+                }
             }
+            out.push(argmax(self.last_logits()));
         }
         out
     }
@@ -967,13 +858,25 @@ mod tests {
     }
 
     #[test]
-    fn tp1_generate_matches_fast_session_exactly() {
-        let m = model(2, 42);
+    fn tp1_logits_are_bitwise_the_fast_session_logits() {
+        // At tp = 1 the rank's seam computes partial GEMM + all-reduce + bias
+        // + residual where the fast path fuses the epilogue: the same
+        // expression, so every logit must match bit for bit, prompt and
+        // decode alike.
+        let m = model(3, 29);
         let pm = PackedModel::pack(&m);
-        let want = pm.session(4).generate(&[1, 2, 3, 4], 8);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 1));
-        let got = tpm.session(4).generate(&[1, 2, 3, 4], 8);
-        assert_eq!(got, want);
+        let mut fast = pm.session(4);
+        let mut tp = Arc::new(TpPackedModel::shard(&m, 1)).session(4);
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        fast.forward(&[4, 8, 15, 16]);
+        tp.try_prompt(&[4, 8, 15, 16]).expect("prompt");
+        assert_eq!(bits(tp.last_logits()), bits(fast.last_logits()), "prompt");
+        for step in 0..6 {
+            let next = argmax(fast.last_logits());
+            fast.forward(&[next]);
+            tp.try_decode(next).expect("decode");
+            assert_eq!(bits(tp.last_logits()), bits(fast.last_logits()), "decode step {step}");
+        }
     }
 
     #[test]

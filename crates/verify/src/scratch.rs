@@ -19,8 +19,9 @@
 //!   panic — or, for a hand-built plan, a quiet neighbour overwrite).
 //!
 //! [`step_trace`] builds the trace of one `dsi_model::fast::step` pass — the
-//! one layer step every engine runs — from the model configuration and the
-//! pass's rows alone, against the arena layout published by
+//! one layer step every engine and every tensor-parallel rank runs — from
+//! the model configuration, the rank's shard degree and the pass's rows
+//! alone, against the arena layout published by
 //! [`dsi_model::fast::scratch_layout`], so the verifier and the executor
 //! derive buffer capacities from the same source and cannot drift
 //! silently. Rows share the row-stacked scratch; each sequence owns its KV,
@@ -214,23 +215,30 @@ fn intern(s: String) -> &'static str {
     }
 }
 
-/// Build the step trace of one `dsi_model::fast::step` pass over `rows`,
-/// mirroring its region sequence: embed; per layer one M-row region 1, a
-/// K/V write per row, an attention launch per row against that row's
-/// sequence's K/V (its query read in place from the QKV scratch at stride
-/// `3h`), then M-row regions 3–5 with the x/y double-buffer swap; final
-/// layer-norm + logits. A prompt pass is rows of one `seq` at consecutive
-/// positions, a decode step one row for each of m `seq`s.
+/// Build the step trace of one `dsi_model::fast::step` pass over `rows` at
+/// one rank of a `tp`-way shard (`tp = 1`: the whole model), followed by
+/// the `fast::logits` head, mirroring its region sequence: embed; per layer
+/// one M-row region 1, a K/V write per row, an attention launch per row
+/// against that row's sequence's K/V (its query read in place from the QKV
+/// scratch at stride `3a`), then M-row regions 3–5 with the x/y
+/// double-buffer swap; final layer-norm + logits. The shard widths are
+/// those `step` reads from the panels: `a = h/tp` attention columns and
+/// `f = 4h/tp` FF neurons, with the residual stream full-width (a rank's
+/// W_o/FF2 all-reduce runs in place on the projection's output). A prompt
+/// pass is rows of one `seq` at consecutive positions, a decode step one
+/// row for each of m `seq`s.
 ///
 /// The arena combines the scratch buffers of [`scratch_layout`] with one K
-/// and one V tensor per layer per sequence (capacity `max_seq × hidden`,
+/// and one V tensor per layer per sequence (capacity `max_seq × a`,
 /// matching `KvCache::with_capacity`) — two sequences touching one KV
 /// tensor would be cross-sequence corruption. The third value is the KV
 /// rows earlier passes wrote: every sequence's rows below its first
 /// position in this pass.
-pub fn step_trace(c: &GptConfig, rows: &[Row]) -> (Arena, Vec<Step>, Vec<SliceRef>) {
+pub fn step_trace(c: &GptConfig, tp: usize, rows: &[Row]) -> (Arena, Vec<Step>, Vec<SliceRef>) {
     let (h, m) = (c.hidden, rows.len());
     assert!(m > 0, "a pass has at least one row");
+    assert!(c.heads.is_multiple_of(tp), "tp must divide the heads");
+    let (a, f) = (h / tp, 4 * h / tp);
     let kv = |l: usize, seq: usize, side: &str| intern(format!("kv{l}.s{seq}.{side}"));
     let mut seqs: Vec<usize> = rows.iter().map(|r| r.seq).collect();
     seqs.sort_unstable();
@@ -241,9 +249,9 @@ pub fn step_trace(c: &GptConfig, rows: &[Row]) -> (Arena, Vec<Step>, Vec<SliceRe
         for &seq in &seqs {
             let first = rows.iter().filter(|r| r.seq == seq).map(|r| r.pos).min().unwrap_or(0);
             for side in ["k", "v"] {
-                buffers.push((kv(l, seq, side), c.max_seq * h));
+                buffers.push((kv(l, seq, side), c.max_seq * a));
                 if first > 0 {
-                    written.push(SliceRef::new(kv(l, seq, side), 0, first * h));
+                    written.push(SliceRef::new(kv(l, seq, side), 0, first * a));
                 }
             }
         }
@@ -258,39 +266,39 @@ pub fn step_trace(c: &GptConfig, rows: &[Row]) -> (Arena, Vec<Step>, Vec<SliceRe
         steps.push(Step::new(
             format!("l{l}.r1.ln_qkv"),
             vec![all(cur, h)],
-            vec![all("normed", h), all("qkv", 3 * h)],
+            vec![all("normed", h), all("qkv", 3 * a)],
         ));
         // Every row's K/V is written before any row attends.
         for (i, r) in rows.iter().enumerate() {
-            let at = |side| SliceRef::new(kv(l, r.seq, side), r.pos * h, (r.pos + 1) * h);
+            let at = |side| SliceRef::new(kv(l, r.seq, side), r.pos * a, (r.pos + 1) * a);
             steps.push(Step::new(
                 format!("l{l}.row{i}.kv_write"),
-                vec![SliceRef::new("qkv", i * 3 * h, (i + 1) * 3 * h)],
+                vec![SliceRef::new("qkv", i * 3 * a, (i + 1) * 3 * a)],
                 vec![at("k"), at("v")],
             ));
         }
         // Region 2: attention over positions `0..=pos` of the row's own
         // sequence, the query read in place from the QKV scratch.
         for (i, r) in rows.iter().enumerate() {
-            let upto = |side| SliceRef::new(kv(l, r.seq, side), 0, (r.pos + 1) * h);
+            let upto = |side| SliceRef::new(kv(l, r.seq, side), 0, (r.pos + 1) * a);
             steps.push(Step::new(
                 format!("l{l}.row{i}.attention"),
-                vec![SliceRef::new("qkv", i * 3 * h, i * 3 * h + h), upto("k"), upto("v")],
-                vec![SliceRef::new("attn", i * h, (i + 1) * h)],
+                vec![SliceRef::new("qkv", i * 3 * a, i * 3 * a + a), upto("k"), upto("v")],
+                vec![SliceRef::new("attn", i * a, (i + 1) * a)],
             ));
         }
         // Region 3: output projection + bias + residual (reads the residual
         // stream from `cur`, writes the spare).
-        steps.push(Step::new(format!("l{l}.r3.attn_out"), vec![all("attn", h), all(cur, h)], vec![all(alt, h)]));
+        steps.push(Step::new(format!("l{l}.r3.attn_out"), vec![all("attn", a), all(cur, h)], vec![all(alt, h)]));
         std::mem::swap(&mut cur, &mut alt);
         // Region 4: layer-norm → FF1 GEMM → bias → GeLU.
         steps.push(Step::new(
             format!("l{l}.r4.ln_ff1"),
             vec![all(cur, h)],
-            vec![all("normed", h), all("ff", 4 * h)],
+            vec![all("normed", h), all("ff", f)],
         ));
         // Region 5: FF2 GEMM + bias + residual.
-        steps.push(Step::new(format!("l{l}.r5.ff2"), vec![all("ff", 4 * h), all(cur, h)], vec![all(alt, h)]));
+        steps.push(Step::new(format!("l{l}.r5.ff2"), vec![all("ff", f), all(cur, h)], vec![all(alt, h)]));
         std::mem::swap(&mut cur, &mut alt);
     }
     steps.push(Step::new("final_ln", vec![all(cur, h)], vec![all("normed", h)]));
@@ -299,18 +307,19 @@ pub fn step_trace(c: &GptConfig, rows: &[Row]) -> (Arena, Vec<Step>, Vec<SliceRe
 }
 
 /// Check one [`step_trace`] against its own arena.
-fn verify_step(c: &GptConfig, rows: &[Row]) -> Vec<Diagnostic> {
-    let (arena, steps, written) = step_trace(c, rows);
+fn verify_step(c: &GptConfig, tp: usize, rows: &[Row]) -> Vec<Diagnostic> {
+    let (arena, steps, written) = step_trace(c, tp, rows);
     check_trace(&arena, &steps, &written)
 }
 
-/// Verify the fast decode path of one model config for both phases: a
-/// `prompt_len`-row prompt pass and the single-row decode step after it.
-pub fn verify_decode_plan(c: &GptConfig, prompt_len: usize) -> Vec<Diagnostic> {
+/// Verify the fast decode path of one model config, at one rank of a
+/// `tp`-way shard, for both phases: a `prompt_len`-row prompt pass and the
+/// single-row decode step after it.
+pub fn verify_decode_plan(c: &GptConfig, tp: usize, prompt_len: usize) -> Vec<Diagnostic> {
     let n = prompt_len.max(1);
     let prompt: Vec<Row> = (0..n).map(|pos| Row { seq: 0, token: 0, pos }).collect();
-    let mut diags = verify_step(c, &prompt);
-    diags.extend(verify_step(c, &[Row { seq: 0, token: 0, pos: n }]));
+    let mut diags = verify_step(c, tp, &prompt);
+    diags.extend(verify_step(c, tp, &[Row { seq: 0, token: 0, pos: n }]));
     diags
 }
 
@@ -318,7 +327,7 @@ pub fn verify_decode_plan(c: &GptConfig, prompt_len: usize) -> Vec<Diagnostic> {
 /// at its own position `offsets[i]` (ragged contexts).
 pub fn verify_batched_decode_plan(c: &GptConfig, offsets: &[usize]) -> Vec<Diagnostic> {
     let rows: Vec<Row> = offsets.iter().enumerate().map(|(seq, &pos)| Row { seq, token: 0, pos }).collect();
-    verify_step(c, &rows)
+    verify_step(c, 1, &rows)
 }
 
 /// Seeded negative control for the batched layout: two M-row attention
@@ -446,14 +455,16 @@ mod tests {
     #[test]
     fn fast_path_trace_is_clean() {
         for (m, off) in [(1usize, 0usize), (4, 0), (1, 7), (8, 0), (3, 5)] {
-            let d = verify_step(&zoo::tiny(3), &pass(0, off, m));
-            assert!(d.is_empty(), "m={m} off={off}: {d:?}");
+            for tp in [1, 2, 4] {
+                let d = verify_step(&zoo::tiny(3), tp, &pass(0, off, m));
+                assert!(d.is_empty(), "m={m} off={off} tp={tp}: {d:?}");
+            }
         }
     }
 
     #[test]
     fn verify_decode_plan_clean_for_zoo_models() {
-        let d = verify_decode_plan(&zoo::tiny(2), 8);
+        let d = verify_decode_plan(&zoo::tiny(2), 1, 8);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -471,7 +482,7 @@ mod tests {
         // Two rows of the same layer must reference distinct KV buffers —
         // the trace-level statement of per-sequence cache isolation.
         let c = zoo::tiny(1);
-        let (arena, _, _) = step_trace(&c, &[pass(0, 4, 1), pass(1, 7, 1)].concat());
+        let (arena, _, _) = step_trace(&c, 1, &[pass(0, 4, 1), pass(1, 7, 1)].concat());
         let kv: Vec<&str> =
             arena.buffers.iter().map(|&(n, _)| n).filter(|n| n.starts_with("kv")).collect();
         let unique: std::collections::HashSet<&str> = kv.iter().copied().collect();
@@ -611,8 +622,8 @@ mod tests {
         // A prompt longer than the scratch arena was sized for: the trace
         // built with the *small* arena must flag the overflow statically.
         let c = zoo::tiny(1);
-        let (small_arena, _, _) = step_trace(&c, &pass(0, 0, 2));
-        let (_, big_steps, _) = step_trace(&c, &pass(0, 0, 8));
+        let (small_arena, _, _) = step_trace(&c, 1, &pass(0, 0, 2));
+        let (_, big_steps, _) = step_trace(&c, 1, &pass(0, 0, 8));
         let d = check_trace(&small_arena, &big_steps, &[]);
         assert!(d.iter().any(|x| x.code == "scratch-oob"), "{d:?}");
     }

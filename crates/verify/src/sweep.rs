@@ -190,14 +190,17 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
 
         // --- Pass 2: scratch arena of the fast decode path. ---
         // Trace a 16-row prompt pass (each row attending over its causal
-        // prefix) and the decode step after it: cheap enough to run for
-        // the 530B layer count.
-        let d = crate::scratch::verify_decode_plan(c, 16);
-        report.scratch_traces += 2; // prompt + decode trace
-        report.diagnostics.extend(d.into_iter().map(|mut x| {
-            x.site = format!("{}: {}", site("decode"), x.site);
-            x
-        }));
+        // prefix) and the decode step after it, whole and at one rank of a
+        // 2- and 4-way shard (`tp_exec` ranks run the same step over shard
+        // widths): cheap enough to run for the 530B layer count.
+        for tp in [1usize, 2, 4].into_iter().filter(|&tp| c.heads.is_multiple_of(tp)) {
+            let d = crate::scratch::verify_decode_plan(c, tp, 16);
+            report.scratch_traces += 2; // prompt + decode trace
+            report.diagnostics.extend(d.into_iter().map(|mut x| {
+                x.site = format!("{}: {}", site(&format!("decode tp={tp}")), x.site);
+                x
+            }));
+        }
 
         // --- Pass 2b: batched ragged-offset decode (an M-row `fast::step`). ---
         // Each batch size the M-row dispatcher distinguishes, at staggered

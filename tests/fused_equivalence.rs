@@ -123,7 +123,9 @@ proptest! {
         let v = Tensor::randn(&[t_ctx, h], 1.0, seed + 2);
         let want = ops::attention(&q, &k, &v, heads, causal_offset);
         let mut got = Tensor::zeros(&[t_new, h]);
-        fused::attention_seq_into(q.data(), h, t_new, &k, &v, heads, causal_offset, got.data_mut());
+        for i in 0..t_new {
+            fused::attention_row_into(q.row(i), &k, &v, heads, causal_offset + i, got.row_mut(i));
+        }
         prop_assert!(
             got.allclose(&want, 1e-5),
             "diff {}", got.max_abs_diff(&want)
@@ -149,7 +151,9 @@ proptest! {
         let q = Tensor::randn(&[t_ctx, h], 1.0, seed + 2);
         // Contiguous reference: every row i attends to keys 0..=i.
         let mut want = Tensor::zeros(&[t_ctx, h]);
-        fused::attention_seq_into(q.data(), h, t_ctx, &k, &v, heads, 0, want.data_mut());
+        for i in 0..t_ctx {
+            fused::attention_row_into(q.row(i), &k, &v, heads, i, want.row_mut(i));
+        }
         // Scatter the same rows through a reversed (maximally non-identity)
         // page table into arenas with spare pages on both sides.
         let pages_needed = t_ctx.div_ceil(page_tokens);
