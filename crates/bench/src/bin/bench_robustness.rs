@@ -270,25 +270,25 @@ fn continuous_mode(step_deadline: Option<Duration>) -> EngineMode {
     EngineMode::Continuous(ContinuousConfig { max_slots: 8, pages_total: 64, page_tokens: 16, step_deadline, ..rest })
 }
 
-/// The engine-fault storm: every kind at both call sites, the stalls past
-/// the step deadline, all early enough in the burst's call stream to land
-/// (one-call exhaustion storms, so none swallows a later spec).
+/// The engine-fault storm: every kind, the stalls past the step deadline,
+/// all early enough in the burst's pass stream to land (one-pass
+/// exhaustion storms, so none swallows a later spec).
 fn engine_storm(deadline_ms: u64) -> EngineFaultPlan {
     use EngineFaultKind::{Corrupt, Exhaust, Panic, Stall};
-    use EngineFaultSite::{Decode, Prefill};
     let specs = [
-        (Prefill { call: 1 }, Corrupt),
-        (Decode { call: 2 }, Exhaust { calls: 1 }),
-        (Decode { call: 5 }, Panic),
-        (Prefill { call: 3 }, Stall { millis: deadline_ms + 2 }),
-        (Decode { call: 12 }, Stall { millis: deadline_ms + 5 }),
-        (Decode { call: 20 }, Corrupt),
-        (Prefill { call: 5 }, Panic),
-        (Decode { call: 30 }, Stall { millis: deadline_ms + 8 }),
-        (Decode { call: 40 }, Panic),
-        (Prefill { call: 7 }, Exhaust { calls: 1 }),
+        (1, Corrupt),
+        (2, Exhaust { calls: 1 }),
+        (5, Panic),
+        (7, Stall { millis: deadline_ms + 2 }),
+        (12, Stall { millis: deadline_ms + 5 }),
+        (16, Exhaust { calls: 1 }),
+        (20, Corrupt),
+        (26, Panic),
+        (30, Stall { millis: deadline_ms + 8 }),
+        (40, Panic),
     ];
-    EngineFaultPlan::new(specs.into_iter().map(|(site, kind)| EngineFaultSpec { site, kind }).collect())
+    let spec = |(call, kind)| EngineFaultSpec { site: EngineFaultSite::Pass { call }, kind };
+    EngineFaultPlan::new(specs.into_iter().map(spec).collect())
 }
 
 /// Decode wall time of the bare paged engine vs the same engine inside

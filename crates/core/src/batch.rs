@@ -15,6 +15,8 @@
 //!   returns the first greedy token;
 //! * `decode_step` advances any strictly-ascending subset of resident slots
 //!   one token each through a single ragged M-row pass;
+//! * `pass` does both in one engine call — seats free slots and advances
+//!   resident ones — which is the only call the serving scheduler makes;
 //! * `release` retires a slot (returning its KV pages, if the engine is
 //!   paged).
 //!
@@ -195,6 +197,35 @@ pub trait BatchEngine {
     /// Retire `slot`, returning its KV storage for reuse.
     fn release(&mut self, slot: usize);
 
+    /// One pass: seat each free slot of `seats` with its context (a prompt,
+    /// or a replayed sequence's committed context) and advance each
+    /// resident slot of `advance` (strictly ascending) one token. `out`
+    /// gets the seats' first tokens in `seats` order, then the advanced
+    /// slots' tokens in `advance` order. On `Err` no slot advanced and
+    /// every seat is free. The default is a `prefill` per seat, then one
+    /// `decode_step`; an engine that can run them as one pass overrides it.
+    fn pass(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), EngineError> {
+        let base = out.len();
+        let r = seats
+            .iter()
+            .try_for_each(|&(slot, ctx)| self.prefill(slot, ctx).map(|tok| out.push(tok)))
+            .and_then(|()| if advance.is_empty() { Ok(()) } else { self.decode_step(advance, out) });
+        if r.is_err() {
+            // The seats that got a token are the ones to free again.
+            let seated = (out.len() - base).min(seats.len());
+            out.truncate(base);
+            for &(slot, _) in &seats[..seated] {
+                self.release(slot);
+            }
+        }
+        r
+    }
+
     /// Pages a `tokens`-long context pins. Unpaged engines meter at token
     /// granularity (one "page" per token), so page-based admission math
     /// degrades to token accounting without a special case.
@@ -262,6 +293,15 @@ where
 
     fn release(&mut self, slot: usize) {
         Engine::release(self, slot);
+    }
+
+    fn pass(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), EngineError> {
+        Engine::pass(self, seats, advance, out).map_err(StepError::into)
     }
 
     fn pages_for(&self, tokens: usize) -> usize {
@@ -382,23 +422,26 @@ impl BatchEngine for FtEngine {
 }
 
 /// Chaos wrapper: any [`BatchEngine`] plus a scripted
-/// [`EngineFaultInjector`]. Each fault kind is injected with semantics the
-/// scheduler's recovery can rely on:
+/// [`EngineFaultInjector`]. Every call is one pass (`prefill` and
+/// `decode_step` are passes that only seat or only advance), and the
+/// injector is asked once per pass. Each fault kind is injected with
+/// semantics the scheduler's recovery can rely on:
 ///
 /// * `Panic` fires **before** the inner call, so the inner engine's state
 ///   is untouched when `catch_unwind` catches it — prefix replay of every
 ///   resident is sound and leaks nothing.
 /// * `Stall` sleeps, then runs the call normally; detection is the
 ///   caller's per-step progress deadline (the call itself succeeds late).
-/// * `Corrupt` runs the call, then reports its output as poisoned: decode
-///   tokens are discarded (`out` is truncated back), a prefilled slot is
-///   released again before the error returns — `Err` from prefill still
-///   means "slot free".
-/// * `Exhaust { calls }` returns `OutOfPages` for this call and the next
-///   `calls - 1` calls of either kind without touching the inner engine —
-///   a transient allocator storm the scheduler sheds through. A scripted
-///   fault whose call index lands *inside* the storm is left pending (the
-///   storm-eaten call never reaches the injector), so it shows up in
+/// * `Corrupt` runs the call, then reports its output as poisoned: the
+///   tokens are discarded (`out` is truncated back) and the seated slots
+///   are released again before the error returns — `Err` still means every
+///   seat is free, while the advanced slots hold state the scheduler never
+///   committed.
+/// * `Exhaust { calls }` returns `OutOfPages` for this pass and the next
+///   `calls - 1` without touching the inner engine — a transient allocator
+///   storm the scheduler sheds through. A scripted fault whose pass index
+///   lands *inside* the storm is left pending (the storm-eaten pass never
+///   reaches the injector), so it shows up in
 ///   [`EngineFaultInjector::pending`] rather than vanishing silently.
 ///
 /// With an empty plan the wrapper costs one atomic scan per call — the
@@ -406,14 +449,13 @@ impl BatchEngine for FtEngine {
 pub struct FaultyEngine<E: BatchEngine> {
     inner: E,
     injector: Arc<EngineFaultInjector>,
-    prefill_calls: u64,
-    decode_calls: u64,
+    calls: u64,
     exhaust_left: u32,
 }
 
 impl<E: BatchEngine> FaultyEngine<E> {
     pub fn new(inner: E, injector: Arc<EngineFaultInjector>) -> Self {
-        FaultyEngine { inner, injector, prefill_calls: 0, decode_calls: 0, exhaust_left: 0 }
+        FaultyEngine { inner, injector, calls: 0, exhaust_left: 0 }
     }
 
     pub fn inner(&self) -> &E {
@@ -423,40 +465,6 @@ impl<E: BatchEngine> FaultyEngine<E> {
     pub fn into_inner(self) -> E {
         self.inner
     }
-
-    /// Apply the shared pre-call kinds; `Corrupt` is site-specific and
-    /// handled by the caller. The injector is queried only when no exhaust
-    /// storm is draining, so a scripted fault whose call index lands inside
-    /// a storm stays pending (observable via `EngineFaultInjector::pending`)
-    /// instead of being consumed without firing. Returns `Err` if the call
-    /// must not reach the inner engine.
-    fn pre_call(&mut self, decode: bool, call: u64, needed: usize) -> Result<bool, EngineError> {
-        if self.exhaust_left > 0 {
-            self.exhaust_left -= 1;
-            return Err(EngineError::OutOfPages { needed, free: 0 });
-        }
-        let kind = if decode {
-            self.injector.at_decode(call)
-        } else {
-            self.injector.at_prefill(call)
-        };
-        match kind {
-            Some(EngineFaultKind::Panic) => panic!("injected engine panic"),
-            Some(EngineFaultKind::Stall { millis }) => {
-                dsi_sim::fault::apply_stall(millis);
-                Ok(false)
-            }
-            Some(EngineFaultKind::Exhaust { calls }) => {
-                // `calls` counts this call too; clamp so a (public-field)
-                // zero still means a one-call storm instead of wrapping to
-                // a permanent one.
-                self.exhaust_left = calls.saturating_sub(1);
-                Err(EngineError::OutOfPages { needed, free: 0 })
-            }
-            Some(EngineFaultKind::Corrupt) => Ok(true),
-            None => Ok(false),
-        }
-    }
 }
 
 impl<E: BatchEngine> BatchEngine for FaultyEngine<E> {
@@ -465,35 +473,58 @@ impl<E: BatchEngine> BatchEngine for FaultyEngine<E> {
     }
 
     fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-        let call = self.prefill_calls;
-        self.prefill_calls += 1;
-        let needed = self.inner.pages_for(prompt.len() + 1);
-        let corrupt = self.pre_call(false, call, needed)?;
-        let tok = self.inner.prefill(slot, prompt)?;
-        if corrupt {
-            self.inner.release(slot);
-            return Err(EngineError::Fault {
-                class: FaultClass::Corruption,
-                msg: format!("injected corruption at prefill {call}"),
-            });
-        }
-        Ok(tok)
+        let mut out = Vec::with_capacity(1);
+        self.pass(&[(slot, prompt)], &[], &mut out).map(|()| out[0])
     }
 
     fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-        let call = self.decode_calls;
-        self.decode_calls += 1;
-        let corrupt = self.pre_call(true, call, slots.len())?;
+        self.pass(&[], slots, out)
+    }
+
+    /// The injector is queried only when no exhaust storm is draining, so a
+    /// scripted fault whose pass index lands inside a storm stays pending
+    /// (observable via `EngineFaultInjector::pending`) instead of being
+    /// consumed without firing.
+    fn pass(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), EngineError> {
+        let call = self.calls;
+        self.calls += 1;
+        let seat_pages: usize = seats.iter().map(|(_, c)| self.inner.pages_for(c.len() + 1)).sum();
+        let exhausted = EngineError::OutOfPages { needed: seat_pages + advance.len(), free: 0 };
+        if self.exhaust_left > 0 {
+            self.exhaust_left -= 1;
+            return Err(exhausted);
+        }
+        let corrupt = match self.injector.at_pass(call) {
+            Some(EngineFaultKind::Panic) => panic!("injected engine panic"),
+            Some(EngineFaultKind::Stall { millis }) => {
+                dsi_sim::fault::apply_stall(millis);
+                false
+            }
+            Some(EngineFaultKind::Exhaust { calls }) => {
+                // `calls` counts this pass too; clamp so a (public-field)
+                // zero still means a one-pass storm instead of wrapping to
+                // a permanent one.
+                self.exhaust_left = calls.saturating_sub(1);
+                return Err(exhausted);
+            }
+            Some(EngineFaultKind::Corrupt) => true,
+            None => false,
+        };
         let base = out.len();
-        self.inner.decode_step(slots, out)?;
+        self.inner.pass(seats, advance, out)?;
         if corrupt {
-            // The inner engine advanced: its KV now holds tokens the
-            // scheduler never committed, so every stepped slot must be
-            // replayed from its committed prefix.
             out.truncate(base);
+            for &(slot, _) in seats {
+                self.inner.release(slot);
+            }
             return Err(EngineError::Fault {
                 class: FaultClass::Corruption,
-                msg: format!("injected corruption at decode {call}"),
+                msg: format!("injected corruption at pass {call}"),
             });
         }
         Ok(())
@@ -550,10 +581,11 @@ mod tests {
 
     /// Drive `eng` through everything the scheduler asks of an engine and
     /// hold every stream to `oracle(prompt, n)`: solo decode, a release +
-    /// prefix replay, and — when the engine has the slots — a ragged join
-    /// of a prompt sharing its first `shared` tokens' pages with a resident
-    /// (0 for engines that share nothing), a mid-stream retirement and the
-    /// reuse of the retired slot.
+    /// prefix replay through a seat-only `pass`, and — when the engine has
+    /// the slots — a ragged join of a prompt sharing its first `shared`
+    /// tokens' pages with a resident (0 for engines that share nothing), a
+    /// mid-stream retirement and the reuse of the retired slot in a mixed
+    /// `pass` that seats it while the other slot advances.
     fn drive_lifecycle<E: BatchEngine>(
         eng: &mut E,
         oracle: impl Fn(&[usize], usize) -> Vec<usize>,
@@ -592,14 +624,21 @@ mod tests {
             .chain(&streams[0][..streams[0].len() - 1])
             .copied()
             .collect();
-        let replayed = eng.prefill(0, &committed).unwrap();
-        assert_eq!(Some(&replayed), streams[0].last(), "{label}: replay reproduces the last token");
+        // The replay is a pass that only seats (`pass`'s default on the
+        // single-slot engines).
+        let mut replayed = Vec::new();
+        eng.pass(&[(0, &committed)], &[], &mut replayed).unwrap();
+        assert_eq!(replayed.last(), streams[0].last(), "{label}: replay reproduces the last token");
         if multi {
             decode(eng, &[(0, 0), (1, 1)], &mut streams);
-            // Stream 0 retires mid-batch; stream 2 takes over its slot.
+            // Stream 0 retires mid-batch; stream 2 takes over its slot in
+            // the pass that advances stream 1.
             eng.release(0);
-            streams[2].push(eng.prefill(0, &prompts[2]).unwrap());
-            for _ in 0..3 {
+            let mut out = Vec::new();
+            eng.pass(&[(0, &prompts[2])], &[1], &mut out).unwrap();
+            streams[2].push(out[0]);
+            streams[1].push(out[1]);
+            for _ in 0..2 {
                 decode(eng, &[(0, 2), (1, 1)], &mut streams);
             }
             eng.release(1);
@@ -683,10 +722,7 @@ mod tests {
     fn corrupt_prefill_returns_err_with_slot_free() {
         let m = model(19);
         let pm = PackedModel::pack(&m);
-        let plan = EngineFaultPlan::new(vec![spec(
-            EngineFaultSite::Prefill { call: 0 },
-            EngineFaultKind::Corrupt,
-        )]);
+        let plan = EngineFaultPlan::new(vec![spec(EngineFaultSite::Pass { call: 0 }, EngineFaultKind::Corrupt)]);
         let paged = PagedEngine::new(&pm, 2, 16, 4);
         let mut eng = FaultyEngine::new(paged, Arc::new(plan.injector()));
         let err = eng.prefill(0, &[1, 2, 3]).unwrap_err();
@@ -702,7 +738,7 @@ mod tests {
         let m = model(23);
         let pm = PackedModel::pack(&m);
         let plan = EngineFaultPlan::new(vec![spec(
-            EngineFaultSite::Decode { call: 0 },
+            EngineFaultSite::Pass { call: 1 },
             EngineFaultKind::Corrupt,
         )]);
         let paged = PagedEngine::new(&pm, 2, 16, 4);
@@ -721,7 +757,7 @@ mod tests {
         let m = model(29);
         let pm = PackedModel::pack(&m);
         let plan = EngineFaultPlan::new(vec![spec(
-            EngineFaultSite::Decode { call: 0 },
+            EngineFaultSite::Pass { call: 1 },
             EngineFaultKind::Exhaust { calls: 2 },
         )]);
         let paged = PagedEngine::new(&pm, 2, 16, 4);
@@ -741,12 +777,13 @@ mod tests {
     fn scripted_fault_inside_exhaust_storm_stays_pending() {
         let m = model(41);
         let pm = PackedModel::pack(&m);
-        // The storm at decode call 0 covers calls 0-1; the panic scripted
-        // at call 1 lands inside it and must NOT be consumed (a one-shot
-        // spec silently eaten by the storm would shrink chaos coverage).
+        // The storm at pass 1 (the first decode) covers passes 1-2; the
+        // panic scripted at pass 2 lands inside it and must NOT be consumed
+        // (a one-shot spec silently eaten by the storm would shrink chaos
+        // coverage).
         let plan = EngineFaultPlan::new(vec![
-            spec(EngineFaultSite::Decode { call: 0 }, EngineFaultKind::Exhaust { calls: 2 }),
-            spec(EngineFaultSite::Decode { call: 1 }, EngineFaultKind::Panic),
+            spec(EngineFaultSite::Pass { call: 1 }, EngineFaultKind::Exhaust { calls: 2 }),
+            spec(EngineFaultSite::Pass { call: 2 }, EngineFaultKind::Panic),
         ]);
         let injector = Arc::new(plan.injector());
         let paged = PagedEngine::new(&pm, 2, 16, 4);
@@ -769,7 +806,7 @@ mod tests {
         // `calls` is a public field: 0 must mean a one-call storm, not a
         // `0 - 1` wrap into a permanent one.
         let plan = EngineFaultPlan::new(vec![spec(
-            EngineFaultSite::Decode { call: 0 },
+            EngineFaultSite::Pass { call: 1 },
             EngineFaultKind::Exhaust { calls: 0 },
         )]);
         let paged = PagedEngine::new(&pm, 2, 16, 4);
@@ -786,7 +823,7 @@ mod tests {
         let m = model(31);
         let pm = PackedModel::pack(&m);
         let plan = EngineFaultPlan::new(vec![spec(
-            EngineFaultSite::Decode { call: 0 },
+            EngineFaultSite::Pass { call: 1 },
             EngineFaultKind::Panic,
         )]);
         let paged = PagedEngine::new(&pm, 2, 16, 4);

@@ -237,6 +237,8 @@ mod tests {
             // Layer 1 of the two-slot decode step: the one read allowed
             // comes back corrupt.
             at(8, IoFaultKind::CorruptPanel),
+            // Layer 1 of the mixed pass at the end: corrupt again.
+            at(21, IoFaultKind::CorruptPanel),
         ]);
         let cfg = OffloadConfig {
             resident_budget_bytes: panel,
@@ -304,6 +306,27 @@ mod tests {
         }
         assert_eq!(streams[0][..5], want[0][..]);
         assert_eq!(streams[1], want[1]);
+
+        // Reads 20–21: slot 1 retires, and a mixed pass seats a joiner in
+        // its slot while slot 0 advances — and fails at layer 1.
+        eng.release(1);
+        let joiner = [3usize, 1, 4, 1, 9];
+        let (held, len) = eng.page_tables().iter().map(|(t, l)| (t.len(), *l)).next().unwrap();
+        let grow = eng.pages_for(len + 1) - held;
+        let before = books(&eng);
+        out.clear();
+        let err = BatchEngine::pass(&mut eng, &[(1, &joiner)], &[0], &mut out).unwrap_err();
+        assert_eq!(class(err), FaultClass::Corruption, "ChecksumFailed");
+        assert!(out.is_empty() && !eng.slot_in_use(1), "no token, and the seat is free");
+        assert_eq!(eng.context_len(0), len, "slot 0 did not advance");
+        assert_eq!(books(&eng), (before.0 + grow, before.1 - grow), "only slot 0's growth stays");
+        // Release the advanced slot, then seat its replay and the joiner in
+        // one pass.
+        eng.release(0);
+        let committed = [&prompts[0][..], &streams[0][..streams[0].len() - 1]].concat();
+        out.clear();
+        BatchEngine::pass(&mut eng, &[(0, &committed), (1, &joiner)], &[], &mut out).expect("seats");
+        assert_eq!(out, [streams[0][streams[0].len() - 1], pm.session(5).generate(&joiner, 1)[0]]);
         let _ = std::fs::remove_file(path);
     }
 }

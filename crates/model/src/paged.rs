@@ -20,16 +20,18 @@
 //!   [`WeightSource`] and one scratch arena — a resident packed model
 //!   ([`PagedEngine`], the alias the serving path and the benchmark name) or
 //!   an offload tier that hands layer panels out one at a time; the slot
-//!   lifecycle is the same code either way: `prefill` admits a prompt into a
-//!   free slot (attaching the prompt pages some earlier prompt already
-//!   filled and reserving the rest up front, all-or-nothing) and computes
-//!   only the rows nobody has computed, `decode` advances any subset of
-//!   slots one token through a single ragged M-row pass (reserving at page
-//!   granularity *per step*), and `release` drops a retired sequence's
-//!   references, returning the pages nobody else holds to the free list.
-//!   This is the execution surface `dsi-serve`'s continuous-batching
-//!   scheduler drives. A weight fetch that fails mid-pass ([`StepError::Weights`])
-//!   commits nothing: see [`Engine::prefill`] and [`Engine::decode`].
+//!   lifecycle is the same code either way. Its one body is
+//!   [`Engine::pass`]: a single ragged M-row `fast::step` that seats free
+//!   slots with their contexts (attaching the context pages some earlier
+//!   prompt already filled, reserving the rest, and computing only the rows
+//!   nobody has computed) and advances occupied slots one token, with every
+//!   page of the pass reserved up front, all-or-nothing. `prefill` is a
+//!   pass that only seats, `decode` one that only advances, and `release`
+//!   drops a retired sequence's references, returning the pages nobody else
+//!   holds to the free list. This is the execution surface `dsi-serve`'s
+//!   continuous-batching scheduler drives, one pass per iteration. A weight
+//!   fetch that fails mid-pass ([`StepError::Weights`]) commits nothing:
+//!   see [`Engine::pass`].
 //!
 //! ## Prefix sharing
 //!
@@ -47,7 +49,7 @@
 //!   emit a token) is always private and every shared page is wholly behind
 //!   every holder's write frontier: there is no copy-on-write path, and
 //!   [`PagePool::write_row`] asserts it never writes a published or
-//!   multiply referenced page.
+//!   multiply referenced page, save a pending page of its own (below).
 //! * **The generation rule.** A chunk is keyed on (parent page, the
 //!   parent's hand-out generation, chunk tokens). Handing a page out for
 //!   new content bumps its generation and drops its own entry, so every
@@ -58,11 +60,16 @@
 //!   hands it out for something else; a hit in between takes it back off
 //!   the free list. That is the only retention mechanism — no cache size,
 //!   no LRU list, no accounting category beside in-use and free.
-//! * **Publication follows success.** Pages are published only after the
-//!   pass that filled them returned, so a faulted pass never published, and
-//!   a published page is never written again — which is why fault recovery
-//!   may re-attach to them: the fault model poisons state *past* the
-//!   committed prefix.
+//! * **Publication follows success.** A prompt's own shareable pages enter
+//!   the index when [`PagePool::reserve_prompt`] reserves them, *pending*
+//!   until [`PagePool::commit_prompt`] records that the pass filling them
+//!   returned. A later seat of that same pass may attach a pending page:
+//!   `fast::step` writes every K/V row of a layer before any row attends.
+//!   A prompt whose pass fails or panics is un-indexed
+//!   ([`PagePool::abandon_prompt`]) before any other pass seats, so no
+//!   other pass ever attaches an unwritten row, and a committed page is
+//!   never written again — which is why fault recovery may re-attach to
+//!   them: the fault model poisons state *past* the committed prefix.
 //!
 //! [`reserve`]: PagePool::reserve
 
@@ -145,8 +152,7 @@ struct ChunkKey {
 ///
 /// Storage is `layers × 2` arenas of `pages_total × page_tokens` rows of
 /// `hidden` floats, allocated once; page allocation/release never touches
-/// the heap (the prefix index does, in [`PagePool::reserve_prompt`] and
-/// [`PagePool::commit_prompt`] only).
+/// the heap (the prefix index does, in [`PagePool::reserve_prompt`] only).
 #[derive(Debug)]
 pub struct PagePool {
     hidden: usize,
@@ -283,9 +289,13 @@ impl PagePool {
     /// Seat `prompt` into the empty `seq`: attach the longest run of
     /// published pages holding its leading shareable chunks (taking those
     /// nobody holds back off the free list, content and entry intact), then
-    /// reserve private pages for the rest. All-or-nothing across both: on
-    /// `Err` nothing moved. Returns the number of leading prompt tokens whose
-    /// rows are already resident — the offset the prompt pass starts at.
+    /// reserve private pages for the rest and publish the shareable ones
+    /// among them as pending. All-or-nothing: on `Err` nothing moved.
+    /// Returns the number of leading prompt tokens whose rows are attached
+    /// — the offset the prompt pass starts at. The pass must write every
+    /// row from there on before any prompt attaching `seq`'s pending pages
+    /// reads them, then [`PagePool::commit_prompt`] (or, if it fails,
+    /// [`PagePool::abandon_prompt`]).
     pub fn reserve_prompt(
         &mut self,
         seq: &mut PagedSeq,
@@ -323,30 +333,39 @@ impl PagePool {
         seq.attached = hits.len();
         seq.pages = hits;
         self.reserve(seq, prompt.len()).expect("attach + reserve pre-checked");
-        Ok(seq.attached * self.page_tokens)
-    }
-
-    /// The pass over `prompt` succeeded and its rows are written: advance
-    /// `seq` to the prompt's length and publish the shareable pages it
-    /// filled itself. Each key is new by construction — the first one
-    /// missed in [`PagePool::reserve_prompt`], the rest hang under a page
-    /// handed out since.
-    pub fn commit_prompt(&mut self, seq: &mut PagedSeq, prompt: &[usize]) {
-        assert!(seq.len == 0 && self.pages_for(prompt.len()) == seq.pages.len());
-        seq.len = prompt.len();
+        // Each key is new: the first missed above, the rest hang under a
+        // page handed out just now.
         let pt = self.page_tokens;
         for i in seq.attached..self.shareable(prompt.len()) {
             let parent = i.checked_sub(1).map(|up| seq.pages[up]);
             let key = self.chunk_key(parent, &prompt[i * pt..(i + 1) * pt]);
             let p = seq.pages[i];
-            assert!(
-                self.refs[p as usize] == 1 && self.published[p as usize].is_none(),
-                "page {p} published twice"
-            );
             self.published[p as usize] = Some(key.clone());
             let prev = self.index.insert(key, p);
             assert!(prev.is_none(), "chunk of page {p} was already indexed");
         }
+        Ok(seq.attached * self.page_tokens)
+    }
+
+    /// The pass over `prompt` succeeded and its rows are written: advance
+    /// `seq` to the prompt's length, so the pages it published are no
+    /// longer pending.
+    pub fn commit_prompt(&mut self, seq: &mut PagedSeq, prompt: &[usize]) {
+        assert!(seq.len == 0 && self.pages_for(prompt.len()) == seq.pages.len());
+        seq.len = prompt.len();
+    }
+
+    /// The pass over a reserved, uncommitted prompt failed or panicked, so
+    /// the rows of the pages it published are unspecified: un-index them,
+    /// then [`PagePool::release`] `seq`.
+    pub fn abandon_prompt(&mut self, seq: &mut PagedSeq) {
+        assert_eq!(seq.len, 0, "abandon of a committed sequence");
+        for &p in &seq.pages[seq.attached..] {
+            if let Some(key) = self.published[p as usize].take() {
+                self.index.remove(&key);
+            }
+        }
+        self.release(seq);
     }
 
     /// Drop `seq`'s reference on every page of its table and reset it; a
@@ -374,8 +393,10 @@ impl PagePool {
 
     /// Write one context row (`layer`, position `pos`) of `seq` through its
     /// page table. The position must already be reserved, in a page this
-    /// sequence alone holds and nobody can attach to (the write-after-share
-    /// guard: shared pages are never written, so there is nothing to copy).
+    /// sequence alone holds and nobody can attach to, or in a page it
+    /// reserved for a prompt not yet committed (the write-after-share guard:
+    /// only the pass that reserved a published page writes it, before anyone
+    /// reads it, so there is nothing to copy).
     pub fn write_row(&mut self, seq: &PagedSeq, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
         let h = self.hidden;
         assert_eq!(k.len(), h);
@@ -385,9 +406,11 @@ impl PagePool {
             "write past reservation: pos {pos}, {} pages",
             seq.pages.len()
         );
-        let p = seq.pages[pos / self.page_tokens] as usize;
+        let i = pos / self.page_tokens;
+        let p = seq.pages[i] as usize;
         assert!(
-            self.refs[p] == 1 && self.published[p].is_none(),
+            (self.refs[p] == 1 && self.published[p].is_none())
+                || (seq.len == 0 && i >= seq.attached),
             "write after share: page {p} is published or multiply referenced"
         );
         let r = p * self.page_tokens + pos % self.page_tokens;
@@ -509,82 +532,117 @@ impl<W: WeightSource> Engine<W> {
         self.seqs.iter().filter(|s| !s.pages.is_empty()).map(|s| (s.pages(), s.len)).collect()
     }
 
-    /// Admit a prompt into free `slot`: attach the prompt pages already
-    /// resident and reserve the rest (all-or-nothing), run the prompt pass
-    /// over the rows nobody has computed, and return the first greedy
-    /// token. On `Err` — no room, or a weight fetch failed mid-pass — the
-    /// slot stays free, every page the prompt reserved or attached is
-    /// released, and nothing was published.
+    /// Admit a prompt into free `slot` and return its first greedy token: a
+    /// [`Engine::pass`] that only seats, so on `Err` the slot stays free.
     pub fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, StepError<W::Error>> {
-        assert!(!self.slot_in_use(slot), "prefill into occupied slot {slot}");
-        assert!(!prompt.is_empty(), "empty prompt");
-        // The table is published into the slot (and its pages into the
-        // prefix index) only once the pass has run: if the pass panics, the
-        // slot stays free for the scheduler's replay and nothing can attach
-        // to rows that were never finished.
-        let mut seq = PagedSeq::new();
-        let offset = self.pool.reserve_prompt(&mut seq, prompt).map_err(StepError::Pages)?;
-        Row::prompt_pass(&mut self.rows, 0, offset, &prompt[offset..]);
-        let mut kv = PagedKv { pool: &mut self.pool, seqs: std::slice::from_ref(&seq) };
-        if let Err(e) = fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, &mut Solo) {
-            self.pool.release(&mut seq);
-            return Err(StepError::Weights(e));
-        }
-        fast::logits(&self.w, &mut self.scratch, self.rows.len());
-        let tok = argmax(self.scratch.logits_row(self.rows.len() - 1, self.w.config().vocab));
-        self.pool.commit_prompt(&mut seq, prompt);
-        self.seqs[slot] = seq;
-        self.last[slot] = Some(tok);
-        Ok(tok)
+        let mut out = Vec::with_capacity(1);
+        self.pass(&[(slot, prompt)], &[], &mut out).map(|()| out[0])
     }
 
-    /// Advance the given occupied slots (strictly ascending) one token each
-    /// in a single ragged M-row pass, pushing each new token to `out` in
-    /// `slots` order. Page reservation for the step happens **before any
-    /// compute**, atomically across the batch: on `Err(Pages)` no slot
-    /// advanced and no page moved, so the scheduler can retire a victim and
-    /// retry. On `Err(Weights)` no slot advanced and no token was emitted
-    /// either; the step's pages stay reserved in their tables and the rows
-    /// at each stepped slot's frontier — its private tail page, never a
-    /// published one — are unspecified until the slot is released or
-    /// stepped again.
+    /// Advance the given occupied slots one token each, pushing each new
+    /// token to `out` in `slots` order: a [`Engine::pass`] that only
+    /// advances.
     pub fn decode(
         &mut self,
         slots: &[usize],
         out: &mut Vec<usize>,
     ) -> Result<(), StepError<W::Error>> {
-        assert!(!slots.is_empty(), "decode: empty batch");
-        assert!(
-            slots.windows(2).all(|w| w[0] < w[1]),
-            "decode: slots must be strictly ascending"
-        );
-        // Atomic page reservation for the whole step.
-        let mut needed = 0;
+        self.pass(&[], slots, out)
+    }
+
+    /// One `fast::step` over every row of the pass: seat each free slot of
+    /// `seats` with its context, computing only the rows no attached page
+    /// holds, and advance each occupied slot of `advance` (strictly
+    /// ascending) one token. `out` gets the seats' first tokens, then the
+    /// advanced slots' tokens. The numerics are those of separate passes:
+    /// `step` writes every K/V row of a layer before any row attends, and
+    /// each row attends only through its own slot's table.
+    ///
+    /// Every page is reserved before any compute, the seats' first and in
+    /// order, so a later seat attaches the pages an earlier seat of the pass
+    /// reserved for the same chunks and computes only its own rows. A
+    /// table a panicked pass left in any slot is released first. On
+    /// `Err(Pages)` nothing ran and, that release aside, the pool's
+    /// statistics are as before. On `Err(Weights)` no slot advanced and
+    /// nothing was published: every seat is free again, while each advanced
+    /// slot keeps its reserved pages, the rows at its frontier (a private
+    /// tail page) unspecified until it is released or stepped again.
+    pub fn pass(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), StepError<W::Error>> {
+        assert!(!seats.is_empty() || !advance.is_empty(), "pass: nothing to run");
+        assert!(advance.windows(2).all(|w| w[0] < w[1]), "pass: advanced slots must be ascending");
+        // A slot is published (`last`) only once its pass commits; a pass
+        // that panicked before then left its seats' tables behind.
+        for (seq, last) in self.seqs.iter_mut().zip(&self.last) {
+            if last.is_none() && !seq.pages.is_empty() {
+                self.pool.abandon_prompt(seq);
+            }
+        }
+        let (free, high_water) = (self.pool.free.len(), self.pool.high_water);
         self.rows.clear();
-        for &si in slots {
-            let token = self.last[si].expect("decode of free slot");
-            let seq = &self.seqs[si];
-            needed += self.pool.pages_for(seq.len + 1).saturating_sub(seq.pages.len());
-            self.rows.push(Row { seq: si, token, pos: seq.len });
+        // Pages the pass still lacks once it has reserved what it could.
+        let lacking = 'reserve: {
+            for &(slot, ctx) in seats {
+                assert!(!self.slot_in_use(slot), "seat into occupied slot {slot}");
+                match self.pool.reserve_prompt(&mut self.seqs[slot], ctx) {
+                    Ok(at) => self.rows.extend(
+                        ctx.iter().enumerate().skip(at).map(|(pos, &token)| Row { seq: slot, token, pos }),
+                    ),
+                    Err(e) => break 'reserve Some(e.needed),
+                }
+            }
+            let mut needed = 0;
+            for &si in advance {
+                let token = self.last[si].expect("advance of free slot");
+                let seq = &self.seqs[si];
+                needed += self.pool.pages_for(seq.len + 1).saturating_sub(seq.pages.len());
+                self.rows.push(Row { seq: si, token, pos: seq.len });
+            }
+            (needed > self.pool.free.len()).then_some(needed)
+        };
+        if let Some(lacking) = lacking {
+            let needed = free - self.pool.free.len() + lacking;
+            self.unseat(seats);
+            self.pool.high_water = high_water;
+            return Err(StepError::Pages(PagesExhausted { needed, free }));
         }
-        if needed > self.pool.free.len() {
-            return Err(StepError::Pages(PagesExhausted { needed, free: self.pool.free.len() }));
-        }
-        for &si in slots {
+        for &si in advance {
             self.pool.reserve(&mut self.seqs[si], 1).expect("reservation pre-checked");
         }
         let mut kv = PagedKv { pool: &mut self.pool, seqs: &self.seqs };
-        fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, &mut Solo)
-            .map_err(StepError::Weights)?;
+        if let Err(e) = fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, &mut Solo) {
+            self.unseat(seats);
+            return Err(StepError::Weights(e));
+        }
         fast::logits(&self.w, &mut self.scratch, self.rows.len());
         let vocab = self.w.config().vocab;
-        for (r, &si) in slots.iter().enumerate() {
-            let next = argmax(self.scratch.logits_row(r, vocab));
+        // Row index one past the current seat's last row.
+        let mut end = 0;
+        for &(slot, ctx) in seats {
+            end += ctx.len() - self.attached_tokens(slot);
+            let tok = argmax(self.scratch.logits_row(end - 1, vocab));
+            self.pool.commit_prompt(&mut self.seqs[slot], ctx);
+            self.last[slot] = Some(tok);
+            out.push(tok);
+        }
+        for (r, &si) in advance.iter().enumerate() {
+            let next = argmax(self.scratch.logits_row(end + r, vocab));
             self.seqs[si].len += 1;
             self.last[si] = Some(next);
             out.push(next);
         }
         Ok(())
+    }
+
+    /// Release the tables a failed pass reserved for its seats.
+    fn unseat(&mut self, seats: &[(usize, &[usize])]) {
+        for &(slot, _) in seats {
+            self.pool.abandon_prompt(&mut self.seqs[slot]);
+        }
     }
 
     /// Retire `slot`: drop its references; pages nobody else holds return
@@ -981,6 +1039,97 @@ mod tests {
         eng.release(0);
         assert_eq!(eng.pool_stats().pages_in_use, 0);
         assert_eq!(eng.pool_stats().pages_free, 2);
+    }
+
+    /// Two seats of one pass whose prompts open with the same chunk, which
+    /// no earlier pass published: the first reserves and computes it, the
+    /// later attaches it in the same pass and computes only its own rows.
+    #[test]
+    fn seats_of_one_pass_share_a_page_no_pass_had_published() {
+        let m = model(2, 47);
+        let pm = PackedModel::pack(&m);
+        let oracle = |p: &[usize], n| pm.session(p.len()).generate(p, n);
+        let mut eng = PagedEngine::new(&pm, 3, 32, 2);
+        let prompts = [vec![5usize, 6, 7, 8, 1], vec![5, 6, 7, 8, 2, 3], vec![5, 6, 7, 8, 9]];
+        let mut outs: Vec<Vec<usize>> = vec![Vec::new(); 3];
+        let mut out = Vec::new();
+        eng.pass(&[(0, &prompts[0]), (1, &prompts[1])], &[], &mut out).unwrap();
+        let first = eng.seqs[0].pages().to_vec();
+        assert_eq!((eng.attached_tokens(1), &eng.seqs[1].pages()[..2]), (4, &first[..2]));
+        assert_eq!(eng.pool_stats().pages_in_use, 4, "3 pages + 1 private tail");
+        let tables = |e: &PagedEngine| {
+            let st = e.pool_stats();
+            dsi_verify::scratch::check_page_tables(st.pages_total, st.page_tokens, &e.page_tables())
+        };
+        assert!(tables(&eng).is_empty(), "{:?}", tables(&eng));
+        // A later prompt attaches the first seat's pages while both advance.
+        outs[0].push(out[0]);
+        outs[1].push(out[1]);
+        out.clear();
+        eng.pass(&[(2, &prompts[2])], &[0, 1], &mut out).unwrap();
+        assert_eq!((eng.attached_tokens(2), &eng.seqs[2].pages()[..2]), (4, &first[..2]));
+        assert!(tables(&eng).is_empty(), "{:?}", tables(&eng));
+        let order = [2, 0, 1];
+        for (&s, &t) in order.iter().zip(&out) {
+            outs[s].push(t);
+        }
+        for _ in 0..3 {
+            out.clear();
+            eng.decode(&[0, 1, 2], &mut out).unwrap();
+            for (o, &t) in outs.iter_mut().zip(&out) {
+                o.push(t);
+            }
+        }
+        for (p, o) in prompts.iter().zip(&outs) {
+            assert_eq!(o, &oracle(p, o.len()), "prompt {p:?}");
+        }
+    }
+
+    /// A pass that panics after reserving leaves its seat's table, with a
+    /// published page it never wrote, behind. The next pass reclaims it
+    /// before it counts pages, whichever slots it seats, so a seat that then
+    /// runs short reports the pool as it is, and nothing attaches the rows
+    /// the panicked pass never wrote.
+    #[test]
+    fn a_pass_after_a_panicked_one_reclaims_its_seat_and_pending_pages() {
+        let m = model(1, 59);
+        let pm = PackedModel::pack(&m);
+        let mut eng = PagedEngine::new(&pm, 2, 4, 2);
+        let bad = m.config.vocab; // out of range: the embedding lookup panics
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.prefill(0, &[1, 2, bad]).ok()
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(eng.pool_stats().pages_in_use, 2, "the panicked seat's table is left behind");
+        let err = eng.prefill(1, &[1; 9]).unwrap_err();
+        assert_eq!(err, StepError::Pages(PagesExhausted { needed: 5, free: 4 }));
+        assert_eq!((eng.pool_stats().pages_in_use, eng.pool_stats().pages_free), (0, 4));
+        let mut out = Vec::new();
+        eng.pass(&[(1, &[1, 2, 3])], &[], &mut out).unwrap();
+        assert_eq!(eng.attached_tokens(1), 0, "the unwritten page was un-indexed");
+        assert_eq!(out, pm.session(3).generate(&[1, 2, 3], 1));
+    }
+
+    #[test]
+    fn mixed_pass_out_of_pages_leaves_the_pool_as_it_was() {
+        let m = model(1, 53);
+        let pm = PackedModel::pack(&m);
+        // 4 pages of 2 tokens. Slot 0 holds 2 and its next position needs a
+        // third; the seat fits the 2 free pages, the pass as a whole does not.
+        let mut eng = PagedEngine::new(&pm, 2, 4, 2);
+        let mut out = Vec::new();
+        eng.prefill(0, &[1, 2, 3]).unwrap();
+        eng.decode(&[0], &mut out).unwrap();
+        let before = eng.pool_stats();
+        let err = eng.pass(&[(1, &[4, 5, 6])], &[0], &mut out).unwrap_err();
+        assert_eq!(err, StepError::Pages(PagesExhausted { needed: 3, free: 2 }));
+        assert_eq!(eng.pool_stats(), before);
+        assert!(!eng.slot_in_use(1));
+        assert_eq!((eng.context_len(0), out.len()), (4, 1), "slot 0 did not advance");
+        // The seat alone fits, and computes what it would have.
+        out.clear();
+        eng.pass(&[(1, &[4, 5, 6])], &[], &mut out).unwrap();
+        assert_eq!(out, pm.session(3).generate(&[4, 5, 6], 1));
     }
 
     #[test]

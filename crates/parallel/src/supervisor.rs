@@ -370,7 +370,7 @@ impl FtSession {
     /// Dismantle the failed group, classify the fault, and prepare the next
     /// attempt: backoff-retry at the same degree for transient faults,
     /// degrade to fewer ranks for permanent ones.
-    fn handle_fault(&mut self, failure: RankFailure, attempt: &mut u32) -> Result<(), FaultError> {
+    fn handle_fault(&mut self, mut failure: RankFailure, attempt: &mut u32) -> Result<(), FaultError> {
         let sess = self.sess.take().expect("failed session");
         let old_tp = self.tp;
         let d = sess.dismantle();
@@ -394,6 +394,16 @@ impl FtSession {
                     lost[f.rank] = true;
                 }
                 RankFailureCause::Collective(_) => {}
+            }
+        }
+        // Survivors that timed out on a peer which then died saw its death
+        // late: the death is the failure, and the class the breaker sees.
+        if let RankFailureCause::Collective(e) = &failure.cause {
+            if let CollectiveErrorKind::Timeout { stalled } = &e.kind {
+                let died = |f: &&RankFailure| {
+                    stalled.contains(&f.rank) && matches!(f.cause, RankFailureCause::Panicked(_))
+                };
+                failure = d.failures.iter().find(died).cloned().unwrap_or(failure);
             }
         }
 

@@ -53,6 +53,6 @@ pub use breaker::{
 };
 pub use scheduler::{live_trace_check, LiveCheck, PageReport, SchedReport};
 pub use server::{
-    kv_budget_tokens, ContinuousConfig, EngineMode, EvictReason, Outcome, Rejected, Request,
+    ContinuousConfig, EngineMode, EvictReason, Outcome, Rejected, Request,
     ServeConfig, ServeReport, Server, Ticket,
 };

@@ -4,20 +4,25 @@
 //! runtime: every engine (paged, streamed, single-flight `FtEngine` at
 //! `max_slots = 1`) runs under it.
 //!
-//! Every iteration is three phases around one ragged decode step:
+//! Every iteration is three phases around **one** engine pass
+//! ([`BatchEngine::pass`]), the paper's hybrid schedule (Sec. IV-B): prompt
+//! rows and generation rows share the pass, so the weights stream once per
+//! iteration rather than once per prompt plus once for decode.
 //!
 //! 1. **Admit** (under the state lock): pop queued jobs into free slots
 //!    while fewer than [`ContinuousConfig::max_slots`] sequences are
 //!    resident *and* the page pool can seat the job's prompt right now, net
-//!    of the pages already promised to earlier newcomers of the same
-//!    iteration.
-//! 2. **Execute** (no lock): prefill newcomers (one prompt pass each),
-//!    then advance every resident one token through a single ragged pass
-//!    via [`BatchEngine::decode_step`]. Page growth
-//!    for the step is reserved *before* compute; on exhaustion the newest
-//!    resident is shed with [`EvictReason::PagesExhausted`] (its exact
-//!    token prefix attached) and the step retries — never an abort, never
-//!    a hang.
+//!    of the pages promised to every resident still *waiting* for a seat.
+//! 2. **Execute** (no lock): one pass in which every *seated* resident
+//!    advances one token and *waiting* residents — newcomers, and residents
+//!    a fault released — are seated with their context, oldest first, while
+//!    the seats' summed context stays within
+//!    [`ServeConfig::max_prompt`](crate::ServeConfig::max_prompt) (the first
+//!    always goes; the rest wait for the next iteration). The engine
+//!    reserves the pass's pages *before* compute; on exhaustion the pass's
+//!    newest resident is shed with [`EvictReason::PagesExhausted`] (its
+//!    exact token prefix attached) and the pass retries — never an abort,
+//!    never a hang.
 //! 3. **Retire** (under the lock): resolve residents that completed
 //!    (`n_tokens` reached or [`eos`](crate::ServeConfig::eos) emitted),
 //!    were cancelled, or passed their deadline — mid-batch, without
@@ -29,47 +34,45 @@
 //!
 //! ## Fault tolerance: prefix replay
 //!
-//! Engine steps run under `catch_unwind` plus an optional per-step
-//! progress deadline ([`ContinuousConfig::step_deadline`]), measured on
-//! the server's injected [`Clock`] and scaled by the context length for
-//! prefill (one deadline per token-step of work). A panic, a typed
-//! [`EngineError::Fault`], or a step that completes past the
-//! deadline is a **fault**: the step's tokens (if any) are discarded and
-//! every active resident is recovered by *prefix replay* — release its
-//! table, then re-prefill the committed prefix
-//! (`prompt ++ tokens[..len-1]`), which reproduces the last committed
-//! token bit-exactly because greedy decode is a pure function of the
-//! committed context. What a faulted step may have poisoned is state *past*
-//! the committed prefix, which lives only in pages the resident holds
-//! alone; the shared front of its table (prompt pages some prefill
-//! published, see [`dsi_model::paged`]) lies wholly behind every holder's
-//! write frontier and was published only after the pass that filled it
-//! returned, so it is never poisoned, keeps its prefix-index entry across
-//! the release, and the replay — a prefill like any other — re-attaches to
-//! it instead of recomputing it. Every slot is released **before** any
-//! replay reserves: each replay can attach every page it shared before the
-//! fault (its committed context is no shorter than the prompt it attached
-//! under) and needs no more private pages than it held, so the replays
-//! together need no more distinct pages than were in use before the fault
-//! and every one fits by construction — the protocol `dsi-verify`'s
-//! recovery-program checker proves, on the steps this loop records (see
-//! the tracer below). A resident that keeps faulting past
-//! [`ContinuousConfig::replay_budget`] is evicted with the typed
-//! [`EvictReason::EngineFault`]. Each fault's class feeds that class's
-//! circuit breaker ([`crate::breaker::BreakerSet`]).
+//! The pass runs under `catch_unwind` plus an optional progress deadline
+//! ([`ContinuousConfig::step_deadline`]), measured on the server's injected
+//! [`Clock`] and scaled by the pass's work (one deadline per context token
+//! it seats, plus one if it advances anyone). A panic, a typed
+//! [`EngineError::Fault`], or a pass that completes past the deadline is a
+//! **fault**: the pass's tokens (if any) are discarded, its seats are free
+//! again, and every resident it advanced is released and joins the
+//! waiting residents, to be seated again by *prefix replay* — its context
+//! is its committed prefix (`prompt ++ tokens[..len-1]`), and seating it
+//! reproduces the last committed token bit-exactly because greedy decode
+//! is a pure function of the committed context. Every resident of a faulted
+//! pass is charged one replay, and the pass retries with them waiting.
+//! What a faulted pass may have poisoned is state *past* the committed
+//! prefix, which lives only in pages the resident holds alone; the shared
+//! front of its table (prompt pages some pass published, see
+//! [`dsi_model::paged`]) lies wholly behind every holder's write frontier
+//! and stays indexed only once the pass that filled it returned, so it is
+//! never poisoned, keeps its prefix-index entry across the release, and the
+//! replay — a seat like any other — re-attaches to it instead of
+//! recomputing it. Every faulted slot is released **before** any replay
+//! reserves, and admission promises every waiting resident its pages, so
+//! the replays fit — the protocol `dsi-verify`'s recovery-program checker
+//! proves, on the steps this loop records (see the tracer below). A
+//! resident that keeps faulting past [`ContinuousConfig::replay_budget`] is
+//! evicted with the typed [`EvictReason::EngineFault`]. Each fault's class
+//! feeds that class's circuit breaker ([`crate::breaker::BreakerSet`]).
 //!
 //! Recovery leans on two wrapper guarantees (see
 //! [`dsi_core::FaultyEngine`]): an injected panic fires *before* the inner
 //! engine runs (its state is untouched under `catch_unwind`), and `Err`
-//! from prefill means the slot is free.
+//! from a pass means every seat is free.
 //!
 //! ## Debug tracer
 //!
 //! With [`ContinuousConfig::trace`] on (default in debug builds), the loop
 //! records its actual lock acquire/release and admit/execute/recover/retire
 //! ordering as [`SchedTraceOp`]s, and with them every recovery step it
-//! takes — poison, release, replay, evict, per slot, a replay whose
-//! prefill fails recorded as a replay followed by a release — as
+//! takes — poison, release, replay, evict, per slot, a replay whose pass
+//! fails recorded as a replay followed by a release — as
 //! [`SchedTraceOp::Recovery`]. It attaches the trace to the final
 //! [`SchedReport`] and self-checks it at exit: the lock and phase ordering
 //! against [`dsi_verify::locks::continuous_scheduler_model`] via
@@ -118,30 +121,30 @@ pub struct PageReport {
 /// `ServeReport`.
 #[derive(Debug, Clone, Serialize)]
 pub struct SchedReport {
-    /// Ragged decode steps executed.
+    /// Engine passes executed: one per iteration that had a resident.
     pub steps: u64,
-    /// Prompt passes executed (== admissions into slots).
+    /// Newcomers seated (== admissions that reached a pass).
     pub prefills: u64,
-    /// Context tokens whose rows a seating pass (admission prefill or
-    /// prefix replay) computed...
+    /// Context tokens whose rows a seat (a newcomer or a prefix replay)
+    /// computed...
     pub prompt_tokens_prefilled: u64,
     /// ...and those it found resident in pages an earlier prompt filled
     /// ([`BatchEngine::attached_tokens`]; 0 for engines that share nothing).
     pub prompt_tokens_attached: u64,
-    /// `occupancy_hist[b]` = decode steps that ran with `b` residents.
+    /// `occupancy_hist[b]` = passes that ran with `b` residents, seated and
+    /// advanced.
     pub occupancy_hist: Vec<u64>,
-    /// `tokens_per_step_hist[t]` = decode steps that emitted `t` tokens.
-    /// (Every resident emits one token per step, so this tracks occupancy
-    /// unless sequences retire mid-step in a later scheduler.)
+    /// `tokens_per_step_hist[t]` = passes that emitted `t` tokens. (Every
+    /// resident of a pass emits one token, so this tracks occupancy.)
     pub tokens_per_step_hist: Vec<u64>,
-    /// Mean residents per decode step.
+    /// Mean residents per pass.
     pub mean_occupancy: f64,
     /// Requests shed with [`EvictReason::PagesExhausted`].
     pub page_evictions: u64,
-    /// Step faults recovered from (each recovery replays every active
-    /// resident).
+    /// Pass faults recovered from (each releases every resident the pass
+    /// advanced, for prefix replay).
     pub recoveries: u64,
-    /// Prefix replays executed (committed-prefix prompt passes).
+    /// Prefix replays charged: one per resident of each faulted pass.
     pub replays: u64,
     /// Residents evicted with [`EvictReason::EngineFault`] after
     /// exhausting their replay budget.
@@ -156,18 +159,35 @@ pub struct SchedReport {
 /// One admitted sequence resident in an engine slot.
 struct Resident {
     job: Job,
-    /// Generated tokens so far (first one from prefill). Always a
-    /// committed, bit-exact prefix of the request's solo generation —
-    /// faulted steps never append.
+    /// Generated tokens so far (the first from the pass that seated it).
+    /// Always a committed, bit-exact prefix of the request's solo
+    /// generation — faulted passes never append.
     tokens: Vec<usize>,
     /// Whether the engine currently holds this slot's sequence (pages
-    /// reserved). False between a recovery release and its replay.
+    /// reserved). False while it waits for a seat: a newcomer, or a
+    /// resident a fault released.
     seated: bool,
     /// Recovery attempts charged against
     /// [`ContinuousConfig::replay_budget`].
     replays: u32,
-    /// Admission order; page-exhaustion sheds the largest (newest first).
+    /// Admission order; seats go oldest first, page exhaustion sheds the
+    /// newest.
     admit_seq: u64,
+}
+
+impl Resident {
+    /// Length of the committed engine context: the prompt, plus every
+    /// generated token but the last, whose KV row only the pass that
+    /// consumes it writes.
+    fn context_len(&self) -> usize {
+        self.job.prompt.len() + self.tokens.len().saturating_sub(1)
+    }
+
+    /// The committed engine context itself, what a pass seats.
+    fn context(&self) -> Vec<usize> {
+        let committed = &self.tokens[..self.tokens.len().saturating_sub(1)];
+        self.job.prompt.iter().chain(committed).copied().collect()
+    }
 }
 
 /// How a resident leaves its slot.
@@ -213,107 +233,6 @@ fn guarded<E: BatchEngine, T>(
     }
 }
 
-/// What seating passes (admission prefills, prefix replays) and recoveries
-/// have done so far.
-#[derive(Default)]
-struct SeatCounters {
-    recoveries: u64,
-    replays: u64,
-    prompt_tokens_prefilled: u64,
-    prompt_tokens_attached: u64,
-    /// Fault classes seen this iteration; phase 3 feeds them to the
-    /// per-class breakers (one `on_failure` each).
-    faults: Vec<FaultClass>,
-}
-
-/// Charge one recovery attempt against the resident's budget.
-fn charge_replay(r: &mut Resident, counters: &mut SeatCounters, budget: u32) -> bool {
-    if r.replays >= budget {
-        return false;
-    }
-    r.replays += 1;
-    counters.replays += 1;
-    true
-}
-
-/// Seat (fresh resident: admission prefill) or re-seat (recovery: prefix
-/// replay) `resident` into `slot`, retrying faults against the replay
-/// budget. On `Ok` the resident is seated and its last token committed;
-/// `Err` names why it must be evicted instead. A replay records each
-/// attempt, and a failed one also records the release the prefill contract
-/// implies (`Err` from prefill means the slot is free).
-fn seat_resident<E: BatchEngine>(
-    eng: &mut E,
-    slot: usize,
-    resident: &mut Resident,
-    cont: &ContinuousConfig,
-    clock: &Clock,
-    counters: &mut SeatCounters,
-    tracer: &mut Tracer,
-) -> Result<(), EvictReason> {
-    let fresh = resident.tokens.is_empty();
-    // The committed engine context: the prompt, plus (when replaying) every
-    // generated token but the last, whose KV row is only materialized by
-    // the step that consumes it.
-    let committed = &resident.tokens[..resident.tokens.len().saturating_sub(1)];
-    let ctx: Vec<usize> = resident.job.prompt.iter().chain(committed).copied().collect();
-    // A prefill does `ctx.len()` token-steps of work in one call, so its
-    // deadline scales with the context: a long but healthy prompt pass is
-    // not misread as a stall.
-    let budget = cont
-        .step_deadline
-        .map(|d| (d.as_nanos() as u64).saturating_mul(ctx.len().max(1) as u64));
-    loop {
-        // A late prefill seated the slot: undo the seat, so the slot is
-        // free like after any other failed prefill.
-        let seated = guarded(eng, clock, budget, |e| e.prefill(slot, &ctx), |e| e.release(slot));
-        if !fresh {
-            tracer.recovery(RecoveryOp::Replay { slot });
-        }
-        let err = match seated {
-            Ok(tok) => {
-                let attached = eng.attached_tokens(slot);
-                counters.prompt_tokens_attached += attached as u64;
-                counters.prompt_tokens_prefilled += (ctx.len() - attached) as u64;
-                if fresh {
-                    resident.tokens.push(tok);
-                } else {
-                    debug_assert_eq!(
-                        tok,
-                        *resident.tokens.last().expect("replayed resident has tokens"),
-                        "prefix replay must be bit-exact"
-                    );
-                }
-                resident.seated = true;
-                return Ok(());
-            }
-            // Phase 1 checked the fit under the lock (net of this
-            // iteration's other newcomers), but an injected allocator storm
-            // (or a broken invariant) can still surface here: shed typed
-            // rather than crash.
-            Err(EngineError::OutOfPages { .. }) if fresh => {
-                return Err(EvictReason::PagesExhausted)
-            }
-            Err(e) => e,
-        };
-        if !fresh {
-            tracer.recovery(RecoveryOp::Release { slot });
-        }
-        // Real exhaustion is impossible during replay: every poisoned slot
-        // was released before any replay reserves and replay demand never
-        // exceeds pre-fault demand. Only an injected storm reaches here; it
-        // burns budget like any other fault.
-        let (class, msg) = match err {
-            EngineError::Fault { class, msg } => (class, msg),
-            oop => (FaultClass::Memory, oop.to_string()),
-        };
-        counters.faults.push(class);
-        if !charge_replay(resident, counters, cont.replay_budget) {
-            return Err(EvictReason::EngineFault { class, msg });
-        }
-    }
-}
-
 struct Tracer {
     on: bool,
     ops: Vec<SchedTraceOp>,
@@ -333,40 +252,45 @@ impl Tracer {
 
 /// The one worker loop: runs `eng` until the server drains, then hands it
 /// back (the single-flight wrapper reads the supervisor's fault report off
-/// it).
+/// it). `max_prompt` bounds the context a pass seats beyond its first seat.
 pub(crate) fn run_scheduler<E: BatchEngine>(
     shared: Arc<Shared>,
     mut eng: E,
     cont: ContinuousConfig,
     eos: Option<usize>,
+    max_prompt: usize,
 ) -> E {
     let mut residents: Vec<Option<Resident>> = (0..cont.max_slots).map(|_| None).collect();
     let mut admit_seq = 0u64;
-    let mut steps = 0u64;
-    let mut prefills = 0u64;
+    let (mut steps, mut prefills) = (0u64, 0u64);
     let (mut page_evictions, mut engine_fault_evictions) = (0u64, 0u64);
-    let mut counters = SeatCounters::default();
+    let (mut recoveries, mut replays) = (0u64, 0u64);
+    let (mut prompt_tokens_prefilled, mut prompt_tokens_attached) = (0u64, 0u64);
+    // Fault classes seen this iteration; phase 3 feeds them to the per-class
+    // breakers (one `on_failure` each).
+    let mut faults: Vec<FaultClass> = Vec::new();
     let mut occupancy_hist = vec![0u64; cont.max_slots + 1];
     let mut tokens_per_step_hist = vec![0u64; cont.max_slots + 1];
     let mut tracer = Tracer { on: cont.trace, ops: Vec::new() };
+    let mut out = Vec::with_capacity(cont.max_slots);
 
     loop {
         // ---- Phase 1: admit from the queue into free slots (under lock).
         tracer.rec(SchedTraceOp::IterStart);
-        let mut newcomers: Vec<(usize, Job)> = Vec::new();
         {
             let mut st = shared.state.lock().unwrap();
             tracer.rec(SchedTraceOp::Acquire);
-            // Newcomers prefill in phase 2, so the engine's free count does
-            // not shrink as they are accepted here: track what this
-            // iteration has already promised.
-            let mut free = eng.kv_stats().map_or(usize::MAX, |s| s.pages_free);
-            loop {
-                let resident_count =
-                    residents.iter().filter(|r| r.is_some()).count() + newcomers.len();
-                if resident_count >= cont.max_slots {
-                    break;
-                }
+            // Waiting residents seat in phase 2, so the engine's free count
+            // does not show them yet: promise each its pages first.
+            let promised: usize = residents
+                .iter()
+                .flatten()
+                .filter(|r| !r.seated)
+                .map(|r| eng.pages_for(r.context_len() + 1))
+                .sum();
+            let mut free = eng.kv_stats().map_or(usize::MAX, |s| s.pages_free.saturating_sub(promised));
+            let mut admitted = false;
+            while let Some(slot) = residents.iter().position(Option::is_none) {
                 let Some(job) = st.queue.front() else { break };
                 // Seat the prompt only if the pool can take it *now*;
                 // otherwise wait for a retirement to free pages. (Queued
@@ -383,17 +307,15 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                 // watchdog never reads a stale heartbeat for a fresh job.
                 shared.progress_ns.store(shared.clock.now_ns(), Ordering::Release);
                 st.running.push(Running { id: job.id, cancel: job.cancel.clone() });
-                let slot = (0..residents.len())
-                    .find(|&s| {
-                        residents[s].is_none() && !newcomers.iter().any(|(t, _)| *t == s)
-                    })
-                    .expect("can_admit implies a free slot");
-                newcomers.push((slot, job));
+                residents[slot] =
+                    Some(Resident { job, tokens: Vec::new(), seated: false, replays: 0, admit_seq });
+                admit_seq += 1;
+                admitted = true;
             }
-            if !newcomers.is_empty() {
+            if admitted {
                 tracer.rec(SchedTraceOp::Admit);
             }
-            if newcomers.is_empty() && residents.iter().all(|r| r.is_none()) {
+            if residents.iter().all(Option::is_none) {
                 if st.draining && st.queue.is_empty() {
                     drop(st);
                     tracer.rec(SchedTraceOp::Release);
@@ -409,153 +331,142 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
             tracer.rec(SchedTraceOp::Release);
         }
 
-        // ---- Phase 2: execute (no lock held).
-        let now = shared.clock.now_ns();
+        // ---- Phase 2: one pass (no lock held).
+        // Residents that are done, cancelled or expired — a job may be dead
+        // on arrival — leave without spending pass rows.
         let mut retired: Vec<(usize, Retire)> = Vec::new();
-        if !newcomers.is_empty() {
-            tracer.rec(SchedTraceOp::Execute);
-        }
-        for (slot, job) in newcomers {
-            let mut resident =
-                Resident { job, tokens: Vec::new(), seated: false, replays: 0, admit_seq };
-            admit_seq += 1;
-            // A job may be dead on arrival (cancelled or expired while
-            // queued) — resolve it without spending a prompt pass.
-            if let Some(why) = due(&resident, eos, now) {
-                retired.push((slot, why));
-            } else {
-                shared.progress_ns.store(shared.clock.now_ns(), Ordering::Release);
-                let seated = seat_resident(
-                    &mut eng,
-                    slot,
-                    &mut resident,
-                    &cont,
-                    &shared.clock,
-                    &mut counters,
-                    &mut tracer,
-                );
-                match seated {
-                    Ok(()) => prefills += 1,
-                    Err(reason) => retired.push((slot, Retire::Evicted(reason))),
-                }
-            }
-            residents[slot] = Some(resident);
-        }
-
-        // Retire checks for residents that finished at prefill (n_tokens
-        // reached, EOS on the first token, cancel/deadline between steps).
         scan_retirements(&residents, eos, shared.clock.now_ns(), &mut retired);
-
-        // One ragged decode step over everyone still live.
-        let mut active: Vec<usize> = (0..residents.len())
+        let (mut advance, mut waiting): (Vec<usize>, Vec<usize>) = (0..residents.len())
             .filter(|&s| residents[s].is_some() && !retired.iter().any(|(rs, _)| *rs == s))
-            .collect();
-        if !active.is_empty() {
+            .partition(|&s| residents[s].as_ref().is_some_and(|r| r.seated));
+        if !(advance.is_empty() && waiting.is_empty()) {
             tracer.rec(SchedTraceOp::Execute);
-            let budget = cont.step_deadline.map(|d| d.as_nanos() as u64);
-            let mut step_out = Vec::with_capacity(active.len());
-            while !active.is_empty() {
-                step_out.clear();
-                let step = guarded(
-                    &mut eng,
-                    &shared.clock,
-                    budget,
-                    |e| e.decode_step(&active, &mut step_out),
-                    |_| {},
-                );
-                match step {
-                    Ok(()) => {
-                        occupancy_hist[active.len()] += 1;
-                        tokens_per_step_hist[step_out.len()] += 1;
-                        steps += 1;
-                        shared.progress_ns.store(shared.clock.now_ns(), Ordering::Release);
-                        for (r, &slot) in active.iter().enumerate() {
-                            residents[slot]
-                                .as_mut()
-                                .expect("active slot occupied")
-                                .tokens
-                                .push(step_out[r]);
+        }
+        while !(advance.is_empty() && waiting.is_empty()) {
+            let resident = |s: usize| residents[s].as_ref().expect("pass slot occupied");
+            // Seat the oldest waiting residents while their contexts fit
+            // `max_prompt`; the first always goes.
+            waiting.sort_by_key(|&s| resident(s).admit_seq);
+            let mut ctxs: Vec<(usize, Vec<usize>)> = Vec::new();
+            let mut room = max_prompt;
+            for &s in &waiting {
+                let n = resident(s).context_len();
+                if !ctxs.is_empty() && n > room {
+                    break;
+                }
+                room = room.saturating_sub(n);
+                ctxs.push((s, resident(s).context()));
+            }
+            let seats: Vec<(usize, &[usize])> = ctxs.iter().map(|(s, c)| (*s, &c[..])).collect();
+            // One deadline per context token seated, plus one for the step.
+            let work = ctxs.iter().map(|(_, c)| c.len()).sum::<usize>() + usize::from(!advance.is_empty());
+            let budget = cont.step_deadline.map(|d| (d.as_nanos() as u64).saturating_mul(work as u64));
+            out.clear();
+            // A late pass seated its seats: undo them, so they are free like
+            // after any other failed pass.
+            let ran = guarded(
+                &mut eng,
+                &shared.clock,
+                budget,
+                |e| e.pass(&seats, &advance, &mut out),
+                |e| seats.iter().for_each(|&(s, _)| e.release(s)),
+            );
+            let err = match ran {
+                Ok(()) => {
+                    for (&(slot, ctx), &tok) in seats.iter().zip(&out) {
+                        let attached = eng.attached_tokens(slot);
+                        prompt_tokens_attached += attached as u64;
+                        prompt_tokens_prefilled += (ctx.len() - attached) as u64;
+                        let r = residents[slot].as_mut().expect("seat occupied");
+                        if r.tokens.is_empty() {
+                            r.tokens.push(tok);
+                            prefills += 1;
+                        } else {
+                            debug_assert_eq!(Some(&tok), r.tokens.last(), "prefix replay must be bit-exact");
+                            tracer.recovery(RecoveryOp::Replay { slot });
                         }
-                        break;
+                        r.seated = true;
                     }
-                    Err(EngineError::OutOfPages { .. }) => {
-                        // Shed the newest resident and retry; nothing
-                        // advanced, so every survivor's stream is intact.
-                        let victim = *active
-                            .iter()
-                            .max_by_key(|&&s| {
-                                residents[s].as_ref().expect("occupied").admit_seq
-                            })
-                            .expect("active is non-empty");
-                        // Free the victim's pages NOW so the retry can
-                        // succeed; outcome delivery waits for phase 3.
-                        let v = residents[victim].as_mut().expect("occupied");
-                        if v.seated {
-                            eng.release(victim);
-                            v.seated = false;
+                    for (&slot, &tok) in advance.iter().zip(&out[seats.len()..]) {
+                        residents[slot].as_mut().expect("advanced slot occupied").tokens.push(tok);
+                    }
+                    occupancy_hist[seats.len() + advance.len()] += 1;
+                    tokens_per_step_hist[out.len()] += 1;
+                    steps += 1;
+                    shared.progress_ns.store(shared.clock.now_ns(), Ordering::Release);
+                    break;
+                }
+                Err(e) => e,
+            };
+            let seated = seats.iter().map(|&(s, _)| s);
+            match err {
+                EngineError::OutOfPages { .. } => {
+                    // Shed the pass's newest resident and retry; nothing
+                    // advanced, so every survivor's stream is intact.
+                    let victim = advance
+                        .iter()
+                        .copied()
+                        .chain(seated)
+                        .max_by_key(|&s| resident(s).admit_seq)
+                        .expect("a pass has a resident");
+                    let v = residents[victim].as_mut().expect("occupied");
+                    // Free the victim's pages NOW so the retry can succeed;
+                    // outcome delivery waits for phase 3.
+                    if v.seated {
+                        eng.release(victim);
+                        v.seated = false;
+                    }
+                    retired.push((victim, Retire::Evicted(EvictReason::PagesExhausted)));
+                    advance.retain(|&s| s != victim);
+                    waiting.retain(|&s| s != victim);
+                }
+                EngineError::Fault { class, msg } => {
+                    faults.push(class);
+                    // The seats are free again: a replay among them failed.
+                    for slot in seated.clone() {
+                        if !resident(slot).tokens.is_empty() {
+                            tracer.recovery(RecoveryOp::Replay { slot });
+                            tracer.recovery(RecoveryOp::Release { slot });
                         }
-                        retired.push((victim, Retire::Evicted(EvictReason::PagesExhausted)));
-                        active.retain(|&s| s != victim);
                     }
-                    Err(EngineError::Fault { class, msg }) => {
-                        // The step's output (if any) is discarded; every
-                        // active resident's engine state is suspect.
-                        // Recover each by prefix replay.
+                    // Every resident the pass advanced is suspect. Release
+                    // each BEFORE any replay reserves — the release-first
+                    // protocol dsi-verify's recovery checker proves.
+                    if !advance.is_empty() {
                         tracer.rec(SchedTraceOp::Recover);
-                        counters.recoveries += 1;
-                        counters.faults.push(class);
-                        for &slot in &active {
+                        recoveries += 1;
+                        for &slot in &advance {
                             tracer.recovery(RecoveryOp::Fault { slot });
                         }
-                        // Release every poisoned slot BEFORE any replay
-                        // reserves — replay demand never exceeds
-                        // pre-fault demand, so all replays fit (the
-                        // release-first protocol dsi-verify's recovery
-                        // checker proves).
-                        for &slot in &active {
-                            let r = residents[slot].as_mut().expect("occupied");
-                            if r.seated {
-                                eng.release(slot);
-                                r.seated = false;
-                                tracer.recovery(RecoveryOp::Release { slot });
-                            }
+                        for &slot in &advance {
+                            eng.release(slot);
+                            residents[slot].as_mut().expect("occupied").seated = false;
+                            tracer.recovery(RecoveryOp::Release { slot });
                         }
-                        let mut keep = Vec::with_capacity(active.len());
-                        for &slot in &active {
-                            let r = residents[slot].as_mut().expect("occupied");
-                            let seated = if charge_replay(r, &mut counters, cont.replay_budget) {
-                                seat_resident(
-                                    &mut eng,
-                                    slot,
-                                    r,
-                                    &cont,
-                                    &shared.clock,
-                                    &mut counters,
-                                    &mut tracer,
-                                )
-                            } else {
-                                Err(EvictReason::EngineFault { class, msg: msg.clone() })
-                            };
-                            match seated {
-                                Ok(()) => {
-                                    shared
-                                        .progress_ns
-                                        .store(shared.clock.now_ns(), Ordering::Release);
-                                    keep.push(slot);
-                                }
-                                Err(reason) => {
-                                    tracer.recovery(RecoveryOp::Evict { slot });
-                                    retired.push((slot, Retire::Evicted(reason)));
-                                }
-                            }
+                    }
+                    // Every resident of the pass is charged one replay and
+                    // retries waiting.
+                    let pass: Vec<usize> = advance.drain(..).chain(seated).collect();
+                    waiting.retain(|s| !pass.contains(s));
+                    for slot in pass {
+                        let r = residents[slot].as_mut().expect("occupied");
+                        if r.replays < cont.replay_budget {
+                            r.replays += 1;
+                            replays += 1;
+                            waiting.push(slot);
+                            continue;
                         }
-                        active = keep;
+                        if !r.tokens.is_empty() {
+                            tracer.recovery(RecoveryOp::Evict { slot });
+                        }
+                        let reason = EvictReason::EngineFault { class, msg: msg.clone() };
+                        retired.push((slot, Retire::Evicted(reason)));
                     }
                 }
             }
-            // Post-step retirements: completion, EOS, cancel, deadline.
-            scan_retirements(&residents, eos, shared.clock.now_ns(), &mut retired);
         }
+        // Post-pass retirements: completion, EOS, cancel, deadline.
+        scan_retirements(&residents, eos, shared.clock.now_ns(), &mut retired);
 
         // ---- Phase 3: retire + account (under lock), deliver after.
         let mut deliveries: Vec<(Job, Outcome)> = Vec::new();
@@ -566,7 +477,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
             // Fault events feed the per-class breakers first, so a probe
             // evicted by a fault of its own class sees Open (not
             // HalfOpen) when its abort is processed below.
-            for class in counters.faults.drain(..) {
+            for class in faults.drain(..) {
                 st.breaker.on_failure(class, now);
             }
             if !retired.is_empty() {
@@ -649,14 +560,14 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     st.sched_report = Some(SchedReport {
         steps,
         prefills,
-        prompt_tokens_prefilled: counters.prompt_tokens_prefilled,
-        prompt_tokens_attached: counters.prompt_tokens_attached,
+        prompt_tokens_prefilled,
+        prompt_tokens_attached,
         mean_occupancy: if steps > 0 { total_occ as f64 / steps as f64 } else { 0.0 },
         occupancy_hist,
         tokens_per_step_hist,
         page_evictions,
-        recoveries: counters.recoveries,
-        replays: counters.replays,
+        recoveries,
+        replays,
         engine_fault_evictions,
         trace: tracer.ops,
         pages: PageReport {
@@ -717,7 +628,7 @@ pub struct LiveCheck {
 
 impl LiveCheck {
     /// Across [`LiveCheck::recoveries`]: replays that re-seated their
-    /// slot, replays whose prefill failed (a replay, then a release), and
+    /// slot, replays whose pass failed (a replay, then a release), and
     /// evictions.
     pub fn recovery_shape(&self) -> (usize, usize, usize) {
         // Each op, seen together with the ops after it in its program.
@@ -753,12 +664,11 @@ fn check_drained(srv: Server, diags: &mut Vec<Diagnostic>) -> Vec<Vec<RecoveryOp
 /// recovery-program checker. A continuous and a single-flight server see
 /// batched completions, a cancel, an idle park and a drain; a continuous
 /// server under scripted engine faults must record a recovery whose replay
-/// re-seats, a replay whose prefill fails, and an eviction past the replay
+/// re-seats, a replay whose pass fails, and an eviction past the replay
 /// budget.
 pub fn live_trace_check() -> LiveCheck {
     use crate::server::{EngineMode, Request, ServeConfig};
-    use dsi_sim::fault::EngineFaultSite::{Decode, Prefill};
-    use dsi_sim::fault::{EngineFaultKind, EngineFaultPlan, EngineFaultSpec};
+    use dsi_sim::fault::{EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec};
     let model = Arc::new(GptModel::random(dsi_model::zoo::tiny(2), 7));
     let cont = ContinuousConfig {
         max_slots: 2,
@@ -798,14 +708,17 @@ pub fn live_trace_check() -> LiveCheck {
         check_drained(srv, &mut diags);
     }
 
-    // The first request runs alone, so the first engine calls are its own:
-    // decode 0 is corrupted (a recovery), so is the replay's prefill 1 (a
-    // replay, then a release); prefill 2 re-seats it, and decode 1 faults
-    // again with its two-replay budget spent (an eviction). Decode 4 faults
-    // whoever is resident by then. Corruption, not a panic, keeps the
-    // output quiet; this server exercises recovery, not the breaker.
-    let faults = [Decode { call: 0 }, Prefill { call: 1 }, Decode { call: 1 }, Decode { call: 4 }]
-        .map(|site| EngineFaultSpec { site, kind: EngineFaultKind::Corrupt });
+    // The first request runs alone, so the first passes are its own: pass 0
+    // seats it, pass 1 advances it and is corrupted (a recovery), so is the
+    // replay's pass 2 (a replay, then a release); pass 3 re-seats it, and
+    // pass 4 faults it again with its two-replay budget spent (an eviction).
+    // Pass 7 faults whoever is resident by then. Corruption, not a panic,
+    // keeps the output quiet; this server exercises recovery, not the
+    // breaker.
+    let faults = [1, 2, 4, 7].map(|call| EngineFaultSpec {
+        site: EngineFaultSite::Pass { call },
+        kind: EngineFaultKind::Corrupt,
+    });
     cfg.mode = EngineMode::Continuous(ContinuousConfig { replay_budget: 2, ..cont });
     cfg.engine_faults = Some(Arc::new(EngineFaultPlan::new(faults.to_vec()).injector()));
     cfg.breaker.enabled = false;
@@ -830,7 +743,7 @@ pub fn live_trace_check() -> LiveCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{new_shared, ServeConfig};
+    use crate::server::{new_shared, ServeConfig, Shared};
     use dsi_sim::clock::{CancelToken, ManualClock};
     use std::sync::mpsc::{self, Receiver};
 
@@ -907,39 +820,67 @@ mod tests {
         (Job { id, prompt, n_tokens, deadline_ns, cost, cancel, probe, submit_ns: 0, tx }, rx)
     }
 
-    /// An admitted resident for `prompt`, not yet seated.
-    fn resident(prompt: Vec<usize>) -> Resident {
-        let job = job(0, prompt, 4, 0).0;
-        Resident { job, tokens: Vec::new(), seated: false, replays: 0, admit_seq: 0 }
+    /// Queue `jobs` (prompt, token budget) on a fresh state, run the loop
+    /// over `eng` until it drains them, and return their outcomes, the
+    /// engine and the state.
+    fn serve<E: BatchEngine>(
+        eng: E,
+        cont: ContinuousConfig,
+        clock: Clock,
+        jobs: Vec<(Vec<usize>, usize)>,
+    ) -> (Vec<Outcome>, E, Arc<Shared>) {
+        let mut cfg = ServeConfig::new(1);
+        cfg.clock = clock;
+        let shared = new_shared(&cfg);
+        let mut tickets = Vec::new();
+        {
+            let mut st = shared.state.lock().unwrap();
+            for (id, (prompt, n_tokens)) in jobs.into_iter().enumerate() {
+                let cost = cont.pages_for(prompt.len() + 1);
+                let (job, rx) = job(id as u64, prompt, n_tokens, cost);
+                tickets.push(rx);
+                st.inflight_tokens += cost;
+                st.queue.push_back(job);
+            }
+            st.draining = true; // exit once every job has resolved
+        }
+        let eng = run_scheduler(Arc::clone(&shared), eng, cont, None, cfg.max_prompt);
+        (tickets.iter().map(|rx| rx.recv().expect("resolved")).collect(), eng, shared)
     }
 
     #[test]
-    fn prefill_deadline_scales_with_context_length() {
+    fn a_pass_deadline_scales_with_the_context_it_seats() {
         let cont = ContinuousConfig {
+            max_slots: 1,
             step_deadline: Some(Duration::from_millis(10)),
             replay_budget: 0,
+            trace: true,
             ..ContinuousConfig::default()
         };
-        let mut tracer = Tracer { on: false, ops: Vec::new() };
-        let mut counters = SeatCounters::default();
 
-        // 4 context tokens buy a 40ms budget: a 20ms prefill is healthy,
-        // not a stall.
-        let (mut eng, clock) = slow(20);
-        let mut r = resident(vec![1, 2, 3, 4]);
-        let seated = seat_resident(&mut eng, 0, &mut r, &cont, &clock, &mut counters, &mut tracer);
-        assert_eq!(seated, Ok(()), "long prompt must get a scaled budget");
-        assert!(eng.released.is_empty());
+        // 4 context tokens buy a 40ms budget: a 20ms seating pass is
+        // healthy, not a stall.
+        let (eng, clock) = slow(20);
+        let (outcomes, eng, _) = serve(eng, cont, clock, vec![(vec![1, 2, 3, 4], 1)]);
+        assert!(
+            matches!(&outcomes[0], Outcome::Completed { tokens, .. } if tokens == &[7]),
+            "long prompt must get a scaled budget, got {:?}",
+            outcomes[0]
+        );
+        assert_eq!(eng.released, [0], "released once, at retirement");
 
         // 50ms blows even the scaled budget: timeout fault, seat undone.
-        let (mut eng, clock) = slow(50);
-        let mut r = resident(vec![1, 2, 3, 4]);
-        let seated = seat_resident(&mut eng, 0, &mut r, &cont, &clock, &mut counters, &mut tracer);
+        let (eng, clock) = slow(50);
+        let (outcomes, eng, _) = serve(eng, cont, clock, vec![(vec![1, 2, 3, 4], 1)]);
         assert!(
-            matches!(seated, Err(EvictReason::EngineFault { class: FaultClass::Timeout, .. })),
-            "a stalled prefill must still be caught, got {seated:?}"
+            matches!(
+                &outcomes[0],
+                Outcome::Evicted { reason: EvictReason::EngineFault { class: FaultClass::Timeout, .. }, .. }
+            ),
+            "a stalled seating pass must still be caught, got {:?}",
+            outcomes[0]
         );
-        assert_eq!(eng.released, [0], "late prefill must release its seat");
+        assert_eq!(eng.released, [0], "the late pass's seat is undone, once");
     }
 
     /// Stub engine whose every call panics, with a `&str` payload in
@@ -1051,23 +992,12 @@ mod tests {
             trace: true,
             ..ContinuousConfig::default()
         };
-        let shared = new_shared(&ServeConfig::new(1));
-        let mut tickets = Vec::new();
-        {
-            let mut st = shared.state.lock().unwrap();
-            for id in 0..2 {
-                let (job, rx) = job(id, vec![1, 2], 3, 3);
-                tickets.push(rx);
-                st.inflight_tokens += 3;
-                st.queue.push_back(job);
-            }
-            st.draining = true; // exit once both have resolved
-        }
-        run_scheduler(Arc::clone(&shared), PoolEngine { total: 4, held: vec![0; 2] }, cont, None);
-        for (id, rx) in tickets.into_iter().enumerate() {
-            let outcome = rx.recv().expect("resolved");
+        let eng = PoolEngine { total: 4, held: vec![0; 2] };
+        let jobs = vec![(vec![1, 2], 3); 2];
+        let (outcomes, _, shared) = serve(eng, cont, Clock::wall(), jobs);
+        for (id, outcome) in outcomes.iter().enumerate() {
             assert!(
-                matches!(&outcome, Outcome::Completed { tokens, .. } if tokens == &[7, 7, 7]),
+                matches!(outcome, Outcome::Completed { tokens, .. } if tokens == &[7, 7, 7]),
                 "job {id} must wait its turn and complete, got {outcome:?}"
             );
         }

@@ -4,8 +4,8 @@
 //! production inference endpoint needs and the underlying engine alone
 //! cannot provide. There is **one** worker: the iteration-level scheduler
 //! of [`crate::scheduler`], generic over `dsi_core::BatchEngine`. It admits
-//! from the queue into free slots *every step*, decodes all residents
-//! through one ragged pass, and retires sequences at
+//! from the queue into free slots *every iteration*, seats the newcomers and
+//! advances every other resident through one ragged pass, and retires sequences at
 //! EOS/deadline/cancel mid-batch. Which engine it drives is decided by how
 //! the server was started, and nothing else differs between the modes but
 //! the engine's slot count and KV page geometry ([`EngineMode`]):
@@ -30,8 +30,8 @@
 //!   engine's geometry, against queued + resident pages), and per-step
 //!   growth is reserved page-by-page at decode time — failure there
 //!   surfaces as a typed [`EvictReason::PagesExhausted`] eviction, never an
-//!   abort. [`kv_budget_tokens`] converts a byte budget to tokens, the same
-//!   accounting `InferenceEngine::max_batch` derives capacity from.
+//!   abort. Single-flight meters its pool in tokens,
+//!   [`ServeConfig::kv_budget_tokens`] of them.
 //! * **Deadlines with partial output** — each request can carry a deadline;
 //!   the scheduler checks it between decode steps, so an expired request
 //!   returns [`Outcome::DeadlineExpired`] with the exact prefix of tokens
@@ -68,24 +68,15 @@ use dsi_core::{BatchEngine, FaultClass, FaultyEngine, FtEngine};
 use dsi_model::fast::PackedModel;
 use dsi_model::paged::Engine;
 use dsi_model::reference::GptModel;
-use dsi_model::GptConfig;
 use dsi_parallel::supervisor::{FtConfig, FtReport, FtSession, RetryPolicy};
 use dsi_sim::clock::{CancelToken, Clock};
 use dsi_sim::fault::EngineFaultInjector;
-use dsi_sim::hw::DType;
 use dsi_sim::shmem::CommConfig;
 use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
 use serde::Serialize;
 
 use crate::breaker::{BreakerConfig, BreakerSet, SetAdmission};
 use crate::scheduler::{run_scheduler, SchedReport};
-
-/// Convert a KV byte budget into admission tokens for
-/// [`ServeConfig::kv_budget_tokens`], using the same per-token accounting
-/// as `InferenceEngine::max_batch` (`2 · hidden · layers · dtype_bytes`).
-pub fn kv_budget_tokens(model: &GptConfig, budget_bytes: f64) -> usize {
-    (budget_bytes / model.kv_bytes_per_token(DType::Fp16)).floor() as usize
-}
 
 /// How [`Server::start`] sizes the engine under the one scheduler loop.
 /// Admission, deadlines, the breaker, the watchdog, and drain are
@@ -119,13 +110,14 @@ pub struct ContinuousConfig {
     /// budget is evicted with the typed [`EvictReason::EngineFault`].
     pub replay_budget: u32,
     /// Per-step progress deadline, measured on [`ServeConfig::clock`]. An
-    /// engine step that completes later than this is treated as a
+    /// engine pass that completes later than its budget is treated as a
     /// Timeout-class fault: its output is discarded and the residents are
-    /// replayed — bounding the latency any single wedged step can inflict
-    /// on the whole batch. Decode steps get exactly this budget; a prefill
-    /// of `n` context tokens gets `n ×` it (one deadline per token-step of
-    /// work), so long healthy prompts are not misread as stalls. `None`
-    /// disables the check.
+    /// replayed — bounding the latency any single wedged pass can inflict
+    /// on the whole batch. A pass gets this deadline once per context token
+    /// it seats, plus once if it advances any resident: a pass that only
+    /// advances gets exactly this budget, and seating `n` context tokens
+    /// adds `n ×` it, so long healthy prompts are not misread as stalls.
+    /// `None` disables the check.
     pub step_deadline: Option<Duration>,
     /// Record the scheduler's lock/phase trace and self-check it against
     /// the verified model at exit (see `dsi_verify::locks`). Defaults on
@@ -175,7 +167,7 @@ pub struct ServeConfig {
     /// Bounded admission queue depth (requests waiting, excluding running).
     pub queue_capacity: usize,
     /// Single-flight KV pool size in tokens of context (the pool is sized
-    /// by [`ContinuousConfig`] otherwise); see [`kv_budget_tokens`]. The TP
+    /// by [`ContinuousConfig`] otherwise). The TP
     /// session grows its KV contiguously, so under [`Server::start`] this is
     /// an admission budget; under [`Server::start_streamed`] it is a pool of
     /// that many one-token pages, allocated and enforced.
@@ -492,6 +484,7 @@ struct Worker {
     shared: Arc<Shared>,
     cont: ContinuousConfig,
     eos: Option<usize>,
+    max_prompt: usize,
     faults: Option<Arc<EngineFaultInjector>>,
 }
 
@@ -503,9 +496,9 @@ impl Worker {
         match &self.faults {
             Some(inj) => {
                 let eng = FaultyEngine::new(eng, Arc::clone(inj));
-                run_scheduler(shared, eng, self.cont, self.eos).into_inner()
+                run_scheduler(shared, eng, self.cont, self.eos, self.max_prompt).into_inner()
             }
-            None => run_scheduler(shared, eng, self.cont, self.eos),
+            None => run_scheduler(shared, eng, self.cont, self.eos, self.max_prompt),
         }
     }
 }
@@ -591,6 +584,7 @@ impl Server {
             shared: Arc::clone(&shared),
             cont,
             eos: cfg.eos,
+            max_prompt: cfg.max_prompt,
             faults: cfg.engine_faults.clone(),
         };
         let worker = std::thread::Builder::new()
@@ -1310,14 +1304,5 @@ mod tests {
         let report = srv.drain(Duration::from_secs(5));
         assert_eq!(report.evicted, evicted);
         assert_eq!(report.deadline_expired, 1);
-    }
-
-    #[test]
-    fn kv_budget_tokens_matches_engine_accounting() {
-        let m = zoo::tiny(2);
-        // Fp16: 2 bytes/elem × 2 (K,V) × hidden × layers per token.
-        let per_tok = 2.0 * m.hidden as f64 * m.layers as f64 * 2.0;
-        assert_eq!(kv_budget_tokens(&m, per_tok * 10.0), 10);
-        assert_eq!(kv_budget_tokens(&m, per_tok * 10.5), 10);
     }
 }

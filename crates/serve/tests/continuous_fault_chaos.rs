@@ -1,7 +1,7 @@
 //! Chaos sweep for the fault-tolerant continuous-batching path.
 //!
 //! Sixteen seeded scenarios drive the continuous scheduler through scripted
-//! engine-fault storms — decode/prefill panics, stalls past the step
+//! engine-fault storms — engine panics, stalls past the step
 //! deadline, page-content corruption, transient page-exhaustion storms
 //! (`dsi_sim::fault::EngineFaultPlan::random`) — layered over the usual
 //! client churn (cancellations, tight deadlines, ~2× page overload). In
@@ -21,6 +21,9 @@
 //!   to a solo un-faulted session of the same prompt, and every partial
 //!   (evicted / expired) is an exact prefix of it: prefix replay never
 //!   commits a corrupted token.
+//! * **Recorded recovery is sound** — with tracing on, the lock trace the
+//!   scheduler recorded and every recovery program in it pass
+//!   `dsi-verify`'s checkers, in release builds too.
 //!
 //! Across the sweep we additionally require that recovery actually ran
 //! (recoveries > 0 and replays > 0 in the scheduler reports) — a sweep
@@ -37,6 +40,8 @@ use dsi_serve::{
     ContinuousConfig, EngineMode, EvictReason, Outcome, Request, ServeConfig, Server,
 };
 use dsi_sim::fault::{splitmix64, EngineFaultPlan};
+use dsi_verify::locks::check_sched_trace;
+use dsi_verify::runtime::{check_recovery_program, recorded_recoveries};
 
 #[test]
 fn continuous_fault_storms_recover_bit_exact() {
@@ -87,12 +92,12 @@ fn continuous_fault_storms_recover_bit_exact() {
             })
             .collect();
 
-        // Storm: up to 8 faults over the first ~40 engine calls. Stalls run
-        // 20–40ms against a 10ms step deadline, so every decode stall is
-        // also a Timeout-class fault (prefill budgets scale with context
-        // length, so a prefill stall may legitimately land in time);
-        // panics, corruption, and exhaustion bursts land on both prefill
-        // and decode sites.
+        // Storm: up to 8 faults over the first ~40 engine passes. Stalls run
+        // 20–40ms against a 10ms step deadline, so every stall of a pass
+        // that only advances is also a Timeout-class fault (a pass's budget
+        // scales with the context it seats, so a stall there may
+        // legitimately land in time); panics, corruption, and exhaustion
+        // bursts land on every kind of pass.
         let plan = EngineFaultPlan::random(seed, 8, 40, 40);
         let mut cfg = ServeConfig::new(1);
         cfg.mode = EngineMode::Continuous(ContinuousConfig {
@@ -101,7 +106,7 @@ fn continuous_fault_storms_recover_bit_exact() {
             page_tokens: 2,
             replay_budget: 4,
             step_deadline: Some(Duration::from_millis(10)),
-            ..ContinuousConfig::default()
+            trace: true,
         });
         cfg.engine_faults = Some(Arc::new(plan.injector()));
         cfg.max_prompt = 8;
@@ -181,6 +186,14 @@ fn continuous_fault_storms_recover_bit_exact() {
 
         let sched = report.scheduler.expect("continuous scheduler report");
         assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: page fragmentation");
+        // What the scheduler recorded: its lock and phase ordering, and every
+        // recovery program the storm made it run.
+        let diags = check_sched_trace(&sched.trace);
+        assert!(diags.is_empty(), "seed {seed}: scheduler trace: {diags:#?}");
+        for prog in recorded_recoveries(&sched.trace) {
+            let diags = check_recovery_program(&prog);
+            assert!(diags.is_empty(), "seed {seed}: recovery {prog:?}: {diags:#?}");
+        }
         total_recoveries += sched.recoveries;
         total_replays += sched.replays;
         total_completed += completed;

@@ -37,6 +37,8 @@ use dsi_serve::{
     ContinuousConfig, EngineMode, Outcome, Request, ServeConfig, Server,
 };
 use dsi_sim::fault::{splitmix64, IoFaultPlan};
+use dsi_verify::locks::check_sched_trace;
+use dsi_verify::runtime::{check_recovery_program, recorded_recoveries};
 use dsi_zero::offload::{OffloadConfig, OffloadStore};
 
 #[test]
@@ -112,7 +114,7 @@ fn streamed_io_fault_storms_recover_bit_exact() {
             page_tokens: 2,
             replay_budget: 4,
             step_deadline: Some(Duration::from_millis(50)),
-            ..ContinuousConfig::default()
+            trace: true,
         });
         cfg.max_prompt = 8;
         cfg.queue_capacity = n_requests; // contend on KV tokens, not the queue
@@ -190,6 +192,14 @@ fn streamed_io_fault_storms_recover_bit_exact() {
 
         let sched = report.scheduler.expect("streamed scheduler report");
         assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: page fragmentation");
+        // What the scheduler recorded: its lock and phase ordering, and every
+        // recovery program the storm made it run.
+        let diags = check_sched_trace(&sched.trace);
+        assert!(diags.is_empty(), "seed {seed}: scheduler trace: {diags:#?}");
+        for prog in recorded_recoveries(&sched.trace) {
+            let diags = check_recovery_program(&prog);
+            assert!(diags.is_empty(), "seed {seed}: recovery {prog:?}: {diags:#?}");
+        }
         if shared {
             shared_attached += sched.prompt_tokens_attached;
         }

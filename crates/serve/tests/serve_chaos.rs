@@ -31,6 +31,8 @@ use dsi_serve::{
     ContinuousConfig, EngineMode, EvictReason, Outcome, Rejected, Request, ServeConfig, Server,
 };
 use dsi_sim::fault::FaultPlan;
+use dsi_verify::locks::check_sched_trace;
+use dsi_verify::runtime::{check_recovery_program, recorded_recoveries};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -352,6 +354,7 @@ fn continuous_chaos_token_identity_sweep() {
             max_slots: sc.max_slots,
             pages_total: sc.pages_total,
             page_tokens: sc.page_tokens,
+            trace: true,
             ..ContinuousConfig::default()
         });
         cfg.eos = eos;
@@ -420,6 +423,14 @@ fn continuous_chaos_token_identity_sweep() {
         assert_eq!(report.admitted, completed + evicted + expired, "seed {seed}");
         let sched = report.scheduler.expect("scheduler report");
         assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: fragmentation");
+        // What the scheduler recorded: its lock and phase ordering, and every
+        // recovery program the storm made it run.
+        let diags = check_sched_trace(&sched.trace);
+        assert!(diags.is_empty(), "seed {seed}: scheduler trace: {diags:#?}");
+        for prog in recorded_recoveries(&sched.trace) {
+            let diags = check_recovery_program(&prog);
+            assert!(diags.is_empty(), "seed {seed}: recovery {prog:?}: {diags:#?}");
+        }
         assert_eq!(
             sched.occupancy_hist.iter().sum::<u64>(),
             sched.steps,

@@ -296,15 +296,15 @@ pub enum EngineFaultKind {
     Exhaust { calls: u32 },
 }
 
-/// Where in the batch-engine call stream a fault fires. Calls are indexed
-/// per kind from 0 in the order the wrapper sees them; replayed calls count
-/// as new calls, so a recovery path can be re-faulted by a later spec.
+/// Where in the batch-engine call stream a fault fires. Every engine call
+/// is one pass (a `prefill` or a `decode_step` is a pass that only seats or
+/// only advances), indexed from 0 in the order the wrapper sees them; a
+/// retried pass counts as a new call, so a recovery path can be re-faulted
+/// by a later spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum EngineFaultSite {
-    /// The wrapper's `call`-th prefill (0-based).
-    Prefill { call: u64 },
-    /// The wrapper's `call`-th decode step (0-based).
-    Decode { call: u64 },
+    /// The wrapper's `call`-th pass (0-based).
+    Pass { call: u64 },
 }
 
 /// One scripted engine fault: `kind` fires at `site`.
@@ -321,11 +321,11 @@ pub type EngineFaultPlan = Script<EngineFaultSpec>;
 pub type EngineFaultInjector = Injector<EngineFaultSpec>;
 
 impl EngineFaultPlan {
-    /// A seed-driven plan of `n` faults over the first `max_call` calls of
-    /// each kind, drawn from one [`splitmix64`] stream like
-    /// [`FaultPlan::random`]. `stall_millis` bounds injected stalls (keep it
-    /// above the scheduler's step deadline to make stalls detectable, below
-    /// the test's patience to keep runs fast).
+    /// A seed-driven plan of `n` faults over the first `max_call` passes,
+    /// drawn from one [`splitmix64`] stream like [`FaultPlan::random`].
+    /// `stall_millis` bounds injected stalls (keep it above the scheduler's
+    /// step deadline to make stalls detectable, below the test's patience
+    /// to keep runs fast).
     pub fn random(seed: u64, n: usize, max_call: u64, stall_millis: u64) -> Self {
         assert!(max_call > 0 && stall_millis > 0);
         let mut s = seed;
@@ -338,12 +338,10 @@ impl EngineFaultPlan {
                     2 => EngineFaultKind::Corrupt,
                     _ => EngineFaultKind::Exhaust { calls: 1 + (next() % 3) as u32 },
                 };
-                let site = if next() % 3 == 0 {
-                    EngineFaultSite::Prefill { call: next() % max_call }
-                } else {
-                    EngineFaultSite::Decode { call: next() % max_call }
-                };
-                EngineFaultSpec { site, kind }
+                // An unused draw: it keeps each seed's call indices the ones
+                // the chaos sweeps' seeds were chosen against.
+                let _ = next();
+                EngineFaultSpec { site: EngineFaultSite::Pass { call: next() % max_call }, kind }
             })
             .collect();
         Script { specs }
@@ -351,16 +349,9 @@ impl EngineFaultPlan {
 }
 
 impl EngineFaultInjector {
-    /// The scripted fault for the `call`-th prefill, if any (consumes it).
-    pub fn at_prefill(&self, call: u64) -> Option<EngineFaultKind> {
-        self.take(|s| matches!(s.site, EngineFaultSite::Prefill { call: c } if c == call))
-            .map(|s| s.kind)
-    }
-
-    /// The scripted fault for the `call`-th decode step, if any.
-    pub fn at_decode(&self, call: u64) -> Option<EngineFaultKind> {
-        self.take(|s| matches!(s.site, EngineFaultSite::Decode { call: c } if c == call))
-            .map(|s| s.kind)
+    /// The scripted fault for the `call`-th pass, if any (consumes it).
+    pub fn at_pass(&self, call: u64) -> Option<EngineFaultKind> {
+        self.take(|s| s.site == EngineFaultSite::Pass { call }).map(|s| s.kind)
     }
 }
 
@@ -530,11 +521,8 @@ mod tests {
         let c = EngineFaultPlan::random(43, 8, 32, 80);
         assert_ne!(a.specs, c.specs, "different seeds must give different scripts");
         for s in &a.specs {
-            match s.site {
-                EngineFaultSite::Prefill { call } | EngineFaultSite::Decode { call } => {
-                    assert!(call < 32)
-                }
-            }
+            let EngineFaultSite::Pass { call } = s.site;
+            assert!(call < 32);
             if let EngineFaultKind::Stall { millis } = s.kind {
                 assert!((40..=80).contains(&millis), "stall {millis} out of band");
             }
@@ -589,14 +577,14 @@ mod tests {
         assert_eq!(
             EngineFaultPlan::random(42, 8, 32, 80).specs,
             vec![
-                spec(Prefill { call: 20 }, Stall { millis: 61 }),
-                spec(Prefill { call: 29 }, Corrupt),
-                spec(Decode { call: 14 }, Panic),
-                spec(Decode { call: 23 }, Exhaust { calls: 2 }),
-                spec(Decode { call: 21 }, Panic),
-                spec(Prefill { call: 8 }, Stall { millis: 68 }),
-                spec(Decode { call: 16 }, Stall { millis: 72 }),
-                spec(Decode { call: 7 }, Stall { millis: 74 }),
+                spec(Pass { call: 20 }, Stall { millis: 61 }),
+                spec(Pass { call: 29 }, Corrupt),
+                spec(Pass { call: 14 }, Panic),
+                spec(Pass { call: 23 }, Exhaust { calls: 2 }),
+                spec(Pass { call: 21 }, Panic),
+                spec(Pass { call: 8 }, Stall { millis: 68 }),
+                spec(Pass { call: 16 }, Stall { millis: 72 }),
+                spec(Pass { call: 7 }, Stall { millis: 74 }),
             ]
         );
     }
@@ -641,21 +629,20 @@ mod tests {
     fn engine_injector_fires_each_spec_once() {
         let plan = EngineFaultPlan::new(vec![
             EngineFaultSpec {
-                site: EngineFaultSite::Decode { call: 2 },
+                site: EngineFaultSite::Pass { call: 2 },
                 kind: EngineFaultKind::Panic,
             },
             EngineFaultSpec {
-                site: EngineFaultSite::Prefill { call: 0 },
+                site: EngineFaultSite::Pass { call: 0 },
                 kind: EngineFaultKind::Exhaust { calls: 2 },
             },
         ]);
         let inj = plan.injector();
-        assert_eq!(inj.at_decode(0), None, "wrong call index must not fire");
-        assert_eq!(inj.at_prefill(2), None, "site kinds are distinct");
+        assert_eq!(inj.at_pass(1), None, "wrong call index must not fire");
         assert_eq!(inj.pending(), 2);
-        assert_eq!(inj.at_decode(2), Some(EngineFaultKind::Panic));
-        assert_eq!(inj.at_decode(2), None, "specs are one-shot");
-        assert_eq!(inj.at_prefill(0), Some(EngineFaultKind::Exhaust { calls: 2 }));
+        assert_eq!(inj.at_pass(2), Some(EngineFaultKind::Panic));
+        assert_eq!(inj.at_pass(2), None, "specs are one-shot");
+        assert_eq!(inj.at_pass(0), Some(EngineFaultKind::Exhaust { calls: 2 }));
         assert_eq!(inj.pending(), 0);
     }
 }

@@ -72,10 +72,11 @@ use std::time::{Duration, Instant};
 /// scheduling instead of burning a quantum per crossing.
 const SPINS_BEFORE_YIELD: u32 = 64;
 
-/// How many yields between deadline checks: `Instant::now()` per yield would
-/// dominate a contended crossing, so the timeout is only probed every
-/// `YIELDS_PER_CLOCK_CHECK` rounds (timeouts are coarse by design).
-const YIELDS_PER_CLOCK_CHECK: u32 = 256;
+/// How many yields between deadline checks. The deadline is armed at the
+/// first yield, never on the spin-release fast path. Few: on a contended
+/// core one yield can cost a whole scheduler slice, so a sparse probe would
+/// let a stall many times the timeout end before the timeout is noticed.
+const YIELDS_PER_CLOCK_CHECK: u32 = 8;
 
 /// Collective ops each rank's recorder holds (a 2-layer step is 21).
 const RECORDED_OPS: usize = 1024;
@@ -205,34 +206,33 @@ impl SenseBarrier {
                 std::hint::spin_loop();
                 continue;
             }
+            if yields.is_multiple_of(YIELDS_PER_CLOCK_CHECK) {
+                let now = Instant::now();
+                match deadline {
+                    // First yield: arm the deadline.
+                    None => deadline = now.checked_add(timeout),
+                    Some(d) if now >= d => {
+                        // Poison *before* departing: the count increment
+                        // above stays behind, so a straggler arriving later
+                        // could otherwise complete the rendezvous without us
+                        // and run ahead alone (the poison check on the
+                        // releaser path turns that into a typed failure
+                        // instead).
+                        self.poison();
+                        let stalled = self
+                            .arrivals
+                            .iter()
+                            .enumerate()
+                            .filter(|&(p, a)| p != party && a.load(Ordering::Relaxed) <= epoch)
+                            .map(|(p, _)| p)
+                            .collect();
+                        return Err(CollectiveErrorKind::Timeout { stalled });
+                    }
+                    Some(_) => {}
+                }
+            }
             std::thread::yield_now();
             yields += 1;
-            if !yields.is_multiple_of(YIELDS_PER_CLOCK_CHECK) {
-                continue;
-            }
-            let now = Instant::now();
-            match deadline {
-                // First clock check: arm the deadline (keeps `Instant::now`
-                // entirely off the spin-release fast path).
-                None => deadline = now.checked_add(timeout),
-                Some(d) if now >= d => {
-                    // Poison *before* departing: the count increment above
-                    // stays behind, so a straggler arriving later could
-                    // otherwise complete the rendezvous without us and run
-                    // ahead alone (the poison check on the releaser path
-                    // turns that into a typed failure instead).
-                    self.poison();
-                    let stalled = self
-                        .arrivals
-                        .iter()
-                        .enumerate()
-                        .filter(|&(p, a)| p != party && a.load(Ordering::Relaxed) <= epoch)
-                        .map(|(p, _)| p)
-                        .collect();
-                    return Err(CollectiveErrorKind::Timeout { stalled });
-                }
-                Some(_) => {}
-            }
         }
         Ok(())
     }
@@ -843,6 +843,36 @@ mod tests {
             assert!(waited < Duration::from_secs(5), "bounded wait, took {waited:?}");
         }
         assert!(timeouts >= 1, "at least one waiter must report the timeout itself");
+    }
+
+    #[test]
+    fn barrier_timeout_holds_on_a_contended_core() {
+        // One busy thread per core, so every yield of the waiter may cost a
+        // whole scheduler slice. The deadline still runs from the waiter's
+        // first yield and is probed every few yields, so a 50 ms timeout
+        // fires long before a 400 ms stall would have ended.
+        let stop = Arc::new(AtomicBool::new(false));
+        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let busy: Vec<_> = (0..cores)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::hint::spin_loop();
+                    }
+                })
+            })
+            .collect();
+        let cfg = CommConfig { timeout: Duration::from_millis(50), ..CommConfig::default() };
+        let mut handles = ShmComm::create_with(2, cfg);
+        let _absent = handles.pop();
+        let start = Instant::now();
+        let err = handles[0].try_barrier().expect_err("the peer never arrives");
+        let waited = start.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        busy.into_iter().for_each(|t| t.join().unwrap());
+        assert!(matches!(err.kind, CollectiveErrorKind::Timeout { .. }), "{err}");
+        assert!(waited < Duration::from_millis(400), "timed out after {waited:?}");
     }
 
     #[test]

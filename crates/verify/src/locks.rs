@@ -179,7 +179,8 @@ pub const SERVE_STATE: usize = 0;
 /// engine mode — single-flight is the same loop at one slot), transcribed
 /// phase by phase: **admit** under the state mutex (waiting on the `work` condvar
 /// when no request is queued and no sequence is resident), **execute** —
-/// prefills plus one batched decode step — with *no* lock held, and
+/// one engine pass that seats newcomers and advances residents — with *no*
+/// lock held, and
 /// **retire** under the mutex again (outcome channels are sent to only
 /// after it is dropped). With a single mutex and two condvars tied to it
 /// the lock graph is a single node; any second lock introduced by a future
@@ -201,7 +202,7 @@ pub fn continuous_scheduler_model() -> (usize, Vec<ThreadModel>) {
                 Acquire(SERVE_STATE),
                 Wait { mutex: SERVE_STATE }, // work condvar
                 Release(SERVE_STATE),
-                // prefill + batched decode + shed-retry run with no lock
+                // the engine pass + shed/replay retries run with no lock
                 Acquire(SERVE_STATE),
                 Release(SERVE_STATE),
                 // outcome delivery happens here, after the unlock
@@ -251,10 +252,10 @@ pub enum SchedTraceOp {
     Release,
     /// Queue → slot admission work (must hold the lock).
     Admit,
-    /// Prefill/decode engine work (must NOT hold the lock).
+    /// The engine pass (must NOT hold the lock).
     Execute,
-    /// Fault recovery — release + prefix replay (must NOT hold the lock).
-    /// Opens one recovery program.
+    /// Fault recovery — the release of every resident a faulted pass
+    /// advanced (must NOT hold the lock). Opens one recovery program.
     Recover,
     /// One step of the recovery program the last `Recover` opened
     /// (must NOT hold the lock).

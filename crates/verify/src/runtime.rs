@@ -40,10 +40,10 @@ pub enum RecoveryOp {
     /// state past the committed prefix and cannot be trusted).
     Fault { slot: usize },
     /// The slot's references are dropped; pages nobody else holds return
-    /// to the pool. A replay whose prefill fails is followed by one of
-    /// these too: `Err` from prefill means the slot is free.
+    /// to the pool. A replay whose pass fails is followed by one of these
+    /// too: `Err` from a pass means every seat is free.
     Release { slot: usize },
-    /// The slot is re-seated by prefilling its committed prefix
+    /// The slot is re-seated by a pass with its committed prefix as context
     /// (re-reserving pages from the pool).
     Replay { slot: usize },
     /// The slot's sequence is evicted (terminal outcome delivered).
@@ -157,24 +157,36 @@ pub fn check_recovery_program(ops: &[RecoveryOp]) -> Vec<Diagnostic> {
 }
 
 /// The recovery programs a scheduler trace recorded, one per
-/// [`SchedTraceOp::Recover`] marker: the [`SchedTraceOp::Recovery`] steps
-/// that follow it. Each starts from resident slots with trusted pages, so
-/// each is checked on its own with [`check_recovery_program`] — slots are
-/// reseated by ordinary admissions between recoveries, which the trace
-/// does not record.
+/// [`SchedTraceOp::Recover`] marker: the [`RecoveryOp::Fault`]s that follow
+/// it, and every later step of the slots they poisoned — their releases,
+/// and their replays and evictions, which may come iterations later and
+/// after other recoveries opened programs of their own. Each program
+/// starts from resident slots with trusted pages, so each is checked on its
+/// own with [`check_recovery_program`] — slots are seated by ordinary
+/// admissions between recoveries, which the trace does not record.
 pub fn recorded_recoveries(trace: &[SchedTraceOp]) -> Vec<Vec<RecoveryOp>> {
-    trace
-        .split(|op| *op == SchedTraceOp::Recover)
-        .map(|seg| {
-            seg.iter()
-                .filter_map(|op| match *op {
-                    SchedTraceOp::Recovery(r) => Some(r),
-                    _ => None,
-                })
-                .collect::<Vec<_>>()
-        })
-        .filter(|prog| !prog.is_empty())
-        .collect()
+    let mut progs: Vec<Vec<RecoveryOp>> = vec![Vec::new()];
+    // The program of the fault that last poisoned each slot.
+    let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
+    for op in trace {
+        match *op {
+            SchedTraceOp::Recover => progs.push(Vec::new()),
+            SchedTraceOp::Recovery(r) => {
+                let (RecoveryOp::Fault { slot }
+                | RecoveryOp::Release { slot }
+                | RecoveryOp::Replay { slot }
+                | RecoveryOp::Evict { slot }) = r;
+                let newest = progs.len() - 1;
+                if let RecoveryOp::Fault { .. } = r {
+                    owner.insert(slot, newest);
+                }
+                progs[owner.get(&slot).copied().unwrap_or(newest)].push(r);
+            }
+            _ => {}
+        }
+    }
+    progs.retain(|prog| !prog.is_empty());
+    progs
 }
 
 // ---------------------------------------------------------------------------
@@ -283,12 +295,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recorded_recoveries_are_cut_at_each_recover_marker() {
+    fn recorded_recoveries_follow_each_slot_to_its_fault() {
         use RecoveryOp::*;
         use SchedTraceOp as T;
-        // Two recoveries of slot 0, an admission reseating it in between.
-        // The first replay's prefill fails (replay, release), the second
-        // recovery is past the budget (evict).
+        // A pass advancing slots 0 and 1 faults. The retry's replay of slot
+        // 0 fails (replay, release) while slot 1's seats; slot 0 waits. The
+        // next iteration's pass faults slot 1 past its budget (evict) and
+        // seats slot 0 in the retry — a step of the first recovery, recorded
+        // after the second one opened.
         let trace = [
             T::Execute,
             T::Recover,
@@ -298,8 +312,7 @@ mod tests {
             T::Recovery(Release { slot: 1 }),
             T::Recovery(Replay { slot: 0 }),
             T::Recovery(Release { slot: 0 }),
-            T::Recovery(Replay { slot: 0 }),
-            T::Recovery(Evict { slot: 1 }),
+            T::Recovery(Replay { slot: 1 }),
             T::Acquire,
             T::Retire,
             T::Release,
@@ -308,9 +321,11 @@ mod tests {
             T::Recovery(Fault { slot: 1 }),
             T::Recovery(Release { slot: 1 }),
             T::Recovery(Evict { slot: 1 }),
+            T::Recovery(Replay { slot: 0 }),
         ];
         let progs = recorded_recoveries(&trace);
         assert_eq!(progs.len(), 2);
+        assert_eq!(progs[0].last(), Some(&Replay { slot: 0 }));
         assert_eq!(progs[1], [Fault { slot: 1 }, Release { slot: 1 }, Evict { slot: 1 }]);
         for p in &progs {
             let diags = check_recovery_program(p);

@@ -307,7 +307,7 @@ pub fn step_trace(c: &GptConfig, tp: usize, rows: &[Row]) -> (Arena, Vec<Step>, 
 }
 
 /// Check one [`step_trace`] against its own arena.
-fn verify_step(c: &GptConfig, tp: usize, rows: &[Row]) -> Vec<Diagnostic> {
+pub fn verify_step(c: &GptConfig, tp: usize, rows: &[Row]) -> Vec<Diagnostic> {
     let (arena, steps, written) = step_trace(c, tp, rows);
     check_trace(&arena, &steps, &written)
 }

@@ -44,6 +44,7 @@ use crate::scratch::{check_trace, Arena, SliceRef, Step};
 use crate::{Diagnostic, Pass};
 use dsi_kernels::fusion::FusionPlan;
 use dsi_kernels::graph::{transformer_layer_ops_tp, OpKind};
+use dsi_model::fast::Row;
 use dsi_model::zoo;
 use dsi_parallel::mapping::Mapping3D;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
@@ -192,10 +193,19 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         // Trace a 16-row prompt pass (each row attending over its causal
         // prefix) and the decode step after it, whole and at one rank of a
         // 2- and 4-way shard (`tp_exec` ranks run the same step over shard
-        // widths): cheap enough to run for the 530B layer count.
+        // widths): cheap enough to run for the 530B layer count. Then the
+        // serving scheduler's mixed pass: the prompt rows of two sequences
+        // at different offsets (a newcomer, and a replay past an attached
+        // front) beside the decode rows of three others.
+        let mixed: Vec<Row> = [(0, 0..5), (1, 8..12)]
+            .into_iter()
+            .flat_map(|(seq, ps)| ps.map(move |pos| Row { seq, token: 0, pos }))
+            .chain((2..5).map(|seq| Row { seq, token: 0, pos: 3 * seq }))
+            .collect();
         for tp in [1usize, 2, 4].into_iter().filter(|&tp| c.heads.is_multiple_of(tp)) {
-            let d = crate::scratch::verify_decode_plan(c, tp, 16);
-            report.scratch_traces += 2; // prompt + decode trace
+            let mut d = crate::scratch::verify_decode_plan(c, tp, 16);
+            d.extend(crate::scratch::verify_step(c, tp, &mixed));
+            report.scratch_traces += 3; // prompt + decode + mixed trace
             report.diagnostics.extend(d.into_iter().map(|mut x| {
                 x.site = format!("{}: {}", site(&format!("decode tp={tp}")), x.site);
                 x
