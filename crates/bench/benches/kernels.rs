@@ -2,7 +2,7 @@
 //! substrate every equivalence test runs on.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use dsi_kernels::blocked::{Epilogue, PanelWeights};
+use dsi_kernels::blocked::{Epilogue, PackedB, PanelWeights};
 use dsi_kernels::ops;
 use dsi_kernels::quant::{matmul_quantized, QuantizedMatrix, QuantizedPackedB};
 use dsi_kernels::tensor::Tensor;
@@ -100,12 +100,40 @@ fn bench_int8_gemv(c: &mut Criterion) {
     g.finish();
 }
 
+/// The executed f32 kernel (`PanelWeights::gemm` on `PackedB`) on the same
+/// five shapes at M = 1, 8 and 16: whatever tier and row blocks the host
+/// dispatches to. Ids end in the operand's streamed bytes, as in
+/// `int8_gemv`; the operand stays cache-resident, so this reads issue rate.
+fn bench_f32_gemm(c: &mut Criterion) {
+    dsi_kernels::dispatch::table();
+    let mut g = c.benchmark_group("f32_gemm");
+    for &(k, n) in &[
+        (256usize, 768usize),
+        (256, 256),
+        (256, 1024),
+        (1024, 256),
+        (256, 512),
+    ] {
+        let b = PackedB::pack(&Tensor::randn(&[k, n], 0.1, 13));
+        for m in [1usize, 8, 16] {
+            let a = Tensor::randn(&[m, k], 1.0, 14);
+            let mut out = vec![0.0f32; m * n];
+            let id = BenchmarkId::new(format!("{k}x{n}/m{m}"), format!("{}B", b.storage_bytes()));
+            g.bench_with_input(id, &(), |bch, _| {
+                bch.iter(|| b.gemm(black_box(a.data()), m, black_box(&mut out), Epilogue::None))
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_elementwise,
     bench_attention,
     bench_quantization,
-    bench_int8_gemv
+    bench_int8_gemv,
+    bench_f32_gemm
 );
 criterion_main!(benches);

@@ -20,15 +20,24 @@
 //! output row is touched exactly once — no read-modify-write traffic like
 //! the naive saxpy form in [`crate::ops::matmul`].
 //!
+//! Three kernel tiers share the layout, chosen once per process by CPUID:
+//! scalar, AVX2 (8-lane registers, so an `MR`-row block walks a panel once
+//! per 8·`NR` columns) and AVX-512 (a whole panel row in two 16-lane
+//! registers, so an `MR`-row block reads each panel once). Every tier keeps
+//! each output lane's one sequential FMA chain over `k`, so all three
+//! compute the same bits.
+//!
 //! Every kernel writes into a caller-provided output slice, so steady-state
 //! decode can run entirely out of preallocated scratch (see
 //! `dsi-model::fast`). The `matmul_*_into` variants fuse the common
 //! epilogues (bias, bias+GeLU, bias+residual) into the same output pass —
 //! the interior tensor of each Fig. 1(c) region never touches memory twice.
 
+use crate::simd::Tier;
 use crate::tensor::Tensor;
 
-/// Output columns per packed panel: four 8-float SIMD registers.
+/// Output columns per packed panel: four 8-float YMM or two 16-float ZMM
+/// registers.
 pub const PANEL: usize = 32;
 
 /// Unit-stride dot product with 4 independent accumulators.
@@ -64,7 +73,7 @@ mod avx {
     /// `n.div_ceil(PANEL)` panels of `k * PANEL` floats ([`super::PackedB`]
     /// layout).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemv(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
+    unsafe fn gemv(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
         let n = out.len();
         let n_panels = n.div_ceil(PANEL);
         // Contract checks: the SAFETY arguments below all reduce to these
@@ -133,9 +142,11 @@ mod avx {
     /// the weight stream dominates, so amortizing it across M rows multiplies
     /// arithmetic per byte by M. `NR` is the number of 8-wide column
     /// registers per pass; `MR * NR` accumulators plus `NR` weight registers
-    /// plus one broadcast must fit the 16 YMM registers (MR=16 deliberately
-    /// spills — the dispatcher measures whether that ever wins rather than
-    /// assuming).
+    /// plus one broadcast must fit the 16 YMM registers, so `MR = 8` takes
+    /// `NR = 1` and walks each panel four times (MR=16 deliberately spills —
+    /// the dispatcher measures whether that ever wins rather than assuming).
+    /// The AVX-512 tier (`avx512`) has 32 registers and needs no column
+    /// groups.
     ///
     /// Numerics: each output element accumulates over `k` sequentially in a
     /// single register lane, exactly like [`gemv`] — every `(MR, NR)`
@@ -216,8 +227,9 @@ mod avx {
     /// Same contract as [`gemm_block`] with `MR == mr`.
     pub unsafe fn gemm_rows(a: &[f32], mr: usize, k: usize, panels: &[f32], n: usize, out: &mut [f32]) {
         // SAFETY: forwarded caller contract; each arm fixes MR == mr and an
-        // NR that divides PANEL/8, with MR*NR + NR + 1 <= 16 registers
-        // (except the deliberately-spilling MR=16 candidate).
+        // NR that divides PANEL/8, with MR*NR + NR + 1 <= 16 YMM registers
+        // (except the deliberately-spilling MR=16 candidate; the AVX-512
+        // tier runs 16 rows as two 8-row blocks instead).
         unsafe {
             match mr {
                 1 => gemv(a, k, panels, out),
@@ -227,6 +239,113 @@ mod avx {
                 16 => gemm_block::<16, 1>(a, k, panels, n, out),
                 _ => unreachable!("unsupported microkernel row count {mr}"),
             }
+        }
+    }
+}
+
+/// The AVX-512 tier: a whole 32-column panel row in two zmm registers, so
+/// an `MR`-row block reads each panel once, contiguously, and broadcasts
+/// each activation across `MR × 2` accumulators. The kernels are safe
+/// `#[target_feature]` functions: only their loads and stores are `unsafe`,
+/// and the layout checks those rest on run in every build. Each output lane
+/// keeps one sequential FMA chain over `k` from `+0.0`, as in `avx`, so
+/// the tier is bitwise equal to the AVX2 kernels and to the scalar oracle.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::PANEL;
+    use std::arch::x86_64::*;
+
+    /// The lane mask of the first `lanes <= 16` lanes.
+    fn mask(lanes: usize) -> __mmask16 {
+        ((1u32 << lanes) - 1) as __mmask16
+    }
+
+    /// Store the first `o.len()` lanes of one panel row: a masked store
+    /// writes no lane past the end of `o`, so an off-panel tail needs no
+    /// spill buffer.
+    #[target_feature(enable = "avx512f")]
+    fn store_row(o: &mut [f32], v: [__m512; 2]) {
+        let w = o.len();
+        // SAFETY: `mask(w.min(16))` enables only lanes `< w == o.len()`;
+        // masked-off lanes are not accessed.
+        unsafe { _mm512_mask_storeu_ps(o.as_mut_ptr(), mask(w.min(16)), v[0]) };
+        if w > 16 {
+            // SAFETY: `w > 16` puts `add(16)` inside `o`, and the mask
+            // enables only lanes `< w - 16` past it.
+            unsafe { _mm512_mask_storeu_ps(o.as_mut_ptr().add(16), mask((w - 16).min(16)), v[1]) };
+        }
+    }
+
+    /// `out[0..MR, 0..n] = a[0..MR, 0..k] · B` over [`super::PackedB`]
+    /// panels, with `a` and `out` row-major and dense. Per panel, `MR × 2`
+    /// accumulators, two weight registers and one broadcast: at most 19 of
+    /// the 32 zmm registers.
+    #[target_feature(enable = "avx512f")]
+    fn gemm_block512<const MR: usize>(
+        a: &[f32],
+        k: usize,
+        panels: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
+        let n_panels = n.div_ceil(PANEL);
+        assert_eq!(a.len(), MR * k, "gemm512: lhs size mismatch");
+        assert_eq!(out.len(), MR * n, "gemm512: out size mismatch");
+        assert_eq!(
+            panels.len(),
+            n_panels * k * PANEL,
+            "gemm512: panels size mismatch"
+        );
+        for jp in 0..n_panels {
+            let panel = &panels[jp * k * PANEL..(jp + 1) * k * PANEL];
+            let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+            for (i, row) in panel.chunks_exact(PANEL).enumerate() {
+                // SAFETY: `row` is exactly `PANEL == 32` floats, so both
+                // 16-wide loads read inside it.
+                let w = unsafe {
+                    [
+                        _mm512_loadu_ps(row.as_ptr()),
+                        _mm512_loadu_ps(row.as_ptr().add(16)),
+                    ]
+                };
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    // SAFETY: `i < k`, so `r * k + i < MR * k == a.len()`
+                    // (asserted above).
+                    let av = _mm512_set1_ps(unsafe { *a.get_unchecked(r * k + i) });
+                    accr[0] = _mm512_fmadd_ps(av, w[0], accr[0]);
+                    accr[1] = _mm512_fmadd_ps(av, w[1], accr[1]);
+                }
+            }
+            let j0 = jp * PANEL;
+            let width = (n - j0).min(PANEL);
+            for (r, &accr) in acc.iter().enumerate() {
+                store_row(&mut out[r * n + j0..r * n + j0 + width], accr);
+            }
+        }
+    }
+
+    /// Runtime-`mr` front end for `mr` ∈ {2, 4, 8, 16}; 16 rows run as two
+    /// 8-row blocks, since 32 accumulators would spill. M = 1 is not here:
+    /// it stays on the AVX2 GEMV, which measured faster.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gemm_rows(
+        a: &[f32],
+        mr: usize,
+        k: usize,
+        panels: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
+        match mr {
+            2 => gemm_block512::<2>(a, k, panels, n, out),
+            4 => gemm_block512::<4>(a, k, panels, n, out),
+            8 => gemm_block512::<8>(a, k, panels, n, out),
+            16 => {
+                let ((a0, a1), (o0, o1)) = (a.split_at(8 * k), out.split_at_mut(8 * n));
+                gemm_block512::<8>(a0, k, panels, n, o0);
+                gemm_block512::<8>(a1, k, panels, n, o1);
+            }
+            _ => unreachable!("unsupported AVX-512 row count {mr}"),
         }
     }
 }
@@ -256,18 +375,6 @@ pub(crate) fn gemv_scalar(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) 
         let je = (j0 + PANEL).min(n);
         out[j0..je].copy_from_slice(&acc[..je - j0]);
     }
-}
-
-#[inline]
-fn gemv(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_fma() {
-        // SAFETY: feature support verified by `avx2_fma`; the slice layout
-        // contract is upheld by `PackedB` (the only producer of `panels`).
-        unsafe { avx::gemv(a, k, panels, out) };
-        return;
-    }
-    gemv_scalar(a, k, panels, out);
 }
 
 /// A weight matrix packed for repeated right-multiplication: logically
@@ -436,50 +543,52 @@ pub(crate) fn apply_epilogue_rows(
     }
 }
 
-/// Dispatch-driven row-blocked GEMM over FP32 panels. `force_mr` pins the
+/// Dispatch-driven row-blocked GEMM over FP32 panels on the kernels of
+/// `tier`, which must not exceed [`Tier::host`]. `force_mr` pins the
 /// microkernel row count (used by [`crate::dispatch`] calibration, which
 /// must not consult the table it is building); `None` consults the measured
-/// table per remaining-row count.
+/// table per remaining-row count. The scalar tier runs one row at a time.
 pub(crate) fn gemm_f32_with(
     a: &[f32],
     m: usize,
     b: &PackedB,
     out: &mut [f32],
     ep: Epilogue<'_>,
+    tier: Tier,
     force_mr: Option<usize>,
 ) {
     let (k, n) = (b.k, b.n);
     assert_eq!(a.len(), m * k, "gemm: lhs size mismatch");
     assert_eq!(out.len(), m * n, "gemm: out size mismatch");
-    #[cfg(target_arch = "x86_64")]
-    let use_avx = crate::simd::avx2_fma();
-    #[cfg(not(target_arch = "x86_64"))]
-    let use_avx = false;
+    assert!(
+        tier <= Tier::host(),
+        "gemm: {tier:?} kernels on a {:?} host",
+        Tier::host()
+    );
     let mut r = 0;
     while r < m {
         let rem = m - r;
-        let mr = if use_avx {
-            match force_mr {
-                Some(c) => crate::dispatch::largest_candidate_le(c.min(rem)),
-                None => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::F32),
-            }
-        } else {
-            1
+        let mr = match (tier, force_mr) {
+            (Tier::Scalar, _) => 1,
+            (_, Some(c)) => crate::dispatch::largest_candidate_le(c.min(rem)),
+            (_, None) => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::F32),
         };
         let ablk = &a[r * k..(r + mr) * k];
         let oblk = &mut out[r * n..(r + mr) * n];
-        if mr == 1 {
-            gemv(ablk, k, &b.data, oblk);
-        } else {
+        match tier {
+            Tier::Scalar => gemv_scalar(ablk, k, &b.data, oblk),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `use_avx` verified AVX2+FMA; slice layout upheld by
-            // `PackedB` (the only producer of `b.data`), block sizes by the
-            // asserts above.
-            unsafe {
-                avx::gemm_rows(ablk, mr, k, &b.data, n, oblk)
-            };
+            // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
+            // reported AVX-512F; the kernels check their own bounds.
+            Tier::Avx512 if mr > 1 => unsafe { avx512::gemm_rows(ablk, mr, k, &b.data, n, oblk) },
+            // M = 1 runs the AVX2 GEMV on both SIMD tiers.
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
+            // reported AVX2+FMA; slice layout upheld by `PackedB` (the only
+            // producer of `b.data`), block sizes by the asserts above.
+            Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows(ablk, mr, k, &b.data, n, oblk) },
             #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("mr > 1 requires AVX2");
+            _ => unreachable!("SIMD tiers are detected on x86_64 only"),
         }
         apply_epilogue_rows(out, n, r, mr, ep);
         r += mr;
@@ -497,7 +606,7 @@ impl PanelWeights for PackedB {
         self.data.len() * std::mem::size_of::<f32>()
     }
     fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], ep: Epilogue<'_>) {
-        gemm_f32_with(a, m, self, out, ep, None);
+        gemm_f32_with(a, m, self, out, ep, Tier::host(), None);
     }
 }
 

@@ -1,9 +1,9 @@
 //! Shape-adversarial differential harness for the packed GEMM kernels.
 //!
-//! Every executed path over [`PackedB`] and [`QuantizedPackedB`] — each
-//! forced microkernel row block, the measured dispatch at every row count
-//! `1..=17`, and the portable scalar fallback — is held **bitwise** to one
-//! scalar oracle per dtype on a fixed seed corpus: `k` and `n` off the
+//! Every executed path over [`PackedB`] and [`QuantizedPackedB`] — on each
+//! kernel tier the host has (scalar, AVX2, AVX-512), each forced
+//! microkernel row block and the measured dispatch at every row count
+//! `1..=17` — is held **bitwise** to one scalar oracle per dtype on a fixed seed corpus: `k` and `n` off the
 //! 32-column panel, quantization groups of 1, 7, 32, 64 and longer than
 //! `k`, the FF2 depth `k = 1024`, and activation rows carrying ±0.0,
 //! denormals, ±Inf and NaN. NaN is compared by NaN-ness only: no kernel
@@ -15,13 +15,12 @@
 //! kernels must leave untouched.
 
 use crate::blocked::{
-    gemm_f32_with, gemv_scalar, matmul_bias_add_into, matmul_into, Epilogue, PackedB, PanelWeights,
+    gemm_f32_with, matmul_bias_add_into, matmul_into, Epilogue, PackedB, PanelWeights,
 };
 use crate::fused::bias_residual_inplace;
 use crate::dispatch::MR_CANDIDATES;
-use crate::quant::{
-    gemm_int8_with, gemv_int8_scalar, matmul_quantized, QuantizedMatrix, QuantizedPackedB,
-};
+use crate::quant::{gemm_int8_with, matmul_quantized, QuantizedMatrix, QuantizedPackedB};
+use crate::simd::Tier;
 use crate::tensor::Tensor;
 
 /// Off-panel widths and depths: below, around and across the 32-column
@@ -138,38 +137,54 @@ fn assert_same(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// The tiers this host runs, lowest first.
+fn host_tiers() -> impl Iterator<Item = Tier> {
+    [Tier::Scalar, Tier::Avx2, Tier::Avx512]
+        .into_iter()
+        .filter(|&t| t <= Tier::host())
+}
+
 /// Run every executed path of one operand against `want`, the oracle's
-/// `MAX_M`-row product: the scalar fallback row by row, each forced row
-/// block over all rows, and the measured dispatch at each row count.
+/// `MAX_M`-row product: on every tier the host has, each forced row block
+/// over all rows and the measured dispatch at each row count.
 fn check_paths(
     what: &str,
     a: &[f32],
     k: usize,
     n: usize,
     want: &[f32],
-    scalar: impl Fn(&[f32], &mut [f32]),
-    gemm: impl Fn(&[f32], usize, &mut [f32], Option<usize>),
+    gemm: impl Fn(&[f32], usize, &mut [f32], Tier, Option<usize>),
 ) {
     let fresh = |m: usize| vec![SENTINEL; m * n + GUARD];
-    let mut got = fresh(MAX_M);
-    for (arow, orow) in a.chunks_exact(k).zip(got.chunks_exact_mut(n)) {
-        scalar(arow, orow);
-    }
-    assert_same(&got, want, &format!("{what} scalar"));
-    for force in MR_CANDIDATES {
-        let mut got = fresh(MAX_M);
-        gemm(a, MAX_M, &mut got[..MAX_M * n], Some(force));
-        assert_same(&got, want, &format!("{what} force={force}"));
-    }
-    for m in 1..=MAX_M {
-        let mut got = fresh(m);
-        gemm(&a[..m * k], m, &mut got[..m * n], None);
-        assert_same(&got, &want[..m * n], &format!("{what} dispatch m={m}"));
+    for tier in host_tiers() {
+        for force in MR_CANDIDATES {
+            let mut got = fresh(MAX_M);
+            gemm(a, MAX_M, &mut got[..MAX_M * n], tier, Some(force));
+            assert_same(&got, want, &format!("{what} {tier:?} force={force}"));
+        }
+        for m in 1..=MAX_M {
+            let mut got = fresh(m);
+            gemm(&a[..m * k], m, &mut got[..m * n], tier, None);
+            assert_same(
+                &got,
+                &want[..m * n],
+                &format!("{what} {tier:?} dispatch m={m}"),
+            );
+        }
     }
 }
 
 #[test]
 fn f32_paths_match_the_fma_oracle_bitwise() {
+    let checked: Vec<_> = host_tiers()
+        .map(|t| format!("{t:?}").to_lowercase())
+        .collect();
+    let skipped = if Tier::host() < Tier::Avx512 {
+        " (avx512 skipped: this host lacks it)"
+    } else {
+        ""
+    };
+    println!("tiers checked: {}{skipped}", checked.join(", "));
     for (case, (k, n)) in shapes().chain(F32_CASES).enumerate() {
         let seed = case as u64;
         let x = activations(k, seed);
@@ -181,9 +196,33 @@ fn f32_paths_match_the_fma_oracle_bitwise() {
             k,
             n,
             &matmul_f32_oracle(&x, &w),
-            |row, out| gemv_scalar(row, k, pb.as_packed(), out),
-            |a, m, out, force| gemm_f32_with(a, m, &pb, out, Epilogue::None, force),
+            |a, m, out, tier, force| gemm_f32_with(a, m, &pb, out, Epilogue::None, tier, force),
         );
+    }
+}
+
+/// The AVX-512 tier's 8-row block against eight AVX2 M = 1 rows, bit for
+/// bit (NaN by NaN-ness), at every off-panel width: the two tiers agree
+/// directly, not only through the oracle.
+#[test]
+fn avx512_eight_row_block_matches_eight_avx2_rows_bitwise() {
+    if Tier::host() < Tier::Avx512 {
+        println!("avx512 skipped: this host lacks it");
+        return;
+    }
+    for (case, (k, n)) in shapes().enumerate() {
+        let seed = case as u64;
+        let x = activations(k, seed);
+        let pb = PackedB::pack(&weights(k, n, seed + 500));
+        let a = &x.data()[..8 * k];
+        let mut want = vec![SENTINEL; 8 * n + GUARD];
+        for (arow, orow) in a.chunks_exact(k).zip(want.chunks_exact_mut(n)) {
+            gemm_f32_with(arow, 1, &pb, orow, Epilogue::None, Tier::Avx2, Some(1));
+        }
+        let mut got = vec![SENTINEL; 8 * n + GUARD];
+        let got_out = &mut got[..8 * n];
+        gemm_f32_with(a, 8, &pb, got_out, Epilogue::None, Tier::Avx512, Some(8));
+        assert_same(&got, &want[..8 * n], &format!("avx512 vs avx2 k={k} n={n}"));
     }
 }
 
@@ -201,8 +240,7 @@ fn int8_paths_match_matmul_quantized_bitwise() {
             k,
             n,
             matmul_quantized(&x, &wq).data(),
-            |row, out| gemv_int8_scalar(row, &qb, out),
-            |a, m, out, force| gemm_int8_with(a, m, &qb, out, Epilogue::None, force),
+            |a, m, out, tier, force| gemm_int8_with(a, m, &qb, out, Epilogue::None, tier, force),
         );
     }
 }

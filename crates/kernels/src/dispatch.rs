@@ -5,17 +5,25 @@
 //!
 //! Each `(row count, dtype)` pair maps to a microkernel row-block `MR`.
 //! The mapping is calibrated once per process at first use ("pack time"):
-//! every candidate `MR` is timed on a synthetic decode-shaped GEMM
-//! (`k = n = 256`, the skinny regime where the weight stream dominates) and
-//! the winner recorded per batch width. A static fallback covers non-AVX
-//! builds.
+//! every candidate `MR` is timed, on the kernel tier the host will run, on
+//! a synthetic decode-shaped GEMM (`k = n = 256`) and the winner recorded
+//! per batch width. A static fallback covers hosts without AVX2.
+//!
+//! That operand is 256 KiB of f32, so it stays resident in a core's L2 on
+//! hosts with 1 MiB or more: a row block that re-reads the panels pays L2,
+//! not DRAM, prices. That is why the AVX2 tier picks `MR = 2` at 8 rows
+//! (`gemm_block::<2, 4>` four times) over `<8, 1>`, which re-walks each
+//! panel four times at a 128-byte stride. The AVX-512 tier reads a panel
+//! once per block at any `MR`; on a Sapphire Rapids core (2 MiB L2) its
+//! calibration picks 8 at 8 rows.
 //!
 //! Correctness never depends on the table: every candidate accumulates each
-//! output element in the same order (see `blocked::gemm_block`), so dispatch
-//! is purely a performance decision.
+//! output element in the same order on every tier (see
+//! `blocked::gemm_block`), so dispatch is purely a performance decision.
 
 use crate::blocked::{Epilogue, PackedB};
 use crate::quant::{QuantizedMatrix, QuantizedPackedB};
+use crate::simd::Tier;
 use crate::tensor::Tensor;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -27,9 +35,11 @@ pub enum GemmDtype {
     Int8,
 }
 
-/// Microkernel row counts, largest first. 16 deliberately exceeds the
-/// 16-YMM register budget (its accumulators spill); it is included so the
-/// measurement — not an assumption — decides whether it ever wins.
+/// Microkernel row counts, largest first. On the AVX2 tier 16 deliberately
+/// exceeds the 16-YMM register budget (its accumulators spill); it is
+/// included so the measurement — not an assumption — decides whether it
+/// ever wins. The AVX-512 tier runs 16 as two 8-row blocks: 16 × 2 zmm
+/// accumulators would spill too.
 pub const MR_CANDIDATES: [usize; 5] = [16, 8, 4, 2, 1];
 
 /// Largest batch width with its own table entry; wider GEMMs reuse it.
@@ -118,8 +128,8 @@ fn calibrate() -> DispatchTable {
         f32_mr: fallback_table(GemmDtype::F32),
         int8_mr: fallback_table(GemmDtype::Int8),
     };
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_fma() {
+    let tier = Tier::host();
+    if tier > Tier::Scalar {
         // Decode-shaped operands: skinny activations against a square-ish
         // weight big enough that the weight stream dominates.
         let (k, n) = (256usize, 256usize);
@@ -146,6 +156,7 @@ fn calibrate() -> DispatchTable {
                                     &pb,
                                     &mut out[..m * n],
                                     Epilogue::None,
+                                    tier,
                                     Some(cand),
                                 )
                             },
@@ -159,6 +170,7 @@ fn calibrate() -> DispatchTable {
                                     &qb,
                                     &mut out[..m * n],
                                     Epilogue::None,
+                                    tier,
                                     Some(cand),
                                 )
                             },

@@ -16,6 +16,7 @@
 
 use crate::blocked::{Epilogue, PanelWeights, PANEL};
 use crate::ops;
+use crate::simd::Tier;
 use crate::tensor::Tensor;
 
 /// An INT8-quantized matrix with group-wise scales.
@@ -366,45 +367,45 @@ mod avx {
 }
 
 /// Dispatch-driven row-blocked GEMM over INT8 panels (mirror of
-/// `blocked::gemm_f32_with`).
+/// `blocked::gemm_f32_with`). The AVX-512 tier runs the AVX2 kernel: INT8
+/// has no 512-bit form.
 pub(crate) fn gemm_int8_with(
     a: &[f32],
     m: usize,
     b: &QuantizedPackedB,
     out: &mut [f32],
     ep: Epilogue<'_>,
+    tier: Tier,
     force_mr: Option<usize>,
 ) {
     let (k, n) = (b.k, b.n);
     assert_eq!(a.len(), m * k, "int8 gemm: lhs size mismatch");
     assert_eq!(out.len(), m * n, "int8 gemm: out size mismatch");
-    #[cfg(target_arch = "x86_64")]
-    let use_avx = crate::simd::avx2_fma();
-    #[cfg(not(target_arch = "x86_64"))]
-    let use_avx = false;
+    assert!(
+        tier <= Tier::host(),
+        "int8 gemm: {tier:?} kernels on a {:?} host",
+        Tier::host()
+    );
     let mut r = 0;
     while r < m {
         let rem = m - r;
-        let mr = if use_avx {
-            match force_mr {
-                Some(c) => crate::dispatch::largest_candidate_le(c.min(rem)),
-                None => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::Int8),
-            }
-        } else {
-            1
+        let mr = match (tier, force_mr) {
+            (Tier::Scalar, _) => 1,
+            (_, Some(c)) => crate::dispatch::largest_candidate_le(c.min(rem)),
+            (_, None) => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::Int8),
         };
         let ablk = &a[r * k..(r + mr) * k];
         let oblk = &mut out[r * n..(r + mr) * n];
-        if use_avx {
+        match tier {
+            Tier::Scalar => gemv_int8_scalar(ablk, b, oblk),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `use_avx` verified AVX2+FMA; layout invariants upheld
-            // by `QuantizedPackedB` construction; block sizes by the asserts
+            // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
+            // reported AVX2+FMA; layout invariants upheld by
+            // `QuantizedPackedB` construction; block sizes by the asserts
             // above.
-            unsafe {
-                avx::gemm_rows_int8(ablk, mr, b, oblk)
-            };
-        } else {
-            gemv_int8_scalar(ablk, b, oblk);
+            Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows_int8(ablk, mr, b, oblk) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("SIMD tiers are detected on x86_64 only"),
         }
         crate::blocked::apply_epilogue_rows(out, n, r, mr, ep);
         r += mr;
@@ -422,7 +423,7 @@ impl PanelWeights for QuantizedPackedB {
         self.q.len() + self.scales.len() * std::mem::size_of::<f32>()
     }
     fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], ep: Epilogue<'_>) {
-        gemm_int8_with(a, m, self, out, ep, None);
+        gemm_int8_with(a, m, self, out, ep, Tier::host(), None);
     }
 }
 

@@ -11,14 +11,49 @@
 //! NaN inputs propagate: the range clamp is ordered so an unordered compare
 //! keeps the NaN operand, and every downstream step is arithmetic.
 
-/// Whether the AVX2+FMA kernels can run on this CPU (checked once).
+/// The widest kernel family the CPU runs. Tiers are ordered: a host of one
+/// tier runs every tier below it, and every tier computes the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Tier {
+    /// Portable scalar kernels: the correctness floor.
+    Scalar,
+    /// AVX2+FMA, 8 lanes.
+    Avx2,
+    /// AVX-512F on top of AVX2+FMA: the f32 panel GEMMs run 16 lanes.
+    Avx512,
+}
+
+impl Tier {
+    /// This host's tier, read from CPUID once per process.
+    #[inline]
+    pub(crate) fn host() -> Tier {
+        static HOST: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+        *HOST.get_or_init(detect)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+fn detect() -> Tier {
+    use std::arch::is_x86_feature_detected as has;
+    if !(has!("avx2") && has!("fma")) {
+        Tier::Scalar
+    } else if has!("avx512f") {
+        Tier::Avx512
+    } else {
+        Tier::Avx2
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn detect() -> Tier {
+    Tier::Scalar
+}
+
+/// Whether the AVX2+FMA kernels can run on this CPU.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub(crate) fn avx2_fma() -> bool {
-    static AVAIL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVAIL.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    })
+    Tier::host() >= Tier::Avx2
 }
 
 #[cfg(target_arch = "x86_64")]

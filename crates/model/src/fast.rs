@@ -481,12 +481,13 @@ pub fn logits<W: WeightSource>(w: &W, s: &mut Scratch, m: usize) {
     blocked::matmul_into(&s.normed[..m * h], m, w.logits_w(), &mut s.logits[..m * vocab]);
 }
 
-/// Preallocated intermediate buffers for the fused layer loop. Sized for
-/// `m` concurrent rows (the prompt length; steady-state decode uses `m=1`
-/// slices of the same buffers).
+/// Preallocated intermediate buffers for the fused layer loop, sized for
+/// `m` concurrent rows. A [`step`] pass uses the first `rows.len()` rows of
+/// each buffer: one per context token it seats and one per slot it
+/// advances, so a decode pass is as wide as the batch it carries.
 #[derive(Debug)]
 pub struct Scratch {
-    /// `[h]` layer-norm output row (interior of fused regions 1 and 4).
+    /// `[m, h]` layer-norm output (interior of fused regions 1 and 4).
     pub(crate) normed: Vec<f32>,
     /// `[m, h]` current activations.
     pub(crate) x: Vec<f32>,
