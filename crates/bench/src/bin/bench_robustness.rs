@@ -5,13 +5,15 @@
 //! medians with their quartile spread).
 //!
 //! Three sections, one JSON (`BENCH_robustness.json`):
-//! * **tp** — the threaded TP engine under its supervisor. Armed-idle: no
+//! * **tp** — the threaded TP engine (`TpEngine`). Armed-idle: no
 //!   injector vs an injector holding an *empty* plan (consulted on every
 //!   barrier/reduce/layer) vs the same plus per-chunk checksums. Storm: a
-//!   sub-timeout stall, a corrupted reduce chunk (transient retry) and a
-//!   worker panic (permanent: the group degrades to tp=1) in one decode.
+//!   sub-timeout stall, a corrupted reduce chunk (the group is rebuilt at
+//!   the same degree) and a worker panic (permanent: the group degrades to
+//!   tp=1) in one decode, each fault recovered by prefix replay.
 //! * **serve** — shedding on/off at 0.5×/1×/3× of the calibrated service
-//!   rate; single-flight vs continuous batching on the same 3× burst, and
+//!   rate on a one-slot server; one slot vs continuous batching on the
+//!   same 3× burst, and
 //!   the continuous arm again under an engine-fault storm (panics, stalls
 //!   past the step deadline, corruption, allocator exhaustion); armed-idle
 //!   cost of `FaultyEngine` + the scheduler's per-step `catch_unwind`; a
@@ -47,11 +49,10 @@ use dsi_bench::{
 use dsi_core::batch::{BatchEngine, FaultyEngine};
 use dsi_core::StreamedEngine;
 use dsi_model::fast::PackedModel;
-use dsi_model::paged::PagedEngine;
+use dsi_model::paged::{PagedEngine, StepError};
 use dsi_model::reference::GptModel;
 use dsi_model::{zoo, GptConfig};
-use dsi_parallel::supervisor::{FtConfig, FtReport, FtSession, RetryPolicy};
-use dsi_parallel::tp_exec::TpPackedModel;
+use dsi_parallel::{TpEngine, TpReport};
 use dsi_serve::{ContinuousConfig, EngineMode, Outcome, Request, ServeConfig, ServeReport, Server};
 use dsi_sim::fault::{
     EngineFaultInjector, EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec, FaultKind,
@@ -84,7 +85,7 @@ fn median_by<S>(samples: &[S], key: impl Fn(&S) -> f64) -> &S {
 }
 
 // ---------------------------------------------------------------------------
-// TP supervisor
+// TP engine
 // ---------------------------------------------------------------------------
 
 #[derive(Serialize)]
@@ -100,6 +101,43 @@ struct TpSection {
     storm: Recovered,
 }
 
+/// A one-slot TP engine of `tp` ranks over `model` with `comm`; its group
+/// (threads, pools) is built here, outside any timed region.
+fn tp_engine(model: &Arc<GptModel>, tp: usize, comm: CommConfig) -> TpEngine {
+    TpEngine::new(Arc::clone(model), tp, comm, 1, 8, 16)
+}
+
+/// Greedy decode of `gen` tokens on slot 0, recovering from every fault the
+/// way the serving scheduler does: seat the committed context again.
+fn decode_replaying(eng: &mut TpEngine, prompt: &[usize], gen: usize) -> Vec<usize> {
+    let mut toks: Vec<usize> = Vec::with_capacity(gen);
+    let mut out = Vec::with_capacity(1);
+    let mut seated = false;
+    while toks.len() < gen {
+        out.clear();
+        let r = if seated {
+            eng.pass(&[], &[0], &mut out)
+        } else {
+            let ctx: Vec<usize> = prompt.iter().chain(&toks[..toks.len().saturating_sub(1)]).copied().collect();
+            eng.pass(&[(0, &ctx)], &[], &mut out)
+        };
+        let ok = r.is_ok();
+        match r {
+            Ok(()) if seated || toks.is_empty() => toks.push(out[0]),
+            Ok(()) => assert_eq!(toks.last(), Some(&out[0]), "tp: a replay reproduces the last token"),
+            Err(StepError::Weights(_)) => {
+                if seated {
+                    eng.release(0);
+                }
+            }
+            Err(StepError::Pages(e)) => panic!("tp: the pool holds one sequence: {e:?}"),
+        }
+        seated = ok;
+    }
+    eng.release(0);
+    toks
+}
+
 fn tp_section(full: bool) -> TpSection {
     // Wide enough that per-layer GEMM work dominates the two all-reduces,
     // and a decode long enough that two group rebuilds do not dwarf it.
@@ -111,12 +149,10 @@ fn tp_section(full: bool) -> TpSection {
     let injector = Some(Arc::new(FaultPlan::new(Vec::new()).injector()));
     let armed = CommConfig { injector, ..CommConfig::default() };
     let cfgs = [CommConfig::default(), armed.clone(), CommConfig { checksum: true, ..armed }];
-    let tpm = Arc::new(TpPackedModel::shard(&model, tp));
     let dts = measure_interleaved(cfgs.len(), reps, |i| {
-        // Thread spawn and scratch stay outside the timed region.
-        let mut sess = tpm.session_with(PROMPT.len(), cfgs[i].clone(), None);
+        let mut eng = tp_engine(&model, tp, cfgs[i].clone());
         let t0 = Instant::now();
-        let out = sess.generate(&PROMPT, gen);
+        let out = decode_replaying(&mut eng, &PROMPT, gen);
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(out, want, "tp: hardened path diverged from the solo oracle");
         dt
@@ -127,9 +163,10 @@ fn tp_section(full: bool) -> TpSection {
     }
 
     // One decode, three faults on the worker rank: a stall the collectives
-    // ride out, a corrupt chunk the checksum catches (same-degree retry),
-    // a panic (the group degrades to tp=1). A decode step crosses one
-    // barrier, then three per all-reduce, two all-reduces per layer.
+    // ride out, a corrupt chunk the checksum catches (the group is rebuilt
+    // at the same degree), a panic (the group degrades to tp=1). A pass
+    // crosses one barrier, then three per all-reduce, two all-reduces per
+    // layer.
     let stall_ms = 20;
     let first_reduce_of_step = |step: u64| step * (1 + 6 * config.layers as u64) + 1;
     let layer_site = |token| FaultSite::Layer { token, layer: 1 };
@@ -140,31 +177,26 @@ fn tp_section(full: bool) -> TpSection {
     ]);
     let plans = [FaultPlan::new(Vec::new()), storm];
     let runs = measure_interleaved(plans.len(), storm_reps, |i| {
-        let cfg = FtConfig {
-            tp,
-            comm: CommConfig {
-                timeout: Duration::from_millis(250),
-                checksum: true,
-                injector: Some(Arc::new(plans[i].injector())),
-            },
-            retry: RetryPolicy { max_retries: 8, backoff_ms: 1 },
+        let comm = CommConfig {
+            timeout: Duration::from_millis(250),
+            checksum: true,
+            injector: Some(Arc::new(plans[i].injector())),
         };
-        let mut ft = FtSession::new(Arc::clone(&model), PROMPT.len(), cfg);
+        let mut eng = tp_engine(&model, tp, comm);
         let t0 = Instant::now();
-        let out = ft.generate(&PROMPT, gen).expect("tp: the retry budget covers the storm");
+        let out = decode_replaying(&mut eng, &PROMPT, gen);
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(out, want, "tp: recovered decode diverged from the solo oracle");
-        (dt, ft.report().clone())
+        (dt, eng.report().clone())
     });
     for (_, clean) in &runs[0] {
         assert_eq!(clean.rebuilds, 0, "tp: the clean arm saw a fault: {:?}", clean.faults);
     }
     for (_, r) in &runs[1] {
-        let landed = r.retries >= 1 && r.degradations == [(tp, 1)];
-        assert!(landed, "tp: the storm must retry once and degrade once: {:?}", r.faults);
-        assert_eq!(r.rebuilds as usize, r.retries as usize + r.degradations.len(), "tp: supervisor books");
+        let landed = r.rebuilds == 2 && r.degradations == [(tp, 1)];
+        assert!(landed, "tp: the storm must rebuild twice and degrade once: {:?}", r.faults);
     }
-    let dt = |runs: &[(f64, FtReport)]| median_of(runs, |r| r.0);
+    let dt = |runs: &[(f64, TpReport)]| median_of(runs, |r| r.0);
     let storm = assert_recovered_goodput("tp", dt(&runs[0]), dt(&runs[1]), stall_ms as f64 / 1e3);
     TpSection { model: config.name, tp, gen_tokens: gen, reps, armed, armed_checksum, storm }
 }
@@ -181,12 +213,19 @@ fn request(i: usize) -> Request {
     Request { prompt, n_tokens: GEN_TOKENS, deadline: None }
 }
 
-/// Mean sequential service time: the engine's capacity is 1/service.
+/// One slot — one request decodes at a time — over `pages_total` pages.
+fn one_slot(pages_total: usize) -> EngineMode {
+    EngineMode::Continuous(ContinuousConfig { max_slots: 1, pages_total, ..ContinuousConfig::default() })
+}
+
+/// Mean sequential service time of a one-slot server: its capacity is
+/// 1/service.
 fn calibrate(model: &Arc<GptModel>, tp: usize, reps: usize) -> Duration {
     let mut cfg = ServeConfig::new(tp);
+    cfg.mode = one_slot(64);
     cfg.comm.timeout = Duration::from_secs(5);
     let srv = Server::start(Arc::clone(model), cfg);
-    // Warm-up: first request builds the TP group.
+    // Warm-up: the first request touches every buffer once.
     srv.submit(request(0)).unwrap().wait();
     let t0 = Instant::now();
     for i in 0..reps {
@@ -238,9 +277,11 @@ fn offer(srv: Server, service: Duration, rate_mult: f64, seed: u64, n: usize) ->
 fn run_regime(model: &Arc<GptModel>, service: Duration, rate_mult: f64, shedding: bool, n: usize) -> ServeReport {
     let mut cfg = ServeConfig::new(SERVE_TP);
     cfg.comm.timeout = Duration::from_secs(5);
-    // Shedding: a short queue and a deadline of ten service times.
-    (cfg.queue_capacity, cfg.kv_budget_tokens, cfg.default_deadline) =
-        if shedding { (4, 4096, Some(service * 10)) } else { (usize::MAX / 2, usize::MAX / 2, None) };
+    // Shedding: a short queue and a deadline of ten service times. Without
+    // it every offer queues, each on one page of the 512.
+    cfg.mode = one_slot(512);
+    (cfg.queue_capacity, cfg.default_deadline) =
+        if shedding { (4, Some(service * 10)) } else { (usize::MAX / 2, None) };
     let seed = SEED ^ (rate_mult.to_bits() ^ shedding as u64);
     offer(Server::start(Arc::clone(model), cfg), service, rate_mult, seed, n).0
 }
@@ -258,7 +299,6 @@ fn run_engine_arm(
 ) -> Offered {
     let mut cfg = ServeConfig::new(1);
     cfg.queue_capacity = 8;
-    cfg.kv_budget_tokens = 4096;
     cfg.default_deadline = None;
     cfg.mode = mode;
     cfg.engine_faults = faults;
@@ -326,17 +366,19 @@ fn engine_armed_idle(model: &GptModel, reps: usize) -> ArmedIdle {
     armed_idle(&dts[0], &dts[1])
 }
 
-/// A storm of scripted permanent faults, breaker on/off.
+/// A storm of scripted faults, breaker on/off: each group the server
+/// builds corrupts its first all-reduce until the script runs out, and no
+/// request gets a replay.
 fn run_breaker_storm(model: &Arc<GptModel>, breaker: bool, n: usize) -> ServeReport {
     let mut cfg = ServeConfig::new(SERVE_TP);
+    cfg.mode = EngineMode::Continuous(ContinuousConfig { max_slots: 1, replay_budget: 0, ..ContinuousConfig::default() });
     cfg.comm.timeout = Duration::from_millis(100);
-    cfg.retry.max_retries = 0;
-    cfg.retry.backoff_ms = 0;
+    cfg.comm.checksum = true;
     cfg.breaker.enabled = breaker;
     cfg.breaker.failure_threshold = 1;
     cfg.breaker.open_window = Duration::from_millis(400);
-    let exit = FaultSpec { rank: 1, site: FaultSite::Barrier { epoch: 0 }, kind: FaultKind::Exit };
-    cfg.comm.injector = Some(Arc::new(FaultPlan::new(vec![exit; 6]).injector()));
+    let corrupt = FaultSpec { rank: 1, site: FaultSite::Reduce { epoch: 1 }, kind: FaultKind::Corrupt };
+    cfg.comm.injector = Some(Arc::new(FaultPlan::new(vec![corrupt; 6]).injector()));
     // Paced slower than the engine so breaker state — not queue depth —
     // decides each admission, and open windows elapse mid-run.
     offer(Server::start(Arc::clone(model), cfg), Duration::from_millis(30), 1.0, SEED, n).0
@@ -364,12 +406,12 @@ struct ServeSection {
     engine_requests: usize,
     /// Sequential tp=1 service time the engine comparison is paced by.
     single_service_time_ms: f64,
-    /// The median rep of each arm at 3× overload; the continuous arms carry
-    /// the scheduler report (occupancy histograms, page stats, recoveries).
-    single_flight: ServeReport,
+    /// The median rep of each arm at 3× overload, each with its scheduler
+    /// report (occupancy histograms, page stats, recoveries).
+    one_slot: ServeReport,
     continuous: ServeReport,
     continuous_faulted: ServeReport,
-    /// Continuous goodput / single-flight goodput. Bar: ≥ 2.
+    /// Continuous goodput / one-slot goodput. Bar: ≥ 2.
     continuous_goodput_ratio_overloaded: f64,
     armed: ArmedIdle,
     /// Seconds per completed request, faulted vs clean continuous arm.
@@ -434,7 +476,7 @@ fn serve_section(full: bool) -> ServeSection {
     let pm = PackedModel::pack(&emodel);
     let mut oracle: Vec<Option<Vec<usize>>> = vec![None; n_engine];
     let arms = measure_interleaved(3, reps, |i| match i {
-        0 => run_engine_arm(&emodel, service1, EngineMode::SingleFlight, None, n_engine).0,
+        0 => run_engine_arm(&emodel, service1, one_slot(64), None, n_engine).0,
         1 => run_engine_arm(&emodel, service1, continuous_mode(None), None, n_engine).0,
         _ => {
             let inj = Arc::new(storm_plan.injector());
@@ -467,7 +509,7 @@ fn serve_section(full: bool) -> ServeSection {
     let [single, cont, faulted] = [0, 1, 2].map(|i| median_by(&arms[i], |r| 1.0 / r.goodput_rps));
     let continuous_ratio = cont.goodput_rps / single.goodput_rps;
     println!(
-        "serve: continuous {} done vs single-flight {} done ({continuous_ratio:.2}x goodput); storm: {} done, {} recoveries",
+        "serve: continuous {} done vs one slot {} done ({continuous_ratio:.2}x goodput); storm: {} done, {} recoveries",
         cont.completed,
         single.completed,
         faulted.completed,
@@ -489,7 +531,7 @@ fn serve_section(full: bool) -> ServeSection {
     if full {
         assert!(p99_ratio <= 0.5, "serve: shedding must at least halve overloaded p99 ({p99_ratio:.3})");
         assert!(goodput_ratio >= 0.9, "serve: shedding must keep goodput within 10% ({goodput_ratio:.3})");
-        assert!(continuous_ratio >= 2.0, "serve: continuous must double single-flight goodput ({continuous_ratio:.2}x)");
+        assert!(continuous_ratio >= 2.0, "serve: continuous must double one-slot goodput ({continuous_ratio:.2}x)");
         assert!(storm_on.rejected_breaker >= 1, "serve: an open breaker must fast-fail an admission");
     }
     ServeSection {
@@ -501,7 +543,7 @@ fn serve_section(full: bool) -> ServeSection {
         engine_model: emodel_cfg.name,
         engine_requests: n_engine,
         single_service_time_ms: service1.as_secs_f64() * 1e3,
-        single_flight: single.clone(),
+        one_slot: single.clone(),
         continuous: cont.clone(),
         continuous_faulted: faulted.clone(),
         continuous_goodput_ratio_overloaded: continuous_ratio,

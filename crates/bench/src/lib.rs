@@ -14,7 +14,7 @@
 //!   them against the acceptance bands of `EXPERIMENTS.md`.
 //! * `bench_robustness` — what the frozen benchmark deliberately leaves
 //!   out: fault storms, overload shedding and the cost of armed-but-idle
-//!   fault hooks, for the TP supervisor, the server and the offload tier,
+//!   fault hooks, for the TP engine, the server and the offload tier,
 //!   all under the one measurement protocol below.
 //!
 //! Criterion micro-benchmarks of the functional kernels live under

@@ -24,23 +24,23 @@
 //! [`Engine`] (M slots over a shared page pool, the serving configuration,
 //! over whichever [`WeightSource`] it was built on: a resident packed model
 //! as `PagedEngine`, the offload tier as [`crate::streamed::StreamedEngine`]
-//! builds it), and [`FtEngine`] (one slot over the fault-tolerant
-//! tensor-parallel [`FtSession`]). Every implementation emits **the same
-//! token stream** for a given prompt — the microkernel
-//! accumulation-order invariant makes batching, paging and streaming
-//! invisible to the numerics — which is what lets the chaos suite use solo
-//! sessions as bitwise oracles for continuous-batched serving.
+//! builds it), and [`TpEngine`] (the same engine run by every rank of a
+//! tensor-parallel group over its shard). Every implementation emits **the
+//! same token stream** for a given prompt — the microkernel
+//! accumulation-order invariant makes batching, paging, streaming and
+//! tensor slicing invisible to the numerics — which is what lets the chaos
+//! suite use solo sessions as bitwise oracles for continuous-batched
+//! serving.
 //!
 //! Failures are classed by type: every error an engine can surface maps to
 //! its [`FaultClass`] through an exhaustive `match` on its variants (here
-//! for the TP supervisor's [`FaultError`], in [`crate::streamed`] for the
-//! offload tier's), never by reading its message.
+//! for a TP group's [`RankFailure`], in [`crate::streamed`] for the offload
+//! tier's), never by reading its message.
 
 use dsi_kernels::blocked::PanelWeights;
 use dsi_model::fast::{FastSession, WeightSource};
 use dsi_model::paged::{Engine, PageStats, PagesExhausted, StepError};
-use dsi_parallel::supervisor::{FaultError, FtSession};
-use dsi_parallel::RankFailureCause;
+use dsi_parallel::{RankFailure, RankFailureCause, TpEngine};
 use dsi_sim::fault::{CollectiveErrorKind, EngineFaultInjector, EngineFaultKind};
 use serde::Serialize;
 use std::convert::Infallible;
@@ -68,12 +68,10 @@ impl FaultClass {
         [FaultClass::Timeout, FaultClass::Panic, FaultClass::Corruption, FaultClass::Memory];
 }
 
-/// The class of a terminal supervisor failure is that of the step failure
-/// which ended it, whether it spent the retry budget or the last rank.
-impl From<&FaultError> for FaultClass {
-    fn from(e: &FaultError) -> Self {
-        let (FaultError::RetriesExhausted { last, .. } | FaultError::Unrecoverable(last)) = e;
-        match &last.cause {
+/// A TP group's pass failed on this rank failure.
+impl From<&RankFailure> for FaultClass {
+    fn from(f: &RankFailure) -> Self {
+        match &f.cause {
             RankFailureCause::Collective(c) => match &c.kind {
                 CollectiveErrorKind::Timeout { .. } => FaultClass::Timeout,
                 CollectiveErrorKind::Poisoned => FaultClass::Panic,
@@ -159,9 +157,9 @@ impl From<Infallible> for EngineError {
     }
 }
 
-impl From<FaultError> for EngineError {
-    fn from(e: FaultError) -> Self {
-        EngineError::Fault { class: FaultClass::from(&e), msg: e.to_string() }
+impl From<RankFailure> for EngineError {
+    fn from(f: RankFailure) -> Self {
+        EngineError::Fault { class: FaultClass::from(&f), msg: f.to_string() }
     }
 }
 
@@ -317,107 +315,47 @@ where
     }
 }
 
-/// The fault-tolerant tensor-parallel engine: one slot over an
-/// [`FtSession`], so TP execution plugs into the same scheduler seam as
-/// the fast-path engines (`dsi-serve`'s single-flight mode is this engine
-/// under the one scheduler loop). Faults surface as [`EngineError::Fault`]
-/// with the slot's sequence lost; the session is reset at the next
-/// `prefill` (teardown of a group never runs inside `release`, which the
-/// scheduler calls under its state lock). The session grows its KV
-/// contiguously, so `kv_stats` meters it per token — one-token pages —
-/// against a `token_budget` that admission reads and every pass enforces:
-/// a `prefill` or `decode_step` that would pass it returns `OutOfPages`
-/// before touching the session, so the scheduler sheds the request with
-/// `PagesExhausted` exactly as it does on the paged engines.
-pub struct FtEngine {
-    sess: FtSession,
-    resident: bool,
-    token_budget: usize,
-    high_water: usize,
-}
-
-impl FtEngine {
-    pub fn new(sess: FtSession, token_budget: usize) -> Self {
-        FtEngine { sess, resident: false, token_budget, high_water: 0 }
-    }
-
-    /// The wrapped session (fault report, TP degree, ...).
-    pub fn session(&self) -> &FtSession {
-        &self.sess
-    }
-
-    pub fn into_session(self) -> FtSession {
-        self.sess
-    }
-
-    fn tokens_in_use(&self) -> usize {
-        if self.resident {
-            self.sess.context_len() + 1
-        } else {
-            0
-        }
-    }
-}
-
-impl BatchEngine for FtEngine {
+/// A tensor-parallel group under the one scheduler: the paged engine's
+/// slot lifecycle on every rank. A fault anywhere in the group is a
+/// `Fault` of its [`RankFailure`]'s class, with every slot the group held
+/// lost (releasing one is a no-op); the group is rebuilt at the next pass.
+impl BatchEngine for TpEngine {
     fn max_slots(&self) -> usize {
-        1
+        TpEngine::max_slots(self)
     }
 
     fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-        assert_eq!(slot, 0, "FtEngine has one slot");
-        assert!(!self.resident, "prefill into occupied slot");
-        let needed = prompt.len() + 1;
-        if needed > self.token_budget {
-            return Err(EngineError::OutOfPages { needed, free: self.token_budget });
-        }
-        // Fresh context per request (also tears down a faulted group).
-        self.sess.reset();
-        let tok = self
-            .sess
-            .begin(prompt)
-            .and_then(|()| self.sess.generate_step())?;
-        self.resident = true;
-        self.high_water = self.high_water.max(self.tokens_in_use());
-        Ok(tok)
+        let mut out = Vec::with_capacity(1);
+        BatchEngine::pass(self, &[(slot, prompt)], &[], &mut out).map(|()| out[0])
     }
 
     fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-        assert_eq!(slots, [0], "FtEngine has one slot");
-        assert!(self.resident, "decode of free slot");
-        let free = self.token_budget.saturating_sub(self.tokens_in_use());
-        if free == 0 {
-            return Err(EngineError::OutOfPages { needed: 1, free });
-        }
-        match self.sess.generate_step() {
-            Ok(tok) => {
-                out.push(tok);
-                self.high_water = self.high_water.max(self.tokens_in_use());
-                Ok(())
-            }
-            Err(f) => {
-                // The sequence is unrecoverable: drop residency so the
-                // scheduler can reuse the slot after accounting the loss.
-                self.resident = false;
-                Err(f.into())
-            }
-        }
+        BatchEngine::pass(self, &[], slots, out)
     }
 
     fn release(&mut self, slot: usize) {
-        assert_eq!(slot, 0, "FtEngine has one slot");
-        self.resident = false;
+        TpEngine::release(self, slot);
+    }
+
+    fn pass(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), EngineError> {
+        TpEngine::pass(self, seats, advance, out).map_err(StepError::into)
+    }
+
+    fn pages_for(&self, tokens: usize) -> usize {
+        TpEngine::pages_for(self, tokens)
     }
 
     fn kv_stats(&self) -> Option<PageStats> {
-        let in_use = self.tokens_in_use();
-        Some(PageStats {
-            pages_total: self.token_budget,
-            pages_in_use: in_use,
-            pages_free: self.token_budget.saturating_sub(in_use),
-            high_water: self.high_water,
-            page_tokens: 1,
-        })
+        Some(self.pool_stats())
+    }
+
+    fn attached_tokens(&self, slot: usize) -> usize {
+        TpEngine::attached_tokens(self, slot)
     }
 }
 
@@ -555,8 +493,7 @@ mod tests {
     use dsi_model::paged::PagedEngine;
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
-    use dsi_parallel::supervisor::FtConfig;
-    use dsi_parallel::RankFailure;
+    use dsi_sim::shmem::CommConfig;
     use dsi_sim::fault::CollectiveError;
     use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
     use std::sync::Arc;
@@ -684,9 +621,11 @@ mod tests {
         drive_lifecycle(&mut Engine::new(store, 3, 32, 3), f32_oracle, 3, "Engine over the tier");
         let _ = std::fs::remove_file(path);
 
-        for tp in [1, 2] {
-            let sess = FtSession::new(Arc::new(model(11)), 8, FtConfig::new(tp));
-            drive_lifecycle(&mut FtEngine::new(sess, 4096), f32_oracle, 0, &format!("FtEngine tp={tp}"));
+        // A TP group: every rank runs the paged engine over its shard.
+        for tp in [2, 4] {
+            let mut tp_eng = TpEngine::new(Arc::new(model(11)), tp, CommConfig::default(), 3, 32, 3);
+            drive_lifecycle(&mut tp_eng, f32_oracle, 3, &format!("TpEngine tp={tp}"));
+            assert_eq!(tp_eng.report().rebuilds, 0);
         }
     }
 
@@ -927,22 +866,14 @@ mod tests {
             (RankFailureCause::Unjoined, Timeout),
         ];
         for (cause, want) in causes {
-            let last = RankFailure { rank: 1, cause };
-            for e in [
-                FaultError::RetriesExhausted { attempts: 3, last: last.clone() },
-                FaultError::Unrecoverable(last),
-            ] {
-                assert_eq!(FaultClass::from(&e), want, "{e:?}");
-                assert_eq!(shim(e.to_string()), want, "{e}");
-            }
+            let f = RankFailure { rank: 1, cause };
+            assert_eq!(FaultClass::from(&f), want, "{f:?}");
+            assert_eq!(shim(f.to_string()), want, "{f}");
         }
 
         let mounted = OffloadError::FailedOpen { path: "/mnt/pages/w.bin".into(), detail: "EIO".into() };
         assert_eq!((FaultClass::from(&mounted), shim(mounted.to_string())), (Panic, Memory));
-        let oom = FaultError::RetriesExhausted {
-            attempts: 1,
-            last: RankFailure { rank: 0, cause: RankFailureCause::Panicked("memory allocation failed".into()) },
-        };
+        let oom = RankFailure { rank: 0, cause: RankFailureCause::Panicked("memory allocation failed".into()) };
         assert_eq!((FaultClass::from(&oom), shim(oom.to_string())), (Panic, Memory));
     }
 
@@ -956,24 +887,5 @@ mod tests {
         let paged = PagedEngine::new(&pm, 1, 8, 4);
         assert_eq!(BatchEngine::pages_for(&paged, 7), 2);
         assert_eq!(BatchEngine::kv_stats(&paged).unwrap().pages_total, 8);
-    }
-
-    #[test]
-    fn ft_engine_enforces_its_token_budget() {
-        // Five tokens: a 5-token prompt (plus its pending token) never
-        // starts, a 3-token one decodes once and is then out of pages —
-        // with the session untouched by either refusal.
-        let sess = FtSession::new(Arc::new(model(17)), 8, FtConfig::new(1));
-        let mut ft = FtEngine::new(sess, 5);
-        assert_eq!(ft.prefill(0, &[1, 2, 3, 4, 5]), Err(EngineError::OutOfPages { needed: 6, free: 5 }));
-        assert_eq!(ft.session().context_len(), 0);
-        ft.prefill(0, &[1, 2, 3]).unwrap();
-        let mut out = Vec::new();
-        ft.decode_step(&[0], &mut out).unwrap();
-        assert_eq!(ft.decode_step(&[0], &mut out), Err(EngineError::OutOfPages { needed: 1, free: 0 }));
-        assert_eq!((out.len(), ft.session().context_len()), (1, 4));
-        assert_eq!(ft.kv_stats().unwrap().pages_in_use, 5);
-        ft.release(0);
-        assert_eq!(ft.kv_stats().unwrap().pages_in_use, 0);
     }
 }

@@ -44,7 +44,7 @@ pub use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStats, OffloadSt
 pub use streamed::StreamedEngine;
 pub use engine::{EngineConfig, InferenceEngine, RunReport};
 pub use planner::{plan, Objective, Plan};
-pub use batch::{BatchEngine, EngineError, FaultClass, FaultyEngine, FtEngine};
+pub use batch::{BatchEngine, EngineError, FaultClass, FaultyEngine};
 pub use serving::{simulate_serving, BatchPolicy, ServingReport, Workload};
 pub use stats::percentile;
 pub use whatif::{scale_cluster, sensitivities, Knob, Sensitivity};

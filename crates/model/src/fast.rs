@@ -247,6 +247,11 @@ pub trait WeightSource {
     /// `wteᵀ` packed as the logits projection.
     fn logits_w(&self) -> &Self::B;
     fn layer(&self, l: usize) -> Result<Self::Layer<'_>, Self::Error>;
+    /// Width of the K/V rows this source's layers write: the hidden size,
+    /// or a tensor-parallel rank's `hidden / tp` columns of it.
+    fn kv_width(&self) -> usize {
+        self.config().hidden
+    }
 }
 
 impl<B: PanelWeights> WeightSource for PackedModel<'_, B> {
@@ -304,6 +309,9 @@ impl<T: WeightSource> WeightSource for &T {
     #[inline]
     fn layer(&self, l: usize) -> Result<T::Layer<'_>, T::Error> {
         T::layer(self, l)
+    }
+    fn kv_width(&self) -> usize {
+        T::kv_width(self)
     }
 }
 

@@ -73,7 +73,7 @@
 //!
 //! [`reserve`]: PagePool::reserve
 
-use crate::fast::{self, argmax, KvSink, PackedModel, Row, Scratch, Solo, WeightSource};
+use crate::fast::{self, argmax, KvSink, PackedModel, Row, RowParallel, Scratch, Solo, WeightSource};
 use dsi_kernels::blocked::PackedB;
 use dsi_kernels::fused::{self, PagedKvView};
 use std::collections::HashMap;
@@ -478,7 +478,7 @@ impl<W: WeightSource> Engine<W> {
     pub fn new(w: W, max_slots: usize, pages_total: usize, page_tokens: usize) -> Self {
         assert!(max_slots > 0);
         let c = w.config();
-        let pool = PagePool::new(c.layers, c.hidden, pages_total, page_tokens);
+        let pool = PagePool::new(c.layers, w.kv_width(), pages_total, page_tokens);
         let scratch = Scratch::new(c, max_slots);
         Engine {
             pool,
@@ -573,6 +573,21 @@ impl<W: WeightSource> Engine<W> {
         advance: &[usize],
         out: &mut Vec<usize>,
     ) -> Result<(), StepError<W::Error>> {
+        self.pass_with(&mut Solo, seats, advance, out)
+    }
+
+    /// [`Engine::pass`] with `seam` finishing the row-parallel projections:
+    /// a tensor-parallel rank passes its all-reduce seam here, over a source
+    /// holding its shard, and every rank of the group makes the same calls,
+    /// so their page tables stay identical. `Err(Pages)` returns before the
+    /// first seam call.
+    pub fn pass_with<R: RowParallel<W::Error>>(
+        &mut self,
+        seam: &mut R,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), StepError<W::Error>> {
         assert!(!seats.is_empty() || !advance.is_empty(), "pass: nothing to run");
         assert!(advance.windows(2).all(|w| w[0] < w[1]), "pass: advanced slots must be ascending");
         // A slot is published (`last`) only once its pass commits; a pass
@@ -614,7 +629,7 @@ impl<W: WeightSource> Engine<W> {
             self.pool.reserve(&mut self.seqs[si], 1).expect("reservation pre-checked");
         }
         let mut kv = PagedKv { pool: &mut self.pool, seqs: &self.seqs };
-        if let Err(e) = fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, &mut Solo) {
+        if let Err(e) = fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, seam) {
             self.unseat(seats);
             return Err(StepError::Weights(e));
         }

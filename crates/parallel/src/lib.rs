@@ -9,11 +9,14 @@
 //!   reproduce the unsharded reference bit-for-bit (up to f32 accumulation
 //!   order).
 //! * [`tp_exec`] — the *executed* counterpart: the fast path's packed
-//!   weights sharded per rank at pack time, each rank decoding on its own
-//!   pinned OS thread with rank-private scratch/KV, meeting the group at
-//!   the two per-layer all-reduces through `dsi-sim`'s shared-memory
-//!   barrier/all-reduce backend. Token-identical to the single-thread
-//!   fast path at every TP degree, zero allocations per decoded token.
+//!   weights sharded per rank at pack time, each rank running the paged
+//!   engine's pass over its shard and its own `h/tp`-wide page pool on its
+//!   own pinned OS thread, meeting the group at the two per-layer
+//!   all-reduces through `dsi-sim`'s shared-memory barrier/all-reduce
+//!   backend. Token-identical to the single-thread fast path at every TP
+//!   degree, zero allocations per decode pass. [`TpEngine`] is the group
+//!   as a multi-slot engine that lives across requests and is rebuilt —
+//!   narrower when a rank's memory was lost — after a fault.
 //! * [`pipeline`] — inference-optimized pipeline parallelism (Sec. IV-B/C):
 //!   the training-style schedule with its token-boundary bubbles (Fig. 2a),
 //!   the dynamic token-queue schedule that hides them (Fig. 2b), and the
@@ -22,22 +25,16 @@
 //! * [`offload`] — KV-cache offload to host memory with the odd/even layer
 //!   scheduling that avoids PCIe contention between GPUs sharing a link
 //!   (Sec. IV-C2/3).
-//! * [`supervisor`] — fault-tolerant TP decoding: heartbeat/timeout
-//!   detection of dead ranks, bounded retry-with-backoff for transient
-//!   faults, graceful degradation to a smaller TP degree (with KV-shard
-//!   salvage) for permanent ones — decoding resumes token-identically.
 
 pub mod mapping;
 pub mod offload;
 pub mod pipeline;
 pub mod pp_exec;
-pub mod supervisor;
 pub mod tp;
 pub mod tp_exec;
 
 pub use mapping::Mapping3D;
 pub use pipeline::{PipelineSchedule, PipelineSpec};
 pub use pp_exec::PipelinedModel;
-pub use supervisor::{FaultError, FtConfig, FtReport, FtSession, RetryPolicy};
 pub use tp::{tp_layer_forward, tp_layer_forward_into, TpLayer};
-pub use tp_exec::{Dismantled, RankFailure, RankFailureCause, TpPackedModel, TpSession};
+pub use tp_exec::{Dismantled, RankFailure, RankFailureCause, TpEngine, TpPackedModel, TpReport, TpSession};

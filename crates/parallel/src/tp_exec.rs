@@ -1,4 +1,5 @@
-//! Executed tensor parallelism: threaded TP ranks over the fast path.
+//! Executed tensor parallelism: a group of threaded ranks, each running the
+//! paged engine's pass over its shard.
 //!
 //! [`tp`](crate::tp) proves the Megatron sharding math (Sec. IV-A) but runs
 //! every rank sequentially through the slow reference ops, so it can never
@@ -13,60 +14,69 @@
 //!   *full* and applied once after the all-reduce (the functional path
 //!   instead pre-divides them by `tp`; summing `tp` rounded copies of `b/tp`
 //!   is not bit-stable, applying `b` once is).
-//! * **The one layer loop** — a rank's pass is `dsi_model::fast::step` over
-//!   its shard (a `WeightSource` view of the model at that rank) and a
-//!   one-element `[KvCache]` sink, with a row-parallel seam that holds the
-//!   rank's layer fault site and finishes W_o/FF2 as partial GEMM →
-//!   all-reduce → bias + residual. `step` reads the shard widths from the
-//!   panels; only rank 0 runs the logits head.
+//! * **One engine per rank** — every rank owns a `dsi_model::paged::Engine`
+//!   over its shard (a `WeightSource` view of the model at that rank) and
+//!   its own page pool of `h/tp`-wide K/V rows (the KV memory saving of
+//!   Sec. IV-A). A pass is `Engine::pass_with` with a row-parallel seam that
+//!   holds the rank's layer fault site and finishes W_o/FF2 as partial GEMM
+//!   → all-reduce → bias + residual. After each all-reduce the activations
+//!   are replicated bit for bit, so every rank runs the logits head and
+//!   samples the same tokens: no token broadcast.
 //! * **One OS thread per rank** — [`TpSession`] runs rank 0 inline on the
-//!   caller's thread and spawns ranks `1..tp` as worker threads, each with
-//!   its own `fast::Scratch` and KV shard (`h/tp` columns — the KV memory
-//!   saving of Sec. IV-A). Workers are pinned to distinct cores when the
-//!   host has enough of them (best-effort `sched_setaffinity`).
+//!   caller's thread and spawns ranks `1..tp` as worker threads, pinned to
+//!   distinct cores when the host has enough of them (best-effort
+//!   `sched_setaffinity`).
 //! * **Shared-memory collectives** — the two per-layer all-reduces run on
 //!   [`dsi_sim::shmem::ShmRank::try_allreduce_sum`]: a sense-reversing
 //!   barrier plus a chunked in-place reduce over published buffer pointers.
-//!   No per-token allocation, no full-buffer clones, reduction in rank
-//!   order.
-//! * **Lock-step command protocol** — the driver publishes a command
-//!   (prompt / decode / shutdown) and crosses the group barrier; every rank
-//!   then runs the same forward step and meets again at the next step
-//!   barrier. The barrier's release/acquire chain makes the command and the
-//!   decoded token visible without locks in the steady state.
+//! * **One pass command** — rank 0 publishes each pass (the slots it
+//!   released since the last one, the seats with their contexts, the
+//!   advanced slots, and its pool's statistics), rings a doorbell the idle
+//!   workers park on, and crosses the step barrier; every worker applies
+//!   the releases, asserts that its pool matches rank 0's, and runs the
+//!   same pass. All ranks make the same
+//!   engine calls in the same order, so their page tables and prefix
+//!   indexes are identical, and a pass the pool cannot seat returns
+//!   `Err(Pages)` on every rank before any collective. Commands alternate
+//!   between two buffers, so a worker still reading command `k` never sees
+//!   rank 0 writing `k + 1`; the buffers are reused, so steady-state decode
+//!   allocates nothing.
 //!
 //! Greedy decode is **token-identical** to the single-thread
 //! [`FastSession`]: column shards of a panel GEMM produce bit-identical
 //! columns (each output column has its own accumulator chain), attention
 //! heads are disjoint, and the row-parallel partial sums only reassociate
-//! the same f32 additions the fused epilogue performs — the property suite
-//! asserts exact token equality across random configs. At `tp = 1` the
+//! the same f32 additions the fused epilogue performs. At `tp = 1` the
 //! logits are bit-identical too: partial GEMM + `bias_residual_inplace` is
 //! the fused `matmul_bias_add_into` epilogue's expression.
 //!
 //! ## Failure handling
 //!
 //! Every rendezvous is bounded (the `dsi-sim` collectives carry a timeout),
-//! so a dead or wedged rank surfaces as a typed
-//! [`CollectiveError`] through [`TpSession::try_prompt`] /
-//! [`TpSession::try_decode`] instead of a hang. Worker threads run their
-//! rank loop under `catch_unwind`: on any exit — clean shutdown, collective
-//! failure, scripted crash, or panic — they report a `WorkerExit` over a
-//! salvage channel carrying their KV shard (when their memory is still
-//! trustworthy) and the failure cause (including the panic payload).
-//! [`TpSession::dismantle`] tears the group down with a *deadline* join —
-//! never hanging on a wedged thread — and returns everything salvaged, so a
-//! supervisor (see [`supervisor`](crate::supervisor)) can re-pack the KV to
-//! a smaller TP degree and resume decoding token-identically. The salvage
-//! also carries each rank's recorded collective program
-//! ([`Dismantled::programs`]), which `dsi-verify` checks.
+//! so a dead or wedged rank surfaces as a typed [`CollectiveError`] from
+//! [`TpSession::try_pass`] instead of a hang. Worker threads run their rank
+//! loop under `catch_unwind` and report a `WorkerExit` on any exit — clean
+//! shutdown, collective failure, scripted crash, or panic (with its
+//! payload). [`TpSession::dismantle`] tears the group down with a
+//! *deadline* join — never hanging on a wedged thread — and returns every
+//! failure and each rank's recorded collective program
+//! ([`Dismantled::programs`], which `dsi-verify` checks).
+//!
+//! [`TpEngine`] is the group as a multi-slot engine that lives across
+//! requests. A fault anywhere in the group fails the pass with the
+//! [`RankFailure`] that caused it; the engine dismantles the group and
+//! builds a new one at its next pass — at the largest degree the surviving
+//! ranks support when some rank's memory was lost (panic, scripted crash,
+//! wedged thread), at the same degree otherwise. Nothing is salvaged: the
+//! caller recovers its sequences by replaying their committed contexts, as
+//! it does on every other engine.
 //!
 //! [`FastSession`]: dsi_model::fast::FastSession
-//! [`CollectiveError`]: dsi_sim::CollectiveError
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -74,12 +84,14 @@ use dsi_kernels::blocked::{self, PackedB, PanelWeights};
 use dsi_kernels::fused;
 use dsi_kernels::tensor::Tensor;
 use dsi_model::config::GptConfig;
-use dsi_model::fast::{self, argmax, PackedLayer, Row, RowParallel, Scratch, WeightSource};
-use dsi_model::reference::{GptModel, KvCache};
+use dsi_model::fast::{PackedLayer, Row, RowParallel, WeightSource};
+use dsi_model::paged::{Engine, PageStats, StepError};
+use dsi_model::reference::GptModel;
 use dsi_sim::fault::{apply_stall, FaultKind};
 use dsi_sim::shmem::{CommConfig, CommOp, ShmComm, ShmRank};
 use dsi_sim::FlightRecorder;
 use dsi_sim::{CollectiveError, CollectiveErrorKind};
+use serde::Serialize;
 
 use crate::tp::shard_layer;
 
@@ -99,8 +111,8 @@ pub struct TpPackedModel {
     wpe: Tensor,
     lnf_g: Vec<f32>,
     lnf_b: Vec<f32>,
-    /// `wteᵀ` panel-packed as the `[h, vocab]` logits projection (rank 0
-    /// computes logits; the projection is not sharded).
+    /// `wteᵀ` panel-packed as the `[h, vocab]` logits projection (every
+    /// rank computes logits; the projection is not sharded).
     wte_packed: PackedB,
 }
 
@@ -138,49 +150,119 @@ impl TpPackedModel {
         self.tp
     }
 
-    /// Start a decode session: spawns the `tp - 1` worker rank threads and
-    /// sizes every rank's scratch/KV for `max_prompt` prompt tokens plus
-    /// generation up to the model's `max_seq`.
-    pub fn session(self: &Arc<Self>, max_prompt: usize) -> TpSession {
-        TpSession::new(Arc::clone(self), max_prompt)
+    /// Start a group: spawns the `tp - 1` worker rank threads, each (and
+    /// rank 0) with an engine of `max_slots` slots over `pages_total` pages
+    /// of `page_tokens` tokens.
+    pub fn session(self: &Arc<Self>, max_slots: usize, pages_total: usize, page_tokens: usize) -> TpSession {
+        self.session_with(max_slots, pages_total, page_tokens, CommConfig::default())
     }
 
     /// [`TpPackedModel::session`] with an explicit collective configuration
-    /// (timeout / checksum / fault injection) and optionally one pre-seeded
-    /// KV shard per rank (salvaged from a previous group — the supervisor's
-    /// recovery path).
+    /// (timeout / checksum / fault injection).
     pub fn session_with(
         self: &Arc<Self>,
-        max_prompt: usize,
+        max_slots: usize,
+        pages_total: usize,
+        page_tokens: usize,
         cfg: CommConfig,
-        kv: Option<Vec<KvCache>>,
     ) -> TpSession {
-        TpSession::with_options(Arc::clone(self), max_prompt, cfg, kv)
+        TpSession::new(Arc::clone(self), max_slots, pages_total, page_tokens, cfg)
     }
 }
 
 // --- command protocol -------------------------------------------------------
-
-const CMD_PROMPT: u8 = 1;
-const CMD_DECODE: u8 = 2;
-const CMD_SHUTDOWN: u8 = 3;
 
 /// Grace added to the collective timeout when joining worker threads: long
 /// enough for a worker stuck in a rendezvous to observe its own timeout and
 /// exit, short enough that teardown stays bounded.
 const JOIN_GRACE: Duration = Duration::from_secs(2);
 
-/// Step descriptor published by the driver before each step barrier and read
-/// by every worker after it. The barrier's release/acquire chain orders the
-/// plain atomic stores against the reads, so the steady-state decode step
-/// touches no locks (the mutex only guards the prompt hand-off).
-#[derive(Debug)]
+/// How often a parked worker looks for a poisoned group.
+const PARKED_POLL: Duration = Duration::from_millis(10);
+
+/// One command as rank 0 publishes it before a step barrier and every
+/// worker copies it after.
+#[derive(Debug, Default)]
+struct PassCmd {
+    shutdown: bool,
+    /// Slots rank 0 released since the previous command, in order.
+    releases: Vec<usize>,
+    /// `(slot, context length)` per seat; the contexts, concatenated in
+    /// seat order, are `tokens`.
+    seats: Vec<(usize, usize)>,
+    tokens: Vec<usize>,
+    advance: Vec<usize>,
+    /// Rank 0's pool after the releases, before the pass.
+    stats: Option<PageStats>,
+}
+
+impl PassCmd {
+    /// Copy `o` into this command's buffers, reusing their capacity.
+    fn copy_from(&mut self, o: &PassCmd) {
+        self.shutdown = o.shutdown;
+        self.releases.clone_from(&o.releases);
+        self.seats.clone_from(&o.seats);
+        self.tokens.clone_from(&o.tokens);
+        self.advance.clone_from(&o.advance);
+        self.stats = o.stats;
+    }
+
+    /// The seats as `Engine::pass` takes them.
+    fn seats(&self) -> Vec<(usize, &[usize])> {
+        let mut at = 0;
+        let seat = |&(slot, len): &(usize, usize)| {
+            at += len;
+            (slot, &self.tokens[at - len..at])
+        };
+        self.seats.iter().map(seat).collect()
+    }
+}
+
+/// The command buffers: command `k` lives in `cmds[k % 2]`. Rank 0 writes
+/// command `k + 2` only after the step barrier of `k + 1`, which every
+/// worker reaches only once it has copied command `k`.
+///
+/// A worker waits for each command at a doorbell before it enters the step
+/// barrier, so an idle group — a server between requests — parks instead
+/// of spinning, and never times out.
+#[derive(Debug, Default)]
 struct TpShared {
-    cmd: AtomicU8,
-    /// The token id to decode (valid when `cmd == CMD_DECODE`).
-    token: AtomicUsize,
-    /// The prompt to ingest (valid when `cmd == CMD_PROMPT`).
-    prompt: Mutex<Vec<usize>>,
+    cmds: [Mutex<PassCmd>; 2],
+    /// Commands published so far.
+    published: AtomicUsize,
+    bell: Mutex<()>,
+    rung: Condvar,
+}
+
+impl TpShared {
+    fn cmd(&self, k: usize) -> MutexGuard<'_, PassCmd> {
+        // A worker that panicked holding the lock left a whole command
+        // behind (it only copies under it).
+        self.cmds[k % 2].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn bell(&self) -> MutexGuard<'_, ()> {
+        self.bell.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Announce that `published` commands are out.
+    fn ring(&self, published: usize) {
+        self.published.store(published, Ordering::Release);
+        // Taking the lock orders the store before the check of any worker
+        // about to park, so no wake-up is lost.
+        drop(self.bell());
+        self.rung.notify_all();
+    }
+
+    /// Return once command `k` is published, or `comm`'s group is poisoned
+    /// (the step barrier then fails typed).
+    fn await_cmd(&self, k: usize, comm: &ShmRank) {
+        let out = || self.published.load(Ordering::Acquire) > k;
+        let mut bell = self.bell();
+        while !out() && !comm.is_poisoned() {
+            bell = self.rung.wait_timeout(bell, PARKED_POLL).unwrap_or_else(PoisonError::into_inner).0;
+        }
+    }
 }
 
 // --- worker exit reporting --------------------------------------------------
@@ -208,8 +290,8 @@ impl std::fmt::Display for RankFailureCause {
     }
 }
 
-/// One rank's failure, as reported by [`TpSession::dismantle`] and carried
-/// by the supervisor's terminal `FaultError::RetriesExhausted`.
+/// One rank's failure, as reported by [`TpSession::dismantle`] and by a
+/// failed [`TpEngine::pass`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankFailure {
     pub rank: usize,
@@ -226,28 +308,29 @@ impl std::fmt::Display for RankFailure {
     }
 }
 
-/// A worker thread's exit report, sent over the salvage channel.
+impl RankFailure {
+    /// The rank's memory is gone: a panic, a scripted crash, or a thread
+    /// wedged past the join deadline. Anything else left it intact.
+    fn lost_memory(&self) -> bool {
+        match &self.cause {
+            RankFailureCause::Panicked(_) | RankFailureCause::Unjoined => true,
+            RankFailureCause::Collective(e) => e.kind == CollectiveErrorKind::InjectedExit,
+        }
+    }
+}
+
+/// A worker thread's exit report, sent over the exit channel.
 #[derive(Debug)]
 struct WorkerExit {
     rank: usize,
-    /// The rank's KV shard, when its memory is still trustworthy (clean
-    /// shutdown or typed collective failure). `None` models a crashed
-    /// process whose memory is gone (scripted exit, panic).
-    kv: Option<KvCache>,
     cause: Option<RankFailureCause>,
     /// Every collective op the rank executed.
     ops: FlightRecorder<CommOp>,
 }
 
-/// Everything [`TpSession::dismantle`] could salvage from a (possibly
-/// failed) group: per-rank KV shards and the per-rank failure causes. The
-/// supervisor re-packs the shards to a smaller TP degree when every column
-/// survived, or falls back to re-prefilling from the token history.
+/// What [`TpSession::dismantle`] collected from a (possibly failed) group.
 #[derive(Debug)]
 pub struct Dismantled {
-    /// `kv[rank]` is the rank's salvaged KV shard, `None` if the rank's
-    /// memory was lost (crash / panic / wedged thread).
-    pub kv: Vec<Option<KvCache>>,
     /// Every failure observed during the group's lifetime and teardown.
     pub failures: Vec<RankFailure>,
     /// `programs[rank]` is the collective program the rank executed, from
@@ -261,12 +344,12 @@ pub struct Dismantled {
 /// Rank `rank`'s view of a [`TpPackedModel`] as `fast::step` reads it: its
 /// shard of every layer plus the replicated embeddings, final layer-norm
 /// and logits operand.
-struct RankShard<'a> {
-    model: &'a TpPackedModel,
+struct RankShard {
+    model: Arc<TpPackedModel>,
     rank: usize,
 }
 
-impl WeightSource for RankShard<'_> {
+impl WeightSource for RankShard {
     type B = PackedB;
     type Layer<'a>
         = &'a PackedLayer
@@ -291,6 +374,10 @@ impl WeightSource for RankShard<'_> {
     fn layer(&self, l: usize) -> Result<&PackedLayer, CollectiveError> {
         Ok(&self.model.shards[self.rank][l])
     }
+    /// The rank's heads of every K/V row.
+    fn kv_width(&self) -> usize {
+        self.model.config.hidden / self.model.tp
+    }
 }
 
 /// A rank's row-parallel seam: the layer-site fault hook, and W_o/FF2 as
@@ -298,16 +385,17 @@ impl WeightSource for RankShard<'_> {
 struct AllReduce<'c>(&'c mut ShmRank);
 
 impl RowParallel<CollectiveError> for AllReduce<'_> {
-    /// One `Option` check when no injector is installed. The site key is
-    /// the sequence-position range the pass covers, so a "token 5, layer 2"
-    /// script fires whether position 5 arrives in the prompt batch or as a
-    /// decode step. A scripted crash fails typed; an injected panic panics
-    /// here (the worker's `catch_unwind` converts it to a
-    /// [`RankFailureCause::Panicked`] report).
+    /// One `Option` check when no injector is installed. A "token 5,
+    /// layer 2" script fires in the pass that has a row at position 5,
+    /// whether that row belongs to a seat's context or is a decode step. A
+    /// scripted crash fails typed; an injected panic panics here (a
+    /// worker's `catch_unwind` converts it to a
+    /// [`RankFailureCause::Panicked`] report, [`TpEngine`] catches rank
+    /// 0's).
     fn at_layer(&mut self, l: usize, rows: &[Row]) -> Result<(), CollectiveError> {
         let comm = &*self.0;
         let Some(inj) = comm.injector() else { return Ok(()) };
-        match inj.at_layer(comm.rank(), rows[0].pos, rows[rows.len() - 1].pos + 1, l) {
+        match inj.at_layer(comm.rank(), rows.iter().map(|r| r.pos), l) {
             Some(FaultKind::Stall { millis }) => apply_stall(millis),
             Some(FaultKind::Exit) => {
                 return Err(CollectiveError {
@@ -336,46 +424,6 @@ impl RowParallel<CollectiveError> for AllReduce<'_> {
         blocked::matmul_into(a, m, w, out);
         self.0.try_allreduce_sum(out)?;
         fused::bias_residual_inplace(out, bias, residual);
-        Ok(())
-    }
-}
-
-/// One rank's private buffers: its KV shard and one `fast::Scratch`, sized
-/// once at session start so the steady-state decode loop performs zero
-/// heap allocations (alloc-guard tested).
-struct RankState {
-    rank: usize,
-    /// KV shard: `h/tp` columns per layer.
-    kv: KvCache,
-    scratch: Scratch,
-    /// The rows of the next pass.
-    rows: Vec<Row>,
-}
-
-impl RankState {
-    fn new(model: &TpPackedModel, rank: usize, max_prompt: usize, kv: Option<KvCache>) -> Self {
-        let c = &model.config;
-        let m = max_prompt.max(1);
-        let kv = kv.unwrap_or_else(|| KvCache::with_capacity(c.layers, c.hidden / model.tp, c.max_seq));
-        assert_eq!(kv.layers.len(), c.layers, "seeded KV layer count");
-        RankState { rank, kv, scratch: Scratch::new(c, m), rows: Vec::with_capacity(m) }
-    }
-
-    /// Queue `ids` as the next pass's rows, after the rank's context.
-    fn feed(&mut self, ids: &[usize]) {
-        Row::prompt_pass(&mut self.rows, 0, self.kv.context_len(), ids);
-    }
-
-    /// Run the queued rows through `fast::step` over this rank's shard,
-    /// meeting the group at the two per-layer all-reduces. Activations are
-    /// replicated, so the logits head is rank-local: rank 0 alone runs it.
-    fn run(&mut self, model: &TpPackedModel, comm: &mut ShmRank) -> Result<(), CollectiveError> {
-        let w = RankShard { model, rank: self.rank };
-        let kv = std::slice::from_mut(&mut self.kv);
-        fast::step(&w, kv, &mut self.scratch, &self.rows, &mut AllReduce(comm))?;
-        if self.rank == 0 {
-            fast::logits(&w, &mut self.scratch, self.rows.len());
-        }
         Ok(())
     }
 }
@@ -423,31 +471,42 @@ pub fn pin_current_thread(_cpu: usize) -> bool {
 
 // --- the worker loop --------------------------------------------------------
 
-/// A worker rank's lock-step loop: barrier, read command, execute, repeat.
-/// Returns `Ok` on a clean shutdown command, `Err` when any collective (or
-/// the layer fault hook) fails typed.
+/// A worker rank's lock-step loop: doorbell, barrier, copy the command,
+/// apply its releases, check the pool against rank 0's, run the pass,
+/// repeat. Returns
+/// `Ok` on a clean shutdown command, `Err` when any collective (or the
+/// layer fault hook) fails typed.
 fn worker_loop(
-    state: &mut RankState,
-    model: &TpPackedModel,
+    eng: &mut Engine<RankShard>,
     shared: &TpShared,
     comm: &mut ShmRank,
 ) -> Result<(), CollectiveError> {
-    loop {
-        // Step barrier: the driver has published the command.
+    let mut cmd = PassCmd::default();
+    let mut out = Vec::new();
+    for k in 0.. {
+        shared.await_cmd(k, comm);
+        // Step barrier: rank 0 has published command `k`.
         comm.try_barrier()?;
-        match shared.cmd.load(Ordering::Relaxed) {
-            CMD_SHUTDOWN => return Ok(()),
-            // The hand-off guard drops at the end of the statement, before
-            // compute, so ranks never serialize on it.
-            CMD_PROMPT => state.feed(&shared.prompt.lock().unwrap()),
-            CMD_DECODE => state.feed(&[shared.token.load(Ordering::Relaxed)]),
-            other => panic!("tp_exec: invalid step command {other}"),
+        cmd.copy_from(&shared.cmd(k));
+        if cmd.shutdown {
+            break;
         }
-        state.run(model, comm)?;
+        for &slot in &cmd.releases {
+            eng.release(slot);
+        }
+        // Always on: a divergence would otherwise surface only as a
+        // collective timeout, far from its cause.
+        assert_eq!(Some(eng.pool_stats()), cmd.stats, "tp_exec: rank {}'s page pool diverged from rank 0's", comm.rank());
+        out.clear();
+        match eng.pass_with(&mut AllReduce(comm), &cmd.seats(), &cmd.advance, &mut out) {
+            Ok(()) | Err(StepError::Pages(_)) => {}
+            Err(StepError::Weights(e)) => return Err(e),
+        }
     }
+    Ok(())
 }
 
-pub(crate) fn panic_payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -457,69 +516,48 @@ pub(crate) fn panic_payload_to_string(payload: Box<dyn std::any::Any + Send>) ->
     }
 }
 
-// --- the session ------------------------------------------------------------
+// --- the group --------------------------------------------------------------
 
-/// A threaded tensor-parallel decode session with the same `generate`
-/// surface as [`dsi_model::fast::FastSession`]. Rank 0 runs inline on the
-/// caller's thread; ranks `1..tp` run on their own (best-effort pinned)
-/// OS threads and rendezvous at the shared-memory barrier each step.
-///
-/// The fallible surface ([`TpSession::try_prompt`],
-/// [`TpSession::try_decode`], [`TpSession::dismantle`]) reports collective
-/// failures typed and salvages surviving state; the legacy surface
-/// ([`TpSession::generate`]) panics on failure, including any worker panic
-/// payloads in the message.
+/// A threaded tensor-parallel group: rank 0's engine runs inline on the
+/// caller's thread; ranks `1..tp` run theirs on their own (best-effort
+/// pinned) OS threads and rendezvous at the shared-memory barrier each
+/// pass. See the module docs for the pass command and the failure contract.
 pub struct TpSession {
     model: Arc<TpPackedModel>,
     shared: Arc<TpShared>,
     comm: ShmRank,
-    rank0: RankState,
+    rank0: Engine<RankShard>,
+    /// Slots rank 0 released since the last command.
+    released: Vec<usize>,
+    /// Commands published so far.
+    published: usize,
     workers: Vec<(usize, JoinHandle<()>)>,
     exits: Receiver<WorkerExit>,
-    /// True between publishing a step command and rank 0 completing its
-    /// forward. If rank 0 unwinds mid-step, the workers may not have read
-    /// the command yet — a graceful shutdown rendezvous would race the
-    /// in-flight command, so teardown must poison instead.
+    /// True between publishing a pass and rank 0 completing it. If rank 0
+    /// unwinds mid-pass, the workers may be inside its collectives — a
+    /// graceful shutdown rendezvous would pair with one of them, so
+    /// teardown must poison instead.
     inflight: bool,
-    /// The failure that killed the session, if any. Once set, every further
-    /// step refuses with a clone of it.
+    /// The failure that killed the group, if any. Once set, every further
+    /// pass refuses with a clone of it.
     failed: Option<CollectiveError>,
     /// Rank 0's memory is not trustworthy (scripted crash or a panic the
-    /// supervisor caught): `dismantle` reports its KV as lost.
+    /// caller caught).
     rank0_lost: bool,
     /// `dismantle` ran: `Drop` has nothing left to do.
     done: bool,
-    /// Most rows a pass may carry (every rank's scratch is sized for it).
-    max_prompt: usize,
 }
 
 impl TpSession {
-    pub fn new(model: Arc<TpPackedModel>, max_prompt: usize) -> Self {
-        Self::with_options(model, max_prompt, CommConfig::default(), None)
-    }
-
-    /// [`TpSession::new`] with an explicit collective configuration and
-    /// optionally one pre-seeded KV shard per rank (in rank order; the
-    /// supervisor's recovery path hands salvaged shards back in here).
-    pub fn with_options(
+    fn new(
         model: Arc<TpPackedModel>,
-        max_prompt: usize,
+        max_slots: usize,
+        pages_total: usize,
+        page_tokens: usize,
         cfg: CommConfig,
-        kv: Option<Vec<KvCache>>,
     ) -> Self {
         let tp = model.tp;
-        let mut seeded: Vec<Option<KvCache>> = match kv {
-            Some(v) => {
-                assert_eq!(v.len(), tp, "need one seeded KV shard per rank");
-                v.into_iter().map(Some).collect()
-            }
-            None => (0..tp).map(|_| None).collect(),
-        };
-        let shared = Arc::new(TpShared {
-            cmd: AtomicU8::new(0),
-            token: AtomicUsize::new(0),
-            prompt: Mutex::new(Vec::with_capacity(max_prompt.max(1))),
-        });
+        let shared = Arc::new(TpShared::default());
         let (tx, exits) = std::sync::mpsc::channel::<WorkerExit>();
         let mut ranks = ShmComm::create_with(tp, cfg);
         // Pin only when the host actually has a core per rank; on smaller
@@ -532,7 +570,6 @@ impl TpSession {
                 let shared = Arc::clone(&shared);
                 let tx: Sender<WorkerExit> = tx.clone();
                 let r = rank_comm.rank();
-                let seed_kv = seeded[r].take();
                 let handle = std::thread::spawn(move || {
                     let poisoner = rank_comm.poisoner();
                     if pin {
@@ -540,57 +577,53 @@ impl TpSession {
                     }
                     // The rank loop runs under `catch_unwind` so that even a
                     // panicking worker reports an exit (with its payload)
-                    // instead of silently dying; the state comes back out so
-                    // its KV shard can be salvaged, and the handle stays
-                    // outside so its op recording always can.
+                    // instead of silently dying; the handle stays outside so
+                    // its op recording always can.
                     let comm = &mut rank_comm;
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        move || {
-                            let mut state = RankState::new(&model, r, max_prompt, seed_kv);
-                            let res = worker_loop(&mut state, &model, &shared, comm);
-                            (state.kv, res)
-                        },
-                    ));
-                    let (kv, cause) = match outcome {
-                        Ok((kv, Ok(()))) => (Some(kv), None),
-                        // A scripted crash models a dead process: its memory
-                        // is gone, and it does NOT poison — peers must detect
-                        // the loss through the timeout/heartbeat path.
-                        Ok((_, Err(e))) if e.kind == CollectiveErrorKind::InjectedExit => {
-                            (None, Some(RankFailureCause::Collective(e)))
+                    let outcome = catch_unwind(AssertUnwindSafe(move || {
+                        let shard = RankShard { model, rank: r };
+                        let mut eng = Engine::new(shard, max_slots, pages_total, page_tokens);
+                        worker_loop(&mut eng, &shared, comm)
+                    }));
+                    let cause = match outcome {
+                        Ok(Ok(())) => None,
+                        // A scripted crash models a dead process: it does NOT
+                        // poison — peers must detect the loss through the
+                        // timeout/heartbeat path.
+                        Ok(Err(e)) if e.kind == CollectiveErrorKind::InjectedExit => {
+                            Some(RankFailureCause::Collective(e))
                         }
-                        // A typed collective failure leaves the rank's own
-                        // memory intact: salvage the KV, poison so every
-                        // peer unblocks promptly.
-                        Ok((kv, Err(e))) => {
+                        // Poison so every peer unblocks promptly.
+                        Ok(Err(e)) => {
                             poisoner.poison();
-                            (Some(kv), Some(RankFailureCause::Collective(e)))
+                            Some(RankFailureCause::Collective(e))
                         }
                         Err(payload) => {
                             poisoner.poison();
-                            (None, Some(RankFailureCause::Panicked(panic_payload_to_string(payload))))
+                            Some(RankFailureCause::Panicked(panic_payload_to_string(payload)))
                         }
                     };
                     let ops = rank_comm.recording().clone();
-                    let _ = tx.send(WorkerExit { rank: r, kv, cause, ops });
+                    let _ = tx.send(WorkerExit { rank: r, cause, ops });
                 });
                 (r, handle)
             })
             .collect();
         let comm = ranks.pop().expect("rank 0 handle");
-        let rank0 = RankState::new(&model, 0, max_prompt, seeded[0].take());
+        let shard = RankShard { model: Arc::clone(&model), rank: 0 };
         TpSession {
+            rank0: Engine::new(shard, max_slots, pages_total, page_tokens),
+            released: Vec::with_capacity(max_slots),
             model,
             shared,
             comm,
-            rank0,
+            published: 0,
             workers,
             exits,
             inflight: false,
             failed: None,
             rank0_lost: false,
             done: false,
-            max_prompt: max_prompt.max(1),
         }
     }
 
@@ -598,53 +631,46 @@ impl TpSession {
         self.model.tp
     }
 
-    /// Context length consumed so far.
-    pub fn context_len(&self) -> usize {
-        self.rank0.kv.context_len()
+    /// Rank 0's pool — every rank's, while the group is healthy.
+    pub fn pool_stats(&self) -> PageStats {
+        self.rank0.pool_stats()
     }
 
-    /// The failure that killed this session, if any.
-    pub fn failure(&self) -> Option<&CollectiveError> {
-        self.failed.as_ref()
+    pub fn slot_in_use(&self, slot: usize) -> bool {
+        self.rank0.slot_in_use(slot)
     }
 
-    /// The `[vocab]` logits row of the most recently forwarded position
-    /// (same contract as [`FastSession::last_logits`]).
-    ///
-    /// [`FastSession::last_logits`]: dsi_model::fast::FastSession::last_logits
-    pub fn last_logits(&self) -> &[f32] {
-        let m = self.rank0.rows.len();
-        assert!(m > 0, "last_logits() before any step");
-        self.rank0.scratch.logits_row(m - 1, self.model.config.vocab)
+    /// See `Engine::attached_tokens`.
+    pub fn attached_tokens(&self, slot: usize) -> usize {
+        self.rank0.attached_tokens(slot)
     }
 
-    /// Feed a multi-token prompt step. On failure the session is dead:
-    /// every later call refuses with the same error, and
-    /// [`TpSession::dismantle`] salvages what survives.
-    pub fn try_prompt(&mut self, prompt: &[usize]) -> Result<(), CollectiveError> {
-        assert!(!prompt.is_empty(), "empty prompt");
-        assert!(prompt.len() <= self.max_prompt, "prompt exceeds session max_prompt");
-        {
-            let mut p = self.shared.prompt.lock().unwrap();
-            p.clear();
-            p.extend_from_slice(prompt);
-        }
-        self.try_step(CMD_PROMPT, prompt)
+    /// Retire `slot` on rank 0 at once (so admission sees its pages free);
+    /// the workers apply it at the start of the next pass.
+    pub fn release(&mut self, slot: usize) {
+        self.rank0.release(slot);
+        self.released.push(slot);
     }
 
-    /// Feed one decode token. Same failure contract as
-    /// [`TpSession::try_prompt`].
-    pub fn try_decode(&mut self, token: usize) -> Result<(), CollectiveError> {
-        self.shared.token.store(token, Ordering::Relaxed);
-        let ids = [token];
-        self.try_step(CMD_DECODE, &ids)
+    /// Fill the next command buffer and ring the workers' doorbell.
+    fn publish(&mut self, fill: impl FnOnce(&mut PassCmd)) {
+        fill(&mut self.shared.cmd(self.published));
+        self.published += 1;
+        self.shared.ring(self.published);
     }
 
-    /// Run one group step: publish the command, cross the step barrier, and
-    /// execute rank 0's share inline.
-    fn try_step(&mut self, cmd: u8, ids: &[usize]) -> Result<(), CollectiveError> {
+    /// One pass of the group: `Engine::pass` on every rank, with the same
+    /// arguments. `out` gets rank 0's tokens, which every rank computed.
+    /// On `Err(Weights)` the group is dead: every later pass refuses with
+    /// the same error, and [`TpSession::dismantle`] reports what failed.
+    pub fn try_pass(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), StepError<CollectiveError>> {
         if let Some(e) = &self.failed {
-            return Err(e.clone());
+            return Err(StepError::Weights(e.clone()));
         }
         if self.comm.is_poisoned() {
             let e = CollectiveError {
@@ -652,28 +678,48 @@ impl TpSession {
                 kind: CollectiveErrorKind::Poisoned,
                 epoch: self.comm.epoch(),
             };
-            return Err(self.fail(e));
+            return Err(StepError::Weights(self.fail(e)));
         }
+        let stats = self.rank0.pool_stats();
+        let mut released = std::mem::take(&mut self.released);
+        self.publish(|cmd| {
+            cmd.shutdown = false;
+            std::mem::swap(&mut cmd.releases, &mut released);
+            cmd.seats.clear();
+            cmd.tokens.clear();
+            for &(slot, ctx) in seats {
+                cmd.seats.push((slot, ctx.len()));
+                cmd.tokens.extend_from_slice(ctx);
+            }
+            cmd.advance.clear();
+            cmd.advance.extend_from_slice(advance);
+            cmd.stats = Some(stats);
+        });
+        // The buffer the command held before: empty it for the next passes'
+        // releases, keeping its capacity.
+        released.clear();
+        self.released = released;
         self.inflight = true;
-        self.shared.cmd.store(cmd, Ordering::Relaxed);
         if let Err(e) = self.comm.try_barrier() {
-            return Err(self.fail(e));
+            return Err(StepError::Weights(self.fail(e)));
         }
-        self.rank0.feed(ids);
-        match self.rank0.run(&self.model, &mut self.comm) {
+        match self.rank0.pass_with(&mut AllReduce(&mut self.comm), seats, advance, out) {
             Ok(()) => {
-                // The workers have read the command (they joined this step's
-                // all-reduces), so a later shutdown store cannot race it.
                 self.inflight = false;
                 Ok(())
             }
-            Err(e) => Err(self.fail(e)),
+            // Every rank's pool is rank 0's: they all refused, before any
+            // collective.
+            Err(StepError::Pages(p)) => {
+                self.inflight = false;
+                Err(StepError::Pages(p))
+            }
+            Err(StepError::Weights(e)) => Err(StepError::Weights(self.fail(e))),
         }
     }
 
-    /// Record a fatal step failure: poison the group so every worker
-    /// unblocks promptly (they salvage their KV on the way out), remember
-    /// the error, classify rank 0's own memory.
+    /// Record a fatal pass failure: poison the group so every worker
+    /// unblocks promptly, remember the error, classify rank 0's own memory.
     fn fail(&mut self, e: CollectiveError) -> CollectiveError {
         self.comm.poison();
         if e.rank == 0 && e.kind == CollectiveErrorKind::InjectedExit {
@@ -683,89 +729,40 @@ impl TpSession {
         e
     }
 
-    /// Record that the driver (rank 0) panicked out of a step — called by a
-    /// supervisor that caught the unwind. Poisons the group and marks rank
-    /// 0's memory untrustworthy, so [`TpSession::dismantle`] reports its KV
-    /// as lost.
-    pub fn note_rank0_panic(&mut self) {
+    /// Record that rank 0 panicked out of a pass — called by the caller
+    /// that caught the unwind. Poisons the group and marks rank 0's memory
+    /// lost.
+    fn note_rank0_panic(&mut self) {
         self.comm.poison();
         self.rank0_lost = true;
         self.inflight = true;
     }
 
-    /// Greedy generation with the exact [`FastSession`] semantics: process
-    /// `prompt`, then emit `n_tokens` tokens (`n_tokens == 0` ingests the
-    /// prompt and returns no tokens).
-    ///
-    /// Panics on any collective failure; the panic message carries the typed
-    /// error plus any worker panic payloads collected before the deadline.
-    ///
-    /// [`FastSession`]: dsi_model::fast::FastSession
-    pub fn generate(&mut self, prompt: &[usize], n_tokens: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(n_tokens);
-        if let Err(e) = self.try_prompt(prompt) {
-            self.panic_with_failures(e);
-        }
-        while out.len() < n_tokens {
-            // Feed the previous token, if any: the last one emitted is never
-            // fed, so no group step is spent on logits nobody samples.
-            if let Some(&t) = out.last() {
-                if let Err(e) = self.try_decode(t) {
-                    self.panic_with_failures(e);
-                }
-            }
-            out.push(argmax(self.last_logits()));
-        }
-        out
-    }
-
-    /// Join the dead group (with the deadline) and panic with the collected
-    /// failure detail — the legacy surface's error report.
-    fn panic_with_failures(&mut self, e: CollectiveError) -> ! {
-        let deadline = self.comm.config().timeout + JOIN_GRACE;
-        let _ = join_with_deadline(&mut self.workers, deadline);
-        let mut msg = format!("tp_exec group failed: {e}");
-        while let Ok(exit) = self.exits.try_recv() {
-            if let Some(cause) = exit.cause {
-                msg.push_str(&format!("; rank {}: {cause}", exit.rank));
-            }
-        }
-        panic!("{msg}");
-    }
-
-    /// Tear the group down and salvage what survives. Clean sessions get a
-    /// graceful shutdown rendezvous; failed ones are poisoned. Workers are
-    /// joined with a deadline (collective timeout + grace) — a wedged thread
-    /// is detached and reported [`RankFailureCause::Unjoined`], never
-    /// hung on. Worker panic payloads come back in
-    /// [`Dismantled::failures`].
+    /// Tear the group down. Clean groups get a graceful shutdown
+    /// rendezvous; failed ones are poisoned. Workers are joined with a
+    /// deadline (collective timeout + grace) — a wedged thread is detached
+    /// and reported [`RankFailureCause::Unjoined`], never hung on. Worker
+    /// panic payloads come back in [`Dismantled::failures`].
     pub fn dismantle(mut self) -> Dismantled {
+        self.teardown()
+    }
+
+    /// [`TpSession::dismantle`] in place: the session is left inert, and
+    /// dropping it does nothing.
+    fn teardown(&mut self) -> Dismantled {
         let tp = self.model.tp;
-        let clean = self.failed.is_none()
-            && !self.inflight
-            && !self.rank0_lost
-            && !self.comm.is_poisoned();
-        if clean {
-            self.shared.cmd.store(CMD_SHUTDOWN, Ordering::Relaxed);
-            if self.comm.try_barrier().is_err() {
-                self.comm.poison();
-            }
-        } else {
-            self.comm.poison();
-        }
-        let deadline = self.comm.config().timeout + JOIN_GRACE;
+        self.shut_down();
         let mut failures = Vec::new();
         if let Some(e) = self.failed.take() {
             failures.push(RankFailure { rank: e.rank, cause: RankFailureCause::Collective(e) });
         }
+        let deadline = self.comm.config().timeout + JOIN_GRACE;
         let unjoined = join_with_deadline(&mut self.workers, deadline);
-        let mut kv: Vec<Option<KvCache>> = (0..tp).map(|_| None).collect();
         let mut exited = vec![false; tp];
         let mut programs = vec![FlightRecorder::default(); tp];
         programs[0] = self.comm.recording().clone();
         while let Ok(exit) = self.exits.try_recv() {
             exited[exit.rank] = true;
-            kv[exit.rank] = exit.kv;
             programs[exit.rank] = exit.ops;
             if let Some(cause) = exit.cause {
                 failures.push(RankFailure { rank: exit.rank, cause });
@@ -773,21 +770,36 @@ impl TpSession {
         }
         // A worker that finished just past the join deadline may still have
         // delivered its exit report (the channel send precedes the thread's
-        // actual exit): it is not a lost rank, and its salvage stands. Only
-        // ranks with no report are truly wedged.
+        // actual exit): it is not a lost rank. Only ranks with no report are
+        // truly wedged.
         for rank in unjoined {
             if !exited[rank] {
                 failures.push(RankFailure { rank, cause: RankFailureCause::Unjoined });
             }
         }
-        if !self.rank0_lost {
-            kv[0] = Some(std::mem::replace(
-                &mut self.rank0.kv,
-                KvCache::with_capacity(0, 1, 0),
-            ));
-        }
         self.done = true;
-        Dismantled { kv, failures, programs }
+        Dismantled { failures, programs }
+    }
+
+    /// Send the workers the shutdown command if the group is healthy, else
+    /// poison it (a rank — possibly this one — is already dead, so every
+    /// spinning peer must unblock).
+    fn shut_down(&mut self) {
+        let clean = self.failed.is_none()
+            && !self.inflight
+            && !self.rank0_lost
+            && !self.comm.is_poisoned()
+            && !std::thread::panicking();
+        if clean {
+            self.publish(|cmd| cmd.shutdown = true);
+            // A worker can still die between the check above and the
+            // rendezvous: a failed shutdown barrier means "already dead".
+            if self.comm.try_barrier().is_err() {
+                self.comm.poison();
+            }
+        } else {
+            self.comm.poison();
+        }
     }
 }
 
@@ -823,26 +835,197 @@ impl Drop for TpSession {
         if self.done {
             return;
         }
-        if self.inflight
-            || self.failed.is_some()
-            || self.comm.is_poisoned()
-            || std::thread::panicking()
-        {
-            // A rank (possibly this one) is already dead: make sure every
-            // spinning peer unblocks, then reap without double-panicking.
-            self.comm.poison();
-        } else {
-            self.shared.cmd.store(CMD_SHUTDOWN, Ordering::Relaxed);
-            // A worker can still die between the check above and the
-            // rendezvous; the typed result means a failed shutdown barrier
-            // is "group already dead", not a new panic out of Drop.
-            if self.comm.try_barrier().is_err() {
-                self.comm.poison();
-            }
-        }
+        self.shut_down();
         // Deadline join: Drop must never hang, even on a wedged worker.
         let deadline = self.comm.config().timeout + JOIN_GRACE;
         let _ = join_with_deadline(&mut self.workers, deadline);
+    }
+}
+
+// --- the engine -------------------------------------------------------------
+
+/// Faults the [`TpReport`] log keeps: the most recent ones.
+const FAULT_LOG: usize = 32;
+
+/// What a [`TpEngine`] did to keep its group serving.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct TpReport {
+    /// Groups built after a fault (the first group is not counted).
+    pub rebuilds: u32,
+    /// Degradations as `(from_tp, to_tp)` pairs, in order.
+    pub degradations: Vec<(usize, usize)>,
+    /// The last 32 rank failures, oldest first.
+    pub faults: Vec<String>,
+}
+
+impl TpReport {
+    fn log(&mut self, fault: String) {
+        if self.faults.len() == FAULT_LOG {
+            self.faults.remove(0);
+        }
+        self.faults.push(fault);
+    }
+}
+
+/// The largest TP degree `d ≤ survivors` with `heads.is_multiple_of(*d)` (degree 1 is
+/// always feasible — the single-rank floor).
+fn degrade_tp(heads: usize, survivors: usize) -> usize {
+    (1..=survivors.min(heads)).rev().find(|d| heads.is_multiple_of(*d)).unwrap_or(1)
+}
+
+/// A tensor-parallel group as a multi-slot engine that lives across
+/// requests: the paged engine's slot lifecycle, run by every rank over its
+/// shard. A fault anywhere in the group fails the pass with its
+/// [`RankFailure`]; the group is dismantled and built again before the
+/// pass returns — narrower when a rank's memory was lost, down to a one-rank group,
+/// which can always be rebuilt. After a fault, releasing a slot the lost
+/// group held is a no-op, and [`TpEngine::pool_stats`] is the empty pool
+/// the next group starts with.
+pub struct TpEngine {
+    model: Arc<GptModel>,
+    packed: Arc<TpPackedModel>,
+    comm: CommConfig,
+    pages_total: usize,
+    page_tokens: usize,
+    group: TpSession,
+    /// `orphaned[slot]`: the slot was held by a group that has since failed.
+    orphaned: Vec<bool>,
+    /// High water of the groups already lost.
+    high_water: usize,
+    report: TpReport,
+}
+
+impl TpEngine {
+    /// A group of `tp` ranks over `model`, each rank's engine with
+    /// `max_slots` slots over `pages_total` pages of `page_tokens` tokens;
+    /// every group it builds uses `comm`.
+    pub fn new(
+        model: Arc<GptModel>,
+        tp: usize,
+        comm: CommConfig,
+        max_slots: usize,
+        pages_total: usize,
+        page_tokens: usize,
+    ) -> Self {
+        let packed = Arc::new(TpPackedModel::shard(&model, tp));
+        let group = packed.session_with(max_slots, pages_total, page_tokens, comm.clone());
+        TpEngine {
+            model,
+            packed,
+            comm,
+            pages_total,
+            page_tokens,
+            group,
+            orphaned: vec![false; max_slots],
+            high_water: 0,
+            report: TpReport::default(),
+        }
+    }
+
+    /// The degree of the current group.
+    pub fn tp(&self) -> usize {
+        self.packed.tp
+    }
+
+    pub fn report(&self) -> &TpReport {
+        &self.report
+    }
+
+    pub fn max_slots(&self) -> usize {
+        self.orphaned.len()
+    }
+
+    /// Pages a `tokens`-long context pins.
+    pub fn pages_for(&self, tokens: usize) -> usize {
+        tokens.div_ceil(self.page_tokens)
+    }
+
+    /// The pool the next pass runs over.
+    pub fn pool_stats(&self) -> PageStats {
+        let s = self.group.pool_stats();
+        PageStats { high_water: s.high_water.max(self.high_water), ..s }
+    }
+
+    /// See `Engine::attached_tokens`.
+    pub fn attached_tokens(&self, slot: usize) -> usize {
+        self.group.attached_tokens(slot)
+    }
+
+    /// Retire `slot`; a slot a failed group held has nothing to return.
+    pub fn release(&mut self, slot: usize) {
+        if std::mem::take(&mut self.orphaned[slot]) {
+            return;
+        }
+        self.group.release(slot);
+    }
+
+    /// One pass of the group (see `Engine::pass`). Rank 0's own unwind is
+    /// caught here: the group is poisoned, rank 0 counted lost, and the
+    /// pass fails with its panic. On `Err(Weights)` no slot advanced, every
+    /// seat is free, the slots the group held are gone, and the next
+    /// group is already built.
+    pub fn pass(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), StepError<RankFailure>> {
+        let group = &mut self.group;
+        let base = out.len();
+        let failure = match catch_unwind(AssertUnwindSafe(|| group.try_pass(seats, advance, out))) {
+            Ok(Ok(())) => return Ok(()),
+            Ok(Err(StepError::Pages(p))) => return Err(StepError::Pages(p)),
+            Ok(Err(StepError::Weights(e))) => {
+                RankFailure { rank: e.rank, cause: RankFailureCause::Collective(e) }
+            }
+            Err(payload) => {
+                group.note_rank0_panic();
+                RankFailure { rank: 0, cause: RankFailureCause::Panicked(panic_payload_to_string(payload)) }
+            }
+        };
+        out.truncate(base);
+        Err(StepError::Weights(self.lose_group(failure)))
+    }
+
+    /// Dismantle the failed group, log what failed, and build the next
+    /// one: narrower when some rank's memory was lost. Returns the failure
+    /// the pass reports.
+    fn lose_group(&mut self, failure: RankFailure) -> RankFailure {
+        let group = &mut self.group;
+        for (slot, orphaned) in self.orphaned.iter_mut().enumerate() {
+            *orphaned |= group.slot_in_use(slot);
+        }
+        self.high_water = self.high_water.max(group.pool_stats().high_water);
+        let old_tp = group.tp();
+        let d = group.teardown();
+        self.report.log(format!("tp={old_tp}: {failure}"));
+        let mut lost = vec![false; old_tp];
+        lost[failure.rank] |= failure.lost_memory();
+        for f in &d.failures {
+            self.report.log(format!("tp={old_tp} rank {}: {}", f.rank, f.cause));
+            lost[f.rank] |= f.lost_memory();
+        }
+        // A survivor that timed out on a peer which then died saw its death
+        // late: the death is the failure, and the class the caller sees.
+        let mut failure = failure;
+        if let RankFailureCause::Collective(e) = &failure.cause {
+            if let CollectiveErrorKind::Timeout { stalled } = &e.kind {
+                let died = |f: &&RankFailure| {
+                    stalled.contains(&f.rank) && matches!(f.cause, RankFailureCause::Panicked(_))
+                };
+                failure = d.failures.iter().find(died).cloned().unwrap_or(failure);
+            }
+        }
+        let survivors = lost.iter().filter(|&&l| !l).count();
+        let new_tp = degrade_tp(self.model.config.heads, survivors.max(1));
+        if new_tp < old_tp {
+            self.report.degradations.push((old_tp, new_tp));
+            self.packed = Arc::new(TpPackedModel::shard(&self.model, new_tp));
+        }
+        self.report.rebuilds += 1;
+        let (slots, pages, tokens) = (self.max_slots(), self.pages_total, self.page_tokens);
+        self.group = self.packed.session_with(slots, pages, tokens, self.comm.clone());
+        failure
     }
 }
 
@@ -857,153 +1040,153 @@ mod tests {
         GptModel::random(zoo::tiny(layers), seed)
     }
 
+    fn oracle(m: &GptModel, prompt: &[usize], n: usize) -> Vec<usize> {
+        PackedModel::pack(m).session(prompt.len()).generate(prompt, n)
+    }
+
+    fn faulty(plan: FaultPlan, checksum: bool, timeout_ms: u64) -> CommConfig {
+        CommConfig {
+            timeout: Duration::from_millis(timeout_ms),
+            checksum,
+            injector: Some(Arc::new(plan.injector())),
+        }
+    }
+
+    #[test]
+    fn degrade_tp_picks_widest_divisor() {
+        assert_eq!(degrade_tp(4, 3), 2);
+        assert_eq!(degrade_tp(4, 4), 4);
+        assert_eq!(degrade_tp(4, 1), 1);
+        assert_eq!(degrade_tp(6, 5), 3);
+        assert_eq!(degrade_tp(8, 7), 4);
+    }
+
+    /// Ragged multi-slot passes at every degree: two seats in one pass, a
+    /// shared-prefix seat that attaches, a retirement whose release reaches
+    /// the workers with the next pass, and a mixed pass that reseats the
+    /// retired slot while the others advance. Every worker checks its pool
+    /// against rank 0's on every pass; every stream is the solo oracle's.
+    #[test]
+    fn every_degree_serves_ragged_passes_token_identically() {
+        let m = model(2, 7);
+        let prompts = [vec![5usize, 6, 7, 8, 1], vec![9, 8], vec![5, 6, 7, 8, 2, 3], vec![4]];
+        for tp in [1usize, 2, 4] {
+            let mut eng = TpEngine::new(Arc::new(m.clone()), tp, CommConfig::default(), 3, 32, 2);
+            let mut streams: Vec<Vec<usize>> = vec![Vec::new(); prompts.len()];
+            // Run one pass and hand its tokens to `to`'s streams, in order.
+            let mut pass = |eng: &mut TpEngine, seats: &[(usize, &[usize])], advance: &[usize], to: &[usize]| {
+                let mut out = Vec::new();
+                eng.pass(seats, advance, &mut out).unwrap();
+                for (&s, t) in to.iter().zip(out) {
+                    streams[s].push(t);
+                }
+            };
+            pass(&mut eng, &[(0, &prompts[0]), (1, &prompts[1])], &[], &[0, 1]);
+            pass(&mut eng, &[(2, &prompts[2])], &[0, 1], &[2, 0, 1]);
+            assert_eq!(eng.attached_tokens(2), 4, "tp {tp}: the shared prefix attaches");
+            eng.release(1);
+            pass(&mut eng, &[(1, &prompts[3])], &[0, 2], &[3, 0, 2]);
+            for _ in 0..3 {
+                pass(&mut eng, &[], &[0, 1, 2], &[0, 3, 2]);
+            }
+            for s in 0..3 {
+                eng.release(s);
+            }
+            assert_eq!(eng.pool_stats().pages_in_use, 0, "tp {tp}");
+            for (p, got) in prompts.iter().zip(&streams) {
+                assert_eq!(got, &oracle(&m, p, got.len()), "tp {tp} prompt {p:?}");
+            }
+            assert_eq!(eng.report().rebuilds, 0);
+        }
+    }
+
+    /// At tp = 1 the rank's seam computes partial GEMM, then all-reduce,
+    /// then bias and residual, where the solo path fuses that epilogue: the
+    /// same expression, so every logit matches `FastSession`'s bit for bit,
+    /// prompt and decode alike.
     #[test]
     fn tp1_logits_are_bitwise_the_fast_session_logits() {
-        // At tp = 1 the rank's seam computes partial GEMM + all-reduce + bias
-        // + residual where the fast path fuses the epilogue: the same
-        // expression, so every logit must match bit for bit, prompt and
-        // decode alike.
+        use dsi_model::fast::{self, argmax, Scratch};
+        use dsi_model::reference::KvCache;
         let m = model(3, 29);
         let pm = PackedModel::pack(&m);
-        let mut fast = pm.session(4);
-        let mut tp = Arc::new(TpPackedModel::shard(&m, 1)).session(4);
+        let mut solo = pm.session(4);
+        let shard = RankShard { model: Arc::new(TpPackedModel::shard(&m, 1)), rank: 0 };
+        let c = m.config.clone();
+        let mut comm = ShmComm::create(1).pop().expect("one rank");
+        let mut kv = [KvCache::with_capacity(c.layers, shard.kv_width(), c.max_seq)];
+        let mut scratch = Scratch::new(&c, 4);
+        let mut rows = Vec::new();
         let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        fast.forward(&[4, 8, 15, 16]);
-        tp.try_prompt(&[4, 8, 15, 16]).expect("prompt");
-        assert_eq!(bits(tp.last_logits()), bits(fast.last_logits()), "prompt");
+        // Every logits row of the pass, in row order.
+        let mut pass = |ids: &[usize], offset: usize| -> Vec<u32> {
+            Row::prompt_pass(&mut rows, 0, offset, ids);
+            fast::step(&shard, &mut kv[..], &mut scratch, &rows, &mut AllReduce(&mut comm)).expect("pass");
+            fast::logits(&shard, &mut scratch, ids.len());
+            (0..ids.len()).flat_map(|i| bits(scratch.logits_row(i, c.vocab))).collect()
+        };
+        let prompt = [4usize, 8, 15, 16];
+        assert_eq!(pass(&prompt, 0), bits(solo.forward(&prompt)), "prompt");
         for step in 0..6 {
-            let next = argmax(fast.last_logits());
-            fast.forward(&[next]);
-            tp.try_decode(next).expect("decode");
-            assert_eq!(bits(tp.last_logits()), bits(fast.last_logits()), "decode step {step}");
+            let next = argmax(solo.last_logits());
+            assert_eq!(pass(&[next], prompt.len() + step), bits(solo.forward(&[next])), "decode step {step}");
         }
-    }
-
-    #[test]
-    fn tp2_and_tp4_generate_match_fast_session() {
-        for seed in [7u64, 21] {
-            let m = model(2, seed);
-            let pm = PackedModel::pack(&m);
-            let want = pm.session(4).generate(&[5, 6, 7], 10);
-            for tp in [2usize, 4] {
-                let tpm = Arc::new(TpPackedModel::shard(&m, tp));
-                let got = tpm.session(4).generate(&[5, 6, 7], 10);
-                assert_eq!(got, want, "tp {tp} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn zero_token_generate_returns_empty_after_ingesting_prompt() {
-        // n_tokens == 0 must not emit a token; the prompt is still ingested
-        // (context advances and last_logits covers its final position), so
-        // a later generate continues exactly like an uninterrupted one.
-        let m = model(2, 9);
-        let pm = PackedModel::pack(&m);
-        let mut fast = pm.session(4);
-        assert!(fast.generate(&[1, 2], 0).is_empty());
-        let want = fast.generate(&[3], 3);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
-        let mut sess = tpm.session(4);
-        assert!(sess.generate(&[1, 2], 0).is_empty());
-        assert_eq!(sess.context_len(), 2);
-        assert_eq!(sess.last_logits().len(), tpm.config().vocab); // prompt row is live
-        assert_eq!(sess.generate(&[3], 3), want);
-    }
-
-    #[test]
-    fn session_reuse_continues_context() {
-        // Two generate calls on one session share the KV context, exactly
-        // like FastSession.
-        let m = model(2, 9);
-        let pm = PackedModel::pack(&m);
-        let mut fast = pm.session(4);
-        let f1 = fast.generate(&[1, 2], 3);
-        let f2 = fast.generate(&[8, 9], 3);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
-        let mut sess = tpm.session(4);
-        assert_eq!(sess.generate(&[1, 2], 3), f1);
-        assert_eq!(sess.generate(&[8, 9], 3), f2);
-    }
-
-    #[test]
-    fn last_logits_exposes_sampling_row() {
-        let m = model(1, 3);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
-        let mut sess = tpm.session(2);
-        let toks = sess.generate(&[1, 2], 1);
-        assert_eq!(toks[0], argmax(sess.last_logits()));
-        assert_eq!(sess.last_logits().len(), tpm.config().vocab);
-    }
-
-    #[test]
-    fn worker_panic_poisons_instead_of_hanging() {
-        // An out-of-vocab token makes every rank's forward assert; the
-        // workers' catch_unwind must fail the group loudly (and Drop must
-        // reap the dead threads without hanging).
-        let m = model(1, 5);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
-        let mut sess = tpm.session(2);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sess.generate(&[1_000_000], 1);
-        }));
-        assert!(caught.is_err());
-        drop(sess); // must not deadlock
     }
 
     #[test]
     fn indivisible_tp_rejected() {
         let m = model(1, 1);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
             TpPackedModel::shard(&m, 3); // tiny() has 4 heads
         }));
         assert!(caught.is_err());
     }
 
     #[test]
-    fn clean_dismantle_salvages_every_kv_shard() {
-        let m = model(2, 11);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
-        let mut sess = tpm.session(4);
-        let out = sess.generate(&[1, 2, 3], 4);
-        let ctx = 3 + out.len() - 1; // prompt rows + decode rows
+    fn worker_panic_poisons_instead_of_hanging() {
+        // An out-of-vocab token makes every rank's pass assert; the workers'
+        // catch_unwind must fail the group loudly (and Drop must reap the
+        // dead threads without hanging).
+        let tpm = Arc::new(TpPackedModel::shard(&model(1, 5), 2));
+        let mut sess = tpm.session(1, 4, 4);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let _ = sess.try_pass(&[(0, &[1_000_000])], &[], &mut Vec::new());
+        }));
+        assert!(caught.is_err());
+        drop(sess); // must not deadlock
+    }
+
+    #[test]
+    fn clean_dismantle_reports_every_rank_and_no_failure() {
+        let tpm = Arc::new(TpPackedModel::shard(&model(2, 11), 2));
+        let mut sess = tpm.session(1, 4, 4);
+        let mut out = Vec::new();
+        sess.try_pass(&[(0, &[1, 2, 3])], &[], &mut out).unwrap();
+        sess.try_pass(&[], &[0], &mut out).unwrap();
         let d = sess.dismantle();
         assert!(d.failures.is_empty(), "{:?}", d.failures);
-        assert_eq!(d.kv.len(), 2);
-        for (r, kv) in d.kv.iter().enumerate() {
-            let kv = kv.as_ref().unwrap_or_else(|| panic!("rank {r} kv lost"));
-            assert_eq!(kv.context_len(), ctx, "rank {r}");
-        }
+        assert!(d.programs.iter().all(|p| !p.events().is_empty()), "every rank recorded its program");
     }
 
     #[test]
     fn worker_panic_payload_surfaces_in_dismantle() {
-        // Script rank 1 to panic at a layer site: the step fails typed on
+        // Script rank 1 to panic at a layer site: the pass fails typed on
         // rank 0 (timeout or poison), and dismantle carries rank 1's panic
         // payload back to the caller.
-        let m = model(2, 13);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
+        let tpm = Arc::new(TpPackedModel::shard(&model(2, 13), 2));
         let plan = FaultPlan::new(vec![FaultSpec {
             rank: 1,
             site: FaultSite::Layer { token: 0, layer: 0 },
             kind: FaultKind::Panic,
         }]);
-        let cfg = CommConfig {
-            timeout: Duration::from_millis(500),
-            injector: Some(Arc::new(plan.injector())),
-            ..CommConfig::default()
-        };
-        let mut sess = tpm.session_with(4, cfg, None);
-        let err = sess.try_prompt(&[1, 2]).expect_err("group must fail typed");
+        let mut sess = tpm.session_with(1, 4, 4, faulty(plan, false, 500));
+        let err = sess.try_pass(&[(0, &[1, 2])], &[], &mut Vec::new()).expect_err("group must fail typed");
+        let StepError::Weights(err) = err else { panic!("expected a collective failure, got {err:?}") };
         assert!(
-            matches!(
-                err.kind,
-                CollectiveErrorKind::Poisoned | CollectiveErrorKind::Timeout { .. }
-            ),
+            matches!(err.kind, CollectiveErrorKind::Poisoned | CollectiveErrorKind::Timeout { .. }),
             "{err}"
         );
         let d = sess.dismantle();
-        assert!(d.kv[1].is_none(), "panicked rank's memory must not be salvaged");
         let payload = d.failures.iter().find_map(|f| match &f.cause {
             RankFailureCause::Panicked(p) if f.rank == 1 => Some(p.clone()),
             _ => None,
@@ -1013,78 +1196,210 @@ mod tests {
     }
 
     #[test]
-    fn scripted_worker_exit_times_out_and_salvage_drops_its_kv() {
+    fn scripted_worker_exit_times_out_and_is_reported() {
         // Rank 1 "crashes" (drops its arrival): rank 0 must observe a typed
-        // timeout naming rank 1, and dismantle must salvage rank 0's KV but
-        // not rank 1's.
-        let m = model(1, 17);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
+        // timeout naming rank 1, and dismantle must report the crash.
+        let tpm = Arc::new(TpPackedModel::shard(&model(1, 17), 2));
         let plan = FaultPlan::new(vec![FaultSpec {
             rank: 1,
             site: FaultSite::Barrier { epoch: 0 },
             kind: FaultKind::Exit,
         }]);
-        let cfg = CommConfig {
-            timeout: Duration::from_millis(200),
-            injector: Some(Arc::new(plan.injector())),
-            ..CommConfig::default()
-        };
-        let mut sess = tpm.session_with(4, cfg, None);
-        let err = sess.try_prompt(&[1, 2]).expect_err("lost rank must surface");
-        match &err.kind {
-            CollectiveErrorKind::Timeout { stalled } => assert_eq!(stalled, &[1], "{err}"),
+        let mut sess = tpm.session_with(1, 4, 4, faulty(plan, false, 200));
+        let err = sess.try_pass(&[(0, &[1, 2])], &[], &mut Vec::new()).expect_err("lost rank must surface");
+        match &err {
+            StepError::Weights(CollectiveError { kind: CollectiveErrorKind::Timeout { stalled }, .. }) => {
+                assert_eq!(stalled, &[1], "{err:?}")
+            }
             other => panic!("expected Timeout, got {other:?}"),
         }
         let d = sess.dismantle();
-        assert!(d.kv[0].is_some(), "rank 0 survives");
-        assert!(d.kv[1].is_none(), "crashed rank's memory is gone");
         assert!(
-            d.failures.iter().any(|f| f.rank == 1
-                && matches!(&f.cause, RankFailureCause::Collective(e)
-                    if e.kind == CollectiveErrorKind::InjectedExit)),
+            d.failures.iter().any(|f| f.rank == 1 && f.lost_memory()),
             "{:?}",
             d.failures
         );
     }
 
     #[test]
-    fn failed_session_refuses_further_steps_with_same_error() {
-        let m = model(1, 19);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
+    fn failed_session_refuses_further_passes_with_same_error() {
+        let tpm = Arc::new(TpPackedModel::shard(&model(1, 19), 2));
         let plan = FaultPlan::new(vec![FaultSpec {
             rank: 1,
             site: FaultSite::Barrier { epoch: 0 },
             kind: FaultKind::Exit,
         }]);
-        let cfg = CommConfig {
-            timeout: Duration::from_millis(200),
-            injector: Some(Arc::new(plan.injector())),
-            ..CommConfig::default()
-        };
-        let mut sess = tpm.session_with(4, cfg, None);
-        let e1 = sess.try_prompt(&[1]).expect_err("first failure");
-        let e2 = sess.try_decode(1).expect_err("dead session refuses");
+        let mut sess = tpm.session_with(1, 4, 4, faulty(plan, false, 200));
+        let e1 = sess.try_pass(&[(0, &[1])], &[], &mut Vec::new()).expect_err("first failure");
+        let e2 = sess.try_pass(&[], &[0], &mut Vec::new()).expect_err("dead group refuses");
         assert_eq!(e1, e2);
     }
 
-    #[test]
-    fn seeded_kv_resumes_decoding_token_identically() {
-        // Decode a few tokens, dismantle, rebuild a session at the same tp
-        // from the salvaged shards, and continue: the continuation must
-        // match an uninterrupted run token-for-token.
-        let m = model(2, 23);
-        let tpm = Arc::new(TpPackedModel::shard(&m, 2));
-        let mut uninterrupted = tpm.session(4);
-        let want_a = uninterrupted.generate(&[3, 1, 4], 3);
-        let want_b = uninterrupted.generate(&[want_a[2]], 4);
+    /// Generate `n` tokens for each prompt, one slot each, recovering from
+    /// every fault the way the serving scheduler does: release what the
+    /// failed pass advanced, then seat each committed context again.
+    /// Returns the streams and the faults survived.
+    fn serve(eng: &mut TpEngine, prompts: &[&[usize]], n: usize) -> (Vec<Vec<usize>>, usize) {
+        let mut toks: Vec<Vec<usize>> = vec![Vec::new(); prompts.len()];
+        let mut seated = vec![false; prompts.len()];
+        let (mut out, mut faults) = (Vec::new(), 0);
+        while toks.iter().any(|t| t.len() < n) {
+            let ctxs: Vec<(usize, Vec<usize>)> = (0..prompts.len())
+                .filter(|&s| !seated[s])
+                .map(|s| (s, [prompts[s], &toks[s][..toks[s].len().saturating_sub(1)]].concat()))
+                .collect();
+            let seats: Vec<(usize, &[usize])> = ctxs.iter().map(|(s, c)| (*s, &c[..])).collect();
+            let advance: Vec<usize> = (0..prompts.len()).filter(|&s| seated[s] && toks[s].len() < n).collect();
+            out.clear();
+            match eng.pass(&seats, &advance, &mut out) {
+                Ok(()) => {
+                    for (&(s, _), &t) in seats.iter().zip(&out) {
+                        if toks[s].is_empty() {
+                            toks[s].push(t);
+                        } else {
+                            assert_eq!(toks[s].last(), Some(&t), "a replay reproduces the last token");
+                        }
+                        seated[s] = true;
+                    }
+                    for (&s, &t) in advance.iter().zip(&out[seats.len()..]) {
+                        toks[s].push(t);
+                    }
+                }
+                Err(StepError::Weights(_)) => {
+                    // A slot done before the fault stays seated here: its
+                    // release below finds the group that held it gone.
+                    for &s in &advance {
+                        eng.release(s);
+                        seated[s] = false;
+                    }
+                    faults += 1;
+                    assert!(faults < 16, "fault storm: {:?}", eng.report());
+                }
+                Err(StepError::Pages(e)) => panic!("{e:?}"),
+            }
+        }
+        for s in (0..prompts.len()).filter(|&s| seated[s]) {
+            eng.release(s);
+        }
+        assert_eq!(eng.pool_stats().pages_in_use, 0, "every slot came back");
+        (toks, faults)
+    }
 
-        let mut first = tpm.session(4);
-        let got_a = first.generate(&[3, 1, 4], 3);
-        assert_eq!(got_a, want_a);
-        let d = first.dismantle();
-        let kv: Vec<KvCache> = d.kv.into_iter().map(|k| k.unwrap()).collect();
-        let mut second = tpm.session_with(4, CommConfig::default(), Some(kv));
-        let got_b = second.generate(&[got_a[2]], 4);
-        assert_eq!(got_b, want_b);
+    /// Serve two prompts at tp = 2 under `plan`; returns the engine.
+    fn serve_two(seed: u64, plan: FaultPlan, checksum: bool, n: usize) -> TpEngine {
+        let m = model(2, seed);
+        let prompts: [&[usize]; 2] = [&[1, 2, 3], &[4, 2]];
+        let mut eng = TpEngine::new(Arc::new(m.clone()), 2, faulty(plan, checksum, 300), 2, 16, 4);
+        let (got, _) = serve(&mut eng, &prompts, n);
+        for (p, got) in prompts.iter().zip(&got) {
+            assert_eq!(got, &oracle(&m, p, n), "prompt {p:?}");
+        }
+        eng
+    }
+
+    #[test]
+    fn fault_free_group_is_built_once() {
+        let eng = serve_two(31, FaultPlan::new(Vec::new()), false, 6);
+        assert_eq!((eng.report().rebuilds, eng.tp()), (0, 2));
+    }
+
+    #[test]
+    fn worker_crash_degrades_and_replays_token_identically() {
+        // Rank 1 crashes (drops its arrival) in the first pass: rank 0
+        // times out, the group is rebuilt at tp = 1 (rank 1's memory is
+        // gone), and the replay reproduces every stream.
+        let plan = FaultPlan::new(vec![FaultSpec {
+            rank: 1,
+            site: FaultSite::Barrier { epoch: 9 },
+            kind: FaultKind::Exit,
+        }]);
+        let eng = serve_two(37, plan, false, 6);
+        assert_eq!(eng.tp(), 1, "group must have degraded");
+        assert_eq!(eng.report().degradations, vec![(2, 1)]);
+        assert_eq!(eng.report().rebuilds, 1);
+    }
+
+    #[test]
+    fn transient_stall_rebuilds_at_the_same_degree() {
+        // A stall longer than the collective timeout: detected as a timeout
+        // with every rank's memory intact, so the group is rebuilt at the
+        // same degree.
+        let plan = FaultPlan::new(vec![FaultSpec {
+            rank: 1,
+            site: FaultSite::Barrier { epoch: 20 },
+            kind: FaultKind::Stall { millis: 1500 },
+        }]);
+        let eng = serve_two(41, plan, false, 5);
+        assert_eq!(eng.tp(), 2, "transient faults must not degrade");
+        assert_eq!(eng.report().rebuilds, 1, "{:?}", eng.report());
+    }
+
+    #[test]
+    fn corrupt_chunk_is_caught_and_replayed() {
+        let plan = FaultPlan::new(vec![FaultSpec {
+            rank: 1,
+            site: FaultSite::Reduce { epoch: 1 },
+            kind: FaultKind::Corrupt,
+        }]);
+        let eng = serve_two(43, plan, true, 5);
+        assert_eq!(eng.tp(), 2);
+        assert!(eng.report().faults.iter().any(|f| f.contains("corrupt")), "{:?}", eng.report());
+    }
+
+    #[test]
+    fn rank0_panic_is_caught_and_degrades() {
+        let plan = FaultPlan::new(vec![FaultSpec {
+            rank: 0,
+            site: FaultSite::Layer { token: 3, layer: 1 },
+            kind: FaultKind::Panic,
+        }]);
+        let eng = serve_two(47, plan, false, 5);
+        assert_eq!(eng.tp(), 1);
+        assert!(eng.report().faults[0].contains("rank 0 panicked"), "{:?}", eng.report());
+    }
+
+    #[test]
+    fn multiple_faults_are_all_survived() {
+        // A transient stall *and* a later permanent crash in one run.
+        let plan = FaultPlan::new(vec![
+            FaultSpec { rank: 0, site: FaultSite::Barrier { epoch: 3 }, kind: FaultKind::Stall { millis: 1500 } },
+            FaultSpec { rank: 1, site: FaultSite::Layer { token: 6, layer: 0 }, kind: FaultKind::Exit },
+        ]);
+        let eng = serve_two(53, plan, false, 8);
+        assert_eq!(eng.tp(), 1);
+        assert!(eng.report().rebuilds >= 2, "{:?}", eng.report());
+    }
+
+    /// After a fault the lost group's slots release as no-ops — also after
+    /// a second group is lost before they are released — the pool the next
+    /// pass will use shows empty, and the next pass builds the group.
+    #[test]
+    fn a_failed_group_leaves_nothing_held() {
+        let m = model(1, 59);
+        let plan = FaultPlan::new(vec![
+            FaultSpec { rank: 1, site: FaultSite::Layer { token: 3, layer: 0 }, kind: FaultKind::Exit },
+            FaultSpec { rank: 0, site: FaultSite::Layer { token: 5, layer: 0 }, kind: FaultKind::Panic },
+        ]);
+        let mut eng = TpEngine::new(Arc::new(m.clone()), 2, faulty(plan, false, 200), 3, 8, 2);
+        let mut out = Vec::new();
+        eng.pass(&[(0, &[1, 2, 3]), (1, &[4, 5])], &[], &mut out).unwrap();
+        let held = eng.pool_stats();
+        let err = eng.pass(&[], &[0, 1], &mut out).expect_err("rank 1 crashes");
+        assert!(matches!(err, StepError::Weights(ref f) if f.rank == 0 || f.rank == 1), "{err:?}");
+        assert_eq!(out.len(), 2, "the failed pass emits nothing");
+        let next = eng.pool_stats();
+        assert_eq!((next.pages_in_use, next.pages_free), (0, 8));
+        // The failed pass reserved slot 1's next page before it ran.
+        assert_eq!(next.high_water, held.high_water + 1, "the lost group's high water stands");
+        // A second group is lost (rank 0 panics on position 5) while slots
+        // 0 and 1 are still unreleased.
+        let err = eng.pass(&[(2, &[6, 7, 8, 9, 1, 2])], &[], &mut out).expect_err("rank 0 panics");
+        assert!(matches!(err, StepError::Weights(ref f) if f.rank == 0), "{err:?}");
+        eng.release(1);
+        eng.release(0);
+        out.clear();
+        eng.pass(&[(0, &[1, 2, 3])], &[], &mut out).unwrap();
+        assert_eq!(out, oracle(&m, &[1, 2, 3], 1));
+        assert_eq!((eng.tp(), eng.report().rebuilds), (1, 2));
     }
 }

@@ -1,14 +1,16 @@
-//! Allocation guard for the executed TP engine: steady-state decode must not
-//! allocate per token, on any rank. All per-rank buffers (activations, KV,
-//! scratch, the prompt hand-off vector) are reserved at session creation;
-//! the only allocation a `generate` call may make is its own output `Vec`.
+//! Allocation guard for the executed TP engine: a steady-state decode pass
+//! must not allocate on any rank. Every rank's engine, scratch and page
+//! pool, and both command buffers, reach their size in the first passes and
+//! are reused from then on.
 //!
 //! This file holds exactly one test so the process-global counting allocator
-//! is not polluted by concurrently running tests in the same binary.
+//! — which counts every thread, the rank workers included — is not
+//! polluted by concurrently running tests in the same binary.
 
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::tp_exec::TpPackedModel;
+use dsi_parallel::tp_exec::TpEngine;
+use dsi_sim::shmem::CommConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,35 +41,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Seat four slots (one 32-token page each, so a page table never grows),
+/// warm up, then count every thread's allocations over 16 decode passes
+/// into a pre-sized output vector.
 #[test]
 fn steady_state_decode_does_not_allocate() {
     let model = GptModel::random(zoo::tiny(2), 11);
-    let tpm = Arc::new(TpPackedModel::shard(&model, 2));
-    let mut sess = tpm.session(8);
-
-    // Warm-up: prompt ingestion plus a few decode steps touches every lazy
-    // path once (worker thread startup, prompt vector growth, first KV rows).
-    sess.generate(&[1, 2, 3], 4);
-
-    // Two more generate calls of different lengths on the same session. Each
-    // may allocate a constant amount (its output Vec); the per-token marginal
-    // cost must be zero, so the deltas must be equal.
+    let mut eng = TpEngine::new(Arc::new(model), 2, CommConfig::default(), 4, 4, 32);
+    let slots = [0usize, 1, 2, 3];
+    let prompts: Vec<Vec<usize>> = slots.iter().map(|&s| vec![1 + s, 2, 3]).collect();
+    let seats: Vec<(usize, &[usize])> = slots.iter().map(|&s| (s, &prompts[s][..])).collect();
+    let mut out = Vec::with_capacity(4 * 20);
+    eng.pass(&seats, &[], &mut out).expect("seat");
+    for _ in 0..2 {
+        eng.pass(&[], &slots, &mut out).expect("warm-up pass");
+    }
     let before = ALLOCS.load(Ordering::SeqCst);
-    let a = sess.generate(&[5], 5);
-    let mid = ALLOCS.load(Ordering::SeqCst);
-    let b = sess.generate(&[7], 25);
-    let after = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(a.len(), 5);
-    assert_eq!(b.len(), 25);
-
-    let short = mid - before;
-    let long = after - mid;
-    assert_eq!(
-        short, long,
-        "decoding 25 tokens allocated {long} times vs {short} for 5: per-token allocation"
-    );
-    assert!(
-        short <= 2,
-        "steady-state generate made {short} allocations; only the output Vec is allowed"
-    );
+    for _ in 0..16 {
+        eng.pass(&[], &slots, &mut out).expect("decode pass");
+    }
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(allocs, 0, "16 decode passes allocated {allocs} times across the group's threads");
 }

@@ -3,8 +3,8 @@
 //! The paper's systems contribution (Sec. VI) is an *inference serving*
 //! system, not a kernel library: DeepSpeed-Inference sits behind a request
 //! boundary, and everything the repo built below this crate — the fast
-//! single-GPU decode path, the executed tensor-parallel engine, the
-//! fault-tolerant supervisor — only earns its keep once real, concurrent,
+//! single-GPU decode path, the paged engine, the executed tensor-parallel
+//! group and its fault recovery — only earns its keep once real, concurrent,
 //! misbehaving request streams are fronted safely. `dsi-serve` is that
 //! front: a multi-threaded serving runtime — one iteration-level scheduler
 //! ([`scheduler`]) over any `dsi_core::BatchEngine` — with the four
@@ -26,8 +26,8 @@
 //!    the engine is storming, and a half-open probe re-closes it on
 //!    recovery. Driven by the deterministic [`Clock`](dsi_sim::Clock), so
 //!    every transition is testable without sleeps.
-//! 4. **Watchdog & drain** — a progress-heartbeat watchdog cancels wedged
-//!    requests, and [`Server::drain`] performs a graceful shutdown whose
+//! 4. **Watchdog & drain** — the scheduler's progress watchdog cancels
+//!    wedged requests, and [`Server::drain`] performs a graceful shutdown whose
 //!    final [`ServeReport`] asserts the accounting invariants
 //!    `submitted == admitted + rejected` and
 //!    `admitted == completed + evicted + deadline_expired` — under every
@@ -36,12 +36,12 @@
 //! The scheduler — iteration-level admission, ragged M-row decode,
 //! mid-batch retirement, page-granular KV accounting with typed
 //! page-exhaustion shedding, prefix-replay fault recovery — is the only
-//! worker loop. The engines it fronts differ in slot count and page
-//! geometry only ([`server::EngineMode`]): one slot over the fault-tolerant
-//! tensor-parallel [`FtSession`](dsi_parallel::supervisor::FtSession)
-//! (single-flight), or the paged multi-slot
-//! [`Engine`](dsi_model::paged::Engine) over a resident packed model
-//! (continuous) or over the offload tier ([`Server::start_streamed`]).
+//! worker loop, and the paged multi-slot
+//! [`Engine`](dsi_model::paged::Engine) the only slot lifecycle under it,
+//! sized by [`server::ContinuousConfig`]: over a resident packed model, run
+//! by every rank of a tensor-parallel group
+//! ([`TpEngine`](dsi_parallel::TpEngine)) over its shard, or over the
+//! offload tier ([`Server::start_streamed`]).
 
 pub mod breaker;
 pub mod scheduler;

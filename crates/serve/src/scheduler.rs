@@ -1,8 +1,7 @@
 //! The executed continuous-batching scheduler — iteration-level batching
 //! (sequences join whenever a slot is free and retire the moment they
 //! finish) over a real engine, and the **only** worker loop of the serving
-//! runtime: every engine (paged, streamed, single-flight `FtEngine` at
-//! `max_slots = 1`) runs under it.
+//! runtime: every engine (resident, streamed, a TP group) runs under it.
 //!
 //! Every iteration is three phases around **one** engine pass
 //! ([`BatchEngine::pass`]), the paper's hybrid schedule (Sec. IV-B): prompt
@@ -23,6 +22,10 @@
 //!    newest resident is shed with [`EvictReason::PagesExhausted`] (its
 //!    exact token prefix attached) and the pass retries — never an abort,
 //!    never a hang.
+//!    After each pass attempt the loop is its own watchdog: with no
+//!    progress (an admission or a pass that succeeded) within
+//!    [`ServeConfig::progress_timeout`](crate::ServeConfig::progress_timeout),
+//!    it cancels every resident.
 //! 3. **Retire** (under the lock): resolve residents that completed
 //!    (`n_tokens` reached or [`eos`](crate::ServeConfig::eos) emitted),
 //!    were cancelled, or passed their deadline — mid-batch, without
@@ -79,18 +82,16 @@
 //! [`check_sched_trace`], and each recorded recovery program
 //! ([`recorded_recoveries`]) with [`check_recovery_program`]. Neither can
 //! drift from the code, because the code writes them. `cargo xtask verify`
-//! runs [`live_trace_check`] as an end-to-end gate, over a continuous, a
-//! single-flight and a fault-scripted server.
+//! runs [`live_trace_check`] as an end-to-end gate, over a resident, a
+//! tensor-parallel and a fault-scripted server.
 //!
 //! Because every engine's decode is bit-identical to a solo
-//! [`FastSession`](dsi_model::fast::FastSession) run (which is
-//! token-identical to `FtSession` at any TP degree), every outcome's token
-//! stream — full or partial — is an exact prefix of the request's solo
-//! generation. The chaos suite holds serving to that oracle, faults
-//! included.
+//! [`FastSession`](dsi_model::fast::FastSession) run (and a TP group's is
+//! token-identical to it at any degree), every outcome's token stream —
+//! full or partial — is an exact prefix of the request's solo generation.
+//! The chaos suite holds serving to that oracle, faults included.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -251,14 +252,16 @@ impl Tracer {
 }
 
 /// The one worker loop: runs `eng` until the server drains, then hands it
-/// back (the single-flight wrapper reads the supervisor's fault report off
-/// it). `max_prompt` bounds the context a pass seats beyond its first seat.
+/// back (a TP group's fault report is read off it). `max_prompt` bounds the
+/// context a pass seats beyond its first seat; `progress_timeout` arms the
+/// watchdog.
 pub(crate) fn run_scheduler<E: BatchEngine>(
     shared: Arc<Shared>,
     mut eng: E,
     cont: ContinuousConfig,
     eos: Option<usize>,
     max_prompt: usize,
+    progress_timeout: Option<Duration>,
 ) -> E {
     let mut residents: Vec<Option<Resident>> = (0..cont.max_slots).map(|_| None).collect();
     let mut admit_seq = 0u64;
@@ -273,6 +276,10 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     let mut tokens_per_step_hist = vec![0u64; cont.max_slots + 1];
     let mut tracer = Tracer { on: cont.trace, ops: Vec::new() };
     let mut out = Vec::with_capacity(cont.max_slots);
+    // Serve-clock ns of the last admission or successful pass, and the
+    // watchdog's fires not yet added to the books.
+    let mut last_progress = shared.clock.now_ns();
+    let mut watchdog_fires = 0u64;
 
     loop {
         // ---- Phase 1: admit from the queue into free slots (under lock).
@@ -303,9 +310,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                 free -= need;
                 let job = st.queue.pop_front().unwrap();
                 st.inflight_tokens -= job.cost;
-                // Stamp the heartbeat before publishing `running`, so the
-                // watchdog never reads a stale heartbeat for a fresh job.
-                shared.progress_ns.store(shared.clock.now_ns(), Ordering::Release);
+                last_progress = shared.clock.now_ns();
                 st.running.push(Running { id: job.id, cancel: job.cancel.clone() });
                 residents[slot] =
                     Some(Resident { job, tokens: Vec::new(), seated: false, replays: 0, admit_seq });
@@ -371,6 +376,18 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                 |e| e.pass(&seats, &advance, &mut out),
                 |e| seats.iter().for_each(|&(s, _)| e.release(s)),
             );
+            // The watchdog, before this attempt's progress is stamped: a
+            // wedged engine stalls every resident, so it cancels them all
+            // and counts one fire.
+            let now = shared.clock.now_ns();
+            if progress_timeout.is_some_and(|t| now.saturating_sub(last_progress) > t.as_nanos() as u64) {
+                let mut fired = false;
+                for r in residents.iter().flatten().filter(|r| !r.job.cancel.is_cancelled()) {
+                    r.job.cancel.cancel();
+                    fired = true;
+                }
+                watchdog_fires += u64::from(fired);
+            }
             let err = match ran {
                 Ok(()) => {
                     for (&(slot, ctx), &tok) in seats.iter().zip(&out) {
@@ -393,7 +410,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                     occupancy_hist[seats.len() + advance.len()] += 1;
                     tokens_per_step_hist[out.len()] += 1;
                     steps += 1;
-                    shared.progress_ns.store(shared.clock.now_ns(), Ordering::Release);
+                    last_progress = now;
                     break;
                 }
                 Err(e) => e,
@@ -480,6 +497,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
             for class in faults.drain(..) {
                 st.breaker.on_failure(class, now);
             }
+            st.counters.watchdog_fires += std::mem::take(&mut watchdog_fires);
             if !retired.is_empty() {
                 tracer.rec(SchedTraceOp::Retire);
             }
@@ -661,9 +679,9 @@ fn check_drained(srv: Server, diags: &mut Vec<Diagnostic>) -> Vec<Vec<RecoveryOp
 /// End-to-end tracer gate for `cargo xtask verify`: run three short serves
 /// with tracing forced on and check what each scheduler recorded — its lock
 /// and phase trace against the verified lock model, its recoveries with the
-/// recovery-program checker. A continuous and a single-flight server see
-/// batched completions, a cancel, an idle park and a drain; a continuous
-/// server under scripted engine faults must record a recovery whose replay
+/// recovery-program checker. A resident and a tp = 2 server see batched
+/// completions, a cancel, an idle park and a drain; a resident server
+/// under scripted engine faults must record a recovery whose replay
 /// re-seats, a replay whose pass fails, and an eviction past the replay
 /// budget.
 pub fn live_trace_check() -> LiveCheck {
@@ -679,15 +697,10 @@ pub fn live_trace_check() -> LiveCheck {
     };
     let mut cfg = ServeConfig::new(1);
     cfg.mode = EngineMode::Continuous(cont);
-    let continuous = Server::start(Arc::clone(&model), cfg.clone());
-    // The single-slot discipline is the same loop at `max_slots = 1`.
-    let single = Server::start_single_flight(
-        Arc::clone(&model),
-        ServeConfig::new(1),
-        ContinuousConfig { max_slots: 1, page_tokens: 1, ..cont },
-    );
+    let resident = Server::start(Arc::clone(&model), cfg.clone());
+    let group = Server::start(Arc::clone(&model), ServeConfig { tp: 2, ..cfg.clone() });
     let mut diags = Vec::new();
-    for srv in [continuous, single] {
+    for srv in [resident, group] {
         let tickets: Vec<_> = (0..3)
             .map(|i| {
                 srv.submit(Request { prompt: vec![i + 1, i + 2], n_tokens: 4, deadline: None })
@@ -844,7 +857,7 @@ mod tests {
             }
             st.draining = true; // exit once every job has resolved
         }
-        let eng = run_scheduler(Arc::clone(&shared), eng, cont, None, cfg.max_prompt);
+        let eng = run_scheduler(Arc::clone(&shared), eng, cont, None, cfg.max_prompt, None);
         (tickets.iter().map(|rx| rx.recv().expect("resolved")).collect(), eng, shared)
     }
 

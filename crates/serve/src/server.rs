@@ -6,18 +6,18 @@
 //! of [`crate::scheduler`], generic over `dsi_core::BatchEngine`. It admits
 //! from the queue into free slots *every iteration*, seats the newcomers and
 //! advances every other resident through one ragged pass, and retires sequences at
-//! EOS/deadline/cancel mid-batch. Which engine it drives is decided by how
-//! the server was started, and nothing else differs between the modes but
-//! the engine's slot count and KV page geometry ([`EngineMode`]):
+//! EOS/deadline/cancel mid-batch. The engine is always the paged multi-slot
+//! [`paged::Engine`](dsi_model::paged::Engine), sized by
+//! [`ContinuousConfig`]; what feeds it depends on how the server was
+//! started:
 //!
-//! * [`Server::start`] + [`EngineMode::SingleFlight`] — one slot over the
-//!   fault-tolerant tensor-parallel [`FtSession`] (`FtEngine`), KV metered
-//!   per token against [`ServeConfig::kv_budget_tokens`];
-//! * [`Server::start`] + [`EngineMode::Continuous`] — the multi-slot
-//!   [`paged::Engine`](dsi_model::paged::Engine) over a shared page pool
-//!   and a resident packed model;
-//! * [`Server::start_streamed`] — the same engine, the same pool geometry,
-//!   its weights streamed from an offload tier.
+//! * [`Server::start`] at [`ServeConfig::tp`] = 1 — a resident packed
+//!   model;
+//! * [`Server::start`] at `tp > 1` — a tensor-parallel group
+//!   ([`TpEngine`]): every rank runs the same engine over its shard and its
+//!   own `h/tp`-wide pool; the group is built once and rebuilt only after a
+//!   fault;
+//! * [`Server::start_streamed`] — an offload tier.
 //!
 //! * **Bounded admission** — [`Server::submit`] either admits a request
 //!   into a bounded queue or rejects it *typed* ([`Rejected`]): the queue
@@ -25,50 +25,46 @@
 //!   open, or the server is draining. Rejection is O(1) under one lock —
 //!   an overloaded server stays responsive precisely because saying "no"
 //!   is cheap.
-//! * **KV-memory admission** — one formula for every engine: a request is
-//!   admitted on its **prompt pages** only (`pages_for(prompt + 1)` in the
-//!   engine's geometry, against queued + resident pages), and per-step
-//!   growth is reserved page-by-page at decode time — failure there
-//!   surfaces as a typed [`EvictReason::PagesExhausted`] eviction, never an
-//!   abort. Single-flight meters its pool in tokens,
-//!   [`ServeConfig::kv_budget_tokens`] of them.
+//! * **KV-memory admission** — a request is admitted on its **prompt
+//!   pages** only (`pages_for(prompt + 1)` in the pool's geometry, against
+//!   queued + resident pages), and per-step growth is reserved page-by-page
+//!   at decode time — failure there surfaces as a typed
+//!   [`EvictReason::PagesExhausted`] eviction, never an abort.
 //! * **Deadlines with partial output** — each request can carry a deadline;
 //!   the scheduler checks it between decode steps, so an expired request
 //!   returns [`Outcome::DeadlineExpired`] with the exact prefix of tokens
 //!   generated so far, never a torn step.
-//! * **Watchdog** — a sidecar thread watches the progress heartbeat the
-//!   scheduler stamps after every step. No progress within
-//!   `progress_timeout` means the engine is wedged (or grinding through
-//!   fault recovery); the watchdog cancels every resident, and the
-//!   engines' bounded steps (collective timeouts, fetch deadlines)
-//!   guarantee the cancel is observed.
+//! * **Watchdog** — the scheduler stamps its progress after every
+//!   admission and every pass that succeeds. After each pass attempt, no
+//!   progress within `progress_timeout` means the engine is wedged (or
+//!   grinding through fault recovery): the loop cancels every resident,
+//!   and the engines' bounded passes (collective timeouts, fetch deadlines)
+//!   guarantee the loop gets there.
 //! * **Graceful drain** — [`Server::drain`] stops admissions (typed
 //!   [`Rejected::Draining`]), lets queued work finish within a grace
-//!   period, then evicts the remainder and joins every thread. The final
+//!   period, then evicts the remainder and joins the worker. The final
 //!   [`ServeReport`] carries always-on accounting invariants:
 //!   `submitted == admitted + rejected` and
 //!   `admitted == completed + evicted + deadline_expired` — every ticket
 //!   resolves exactly once, under every fault storm the chaos suite throws.
 //!
 //! Lock discipline: ONE mutex (over the private `State`) + two condvars
-//! (`work`, `idle`) both tied to it, plus lock-free atomics (progress
-//! heartbeat, cancel flags). A single-mutex design is trivially
-//! deadlock-free; the lock-order audit in `dsi-verify::locks` encodes this
-//! as a regression gate.
+//! (`work`, `idle`) both tied to it, plus lock-free cancel flags. A
+//! single-mutex design is trivially deadlock-free; the lock-order audit in
+//! `dsi-verify::locks` encodes this as a regression gate.
 
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dsi_core::{BatchEngine, FaultClass, FaultyEngine, FtEngine};
+use dsi_core::{BatchEngine, FaultClass, FaultyEngine};
 use dsi_model::fast::PackedModel;
 use dsi_model::paged::Engine;
 use dsi_model::reference::GptModel;
-use dsi_parallel::supervisor::{FtConfig, FtReport, FtSession, RetryPolicy};
+use dsi_parallel::{TpEngine, TpReport};
 use dsi_sim::clock::{CancelToken, Clock};
 use dsi_sim::fault::EngineFaultInjector;
 use dsi_sim::shmem::CommConfig;
@@ -78,24 +74,19 @@ use serde::Serialize;
 use crate::breaker::{BreakerConfig, BreakerSet, SetAdmission};
 use crate::scheduler::{run_scheduler, SchedReport};
 
-/// How [`Server::start`] sizes the engine under the one scheduler loop.
-/// Admission, deadlines, the breaker, the watchdog, and drain are
-/// mode-independent; only the slot count and the KV page geometry change.
+/// How the engine under the one scheduler loop is sized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineMode {
-    /// One slot over a fault-tolerant tensor-parallel `FtSession`
-    /// ([`ServeConfig::tp`], [`ServeConfig::retry`]): one request decodes at
-    /// a time. KV is metered per token: the pool is
-    /// [`ServeConfig::kv_budget_tokens`] pages of one token.
-    SingleFlight,
     /// Continuous batching over a paged multi-slot engine: admit into
-    /// slots every step, ragged M-row decode, mid-batch retirement.
-    /// [`Server::start_streamed`] builds the same engine over the same pool
-    /// geometry, fed from the offload tier.
+    /// slots every step, ragged M-row decode, mid-batch retirement. Every
+    /// server builds this engine over this pool geometry, whatever feeds
+    /// its weights.
     Continuous(ContinuousConfig),
 }
 
 /// Sizing of the scheduler and its engine (see [`EngineMode::Continuous`]).
+/// A TP group's ranks each hold a pool of this geometry, over their
+/// `h/tp` columns of every K/V row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContinuousConfig {
     /// Sequence slots: the scheduler admits while fewer are resident.
@@ -148,30 +139,23 @@ impl ContinuousConfig {
 /// Serving runtime configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Initial TP degree of the engine (degrades on permanent faults).
-    /// Single-flight only: the paged and streamed engines run the packed
-    /// single-process fast path (token streams are TP-invariant, so the
-    /// outputs are identical either way).
+    /// TP degree of the group [`Server::start`] builds; 1 serves from the
+    /// packed single-process model, and [`Server::start_streamed`] ignores
+    /// it. A group degrades on permanent rank loss. Token streams are
+    /// TP-invariant, so the outputs are identical at every degree.
     pub tp: usize,
     /// Engine sizing; see [`EngineMode`].
     pub mode: EngineMode,
     /// Token id that terminates a generation early (the sequence retires
     /// mid-batch the step it appears).
     pub eos: Option<usize>,
-    /// Collective configuration (timeout, checksums, fault injection).
+    /// Collective configuration of a TP group (timeout, checksums, fault
+    /// injection); unused at `tp = 1`.
     pub comm: CommConfig,
-    /// Per-step fault retry/backoff policy.
-    pub retry: RetryPolicy,
     /// Longest admissible prompt.
     pub max_prompt: usize,
     /// Bounded admission queue depth (requests waiting, excluding running).
     pub queue_capacity: usize,
-    /// Single-flight KV pool size in tokens of context (the pool is sized
-    /// by [`ContinuousConfig`] otherwise). The TP
-    /// session grows its KV contiguously, so under [`Server::start`] this is
-    /// an admission budget; under [`Server::start_streamed`] it is a pool of
-    /// that many one-token pages, allocated and enforced.
-    pub kv_budget_tokens: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
     /// Circuit-breaker configuration, applied to every fault class
@@ -183,9 +167,8 @@ pub struct ServeConfig {
     /// [`dsi_core::FaultyEngine`] driven by this injector. `None` (the
     /// default) runs the engine bare.
     pub engine_faults: Option<Arc<EngineFaultInjector>>,
-    /// Watchdog: cancel every resident request if no token progress within
-    /// this window (polled every 2 ms of wall time). `None` disables the
-    /// watchdog thread entirely.
+    /// Watchdog: cancel every resident request if no progress within this
+    /// window, checked after every pass attempt. `None` disables it.
     pub progress_timeout: Option<Duration>,
     /// Time source for deadlines, the breaker window, latency accounting.
     pub clock: Clock,
@@ -195,13 +178,11 @@ impl ServeConfig {
     pub fn new(tp: usize) -> Self {
         ServeConfig {
             tp,
-            mode: EngineMode::SingleFlight,
+            mode: EngineMode::Continuous(ContinuousConfig::default()),
             eos: None,
             comm: CommConfig::default(),
-            retry: RetryPolicy::default(),
             max_prompt: 64,
             queue_capacity: 16,
-            kv_budget_tokens: 4096,
             default_deadline: None,
             breaker: BreakerConfig::default(),
             engine_faults: None,
@@ -258,11 +239,10 @@ pub enum EvictReason {
     /// prefix generated before the shed.
     PagesExhausted,
     /// The resident exhausted its prefix-replay budget
-    /// ([`ContinuousConfig::replay_budget`]; none in single-flight mode,
-    /// where the supervisor has already retried and degraded) under engine
-    /// faults. `partial` holds the committed prefix — every token in it
-    /// survived recovery bit-exact, so it is still a true prefix of the
-    /// request's solo generation.
+    /// ([`ContinuousConfig::replay_budget`]) under engine faults. `partial`
+    /// holds the committed prefix — every token in it survived recovery
+    /// bit-exact, so it is still a true prefix of the request's solo
+    /// generation.
     EngineFault { class: FaultClass, msg: String },
 }
 
@@ -334,9 +314,9 @@ pub struct ServeReport {
     pub p50_latency_s: f64,
     pub p95_latency_s: f64,
     pub p99_latency_s: f64,
-    /// The engine supervisor's own fault accounting (single-flight mode;
-    /// empty otherwise).
-    pub ft: FtReport,
+    /// A TP group's rebuilds, degradations and recent faults (empty at
+    /// `tp = 1`).
+    pub ft: TpReport,
     /// Batch-occupancy / tokens-per-step histograms and page-allocator
     /// statistics of the scheduler loop.
     pub scheduler: Option<SchedReport>,
@@ -404,7 +384,7 @@ pub(crate) struct State {
     pub(crate) breaker: BreakerSet,
     pub(crate) counters: Counters,
     pub(crate) latencies_s: Vec<f64>,
-    pub(crate) ft_report: FtReport,
+    pub(crate) ft_report: TpReport,
     pub(crate) sched_report: Option<SchedReport>,
     pub(crate) next_id: u64,
 }
@@ -413,12 +393,8 @@ pub(crate) struct Shared {
     pub(crate) state: Mutex<State>,
     /// Worker parks here when the queue is empty.
     pub(crate) work: Condvar,
-    /// Drain and the watchdog park here; notified on every job completion.
+    /// Drain parks here; notified on every job completion.
     pub(crate) idle: Condvar,
-    /// Progress heartbeat: serve-clock ns of the last emitted token (or job
-    /// start). Written by the worker between decode steps, read by the
-    /// watchdog.
-    pub(crate) progress_ns: AtomicU64,
     pub(crate) clock: Clock,
 }
 
@@ -435,47 +411,14 @@ pub(crate) fn new_shared(cfg: &ServeConfig) -> Arc<Shared> {
             breaker: BreakerSet::new(cfg.breaker.clone()),
             counters: Counters::default(),
             latencies_s: Vec::new(),
-            ft_report: FtReport::default(),
+            ft_report: TpReport::default(),
             sched_report: None,
             next_id: 0,
         }),
         work: Condvar::new(),
         idle: Condvar::new(),
-        progress_ns: AtomicU64::new(0),
         clock: cfg.clock.clone(),
     })
-}
-
-/// Watchdog poll period (wall time; bounds cancel latency).
-const WATCHDOG_POLL: Duration = Duration::from_millis(2);
-
-/// Spawn the progress watchdog, if configured.
-fn spawn_watchdog(cfg: &ServeConfig, shared: &Arc<Shared>) -> Option<JoinHandle<()>> {
-    cfg.progress_timeout.map(|timeout| {
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("dsi-serve-watchdog".into())
-            .spawn(move || watchdog_loop(shared, timeout))
-            .expect("spawn serve watchdog")
-    })
-}
-
-/// The scheduler's sizing for `cfg.mode`. Single-flight is one slot over a
-/// per-token pool of `kv_budget_tokens`, with no replay at this level: the
-/// supervisor inside `FtSession` has already retried and degraded
-/// ([`ServeConfig::retry`]), so a fault that reaches the scheduler is
-/// terminal.
-fn sizing(cfg: &ServeConfig) -> ContinuousConfig {
-    match cfg.mode {
-        EngineMode::SingleFlight => ContinuousConfig {
-            max_slots: 1,
-            pages_total: cfg.kv_budget_tokens,
-            page_tokens: 1,
-            replay_budget: 0,
-            ..ContinuousConfig::default()
-        },
-        EngineMode::Continuous(c) => c,
-    }
 }
 
 /// What the worker thread needs to run the one scheduler loop over
@@ -485,6 +428,7 @@ struct Worker {
     cont: ContinuousConfig,
     eos: Option<usize>,
     max_prompt: usize,
+    progress_timeout: Option<Duration>,
     faults: Option<Arc<EngineFaultInjector>>,
 }
 
@@ -493,18 +437,19 @@ impl Worker {
     /// scripted fault injector when armed) and hand the engine back.
     fn run<E: BatchEngine>(&self, eng: E) -> E {
         let shared = Arc::clone(&self.shared);
+        let (cont, eos, max_prompt, timeout) = (self.cont, self.eos, self.max_prompt, self.progress_timeout);
         match &self.faults {
             Some(inj) => {
                 let eng = FaultyEngine::new(eng, Arc::clone(inj));
-                run_scheduler(shared, eng, self.cont, self.eos, self.max_prompt).into_inner()
+                run_scheduler(shared, eng, cont, eos, max_prompt, timeout).into_inner()
             }
-            None => run_scheduler(shared, eng, self.cont, self.eos, self.max_prompt),
+            None => run_scheduler(shared, eng, cont, eos, max_prompt, timeout),
         }
     }
 }
 
-/// The serving runtime. Owns a worker thread (which owns the engine) and an
-/// optional watchdog thread; see the module docs for the full contract.
+/// The serving runtime. Owns a worker thread, which owns the engine; see
+/// the module docs for the full contract.
 pub struct Server {
     shared: Arc<Shared>,
     cfg: ServeConfig,
@@ -512,40 +457,27 @@ pub struct Server {
     cont: ContinuousConfig,
     start_ns: u64,
     worker: Option<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Spawn the runtime over `model`, resident in memory: the engine
-    /// `cfg.mode` sizes (see [`EngineMode`]).
+    /// Spawn the runtime over `model`, resident in memory: the packed model
+    /// at [`ServeConfig::tp`] = 1, a TP group ([`TpEngine`]) above. The
+    /// group is built once on the worker thread and lives across requests;
+    /// its fault report is read off it once the loop has drained, for the
+    /// final [`ServeReport`].
     pub fn start(model: Arc<GptModel>, cfg: ServeConfig) -> Server {
-        let cont = sizing(&cfg);
-        match cfg.mode {
-            EngineMode::SingleFlight => Self::start_single_flight(model, cfg, cont),
-            EngineMode::Continuous(_) => Self::spawn(cfg, cont, move |w| {
+        let EngineMode::Continuous(cont) = cfg.mode;
+        if cfg.tp == 1 {
+            return Self::spawn(cfg, cont, move |w| {
                 let pm = PackedModel::pack(&model);
                 w.run(Engine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens));
-            }),
+            });
         }
-    }
-
-    /// One slot over the fault-tolerant TP session (its group is built
-    /// lazily on the first request); the supervisor's fault report is read
-    /// off the engine once the loop has drained, for the final
-    /// [`ServeReport`].
-    pub(crate) fn start_single_flight(
-        model: Arc<GptModel>,
-        cfg: ServeConfig,
-        cont: ContinuousConfig,
-    ) -> Server {
-        let ft_cfg = FtConfig { tp: cfg.tp, comm: cfg.comm.clone(), retry: cfg.retry.clone() };
-        let max_prompt = cfg.max_prompt;
+        let (tp, comm) = (cfg.tp, cfg.comm.clone());
         Self::spawn(cfg, cont, move |w| {
-            let sess = FtSession::new(model, max_prompt, ft_cfg);
-            let mut sess = w.run(FtEngine::new(sess, cont.pages_total)).into_session();
-            // Tear the group down with bounded joins before reporting.
-            sess.reset();
-            w.shared.state.lock().unwrap().ft_report = sess.report().clone();
+            let eng = TpEngine::new(model, tp, comm, cont.max_slots, cont.pages_total, cont.page_tokens);
+            let eng = w.run(eng);
+            w.shared.state.lock().unwrap().ft_report = eng.report().clone();
         })
     }
 
@@ -563,7 +495,7 @@ impl Server {
         offload: OffloadConfig,
         cfg: ServeConfig,
     ) -> Result<Server, OffloadError> {
-        let cont = sizing(&cfg);
+        let EngineMode::Continuous(cont) = cfg.mode;
         let store = OffloadStore::open(path, offload)?;
         let eng = Engine::new(store, cont.max_slots, cont.pages_total, cont.page_tokens);
         Ok(Self::spawn(cfg, cont, move |w| {
@@ -585,14 +517,14 @@ impl Server {
             cont,
             eos: cfg.eos,
             max_prompt: cfg.max_prompt,
+            progress_timeout: cfg.progress_timeout,
             faults: cfg.engine_faults.clone(),
         };
         let worker = std::thread::Builder::new()
             .name("dsi-serve-scheduler".into())
             .spawn(move || body(w))
             .expect("spawn serve scheduler");
-        let watchdog = spawn_watchdog(&cfg, &shared);
-        Server { shared, cfg, cont, start_ns, worker: Some(worker), watchdog }
+        Server { shared, cfg, cont, start_ns, worker: Some(worker) }
     }
 
     /// Admit or reject `req`. Admission is O(1) under one lock: breaker
@@ -712,9 +644,6 @@ impl Server {
         if let Some(w) = self.worker.take() {
             w.join().expect("serve worker join");
         }
-        if let Some(w) = self.watchdog.take() {
-            w.join().expect("serve watchdog join");
-        }
 
         let st = self.shared.state.lock().unwrap();
         let c = &st.counters;
@@ -765,35 +694,6 @@ impl Server {
     }
 }
 
-fn watchdog_loop(shared: Arc<Shared>, timeout: Duration) {
-    let timeout_ns = timeout.as_nanos() as u64;
-    let mut st = shared.state.lock().unwrap();
-    loop {
-        if st.worker_done {
-            return;
-        }
-        if !st.running.is_empty() {
-            let now = shared.clock.now_ns();
-            let last = shared.progress_ns.load(Ordering::Acquire);
-            if now.saturating_sub(last) > timeout_ns {
-                // The heartbeat is engine-wide: a stalled step wedges every
-                // resident, so cancel them all and count one fire.
-                let mut fired = false;
-                for run in &st.running {
-                    if !run.cancel.is_cancelled() {
-                        run.cancel.cancel();
-                        fired = true;
-                    }
-                }
-                if fired {
-                    st.counters.watchdog_fires += 1;
-                }
-            }
-        }
-        st = shared.idle.wait_timeout(st, WATCHDOG_POLL).unwrap().0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,6 +702,17 @@ mod tests {
 
     fn tiny_model() -> Arc<GptModel> {
         Arc::new(GptModel::random(zoo::tiny(2), 11))
+    }
+
+    /// The solo fault-free generation every served stream is held to.
+    fn solo(model: &GptModel, prompt: &[usize], n: usize) -> Vec<usize> {
+        PackedModel::pack(model).session(prompt.len()).generate(prompt, n)
+    }
+
+    /// The engine sizing `cfg` carries.
+    fn sizing(cfg: &mut ServeConfig) -> &mut ContinuousConfig {
+        let EngineMode::Continuous(c) = &mut cfg.mode;
+        c
     }
 
     fn quiet_cfg(tp: usize) -> ServeConfig {
@@ -844,8 +755,7 @@ mod tests {
     #[test]
     fn served_tokens_match_direct_generation() {
         let model = tiny_model();
-        let mut oracle = FtSession::new(Arc::clone(&model), 64, FtConfig::new(1));
-        let expect = oracle.generate(&[1, 2, 3], 5).unwrap();
+        let expect = solo(&model, &[1, 2, 3], 5);
 
         let srv = Server::start(model, quiet_cfg(1));
         let t = srv
@@ -860,7 +770,8 @@ mod tests {
     fn queue_full_and_memory_pressure_reject_typed() {
         let mut cfg = quiet_cfg(2);
         cfg.queue_capacity = 2;
-        cfg.kv_budget_tokens = 20;
+        // One slot over a pool of 20 one-token pages.
+        *sizing(&mut cfg) = ContinuousConfig { max_slots: 1, pages_total: 20, page_tokens: 1, ..*sizing(&mut cfg) };
         // Wedge the first request (slow, not faulted) so admission state is
         // deterministic while we probe the limits.
         cfg.comm.injector = Some(Arc::new(stall_plan(0, 150).injector()));
@@ -873,7 +784,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         // Admission charges prompt pages (prompt + 1 tokens at one token per
         // page): 9 queue behind the wedged request, and 12 more would
-        // breach the 20-token pool.
+        // breach the 20-page pool.
         let t2 = srv.submit(Request { prompt: vec![1; 8], n_tokens: 8, deadline: None }).unwrap();
         assert_eq!(
             srv.submit(Request { prompt: vec![1; 11], n_tokens: 8, deadline: None }).err(),
@@ -918,8 +829,7 @@ mod tests {
     #[test]
     fn deadline_expiry_returns_token_identical_partial_prefix() {
         let model = tiny_model();
-        let mut oracle = FtSession::new(Arc::clone(&model), 64, FtConfig::new(2));
-        let full = oracle.generate(&[1, 2], 40).unwrap();
+        let full = solo(&model, &[1, 2], 40);
 
         let mut cfg = quiet_cfg(2);
         cfg.default_deadline = Some(Duration::from_millis(40));
@@ -947,13 +857,13 @@ mod tests {
     #[test]
     fn fault_storm_opens_breaker_then_probe_recovers() {
         let mut cfg = quiet_cfg(2);
-        cfg.retry.max_retries = 0; // first fault is terminal
-        cfg.retry.backoff_ms = 0;
+        sizing(&mut cfg).replay_budget = 0; // first fault is terminal
         cfg.breaker.failure_threshold = 2;
         cfg.breaker.open_window = Duration::from_millis(20);
         cfg.comm.timeout = Duration::from_millis(50);
-        // Two scripted stalls longer than the comm timeout: each request's
-        // fresh group hits one at its first barrier crossing.
+        // Two scripted stalls longer than the comm timeout: the first
+        // request's pass hits one at the group's first barrier crossing, the
+        // second's at the first crossing of the group rebuilt after it.
         let plan = FaultPlan::new(vec![
             FaultSpec {
                 rank: 1,
@@ -1000,8 +910,7 @@ mod tests {
     #[test]
     fn cross_class_probe_fault_does_not_wedge_admission() {
         let mut cfg = quiet_cfg(2);
-        cfg.retry.max_retries = 0; // first fault is terminal
-        cfg.retry.backoff_ms = 0;
+        sizing(&mut cfg).replay_budget = 0; // first fault is terminal
         cfg.breaker.failure_threshold = 1;
         cfg.breaker.open_window = Duration::from_millis(20);
         cfg.comm.timeout = Duration::from_millis(50);
@@ -1101,12 +1010,7 @@ mod tests {
 
     fn continuous_cfg(max_slots: usize, pages_total: usize, page_tokens: usize) -> ServeConfig {
         let mut cfg = ServeConfig::new(1);
-        cfg.mode = EngineMode::Continuous(ContinuousConfig {
-            max_slots,
-            pages_total,
-            page_tokens,
-            ..ContinuousConfig::default()
-        });
+        *sizing(&mut cfg) = ContinuousConfig { max_slots, pages_total, page_tokens, ..ContinuousConfig::default() };
         cfg
     }
 
@@ -1114,15 +1018,10 @@ mod tests {
     fn continuous_serves_batches_token_identical_to_solo() {
         // The tentpole end-to-end property: requests served concurrently
         // through the paged continuous engine get exactly the tokens a solo
-        // FtSession run of the same prompt produces.
+        // run of the same prompt produces.
         let model = tiny_model();
         let prompts: Vec<Vec<usize>> = (0..6).map(|i| vec![i + 1, i + 2, (i * 7) % 50]).collect();
-        let oracle: Vec<Vec<usize>> = prompts
-            .iter()
-            .map(|p| {
-                FtSession::new(Arc::clone(&model), 64, FtConfig::new(1)).generate(p, 5).unwrap()
-            })
-            .collect();
+        let oracle: Vec<Vec<usize>> = prompts.iter().map(|p| solo(&model, p, 5)).collect();
 
         let srv = Server::start(Arc::clone(&model), continuous_cfg(4, 64, 4));
         let tickets: Vec<_> = prompts
@@ -1151,6 +1050,29 @@ mod tests {
         assert!(sched.mean_occupancy >= 1.0, "mean occupancy {}", sched.mean_occupancy);
     }
 
+    /// A TP server's group serves every request — batched, token-identical
+    /// to the solo run — and is built once: a fault-free run rebuilds
+    /// nothing.
+    #[test]
+    fn tp_group_is_built_once_and_serves_batches_token_identically() {
+        let model = tiny_model();
+        let prompts: Vec<Vec<usize>> = (0..20).map(|i| vec![i + 1, (3 * i) % 50, 7]).collect();
+        for tp in [2, 4] {
+            let cfg = ServeConfig { tp, queue_capacity: 32, ..continuous_cfg(4, 64, 4) };
+            let srv = Server::start(Arc::clone(&model), cfg);
+            let tickets: Vec<_> = prompts
+                .iter()
+                .map(|p| srv.submit(Request { prompt: p.clone(), n_tokens: 5, deadline: None }).unwrap())
+                .collect();
+            for (t, p) in tickets.into_iter().zip(&prompts) {
+                let Outcome::Completed { tokens, .. } = t.wait() else { panic!("expected completion") };
+                assert_eq!(tokens, solo(&model, p, 5), "tp {tp}");
+            }
+            let report = srv.drain(Duration::from_secs(5));
+            assert_eq!((report.completed, report.ft.rebuilds), (20, 0), "tp {tp}: {:?}", report.ft);
+        }
+    }
+
     #[test]
     fn continuous_shared_prefix_prefills_only_what_nobody_has() {
         // The benchmark's `serve_shared_prefix` shape at a quarter scale:
@@ -1170,8 +1092,7 @@ mod tests {
             })
             .collect();
         for (t, p) in tickets.into_iter().zip(&prompts) {
-            let want =
-                FtSession::new(Arc::clone(&model), 64, FtConfig::new(1)).generate(p, 4).unwrap();
+            let want = solo(&model, p, 4);
             let Outcome::Completed { tokens, .. } = t.wait() else { panic!("expected completion") };
             assert_eq!(tokens, want);
         }
@@ -1191,8 +1112,7 @@ mod tests {
     fn continuous_eos_retires_mid_batch() {
         let model = tiny_model();
         let prompt = vec![1usize, 2, 3];
-        let full =
-            FtSession::new(Arc::clone(&model), 64, FtConfig::new(1)).generate(&prompt, 8).unwrap();
+        let full = solo(&model, &prompt, 8);
         // Declare the 3rd generated token as EOS: the sequence must stop
         // there (inclusive) while its neighbour runs to its full budget.
         let eos = full[2];
@@ -1205,9 +1125,7 @@ mod tests {
         let t1 = srv.submit(Request { prompt: prompt.clone(), n_tokens: 8, deadline: None }).unwrap();
         let other = vec![9usize, 9, 8];
         let want_other = {
-            let full = FtSession::new(Arc::clone(&model), 64, FtConfig::new(1))
-                .generate(&other, 8)
-                .unwrap();
+            let full = solo(&model, &other, 8);
             full.iter().take(full.iter().position(|t| *t == eos).map_or(8, |p| p + 1)).copied().collect::<Vec<_>>()
         };
         let t2 = srv.submit(Request { prompt: other, n_tokens: 8, deadline: None }).unwrap();
@@ -1237,18 +1155,14 @@ mod tests {
         // The partial is the exact solo prefix up to the last token whose
         // fed predecessor still had a KV row: 20 rows - 3 prompt = 17 fed
         // generated tokens, i.e. 18 emitted.
-        let full = FtSession::new(Arc::clone(&model), 64, FtConfig::new(1))
-            .generate(&[1, 2, 3], 19)
-            .unwrap();
+        let full = solo(&model, &[1, 2, 3], 19);
         assert_eq!(partial.len(), 18, "shed at the first reservation past the pool");
         assert_eq!(&full[..partial.len()], &partial[..]);
         // The victim's pages went back to the free list: a request that
         // fits must now run to completion on the recycled pages.
         let t2 = srv.submit(Request { prompt: vec![4, 5, 6], n_tokens: 12, deadline: None }).unwrap();
         let Outcome::Completed { tokens, .. } = t2.wait() else { panic!("expected completion") };
-        let want = FtSession::new(Arc::clone(&model), 64, FtConfig::new(1))
-            .generate(&[4, 5, 6], 12)
-            .unwrap();
+        let want = solo(&model, &[4, 5, 6], 12);
         assert_eq!(tokens, want);
         let report = srv.drain(Duration::from_secs(5));
         assert_eq!(report.completed, 1);
@@ -1280,8 +1194,7 @@ mod tests {
         // completion in the gap. Typed either way, never lost, never torn.
         let t = srv.submit(Request { prompt: vec![1, 2], n_tokens: 50, deadline: None }).unwrap();
         t.cancel();
-        let full =
-            FtSession::new(Arc::clone(&model), 64, FtConfig::new(1)).generate(&[1, 2], 50).unwrap();
+        let full = solo(&model, &[1, 2], 50);
         let mut evicted = 0u64;
         match t.wait() {
             Outcome::Evicted { reason, partial } => {

@@ -33,9 +33,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use dsi_model::fast::PackedModel;
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::supervisor::{FtConfig, FtSession};
 use dsi_serve::{
     ContinuousConfig, EngineMode, EvictReason, Outcome, Request, ServeConfig, Server,
 };
@@ -46,6 +46,7 @@ use dsi_verify::runtime::{check_recovery_program, recorded_recoveries};
 #[test]
 fn continuous_fault_storms_recover_bit_exact() {
     let model = Arc::new(GptModel::random(zoo::tiny(2), 11));
+    let pm = PackedModel::pack(&model);
     let mut total_recoveries = 0u64;
     let mut total_replays = 0u64;
     let mut total_completed = 0u64;
@@ -82,15 +83,8 @@ fn continuous_fault_storms_recover_bit_exact() {
                 (prompt, n_tokens)
             })
             .collect();
-        let mut oracle = FtSession::new(Arc::clone(&model), 64, FtConfig::new(1));
-        let oracles: Vec<Vec<usize>> = requests
-            .iter()
-            .map(|(p, n)| {
-                let out = oracle.generate(p, *n).unwrap();
-                oracle.reset();
-                out
-            })
-            .collect();
+        let oracles: Vec<Vec<usize>> =
+            requests.iter().map(|(p, n)| pm.session(p.len()).generate(p, *n)).collect();
 
         // Storm: up to 8 faults over the first ~40 engine passes. Stalls run
         // 20–40ms against a 10ms step deadline, so every stall of a pass

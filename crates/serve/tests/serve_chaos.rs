@@ -16,21 +16,23 @@
 //! * **every ticket resolves exactly once** — no request is lost under any
 //!   storm;
 //! * **token identity** — every completion equals, and every partial is an
-//!   exact prefix of, the same prompt's solo fault-free generation, in the
-//!   single-flight sweep as in the continuous one (both run one loop);
+//!   exact prefix of, the same prompt's solo fault-free generation, at
+//!   every TP degree, under collective fault storms as under engine ones;
 //! * **bounded tail latency** — when deadlines are armed, completed
 //!   requests finished within deadline + recovery slack.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use dsi_model::fast::PackedModel;
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::supervisor::{FtConfig, FtSession};
+use dsi_parallel::TpEngine;
 use dsi_serve::{
     ContinuousConfig, EngineMode, EvictReason, Outcome, Rejected, Request, ServeConfig, Server,
 };
-use dsi_sim::fault::FaultPlan;
+use dsi_sim::fault::{EngineFaultPlan, FaultPlan};
+use dsi_sim::shmem::CommConfig;
 use dsi_verify::locks::check_sched_trace;
 use dsi_verify::runtime::{check_recovery_program, recorded_recoveries};
 use rand::{RngCore, SeedableRng};
@@ -43,6 +45,24 @@ fn range(rng: &mut impl RngCore, lo: u64, hi: u64) -> u64 {
 
 fn chance(rng: &mut impl RngCore, p: f64) -> bool {
     rng.unit_f64() < p
+}
+
+/// The solo fault-free generation of `prompt` (token streams are
+/// TP-invariant and survive every recovery bit-exact).
+fn solo(pm: &PackedModel, prompt: &[usize], n: usize) -> Vec<usize> {
+    pm.session(prompt.len()).generate(prompt, n)
+}
+
+/// The same generation, `n ≥ 1` tokens, from one slot of a fault-free
+/// tensor-parallel group: the prompt's pass, then one decode pass per token.
+fn tp_solo(eng: &mut TpEngine, prompt: &[usize], n: usize) -> Vec<usize> {
+    let mut out = Vec::new();
+    eng.pass(&[(0, prompt)], &[], &mut out).unwrap();
+    while out.len() < n {
+        eng.pass(&[], &[0], &mut out).unwrap();
+    }
+    eng.release(0);
+    out
 }
 
 /// One seeded scenario, fully derived from `seed`.
@@ -92,22 +112,31 @@ impl Scenario {
 
     fn config(&self) -> ServeConfig {
         let mut cfg = ServeConfig::new(self.tp);
+        cfg.mode = EngineMode::Continuous(ContinuousConfig {
+            max_slots: 4,
+            // The drawn KV budget is the pool's token capacity.
+            pages_total: self.kv_budget_tokens,
+            page_tokens: 1,
+            replay_budget: 4,
+            ..ContinuousConfig::default()
+        });
         cfg.max_prompt = 8;
         cfg.queue_capacity = self.queue_capacity;
-        cfg.kv_budget_tokens = self.kv_budget_tokens;
         cfg.default_deadline = self.deadline;
         cfg.progress_timeout = self.progress_timeout;
         cfg.comm.timeout = Duration::from_millis(200);
         cfg.comm.checksum = self.checksum;
-        cfg.retry.max_retries = 4;
-        cfg.retry.backoff_ms = 1;
         cfg.breaker.failure_threshold = 2;
         cfg.breaker.open_window = Duration::from_millis(10);
-        if self.n_faults > 0 {
+        if self.n_faults > 0 && self.tp == 1 {
+            // A one-rank engine has no collectives: as many engine faults.
+            let plan = EngineFaultPlan::random(self.seed, self.n_faults, 24, 20);
+            cfg.engine_faults = Some(Arc::new(plan.injector()));
+        } else if self.n_faults > 0 {
             // Stalls in FaultPlan::random are 1–20 ms — below the comm
             // timeout, so they surface as slowness; Exit/Panic surface as
             // permanent faults, Corrupt as transient when checksummed.
-            let plan = FaultPlan::random(self.seed, self.n_faults, self.tp.max(2), 24, 2, 8);
+            let plan = FaultPlan::random(self.seed, self.n_faults, self.tp, 24, 2, 8);
             cfg.comm.injector = Some(Arc::new(plan.injector()));
         }
         cfg
@@ -119,10 +148,8 @@ impl Scenario {
 fn run_scenario(sc: &Scenario) -> (u64, u64, u64, u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(sc.seed.wrapping_mul(0x9e37_79b9));
     let model = Arc::new(GptModel::random(zoo::tiny(2), sc.seed ^ 0xabcd));
-    // The solo oracle: a fault-free session of its own (token streams are
-    // TP-invariant and survive every recovery bit-exact).
-    let mut oracle = FtSession::new(Arc::clone(&model), 8, FtConfig::new(1));
-    let srv = Server::start(model, sc.config());
+    let pm = PackedModel::pack(&model);
+    let srv = Server::start(Arc::clone(&model), sc.config());
 
     let mut tickets = Vec::new();
     let mut rejected = 0u64;
@@ -159,8 +186,7 @@ fn run_scenario(sc: &Scenario) -> (u64, u64, u64, u64) {
     // Every ticket resolves exactly once; tally what the clients saw.
     let (mut completed, mut evicted, mut expired) = (0u64, 0u64, 0u64);
     for (i, (req, t)) in tickets.into_iter().enumerate() {
-        let want = oracle.generate(&req.prompt, req.n_tokens).unwrap();
-        oracle.reset();
+        let want = solo(&pm, &req.prompt, req.n_tokens);
         let label = format!("seed {} ticket {i}", sc.seed);
         match t.wait() {
             Outcome::Completed { tokens, .. } => {
@@ -195,10 +221,10 @@ fn run_scenario(sc: &Scenario) -> (u64, u64, u64, u64) {
     );
 
     // Bounded tail: with a deadline armed, a completed request can overrun
-    // it by at most the in-flight step + recovery slack (collective timeout
-    // × retries), never unboundedly.
+    // it by at most the in-flight pass + recovery slack (collective timeout
+    // × replays), never unboundedly.
     if let Some(d) = sc.deadline {
-        let slack = 2.0; // comm timeouts + backoff + scheduling, generous
+        let slack = 2.0; // comm timeouts + group rebuilds + scheduling, generous
         assert!(
             report.p99_latency_s <= d.as_secs_f64() + slack,
             "{label}: p99 {:.3}s breaches deadline {:?} + slack",
@@ -221,6 +247,7 @@ fn chaos_sweep_over_seeded_scenarios() {
         total_completed += completed;
         total_rejected += rejected;
     }
+    println!("chaos sweep: {total_completed} completions, {total_rejected} rejections");
     // The sweep as a whole must exercise both sides of admission: plenty of
     // requests served, plenty shed. (Per-scenario counts vary by seed.)
     assert!(total_completed > 50, "sweep too lenient: only {total_completed} completions");
@@ -229,11 +256,11 @@ fn chaos_sweep_over_seeded_scenarios() {
 
 /// One seeded continuous-batching scenario: ragged joins/retires over the
 /// paged engine under cancel and deadline storms, with every outcome held
-/// to the solo-`FtSession` oracle.
+/// to the solo oracle.
 struct ContinuousScenario {
     seed: u64,
-    /// TP degree of the *oracle* session — serve output must be identical
-    /// at every degree (token streams are TP-invariant by construction).
+    /// TP degree of the *oracle* group — serve output must be identical at
+    /// every degree (token streams are TP-invariant by construction).
     oracle_tp: usize,
     n_requests: usize,
     max_slots: usize,
@@ -276,9 +303,9 @@ impl ContinuousScenario {
 /// The continuous-batching chaos sweep: for every seeded scenario, every
 /// ticket resolves typed (zero hangs), the accounting identities hold, and
 /// **every byte of output — full or partial — is an exact prefix of the
-/// same prompt's solo `FtSession` generation** at tp ∈ {1, 2}. That is the
-/// strongest correctness statement continuous batching can make: the
-/// scheduler is invisible in the tokens.
+/// same prompt's solo generation** by a tensor-parallel group at
+/// tp ∈ {1, 2}. That is the strongest correctness statement continuous
+/// batching can make: the scheduler is invisible in the tokens.
 #[test]
 fn continuous_chaos_token_identity_sweep() {
     let mut total_completed = 0u64;
@@ -307,9 +334,9 @@ fn continuous_chaos_token_identity_sweep() {
         let mut rng = ChaCha8Rng::seed_from_u64(sc.seed.wrapping_mul(0x5851_f42d));
         let model = Arc::new(GptModel::random(zoo::tiny(2), sc.seed ^ 0x7777));
 
-        // Derive the request mix, then the oracle streams (solo FtSession
-        // at the scenario's TP degree — PR 3/4 guarantee TP-invariance, so
-        // comparing against tp=2 checks the whole chain).
+        // Derive the request mix, then the oracle streams (one slot of a
+        // group at the scenario's TP degree — token streams are
+        // TP-invariant, so comparing against tp=2 checks the whole chain).
         let mut requests: Vec<(Vec<usize>, usize)> = (0..sc.n_requests)
             .map(|i| {
                 let plen = range(&mut rng, 1, if shared { 4 } else { 7 }) as usize;
@@ -329,15 +356,9 @@ fn continuous_chaos_token_identity_sweep() {
             // fail and the shed path fires deterministically.
             requests[0].1 = 14;
         }
-        let mut oracle = FtSession::new(Arc::clone(&model), 64, FtConfig::new(sc.oracle_tp));
-        let full_streams: Vec<Vec<usize>> = requests
-            .iter()
-            .map(|(p, n)| {
-                let out = oracle.generate(p, *n).unwrap();
-                oracle.reset();
-                out
-            })
-            .collect();
+        let mut oracle = TpEngine::new(Arc::clone(&model), sc.oracle_tp, CommConfig::default(), 1, 64, 4);
+        let full_streams: Vec<Vec<usize>> =
+            requests.iter().map(|(p, n)| tp_solo(&mut oracle, p, *n)).collect();
         // An EOS id that actually occurs in some stream makes early
         // retirement reachable; truncate the oracles the same way.
         let eos = sc.eos.then(|| full_streams[0][full_streams[0].len() / 2]);
@@ -459,7 +480,13 @@ fn overload_sheds_typed_and_keeps_serving() {
     let model = Arc::new(GptModel::random(zoo::tiny(2), 7));
     let mut cfg = ServeConfig::new(2);
     cfg.queue_capacity = 2;
-    cfg.kv_budget_tokens = 40;
+    // Four residents of at most 7 rows each never exhaust 40 pages.
+    cfg.mode = EngineMode::Continuous(ContinuousConfig {
+        max_slots: 4,
+        pages_total: 40,
+        page_tokens: 1,
+        ..ContinuousConfig::default()
+    });
     cfg.comm.timeout = Duration::from_secs(2);
     let srv = Server::start(model, cfg);
 
@@ -492,13 +519,12 @@ fn fault_storm_fast_fails_through_breaker() {
     let model = Arc::new(GptModel::random(zoo::tiny(2), 13));
     let mut cfg = ServeConfig::new(2);
     cfg.comm.timeout = Duration::from_millis(100);
-    cfg.retry.max_retries = 0;
-    cfg.retry.backoff_ms = 0;
+    cfg.mode = EngineMode::Continuous(ContinuousConfig { replay_budget: 0, ..ContinuousConfig::default() });
     cfg.breaker.failure_threshold = 1;
     cfg.breaker.open_window = Duration::from_secs(60); // stays open for the test
-    // Rank 1 exits at its first barrier crossing, in every group the server
-    // builds, until the specs run out: each admitted request meets a
-    // permanent fault.
+    // Rank 1 exits at its first barrier crossing: a permanent fault that
+    // evicts the request it meets (no replay budget) and degrades the group;
+    // the specs left over wait for a rank 1 no later group has.
     use dsi_sim::fault::{FaultKind, FaultSite, FaultSpec};
     let plan = FaultPlan::new(
         (0..4)

@@ -159,7 +159,7 @@ impl<S: Copy> Script<S> {
 }
 
 /// A compiled [`Script`]: each spec fires at most once across the
-/// injector's lifetime, so a supervisor that rebuilds the group, or a
+/// injector's lifetime, so an engine that rebuilds its group, or a
 /// scheduler that replays, does not re-trip the same scripted fault (unless
 /// a *different* spec targets a later call index). Shared behind an `Arc`
 /// by whoever hosts the hooks; a `None` injector costs nothing.
@@ -248,13 +248,20 @@ impl FaultInjector {
         .map(|s| s.kind)
     }
 
-    /// The scripted fault for `rank` entering `layer` while the step covers
-    /// sequence positions `[pos_lo, pos_hi)`, if any.
-    pub fn at_layer(&self, rank: usize, pos_lo: usize, pos_hi: usize, layer: usize) -> Option<FaultKind> {
+    /// The scripted fault for `rank` entering `layer` in a pass whose rows
+    /// sit at sequence `positions`, if any: a spec fires iff some row's
+    /// position is its token. (A ragged pass interleaves the positions of
+    /// several sequences, so the span of its rows is no position range.)
+    pub fn at_layer(
+        &self,
+        rank: usize,
+        positions: impl Iterator<Item = usize> + Clone,
+        layer: usize,
+    ) -> Option<FaultKind> {
         self.take(|s| {
             s.rank == rank
                 && matches!(s.site, FaultSite::Layer { token, layer: l }
-                    if l == layer && token >= pos_lo && token < pos_hi)
+                    if l == layer && positions.clone().any(|p| p == token))
         })
         .map(|s| s.kind)
     }
@@ -497,9 +504,13 @@ mod tests {
             kind: FaultKind::Panic,
         }]);
         let inj = plan.injector();
-        assert_eq!(inj.at_layer(0, 0, 4, 1), None, "position 5 not in [0,4)");
-        assert_eq!(inj.at_layer(0, 4, 8, 0), None, "wrong layer");
-        assert_eq!(inj.at_layer(0, 4, 8, 1), Some(FaultKind::Panic));
+        assert_eq!(inj.at_layer(0, 0..4, 1), None, "position 5 not in [0,4)");
+        assert_eq!(inj.at_layer(0, 4..8, 0), None, "wrong layer");
+        // A two-sequence pass whose rows straddle position 5 without
+        // holding it: one sequence at 3..5, the other at 6..8.
+        assert_eq!(inj.at_layer(0, (3..5).chain(6..8), 1), None, "no row at position 5");
+        assert_eq!(inj.at_layer(0, [9, 5, 2].into_iter(), 1), Some(FaultKind::Panic));
+        assert_eq!(inj.pending(), 0);
     }
 
     #[test]

@@ -404,16 +404,23 @@ pub fn tp_allreduce_programs(mapping: &Mapping3D, layers: usize, bytes: u64) -> 
     (groups, programs)
 }
 
-/// Run a real tensor-parallel session (`dsi_parallel::tp_exec`) at `tp`
-/// ranks over a tiny 2-layer model — one prompt, two decode steps, then
-/// teardown — and return the collective program each rank *recorded*
-/// (`Dismantled::programs`): every barrier arrival, reduce-scatter and
-/// all-gather of the shared-memory backend, in the order the rank ran them.
-/// A recorder that wrapped is a `recording-overflow` diagnostic instead.
+/// Run a real tensor-parallel group (`dsi_parallel::tp_exec`) at `tp`
+/// ranks over a tiny 2-layer model — a pass that seats one sequence, a
+/// mixed pass that seats a second while the first advances, a decode pass
+/// over both, then teardown — and return the collective program each rank
+/// *recorded* (`Dismantled::programs`): every barrier arrival,
+/// reduce-scatter and all-gather of the shared-memory backend, in the order
+/// the rank ran them. A recorder that wrapped is a `recording-overflow`
+/// diagnostic instead.
 pub fn record_tp_programs(tp: usize) -> Result<Programs, Diagnostic> {
     let model = GptModel::random(zoo::tiny(2), 7);
-    let mut sess = Arc::new(TpPackedModel::shard(&model, tp)).session(3);
-    sess.generate(&[1, 2, 3], 3);
+    let mut sess = Arc::new(TpPackedModel::shard(&model, tp)).session(2, 8, 4);
+    let mut out = Vec::new();
+    let ran = sess
+        .try_pass(&[(0, &[1, 2, 3])], &[], &mut out)
+        .and_then(|()| sess.try_pass(&[(1, &[4, 5])], &[0], &mut out))
+        .and_then(|()| sess.try_pass(&[], &[0, 1], &mut out));
+    ran.expect("a fault-free group");
     let group: Vec<usize> = (0..tp).collect();
     let mut programs = Programs::new();
     for (rank, rec) in sess.dismantle().programs.into_iter().enumerate() {
@@ -655,7 +662,7 @@ mod tests {
             let progs = recorded(world);
             let d = check_programs(&[(0..world).collect()], &progs);
             assert!(d.is_empty(), "world {world}: {d:?}");
-            // Three step barriers and the shutdown barrier; beyond one rank,
+            // Three pass barriers and the shutdown barrier; beyond one rank,
             // 5 ops per all-reduce, 2 all-reduces per layer, 2 layers a step.
             let want_len = if world > 1 { 4 + 3 * 2 * 2 * 5 } else { 4 };
             assert!(progs.values().all(|p| p.len() == want_len), "world {world}: {progs:?}");

@@ -1,8 +1,8 @@
 //! Lock-order and condvar-discipline audit for the serving runtime.
 //!
 //! The serving layer (`dsi-serve`) is the first part of the repo where
-//! multiple *control* threads — submitters, the worker, the watchdog, the
-//! draining caller — contend on shared mutable state, so the classic
+//! multiple *control* threads — submitters, the worker, the draining
+//! caller — contend on shared mutable state, so the classic
 //! deadlock shapes (AB/BA lock inversion, waiting on a condvar while
 //! holding an unrelated lock) become possible. This pass checks the same
 //! property the collective verifier checks for rank programs, one level
@@ -176,8 +176,8 @@ pub const SERVE_STATE: usize = 0;
 
 /// The serving scheduler's synchronization design
 /// (`dsi-serve::scheduler::run_scheduler`, the one worker loop of every
-/// engine mode — single-flight is the same loop at one slot), transcribed
-/// phase by phase: **admit** under the state mutex (waiting on the `work` condvar
+/// engine, its own progress watchdog included), transcribed phase by
+/// phase: **admit** under the state mutex (waiting on the `work` condvar
 /// when no request is queued and no sequence is resident), **execute** —
 /// one engine pass that seats newcomers and advances residents — with *no*
 /// lock held, and
@@ -206,15 +206,6 @@ pub fn continuous_scheduler_model() -> (usize, Vec<ThreadModel>) {
                 Acquire(SERVE_STATE),
                 Release(SERVE_STATE),
                 // outcome delivery happens here, after the unlock
-            ],
-        ),
-        // watchdog: heartbeat inspection + cancel-all under the lock.
-        ThreadModel::new(
-            "watchdog",
-            vec![
-                Acquire(SERVE_STATE),
-                Wait { mutex: SERVE_STATE }, // idle condvar (timed)
-                Release(SERVE_STATE),
             ],
         ),
         // drain: set the flag, then wait for quiescence on `idle`.

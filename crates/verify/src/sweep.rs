@@ -314,7 +314,7 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
 
     // --- Pass 3c': serving-runtime lock model (dsi-serve). ---
     // The multi-threaded control plane in the workspace: submitters, the
-    // one scheduler loop, the watchdog, drain. The held-while-acquiring
+    // one scheduler loop (its own watchdog), drain. The held-while-acquiring
     // graph must stay acyclic and every condvar wait disciplined. A future
     // second lock ordered inconsistently against the state mutex fails the
     // sweep here.

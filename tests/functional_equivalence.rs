@@ -9,7 +9,7 @@ use deepspeed_inference::model::reference::{layer_forward, GptModel, KvCache, La
 use deepspeed_inference::model::zoo;
 use deepspeed_inference::moe::layer::{ep_forward, MoeLayer};
 use deepspeed_inference::parallel::tp::{shard_layer, tp_layer_forward, tp_layer_forward_into};
-use deepspeed_inference::parallel::tp_exec::TpPackedModel;
+use deepspeed_inference::parallel::tp_exec::TpEngine;
 
 /// Full-model tensor parallelism: shard every layer, run the whole stack
 /// with functional all-reduces, and compare logits with the reference.
@@ -62,20 +62,37 @@ fn tensor_parallel_full_model_equivalence() {
 
 /// The executed (threaded) TP engine decodes token-identically to the
 /// single-thread fast path, which itself matches the reference — closing
-/// the loop reference → fast → tp_exec at every TP degree.
+/// the loop reference → fast → tp_exec at every TP degree, through ragged
+/// multi-slot passes: a second sequence seated while the first advances.
 #[test]
 fn tp_exec_session_matches_fast_session_tokens() {
     use deepspeed_inference::model::fast::PackedModel;
+    use deepspeed_inference::sim::shmem::CommConfig;
     use std::sync::Arc;
 
-    let model = GptModel::random(zoo::tiny(2), 123);
+    let model = Arc::new(GptModel::random(zoo::tiny(2), 123));
     let pm = PackedModel::pack(&model);
-    let want = pm.session(4).generate(&[3, 14, 15, 92], 12);
-    assert_eq!(want, model.generate(&[3, 14, 15, 92], 12));
+    let (a, b) = ([3usize, 14, 15, 92], [27usize, 18]);
+    let want = pm.session(4).generate(&a, 12);
+    assert_eq!(want, model.generate(&a, 12));
+    let want_b = pm.session(2).generate(&b, 11);
     for tp in [1usize, 2, 4] {
-        let tpm = Arc::new(TpPackedModel::shard(&model, tp));
-        let got = tpm.session(4).generate(&[3, 14, 15, 92], 12);
+        let mut eng = TpEngine::new(Arc::clone(&model), tp, CommConfig::default(), 2, 16, 4);
+        let (mut got, mut got_b, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        eng.pass(&[(0, &a)], &[], &mut out).unwrap();
+        got.push(out[0]);
+        out.clear();
+        eng.pass(&[(1, &b)], &[0], &mut out).unwrap();
+        got_b.push(out[0]);
+        got.push(out[1]);
+        while got.len() < 12 {
+            out.clear();
+            eng.pass(&[], &[0, 1], &mut out).unwrap();
+            got.push(out[0]);
+            got_b.push(out[1]);
+        }
         assert_eq!(got, want, "tp {tp}");
+        assert_eq!(got_b, want_b, "tp {tp}, the sequence seated second");
     }
 }
 
