@@ -319,7 +319,7 @@ where
 /// slot lifecycle on every rank. A fault anywhere in the group is a
 /// `Fault` of its [`RankFailure`]'s class, with every slot the group held
 /// lost (releasing one is a no-op); the group is rebuilt at the next pass.
-impl BatchEngine for TpEngine {
+impl<B: PanelWeights + Send + Sync + 'static> BatchEngine for TpEngine<B> {
     fn max_slots(&self) -> usize {
         TpEngine::max_slots(self)
     }
@@ -493,6 +493,8 @@ mod tests {
     use dsi_model::paged::PagedEngine;
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
+    use dsi_model::GptConfig;
+    use dsi_parallel::SharedModel;
     use dsi_sim::shmem::CommConfig;
     use dsi_sim::fault::CollectiveError;
     use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
@@ -627,6 +629,21 @@ mod tests {
             drive_lifecycle(&mut tp_eng, f32_oracle, 3, &format!("TpEngine tp={tp}"));
             assert_eq!(tp_eng.report().rebuilds, 0);
         }
+
+        // The same group over INT8 panels, against resident INT8: tp 2 on
+        // the tiny model, tp 4 on one twice as wide, so that every rank's
+        // W_o and FF2 rows start on a quantization group of 32.
+        let int8_tp = |m: GptModel, tp: usize| {
+            let m = Arc::new(m);
+            let qm = QuantizedPackedModel::quantize_pack(&m, 32);
+            let shared = SharedModel::with_packing(Arc::clone(&m), |m| QuantizedPackedModel::quantize_pack(m, 32));
+            let mut tp_eng = TpEngine::with_model(shared, tp, CommConfig::default(), 3, 32, 3);
+            let oracle = |p: &[usize], n: usize| qm.session(p.len()).generate(p, n);
+            drive_lifecycle(&mut tp_eng, oracle, 3, &format!("TpEngine int8 tp={tp}"));
+            assert_eq!(tp_eng.report().rebuilds, 0);
+        };
+        int8_tp(model(11), 2);
+        int8_tp(GptModel::random(GptConfig { hidden: 128, ..zoo::tiny(2) }, 11), 4);
     }
 
     #[test]

@@ -33,6 +33,8 @@
 //! epilogues (bias, bias+GeLU, bias+residual) into the same output pass —
 //! the interior tensor of each Fig. 1(c) region never touches memory twice.
 
+use std::ops::Range;
+
 use crate::simd::Tier;
 use crate::tensor::Tensor;
 
@@ -61,40 +63,121 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 
+/// The part of a packed `[k, n]` operand one GEMM reads: input rows `rows`,
+/// against activation rows `rows.len()` wide, and output columns `cols`.
+/// Either range may start and end inside a [`PANEL`]; a row range is read
+/// at the full operand's panel stride. An INT8 operand's row range starts
+/// on a quantization group and ends on one or at `k`
+/// ([`PanelWeights::row_align`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Window {
+    pub rows: Range<usize>,
+    pub cols: Range<usize>,
+}
+
+impl Window {
+    /// The whole of `b`.
+    pub fn full<B: PanelWeights + ?Sized>(b: &B) -> Self {
+        Window { rows: 0..b.k(), cols: 0..b.n() }
+    }
+}
+
+/// A [`Window`] checked against its operand, as the kernels walk it: the
+/// operand's depth `k` (one panel is `k * PANEL` weights), input rows
+/// `r0..r1`, output columns `c0..c1`, and the output row stride `ldc`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Geom {
+    pub(crate) k: usize,
+    pub(crate) r0: usize,
+    pub(crate) r1: usize,
+    pub(crate) c0: usize,
+    pub(crate) c1: usize,
+    pub(crate) ldc: usize,
+}
+
+impl Geom {
+    /// Check `win` against a `[k, n]` operand whose row ranges align to
+    /// `align`, writing output rows `ldc` apart.
+    pub(crate) fn new(k: usize, n: usize, align: usize, win: &Window, ldc: usize) -> Geom {
+        let (rows, cols) = (win.rows.clone(), win.cols.clone());
+        assert!(rows.start <= rows.end && rows.end <= k, "gemm: rows {rows:?} outside k = {k}");
+        assert!(cols.start <= cols.end && cols.end <= n, "gemm: columns {cols:?} outside n = {n}");
+        assert!(
+            rows.start.is_multiple_of(align) && (rows.end == k || rows.end.is_multiple_of(align)),
+            "gemm: rows {rows:?} not aligned to {align}"
+        );
+        assert!(ldc >= cols.len(), "gemm: output stride {ldc} below the window's {} columns", cols.len());
+        Geom { k, r0: rows.start, r1: rows.end, c0: cols.start, c1: cols.end, ldc }
+    }
+
+    /// Activation row width.
+    pub(crate) fn kw(&self) -> usize {
+        self.r1 - self.r0
+    }
+
+    /// Output columns per row.
+    pub(crate) fn nw(&self) -> usize {
+        self.c1 - self.c0
+    }
+
+    /// Floats `mr` output rows span.
+    pub(crate) fn out_span(&self, mr: usize) -> usize {
+        mr.checked_sub(1).map_or(0, |r| r * self.ldc + self.nw())
+    }
+
+    /// The panels holding the window's columns.
+    pub(crate) fn panels(&self) -> Range<usize> {
+        self.c0 / PANEL..self.c1.div_ceil(PANEL)
+    }
+
+    /// Floats of packed operand the window's panels end within.
+    pub(crate) fn panels_len(&self) -> usize {
+        self.panels().end * self.k * PANEL
+    }
+
+    /// Panel `jp`'s lanes `lo..hi` inside the window, and the output
+    /// column lane `lo` lands in.
+    pub(crate) fn lanes(&self, jp: usize) -> (usize, usize, usize) {
+        let j0 = jp * PANEL;
+        let lo = self.c0.max(j0) - j0;
+        (lo, self.c1.min(j0 + PANEL) - j0, j0 + lo - self.c0)
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::PANEL;
+    use super::{Geom, PANEL};
     use std::arch::x86_64::*;
 
-    /// One GEMV row over panel-packed weights: `out[0..n] = a[0..k] · B`.
+    /// One GEMV row over a window of panel-packed weights: `out[0..nw] =
+    /// a[0..kw] · B[r0..r1, c0..c1]`.
     ///
     /// # Safety
     /// Caller must have verified AVX2+FMA support, and `panels` must hold
-    /// `n.div_ceil(PANEL)` panels of `k * PANEL` floats ([`super::PackedB`]
-    /// layout).
+    /// at least `g.panels_len()` floats in [`super::PackedB`] layout for
+    /// depth `g.k` (a [`Geom`] has `r1 <= k`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemv(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let n_panels = n.div_ceil(PANEL);
+    unsafe fn gemv(a: &[f32], panels: &[f32], g: Geom, out: &mut [f32]) {
         // Contract checks: the SAFETY arguments below all reduce to these
-        // two equalities (the `PackedB` layout invariant).
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(panels.len(), n_panels * k * PANEL);
-        for jp in 0..n_panels {
-            // SAFETY: `jp < n_panels` and `panels.len() == n_panels * k *
-            // PANEL`, so the panel base stays in bounds (`add` lands at most
-            // one-past-the-end when `k == 0`).
-            let p = unsafe { panels.as_ptr().add(jp * k * PANEL) };
+        // (the `PackedB` layout invariant and a checked `Geom`).
+        debug_assert_eq!(a.len(), g.kw());
+        debug_assert!(out.len() >= g.nw());
+        debug_assert!(g.r1 <= g.k && panels.len() >= g.panels_len());
+        for jp in g.panels() {
+            // SAFETY: `jp < panels().end` and `r0 <= k`, so the window's
+            // first row of panel `jp` is at most one past the end of
+            // `panels_len() <= panels.len()` floats.
+            let p = unsafe { panels.as_ptr().add((jp * g.k + g.r0) * PANEL) };
             // Four independent FMA chains: one register per 8 output
             // columns, alive across the whole k loop.
             let mut acc0 = _mm256_setzero_ps();
             let mut acc1 = _mm256_setzero_ps();
             let mut acc2 = _mm256_setzero_ps();
             let mut acc3 = _mm256_setzero_ps();
-            for i in 0..k {
-                // SAFETY: `i < k == a.len()` bounds the `get_unchecked`;
-                // `i * PANEL + 24 + 8 <= k * PANEL` keeps all four 8-wide
-                // loads inside panel `jp` of `panels`.
+            for i in 0..g.kw() {
+                // SAFETY: `i < kw == a.len()` bounds the `get_unchecked`;
+                // `r0 + i < r1 <= k` keeps all four 8-wide loads inside
+                // panel `jp` of `panels`.
                 unsafe {
                     let av = _mm256_set1_ps(*a.get_unchecked(i));
                     let row = p.add(i * PANEL);
@@ -104,20 +187,20 @@ mod avx {
                     acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(row.add(24)), acc3);
                 }
             }
-            let j0 = jp * PANEL;
-            if j0 + PANEL <= n {
-                // SAFETY: `j0 + PANEL <= n == out.len()`, so the four
-                // stores cover exactly `out[j0..j0 + 32]`.
+            let (lo, hi, at) = g.lanes(jp);
+            if hi - lo == PANEL {
+                // SAFETY: a whole panel inside the window ends at output
+                // column `at + PANEL <= nw <= out.len()`, so the four
+                // stores cover exactly `out[at..at + 32]`.
                 unsafe {
-                    let o = out.as_mut_ptr().add(j0);
+                    let o = out.as_mut_ptr().add(at);
                     _mm256_storeu_ps(o, acc0);
                     _mm256_storeu_ps(o.add(8), acc1);
                     _mm256_storeu_ps(o.add(16), acc2);
                     _mm256_storeu_ps(o.add(24), acc3);
                 }
             } else {
-                // Tail panel: spill the padded lanes, store only the real
-                // columns.
+                // A panel the window cuts: spill, store only its lanes.
                 let mut tmp = [0.0f32; PANEL];
                 // SAFETY: `tmp` is exactly `PANEL == 32` floats, matching
                 // the four 8-wide stores at offsets 0/8/16/24.
@@ -127,14 +210,14 @@ mod avx {
                     _mm256_storeu_ps(tmp.as_mut_ptr().add(16), acc2);
                     _mm256_storeu_ps(tmp.as_mut_ptr().add(24), acc3);
                 }
-                out[j0..n].copy_from_slice(&tmp[..n - j0]);
+                out[at..at + hi - lo].copy_from_slice(&tmp[lo..hi]);
             }
         }
     }
 
-    /// `MR`-row register-blocked GEMM over one panel-packed operand:
-    /// `out[0..MR, 0..n] = a[0..MR, 0..k] · B`, with `a` and `out` row-major
-    /// and densely packed (`lda == k`, `ldc == n`).
+    /// `MR`-row register-blocked GEMM over a window of one panel-packed
+    /// operand: `out[r * ldc..][..nw] = a[r * kw..][..kw] · B[r0..r1,
+    /// c0..c1]` for `r < MR`, with `a` dense.
     ///
     /// Each weight panel is streamed from memory **once per column group**
     /// and broadcast across all `MR` activation rows — the CPU execution of
@@ -145,8 +228,8 @@ mod avx {
     /// plus one broadcast must fit the 16 YMM registers, so `MR = 8` takes
     /// `NR = 1` and walks each panel four times (MR=16 deliberately spills —
     /// the dispatcher measures whether that ever wins rather than assuming).
-    /// The AVX-512 tier (`avx512`) has 32 registers and needs no column
-    /// groups.
+    /// A column group wholly outside the window is skipped. The AVX-512
+    /// tier (`avx512`) has 32 registers and needs no column groups.
     ///
     /// Numerics: each output element accumulates over `k` sequentially in a
     /// single register lane, exactly like [`gemv`] — every `(MR, NR)`
@@ -154,37 +237,40 @@ mod avx {
     /// choice is purely a performance decision.
     ///
     /// # Safety
-    /// Caller must have verified AVX2+FMA support; `panels` must be in
-    /// [`super::PackedB`] layout for `k` rows and `n.div_ceil(PANEL)` panels;
-    /// `a.len() == MR * k`; `out.len() == MR * n`; `PANEL % (8 * NR) == 0`.
+    /// Caller must have verified AVX2+FMA support; `panels` as for
+    /// [`gemv`]; `a.len() == MR * kw`; `out.len() >= g.out_span(MR)`;
+    /// `PANEL % (8 * NR) == 0`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_block<const MR: usize, const NR: usize>(
         a: &[f32],
-        k: usize,
         panels: &[f32],
-        n: usize,
+        g: Geom,
         out: &mut [f32],
     ) {
-        let n_panels = n.div_ceil(PANEL);
-        debug_assert_eq!(a.len(), MR * k);
-        debug_assert_eq!(out.len(), MR * n);
-        debug_assert_eq!(panels.len(), n_panels * k * PANEL);
+        let kw = g.kw();
+        debug_assert_eq!(a.len(), MR * kw);
+        debug_assert!(out.len() >= g.out_span(MR));
+        debug_assert!(g.r1 <= g.k && panels.len() >= g.panels_len());
         debug_assert_eq!(PANEL % (8 * NR), 0);
-        for jp in 0..n_panels {
-            // SAFETY: `jp < n_panels` and `panels.len() == n_panels * k *
-            // PANEL` keep the panel base in bounds (one-past-the-end only
-            // when `k == 0`).
-            let p = unsafe { panels.as_ptr().add(jp * k * PANEL) };
+        for jp in g.panels() {
+            // SAFETY: as in `gemv`, the window's first row of panel `jp` is
+            // in bounds (one-past-the-end only when `kw == 0`).
+            let p = unsafe { panels.as_ptr().add((jp * g.k + g.r0) * PANEL) };
+            let (lo, hi, at) = g.lanes(jp);
             // Column-group passes: the panel is re-read once per group, but
             // it stays L1/L2-resident between passes, so DRAM still streams
             // it once per block of MR rows.
             for cg in 0..PANEL / (8 * NR) {
                 let base = cg * 8 * NR;
+                if base + 8 * NR <= lo || base >= hi {
+                    continue;
+                }
                 let mut acc = [[_mm256_setzero_ps(); NR]; MR];
-                for i in 0..k {
-                    // SAFETY: `i < k` and `base + 8 * (NR - 1) + 8 <= PANEL`
-                    // keep every 8-wide load inside panel `jp`; `r * k + i <
-                    // MR * k == a.len()` bounds the broadcasts.
+                for i in 0..kw {
+                    // SAFETY: `r0 + i < r1 <= k` and `base + 8 * (NR - 1) + 8
+                    // <= PANEL` keep every 8-wide load inside panel `jp`;
+                    // `r * kw + i < MR * kw == a.len()` bounds the
+                    // broadcasts.
                     unsafe {
                         let row = p.add(i * PANEL + base);
                         let mut w = [_mm256_setzero_ps(); NR];
@@ -192,27 +278,34 @@ mod avx {
                             *wt = _mm256_loadu_ps(row.add(8 * t));
                         }
                         for (r, accr) in acc.iter_mut().enumerate() {
-                            let av = _mm256_set1_ps(*a.get_unchecked(r * k + i));
-                            for (wt, at) in w.iter().zip(accr.iter_mut()) {
-                                *at = _mm256_fmadd_ps(av, *wt, *at);
+                            let av = _mm256_set1_ps(*a.get_unchecked(r * kw + i));
+                            for (wt, acc_t) in w.iter().zip(accr.iter_mut()) {
+                                *acc_t = _mm256_fmadd_ps(av, *wt, *acc_t);
                             }
                         }
                     }
                 }
                 for (r, accr) in acc.iter().enumerate() {
-                    for (t, at) in accr.iter().enumerate() {
-                        let j0 = jp * PANEL + base + 8 * t;
-                        if j0 + 8 <= n {
-                            // SAFETY: `r < MR` and `j0 + 8 <= n` keep the
-                            // store inside row `r` of `out` (`MR * n` floats).
-                            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(r * n + j0), *at) };
-                        } else if j0 < n {
-                            // Tail columns: spill the padded lanes, copy only
-                            // the real ones.
+                    for (t, v) in accr.iter().enumerate() {
+                        // This register's lanes `l0..l0 + 8`, cut to the window.
+                        let l0 = base + 8 * t;
+                        let (s, e) = (l0.max(lo), (l0 + 8).min(hi));
+                        if s >= e {
+                            continue;
+                        }
+                        let o = r * g.ldc + at + s - lo;
+                        if e - s == 8 {
+                            // SAFETY: lane `e <= hi` puts output column
+                            // `o + 8 - r * ldc` at most `nw`, and `r < MR`,
+                            // so the store ends within `out_span(MR)`.
+                            unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(o), *v) };
+                        } else {
+                            // Lanes the window cuts: spill the register,
+                            // copy only the window's ones.
                             let mut tmp = [0.0f32; 8];
                             // SAFETY: `tmp` is exactly 8 floats.
-                            unsafe { _mm256_storeu_ps(tmp.as_mut_ptr(), *at) };
-                            out[r * n + j0..r * n + n].copy_from_slice(&tmp[..n - j0]);
+                            unsafe { _mm256_storeu_ps(tmp.as_mut_ptr(), *v) };
+                            out[o..o + e - s].copy_from_slice(&tmp[s - l0..e - l0]);
                         }
                     }
                 }
@@ -225,18 +318,18 @@ mod avx {
     ///
     /// # Safety
     /// Same contract as [`gemm_block`] with `MR == mr`.
-    pub unsafe fn gemm_rows(a: &[f32], mr: usize, k: usize, panels: &[f32], n: usize, out: &mut [f32]) {
+    pub unsafe fn gemm_rows(a: &[f32], mr: usize, panels: &[f32], g: Geom, out: &mut [f32]) {
         // SAFETY: forwarded caller contract; each arm fixes MR == mr and an
         // NR that divides PANEL/8, with MR*NR + NR + 1 <= 16 YMM registers
         // (except the deliberately-spilling MR=16 candidate; the AVX-512
         // tier runs 16 rows as two 8-row blocks instead).
         unsafe {
             match mr {
-                1 => gemv(a, k, panels, out),
-                2 => gemm_block::<2, 4>(a, k, panels, n, out),
-                4 => gemm_block::<4, 2>(a, k, panels, n, out),
-                8 => gemm_block::<8, 1>(a, k, panels, n, out),
-                16 => gemm_block::<16, 1>(a, k, panels, n, out),
+                1 => gemv(a, panels, g, out),
+                2 => gemm_block::<2, 4>(a, panels, g, out),
+                4 => gemm_block::<4, 2>(a, panels, g, out),
+                8 => gemm_block::<8, 1>(a, panels, g, out),
+                16 => gemm_block::<16, 1>(a, panels, g, out),
                 _ => unreachable!("unsupported microkernel row count {mr}"),
             }
         }
@@ -252,7 +345,7 @@ mod avx {
 /// the tier is bitwise equal to the AVX2 kernels and to the scalar oracle.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::PANEL;
+    use super::{Geom, PANEL};
     use std::arch::x86_64::*;
 
     /// The lane mask of the first `lanes <= 16` lanes.
@@ -276,28 +369,21 @@ mod avx512 {
         }
     }
 
-    /// `out[0..MR, 0..n] = a[0..MR, 0..k] · B` over [`super::PackedB`]
-    /// panels, with `a` and `out` row-major and dense. Per panel, `MR × 2`
-    /// accumulators, two weight registers and one broadcast: at most 19 of
-    /// the 32 zmm registers.
+    /// `out[r * ldc..][..nw] = a[r * kw..][..kw] · B[r0..r1, c0..c1]` for
+    /// `r < MR` over [`super::PackedB`] panels, with `a` dense. Per panel,
+    /// `MR × 2` accumulators, two weight registers and one broadcast: at
+    /// most 19 of the 32 zmm registers.
     #[target_feature(enable = "avx512f")]
-    fn gemm_block512<const MR: usize>(
-        a: &[f32],
-        k: usize,
-        panels: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        let n_panels = n.div_ceil(PANEL);
-        assert_eq!(a.len(), MR * k, "gemm512: lhs size mismatch");
-        assert_eq!(out.len(), MR * n, "gemm512: out size mismatch");
-        assert_eq!(
-            panels.len(),
-            n_panels * k * PANEL,
+    fn gemm_block512<const MR: usize>(a: &[f32], panels: &[f32], g: Geom, out: &mut [f32]) {
+        let kw = g.kw();
+        assert_eq!(a.len(), MR * kw, "gemm512: lhs size mismatch");
+        assert!(out.len() >= g.out_span(MR), "gemm512: out size mismatch");
+        assert!(
+            g.r1 <= g.k && panels.len() >= g.panels_len(),
             "gemm512: panels size mismatch"
         );
-        for jp in 0..n_panels {
-            let panel = &panels[jp * k * PANEL..(jp + 1) * k * PANEL];
+        for jp in g.panels() {
+            let panel = &panels[(jp * g.k + g.r0) * PANEL..(jp * g.k + g.r1) * PANEL];
             let mut acc = [[_mm512_setzero_ps(); 2]; MR];
             for (i, row) in panel.chunks_exact(PANEL).enumerate() {
                 // SAFETY: `row` is exactly `PANEL == 32` floats, so both
@@ -309,17 +395,30 @@ mod avx512 {
                     ]
                 };
                 for (r, accr) in acc.iter_mut().enumerate() {
-                    // SAFETY: `i < k`, so `r * k + i < MR * k == a.len()`
+                    // SAFETY: `i < kw`, so `r * kw + i < MR * kw == a.len()`
                     // (asserted above).
-                    let av = _mm512_set1_ps(unsafe { *a.get_unchecked(r * k + i) });
+                    let av = _mm512_set1_ps(unsafe { *a.get_unchecked(r * kw + i) });
                     accr[0] = _mm512_fmadd_ps(av, w[0], accr[0]);
                     accr[1] = _mm512_fmadd_ps(av, w[1], accr[1]);
                 }
             }
-            let j0 = jp * PANEL;
-            let width = (n - j0).min(PANEL);
+            let (lo, hi, at) = g.lanes(jp);
             for (r, &accr) in acc.iter().enumerate() {
-                store_row(&mut out[r * n + j0..r * n + j0 + width], accr);
+                let o = &mut out[r * g.ldc + at..r * g.ldc + at + hi - lo];
+                if lo == 0 {
+                    store_row(o, accr);
+                } else {
+                    // The window starts inside this panel: spill the row,
+                    // copy only its lanes.
+                    let mut tmp = [0.0f32; PANEL];
+                    // SAFETY: `tmp` is exactly `PANEL == 32` floats, matching
+                    // the two 16-wide stores at offsets 0 and 16.
+                    unsafe {
+                        _mm512_storeu_ps(tmp.as_mut_ptr(), accr[0]);
+                        _mm512_storeu_ps(tmp.as_mut_ptr().add(16), accr[1]);
+                    }
+                    o.copy_from_slice(&tmp[lo..hi]);
+                }
             }
         }
     }
@@ -328,22 +427,15 @@ mod avx512 {
     /// 8-row blocks, since 32 accumulators would spill. M = 1 is not here:
     /// it stays on the AVX2 GEMV, which measured faster.
     #[target_feature(enable = "avx512f")]
-    pub(super) fn gemm_rows(
-        a: &[f32],
-        mr: usize,
-        k: usize,
-        panels: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
+    pub(super) fn gemm_rows(a: &[f32], mr: usize, panels: &[f32], g: Geom, out: &mut [f32]) {
         match mr {
-            2 => gemm_block512::<2>(a, k, panels, n, out),
-            4 => gemm_block512::<4>(a, k, panels, n, out),
-            8 => gemm_block512::<8>(a, k, panels, n, out),
+            2 => gemm_block512::<2>(a, panels, g, out),
+            4 => gemm_block512::<4>(a, panels, g, out),
+            8 => gemm_block512::<8>(a, panels, g, out),
             16 => {
-                let ((a0, a1), (o0, o1)) = (a.split_at(8 * k), out.split_at_mut(8 * n));
-                gemm_block512::<8>(a0, k, panels, n, o0);
-                gemm_block512::<8>(a1, k, panels, n, o1);
+                let ((a0, a1), (o0, o1)) = (a.split_at(8 * g.kw()), out.split_at_mut(8 * g.ldc));
+                gemm_block512::<8>(a0, panels, g, o0);
+                gemm_block512::<8>(a1, panels, g, o1);
             }
             _ => unreachable!("unsupported AVX-512 row count {mr}"),
         }
@@ -357,13 +449,10 @@ mod avx512 {
 /// feature, each `mul_add` is a libm `fmaf` call the auto-vectorizer cannot
 /// batch, ≈ 38× slower than a plain mul-then-add loop on x86_64 (DESIGN.md,
 /// "M-row microkernels").
-pub(crate) fn gemv_scalar(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    let n_panels = n.div_ceil(PANEL);
-    debug_assert_eq!(a.len(), k);
-    debug_assert_eq!(panels.len(), n_panels * k * PANEL);
-    for jp in 0..n_panels {
-        let panel = &panels[jp * k * PANEL..(jp + 1) * k * PANEL];
+pub(crate) fn gemv_scalar(a: &[f32], panels: &[f32], g: Geom, out: &mut [f32]) {
+    debug_assert_eq!(a.len(), g.kw());
+    for jp in g.panels() {
+        let panel = &panels[(jp * g.k + g.r0) * PANEL..(jp * g.k + g.r1) * PANEL];
         let mut acc = [0.0f32; PANEL];
         for (i, rows) in panel.chunks_exact(PANEL).enumerate() {
             let av = a[i];
@@ -371,9 +460,8 @@ pub(crate) fn gemv_scalar(a: &[f32], k: usize, panels: &[f32], out: &mut [f32]) 
                 *lane = av.mul_add(w, *lane);
             }
         }
-        let j0 = jp * PANEL;
-        let je = (j0 + PANEL).min(n);
-        out[j0..je].copy_from_slice(&acc[..je - j0]);
+        let (lo, hi, at) = g.lanes(jp);
+        out[at..at + hi - lo].copy_from_slice(&acc[lo..hi]);
     }
 }
 
@@ -478,20 +566,34 @@ pub enum Epilogue<'a> {
     Bias(&'a [f32]),
     /// `out = gelu(a·B + bias)`
     BiasGelu(&'a [f32]),
-    /// `out = a·B + bias + residual` (residual is `[m, n]` like `out`)
+    /// `out = a·B + bias + residual` (residual is laid out like `out`)
     BiasAdd(&'a [f32], &'a [f32]),
+}
+
+impl<'a> Epilogue<'a> {
+    /// The epilogue of output columns `at..at + width`: their bias, and the
+    /// residual from column `at` on (still laid out like the output).
+    pub fn columns(self, at: usize, width: usize) -> Self {
+        match self {
+            Epilogue::None => Epilogue::None,
+            Epilogue::Bias(b) => Epilogue::Bias(&b[at..at + width]),
+            Epilogue::BiasGelu(b) => Epilogue::BiasGelu(&b[at..at + width]),
+            Epilogue::BiasAdd(b, res) => Epilogue::BiasAdd(&b[at..at + width], &res[at..]),
+        }
+    }
 }
 
 /// Weight storage a fused region kernel can right-multiply by: panel-packed
 /// FP32 ([`PackedB`]) or group-quantized INT8
 /// ([`crate::quant::QuantizedPackedB`]).
 ///
-/// `gemm` computes `out[m, n] = a[m, k] · B` with the epilogue fused into
-/// the output pass; implementations walk the rows in microkernel blocks
+/// An operand has one GEMM entry, [`PanelWeights::gemm_window`]; `gemm` is
+/// its whole window. Implementations walk the rows in microkernel blocks
 /// chosen per `(remaining rows, dtype)` by [`crate::dispatch`]. Every
 /// microkernel accumulates each output element in the same order, so the
 /// block decomposition never changes results — batched decode stays
-/// bit-identical to one-row-at-a-time decode.
+/// bit-identical to one-row-at-a-time decode — and neither does a window:
+/// a column is computed alike whichever window holds it.
 pub trait PanelWeights {
     /// Input (reduction) dimension.
     fn k(&self) -> usize;
@@ -501,8 +603,24 @@ pub trait PanelWeights {
     /// scale metadata for quantized forms) — roofline accounting for the
     /// decode bench.
     fn storage_bytes(&self) -> usize;
-    /// `out[m, n] = a[m, k] · B`, epilogue fused into the output pass.
-    fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], ep: Epilogue<'_>);
+    /// What a [`Window`]'s row range starts on, and ends on unless it ends
+    /// at `k`: 1, or an INT8 operand's quantization group.
+    fn row_align(&self) -> usize {
+        1
+    }
+    /// `out[i * ldc + j] = a[i] · B[win.rows, win.cols.start + j]` for the
+    /// `m` rows `a[i]` of `a` (each `win.rows.len()` wide) and every
+    /// `j < win.cols.len()`, the epilogue fused into the output pass (its
+    /// bias is the window's, its residual laid out like `out`). Nothing
+    /// else of `out` is written. The result is bitwise the matching columns
+    /// of `gemm` over the operand packed from `B[win.rows, ..]`.
+    fn gemm_window(&self, win: &Window, a: &[f32], m: usize, out: &mut [f32], ldc: usize, ep: Epilogue<'_>);
+    /// `out[m, n] = a[m, k] · B`, epilogue fused into the output pass: the
+    /// whole operand's [`PanelWeights::gemm_window`].
+    fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], ep: Epilogue<'_>) {
+        assert_eq!(out.len(), m * self.n(), "gemm: out size mismatch");
+        self.gemm_window(&Window::full(self), a, m, out, self.n(), ep);
+    }
 }
 
 /// GeLU (tanh approximation), matching [`crate::ops::gelu`].
@@ -512,19 +630,15 @@ pub fn gelu_scalar(u: f32) -> f32 {
     0.5 * u * (1.0 + (C * (u + 0.044715 * u * u * u)).tanh())
 }
 
-/// Apply the fused epilogue to rows `r0..r0 + mr` of `out` while they are
-/// still hot in L1 — one extra register pass, no second GEMM-sized
+/// Apply the fused epilogue to output rows `r0..r0 + mr` of a window while
+/// they are still hot in L1 — one extra register pass, no second GEMM-sized
 /// traversal.
 #[inline]
-pub(crate) fn apply_epilogue_rows(
-    out: &mut [f32],
-    n: usize,
-    r0: usize,
-    mr: usize,
-    ep: Epilogue<'_>,
-) {
+pub(crate) fn apply_epilogue_rows(out: &mut [f32], g: &Geom, r0: usize, mr: usize, ep: Epilogue<'_>) {
+    let nw = g.nw();
     for i in r0..r0 + mr {
-        let orow = &mut out[i * n..(i + 1) * n];
+        let row = i * g.ldc..i * g.ldc + nw;
+        let orow = &mut out[row.clone()];
         match ep {
             Epilogue::None => {}
             Epilogue::Bias(bias) => {
@@ -534,8 +648,7 @@ pub(crate) fn apply_epilogue_rows(
             }
             Epilogue::BiasGelu(bias) => crate::simd::bias_gelu_row(orow, bias),
             Epilogue::BiasAdd(bias, res) => {
-                let rrow = &res[i * n..(i + 1) * n];
-                for ((o, &bv), &rv) in orow.iter_mut().zip(bias).zip(rrow) {
+                for ((o, &bv), &rv) in orow.iter_mut().zip(bias).zip(&res[row]) {
                     *o += bv + rv;
                 }
             }
@@ -543,23 +656,28 @@ pub(crate) fn apply_epilogue_rows(
     }
 }
 
-/// Dispatch-driven row-blocked GEMM over FP32 panels on the kernels of
-/// `tier`, which must not exceed [`Tier::host`]. `force_mr` pins the
-/// microkernel row count (used by [`crate::dispatch`] calibration, which
-/// must not consult the table it is building); `None` consults the measured
-/// table per remaining-row count. The scalar tier runs one row at a time.
+/// Dispatch-driven row-blocked GEMM over a window of FP32 panels on the
+/// kernels of `tier`, which must not exceed [`Tier::host`]. `force_mr` pins
+/// the microkernel row count (used by [`crate::dispatch`] calibration,
+/// which must not consult the table it is building); `None` consults the
+/// measured table per remaining-row count. The scalar tier runs one row at
+/// a time.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_f32_with(
+    b: &PackedB,
+    win: &Window,
     a: &[f32],
     m: usize,
-    b: &PackedB,
     out: &mut [f32],
+    ldc: usize,
     ep: Epilogue<'_>,
     tier: Tier,
     force_mr: Option<usize>,
 ) {
-    let (k, n) = (b.k, b.n);
-    assert_eq!(a.len(), m * k, "gemm: lhs size mismatch");
-    assert_eq!(out.len(), m * n, "gemm: out size mismatch");
+    let g = Geom::new(b.k, b.n, 1, win, ldc);
+    let kw = g.kw();
+    assert_eq!(a.len(), m * kw, "gemm: lhs size mismatch");
+    assert!(out.len() >= g.out_span(m), "gemm: out size mismatch");
     assert!(
         tier <= Tier::host(),
         "gemm: {tier:?} kernels on a {:?} host",
@@ -573,24 +691,25 @@ pub(crate) fn gemm_f32_with(
             (_, Some(c)) => crate::dispatch::largest_candidate_le(c.min(rem)),
             (_, None) => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::F32),
         };
-        let ablk = &a[r * k..(r + mr) * k];
-        let oblk = &mut out[r * n..(r + mr) * n];
+        let ablk = &a[r * kw..(r + mr) * kw];
+        let oblk = &mut out[r * ldc..r * ldc + g.out_span(mr)];
         match tier {
-            Tier::Scalar => gemv_scalar(ablk, k, &b.data, oblk),
+            Tier::Scalar => gemv_scalar(ablk, &b.data, g, oblk),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
             // reported AVX-512F; the kernels check their own bounds.
-            Tier::Avx512 if mr > 1 => unsafe { avx512::gemm_rows(ablk, mr, k, &b.data, n, oblk) },
+            Tier::Avx512 if mr > 1 => unsafe { avx512::gemm_rows(ablk, mr, &b.data, g, oblk) },
             // M = 1 runs the AVX2 GEMV on both SIMD tiers.
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
             // reported AVX2+FMA; slice layout upheld by `PackedB` (the only
-            // producer of `b.data`), block sizes by the asserts above.
-            Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows(ablk, mr, k, &b.data, n, oblk) },
+            // producer of `b.data`) and `Geom::new` (the window lies inside
+            // `[k, n]`), block sizes by the asserts above.
+            Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows(ablk, mr, &b.data, g, oblk) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("SIMD tiers are detected on x86_64 only"),
         }
-        apply_epilogue_rows(out, n, r, mr, ep);
+        apply_epilogue_rows(out, &g, r, mr, ep);
         r += mr;
     }
 }
@@ -605,8 +724,8 @@ impl PanelWeights for PackedB {
     fn storage_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
-    fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], ep: Epilogue<'_>) {
-        gemm_f32_with(a, m, self, out, ep, Tier::host(), None);
+    fn gemm_window(&self, win: &Window, a: &[f32], m: usize, out: &mut [f32], ldc: usize, ep: Epilogue<'_>) {
+        gemm_f32_with(self, win, a, m, out, ldc, ep, Tier::host(), None);
     }
 }
 
@@ -704,7 +823,8 @@ mod tests {
         matmul_into(a.data(), 2, &pb, &mut got);
         let mut want = vec![0.0f32; 2 * 77];
         for i in 0..2 {
-            gemv_scalar(&a.data()[i * 48..(i + 1) * 48], 48, &pb.data, &mut want[i * 77..(i + 1) * 77]);
+            let g = Geom::new(48, 77, 1, &Window::full(&pb), 77);
+            gemv_scalar(&a.data()[i * 48..(i + 1) * 48], &pb.data, g, &mut want[i * 77..(i + 1) * 77]);
         }
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits(), "{g} vs {w}");

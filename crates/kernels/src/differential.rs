@@ -9,13 +9,23 @@
 //! denormals, ±Inf and NaN. NaN is compared by NaN-ness only: no kernel
 //! promises a payload.
 //!
+//! The windowed entry (`PanelWeights::gemm_window`) is held the same way,
+//! and twice: a column window that starts and ends inside a panel, a row
+//! range at the full operand's panel stride (on a quantization group for
+//! INT8) and an output stride wider than the window must compute bitwise
+//! the oracle over the window's sub-matrix and bitwise the window's columns
+//! of the full GEMM over the operand packed from its rows, which is what a
+//! tensor-parallel rank's shard packed on its own computes.
+//!
 //! The harness compares kernel against oracle and pins no output, so a
 //! declared numerics change that moves a kernel and its oracle together
 //! keeps it green. Each output slice is followed by a guard region the
 //! kernels must leave untouched.
 
+use std::ops::Range;
+
 use crate::blocked::{
-    gemm_f32_with, matmul_bias_add_into, matmul_into, Epilogue, PackedB, PanelWeights,
+    gemm_f32_with, matmul_bias_add_into, matmul_into, Epilogue, PackedB, PanelWeights, Window,
 };
 use crate::fused::bias_residual_inplace;
 use crate::dispatch::MR_CANDIDATES;
@@ -196,7 +206,9 @@ fn f32_paths_match_the_fma_oracle_bitwise() {
             k,
             n,
             &matmul_f32_oracle(&x, &w),
-            |a, m, out, tier, force| gemm_f32_with(a, m, &pb, out, Epilogue::None, tier, force),
+            |a, m, out, tier, force| {
+                gemm_f32_with(&pb, &Window::full(&pb), a, m, out, n, Epilogue::None, tier, force)
+            },
         );
     }
 }
@@ -214,14 +226,15 @@ fn avx512_eight_row_block_matches_eight_avx2_rows_bitwise() {
         let seed = case as u64;
         let x = activations(k, seed);
         let pb = PackedB::pack(&weights(k, n, seed + 500));
+        let full = Window::full(&pb);
         let a = &x.data()[..8 * k];
         let mut want = vec![SENTINEL; 8 * n + GUARD];
         for (arow, orow) in a.chunks_exact(k).zip(want.chunks_exact_mut(n)) {
-            gemm_f32_with(arow, 1, &pb, orow, Epilogue::None, Tier::Avx2, Some(1));
+            gemm_f32_with(&pb, &full, arow, 1, orow, n, Epilogue::None, Tier::Avx2, Some(1));
         }
         let mut got = vec![SENTINEL; 8 * n + GUARD];
         let got_out = &mut got[..8 * n];
-        gemm_f32_with(a, 8, &pb, got_out, Epilogue::None, Tier::Avx512, Some(8));
+        gemm_f32_with(&pb, &full, a, 8, got_out, n, Epilogue::None, Tier::Avx512, Some(8));
         assert_same(&got, &want[..8 * n], &format!("avx512 vs avx2 k={k} n={n}"));
     }
 }
@@ -240,9 +253,154 @@ fn int8_paths_match_matmul_quantized_bitwise() {
             k,
             n,
             matmul_quantized(&x, &wq).data(),
-            |a, m, out, tier, force| gemm_int8_with(a, m, &qb, out, Epilogue::None, tier, force),
+            |a, m, out, tier, force| {
+                gemm_int8_with(&qb, &Window::full(&qb), a, m, out, n, Epilogue::None, tier, force)
+            },
         );
     }
+}
+
+/// f32 `(k, n)` and INT8 `(k, n, group)` operands the windowed entry is
+/// checked on: ragged tail panels, and (INT8) a ragged last group.
+const F32_WINDOWED: [(usize, usize); 2] = [(96, 100), (37, 77)];
+const INT8_WINDOWED: [(usize, usize, usize); 3] = [(128, 100, 16), (100, 77, 32), (200, 70, 64)];
+
+/// Windows of a `[k, n]` operand (`n > 48`) whose row ranges align to
+/// `align`. Columns: inside one panel, starting and ending inside two
+/// neighbouring panels, ending inside the tail panel, and the whole width.
+/// Rows, at the full operand's panel stride: all of them, a range that
+/// starts and ends inside `k`, one that ends at `k`, and (f32) one row.
+fn windows(k: usize, n: usize, align: usize) -> Vec<Window> {
+    let rows = if align == 1 {
+        vec![0..k, 3..k / 2, k / 2..k, 7..8]
+    } else {
+        vec![0..k, align..3 * align, 2 * align..k]
+    };
+    let cols = [5..27, 16..48, 33..n - 3, 0..n];
+    rows.iter()
+        .flat_map(|r| cols.iter().map(move |c| Window { rows: r.clone(), cols: c.clone() }))
+        .collect()
+}
+
+/// Rows `rows` and columns `cols` of a row-major matrix.
+fn sub(w: &Tensor, rows: &Range<usize>, cols: &Range<usize>) -> Tensor {
+    let data = rows.clone().flat_map(|i| w.row(i)[cols.clone()].to_vec()).collect();
+    Tensor::from_vec(&[rows.len(), cols.len()], data)
+}
+
+/// Rows `rows` (group-aligned) and columns `cols` of a quantized matrix:
+/// the same values under the same scales.
+fn sub_quantized(wq: &QuantizedMatrix, rows: &Range<usize>, cols: &Range<usize>) -> QuantizedMatrix {
+    let (n, gs) = (wq.shape[1], wq.group_size);
+    let q = rows.clone().flat_map(|i| wq.q[i * n..][cols.clone()].to_vec()).collect();
+    let groups = rows.start / gs..rows.end.div_ceil(gs);
+    let scales = groups.flat_map(|g| wq.scales[g * n..][cols.clone()].to_vec()).collect();
+    QuantizedMatrix { shape: [rows.len(), cols.len()], q, scales, group_size: gs }
+}
+
+/// Columns `cols` of each row of a row-major `[.., n]` product.
+fn columns(full: &[f32], n: usize, cols: &Range<usize>) -> Vec<f32> {
+    full.chunks_exact(n).flat_map(|row| row[cols.clone()].to_vec()).collect()
+}
+
+/// Run one windowed entry (`gemm(a, m, out, ldc, tier, force)`) on every
+/// tier the host has, for m ∈ {1, 2, 4, 8, 16}, each at its forced row
+/// block and at the measured dispatch, into outputs whose rows are the
+/// window's width apart and 5 floats wider. Every output row must be the
+/// matching row of each of `wants` (`MAX_M` rows of the window's `nw`
+/// columns), and nothing between the rows or past the last one written.
+fn check_window(
+    what: &str,
+    a: &[f32],
+    kw: usize,
+    nw: usize,
+    wants: [&[f32]; 2],
+    gemm: impl Fn(&[f32], usize, &mut [f32], usize, Tier, Option<usize>),
+) {
+    for tier in host_tiers() {
+        for m in MR_CANDIDATES {
+            for (force, ldc) in [Some(m), None].into_iter().flat_map(|f| [(f, nw), (f, nw + 5)]) {
+                let span = (m - 1) * ldc + nw;
+                let mut got = vec![SENTINEL; span + GUARD];
+                gemm(&a[..m * kw], m, &mut got[..span], ldc, tier, force);
+                for want in wants {
+                    let mut expect = vec![SENTINEL; span];
+                    for (i, row) in want.chunks_exact(nw).take(m).enumerate() {
+                        expect[i * ldc..i * ldc + nw].copy_from_slice(row);
+                    }
+                    assert_same(&got, &expect, &format!("{what} {tier:?} m={m} force={force:?} ldc={ldc}"));
+                }
+            }
+        }
+    }
+}
+
+/// The windowed entry, f32: every window of every operand, bitwise the
+/// FMA oracle over the window's sub-matrix and bitwise the window's
+/// columns of the full GEMM over the operand packed from its rows (what a
+/// tensor-parallel rank would compute from a re-packed shard).
+#[test]
+fn f32_windows_match_the_oracle_and_the_full_gemm_bitwise() {
+    for (case, (k, n)) in F32_WINDOWED.into_iter().enumerate() {
+        let w = weights(k, n, case as u64 + 700);
+        let pb = PackedB::pack(&w);
+        for (i, win) in windows(k, n, 1).into_iter().enumerate() {
+            let (kw, nw) = (win.rows.len(), win.cols.len());
+            let x = activations(kw, (case * 100 + i) as u64);
+            let oracle = matmul_f32_oracle(&x, &sub(&w, &win.rows, &win.cols));
+            let mut full = vec![0.0f32; MAX_M * n];
+            matmul_into(x.data(), MAX_M, &PackedB::pack(&sub(&w, &win.rows, &(0..n))), &mut full);
+            check_window(
+                &format!("f32 k={k} n={n} {win:?}"),
+                x.data(),
+                kw,
+                nw,
+                [&oracle, &columns(&full, n, &win.cols)],
+                |a, m, out, ldc, tier, force| {
+                    gemm_f32_with(&pb, &win, a, m, out, ldc, Epilogue::None, tier, force)
+                },
+            );
+        }
+    }
+}
+
+/// The windowed entry, INT8, over group-aligned row ranges: bitwise
+/// `matmul_quantized` over the window's slice of the quantized matrix and
+/// bitwise the window's columns of the full GEMM over its rows re-packed.
+#[test]
+fn int8_windows_match_the_oracle_and_the_full_gemm_bitwise() {
+    for (case, (k, n, group)) in INT8_WINDOWED.into_iter().enumerate() {
+        let wq = QuantizedMatrix::quantize(&weights(k, n, case as u64 + 800), group);
+        let qb = QuantizedPackedB::from_matrix(&wq);
+        for (i, win) in windows(k, n, group).into_iter().enumerate() {
+            let (kw, nw) = (win.rows.len(), win.cols.len());
+            let x = activations(kw, (case * 100 + i) as u64);
+            let oracle = matmul_quantized(&x, &sub_quantized(&wq, &win.rows, &win.cols));
+            let rows_packed = QuantizedPackedB::from_matrix(&sub_quantized(&wq, &win.rows, &(0..n)));
+            let mut full = vec![0.0f32; MAX_M * n];
+            matmul_into(x.data(), MAX_M, &rows_packed, &mut full);
+            check_window(
+                &format!("int8 k={k} n={n} group={group} {win:?}"),
+                x.data(),
+                kw,
+                nw,
+                [oracle.data(), &columns(&full, n, &win.cols)],
+                |a, m, out, ldc, tier, force| {
+                    gemm_int8_with(&qb, &win, a, m, out, ldc, Epilogue::None, tier, force)
+                },
+            );
+        }
+    }
+}
+
+/// A row range the quantization groups do not align to is refused, not
+/// silently mis-scaled.
+#[test]
+#[should_panic(expected = "not aligned")]
+fn int8_window_off_a_group_is_refused() {
+    let qb = QuantizedPackedB::quantize_pack(&weights(64, 40, 1), 32);
+    let win = Window { rows: 16..64, cols: 0..40 };
+    qb.gemm_window(&win, &[0.0; 48], 1, &mut [0.0; 40], 40, Epilogue::None);
 }
 
 /// A tensor-parallel rank finishes W_o/FF2 as `matmul_into`, an all-reduce

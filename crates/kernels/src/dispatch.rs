@@ -21,7 +21,7 @@
 //! output element in the same order on every tier (see
 //! `blocked::gemm_block`), so dispatch is purely a performance decision.
 
-use crate::blocked::{Epilogue, PackedB};
+use crate::blocked::{Epilogue, PackedB, Window};
 use crate::quant::{QuantizedMatrix, QuantizedPackedB};
 use crate::simd::Tier;
 use crate::tensor::Tensor;
@@ -151,10 +151,12 @@ fn calibrate() -> DispatchTable {
                         GemmDtype::F32 => time_config(
                             || {
                                 crate::blocked::gemm_f32_with(
+                                    &pb,
+                                    &Window::full(&pb),
                                     &a[..m * k],
                                     m,
-                                    &pb,
                                     &mut out[..m * n],
+                                    n,
                                     Epilogue::None,
                                     tier,
                                     Some(cand),
@@ -165,10 +167,12 @@ fn calibrate() -> DispatchTable {
                         GemmDtype::Int8 => time_config(
                             || {
                                 crate::quant::gemm_int8_with(
+                                    &qb,
+                                    &Window::full(&qb),
                                     &a[..m * k],
                                     m,
-                                    &qb,
                                     &mut out[..m * n],
+                                    n,
                                     Epilogue::None,
                                     tier,
                                     Some(cand),

@@ -14,7 +14,7 @@
 //! [`matmul_quantized`] is the portable oracle that fixes this order; every
 //! executed path over [`QuantizedPackedB`] is bitwise equal to it.
 
-use crate::blocked::{Epilogue, PanelWeights, PANEL};
+use crate::blocked::{Epilogue, Geom, PanelWeights, Window, PANEL};
 use crate::ops;
 use crate::simd::Tier;
 use crate::tensor::Tensor;
@@ -214,79 +214,87 @@ impl QuantizedPackedB {
     }
 }
 
-/// Portable fallback row kernel over the packed INT8 layout. Performs the
-/// identical rounding sequence as both [`matmul_quantized`] and the AVX
-/// kernels: per group, `t = x.mul_add(q as f32, t)` row by row from `+0.0`,
-/// then `acc = t.mul_add(scale, acc)`. Like `blocked::gemv_scalar` it pays
-/// a libm `fmaf` call per lane on a build without the `fma` target feature
-/// (≈ 14× the old mul-then-add loop on x86_64) to stay bitwise equal.
-pub(crate) fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, out: &mut [f32]) {
-    let (k, n) = (b.k, b.n);
-    debug_assert_eq!(a.len(), k);
-    debug_assert_eq!(out.len(), n);
-    let n_panels = n.div_ceil(PANEL);
-    for jp in 0..n_panels {
+/// Portable fallback row kernel over a window of the packed INT8 layout.
+/// Performs the identical rounding sequence as both [`matmul_quantized`]
+/// and the AVX kernels: per group, `t = x.mul_add(q as f32, t)` row by row
+/// from `+0.0`, then `acc = t.mul_add(scale, acc)`. Like
+/// `blocked::gemv_scalar` it pays a libm `fmaf` call per lane on a build
+/// without the `fma` target feature (≈ 14× the old mul-then-add loop on
+/// x86_64) to stay bitwise equal.
+pub(crate) fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, g: Geom, out: &mut [f32]) {
+    let (k, gs) = (b.k, b.group_size);
+    debug_assert_eq!(a.len(), g.kw());
+    let groups = g.r0 / gs..g.r1.div_ceil(gs);
+    for jp in g.panels() {
         let qp = &b.q[jp * k * PANEL..(jp + 1) * k * PANEL];
         let sp = &b.scales[jp * b.n_groups * PANEL..(jp + 1) * b.n_groups * PANEL];
         let mut acc = [0.0f32; PANEL];
-        for g in 0..b.n_groups {
-            let lo = g * b.group_size;
-            let hi = (lo + b.group_size).min(k);
+        for grp in groups.clone() {
+            let lo = grp * gs;
+            let hi = (lo + gs).min(k);
             let mut t = [0.0f32; PANEL];
             for i in lo..hi {
-                let xv = a[i];
+                let xv = a[i - g.r0];
                 let qrow = &qp[i * PANEL..(i + 1) * PANEL];
                 for (tl, &qv) in t.iter_mut().zip(qrow) {
                     *tl = xv.mul_add(qv as f32, *tl);
                 }
             }
-            let srow = &sp[g * PANEL..(g + 1) * PANEL];
+            let srow = &sp[grp * PANEL..(grp + 1) * PANEL];
             for ((lane, &tl), &s) in acc.iter_mut().zip(&t).zip(srow) {
                 *lane = tl.mul_add(s, *lane);
             }
         }
-        let j0 = jp * PANEL;
-        let je = (j0 + PANEL).min(n);
-        out[j0..je].copy_from_slice(&acc[..je - j0]);
+        let (lo, hi, at) = g.lanes(jp);
+        out[at..at + hi - lo].copy_from_slice(&acc[lo..hi]);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{QuantizedPackedB, PANEL};
+    use super::{Geom, QuantizedPackedB, PANEL};
     use std::arch::x86_64::*;
 
-    /// `MR`-row GEMM over panel-packed INT8 weights with dequant in
-    /// registers. Per group and 8-column lane group, `q` bytes are widened
-    /// exactly (`cvtepi8_epi32` → `cvtepi32_ps`) and FMA'd into a partial
-    /// sum, `t = a·q + t`; at the group's end the scale is applied once,
-    /// `acc = t·scale + acc`. That is one FMA per weight and row, and no
-    /// scale multiply inside the row loop. `acc` waits between groups in a
-    /// stack buffer (f32 store and reload are exact), so only the `MR * NR`
-    /// partial sums need registers across the rows. Every output lane keeps
-    /// one fixed order — rows in order within a group, groups in order — so
-    /// each `(MR, NR)` instantiation is bitwise equal to the `MR = 1` kernel
-    /// and to the scalar oracle, which rounds the same way.
+    /// `MR`-row GEMM over a window of panel-packed INT8 weights with
+    /// dequant in registers. Per group and 8-column lane group, `q` bytes
+    /// are widened exactly (`cvtepi8_epi32` → `cvtepi32_ps`) and FMA'd into
+    /// a partial sum, `t = a·q + t`; at the group's end the scale is
+    /// applied once, `acc = t·scale + acc`. That is one FMA per weight and
+    /// row, and no scale multiply inside the row loop. `acc` waits between
+    /// groups in a stack buffer (f32 store and reload are exact), so only
+    /// the `MR * NR` partial sums need registers across the rows. Every
+    /// output lane keeps one fixed order — rows in order within a group,
+    /// groups in order — so each `(MR, NR)` instantiation is bitwise equal
+    /// to the `MR = 1` kernel and to the scalar oracle, which rounds the
+    /// same way. A column group wholly outside the window is skipped.
     ///
     /// # Safety
     /// Caller must have verified AVX2+FMA support; `b` must uphold the
-    /// `QuantizedPackedB` layout invariants; `a.len() == MR * b.k`;
-    /// `out.len() == MR * b.n`; `PANEL % (8 * NR) == 0`.
+    /// `QuantizedPackedB` layout invariants and `g` be checked against it
+    /// (`Geom::new` with its group size); `a.len() == MR * kw`;
+    /// `out.len() >= g.out_span(MR)`; `PANEL % (8 * NR) == 0`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_block_int8<const MR: usize, const NR: usize>(
         a: &[f32],
         b: &QuantizedPackedB,
+        g: Geom,
         out: &mut [f32],
     ) {
-        let (k, n) = (b.k, b.n);
-        let n_panels = n.div_ceil(PANEL);
-        debug_assert_eq!(a.len(), MR * k);
-        debug_assert_eq!(out.len(), MR * n);
-        debug_assert_eq!(b.q.len(), n_panels * k * PANEL);
-        debug_assert_eq!(b.scales.len(), n_panels * b.n_groups * PANEL);
+        let (k, gs, kw) = (b.k, b.group_size, g.kw());
+        debug_assert_eq!(a.len(), MR * kw);
+        debug_assert!(out.len() >= g.out_span(MR));
+        debug_assert!(g.r1 <= k && b.q.len() >= g.panels_len());
+        debug_assert!(b.scales.len() >= g.panels().end * b.n_groups * PANEL);
         debug_assert_eq!(PANEL % (8 * NR), 0);
-        for jp in 0..n_panels {
-            // SAFETY: `jp < n_panels` with the two length equalities above
+        // A checked window starts on a group and ends on one or at `k`, so
+        // these groups cover exactly rows `r0..r1`.
+        let groups = g.r0 / gs..g.r1.div_ceil(gs);
+        // Activations indexed by the operand's row: `a_rows + r * kw + i`
+        // is activation row `r`'s element for operand row `i`. Only
+        // in-bounds elements are read through it.
+        let a_rows = a.as_ptr().wrapping_sub(g.r0);
+        for jp in g.panels() {
+            // SAFETY: `jp < panels().end` with the two length bounds above
             // keeps both panel bases in bounds.
             let (qp, sp) = unsafe {
                 (
@@ -294,36 +302,45 @@ mod avx {
                     b.scales.as_ptr().add(jp * b.n_groups * PANEL),
                 )
             };
+            let (lo_lane, hi_lane, at) = g.lanes(jp);
             let mut acc = [[0.0f32; PANEL]; MR];
             for cg in 0..PANEL / (8 * NR) {
                 let base = cg * 8 * NR;
-                for g in 0..b.n_groups {
-                    let lo = g * b.group_size;
-                    let hi = (lo + b.group_size).min(k);
+                if base + 8 * NR <= lo_lane || base >= hi_lane {
+                    continue;
+                }
+                for grp in groups.clone() {
+                    let lo = grp * gs;
+                    let hi = (lo + gs).min(k);
                     let mut t = [[_mm256_setzero_ps(); NR]; MR];
+                    // Row `i`'s lanes `base..` of q-panel `jp`, stepped a
+                    // row at a time (a base register, not an index, for
+                    // the loads).
+                    let mut qrow = qp.wrapping_add(lo * PANEL + base);
                     for i in lo..hi {
-                        // SAFETY: `i < k`, `base + 8c + 8 <= PANEL` keep the
-                        // 8-byte INT8 loads inside q-panel `jp`; `r * k + i
-                        // < MR * k == a.len()` bounds the broadcasts.
+                        // SAFETY: `qrow` is row `i < r1 <= k` of q-panel
+                        // `jp` at lane `base`; `base + 8c + 8 <= PANEL` keeps
+                        // the INT8 loads in it, `r0 <= i` and `r * kw + i -
+                        // r0 < MR * kw` the broadcasts in `a`.
                         unsafe {
-                            let qrow = qp.add(i * PANEL + base);
                             for c in 0..NR {
                                 // Dequantize 8 lanes in registers, exactly:
                                 // i8 → i32 → f32. No FP32 weight memory.
                                 let qi = _mm_loadl_epi64(qrow.add(8 * c) as *const __m128i);
                                 let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
                                 for (r, tr) in t.iter_mut().enumerate() {
-                                    let av = _mm256_set1_ps(*a.get_unchecked(r * k + i));
+                                    let av = _mm256_set1_ps(*a_rows.wrapping_add(r * kw + i));
                                     tr[c] = _mm256_fmadd_ps(av, qf, tr[c]);
                                 }
                             }
                         }
+                        qrow = qrow.wrapping_add(PANEL);
                     }
                     for c in 0..NR {
                         let lanes = base + 8 * c..base + 8 * c + 8;
-                        // SAFETY: `g < n_groups` and `base + 8c + 8 <= PANEL`
+                        // SAFETY: `grp < n_groups` and `base + 8c + 8 <= PANEL`
                         // keep the load inside scale panel `jp`.
-                        let sv = unsafe { _mm256_loadu_ps(sp.add(g * PANEL + lanes.start)) };
+                        let sv = unsafe { _mm256_loadu_ps(sp.add(grp * PANEL + lanes.start)) };
                         for (accr, tr) in acc.iter_mut().zip(&t) {
                             let p = accr[lanes.clone()].as_mut_ptr();
                             // SAFETY: `p` heads the 8-float slice `lanes` of
@@ -336,10 +353,9 @@ mod avx {
                     }
                 }
             }
-            let j0 = jp * PANEL;
-            let width = (n - j0).min(PANEL);
             for (r, accr) in acc.iter().enumerate() {
-                out[r * n + j0..r * n + j0 + width].copy_from_slice(&accr[..width]);
+                let o = r * g.ldc + at;
+                out[o..o + hi_lane - lo_lane].copy_from_slice(&accr[lo_lane..hi_lane]);
             }
         }
     }
@@ -348,39 +364,43 @@ mod avx {
     ///
     /// # Safety
     /// Same contract as [`gemm_block_int8`] with `MR == mr`.
-    pub unsafe fn gemm_rows_int8(a: &[f32], mr: usize, b: &QuantizedPackedB, out: &mut [f32]) {
+    pub unsafe fn gemm_rows_int8(a: &[f32], mr: usize, b: &QuantizedPackedB, g: Geom, out: &mut [f32]) {
         // SAFETY: forwarded caller contract; each arm fixes MR == mr with an
         // NR that keeps the MR*NR partial sums + one weight + one broadcast
         // within 16 YMM regs (except the deliberately-spilling MR=16
         // candidate); the running sums wait in memory between groups.
         unsafe {
             match mr {
-                1 => gemm_block_int8::<1, 4>(a, b, out),
-                2 => gemm_block_int8::<2, 4>(a, b, out),
-                4 => gemm_block_int8::<4, 2>(a, b, out),
-                8 => gemm_block_int8::<8, 1>(a, b, out),
-                16 => gemm_block_int8::<16, 1>(a, b, out),
+                1 => gemm_block_int8::<1, 4>(a, b, g, out),
+                2 => gemm_block_int8::<2, 4>(a, b, g, out),
+                4 => gemm_block_int8::<4, 2>(a, b, g, out),
+                8 => gemm_block_int8::<8, 1>(a, b, g, out),
+                16 => gemm_block_int8::<16, 1>(a, b, g, out),
                 _ => unreachable!("unsupported microkernel row count {mr}"),
             }
         }
     }
 }
 
-/// Dispatch-driven row-blocked GEMM over INT8 panels (mirror of
-/// `blocked::gemm_f32_with`). The AVX-512 tier runs the AVX2 kernel: INT8
-/// has no 512-bit form.
+/// Dispatch-driven row-blocked GEMM over a window of INT8 panels (mirror
+/// of `blocked::gemm_f32_with`). The AVX-512 tier runs the AVX2 kernel:
+/// INT8 has no 512-bit form.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_int8_with(
+    b: &QuantizedPackedB,
+    win: &Window,
     a: &[f32],
     m: usize,
-    b: &QuantizedPackedB,
     out: &mut [f32],
+    ldc: usize,
     ep: Epilogue<'_>,
     tier: Tier,
     force_mr: Option<usize>,
 ) {
-    let (k, n) = (b.k, b.n);
-    assert_eq!(a.len(), m * k, "int8 gemm: lhs size mismatch");
-    assert_eq!(out.len(), m * n, "int8 gemm: out size mismatch");
+    let g = Geom::new(b.k, b.n, b.group_size, win, ldc);
+    let kw = g.kw();
+    assert_eq!(a.len(), m * kw, "int8 gemm: lhs size mismatch");
+    assert!(out.len() >= g.out_span(m), "int8 gemm: out size mismatch");
     assert!(
         tier <= Tier::host(),
         "int8 gemm: {tier:?} kernels on a {:?} host",
@@ -394,20 +414,20 @@ pub(crate) fn gemm_int8_with(
             (_, Some(c)) => crate::dispatch::largest_candidate_le(c.min(rem)),
             (_, None) => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::Int8),
         };
-        let ablk = &a[r * k..(r + mr) * k];
-        let oblk = &mut out[r * n..(r + mr) * n];
+        let ablk = &a[r * kw..(r + mr) * kw];
+        let oblk = &mut out[r * ldc..r * ldc + g.out_span(mr)];
         match tier {
-            Tier::Scalar => gemv_int8_scalar(ablk, b, oblk),
+            Tier::Scalar => gemv_int8_scalar(ablk, b, g, oblk),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
             // reported AVX2+FMA; layout invariants upheld by
-            // `QuantizedPackedB` construction; block sizes by the asserts
-            // above.
-            Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows_int8(ablk, mr, b, oblk) },
+            // `QuantizedPackedB` construction, the window by `Geom::new`;
+            // block sizes by the asserts above.
+            Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows_int8(ablk, mr, b, g, oblk) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("SIMD tiers are detected on x86_64 only"),
         }
-        crate::blocked::apply_epilogue_rows(out, n, r, mr, ep);
+        crate::blocked::apply_epilogue_rows(out, &g, r, mr, ep);
         r += mr;
     }
 }
@@ -422,8 +442,11 @@ impl PanelWeights for QuantizedPackedB {
     fn storage_bytes(&self) -> usize {
         self.q.len() + self.scales.len() * std::mem::size_of::<f32>()
     }
-    fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], ep: Epilogue<'_>) {
-        gemm_int8_with(a, m, self, out, ep, Tier::host(), None);
+    fn row_align(&self) -> usize {
+        self.group_size
+    }
+    fn gemm_window(&self, win: &Window, a: &[f32], m: usize, out: &mut [f32], ldc: usize, ep: Epilogue<'_>) {
+        gemm_int8_with(self, win, a, m, out, ldc, ep, Tier::host(), None);
     }
 }
 

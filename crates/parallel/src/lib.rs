@@ -8,15 +8,17 @@
 //!   Implemented *functionally* over per-rank weight shards and verified to
 //!   reproduce the unsharded reference bit-for-bit (up to f32 accumulation
 //!   order).
-//! * [`tp_exec`] — the *executed* counterpart: the fast path's packed
-//!   weights sharded per rank at pack time, each rank running the paged
-//!   engine's pass over its shard and its own `h/tp`-wide page pool on its
-//!   own pinned OS thread, meeting the group at the two per-layer
-//!   all-reduces through `dsi-sim`'s shared-memory barrier/all-reduce
-//!   backend. Token-identical to the single-thread fast path at every TP
-//!   degree, zero allocations per decode pass. [`TpEngine`] is the group
-//!   as a multi-slot engine that lives across requests and is rebuilt —
-//!   narrower when a rank's memory was lost — after a fault.
+//! * [`tp_exec`] — the *executed* counterpart: the fast path's weights
+//!   packed once ([`SharedModel`], FP32 or INT8), each rank running the
+//!   paged engine's pass over its view of them (column and row windows of
+//!   the shared operands) and its own `h/tp`-wide page pool on its own
+//!   pinned OS thread, meeting the group at the two per-layer all-reduces
+//!   through `dsi-sim`'s shared-memory barrier/all-reduce backend.
+//!   Token-identical to the single-thread fast path at every TP degree,
+//!   zero allocations per decode pass. [`TpEngine`] is the group as a
+//!   multi-slot engine that lives across requests and is rebuilt over the
+//!   same packed model — narrower when a rank's memory was lost — after a
+//!   fault.
 //! * [`pipeline`] — inference-optimized pipeline parallelism (Sec. IV-B/C):
 //!   the training-style schedule with its token-boundary bubbles (Fig. 2a),
 //!   the dynamic token-queue schedule that hides them (Fig. 2b), and the
@@ -37,4 +39,4 @@ pub use mapping::Mapping3D;
 pub use pipeline::{PipelineSchedule, PipelineSpec};
 pub use pp_exec::PipelinedModel;
 pub use tp::{tp_layer_forward, tp_layer_forward_into, TpLayer};
-pub use tp_exec::{Dismantled, RankFailure, RankFailureCause, TpEngine, TpPackedModel, TpReport, TpSession};
+pub use tp_exec::{Dismantled, RankFailure, RankFailureCause, SharedModel, TpEngine, TpReport, TpSession};

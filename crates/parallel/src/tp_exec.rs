@@ -1,31 +1,35 @@
 //! Executed tensor parallelism: a group of threaded ranks, each running the
-//! paged engine's pass over its shard.
+//! paged engine's pass over its view of one packed model.
 //!
 //! [`tp`](crate::tp) proves the Megatron sharding math (Sec. IV-A) but runs
 //! every rank sequentially through the slow reference ops, so it can never
 //! show a *speedup* — the whole point of Fig. 8's scaling story. This module
 //! is the executed counterpart:
 //!
-//! * **Pack-time sharding** — [`TpPackedModel::shard`] splits every layer
-//!   with [`tp::shard_layer`](crate::tp::shard_layer) (column-parallel
-//!   QKV/FF1, row-parallel W_o/FF2, heads contiguous per rank) and packs
-//!   each shard into a `dsi_model::fast::PackedLayer`, exactly like
-//!   `PackedModel` packs the full weights. The output biases are kept
-//!   *full* and applied once after the all-reduce (the functional path
-//!   instead pre-divides them by `tp`; summing `tp` rounded copies of `b/tp`
-//!   is not bit-stable, applying `b` once is).
+//! * **A rank is a view** — the model is packed once ([`SharedModel`],
+//!   FP32 or INT8 panels alike), and every rank of every group reads it
+//!   through windows of its operands (`PanelWeights::gemm_window`): QKV as
+//!   three column windows (its heads' q, k and v), FF1 as one, W_o and FF2
+//!   as row ranges, the embeddings, layer-norms and logits operand whole.
+//!   These are the shards [`tp::shard_layer`](crate::tp::shard_layer)
+//!   cuts, and a window computes the bits its shard packed on its own
+//!   would, so that function stays this path's oracle. W_o's and FF2's
+//!   biases stay *full* and are applied once after the all-reduce (the
+//!   functional path pre-divides them by `tp`; summing `tp` rounded copies
+//!   of `b/tp` is not bit-stable, applying `b` once is).
 //! * **One engine per rank** — every rank owns a `dsi_model::paged::Engine`
-//!   over its shard (a `WeightSource` view of the model at that rank) and
-//!   its own page pool of `h/tp`-wide K/V rows (the KV memory saving of
-//!   Sec. IV-A). A pass is `Engine::pass_with` with a row-parallel seam that
-//!   holds the rank's layer fault site and finishes W_o/FF2 as partial GEMM
-//!   → all-reduce → bias + residual. After each all-reduce the activations
-//!   are replicated bit for bit, so every rank runs the logits head and
-//!   samples the same tokens: no token broadcast.
+//!   over its view (a `WeightSource`) and its own page pool of `h/tp`-wide
+//!   K/V rows (the KV memory saving of Sec. IV-A). A pass is
+//!   `Engine::pass_with` with a row-parallel seam that holds the rank's
+//!   layer fault site and finishes W_o/FF2 as partial GEMM → all-reduce →
+//!   bias + residual. After each all-reduce the activations are replicated
+//!   bit for bit, so every rank runs the logits head and samples the same
+//!   tokens: no token broadcast.
 //! * **One OS thread per rank** — [`TpSession`] runs rank 0 inline on the
 //!   caller's thread and spawns ranks `1..tp` as worker threads, pinned to
 //!   distinct cores when the host has enough of them (best-effort
-//!   `sched_setaffinity`).
+//!   `sched_setaffinity`). A view holds `Arc` shares of the model, not
+//!   borrows: a rank thread outlives a pass, and a wedged one is detached.
 //! * **Shared-memory collectives** — the two per-layer all-reduces run on
 //!   [`dsi_sim::shmem::ShmRank::try_allreduce_sum`]: a sense-reversing
 //!   barrier plus a chunked in-place reduce over published buffer pointers.
@@ -43,12 +47,13 @@
 //!   allocates nothing.
 //!
 //! Greedy decode is **token-identical** to the single-thread
-//! [`FastSession`]: column shards of a panel GEMM produce bit-identical
-//! columns (each output column has its own accumulator chain), attention
-//! heads are disjoint, and the row-parallel partial sums only reassociate
-//! the same f32 additions the fused epilogue performs. At `tp = 1` the
-//! logits are bit-identical too: partial GEMM + `bias_residual_inplace` is
-//! the fused `matmul_bias_add_into` epilogue's expression.
+//! [`FastSession`] over the same packing: column windows of a panel GEMM
+//! produce bit-identical columns (each output column has its own
+//! accumulator chain), attention heads are disjoint, and the row-parallel
+//! partial sums only reassociate the same f32 additions the fused epilogue
+//! performs. At `tp = 1` the logits are bit-identical too: partial GEMM +
+//! `bias_residual_inplace` is the fused `matmul_bias_add_into` epilogue's
+//! expression.
 //!
 //! ## Failure handling
 //!
@@ -65,14 +70,16 @@
 //! [`TpEngine`] is the group as a multi-slot engine that lives across
 //! requests. A fault anywhere in the group fails the pass with the
 //! [`RankFailure`] that caused it; the engine dismantles the group and
-//! builds a new one at its next pass — at the largest degree the surviving
-//! ranks support when some rank's memory was lost (panic, scripted crash,
-//! wedged thread), at the same degree otherwise. Nothing is salvaged: the
-//! caller recovers its sequences by replaying their committed contexts, as
-//! it does on every other engine.
+//! builds a new one over the same packed model at its next pass — at the
+//! widest degree the surviving ranks can split the model into
+//! ([`SharedModel::splits`]) when some rank's memory was lost (panic,
+//! scripted crash, wedged thread), at the same degree otherwise. Nothing is
+//! salvaged or re-packed: the caller recovers its sequences by replaying
+//! their committed contexts, as it does on every other engine.
 //!
 //! [`FastSession`]: dsi_model::fast::FastSession
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -80,11 +87,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dsi_kernels::blocked::{self, PackedB, PanelWeights};
+use dsi_kernels::blocked::{self, Epilogue, PackedB, PanelWeights, Window};
 use dsi_kernels::fused;
 use dsi_kernels::tensor::Tensor;
 use dsi_model::config::GptConfig;
-use dsi_model::fast::{PackedLayer, Row, RowParallel, WeightSource};
+use dsi_model::fast::{PackedLayer, PackedModel, Row, RowParallel, WeightSource};
 use dsi_model::paged::{Engine, PageStats, StepError};
 use dsi_model::reference::GptModel;
 use dsi_sim::fault::{apply_stall, FaultKind};
@@ -93,80 +100,67 @@ use dsi_sim::FlightRecorder;
 use dsi_sim::{CollectiveError, CollectiveErrorKind};
 use serde::Serialize;
 
-use crate::tp::shard_layer;
-
-/// A model sharded and packed for `tp` executed ranks. Owns everything the
-/// rank threads touch (replicated embeddings, final layer-norm, per-rank
-/// packed shards), so it can sit behind an `Arc` shared across threads.
-#[derive(Debug)]
-pub struct TpPackedModel {
-    config: GptConfig,
-    tp: usize,
-    /// `shards[rank][layer]`: `w_qkv`/`w_ff1` column shards, `w_o`/`w_ff2`
-    /// row shards, `b_o`/`b_ff2` full-width (applied once post-reduce).
-    shards: Vec<Vec<PackedLayer>>,
-    /// Replicated `[vocab, h]` token embedding (also the logits operand).
-    wte: Tensor,
-    /// Replicated `[max_seq, h]` position embedding.
-    wpe: Tensor,
-    lnf_g: Vec<f32>,
-    lnf_b: Vec<f32>,
-    /// `wteᵀ` panel-packed as the `[h, vocab]` logits projection (every
-    /// rank computes logits; the projection is not sharded).
-    wte_packed: PackedB,
+/// A model packed once for every group a [`TpEngine`] builds, at any
+/// degree: each GEMM operand sits behind its own `Arc`, so a rank's view of
+/// it is a share, not a copy, and the embeddings and final layer-norm are
+/// read from the model itself. A clone shares the operands too.
+#[derive(Debug, Clone)]
+pub struct SharedModel<B = PackedB> {
+    model: Arc<GptModel>,
+    layers: Vec<PackedLayer<Arc<B>>>,
+    /// `wteᵀ` packed as the `[h, vocab]` logits projection (every rank
+    /// computes logits; the projection is not split).
+    logits: Arc<B>,
 }
 
-impl TpPackedModel {
-    /// Shard `model` across `tp` ranks and pack every shard. Requires
-    /// `tp | heads` (and therefore `tp | hidden`).
-    pub fn shard(model: &GptModel, tp: usize) -> Self {
-        let c = model.config.clone();
-        let mut shards: Vec<Vec<PackedLayer>> =
-            (0..tp).map(|_| Vec::with_capacity(c.layers)).collect();
-        for lw in &model.layers {
-            for (r, s) in shard_layer(lw, c.heads, tp).iter().enumerate() {
-                // The row-parallel biases stay whole: applied once, post-reduce.
-                let (b_o, b_ff2) = (lw.b_o.data().to_vec(), lw.b_ff2.data().to_vec());
-                shards[r].push(PackedLayer { b_o, b_ff2, ..PackedLayer::pack(&s.w) });
-            }
-        }
-        TpPackedModel {
-            tp,
-            shards,
-            wte: model.wte.clone(),
-            wpe: model.wpe.clone(),
-            lnf_g: model.lnf_g.data().to_vec(),
-            lnf_b: model.lnf_b.data().to_vec(),
-            wte_packed: PackedB::from_pre_transposed(&model.wte),
-            config: c,
-        }
+impl SharedModel {
+    /// Pack `model` into FP32 panels.
+    pub fn pack(model: Arc<GptModel>) -> Self {
+        Self::with_packing(model, |m| PackedModel::pack(m))
+    }
+}
+
+impl<B: PanelWeights> SharedModel<B> {
+    /// Pack `model` with `pack` (`PackedModel::pack`, or
+    /// `QuantizedPackedModel::quantize_pack` at a group size), then share
+    /// its operands.
+    pub fn with_packing(model: Arc<GptModel>, pack: impl FnOnce(&GptModel) -> PackedModel<'_, B>) -> Self {
+        let PackedModel { layers, wte_packed, .. } = pack(&model);
+        let layers = layers
+            .into_iter()
+            .map(|l| PackedLayer {
+                ln1_g: l.ln1_g,
+                ln1_b: l.ln1_b,
+                w_qkv: Arc::new(l.w_qkv),
+                b_qkv: l.b_qkv,
+                w_o: Arc::new(l.w_o),
+                b_o: l.b_o,
+                ln2_g: l.ln2_g,
+                ln2_b: l.ln2_b,
+                w_ff1: Arc::new(l.w_ff1),
+                b_ff1: l.b_ff1,
+                w_ff2: Arc::new(l.w_ff2),
+                b_ff2: l.b_ff2,
+            })
+            .collect();
+        SharedModel { model, layers, logits: Arc::new(wte_packed) }
     }
 
     pub fn config(&self) -> &GptConfig {
-        &self.config
+        &self.model.config
     }
 
-    pub fn tp(&self) -> usize {
-        self.tp
-    }
-
-    /// Start a group: spawns the `tp - 1` worker rank threads, each (and
-    /// rank 0) with an engine of `max_slots` slots over `pages_total` pages
-    /// of `page_tokens` tokens.
-    pub fn session(self: &Arc<Self>, max_slots: usize, pages_total: usize, page_tokens: usize) -> TpSession {
-        self.session_with(max_slots, pages_total, page_tokens, CommConfig::default())
-    }
-
-    /// [`TpPackedModel::session`] with an explicit collective configuration
-    /// (timeout / checksum / fault injection).
-    pub fn session_with(
-        self: &Arc<Self>,
-        max_slots: usize,
-        pages_total: usize,
-        page_tokens: usize,
-        cfg: CommConfig,
-    ) -> TpSession {
-        TpSession::new(Arc::clone(self), max_slots, pages_total, page_tokens, cfg)
+    /// Whether `d` ranks can split this model: whole heads per rank, and
+    /// every rank's row range of W_o and FF2 on its operand's row alignment
+    /// (an INT8 quantization group). The one feasibility test of a degree:
+    /// a group is built only at a degree that passes it, the first one and
+    /// every degraded one alike.
+    pub fn splits(&self, d: usize) -> bool {
+        let heads = self.config().heads;
+        let aligned = |w: &Arc<B>| (w.k() / d).is_multiple_of(w.row_align());
+        d >= 1
+            && heads.is_multiple_of(d)
+            && (d == 1 || self.layers.iter().all(|l| aligned(&l.w_o) && aligned(&l.w_ff2)))
     }
 }
 
@@ -341,21 +335,120 @@ pub struct Dismantled {
 
 // --- per-rank execution state ----------------------------------------------
 
-/// Rank `rank`'s view of a [`TpPackedModel`] as `fast::step` reads it: its
-/// shard of every layer plus the replicated embeddings, final layer-norm
-/// and logits operand.
-struct RankShard {
-    model: Arc<TpPackedModel>,
-    rank: usize,
+/// One rank's view of a shared packed operand: input rows `rows`, and the
+/// output columns `cols` laid side by side (QKV's q, k and v windows of the
+/// rank's heads; one window elsewhere). A GEMM over it is one windowed GEMM
+/// of the shared operand per column window, each into its own columns of
+/// the output.
+struct OperandView<B> {
+    op: Arc<B>,
+    rows: Range<usize>,
+    cols: Vec<Range<usize>>,
 }
 
-impl WeightSource for RankShard {
-    type B = PackedB;
+impl<B: PanelWeights> OperandView<B> {
+    /// Every row of `op`, output columns `cols`.
+    fn columns(op: &Arc<B>, cols: impl IntoIterator<Item = Range<usize>>) -> Self {
+        OperandView { op: Arc::clone(op), rows: 0..op.k(), cols: cols.into_iter().collect() }
+    }
+
+    /// Input rows `rows` of `op`, every output column.
+    fn rows(op: &Arc<B>, rows: Range<usize>) -> Self {
+        OperandView { op: Arc::clone(op), rows, cols: std::iter::once(0..op.n()).collect() }
+    }
+}
+
+impl<B: PanelWeights> PanelWeights for OperandView<B> {
+    fn k(&self) -> usize {
+        self.rows.len()
+    }
+    fn n(&self) -> usize {
+        self.cols.iter().map(ExactSizeIterator::len).sum()
+    }
+    /// The operand's bytes in proportion to the share of it the view reads.
+    fn storage_bytes(&self) -> usize {
+        self.op.storage_bytes() * self.k() * self.n() / (self.op.k() * self.op.n()).max(1)
+    }
+    fn row_align(&self) -> usize {
+        self.op.row_align()
+    }
+    fn gemm_window(&self, win: &Window, a: &[f32], m: usize, out: &mut [f32], ldc: usize, ep: Epilogue<'_>) {
+        assert!(win.rows.end <= self.k() && win.cols.end <= self.n(), "view: {win:?} outside the view");
+        let rows = self.rows.start + win.rows.start..self.rows.start + win.rows.end;
+        // `at` is the view column the window `c` starts at.
+        let mut at = 0;
+        for c in &self.cols {
+            let (lo, hi) = (win.cols.start.max(at), win.cols.end.min(at + c.len()));
+            if lo < hi {
+                let o = lo - win.cols.start;
+                let cols = c.start + lo - at..c.start + hi - at;
+                let ep = ep.columns(o, hi - lo);
+                self.op.gemm_window(&Window { rows: rows.clone(), cols }, a, m, &mut out[o..], ldc, ep);
+            }
+            at += c.len();
+        }
+    }
+}
+
+/// Rank `rank` of a `tp`-rank group as `fast::step` reads a
+/// [`SharedModel`]: the windows [`tp::shard_layer`](crate::tp::shard_layer)
+/// would cut as this rank's shard of every layer, with W_o's and FF2's
+/// biases whole (applied once, post-reduce), and the embeddings, final
+/// layer-norm and logits operand shared whole. Every operand is an `Arc`
+/// share of the model's, so building a view copies no weight; only the
+/// layers' gain and bias vectors are the view's own.
+struct RankView<B> {
+    model: Arc<GptModel>,
+    layers: Vec<PackedLayer<OperandView<B>>>,
+    logits: OperandView<B>,
+    /// The rank's `h / tp` columns of every K/V row.
+    kv_width: usize,
+}
+
+impl<B: PanelWeights> RankView<B> {
+    fn new(m: &SharedModel<B>, rank: usize, tp: usize) -> Self {
+        let h = m.config().hidden;
+        let a = h / tp;
+        let heads = rank * a..(rank + 1) * a;
+        let layers = m
+            .layers
+            .iter()
+            .map(|l| {
+                let f = l.w_ff1.n() / tp;
+                let ff = rank * f..(rank + 1) * f;
+                let qkv = (0..3).map(|j| j * h + heads.start..j * h + heads.end);
+                PackedLayer {
+                    ln1_g: l.ln1_g.clone(),
+                    ln1_b: l.ln1_b.clone(),
+                    b_qkv: qkv.clone().flat_map(|c| l.b_qkv[c].to_vec()).collect(),
+                    w_qkv: OperandView::columns(&l.w_qkv, qkv),
+                    w_o: OperandView::rows(&l.w_o, heads.clone()),
+                    b_o: l.b_o.clone(),
+                    ln2_g: l.ln2_g.clone(),
+                    ln2_b: l.ln2_b.clone(),
+                    w_ff1: OperandView::columns(&l.w_ff1, std::iter::once(ff.clone())),
+                    b_ff1: l.b_ff1[ff.clone()].to_vec(),
+                    w_ff2: OperandView::rows(&l.w_ff2, ff),
+                    b_ff2: l.b_ff2.clone(),
+                }
+            })
+            .collect();
+        RankView {
+            model: Arc::clone(&m.model),
+            layers,
+            logits: OperandView::rows(&m.logits, 0..m.logits.k()),
+            kv_width: a,
+        }
+    }
+}
+
+impl<B: PanelWeights> WeightSource for RankView<B> {
+    type B = OperandView<B>;
     type Layer<'a>
-        = &'a PackedLayer
+        = &'a PackedLayer<OperandView<B>>
     where
         Self: 'a;
-    /// A resident shard never fails to yield a layer; a rank's pass fails
+    /// A resident view never fails to yield a layer; a rank's pass fails
     /// only in its [`AllReduce`] seam.
     type Error = CollectiveError;
 
@@ -366,17 +459,16 @@ impl WeightSource for RankShard {
         (&self.model.wte, &self.model.wpe)
     }
     fn lnf(&self) -> (&[f32], &[f32]) {
-        (&self.model.lnf_g, &self.model.lnf_b)
+        (self.model.lnf_g.data(), self.model.lnf_b.data())
     }
-    fn logits_w(&self) -> &PackedB {
-        &self.model.wte_packed
+    fn logits_w(&self) -> &OperandView<B> {
+        &self.logits
     }
-    fn layer(&self, l: usize) -> Result<&PackedLayer, CollectiveError> {
-        Ok(&self.model.shards[self.rank][l])
+    fn layer(&self, l: usize) -> Result<&PackedLayer<OperandView<B>>, CollectiveError> {
+        Ok(&self.layers[l])
     }
-    /// The rank's heads of every K/V row.
     fn kv_width(&self) -> usize {
-        self.model.config.hidden / self.model.tp
+        self.kv_width
     }
 }
 
@@ -476,8 +568,8 @@ pub fn pin_current_thread(_cpu: usize) -> bool {
 /// repeat. Returns
 /// `Ok` on a clean shutdown command, `Err` when any collective (or the
 /// layer fault hook) fails typed.
-fn worker_loop(
-    eng: &mut Engine<RankShard>,
+fn worker_loop<B: PanelWeights>(
+    eng: &mut Engine<RankView<B>>,
     shared: &TpShared,
     comm: &mut ShmRank,
 ) -> Result<(), CollectiveError> {
@@ -522,11 +614,11 @@ fn panic_payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
 /// caller's thread; ranks `1..tp` run theirs on their own (best-effort
 /// pinned) OS threads and rendezvous at the shared-memory barrier each
 /// pass. See the module docs for the pass command and the failure contract.
-pub struct TpSession {
-    model: Arc<TpPackedModel>,
+pub struct TpSession<B = PackedB> {
+    tp: usize,
     shared: Arc<TpShared>,
     comm: ShmRank,
-    rank0: Engine<RankShard>,
+    rank0: Engine<RankView<B>>,
     /// Slots rank 0 released since the last command.
     released: Vec<usize>,
     /// Commands published so far.
@@ -548,15 +640,22 @@ pub struct TpSession {
     done: bool,
 }
 
-impl TpSession {
-    fn new(
-        model: Arc<TpPackedModel>,
+impl<B: PanelWeights + Send + Sync + 'static> TpSession<B> {
+    /// Start a group of `tp` ranks over `model`: spawns the `tp - 1`
+    /// worker rank threads, each (and rank 0) with an engine of `max_slots`
+    /// slots over `pages_total` pages of `page_tokens` tokens, all
+    /// collectives on `cfg` (timeout / checksum / fault injection). Panics
+    /// unless `model` [`SharedModel::splits`] `tp` ways.
+    pub fn new(
+        model: &SharedModel<B>,
+        tp: usize,
         max_slots: usize,
         pages_total: usize,
         page_tokens: usize,
         cfg: CommConfig,
     ) -> Self {
-        let tp = model.tp;
+        let c = model.config();
+        assert!(model.splits(tp), "tp {tp} cannot split {} heads of a {}-wide model", c.heads, c.hidden);
         let shared = Arc::new(TpShared::default());
         let (tx, exits) = std::sync::mpsc::channel::<WorkerExit>();
         let mut ranks = ShmComm::create_with(tp, cfg);
@@ -566,7 +665,7 @@ impl TpSession {
         let workers = ranks
             .drain(1..)
             .map(|mut rank_comm| {
-                let model = Arc::clone(&model);
+                let view = RankView::new(model, rank_comm.rank(), tp);
                 let shared = Arc::clone(&shared);
                 let tx: Sender<WorkerExit> = tx.clone();
                 let r = rank_comm.rank();
@@ -581,8 +680,7 @@ impl TpSession {
                     // its op recording always can.
                     let comm = &mut rank_comm;
                     let outcome = catch_unwind(AssertUnwindSafe(move || {
-                        let shard = RankShard { model, rank: r };
-                        let mut eng = Engine::new(shard, max_slots, pages_total, page_tokens);
+                        let mut eng = Engine::new(view, max_slots, pages_total, page_tokens);
                         worker_loop(&mut eng, &shared, comm)
                     }));
                     let cause = match outcome {
@@ -610,11 +708,10 @@ impl TpSession {
             })
             .collect();
         let comm = ranks.pop().expect("rank 0 handle");
-        let shard = RankShard { model: Arc::clone(&model), rank: 0 };
         TpSession {
-            rank0: Engine::new(shard, max_slots, pages_total, page_tokens),
+            rank0: Engine::new(RankView::new(model, 0, tp), max_slots, pages_total, page_tokens),
             released: Vec::with_capacity(max_slots),
-            model,
+            tp,
             shared,
             comm,
             published: 0,
@@ -628,7 +725,7 @@ impl TpSession {
     }
 
     pub fn tp(&self) -> usize {
-        self.model.tp
+        self.tp
     }
 
     /// Rank 0's pool — every rank's, while the group is healthy.
@@ -650,13 +747,6 @@ impl TpSession {
     pub fn release(&mut self, slot: usize) {
         self.rank0.release(slot);
         self.released.push(slot);
-    }
-
-    /// Fill the next command buffer and ring the workers' doorbell.
-    fn publish(&mut self, fill: impl FnOnce(&mut PassCmd)) {
-        fill(&mut self.shared.cmd(self.published));
-        self.published += 1;
-        self.shared.ring(self.published);
     }
 
     /// One pass of the group: `Engine::pass` on every rank, with the same
@@ -750,7 +840,7 @@ impl TpSession {
     /// [`TpSession::dismantle`] in place: the session is left inert, and
     /// dropping it does nothing.
     fn teardown(&mut self) -> Dismantled {
-        let tp = self.model.tp;
+        let tp = self.tp;
         self.shut_down();
         let mut failures = Vec::new();
         if let Some(e) = self.failed.take() {
@@ -779,6 +869,16 @@ impl TpSession {
         }
         self.done = true;
         Dismantled { failures, programs }
+    }
+}
+
+/// What the teardown paths share, `Drop` included: no bound on the operand.
+impl<B> TpSession<B> {
+    /// Fill the next command buffer and ring the workers' doorbell.
+    fn publish(&mut self, fill: impl FnOnce(&mut PassCmd)) {
+        fill(&mut self.shared.cmd(self.published));
+        self.published += 1;
+        self.shared.ring(self.published);
     }
 
     /// Send the workers the shutdown command if the group is healthy, else
@@ -830,7 +930,7 @@ fn join_with_deadline(
     unjoined
 }
 
-impl Drop for TpSession {
+impl<B> Drop for TpSession<B> {
     fn drop(&mut self) {
         if self.done {
             return;
@@ -867,27 +967,30 @@ impl TpReport {
     }
 }
 
-/// The largest TP degree `d ≤ survivors` with `heads.is_multiple_of(*d)` (degree 1 is
-/// always feasible — the single-rank floor).
-fn degrade_tp(heads: usize, survivors: usize) -> usize {
-    (1..=survivors.min(heads)).rev().find(|d| heads.is_multiple_of(*d)).unwrap_or(1)
+/// The largest degree `d ≤ survivors` that `splits` the model (degree 1
+/// always does — the single-rank floor).
+fn degrade_tp(survivors: usize, splits: impl Fn(usize) -> bool) -> usize {
+    (1..=survivors).rev().find(|&d| splits(d)).unwrap_or(1)
 }
 
 /// A tensor-parallel group as a multi-slot engine that lives across
 /// requests: the paged engine's slot lifecycle, run by every rank over its
-/// shard. A fault anywhere in the group fails the pass with its
-/// [`RankFailure`]; the group is dismantled and built again before the
-/// pass returns — narrower when a rank's memory was lost, down to a one-rank group,
-/// which can always be rebuilt. After a fault, releasing a slot the lost
-/// group held is a no-op, and [`TpEngine::pool_stats`] is the empty pool
-/// the next group starts with.
-pub struct TpEngine {
-    model: Arc<GptModel>,
-    packed: Arc<TpPackedModel>,
+/// view of one [`SharedModel`] — FP32 panels by default, INT8 ones as
+/// `TpEngine<QuantizedPackedB>`. A fault anywhere in the group fails the
+/// pass with its [`RankFailure`]; the group is dismantled and built again
+/// over the same packed model before the pass returns — narrower when a
+/// rank's memory was lost, down to a one-rank group, which can always be
+/// rebuilt. After a fault, releasing a slot the lost group held is a no-op,
+/// and [`TpEngine::pool_stats`] is the empty pool the next group starts
+/// with.
+///
+/// [`QuantizedPackedB`]: dsi_kernels::quant::QuantizedPackedB
+pub struct TpEngine<B = PackedB> {
+    model: SharedModel<B>,
     comm: CommConfig,
     pages_total: usize,
     page_tokens: usize,
-    group: TpSession,
+    group: TpSession<B>,
     /// `orphaned[slot]`: the slot was held by a group that has since failed.
     orphaned: Vec<bool>,
     /// High water of the groups already lost.
@@ -896,9 +999,9 @@ pub struct TpEngine {
 }
 
 impl TpEngine {
-    /// A group of `tp` ranks over `model`, each rank's engine with
-    /// `max_slots` slots over `pages_total` pages of `page_tokens` tokens;
-    /// every group it builds uses `comm`.
+    /// A group of `tp` ranks over `model` packed into FP32 panels, each
+    /// rank's engine with `max_slots` slots over `pages_total` pages of
+    /// `page_tokens` tokens; every group it builds uses `comm`.
     pub fn new(
         model: Arc<GptModel>,
         tp: usize,
@@ -907,11 +1010,24 @@ impl TpEngine {
         pages_total: usize,
         page_tokens: usize,
     ) -> Self {
-        let packed = Arc::new(TpPackedModel::shard(&model, tp));
-        let group = packed.session_with(max_slots, pages_total, page_tokens, comm.clone());
+        Self::with_model(SharedModel::pack(model), tp, comm, max_slots, pages_total, page_tokens)
+    }
+}
+
+impl<B: PanelWeights + Send + Sync + 'static> TpEngine<B> {
+    /// [`TpEngine::new`] over a model already packed, in any operand type.
+    /// Panics unless the model [`SharedModel::splits`] `tp` ways.
+    pub fn with_model(
+        model: SharedModel<B>,
+        tp: usize,
+        comm: CommConfig,
+        max_slots: usize,
+        pages_total: usize,
+        page_tokens: usize,
+    ) -> Self {
+        let group = TpSession::new(&model, tp, max_slots, pages_total, page_tokens, comm.clone());
         TpEngine {
             model,
-            packed,
             comm,
             pages_total,
             page_tokens,
@@ -924,7 +1040,7 @@ impl TpEngine {
 
     /// The degree of the current group.
     pub fn tp(&self) -> usize {
-        self.packed.tp
+        self.group.tp()
     }
 
     pub fn report(&self) -> &TpReport {
@@ -988,8 +1104,8 @@ impl TpEngine {
     }
 
     /// Dismantle the failed group, log what failed, and build the next
-    /// one: narrower when some rank's memory was lost. Returns the failure
-    /// the pass reports.
+    /// one over the same packed model: narrower when some rank's memory was
+    /// lost. Returns the failure the pass reports.
     fn lose_group(&mut self, failure: RankFailure) -> RankFailure {
         let group = &mut self.group;
         for (slot, orphaned) in self.orphaned.iter_mut().enumerate() {
@@ -1017,14 +1133,13 @@ impl TpEngine {
             }
         }
         let survivors = lost.iter().filter(|&&l| !l).count();
-        let new_tp = degrade_tp(self.model.config.heads, survivors.max(1));
+        let new_tp = degrade_tp(survivors.max(1), |d| self.model.splits(d));
         if new_tp < old_tp {
             self.report.degradations.push((old_tp, new_tp));
-            self.packed = Arc::new(TpPackedModel::shard(&self.model, new_tp));
         }
         self.report.rebuilds += 1;
         let (slots, pages, tokens) = (self.max_slots(), self.pages_total, self.page_tokens);
-        self.group = self.packed.session_with(slots, pages, tokens, self.comm.clone());
+        self.group = TpSession::new(&self.model, new_tp, slots, pages, tokens, self.comm.clone());
         failure
     }
 }
@@ -1032,12 +1147,19 @@ impl TpEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsi_model::fast::PackedModel;
+    use crate::tp::shard_layer;
+    use dsi_kernels::quant::QuantizedPackedB;
+    use dsi_model::fast::QuantizedPackedModel;
+    use dsi_model::reference::LayerWeights;
     use dsi_model::zoo;
     use dsi_sim::fault::{FaultPlan, FaultSite, FaultSpec};
 
     fn model(layers: usize, seed: u64) -> GptModel {
         GptModel::random(zoo::tiny(layers), seed)
+    }
+
+    fn shared(m: GptModel) -> SharedModel {
+        SharedModel::pack(Arc::new(m))
     }
 
     fn oracle(m: &GptModel, prompt: &[usize], n: usize) -> Vec<usize> {
@@ -1054,11 +1176,12 @@ mod tests {
 
     #[test]
     fn degrade_tp_picks_widest_divisor() {
-        assert_eq!(degrade_tp(4, 3), 2);
-        assert_eq!(degrade_tp(4, 4), 4);
-        assert_eq!(degrade_tp(4, 1), 1);
-        assert_eq!(degrade_tp(6, 5), 3);
-        assert_eq!(degrade_tp(8, 7), 4);
+        let heads = |h: usize| move |d: usize| h.is_multiple_of(d);
+        assert_eq!(degrade_tp(3, heads(4)), 2);
+        assert_eq!(degrade_tp(4, heads(4)), 4);
+        assert_eq!(degrade_tp(1, heads(4)), 1);
+        assert_eq!(degrade_tp(5, heads(6)), 3);
+        assert_eq!(degrade_tp(7, heads(8)), 4);
     }
 
     /// Ragged multi-slot passes at every degree: two seats in one pass, a
@@ -1111,7 +1234,7 @@ mod tests {
         let m = model(3, 29);
         let pm = PackedModel::pack(&m);
         let mut solo = pm.session(4);
-        let shard = RankShard { model: Arc::new(TpPackedModel::shard(&m, 1)), rank: 0 };
+        let shard = RankView::new(&shared(m.clone()), 0, 1);
         let c = m.config.clone();
         let mut comm = ShmComm::create(1).pop().expect("one rank");
         let mut kv = [KvCache::with_capacity(c.layers, shard.kv_width(), c.max_seq)];
@@ -1137,7 +1260,7 @@ mod tests {
     fn indivisible_tp_rejected() {
         let m = model(1, 1);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            TpPackedModel::shard(&m, 3); // tiny() has 4 heads
+            TpEngine::new(Arc::new(m), 3, CommConfig::default(), 1, 4, 4); // tiny() has 4 heads
         }));
         assert!(caught.is_err());
     }
@@ -1147,8 +1270,7 @@ mod tests {
         // An out-of-vocab token makes every rank's pass assert; the workers'
         // catch_unwind must fail the group loudly (and Drop must reap the
         // dead threads without hanging).
-        let tpm = Arc::new(TpPackedModel::shard(&model(1, 5), 2));
-        let mut sess = tpm.session(1, 4, 4);
+        let mut sess = TpSession::new(&shared(model(1, 5)), 2, 1, 4, 4, CommConfig::default());
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let _ = sess.try_pass(&[(0, &[1_000_000])], &[], &mut Vec::new());
         }));
@@ -1158,8 +1280,7 @@ mod tests {
 
     #[test]
     fn clean_dismantle_reports_every_rank_and_no_failure() {
-        let tpm = Arc::new(TpPackedModel::shard(&model(2, 11), 2));
-        let mut sess = tpm.session(1, 4, 4);
+        let mut sess = TpSession::new(&shared(model(2, 11)), 2, 1, 4, 4, CommConfig::default());
         let mut out = Vec::new();
         sess.try_pass(&[(0, &[1, 2, 3])], &[], &mut out).unwrap();
         sess.try_pass(&[], &[0], &mut out).unwrap();
@@ -1173,13 +1294,13 @@ mod tests {
         // Script rank 1 to panic at a layer site: the pass fails typed on
         // rank 0 (timeout or poison), and dismantle carries rank 1's panic
         // payload back to the caller.
-        let tpm = Arc::new(TpPackedModel::shard(&model(2, 13), 2));
+        let tpm = shared(model(2, 13));
         let plan = FaultPlan::new(vec![FaultSpec {
             rank: 1,
             site: FaultSite::Layer { token: 0, layer: 0 },
             kind: FaultKind::Panic,
         }]);
-        let mut sess = tpm.session_with(1, 4, 4, faulty(plan, false, 500));
+        let mut sess = TpSession::new(&tpm, 2, 1, 4, 4, faulty(plan, false, 500));
         let err = sess.try_pass(&[(0, &[1, 2])], &[], &mut Vec::new()).expect_err("group must fail typed");
         let StepError::Weights(err) = err else { panic!("expected a collective failure, got {err:?}") };
         assert!(
@@ -1199,13 +1320,13 @@ mod tests {
     fn scripted_worker_exit_times_out_and_is_reported() {
         // Rank 1 "crashes" (drops its arrival): rank 0 must observe a typed
         // timeout naming rank 1, and dismantle must report the crash.
-        let tpm = Arc::new(TpPackedModel::shard(&model(1, 17), 2));
+        let tpm = shared(model(1, 17));
         let plan = FaultPlan::new(vec![FaultSpec {
             rank: 1,
             site: FaultSite::Barrier { epoch: 0 },
             kind: FaultKind::Exit,
         }]);
-        let mut sess = tpm.session_with(1, 4, 4, faulty(plan, false, 200));
+        let mut sess = TpSession::new(&tpm, 2, 1, 4, 4, faulty(plan, false, 200));
         let err = sess.try_pass(&[(0, &[1, 2])], &[], &mut Vec::new()).expect_err("lost rank must surface");
         match &err {
             StepError::Weights(CollectiveError { kind: CollectiveErrorKind::Timeout { stalled }, .. }) => {
@@ -1223,13 +1344,13 @@ mod tests {
 
     #[test]
     fn failed_session_refuses_further_passes_with_same_error() {
-        let tpm = Arc::new(TpPackedModel::shard(&model(1, 19), 2));
+        let tpm = shared(model(1, 19));
         let plan = FaultPlan::new(vec![FaultSpec {
             rank: 1,
             site: FaultSite::Barrier { epoch: 0 },
             kind: FaultKind::Exit,
         }]);
-        let mut sess = tpm.session_with(1, 4, 4, faulty(plan, false, 200));
+        let mut sess = TpSession::new(&tpm, 2, 1, 4, 4, faulty(plan, false, 200));
         let e1 = sess.try_pass(&[(0, &[1])], &[], &mut Vec::new()).expect_err("first failure");
         let e2 = sess.try_pass(&[], &[0], &mut Vec::new()).expect_err("dead group refuses");
         assert_eq!(e1, e2);
@@ -1239,7 +1360,11 @@ mod tests {
     /// every fault the way the serving scheduler does: release what the
     /// failed pass advanced, then seat each committed context again.
     /// Returns the streams and the faults survived.
-    fn serve(eng: &mut TpEngine, prompts: &[&[usize]], n: usize) -> (Vec<Vec<usize>>, usize) {
+    fn serve<B: PanelWeights + Send + Sync + 'static>(
+        eng: &mut TpEngine<B>,
+        prompts: &[&[usize]],
+        n: usize,
+    ) -> (Vec<Vec<usize>>, usize) {
         let mut toks: Vec<Vec<usize>> = vec![Vec::new(); prompts.len()];
         let mut seated = vec![false; prompts.len()];
         let (mut out, mut faults) = (Vec::new(), 0);
@@ -1401,5 +1526,122 @@ mod tests {
         eng.pass(&[(0, &[1, 2, 3])], &[], &mut out).unwrap();
         assert_eq!(out, oracle(&m, &[1, 2, 3], 1));
         assert_eq!((eng.tp(), eng.report().rebuilds), (1, 2));
+    }
+
+    /// Every operand of `v` is an `Arc` share of `m`'s.
+    fn assert_view_shares<B>(v: &RankView<B>, m: &SharedModel<B>, what: &str) {
+        assert!(Arc::ptr_eq(&v.model, &m.model), "{what}: embeddings and layer-norm");
+        assert!(Arc::ptr_eq(&v.logits.op, &m.logits), "{what}: logits");
+        for (l, (vl, ml)) in v.layers.iter().zip(&m.layers).enumerate() {
+            let pairs = [(&vl.w_qkv, &ml.w_qkv), (&vl.w_o, &ml.w_o), (&vl.w_ff1, &ml.w_ff1), (&vl.w_ff2, &ml.w_ff2)];
+            for (view, op) in pairs {
+                assert!(Arc::ptr_eq(&view.op, op), "{what}: layer {l}");
+            }
+        }
+    }
+
+    /// Shares of each packed operand besides the model's own: one per live
+    /// rank view.
+    fn view_shares<B>(m: &SharedModel<B>) -> Vec<usize> {
+        let ops = m.layers.iter().flat_map(|l| [&l.w_qkv, &l.w_o, &l.w_ff1, &l.w_ff2]);
+        ops.chain([&m.logits]).map(|op| Arc::strong_count(op) - 1).collect()
+    }
+
+    /// A group copies no weight: every rank's view — rank 0's inline, and
+    /// the workers' on their own threads, counted through the operands'
+    /// `Arc`s — reads the one packed model, at tp 1, 2 and 4, and again
+    /// after a 2 → 1 degrade rebuilt the group over the same model.
+    #[test]
+    fn rank_views_share_the_one_packed_model() {
+        for tp in [1usize, 2, 4] {
+            let eng = TpEngine::new(Arc::new(model(2, 3)), tp, CommConfig::default(), 1, 8, 4);
+            assert_eq!(view_shares(&eng.model), [tp; 9], "tp {tp}: one share per rank");
+            assert_view_shares(eng.group.rank0.weights(), &eng.model, &format!("tp {tp} rank 0"));
+            for r in 0..tp {
+                assert_view_shares(&RankView::new(&eng.model, r, tp), &eng.model, &format!("tp {tp} rank {r}"));
+            }
+        }
+        let plan = FaultPlan::new(vec![FaultSpec {
+            rank: 1,
+            site: FaultSite::Barrier { epoch: 9 },
+            kind: FaultKind::Exit,
+        }]);
+        let eng = serve_two(37, plan, false, 6);
+        assert_eq!(eng.report().degradations, [(2, 1)]);
+        assert_eq!(view_shares(&eng.model), [1; 9], "the lost group's views are gone");
+        assert_view_shares(eng.group.rank0.weights(), &eng.model, "tp 1 after the degrade");
+    }
+
+    /// Each rank's four GEMMs through its views are bitwise those of its
+    /// shard cut by `tp::shard_layer` and packed on its own, FP32 and INT8
+    /// alike: QKV and FF1 with their bias windows fused, W_o and FF2 as the
+    /// seam runs them, before the all-reduce.
+    #[test]
+    fn rank_gemms_are_bitwise_the_shard_layer_packs() {
+        fn same<V: PanelWeights, B: PanelWeights>(got: &V, want: &B, ep: Epilogue<'_>, what: &str) {
+            assert_eq!((got.k(), got.n()), (want.k(), want.n()), "{what}: shape");
+            for m in [1usize, 3, 8] {
+                let a = Tensor::randn(&[m, got.k()], 1.0, m as u64);
+                let (mut g, mut w) = (vec![0.0f32; m * got.n()], vec![0.0f32; m * got.n()]);
+                got.gemm(a.data(), m, &mut g, ep);
+                want.gemm(a.data(), m, &mut w, ep);
+                assert!(g.iter().zip(&w).all(|(x, y)| x.to_bits() == y.to_bits()), "{what} m={m}");
+            }
+        }
+        fn check<B: PanelWeights>(sm: &SharedModel<B>, pack: impl Fn(&LayerWeights) -> PackedLayer<B>, what: &str) {
+            let heads = sm.config().heads;
+            for tp in [1usize, 2, 4] {
+                for r in 0..tp {
+                    let view = RankView::new(sm, r, tp);
+                    for (l, lw) in sm.model.layers.iter().enumerate() {
+                        let (got, want) = (&view.layers[l], pack(&shard_layer(lw, heads, tp)[r].w));
+                        let what = format!("{what} tp {tp} rank {r} layer {l}");
+                        assert_eq!((&got.b_qkv, &got.b_ff1), (&want.b_qkv, &want.b_ff1), "{what}: bias windows");
+                        same(&got.w_qkv, &want.w_qkv, Epilogue::Bias(&got.b_qkv), &format!("{what} qkv"));
+                        same(&got.w_o, &want.w_o, Epilogue::None, &format!("{what} w_o"));
+                        same(&got.w_ff1, &want.w_ff1, Epilogue::BiasGelu(&got.b_ff1), &format!("{what} ff1"));
+                        same(&got.w_ff2, &want.w_ff2, Epilogue::None, &format!("{what} ff2"));
+                    }
+                }
+            }
+        }
+        // 32 columns a head and 128 FF columns a rank at tp 4: every row
+        // range starts on an INT8 group of 32.
+        let c = GptConfig { name: "views".into(), hidden: 128, layers: 2, heads: 4, vocab: 61, max_seq: 16 };
+        let gm = Arc::new(GptModel::random(c, 5));
+        check(&SharedModel::pack(Arc::clone(&gm)), PackedLayer::pack, "f32");
+        let int8 = SharedModel::with_packing(Arc::clone(&gm), |m| QuantizedPackedModel::quantize_pack(m, 32));
+        check(&int8, |lw| PackedLayer::pack_with(lw, |w| QuantizedPackedB::quantize_pack(w, 32)), "int8");
+    }
+
+    /// A 6-head, 192-wide model splits 3 ways in INT8 groups of 64 (64 W_o
+    /// rows a rank) but not 2 ways (96): losing one rank of three degrades
+    /// an INT8 group to one rank where an FP32 one keeps two, and the
+    /// rebuilt group replays token-identically to resident INT8.
+    #[test]
+    fn int8_degrades_past_an_unaligned_degree() {
+        let c = GptConfig { name: "six-heads".into(), hidden: 192, layers: 1, heads: 6, vocab: 61, max_seq: 32 };
+        let gm = Arc::new(GptModel::random(c, 61));
+        let f32m = SharedModel::pack(Arc::clone(&gm));
+        let int8 = SharedModel::with_packing(Arc::clone(&gm), |m| QuantizedPackedModel::quantize_pack(m, 64));
+        let degrees = |m: &dyn Fn(usize) -> bool| (1..=6).filter(|&d| m(d)).collect::<Vec<_>>();
+        assert_eq!(degrees(&|d| f32m.splits(d)), [1, 2, 3, 6]);
+        assert_eq!(degrees(&|d| int8.splits(d)), [1, 3]);
+        assert_eq!(degrade_tp(2, |d| f32m.splits(d)), 2);
+        assert_eq!(degrade_tp(2, |d| int8.splits(d)), 1);
+
+        let plan = FaultPlan::new(vec![FaultSpec {
+            rank: 1,
+            site: FaultSite::Barrier { epoch: 9 },
+            kind: FaultKind::Exit,
+        }]);
+        let mut eng = TpEngine::with_model(int8, 3, faulty(plan, false, 300), 2, 16, 4);
+        let prompts: [&[usize]; 2] = [&[1, 2, 3], &[4, 2]];
+        let (got, _) = serve(&mut eng, &prompts, 6);
+        let qm = QuantizedPackedModel::quantize_pack(&gm, 64);
+        for (p, got) in prompts.iter().zip(&got) {
+            assert_eq!(got, &qm.session(p.len()).generate(p, 6), "prompt {p:?}");
+        }
+        assert_eq!(eng.report().degradations, [(3, 1)]);
     }
 }

@@ -6,12 +6,15 @@
 //! over every slot. This is the engine's whole correctness contract —
 //! sharding, the shared-memory all-reduce, and the pass command that keeps
 //! every rank's page tables identical are all on the hook for every
-//! sampled case.
+//! sampled case. Ranks are 16 columns wide at `tp = heads`, so every
+//! column window starts inside a panel; the INT8 case quantizes in groups
+//! of 16, so every row range starts on a group.
 
-use dsi_model::fast::PackedModel;
+use dsi_kernels::blocked::PanelWeights;
+use dsi_model::fast::{PackedModel, QuantizedPackedModel};
 use dsi_model::reference::GptModel;
 use dsi_model::GptConfig;
-use dsi_parallel::tp_exec::TpEngine;
+use dsi_parallel::tp_exec::{SharedModel, TpEngine};
 use dsi_sim::shmem::CommConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -30,7 +33,11 @@ fn config(layers: usize, heads: usize) -> GptConfig {
 /// Serve `prompts` (at least two) on one engine — the first two seated in
 /// one pass, the rest each seated beside the residents advancing — then
 /// decode every slot until each stream has `n` tokens.
-fn serve(eng: &mut TpEngine, prompts: &[Vec<usize>], n: usize) -> Vec<Vec<usize>> {
+fn serve<B: PanelWeights + Send + Sync + 'static>(
+    eng: &mut TpEngine<B>,
+    prompts: &[Vec<usize>],
+    n: usize,
+) -> Vec<Vec<usize>> {
     let mut streams: Vec<Vec<usize>> = vec![Vec::new(); prompts.len()];
     let mut out = Vec::new();
     eng.pass(&[(0, &prompts[0]), (1, &prompts[1])], &[], &mut out).unwrap();
@@ -75,6 +82,32 @@ proptest! {
                 prop_assert_eq!(
                     got, &want,
                     "tp={} diverged on {:?} (layers={}, heads={}, seed={})", tp, p, layers, heads, seed
+                );
+            }
+        }
+    }
+
+    /// The same contract over INT8 panels: every legal degree emits the
+    /// greedy tokens of the resident INT8 session.
+    #[test]
+    fn int8_tp_engine_matches_resident_int8(
+        seed in 0u64..10_000,
+        layers in 1usize..4,
+        heads_sel in 0usize..2,
+    ) {
+        let heads = [2usize, 4][heads_sel];
+        let model = Arc::new(GptModel::random(config(layers, heads), seed));
+        let qm = QuantizedPackedModel::quantize_pack(&model, 16);
+        let shared = SharedModel::with_packing(Arc::clone(&model), |m| QuantizedPackedModel::quantize_pack(m, 16));
+        let prompts: Vec<Vec<usize>> = (0..3).map(|i| (0..2 + i).map(|j| (seed as usize + 7 * i + j) % 61).collect()).collect();
+        for tp in [1usize, 2, 4].into_iter().filter(|&tp| heads.is_multiple_of(tp)) {
+            let mut eng = TpEngine::with_model(shared.clone(), tp, CommConfig::default(), 3, 24, 4);
+            let got = serve(&mut eng, &prompts, 8);
+            for (p, got) in prompts.iter().zip(&got) {
+                let want = qm.session(p.len()).generate(p, got.len());
+                prop_assert_eq!(
+                    got, &want,
+                    "int8 tp={} diverged on {:?} (layers={}, heads={}, seed={})", tp, p, layers, heads, seed
                 );
             }
         }

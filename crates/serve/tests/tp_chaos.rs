@@ -15,7 +15,7 @@ use std::time::Duration;
 use dsi_model::fast::PackedModel;
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::tp_exec::TpPackedModel;
+use dsi_parallel::tp_exec::{SharedModel, TpSession};
 use dsi_serve::{ContinuousConfig, EngineMode, Outcome, Request, ServeConfig, ServeReport, Server};
 use dsi_sim::fault::{FaultKind, FaultPlan, FaultSite, FaultSpec};
 use dsi_sim::shmem::CommConfig;
@@ -149,7 +149,7 @@ fn chaos_runs_are_seed_deterministic() {
 /// dead worker; a hang here would trip the CI wall-clock guard.)
 #[test]
 fn drop_after_worker_death_does_not_wedge() {
-    let tpm = Arc::new(TpPackedModel::shard(&model(404), 2));
+    let tpm = SharedModel::pack(model(404));
     let plan = FaultPlan::new(vec![FaultSpec {
         rank: 1,
         site: FaultSite::Layer { token: 0, layer: 0 },
@@ -160,7 +160,7 @@ fn drop_after_worker_death_does_not_wedge() {
         injector: Some(Arc::new(plan.injector())),
         ..CommConfig::default()
     };
-    let mut sess = tpm.session_with(1, 4, 4, cfg);
+    let mut sess = TpSession::new(&tpm, 2, 1, 4, 4, cfg);
     let _ = sess.try_pass(&[(0, &PROMPTS[0])], &[], &mut Vec::new()).expect_err("worker panic must fail the pass");
     drop(sess); // must return promptly (deadline join), not hang
 }

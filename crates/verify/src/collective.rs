@@ -29,9 +29,9 @@ use dsi_model::reference::GptModel;
 use dsi_model::zoo;
 use dsi_parallel::mapping::Mapping3D;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
-use dsi_parallel::TpPackedModel;
+use dsi_parallel::{SharedModel, TpSession};
 use dsi_sim::engine::{Resource, TaskGraph};
-use dsi_sim::shmem::CommOp;
+use dsi_sim::shmem::{CommConfig, CommOp};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -414,7 +414,7 @@ pub fn tp_allreduce_programs(mapping: &Mapping3D, layers: usize, bytes: u64) -> 
 /// diagnostic instead.
 pub fn record_tp_programs(tp: usize) -> Result<Programs, Diagnostic> {
     let model = GptModel::random(zoo::tiny(2), 7);
-    let mut sess = Arc::new(TpPackedModel::shard(&model, tp)).session(2, 8, 4);
+    let mut sess = TpSession::new(&SharedModel::pack(Arc::new(model)), tp, 2, 8, 4, CommConfig::default());
     let mut out = Vec::new();
     let ran = sess
         .try_pass(&[(0, &[1, 2, 3])], &[], &mut out)
