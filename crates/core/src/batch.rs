@@ -593,6 +593,40 @@ mod tests {
         }
     }
 
+    /// The paged engine with every pass split across `.1` members, forced
+    /// through `Engine::pass_split` (the step-level hook) rather than
+    /// decided by the engine from the host's cores, so the row runs on any
+    /// host.
+    struct Split<'p, 'm, B>(PagedEngine<'p, 'm, B>, usize);
+
+    impl<B: PanelWeights> BatchEngine for Split<'_, '_, B> {
+        fn max_slots(&self) -> usize {
+            self.0.max_slots()
+        }
+        fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
+            let mut out = Vec::with_capacity(1);
+            self.pass(&[(slot, prompt)], &[], &mut out).map(|()| out[0])
+        }
+        fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
+            self.pass(&[], slots, out)
+        }
+        fn release(&mut self, slot: usize) {
+            self.0.release(slot);
+        }
+        fn pass(&mut self, seats: &[(usize, &[usize])], advance: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
+            self.0.pass_split(self.1, seats, advance, out).map_err(StepError::into)
+        }
+        fn pages_for(&self, tokens: usize) -> usize {
+            self.0.pages_for(tokens)
+        }
+        fn kv_stats(&self) -> Option<PageStats> {
+            Some(self.0.pool_stats())
+        }
+        fn attached_tokens(&self, slot: usize) -> usize {
+            self.0.attached_tokens(slot)
+        }
+    }
+
     /// The token-identity matrix of the one decode step: every engine, over
     /// every weight source and KV sink, emits the solo `FastSession` stream.
     #[test]
@@ -608,6 +642,16 @@ mod tests {
         let qm = QuantizedPackedModel::quantize_pack(&m, 32);
         let int8_oracle = |p: &[usize], n: usize| qm.session(p.len()).generate(p, n);
         drive_lifecycle(&mut PagedEngine::new(&qm, 3, 32, 4), int8_oracle, 4, "PagedEngine int8");
+
+        // Every pass split across 2 and 4 members (the tiny model's 4
+        // heads): seats, advances and a mixed pass, with member parts of
+        // the 101-token vocabulary that are uneven and start inside a panel.
+        for members in [2, 4] {
+            let label = format!("PagedEngine f32, {members} members");
+            drive_lifecycle(&mut Split(PagedEngine::new(&pm, 3, 32, 3), members), f32_oracle, 3, &label);
+            let label = format!("PagedEngine int8, {members} members");
+            drive_lifecycle(&mut Split(PagedEngine::new(&qm, 3, 32, 4), members), int8_oracle, 4, &label);
+        }
 
         let path = std::env::temp_dir().join("dsi_batch_engine_matrix.bin");
         dsi_model::io::save(&m, &path).expect("save");

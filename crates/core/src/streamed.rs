@@ -329,4 +329,48 @@ mod tests {
         assert_eq!(out, [streams[0][streams[0].len() - 1], pm.session(5).generate(&joiner, 1)[0]]);
         let _ = std::fs::remove_file(path);
     }
+
+    /// A pass over the tier runs on one member even when a split is forced:
+    /// under a one-panel budget and a dead prefetcher, where a second
+    /// member would fetch every layer again, `pass_split(2, ..)` and
+    /// `pass_split(4, ..)` make exactly the fetches of `pass` — the same
+    /// hits, demand reads and evictions — and fail at the same read call.
+    #[test]
+    fn a_pass_over_the_tier_never_splits() {
+        let (m, path) = saved(2, 61, "solo");
+        let panel = OffloadStore::open(&path, OffloadConfig::default()).expect("probe").panel_bytes();
+        let run = |members: usize| {
+            let fault = IoFaultSpec { site: IoFaultSite::Read { call: 7 }, kind: IoFaultKind::CorruptPanel };
+            let cfg = OffloadConfig {
+                resident_budget_bytes: panel,
+                read_retries: 0,
+                faults: Some(Arc::new(IoFaultPlan::new(vec![fault]).injector())),
+                ..OffloadConfig::default()
+            };
+            let store = OffloadStore::open(&path, cfg).expect("open");
+            store.kill_prefetcher();
+            let mut eng = Engine::new(store, 2, 16, 2);
+            let mut pass = |seats: &[(usize, &[usize])], advance: &[usize]| {
+                let mut out = Vec::new();
+                let r = eng.pass_split(members, seats, advance, &mut out).map_err(EngineError::from);
+                (r, out)
+            };
+            let runs = vec![
+                pass(&[(0, &[3, 1, 4]), (1, &[2, 7])], &[]),
+                pass(&[], &[0, 1]),
+                pass(&[], &[0, 1]),
+                pass(&[], &[0, 1]),
+            ];
+            let st = eng.weights().stats();
+            (runs, (st.hits, st.demand_fetches, st.sync_fallbacks, st.evictions, st.bytes_read))
+        };
+        let solo = run(1);
+        assert!(solo.0.iter().any(|(r, _)| r.is_err()), "the armed read fails a pass");
+        for members in [2, 4] {
+            assert_eq!(run(members), solo, "{members} members forced");
+        }
+        let pm = PackedModel::pack(&m);
+        assert_eq!(solo.0[0].1, [pm.session(3).generate(&[3, 1, 4], 1)[0], pm.session(2).generate(&[2, 7], 1)[0]]);
+        let _ = std::fs::remove_file(path);
+    }
 }

@@ -5,9 +5,15 @@
 //! offload tier (`StreamedEngine`; all panels resident, so the tier's own
 //! fetches stay out of the count).
 //!
+//! The paged engine also runs a split pass, forced to two members: the
+//! helper thread its second member runs on must not allocate per pass
+//! either.
+//!
 //! This file holds exactly one test so no concurrently running test shares
 //! the counting allocator; the counter is per thread, so the offload
-//! store's prefetch worker does not pollute it either.
+//! store's prefetch worker does not pollute it either. A second counter
+//! takes every thread's allocations, so what threads other than this one
+//! allocated over a window is the difference of the two.
 
 use dsi_core::batch::BatchEngine;
 use dsi_core::streamed::StreamedEngine;
@@ -18,12 +24,16 @@ use dsi_model::zoo;
 use dsi_zero::offload::{OffloadConfig, OffloadStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
+
+/// Allocations by every thread of the process.
+static ALL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     /// # Safety
@@ -33,6 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // `try_with`: the allocator also runs during thread teardown, after
         // the thread-local is gone.
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarding the exact layout to the system allocator; the
         // caller upholds GlobalAlloc's contract.
         unsafe { System.alloc(layout) }
@@ -80,6 +91,25 @@ fn steady_state_decode_does_not_allocate() {
     // One 32-token page per sequence: the (amortized) growth of a page
     // table is not what this guard is about.
     assert_eq!(steady_state_allocs(&mut PagedEngine::new(&pm, 4, 4, 32), 4), 0, "PagedEngine");
+
+    // A split pass on two members, whatever the host's core count:
+    // the other threads (the pass member, and a harness thread parked on
+    // its test) allocate nothing per pass either.
+    let mut split = PagedEngine::new(&pm, 4, 4, 32);
+    let (slots, mut out) = ([0usize, 1, 2, 3], Vec::with_capacity(4 * 20));
+    for s in slots {
+        split.pass_split(2, &[(s, &[1 + s, 2, 3])], &[], &mut out).expect("seat");
+    }
+    for _ in 0..2 {
+        split.pass_split(2, &[], &slots, &mut out).expect("warm-up pass");
+    }
+    let (mine, all) = (allocs(), ALL_ALLOCS.load(Ordering::Relaxed));
+    for _ in 0..16 {
+        split.pass_split(2, &[], &slots, &mut out).expect("split pass");
+    }
+    let others = ALL_ALLOCS.load(Ordering::Relaxed) - all - (allocs() - mine);
+    assert_eq!(others, 0, "pass member thread");
+    drop(split);
 
     let path = std::env::temp_dir().join("dsi_decode_alloc.bin");
     dsi_model::io::save(&model, &path).expect("save");

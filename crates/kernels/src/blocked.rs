@@ -27,12 +27,13 @@
 //! each output lane's one sequential FMA chain over `k`, so all three
 //! compute the same bits.
 //!
-//! Every kernel writes into a caller-provided output slice, so steady-state
-//! decode can run entirely out of preallocated scratch (see
+//! Every kernel writes into a caller-provided output window ([`OutRows`]),
+//! so steady-state decode can run entirely out of preallocated scratch (see
 //! `dsi-model::fast`). The `matmul_*_into` variants fuse the common
 //! epilogues (bias, bias+GeLU, bias+residual) into the same output pass —
 //! the interior tensor of each Fig. 1(c) region never touches memory twice.
 
+use std::marker::PhantomData;
 use std::ops::Range;
 
 use crate::simd::Tier;
@@ -82,9 +83,89 @@ impl Window {
     }
 }
 
+/// A GEMM's output: `rows` rows of `width` floats, `ldc` apart, by
+/// address. The kernels reach it one row at a time ([`OutRows::row`]), so
+/// no reference they form covers the floats between two rows' windows:
+/// those may belong to another window that another thread writes meanwhile
+/// (each member of a split pass writes its own column window of one
+/// output buffer).
+#[derive(Debug)]
+pub struct OutRows<'a> {
+    ptr: *mut f32,
+    rows: usize,
+    width: usize,
+    ldc: usize,
+    _out: PhantomData<&'a mut [f32]>,
+}
+
+impl<'a> OutRows<'a> {
+    /// Columns `cols` of the first `rows` rows of `out`, rows `ldc` apart.
+    pub fn new(out: &'a mut [f32], rows: usize, ldc: usize, cols: Range<usize>) -> Self {
+        assert!(cols.start <= cols.end && cols.end <= ldc, "gemm: columns {cols:?} outside a {ldc}-wide row");
+        assert!(rows == 0 || (rows - 1) * ldc + cols.end <= out.len(), "gemm: out size mismatch");
+        // SAFETY: every row's window lies inside `out` (asserted), which is
+        // borrowed mutably for `'a`.
+        unsafe { OutRows::from_raw(out.as_mut_ptr().wrapping_add(cols.start), rows, ldc, cols.len()) }
+    }
+
+    /// The window at `ptr`: `rows` rows of `width` floats, `ldc` apart.
+    ///
+    /// # Safety
+    /// `width <= ldc`; for `'a`, each row's `width` floats are valid for
+    /// reads and writes and accessed through this window only.
+    pub unsafe fn from_raw(ptr: *mut f32, rows: usize, ldc: usize, width: usize) -> Self {
+        debug_assert!(width <= ldc);
+        OutRows { ptr, rows, width, ldc, _out: PhantomData }
+    }
+
+    /// Rows in the window.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Floats per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Row `r`'s floats.
+    #[inline]
+    pub fn row(&mut self, r: usize) -> &mut [f32] {
+        assert!(r < self.rows, "gemm: output row {r} of {}", self.rows);
+        // SAFETY: row `r < rows` is `width` floats this window alone
+        // accesses (`from_raw`'s contract), borrowed through `&mut self`.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(r * self.ldc), self.width) }
+    }
+
+    /// Rows `r0..r0 + n` as a window of their own.
+    #[inline]
+    pub fn rows_at(&mut self, r0: usize, n: usize) -> OutRows<'_> {
+        assert!(r0 + n <= self.rows, "gemm: output rows {r0}..{} of {}", r0 + n, self.rows);
+        // SAFETY: a subset of this window's rows, borrowed through `&mut self`.
+        unsafe { OutRows::from_raw(self.ptr.wrapping_add(r0 * self.ldc), n, self.ldc, self.width) }
+    }
+
+    /// Columns `at..at + width` of every row as a window of their own.
+    #[inline]
+    pub fn cols_at(&mut self, at: usize, width: usize) -> OutRows<'_> {
+        assert!(at + width <= self.width, "gemm: output columns {at}..{} of {}", at + width, self.width);
+        // SAFETY: a subset of each row's window, borrowed through `&mut self`.
+        unsafe { OutRows::from_raw(self.ptr.wrapping_add(at), self.rows, self.ldc, width) }
+    }
+
+    /// The window as one slice, when its rows are whole and adjacent
+    /// (`width == ldc`): a dense `[rows, width]` output.
+    pub fn dense(&mut self) -> &mut [f32] {
+        assert_eq!(self.width, self.ldc, "gemm: a windowed output is not dense");
+        // SAFETY: with `width == ldc` the rows tile `rows * width` adjacent
+        // floats, all of them this window's.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.rows * self.width) }
+    }
+}
+
 /// A [`Window`] checked against its operand, as the kernels walk it: the
 /// operand's depth `k` (one panel is `k * PANEL` weights), input rows
-/// `r0..r1`, output columns `c0..c1`, and the output row stride `ldc`.
+/// `r0..r1` and output columns `c0..c1`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Geom {
     pub(crate) k: usize,
@@ -92,13 +173,12 @@ pub(crate) struct Geom {
     pub(crate) r1: usize,
     pub(crate) c0: usize,
     pub(crate) c1: usize,
-    pub(crate) ldc: usize,
 }
 
 impl Geom {
     /// Check `win` against a `[k, n]` operand whose row ranges align to
-    /// `align`, writing output rows `ldc` apart.
-    pub(crate) fn new(k: usize, n: usize, align: usize, win: &Window, ldc: usize) -> Geom {
+    /// `align`.
+    pub(crate) fn new(k: usize, n: usize, align: usize, win: &Window) -> Geom {
         let (rows, cols) = (win.rows.clone(), win.cols.clone());
         assert!(rows.start <= rows.end && rows.end <= k, "gemm: rows {rows:?} outside k = {k}");
         assert!(cols.start <= cols.end && cols.end <= n, "gemm: columns {cols:?} outside n = {n}");
@@ -106,8 +186,7 @@ impl Geom {
             rows.start.is_multiple_of(align) && (rows.end == k || rows.end.is_multiple_of(align)),
             "gemm: rows {rows:?} not aligned to {align}"
         );
-        assert!(ldc >= cols.len(), "gemm: output stride {ldc} below the window's {} columns", cols.len());
-        Geom { k, r0: rows.start, r1: rows.end, c0: cols.start, c1: cols.end, ldc }
+        Geom { k, r0: rows.start, r1: rows.end, c0: cols.start, c1: cols.end }
     }
 
     /// Activation row width.
@@ -118,11 +197,6 @@ impl Geom {
     /// Output columns per row.
     pub(crate) fn nw(&self) -> usize {
         self.c1 - self.c0
-    }
-
-    /// Floats `mr` output rows span.
-    pub(crate) fn out_span(&self, mr: usize) -> usize {
-        mr.checked_sub(1).map_or(0, |r| r * self.ldc + self.nw())
     }
 
     /// The panels holding the window's columns.
@@ -146,18 +220,19 @@ impl Geom {
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{Geom, PANEL};
+    use super::{Geom, OutRows, PANEL};
     use std::arch::x86_64::*;
 
-    /// One GEMV row over a window of panel-packed weights: `out[0..nw] =
-    /// a[0..kw] · B[r0..r1, c0..c1]`.
+    /// One GEMV row over a window of panel-packed weights: `out` row 0 =
+    /// `a[0..kw] · B[r0..r1, c0..c1]`.
     ///
     /// # Safety
     /// Caller must have verified AVX2+FMA support, and `panels` must hold
     /// at least `g.panels_len()` floats in [`super::PackedB`] layout for
     /// depth `g.k` (a [`Geom`] has `r1 <= k`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemv(a: &[f32], panels: &[f32], g: Geom, out: &mut [f32]) {
+    unsafe fn gemv(a: &[f32], panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
+        let out = out.row(0);
         // Contract checks: the SAFETY arguments below all reduce to these
         // (the `PackedB` layout invariant and a checked `Geom`).
         debug_assert_eq!(a.len(), g.kw());
@@ -216,8 +291,8 @@ mod avx {
     }
 
     /// `MR`-row register-blocked GEMM over a window of one panel-packed
-    /// operand: `out[r * ldc..][..nw] = a[r * kw..][..kw] · B[r0..r1,
-    /// c0..c1]` for `r < MR`, with `a` dense.
+    /// operand: `out` row `r` = `a[r * kw..][..kw] · B[r0..r1, c0..c1]`
+    /// for `r < MR`, with `a` dense.
     ///
     /// Each weight panel is streamed from memory **once per column group**
     /// and broadcast across all `MR` activation rows — the CPU execution of
@@ -238,18 +313,18 @@ mod avx {
     ///
     /// # Safety
     /// Caller must have verified AVX2+FMA support; `panels` as for
-    /// [`gemv`]; `a.len() == MR * kw`; `out.len() >= g.out_span(MR)`;
-    /// `PANEL % (8 * NR) == 0`.
+    /// [`gemv`]; `a.len() == MR * kw`; `out` holds `MR` rows of at least
+    /// `nw` floats; `PANEL % (8 * NR) == 0`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_block<const MR: usize, const NR: usize>(
         a: &[f32],
         panels: &[f32],
         g: Geom,
-        out: &mut [f32],
+        out: &mut OutRows<'_>,
     ) {
         let kw = g.kw();
         debug_assert_eq!(a.len(), MR * kw);
-        debug_assert!(out.len() >= g.out_span(MR));
+        debug_assert!(out.rows() == MR && out.width() >= g.nw());
         debug_assert!(g.r1 <= g.k && panels.len() >= g.panels_len());
         debug_assert_eq!(PANEL % (8 * NR), 0);
         for jp in g.panels() {
@@ -286,6 +361,7 @@ mod avx {
                     }
                 }
                 for (r, accr) in acc.iter().enumerate() {
+                    let out = out.row(r);
                     for (t, v) in accr.iter().enumerate() {
                         // This register's lanes `l0..l0 + 8`, cut to the window.
                         let l0 = base + 8 * t;
@@ -293,11 +369,10 @@ mod avx {
                         if s >= e {
                             continue;
                         }
-                        let o = r * g.ldc + at + s - lo;
+                        let o = at + s - lo;
                         if e - s == 8 {
                             // SAFETY: lane `e <= hi` puts output column
-                            // `o + 8 - r * ldc` at most `nw`, and `r < MR`,
-                            // so the store ends within `out_span(MR)`.
+                            // `o + 8` at most `nw <= out.len()`.
                             unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(o), *v) };
                         } else {
                             // Lanes the window cuts: spill the register,
@@ -318,7 +393,7 @@ mod avx {
     ///
     /// # Safety
     /// Same contract as [`gemm_block`] with `MR == mr`.
-    pub unsafe fn gemm_rows(a: &[f32], mr: usize, panels: &[f32], g: Geom, out: &mut [f32]) {
+    pub unsafe fn gemm_rows(a: &[f32], mr: usize, panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
         // SAFETY: forwarded caller contract; each arm fixes MR == mr and an
         // NR that divides PANEL/8, with MR*NR + NR + 1 <= 16 YMM registers
         // (except the deliberately-spilling MR=16 candidate; the AVX-512
@@ -345,7 +420,7 @@ mod avx {
 /// the tier is bitwise equal to the AVX2 kernels and to the scalar oracle.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{Geom, PANEL};
+    use super::{Geom, OutRows, PANEL};
     use std::arch::x86_64::*;
 
     /// The lane mask of the first `lanes <= 16` lanes.
@@ -369,15 +444,15 @@ mod avx512 {
         }
     }
 
-    /// `out[r * ldc..][..nw] = a[r * kw..][..kw] · B[r0..r1, c0..c1]` for
-    /// `r < MR` over [`super::PackedB`] panels, with `a` dense. Per panel,
+    /// `out` row `r` = `a[r * kw..][..kw] · B[r0..r1, c0..c1]` for `r < MR`
+    /// over [`super::PackedB`] panels, with `a` dense. Per panel,
     /// `MR × 2` accumulators, two weight registers and one broadcast: at
     /// most 19 of the 32 zmm registers.
     #[target_feature(enable = "avx512f")]
-    fn gemm_block512<const MR: usize>(a: &[f32], panels: &[f32], g: Geom, out: &mut [f32]) {
+    fn gemm_block512<const MR: usize>(a: &[f32], panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
         let kw = g.kw();
         assert_eq!(a.len(), MR * kw, "gemm512: lhs size mismatch");
-        assert!(out.len() >= g.out_span(MR), "gemm512: out size mismatch");
+        assert!(out.rows() == MR && out.width() >= g.nw(), "gemm512: out size mismatch");
         assert!(
             g.r1 <= g.k && panels.len() >= g.panels_len(),
             "gemm512: panels size mismatch"
@@ -404,7 +479,7 @@ mod avx512 {
             }
             let (lo, hi, at) = g.lanes(jp);
             for (r, &accr) in acc.iter().enumerate() {
-                let o = &mut out[r * g.ldc + at..r * g.ldc + at + hi - lo];
+                let o = &mut out.row(r)[at..at + hi - lo];
                 if lo == 0 {
                     store_row(o, accr);
                 } else {
@@ -427,15 +502,15 @@ mod avx512 {
     /// 8-row blocks, since 32 accumulators would spill. M = 1 is not here:
     /// it stays on the AVX2 GEMV, which measured faster.
     #[target_feature(enable = "avx512f")]
-    pub(super) fn gemm_rows(a: &[f32], mr: usize, panels: &[f32], g: Geom, out: &mut [f32]) {
+    pub(super) fn gemm_rows(a: &[f32], mr: usize, panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
         match mr {
             2 => gemm_block512::<2>(a, panels, g, out),
             4 => gemm_block512::<4>(a, panels, g, out),
             8 => gemm_block512::<8>(a, panels, g, out),
             16 => {
-                let ((a0, a1), (o0, o1)) = (a.split_at(8 * g.kw()), out.split_at_mut(8 * g.ldc));
-                gemm_block512::<8>(a0, panels, g, o0);
-                gemm_block512::<8>(a1, panels, g, o1);
+                let (a0, a1) = a.split_at(8 * g.kw());
+                gemm_block512::<8>(a0, panels, g, &mut out.rows_at(0, 8));
+                gemm_block512::<8>(a1, panels, g, &mut out.rows_at(8, 8));
             }
             _ => unreachable!("unsupported AVX-512 row count {mr}"),
         }
@@ -449,8 +524,9 @@ mod avx512 {
 /// feature, each `mul_add` is a libm `fmaf` call the auto-vectorizer cannot
 /// batch, ≈ 38× slower than a plain mul-then-add loop on x86_64 (DESIGN.md,
 /// "M-row microkernels").
-pub(crate) fn gemv_scalar(a: &[f32], panels: &[f32], g: Geom, out: &mut [f32]) {
+pub(crate) fn gemv_scalar(a: &[f32], panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
     debug_assert_eq!(a.len(), g.kw());
+    let out = out.row(0);
     for jp in g.panels() {
         let panel = &panels[(jp * g.k + g.r0) * PANEL..(jp * g.k + g.r1) * PANEL];
         let mut acc = [0.0f32; PANEL];
@@ -594,7 +670,10 @@ impl<'a> Epilogue<'a> {
 /// block decomposition never changes results — batched decode stays
 /// bit-identical to one-row-at-a-time decode — and neither does a window:
 /// a column is computed alike whichever window holds it.
-pub trait PanelWeights {
+///
+/// Operands are `Send + Sync`: the members of a split pass read one
+/// operand from several threads at once.
+pub trait PanelWeights: Send + Sync {
     /// Input (reduction) dimension.
     fn k(&self) -> usize;
     /// Output dimension.
@@ -608,18 +687,20 @@ pub trait PanelWeights {
     fn row_align(&self) -> usize {
         1
     }
-    /// `out[i * ldc + j] = a[i] · B[win.rows, win.cols.start + j]` for the
-    /// `m` rows `a[i]` of `a` (each `win.rows.len()` wide) and every
-    /// `j < win.cols.len()`, the epilogue fused into the output pass (its
-    /// bias is the window's, its residual laid out like `out`). Nothing
-    /// else of `out` is written. The result is bitwise the matching columns
-    /// of `gemm` over the operand packed from `B[win.rows, ..]`.
-    fn gemm_window(&self, win: &Window, a: &[f32], m: usize, out: &mut [f32], ldc: usize, ep: Epilogue<'_>);
+    /// Row `i` of `out`, column `j` = `a[i] · B[win.rows, win.cols.start +
+    /// j]` for the `out.rows()` rows `a[i]` of `a` (each `win.rows.len()`
+    /// wide) and every `j < win.cols.len() == out.width()`, the epilogue
+    /// fused into the output pass (its bias is the window's, its residual
+    /// laid out like `out`'s rows, `ldc` apart from column 0 of row 0).
+    /// The result is bitwise the matching columns of `gemm` over the
+    /// operand packed from `B[win.rows, ..]`.
+    fn gemm_window(&self, win: &Window, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>);
     /// `out[m, n] = a[m, k] · B`, epilogue fused into the output pass: the
     /// whole operand's [`PanelWeights::gemm_window`].
     fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], ep: Epilogue<'_>) {
         assert_eq!(out.len(), m * self.n(), "gemm: out size mismatch");
-        self.gemm_window(&Window::full(self), a, m, out, self.n(), ep);
+        let n = self.n();
+        self.gemm_window(&Window::full(self), a, OutRows::new(out, m, n, 0..n), ep);
     }
 }
 
@@ -634,11 +715,11 @@ pub fn gelu_scalar(u: f32) -> f32 {
 /// they are still hot in L1 — one extra register pass, no second GEMM-sized
 /// traversal.
 #[inline]
-pub(crate) fn apply_epilogue_rows(out: &mut [f32], g: &Geom, r0: usize, mr: usize, ep: Epilogue<'_>) {
-    let nw = g.nw();
+pub(crate) fn apply_epilogue_rows(out: &mut OutRows<'_>, r0: usize, mr: usize, ep: Epilogue<'_>) {
+    let (nw, ldc) = (out.width, out.ldc);
     for i in r0..r0 + mr {
-        let row = i * g.ldc..i * g.ldc + nw;
-        let orow = &mut out[row.clone()];
+        let row = i * ldc..i * ldc + nw;
+        let orow = out.row(i);
         match ep {
             Epilogue::None => {}
             Epilogue::Bias(bias) => {
@@ -667,17 +748,15 @@ pub(crate) fn gemm_f32_with(
     b: &PackedB,
     win: &Window,
     a: &[f32],
-    m: usize,
-    out: &mut [f32],
-    ldc: usize,
+    mut out: OutRows<'_>,
     ep: Epilogue<'_>,
     tier: Tier,
     force_mr: Option<usize>,
 ) {
-    let g = Geom::new(b.k, b.n, 1, win, ldc);
-    let kw = g.kw();
+    let g = Geom::new(b.k, b.n, 1, win);
+    let (kw, m) = (g.kw(), out.rows());
     assert_eq!(a.len(), m * kw, "gemm: lhs size mismatch");
-    assert!(out.len() >= g.out_span(m), "gemm: out size mismatch");
+    assert_eq!(out.width(), g.nw(), "gemm: out width mismatch");
     assert!(
         tier <= Tier::host(),
         "gemm: {tier:?} kernels on a {:?} host",
@@ -692,7 +771,7 @@ pub(crate) fn gemm_f32_with(
             (_, None) => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::F32),
         };
         let ablk = &a[r * kw..(r + mr) * kw];
-        let oblk = &mut out[r * ldc..r * ldc + g.out_span(mr)];
+        let oblk = &mut out.rows_at(r, mr);
         match tier {
             Tier::Scalar => gemv_scalar(ablk, &b.data, g, oblk),
             #[cfg(target_arch = "x86_64")]
@@ -709,7 +788,7 @@ pub(crate) fn gemm_f32_with(
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("SIMD tiers are detected on x86_64 only"),
         }
-        apply_epilogue_rows(out, &g, r, mr, ep);
+        apply_epilogue_rows(&mut out, r, mr, ep);
         r += mr;
     }
 }
@@ -724,8 +803,8 @@ impl PanelWeights for PackedB {
     fn storage_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
-    fn gemm_window(&self, win: &Window, a: &[f32], m: usize, out: &mut [f32], ldc: usize, ep: Epilogue<'_>) {
-        gemm_f32_with(self, win, a, m, out, ldc, ep, Tier::host(), None);
+    fn gemm_window(&self, win: &Window, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>) {
+        gemm_f32_with(self, win, a, out, ep, Tier::host(), None);
     }
 }
 
@@ -823,8 +902,9 @@ mod tests {
         matmul_into(a.data(), 2, &pb, &mut got);
         let mut want = vec![0.0f32; 2 * 77];
         for i in 0..2 {
-            let g = Geom::new(48, 77, 1, &Window::full(&pb), 77);
-            gemv_scalar(&a.data()[i * 48..(i + 1) * 48], &pb.data, g, &mut want[i * 77..(i + 1) * 77]);
+            let g = Geom::new(48, 77, 1, &Window::full(&pb));
+            let out = OutRows::new(&mut want[i * 77..(i + 1) * 77], 1, 77, 0..77);
+            gemv_scalar(&a.data()[i * 48..(i + 1) * 48], &pb.data, g, &mut { out });
         }
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits(), "{g} vs {w}");

@@ -1,4 +1,5 @@
-//! Shape-adversarial differential harness for the packed GEMM kernels.
+//! Shape-adversarial differential harness for the packed GEMM kernels and
+//! the column-windowed paged attention entry.
 //!
 //! Every executed path over [`PackedB`] and [`QuantizedPackedB`] — on each
 //! kernel tier the host has (scalar, AVX2, AVX-512), each forced
@@ -17,6 +18,15 @@
 //! of the full GEMM over the operand packed from its rows, which is what a
 //! tensor-parallel rank's shard packed on its own computes.
 //!
+//! The windowed paged attention entry a pass member runs over its heads is
+//! held bitwise to a scalar oracle of the kernel it dispatches to — the
+//! portable recurrence, or the SIMD kernel modelled operation by operation
+//! (lane-order dot products and sums, the vector `exp`) — computed per head
+//! from the head's own contiguous rows (see its test for the corpus). Miri and AddressSanitizer are not
+//! installed on the runner this harness was built on, so the raw-pointer
+//! kernels are checked by these differentials and their `debug_assert`
+//! bounds contracts in debug builds, not under either tool.
+//!
 //! The harness compares kernel against oracle and pins no output, so a
 //! declared numerics change that moves a kernel and its oracle together
 //! keeps it green. Each output slice is followed by a guard region the
@@ -25,7 +35,7 @@
 use std::ops::Range;
 
 use crate::blocked::{
-    gemm_f32_with, matmul_bias_add_into, matmul_into, Epilogue, PackedB, PanelWeights, Window,
+    gemm_f32_with, matmul_bias_add_into, matmul_into, Epilogue, OutRows, PackedB, PanelWeights, Window,
 };
 use crate::fused::bias_residual_inplace;
 use crate::dispatch::MR_CANDIDATES;
@@ -207,7 +217,7 @@ fn f32_paths_match_the_fma_oracle_bitwise() {
             n,
             &matmul_f32_oracle(&x, &w),
             |a, m, out, tier, force| {
-                gemm_f32_with(&pb, &Window::full(&pb), a, m, out, n, Epilogue::None, tier, force)
+                gemm_f32_with(&pb, &Window::full(&pb), a, OutRows::new(out, m, n, 0..n), Epilogue::None, tier, force)
             },
         );
     }
@@ -230,11 +240,11 @@ fn avx512_eight_row_block_matches_eight_avx2_rows_bitwise() {
         let a = &x.data()[..8 * k];
         let mut want = vec![SENTINEL; 8 * n + GUARD];
         for (arow, orow) in a.chunks_exact(k).zip(want.chunks_exact_mut(n)) {
-            gemm_f32_with(&pb, &full, arow, 1, orow, n, Epilogue::None, Tier::Avx2, Some(1));
+            gemm_f32_with(&pb, &full, arow, OutRows::new(orow, 1, n, 0..n), Epilogue::None, Tier::Avx2, Some(1));
         }
         let mut got = vec![SENTINEL; 8 * n + GUARD];
         let got_out = &mut got[..8 * n];
-        gemm_f32_with(&pb, &full, a, 8, got_out, n, Epilogue::None, Tier::Avx512, Some(8));
+        gemm_f32_with(&pb, &full, a, OutRows::new(got_out, 8, n, 0..n), Epilogue::None, Tier::Avx512, Some(8));
         assert_same(&got, &want[..8 * n], &format!("avx512 vs avx2 k={k} n={n}"));
     }
 }
@@ -254,7 +264,7 @@ fn int8_paths_match_matmul_quantized_bitwise() {
             n,
             matmul_quantized(&x, &wq).data(),
             |a, m, out, tier, force| {
-                gemm_int8_with(&qb, &Window::full(&qb), a, m, out, n, Epilogue::None, tier, force)
+                gemm_int8_with(&qb, &Window::full(&qb), a, OutRows::new(out, m, n, 0..n), Epilogue::None, tier, force)
             },
         );
     }
@@ -357,7 +367,7 @@ fn f32_windows_match_the_oracle_and_the_full_gemm_bitwise() {
                 nw,
                 [&oracle, &columns(&full, n, &win.cols)],
                 |a, m, out, ldc, tier, force| {
-                    gemm_f32_with(&pb, &win, a, m, out, ldc, Epilogue::None, tier, force)
+                    gemm_f32_with(&pb, &win, a, OutRows::new(out, m, ldc, 0..nw), Epilogue::None, tier, force)
                 },
             );
         }
@@ -386,7 +396,7 @@ fn int8_windows_match_the_oracle_and_the_full_gemm_bitwise() {
                 nw,
                 [oracle.data(), &columns(&full, n, &win.cols)],
                 |a, m, out, ldc, tier, force| {
-                    gemm_int8_with(&qb, &win, a, m, out, ldc, Epilogue::None, tier, force)
+                    gemm_int8_with(&qb, &win, a, OutRows::new(out, m, ldc, 0..nw), Epilogue::None, tier, force)
                 },
             );
         }
@@ -400,7 +410,7 @@ fn int8_windows_match_the_oracle_and_the_full_gemm_bitwise() {
 fn int8_window_off_a_group_is_refused() {
     let qb = QuantizedPackedB::quantize_pack(&weights(64, 40, 1), 32);
     let win = Window { rows: 16..64, cols: 0..40 };
-    qb.gemm_window(&win, &[0.0; 48], 1, &mut [0.0; 40], 40, Epilogue::None);
+    qb.gemm_window(&win, &[0.0; 48], OutRows::new(&mut [0.0; 40], 1, 40, 0..40), Epilogue::None);
 }
 
 /// A tensor-parallel rank finishes W_o/FF2 as `matmul_into`, an all-reduce
@@ -432,6 +442,166 @@ fn unfused_bias_residual_matches_the_fused_epilogue_bitwise() {
         for group in [7, 64] {
             let qb = QuantizedPackedB::from_matrix(&QuantizedMatrix::quantize(&w, group));
             check(&format!("int8 k={k} n={n} group={group}"), &qb, &x, bias.data(), &res);
+        }
+    }
+}
+
+/// Scalar model of the SIMD `exp` (`simd::avx::exp_ps`), lane by lane:
+/// the same clamp (NaN kept), round-half-even, two-step reduction and
+/// fused polynomial, and `2^n` built in the exponent field.
+fn exp_ps_oracle(x: f32) -> f32 {
+    let x = if 88.376_26 < x { 88.376_26 } else { x };
+    let x = if -88.376_26 > x { -88.376_26 } else { x };
+    let n = (x * std::f32::consts::LOG2_E).round_ties_even();
+    let r = (-n).mul_add(0.693_359_4, x);
+    let r = (-n).mul_add(-2.121_944_4e-4, r);
+    let p = [1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_5e-1, 0.5]
+        .iter()
+        .fold(1.987_569_1e-4f32, |p, &c| p.mul_add(r, c));
+    let y = p.mul_add(r * r, r) + 1.0;
+    y * f32::from_bits(((n as i32 + 127) << 23) as u32)
+}
+
+/// The SIMD horizontal sum's order over eight lanes.
+fn hsum_oracle(v: &[f32; 8]) -> f32 {
+    ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]))
+}
+
+/// Scalar oracle of one (query, head) online-softmax pass over `keys` and
+/// `values` (one `d`-wide row per context position): the portable kernel's
+/// recurrence, or — `simd`, as the kernel dispatches for `d % 8 == 0` on an
+/// AVX2 host — the SIMD kernel's, modelled operation by operation: 8-lane
+/// FMA dot products reduced in its lane order, one rescale per 8-key block,
+/// `exp_ps` on the block's weights, FMA accumulation, and the portable
+/// recurrence on the last `< 8` keys.
+fn head_attention_oracle(q: &[f32], keys: &[&[f32]], values: &[&[f32]], simd: bool) -> Vec<f32> {
+    let d = q.len();
+    let scale = 1.0 / (d as f32).sqrt();
+    let mut acc = vec![0.0f32; d];
+    let (mut m_run, mut sum) = (f32::NEG_INFINITY, 0.0f32);
+    let mut j = 0;
+    while simd && j + 8 <= keys.len() {
+        let score = |k: &[f32]| {
+            let mut lanes = [0.0f32; 8];
+            for t in (0..d).step_by(8) {
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    *lane = q[t + l].mul_add(k[t + l], *lane);
+                }
+            }
+            hsum_oracle(&lanes) * scale
+        };
+        let s: Vec<f32> = keys[j..j + 8].iter().map(|k| score(k)).collect();
+        let bm = s.iter().fold(m_run, |bm, &sc| if sc > bm { sc } else { bm });
+        if bm > m_run {
+            let corr = (m_run - bm).exp();
+            sum *= corr;
+            acc.iter_mut().for_each(|a| *a *= corr);
+            m_run = bm;
+        }
+        let w: [f32; 8] = std::array::from_fn(|l| exp_ps_oracle(s[l] - m_run));
+        sum += hsum_oracle(&w);
+        for (l, &wl) in w.iter().enumerate() {
+            for (a, &v) in acc.iter_mut().zip(values[j + l]) {
+                *a = wl.mul_add(v, *a);
+            }
+        }
+        j += 8;
+    }
+    for (k, v) in keys[j..].iter().zip(&values[j..]) {
+        let s = crate::blocked::dot(q, k) * scale;
+        if s > m_run {
+            let corr = (m_run - s).exp();
+            sum *= corr;
+            acc.iter_mut().for_each(|a| *a *= corr);
+            m_run = s;
+        }
+        let w = (s - m_run).exp();
+        sum += w;
+        for (a, &vv) in acc.iter_mut().zip(*v) {
+            *a += w * vv;
+        }
+    }
+    let inv = 1.0 / sum;
+    acc.iter_mut().for_each(|a| *a *= inv);
+    acc
+}
+
+/// The column-windowed paged attention entry
+/// (`fused::attention_heads_paged_into`) — the one a member of a split pass
+/// runs over the heads it owns, reading K/V at the full arena row stride
+/// through a page table — held bitwise to the scalar oracle of the kernel
+/// it dispatches to ([`head_attention_oracle`]), computed per head from
+/// that head's own contiguous `[ctx, head_dim]` rows (no page table, no
+/// stride). Head dims 4 (the portable kernel) and 8 and 16 (the SIMD kernel
+/// where the host has AVX2+FMA). Page sizes 3 and 5 put page boundaries
+/// inside the SIMD kernel's 8-key blocks, contexts run
+/// `1..=page_tokens + 1` (and 17, past two blocks), and the head range is
+/// every part of every member count that divides the heads. The arena's
+/// columns outside the range and its unused rows hold NaN, so a read
+/// outside the window shows; queries carry NaN, ±Inf and denormals (NaN
+/// compared by NaN-ness).
+#[test]
+fn windowed_paged_attention_matches_the_scalar_oracle_bitwise() {
+    use crate::fused::{attention_heads_paged_into, KvArenas, PageTable};
+    #[cfg(target_arch = "x86_64")]
+    let simd_host = crate::simd::avx2_fma();
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd_host = false;
+    let queries = |width: usize, seed: u64| -> Vec<Vec<f32>> {
+        let clean = Tensor::randn(&[1, width], 1.0, seed).data().to_vec();
+        let with = |at: usize, v: f32| {
+            let mut q = clean.clone();
+            q[at % width] = v;
+            q
+        };
+        let denormal = clean.iter().enumerate().map(|(i, &v)| if i % 3 == 0 { f32::from_bits(1 + i as u32) } else { v }).collect();
+        vec![clean.clone(), with(1, f32::NAN), with(2, f32::INFINITY), with(0, f32::NEG_INFINITY), denormal]
+    };
+    for (heads, d) in [(4usize, 4usize), (4, 8), (6, 8), (8, 16)] {
+        let h = heads * d;
+        for pt in [1usize, 3, 5, 8] {
+            for ctx in (1..=pt + 1).chain([17]) {
+                let seed = (heads * 1000 + d * 100 + pt * 10 + ctx) as u64;
+                let (k, v) = (Tensor::randn(&[ctx, h], 1.0, seed), Tensor::randn(&[ctx, h], 1.0, seed + 1));
+                // Pages in reverse order with a gap: scattered on purpose.
+                let n_pages = ctx.div_ceil(pt);
+                let arena_pages = n_pages + 2;
+                let pages: Vec<u32> = (0..n_pages).map(|p| (arena_pages - 1 - p) as u32).collect();
+                for members in (1..=heads).filter(|n| heads.is_multiple_of(*n)) {
+                    for t in 0..members {
+                        let range = t * heads / members..(t + 1) * heads / members;
+                        let cols = range.start * d..range.end * d;
+                        let scatter = |src: &Tensor| {
+                            let mut arena = vec![f32::NAN; arena_pages * pt * h];
+                            for j in 0..ctx {
+                                let r = pages[j / pt] as usize * pt + j % pt;
+                                arena[r * h + cols.start..r * h + cols.end].copy_from_slice(&src.row(j)[cols.clone()]);
+                            }
+                            arena
+                        };
+                        let (ka, va) = (scatter(&k), scatter(&v));
+                        let table = PageTable { pages: &pages, page_tokens: pt, len: ctx, offset: ctx - 1 };
+                        for (qi, q) in queries(cols.len(), seed + 7).into_iter().enumerate() {
+                            let mut got = vec![SENTINEL; cols.len() + GUARD];
+                            let kv = KvArenas::new(&ka, &va);
+                            attention_heads_paged_into(&q, kv, &table, h, d, range.clone(), &mut got[..cols.len()]);
+                            let mut want = Vec::with_capacity(cols.len());
+                            for (i, hd) in range.clone().enumerate() {
+                                let head = |src: &Tensor| -> Vec<Vec<f32>> {
+                                    (0..ctx).map(|j| src.row(j)[hd * d..(hd + 1) * d].to_vec()).collect()
+                                };
+                                let (kh, vh) = (head(&k), head(&v));
+                                let (kr, vr): (Vec<&[f32]>, Vec<&[f32]>) =
+                                    (kh.iter().map(Vec::as_slice).collect(), vh.iter().map(Vec::as_slice).collect());
+                                let simd = simd_host && d.is_multiple_of(8);
+                                want.extend(head_attention_oracle(&q[i * d..(i + 1) * d], &kr, &vr, simd));
+                            }
+                            let what = format!("heads {heads}×{d} pt {pt} ctx {ctx} member {t}/{members} query {qi}");
+                            assert_same(&got, &want, &what);
+                        }
+                    }
+                }
+            }
         }
     }
 }

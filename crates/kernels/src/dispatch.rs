@@ -154,9 +154,7 @@ fn calibrate() -> DispatchTable {
                                     &pb,
                                     &Window::full(&pb),
                                     &a[..m * k],
-                                    m,
-                                    &mut out[..m * n],
-                                    n,
+                                    crate::blocked::OutRows::new(&mut out[..m * n], m, n, 0..n),
                                     Epilogue::None,
                                     tier,
                                     Some(cand),
@@ -170,9 +168,7 @@ fn calibrate() -> DispatchTable {
                                     &qb,
                                     &Window::full(&qb),
                                     &a[..m * k],
-                                    m,
-                                    &mut out[..m * n],
-                                    n,
+                                    crate::blocked::OutRows::new(&mut out[..m * n], m, n, 0..n),
                                     Epilogue::None,
                                     tier,
                                     Some(cand),

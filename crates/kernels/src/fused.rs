@@ -11,7 +11,8 @@
 //!   normalized row never becomes a tensor, it lives in a scratch row reused
 //!   across rows and tokens.
 //! * region 2 — [`attention_row_into`] (or [`attention_row_paged_into`]
-//!   through a page table), one launch per query row: score → softmax →
+//!   through a page table, or [`attention_heads_paged_into`] over a range
+//!   of its heads), one launch per query row: score → softmax →
 //!   weighted-sum in one streaming pass over the keys (online softmax), with
 //!   **no scores buffer** of any size — the running max/sum rescale trick
 //!   keeps state in three registers plus the output accumulator.
@@ -22,6 +23,9 @@
 //!
 //! All kernels write into caller scratch, so a steady-state decode step
 //! performs zero heap allocations (see `dsi-model::fast`).
+
+use std::marker::PhantomData;
+use std::ops::Range;
 
 use crate::blocked::{dot, matmul_bias_gelu_into, matmul_bias_into, PanelWeights};
 use crate::tensor::Tensor;
@@ -166,32 +170,112 @@ pub fn attention_row_paged_into(
     out: &mut [f32],
 ) {
     let h = q.len();
-    let pt = kv.page_tokens;
+    assert_eq!(h % n_heads, 0, "heads must divide hidden");
+    let table = PageTable { pages: kv.pages, page_tokens: kv.page_tokens, len: kv.len, offset: kv.offset };
+    attention_heads_paged_into(q, KvArenas::new(kv.k, kv.v), &table, h, h / n_heads, 0..n_heads, out);
+}
+
+/// The K and V arenas an attention call reads, by address: `len` floats
+/// each. The kernels form references only to the head columns of one row
+/// they read (`head_dim` floats at a time), never to a whole row or arena,
+/// so other threads may write other columns of the same rows meanwhile —
+/// the members of a split pass each attend over their own heads while the
+/// others write theirs.
+#[derive(Clone, Copy)]
+pub struct KvArenas<'a> {
+    k: *const f32,
+    v: *const f32,
+    len: usize,
+    _arenas: PhantomData<&'a [f32]>,
+}
+
+impl<'a> KvArenas<'a> {
+    /// Both arenas, borrowed whole.
+    pub fn new(k: &'a [f32], v: &'a [f32]) -> Self {
+        // SAFETY: borrowed for `'a`, so nothing writes them meanwhile.
+        unsafe { KvArenas::from_raw(k.as_ptr(), v.as_ptr(), k.len().min(v.len())) }
+    }
+
+    /// The arenas at `k` and `v`, `len` floats each.
+    ///
+    /// # Safety
+    /// For `'a`, both address `len` floats valid for reads, and no float an
+    /// attention call over them reads — its heads' columns of the rows its
+    /// table maps — is written.
+    pub unsafe fn from_raw(k: *const f32, v: *const f32, len: usize) -> Self {
+        KvArenas { k, v, len, _arenas: PhantomData }
+    }
+
+    /// `d` floats of the K arena from `at`.
+    #[inline]
+    fn key(&self, at: usize, d: usize) -> &'a [f32] {
+        assert!(at + d <= self.len, "attention: key {at}..{} past the arena", at + d);
+        // SAFETY: in bounds (asserted), and not written for `'a` (`from_raw`).
+        unsafe { std::slice::from_raw_parts(self.k.add(at), d) }
+    }
+
+    /// `d` floats of the V arena from `at`.
+    #[inline]
+    fn value(&self, at: usize, d: usize) -> &'a [f32] {
+        assert!(at + d <= self.len, "attention: value {at}..{} past the arena", at + d);
+        // SAFETY: as in `key`.
+        unsafe { std::slice::from_raw_parts(self.v.add(at), d) }
+    }
+}
+
+/// One sequence's page table as attention reads it: the fields of a
+/// [`PagedKvView`] but its arenas.
+pub struct PageTable<'a> {
+    /// This sequence's page table, in position order.
+    pub pages: &'a [u32],
+    /// Tokens per page.
+    pub page_tokens: usize,
+    /// Context rows written through the table so far.
+    pub len: usize,
+    /// The query's position: it attends to keys `0..=offset`.
+    pub offset: usize,
+}
+
+/// [`attention_row_paged_into`] over the heads `heads` of `head_dim`
+/// columns each, alone: the K/V arena rows are `row_width` wide (every
+/// head) and are read at that stride, while `q` and `out` hold only the
+/// range's `heads.len() * head_dim` columns. Each head runs the code it
+/// runs in a whole-row call, so the output is bitwise those heads' columns
+/// of [`attention_row_paged_into`] — the entry a pass member uses for the
+/// heads it owns.
+pub fn attention_heads_paged_into(
+    q: &[f32],
+    kv: KvArenas<'_>,
+    table: &PageTable<'_>,
+    row_width: usize,
+    head_dim: usize,
+    heads: Range<usize>,
+    out: &mut [f32],
+) {
+    let pt = table.page_tokens;
     assert!(pt > 0, "paged attention: zero page_tokens");
-    let visible = (kv.offset + 1).min(kv.len);
+    assert!(head_dim > 0 && heads.end * head_dim <= row_width, "paged attention: heads {heads:?} outside the row");
+    let visible = (table.offset + 1).min(table.len);
     let pages_needed = visible.div_ceil(pt);
     assert!(
-        pages_needed <= kv.pages.len(),
+        pages_needed <= table.pages.len(),
         "paged attention: page table too short ({} pages for {visible} tokens)",
-        kv.pages.len()
+        table.pages.len()
     );
     // Every page the pass will touch must map inside both arenas — this is
     // the bounds contract the AVX kernel's raw pointer arithmetic relies on.
-    for &p in &kv.pages[..pages_needed] {
-        let end = (p as usize + 1) * pt * h;
-        assert!(
-            end <= kv.k.len() && end <= kv.v.len(),
-            "paged attention: page {p} out of arena bounds"
-        );
+    for &p in &table.pages[..pages_needed] {
+        let end = (p as usize + 1) * pt * row_width;
+        assert!(end <= kv.len, "paged attention: page {p} out of arena bounds");
     }
-    attention_row_core_indexed(
+    attention_heads_indexed(
         q,
-        kv.k,
-        kv.v,
-        h,
-        n_heads,
+        kv,
+        row_width,
+        head_dim,
+        heads,
         visible,
-        PagedRows { pages: kv.pages, page_tokens: pt },
+        PagedRows { pages: table.pages, page_tokens: pt },
         out,
     );
 }
@@ -243,41 +327,45 @@ fn attention_row_core(
     assert_eq!(v.rows(), t_ctx);
     assert_eq!(v.cols(), h);
     assert!(visible <= t_ctx, "attention: visible exceeds cache");
-    attention_row_core_indexed(qrow, k.data(), v.data(), h, n_heads, visible, ContigRows, out);
+    assert_eq!(h % n_heads, 0, "heads must divide hidden");
+    let kv = KvArenas::new(k.data(), v.data());
+    attention_heads_indexed(qrow, kv, h, h / n_heads, 0..n_heads, visible, ContigRows, out);
 }
 
-/// [`attention_row_core`] over arbitrary K/V row placement: logical context
-/// index `j` reads arena row `idx.row(j)`. The caller must guarantee
-/// `(idx.row(j) + 1) * h <= kd.len(), vd.len()` for every `j < visible`.
+/// Heads `heads` (`d` columns each) of one query row over arbitrary K/V
+/// row placement: logical context index `j` reads arena row `idx.row(j)`,
+/// rows `stride` floats apart; `qrow` and `out` hold the heads' columns
+/// only. The caller must guarantee `(idx.row(j) + 1) * stride <= kv.len`
+/// for every `j < visible`.
 #[allow(clippy::too_many_arguments)]
-fn attention_row_core_indexed<I: RowIndex>(
+fn attention_heads_indexed<I: RowIndex>(
     qrow: &[f32],
-    kd: &[f32],
-    vd: &[f32],
-    h: usize,
-    n_heads: usize,
+    kv: KvArenas<'_>,
+    stride: usize,
+    d: usize,
+    heads: Range<usize>,
     visible: usize,
     idx: I,
     out: &mut [f32],
 ) {
-    assert_eq!(qrow.len(), h, "attention: q row size mismatch");
-    assert_eq!(out.len(), h, "attention: out row size mismatch");
-    assert_eq!(h % n_heads, 0, "heads must divide hidden");
-    let d = h / n_heads;
+    let width = heads.len() * d;
+    assert_eq!(qrow.len(), width, "attention: q row size mismatch");
+    assert_eq!(out.len(), width, "attention: out row size mismatch");
+    assert!(heads.end * d <= stride, "attention: heads outside the row");
     let scale = 1.0 / (d as f32).sqrt();
-    for hd in 0..n_heads {
+    for (i, hd) in heads.enumerate() {
         let lo = hd * d;
-        let qi = &qrow[lo..lo + d];
-        let acc = &mut out[lo..lo + d];
+        let qi = &qrow[i * d..(i + 1) * d];
+        let acc = &mut out[i * d..(i + 1) * d];
         #[cfg(target_arch = "x86_64")]
         if d.is_multiple_of(8) && crate::simd::avx2_fma() {
             // SAFETY: feature support checked; `d` divides 8; the pointer
-            // arithmetic stays inside `kd`/`vd` because the caller bounds
-            // every `idx.row(j)` row inside both arenas and `lo + d <= h`.
-            unsafe { attn_avx::head_attention(qi, kd, vd, h, lo, visible, scale, idx, acc) };
+            // arithmetic stays inside both arenas because the caller bounds
+            // every `idx.row(j)` row inside them and `lo + d <= stride`.
+            unsafe { attn_avx::head_attention(qi, kv, stride, lo, visible, scale, idx, acc) };
             continue;
         }
-        head_attention_scalar(qi, kd, vd, h, lo, visible, scale, idx, acc);
+        head_attention_scalar(qi, kv, stride, lo, visible, scale, idx, acc);
     }
 }
 
@@ -285,8 +373,7 @@ fn attention_row_core_indexed<I: RowIndex>(
 #[allow(clippy::too_many_arguments)]
 fn head_attention_scalar<I: RowIndex>(
     qi: &[f32],
-    kd: &[f32],
-    vd: &[f32],
+    kv: KvArenas<'_>,
     h: usize,
     lo: usize,
     visible: usize,
@@ -300,7 +387,7 @@ fn head_attention_scalar<I: RowIndex>(
     let mut sum = 0.0f32;
     for j in 0..visible {
         let r = idx.row(j);
-        let kj = &kd[r * h + lo..r * h + lo + d];
+        let kj = kv.key(r * h + lo, d);
         let s = dot(qi, kj) * scale;
         if s > m_run {
             // Rescale history to the new max. First iteration:
@@ -314,7 +401,7 @@ fn head_attention_scalar<I: RowIndex>(
         }
         let w = (s - m_run).exp();
         sum += w;
-        let vj = &vd[r * h + lo..r * h + lo + d];
+        let vj = kv.value(r * h + lo, d);
         for (a, &vv) in acc.iter_mut().zip(vj) {
             *a += w * vv;
         }
@@ -327,7 +414,7 @@ fn head_attention_scalar<I: RowIndex>(
 
 #[cfg(target_arch = "x86_64")]
 mod attn_avx {
-    use super::RowIndex;
+    use super::{KvArenas, RowIndex};
     use crate::simd::avx::exp_ps;
     use std::arch::x86_64::*;
 
@@ -354,15 +441,14 @@ mod attn_avx {
     /// changes nothing but the load addresses. Requires `d % 8 == 0`.
     ///
     /// # Safety
-    /// Requires AVX2+FMA; `kd`/`vd` must hold `h`-column rows with
-    /// `(idx.row(j) + 1) * h <= kd.len(), vd.len()` for every
-    /// `j < visible`, `lo + d <= h`, `d == qi.len() == acc.len()`.
+    /// Requires AVX2+FMA; `kv` must hold `h`-column rows with
+    /// `(idx.row(j) + 1) * h <= kv.len` for every `j < visible`,
+    /// `lo + d <= h`, `d == qi.len() == acc.len()`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn head_attention<I: RowIndex>(
         qi: &[f32],
-        kd: &[f32],
-        vd: &[f32],
+        kv: KvArenas<'_>,
         h: usize,
         lo: usize,
         visible: usize,
@@ -376,7 +462,7 @@ mod attn_avx {
         debug_assert_eq!(acc.len(), d);
         debug_assert!(lo + d <= h, "head slice must fit inside the hidden dim");
         debug_assert!(
-            (0..visible).all(|j| (idx.row(j) + 1) * h <= kd.len().min(vd.len())),
+            (0..visible).all(|j| (idx.row(j) + 1) * h <= kv.len),
             "indexed rows exceed K/V data"
         );
         acc.fill(0.0);
@@ -387,12 +473,12 @@ mod attn_avx {
         let mut j = 0;
         while j + 8 <= visible {
             for (jr, sb) in sbuf.iter_mut().enumerate() {
-                // SAFETY: `j + jr < visible`, the caller's row bound
-                // `(idx.row(j) + 1) * h <= kd.len()` and `lo + d <= h` keep
-                // `kj.add(t)` (t < d, 8-aligned strides) inside `kd`; `t + 8
-                // <= d == qi.len()` bounds the q loads; AVX2+FMA per this fn.
+                // SAFETY: `j + jr < visible`, the row bound `(idx.row(j) +
+                // 1) * h <= kv.len` and `lo + d <= h` keep `kj.add(t)` (t <
+                // d, 8-aligned) inside the K arena, in this head's columns;
+                // `t + 8 <= d == qi.len()` bounds the q loads; AVX2+FMA.
                 unsafe {
-                    let kj = kd.as_ptr().add(idx.row(j + jr) * h + lo);
+                    let kj = kv.k.add(idx.row(j + jr) * h + lo);
                     let mut dv = _mm256_setzero_ps();
                     let mut t = 0;
                     while t < d {
@@ -445,11 +531,11 @@ mod attn_avx {
             for (jr, &wv) in wbuf.iter().enumerate() {
                 let wv = _mm256_set1_ps(wv);
                 // SAFETY: same bounds as the K pass — `j + jr < visible`,
-                // the caller's row bound on `vd`, `lo + d <= h` keep the V
-                // loads in bounds; `t + 8 <= d == acc.len()` bounds the
+                // the caller's row bound, `lo + d <= h` keep the V loads in
+                // the V arena; `t + 8 <= d == acc.len()` bounds the
                 // accumulator update.
                 unsafe {
-                    let vj = vd.as_ptr().add(idx.row(j + jr) * h + lo);
+                    let vj = kv.v.add(idx.row(j + jr) * h + lo);
                     let mut t = 0;
                     while t < d {
                         let p = acc.as_mut_ptr().add(t);
@@ -466,7 +552,7 @@ mod attn_avx {
         // Scalar tail: fewer than 8 keys left.
         for jj in j..visible {
             let r = idx.row(jj);
-            let kj = &kd[r * h + lo..r * h + lo + d];
+            let kj = kv.key(r * h + lo, d);
             let s = crate::blocked::dot(qi, kj) * scale;
             if s > m_run {
                 let corr = (m_run - s).exp();
@@ -478,7 +564,7 @@ mod attn_avx {
             }
             let w = (s - m_run).exp();
             sum += w;
-            let vj = &vd[r * h + lo..r * h + lo + d];
+            let vj = kv.value(r * h + lo, d);
             for (a, &vv) in acc.iter_mut().zip(vj) {
                 *a += w * vv;
             }

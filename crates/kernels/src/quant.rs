@@ -14,7 +14,7 @@
 //! [`matmul_quantized`] is the portable oracle that fixes this order; every
 //! executed path over [`QuantizedPackedB`] is bitwise equal to it.
 
-use crate::blocked::{Epilogue, Geom, PanelWeights, Window, PANEL};
+use crate::blocked::{Epilogue, Geom, OutRows, PanelWeights, Window, PANEL};
 use crate::ops;
 use crate::simd::Tier;
 use crate::tensor::Tensor;
@@ -221,8 +221,9 @@ impl QuantizedPackedB {
 /// `blocked::gemv_scalar` it pays a libm `fmaf` call per lane on a build
 /// without the `fma` target feature (≈ 14× the old mul-then-add loop on
 /// x86_64) to stay bitwise equal.
-pub(crate) fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, g: Geom, out: &mut [f32]) {
+pub(crate) fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, g: Geom, out: &mut OutRows<'_>) {
     let (k, gs) = (b.k, b.group_size);
+    let out = out.row(0);
     debug_assert_eq!(a.len(), g.kw());
     let groups = g.r0 / gs..g.r1.div_ceil(gs);
     for jp in g.panels() {
@@ -252,7 +253,7 @@ pub(crate) fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, g: Geom, out: &m
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{Geom, QuantizedPackedB, PANEL};
+    use super::{Geom, OutRows, QuantizedPackedB, PANEL};
     use std::arch::x86_64::*;
 
     /// `MR`-row GEMM over a window of panel-packed INT8 weights with
@@ -271,18 +272,18 @@ mod avx {
     /// # Safety
     /// Caller must have verified AVX2+FMA support; `b` must uphold the
     /// `QuantizedPackedB` layout invariants and `g` be checked against it
-    /// (`Geom::new` with its group size); `a.len() == MR * kw`;
-    /// `out.len() >= g.out_span(MR)`; `PANEL % (8 * NR) == 0`.
+    /// (`Geom::new` with its group size); `a.len() == MR * kw`; `out` holds
+    /// `MR` rows of at least `nw` floats; `PANEL % (8 * NR) == 0`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_block_int8<const MR: usize, const NR: usize>(
         a: &[f32],
         b: &QuantizedPackedB,
         g: Geom,
-        out: &mut [f32],
+        out: &mut OutRows<'_>,
     ) {
         let (k, gs, kw) = (b.k, b.group_size, g.kw());
         debug_assert_eq!(a.len(), MR * kw);
-        debug_assert!(out.len() >= g.out_span(MR));
+        debug_assert!(out.rows() == MR && out.width() >= g.nw());
         debug_assert!(g.r1 <= k && b.q.len() >= g.panels_len());
         debug_assert!(b.scales.len() >= g.panels().end * b.n_groups * PANEL);
         debug_assert_eq!(PANEL % (8 * NR), 0);
@@ -354,8 +355,7 @@ mod avx {
                 }
             }
             for (r, accr) in acc.iter().enumerate() {
-                let o = r * g.ldc + at;
-                out[o..o + hi_lane - lo_lane].copy_from_slice(&accr[lo_lane..hi_lane]);
+                out.row(r)[at..at + hi_lane - lo_lane].copy_from_slice(&accr[lo_lane..hi_lane]);
             }
         }
     }
@@ -364,7 +364,7 @@ mod avx {
     ///
     /// # Safety
     /// Same contract as [`gemm_block_int8`] with `MR == mr`.
-    pub unsafe fn gemm_rows_int8(a: &[f32], mr: usize, b: &QuantizedPackedB, g: Geom, out: &mut [f32]) {
+    pub unsafe fn gemm_rows_int8(a: &[f32], mr: usize, b: &QuantizedPackedB, g: Geom, out: &mut OutRows<'_>) {
         // SAFETY: forwarded caller contract; each arm fixes MR == mr with an
         // NR that keeps the MR*NR partial sums + one weight + one broadcast
         // within 16 YMM regs (except the deliberately-spilling MR=16
@@ -390,17 +390,15 @@ pub(crate) fn gemm_int8_with(
     b: &QuantizedPackedB,
     win: &Window,
     a: &[f32],
-    m: usize,
-    out: &mut [f32],
-    ldc: usize,
+    mut out: OutRows<'_>,
     ep: Epilogue<'_>,
     tier: Tier,
     force_mr: Option<usize>,
 ) {
-    let g = Geom::new(b.k, b.n, b.group_size, win, ldc);
-    let kw = g.kw();
+    let g = Geom::new(b.k, b.n, b.group_size, win);
+    let (kw, m) = (g.kw(), out.rows());
     assert_eq!(a.len(), m * kw, "int8 gemm: lhs size mismatch");
-    assert!(out.len() >= g.out_span(m), "int8 gemm: out size mismatch");
+    assert_eq!(out.width(), g.nw(), "int8 gemm: out width mismatch");
     assert!(
         tier <= Tier::host(),
         "int8 gemm: {tier:?} kernels on a {:?} host",
@@ -415,7 +413,7 @@ pub(crate) fn gemm_int8_with(
             (_, None) => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::Int8),
         };
         let ablk = &a[r * kw..(r + mr) * kw];
-        let oblk = &mut out[r * ldc..r * ldc + g.out_span(mr)];
+        let oblk = &mut out.rows_at(r, mr);
         match tier {
             Tier::Scalar => gemv_int8_scalar(ablk, b, g, oblk),
             #[cfg(target_arch = "x86_64")]
@@ -427,7 +425,7 @@ pub(crate) fn gemm_int8_with(
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("SIMD tiers are detected on x86_64 only"),
         }
-        crate::blocked::apply_epilogue_rows(out, &g, r, mr, ep);
+        crate::blocked::apply_epilogue_rows(&mut out, r, mr, ep);
         r += mr;
     }
 }
@@ -445,8 +443,8 @@ impl PanelWeights for QuantizedPackedB {
     fn row_align(&self) -> usize {
         self.group_size
     }
-    fn gemm_window(&self, win: &Window, a: &[f32], m: usize, out: &mut [f32], ldc: usize, ep: Epilogue<'_>) {
-        gemm_int8_with(self, win, a, m, out, ldc, ep, Tier::host(), None);
+    fn gemm_window(&self, win: &Window, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>) {
+        gemm_int8_with(self, win, a, out, ep, Tier::host(), None);
     }
 }
 

@@ -134,8 +134,8 @@ pub(crate) mod avx {
         )
     }
 
-    /// `row[j] = gelu(row[j] + bias[j])` for a full row, 8 lanes at a time
-    /// with a scalar tail.
+    /// `row[j] = gelu(row[j] + bias[j])` for a full row, 8 lanes at a time,
+    /// the tail too.
     ///
     /// # Safety
     /// Requires AVX2+FMA; `bias.len() == row.len()`.
@@ -157,8 +157,20 @@ pub(crate) mod avx {
             }
             j += 8;
         }
-        for jj in j..n {
-            row[jj] = crate::blocked::gelu_scalar(row[jj] + bias[jj]);
+        if j < n {
+            // The tail through the same vector code, on a padded lane
+            // buffer: an element's result depends on its value alone, never
+            // on where a row or a column window starts.
+            let (mut r, mut b) = ([0.0f32; 8], [0.0f32; 8]);
+            r[..n - j].copy_from_slice(&row[j..]);
+            b[..n - j].copy_from_slice(&bias[j..]);
+            // SAFETY: `r` and `b` are 8 floats each; `gelu_ps` requires
+            // AVX2+FMA, guaranteed by this fn's own contract.
+            unsafe {
+                let v = _mm256_add_ps(_mm256_loadu_ps(r.as_ptr()), _mm256_loadu_ps(b.as_ptr()));
+                _mm256_storeu_ps(r.as_mut_ptr(), gelu_ps(v));
+            }
+            row[j..].copy_from_slice(&r[..n - j]);
         }
     }
 }
@@ -195,6 +207,23 @@ mod tests {
         bias_gelu_row(&mut row, &bias);
         for (g, w) in row.iter().zip(&want) {
             assert!((g - w).abs() <= 2e-6 * (1.0 + w.abs()), "{g} vs {w}");
+        }
+    }
+
+    /// An element's GeLU does not depend on where its slice starts: a
+    /// column window's epilogue is bitwise the whole row's.
+    #[test]
+    fn bias_gelu_of_a_window_is_bitwise_the_whole_rows() {
+        let n = 37;
+        let row: Vec<f32> = (0..n).map(|i| (i as f32 - 18.0) * 0.37).collect();
+        let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.05 - 1.0).collect();
+        let mut whole = row.clone();
+        bias_gelu_row(&mut whole, &bias);
+        for (lo, hi) in [(0, 5), (3, 37), (5, 30), (12, 13), (29, 37)] {
+            let mut part = row[lo..hi].to_vec();
+            bias_gelu_row(&mut part, &bias[lo..hi]);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&part), bits(&whole[lo..hi]), "window {lo}..{hi}");
         }
     }
 

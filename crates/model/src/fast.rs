@@ -29,11 +29,11 @@
 //! [`LayerKv::append_row_slices`]: crate::reference::LayerKv::append_row_slices
 
 use std::convert::Infallible;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 
 use crate::config::GptConfig;
 use crate::reference::{GptModel, KvCache, LayerWeights};
-use dsi_kernels::blocked::{self, PackedB, PanelWeights};
+use dsi_kernels::blocked::{Epilogue, OutRows, PackedB, PanelWeights, Window};
 use dsi_kernels::fused;
 use dsi_kernels::quant::QuantizedPackedB;
 use dsi_kernels::tensor::Tensor;
@@ -231,14 +231,23 @@ impl Row {
 
 /// Where a pass's weights come from: resident packed layers
 /// ([`PackedModel`]), or layer panels checked out of an offload tier one at
-/// a time (`dsi_zero::offload::OffloadStore`, fallibly).
-pub trait WeightSource {
+/// a time (`dsi_zero::offload::OffloadStore`, fallibly). A source is
+/// `Sync` and its error `Send`: the members of a split pass read it from
+/// several threads, and a member's failure is handed back to the caller.
+pub trait WeightSource: Sync {
     type B: PanelWeights;
     /// Layer `l`'s weights, held until the guard drops.
     type Layer<'a>: Deref<Target = PackedLayer<Self::B>>
     where
         Self: 'a;
-    type Error;
+    type Error: Send;
+    /// Every layer is held in memory, so [`WeightSource::layer`] is a
+    /// lookup: no I/O, no waiting, no per-call bookkeeping, and any number
+    /// of threads may fetch one layer at once. Only a pass over a resident
+    /// source splits across members (`paged::Engine::pass`); the offload
+    /// tier, whose `layer` counts hits, demand-fetches and waits on its
+    /// prefetcher, keeps the default.
+    const RESIDENT: bool = false;
     fn config(&self) -> &GptConfig;
     /// Token and position embedding tables.
     fn embeddings(&self) -> (&Tensor, &Tensor);
@@ -261,6 +270,7 @@ impl<B: PanelWeights> WeightSource for PackedModel<'_, B> {
     where
         Self: 'a;
     type Error = Infallible;
+    const RESIDENT: bool = true;
 
     fn config(&self) -> &GptConfig {
         &self.model.config
@@ -289,6 +299,7 @@ impl<T: WeightSource> WeightSource for &T {
     where
         Self: 'a;
     type Error = T::Error;
+    const RESIDENT: bool = T::RESIDENT;
 
     #[inline]
     fn config(&self) -> &GptConfig {
@@ -317,59 +328,129 @@ impl<T: WeightSource> WeightSource for &T {
 
 /// Where a pass's K/V rows go and where attention reads them back from:
 /// contiguous per-sequence caches (`[KvCache]`), or a shared page pool
-/// addressed through per-sequence page tables (`paged::Engine`).
+/// addressed through per-sequence page tables (`paged::Engine`). Both
+/// methods take a column range, so a member of a split pass writes and
+/// reads only the heads it owns.
 /// Implementations mark both methods `#[inline]`: they run once per row per
 /// layer inside [`step`], which is monomorphised in the *calling* crate, and
 /// a non-generic method is not inlined across crates without it (measured:
 /// ~2 % of a 0.7 ms batch-1 INT8 step).
 pub trait KvSink {
-    /// Store `row`'s K/V for `layer` at `row.pos` of sequence `row.seq`.
-    fn write(&mut self, layer: usize, row: Row, k: &[f32], v: &[f32]);
-    /// `row`'s query attends over positions `0..=row.pos` of its sequence.
-    fn attend(&self, layer: usize, row: Row, q: &[f32], heads: usize, out: &mut [f32]);
+    /// Store columns `cols` of `row`'s K/V for `layer` at `row.pos` of
+    /// sequence `row.seq`; `k` and `v` hold those columns.
+    fn write(&mut self, layer: usize, row: Row, cols: Range<usize>, k: &[f32], v: &[f32]);
+    /// `row`'s query attends over positions `0..=row.pos` of its sequence
+    /// in the heads `heads` of `head_dim` columns each; `q` and `out` hold
+    /// those heads' columns.
+    fn attend(&self, layer: usize, row: Row, heads: Range<usize>, head_dim: usize, q: &[f32], out: &mut [f32]);
 }
 
 /// Contiguous KV: sequence `seq`'s cache is `self[seq]`, rows appended in
-/// place (amortized; no reallocation once capacity is reserved).
+/// place (amortized; no reallocation once capacity is reserved). Whole
+/// rows only: a session never splits its pass.
 impl KvSink for [KvCache] {
     #[inline]
-    fn write(&mut self, layer: usize, row: Row, k: &[f32], v: &[f32]) {
+    fn write(&mut self, layer: usize, row: Row, cols: Range<usize>, k: &[f32], v: &[f32]) {
         let kv = &mut self[row.seq].layers[layer];
         assert_eq!(kv.len(), row.pos, "contiguous KV appends in position order");
+        assert_eq!(cols, 0..k.len(), "contiguous KV writes whole rows");
         kv.append_row_slices(k, v);
     }
 
     #[inline]
-    fn attend(&self, layer: usize, row: Row, q: &[f32], heads: usize, out: &mut [f32]) {
+    fn attend(&self, layer: usize, row: Row, heads: Range<usize>, _: usize, q: &[f32], out: &mut [f32]) {
         let kv = &self[row.seq].layers[layer];
-        fused::attention_row_into(q, &kv.k, &kv.v, heads, row.pos, out);
+        assert_eq!(heads.start, 0, "contiguous KV attends over whole rows");
+        fused::attention_row_into(q, &kv.k, &kv.v, heads.len(), row.pos, out);
     }
 }
 
-/// The row-parallel seam of a pass: what runs at the top of each layer and
-/// how the two row-parallel projections (W_o, FF2) finish. Like [`KvSink`]
-/// it is a monomorphised parameter of [`step`], not a branch inside it.
-/// Single-process engines pass [`Solo`]; a tensor-parallel rank
-/// (`dsi_parallel::tp_exec`) passes a seam that owns the rank's fault site
-/// and all-reduces its partial projection before the bias and residual.
+/// The part of a pass one member computes: member `member` of `members`.
+/// A member owns [`Share::part`] of the heads (their QKV columns, their
+/// K/V columns and their attention) and of the output columns of W_o, FF1,
+/// FF2 and the logits. Every output column keeps its own accumulator
+/// chain, so a split pass is bitwise the whole one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Share {
+    pub member: usize,
+    pub members: usize,
+}
+
+impl Share {
+    /// The whole pass, on one member.
+    pub const WHOLE: Share = Share { member: 0, members: 1 };
+
+    /// This member's part of `n` items (heads or output columns): member
+    /// `t` owns `t·n/members .. (t+1)·n/members`, so the parts tile `0..n`
+    /// in member order, differ in length by at most one, and need not
+    /// start on a panel.
+    pub fn part(&self, n: usize) -> Range<usize> {
+        let bound = |t: usize| t * n / self.members;
+        bound(self.member)..bound(self.member + 1)
+    }
+}
+
+/// The row-parallel seam of a pass: what runs at the top of each layer, how
+/// the two row-parallel projections (W_o, FF2) finish, which part of the
+/// pass the caller computes, and how its members meet. Like [`KvSink`] it
+/// is a monomorphised parameter of [`step`], not a branch inside it.
+/// Single-process engines pass [`Solo`]; a member of a split pass passes
+/// `team::Member`, whose share is its part and whose join is a barrier; a
+/// tensor-parallel rank (`dsi_parallel::tp_exec`) passes a seam that owns
+/// the rank's fault site and all-reduces its partial projection before the
+/// bias and residual.
 pub trait RowParallel<E> {
     /// Layer `layer` of the pass over `rows` is about to run.
     fn at_layer(&mut self, layer: usize, rows: &[Row]) -> Result<(), E>;
-    /// `out = a·w + bias + residual` over `m` rows, where `a·w` may be this
-    /// rank's share of a row-sharded product.
+    /// `out = a·w[.., cols] + bias[cols] + residual` over `out.rows()`
+    /// rows, where `a·w` may be this rank's share of a row-sharded product:
+    /// `out` is the window of columns `cols`, and `residual` starts at
+    /// column `cols.start` of row 0, rows `w.n()` apart.
     fn project<B: PanelWeights>(
         &mut self,
         a: &[f32],
-        m: usize,
         w: &B,
+        cols: Range<usize>,
         bias: &[f32],
         residual: &[f32],
-        out: &mut [f32],
+        out: OutRows<'_>,
     ) -> Result<(), E>;
+    /// The part of the pass this caller computes.
+    #[inline]
+    fn share(&self) -> Share {
+        Share::WHOLE
+    }
+    /// Wait until every member has finished the region before.
+    #[inline]
+    fn join(&mut self) {}
 }
 
-/// The seam of every single-process engine: no fault site, and the
-/// projection is the fused `blocked::matmul_bias_add_into`.
+/// `out = a·w[.., cols] + ep` over every row of `a`, into the window `out`
+/// of columns `cols`: [`PanelWeights::gemm_window`], skipped when the
+/// member owns no column.
+#[inline]
+pub(crate) fn gemm_cols<B: PanelWeights + ?Sized>(w: &B, a: &[f32], cols: Range<usize>, out: OutRows<'_>, ep: Epilogue<'_>) {
+    if !cols.is_empty() {
+        w.gemm_window(&Window { rows: 0..w.k(), cols }, a, out, ep);
+    }
+}
+
+/// A projection computed whole on this thread: the window's GEMM with the
+/// bias and residual fused into its output pass.
+#[inline]
+pub(crate) fn project_local<B: PanelWeights>(
+    a: &[f32],
+    w: &B,
+    cols: Range<usize>,
+    bias: &[f32],
+    residual: &[f32],
+    out: OutRows<'_>,
+) {
+    gemm_cols(w, a, cols.clone(), out, Epilogue::BiasAdd(&bias[cols], residual));
+}
+
+/// The seam of every single-process engine: no fault site, one member, and
+/// the projection is the fused GEMM + bias + residual.
 #[derive(Debug, Clone, Copy)]
 pub struct Solo;
 
@@ -383,13 +464,13 @@ impl<E> RowParallel<E> for Solo {
     fn project<B: PanelWeights>(
         &mut self,
         a: &[f32],
-        m: usize,
         w: &B,
+        cols: Range<usize>,
         bias: &[f32],
         residual: &[f32],
-        out: &mut [f32],
+        out: OutRows<'_>,
     ) -> Result<(), E> {
-        blocked::matmul_bias_add_into(a, m, w, bias, residual, out);
+        project_local(a, w, cols, bias, residual, out);
         Ok(())
     }
 }
@@ -419,57 +500,129 @@ pub fn step<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Error>>(
     rows: &[Row],
     seam: &mut R,
 ) -> Result<(), W::Error> {
+    assert!(!rows.is_empty(), "step: empty pass");
+    s.ensure(w.config(), rows.len());
+    step_in(w, kv, &mut s.arena(), rows, seam)
+}
+
+/// [`step`]'s body over an [`Arena`]: the caller's own view of its scratch,
+/// or one member's view of the scratch a split pass shares. The member
+/// computes its [`RowParallel::share`] of every region and meets the other
+/// members at five joins: after the embedding, and per layer after
+/// attention, W_o, FF1 and FF2 — each before the first region that reads
+/// whole rows of what the one before wrote. Between two joins every member
+/// writes only its own columns, reads only buffers nobody writes in that
+/// span, and recomputes the layer norms into its own rows (`s.normed`);
+/// `dsi-verify`'s split trace checks exactly this.
+pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Error>>(
+    w: &W,
+    kv: &mut K,
+    s: &mut Arena<'_>,
+    rows: &[Row],
+    seam: &mut R,
+) -> Result<(), W::Error> {
     let c = w.config();
-    let h = c.hidden;
-    let m = rows.len();
-    assert!(m > 0, "step: empty pass");
-    s.ensure(c, m);
+    let (h, m) = (c.hidden, rows.len());
+    let me = seam.share();
+    // This member's columns of the residual stream (W_o and FF2 outputs).
+    let xc = me.part(h);
+    let normed = &mut s.normed[..m * h];
 
     // Embedding: token row + position row fused into one write of `s.x`.
     let (wte, wpe) = w.embeddings();
+    // SAFETY: arena protocol (see `Arena`) — until the join below this
+    // member alone writes columns `xc` of `x`, and nobody reads `x`.
+    let mut x = unsafe { s.x.window(m, h, xc.clone()) };
     for (i, r) in rows.iter().enumerate() {
         assert!(r.token < c.vocab, "token id {} out of vocab", r.token);
         assert!(r.pos < c.max_seq, "sequence exceeds max_seq");
-        let (te, pe) = (wte.row(r.token), wpe.row(r.pos));
-        for (x, (&t, &p)) in s.x[i * h..(i + 1) * h].iter_mut().zip(te.iter().zip(pe)) {
+        let (te, pe) = (&wte.row(r.token)[xc.clone()], &wpe.row(r.pos)[xc.clone()]);
+        for (x, (&t, &p)) in x.row(i).iter_mut().zip(te.iter().zip(pe)) {
             *x = t + p;
         }
     }
+    seam.join();
 
     for l in 0..c.layers {
         seam.at_layer(l, rows)?;
         let pl = w.layer(l)?;
         // This layer's widths: `a` attention columns (`heads` heads of
-        // `h / c.heads`), `f` FF neurons.
+        // `d = h / c.heads`), `f` FF neurons; this member's heads `hs`,
+        // i.e. attention columns `ac`.
         let (a, f) = (pl.w_qkv.n() / 3, pl.w_ff1.n());
-        let heads = a * c.heads / h;
-        // Region 1: layer-norm rows → one M-row QKV GEMM → bias.
-        fused::ln_matmul_bias_into(
-            &s.x[..m * h], m, &pl.ln1_g, &pl.ln1_b, 1e-5,
-            &pl.w_qkv, &pl.b_qkv, &mut s.normed[..m * h], &mut s.qkv[..m * 3 * a],
-        );
-        for (i, &r) in rows.iter().enumerate() {
-            let row = &s.qkv[i * 3 * a..(i + 1) * 3 * a];
-            kv.write(l, r, &row[a..2 * a], &row[2 * a..3 * a]);
+        let d = h / c.heads;
+        let hs = me.part(a / d);
+        let ac = hs.start * d..hs.end * d;
+        // Region 1: layer-norm rows → one M-row QKV GEMM → bias, over the
+        // q, k and v windows of this member's heads (one window when it
+        // owns them all).
+        // SAFETY: arena protocol — until the next join `x` is read by all
+        // and written by none, and this member alone writes its heads' q, k
+        // and v columns of `qkv` and their columns of `attn`.
+        let xr = unsafe { s.x.read(m * h) };
+        layer_norm_rows(xr, &pl.ln1_g, &pl.ln1_b, normed);
+        if ac.len() == a {
+            // SAFETY: as above; this member owns every head.
+            let qkv = unsafe { s.qkv.window(m, 3 * a, 0..3 * a) };
+            gemm_cols(&pl.w_qkv, normed, 0..3 * a, qkv, Epilogue::Bias(&pl.b_qkv));
+        } else {
+            for j in 0..3 {
+                let cols = j * a + ac.start..j * a + ac.end;
+                // SAFETY: as above.
+                let out = unsafe { s.qkv.window(m, 3 * a, cols.clone()) };
+                gemm_cols(&pl.w_qkv, normed, cols.clone(), out, Epilogue::Bias(&pl.b_qkv[cols]));
+            }
         }
-        // Region 2: streaming-softmax attention, queries read in place from
-        // the QKV block (stride 3a) — no gather.
+        // SAFETY: as above — this member's q, k and v columns, and its
+        // columns of `attn`, now that the QKV GEMM is done with them.
+        let ([mut q, mut k, mut v], mut attn) =
+            unsafe { ([0, 1, 2].map(|j| s.qkv.window(m, 3 * a, j * a + ac.start..j * a + ac.end)), s.attn.window(m, a, ac.clone())) };
         for (i, &r) in rows.iter().enumerate() {
-            kv.attend(l, r, &s.qkv[i * 3 * a..i * 3 * a + a], heads, &mut s.attn[i * a..(i + 1) * a]);
+            kv.write(l, r, ac.clone(), k.row(i), v.row(i));
         }
+        // Region 2: streaming-softmax attention over this member's heads,
+        // queries read in place from the QKV block (stride 3a) — no gather.
+        for (i, &r) in rows.iter().enumerate() {
+            kv.attend(l, r, hs.clone(), d, q.row(i), attn.row(i));
+        }
+        seam.join();
         // Region 3: output projection GEMM + bias + residual.
-        seam.project(&s.attn[..m * a], m, &pl.w_o, &pl.b_o, &s.x[..m * h], &mut s.y[..m * h])?;
+        // SAFETY: arena protocol — `attn` and `x` are read by all and
+        // written by none until the next join; this member alone writes
+        // columns `xc` of `y`.
+        let (attn, xr, y) = unsafe { (s.attn.read(m * a), s.x.read(m * h), s.y.window(m, h, xc.clone())) };
+        seam.project(attn, &pl.w_o, xc.clone(), &pl.b_o, &xr[xc.start..], y)?;
+        seam.join();
         std::mem::swap(&mut s.x, &mut s.y);
-        // Region 4: layer-norm → FF1 GEMM → bias → GeLU.
-        fused::ln_matmul_bias_gelu_into(
-            &s.x[..m * h], m, &pl.ln2_g, &pl.ln2_b, 1e-5,
-            &pl.w_ff1, &pl.b_ff1, &mut s.normed[..m * h], &mut s.ff[..m * f],
-        );
+        // Region 4: layer-norm → FF1 GEMM → bias → GeLU, this member's FF
+        // columns.
+        let fc = me.part(f);
+        // SAFETY: arena protocol — `x` is read by all and written by none
+        // until the next join; this member alone writes columns `fc` of `ff`.
+        let (xr, ff) = unsafe { (s.x.read(m * h), s.ff.window(m, f, fc.clone())) };
+        layer_norm_rows(xr, &pl.ln2_g, &pl.ln2_b, normed);
+        gemm_cols(&pl.w_ff1, normed, fc.clone(), ff, Epilogue::BiasGelu(&pl.b_ff1[fc]));
+        seam.join();
         // Region 5: FF2 GEMM + bias + residual.
-        seam.project(&s.ff[..m * f], m, &pl.w_ff2, &pl.b_ff2, &s.x[..m * h], &mut s.y[..m * h])?;
+        // SAFETY: arena protocol — `ff` and `x` are read by all and written
+        // by none until the next join; this member alone writes columns
+        // `xc` of `y` (the buffer regions 1 and 3 read as `x`, which no
+        // member reads after the join that ended region 3).
+        let (ff, xr, y) = unsafe { (s.ff.read(m * f), s.x.read(m * h), s.y.window(m, h, xc.clone())) };
+        seam.project(ff, &pl.w_ff2, xc.clone(), &pl.b_ff2, &xr[xc.start..], y)?;
+        seam.join();
         std::mem::swap(&mut s.x, &mut s.y);
     }
     Ok(())
+}
+
+/// Layer-norm every `h`-wide row of `x` into `out`.
+#[inline]
+fn layer_norm_rows(x: &[f32], g: &[f32], b: &[f32], out: &mut [f32]) {
+    let h = g.len();
+    for (row, o) in x.chunks_exact(h).zip(out.chunks_exact_mut(h)) {
+        fused::layernorm_row_into(row, g, b, 1e-5, o);
+    }
 }
 
 /// The head of an `m`-row pass [`step`] left in `s`: final layer-norm of
@@ -477,16 +630,114 @@ pub fn step<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Error>>(
 /// `wteᵀ`, leaving `[m, vocab]` logits in `s`, row `i` belonging to the
 /// pass's row `i`.
 pub fn logits<W: WeightSource>(w: &W, s: &mut Scratch, m: usize) {
+    logits_in(w, &mut s.arena(), m, Share::WHOLE);
+}
+
+/// [`logits`] over an [`Arena`], computing `me`'s part of the vocabulary.
+pub(crate) fn logits_in<W: WeightSource>(w: &W, s: &mut Arena<'_>, m: usize, me: Share) {
     let (h, vocab) = (w.config().hidden, w.config().vocab);
     let (lnf_g, lnf_b) = w.lnf();
-    for i in 0..m {
-        fused::layernorm_row_into(
-            &s.x[i * h..(i + 1) * h],
-            lnf_g, lnf_b, 1e-5,
-            &mut s.normed[i * h..(i + 1) * h],
-        );
+    let vc = me.part(vocab);
+    // SAFETY: arena protocol — `x` is read by all and written by none; this
+    // member alone writes columns `vc` of `logits`.
+    let (xr, out) = unsafe { (s.x.read(m * h), s.logits.window(m, vocab, vc.clone())) };
+    let normed = &mut s.normed[..m * h];
+    layer_norm_rows(xr, lnf_g, lnf_b, normed);
+    gemm_cols(w.logits_w(), normed, vc, out, Epilogue::None);
+}
+
+/// One buffer of a [`Scratch`], as a pass addresses it: base and length.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Buf {
+    ptr: *mut f32,
+    len: usize,
+}
+
+impl Buf {
+    fn of(v: &mut [f32]) -> Buf {
+        Buf { ptr: v.as_mut_ptr(), len: v.len() }
     }
-    blocked::matmul_into(&s.normed[..m * h], m, w.logits_w(), &mut s.logits[..m * vocab]);
+
+    /// The first `len` floats, to read.
+    ///
+    /// # Safety
+    /// The buffer outlives `'a`, and until the reader's next join no member
+    /// writes any of the `len` floats.
+    unsafe fn read<'a>(self, len: usize) -> &'a [f32] {
+        assert!(len <= self.len, "scratch read past the buffer");
+        // SAFETY: in bounds (asserted), and nothing writes the range while
+        // the slice is used (the caller's contract).
+        unsafe { std::slice::from_raw_parts(self.ptr, len) }
+    }
+
+    /// Columns `cols` of `m` rows `ldc` apart, to write and read back: an
+    /// [`OutRows`] window, which forms references to one row's window
+    /// columns at a time and never to the other members' columns between.
+    ///
+    /// # Safety
+    /// The buffer outlives `'a`, and until the writer's next join no other
+    /// member accesses any element of the window.
+    unsafe fn window<'a>(self, m: usize, ldc: usize, cols: Range<usize>) -> OutRows<'a> {
+        assert!(cols.start <= cols.end && cols.end <= ldc, "scratch window {cols:?} outside a {ldc}-wide row");
+        assert!(m > 0 && (m - 1) * ldc + cols.end <= self.len, "scratch window past the buffer");
+        // SAFETY: every row's window is in bounds (asserted), and this
+        // member alone accesses it until its next join (the caller's
+        // contract).
+        unsafe { OutRows::from_raw(self.ptr.add(cols.start), m, ldc, cols.len()) }
+    }
+}
+
+/// The buffers of a [`Scratch`] that the members of a split pass share:
+/// every one but the layer-norm rows, which each member keeps to itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScratchShare {
+    x: Buf,
+    y: Buf,
+    qkv: Buf,
+    attn: Buf,
+    ff: Buf,
+    logits: Buf,
+}
+
+// SAFETY: a `ScratchShare` is only addresses; every access through them
+// goes through `Buf::read` / `Buf::window`, whose contracts (the arena
+// protocol of `step_in`) keep concurrent accesses by different members on
+// disjoint elements or read-only.
+unsafe impl Send for ScratchShare {}
+// SAFETY: as above.
+unsafe impl Sync for ScratchShare {}
+
+/// A pass's view of a [`Scratch`]: the shared buffers plus this member's
+/// own layer-norm rows.
+///
+/// **The arena protocol.** Between two joins of a pass, each element of a
+/// shared buffer is either read by any number of members and written by
+/// none, or accessed by one member only. `step_in` keeps it by giving each
+/// member its own columns of every output ([`Share::part`]) and joining
+/// before any region reads whole rows of what another member wrote; a
+/// one-member pass keeps it trivially. The `unsafe` accesses in `step_in`
+/// and `logits_in` each cite it.
+pub(crate) struct Arena<'s> {
+    normed: &'s mut [f32],
+    x: Buf,
+    y: Buf,
+    qkv: Buf,
+    attn: Buf,
+    ff: Buf,
+    logits: Buf,
+}
+
+impl<'s> Arena<'s> {
+    /// One member's view of `share` with its own layer-norm rows.
+    ///
+    /// # Safety
+    /// The scratch `share` was taken from outlives `'s` and is not touched
+    /// otherwise while the view is used; every member of the pass follows
+    /// the arena protocol.
+    pub(crate) unsafe fn shared(share: ScratchShare, normed: &'s mut [f32]) -> Self {
+        let ScratchShare { x, y, qkv, attn, ff, logits } = share;
+        Arena { normed, x, y, qkv, attn, ff, logits }
+    }
 }
 
 /// Preallocated intermediate buffers for the fused layer loop, sized for
@@ -542,6 +793,27 @@ impl Scratch {
         let h = c.hidden;
         if self.x.len() < m * h {
             *self = Scratch::new(c, m);
+        }
+    }
+
+    /// The caller's own view of every buffer: a one-member pass.
+    pub(crate) fn arena(&mut self) -> Arena<'_> {
+        let share = self.share();
+        // SAFETY: `share` addresses this scratch, borrowed mutably for the
+        // view's life, and the view's holder is the pass's only member.
+        unsafe { Arena::shared(share, &mut self.normed) }
+    }
+
+    /// The shared buffers' addresses, for the members of a split pass.
+    /// Every access through them is `unsafe` (see [`Arena`]).
+    pub(crate) fn share(&mut self) -> ScratchShare {
+        ScratchShare {
+            x: Buf::of(&mut self.x),
+            y: Buf::of(&mut self.y),
+            qkv: Buf::of(&mut self.qkv),
+            attn: Buf::of(&mut self.attn),
+            ff: Buf::of(&mut self.ff),
+            logits: Buf::of(&mut self.logits),
         }
     }
 

@@ -28,6 +28,7 @@ pub mod fast;
 pub mod io;
 pub mod paged;
 pub mod reference;
+pub mod team;
 pub mod zoo;
 
 pub use config::{BertConfig, GptConfig, MoeConfig};

@@ -13,9 +13,10 @@
 //!   some table references) is asserted on every transition.
 //! * [`PagedSeq`] is one sequence's page table: position `j` lives in page
 //!   `pages[j / page_tokens]`, slot `j % page_tokens`. Attention reads
-//!   resolve through the table via `fused::attention_row_paged_into`, whose
-//!   FLOP sequence is shared with the contiguous kernel — paged decode is
-//!   **bit-identical** to [`crate::fast::FastSession`], not merely close.
+//!   resolve through the table via `fused::attention_heads_paged_into`,
+//!   whose FLOP sequence is shared with the contiguous kernel — paged
+//!   decode is **bit-identical** to [`crate::fast::FastSession`], not
+//!   merely close.
 //! * [`Engine`] hosts up to `max_slots` concurrent sequences over one
 //!   [`WeightSource`] and one scratch arena — a resident packed model
 //!   ([`PagedEngine`], the alias the serving path and the benchmark name) or
@@ -31,7 +32,10 @@
 //!   holds to the free list. This is the execution surface `dsi-serve`'s
 //!   continuous-batching scheduler drives, one pass per iteration. A weight
 //!   fetch that fails mid-pass ([`StepError::Weights`]) commits nothing:
-//!   see [`Engine::pass`].
+//!   see [`Engine::pass`]. A pass of two or more rows over a resident model
+//!   splits across the calling thread and a helper thread the engine owns
+//!   ([`crate::team`]) when the host has a second core, bitwise the same
+//!   pass ([`Engine::pass_split`]).
 //!
 //! ## Prefix sharing
 //!
@@ -73,11 +77,13 @@
 //!
 //! [`reserve`]: PagePool::reserve
 
-use crate::fast::{self, argmax, KvSink, PackedModel, Row, RowParallel, Scratch, Solo, WeightSource};
+use crate::fast::{self, argmax, Arena, KvSink, PackedModel, Row, RowParallel, Scratch, Solo, WeightSource};
+use crate::team::{Member, Team};
 use dsi_kernels::blocked::PackedB;
-use dsi_kernels::fused::{self, PagedKvView};
+use dsi_kernels::fused::{self, KvArenas, PageTable};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A page reservation failed: the pool has fewer free pages than the
 /// request needs. Nothing was allocated (reservations are all-or-nothing),
@@ -150,18 +156,20 @@ struct ChunkKey {
 
 /// Fixed-size-page KV arena shared by every resident sequence.
 ///
-/// Storage is `layers × 2` arenas of `pages_total × page_tokens` rows of
-/// `hidden` floats, allocated once; page allocation/release never touches
-/// the heap (the prefix index does, in [`PagePool::reserve_prompt`] only).
+/// Storage is one K and one V allocation, each `layers` arenas of
+/// `pages_total × page_tokens` rows of `hidden` floats, allocated once;
+/// page allocation/release never touches the heap (the prefix index does,
+/// in [`PagePool::reserve_prompt`] only).
 #[derive(Debug)]
 pub struct PagePool {
     hidden: usize,
     page_tokens: usize,
     pages_total: usize,
-    /// Per-layer K arenas, `[pages_total * page_tokens, hidden]` row-major.
-    k: Vec<Vec<f32>>,
-    /// Per-layer V arenas, same shape.
-    v: Vec<Vec<f32>>,
+    /// The layers' K arenas, `[layers][pages_total * page_tokens, hidden]`
+    /// row-major, layer after layer.
+    k: Vec<f32>,
+    /// The layers' V arenas, same shape.
+    v: Vec<f32>,
     /// LIFO free list (most recently released page is reused first — the
     /// warmest rows in cache). Exactly the pages with `refs == 0`.
     free: Vec<u32>,
@@ -196,8 +204,8 @@ impl PagePool {
             hidden,
             page_tokens,
             pages_total,
-            k: (0..layers).map(|_| vec![0.0; rows * hidden]).collect(),
-            v: (0..layers).map(|_| vec![0.0; rows * hidden]).collect(),
+            k: vec![0.0; layers * rows * hidden],
+            v: vec![0.0; layers * rows * hidden],
             // Reverse order so page 0 is handed out first (LIFO pop).
             free: (0..pages_total as u32).rev().collect(),
             in_use: 0,
@@ -401,6 +409,14 @@ impl PagePool {
         let h = self.hidden;
         assert_eq!(k.len(), h);
         assert_eq!(v.len(), h);
+        let at = self.row_at(seq, layer, pos);
+        self.k[at..at + h].copy_from_slice(k);
+        self.v[at..at + h].copy_from_slice(v);
+    }
+
+    /// Where row `pos` of `seq` starts in the K and V storage at `layer`,
+    /// checked against [`PagePool::write_row`]'s guards.
+    fn row_at(&self, seq: &PagedSeq, layer: usize, pos: usize) -> usize {
         assert!(
             pos < seq.pages.len() * self.page_tokens,
             "write past reservation: pos {pos}, {} pages",
@@ -414,43 +430,84 @@ impl PagePool {
             "write after share: page {p} is published or multiply referenced"
         );
         let r = p * self.page_tokens + pos % self.page_tokens;
-        self.k[layer][r * h..(r + 1) * h].copy_from_slice(k);
-        self.v[layer][r * h..(r + 1) * h].copy_from_slice(v);
+        (layer * self.arena_rows() + r) * self.hidden
+    }
+
+    /// Rows in one layer's arena.
+    fn arena_rows(&self) -> usize {
+        self.pages_total * self.page_tokens
     }
 
     /// One layer's K/V arenas (attention read operands).
     pub fn arenas(&self, layer: usize) -> (&[f32], &[f32]) {
-        (&self.k[layer], &self.v[layer])
+        let span = self.arena_rows() * self.hidden;
+        let at = layer * span..(layer + 1) * span;
+        (&self.k[at.clone()], &self.v[at])
     }
 }
 
-/// The paged [`KvSink`]: K/V rows land in the shared pool through the page
-/// table `seqs[row.seq]`, and attention reads them back through the same
-/// table via `fused::attention_row_paged_into` — the same per-row attention
-/// core as the contiguous path, so logits are bit-identical.
+/// The pool's K and V storage as a pass addresses it: base addresses,
+/// taken once from the exclusively borrowed pool, so the members of a split
+/// pass can each write and read their own columns of it.
+#[derive(Clone, Copy)]
+struct PoolData {
+    k: *mut f32,
+    v: *mut f32,
+    len: usize,
+}
+
+impl PoolData {
+    fn of(pool: &mut PagePool) -> PoolData {
+        PoolData { k: pool.k.as_mut_ptr(), v: pool.v.as_mut_ptr(), len: pool.k.len() }
+    }
+}
+
+// SAFETY: only addresses; every access through them is `PagedKv`'s, whose
+// writes land in the writing member's own head columns and whose reads
+// (attention) cover only the reading member's own head columns.
+unsafe impl Send for PoolData {}
+// SAFETY: as above.
+unsafe impl Sync for PoolData {}
+
+/// The paged [`KvSink`] of one member of a pass (the whole pass, when it
+/// runs on one): K/V rows land in the pool through the page table
+/// `seqs[row.seq]` and attention reads them back through the same table via
+/// `fused::attention_heads_paged_into` — the same per-row attention core as
+/// the contiguous path, so logits are bit-identical. The pool's tables are
+/// read shared and its storage through [`PoolData`], each member in the K/V
+/// columns of the heads it owns: the columns only it computes, and the only
+/// ones its attention reads.
 struct PagedKv<'a> {
-    pool: &'a mut PagePool,
+    pool: &'a PagePool,
+    data: PoolData,
     seqs: &'a [PagedSeq],
 }
 
 impl KvSink for PagedKv<'_> {
     #[inline]
-    fn write(&mut self, layer: usize, row: Row, k: &[f32], v: &[f32]) {
-        self.pool.write_row(&self.seqs[row.seq], layer, row.pos, k, v);
+    fn write(&mut self, layer: usize, row: Row, cols: Range<usize>, k: &[f32], v: &[f32]) {
+        let at = self.pool.row_at(&self.seqs[row.seq], layer, row.pos) + cols.start;
+        assert!(at + cols.len() <= self.data.len && k.len() == cols.len() && v.len() == cols.len());
+        // SAFETY: in bounds (asserted); columns `cols` of this row are this
+        // member's heads, which no other member writes or reads, and the
+        // pool is not touched otherwise while the pass runs.
+        unsafe {
+            std::ptr::copy_nonoverlapping(k.as_ptr(), self.data.k.add(at), k.len());
+            std::ptr::copy_nonoverlapping(v.as_ptr(), self.data.v.add(at), v.len());
+        }
     }
 
     #[inline]
-    fn attend(&self, layer: usize, row: Row, q: &[f32], heads: usize, out: &mut [f32]) {
-        let (k, v) = self.pool.arenas(layer);
-        let view = PagedKvView {
-            k,
-            v,
-            pages: self.seqs[row.seq].pages(),
-            page_tokens: self.pool.page_tokens,
-            len: row.pos + 1,
-            offset: row.pos,
-        };
-        fused::attention_row_paged_into(q, &view, heads, out);
+    fn attend(&self, layer: usize, row: Row, heads: Range<usize>, head_dim: usize, q: &[f32], out: &mut [f32]) {
+        let span = self.pool.arena_rows() * self.pool.hidden;
+        assert!((layer + 1) * span <= self.data.len);
+        // SAFETY: in bounds (asserted). Other members write other head
+        // columns of these arenas meanwhile; the call reads only this
+        // member's head columns, which no other member writes, and forms
+        // no reference to any other column.
+        let kv = unsafe { KvArenas::from_raw(self.data.k.add(layer * span), self.data.v.add(layer * span), span) };
+        let table = PageTable { pages: self.seqs[row.seq].pages(), page_tokens: self.pool.page_tokens, len: row.pos + 1, offset: row.pos };
+        fused::attention_heads_paged_into(q, kv, &table, self.pool.hidden, head_dim, heads, out);
     }
 }
 
@@ -467,7 +524,18 @@ pub struct Engine<W> {
     scratch: Scratch,
     /// Reused row list of the current pass.
     rows: Vec<Row>,
+    /// Members a pass of two or more rows runs on: [`PASS_MEMBERS`] over a
+    /// resident source on a host with a core to spare, else 1.
+    split: usize,
+    /// The helper threads a split pass runs its other members on, spawned
+    /// by the first split pass.
+    team: Team,
 }
+
+/// Members a multi-row pass runs on when it splits: two, the count whose
+/// speed and CPU cost the benchmark has measured (DESIGN.md, "Two cores
+/// per pass"). A wider split's cost is unmeasured.
+const PASS_MEMBERS: usize = 2;
 
 /// The engine over a resident packed model, borrowed.
 pub type PagedEngine<'p, 'm, B = PackedB> = Engine<&'p PackedModel<'m, B>>;
@@ -480,12 +548,16 @@ impl<W: WeightSource> Engine<W> {
         let c = w.config();
         let pool = PagePool::new(c.layers, w.kv_width(), pages_total, page_tokens);
         let scratch = Scratch::new(c, max_slots);
+        let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        let split = if W::RESIDENT && spare_core { PASS_MEMBERS.min(c.heads) } else { 1 };
         Engine {
             pool,
             seqs: vec![PagedSeq::new(); max_slots],
             last: vec![None; max_slots],
             scratch,
             rows: Vec::with_capacity(max_slots),
+            split,
+            team: Team::default(),
             w,
         }
     }
@@ -558,6 +630,13 @@ impl<W: WeightSource> Engine<W> {
     /// `step` writes every K/V row of a layer before any row attends, and
     /// each row attends only through its own slot's table.
     ///
+    /// A pass of two or more rows over a resident source
+    /// ([`WeightSource::RESIDENT`]) runs on two members — this thread and
+    /// the engine's helper thread — when the host has more than one core;
+    /// a one-row pass, a pass over the offload tier, or any pass on a
+    /// one-core host runs on this thread alone. Either way it is bitwise
+    /// the same pass ([`Engine::pass_split`]).
+    ///
     /// Every page is reserved before any compute, the seats' first and in
     /// order, so a later seat attaches the pages an earlier seat of the pass
     /// reserved for the same chunks and computes only its own rows. A
@@ -573,14 +652,79 @@ impl<W: WeightSource> Engine<W> {
         advance: &[usize],
         out: &mut Vec<usize>,
     ) -> Result<(), StepError<W::Error>> {
-        self.pass_with(&mut Solo, seats, advance, out)
+        self.reserve_pass(seats, advance)?;
+        let members = if self.rows.len() >= 2 { self.split } else { 1 };
+        let r = if members == 1 { self.run_solo(&mut Solo) } else { self.run_split(members) };
+        self.finish_pass(r, seats, advance, out)
     }
 
-    /// [`Engine::pass`] with `seam` finishing the row-parallel projections:
-    /// a tensor-parallel rank passes its all-reduce seam here, over a source
-    /// holding its shard, and every rank of the group makes the same calls,
-    /// so their page tables stay identical. `Err(Pages)` returns before the
-    /// first seam call.
+    /// [`Engine::pass`] on exactly `members` members (`1..=heads`), whatever
+    /// the host and the row count: the step-level hook through which tests
+    /// hold a split pass of any width, on any host, to the one-member pass.
+    /// A pass over a source that is not [`WeightSource::RESIDENT`] runs on
+    /// one member whatever `members` says: the offload tier's `layer` is
+    /// not a lookup several members may make at once.
+    ///
+    /// Member `t` owns its `Share::part` of the heads — their QKV
+    /// columns, their K/V columns of the one page pool, and their attention
+    /// — and of the output columns of W_o, FF1, FF2 and the logits. The
+    /// members write disjoint columns of the one scratch and join wherever
+    /// a region reads whole rows of what another member wrote
+    /// (`fast::step`), so every column keeps its one accumulator chain: no
+    /// all-reduce, no argmax combine. A member that panics fails the pass with its panic, raised
+    /// here once every member is out; the engine is then as after any
+    /// panicked pass.
+    pub fn pass_split(
+        &mut self,
+        members: usize,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), StepError<W::Error>> {
+        let heads = self.w.config().heads;
+        assert!((1..=heads).contains(&members), "pass_split: {members} members for {heads} heads");
+        self.reserve_pass(seats, advance)?;
+        let r = if members == 1 || !W::RESIDENT { self.run_solo(&mut Solo) } else { self.run_split(members) };
+        self.finish_pass(r, seats, advance, out)
+    }
+
+    /// The pass's step and logits on `members` members: one job on the
+    /// engine's team, each member running `fast::step` over its share with
+    /// its own view of the scratch and the pool. The join before sampling
+    /// is the job's end.
+    fn run_split(&mut self, members: usize) -> Result<(), W::Error> {
+        let c = self.w.config();
+        let (h, m) = (c.hidden, self.rows.len());
+        self.scratch.ensure(c, m);
+        let (share, data) = (self.scratch.share(), PoolData::of(&mut self.pool));
+        let (w, pool, seqs, rows) = (&self.w, &self.pool, &self.seqs[..], &self.rows[..]);
+        let failed: Mutex<Option<W::Error>> = Mutex::new(None);
+        self.team.run(members, &|me: &mut Member<'_>, local: &mut Vec<f32>| {
+            if local.len() < m * h {
+                local.resize(m * h, 0.0);
+            }
+            // SAFETY: `share` addresses `self.scratch`, which nothing else
+            // touches until `run` returns, and every member runs `step_in`
+            // and `logits_in`, which keep the arena protocol.
+            let mut s = unsafe { Arena::shared(share, local) };
+            let mut kv = PagedKv { pool, data, seqs };
+            let ran = fast::step_in(w, &mut kv, &mut s, rows, me);
+            match ran {
+                Ok(()) => fast::logits_in(w, &mut s, m, me.share()),
+                Err(e) => {
+                    me.abandon();
+                    *failed.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
+                }
+            }
+        });
+        failed.into_inner().unwrap_or_else(PoisonError::into_inner).map_or(Ok(()), Err)
+    }
+
+    /// [`Engine::pass`] with `seam` finishing the row-parallel projections,
+    /// on the calling thread alone: a tensor-parallel rank passes its
+    /// all-reduce seam here, over a source holding its shard, and every rank
+    /// of the group makes the same calls, so their page tables stay
+    /// identical. `Err(Pages)` returns before the first seam call.
     pub fn pass_with<R: RowParallel<W::Error>>(
         &mut self,
         seam: &mut R,
@@ -588,6 +732,15 @@ impl<W: WeightSource> Engine<W> {
         advance: &[usize],
         out: &mut Vec<usize>,
     ) -> Result<(), StepError<W::Error>> {
+        self.reserve_pass(seats, advance)?;
+        let r = self.run_solo(seam);
+        self.finish_pass(r, seats, advance, out)
+    }
+
+    /// The front of every pass: release what a panicked pass left behind,
+    /// then reserve every page of the pass and lay out its rows. On `Err`
+    /// nothing ran (see [`Engine::pass`]).
+    fn reserve_pass(&mut self, seats: &[(usize, &[usize])], advance: &[usize]) -> Result<(), StepError<W::Error>> {
         assert!(!seats.is_empty() || !advance.is_empty(), "pass: nothing to run");
         assert!(advance.windows(2).all(|w| w[0] < w[1]), "pass: advanced slots must be ascending");
         // A slot is published (`last`) only once its pass commits; a pass
@@ -628,12 +781,32 @@ impl<W: WeightSource> Engine<W> {
         for &si in advance {
             self.pool.reserve(&mut self.seqs[si], 1).expect("reservation pre-checked");
         }
-        let mut kv = PagedKv { pool: &mut self.pool, seqs: &self.seqs };
-        if let Err(e) = fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, seam) {
+        Ok(())
+    }
+
+    /// The pass's step and logits on this thread, under `seam`.
+    fn run_solo<R: RowParallel<W::Error>>(&mut self, seam: &mut R) -> Result<(), W::Error> {
+        let data = PoolData::of(&mut self.pool);
+        let mut kv = PagedKv { pool: &self.pool, data, seqs: &self.seqs };
+        fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, seam)?;
+        fast::logits(&self.w, &mut self.scratch, self.rows.len());
+        Ok(())
+    }
+
+    /// The back of every pass: on success sample every seat's first token
+    /// and every advanced slot's next one and commit them; on failure free
+    /// the seats again.
+    fn finish_pass(
+        &mut self,
+        ran: Result<(), W::Error>,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<(), StepError<W::Error>> {
+        if let Err(e) = ran {
             self.unseat(seats);
             return Err(StepError::Weights(e));
         }
-        fast::logits(&self.w, &mut self.scratch, self.rows.len());
         let vocab = self.w.config().vocab;
         // Row index one past the current seat's last row.
         let mut end = 0;
@@ -1156,5 +1329,137 @@ mod tests {
         assert_eq!(err, StepError::Pages(PagesExhausted { needed: 3, free: 2 }));
         assert!(!eng.slot_in_use(0));
         assert_eq!(eng.pool_stats().pages_in_use, 0);
+    }
+
+    /// The logits of the last pass's `rows` rows, as bits.
+    fn logit_bits<W: WeightSource>(eng: &Engine<W>) -> Vec<u32> {
+        let n = eng.rows.len() * eng.w.config().vocab;
+        eng.scratch.logits[..n].iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A split pass is bitwise the one-member pass at every member count
+    /// the tiny model's four heads allow — seats, advances and a mixed
+    /// pass, page_tokens 3 against the AVX 8-block, a vocabulary of 101
+    /// whose member parts start inside a panel — f32 and INT8 alike.
+    #[test]
+    fn split_passes_are_bitwise_the_one_member_pass() {
+        fn check<B: dsi_kernels::blocked::PanelWeights>(pm: &PackedModel<'_, B>, members: usize) {
+            let (mut solo, mut split) = (PagedEngine::new(pm, 3, 32, 3), PagedEngine::new(pm, 3, 32, 3));
+            let prompts = [vec![3usize, 1, 4, 1, 5], vec![3, 1, 4, 1, 7, 6], vec![11, 12, 13, 14]];
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut both = |seats: &[(usize, &[usize])], advance: &[usize]| {
+                solo.pass_split(1, seats, advance, &mut a).unwrap();
+                split.pass_split(members, seats, advance, &mut b).unwrap();
+                assert_eq!(logit_bits(&split), logit_bits(&solo), "{members} members: seats {seats:?}, advance {advance:?}");
+            };
+            both(&[(0, &prompts[0])], &[]);
+            both(&[], &[0]);
+            both(&[(1, &prompts[1]), (2, &prompts[2])], &[0]);
+            for _ in 0..3 {
+                both(&[], &[0, 1, 2]);
+            }
+            assert_eq!(a, b);
+        }
+        let m = model(2, 61);
+        let (pm, qm) = (PackedModel::pack(&m), crate::fast::QuantizedPackedModel::quantize_pack(&m, 32));
+        for members in 2..=4 {
+            check(&pm, members);
+            check(&qm, members);
+        }
+    }
+
+    /// A model whose layer 1 fails on a pass member's helper thread while
+    /// armed: with a panic, or (`err`) with a fetch error.
+    struct FailsOnAHelper<'a> {
+        pm: &'a PackedModel<'a>,
+        caller: std::thread::ThreadId,
+        armed: std::sync::atomic::AtomicBool,
+        err: bool,
+    }
+
+    impl WeightSource for FailsOnAHelper<'_> {
+        type B = PackedB;
+        type Layer<'a>
+            = &'a crate::fast::PackedLayer
+        where
+            Self: 'a;
+        type Error = &'static str;
+        const RESIDENT: bool = true;
+        fn config(&self) -> &crate::GptConfig {
+            self.pm.config()
+        }
+        fn embeddings(&self) -> (&dsi_kernels::tensor::Tensor, &dsi_kernels::tensor::Tensor) {
+            self.pm.embeddings()
+        }
+        fn lnf(&self) -> (&[f32], &[f32]) {
+            self.pm.lnf()
+        }
+        fn logits_w(&self) -> &PackedB {
+            self.pm.logits_w()
+        }
+        fn layer(&self, l: usize) -> Result<&crate::fast::PackedLayer, Self::Error> {
+            let helper = std::thread::current().id() != self.caller;
+            if helper && l == 1 && self.armed.load(std::sync::atomic::Ordering::Relaxed) {
+                if self.err {
+                    return Err("member fetch failed");
+                }
+                panic!("member fault at layer {l}");
+            }
+            let Ok(layer) = self.pm.layer(l);
+            Ok(layer)
+        }
+    }
+
+    /// After a failed split pass — `fail` runs it and checks how it
+    /// failed — the next split pass over the same seats is token-identical
+    /// to a clean engine and every page comes back.
+    fn next_pass_is_clean(err: bool, fail: impl FnOnce(&mut Engine<&FailsOnAHelper<'_>>, &[(usize, &[usize])])) {
+        let m = model(2, 67);
+        let pm = PackedModel::pack(&m);
+        let caller = std::thread::current().id();
+        let w = FailsOnAHelper { pm: &pm, caller, armed: true.into(), err };
+        let mut eng = Engine::new(&w, 2, 16, 4);
+        let prompts: [&[usize]; 2] = [&[1, 2, 3], &[4, 5]];
+        let seats = [(0, prompts[0]), (1, prompts[1])];
+        fail(&mut eng, &seats);
+        w.armed.store(false, std::sync::atomic::Ordering::Relaxed);
+        let want: Vec<usize> = prompts.iter().map(|p| pm.session(p.len()).generate(p, 1)[0]).collect();
+        for _ in 0..2 {
+            let mut out = Vec::new();
+            eng.pass_split(2, &seats, &[], &mut out).unwrap();
+            assert_eq!(out, want);
+            eng.release(0);
+            eng.release(1);
+        }
+        assert_eq!(eng.pool_stats().pages_in_use, 0);
+    }
+
+    /// A member whose weight fetch fails abandons the join: the pass
+    /// returns the member's error, no panic reaches the caller, nothing
+    /// hangs, and no seat stays occupied.
+    #[test]
+    fn a_member_fetch_error_fails_the_pass_typed() {
+        next_pass_is_clean(true, |eng, seats| {
+            let mut out = Vec::new();
+            assert_eq!(eng.pass_split(2, seats, &[], &mut out), Err(StepError::Weights("member fetch failed")));
+            assert!(out.is_empty() && !eng.slot_in_use(0) && !eng.slot_in_use(1));
+        });
+    }
+
+    /// A member that panics mid-pass: the panic, with its own payload,
+    /// surfaces on the caller once every member is out (the caller's
+    /// member is waiting at a join when it happens), nothing hangs, and the
+    /// next pass — split again — is token-identical to a clean engine.
+    #[test]
+    fn a_member_panic_surfaces_on_the_caller_and_the_next_pass_is_clean() {
+        next_pass_is_clean(false, |eng, seats| {
+            let mut out = Vec::new();
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                eng.pass_split(2, seats, &[], &mut out)
+            }));
+            let payload = panicked.expect_err("the member's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("member fault at layer 1"));
+            assert!(out.is_empty());
+        });
     }
 }

@@ -81,13 +81,12 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dsi_kernels::blocked::{self, Epilogue, PackedB, PanelWeights, Window};
+use dsi_kernels::blocked::{self, Epilogue, OutRows, PackedB, PanelWeights, Window};
 use dsi_kernels::fused;
 use dsi_kernels::tensor::Tensor;
 use dsi_model::config::GptConfig;
@@ -95,7 +94,7 @@ use dsi_model::fast::{PackedLayer, PackedModel, Row, RowParallel, WeightSource};
 use dsi_model::paged::{Engine, PageStats, StepError};
 use dsi_model::reference::GptModel;
 use dsi_sim::fault::{apply_stall, FaultKind};
-use dsi_sim::shmem::{CommConfig, CommOp, ShmComm, ShmRank};
+use dsi_sim::shmem::{CommConfig, CommOp, Doorbell, ShmComm, ShmRank};
 use dsi_sim::FlightRecorder;
 use dsi_sim::{CollectiveError, CollectiveErrorKind};
 use serde::Serialize;
@@ -171,9 +170,6 @@ impl<B: PanelWeights> SharedModel<B> {
 /// exit, short enough that teardown stays bounded.
 const JOIN_GRACE: Duration = Duration::from_secs(2);
 
-/// How often a parked worker looks for a poisoned group.
-const PARKED_POLL: Duration = Duration::from_millis(10);
-
 /// One command as rank 0 publishes it before a step barrier and every
 /// worker copies it after.
 #[derive(Debug, Default)]
@@ -216,16 +212,13 @@ impl PassCmd {
 /// command `k + 2` only after the step barrier of `k + 1`, which every
 /// worker reaches only once it has copied command `k`.
 ///
-/// A worker waits for each command at a doorbell before it enters the step
-/// barrier, so an idle group — a server between requests — parks instead
-/// of spinning, and never times out.
+/// A worker waits for each command at the doorbell before it enters the
+/// step barrier, so an idle group — a server between requests — parks
+/// instead of spinning, and never times out.
 #[derive(Debug, Default)]
 struct TpShared {
     cmds: [Mutex<PassCmd>; 2],
-    /// Commands published so far.
-    published: AtomicUsize,
-    bell: Mutex<()>,
-    rung: Condvar,
+    bell: Doorbell,
 }
 
 impl TpShared {
@@ -233,29 +226,6 @@ impl TpShared {
         // A worker that panicked holding the lock left a whole command
         // behind (it only copies under it).
         self.cmds[k % 2].lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn bell(&self) -> MutexGuard<'_, ()> {
-        self.bell.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Announce that `published` commands are out.
-    fn ring(&self, published: usize) {
-        self.published.store(published, Ordering::Release);
-        // Taking the lock orders the store before the check of any worker
-        // about to park, so no wake-up is lost.
-        drop(self.bell());
-        self.rung.notify_all();
-    }
-
-    /// Return once command `k` is published, or `comm`'s group is poisoned
-    /// (the step barrier then fails typed).
-    fn await_cmd(&self, k: usize, comm: &ShmRank) {
-        let out = || self.published.load(Ordering::Acquire) > k;
-        let mut bell = self.bell();
-        while !out() && !comm.is_poisoned() {
-            bell = self.rung.wait_timeout(bell, PARKED_POLL).unwrap_or_else(PoisonError::into_inner).0;
-        }
     }
 }
 
@@ -372,7 +342,7 @@ impl<B: PanelWeights> PanelWeights for OperandView<B> {
     fn row_align(&self) -> usize {
         self.op.row_align()
     }
-    fn gemm_window(&self, win: &Window, a: &[f32], m: usize, out: &mut [f32], ldc: usize, ep: Epilogue<'_>) {
+    fn gemm_window(&self, win: &Window, a: &[f32], mut out: OutRows<'_>, ep: Epilogue<'_>) {
         assert!(win.rows.end <= self.k() && win.cols.end <= self.n(), "view: {win:?} outside the view");
         let rows = self.rows.start + win.rows.start..self.rows.start + win.rows.end;
         // `at` is the view column the window `c` starts at.
@@ -383,7 +353,7 @@ impl<B: PanelWeights> PanelWeights for OperandView<B> {
                 let o = lo - win.cols.start;
                 let cols = c.start + lo - at..c.start + hi - at;
                 let ep = ep.columns(o, hi - lo);
-                self.op.gemm_window(&Window { rows: rows.clone(), cols }, a, m, &mut out[o..], ldc, ep);
+                self.op.gemm_window(&Window { rows: rows.clone(), cols }, a, out.cols_at(o, hi - lo), ep);
             }
             at += c.len();
         }
@@ -507,12 +477,16 @@ impl RowParallel<CollectiveError> for AllReduce<'_> {
     fn project<B: PanelWeights>(
         &mut self,
         a: &[f32],
-        m: usize,
         w: &B,
+        cols: Range<usize>,
         bias: &[f32],
         residual: &[f32],
-        out: &mut [f32],
+        mut out: OutRows<'_>,
     ) -> Result<(), CollectiveError> {
+        // A rank computes its whole pass: the one share is every column.
+        debug_assert_eq!(cols, 0..w.n());
+        let m = out.rows();
+        let out = out.dense();
         blocked::matmul_into(a, m, w, out);
         self.0.try_allreduce_sum(out)?;
         fused::bias_residual_inplace(out, bias, residual);
@@ -576,7 +550,9 @@ fn worker_loop<B: PanelWeights>(
     let mut cmd = PassCmd::default();
     let mut out = Vec::new();
     for k in 0.. {
-        shared.await_cmd(k, comm);
+        // Return once command `k` is published, or the group is poisoned
+        // (the step barrier then fails typed).
+        shared.bell.wait(k, || comm.is_poisoned());
         // Step barrier: rank 0 has published command `k`.
         comm.try_barrier()?;
         cmd.copy_from(&shared.cmd(k));
@@ -878,7 +854,7 @@ impl<B> TpSession<B> {
     fn publish(&mut self, fill: impl FnOnce(&mut PassCmd)) {
         fill(&mut self.shared.cmd(self.published));
         self.published += 1;
-        self.shared.ring(self.published);
+        self.shared.bell.ring(self.published);
     }
 
     /// Send the workers the shutdown command if the group is healthy, else

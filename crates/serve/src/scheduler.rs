@@ -934,6 +934,83 @@ mod tests {
         assert_eq!(eng.released, [0], "late prefill must release its seat");
     }
 
+    /// A model whose layer 1 panics when fetched on a split pass's helper
+    /// thread (`anywhere`: on any thread, the caller's too).
+    struct PanicsAtLayer1<'a> {
+        pm: &'a dsi_model::fast::PackedModel<'a>,
+        anywhere: bool,
+    }
+
+    impl dsi_model::fast::WeightSource for PanicsAtLayer1<'_> {
+        type B = dsi_kernels::blocked::PackedB;
+        type Layer<'a>
+            = &'a dsi_model::fast::PackedLayer
+        where
+            Self: 'a;
+        type Error = std::convert::Infallible;
+        const RESIDENT: bool = true;
+        fn config(&self) -> &dsi_model::GptConfig {
+            self.pm.config()
+        }
+        fn embeddings(&self) -> (&dsi_kernels::tensor::Tensor, &dsi_kernels::tensor::Tensor) {
+            self.pm.embeddings()
+        }
+        fn lnf(&self) -> (&[f32], &[f32]) {
+            self.pm.lnf()
+        }
+        fn logits_w(&self) -> &dsi_kernels::blocked::PackedB {
+            self.pm.logits_w()
+        }
+        fn layer(&self, l: usize) -> Result<&dsi_model::fast::PackedLayer, Self::Error> {
+            let helper = std::thread::current().name().is_some_and(|n| n.starts_with("dsi-pass-member"));
+            assert!(l != 1 || !(helper || self.anywhere), "fault at layer 1");
+            self.pm.layer(l)
+        }
+    }
+
+    /// The paged engine with every pass on exactly `.1` members.
+    struct Members<'a>(dsi_model::paged::Engine<&'a PanicsAtLayer1<'a>>, usize);
+
+    impl BatchEngine for Members<'_> {
+        fn max_slots(&self) -> usize {
+            self.0.max_slots()
+        }
+        fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
+            let mut out = Vec::with_capacity(1);
+            self.0.pass_split(self.1, &[(slot, prompt)], &[], &mut out).map_err(EngineError::from)?;
+            Ok(out[0])
+        }
+        fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
+            self.0.pass_split(self.1, &[], slots, out).map_err(EngineError::from)
+        }
+        fn release(&mut self, slot: usize) {
+            self.0.release(slot);
+        }
+    }
+
+    /// A panic in a helper member of a split pass reaches the one guard as
+    /// the caller's own panic would: the same `Panic` fault with the same
+    /// message as that panic in a one-member pass, and the engine serves
+    /// the next pass.
+    #[test]
+    fn a_member_panic_maps_like_a_one_member_pass_panic() {
+        let m = GptModel::random(dsi_model::zoo::tiny(2), 3);
+        let pm = dsi_model::fast::PackedModel::pack(&m);
+        let (clock, _time) = Clock::manual();
+        let (member, solo) = (PanicsAtLayer1 { pm: &pm, anywhere: false }, PanicsAtLayer1 { pm: &pm, anywhere: true });
+        let mut split = Members(dsi_model::paged::Engine::new(&member, 1, 16, 4), 2);
+        let mut one = Members(dsi_model::paged::Engine::new(&solo, 1, 16, 4), 1);
+        let from_member = guarded(&mut split, &clock, None, |e| e.prefill(0, &[1, 2, 3]), |_| {});
+        let from_solo = guarded(&mut one, &clock, None, |e| e.prefill(0, &[1, 2, 3]), |_| {});
+        let fault = EngineError::Fault { class: FaultClass::Panic, msg: "fault at layer 1".into() };
+        assert_eq!((&from_member, &from_solo), (&Err(fault.clone()), &Err(fault)));
+        // One member: the fault never fires, and the slot the panicked pass
+        // left behind is free again.
+        split.1 = 1;
+        let tok = guarded(&mut split, &clock, None, |e| e.prefill(0, &[1, 2, 3]), |_| {});
+        assert_eq!(tok, Ok(pm.session(3).generate(&[1, 2, 3], 1)[0]));
+    }
+
     #[test]
     fn live_recoveries_are_recorded_and_checked() {
         let live = live_trace_check();

@@ -52,7 +52,7 @@ pub use fault::{CollectiveError, CollectiveErrorKind, FaultInjector, FaultKind, 
 pub use fault::{EngineFaultInjector, EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec};
 pub use fault::{IoFaultInjector, IoFaultKind, IoFaultPlan, IoFaultSite, IoFaultSpec};
 pub use recorder::FlightRecorder;
-pub use shmem::{CommConfig, CommOp, SenseBarrier, ShmComm, ShmPoisoner, ShmRank};
+pub use shmem::{CommConfig, CommOp, Doorbell, SenseBarrier, ShmComm, ShmPoisoner, ShmRank};
 pub use engine::{Resource, Schedule, Task, TaskGraph, TaskId};
 pub use hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
 pub use topology::Topology;

@@ -24,6 +24,9 @@
 //!   copies the result home. Three barrier crossings, no steady-state heap
 //!   allocation (windows are reused across calls) — each element is read
 //!   `world + 1` times and written three times, independent of `world`.
+//! * [`Doorbell`] — where threads that work in lock-step with a publisher
+//!   (the TP group's worker ranks, a split pass's members) park between
+//!   commands.
 //!
 //! The reduction order is fixed (rank 0, 1, …, world−1 per element), so a
 //! shared-memory all-reduce is bit-identical to
@@ -64,7 +67,7 @@ use crate::fault::{apply_stall, CollectiveError, CollectiveErrorKind, FaultInjec
 use crate::recorder::FlightRecorder;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How many busy spins to burn before yielding the core. Small: on a
@@ -247,6 +250,51 @@ impl SenseBarrier {
 
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Relaxed)
+    }
+}
+
+/// How often a parked [`Doorbell`] waiter looks at its give-up condition.
+const PARKED_POLL: Duration = Duration::from_millis(10);
+
+/// A condvar doorbell over a count of published commands: threads that
+/// work in lock-step with a publisher park here between commands instead
+/// of spinning, so an idle group costs no core and never times out. The
+/// executed TP group's workers wait here for each pass command, and the
+/// paged engine's pass members for each split pass.
+#[derive(Debug, Default)]
+pub struct Doorbell {
+    published: AtomicUsize,
+    bell: Mutex<()>,
+    rung: Condvar,
+}
+
+impl Doorbell {
+    fn bell(&self) -> MutexGuard<'_, ()> {
+        self.bell.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Commands published so far.
+    pub fn published(&self) -> usize {
+        self.published.load(Ordering::Acquire)
+    }
+
+    /// Announce that `published` commands are out.
+    pub fn ring(&self, published: usize) {
+        self.published.store(published, Ordering::Release);
+        // Taking the lock orders the store before the check of any waiter
+        // about to park, so no wake-up is lost.
+        drop(self.bell());
+        self.rung.notify_all();
+    }
+
+    /// Return once more than `seen` commands are published, or `give_up()`
+    /// holds (checked on every wake-up, and every 10 ms while parked).
+    pub fn wait(&self, seen: usize, give_up: impl Fn() -> bool) {
+        let out = || self.published() > seen;
+        let mut bell = self.bell();
+        while !out() && !give_up() {
+            bell = self.rung.wait_timeout(bell, PARKED_POLL).unwrap_or_else(PoisonError::into_inner).0;
+        }
     }
 }
 

@@ -27,10 +27,19 @@
 //! silently. Rows share the row-stacked scratch; each sequence owns its KV,
 //! so the trace carries per-sequence KV buffers and one attention launch
 //! per row.
+//!
+//! A pass split across members ([`split_step_trace`]) is a list of
+//! [`Phase`]s — the spans between joins — each holding every member's
+//! launches over strided windows ([`strided`]: rows at a stride, a column
+//! window). [`check_split`] adds one defect class:
+//! * `member-overlap` — within one phase, a member writes a range another
+//!   member reads or writes (two members' windows overlap, or a member
+//!   reads another's output before the join).
 
 use crate::{Diagnostic, Pass};
 use dsi_model::config::GptConfig;
-use dsi_model::fast::{scratch_layout, Row};
+use dsi_model::fast::{scratch_layout, Row, Share};
+use std::ops::Range;
 use serde::Serialize;
 
 /// A half-open range of one named buffer.
@@ -355,6 +364,144 @@ pub fn aliased_batched_rows_trace(h: usize) -> (Arena, Vec<Step>) {
     (arena, steps)
 }
 
+/// Columns `cols` of `m` rows `ldc` apart in `buf`, from element `base`:
+/// a member's strided window (one range per row).
+pub fn strided(buf: &'static str, base: usize, m: usize, ldc: usize, cols: Range<usize>) -> Vec<SliceRef> {
+    (0..m).map(|i| SliceRef::new(buf, base + i * ldc + cols.start, base + i * ldc + cols.end)).collect()
+}
+
+/// The span of a split pass between two joins: each member's launches, in
+/// its own order. Members run concurrently, so no member may write what
+/// another member reads or writes in the same phase.
+#[derive(Debug, Clone, Serialize)]
+pub struct Phase {
+    pub name: String,
+    pub members: Vec<Vec<Step>>,
+}
+
+/// Check a split pass: every member's launches in order against the arena
+/// (as [`check_trace`] does, phase by phase), and, per phase, every pair of
+/// members for a `member-overlap` — one member writing a range another
+/// member reads or writes before the join that ends the phase.
+pub fn check_split(arena: &Arena, phases: &[Phase], assume_init: &[SliceRef]) -> Vec<Diagnostic> {
+    let sequential: Vec<Step> = phases.iter().flat_map(|p| p.members.iter().flatten().cloned()).collect();
+    let mut diags = check_trace(arena, &sequential, assume_init);
+    for phase in phases {
+        let accesses = |t: usize| {
+            let steps = &phase.members[t];
+            let writes: Vec<&SliceRef> = steps.iter().flat_map(|s| &s.writes).collect();
+            let all: Vec<&SliceRef> = steps.iter().flat_map(|s| s.reads.iter().chain(&s.writes)).collect();
+            (writes, all)
+        };
+        for t in 0..phase.members.len() {
+            let (writes, _) = accesses(t);
+            for u in (0..phase.members.len()).filter(|&u| u != t) {
+                let (_, theirs) = accesses(u);
+                if let Some((w, r)) = writes.iter().flat_map(|w| theirs.iter().map(move |r| (*w, *r))).find(|(w, r)| w.overlaps(r)) {
+                    diags.push(Diagnostic::new(
+                        Pass::Scratch,
+                        "member-overlap",
+                        phase.name.clone(),
+                        format!(
+                            "member {t} writes `{}`[{}..{}] while member {u} accesses `{}`[{}..{}] before the join",
+                            w.buf, w.lo, w.hi, r.buf, r.lo, r.hi
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    diags
+}
+
+/// The trace of one `dsi_model::fast::step` pass over `rows` split across
+/// `members` members, then the `fast::logits` head, mirroring `step_in`:
+/// each member's part of the heads and output columns comes from
+/// `Share::part` — the function the step itself calls — its layer norms
+/// land in its own rows (`normed.m{t}`), and a phase ends at each join
+/// (after the embedding, and per layer after attention, W_o, FF1 and FF2;
+/// the logits end the pass). K/V is one buffer per layer per sequence, as
+/// in [`step_trace`], each member writing and attending over its heads'
+/// columns of it.
+pub fn split_step_trace(c: &GptConfig, members: usize, rows: &[Row]) -> (Arena, Vec<Phase>, Vec<SliceRef>) {
+    let (h, m, f) = (c.hidden, rows.len(), 4 * c.hidden);
+    assert!(m > 0 && (1..=c.heads).contains(&members), "a split pass has rows and at most one member per head");
+    let d = h / c.heads;
+    let (base, _, written) = step_trace(c, 1, rows);
+    let normed = |t: usize| intern(format!("normed.m{t}"));
+    let mut buffers: Vec<(&'static str, usize)> = base.buffers.into_iter().filter(|(b, _)| *b != "normed").collect();
+    buffers.extend((0..members).map(|t| (normed(t), m * h)));
+    let kv = |l: usize, seq: usize, side: &str| intern(format!("kv{l}.s{seq}.{side}"));
+    let share = |t: usize| Share { member: t, members };
+    let all = |buf: &'static str, width: usize| SliceRef::new(buf, 0, m * width);
+    let phase = |name: String, member: &dyn Fn(usize) -> Vec<Step>| Phase { name, members: (0..members).map(member).collect() };
+    let mut phases = vec![phase("embed".into(), &|t| {
+        vec![Step::new("embed", vec![], strided("x", 0, m, h, share(t).part(h)))]
+    })];
+    let (mut cur, mut alt) = ("x", "y");
+    for l in 0..c.layers {
+        phases.push(phase(format!("l{l}.qkv_attention"), &|t| {
+            let ac = share(t).part(c.heads);
+            let ac = ac.start * d..ac.end * d;
+            let qkv = (0..3).flat_map(|j| strided("qkv", j * h, m, 3 * h, ac.clone())).collect();
+            let mut steps = vec![Step::new("r1.ln_qkv", vec![all(cur, h)], [vec![all(normed(t), h)], qkv].concat())];
+            for (i, r) in rows.iter().enumerate() {
+                let at = |side| SliceRef::new(kv(l, r.seq, side), r.pos * h + ac.start, r.pos * h + ac.end);
+                let read = (1..3).flat_map(|j| strided("qkv", i * 3 * h + j * h, 1, 0, ac.clone())).collect();
+                steps.push(Step::new(format!("row{i}.kv_write"), read, vec![at("k"), at("v")]));
+            }
+            for (i, r) in rows.iter().enumerate() {
+                let upto = |side| strided(kv(l, r.seq, side), 0, r.pos + 1, h, ac.clone());
+                let q = strided("qkv", i * 3 * h, 1, 0, ac.clone());
+                let out = strided("attn", i * h, 1, 0, ac.clone());
+                steps.push(Step::new(format!("row{i}.attention"), [q, upto("k"), upto("v")].concat(), out));
+            }
+            steps
+        }));
+        phases.push(phase(format!("l{l}.attn_out"), &|t| {
+            let xc = share(t).part(h);
+            let reads = [vec![all("attn", h)], strided(cur, 0, m, h, xc.clone())].concat();
+            vec![Step::new("r3.attn_out", reads, strided(alt, 0, m, h, xc))]
+        }));
+        std::mem::swap(&mut cur, &mut alt);
+        phases.push(phase(format!("l{l}.ln_ff1"), &|t| {
+            let writes = [vec![all(normed(t), h)], strided("ff", 0, m, f, share(t).part(f))].concat();
+            vec![Step::new("r4.ln_ff1", vec![all(cur, h)], writes)]
+        }));
+        phases.push(phase(format!("l{l}.ff2"), &|t| {
+            let xc = share(t).part(h);
+            let reads = [vec![all("ff", f)], strided(cur, 0, m, h, xc.clone())].concat();
+            vec![Step::new("r5.ff2", reads, strided(alt, 0, m, h, xc))]
+        }));
+        std::mem::swap(&mut cur, &mut alt);
+    }
+    phases.push(phase("logits".into(), &|t| {
+        let writes = [vec![all(normed(t), h)], strided("logits", 0, m, c.vocab, share(t).part(c.vocab))].concat();
+        vec![Step::new("final_ln_logits", vec![all(cur, h)], writes)]
+    }));
+    (Arena { buffers }, phases, written)
+}
+
+/// Check one [`split_step_trace`] against its own arena.
+pub fn verify_split_step(c: &GptConfig, members: usize, rows: &[Row]) -> Vec<Diagnostic> {
+    let (arena, phases, written) = split_step_trace(c, members, rows);
+    check_split(&arena, &phases, &written)
+}
+
+/// Seeded negative control for split passes: the 2-member trace of a
+/// 2-row decode pass whose member 1 starts its FF1 window one column early
+/// (an off-by-one in a part boundary), so the two members both write that
+/// column of every row before the join — `member-overlap` must fire.
+pub fn overlapping_windows_trace(c: &GptConfig) -> (Arena, Vec<Phase>, Vec<SliceRef>) {
+    let rows = [Row { seq: 0, token: 0, pos: 0 }, Row { seq: 1, token: 0, pos: 0 }];
+    let (arena, mut phases, written) = split_step_trace(c, 2, &rows);
+    let ff1 = phases.iter_mut().find(|p| p.name == "l0.ln_ff1").expect("a layer-0 FF1 phase");
+    for w in ff1.members[1][0].writes.iter_mut().filter(|w| w.buf == "ff") {
+        w.lo -= 1;
+    }
+    (arena, phases, written)
+}
+
 /// Paged-KV sharing-discipline check over the page tables of all live
 /// sequences, each with its committed length (its write frontier: the next
 /// row it writes is `len`). The paged engine's correctness argument ("same
@@ -466,6 +613,28 @@ mod tests {
     fn verify_decode_plan_clean_for_zoo_models() {
         let d = verify_decode_plan(&zoo::tiny(2), 1, 8);
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    /// The windows a split pass's members write are disjoint and nothing
+    /// is read before its join, at 2 and 4 members, over a one-row and an
+    /// eight-row decode pass at ragged offsets and a prompt pass.
+    #[test]
+    fn split_traces_are_clean() {
+        let c = zoo::tiny(2);
+        let decode = |m: usize| (0..m).map(|seq| Row { seq, token: 0, pos: 1 + (seq * 3) % 13 }).collect::<Vec<_>>();
+        for members in [2, 4] {
+            for rows in [decode(1), decode(8), pass(0, 3, 5)] {
+                let d = verify_split_step(&c, members, &rows);
+                assert!(d.is_empty(), "members {members}, {} rows: {d:?}", rows.len());
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_member_windows_are_flagged() {
+        let (arena, phases, written) = overlapping_windows_trace(&zoo::tiny(1));
+        let d = check_split(&arena, &phases, &written);
+        assert!(!d.is_empty() && d.iter().all(|x| x.code == "member-overlap" && x.site == "l0.ln_ff1"), "{d:?}");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * **Scratch** — the fast decode path of each dense model (prompt
 //!   ingestion + steady-state decode against the real arena layout), plus
 //!   the batched ragged-offset step at every dispatcher batch size
-//!   M ∈ {1, 2, 4, 8, 16};
+//!   M ∈ {1, 2, 4, 8, 16}, and that step split across 2 and 4 pass members
+//!   at M ∈ {1, 8} (disjoint member windows between joins);
 //! * **Collective** — tensor-parallel all-reduce programs for each Fig. 6
 //!   mapping, pipeline p2p programs and task-graph structure for the Fig. 8
 //!   mappings, expert-parallel all-to-all programs for each Table II model;
@@ -22,7 +23,8 @@
 //! [`negative_controls`] seeds one defect of each class the verifier claims
 //! to catch — a dtype-mixed region, a corrupted GEMM contraction, an illegal
 //! fusion boundary, an aliased scratch write, a pair of aliasing M-row
-//! attention regions in the batched layout, two sequences mapped to one KV
+//! attention regions in the batched layout, two split-pass members whose
+//! column windows overlap, two sequences mapped to one KV
 //! page in the paged allocator, a rank skipping an all-reduce, a recorded
 //! TP program with one barrier crossing removed, a cyclic task graph, an
 //! undocumented `unsafe` block, a rank exiting mid-way through a recorded
@@ -223,6 +225,22 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
                 x.site = format!("{}: {}", site(&format!("batched m={m}")), x.site);
                 x
             }));
+        }
+
+        // --- Pass 2c: the one step split across pass members. ---
+        // Two and four members (at most one per head), over a one-row and
+        // an eight-row decode pass at staggered offsets: every member's
+        // windows disjoint from every other member's between joins.
+        for members in [2usize, 4].into_iter().filter(|&n| n <= c.heads) {
+            for m in [1usize, 8] {
+                let rows: Vec<Row> = (0..m).map(|seq| Row { seq, token: 0, pos: 1 + (seq * 3) % 13 }).collect();
+                let d = crate::scratch::verify_split_step(c, members, &rows);
+                report.scratch_traces += 1;
+                report.diagnostics.extend(d.into_iter().map(|mut x| {
+                    x.site = format!("{}: {}", site(&format!("split members={members} m={m}")), x.site);
+                    x
+                }));
+            }
         }
 
         // --- Pass 3a: Fig. 6 tensor-parallel all-reduce programs. ---
@@ -472,6 +490,16 @@ pub fn negative_controls(
         diagnostics: check_trace(&arena, &steps, &[]),
     });
 
+    // Scratch, split pass: two members whose FF1 windows overlap by one
+    // column — both write it before the join, the race the split sweep
+    // exists to catch.
+    let (arena, phases, written) = crate::scratch::overlapping_windows_trace(&zoo::tiny(1));
+    out.push(Control {
+        name: "overlapping member windows (split pass)",
+        expect_code: "member-overlap",
+        diagnostics: crate::scratch::check_split(&arena, &phases, &written),
+    });
+
     // Paged KV: two sequences whose page tables cross — one page at two
     // different indices, i.e. read as two different runs of context rows.
     // Prefix sharing lets tables share a common front and nothing else;
@@ -689,7 +717,7 @@ mod tests {
         assert!(recorded.overflows.is_empty(), "{:?}", recorded.overflows);
         assert_eq!((recorded.tp.len(), recorded.offload.len()), (3, 27));
         let controls = negative_controls(&recoveries, &recorded);
-        assert_eq!(controls.len(), 18);
+        assert_eq!(controls.len(), 19);
         for c in &controls {
             assert!(c.fired(), "control `{}` produced {:?}", c.name, c.diagnostics);
         }
