@@ -112,9 +112,10 @@ fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
     }
 }
 
-/// Take `n` little-endian floats off the front of `buf` (bulk, like
-/// [`put_f32s`]) into `into`, whose old contents go and whose capacity is
-/// reused; `what` names the run in the truncation error.
+/// Take `n` little-endian floats off the front of `buf` into `into`, whose
+/// old contents go and whose capacity is reused; `what` names the run in
+/// the truncation error. On a little-endian target the file's bytes are
+/// the floats, so this is one bulk copy.
 fn get_f32s(
     buf: &mut &[u8],
     n: usize,
@@ -125,6 +126,17 @@ fn get_f32s(
     let (run, rest) = buf.split_at(bytes);
     *buf = rest;
     into.clear();
+    into.reserve(n);
+    #[cfg(target_endian = "little")]
+    // SAFETY: `reserve` made room for `n` floats; `run` is `4 * n` bytes in
+    // bounds of `buf`, which `into`'s own allocation cannot overlap. Every
+    // bit pattern is a valid `f32` and the target is little-endian, so the
+    // copy initialises the first `n` floats to the file's values.
+    unsafe {
+        std::ptr::copy_nonoverlapping(run.as_ptr(), into.as_mut_ptr().cast::<u8>(), bytes);
+        into.set_len(n);
+    }
+    #[cfg(not(target_endian = "little"))]
     into.extend(run.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])));
     Ok(into)
 }
@@ -417,24 +429,57 @@ pub struct CopiedPanel {
     headers: [[u64; 3]; 12],
 }
 
+/// A layer's buffers with nothing vouching for their contents — a retired
+/// layer, or a copy that failed [`CopiedPanel::verify`]. Nothing reads
+/// them: the one use is as [`CopiedPanel::copy_from`]'s `recycle`.
+pub struct Spare(PackedLayer<PackedB>);
+
+impl From<PackedLayer<PackedB>> for Spare {
+    fn from(layer: PackedLayer<PackedB>) -> Self {
+        Spare(layer)
+    }
+}
+
+impl std::fmt::Debug for Spare {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Spare")
+    }
+}
+
+/// A copy [`CopiedPanel::verify`] refused: why, and its buffers back, so a
+/// re-read refills them instead of allocating a panel's worth of fresh
+/// pages (boxed: a refusal is the rare path, the verified layer the
+/// common one).
+#[derive(Debug)]
+pub struct Rejected {
+    pub error: IoError,
+    pub spare: Box<Spare>,
+}
+
+impl From<Rejected> for IoError {
+    fn from(r: Rejected) -> Self {
+        r.error
+    }
+}
+
 impl CopiedPanel {
     /// Copy a layer panel's payload (`src` is exactly the panel) into the
     /// owned buffers of a [`PackedLayer`]: twelve bulk little-endian
     /// decodes at the offsets `config` implies, no transform. Fails only
     /// when `src` is not the length a layer of this config occupies.
     ///
-    /// `recycle` is a retired layer whose buffers the copy refills instead
-    /// of allocating: a tier that evicts a panel per fetch would otherwise
-    /// unmap and re-fault a panel's worth of pages every time, which costs
-    /// more than the copy and the checksum together.
+    /// `recycle` holds buffers the copy refills instead of allocating: a
+    /// tier that evicts a panel per fetch would otherwise unmap and re-fault
+    /// a panel's worth of pages every time, which costs more than the copy
+    /// and the checksum together.
     pub fn copy_from(
         src: &[u8],
         c: &GptConfig,
-        recycle: Option<PackedLayer<PackedB>>,
+        recycle: Option<Spare>,
     ) -> Result<CopiedPanel, IoError> {
         let h = c.hidden;
         let (h3, h4) = (h.saturating_mul(3), h.saturating_mul(4));
-        let old = recycle.unwrap_or_default();
+        let old = recycle.map(|s| s.0).unwrap_or_default();
         let mut r = PanelReader { src, piece: 0, headers: [[0; 3]; 12] };
         let layer = PackedLayer {
             ln1_g: r.vector(h, old.ln1_g)?,
@@ -460,8 +505,16 @@ impl CopiedPanel {
     /// the directory's `crc` for panel index `panel`, then check that every
     /// header says what the config (and this build's `PANEL`) implies. In
     /// that order: a transient bad read is a `ChecksumMismatch` a tier can
-    /// retry, an intact file in another layout is not.
-    pub fn verify(self, panel: usize, crc: u32) -> Result<PackedLayer<PackedB>, IoError> {
+    /// retry, an intact file in another layout is not. A refused copy comes
+    /// back as a [`Spare`] inside the [`Rejected`].
+    pub fn verify(self, panel: usize, crc: u32) -> Result<PackedLayer<PackedB>, Rejected> {
+        match self.check(panel, crc) {
+            Ok(()) => Ok(self.layer),
+            Err(error) => Err(Rejected { error, spare: Box::new(Spare(self.layer)) }),
+        }
+    }
+
+    fn check(&self, panel: usize, crc: u32) -> Result<(), IoError> {
         let pieces = pieces(&self.layer);
         let mut sum = Checksum::new();
         for (p, found) in pieces.iter().zip(&self.headers) {
@@ -483,7 +536,7 @@ impl CopiedPanel {
                 return Err(IoError::Corrupt("layer panel header disagrees with the config"));
             }
         }
-        Ok(self.layer)
+        Ok(())
     }
 }
 
@@ -810,7 +863,7 @@ mod tests {
                 // Each copy refills the previous layer's buffers, as a tier
                 // that evicts per fetch does.
                 let got = CopiedPanel::copy_from(payload, &dir.config, recycled.take())
-                    .and_then(|c| c.verify(1 + l, p.crc))
+                    .and_then(|c| c.verify(1 + l, p.crc).map_err(IoError::from))
                     .expect("layer panel");
                 let want = PackedLayer::pack(&m.layers[l]);
                 for (i, (g, w)) in pieces(&got).iter().zip(&pieces(&want)).enumerate() {
@@ -819,10 +872,33 @@ mod tests {
                     assert_eq!(bits(g), bits(w), "layer {l} piece {i} floats");
                 }
                 total += p.len;
-                recycled = Some(got);
+                recycled = Some(got.into());
             }
             assert_eq!(dir.layer_payload_bytes(), total);
         }
+    }
+
+    #[test]
+    fn a_copy_that_fails_its_checksum_gives_its_buffers_to_the_retry() {
+        // A re-read after a bad copy refills the refused copy's buffers,
+        // as a tier that evicts per fetch refills a retired panel's.
+        let bytes = to_bytes(&model());
+        let dir = read_directory(&bytes).expect("directory");
+        let p = dir.layer_panel(1);
+        let clean = &bytes[p.offset..p.offset + p.len];
+        let mut bad = clean.to_vec();
+        bad[p.len / 2] ^= 0x40;
+        let copied = CopiedPanel::copy_from(&bad, &dir.config, None).expect("copy");
+        let first = copied.layer.w_ff1.as_packed().as_ptr();
+        let Err(Rejected { error: IoError::ChecksumMismatch { panel: 2 }, spare }) = copied.verify(2, p.crc)
+        else {
+            panic!("a flipped bit must be a checksum mismatch");
+        };
+        let layer = CopiedPanel::copy_from(clean, &dir.config, Some(*spare))
+            .expect("copy")
+            .verify(2, p.crc)
+            .expect("the clean re-read verifies");
+        assert_eq!(layer.w_ff1.as_packed().as_ptr(), first, "the retry refilled the same w_ff1");
     }
 
     #[test]

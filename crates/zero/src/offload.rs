@@ -64,7 +64,7 @@ use dsi_kernels::blocked::{PackedB, PanelWeights};
 use dsi_kernels::tensor::Tensor;
 use dsi_model::config::GptConfig;
 use dsi_model::fast::{PackedLayer, WeightSource};
-use dsi_model::io::{self, IoError, PanelDirectory};
+use dsi_model::io::{self, IoError, PanelDirectory, Rejected};
 use dsi_sim::fault::{apply_stall, IoFaultInjector, IoFaultKind};
 use dsi_sim::{Clock, FlightRecorder};
 use serde::Serialize;
@@ -205,7 +205,9 @@ pub struct OffloadStats {
     pub evictions: u64,
     /// Prefetched panels dropped because nothing evictable made room.
     pub prefetch_dropped: u64,
-    /// Fetches that ended in a typed error.
+    /// `acquire` calls that returned an error, one count per `Err`: a
+    /// failure the worker parked, a failed synchronous fetch after the
+    /// worker died, or the fetch deadline passing.
     pub fetch_errors: u64,
     /// Re-reads forced by short reads.
     pub short_read_retries: u64,
@@ -362,7 +364,7 @@ struct CacheState {
     /// instead of faulting in fresh ones. Not resident (nothing can acquire
     /// it) and not new memory: it is the one panel a fetch in flight has
     /// always held beyond the budget, kept between fetches.
-    spare: Option<PackedLayer<PackedB>>,
+    spare: Option<io::Spare>,
     resident_bytes: usize,
     /// The layer most recently acquired — anchors the cyclic
     /// distance-to-next-use eviction order.
@@ -609,8 +611,15 @@ impl OffloadStore {
                 // Degraded mode: fetch on the calling thread, without the
                 // lock held.
                 drop(st);
-                let fetched = inner.fetch_panel(l)?;
+                let fetched = inner.fetch_panel(l);
                 st = inner.state.lock().unwrap();
+                let fetched = match fetched {
+                    Ok(f) => f,
+                    Err(e) => {
+                        st.stats.fetch_errors += 1;
+                        return Err(e);
+                    }
+                };
                 merge_stats(&mut st.stats, fetched.stats);
                 st.stats.sync_fallbacks += 1;
                 insert_with_evict(
@@ -755,11 +764,13 @@ impl Inner {
                     stats.fetch_ns += started.elapsed().as_nanos() as u64;
                     return Ok(Fetched { panel: Arc::new(panel), bytes, stats });
                 }
-                Err(IoError::ChecksumMismatch { .. }) => {
+                // The re-read refills the refused copy's buffers.
+                Err(Rejected { error: IoError::ChecksumMismatch { .. }, spare }) => {
+                    recycle = Some(*spare);
                     crc_bad += 1;
                     stats.checksum_retries += 1;
                 }
-                Err(e) => return Err(e.into()),
+                Err(r) => return Err(IoError::from(r).into()),
             }
         }
         Err(if crc_bad >= short {
@@ -832,7 +843,7 @@ fn insert_with_evict(
                 st.resident_bytes -= e.bytes;
                 st.stats.evictions += 1;
                 // Unpinned means this was the last handle.
-                st.spare = Arc::try_unwrap(e.panel).ok();
+                st.spare = Arc::try_unwrap(e.panel).ok().map(io::Spare::from);
             }
             None => {
                 st.stats.prefetch_dropped += 1;
@@ -895,7 +906,6 @@ fn worker_loop(inner: Arc<Inner>, rx: Receiver<usize>) {
                     inner.cv.notify_all();
                     break;
                 }
-                st.stats.fetch_errors += 1;
                 st.failed.insert(layer, e);
                 inner.cv.notify_all();
             }
@@ -968,6 +978,29 @@ mod tests {
         }
         let twice = store.stats();
         assert_eq!((twice.bytes_read, twice.hits), (once.bytes_read, once.hits + 3));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_file_the_single_chain_engine_saved_still_loads() {
+        // What `save` wrote for this model before the checksum ran three
+        // chains: the file's CRC32C and its directory's (length, CRC32C)
+        // entries. This build writes the same bytes and computes the same
+        // values, so that file verifies everywhere a panel is checked.
+        const FILE: (usize, u32) = (443_090, 0x5b0e_f62f);
+        const DIRECTORY: [(usize, u32); 3] =
+            [(42_804, 0x91cf_ad0a), (200_096, 0x38c2_6de7), (200_096, 0xbcfa_2976)];
+        let (m, path) = save_model(2, 77, "saved");
+        let bytes = std::fs::read(&path).expect("read");
+        assert_eq!((bytes.len(), io::checksum(&bytes)), FILE);
+        let dir = io::read_directory(&bytes).expect("directory");
+        assert_eq!(dir.panels.iter().map(|p| (p.len, p.crc)).collect::<Vec<_>>(), DIRECTORY);
+        let back = io::from_bytes(&bytes).expect("every panel verifies");
+        assert_eq!(back.generate(&[1, 2, 3], 4), m.generate(&[1, 2, 3], 4));
+        let store = OffloadStore::open(&path, OffloadConfig::default()).expect("the resident group verifies");
+        for l in 0..2 {
+            assert_panel_is_packed_layer(&store.acquire(l).expect("the layer verifies"), &m, l);
+        }
         let _ = std::fs::remove_file(path);
     }
 
@@ -1094,6 +1127,55 @@ mod tests {
                 (_, other) => panic!("panel {i}: got {:?}", other.map(|_| ())),
             }
         }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn fetch_errors_count_each_err_acquire_returns_once() {
+        let (_m, path) = save_model(3, 43, "errs");
+        // Read call 0 is the open-time probe of layer 0. Calls 1..=3 are the
+        // worker's three attempts at layer 1, call 4 its read of layer 2,
+        // and calls 5..=7 the synchronous attempts at layer 1 once it dies.
+        let corrupt = |call| IoFaultSpec { site: IoFaultSite::Read { call }, kind: IoFaultKind::CorruptPanel };
+        let mut specs: Vec<_> = [1, 2, 3, 5, 6, 7].into_iter().map(corrupt).collect();
+        specs.push(IoFaultSpec {
+            site: IoFaultSite::Read { call: 4 },
+            kind: IoFaultKind::SlowRead { millis: 200 },
+        });
+        // The deadline runs on a manual clock: only the advance below can
+        // pass it, however slow the host.
+        let (clock, time) = Clock::manual();
+        let cfg = OffloadConfig {
+            clock,
+            faults: Some(Arc::new(IoFaultPlan::new(specs).injector())),
+            ..OffloadConfig::default()
+        };
+        let store = OffloadStore::open(&path, cfg).expect("open");
+        let errors = || store.stats().fetch_errors;
+        // A failure the live worker parked.
+        assert!(matches!(store.acquire(1), Err(OffloadError::ChecksumFailed { layer: 1, .. })));
+        assert_eq!(errors(), 1, "parked failure");
+        // The deadline passing while the worker is in its slow read.
+        let timed_out = std::thread::scope(|s| {
+            s.spawn(|| {
+                while store.inner.read_calls.load(Ordering::SeqCst) < 5 {
+                    std::thread::yield_now();
+                }
+                time.advance(2 * OffloadConfig::default().fetch_timeout);
+            });
+            store.acquire(2).map(|_| ())
+        });
+        assert!(matches!(timed_out, Err(OffloadError::FetchTimeout { layer: 2, .. })));
+        assert_eq!(errors(), 2, "timeout");
+        while store.stats().prefetch_fetches == 0 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // A failed synchronous fetch after the worker died.
+        store.kill_prefetcher();
+        assert!(matches!(store.acquire(1), Err(OffloadError::ChecksumFailed { layer: 1, .. })));
+        assert_eq!(errors(), 3, "synchronous failure");
+        store.acquire(2).expect("the slow panel landed");
+        assert_eq!(errors(), 3, "a hit is not an error");
         let _ = std::fs::remove_file(path);
     }
 
