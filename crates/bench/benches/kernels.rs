@@ -78,25 +78,55 @@ fn bench_quantization(c: &mut Criterion) {
     g.finish();
 }
 
-/// The executed INT8 kernel (`PanelWeights::gemm`, M=1, group 32) on the
-/// benchmark model's five GEMM shapes `[k, n]`: QKV, W_o, FF1, FF2 and the
-/// logits. Each id ends in the operand's streamed bytes, so GB/s is bytes
-/// over time per iteration. One operand timed alone stays cache-resident,
-/// so this reads the kernel's issue rate, not DRAM bandwidth.
+/// The benchmark model's (bench-256's) five GEMM shapes `[k, n]`: QKV,
+/// W_o, FF1, FF2 and the logits.
+const SHAPES: [(usize, usize); 5] = [(256, 768), (256, 256), (256, 1024), (1024, 256), (256, 512)];
+
+/// The executed INT8 kernel (`PanelWeights::gemm`, group 32) on the five
+/// shapes at M = 1, 8 and 16: whatever tier and row blocks the host
+/// dispatches to. Each id ends in the operand's streamed bytes, so GB/s is
+/// bytes over time per iteration. One operand timed alone stays
+/// cache-resident, so those rows read the kernel's issue rate, not DRAM
+/// bandwidth. The `step33` row runs the 33 GEMVs of one bench-256 decode
+/// step (8 layers × QKV, W_o, FF1, FF2, then the logits) over distinct
+/// operands, ≈ 7 MiB in all: past a 2 MiB per-core L2, so it reads the
+/// bandwidth regime a decode step runs in.
 fn bench_int8_gemv(c: &mut Criterion) {
     // Calibrate the dispatch table first, so the first shape's timing
     // calibration does not include it.
     dsi_kernels::dispatch::table();
     let mut g = c.benchmark_group("int8_gemv");
-    for &(k, n) in &[(256usize, 768usize), (256, 256), (256, 1024), (1024, 256), (256, 512)] {
+    for &(k, n) in &SHAPES {
         let b = QuantizedPackedB::quantize_pack(&Tensor::randn(&[k, n], 0.1, 11), 32);
-        let a = Tensor::randn(&[1, k], 1.0, 12);
-        let mut out = vec![0.0f32; n];
-        let id = BenchmarkId::new(format!("{k}x{n}"), format!("{}B", b.storage_bytes()));
-        g.bench_with_input(id, &(), |bch, _| {
-            bch.iter(|| b.gemm(black_box(a.data()), 1, black_box(&mut out), Epilogue::None))
-        });
+        for m in [1usize, 8, 16] {
+            let a = Tensor::randn(&[m, k], 1.0, 12);
+            let mut out = vec![0.0f32; m * n];
+            let id = BenchmarkId::new(format!("{k}x{n}/m{m}"), format!("{}B", b.storage_bytes()));
+            g.bench_with_input(id, &(), |bch, _| {
+                bch.iter(|| b.gemm(black_box(a.data()), m, black_box(&mut out), Epilogue::None))
+            });
+        }
     }
+    let mut step: Vec<QuantizedPackedB> = (0..8u64)
+        .flat_map(|layer| {
+            SHAPES[..4].iter().zip(0u64..).map(move |(&(k, n), i)| {
+                QuantizedPackedB::quantize_pack(&Tensor::randn(&[k, n], 0.1, 100 + 4 * layer + i), 32)
+            })
+        })
+        .collect();
+    let (k, n) = SHAPES[4];
+    step.push(QuantizedPackedB::quantize_pack(&Tensor::randn(&[k, n], 0.1, 140), 32));
+    let bytes: usize = step.iter().map(|b| b.storage_bytes()).sum();
+    let a = Tensor::randn(&[1, 1024], 1.0, 12);
+    let mut out = vec![0.0f32; 1024];
+    let id = BenchmarkId::new("step33", format!("{bytes}B"));
+    g.bench_with_input(id, &(), |bch, _| {
+        bch.iter(|| {
+            for b in &step {
+                b.gemm(black_box(&a.data()[..b.k()]), 1, black_box(&mut out[..b.n()]), Epilogue::None);
+            }
+        })
+    });
     g.finish();
 }
 
@@ -107,13 +137,7 @@ fn bench_int8_gemv(c: &mut Criterion) {
 fn bench_f32_gemm(c: &mut Criterion) {
     dsi_kernels::dispatch::table();
     let mut g = c.benchmark_group("f32_gemm");
-    for &(k, n) in &[
-        (256usize, 768usize),
-        (256, 256),
-        (256, 1024),
-        (1024, 256),
-        (256, 512),
-    ] {
+    for &(k, n) in &SHAPES {
         let b = PackedB::pack(&Tensor::randn(&[k, n], 0.1, 13));
         for m in [1usize, 8, 16] {
             let a = Tensor::randn(&[m, k], 1.0, 14);

@@ -194,8 +194,9 @@ fn check_paths(
     }
 }
 
-#[test]
-fn f32_paths_match_the_fma_oracle_bitwise() {
+/// Print which kernel tiers a dtype's paths were checked on, so a log
+/// shows whether the AVX-512 tier ran.
+fn print_tiers(dtype: &str) {
     let checked: Vec<_> = host_tiers()
         .map(|t| format!("{t:?}").to_lowercase())
         .collect();
@@ -204,7 +205,12 @@ fn f32_paths_match_the_fma_oracle_bitwise() {
     } else {
         ""
     };
-    println!("tiers checked: {}{skipped}", checked.join(", "));
+    println!("{dtype} tiers checked: {}{skipped}", checked.join(", "));
+}
+
+#[test]
+fn f32_paths_match_the_fma_oracle_bitwise() {
+    print_tiers("f32");
     for (case, (k, n)) in shapes().chain(F32_CASES).enumerate() {
         let seed = case as u64;
         let x = activations(k, seed);
@@ -251,6 +257,7 @@ fn avx512_eight_row_block_matches_eight_avx2_rows_bitwise() {
 
 #[test]
 fn int8_paths_match_matmul_quantized_bitwise() {
+    print_tiers("int8");
     let grid = shapes().flat_map(|(k, n)| [1, 7, 32, 64, k + 1].map(|group| (k, n, group)));
     for (case, (k, n, group)) in grid.chain(INT8_CASES).enumerate() {
         let seed = case as u64;
@@ -267,6 +274,44 @@ fn int8_paths_match_matmul_quantized_bitwise() {
                 gemm_int8_with(&qb, &Window::full(&qb), a, OutRows::new(out, m, n, 0..n), Epilogue::None, tier, force)
             },
         );
+    }
+}
+
+/// The AVX-512 INT8 tier against AVX2 M = 1 rows, bit for bit (NaN by
+/// NaN-ness): every forced row block, M = 1's two-panel passes included.
+/// `DIMS` spans one to three panels, so the pairing's odd last panel runs;
+/// groups of 7 leave a ragged last group at every depth here, 32 one at
+/// `k = 33`; and the column windows start inside a panel, at an even and at
+/// an odd panel index, over all rows and over rows from the second group.
+#[test]
+fn avx512_int8_blocks_match_avx2_rows_bitwise() {
+    if Tier::host() < Tier::Avx512 {
+        println!("avx512 skipped: this host lacks it");
+        return;
+    }
+    let grid = shapes().flat_map(|(k, n)| [7, 32].map(|group| (k, n, group)));
+    for (case, (k, n, group)) in grid.enumerate() {
+        let seed = case as u64;
+        let qb = QuantizedPackedB::quantize_pack(&weights(k, n, seed + 500), group);
+        let rows = [0..k, group..k];
+        let cols = [0..n, 5.min(n - 1)..n, (n / 2).max(1) - 1..n];
+        let nonempty = rows.iter().filter(|r| !r.is_empty());
+        for win in nonempty.flat_map(|r| cols.iter().map(|c| Window { rows: r.clone(), cols: c.clone() })) {
+            let (kw, nw) = (win.rows.len(), win.cols.len());
+            let x = activations(kw, seed + kw as u64);
+            let a = x.data();
+            let mut want = vec![SENTINEL; MAX_M * nw + GUARD];
+            for (arow, orow) in a.chunks_exact(kw).zip(want.chunks_exact_mut(nw)) {
+                gemm_int8_with(&qb, &win, arow, OutRows::new(orow, 1, nw, 0..nw), Epilogue::None, Tier::Avx2, Some(1));
+            }
+            for force in MR_CANDIDATES {
+                let mut got = vec![SENTINEL; MAX_M * nw + GUARD];
+                let out = OutRows::new(&mut got[..MAX_M * nw], MAX_M, nw, 0..nw);
+                gemm_int8_with(&qb, &win, a, out, Epilogue::None, Tier::Avx512, Some(force));
+                let what = format!("int8 avx512 vs avx2 k={k} n={n} group={group} {win:?} force={force}");
+                assert_same(&got, &want[..MAX_M * nw], &what);
+            }
+        }
     }
 }
 

@@ -6,16 +6,17 @@
 //! Each `(row count, dtype)` pair maps to a microkernel row-block `MR`.
 //! The mapping is calibrated once per process at first use ("pack time"):
 //! every candidate `MR` is timed, on the kernel tier the host will run, on
-//! a synthetic decode-shaped GEMM (`k = n = 256`) and the winner recorded
-//! per batch width. A static fallback covers hosts without AVX2.
+//! a synthetic decode-shaped GEMM (`k = n = 256`; INT8 quantized at group
+//! 32, the size the benchmark model runs) and the winner recorded per
+//! batch width. A static fallback covers hosts without AVX2.
 //!
-//! That operand is 256 KiB of f32, so it stays resident in a core's L2 on
+//! The f32 operand is 256 KiB, so it stays resident in a core's L2 on
 //! hosts with 1 MiB or more: a row block that re-reads the panels pays L2,
-//! not DRAM, prices. That is why the AVX2 tier picks `MR = 2` at 8 rows
-//! (`gemm_block::<2, 4>` four times) over `<8, 1>`, which re-walks each
-//! panel four times at a 128-byte stride. The AVX-512 tier reads a panel
-//! once per block at any `MR`; on a Sapphire Rapids core (2 MiB L2) its
-//! calibration picks 8 at 8 rows.
+//! not DRAM, prices. That is why the AVX2 tier picks `MR = 2` at 8 f32
+//! rows (`gemm_block::<2, 4>` four times) over `<8, 1>`, which re-walks
+//! each panel four times at a 128-byte stride. The AVX-512 tier's f32 and
+//! INT8 kernels read a panel once per block at any `MR`; on a Sapphire
+//! Rapids core (2 MiB L2) its calibration picks 8 at 8 rows for both.
 //!
 //! Correctness never depends on the table: every candidate accumulates each
 //! output element in the same order on every tier (see
@@ -123,19 +124,25 @@ fn time_config(mut run: impl FnMut(), iters: usize) -> u128 {
 /// measured width below them.
 const PROBE_M: [usize; 5] = [1, 2, 4, 8, 16];
 
-fn calibrate() -> DispatchTable {
+/// INT8 calibration's quantization group: the size the benchmark model,
+/// the engine and TP tests and `int8_fidelity` quantize at, so the table
+/// times the group loop that runs (per-group overhead scales with `k / g`).
+const INT8_GROUP: usize = 32;
+
+/// Time every candidate on `tier`'s kernels (which must not exceed
+/// [`Tier::host`]) and build the table from the winners.
+fn calibrate(tier: Tier) -> DispatchTable {
     let mut table = DispatchTable {
         f32_mr: fallback_table(GemmDtype::F32),
         int8_mr: fallback_table(GemmDtype::Int8),
     };
-    let tier = Tier::host();
     if tier > Tier::Scalar {
         // Decode-shaped operands: skinny activations against a square-ish
         // weight big enough that the weight stream dominates.
         let (k, n) = (256usize, 256usize);
         let b = Tensor::from_vec(&[k, n], lcg_fill(k * n, 7));
         let pb = PackedB::pack(&b);
-        let qb = QuantizedPackedB::from_matrix(&QuantizedMatrix::quantize(&b, 64));
+        let qb = QuantizedPackedB::from_matrix(&QuantizedMatrix::quantize(&b, INT8_GROUP));
         let a = lcg_fill(MAX_M * k, 11);
         let mut out = vec![0.0f32; MAX_M * n];
         for dtype in [GemmDtype::F32, GemmDtype::Int8] {
@@ -207,7 +214,7 @@ static TABLE: OnceLock<DispatchTable> = OnceLock::new();
 
 /// The process-wide calibrated table (built on first use).
 pub fn table() -> &'static DispatchTable {
-    TABLE.get_or_init(calibrate)
+    TABLE.get_or_init(|| calibrate(Tier::host()))
 }
 
 /// The microkernel row count for the next block of an `m`-row GEMM.
@@ -219,17 +226,30 @@ pub fn mr_for(m: usize, dtype: GemmDtype) -> usize {
 mod tests {
     use super::*;
 
+    /// The process table and the table of every SIMD tier the host has
+    /// hold valid candidates. The tier tables are printed (`--nocapture`),
+    /// so a log shows what each tier picked.
     #[test]
     fn table_entries_are_valid_candidates() {
-        let t = table();
-        for m in 1..=MAX_M {
-            for dtype in [GemmDtype::F32, GemmDtype::Int8] {
-                let mr = t.mr_for(m, dtype);
-                assert!(MR_CANDIDATES.contains(&mr), "m={m} mr={mr}");
-                assert!(mr <= m, "m={m} mr={mr}");
+        let tiers = [Tier::Avx2, Tier::Avx512].into_iter().filter(|&t| t <= Tier::host());
+        let tables: Vec<_> = tiers
+            .map(|tier| {
+                let t = calibrate(tier);
+                println!("{tier:?}: f32 {:?} int8 {:?}", &t.f32_mr[1..], &t.int8_mr[1..]);
+                t
+            })
+            .collect();
+        for t in tables.iter().chain([table()]) {
+            for m in 1..=MAX_M {
+                for dtype in [GemmDtype::F32, GemmDtype::Int8] {
+                    let mr = t.mr_for(m, dtype);
+                    assert!(MR_CANDIDATES.contains(&mr), "m={m} mr={mr}");
+                    assert!(mr <= m, "m={m} mr={mr}");
+                }
             }
         }
         // Wider-than-table GEMMs reuse the widest entry.
+        let t = table();
         assert_eq!(t.mr_for(1000, GemmDtype::F32), t.mr_for(MAX_M, GemmDtype::F32));
     }
 

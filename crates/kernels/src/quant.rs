@@ -12,7 +12,10 @@
 //! is exact), and applies the scale once at the group's end. The scale
 //! multiply leaves the per-row loop, and each weight costs one rounding.
 //! [`matmul_quantized`] is the portable oracle that fixes this order; every
-//! executed path over [`QuantizedPackedB`] is bitwise equal to it.
+//! executed path over [`QuantizedPackedB`] (the scalar fallback and the
+//! AVX2 and AVX-512 dequant-in-register kernels) is bitwise equal to it.
+//! The weights are widened to f32 in registers, so what INT8 buys here is
+//! the smaller weight stream, not an integer arithmetic peak.
 
 use crate::blocked::{Epilogue, Geom, OutRows, PanelWeights, Window, PANEL};
 use crate::ops;
@@ -95,11 +98,12 @@ impl QuantizedMatrix {
 /// dequantization epilogue fused (we dequantize on the fly rather than
 /// materializing the f32 weights).
 ///
-/// This is the **portable oracle** for the AVX2 dequant-in-register kernels
-/// in [`QuantizedPackedB`], and it fixes their rounding order. Per output
-/// element and per group `g`, a partial sum starts at `+0.0` and takes one
-/// fused multiply-add per row, `t = x.mul_add(q as f32, t)`. `q as f32` is
-/// exact, so each weight costs one rounding. The group's scale is then
+/// This is the **portable oracle** for the AVX2 and AVX-512
+/// dequant-in-register kernels over [`QuantizedPackedB`], and it fixes
+/// their rounding order. Per output element and per group `g`, a partial
+/// sum starts at `+0.0` and takes one fused multiply-add per row,
+/// `t = x.mul_add(q as f32, t)`. `q as f32` is exact, so each weight costs
+/// one rounding. The group's scale is then
 /// applied once, `acc = t.mul_add(scale, acc)`, with groups in order from
 /// `acc = +0.0`. The AVX kernels perform the same roundings in the same
 /// order, so oracle and kernel are bitwise equal, not approximations
@@ -139,12 +143,13 @@ pub fn matmul_quantized(x: &Tensor, wq: &QuantizedMatrix) -> Tensor {
 /// executed fast path, with the group scales panel-packed alongside
 /// (`scales[jp * n_groups * PANEL + g * PANEL + jr]`).
 ///
-/// The GEMM dequantizes **in registers**: 8 INT8 lanes are widened with
-/// `_mm256_cvtepi8_epi32` and converted exactly via `_mm256_cvtepi32_ps`,
-/// FMA'd into a per-group partial sum, and the group's scale is applied to
-/// that sum once — the FP32 weight row never exists in memory, so the
-/// decode loop streams ~¼ the weight bytes of the FP32 path (Sec. III-D's
-/// bandwidth argument executed on CPU). Padded tail columns store
+/// The GEMM dequantizes **in registers**: INT8 lanes are widened with
+/// `cvtepi8_epi32` and converted exactly via `cvtepi32_ps`, 8 at a time on
+/// the AVX2 tier and 16 on the AVX-512 tier, FMA'd into a per-group partial
+/// sum, and the group's scale is applied to that sum once — the FP32
+/// weight row never exists in memory, so the decode loop streams ~¼ the
+/// weight bytes of the FP32 path (Sec. III-D's bandwidth argument executed
+/// on CPU). Padded tail columns store
 /// `q == 0`, `scale == 0.0` and are never written back.
 #[derive(Debug, Clone)]
 pub struct QuantizedPackedB {
@@ -215,9 +220,9 @@ impl QuantizedPackedB {
 }
 
 /// Portable fallback row kernel over a window of the packed INT8 layout.
-/// Performs the identical rounding sequence as both [`matmul_quantized`]
-/// and the AVX kernels: per group, `t = x.mul_add(q as f32, t)` row by row
-/// from `+0.0`, then `acc = t.mul_add(scale, acc)`. Like
+/// Performs the identical rounding sequence as [`matmul_quantized`] and
+/// the AVX2 and AVX-512 kernels: per group, `t = x.mul_add(q as f32, t)`
+/// row by row from `+0.0`, then `acc = t.mul_add(scale, acc)`. Like
 /// `blocked::gemv_scalar` it pays a libm `fmaf` call per lane on a build
 /// without the `fma` target feature (≈ 14× the old mul-then-add loop on
 /// x86_64) to stay bitwise equal.
@@ -382,9 +387,141 @@ mod avx {
     }
 }
 
+/// The AVX-512 tier: one 32-lane panel row of INT8 weights is two 16-lane
+/// dequants (`vpmovsxbd` from memory, then `vcvtdq2ps`), half the
+/// conversions per weight of the AVX2 kernel's 8-lane ones. The kernels are
+/// safe `#[target_feature]` functions: the weights, scales and activations
+/// of a group are cut as bounds-checked slices once per group, so only the
+/// loads and stores inside them are `unsafe`. Every output lane keeps the
+/// AVX2 kernel's order (rows in order inside a group from `+0.0`, then
+/// `acc = t·scale + acc` with groups in order), so the tier is bitwise the
+/// AVX2 kernel and [`matmul_quantized`].
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Geom, OutRows, QuantizedPackedB, PANEL};
+    use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// `out` row `r` = `a[r * kw..][..kw] · dequant(B)[r0..r1, ..]` over
+    /// the window panels `panels`, `NP` panels per pass. Per pass and
+    /// group: `MR × NP × 2` zmm partial sums, `NP × 2` weight registers and
+    /// one broadcast. That is 9 of the 32 zmm registers at `<1, 2>` (four
+    /// FMA chains per row) and 19 at `<8, 1>`. The running sums `acc` wait
+    /// between groups in a stack buffer (f32 store and reload are exact),
+    /// as in the AVX2 kernel. A pass computes whole panels; a window that
+    /// cuts a panel copies out only its lanes.
+    #[target_feature(enable = "avx512f")]
+    fn gemm_block_int8_512<const MR: usize, const NP: usize>(
+        a: &[f32],
+        b: &QuantizedPackedB,
+        g: Geom,
+        panels: Range<usize>,
+        out: &mut OutRows<'_>,
+    ) {
+        let (k, gs, kw) = (b.k, b.group_size, g.kw());
+        assert_eq!(a.len(), MR * kw, "int8 gemm512: lhs size mismatch");
+        assert!(out.rows() == MR && out.width() >= g.nw(), "int8 gemm512: out size mismatch");
+        assert!(
+            g.k == k && g.r1 <= k && g.r0.is_multiple_of(gs),
+            "int8 gemm512: rows {}..{} off the operand's groups",
+            g.r0,
+            g.r1
+        );
+        let window = g.panels();
+        assert!(
+            window.start <= panels.start && panels.end <= window.end && panels.len().is_multiple_of(NP),
+            "int8 gemm512: panels {panels:?} outside {window:?} or not in passes of {NP}"
+        );
+        let groups = g.r0 / gs..g.r1.div_ceil(gs);
+        for jp in panels.step_by(NP) {
+            let mut acc = [[[0.0f32; PANEL]; NP]; MR];
+            for grp in groups.clone() {
+                let (lo, hi) = (grp * gs, (grp * gs + gs).min(g.r1));
+                let rows = hi - lo;
+                // The group's rows of each panel, and of each activation
+                // row (plain loops: `array::from_fn` is not inlined here).
+                let mut q = [&b.q[..0]; NP];
+                for (p, qp) in q.iter_mut().enumerate() {
+                    *qp = &b.q[((jp + p) * k + lo) * PANEL..((jp + p) * k + hi) * PANEL];
+                }
+                let mut x = [&a[..0]; MR];
+                for (r, xr) in x.iter_mut().enumerate() {
+                    *xr = &a[r * kw + lo - g.r0..r * kw + hi - g.r0];
+                }
+                let mut t = [[[_mm512_setzero_ps(); 2]; NP]; MR];
+                for i in 0..rows {
+                    let mut w = [[_mm512_setzero_ps(); 2]; NP];
+                    for (wp, qp) in w.iter_mut().zip(&q) {
+                        for (c, wc) in wp.iter_mut().enumerate() {
+                            // SAFETY: `i < rows` and `qp.len() == rows * PANEL`,
+                            // so the 16 bytes at `i * PANEL + 16 * c` (`c < 2`)
+                            // lie inside `qp`.
+                            let qi = unsafe { _mm_loadu_si128(qp.as_ptr().add(i * PANEL + 16 * c).cast()) };
+                            // Dequantize 16 lanes exactly: i8 → i32 → f32.
+                            *wc = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qi));
+                        }
+                    }
+                    for (tr, xr) in t.iter_mut().zip(&x) {
+                        let av = _mm512_set1_ps(xr[i]);
+                        for (tp, wp) in tr.iter_mut().zip(&w) {
+                            for (tc, &wc) in tp.iter_mut().zip(wp) {
+                                *tc = _mm512_fmadd_ps(av, wc, *tc);
+                            }
+                        }
+                    }
+                }
+                for p in 0..NP {
+                    let s = &b.scales[(jp + p) * b.n_groups * PANEL + grp * PANEL..][..PANEL];
+                    // SAFETY: `s` is exactly `PANEL == 32` floats, so both
+                    // 16-wide loads read inside it.
+                    let sv = unsafe { [_mm512_loadu_ps(s.as_ptr()), _mm512_loadu_ps(s.as_ptr().add(16))] };
+                    for (accr, tr) in acc.iter_mut().zip(&t) {
+                        for (c, &tc) in tr[p].iter().enumerate() {
+                            let at = accr[p][16 * c..16 * c + 16].as_mut_ptr();
+                            // SAFETY: `at` heads a 16-float slice of `accr[p]`.
+                            unsafe { _mm512_storeu_ps(at, _mm512_fmadd_ps(tc, sv[c], _mm512_loadu_ps(at))) };
+                        }
+                    }
+                }
+            }
+            for p in 0..NP {
+                let (lo, hi, at) = g.lanes(jp + p);
+                for (r, accr) in acc.iter().enumerate() {
+                    out.row(r)[at..at + hi - lo].copy_from_slice(&accr[p][lo..hi]);
+                }
+            }
+        }
+    }
+
+    /// Runtime-`mr` front end for the dispatch candidates. M = 1 reads the
+    /// window's panels two per pass (four 16-lane FMA chains, one broadcast
+    /// per row), the odd last panel alone; 16 rows run as two 8-row blocks,
+    /// since 32 partial sums would spill.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gemm_rows_int8(a: &[f32], mr: usize, b: &QuantizedPackedB, g: Geom, out: &mut OutRows<'_>) {
+        let ps = g.panels();
+        match mr {
+            1 => {
+                let pairs = ps.start..ps.end - ps.len() % 2;
+                gemm_block_int8_512::<1, 2>(a, b, g, pairs.clone(), out);
+                gemm_block_int8_512::<1, 1>(a, b, g, pairs.end..ps.end, out);
+            }
+            2 => gemm_block_int8_512::<2, 1>(a, b, g, ps, out),
+            4 => gemm_block_int8_512::<4, 1>(a, b, g, ps, out),
+            8 => gemm_block_int8_512::<8, 1>(a, b, g, ps, out),
+            16 => {
+                let (a0, a1) = a.split_at(8 * g.kw());
+                gemm_block_int8_512::<8, 1>(a0, b, g, ps.clone(), &mut out.rows_at(0, 8));
+                gemm_block_int8_512::<8, 1>(a1, b, g, ps, &mut out.rows_at(8, 8));
+            }
+            _ => unreachable!("unsupported AVX-512 row count {mr}"),
+        }
+    }
+}
+
 /// Dispatch-driven row-blocked GEMM over a window of INT8 panels (mirror
-/// of `blocked::gemm_f32_with`). The AVX-512 tier runs the AVX2 kernel:
-/// INT8 has no 512-bit form.
+/// of `blocked::gemm_f32_with`), on the kernels of `tier`: scalar, AVX2 or
+/// AVX-512, all bitwise equal.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_int8_with(
     b: &QuantizedPackedB,
@@ -418,10 +555,14 @@ pub(crate) fn gemm_int8_with(
             Tier::Scalar => gemv_int8_scalar(ablk, b, g, oblk),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
+            // reported AVX-512F; the kernels check their own bounds.
+            Tier::Avx512 => unsafe { avx512::gemm_rows_int8(ablk, mr, b, g, oblk) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
             // reported AVX2+FMA; layout invariants upheld by
             // `QuantizedPackedB` construction, the window by `Geom::new`;
             // block sizes by the asserts above.
-            Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows_int8(ablk, mr, b, g, oblk) },
+            Tier::Avx2 => unsafe { avx::gemm_rows_int8(ablk, mr, b, g, oblk) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("SIMD tiers are detected on x86_64 only"),
         }

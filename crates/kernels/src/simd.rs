@@ -19,7 +19,8 @@ pub(crate) enum Tier {
     Scalar,
     /// AVX2+FMA, 8 lanes.
     Avx2,
-    /// AVX-512F on top of AVX2+FMA: the f32 panel GEMMs run 16 lanes.
+    /// AVX-512F on top of AVX2+FMA: the f32 and INT8 panel GEMMs run 16
+    /// lanes.
     Avx512,
 }
 
