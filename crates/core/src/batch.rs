@@ -24,9 +24,9 @@
 //! [`Engine`] (M slots over a shared page pool, the serving configuration,
 //! over whichever [`WeightSource`] it was built on: a resident packed model
 //! as `PagedEngine`, the offload tier as [`crate::streamed::StreamedEngine`]
-//! builds it), and [`TpEngine`] (the same engine run by every rank of a
-//! tensor-parallel group over its shard). Every implementation emits **the
-//! same token stream** for a given prompt — the microkernel
+//! builds it), and [`TpEngine`] (the same engine over a packed model, every
+//! pass split across a tensor-parallel group's members). Every
+//! implementation emits **the same token stream** for a given prompt — the microkernel
 //! accumulation-order invariant makes batching, paging, streaming and
 //! tensor slicing invisible to the numerics — which is what lets the chaos
 //! suite use solo sessions as bitwise oracles for continuous-batched
@@ -34,8 +34,8 @@
 //!
 //! Failures are classed by type: every error an engine can surface maps to
 //! its [`FaultClass`] through an exhaustive `match` on its variants (here
-//! for a TP group's [`RankFailure`], in [`crate::streamed`] for the offload
-//! tier's), never by reading its message.
+//! for a split pass member's [`RankFailure`], in [`crate::streamed`] for the
+//! offload tier's), never by reading its message.
 
 use dsi_kernels::blocked::PanelWeights;
 use dsi_model::fast::{FastSession, WeightSource};
@@ -75,11 +75,9 @@ impl From<&RankFailure> for FaultClass {
             RankFailureCause::Collective(c) => match &c.kind {
                 CollectiveErrorKind::Timeout { .. } => FaultClass::Timeout,
                 CollectiveErrorKind::Poisoned => FaultClass::Panic,
-                CollectiveErrorKind::Corrupt { .. } => FaultClass::Corruption,
                 CollectiveErrorKind::InjectedExit => FaultClass::Panic,
             },
             RankFailureCause::Panicked(_) => FaultClass::Panic,
-            RankFailureCause::Unjoined => FaultClass::Timeout,
         }
     }
 }
@@ -104,7 +102,7 @@ impl std::fmt::Display for FaultClass {
 pub enum EngineError {
     /// A page reservation failed; the step was not executed.
     OutOfPages { needed: usize, free: usize },
-    /// The underlying engine faulted (collective failure, rank loss,
+    /// The underlying engine faulted (a member's failed join, member loss,
     /// injected chaos, ...).
     Fault { class: FaultClass, msg: String },
 }
@@ -171,6 +169,7 @@ where
         match e {
             StepError::Pages(p) => p.into(),
             StepError::Weights(w) => w.into(),
+            StepError::Member(c) => RankFailure::from(c).into(),
         }
     }
 }
@@ -316,10 +315,10 @@ where
 }
 
 /// A tensor-parallel group under the one scheduler: the paged engine's
-/// slot lifecycle on every rank. A fault anywhere in the group is a
-/// `Fault` of its [`RankFailure`]'s class, with every slot the group held
-/// lost (releasing one is a no-op); the group is rebuilt at the next pass.
-impl<B: PanelWeights + Send + Sync + 'static> BatchEngine for TpEngine<B> {
+/// slot lifecycle, every pass split across the group. A member fault is a
+/// `Fault` of its [`RankFailure`]'s class, and the engine is as after any
+/// failed pass: the scheduler releases and replays the residents.
+impl<B: PanelWeights> BatchEngine for TpEngine<'_, '_, B> {
     fn max_slots(&self) -> usize {
         TpEngine::max_slots(self)
     }
@@ -493,8 +492,6 @@ mod tests {
     use dsi_model::paged::PagedEngine;
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
-    use dsi_model::GptConfig;
-    use dsi_parallel::SharedModel;
     use dsi_sim::shmem::CommConfig;
     use dsi_sim::fault::CollectiveError;
     use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
@@ -667,27 +664,17 @@ mod tests {
         drive_lifecycle(&mut Engine::new(store, 3, 32, 3), f32_oracle, 3, "Engine over the tier");
         let _ = std::fs::remove_file(path);
 
-        // A TP group: every rank runs the paged engine over its shard.
-        for tp in [2, 4] {
-            let mut tp_eng = TpEngine::new(Arc::new(model(11)), tp, CommConfig::default(), 3, 32, 3);
+        // A TP group: every pass split across its members, one-row passes
+        // included, over FP32 and INT8 panels, at every degree the tiny
+        // model's four heads allow.
+        for tp in 1..=4 {
+            let mut tp_eng = TpEngine::new(&pm, tp, CommConfig::default(), 3, 32, 3);
             drive_lifecycle(&mut tp_eng, f32_oracle, 3, &format!("TpEngine tp={tp}"));
             assert_eq!(tp_eng.report().rebuilds, 0);
-        }
-
-        // The same group over INT8 panels, against resident INT8: tp 2 on
-        // the tiny model, tp 4 on one twice as wide, so that every rank's
-        // W_o and FF2 rows start on a quantization group of 32.
-        let int8_tp = |m: GptModel, tp: usize| {
-            let m = Arc::new(m);
-            let qm = QuantizedPackedModel::quantize_pack(&m, 32);
-            let shared = SharedModel::with_packing(Arc::clone(&m), |m| QuantizedPackedModel::quantize_pack(m, 32));
-            let mut tp_eng = TpEngine::with_model(shared, tp, CommConfig::default(), 3, 32, 3);
-            let oracle = |p: &[usize], n: usize| qm.session(p.len()).generate(p, n);
-            drive_lifecycle(&mut tp_eng, oracle, 3, &format!("TpEngine int8 tp={tp}"));
+            let mut tp_eng = TpEngine::new(&qm, tp, CommConfig::default(), 3, 32, 3);
+            drive_lifecycle(&mut tp_eng, int8_oracle, 3, &format!("TpEngine int8 tp={tp}"));
             assert_eq!(tp_eng.report().rebuilds, 0);
-        };
-        int8_tp(model(11), 2);
-        int8_tp(GptModel::random(GptConfig { hidden: 128, ..zoo::tiny(2) }, 11), 4);
+        }
     }
 
     #[test]
@@ -921,10 +908,8 @@ mod tests {
         let causes = [
             (collective(CollectiveErrorKind::Timeout { stalled: vec![0] }), Timeout),
             (collective(CollectiveErrorKind::Poisoned), Panic),
-            (collective(CollectiveErrorKind::Corrupt { owner: 0 }), Corruption),
             (collective(CollectiveErrorKind::InjectedExit), Panic),
             (RankFailureCause::Panicked("index out of bounds".into()), Panic),
-            (RankFailureCause::Unjoined, Timeout),
         ];
         for (cause, want) in causes {
             let f = RankFailure { rank: 1, cause };

@@ -573,9 +573,11 @@ fn head_attention_oracle(q: &[f32], keys: &[&[f32]], values: &[&[f32]], simd: bo
 
 /// The column-windowed paged attention entry
 /// (`fused::attention_heads_paged_into`) — the one a member of a split pass
-/// runs over the heads it owns, reading K/V at the full arena row stride
-/// through a page table — held bitwise to the scalar oracle of the kernel
-/// it dispatches to ([`head_attention_oracle`]), computed per head from
+/// runs over the heads it owns, reading K/V through a page table over
+/// pages laid out row by row (at the full arena row stride) and head by
+/// head (each head's keys of a page one dense block) — held bitwise to the
+/// scalar oracle of the kernel it dispatches to ([`head_attention_oracle`]),
+/// computed per head from
 /// that head's own contiguous `[ctx, head_dim]` rows (no page table, no
 /// stride). Head dims 4 (the portable kernel) and 8 and 16 (the SIMD kernel
 /// where the host has AVX2+FMA). Page sizes 3 and 5 put page boundaries
@@ -612,20 +614,27 @@ fn windowed_paged_attention_matches_the_scalar_oracle_bitwise() {
                 let n_pages = ctx.div_ceil(pt);
                 let arena_pages = n_pages + 2;
                 let pages: Vec<u32> = (0..n_pages).map(|p| (arena_pages - 1 - p) as u32).collect();
-                for members in (1..=heads).filter(|n| heads.is_multiple_of(*n)) {
+                let splits = (1..=heads).filter(|n| heads.is_multiple_of(*n));
+                for (members, head_major) in splits.flat_map(|n| [(n, false), (n, true)]) {
                     for t in 0..members {
                         let range = t * heads / members..(t + 1) * heads / members;
                         let cols = range.start * d..range.end * d;
+                        // Row by row, key (j, c) of page p sits at row
+                        // `p·pt + j % pt`, column `c·d`; head by head, at
+                        // `p·pt·h + c·pt·d + (j % pt)·d`.
                         let scatter = |src: &Tensor| {
                             let mut arena = vec![f32::NAN; arena_pages * pt * h];
                             for j in 0..ctx {
-                                let r = pages[j / pt] as usize * pt + j % pt;
-                                arena[r * h + cols.start..r * h + cols.end].copy_from_slice(&src.row(j)[cols.clone()]);
+                                let (page, slot) = (pages[j / pt] as usize * pt * h, j % pt);
+                                for c in range.clone() {
+                                    let at = if head_major { page + c * pt * d + slot * d } else { page + slot * h + c * d };
+                                    arena[at..at + d].copy_from_slice(&src.row(j)[c * d..(c + 1) * d]);
+                                }
                             }
                             arena
                         };
                         let (ka, va) = (scatter(&k), scatter(&v));
-                        let table = PageTable { pages: &pages, page_tokens: pt, len: ctx, offset: ctx - 1 };
+                        let table = PageTable { pages: &pages, page_tokens: pt, len: ctx, offset: ctx - 1, head_major };
                         for (qi, q) in queries(cols.len(), seed + 7).into_iter().enumerate() {
                             let mut got = vec![SENTINEL; cols.len() + GUARD];
                             let kv = KvArenas::new(&ka, &va);
@@ -641,7 +650,7 @@ fn windowed_paged_attention_matches_the_scalar_oracle_bitwise() {
                                 let simd = simd_host && d.is_multiple_of(8);
                                 want.extend(head_attention_oracle(&q[i * d..(i + 1) * d], &kr, &vr, simd));
                             }
-                            let what = format!("heads {heads}×{d} pt {pt} ctx {ctx} member {t}/{members} query {qi}");
+                            let what = format!("heads {heads}×{d} pt {pt} ctx {ctx} member {t}/{members} head-major {head_major} query {qi}");
                             assert_same(&got, &want, &what);
                         }
                     }

@@ -145,7 +145,8 @@ pub fn attention_row_into(
 /// sequence's page table). Token position `j` resolves to arena row
 /// `pages[j / page_tokens] * page_tokens + j % page_tokens`.
 pub struct PagedKvView<'a> {
-    /// K arena, `[pages_total * page_tokens, h]` row-major.
+    /// K arena, `[pages * page_tokens, h]` row-major, covering every page
+    /// `pages` names.
     pub k: &'a [f32],
     /// V arena, same shape as `k`.
     pub v: &'a [f32],
@@ -171,7 +172,7 @@ pub fn attention_row_paged_into(
 ) {
     let h = q.len();
     assert_eq!(h % n_heads, 0, "heads must divide hidden");
-    let table = PageTable { pages: kv.pages, page_tokens: kv.page_tokens, len: kv.len, offset: kv.offset };
+    let table = PageTable { pages: kv.pages, page_tokens: kv.page_tokens, len: kv.len, offset: kv.offset, head_major: false };
     attention_heads_paged_into(q, KvArenas::new(kv.k, kv.v), &table, h, h / n_heads, 0..n_heads, out);
 }
 
@@ -234,15 +235,22 @@ pub struct PageTable<'a> {
     pub len: usize,
     /// The query's position: it attends to keys `0..=offset`.
     pub offset: usize,
+    /// How a page lays out its `page_tokens × row_width` floats: row by
+    /// row (`false`, a [`PagedKvView`]'s layout), or head by head
+    /// (`true`): `[row_width / head_dim][page_tokens][head_dim]`, so one
+    /// head's keys of a page are one dense block.
+    pub head_major: bool,
 }
 
 /// [`attention_row_paged_into`] over the heads `heads` of `head_dim`
 /// columns each, alone: the K/V arena rows are `row_width` wide (every
-/// head) and are read at that stride, while `q` and `out` hold only the
-/// range's `heads.len() * head_dim` columns. Each head runs the code it
-/// runs in a whole-row call, so the output is bitwise those heads' columns
-/// of [`attention_row_paged_into`] — the entry a pass member uses for the
-/// heads it owns.
+/// head), page `p` holding arena floats `p·page_tokens·row_width` onward in
+/// the table's layout ([`PageTable::head_major`]), while `q` and `out`
+/// hold only the range's `heads.len() * head_dim` columns. Each head runs
+/// the code it runs in a whole-row call — only its key addresses depend on
+/// the layout — so the output is bitwise those heads' columns of
+/// [`attention_row_paged_into`] over the same K/V values: the entry a pass
+/// member uses for the heads it owns.
 pub fn attention_heads_paged_into(
     q: &[f32],
     kv: KvArenas<'_>,
@@ -268,14 +276,25 @@ pub fn attention_heads_paged_into(
         let end = (p as usize + 1) * pt * row_width;
         assert!(end <= kv.len, "paged attention: page {p} out of arena bounds");
     }
+    // Head `c`'s key `j` sits at `idx.row(j) * stride + c * head_stride`:
+    // row by row, rows are `row_width` apart and heads `head_dim`; head by
+    // head, a page is `row_width / head_dim` blocks of `page_tokens` rows
+    // of `head_dim`. Either way it lies inside its page (`heads.end ·
+    // head_dim <= row_width`), which lies inside the arenas (checked above).
+    let (stride, head_stride, page_rows) = if table.head_major {
+        assert!(row_width.is_multiple_of(head_dim), "paged attention: head-major rows of whole heads");
+        (head_dim, pt * head_dim, pt * row_width / head_dim)
+    } else {
+        (row_width, head_dim, pt)
+    };
     attention_heads_indexed(
         q,
         kv,
-        row_width,
+        (stride, head_stride),
         head_dim,
         heads,
         visible,
-        PagedRows { pages: table.pages, page_tokens: pt },
+        PagedRows { pages: table.pages, page_tokens: pt, page_rows },
         out,
     );
 }
@@ -299,16 +318,19 @@ impl RowIndex for ContigRows {
     }
 }
 
+/// A page table over pages of `page_rows` arena rows, the first
+/// `page_tokens` of which hold one head's (or one token's) keys.
 #[derive(Clone, Copy)]
 struct PagedRows<'a> {
     pages: &'a [u32],
     page_tokens: usize,
+    page_rows: usize,
 }
 
 impl RowIndex for PagedRows<'_> {
     #[inline(always)]
     fn row(&self, j: usize) -> usize {
-        self.pages[j / self.page_tokens] as usize * self.page_tokens + j % self.page_tokens
+        self.pages[j / self.page_tokens] as usize * self.page_rows + j % self.page_tokens
     }
 }
 
@@ -329,39 +351,40 @@ fn attention_row_core(
     assert!(visible <= t_ctx, "attention: visible exceeds cache");
     assert_eq!(h % n_heads, 0, "heads must divide hidden");
     let kv = KvArenas::new(k.data(), v.data());
-    attention_heads_indexed(qrow, kv, h, h / n_heads, 0..n_heads, visible, ContigRows, out);
+    attention_heads_indexed(qrow, kv, (h, h / n_heads), h / n_heads, 0..n_heads, visible, ContigRows, out);
 }
 
 /// Heads `heads` (`d` columns each) of one query row over arbitrary K/V
-/// row placement: logical context index `j` reads arena row `idx.row(j)`,
-/// rows `stride` floats apart; `qrow` and `out` hold the heads' columns
-/// only. The caller must guarantee `(idx.row(j) + 1) * stride <= kv.len`
-/// for every `j < visible`.
+/// placement: head `c`'s key for logical context index `j` is the `d`
+/// floats at `idx.row(j) * stride + c * head_stride` of each arena
+/// (`(stride, head_stride)` = `layout`); `qrow` and `out` hold the heads'
+/// columns only. The caller must guarantee that those floats lie inside
+/// both arenas for every `j < visible` and every head.
 #[allow(clippy::too_many_arguments)]
 fn attention_heads_indexed<I: RowIndex>(
     qrow: &[f32],
     kv: KvArenas<'_>,
-    stride: usize,
+    layout: (usize, usize),
     d: usize,
     heads: Range<usize>,
     visible: usize,
     idx: I,
     out: &mut [f32],
 ) {
+    let (stride, head_stride) = layout;
     let width = heads.len() * d;
     assert_eq!(qrow.len(), width, "attention: q row size mismatch");
     assert_eq!(out.len(), width, "attention: out row size mismatch");
-    assert!(heads.end * d <= stride, "attention: heads outside the row");
     let scale = 1.0 / (d as f32).sqrt();
     for (i, hd) in heads.enumerate() {
-        let lo = hd * d;
+        let lo = hd * head_stride;
         let qi = &qrow[i * d..(i + 1) * d];
         let acc = &mut out[i * d..(i + 1) * d];
         #[cfg(target_arch = "x86_64")]
         if d.is_multiple_of(8) && crate::simd::avx2_fma() {
             // SAFETY: feature support checked; `d` divides 8; the pointer
             // arithmetic stays inside both arenas because the caller bounds
-            // every `idx.row(j)` row inside them and `lo + d <= stride`.
+            // every key `idx.row(j) * stride + lo .. + d` inside them.
             unsafe { attn_avx::head_attention(qi, kv, stride, lo, visible, scale, idx, acc) };
             continue;
         }
@@ -441,9 +464,9 @@ mod attn_avx {
     /// changes nothing but the load addresses. Requires `d % 8 == 0`.
     ///
     /// # Safety
-    /// Requires AVX2+FMA; `kv` must hold `h`-column rows with
-    /// `(idx.row(j) + 1) * h <= kv.len` for every `j < visible`,
-    /// `lo + d <= h`, `d == qi.len() == acc.len()`.
+    /// Requires AVX2+FMA; `idx.row(j) * h + lo + d <= kv.len` for every
+    /// `j < visible` (each key lies inside both arenas), and
+    /// `d == qi.len() == acc.len()`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn head_attention<I: RowIndex>(
@@ -460,10 +483,9 @@ mod attn_avx {
         // Contract checks: every SAFETY argument below reduces to these.
         debug_assert!(d.is_multiple_of(8), "head_dim must be a multiple of 8");
         debug_assert_eq!(acc.len(), d);
-        debug_assert!(lo + d <= h, "head slice must fit inside the hidden dim");
         debug_assert!(
-            (0..visible).all(|j| (idx.row(j) + 1) * h <= kv.len),
-            "indexed rows exceed K/V data"
+            (0..visible).all(|j| idx.row(j) * h + lo + d <= kv.len),
+            "indexed keys exceed K/V data"
         );
         acc.fill(0.0);
         let mut m_run = f32::NEG_INFINITY;
@@ -473,9 +495,9 @@ mod attn_avx {
         let mut j = 0;
         while j + 8 <= visible {
             for (jr, sb) in sbuf.iter_mut().enumerate() {
-                // SAFETY: `j + jr < visible`, the row bound `(idx.row(j) +
-                // 1) * h <= kv.len` and `lo + d <= h` keep `kj.add(t)` (t <
-                // d, 8-aligned) inside the K arena, in this head's columns;
+                // SAFETY: `j + jr < visible` and the key bound
+                // `idx.row(j) * h + lo + d <= kv.len` keep `kj.add(t)` (t <
+                // d, 8-aligned) inside the K arena, in this head's key;
                 // `t + 8 <= d == qi.len()` bounds the q loads; AVX2+FMA.
                 unsafe {
                     let kj = kv.k.add(idx.row(j + jr) * h + lo);
@@ -530,10 +552,10 @@ mod attn_avx {
             sum += w_sum;
             for (jr, &wv) in wbuf.iter().enumerate() {
                 let wv = _mm256_set1_ps(wv);
-                // SAFETY: same bounds as the K pass — `j + jr < visible`,
-                // the caller's row bound, `lo + d <= h` keep the V loads in
-                // the V arena; `t + 8 <= d == acc.len()` bounds the
-                // accumulator update.
+                // SAFETY: same bounds as the K pass — `j + jr < visible`
+                // and the caller's key bound keep the V loads in the V
+                // arena; `t + 8 <= d == acc.len()` bounds the accumulator
+                // update.
                 unsafe {
                     let vj = kv.v.add(idx.row(j + jr) * h + lo);
                     let mut t = 0;

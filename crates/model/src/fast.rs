@@ -197,16 +197,17 @@ impl<'m, B: PanelWeights> PackedModel<'m, B> {
 
 // ---------------------------------------------------------------------------
 // The fused forward pass: ONE step, generic over where the weights come
-// from, where the KV rows go, and how the row-parallel projections finish.
+// from, where the KV rows go, and which part of the pass the caller
+// computes.
 //
-// Every executed engine — the resident [`FastSession`], `paged::Engine`
+// Every executed engine — the resident [`FastSession`], and `paged::Engine`
 // over a packed model or over an offload tier (which holds only a window of
-// layer panels resident at a time), and each tensor-parallel rank over its
-// column/row shard — drives this one function, so "paged / batched /
-// streamed / TP decode is token-identical to the solo resident oracle"
-// holds by construction: the paths cannot drift apart numerically, only in
-// where a `PackedLayer` came from, where a K/V row lives, and whether a
-// projection is all-reduced before its bias and residual.
+// layer panels resident at a time), split across the members of a pass or
+// of a tensor-parallel group — drives this one function, so "paged /
+// batched / streamed / TP decode is token-identical to the solo resident
+// oracle" holds by construction: the paths cannot drift apart numerically,
+// only in where a `PackedLayer` came from, where a K/V row lives, and which
+// output columns a member writes.
 // ---------------------------------------------------------------------------
 
 /// One row of a pass: `token` of sequence `seq` at context position `pos`.
@@ -256,11 +257,6 @@ pub trait WeightSource: Sync {
     /// `wteᵀ` packed as the logits projection.
     fn logits_w(&self) -> &Self::B;
     fn layer(&self, l: usize) -> Result<Self::Layer<'_>, Self::Error>;
-    /// Width of the K/V rows this source's layers write: the hidden size,
-    /// or a tensor-parallel rank's `hidden / tp` columns of it.
-    fn kv_width(&self) -> usize {
-        self.config().hidden
-    }
 }
 
 impl<B: PanelWeights> WeightSource for PackedModel<'_, B> {
@@ -321,9 +317,6 @@ impl<T: WeightSource> WeightSource for &T {
     fn layer(&self, l: usize) -> Result<T::Layer<'_>, T::Error> {
         T::layer(self, l)
     }
-    fn kv_width(&self) -> usize {
-        T::kv_width(self)
-    }
 }
 
 /// Where a pass's K/V rows go and where attention reads them back from:
@@ -367,7 +360,7 @@ impl KvSink for [KvCache] {
 
 /// The part of a pass one member computes: member `member` of `members`.
 /// A member owns [`Share::part`] of the heads (their QKV columns, their
-/// K/V columns and their attention) and of the output columns of W_o, FF1,
+/// keys and values and their attention) and of the output columns of W_o, FF1,
 /// FF2 and the logits. Every output column keeps its own accumulator
 /// chain, so a split pass is bitwise the whole one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -390,31 +383,17 @@ impl Share {
     }
 }
 
-/// The row-parallel seam of a pass: what runs at the top of each layer, how
-/// the two row-parallel projections (W_o, FF2) finish, which part of the
-/// pass the caller computes, and how its members meet. Like [`KvSink`] it
-/// is a monomorphised parameter of [`step`], not a branch inside it.
-/// Single-process engines pass [`Solo`]; a member of a split pass passes
-/// `team::Member`, whose share is its part and whose join is a barrier; a
-/// tensor-parallel rank (`dsi_parallel::tp_exec`) passes a seam that owns
-/// the rank's fault site and all-reduces its partial projection before the
-/// bias and residual.
-pub trait RowParallel<E> {
+/// The seam of a pass between its members: what runs at the top of each
+/// layer, which part of the pass the caller computes, and how its members
+/// meet. Like [`KvSink`] it is a monomorphised parameter of [`step`], not a
+/// branch inside it. Single-process engines pass [`Solo`]; a member of a
+/// split pass passes `team::Member`, whose share is its part, whose join is
+/// a barrier, and whose layer hook is its fault site. A member that fails
+/// at either leaves the pass by unwinding (see `team`).
+pub trait RowParallel {
     /// Layer `layer` of the pass over `rows` is about to run.
-    fn at_layer(&mut self, layer: usize, rows: &[Row]) -> Result<(), E>;
-    /// `out = a·w[.., cols] + bias[cols] + residual` over `out.rows()`
-    /// rows, where `a·w` may be this rank's share of a row-sharded product:
-    /// `out` is the window of columns `cols`, and `residual` starts at
-    /// column `cols.start` of row 0, rows `w.n()` apart.
-    fn project<B: PanelWeights>(
-        &mut self,
-        a: &[f32],
-        w: &B,
-        cols: Range<usize>,
-        bias: &[f32],
-        residual: &[f32],
-        out: OutRows<'_>,
-    ) -> Result<(), E>;
+    #[inline]
+    fn at_layer(&mut self, _layer: usize, _rows: &[Row]) {}
     /// The part of the pass this caller computes.
     #[inline]
     fn share(&self) -> Share {
@@ -435,8 +414,8 @@ pub(crate) fn gemm_cols<B: PanelWeights + ?Sized>(w: &B, a: &[f32], cols: Range<
     }
 }
 
-/// A projection computed whole on this thread: the window's GEMM with the
-/// bias and residual fused into its output pass.
+/// A row-parallel projection (W_o, FF2) over output columns `cols`: the
+/// window's GEMM with the bias and residual fused into its output pass.
 #[inline]
 pub(crate) fn project_local<B: PanelWeights>(
     a: &[f32],
@@ -449,41 +428,19 @@ pub(crate) fn project_local<B: PanelWeights>(
     gemm_cols(w, a, cols.clone(), out, Epilogue::BiasAdd(&bias[cols], residual));
 }
 
-/// The seam of every single-process engine: no fault site, one member, and
-/// the projection is the fused GEMM + bias + residual.
+/// The seam of every single-process engine: no fault site, one member.
 #[derive(Debug, Clone, Copy)]
 pub struct Solo;
 
-impl<E> RowParallel<E> for Solo {
-    #[inline]
-    fn at_layer(&mut self, _: usize, _: &[Row]) -> Result<(), E> {
-        Ok(())
-    }
-
-    #[inline]
-    fn project<B: PanelWeights>(
-        &mut self,
-        a: &[f32],
-        w: &B,
-        cols: Range<usize>,
-        bias: &[f32],
-        residual: &[f32],
-        out: OutRows<'_>,
-    ) -> Result<(), E> {
-        project_local(a, w, cols, bias, residual, out);
-        Ok(())
-    }
-}
+impl RowParallel for Solo {}
 
 /// One forward pass of `rows` through every layer — embed, then per layer
 /// the Fig. 1(c) fused regions (LN+QKV, KV write, attention, W_o,
 /// LN+FF1+GeLU, FF2) — leaving the `[rows.len(), h]` final activations in
 /// `s` for [`logits`].
 ///
-/// The QKV, attention and FF widths and the head count are read from each
-/// layer's panels, so the same pass runs a full layer or one tensor-parallel
-/// rank's column shard of it; `seam` finishes the two row-parallel
-/// projections ([`RowParallel`]).
+/// `seam` says which part of the pass the caller computes and where it
+/// meets the pass's other members ([`RowParallel`]).
 ///
 /// Every K/V row of a layer is written before any query attends, which for
 /// a prompt pass is the causal stair-step (query `i` sees keys `0..=pos_i`)
@@ -491,9 +448,9 @@ impl<E> RowParallel<E> for Solo {
 /// sequences). Because every microkernel accumulates like the M=1 kernel,
 /// the logits of a row are **bit-identical** however the rows are batched.
 ///
-/// On `Err` (a weight fetch or the seam failed) the KV state of the rows'
+/// On `Err` (a weight fetch failed) the KV state of the rows'
 /// sequences is unspecified.
-pub fn step<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Error>>(
+pub fn step<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
     w: &W,
     kv: &mut K,
     s: &mut Scratch,
@@ -514,7 +471,7 @@ pub fn step<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Error>>(
 /// writes only its own columns, reads only buffers nobody writes in that
 /// span, and recomputes the layer norms into its own rows (`s.normed`);
 /// `dsi-verify`'s split trace checks exactly this.
-pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Error>>(
+pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
     w: &W,
     kv: &mut K,
     s: &mut Arena<'_>,
@@ -544,7 +501,7 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Err
     seam.join();
 
     for l in 0..c.layers {
-        seam.at_layer(l, rows)?;
+        seam.at_layer(l, rows);
         let pl = w.layer(l)?;
         // This layer's widths: `a` attention columns (`heads` heads of
         // `d = h / c.heads`), `f` FF neurons; this member's heads `hs`,
@@ -591,7 +548,7 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Err
         // written by none until the next join; this member alone writes
         // columns `xc` of `y`.
         let (attn, xr, y) = unsafe { (s.attn.read(m * a), s.x.read(m * h), s.y.window(m, h, xc.clone())) };
-        seam.project(attn, &pl.w_o, xc.clone(), &pl.b_o, &xr[xc.start..], y)?;
+        project_local(attn, &pl.w_o, xc.clone(), &pl.b_o, &xr[xc.start..], y);
         seam.join();
         std::mem::swap(&mut s.x, &mut s.y);
         // Region 4: layer-norm → FF1 GEMM → bias → GeLU, this member's FF
@@ -609,7 +566,7 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel<W::Err
         // `xc` of `y` (the buffer regions 1 and 3 read as `x`, which no
         // member reads after the join that ended region 3).
         let (ff, xr, y) = unsafe { (s.ff.read(m * f), s.x.read(m * h), s.y.window(m, h, xc.clone())) };
-        seam.project(ff, &pl.w_ff2, xc.clone(), &pl.b_ff2, &xr[xc.start..], y)?;
+        project_local(ff, &pl.w_ff2, xc.clone(), &pl.b_ff2, &xr[xc.start..], y);
         seam.join();
         std::mem::swap(&mut s.x, &mut s.y);
     }

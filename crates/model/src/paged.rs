@@ -77,12 +77,15 @@
 //!
 //! [`reserve`]: PagePool::reserve
 
-use crate::fast::{self, argmax, Arena, KvSink, PackedModel, Row, RowParallel, Scratch, Solo, WeightSource};
+use crate::fast::{self, argmax, Arena, KvSink, PackedModel, Row, Scratch, Solo, WeightSource};
 use crate::team::{Member, Team};
 use dsi_kernels::blocked::PackedB;
 use dsi_kernels::fused::{self, KvArenas, PageTable};
+use dsi_sim::fault::CollectiveError;
+use dsi_sim::shmem::CommConfig;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A page reservation failed: the pool has fewer free pages than the
@@ -105,13 +108,16 @@ impl std::fmt::Display for PagesExhausted {
 impl std::error::Error for PagesExhausted {}
 
 /// Why an [`Engine`] pass did not run to completion: the pool could not seat
-/// it (nothing moved — a scheduling signal), or the weight source failed
-/// under it (`Infallible` for a resident [`PackedModel`], so that variant
-/// does not exist there).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// it (nothing moved — a scheduling signal), the weight source failed under
+/// it (`Infallible` for a resident [`PackedModel`], so that variant does not
+/// exist there), or a member of a split pass left a join typed (its
+/// deadline passed, or its fault script made it exit). `Weights` and
+/// `Member` leave the engine alike (see [`Engine::pass`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepError<E> {
     Pages(PagesExhausted),
     Weights(E),
+    Member(CollectiveError),
 }
 
 /// One sequence's page table plus its committed context length.
@@ -156,20 +162,36 @@ struct ChunkKey {
 
 /// Fixed-size-page KV arena shared by every resident sequence.
 ///
-/// Storage is one K and one V allocation, each `layers` arenas of
-/// `pages_total × page_tokens` rows of `hidden` floats, allocated once;
-/// page allocation/release never touches the heap (the prefix index does,
-/// in [`PagePool::reserve_prompt`] only).
+/// Storage is a K and a V arena per layer, each `grown × page_tokens` rows
+/// of `hidden` floats, page `p` holding arena floats `p · page_tokens ·
+/// hidden` onward: row by row for a pool [`PagePool::new`] builds, head by
+/// head (`[heads][page_tokens][head_dim]`) for an [`Engine`]'s, so a member
+/// of a split pass reads its heads' keys of a page as dense blocks rather
+/// than a slice of every row. The arenas are allocated once, for
+/// `pages_total` pages, but hold (and have zeroed) only the first `grown`:
+/// [`PagePool::reserve`] extends them in place when it hands out a page
+/// past them. The free list hands never-used pages out in ascending order,
+/// so the arenas cover the pool's high water, not its capacity: a fresh
+/// pool writes no memory, however many pages it may hand out. Page
+/// allocation and release never touch the heap (the prefix index does, in
+/// [`PagePool::reserve_prompt`] only).
 #[derive(Debug)]
 pub struct PagePool {
     hidden: usize,
+    /// Columns a page lays out together: `hidden` (row by row), or one
+    /// head's.
+    head_dim: usize,
     page_tokens: usize,
     pages_total: usize,
-    /// The layers' K arenas, `[layers][pages_total * page_tokens, hidden]`
-    /// row-major, layer after layer.
-    k: Vec<f32>,
-    /// The layers' V arenas, same shape.
-    v: Vec<f32>,
+    /// Pages the arenas cover.
+    grown: usize,
+    /// Per layer, its K arena: `grown * page_tokens * hidden` floats.
+    k: Vec<Vec<f32>>,
+    /// Per layer, its V arena, same shape.
+    v: Vec<Vec<f32>>,
+    /// Per layer, its arenas' base addresses as the running pass took them
+    /// ([`PagePool::bases`]).
+    bases: Vec<LayerBase>,
     /// LIFO free list (most recently released page is reused first — the
     /// warmest rows in cache). Exactly the pages with `refs == 0`.
     free: Vec<u32>,
@@ -199,13 +221,15 @@ pub struct PageStats {
 impl PagePool {
     pub fn new(layers: usize, hidden: usize, pages_total: usize, page_tokens: usize) -> Self {
         assert!(layers > 0 && hidden > 0 && pages_total > 0 && page_tokens > 0);
-        let rows = pages_total * page_tokens;
         let pool = PagePool {
             hidden,
+            head_dim: hidden,
             page_tokens,
             pages_total,
-            k: vec![0.0; layers * rows * hidden],
-            v: vec![0.0; layers * rows * hidden],
+            grown: 0,
+            k: (0..layers).map(|_| Vec::with_capacity(pages_total * page_tokens * hidden)).collect(),
+            v: (0..layers).map(|_| Vec::with_capacity(pages_total * page_tokens * hidden)).collect(),
+            bases: vec![LayerBase { k: std::ptr::null_mut(), v: std::ptr::null_mut() }; layers],
             // Reverse order so page 0 is handed out first (LIFO pop).
             free: (0..pages_total as u32).rev().collect(),
             in_use: 0,
@@ -234,6 +258,12 @@ impl PagePool {
         // pages no table references.
         debug_assert_eq!(self.in_use, self.refs.iter().filter(|&&r| r > 0).count());
         debug_assert!(self.free.iter().all(|&p| self.refs[p as usize] == 0));
+    }
+
+    /// The pool with its pages laid out head by head, for `heads` heads.
+    fn by_heads(self, heads: usize) -> Self {
+        assert!(self.hidden.is_multiple_of(heads), "{heads} heads do not split {} columns", self.hidden);
+        PagePool { head_dim: self.hidden / heads, ..self }
     }
 
     pub fn page_tokens(&self) -> usize {
@@ -265,6 +295,7 @@ impl PagePool {
         if need > self.free.len() {
             return Err(PagesExhausted { needed: need, free: self.free.len() });
         }
+        let mut cover = self.grown;
         for _ in 0..need {
             let p = self.free.pop().expect("checked above");
             let pi = p as usize;
@@ -274,11 +305,26 @@ impl PagePool {
             }
             self.refs[pi] = 1;
             seq.pages.push(p);
+            cover = cover.max(pi + 1);
         }
         self.in_use += need;
         self.high_water = self.high_water.max(self.in_use);
+        self.grow(cover);
         self.assert_identity();
         Ok(())
+    }
+
+    /// Make the arenas cover pages `0..pages`, zeroing the new pages' rows:
+    /// within the capacity `new` allocated, so nothing moves.
+    fn grow(&mut self, pages: usize) {
+        if pages <= self.grown {
+            return;
+        }
+        let len = pages * self.page_tokens * self.hidden;
+        for arena in self.k.iter_mut().chain(&mut self.v) {
+            arena.resize(len, 0.0);
+        }
+        self.grown = pages;
     }
 
     /// Whole pages of a `len`-token prompt that may be shared: those lying
@@ -406,17 +452,20 @@ impl PagePool {
     /// only the pass that reserved a published page writes it, before anyone
     /// reads it, so there is nothing to copy).
     pub fn write_row(&mut self, seq: &PagedSeq, layer: usize, pos: usize, k: &[f32], v: &[f32]) {
-        let h = self.hidden;
+        let (h, d) = (self.hidden, self.head_dim);
         assert_eq!(k.len(), h);
         assert_eq!(v.len(), h);
-        let at = self.row_at(seq, layer, pos);
-        self.k[at..at + h].copy_from_slice(k);
-        self.v[at..at + h].copy_from_slice(v);
+        let page = self.page_at(seq, pos);
+        for c in (0..h).step_by(d) {
+            let at = self.key_at(page, pos, c);
+            self.k[layer][at..at + d].copy_from_slice(&k[c..c + d]);
+            self.v[layer][at..at + d].copy_from_slice(&v[c..c + d]);
+        }
     }
 
-    /// Where row `pos` of `seq` starts in the K and V storage at `layer`,
-    /// checked against [`PagePool::write_row`]'s guards.
-    fn row_at(&self, seq: &PagedSeq, layer: usize, pos: usize) -> usize {
+    /// Where the page holding row `pos` of `seq` starts in every layer's
+    /// arenas, checked against [`PagePool::write_row`]'s guards.
+    fn page_at(&self, seq: &PagedSeq, pos: usize) -> usize {
         assert!(
             pos < seq.pages.len() * self.page_tokens,
             "write past reservation: pos {pos}, {} pages",
@@ -429,84 +478,104 @@ impl PagePool {
                 || (seq.len == 0 && i >= seq.attached),
             "write after share: page {p} is published or multiply referenced"
         );
-        let r = p * self.page_tokens + pos % self.page_tokens;
-        (layer * self.arena_rows() + r) * self.hidden
+        p * self.page_tokens * self.hidden
     }
 
-    /// Rows in one layer's arena.
-    fn arena_rows(&self) -> usize {
-        self.pages_total * self.page_tokens
+    /// Where row `pos`'s columns `c..c + head_dim` (`c` a multiple of
+    /// `head_dim`) start, in the page starting at `page`.
+    fn key_at(&self, page: usize, pos: usize, c: usize) -> usize {
+        let (pt, d) = (self.page_tokens, self.head_dim);
+        page + (c / d) * pt * d + (pos % pt) * d
     }
 
-    /// One layer's K/V arenas (attention read operands).
+    /// Whether pages hold their rows head by head.
+    fn head_major(&self) -> bool {
+        self.head_dim != self.hidden
+    }
+
+    /// One layer's K/V arenas (attention read operands), covering every
+    /// page handed out so far, in the pool's layout: for a pool
+    /// [`PagePool::new`] builds, the row-by-row one a
+    /// `fused::PagedKvView` reads.
     pub fn arenas(&self, layer: usize) -> (&[f32], &[f32]) {
-        let span = self.arena_rows() * self.hidden;
-        let at = layer * span..(layer + 1) * span;
-        (&self.k[at.clone()], &self.v[at])
+        (&self.k[layer], &self.v[layer])
+    }
+
+    /// Take every layer's arena base addresses afresh, for a pass that is
+    /// about to address them through [`PagedKv`]; returns each arena's
+    /// length in floats.
+    fn bases(&mut self) -> usize {
+        for (base, (k, v)) in self.bases.iter_mut().zip(self.k.iter_mut().zip(&mut self.v)) {
+            *base = LayerBase { k: k.as_mut_ptr(), v: v.as_mut_ptr() };
+        }
+        self.grown * self.page_tokens * self.hidden
     }
 }
 
-/// The pool's K and V storage as a pass addresses it: base addresses,
-/// taken once from the exclusively borrowed pool, so the members of a split
-/// pass can each write and read their own columns of it.
-#[derive(Clone, Copy)]
-struct PoolData {
+/// One layer's K and V arenas as a pass addresses them: base addresses,
+/// taken from the exclusively borrowed pool just before the pass
+/// ([`PagePool::bases`]), so the members of a split pass can each write and
+/// read their own heads' keys.
+#[derive(Debug, Clone, Copy)]
+struct LayerBase {
     k: *mut f32,
     v: *mut f32,
-    len: usize,
-}
-
-impl PoolData {
-    fn of(pool: &mut PagePool) -> PoolData {
-        PoolData { k: pool.k.as_mut_ptr(), v: pool.v.as_mut_ptr(), len: pool.k.len() }
-    }
 }
 
 // SAFETY: only addresses; every access through them is `PagedKv`'s, whose
-// writes land in the writing member's own head columns and whose reads
-// (attention) cover only the reading member's own head columns.
-unsafe impl Send for PoolData {}
+// writes land in the writing member's own heads' keys and whose reads
+// (attention) cover only the reading member's own heads' keys.
+unsafe impl Send for LayerBase {}
 // SAFETY: as above.
-unsafe impl Sync for PoolData {}
+unsafe impl Sync for LayerBase {}
 
 /// The paged [`KvSink`] of one member of a pass (the whole pass, when it
 /// runs on one): K/V rows land in the pool through the page table
 /// `seqs[row.seq]` and attention reads them back through the same table via
 /// `fused::attention_heads_paged_into` — the same per-row attention core as
 /// the contiguous path, so logits are bit-identical. The pool's tables are
-/// read shared and its storage through [`PoolData`], each member in the K/V
-/// columns of the heads it owns: the columns only it computes, and the only
-/// ones its attention reads.
+/// read shared and its arenas through their [`LayerBase`]s, each member in
+/// the K/V of the heads it owns — each page's blocks of them, the pool being
+/// laid out head by head: what only it computes, and all its attention
+/// reads.
 struct PagedKv<'a> {
     pool: &'a PagePool,
-    data: PoolData,
+    /// Floats in each arena, as [`PagePool::bases`] returned.
+    len: usize,
     seqs: &'a [PagedSeq],
 }
 
 impl KvSink for PagedKv<'_> {
     #[inline]
     fn write(&mut self, layer: usize, row: Row, cols: Range<usize>, k: &[f32], v: &[f32]) {
-        let at = self.pool.row_at(&self.seqs[row.seq], layer, row.pos) + cols.start;
-        assert!(at + cols.len() <= self.data.len && k.len() == cols.len() && v.len() == cols.len());
-        // SAFETY: in bounds (asserted); columns `cols` of this row are this
-        // member's heads, which no other member writes or reads, and the
-        // pool is not touched otherwise while the pass runs.
-        unsafe {
-            std::ptr::copy_nonoverlapping(k.as_ptr(), self.data.k.add(at), k.len());
-            std::ptr::copy_nonoverlapping(v.as_ptr(), self.data.v.add(at), v.len());
+        let (pool, d) = (self.pool, self.pool.head_dim);
+        assert!(cols.start.is_multiple_of(d) && k.len() == cols.len() && v.len() == cols.len());
+        let (page, base) = (pool.page_at(&self.seqs[row.seq], row.pos), pool.bases[layer]);
+        for (i, c) in cols.step_by(d).enumerate() {
+            let at = pool.key_at(page, row.pos, c);
+            let (k, v) = (&k[i * d..(i + 1) * d], &v[i * d..(i + 1) * d]);
+            assert!(at + d <= self.len);
+            // SAFETY: in bounds (asserted); the columns `c..c + d` of this
+            // row are one of this member's heads, which no other member
+            // writes or reads, and the arenas are not touched otherwise
+            // while the pass runs.
+            unsafe {
+                std::ptr::copy_nonoverlapping(k.as_ptr(), base.k.add(at), d);
+                std::ptr::copy_nonoverlapping(v.as_ptr(), base.v.add(at), d);
+            }
         }
     }
 
     #[inline]
     fn attend(&self, layer: usize, row: Row, heads: Range<usize>, head_dim: usize, q: &[f32], out: &mut [f32]) {
-        let span = self.pool.arena_rows() * self.pool.hidden;
-        assert!((layer + 1) * span <= self.data.len);
-        // SAFETY: in bounds (asserted). Other members write other head
-        // columns of these arenas meanwhile; the call reads only this
-        // member's head columns, which no other member writes, and forms
-        // no reference to any other column.
-        let kv = unsafe { KvArenas::from_raw(self.data.k.add(layer * span), self.data.v.add(layer * span), span) };
-        let table = PageTable { pages: self.seqs[row.seq].pages(), page_tokens: self.pool.page_tokens, len: row.pos + 1, offset: row.pos };
+        let base = self.pool.bases[layer];
+        // SAFETY: both arenas hold `len` floats (`PagePool::bases`). Other
+        // members write other heads' keys in them meanwhile; the call reads
+        // only this member's heads' keys, which no other member writes, and
+        // forms no reference to any other float.
+        let kv = unsafe { KvArenas::from_raw(base.k, base.v, self.len) };
+        let (pages, page_tokens, head_major) = (self.seqs[row.seq].pages(), self.pool.page_tokens, self.pool.head_major());
+        let table = PageTable { pages, page_tokens, len: row.pos + 1, offset: row.pos, head_major };
         fused::attention_heads_paged_into(q, kv, &table, self.pool.hidden, head_dim, heads, out);
     }
 }
@@ -544,9 +613,21 @@ impl<W: WeightSource> Engine<W> {
     /// An engine with `max_slots` sequence slots over a pool of
     /// `pages_total` pages of `page_tokens` tokens each.
     pub fn new(w: W, max_slots: usize, pages_total: usize, page_tokens: usize) -> Self {
+        Self::with_team(w, max_slots, pages_total, page_tokens, Team::default())
+    }
+
+    /// [`Engine::new`] whose split passes join under `comm`: its deadline
+    /// bounds every join, and its fault script fires at the members' joins
+    /// and layers. A tensor-parallel group is this engine, every pass split
+    /// across its degree ([`Engine::pass_split`]).
+    pub fn with_comm(w: W, max_slots: usize, pages_total: usize, page_tokens: usize, comm: CommConfig) -> Self {
+        Self::with_team(w, max_slots, pages_total, page_tokens, Team::new(comm))
+    }
+
+    fn with_team(w: W, max_slots: usize, pages_total: usize, page_tokens: usize, team: Team) -> Self {
         assert!(max_slots > 0);
         let c = w.config();
-        let pool = PagePool::new(c.layers, w.kv_width(), pages_total, page_tokens);
+        let pool = PagePool::new(c.layers, c.hidden, pages_total, page_tokens).by_heads(c.heads);
         let scratch = Scratch::new(c, max_slots);
         let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
         let split = if W::RESIDENT && spare_core { PASS_MEMBERS.min(c.heads) } else { 1 };
@@ -557,7 +638,7 @@ impl<W: WeightSource> Engine<W> {
             scratch,
             rows: Vec::with_capacity(max_slots),
             split,
-            team: Team::default(),
+            team,
             w,
         }
     }
@@ -594,6 +675,30 @@ impl<W: WeightSource> Engine<W> {
     /// resident (attached pages) instead of computing them.
     pub fn attached_tokens(&self, slot: usize) -> usize {
         self.seqs[slot].attached * self.pool.page_tokens
+    }
+
+    /// The `[rows, vocab]` logits of the last pass that ran, a row per row
+    /// it computed, in pass order (a seat's attached rows are not computed).
+    pub fn logits(&self) -> &[f32] {
+        &self.scratch.logits[..self.rows.len() * self.w.config().vocab]
+    }
+
+    /// Joins each member of the last split pass's barrier has made since
+    /// that barrier was created (a new member count, or a failed pass,
+    /// re-creates it): what `dsi-verify` holds to the split trace's joins.
+    pub fn member_joins(&self) -> Vec<u64> {
+        self.team.joins().collect()
+    }
+
+    /// The member whose panic the last split pass re-raised, if one did.
+    pub fn panicked_member(&self) -> Option<usize> {
+        self.team.panicked()
+    }
+
+    /// Members the last split pass lost: those that exited by script or
+    /// panicked.
+    pub fn lost_members(&self) -> usize {
+        self.team.lost()
     }
 
     /// Every occupied slot's page table with its committed length (the
@@ -639,13 +744,15 @@ impl<W: WeightSource> Engine<W> {
     ///
     /// Every page is reserved before any compute, the seats' first and in
     /// order, so a later seat attaches the pages an earlier seat of the pass
-    /// reserved for the same chunks and computes only its own rows. A
-    /// table a panicked pass left in any slot is released first. On
-    /// `Err(Pages)` nothing ran and, that release aside, the pool's
-    /// statistics are as before. On `Err(Weights)` no slot advanced and
-    /// nothing was published: every seat is free again, while each advanced
-    /// slot keeps its reserved pages, the rows at its frontier (a private
-    /// tail page) unspecified until it is released or stepped again.
+    /// reserved for the same chunks and computes only its own rows. A pass
+    /// whose step panics frees its seats before the panic leaves it; a
+    /// table a pass that panicked before its step left in any slot is
+    /// released first. On `Err(Pages)` nothing ran and, that release
+    /// aside, the pool's statistics are as before. On `Err(Weights)` or
+    /// `Err(Member)` no slot advanced and nothing was published: every seat
+    /// is free again, while each advanced slot keeps its reserved pages, the
+    /// rows at its frontier (a private tail page) unspecified until it is
+    /// released or stepped again.
     pub fn pass(
         &mut self,
         seats: &[(usize, &[usize])],
@@ -654,26 +761,29 @@ impl<W: WeightSource> Engine<W> {
     ) -> Result<(), StepError<W::Error>> {
         self.reserve_pass(seats, advance)?;
         let members = if self.rows.len() >= 2 { self.split } else { 1 };
-        let r = if members == 1 { self.run_solo(&mut Solo) } else { self.run_split(members) };
+        let r = self.run(members, seats);
         self.finish_pass(r, seats, advance, out)
     }
 
     /// [`Engine::pass`] on exactly `members` members (`1..=heads`), whatever
-    /// the host and the row count: the step-level hook through which tests
-    /// hold a split pass of any width, on any host, to the one-member pass.
+    /// the host and the row count: every pass of a tensor-parallel group
+    /// (`dsi_parallel::TpEngine`), and the hook through which tests hold a
+    /// split pass of any width, on any host, to the one-member pass.
     /// A pass over a source that is not [`WeightSource::RESIDENT`] runs on
     /// one member whatever `members` says: the offload tier's `layer` is
     /// not a lookup several members may make at once.
     ///
     /// Member `t` owns its `Share::part` of the heads — their QKV
-    /// columns, their K/V columns of the one page pool, and their attention
-    /// — and of the output columns of W_o, FF1, FF2 and the logits. The
-    /// members write disjoint columns of the one scratch and join wherever
-    /// a region reads whole rows of what another member wrote
+    /// columns, their K/V of the one page pool (each page holds its rows
+    /// head by head, so a member's heads of a page are dense blocks), and
+    /// their attention — and of the output columns of W_o, FF1, FF2 and the
+    /// logits. The members write disjoint columns of the one scratch and
+    /// join wherever a region reads whole rows of what another member wrote
     /// (`fast::step`), so every column keeps its one accumulator chain: no
-    /// all-reduce, no argmax combine. A member that panics fails the pass with its panic, raised
-    /// here once every member is out; the engine is then as after any
-    /// panicked pass.
+    /// all-reduce, no argmax combine. A member that panics fails the pass
+    /// with its panic, raised here once every member is out and the seats
+    /// are free; the engine is then as after any failed pass. A member that
+    /// leaves a join typed fails it with `Err(Member)`.
     pub fn pass_split(
         &mut self,
         members: usize,
@@ -684,22 +794,33 @@ impl<W: WeightSource> Engine<W> {
         let heads = self.w.config().heads;
         assert!((1..=heads).contains(&members), "pass_split: {members} members for {heads} heads");
         self.reserve_pass(seats, advance)?;
-        let r = if members == 1 || !W::RESIDENT { self.run_solo(&mut Solo) } else { self.run_split(members) };
+        let r = self.run(if W::RESIDENT { members } else { 1 }, seats);
         self.finish_pass(r, seats, advance, out)
+    }
+
+    /// The pass's step and logits on `members` members. If one panics, the
+    /// seats are freed before the panic goes on up, so a caller that
+    /// catches it finds the pool as after any failed pass.
+    fn run(&mut self, members: usize, seats: &[(usize, &[usize])]) -> Result<(), StepError<W::Error>> {
+        let ran = catch_unwind(AssertUnwindSafe(|| if members == 1 { self.run_solo() } else { self.run_split(members) }));
+        ran.unwrap_or_else(|payload| {
+            self.unseat(seats);
+            resume_unwind(payload)
+        })
     }
 
     /// The pass's step and logits on `members` members: one job on the
     /// engine's team, each member running `fast::step` over its share with
     /// its own view of the scratch and the pool. The join before sampling
     /// is the job's end.
-    fn run_split(&mut self, members: usize) -> Result<(), W::Error> {
+    fn run_split(&mut self, members: usize) -> Result<(), StepError<W::Error>> {
         let c = self.w.config();
         let (h, m) = (c.hidden, self.rows.len());
         self.scratch.ensure(c, m);
-        let (share, data) = (self.scratch.share(), PoolData::of(&mut self.pool));
+        let (share, len) = (self.scratch.share(), self.pool.bases());
         let (w, pool, seqs, rows) = (&self.w, &self.pool, &self.seqs[..], &self.rows[..]);
         let failed: Mutex<Option<W::Error>> = Mutex::new(None);
-        self.team.run(members, &|me: &mut Member<'_>, local: &mut Vec<f32>| {
+        let ran = self.team.run(members, &|me: &mut Member<'_>, local: &mut Vec<f32>| {
             if local.len() < m * h {
                 local.resize(m * h, 0.0);
             }
@@ -707,7 +828,7 @@ impl<W: WeightSource> Engine<W> {
             // touches until `run` returns, and every member runs `step_in`
             // and `logits_in`, which keep the arena protocol.
             let mut s = unsafe { Arena::shared(share, local) };
-            let mut kv = PagedKv { pool, data, seqs };
+            let mut kv = PagedKv { pool, len, seqs };
             let ran = fast::step_in(w, &mut kv, &mut s, rows, me);
             match ran {
                 Ok(()) => fast::logits_in(w, &mut s, m, me.share()),
@@ -717,24 +838,10 @@ impl<W: WeightSource> Engine<W> {
                 }
             }
         });
-        failed.into_inner().unwrap_or_else(PoisonError::into_inner).map_or(Ok(()), Err)
-    }
-
-    /// [`Engine::pass`] with `seam` finishing the row-parallel projections,
-    /// on the calling thread alone: a tensor-parallel rank passes its
-    /// all-reduce seam here, over a source holding its shard, and every rank
-    /// of the group makes the same calls, so their page tables stay
-    /// identical. `Err(Pages)` returns before the first seam call.
-    pub fn pass_with<R: RowParallel<W::Error>>(
-        &mut self,
-        seam: &mut R,
-        seats: &[(usize, &[usize])],
-        advance: &[usize],
-        out: &mut Vec<usize>,
-    ) -> Result<(), StepError<W::Error>> {
-        self.reserve_pass(seats, advance)?;
-        let r = self.run_solo(seam);
-        self.finish_pass(r, seats, advance, out)
+        match failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            Some(e) => Err(StepError::Weights(e)),
+            None => ran.map_err(StepError::Member),
+        }
     }
 
     /// The front of every pass: release what a panicked pass left behind,
@@ -784,11 +891,11 @@ impl<W: WeightSource> Engine<W> {
         Ok(())
     }
 
-    /// The pass's step and logits on this thread, under `seam`.
-    fn run_solo<R: RowParallel<W::Error>>(&mut self, seam: &mut R) -> Result<(), W::Error> {
-        let data = PoolData::of(&mut self.pool);
-        let mut kv = PagedKv { pool: &self.pool, data, seqs: &self.seqs };
-        fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, seam)?;
+    /// The pass's step and logits on this thread alone.
+    fn run_solo(&mut self) -> Result<(), StepError<W::Error>> {
+        let len = self.pool.bases();
+        let mut kv = PagedKv { pool: &self.pool, len, seqs: &self.seqs };
+        fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, &mut Solo).map_err(StepError::Weights)?;
         fast::logits(&self.w, &mut self.scratch, self.rows.len());
         Ok(())
     }
@@ -798,14 +905,14 @@ impl<W: WeightSource> Engine<W> {
     /// the seats again.
     fn finish_pass(
         &mut self,
-        ran: Result<(), W::Error>,
+        ran: Result<(), StepError<W::Error>>,
         seats: &[(usize, &[usize])],
         advance: &[usize],
         out: &mut Vec<usize>,
     ) -> Result<(), StepError<W::Error>> {
         if let Err(e) = ran {
             self.unseat(seats);
-            return Err(StepError::Weights(e));
+            return Err(e);
         }
         let vocab = self.w.config().vocab;
         // Row index one past the current seat's last row.
@@ -994,6 +1101,42 @@ mod tests {
         let mut c = PagedSeq::new();
         pool.reserve(&mut c, 1).unwrap();
         assert_eq!(c.pages()[0], a_pages[0]);
+    }
+
+    /// The arenas start empty and grow with the pages handed out, to the
+    /// high water, with every row written before a growth still in place
+    /// after it.
+    #[test]
+    fn storage_grows_to_the_high_water_and_keeps_its_rows() {
+        let (h, pt) = (3, 2);
+        let mut pool = PagePool::new(2, h, 16, pt);
+        let arena_rows = |pool: &PagePool| pool.arenas(1).0.len() / h;
+        assert_eq!(arena_rows(&pool), 0, "a fresh pool holds no storage");
+        let mut a = PagedSeq::new();
+        pool.reserve(&mut a, 3).unwrap(); // pages 0 and 1
+        let row = |layer: usize, pos: usize, kv: f32| [(10 * layer + pos) as f32 + kv; 3];
+        for (layer, pos) in [(0, 0), (0, 2), (1, 1), (1, 2)] {
+            pool.write_row(&a, layer, pos, &row(layer, pos, 0.0), &row(layer, pos, 0.5));
+        }
+        assert_eq!(arena_rows(&pool), 2 * pt);
+        let mut b = PagedSeq::new();
+        pool.reserve(&mut b, 5).unwrap(); // pages 2..5
+        assert_eq!(arena_rows(&pool), 5 * pt);
+        pool.reserve(&mut b, 7).unwrap(); // page 5
+        assert_eq!(arena_rows(&pool), 6 * pt);
+        for (layer, pos) in [(0, 0), (0, 2), (1, 1), (1, 2)] {
+            let at = (a.pages()[pos / pt] as usize * pt + pos % pt) * h;
+            let (k, v) = pool.arenas(layer);
+            assert_eq!((&k[at..at + h], &v[at..at + h]), (&row(layer, pos, 0.0)[..], &row(layer, pos, 0.5)[..]));
+        }
+        pool.release(&mut a);
+        pool.release(&mut b);
+        let mut c = PagedSeq::new();
+        pool.reserve(&mut c, 8).unwrap(); // pages 2..5 again: no growth
+        assert_eq!(arena_rows(&pool), 6 * pt, "a reused page needs no storage");
+        pool.release(&mut c);
+        pool.reserve(&mut c, 32).unwrap(); // every page
+        assert_eq!(arena_rows(&pool), 16 * pt);
     }
 
     #[test]
@@ -1273,13 +1416,15 @@ mod tests {
         }
     }
 
-    /// A pass that panics after reserving leaves its seat's table, with a
-    /// published page it never wrote, behind. The next pass reclaims it
-    /// before it counts pages, whichever slots it seats, so a seat that then
-    /// runs short reports the pool as it is, and nothing attaches the rows
-    /// the panicked pass never wrote.
+    /// A pass whose step panics frees its seat, and un-indexes the page it
+    /// published but never wrote, before the panic leaves it, so nothing
+    /// attaches the rows it never wrote. A pass that panics in its front
+    /// after reserving a seat (here: a second seat into an occupied slot)
+    /// leaves that table behind; the next pass reclaims it before it
+    /// counts pages, so a seat that then runs short reports the pool as it
+    /// is.
     #[test]
-    fn a_pass_after_a_panicked_one_reclaims_its_seat_and_pending_pages() {
+    fn a_panicked_pass_frees_its_seat_and_pending_pages() {
         let m = model(1, 59);
         let pm = PackedModel::pack(&m);
         let mut eng = PagedEngine::new(&pm, 2, 4, 2);
@@ -1288,14 +1433,24 @@ mod tests {
             eng.prefill(0, &[1, 2, bad]).ok()
         }));
         assert!(panicked.is_err());
-        assert_eq!(eng.pool_stats().pages_in_use, 2, "the panicked seat's table is left behind");
-        let err = eng.prefill(1, &[1; 9]).unwrap_err();
-        assert_eq!(err, StepError::Pages(PagesExhausted { needed: 5, free: 4 }));
-        assert_eq!((eng.pool_stats().pages_in_use, eng.pool_stats().pages_free), (0, 4));
+        assert_eq!(eng.pool_stats().pages_in_use, 0, "the panicked seat is free");
         let mut out = Vec::new();
         eng.pass(&[(1, &[1, 2, 3])], &[], &mut out).unwrap();
         assert_eq!(eng.attached_tokens(1), 0, "the unwritten page was un-indexed");
         assert_eq!(out, pm.session(3).generate(&[1, 2, 3], 1));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.pass(&[(0, &[5, 6, 7]), (1, &[1])], &[], &mut Vec::new()).ok()
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(eng.pool_stats().pages_in_use, 4, "slot 0's table is left behind");
+        let err = eng.prefill(0, &[1; 9]).unwrap_err();
+        assert_eq!(err, StepError::Pages(PagesExhausted { needed: 5, free: 2 }));
+        assert_eq!((eng.pool_stats().pages_in_use, eng.pool_stats().pages_free), (2, 2));
+        eng.release(1);
+        out.clear();
+        eng.pass(&[(0, &[5, 6, 7])], &[], &mut out).unwrap();
+        assert_eq!(eng.attached_tokens(0), 0, "the unwritten page was un-indexed");
+        assert_eq!(out, pm.session(3).generate(&[5, 6, 7], 1));
     }
 
     #[test]
@@ -1333,8 +1488,7 @@ mod tests {
 
     /// The logits of the last pass's `rows` rows, as bits.
     fn logit_bits<W: WeightSource>(eng: &Engine<W>) -> Vec<u32> {
-        let n = eng.rows.len() * eng.w.config().vocab;
-        eng.scratch.logits[..n].iter().map(|x| x.to_bits()).collect()
+        eng.logits().iter().map(|x| x.to_bits()).collect()
     }
 
     /// A split pass is bitwise the one-member pass at every member count

@@ -5,50 +5,74 @@
 //! [`Team::run`] hands a job — a closure borrowing the caller's weights,
 //! page pool and scratch — to `members - 1` helpers and runs member 0 on the
 //! caller, then returns once every member is done. Helpers park between
-//! jobs on a [`Doorbell`] (the one the TP group's workers wait on), so an
-//! idle engine costs no core. Inside a job the members meet at a
-//! [`SenseBarrier`] ([`Member`] is the seam `fast::step` joins through);
-//! a member that panics poisons it, so every other member leaves at its
-//! next join instead of waiting, and [`Team::run`] re-raises the panic on
-//! the caller once all of them are out.
+//! jobs on a [`Doorbell`], so an idle engine costs no core. Inside a job the
+//! members meet at a [`SenseBarrier`] ([`Member`] is the seam `fast::step`
+//! joins through); a member that panics poisons it, so every other member
+//! leaves at its next join instead of waiting, and [`Team::run`] re-raises
+//! the panic on the caller once all of them are out.
+//!
+//! A team runs under a [`CommConfig`]: the deadline of every join and an
+//! optional fault script. An engine that serves alone passes none and gets
+//! a 60 s wedge bound; a tensor-parallel group (`dsi_parallel::tp_exec`)
+//! passes its own. [`Member::join`] consults the script at the member's
+//! join count and [`Member::at_layer`] at each layer: a stall sleeps, an
+//! exit leaves without arriving (the peers time out naming the member), and
+//! a panic panics. A member that leaves a join typed — its deadline passed,
+//! the barrier was poisoned, its script made it exit — unwinds out of its
+//! job, and [`Team::run`] returns the cause as a [`CollectiveError`].
+//!
+//! A member cannot be detached: it borrows the caller's scratch, so
+//! [`Team::run`] waits for every member, a stalled one included. Every
+//! scripted stall ends; the member then leaves at its next join, which the
+//! timeout that named it has poisoned.
 
 use std::any::Any;
-use std::ops::Range;
-use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::fast::{project_local, Row, RowParallel, Share};
-use dsi_kernels::blocked::{OutRows, PanelWeights};
-use dsi_sim::shmem::{Doorbell, SenseBarrier};
-use dsi_sim::CollectiveErrorKind;
+use crate::fast::{Row, RowParallel, Share};
+use dsi_sim::fault::{apply_stall, CollectiveError, CollectiveErrorKind, FaultKind};
+use dsi_sim::shmem::{CommConfig, Doorbell, SenseBarrier};
 
-/// Bound on one join. A member this late is wedged, not slow: the pass
-/// fails with a panic rather than hang.
+/// Bound on one join of an engine that serves alone. A member this late is
+/// wedged, not slow: the pass fails rather than hang.
 const JOIN_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The payload a member panics with when it leaves a join because another
-/// member failed first; [`Team::run`] re-raises the first member's own
-/// payload instead.
+/// The payload a member unwinds with when it leaves its job typed. It is
+/// resumed, not panicked, so no panic hook reports it.
 #[derive(Debug)]
-struct MemberLost;
+struct Left(CollectiveError);
 
-/// One member of a split pass as its job sees it: its share of the pass
-/// and the join (the [`RowParallel`] seam `step` runs under).
+/// How much a member's typed departure says about the job's failure: a
+/// scripted exit is a cause, a timeout names a stalled peer, and a
+/// poisoned join only follows some other member's failure.
+fn weight(kind: &CollectiveErrorKind) -> u8 {
+    match kind {
+        CollectiveErrorKind::Poisoned => 0,
+        CollectiveErrorKind::Timeout { .. } => 1,
+        CollectiveErrorKind::InjectedExit => 2,
+    }
+}
+
+/// One member of a split pass as its job sees it: its share of the pass,
+/// the join (the [`RowParallel`] seam `step` runs under) and its fault
+/// sites.
 pub struct Member<'a> {
     share: Share,
     barrier: &'a SenseBarrier,
+    comm: &'a CommConfig,
     /// Barrier crossings so far (the barrier's epoch for this member).
     epoch: u64,
     sense: bool,
 }
 
 impl Member<'_> {
-    fn new(share: Share, barrier: &SenseBarrier, epoch: u64) -> Member<'_> {
+    fn new<'a>(share: Share, barrier: &'a SenseBarrier, comm: &'a CommConfig, epoch: u64) -> Member<'a> {
         // Every crossing flips the sense, starting from `false`.
-        Member { share, barrier, epoch, sense: epoch % 2 == 1 }
+        Member { share, barrier, comm, epoch, sense: epoch % 2 == 1 }
     }
 
     /// The part of the pass this member computes.
@@ -60,26 +84,32 @@ impl Member<'_> {
     pub fn abandon(&self) {
         self.barrier.poison();
     }
-}
 
-impl<E> RowParallel<E> for Member<'_> {
-    #[inline]
-    fn at_layer(&mut self, _: usize, _: &[Row]) -> Result<(), E> {
-        Ok(())
+    /// Leave the job typed.
+    fn leave(&self, kind: CollectiveErrorKind) -> ! {
+        resume_unwind(Box::new(Left(CollectiveError { rank: self.share.member, kind, epoch: self.epoch })))
     }
 
+    /// Act out a scripted fault at `site`.
+    fn fault(&self, fault: Option<FaultKind>, site: &str, at: impl std::fmt::Display) {
+        match fault {
+            Some(FaultKind::Stall { millis }) => apply_stall(millis),
+            Some(FaultKind::Exit) => self.leave(CollectiveErrorKind::InjectedExit),
+            Some(FaultKind::Panic) => panic!("injected fault: member {} panics at {site} {at}", self.share.member),
+            None => {}
+        }
+    }
+}
+
+impl RowParallel for Member<'_> {
+    /// One `Option` check when no fault script is installed. A "token 5,
+    /// layer 2" script fires in the pass that has a row at position 5,
+    /// whether that row belongs to a seat's context or is a decode step.
     #[inline]
-    fn project<B: PanelWeights>(
-        &mut self,
-        a: &[f32],
-        w: &B,
-        cols: Range<usize>,
-        bias: &[f32],
-        residual: &[f32],
-        out: OutRows<'_>,
-    ) -> Result<(), E> {
-        project_local(a, w, cols, bias, residual, out);
-        Ok(())
+    fn at_layer(&mut self, layer: usize, rows: &[Row]) {
+        if let Some(inj) = &self.comm.injector {
+            self.fault(inj.at_layer(self.share.member, rows.iter().map(|r| r.pos), layer), "layer", layer);
+        }
     }
 
     #[inline]
@@ -89,10 +119,12 @@ impl<E> RowParallel<E> for Member<'_> {
 
     #[inline]
     fn join(&mut self) {
-        match self.barrier.try_wait(self.share.member, self.epoch, &mut self.sense, JOIN_TIMEOUT) {
+        if let Some(inj) = &self.comm.injector {
+            self.fault(inj.at_barrier(self.share.member, self.epoch), "join", self.epoch);
+        }
+        match self.barrier.try_wait(self.share.member, self.epoch, &mut self.sense, self.comm.timeout) {
             Ok(()) => self.epoch += 1,
-            Err(CollectiveErrorKind::Poisoned) => panic_any(MemberLost),
-            Err(kind) => panic!("pass member {} left a join: {kind:?}", self.share.member),
+            Err(kind) => self.leave(kind),
         }
     }
 }
@@ -120,25 +152,49 @@ struct Published {
 // is sound.
 unsafe impl Send for Published {}
 
+/// Lock `m`, whatever a panicking holder left.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The state a team's caller and helpers share.
-#[derive(Default)]
 struct Shared {
+    comm: CommConfig,
     bell: Doorbell,
     /// The latest publication and its sequence number.
     slot: Mutex<(usize, Option<Published>)>,
     /// Helper members of the current job that have not finished it.
     pending: AtomicUsize,
-    /// The first helper panic of the current job, its own payload preferred
-    /// to a [`MemberLost`].
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The first panic of the current job, with the member that raised it.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+    /// The weightiest typed departure of the current job.
+    left: Mutex<Option<CollectiveError>>,
+    /// Members of the current job that exited by script or panicked.
+    lost: AtomicUsize,
     shutdown: AtomicBool,
 }
 
 impl Shared {
-    fn keep_panic(&self, payload: Box<dyn Any + Send>) {
-        let mut kept = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
-        if kept.as_ref().is_none_or(|k| k.is::<MemberLost>()) {
-            *kept = Some(payload);
+    /// Keep what member `t` unwound with: a typed departure if it outweighs
+    /// the one kept, any other payload if it is the job's first panic, and
+    /// count the member lost if it exited or panicked. A panicking member
+    /// poisons the barrier, so the others leave too.
+    fn keep(&self, t: usize, payload: Box<dyn Any + Send>, barrier: &SenseBarrier) {
+        match payload.downcast::<Left>() {
+            Ok(left) => {
+                if left.0.kind == CollectiveErrorKind::InjectedExit {
+                    self.lost.fetch_add(1, Ordering::Relaxed);
+                }
+                let mut kept = lock(&self.left);
+                if kept.as_ref().is_none_or(|k| weight(&k.kind) < weight(&left.0.kind)) {
+                    *kept = Some(left.0);
+                }
+            }
+            Err(payload) => {
+                barrier.poison();
+                self.lost.fetch_add(1, Ordering::Relaxed);
+                lock(&self.panic).get_or_insert((t, payload));
+            }
         }
     }
 }
@@ -155,29 +211,73 @@ pub struct Team {
     seq: usize,
     /// Member 0's own rows.
     local: Vec<f32>,
+    /// The member whose panic the last job re-raised.
+    panicked: Option<usize>,
+    /// Members the last job lost: they exited by script or panicked.
+    lost: usize,
 }
 
+/// The team of an engine that serves alone: no fault script, and the wedge
+/// bound on every join.
 impl Default for Team {
     fn default() -> Self {
+        Team::new(CommConfig { timeout: JOIN_TIMEOUT, injector: None })
+    }
+}
+
+impl Team {
+    /// A team whose joins run under `comm`'s deadline and fault script.
+    pub fn new(comm: CommConfig) -> Self {
+        let shared = Shared {
+            comm,
+            bell: Doorbell::default(),
+            slot: Mutex::new((0, None)),
+            pending: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            left: Mutex::new(None),
+            lost: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+        };
         Team {
-            shared: Arc::default(),
+            shared: Arc::new(shared),
             helpers: Vec::new(),
             barrier: SenseBarrier::new(1),
             epoch: 0,
             seq: 0,
             local: Vec::new(),
+            panicked: None,
+            lost: 0,
         }
     }
-}
 
-impl Team {
+    /// Joins each member of the current barrier has made: every member's
+    /// crossings since the barrier was last re-created (at a new member
+    /// count, or after a failed job).
+    pub fn joins(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.barrier.parties()).map(|t| self.barrier.arrivals(t))
+    }
+
+    /// The member whose panic the last job re-raised, if it panicked.
+    pub fn panicked(&self) -> Option<usize> {
+        self.panicked
+    }
+
+    /// Members the last job lost: those its fault script made exit, and
+    /// those that panicked. A member that timed out or left a poisoned join
+    /// is intact.
+    pub fn lost(&self) -> usize {
+        self.lost
+    }
+
     /// Run `job` once per member of a `members`-member pass — member 0 on
     /// this thread, the others on helpers — and return when every member
     /// has returned. A member that panics poisons the join, so the others
-    /// leave at their next one; once all are out, the first member's own
-    /// panic is re-raised here. A job whose members only left because one
-    /// of them [`Member::abandon`]ed returns normally.
-    pub fn run(&mut self, members: usize, job: &JobFn<'_>) {
+    /// leave at their next one; once all are out, the first panic is
+    /// re-raised here. Otherwise a member that left typed fails the job
+    /// with the weightiest departure (a scripted exit, else a timeout
+    /// naming the stalled members). A job whose members only left because
+    /// one of them [`Member::abandon`]ed returns `Ok`.
+    pub fn run(&mut self, members: usize, job: &JobFn<'_>) -> Result<(), CollectiveError> {
         assert!(members >= 2, "a team job has at least two members");
         while self.helpers.len() < members - 1 {
             let (shared, t) = (Arc::clone(&self.shared), self.helpers.len() + 1);
@@ -201,14 +301,15 @@ impl Team {
         };
         self.seq += 1;
         self.shared.pending.store(members - 1, Ordering::Relaxed);
-        *self.shared.slot.lock().unwrap_or_else(PoisonError::into_inner) = (self.seq, Some(published));
+        self.shared.lost.store(0, Ordering::Relaxed);
+        *lock(&self.shared.slot) = (self.seq, Some(published));
         self.shared.bell.ring(self.seq);
 
-        let mut me = Member::new(Share { member: 0, members }, &self.barrier, self.epoch);
+        let mut me = Member::new(Share { member: 0, members }, &self.barrier, &self.shared.comm, self.epoch);
         let mine = catch_unwind(AssertUnwindSafe(|| job(&mut me, &mut self.local)));
         let epoch = me.epoch;
-        if mine.is_err() {
-            self.barrier.poison();
+        if let Err(payload) = mine {
+            self.shared.keep(0, payload, &self.barrier);
         }
         // The helpers are done with the job: from here on nothing reads
         // the pointers it published, so its borrows may end.
@@ -221,12 +322,19 @@ impl Team {
                 std::thread::yield_now();
             }
         }
-        self.shared.slot.lock().unwrap_or_else(PoisonError::into_inner).1 = None;
+        lock(&self.shared.slot).1 = None;
         self.epoch = epoch;
-        let theirs = self.shared.panic.lock().unwrap_or_else(PoisonError::into_inner).take();
-        // `MemberLost`s alone mean a member abandoned the job.
-        if let Some(p) = [mine.err(), theirs].into_iter().flatten().find(|p| !p.is::<MemberLost>()) {
-            resume_unwind(p);
+        let left = lock(&self.shared.left).take();
+        self.lost = self.shared.lost.load(Ordering::Relaxed);
+        self.panicked = None;
+        if let Some((t, payload)) = lock(&self.shared.panic).take() {
+            self.panicked = Some(t);
+            resume_unwind(payload);
+        }
+        // Poisoned joins alone mean a member abandoned the job.
+        match left {
+            Some(e) if e.kind != CollectiveErrorKind::Poisoned => Err(e),
+            _ => Ok(()),
         }
     }
 }
@@ -241,17 +349,16 @@ fn helper_loop(shared: &Shared, t: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let (seq, published) = *shared.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let (seq, published) = *lock(&shared.slot);
         seen = seq;
         let Some(p) = published.filter(|p| t < p.members) else { continue };
         // SAFETY: this helper has not counted itself out of the job yet, so
         // the caller is still inside `Team::run` and both borrows are live
         // (see `Published`).
         let (job, barrier) = unsafe { (&*p.job, &*p.barrier) };
-        let mut me = Member::new(Share { member: t, members: p.members }, barrier, p.epoch);
+        let mut me = Member::new(Share { member: t, members: p.members }, barrier, &shared.comm, p.epoch);
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(&mut me, &mut local))) {
-            barrier.poison();
-            shared.keep_panic(payload);
+            shared.keep(t, payload, barrier);
         }
         shared.pending.fetch_sub(1, Ordering::Release);
     }

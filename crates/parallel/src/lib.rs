@@ -8,17 +8,14 @@
 //!   Implemented *functionally* over per-rank weight shards and verified to
 //!   reproduce the unsharded reference bit-for-bit (up to f32 accumulation
 //!   order).
-//! * [`tp_exec`] — the *executed* counterpart: the fast path's weights
-//!   packed once ([`SharedModel`], FP32 or INT8), each rank running the
-//!   paged engine's pass over its view of them (column and row windows of
-//!   the shared operands) and its own `h/tp`-wide page pool on its own
-//!   pinned OS thread, meeting the group at the two per-layer all-reduces
-//!   through `dsi-sim`'s shared-memory barrier/all-reduce backend.
-//!   Token-identical to the single-thread fast path at every TP degree,
-//!   zero allocations per decode pass. [`TpEngine`] is the group as a
-//!   multi-slot engine that lives across requests and is rebuilt over the
-//!   same packed model — narrower when a rank's memory was lost — after a
-//!   fault.
+//! * [`tp_exec`] — the *executed* counterpart on one shared-memory host:
+//!   [`TpEngine`], the paged engine over one packed model (FP32 or INT8)
+//!   with every pass split across the group's `tp` members — each owning
+//!   its part of the heads and of every output's columns, meeting at a
+//!   barrier, with no all-reduce. Bitwise the one-member pass at every
+//!   degree, zero allocations per decode pass; a member fault fails the
+//!   pass typed, and the group serves on, narrower by each member it
+//!   lost.
 //! * [`pipeline`] — inference-optimized pipeline parallelism (Sec. IV-B/C):
 //!   the training-style schedule with its token-boundary bubbles (Fig. 2a),
 //!   the dynamic token-queue schedule that hides them (Fig. 2b), and the
@@ -39,4 +36,4 @@ pub use mapping::Mapping3D;
 pub use pipeline::{PipelineSchedule, PipelineSpec};
 pub use pp_exec::PipelinedModel;
 pub use tp::{tp_layer_forward, tp_layer_forward_into, TpLayer};
-pub use tp_exec::{Dismantled, RankFailure, RankFailureCause, SharedModel, TpEngine, TpReport, TpSession};
+pub use tp_exec::{RankFailure, RankFailureCause, TpEngine, TpReport};

@@ -1,21 +1,21 @@
 //! Allocation guard for the executed TP engine: a steady-state decode pass
-//! must not allocate on any rank, over FP32 or INT8 panels. Every rank's
-//! engine, scratch and page pool, and both command buffers, reach their
-//! size in the first passes and are reused from then on.
+//! must not allocate on any thread of the group — the caller's or a helper
+//! member's — over FP32 or INT8 panels. The engine's scratch, page pool and
+//! every member's own rows reach their size in the first passes and are
+//! reused from then on.
 //!
 //! This file holds exactly one test so the process-global counting allocator
-//! — which counts every thread, the rank workers included — is not
+//! — which counts every thread, the helper members included — is not
 //! polluted by concurrently running tests in the same binary.
 
 use dsi_kernels::blocked::PanelWeights;
-use dsi_model::fast::QuantizedPackedModel;
+use dsi_model::fast::{PackedModel, QuantizedPackedModel};
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::tp_exec::{SharedModel, TpEngine};
+use dsi_parallel::tp_exec::TpEngine;
 use dsi_sim::shmem::CommConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -45,21 +45,22 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Seat four slots (one 32-token page each, so a page table never grows),
 /// warm up, then count every thread's allocations over 16 decode passes
-/// into a pre-sized output vector: FP32 panels, then INT8 ones.
+/// into a pre-sized output vector: FP32 panels, then INT8 ones, at two and
+/// four members.
 #[test]
 fn steady_state_decode_does_not_allocate() {
-    let model = Arc::new(GptModel::random(zoo::tiny(2), 11));
-    let eng = TpEngine::new(Arc::clone(&model), 2, CommConfig::default(), 4, 4, 32);
-    let allocs = decode_allocs(eng);
-    assert_eq!(allocs, 0, "16 decode passes allocated {allocs} times across the group's threads");
-    let int8 = SharedModel::with_packing(model, |m| QuantizedPackedModel::quantize_pack(m, 32));
-    let eng = TpEngine::with_model(int8, 2, CommConfig::default(), 4, 4, 32);
-    let allocs = decode_allocs(eng);
-    assert_eq!(allocs, 0, "16 INT8 decode passes allocated {allocs} times across the group's threads");
+    let model = GptModel::random(zoo::tiny(2), 11);
+    let (pm, qm) = (PackedModel::pack(&model), QuantizedPackedModel::quantize_pack(&model, 32));
+    for tp in [2, 4] {
+        let allocs = decode_allocs(TpEngine::new(&pm, tp, CommConfig::default(), 4, 4, 32));
+        assert_eq!(allocs, 0, "tp {tp}: 16 decode passes allocated {allocs} times across the group's threads");
+        let allocs = decode_allocs(TpEngine::new(&qm, tp, CommConfig::default(), 4, 4, 32));
+        assert_eq!(allocs, 0, "tp {tp}: 16 INT8 decode passes allocated {allocs} times across the group's threads");
+    }
 }
 
 /// Allocations of every thread over 16 steady-state decode passes of `eng`.
-fn decode_allocs<B: PanelWeights + Send + Sync + 'static>(mut eng: TpEngine<B>) -> usize {
+fn decode_allocs<B: PanelWeights>(mut eng: TpEngine<'_, '_, B>) -> usize {
     let slots = [0usize, 1, 2, 3];
     let prompts: Vec<Vec<usize>> = slots.iter().map(|&s| vec![1 + s, 2, 3]).collect();
     let seats: Vec<(usize, &[usize])> = slots.iter().map(|&s| (s, &prompts[s][..])).collect();

@@ -38,10 +38,10 @@
 //! page-exhaustion shedding, prefix-replay fault recovery — is the only
 //! worker loop, and the paged multi-slot
 //! [`Engine`](dsi_model::paged::Engine) the only slot lifecycle under it,
-//! sized by [`server::ContinuousConfig`]: over a resident packed model, run
-//! by every rank of a tensor-parallel group
-//! ([`TpEngine`](dsi_parallel::TpEngine)) over its shard, or over the
-//! offload tier ([`Server::start_streamed`]).
+//! sized by [`server::ContinuousConfig`]: over a resident packed model —
+//! with every pass split across a tensor-parallel group's members at
+//! `tp > 1` ([`TpEngine`](dsi_parallel::TpEngine)) — or over the offload
+//! tier ([`Server::start_streamed`]).
 
 pub mod breaker;
 pub mod scheduler;

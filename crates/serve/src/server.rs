@@ -14,9 +14,9 @@
 //! * [`Server::start`] at [`ServeConfig::tp`] = 1 — a resident packed
 //!   model;
 //! * [`Server::start`] at `tp > 1` — a tensor-parallel group
-//!   ([`TpEngine`]): every rank runs the same engine over its shard and its
-//!   own `h/tp`-wide pool; the group is built once and rebuilt only after a
-//!   fault;
+//!   ([`TpEngine`]): the same engine over the same packed model and pool,
+//!   every pass split across the group's `tp` members; a member fault fails
+//!   the pass, and the group serves on, narrower by the members it lost;
 //! * [`Server::start_streamed`] — an offload tier.
 //!
 //! * **Bounded admission** — [`Server::submit`] either admits a request
@@ -38,7 +38,7 @@
 //!   admission and every pass that succeeds. After each pass attempt, no
 //!   progress within `progress_timeout` means the engine is wedged (or
 //!   grinding through fault recovery): the loop cancels every resident,
-//!   and the engines' bounded passes (collective timeouts, fetch deadlines)
+//!   and the engines' bounded passes (join deadlines, fetch deadlines)
 //!   guarantee the loop gets there.
 //! * **Graceful drain** — [`Server::drain`] stops admissions (typed
 //!   [`Rejected::Draining`]), lets queued work finish within a grace
@@ -85,8 +85,8 @@ pub enum EngineMode {
 }
 
 /// Sizing of the scheduler and its engine (see [`EngineMode::Continuous`]).
-/// A TP group's ranks each hold a pool of this geometry, over their
-/// `h/tp` columns of every K/V row.
+/// A TP group's members share the one pool of this geometry, each writing
+/// its heads' keys and values of every K/V row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContinuousConfig {
     /// Sequence slots: the scheduler admits while fewer are resident.
@@ -139,18 +139,20 @@ impl ContinuousConfig {
 /// Serving runtime configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// TP degree of the group [`Server::start`] builds; 1 serves from the
-    /// packed single-process model, and [`Server::start_streamed`] ignores
-    /// it. A group degrades on permanent rank loss. Token streams are
-    /// TP-invariant, so the outputs are identical at every degree.
+    /// TP degree of the group [`Server::start`] builds: the members every
+    /// pass splits across (`1..=heads`); 1 serves from the packed model on
+    /// the engine's own split, and [`Server::start_streamed`] ignores it. A
+    /// group narrows by each member that exits or panics. A group's
+    /// passes are bitwise the one-member pass, so the outputs are identical
+    /// at every degree.
     pub tp: usize,
     /// Engine sizing; see [`EngineMode`].
     pub mode: EngineMode,
     /// Token id that terminates a generation early (the sequence retires
     /// mid-batch the step it appears).
     pub eos: Option<usize>,
-    /// Collective configuration of a TP group (timeout, checksums, fault
-    /// injection); unused at `tp = 1`.
+    /// Join configuration of a TP group's members (the deadline of every
+    /// join, and fault injection at joins and layers); unused at `tp = 1`.
     pub comm: CommConfig,
     /// Longest admissible prompt.
     pub max_prompt: usize,
@@ -314,8 +316,8 @@ pub struct ServeReport {
     pub p50_latency_s: f64,
     pub p95_latency_s: f64,
     pub p99_latency_s: f64,
-    /// A TP group's rebuilds, degradations and recent faults (empty at
-    /// `tp = 1`).
+    /// A TP group's recovered faults, degradations and recent faults (empty
+    /// at `tp = 1`).
     pub ft: TpReport,
     /// Batch-occupancy / tokens-per-step histograms and page-allocator
     /// statistics of the scheduler loop.
@@ -460,22 +462,22 @@ pub struct Server {
 }
 
 impl Server {
-    /// Spawn the runtime over `model`, resident in memory: the packed model
-    /// at [`ServeConfig::tp`] = 1, a TP group ([`TpEngine`]) above. The
-    /// group is built once on the worker thread and lives across requests;
-    /// its fault report is read off it once the loop has drained, for the
-    /// final [`ServeReport`].
+    /// Spawn the runtime over `model`, resident in memory: packed once on
+    /// the worker thread, served by the paged engine at
+    /// [`ServeConfig::tp`] = 1 and by a TP group ([`TpEngine`]) over it
+    /// above. The engine lives across requests; a group's fault report is
+    /// read off it once the loop has drained, for the final
+    /// [`ServeReport`].
     pub fn start(model: Arc<GptModel>, cfg: ServeConfig) -> Server {
         let EngineMode::Continuous(cont) = cfg.mode;
-        if cfg.tp == 1 {
-            return Self::spawn(cfg, cont, move |w| {
-                let pm = PackedModel::pack(&model);
-                w.run(Engine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens));
-            });
-        }
         let (tp, comm) = (cfg.tp, cfg.comm.clone());
         Self::spawn(cfg, cont, move |w| {
-            let eng = TpEngine::new(model, tp, comm, cont.max_slots, cont.pages_total, cont.page_tokens);
+            let pm = PackedModel::pack(&model);
+            if tp == 1 {
+                w.run(Engine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens));
+                return;
+            }
+            let eng = TpEngine::new(&pm, tp, comm, cont.max_slots, cont.pages_total, cont.page_tokens);
             let eng = w.run(eng);
             w.shared.state.lock().unwrap().ft_report = eng.report().clone();
         })
@@ -721,9 +723,9 @@ mod tests {
         cfg
     }
 
-    /// A plan that wedges rank 1 for `millis` at its `epoch`-th barrier
-    /// crossing — with a comm timeout above `millis` this is "slow", with
-    /// one below it is a detected fault.
+    /// A plan that wedges member 1 for `millis` at its `epoch`-th join —
+    /// with a join deadline above `millis` this is "slow", with one below
+    /// it is a detected fault.
     fn stall_plan(epoch: u64, millis: u64) -> FaultPlan {
         FaultPlan::new(vec![FaultSpec {
             rank: 1,
@@ -861,9 +863,9 @@ mod tests {
         cfg.breaker.failure_threshold = 2;
         cfg.breaker.open_window = Duration::from_millis(20);
         cfg.comm.timeout = Duration::from_millis(50);
-        // Two scripted stalls longer than the comm timeout: the first
-        // request's pass hits one at the group's first barrier crossing, the
-        // second's at the first crossing of the group rebuilt after it.
+        // Two scripted stalls longer than the join deadline: the first
+        // request's pass hits one at the group's first join, the second's
+        // at the first join of the member barrier re-created after it.
         let plan = FaultPlan::new(vec![
             FaultSpec {
                 rank: 1,
@@ -968,7 +970,7 @@ mod tests {
 
     #[test]
     fn watchdog_cancels_wedged_request() {
-        // A scripted stall below an oversized collective timeout wedges the
+        // A scripted stall below an oversized join deadline wedges the
         // engine mid-request with no fault detection; the watchdog's
         // progress timeout fires and turns the wedge into a typed eviction.
         let mut cfg = quiet_cfg(2);
@@ -1051,8 +1053,7 @@ mod tests {
     }
 
     /// A TP server's group serves every request — batched, token-identical
-    /// to the solo run — and is built once: a fault-free run rebuilds
-    /// nothing.
+    /// to the solo run — and a fault-free run recovers no fault.
     #[test]
     fn tp_group_is_built_once_and_serves_batches_token_identically() {
         let model = tiny_model();

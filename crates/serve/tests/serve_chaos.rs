@@ -55,7 +55,7 @@ fn solo(pm: &PackedModel, prompt: &[usize], n: usize) -> Vec<usize> {
 
 /// The same generation, `n ≥ 1` tokens, from one slot of a fault-free
 /// tensor-parallel group: the prompt's pass, then one decode pass per token.
-fn tp_solo(eng: &mut TpEngine, prompt: &[usize], n: usize) -> Vec<usize> {
+fn tp_solo(eng: &mut TpEngine<'_, '_>, prompt: &[usize], n: usize) -> Vec<usize> {
     let mut out = Vec::new();
     eng.pass(&[(0, prompt)], &[], &mut out).unwrap();
     while out.len() < n {
@@ -77,7 +77,6 @@ struct Scenario {
     progress_timeout: Option<Duration>,
     cancel_every: Option<usize>,
     drain_grace: Duration,
-    checksum: bool,
 }
 
 impl Scenario {
@@ -106,7 +105,6 @@ impl Scenario {
                 None
             },
             drain_grace: Duration::from_millis([1, 50, 2000][range(&mut rng, 0, 3) as usize]),
-            checksum: chance(&mut rng, 0.5),
         }
     }
 
@@ -125,17 +123,16 @@ impl Scenario {
         cfg.default_deadline = self.deadline;
         cfg.progress_timeout = self.progress_timeout;
         cfg.comm.timeout = Duration::from_millis(200);
-        cfg.comm.checksum = self.checksum;
         cfg.breaker.failure_threshold = 2;
         cfg.breaker.open_window = Duration::from_millis(10);
         if self.n_faults > 0 && self.tp == 1 {
-            // A one-rank engine has no collectives: as many engine faults.
+            // A one-member engine has no joins: as many engine faults.
             let plan = EngineFaultPlan::random(self.seed, self.n_faults, 24, 20);
             cfg.engine_faults = Some(Arc::new(plan.injector()));
         } else if self.n_faults > 0 {
-            // Stalls in FaultPlan::random are 1–20 ms — below the comm
-            // timeout, so they surface as slowness; Exit/Panic surface as
-            // permanent faults, Corrupt as transient when checksummed.
+            // Stalls in FaultPlan::random are 1–20 ms — below the join
+            // deadline, so they surface as slowness; Exit/Panic surface as
+            // a lost member.
             let plan = FaultPlan::random(self.seed, self.n_faults, self.tp, 24, 2, 8);
             cfg.comm.injector = Some(Arc::new(plan.injector()));
         }
@@ -356,7 +353,8 @@ fn continuous_chaos_token_identity_sweep() {
             // fail and the shed path fires deterministically.
             requests[0].1 = 14;
         }
-        let mut oracle = TpEngine::new(Arc::clone(&model), sc.oracle_tp, CommConfig::default(), 1, 64, 4);
+        let pm = PackedModel::pack(&model);
+        let mut oracle = TpEngine::new(&pm, sc.oracle_tp, CommConfig::default(), 1, 64, 4);
         let full_streams: Vec<Vec<usize>> =
             requests.iter().map(|(p, n)| tp_solo(&mut oracle, p, *n)).collect();
         // An EOS id that actually occurs in some stream makes early

@@ -186,9 +186,8 @@ impl Collectives {
 
 /// In-place all-reduce (sum) over caller-owned rank buffers: every slice
 /// ends with the element-wise sum, accumulated in rank order starting from
-/// `0.0` — bit-identical to [`CommGroup::allreduce_sum`] and to the
-/// executed [`ShmRank::try_allreduce_sum`](crate::shmem::ShmRank::try_allreduce_sum),
-/// but with zero heap allocation and no buffer moves. This is the
+/// `0.0` — bit-identical to [`CommGroup::allreduce_sum`], but with zero
+/// heap allocation and no buffer moves. This is the
 /// churn-free core the reference tensor-parallel path reduces through.
 pub fn allreduce_sum_slices(bufs: &mut [&mut [f32]]) {
     let n = bufs.len();

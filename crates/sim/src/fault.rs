@@ -21,11 +21,10 @@
 //!   path is zero-work when injection is disabled, which `bench_robustness`
 //!   measures. Seeded scripts draw from one [`splitmix64`] stream.
 //!
-//! Faults model the four failure classes of the issue: rank stall/slowdown
-//! (transient — the rank arrives late), dropped barrier arrival (the rank
-//! silently never arrives, as a crashed process would), worker panic at a
-//! chosen layer/token, and a corrupted reduce-scatter chunk (caught by the
-//! optional per-chunk checksum in `shmem`).
+//! Collective faults model three failure classes of a member of a split
+//! pass: a stall (transient — the member joins late), a dropped join (the
+//! member silently never arrives, as a crashed process would), and a panic
+//! at a chosen join or layer/token.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,9 +39,6 @@ pub enum CollectiveErrorKind {
     Timeout { stalled: Vec<usize> },
     /// A peer died (panicked or timed out) and poisoned the group.
     Poisoned,
-    /// The per-chunk checksum caught a corrupted reduce-scatter chunk owned
-    /// by `owner`.
-    Corrupt { owner: usize },
     /// The rank was scripted to drop its barrier arrival (a simulated crash
     /// observed from the inside; peers observe a `Timeout`).
     InjectedExit,
@@ -69,11 +65,6 @@ impl std::fmt::Display for CollectiveError {
             CollectiveErrorKind::Poisoned => {
                 write!(f, "rank {} found the group poisoned at epoch {}", self.rank, self.epoch)
             }
-            CollectiveErrorKind::Corrupt { owner } => write!(
-                f,
-                "rank {} detected a corrupted chunk from rank {} at epoch {}",
-                self.rank, owner, self.epoch
-            ),
             CollectiveErrorKind::InjectedExit => {
                 write!(f, "rank {} dropped its barrier arrival at epoch {}", self.rank, self.epoch)
             }
@@ -93,12 +84,9 @@ pub enum FaultKind {
     /// and its peers detect the loss via timeout — the "crashed process"
     /// model.
     Exit,
-    /// Panic at the injection point (the "kernel assert" model; the worker's
-    /// panic guard poisons the group).
+    /// Panic at the injection point (the "kernel assert" model; the
+    /// member's panic guard poisons the group).
     Panic,
-    /// Flip the bits of one element of the rank's owned reduce-scatter
-    /// chunk after reducing it (only meaningful at a [`FaultSite::Reduce`]).
-    Corrupt,
 }
 
 /// Where in the execution a fault fires.
@@ -106,11 +94,8 @@ pub enum FaultKind {
 pub enum FaultSite {
     /// At the rank's `epoch`-th barrier crossing (0-based).
     Barrier { epoch: u64 },
-    /// After the rank reduces its owned chunk inside the all-reduce whose
-    /// first barrier crossing is the rank's `epoch`-th.
-    Reduce { epoch: u64 },
     /// In the forward pass, entering `layer` while computing the token at
-    /// sequence position `token` (the executed TP engine's hook).
+    /// sequence position `token` (a split pass member's layer hook).
     Layer { token: usize, layer: usize },
 }
 
@@ -196,10 +181,11 @@ pub type FaultPlan = Script<FaultSpec>;
 pub type FaultInjector = Injector<FaultSpec>;
 
 impl FaultPlan {
-    /// A seed-driven plan of `n` faults over `world` ranks: kinds and sites
-    /// are drawn from one [`splitmix64`] stream, so the same seed always
-    /// yields the same script. Epochs are drawn from `0..max_epoch`, layer
-    /// sites from `layers`/`tokens`.
+    /// A seed-driven plan of `n` faults over `world` ranks: a stall, an
+    /// exit or a panic, at a barrier or a layer site, drawn from one
+    /// [`splitmix64`] stream, so the same seed always yields the same
+    /// script. Epochs are drawn from `0..max_epoch`, layer sites from
+    /// `layers`/`tokens`.
     pub fn random(seed: u64, n: usize, world: usize, max_epoch: u64, layers: usize, tokens: usize) -> Self {
         assert!(world > 0 && max_epoch > 0 && layers > 0 && tokens > 0);
         let mut s = seed;
@@ -207,16 +193,13 @@ impl FaultPlan {
         let specs = (0..n)
             .map(|_| {
                 let rank = (next() % world as u64) as usize;
-                let kind = match next() % 4 {
+                let kind = match next() % 3 {
                     0 => FaultKind::Stall { millis: 1 + next() % 20 },
                     1 => FaultKind::Exit,
-                    2 => FaultKind::Panic,
-                    _ => FaultKind::Corrupt,
+                    _ => FaultKind::Panic,
                 };
-                let site = match (kind, next() % 3) {
-                    (FaultKind::Corrupt, _) => FaultSite::Reduce { epoch: next() % max_epoch },
-                    (_, 0) => FaultSite::Barrier { epoch: next() % max_epoch },
-                    (_, 1) => FaultSite::Reduce { epoch: next() % max_epoch },
+                let site = match next() % 2 {
+                    0 => FaultSite::Barrier { epoch: next() % max_epoch },
                     _ => FaultSite::Layer {
                         token: (next() % tokens as u64) as usize,
                         layer: (next() % layers as u64) as usize,
@@ -235,15 +218,6 @@ impl FaultInjector {
     pub fn at_barrier(&self, rank: usize, epoch: u64) -> Option<FaultKind> {
         self.take(|s| {
             s.rank == rank && matches!(s.site, FaultSite::Barrier { epoch: e } if e == epoch)
-        })
-        .map(|s| s.kind)
-    }
-
-    /// The scripted fault for the reduce step of the all-reduce whose first
-    /// barrier was `rank`'s `epoch`-th crossing, if any.
-    pub fn at_reduce(&self, rank: usize, epoch: u64) -> Option<FaultKind> {
-        self.take(|s| {
-            s.rank == rank && matches!(s.site, FaultSite::Reduce { epoch: e } if e == epoch)
         })
         .map(|s| s.kind)
     }
@@ -568,14 +542,14 @@ mod tests {
         assert_eq!(
             FaultPlan::random(42, 8, 4, 16, 3, 10).specs,
             vec![
-                spec(1, Reduce { epoch: 4 }, Corrupt),
-                spec(2, Reduce { epoch: 4 }, Panic),
-                spec(1, Layer { token: 6, layer: 2 }, Panic),
-                spec(3, Layer { token: 1, layer: 0 }, Stall { millis: 11 }),
-                spec(0, Barrier { epoch: 1 }, Stall { millis: 2 }),
-                spec(0, Reduce { epoch: 15 }, Exit),
-                spec(3, Reduce { epoch: 14 }, Corrupt),
-                spec(1, Reduce { epoch: 3 }, Panic),
+                spec(1, Barrier { epoch: 4 }, Exit),
+                spec(2, Barrier { epoch: 5 }, Stall { millis: 6 }),
+                spec(2, Barrier { epoch: 6 }, Panic),
+                spec(3, Barrier { epoch: 5 }, Panic),
+                spec(1, Barrier { epoch: 9 }, Stall { millis: 9 }),
+                spec(1, Barrier { epoch: 1 }, Exit),
+                spec(1, Layer { token: 1, layer: 1 }, Exit),
+                spec(2, Barrier { epoch: 5 }, Panic),
             ]
         );
     }

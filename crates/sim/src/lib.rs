@@ -16,16 +16,15 @@
 //!   actually move data between rank-local buffers so that communication
 //!   rewrites (e.g. the PCC all-to-all of Sec. V-B) can be verified for
 //!   correctness, not just costed,
-//! * [`shmem`] — *executed* collectives for threaded ranks on one host: a
-//!   sense-reversing barrier and a chunked in-place all-reduce over
-//!   published per-rank buffers, used by the executed tensor-parallel
-//!   engine (`dsi-parallel::tp_exec`) as its NCCL stand-in. Every
-//!   rendezvous is bounded (spin, then yield with a deadline) and fails
-//!   typed instead of hanging,
+//! * [`shmem`] — *executed* rendezvous for threads on one host: the
+//!   sense-reversing barrier the members of a split pass (and so a
+//!   tensor-parallel group, `dsi-parallel::tp_exec`) join at, and the
+//!   doorbell they park on between passes. Every rendezvous is bounded
+//!   (spin, then yield with a deadline) and fails typed instead of hanging,
 //! * [`fault`] — deterministic, seed-driven fault injection
-//!   ([`fault::FaultPlan`]) and the typed [`fault::CollectiveError`] the
-//!   hardened collectives report: rank stalls, dropped arrivals, scripted
-//!   panics, and corrupted reduce-scatter chunks, each fired at most once,
+//!   ([`fault::FaultPlan`]) and the typed [`fault::CollectiveError`] a
+//!   member's join reports: stalls, dropped arrivals and scripted panics,
+//!   each fired at most once,
 //! * [`recorder`] — the bounded [`FlightRecorder`] the executed runtimes
 //!   log their protocol steps into, for `dsi-verify` to check.
 //!
@@ -52,7 +51,7 @@ pub use fault::{CollectiveError, CollectiveErrorKind, FaultInjector, FaultKind, 
 pub use fault::{EngineFaultInjector, EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec};
 pub use fault::{IoFaultInjector, IoFaultKind, IoFaultPlan, IoFaultSite, IoFaultSpec};
 pub use recorder::FlightRecorder;
-pub use shmem::{CommConfig, CommOp, Doorbell, SenseBarrier, ShmComm, ShmPoisoner, ShmRank};
+pub use shmem::{CommConfig, Doorbell, SenseBarrier};
 pub use engine::{Resource, Schedule, Task, TaskGraph, TaskId};
 pub use hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
 pub use topology::Topology;

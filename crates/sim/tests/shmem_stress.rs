@@ -1,123 +1,93 @@
-//! Adversarial stress test for the shared-memory collective backend: hammer
-//! the sense-reversing barrier and chunked all-reduce from concurrently
-//! running ranks whose relative timing is deliberately skewed every round
-//! (spin delays + forced reschedules from a per-rank LCG), across buffer
-//! lengths that exercise every chunking edge case (len < world, len not
-//! divisible by world, len == 0). Any missed barrier crossing, stale sense
-//! bit, or torn chunk shows up as a wrong sum or a hang.
+//! Adversarial stress test for the shared-memory rendezvous: race the
+//! sense-reversing barrier from concurrently running parties whose relative
+//! timing is deliberately skewed every round (spin delays + forced
+//! reschedules from a per-party LCG), and ring the doorbell at parked
+//! waiters. Any missed barrier crossing, stale sense bit or lost wake-up
+//! shows up as a stale counter or a hang.
 
-use dsi_sim::shmem::ShmComm;
+use dsi_sim::shmem::{Doorbell, SenseBarrier};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 const WORLD: usize = 4;
-const ROUNDS: usize = 300;
-const MAX_LEN: usize = 67;
 
-/// Deterministic per-rank noise source (no external RNG in dev-deps here,
+/// Deterministic per-party noise source (no external RNG in dev-deps here,
 /// and determinism keeps failures reproducible).
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     *state >> 33
 }
 
-/// Round-dependent buffer length: sweeps 0..MAX_LEN including values below,
-/// equal to, and coprime with WORLD.
-fn round_len(round: usize) -> usize {
-    (round * 13 + 7) % MAX_LEN
-}
-
-fn contribution(rank: usize, round: usize, i: usize) -> f32 {
-    // Small integers: the all-reduce sum is exact in f32, so equality is
-    // checked with ==, not a tolerance.
-    ((rank * 31 + round * 7 + i * 3) % 64) as f32
-}
-
-#[test]
-fn allreduce_survives_adversarial_interleavings() {
-    let ranks = ShmComm::create(WORLD);
-    let handles: Vec<_> = ranks
-        .into_iter()
-        .map(|mut comm| {
-            thread::spawn(move || {
-                let rank = comm.rank();
-                let mut noise = 0x9e3779b97f4a7c15u64 ^ (rank as u64);
-                let mut buf = vec![0.0f32; MAX_LEN];
-                for round in 0..ROUNDS {
-                    let len = round_len(round);
-                    for (i, v) in buf[..len].iter_mut().enumerate() {
-                        *v = contribution(rank, round, i);
-                    }
-                    // Adversarial skew: each rank enters the collective at a
-                    // different, round-varying offset, so every round samples
-                    // a different interleaving of publish/reduce/gather.
-                    match lcg(&mut noise) % 4 {
-                        0 => {}
-                        1 => thread::yield_now(),
-                        2 => {
-                            for _ in 0..(lcg(&mut noise) % 2000) {
-                                std::hint::spin_loop();
-                            }
-                        }
-                        _ => {
-                            thread::yield_now();
-                            thread::yield_now();
-                        }
-                    }
-                    comm.try_allreduce_sum(&mut buf[..len]).expect("stress all-reduce");
-                    for (i, &v) in buf[..len].iter().enumerate() {
-                        let want: f32 =
-                            (0..WORLD).map(|r| contribution(r, round, i)).sum();
-                        assert_eq!(
-                            v, want,
-                            "rank {rank} round {round} len {len} index {i}"
-                        );
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("stress rank panicked");
-    }
-}
-
-/// The barrier alone, raced hard: ranks count rounds in relaxed shared
+/// The barrier alone, raced hard: parties count rounds in relaxed shared
 /// counters and every crossing must observe all increments from the round
 /// before (the barrier's release/acquire chain is the only synchronization).
 #[test]
 fn barrier_publishes_prior_round_writes() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
     const ROUNDS: usize = 2000;
-    let counters: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..WORLD).map(|_| AtomicUsize::new(0)).collect());
-    let ranks = ShmComm::create(WORLD);
-    let handles: Vec<_> = ranks
-        .into_iter()
-        .map(|mut comm| {
-            let counters = Arc::clone(&counters);
+    let counters: Arc<Vec<AtomicUsize>> = Arc::new((0..WORLD).map(|_| AtomicUsize::new(0)).collect());
+    let barrier = Arc::new(SenseBarrier::new(WORLD));
+    let handles: Vec<_> = (0..WORLD)
+        .map(|party| {
+            let (counters, barrier) = (Arc::clone(&counters), Arc::clone(&barrier));
             thread::spawn(move || {
-                let rank = comm.rank();
-                let mut noise = 0xdeadbeefu64 ^ (rank as u64);
+                let mut noise = 0xdeadbeefu64 ^ (party as u64);
+                let mut sense = false;
                 for round in 0..ROUNDS {
-                    counters[rank].store(round + 1, Ordering::Relaxed);
-                    if lcg(&mut noise).is_multiple_of(3) {
-                        thread::yield_now();
+                    counters[party].store(round + 1, Ordering::Relaxed);
+                    match lcg(&mut noise) % 3 {
+                        0 => thread::yield_now(),
+                        1 => (0..lcg(&mut noise) % 2000).for_each(|_| std::hint::spin_loop()),
+                        _ => {}
                     }
-                    comm.try_barrier().expect("stress barrier");
+                    barrier.try_wait(party, round as u64, &mut sense, Duration::from_secs(10)).expect("stress barrier");
                     for (r, c) in counters.iter().enumerate() {
                         let seen = c.load(Ordering::Relaxed);
-                        assert!(
-                            seen > round,
-                            "rank {rank} crossed round-{round} barrier but sees rank {r} at {seen}"
-                        );
+                        assert!(seen > round, "party {party} crossed round-{round} barrier but sees party {r} at {seen}");
                     }
                 }
             })
         })
         .collect();
     for h in handles {
-        h.join().expect("barrier rank panicked");
+        h.join().expect("barrier party panicked");
+    }
+    assert!((0..WORLD).all(|p| barrier.arrivals(p) == ROUNDS as u64));
+}
+
+/// Parked waiters wake for every publication, however the publisher's
+/// rings interleave with their parking: each waiter sees every count in
+/// order, and the run ends well inside the parked poll's bound per round.
+#[test]
+fn doorbell_wakes_every_waiter_for_every_publication() {
+    const ROUNDS: usize = 300;
+    let bell = Arc::new(Doorbell::default());
+    let seen: Arc<Vec<AtomicUsize>> = Arc::new((1..WORLD).map(|_| AtomicUsize::new(0)).collect());
+    let waiters: Vec<_> = (1..WORLD)
+        .map(|w| {
+            let (bell, seen) = (Arc::clone(&bell), Arc::clone(&seen));
+            thread::spawn(move || {
+                let mut noise = 0x9e3779b97f4a7c15u64 ^ (w as u64);
+                for round in 0..ROUNDS {
+                    bell.wait(round, || false);
+                    assert!(bell.published() > round, "waiter {w} woke early at round {round}");
+                    seen[w - 1].store(round + 1, Ordering::Release);
+                    if lcg(&mut noise).is_multiple_of(2) {
+                        thread::yield_now();
+                    }
+                }
+            })
+        })
+        .collect();
+    for round in 1..=ROUNDS {
+        bell.ring(round);
+        // Publish the next command only once every waiter took this one.
+        while seen.iter().any(|s| s.load(Ordering::Acquire) < round) {
+            thread::yield_now();
+        }
+    }
+    for w in waiters {
+        w.join().expect("waiter panicked");
     }
 }

@@ -7,9 +7,11 @@
 //! group. Pipeline parallelism (Sec. IV-B) adds point-to-point send/recv
 //! pairs that must rendezvous, and schedules that must be acyclic.
 //!
-//! Programs are modelled per rank as ordered lists of [`Op`]s; the executed
-//! tensor-parallel engine's are not written here but recorded by the running
-//! engine ([`record_tp_programs`]). Two detectors:
+//! Programs are modelled per rank as ordered lists of [`Op`]s; the join
+//! programs of a split pass's members — which is what an executed
+//! tensor-parallel group runs — are read off the split trace the scratch
+//! pass checks, and held to the joins a live engine makes
+//! ([`member_programs`]). Two detectors:
 //! * [`check_lockstep`] — the cheap static check: project each rank's
 //!   program onto one group's collectives and require identical sequences
 //!   (kind + bytes), with per-step rank/op provenance on mismatch;
@@ -25,16 +27,15 @@
 //! transfer must be a matched compute→network→compute hop.
 
 use crate::{Diagnostic, Pass};
+use dsi_model::fast::{PackedModel, Row};
+use dsi_model::paged::PagedEngine;
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
 use dsi_parallel::mapping::Mapping3D;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
-use dsi_parallel::{SharedModel, TpSession};
 use dsi_sim::engine::{Resource, TaskGraph};
-use dsi_sim::shmem::{CommConfig, CommOp};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Group collectives (matched across all members of `group`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -44,7 +45,7 @@ pub enum CollKind {
     ReduceScatter,
     AllToAll,
     Broadcast,
-    /// Pure synchronization, no payload (the shared-memory engine's
+    /// Pure synchronization, no payload (a split pass's join at the
     /// sense-reversing barrier). `bytes` is 0 by convention.
     Barrier,
 }
@@ -404,38 +405,57 @@ pub fn tp_allreduce_programs(mapping: &Mapping3D, layers: usize, bytes: u64) -> 
     (groups, programs)
 }
 
-/// Run a real tensor-parallel group (`dsi_parallel::tp_exec`) at `tp`
-/// ranks over a tiny 2-layer model — a pass that seats one sequence, a
-/// mixed pass that seats a second while the first advances, a decode pass
-/// over both, then teardown — and return the collective program each rank
-/// *recorded* (`Dismantled::programs`): every barrier arrival,
-/// reduce-scatter and all-gather of the shared-memory backend, in the order
-/// the rank ran them. A recorder that wrapped is a `recording-overflow`
-/// diagnostic instead.
-pub fn record_tp_programs(tp: usize) -> Result<Programs, Diagnostic> {
+/// One pass as `(name, seats, advanced slots)`.
+type NamedPass = (&'static str, &'static [(usize, &'static [usize])], &'static [usize]);
+
+/// The passes [`member_programs`] traces and runs: a seat pass, a mixed
+/// pass that seats a second sequence while the first advances, and a decode
+/// pass over both.
+const MEMBER_PASSES: [NamedPass; 3] = [
+    ("seat", &[(0, &[1, 2, 3])], &[]),
+    ("mixed", &[(1, &[4, 5])], &[0]),
+    ("decode", &[], &[0, 1]),
+];
+
+/// The join program of each member of a `members`-member split pass over a
+/// tiny 2-layer model, through the seat, mixed and decode passes of
+/// `MEMBER_PASSES`: one barrier per join of `scratch::split_step_trace`
+/// (every phase of a pass but the last ends at one), which is what a
+/// tensor-parallel group's members execute. A live engine runs the same
+/// passes on `members` members, and each member's barrier crossings (the
+/// barrier's arrival heartbeat, so the hot path records nothing) must equal
+/// its program's joins: a `join-count` diagnostic otherwise.
+pub fn member_programs(members: usize) -> Result<Programs, Diagnostic> {
     let model = GptModel::random(zoo::tiny(2), 7);
-    let mut sess = TpSession::new(&SharedModel::pack(Arc::new(model)), tp, 2, 8, 4, CommConfig::default());
-    let mut out = Vec::new();
-    let ran = sess
-        .try_pass(&[(0, &[1, 2, 3])], &[], &mut out)
-        .and_then(|()| sess.try_pass(&[(1, &[4, 5])], &[0], &mut out))
-        .and_then(|()| sess.try_pass(&[], &[0, 1], &mut out));
-    ran.expect("a fault-free group");
-    let group: Vec<usize> = (0..tp).collect();
-    let mut programs = Programs::new();
-    for (rank, rec) in sess.dismantle().programs.into_iter().enumerate() {
-        if rec.overflowed() {
-            return Err(Diagnostic::recording_overflow(format!("tp_exec tp={tp} rank {rank}")));
+    let pm = PackedModel::pack(&model);
+    let mut eng = PagedEngine::new(&pm, 2, 8, 4);
+    let (mut lens, mut ops) = ([0usize; 2], Vec::new());
+    for (name, seats, advance) in MEMBER_PASSES {
+        let mut rows: Vec<Row> = Vec::new();
+        for &(slot, ctx) in seats {
+            rows.extend((0..ctx.len()).map(|pos| Row { seq: slot, token: 0, pos }));
+            lens[slot] = ctx.len();
         }
-        let coll = |kind, elems: usize, tag: String| Op::coll(kind, group.clone(), 4 * elems as u64, tag);
-        let ops = rec.events().into_iter().map(|op| match op {
-            CommOp::Barrier { epoch } => coll(CollKind::Barrier, 0, format!("barrier@{epoch}")),
-            CommOp::ReduceScatter { elems } => coll(CollKind::ReduceScatter, elems, "reduce-scatter".into()),
-            CommOp::AllGather { elems } => coll(CollKind::AllGather, elems, "all-gather".into()),
-        });
-        programs.insert(rank, ops.collect());
+        for &slot in advance {
+            rows.push(Row { seq: slot, token: 0, pos: lens[slot] });
+            lens[slot] += 1;
+        }
+        let (_, phases, _) = crate::scratch::split_step_trace(&model.config, members, &rows);
+        ops.extend(phases[..phases.len() - 1].iter().map(|p| format!("{name}.{}", p.name)));
+        eng.pass_split(members, seats, advance, &mut Vec::new()).expect("a fault-free pass");
     }
-    Ok(programs)
+    let group: Vec<usize> = (0..members).collect();
+    let joins = eng.member_joins();
+    if joins.len() != members || joins.iter().any(|&j| j != ops.len() as u64) {
+        return Err(Diagnostic::new(
+            Pass::Collective,
+            "join-count",
+            format!("split pass members={members}"),
+            format!("the trace joins {} times a member; the live members crossed {joins:?}", ops.len()),
+        ));
+    }
+    let program: Vec<Op> = ops.into_iter().map(|tag| Op::coll(CollKind::Barrier, group.clone(), 0, tag)).collect();
+    Ok(group.iter().map(|&t| (t, program.clone())).collect())
 }
 
 /// The pipeline point-to-point program: within each (dp, tp) pipeline
@@ -652,36 +672,29 @@ mod tests {
         }
     }
 
-    fn recorded(world: usize) -> Programs {
-        record_tp_programs(world).expect("recorder holds the whole session")
+    fn members(n: usize) -> Programs {
+        member_programs(n).expect("the live members join as the trace does")
     }
 
+    /// Three passes of a 2-layer model: 1 + 4·2 joins each, for every
+    /// member, lock-step and deadlock-free.
     #[test]
-    fn recorded_tp_programs_are_clean_and_barrier_fenced() {
-        for world in [1usize, 2, 4] {
-            let progs = recorded(world);
-            let d = check_programs(&[(0..world).collect()], &progs);
-            assert!(d.is_empty(), "world {world}: {d:?}");
-            // Three pass barriers and the shutdown barrier; beyond one rank,
-            // 5 ops per all-reduce, 2 all-reduces per layer, 2 layers a step.
-            let want_len = if world > 1 { 4 + 3 * 2 * 2 * 5 } else { 4 };
-            assert!(progs.values().all(|p| p.len() == want_len), "world {world}: {progs:?}");
+    fn member_programs_are_clean_and_match_the_live_joins() {
+        for n in [2usize, 4] {
+            let progs = members(n);
+            let d = check_programs(&[(0..n).collect()], &progs);
+            assert!(d.is_empty(), "{n} members: {d:?}");
+            assert!(progs.len() == n && progs.values().all(|p| p.len() == 3 * (1 + 4 * 2)), "{n} members: {progs:?}");
         }
     }
 
     #[test]
-    fn tp_exec_missing_barrier_detected() {
-        // Rank 1 skips the barrier between the reduce-scatter and the
-        // all-gather of its first recorded all-reduce: the lock-step check
-        // flags the shorter program and the rendezvous simulation reports
-        // the resulting stall.
-        let mut progs = recorded(4);
-        let victim = progs.get_mut(&1).unwrap();
-        let rs = victim
-            .iter()
-            .position(|op| matches!(op, Op::Coll { kind: CollKind::ReduceScatter, .. }))
-            .expect("an all-reduce ran");
-        victim.remove(rs + 1);
+    fn a_member_skipping_a_join_is_detected() {
+        // Member 1 skips the join after its first attention region: the
+        // lock-step check flags the shorter program and the rendezvous
+        // simulation reports the resulting stall.
+        let mut progs = members(4);
+        progs.get_mut(&1).unwrap().remove(1);
         let d = check_programs(&[(0..4).collect()], &progs);
         assert!(d.iter().any(|x| x.code == "collective-mismatch"), "{d:?}");
         assert!(d.iter().any(|x| x.code == "deadlock"), "{d:?}");
@@ -760,7 +773,7 @@ mod tests {
     fn exit_before_collective_aborts_survivors_typed() {
         // Rank 1 dies mid-schedule: every survivor must reach a typed abort
         // (the timeout path), and *nobody* may be reported silently stuck.
-        let progs = recorded(4);
+        let progs = members(4);
         let len = progs[&0].len();
         for at in [0usize, 1, 7, len - 1] {
             let exits = ExitPlan::from([(1usize, at)]);
@@ -779,7 +792,7 @@ mod tests {
 
     #[test]
     fn exit_after_program_end_is_harmless() {
-        let progs = recorded(2);
+        let progs = members(2);
         let exits = ExitPlan::from([(1usize, progs[&1].len())]);
         let d = simulate_rendezvous_with_exits(&progs, &exits);
         assert!(d.is_empty(), "{d:?}");
@@ -787,7 +800,7 @@ mod tests {
 
     #[test]
     fn no_exits_matches_plain_rendezvous() {
-        let progs = recorded(4);
+        let progs = members(4);
         assert!(simulate_rendezvous_with_exits(&progs, &ExitPlan::new()).is_empty());
         assert!(simulate_rendezvous(&progs).is_empty());
     }

@@ -19,9 +19,8 @@
 //!   panic — or, for a hand-built plan, a quiet neighbour overwrite).
 //!
 //! [`step_trace`] builds the trace of one `dsi_model::fast::step` pass — the
-//! one layer step every engine and every tensor-parallel rank runs — from
-//! the model configuration, the rank's shard degree and the pass's rows
-//! alone, against the arena layout published by
+//! one layer step every engine runs — from the model configuration, a
+//! shard degree (the paper's per-GPU widths) and the pass's rows alone, against the arena layout published by
 //! [`dsi_model::fast::scratch_layout`], so the verifier and the executor
 //! derive buffer capacities from the same source and cannot drift
 //! silently. Rows share the row-stacked scratch; each sequence owns its KV,
@@ -232,7 +231,7 @@ fn intern(s: String) -> &'static str {
 /// scratch at stride `3a`), then M-row regions 3–5 with the x/y
 /// double-buffer swap; final layer-norm + logits. The shard widths are
 /// those `step` reads from the panels: `a = h/tp` attention columns and
-/// `f = 4h/tp` FF neurons, with the residual stream full-width (a rank's
+/// `f = 4h/tp` FF neurons, with the residual stream full-width (a GPU's
 /// W_o/FF2 all-reduce runs in place on the projection's output). A prompt
 /// pass is rows of one `seq` at consecutive positions, a decode step one
 /// row for each of m `seq`s.

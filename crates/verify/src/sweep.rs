@@ -14,10 +14,12 @@
 //! * **Collective** — tensor-parallel all-reduce programs for each Fig. 6
 //!   mapping, pipeline p2p programs and task-graph structure for the Fig. 8
 //!   mappings, expert-parallel all-to-all programs for each Table II model;
-//! * **Recorded** — what the running code recorded ([`record_live`]): the
-//!   executed TP engine's per-rank collective programs at tp ∈ {1, 2, 4}
-//!   (lock-step, deadlock-freedom, exit-safety) and the offload store's
-//!   events over a grid of layers × prefetch depths × budgets;
+//! * **Live** — what the running code did ([`record_live`]): the join
+//!   programs of a split pass's members at 2 and 4 members — what a
+//!   tensor-parallel group executes — read off the split trace and held to
+//!   a live engine's barrier crossings (lock-step, deadlock-freedom,
+//!   exit-safety), and the offload store's recorded events over a grid of
+//!   layers × prefetch depths × budgets;
 //! * **Audit** — runs separately in xtask (it needs the source tree).
 //!
 //! [`negative_controls`] seeds one defect of each class the verifier claims
@@ -25,10 +27,10 @@
 //! fusion boundary, an aliased scratch write, a pair of aliasing M-row
 //! attention regions in the batched layout, two split-pass members whose
 //! column windows overlap, two sequences mapped to one KV
-//! page in the paged allocator, a rank skipping an all-reduce, a recorded
-//! TP program with one barrier crossing removed, a cyclic task graph, an
-//! undocumented `unsafe` block, a rank exiting mid-way through a recorded
-//! TP program (survivors must abort typed), a recv stranded by a dead
+//! page in the paged allocator, a rank skipping an all-reduce, a split-pass
+//! member skipping a join, a cyclic task graph, an undocumented `unsafe`
+//! block, a member exiting mid-way through its join program (survivors
+//! must abort typed), a recv stranded by a dead
 //! sender, a survivor deadlock that an unrelated exit must not mask, a live
 //! scheduler's recorded fault recovery with its page releases removed, and
 //! a recorded store run with a panel's first fetch removed — and returns
@@ -37,8 +39,8 @@
 
 use crate::collective::{
     check_exit_safety, check_pipeline, check_programs, ep_alltoall_programs, find_cycle,
-    pp_p2p_programs, record_tp_programs, simulate_rendezvous, simulate_rendezvous_with_exits,
-    tp_allreduce_programs, CollKind, DiGraph, ExitPlan, Op, Programs,
+    member_programs, pp_p2p_programs, simulate_rendezvous, simulate_rendezvous_with_exits,
+    tp_allreduce_programs, DiGraph, ExitPlan, Op, Programs,
 };
 use crate::ir::verify_layer_plan;
 use crate::runtime::{check_prefetch_program, record_offload};
@@ -71,31 +73,32 @@ impl SweepReport {
     }
 }
 
-/// What the running code recorded: per TP degree, each rank's collective
-/// program; per offload run `(layers, depth, budget in panels)`, the
-/// store's events; and a `recording-overflow` for each recorder that
-/// wrapped (its run is left out).
+/// What the running code did: per member count, each member's join
+/// program (held to a live engine's joins); per offload run `(layers,
+/// depth, budget in panels)`, the store's events; and a diagnostic for each
+/// run that could not be checked — a recorder that wrapped, or members
+/// whose live joins miss their trace's (the run is left out).
 #[derive(Debug, Clone, Default)]
 pub struct Recorded {
-    pub tp: Vec<(usize, Programs)>,
+    pub members: Vec<(usize, Programs)>,
     pub offload: Vec<((usize, usize, usize), Vec<StoreEvent>)>,
     pub overflows: Vec<Diagnostic>,
 }
 
 impl Recorded {
-    fn tp(&self, world: usize) -> Programs {
-        self.tp.iter().find(|(w, _)| *w == world).map(|(_, p)| p.clone()).unwrap_or_default()
+    fn members(&self, n: usize) -> Programs {
+        self.members.iter().find(|(m, _)| *m == n).map(|(_, p)| p.clone()).unwrap_or_default()
     }
 }
 
-/// Run the executed TP engine at tp ∈ {1, 2, 4} and the paged engine over
-/// an offload store for layers {2, 3, 5} × prefetch depth {0, 1, 2} × a
-/// budget of {1, 2, 3} panels, and collect what each recorded.
+/// Trace and run split passes on 2 and 4 members, and the paged engine
+/// over an offload store for layers {2, 3, 5} × prefetch depth {0, 1, 2} ×
+/// a budget of {1, 2, 3} panels, and collect what each did.
 pub fn record_live() -> Recorded {
     let mut r = Recorded::default();
-    for tp in [1usize, 2, 4] {
-        match record_tp_programs(tp) {
-            Ok(p) => r.tp.push((tp, p)),
+    for n in [2usize, 4] {
+        match member_programs(n) {
+            Ok(p) => r.members.push((n, p)),
             Err(d) => r.overflows.push(d),
         }
     }
@@ -194,8 +197,8 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         // --- Pass 2: scratch arena of the fast decode path. ---
         // Trace a 16-row prompt pass (each row attending over its causal
         // prefix) and the decode step after it, whole and at one rank of a
-        // 2- and 4-way shard (`tp_exec` ranks run the same step over shard
-        // widths): cheap enough to run for the 530B layer count. Then the
+        // 2- and 4-way shard (the paper's per-GPU widths): cheap enough to
+        // run for the 530B layer count. Then the
         // serving scheduler's mixed pass: the prompt rows of two sequences
         // at different offsets (a newcomer, and a replay past an attached
         // front) beside the decode rows of three others.
@@ -317,15 +320,16 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         );
     }
 
-    // --- Pass 3c: the executed TP engine's recorded programs. ---
-    // Each rank's barrier / reduce-scatter / all-gather sequence as the
-    // threaded engine (dsi-parallel::tp_exec) ran it at the bench degrees
-    // {1, 2, 4}: lock-step across ranks and deadlock-free.
-    for (world, progs) in &recorded.tp {
+    // --- Pass 3c: the split pass members' join programs. ---
+    // Each member's joins through a seat, a mixed and a decode pass, as
+    // the split trace lays them out and a live engine crossed them, at 2
+    // and 4 members (a tensor-parallel group's degrees): lock-step across
+    // members and deadlock-free.
+    for (n, progs) in &recorded.members {
         report.collective_programs += 1;
-        let group: Vec<usize> = (0..*world).collect();
+        let group: Vec<usize> = (0..*n).collect();
         report.diagnostics.extend(check_programs(&[group], progs).into_iter().map(|mut x| {
-            x.site = format!("tp_exec world={world}: {}", x.site);
+            x.site = format!("split members={n}: {}", x.site);
             x
         }));
     }
@@ -372,24 +376,21 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         }));
     }
 
-    // --- Pass 3e: exit-safety of the executed TP engine's programs. ---
-    // Model "rank r exits at op e" on the recorded programs for every rank ×
-    // a sample of epochs: the hardened runtime's bounded timeouts must
-    // convert every such loss into a typed abort on the survivors — never a
-    // silent deadlock. The typed aborts are the expected outcome;
-    // `check_exit_safety` returns only what is left silently stuck.
-    for (world, progs) in recorded.tp.iter().filter(|(world, _)| *world > 1) {
+    // --- Pass 3e: exit-safety of the members' join programs. ---
+    // Model "member t exits at join e" for every member × a sample of
+    // joins: the bounded join deadline must convert every such loss into a
+    // typed abort on the survivors — never a silent deadlock. The typed
+    // aborts are the expected outcome; `check_exit_safety` returns only what
+    // is left silently stuck.
+    for (n, progs) in &recorded.members {
         let len = progs[&0].len();
-        for rank in 0..*world {
+        for rank in 0..*n {
             for at in [0usize, 1, len / 2, len - 1] {
                 let exits = ExitPlan::from([(rank, at)]);
                 report.collective_programs += 1;
                 report.diagnostics.extend(
                     check_exit_safety(progs, &exits).into_iter().map(|mut x| {
-                        x.site = format!(
-                            "tp_exec world={world}, rank {rank} exits at op {at}: {}",
-                            x.site
-                        );
+                        x.site = format!("split members={n}, member {rank} exits at join {at}: {}", x.site);
                         x
                     }),
                 );
@@ -545,18 +546,15 @@ pub fn negative_controls(
         diagnostics: check_programs(&groups, &progs),
     });
 
-    // Collective: the executed TP engine's recording with one barrier
-    // crossing missing — rank 1 races past the fence between the
-    // reduce-scatter and the all-gather of its first all-reduce.
-    let mut progs = recorded.tp(4);
+    // Collective: a 4-member split pass whose member 1 skips its join
+    // after the first attention region — it would read W_o inputs the
+    // other members are still writing.
+    let mut progs = recorded.members(4);
     if let Some(ops) = progs.get_mut(&1) {
-        let first_rs = ops.iter().position(|op| matches!(op, Op::Coll { kind: CollKind::ReduceScatter, .. }));
-        if let Some(rs) = first_rs {
-            ops.remove(rs + 1);
-        }
+        ops.remove(1);
     }
     out.push(Control {
-        name: "recorded shmem all-reduce with a barrier removed (rank 1 skips the fence)",
+        name: "split-pass member 1 skips a join",
         expect_code: "deadlock",
         diagnostics: check_programs(&[(0..4).collect()], &progs),
     });
@@ -603,13 +601,13 @@ pub fn negative_controls(
         ),
     });
 
-    // Exit modelling: rank 1 dying half-way through a recorded world-2
-    // program must surface as a *typed* abort on rank 0 (the timeout path),
-    // not a hang.
-    let progs = recorded.tp(2);
+    // Exit modelling: member 1 exiting half-way through its 2-member join
+    // program must surface as a *typed* abort on member 0 (the join
+    // deadline), not a hang.
+    let progs = recorded.members(2);
     let mid = progs.get(&1).map_or(0, |ops| ops.len() / 2);
     out.push(Control {
-        name: "rank exit mid-way through a recorded program (survivors abort typed)",
+        name: "member exit mid-way through a join program (survivors abort typed)",
         expect_code: "collective-abort",
         diagnostics: simulate_rendezvous_with_exits(&progs, &ExitPlan::from([(1usize, mid)])),
     });
@@ -715,7 +713,7 @@ mod tests {
         let recoveries = [vec![Fault { slot: 1 }, Release { slot: 1 }, Replay { slot: 1 }]];
         let recorded = record_live();
         assert!(recorded.overflows.is_empty(), "{:?}", recorded.overflows);
-        assert_eq!((recorded.tp.len(), recorded.offload.len()), (3, 27));
+        assert_eq!((recorded.members.len(), recorded.offload.len()), (2, 27));
         let controls = negative_controls(&recoveries, &recorded);
         assert_eq!(controls.len(), 19);
         for c in &controls {

@@ -4,9 +4,10 @@
 //!
 //! Subcommands:
 //! * `verify` — run the full static sweep (`dsi_verify::sweep::verify_all`)
-//!   over every zoo model × figure configuration and over what the executed
-//!   TP engine and offload store recorded (printed per run; a recorder that
-//!   wrapped fails the sweep), the serving fault path's checks on the live
+//!   over every zoo model × figure configuration, over the split pass
+//!   members' join programs (held to a live engine's joins) and over what
+//!   the offload store recorded (printed per run; a recorder that wrapped,
+//!   or a live join count off its trace, fails the sweep), the serving fault path's checks on the live
 //!   code (the breaker explorer, the recorded scheduler traces and
 //!   recoveries), then the negative controls. Exit code 1 if a check finds
 //!   a defect **or** any seeded defect goes undetected.
@@ -46,9 +47,9 @@ fn run_verify() -> ExitCode {
         "xtask verify: {} IR plans, {} scratch traces, {} collective programs checked",
         report.ir_plans, report.scratch_traces, report.collective_programs
     );
-    for (tp, progs) in &recorded.tp {
-        let ops: Vec<usize> = progs.values().map(Vec::len).collect();
-        println!("  live TP recording: tp={tp}, ops per rank {ops:?}");
+    for (n, progs) in &recorded.members {
+        let joins: Vec<usize> = progs.values().map(Vec::len).collect();
+        println!("  split-pass join programs: {n} members, joins per member {joins:?} (the live members' crossings)");
     }
     let runs: Vec<String> =
         recorded.offload.iter().map(|((l, d, b), ev)| format!("{l}/{d}/{b}: {}", ev.len())).collect();

@@ -264,8 +264,8 @@ impl Backing {
         let fd = file.as_raw_fd();
         let ret: isize;
         // Raw syscall 9 (mmap) on x86-64 Linux: addr=NULL, PROT_READ (1),
-        // MAP_PRIVATE (2), offset 0 — the repo links no libc crate (same
-        // idiom as `dsi_parallel::tp_exec::pin_current_thread`).
+        // MAP_PRIVATE (2), offset 0 — the repo links no libc crate, so the
+        // syscall is issued directly.
         //
         // SAFETY: all six arguments follow the mmap ABI; the kernel either
         // returns a fresh page-aligned mapping or a negative errno, and the

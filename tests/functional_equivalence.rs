@@ -68,16 +68,15 @@ fn tensor_parallel_full_model_equivalence() {
 fn tp_exec_session_matches_fast_session_tokens() {
     use deepspeed_inference::model::fast::PackedModel;
     use deepspeed_inference::sim::shmem::CommConfig;
-    use std::sync::Arc;
 
-    let model = Arc::new(GptModel::random(zoo::tiny(2), 123));
+    let model = GptModel::random(zoo::tiny(2), 123);
     let pm = PackedModel::pack(&model);
     let (a, b) = ([3usize, 14, 15, 92], [27usize, 18]);
     let want = pm.session(4).generate(&a, 12);
     assert_eq!(want, model.generate(&a, 12));
     let want_b = pm.session(2).generate(&b, 11);
-    for tp in [1usize, 2, 4] {
-        let mut eng = TpEngine::new(Arc::clone(&model), tp, CommConfig::default(), 2, 16, 4);
+    for tp in 1..=4 {
+        let mut eng = TpEngine::new(&pm, tp, CommConfig::default(), 2, 16, 4);
         let (mut got, mut got_b, mut out) = (Vec::new(), Vec::new(), Vec::new());
         eng.pass(&[(0, &a)], &[], &mut out).unwrap();
         got.push(out[0]);
