@@ -92,9 +92,6 @@ const SHAPES: [(usize, usize); 5] = [(256, 768), (256, 256), (256, 1024), (1024,
 /// operands, ≈ 7 MiB in all: past a 2 MiB per-core L2, so it reads the
 /// bandwidth regime a decode step runs in.
 fn bench_int8_gemv(c: &mut Criterion) {
-    // Calibrate the dispatch table first, so the first shape's timing
-    // calibration does not include it.
-    dsi_kernels::dispatch::table();
     let mut g = c.benchmark_group("int8_gemv");
     for &(k, n) in &SHAPES {
         let b = QuantizedPackedB::quantize_pack(&Tensor::randn(&[k, n], 0.1, 11), 32);
@@ -135,7 +132,6 @@ fn bench_int8_gemv(c: &mut Criterion) {
 /// dispatches to. Ids end in the operand's streamed bytes, as in
 /// `int8_gemv`; the operand stays cache-resident, so this reads issue rate.
 fn bench_f32_gemm(c: &mut Criterion) {
-    dsi_kernels::dispatch::table();
     let mut g = c.benchmark_group("f32_gemm");
     for &(k, n) in &SHAPES {
         let b = PackedB::pack(&Tensor::randn(&[k, n], 0.1, 13));

@@ -36,6 +36,7 @@
 use std::marker::PhantomData;
 use std::ops::Range;
 
+use crate::dispatch::{self, GemmDtype};
 use crate::simd::Tier;
 use crate::tensor::Tensor;
 
@@ -61,26 +62,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         s += x * y;
     }
     s
-}
-
-
-/// The part of a packed `[k, n]` operand one GEMM reads: input rows `rows`,
-/// against activation rows `rows.len()` wide, and output columns `cols`.
-/// Either range may start and end inside a [`PANEL`]; a row range is read
-/// at the full operand's panel stride. An INT8 operand's row range starts
-/// on a quantization group and ends on one or at `k`
-/// ([`PanelWeights::row_align`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Window {
-    pub rows: Range<usize>,
-    pub cols: Range<usize>,
-}
-
-impl Window {
-    /// The whole of `b`.
-    pub fn full<B: PanelWeights + ?Sized>(b: &B) -> Self {
-        Window { rows: 0..b.k(), cols: 0..b.n() }
-    }
 }
 
 /// A GEMM's output: `rows` rows of `width` floats, `ldc` apart, by
@@ -144,54 +125,24 @@ impl<'a> OutRows<'a> {
         // SAFETY: a subset of this window's rows, borrowed through `&mut self`.
         unsafe { OutRows::from_raw(self.ptr.wrapping_add(r0 * self.ldc), n, self.ldc, self.width) }
     }
-
-    /// Columns `at..at + width` of every row as a window of their own.
-    #[inline]
-    pub fn cols_at(&mut self, at: usize, width: usize) -> OutRows<'_> {
-        assert!(at + width <= self.width, "gemm: output columns {at}..{} of {}", at + width, self.width);
-        // SAFETY: a subset of each row's window, borrowed through `&mut self`.
-        unsafe { OutRows::from_raw(self.ptr.wrapping_add(at), self.rows, self.ldc, width) }
-    }
-
-    /// The window as one slice, when its rows are whole and adjacent
-    /// (`width == ldc`): a dense `[rows, width]` output.
-    pub fn dense(&mut self) -> &mut [f32] {
-        assert_eq!(self.width, self.ldc, "gemm: a windowed output is not dense");
-        // SAFETY: with `width == ldc` the rows tile `rows * width` adjacent
-        // floats, all of them this window's.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.rows * self.width) }
-    }
 }
 
-/// A [`Window`] checked against its operand, as the kernels walk it: the
-/// operand's depth `k` (one panel is `k * PANEL` weights), input rows
-/// `r0..r1` and output columns `c0..c1`.
+/// A column window checked against its operand, as the kernels walk it:
+/// the operand's depth `k` (the activation row width; one panel is
+/// `k * PANEL` weights) and output columns `c0..c1`, which may start and
+/// end inside a [`PANEL`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Geom {
     pub(crate) k: usize,
-    pub(crate) r0: usize,
-    pub(crate) r1: usize,
     pub(crate) c0: usize,
     pub(crate) c1: usize,
 }
 
 impl Geom {
-    /// Check `win` against a `[k, n]` operand whose row ranges align to
-    /// `align`.
-    pub(crate) fn new(k: usize, n: usize, align: usize, win: &Window) -> Geom {
-        let (rows, cols) = (win.rows.clone(), win.cols.clone());
-        assert!(rows.start <= rows.end && rows.end <= k, "gemm: rows {rows:?} outside k = {k}");
+    /// Check `cols` against a `[k, n]` operand.
+    pub(crate) fn new(k: usize, n: usize, cols: Range<usize>) -> Geom {
         assert!(cols.start <= cols.end && cols.end <= n, "gemm: columns {cols:?} outside n = {n}");
-        assert!(
-            rows.start.is_multiple_of(align) && (rows.end == k || rows.end.is_multiple_of(align)),
-            "gemm: rows {rows:?} not aligned to {align}"
-        );
-        Geom { k, r0: rows.start, r1: rows.end, c0: cols.start, c1: cols.end }
-    }
-
-    /// Activation row width.
-    pub(crate) fn kw(&self) -> usize {
-        self.r1 - self.r0
+        Geom { k, c0: cols.start, c1: cols.end }
     }
 
     /// Output columns per row.
@@ -223,36 +174,35 @@ mod avx {
     use super::{Geom, OutRows, PANEL};
     use std::arch::x86_64::*;
 
-    /// One GEMV row over a window of panel-packed weights: `out` row 0 =
-    /// `a[0..kw] · B[r0..r1, c0..c1]`.
+    /// One GEMV row over a column window of panel-packed weights: `out`
+    /// row 0 = `a[0..k] · B[.., c0..c1]`.
     ///
     /// # Safety
     /// Caller must have verified AVX2+FMA support, and `panels` must hold
     /// at least `g.panels_len()` floats in [`super::PackedB`] layout for
-    /// depth `g.k` (a [`Geom`] has `r1 <= k`).
+    /// depth `g.k`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemv(a: &[f32], panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
         let out = out.row(0);
         // Contract checks: the SAFETY arguments below all reduce to these
         // (the `PackedB` layout invariant and a checked `Geom`).
-        debug_assert_eq!(a.len(), g.kw());
+        debug_assert_eq!(a.len(), g.k);
         debug_assert!(out.len() >= g.nw());
-        debug_assert!(g.r1 <= g.k && panels.len() >= g.panels_len());
+        debug_assert!(panels.len() >= g.panels_len());
         for jp in g.panels() {
-            // SAFETY: `jp < panels().end` and `r0 <= k`, so the window's
-            // first row of panel `jp` is at most one past the end of
-            // `panels_len() <= panels.len()` floats.
-            let p = unsafe { panels.as_ptr().add((jp * g.k + g.r0) * PANEL) };
+            // SAFETY: `jp < panels().end`, so panel `jp` starts at most one
+            // past the end of `panels_len() <= panels.len()` floats.
+            let p = unsafe { panels.as_ptr().add(jp * g.k * PANEL) };
             // Four independent FMA chains: one register per 8 output
             // columns, alive across the whole k loop.
             let mut acc0 = _mm256_setzero_ps();
             let mut acc1 = _mm256_setzero_ps();
             let mut acc2 = _mm256_setzero_ps();
             let mut acc3 = _mm256_setzero_ps();
-            for i in 0..g.kw() {
-                // SAFETY: `i < kw == a.len()` bounds the `get_unchecked`;
-                // `r0 + i < r1 <= k` keeps all four 8-wide loads inside
-                // panel `jp` of `panels`.
+            for i in 0..g.k {
+                // SAFETY: `i < k == a.len()` bounds the `get_unchecked`,
+                // and keeps all four 8-wide loads inside panel `jp` of
+                // `panels`.
                 unsafe {
                     let av = _mm256_set1_ps(*a.get_unchecked(i));
                     let row = p.add(i * PANEL);
@@ -290,9 +240,9 @@ mod avx {
         }
     }
 
-    /// `MR`-row register-blocked GEMM over a window of one panel-packed
-    /// operand: `out` row `r` = `a[r * kw..][..kw] · B[r0..r1, c0..c1]`
-    /// for `r < MR`, with `a` dense.
+    /// `MR`-row register-blocked GEMM over a column window of one
+    /// panel-packed operand: `out` row `r` = `a[r * k..][..k] · B[..,
+    /// c0..c1]` for `r < MR`, with `a` dense.
     ///
     /// Each weight panel is streamed from memory **once per column group**
     /// and broadcast across all `MR` activation rows — the CPU execution of
@@ -301,9 +251,8 @@ mod avx {
     /// arithmetic per byte by M. `NR` is the number of 8-wide column
     /// registers per pass; `MR * NR` accumulators plus `NR` weight registers
     /// plus one broadcast must fit the 16 YMM registers, so `MR = 8` takes
-    /// `NR = 1` and walks each panel four times (MR=16 deliberately spills —
-    /// the dispatcher measures whether that ever wins rather than assuming).
-    /// A column group wholly outside the window is skipped. The AVX-512
+    /// `NR = 1` and walks each panel four times. A column group wholly
+    /// outside the window is skipped. The AVX-512
     /// tier (`avx512`) has 32 registers and needs no column groups.
     ///
     /// Numerics: each output element accumulates over `k` sequentially in a
@@ -313,7 +262,7 @@ mod avx {
     ///
     /// # Safety
     /// Caller must have verified AVX2+FMA support; `panels` as for
-    /// [`gemv`]; `a.len() == MR * kw`; `out` holds `MR` rows of at least
+    /// [`gemv`]; `a.len() == MR * k`; `out` holds `MR` rows of at least
     /// `nw` floats; `PANEL % (8 * NR) == 0`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_block<const MR: usize, const NR: usize>(
@@ -322,15 +271,15 @@ mod avx {
         g: Geom,
         out: &mut OutRows<'_>,
     ) {
-        let kw = g.kw();
-        debug_assert_eq!(a.len(), MR * kw);
+        let k = g.k;
+        debug_assert_eq!(a.len(), MR * k);
         debug_assert!(out.rows() == MR && out.width() >= g.nw());
-        debug_assert!(g.r1 <= g.k && panels.len() >= g.panels_len());
+        debug_assert!(panels.len() >= g.panels_len());
         debug_assert_eq!(PANEL % (8 * NR), 0);
         for jp in g.panels() {
-            // SAFETY: as in `gemv`, the window's first row of panel `jp` is
-            // in bounds (one-past-the-end only when `kw == 0`).
-            let p = unsafe { panels.as_ptr().add((jp * g.k + g.r0) * PANEL) };
+            // SAFETY: as in `gemv`, panel `jp` starts in bounds
+            // (one-past-the-end only when `k == 0`).
+            let p = unsafe { panels.as_ptr().add(jp * k * PANEL) };
             let (lo, hi, at) = g.lanes(jp);
             // Column-group passes: the panel is re-read once per group, but
             // it stays L1/L2-resident between passes, so DRAM still streams
@@ -341,11 +290,10 @@ mod avx {
                     continue;
                 }
                 let mut acc = [[_mm256_setzero_ps(); NR]; MR];
-                for i in 0..kw {
-                    // SAFETY: `r0 + i < r1 <= k` and `base + 8 * (NR - 1) + 8
-                    // <= PANEL` keep every 8-wide load inside panel `jp`;
-                    // `r * kw + i < MR * kw == a.len()` bounds the
-                    // broadcasts.
+                for i in 0..k {
+                    // SAFETY: `i < k` and `base + 8 * (NR - 1) + 8 <= PANEL`
+                    // keep every 8-wide load inside panel `jp`; `r * k + i
+                    // < MR * k == a.len()` bounds the broadcasts.
                     unsafe {
                         let row = p.add(i * PANEL + base);
                         let mut w = [_mm256_setzero_ps(); NR];
@@ -353,7 +301,7 @@ mod avx {
                             *wt = _mm256_loadu_ps(row.add(8 * t));
                         }
                         for (r, accr) in acc.iter_mut().enumerate() {
-                            let av = _mm256_set1_ps(*a.get_unchecked(r * kw + i));
+                            let av = _mm256_set1_ps(*a.get_unchecked(r * k + i));
                             for (wt, acc_t) in w.iter().zip(accr.iter_mut()) {
                                 *acc_t = _mm256_fmadd_ps(av, *wt, *acc_t);
                             }
@@ -389,22 +337,22 @@ mod avx {
     }
 
     /// Runtime-`mr` front end over the const-generic block kernels. `mr`
-    /// must be one of the dispatch candidates (1, 2, 4, 8, 16).
+    /// must be one of the dispatch candidates (1, 2, 4, 8). The f32 cap
+    /// on this tier is 2, so `<4, 2>` and `<8, 1>` run only under a forced
+    /// `mr`: they stay so that the differential harness's drift report can
+    /// re-time this tier's crossover on a host (DESIGN.md, "Row-block caps").
     ///
     /// # Safety
     /// Same contract as [`gemm_block`] with `MR == mr`.
     pub unsafe fn gemm_rows(a: &[f32], mr: usize, panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
         // SAFETY: forwarded caller contract; each arm fixes MR == mr and an
-        // NR that divides PANEL/8, with MR*NR + NR + 1 <= 16 YMM registers
-        // (except the deliberately-spilling MR=16 candidate; the AVX-512
-        // tier runs 16 rows as two 8-row blocks instead).
+        // NR that divides PANEL/8, with MR*NR + NR + 1 <= 16 YMM registers.
         unsafe {
             match mr {
                 1 => gemv(a, panels, g, out),
                 2 => gemm_block::<2, 4>(a, panels, g, out),
                 4 => gemm_block::<4, 2>(a, panels, g, out),
                 8 => gemm_block::<8, 1>(a, panels, g, out),
-                16 => gemm_block::<16, 1>(a, panels, g, out),
                 _ => unreachable!("unsupported microkernel row count {mr}"),
             }
         }
@@ -444,21 +392,18 @@ mod avx512 {
         }
     }
 
-    /// `out` row `r` = `a[r * kw..][..kw] · B[r0..r1, c0..c1]` for `r < MR`
-    /// over [`super::PackedB`] panels, with `a` dense. Per panel,
+    /// `out` row `r` = `a[r * k..][..k] · B[.., c0..c1]` for `r < MR` over
+    /// [`super::PackedB`] panels, with `a` dense. Per panel,
     /// `MR × 2` accumulators, two weight registers and one broadcast: at
     /// most 19 of the 32 zmm registers.
     #[target_feature(enable = "avx512f")]
     fn gemm_block512<const MR: usize>(a: &[f32], panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
-        let kw = g.kw();
-        assert_eq!(a.len(), MR * kw, "gemm512: lhs size mismatch");
+        let k = g.k;
+        assert_eq!(a.len(), MR * k, "gemm512: lhs size mismatch");
         assert!(out.rows() == MR && out.width() >= g.nw(), "gemm512: out size mismatch");
-        assert!(
-            g.r1 <= g.k && panels.len() >= g.panels_len(),
-            "gemm512: panels size mismatch"
-        );
+        assert!(panels.len() >= g.panels_len(), "gemm512: panels size mismatch");
         for jp in g.panels() {
-            let panel = &panels[(jp * g.k + g.r0) * PANEL..(jp * g.k + g.r1) * PANEL];
+            let panel = &panels[jp * k * PANEL..(jp + 1) * k * PANEL];
             let mut acc = [[_mm512_setzero_ps(); 2]; MR];
             for (i, row) in panel.chunks_exact(PANEL).enumerate() {
                 // SAFETY: `row` is exactly `PANEL == 32` floats, so both
@@ -470,9 +415,9 @@ mod avx512 {
                     ]
                 };
                 for (r, accr) in acc.iter_mut().enumerate() {
-                    // SAFETY: `i < kw`, so `r * kw + i < MR * kw == a.len()`
+                    // SAFETY: `i < k`, so `r * k + i < MR * k == a.len()`
                     // (asserted above).
-                    let av = _mm512_set1_ps(unsafe { *a.get_unchecked(r * kw + i) });
+                    let av = _mm512_set1_ps(unsafe { *a.get_unchecked(r * k + i) });
                     accr[0] = _mm512_fmadd_ps(av, w[0], accr[0]);
                     accr[1] = _mm512_fmadd_ps(av, w[1], accr[1]);
                 }
@@ -498,20 +443,14 @@ mod avx512 {
         }
     }
 
-    /// Runtime-`mr` front end for `mr` ∈ {2, 4, 8, 16}; 16 rows run as two
-    /// 8-row blocks, since 32 accumulators would spill. M = 1 is not here:
-    /// it stays on the AVX2 GEMV, which measured faster.
+    /// Runtime-`mr` front end for `mr` ∈ {2, 4, 8}. M = 1 is not here: it
+    /// stays on the AVX2 GEMV, which measured faster.
     #[target_feature(enable = "avx512f")]
     pub(super) fn gemm_rows(a: &[f32], mr: usize, panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
         match mr {
             2 => gemm_block512::<2>(a, panels, g, out),
             4 => gemm_block512::<4>(a, panels, g, out),
             8 => gemm_block512::<8>(a, panels, g, out),
-            16 => {
-                let (a0, a1) = a.split_at(8 * g.kw());
-                gemm_block512::<8>(a0, panels, g, &mut out.rows_at(0, 8));
-                gemm_block512::<8>(a1, panels, g, &mut out.rows_at(8, 8));
-            }
             _ => unreachable!("unsupported AVX-512 row count {mr}"),
         }
     }
@@ -525,10 +464,10 @@ mod avx512 {
 /// batch, ≈ 38× slower than a plain mul-then-add loop on x86_64 (DESIGN.md,
 /// "M-row microkernels").
 pub(crate) fn gemv_scalar(a: &[f32], panels: &[f32], g: Geom, out: &mut OutRows<'_>) {
-    debug_assert_eq!(a.len(), g.kw());
+    debug_assert_eq!(a.len(), g.k);
     let out = out.row(0);
     for jp in g.panels() {
-        let panel = &panels[(jp * g.k + g.r0) * PANEL..(jp * g.k + g.r1) * PANEL];
+        let panel = &panels[jp * g.k * PANEL..(jp + 1) * g.k * PANEL];
         let mut acc = [0.0f32; PANEL];
         for (i, rows) in panel.chunks_exact(PANEL).enumerate() {
             let av = a[i];
@@ -646,26 +585,13 @@ pub enum Epilogue<'a> {
     BiasAdd(&'a [f32], &'a [f32]),
 }
 
-impl<'a> Epilogue<'a> {
-    /// The epilogue of output columns `at..at + width`: their bias, and the
-    /// residual from column `at` on (still laid out like the output).
-    pub fn columns(self, at: usize, width: usize) -> Self {
-        match self {
-            Epilogue::None => Epilogue::None,
-            Epilogue::Bias(b) => Epilogue::Bias(&b[at..at + width]),
-            Epilogue::BiasGelu(b) => Epilogue::BiasGelu(&b[at..at + width]),
-            Epilogue::BiasAdd(b, res) => Epilogue::BiasAdd(&b[at..at + width], &res[at..]),
-        }
-    }
-}
-
 /// Weight storage a fused region kernel can right-multiply by: panel-packed
 /// FP32 ([`PackedB`]) or group-quantized INT8
 /// ([`crate::quant::QuantizedPackedB`]).
 ///
 /// An operand has one GEMM entry, [`PanelWeights::gemm_window`]; `gemm` is
-/// its whole window. Implementations walk the rows in microkernel blocks
-/// chosen per `(remaining rows, dtype)` by [`crate::dispatch`]. Every
+/// its whole width. Implementations walk the rows in microkernel blocks
+/// chosen per `(remaining rows, tier, dtype)` by [`crate::dispatch`]. Every
 /// microkernel accumulates each output element in the same order, so the
 /// block decomposition never changes results — batched decode stays
 /// bit-identical to one-row-at-a-time decode — and neither does a window:
@@ -682,25 +608,19 @@ pub trait PanelWeights: Send + Sync {
     /// scale metadata for quantized forms) — roofline accounting for the
     /// decode bench.
     fn storage_bytes(&self) -> usize;
-    /// What a [`Window`]'s row range starts on, and ends on unless it ends
-    /// at `k`: 1, or an INT8 operand's quantization group.
-    fn row_align(&self) -> usize {
-        1
-    }
-    /// Row `i` of `out`, column `j` = `a[i] · B[win.rows, win.cols.start +
-    /// j]` for the `out.rows()` rows `a[i]` of `a` (each `win.rows.len()`
-    /// wide) and every `j < win.cols.len() == out.width()`, the epilogue
-    /// fused into the output pass (its bias is the window's, its residual
-    /// laid out like `out`'s rows, `ldc` apart from column 0 of row 0).
-    /// The result is bitwise the matching columns of `gemm` over the
-    /// operand packed from `B[win.rows, ..]`.
-    fn gemm_window(&self, win: &Window, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>);
+    /// Row `i` of `out`, column `j` = `a[i] · B[.., cols.start + j]` for
+    /// the `out.rows()` rows `a[i]` of `a` (each `k` wide) and every
+    /// `j < cols.len() == out.width()`, the epilogue fused into the output
+    /// pass (its bias is the window's, its residual laid out like `out`'s
+    /// rows, `ldc` apart from column 0 of row 0). The result is bitwise
+    /// the matching columns of `gemm`.
+    fn gemm_window(&self, cols: Range<usize>, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>);
     /// `out[m, n] = a[m, k] · B`, epilogue fused into the output pass: the
     /// whole operand's [`PanelWeights::gemm_window`].
     fn gemm(&self, a: &[f32], m: usize, out: &mut [f32], ep: Epilogue<'_>) {
         assert_eq!(out.len(), m * self.n(), "gemm: out size mismatch");
         let n = self.n();
-        self.gemm_window(&Window::full(self), a, OutRows::new(out, m, n, 0..n), ep);
+        self.gemm_window(0..n, a, OutRows::new(out, m, n, 0..n), ep);
     }
 }
 
@@ -737,60 +657,69 @@ pub(crate) fn apply_epilogue_rows(out: &mut OutRows<'_>, r0: usize, mr: usize, e
     }
 }
 
-/// Dispatch-driven row-blocked GEMM over a window of FP32 panels on the
-/// kernels of `tier`, which must not exceed [`Tier::host`]. `force_mr` pins
-/// the microkernel row count (used by [`crate::dispatch`] calibration,
-/// which must not consult the table it is building); `None` consults the
-/// measured table per remaining-row count. The scalar tier runs one row at
-/// a time.
+/// The row-block loop of every GEMM: `out` = `a · B[.., g.c0..g.c1]` +
+/// `ep` over the `out.rows()` rows of `a` (each `g.k` wide), in blocks of
+/// [`dispatch::mr_for`] rows on the kernels of `tier`, which must not
+/// exceed [`Tier::host`]. `force_mr` pins the block instead (the
+/// differential harness checks each one; the scalar tier runs one row at a
+/// time regardless). `block(a, mr, out)` runs the operand's `tier` kernel
+/// over `mr` rows; it is called only after the tier check here. Each
+/// block's epilogue runs while its rows are hot in L1.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f32_with(
-    b: &PackedB,
-    win: &Window,
+pub(crate) fn gemm_row_blocks(
+    g: Geom,
+    dtype: GemmDtype,
     a: &[f32],
     mut out: OutRows<'_>,
     ep: Epilogue<'_>,
     tier: Tier,
     force_mr: Option<usize>,
+    block: impl Fn(&[f32], usize, &mut OutRows<'_>),
 ) {
-    let g = Geom::new(b.k, b.n, 1, win);
-    let (kw, m) = (g.kw(), out.rows());
-    assert_eq!(a.len(), m * kw, "gemm: lhs size mismatch");
+    let (k, m) = (g.k, out.rows());
+    assert_eq!(a.len(), m * k, "gemm: lhs size mismatch");
     assert_eq!(out.width(), g.nw(), "gemm: out width mismatch");
-    assert!(
-        tier <= Tier::host(),
-        "gemm: {tier:?} kernels on a {:?} host",
-        Tier::host()
-    );
+    assert!(tier <= Tier::host(), "gemm: {tier:?} kernels on a {:?} host", Tier::host());
     let mut r = 0;
     while r < m {
         let rem = m - r;
-        let mr = match (tier, force_mr) {
-            (Tier::Scalar, _) => 1,
-            (_, Some(c)) => crate::dispatch::largest_candidate_le(c.min(rem)),
-            (_, None) => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::F32),
+        let mr = match force_mr {
+            Some(c) if tier > Tier::Scalar => dispatch::largest_candidate_le(c.min(rem)),
+            _ => dispatch::mr_for(rem, tier, dtype),
         };
-        let ablk = &a[r * kw..(r + mr) * kw];
-        let oblk = &mut out.rows_at(r, mr);
-        match tier {
-            Tier::Scalar => gemv_scalar(ablk, &b.data, g, oblk),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
-            // reported AVX-512F; the kernels check their own bounds.
-            Tier::Avx512 if mr > 1 => unsafe { avx512::gemm_rows(ablk, mr, &b.data, g, oblk) },
-            // M = 1 runs the AVX2 GEMV on both SIMD tiers.
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
-            // reported AVX2+FMA; slice layout upheld by `PackedB` (the only
-            // producer of `b.data`) and `Geom::new` (the window lies inside
-            // `[k, n]`), block sizes by the asserts above.
-            Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows(ablk, mr, &b.data, g, oblk) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("SIMD tiers are detected on x86_64 only"),
-        }
+        block(&a[r * k..(r + mr) * k], mr, &mut out.rows_at(r, mr));
         apply_epilogue_rows(&mut out, r, mr, ep);
         r += mr;
     }
+}
+
+/// [`gemm_row_blocks`] over FP32 panels.
+pub(crate) fn gemm_f32_with(
+    b: &PackedB,
+    cols: Range<usize>,
+    a: &[f32],
+    out: OutRows<'_>,
+    ep: Epilogue<'_>,
+    tier: Tier,
+    force_mr: Option<usize>,
+) {
+    let g = Geom::new(b.k, b.n, cols);
+    gemm_row_blocks(g, GemmDtype::F32, a, out, ep, tier, force_mr, |a, mr, out| match tier {
+        Tier::Scalar => gemv_scalar(a, &b.data, g, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `gemm_row_blocks` checked `tier <= Tier::host()`, so
+        // CPUID reported AVX-512F; the kernels check their own bounds.
+        Tier::Avx512 if mr > 1 => unsafe { avx512::gemm_rows(a, mr, &b.data, g, out) },
+        // M = 1 runs the AVX2 GEMV on both SIMD tiers.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `gemm_row_blocks` checked `tier <= Tier::host()`, so
+        // CPUID reported AVX2+FMA, and sized `a` and `out` to `mr` rows;
+        // slice layout upheld by `PackedB` (the only producer of `b.data`)
+        // and `Geom::new` (the columns lie inside `[k, n]`).
+        Tier::Avx2 | Tier::Avx512 => unsafe { avx::gemm_rows(a, mr, &b.data, g, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("SIMD tiers are detected on x86_64 only"),
+    });
 }
 
 impl PanelWeights for PackedB {
@@ -803,8 +732,8 @@ impl PanelWeights for PackedB {
     fn storage_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
-    fn gemm_window(&self, win: &Window, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>) {
-        gemm_f32_with(self, win, a, out, ep, Tier::host(), None);
+    fn gemm_window(&self, cols: Range<usize>, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>) {
+        gemm_f32_with(self, cols, a, out, ep, Tier::host(), None);
     }
 }
 
@@ -902,7 +831,7 @@ mod tests {
         matmul_into(a.data(), 2, &pb, &mut got);
         let mut want = vec![0.0f32; 2 * 77];
         for i in 0..2 {
-            let g = Geom::new(48, 77, 1, &Window::full(&pb));
+            let g = Geom::new(48, 77, 0..77);
             let out = OutRows::new(&mut want[i * 77..(i + 1) * 77], 1, 77, 0..77);
             gemv_scalar(&a.data()[i * 48..(i + 1) * 48], &pb.data, g, &mut { out });
         }

@@ -3,20 +3,19 @@
 //!
 //! Every executed path over [`PackedB`] and [`QuantizedPackedB`] — on each
 //! kernel tier the host has (scalar, AVX2, AVX-512), each forced
-//! microkernel row block and the measured dispatch at every row count
+//! microkernel row block and the dispatched blocks at every row count
 //! `1..=17` — is held **bitwise** to one scalar oracle per dtype on a fixed seed corpus: `k` and `n` off the
 //! 32-column panel, quantization groups of 1, 7, 32, 64 and longer than
 //! `k`, the FF2 depth `k = 1024`, and activation rows carrying ±0.0,
 //! denormals, ±Inf and NaN. NaN is compared by NaN-ness only: no kernel
 //! promises a payload.
 //!
-//! The windowed entry (`PanelWeights::gemm_window`) is held the same way,
-//! and twice: a column window that starts and ends inside a panel, a row
-//! range at the full operand's panel stride (on a quantization group for
-//! INT8) and an output stride wider than the window must compute bitwise
-//! the oracle over the window's sub-matrix and bitwise the window's columns
-//! of the full GEMM over the operand packed from its rows, which is what a
-//! tensor-parallel rank's shard packed on its own computes.
+//! The column-windowed entry (`PanelWeights::gemm_window`) is held the
+//! same way, and twice: a column window that starts and ends inside a
+//! panel, written into an output stride wider than the window, must
+//! compute bitwise the oracle over the window's columns and bitwise the
+//! window's columns of the whole GEMM, which is what lets the members of a
+//! split pass each compute their own part of one output.
 //!
 //! The windowed paged attention entry a pass member runs over its heads is
 //! held bitwise to a scalar oracle of the kernel it dispatches to — the
@@ -31,14 +30,18 @@
 //! declared numerics change that moves a kernel and its oracle together
 //! keeps it green. Each output slice is followed by a guard region the
 //! kernels must leave untouched.
+//!
+//! One report here gates nothing: [`row_block_drift_report`] times every
+//! row block per SIMD tier on bench-256's GEMM shapes and prints the
+//! measured winner beside the tier's constant cap (`dispatch::cap`), so a
+//! host where a cap is wrong shows in the log.
 
 use std::ops::Range;
+use std::time::Instant;
 
-use crate::blocked::{
-    gemm_f32_with, matmul_bias_add_into, matmul_into, Epilogue, OutRows, PackedB, PanelWeights, Window,
-};
+use crate::blocked::{gemm_f32_with, matmul_bias_add_into, matmul_into, Epilogue, OutRows, PackedB, PanelWeights};
 use crate::fused::bias_residual_inplace;
-use crate::dispatch::MR_CANDIDATES;
+use crate::dispatch::{cap, GemmDtype, MR_CANDIDATES};
 use crate::quant::{gemm_int8_with, matmul_quantized, QuantizedMatrix, QuantizedPackedB};
 use crate::simd::Tier;
 use crate::tensor::Tensor;
@@ -48,8 +51,7 @@ use crate::tensor::Tensor;
 const DIMS: [usize; 7] = [1, 7, 31, 33, 63, 65, 77];
 /// FF2's reduction depth on the benchmark model (`4 * hidden`).
 const FF2_K: usize = 1024;
-/// One past the widest dispatch table entry, so the widest row block is
-/// followed by a ragged remainder.
+/// Two of the widest row block and a ragged one-row remainder.
 const MAX_M: usize = 17;
 /// Extra f32 `(k, n)` and INT8 `(k, n, group)` cases: the shapes the
 /// kernel modules once checked in loops of their own.
@@ -166,7 +168,7 @@ fn host_tiers() -> impl Iterator<Item = Tier> {
 
 /// Run every executed path of one operand against `want`, the oracle's
 /// `MAX_M`-row product: on every tier the host has, each forced row block
-/// over all rows and the measured dispatch at each row count.
+/// over all rows and the dispatched blocks at each row count.
 fn check_paths(
     what: &str,
     a: &[f32],
@@ -223,7 +225,7 @@ fn f32_paths_match_the_fma_oracle_bitwise() {
             n,
             &matmul_f32_oracle(&x, &w),
             |a, m, out, tier, force| {
-                gemm_f32_with(&pb, &Window::full(&pb), a, OutRows::new(out, m, n, 0..n), Epilogue::None, tier, force)
+                gemm_f32_with(&pb, 0..n, a, OutRows::new(out, m, n, 0..n), Epilogue::None, tier, force)
             },
         );
     }
@@ -242,15 +244,14 @@ fn avx512_eight_row_block_matches_eight_avx2_rows_bitwise() {
         let seed = case as u64;
         let x = activations(k, seed);
         let pb = PackedB::pack(&weights(k, n, seed + 500));
-        let full = Window::full(&pb);
         let a = &x.data()[..8 * k];
         let mut want = vec![SENTINEL; 8 * n + GUARD];
         for (arow, orow) in a.chunks_exact(k).zip(want.chunks_exact_mut(n)) {
-            gemm_f32_with(&pb, &full, arow, OutRows::new(orow, 1, n, 0..n), Epilogue::None, Tier::Avx2, Some(1));
+            gemm_f32_with(&pb, 0..n, arow, OutRows::new(orow, 1, n, 0..n), Epilogue::None, Tier::Avx2, Some(1));
         }
         let mut got = vec![SENTINEL; 8 * n + GUARD];
         let got_out = &mut got[..8 * n];
-        gemm_f32_with(&pb, &full, a, OutRows::new(got_out, 8, n, 0..n), Epilogue::None, Tier::Avx512, Some(8));
+        gemm_f32_with(&pb, 0..n, a, OutRows::new(got_out, 8, n, 0..n), Epilogue::None, Tier::Avx512, Some(8));
         assert_same(&got, &want[..8 * n], &format!("avx512 vs avx2 k={k} n={n}"));
     }
 }
@@ -271,7 +272,7 @@ fn int8_paths_match_matmul_quantized_bitwise() {
             n,
             matmul_quantized(&x, &wq).data(),
             |a, m, out, tier, force| {
-                gemm_int8_with(&qb, &Window::full(&qb), a, OutRows::new(out, m, n, 0..n), Epilogue::None, tier, force)
+                gemm_int8_with(&qb, 0..n, a, OutRows::new(out, m, n, 0..n), Epilogue::None, tier, force)
             },
         );
     }
@@ -282,7 +283,7 @@ fn int8_paths_match_matmul_quantized_bitwise() {
 /// `DIMS` spans one to three panels, so the pairing's odd last panel runs;
 /// groups of 7 leave a ragged last group at every depth here, 32 one at
 /// `k = 33`; and the column windows start inside a panel, at an even and at
-/// an odd panel index, over all rows and over rows from the second group.
+/// an odd panel index.
 #[test]
 fn avx512_int8_blocks_match_avx2_rows_bitwise() {
     if Tier::host() < Tier::Avx512 {
@@ -293,22 +294,20 @@ fn avx512_int8_blocks_match_avx2_rows_bitwise() {
     for (case, (k, n, group)) in grid.enumerate() {
         let seed = case as u64;
         let qb = QuantizedPackedB::quantize_pack(&weights(k, n, seed + 500), group);
-        let rows = [0..k, group..k];
-        let cols = [0..n, 5.min(n - 1)..n, (n / 2).max(1) - 1..n];
-        let nonempty = rows.iter().filter(|r| !r.is_empty());
-        for win in nonempty.flat_map(|r| cols.iter().map(|c| Window { rows: r.clone(), cols: c.clone() })) {
-            let (kw, nw) = (win.rows.len(), win.cols.len());
-            let x = activations(kw, seed + kw as u64);
-            let a = x.data();
+        let x = activations(k, seed + k as u64);
+        let a = x.data();
+        for cols in [0..n, 5.min(n - 1)..n, (n / 2).max(1) - 1..n] {
+            let nw = cols.len();
             let mut want = vec![SENTINEL; MAX_M * nw + GUARD];
-            for (arow, orow) in a.chunks_exact(kw).zip(want.chunks_exact_mut(nw)) {
-                gemm_int8_with(&qb, &win, arow, OutRows::new(orow, 1, nw, 0..nw), Epilogue::None, Tier::Avx2, Some(1));
+            for (arow, orow) in a.chunks_exact(k).zip(want.chunks_exact_mut(nw)) {
+                let out = OutRows::new(orow, 1, nw, 0..nw);
+                gemm_int8_with(&qb, cols.clone(), arow, out, Epilogue::None, Tier::Avx2, Some(1));
             }
             for force in MR_CANDIDATES {
                 let mut got = vec![SENTINEL; MAX_M * nw + GUARD];
                 let out = OutRows::new(&mut got[..MAX_M * nw], MAX_M, nw, 0..nw);
-                gemm_int8_with(&qb, &win, a, out, Epilogue::None, Tier::Avx512, Some(force));
-                let what = format!("int8 avx512 vs avx2 k={k} n={n} group={group} {win:?} force={force}");
+                gemm_int8_with(&qb, cols.clone(), a, out, Epilogue::None, Tier::Avx512, Some(force));
+                let what = format!("int8 avx512 vs avx2 k={k} n={n} group={group} cols {cols:?} force={force}");
                 assert_same(&got, &want[..MAX_M * nw], &what);
             }
         }
@@ -320,37 +319,27 @@ fn avx512_int8_blocks_match_avx2_rows_bitwise() {
 const F32_WINDOWED: [(usize, usize); 2] = [(96, 100), (37, 77)];
 const INT8_WINDOWED: [(usize, usize, usize); 3] = [(128, 100, 16), (100, 77, 32), (200, 70, 64)];
 
-/// Windows of a `[k, n]` operand (`n > 48`) whose row ranges align to
-/// `align`. Columns: inside one panel, starting and ending inside two
-/// neighbouring panels, ending inside the tail panel, and the whole width.
-/// Rows, at the full operand's panel stride: all of them, a range that
-/// starts and ends inside `k`, one that ends at `k`, and (f32) one row.
-fn windows(k: usize, n: usize, align: usize) -> Vec<Window> {
-    let rows = if align == 1 {
-        vec![0..k, 3..k / 2, k / 2..k, 7..8]
-    } else {
-        vec![0..k, align..3 * align, 2 * align..k]
-    };
-    let cols = [5..27, 16..48, 33..n - 3, 0..n];
-    rows.iter()
-        .flat_map(|r| cols.iter().map(move |c| Window { rows: r.clone(), cols: c.clone() }))
-        .collect()
+/// Column windows of an `n`-wide operand (`n > 48`): inside panel 0,
+/// starting inside panel 0 and ending inside panel 1, starting inside the
+/// odd panel 1 and ending inside the tail panel, and the whole width.
+fn windows(n: usize) -> [Range<usize>; 4] {
+    [5..27, 16..48, 33..n - 3, 0..n]
 }
 
-/// Rows `rows` and columns `cols` of a row-major matrix.
-fn sub(w: &Tensor, rows: &Range<usize>, cols: &Range<usize>) -> Tensor {
-    let data = rows.clone().flat_map(|i| w.row(i)[cols.clone()].to_vec()).collect();
-    Tensor::from_vec(&[rows.len(), cols.len()], data)
+/// Columns `cols` of a row-major matrix.
+fn sub(w: &Tensor, cols: &Range<usize>) -> Tensor {
+    let data = (0..w.rows()).flat_map(|i| w.row(i)[cols.clone()].to_vec()).collect();
+    Tensor::from_vec(&[w.rows(), cols.len()], data)
 }
 
-/// Rows `rows` (group-aligned) and columns `cols` of a quantized matrix:
-/// the same values under the same scales.
-fn sub_quantized(wq: &QuantizedMatrix, rows: &Range<usize>, cols: &Range<usize>) -> QuantizedMatrix {
-    let (n, gs) = (wq.shape[1], wq.group_size);
-    let q = rows.clone().flat_map(|i| wq.q[i * n..][cols.clone()].to_vec()).collect();
-    let groups = rows.start / gs..rows.end.div_ceil(gs);
-    let scales = groups.flat_map(|g| wq.scales[g * n..][cols.clone()].to_vec()).collect();
-    QuantizedMatrix { shape: [rows.len(), cols.len()], q, scales, group_size: gs }
+/// Columns `cols` of a quantized matrix: the same values under the same
+/// scales.
+fn sub_quantized(wq: &QuantizedMatrix, cols: &Range<usize>) -> QuantizedMatrix {
+    let [k, n] = wq.shape;
+    let q = (0..k).flat_map(|i| wq.q[i * n..][cols.clone()].to_vec()).collect();
+    let groups = k.div_ceil(wq.group_size);
+    let scales = (0..groups).flat_map(|g| wq.scales[g * n..][cols.clone()].to_vec()).collect();
+    QuantizedMatrix { shape: [k, cols.len()], q, scales, group_size: wq.group_size }
 }
 
 /// Columns `cols` of each row of a row-major `[.., n]` product.
@@ -360,24 +349,25 @@ fn columns(full: &[f32], n: usize, cols: &Range<usize>) -> Vec<f32> {
 
 /// Run one windowed entry (`gemm(a, m, out, ldc, tier, force)`) on every
 /// tier the host has, for m ∈ {1, 2, 4, 8, 16}, each at its forced row
-/// block and at the measured dispatch, into outputs whose rows are the
-/// window's width apart and 5 floats wider. Every output row must be the
+/// block (16 runs as two 8-row blocks, the second at row offset 8) and at
+/// the dispatched blocks, into outputs whose rows are the window's width
+/// apart and 5 floats wider. Every output row must be the
 /// matching row of each of `wants` (`MAX_M` rows of the window's `nw`
 /// columns), and nothing between the rows or past the last one written.
 fn check_window(
     what: &str,
     a: &[f32],
-    kw: usize,
+    k: usize,
     nw: usize,
     wants: [&[f32]; 2],
     gemm: impl Fn(&[f32], usize, &mut [f32], usize, Tier, Option<usize>),
 ) {
     for tier in host_tiers() {
-        for m in MR_CANDIDATES {
+        for m in [1, 2, 4, 8, 16] {
             for (force, ldc) in [Some(m), None].into_iter().flat_map(|f| [(f, nw), (f, nw + 5)]) {
                 let span = (m - 1) * ldc + nw;
                 let mut got = vec![SENTINEL; span + GUARD];
-                gemm(&a[..m * kw], m, &mut got[..span], ldc, tier, force);
+                gemm(&a[..m * k], m, &mut got[..span], ldc, tier, force);
                 for want in wants {
                     let mut expect = vec![SENTINEL; span];
                     for (i, row) in want.chunks_exact(nw).take(m).enumerate() {
@@ -391,78 +381,68 @@ fn check_window(
 }
 
 /// The windowed entry, f32: every window of every operand, bitwise the
-/// FMA oracle over the window's sub-matrix and bitwise the window's
-/// columns of the full GEMM over the operand packed from its rows (what a
-/// tensor-parallel rank would compute from a re-packed shard).
+/// FMA oracle over the window's columns and bitwise the window's columns
+/// of the whole GEMM.
 #[test]
 fn f32_windows_match_the_oracle_and_the_full_gemm_bitwise() {
     for (case, (k, n)) in F32_WINDOWED.into_iter().enumerate() {
         let w = weights(k, n, case as u64 + 700);
         let pb = PackedB::pack(&w);
-        for (i, win) in windows(k, n, 1).into_iter().enumerate() {
-            let (kw, nw) = (win.rows.len(), win.cols.len());
-            let x = activations(kw, (case * 100 + i) as u64);
-            let oracle = matmul_f32_oracle(&x, &sub(&w, &win.rows, &win.cols));
+        for (i, cols) in windows(n).into_iter().enumerate() {
+            let nw = cols.len();
+            let x = activations(k, (case * 100 + i) as u64);
+            let oracle = matmul_f32_oracle(&x, &sub(&w, &cols));
             let mut full = vec![0.0f32; MAX_M * n];
-            matmul_into(x.data(), MAX_M, &PackedB::pack(&sub(&w, &win.rows, &(0..n))), &mut full);
+            matmul_into(x.data(), MAX_M, &pb, &mut full);
             check_window(
-                &format!("f32 k={k} n={n} {win:?}"),
+                &format!("f32 k={k} n={n} cols {cols:?}"),
                 x.data(),
-                kw,
+                k,
                 nw,
-                [&oracle, &columns(&full, n, &win.cols)],
+                [&oracle, &columns(&full, n, &cols)],
                 |a, m, out, ldc, tier, force| {
-                    gemm_f32_with(&pb, &win, a, OutRows::new(out, m, ldc, 0..nw), Epilogue::None, tier, force)
+                    let out = OutRows::new(out, m, ldc, 0..nw);
+                    gemm_f32_with(&pb, cols.clone(), a, out, Epilogue::None, tier, force)
                 },
             );
         }
     }
 }
 
-/// The windowed entry, INT8, over group-aligned row ranges: bitwise
-/// `matmul_quantized` over the window's slice of the quantized matrix and
-/// bitwise the window's columns of the full GEMM over its rows re-packed.
+/// The windowed entry, INT8: bitwise `matmul_quantized` over the window's
+/// columns of the quantized matrix and bitwise the window's columns of the
+/// whole GEMM.
 #[test]
 fn int8_windows_match_the_oracle_and_the_full_gemm_bitwise() {
     for (case, (k, n, group)) in INT8_WINDOWED.into_iter().enumerate() {
         let wq = QuantizedMatrix::quantize(&weights(k, n, case as u64 + 800), group);
         let qb = QuantizedPackedB::from_matrix(&wq);
-        for (i, win) in windows(k, n, group).into_iter().enumerate() {
-            let (kw, nw) = (win.rows.len(), win.cols.len());
-            let x = activations(kw, (case * 100 + i) as u64);
-            let oracle = matmul_quantized(&x, &sub_quantized(&wq, &win.rows, &win.cols));
-            let rows_packed = QuantizedPackedB::from_matrix(&sub_quantized(&wq, &win.rows, &(0..n)));
+        for (i, cols) in windows(n).into_iter().enumerate() {
+            let nw = cols.len();
+            let x = activations(k, (case * 100 + i) as u64);
+            let oracle = matmul_quantized(&x, &sub_quantized(&wq, &cols));
             let mut full = vec![0.0f32; MAX_M * n];
-            matmul_into(x.data(), MAX_M, &rows_packed, &mut full);
+            matmul_into(x.data(), MAX_M, &qb, &mut full);
             check_window(
-                &format!("int8 k={k} n={n} group={group} {win:?}"),
+                &format!("int8 k={k} n={n} group={group} cols {cols:?}"),
                 x.data(),
-                kw,
+                k,
                 nw,
-                [oracle.data(), &columns(&full, n, &win.cols)],
+                [oracle.data(), &columns(&full, n, &cols)],
                 |a, m, out, ldc, tier, force| {
-                    gemm_int8_with(&qb, &win, a, OutRows::new(out, m, ldc, 0..nw), Epilogue::None, tier, force)
+                    let out = OutRows::new(out, m, ldc, 0..nw);
+                    gemm_int8_with(&qb, cols.clone(), a, out, Epilogue::None, tier, force)
                 },
             );
         }
     }
 }
 
-/// A row range the quantization groups do not align to is refused, not
-/// silently mis-scaled.
-#[test]
-#[should_panic(expected = "not aligned")]
-fn int8_window_off_a_group_is_refused() {
-    let qb = QuantizedPackedB::quantize_pack(&weights(64, 40, 1), 32);
-    let win = Window { rows: 16..64, cols: 0..40 };
-    qb.gemm_window(&win, &[0.0; 48], OutRows::new(&mut [0.0; 40], 1, 40, 0..40), Epilogue::None);
-}
-
-/// A tensor-parallel rank finishes W_o/FF2 as `matmul_into`, an all-reduce
-/// and `bias_residual_inplace`; a single-process step fuses the same
-/// `o += bias + residual` into the GEMM's epilogue. The two must agree bit
-/// for bit (NaN by NaN-ness) at every row count, so a tp = 1 rank reproduces
-/// the fast path's logits exactly.
+/// The unfused oracle of the `BiasAdd` epilogue: `matmul_into` followed by
+/// `bias_residual_inplace` must agree bit for bit (NaN by NaN-ness) with
+/// the GEMM that fuses the same `o += bias + residual` into its output
+/// pass, at every row count, so the fused W_o/FF2 tails change no bit of
+/// the step they end.
 #[test]
 fn unfused_bias_residual_matches_the_fused_epilogue_bitwise() {
     fn check<B: PanelWeights>(what: &str, w: &B, x: &Tensor, bias: &[f32], res: &Tensor) {
@@ -658,4 +638,88 @@ fn windowed_paged_attention_matches_the_scalar_oracle_bitwise() {
             }
         }
     }
+}
+
+/// bench-256's five GEMM shapes `[k, n]`: QKV, W_o, FF1, FF2 and the
+/// logits.
+const BENCH_SHAPES: [(usize, usize); 5] = [(256, 768), (256, 256), (256, 1024), (1024, 256), (256, 512)];
+
+/// Not a check, a report: on each SIMD tier the host has, for f32 and INT8
+/// (group 32, as bench-256 quantizes) at M ∈ {2, 4, 8, 16}, time every row
+/// block `<= M` on the five bench-256 shapes, candidates alternating within
+/// each of `reps` rounds, and print each block's median time over the
+/// rounds (the five shapes summed, with the rounds' quartiles), the
+/// measured winner and the block `dispatch` runs. In a release build a
+/// dispatched block slower than the winner's upper quartile is flagged, so
+/// a host where a cap is wrong shows in the log without failing it. A
+/// debug build times unoptimized kernels once and flags nothing.
+#[test]
+fn row_block_drift_report() {
+    let (reps, iters) = if cfg!(debug_assertions) { (1, 1) } else { (11, 8) };
+    let build = if cfg!(debug_assertions) { " (debug build: unoptimized kernels, read a release run)" } else { "" };
+    println!("row-block drift, bench-256 shapes, median [quartiles] µs of {reps} rounds × {iters} calls{build}:");
+    let operands: Vec<_> = BENCH_SHAPES
+        .iter()
+        .map(|&(k, n)| {
+            let w = Tensor::randn(&[k, n], 0.1, (k + n) as u64);
+            (k, n, PackedB::pack(&w), QuantizedPackedB::quantize_pack(&w, 32))
+        })
+        .collect();
+    let x = Tensor::randn(&[16, 1024], 1.0, 5);
+    let mut out = vec![0.0f32; 16 * 1024];
+    for tier in host_tiers().filter(|&t| t > Tier::Scalar) {
+        for dtype in [GemmDtype::F32, GemmDtype::Int8] {
+            // One forced-block GEMM of every operand, timed `iters` times
+            // after a warm-up call; µs per call, the operands summed.
+            let mut time = |m: usize, mr: usize| -> f64 {
+                let mut us = 0.0;
+                for (k, n, pb, qb) in &operands {
+                    let (a, n) = (&x.data()[..m * k], *n);
+                    let mut call = || {
+                        let out = OutRows::new(&mut out[..m * n], m, n, 0..n);
+                        match dtype {
+                            GemmDtype::F32 => gemm_f32_with(pb, 0..n, a, out, Epilogue::None, tier, Some(mr)),
+                            GemmDtype::Int8 => gemm_int8_with(qb, 0..n, a, out, Epilogue::None, tier, Some(mr)),
+                        }
+                    };
+                    call();
+                    let t0 = Instant::now();
+                    (0..iters).for_each(|_| call());
+                    us += t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
+                }
+                us
+            };
+            for m in [2, 4, 8, 16] {
+                let cands: Vec<usize> = MR_CANDIDATES.iter().copied().filter(|&c| c <= m).collect();
+                // Rounds alternate the candidates; each candidate's rounds
+                // give its median and quartiles.
+                let rounds: Vec<Vec<f64>> = (0..reps).map(|_| cands.iter().map(|&mr| time(m, mr)).collect()).collect();
+                let stats: Vec<[f64; 3]> = (0..cands.len())
+                    .map(|c| {
+                        let mut t: Vec<f64> = rounds.iter().map(|round| round[c]).collect();
+                        t.sort_by(f64::total_cmp);
+                        [t[reps / 4], t[reps / 2], t[(3 * reps) / 4]]
+                    })
+                    .collect();
+                let best = (0..cands.len()).min_by(|&a, &b| stats[a][1].total_cmp(&stats[b][1])).unwrap_or(0);
+                let run = crate::dispatch::mr_for(m, tier, dtype);
+                let at = cands.iter().position(|&c| c == run).unwrap_or(best);
+                let times: Vec<String> = cands
+                    .iter()
+                    .zip(&stats)
+                    .map(|(c, [q1, med, q3])| format!("{c}: {med:.1} [{q1:.1}–{q3:.1}]"))
+                    .collect();
+                let slow = !cfg!(debug_assertions) && stats[at][1] > stats[best][2];
+                let flag = if slow { "  <- cap slower than the winner's spread" } else { "" };
+                println!(
+                    "  {tier:?} {dtype:?} M={m:2}: {}; winner {}, cap {} runs {run} ({:.2}×){flag}",
+                    times.join(", "),
+                    cands[best],
+                    cap(tier, dtype),
+                    stats[at][1] / stats[best][1],
+                );
+            }
+        }
+    }
+    std::hint::black_box(&out);
 }

@@ -28,8 +28,9 @@
 //! nothing per token. SBI-GeMM's ideas run here as that path's layout and
 //! dispatch: weights packed once into panels every row of a skinny GEMM
 //! streams in full cache lines, M-row microkernels bit-identical to the
-//! batch-1 kernel, and a [`dispatch`] table that *measures* which row block
-//! wins at each batch width instead of assuming the crossover.
+//! batch-1 kernel, and a [`dispatch`] cap per kernel tier and dtype on the
+//! row block, set from measurement on the benchmark model's shapes instead
+//! of assuming the crossover.
 
 // Unsafe hygiene contract (enforced by `cargo xtask unsafe-audit` on the
 // comment side): every unsafe *operation* must sit in an explicit `unsafe`

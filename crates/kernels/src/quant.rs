@@ -17,7 +17,10 @@
 //! The weights are widened to f32 in registers, so what INT8 buys here is
 //! the smaller weight stream, not an integer arithmetic peak.
 
-use crate::blocked::{Epilogue, Geom, OutRows, PanelWeights, Window, PANEL};
+use std::ops::Range;
+
+use crate::blocked::{gemm_row_blocks, Epilogue, Geom, OutRows, PanelWeights, PANEL};
+use crate::dispatch::GemmDtype;
 use crate::ops;
 use crate::simd::Tier;
 use crate::tensor::Tensor;
@@ -219,7 +222,8 @@ impl QuantizedPackedB {
     }
 }
 
-/// Portable fallback row kernel over a window of the packed INT8 layout.
+/// Portable fallback row kernel over a column window of the packed INT8
+/// layout.
 /// Performs the identical rounding sequence as [`matmul_quantized`] and
 /// the AVX2 and AVX-512 kernels: per group, `t = x.mul_add(q as f32, t)`
 /// row by row from `+0.0`, then `acc = t.mul_add(scale, acc)`. Like
@@ -229,18 +233,17 @@ impl QuantizedPackedB {
 pub(crate) fn gemv_int8_scalar(a: &[f32], b: &QuantizedPackedB, g: Geom, out: &mut OutRows<'_>) {
     let (k, gs) = (b.k, b.group_size);
     let out = out.row(0);
-    debug_assert_eq!(a.len(), g.kw());
-    let groups = g.r0 / gs..g.r1.div_ceil(gs);
+    debug_assert_eq!(a.len(), k);
     for jp in g.panels() {
         let qp = &b.q[jp * k * PANEL..(jp + 1) * k * PANEL];
         let sp = &b.scales[jp * b.n_groups * PANEL..(jp + 1) * b.n_groups * PANEL];
         let mut acc = [0.0f32; PANEL];
-        for grp in groups.clone() {
+        for grp in 0..b.n_groups {
             let lo = grp * gs;
             let hi = (lo + gs).min(k);
             let mut t = [0.0f32; PANEL];
             for i in lo..hi {
-                let xv = a[i - g.r0];
+                let xv = a[i];
                 let qrow = &qp[i * PANEL..(i + 1) * PANEL];
                 for (tl, &qv) in t.iter_mut().zip(qrow) {
                     *tl = xv.mul_add(qv as f32, *tl);
@@ -261,7 +264,7 @@ mod avx {
     use super::{Geom, OutRows, QuantizedPackedB, PANEL};
     use std::arch::x86_64::*;
 
-    /// `MR`-row GEMM over a window of panel-packed INT8 weights with
+    /// `MR`-row GEMM over a column window of panel-packed INT8 weights with
     /// dequant in registers. Per group and 8-column lane group, `q` bytes
     /// are widened exactly (`cvtepi8_epi32` → `cvtepi32_ps`) and FMA'd into
     /// a partial sum, `t = a·q + t`; at the group's end the scale is
@@ -277,8 +280,8 @@ mod avx {
     /// # Safety
     /// Caller must have verified AVX2+FMA support; `b` must uphold the
     /// `QuantizedPackedB` layout invariants and `g` be checked against it
-    /// (`Geom::new` with its group size); `a.len() == MR * kw`; `out` holds
-    /// `MR` rows of at least `nw` floats; `PANEL % (8 * NR) == 0`.
+    /// (`Geom::new`); `a.len() == MR * k`; `out` holds `MR` rows of at
+    /// least `nw` floats; `PANEL % (8 * NR) == 0`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_block_int8<const MR: usize, const NR: usize>(
         a: &[f32],
@@ -286,19 +289,12 @@ mod avx {
         g: Geom,
         out: &mut OutRows<'_>,
     ) {
-        let (k, gs, kw) = (b.k, b.group_size, g.kw());
-        debug_assert_eq!(a.len(), MR * kw);
+        let (k, gs) = (b.k, b.group_size);
+        debug_assert_eq!(a.len(), MR * k);
         debug_assert!(out.rows() == MR && out.width() >= g.nw());
-        debug_assert!(g.r1 <= k && b.q.len() >= g.panels_len());
+        debug_assert!(g.k == k && b.q.len() >= g.panels_len());
         debug_assert!(b.scales.len() >= g.panels().end * b.n_groups * PANEL);
         debug_assert_eq!(PANEL % (8 * NR), 0);
-        // A checked window starts on a group and ends on one or at `k`, so
-        // these groups cover exactly rows `r0..r1`.
-        let groups = g.r0 / gs..g.r1.div_ceil(gs);
-        // Activations indexed by the operand's row: `a_rows + r * kw + i`
-        // is activation row `r`'s element for operand row `i`. Only
-        // in-bounds elements are read through it.
-        let a_rows = a.as_ptr().wrapping_sub(g.r0);
         for jp in g.panels() {
             // SAFETY: `jp < panels().end` with the two length bounds above
             // keeps both panel bases in bounds.
@@ -315,7 +311,7 @@ mod avx {
                 if base + 8 * NR <= lo_lane || base >= hi_lane {
                     continue;
                 }
-                for grp in groups.clone() {
+                for grp in 0..b.n_groups {
                     let lo = grp * gs;
                     let hi = (lo + gs).min(k);
                     let mut t = [[_mm256_setzero_ps(); NR]; MR];
@@ -324,10 +320,10 @@ mod avx {
                     // the loads).
                     let mut qrow = qp.wrapping_add(lo * PANEL + base);
                     for i in lo..hi {
-                        // SAFETY: `qrow` is row `i < r1 <= k` of q-panel
-                        // `jp` at lane `base`; `base + 8c + 8 <= PANEL` keeps
-                        // the INT8 loads in it, `r0 <= i` and `r * kw + i -
-                        // r0 < MR * kw` the broadcasts in `a`.
+                        // SAFETY: `qrow` is row `i < k` of q-panel `jp` at
+                        // lane `base`; `base + 8c + 8 <= PANEL` keeps the
+                        // INT8 loads in it, `r * k + i < MR * k` the
+                        // broadcasts in `a`.
                         unsafe {
                             for c in 0..NR {
                                 // Dequantize 8 lanes in registers, exactly:
@@ -335,7 +331,7 @@ mod avx {
                                 let qi = _mm_loadl_epi64(qrow.add(8 * c) as *const __m128i);
                                 let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
                                 for (r, tr) in t.iter_mut().enumerate() {
-                                    let av = _mm256_set1_ps(*a_rows.wrapping_add(r * kw + i));
+                                    let av = _mm256_set1_ps(*a.get_unchecked(r * k + i));
                                     tr[c] = _mm256_fmadd_ps(av, qf, tr[c]);
                                 }
                             }
@@ -372,15 +368,14 @@ mod avx {
     pub unsafe fn gemm_rows_int8(a: &[f32], mr: usize, b: &QuantizedPackedB, g: Geom, out: &mut OutRows<'_>) {
         // SAFETY: forwarded caller contract; each arm fixes MR == mr with an
         // NR that keeps the MR*NR partial sums + one weight + one broadcast
-        // within 16 YMM regs (except the deliberately-spilling MR=16
-        // candidate); the running sums wait in memory between groups.
+        // within 16 YMM regs; the running sums wait in memory between
+        // groups.
         unsafe {
             match mr {
                 1 => gemm_block_int8::<1, 4>(a, b, g, out),
                 2 => gemm_block_int8::<2, 4>(a, b, g, out),
                 4 => gemm_block_int8::<4, 2>(a, b, g, out),
                 8 => gemm_block_int8::<8, 1>(a, b, g, out),
-                16 => gemm_block_int8::<16, 1>(a, b, g, out),
                 _ => unreachable!("unsupported microkernel row count {mr}"),
             }
         }
@@ -402,8 +397,8 @@ mod avx512 {
     use std::arch::x86_64::*;
     use std::ops::Range;
 
-    /// `out` row `r` = `a[r * kw..][..kw] · dequant(B)[r0..r1, ..]` over
-    /// the window panels `panels`, `NP` panels per pass. Per pass and
+    /// `out` row `r` = `a[r * k..][..k] · dequant(B)` over the window
+    /// panels `panels`, `NP` panels per pass. Per pass and
     /// group: `MR × NP × 2` zmm partial sums, `NP × 2` weight registers and
     /// one broadcast. That is 9 of the 32 zmm registers at `<1, 2>` (four
     /// FMA chains per row) and 19 at `<8, 1>`. The running sums `acc` wait
@@ -418,25 +413,18 @@ mod avx512 {
         panels: Range<usize>,
         out: &mut OutRows<'_>,
     ) {
-        let (k, gs, kw) = (b.k, b.group_size, g.kw());
-        assert_eq!(a.len(), MR * kw, "int8 gemm512: lhs size mismatch");
+        let (k, gs) = (b.k, b.group_size);
+        assert_eq!(a.len(), MR * k, "int8 gemm512: lhs size mismatch");
         assert!(out.rows() == MR && out.width() >= g.nw(), "int8 gemm512: out size mismatch");
-        assert!(
-            g.k == k && g.r1 <= k && g.r0.is_multiple_of(gs),
-            "int8 gemm512: rows {}..{} off the operand's groups",
-            g.r0,
-            g.r1
-        );
         let window = g.panels();
         assert!(
             window.start <= panels.start && panels.end <= window.end && panels.len().is_multiple_of(NP),
             "int8 gemm512: panels {panels:?} outside {window:?} or not in passes of {NP}"
         );
-        let groups = g.r0 / gs..g.r1.div_ceil(gs);
         for jp in panels.step_by(NP) {
             let mut acc = [[[0.0f32; PANEL]; NP]; MR];
-            for grp in groups.clone() {
-                let (lo, hi) = (grp * gs, (grp * gs + gs).min(g.r1));
+            for grp in 0..b.n_groups {
+                let (lo, hi) = (grp * gs, (grp * gs + gs).min(k));
                 let rows = hi - lo;
                 // The group's rows of each panel, and of each activation
                 // row (plain loops: `array::from_fn` is not inlined here).
@@ -446,7 +434,7 @@ mod avx512 {
                 }
                 let mut x = [&a[..0]; MR];
                 for (r, xr) in x.iter_mut().enumerate() {
-                    *xr = &a[r * kw + lo - g.r0..r * kw + hi - g.r0];
+                    *xr = &a[r * k + lo..r * k + hi];
                 }
                 let mut t = [[[_mm512_setzero_ps(); 2]; NP]; MR];
                 for i in 0..rows {
@@ -495,8 +483,7 @@ mod avx512 {
 
     /// Runtime-`mr` front end for the dispatch candidates. M = 1 reads the
     /// window's panels two per pass (four 16-lane FMA chains, one broadcast
-    /// per row), the odd last panel alone; 16 rows run as two 8-row blocks,
-    /// since 32 partial sums would spill.
+    /// per row), the odd last panel alone.
     #[target_feature(enable = "avx512f")]
     pub(super) fn gemm_rows_int8(a: &[f32], mr: usize, b: &QuantizedPackedB, g: Geom, out: &mut OutRows<'_>) {
         let ps = g.panels();
@@ -509,66 +496,38 @@ mod avx512 {
             2 => gemm_block_int8_512::<2, 1>(a, b, g, ps, out),
             4 => gemm_block_int8_512::<4, 1>(a, b, g, ps, out),
             8 => gemm_block_int8_512::<8, 1>(a, b, g, ps, out),
-            16 => {
-                let (a0, a1) = a.split_at(8 * g.kw());
-                gemm_block_int8_512::<8, 1>(a0, b, g, ps.clone(), &mut out.rows_at(0, 8));
-                gemm_block_int8_512::<8, 1>(a1, b, g, ps, &mut out.rows_at(8, 8));
-            }
             _ => unreachable!("unsupported AVX-512 row count {mr}"),
         }
     }
 }
 
-/// Dispatch-driven row-blocked GEMM over a window of INT8 panels (mirror
-/// of `blocked::gemm_f32_with`), on the kernels of `tier`: scalar, AVX2 or
-/// AVX-512, all bitwise equal.
-#[allow(clippy::too_many_arguments)]
+/// [`gemm_row_blocks`] over INT8 panels, on the kernels of `tier`:
+/// scalar, AVX2 or AVX-512, all bitwise equal.
 pub(crate) fn gemm_int8_with(
     b: &QuantizedPackedB,
-    win: &Window,
+    cols: Range<usize>,
     a: &[f32],
-    mut out: OutRows<'_>,
+    out: OutRows<'_>,
     ep: Epilogue<'_>,
     tier: Tier,
     force_mr: Option<usize>,
 ) {
-    let g = Geom::new(b.k, b.n, b.group_size, win);
-    let (kw, m) = (g.kw(), out.rows());
-    assert_eq!(a.len(), m * kw, "int8 gemm: lhs size mismatch");
-    assert_eq!(out.width(), g.nw(), "int8 gemm: out width mismatch");
-    assert!(
-        tier <= Tier::host(),
-        "int8 gemm: {tier:?} kernels on a {:?} host",
-        Tier::host()
-    );
-    let mut r = 0;
-    while r < m {
-        let rem = m - r;
-        let mr = match (tier, force_mr) {
-            (Tier::Scalar, _) => 1,
-            (_, Some(c)) => crate::dispatch::largest_candidate_le(c.min(rem)),
-            (_, None) => crate::dispatch::mr_for(rem, crate::dispatch::GemmDtype::Int8),
-        };
-        let ablk = &a[r * kw..(r + mr) * kw];
-        let oblk = &mut out.rows_at(r, mr);
-        match tier {
-            Tier::Scalar => gemv_int8_scalar(ablk, b, g, oblk),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
-            // reported AVX-512F; the kernels check their own bounds.
-            Tier::Avx512 => unsafe { avx512::gemm_rows_int8(ablk, mr, b, g, oblk) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `tier <= Tier::host()` (asserted above), so CPUID
-            // reported AVX2+FMA; layout invariants upheld by
-            // `QuantizedPackedB` construction, the window by `Geom::new`;
-            // block sizes by the asserts above.
-            Tier::Avx2 => unsafe { avx::gemm_rows_int8(ablk, mr, b, g, oblk) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => unreachable!("SIMD tiers are detected on x86_64 only"),
-        }
-        crate::blocked::apply_epilogue_rows(&mut out, r, mr, ep);
-        r += mr;
-    }
+    let g = Geom::new(b.k, b.n, cols);
+    gemm_row_blocks(g, GemmDtype::Int8, a, out, ep, tier, force_mr, |a, mr, out| match tier {
+        Tier::Scalar => gemv_int8_scalar(a, b, g, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `gemm_row_blocks` checked `tier <= Tier::host()`, so
+        // CPUID reported AVX-512F; the kernels check their own bounds.
+        Tier::Avx512 => unsafe { avx512::gemm_rows_int8(a, mr, b, g, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `gemm_row_blocks` checked `tier <= Tier::host()`, so
+        // CPUID reported AVX2+FMA, and sized `a` and `out` to `mr` rows;
+        // layout invariants upheld by `QuantizedPackedB` construction, the
+        // columns by `Geom::new`.
+        Tier::Avx2 => unsafe { avx::gemm_rows_int8(a, mr, b, g, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("SIMD tiers are detected on x86_64 only"),
+    });
 }
 
 impl PanelWeights for QuantizedPackedB {
@@ -581,11 +540,8 @@ impl PanelWeights for QuantizedPackedB {
     fn storage_bytes(&self) -> usize {
         self.q.len() + self.scales.len() * std::mem::size_of::<f32>()
     }
-    fn row_align(&self) -> usize {
-        self.group_size
-    }
-    fn gemm_window(&self, win: &Window, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>) {
-        gemm_int8_with(self, win, a, out, ep, Tier::host(), None);
+    fn gemm_window(&self, cols: Range<usize>, a: &[f32], out: OutRows<'_>, ep: Epilogue<'_>) {
+        gemm_int8_with(self, cols, a, out, ep, Tier::host(), None);
     }
 }
 

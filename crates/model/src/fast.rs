@@ -33,7 +33,7 @@ use std::ops::{Deref, Range};
 
 use crate::config::GptConfig;
 use crate::reference::{GptModel, KvCache, LayerWeights};
-use dsi_kernels::blocked::{Epilogue, OutRows, PackedB, PanelWeights, Window};
+use dsi_kernels::blocked::{Epilogue, OutRows, PackedB, PanelWeights};
 use dsi_kernels::fused;
 use dsi_kernels::quant::QuantizedPackedB;
 use dsi_kernels::tensor::Tensor;
@@ -410,7 +410,7 @@ pub trait RowParallel {
 #[inline]
 pub(crate) fn gemm_cols<B: PanelWeights + ?Sized>(w: &B, a: &[f32], cols: Range<usize>, out: OutRows<'_>, ep: Epilogue<'_>) {
     if !cols.is_empty() {
-        w.gemm_window(&Window { rows: 0..w.k(), cols }, a, out, ep);
+        w.gemm_window(cols, a, out, ep);
     }
 }
 
