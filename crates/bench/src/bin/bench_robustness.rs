@@ -5,7 +5,7 @@
 //! medians with their quartile spread).
 //!
 //! Three sections, one JSON (`BENCH_robustness.json`):
-//! * **tp** — the TP group (`TpEngine`: every pass split across its
+//! * **tp** — the TP group (`Engine::group`: every pass split across its
 //!   members). Armed-idle: no injector vs an injector holding an *empty*
 //!   plan (consulted at every join and layer). Storm: a sub-timeout stall
 //!   the joins ride out and a member panic (permanent: the group narrows to
@@ -48,10 +48,9 @@ use dsi_bench::{
 use dsi_core::batch::{BatchEngine, FaultyEngine};
 use dsi_core::StreamedEngine;
 use dsi_model::fast::PackedModel;
-use dsi_model::paged::{PagedEngine, StepError};
+use dsi_model::paged::{Engine, GroupReport, PagedEngine, StepError};
 use dsi_model::reference::GptModel;
 use dsi_model::{zoo, GptConfig};
-use dsi_parallel::{TpEngine, TpReport};
 use dsi_serve::{ContinuousConfig, EngineMode, Outcome, Request, ServeConfig, ServeReport, Server};
 use dsi_sim::fault::{
     EngineFaultInjector, EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec, FaultKind,
@@ -98,36 +97,39 @@ struct TpSection {
     storm: Recovered,
 }
 
-/// A one-slot TP engine of `tp` members over `pm` with `comm`; its pool is
+/// A one-slot TP group of `tp` members over `pm` with `comm`; its pool is
 /// built here, outside any timed region.
-fn tp_engine<'p>(pm: &'p PackedModel<'p>, tp: usize, comm: CommConfig) -> TpEngine<'p, 'p> {
-    TpEngine::new(pm, tp, comm, 1, 8, 16)
+fn tp_engine<'p>(pm: &'p PackedModel<'p>, tp: usize, comm: CommConfig) -> PagedEngine<'p, 'p> {
+    Engine::group(pm, tp, comm, 1, 8, 16)
 }
 
 /// Greedy decode of `gen` tokens on slot 0, recovering from every fault the
-/// way the serving scheduler does: seat the committed context again.
-fn decode_replaying(eng: &mut TpEngine<'_, '_>, prompt: &[usize], gen: usize) -> Vec<usize> {
+/// way the serving scheduler does: seat the committed context again. A
+/// member's panic fails its pass like its typed departure.
+fn decode_replaying(eng: &mut PagedEngine<'_, '_>, prompt: &[usize], gen: usize) -> Vec<usize> {
     let mut toks: Vec<usize> = Vec::with_capacity(gen);
     let mut out = Vec::with_capacity(1);
     let mut seated = false;
     while toks.len() < gen {
         out.clear();
-        let r = if seated {
-            eng.pass(&[], &[0], &mut out)
-        } else {
-            let ctx: Vec<usize> = prompt.iter().chain(&toks[..toks.len().saturating_sub(1)]).copied().collect();
-            eng.pass(&[(0, &ctx)], &[], &mut out)
-        };
-        let ok = r.is_ok();
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            if seated {
+                eng.pass(&[], &[0], &mut out)
+            } else {
+                let ctx: Vec<usize> = prompt.iter().chain(&toks[..toks.len().saturating_sub(1)]).copied().collect();
+                eng.pass(&[(0, &ctx)], &[], &mut out)
+            }
+        }));
+        let ok = matches!(r, Ok(Ok(())));
         match r {
-            Ok(()) if seated || toks.is_empty() => toks.push(out[0]),
-            Ok(()) => assert_eq!(toks.last(), Some(&out[0]), "tp: a replay reproduces the last token"),
-            Err(StepError::Weights(_)) => {
+            Ok(Ok(())) if seated || toks.is_empty() => toks.push(out[0]),
+            Ok(Ok(())) => assert_eq!(toks.last(), Some(&out[0]), "tp: a replay reproduces the last token"),
+            Ok(Err(StepError::Member(_))) | Err(_) => {
                 if seated {
                     eng.release(0);
                 }
             }
-            Err(e) => panic!("tp: the pool holds one sequence: {e:?}"),
+            Ok(Err(e)) => panic!("tp: the pool holds one sequence: {e:?}"),
         }
         seated = ok;
     }
@@ -182,7 +184,7 @@ fn tp_section(full: bool) -> TpSection {
         let landed = r.rebuilds == 1 && r.degradations == [(tp, 1)];
         assert!(landed, "tp: the storm must recover one fault and narrow once: {:?}", r.faults);
     }
-    let dt = |runs: &[(f64, TpReport)]| median_of(runs, |r| r.0);
+    let dt = |runs: &[(f64, GroupReport)]| median_of(runs, |r| r.0);
     let storm = assert_recovered_goodput("tp", dt(&runs[0]), dt(&runs[1]), stall_ms as f64 / 1e3);
     TpSection { model: config.name, tp, gen_tokens: gen, reps, armed, storm }
 }

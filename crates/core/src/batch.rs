@@ -24,24 +24,25 @@
 //! [`Engine`] (M slots over a shared page pool, the serving configuration,
 //! over whichever [`WeightSource`] it was built on: a resident packed model
 //! as `PagedEngine`, the offload tier as [`crate::streamed::StreamedEngine`]
-//! builds it), and [`TpEngine`] (the same engine over a packed model, every
-//! pass split across a tensor-parallel group's members). Every
-//! implementation emits **the same token stream** for a given prompt — the microkernel
-//! accumulation-order invariant makes batching, paging, streaming and
-//! tensor slicing invisible to the numerics — which is what lets the chaos
-//! suite use solo sessions as bitwise oracles for continuous-batched
-//! serving.
+//! builds it; a tensor-parallel group is this engine at a degree,
+//! `Engine::group`, every pass split across its members). Every
+//! implementation emits **the same token stream** for a given prompt — the
+//! microkernel accumulation-order invariant makes batching, paging,
+//! streaming and tensor slicing invisible to the numerics — which is what
+//! lets the chaos suite use solo sessions as bitwise oracles for
+//! continuous-batched serving.
 //!
 //! Failures are classed by type: every error an engine can surface maps to
 //! its [`FaultClass`] through an exhaustive `match` on its variants (here
-//! for a split pass member's [`RankFailure`], in [`crate::streamed`] for the
-//! offload tier's), never by reading its message.
+//! for a split pass member's [`CollectiveError`], in [`crate::streamed`]
+//! for the offload tier's), never by reading its message. A member that
+//! panics fails its pass with the panic, which the scheduler's guard
+//! classes as `Panic` like any other.
 
 use dsi_kernels::blocked::PanelWeights;
 use dsi_model::fast::{FastSession, WeightSource};
 use dsi_model::paged::{Engine, PageStats, PagesExhausted, StepError};
-use dsi_parallel::{RankFailure, RankFailureCause, TpEngine};
-use dsi_sim::fault::{CollectiveErrorKind, EngineFaultInjector, EngineFaultKind};
+use dsi_sim::fault::{CollectiveError, CollectiveErrorKind, EngineFaultInjector, EngineFaultKind};
 use serde::Serialize;
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -68,16 +69,13 @@ impl FaultClass {
         [FaultClass::Timeout, FaultClass::Panic, FaultClass::Corruption, FaultClass::Memory];
 }
 
-/// A TP group's pass failed on this rank failure.
-impl From<&RankFailure> for FaultClass {
-    fn from(f: &RankFailure) -> Self {
-        match &f.cause {
-            RankFailureCause::Collective(c) => match &c.kind {
-                CollectiveErrorKind::Timeout { .. } => FaultClass::Timeout,
-                CollectiveErrorKind::Poisoned => FaultClass::Panic,
-                CollectiveErrorKind::InjectedExit => FaultClass::Panic,
-            },
-            RankFailureCause::Panicked(_) => FaultClass::Panic,
+/// A split pass failed on this member's typed departure.
+impl From<&CollectiveError> for FaultClass {
+    fn from(e: &CollectiveError) -> Self {
+        match e.kind {
+            CollectiveErrorKind::Timeout { .. } => FaultClass::Timeout,
+            CollectiveErrorKind::Poisoned => FaultClass::Panic,
+            CollectiveErrorKind::InjectedExit => FaultClass::Panic,
         }
     }
 }
@@ -155,12 +153,6 @@ impl From<Infallible> for EngineError {
     }
 }
 
-impl From<RankFailure> for EngineError {
-    fn from(f: RankFailure) -> Self {
-        EngineError::Fault { class: FaultClass::from(&f), msg: f.to_string() }
-    }
-}
-
 impl<E> From<StepError<E>> for EngineError
 where
     EngineError: From<E>,
@@ -169,7 +161,7 @@ where
         match e {
             StepError::Pages(p) => p.into(),
             StepError::Weights(w) => w.into(),
-            StepError::Member(c) => RankFailure::from(c).into(),
+            StepError::Member(c) => EngineError::Fault { class: FaultClass::from(&c), msg: c.to_string() },
         }
     }
 }
@@ -314,50 +306,6 @@ where
     }
 }
 
-/// A tensor-parallel group under the one scheduler: the paged engine's
-/// slot lifecycle, every pass split across the group. A member fault is a
-/// `Fault` of its [`RankFailure`]'s class, and the engine is as after any
-/// failed pass: the scheduler releases and replays the residents.
-impl<B: PanelWeights> BatchEngine for TpEngine<'_, '_, B> {
-    fn max_slots(&self) -> usize {
-        TpEngine::max_slots(self)
-    }
-
-    fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-        let mut out = Vec::with_capacity(1);
-        BatchEngine::pass(self, &[(slot, prompt)], &[], &mut out).map(|()| out[0])
-    }
-
-    fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-        BatchEngine::pass(self, &[], slots, out)
-    }
-
-    fn release(&mut self, slot: usize) {
-        TpEngine::release(self, slot);
-    }
-
-    fn pass(
-        &mut self,
-        seats: &[(usize, &[usize])],
-        advance: &[usize],
-        out: &mut Vec<usize>,
-    ) -> Result<(), EngineError> {
-        TpEngine::pass(self, seats, advance, out).map_err(StepError::into)
-    }
-
-    fn pages_for(&self, tokens: usize) -> usize {
-        TpEngine::pages_for(self, tokens)
-    }
-
-    fn kv_stats(&self) -> Option<PageStats> {
-        Some(self.pool_stats())
-    }
-
-    fn attached_tokens(&self, slot: usize) -> usize {
-        TpEngine::attached_tokens(self, slot)
-    }
-}
-
 /// Chaos wrapper: any [`BatchEngine`] plus a scripted
 /// [`EngineFaultInjector`]. Every call is one pass (`prefill` and
 /// `decode_step` are passes that only seat or only advance), and the
@@ -493,7 +441,6 @@ mod tests {
     use dsi_model::reference::GptModel;
     use dsi_model::zoo;
     use dsi_sim::shmem::CommConfig;
-    use dsi_sim::fault::CollectiveError;
     use dsi_zero::offload::{OffloadConfig, OffloadError, OffloadStore};
     use std::sync::Arc;
 
@@ -590,40 +537,6 @@ mod tests {
         }
     }
 
-    /// The paged engine with every pass split across `.1` members, forced
-    /// through `Engine::pass_split` (the step-level hook) rather than
-    /// decided by the engine from the host's cores, so the row runs on any
-    /// host.
-    struct Split<'p, 'm, B>(PagedEngine<'p, 'm, B>, usize);
-
-    impl<B: PanelWeights> BatchEngine for Split<'_, '_, B> {
-        fn max_slots(&self) -> usize {
-            self.0.max_slots()
-        }
-        fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-            let mut out = Vec::with_capacity(1);
-            self.pass(&[(slot, prompt)], &[], &mut out).map(|()| out[0])
-        }
-        fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-            self.pass(&[], slots, out)
-        }
-        fn release(&mut self, slot: usize) {
-            self.0.release(slot);
-        }
-        fn pass(&mut self, seats: &[(usize, &[usize])], advance: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-            self.0.pass_split(self.1, seats, advance, out).map_err(StepError::into)
-        }
-        fn pages_for(&self, tokens: usize) -> usize {
-            self.0.pages_for(tokens)
-        }
-        fn kv_stats(&self) -> Option<PageStats> {
-            Some(self.0.pool_stats())
-        }
-        fn attached_tokens(&self, slot: usize) -> usize {
-            self.0.attached_tokens(slot)
-        }
-    }
-
     /// The token-identity matrix of the one decode step: every engine, over
     /// every weight source and KV sink, emits the solo `FastSession` stream.
     #[test]
@@ -639,16 +552,6 @@ mod tests {
         let qm = QuantizedPackedModel::quantize_pack(&m, 32);
         let int8_oracle = |p: &[usize], n: usize| qm.session(p.len()).generate(p, n);
         drive_lifecycle(&mut PagedEngine::new(&qm, 3, 32, 4), int8_oracle, 4, "PagedEngine int8");
-
-        // Every pass split across 2 and 4 members (the tiny model's 4
-        // heads): seats, advances and a mixed pass, with member parts of
-        // the 101-token vocabulary that are uneven and start inside a panel.
-        for members in [2, 4] {
-            let label = format!("PagedEngine f32, {members} members");
-            drive_lifecycle(&mut Split(PagedEngine::new(&pm, 3, 32, 3), members), f32_oracle, 3, &label);
-            let label = format!("PagedEngine int8, {members} members");
-            drive_lifecycle(&mut Split(PagedEngine::new(&qm, 3, 32, 4), members), int8_oracle, 4, &label);
-        }
 
         let path = std::env::temp_dir().join("dsi_batch_engine_matrix.bin");
         dsi_model::io::save(&m, &path).expect("save");
@@ -666,14 +569,16 @@ mod tests {
 
         // A TP group: every pass split across its members, one-row passes
         // included, over FP32 and INT8 panels, at every degree the tiny
-        // model's four heads allow.
+        // model's four heads allow — seats, advances and a mixed pass, with
+        // member parts of the 101-token vocabulary that are uneven and
+        // start inside a panel.
         for tp in 1..=4 {
-            let mut tp_eng = TpEngine::new(&pm, tp, CommConfig::default(), 3, 32, 3);
-            drive_lifecycle(&mut tp_eng, f32_oracle, 3, &format!("TpEngine tp={tp}"));
-            assert_eq!(tp_eng.report().rebuilds, 0);
-            let mut tp_eng = TpEngine::new(&qm, tp, CommConfig::default(), 3, 32, 3);
-            drive_lifecycle(&mut tp_eng, int8_oracle, 3, &format!("TpEngine int8 tp={tp}"));
-            assert_eq!(tp_eng.report().rebuilds, 0);
+            let mut group = Engine::group(&pm, tp, CommConfig::default(), 3, 32, 3);
+            drive_lifecycle(&mut group, f32_oracle, 3, &format!("Engine::group f32 tp={tp}"));
+            assert_eq!(group.report().rebuilds, 0);
+            let mut group = Engine::group(&qm, tp, CommConfig::default(), 3, 32, 4);
+            drive_lifecycle(&mut group, int8_oracle, 4, &format!("Engine::group int8 tp={tp}"));
+            assert_eq!(group.report().rebuilds, 0);
         }
     }
 
@@ -868,10 +773,9 @@ mod tests {
 
     /// Every variant's class, pinned — and equal to the class the keyword
     /// shim gives the variant's `Display` string: the shim still serves
-    /// callers that hold only a message, so the two must not drift. The two
-    /// rows at the end are where keywords cannot agree with the type: they
-    /// bin by whatever a path, an OS detail or a panic payload happens to
-    /// say.
+    /// callers that hold only a message, so the two must not drift. The row
+    /// at the end is where keywords cannot agree with the type: they bin by
+    /// whatever a path or an OS detail happens to say.
     #[test]
     fn every_error_variant_has_a_class_and_the_shim_agrees_on_its_message() {
         use FaultClass::{Corruption, Memory, Panic, Timeout};
@@ -904,23 +808,20 @@ mod tests {
             assert_eq!(shim(e.to_string()), want, "{e}");
         }
 
-        let collective = |kind| RankFailureCause::Collective(CollectiveError { rank: 1, kind, epoch: 7 });
-        let causes = [
-            (collective(CollectiveErrorKind::Timeout { stalled: vec![0] }), Timeout),
-            (collective(CollectiveErrorKind::Poisoned), Panic),
-            (collective(CollectiveErrorKind::InjectedExit), Panic),
-            (RankFailureCause::Panicked("index out of bounds".into()), Panic),
+        let kinds = [
+            (CollectiveErrorKind::Timeout { stalled: vec![0] }, Timeout),
+            (CollectiveErrorKind::Poisoned, Panic),
+            (CollectiveErrorKind::InjectedExit, Panic),
         ];
-        for (cause, want) in causes {
-            let f = RankFailure { rank: 1, cause };
-            assert_eq!(FaultClass::from(&f), want, "{f:?}");
-            assert_eq!(shim(f.to_string()), want, "{f}");
+        for (kind, want) in kinds {
+            let member = StepError::<Infallible>::Member(CollectiveError { rank: 1, kind, epoch: 7 });
+            let EngineError::Fault { class, msg } = EngineError::from(member) else { unreachable!("a member fails a pass") };
+            assert_eq!(class, want, "{msg}");
+            assert_eq!(shim(msg.clone()), want, "{msg}");
         }
 
         let mounted = OffloadError::FailedOpen { path: "/mnt/pages/w.bin".into(), detail: "EIO".into() };
         assert_eq!((FaultClass::from(&mounted), shim(mounted.to_string())), (Panic, Memory));
-        let oom = RankFailure { rank: 0, cause: RankFailureCause::Panicked("memory allocation failed".into()) };
-        assert_eq!((FaultClass::from(&oom), shim(oom.to_string())), (Panic, Memory));
     }
 
     #[test]

@@ -77,6 +77,7 @@ mod tests {
     use crate::batch::BatchEngine;
     use dsi_model::fast::PackedModel;
     use dsi_sim::fault::{IoFaultKind, IoFaultPlan, IoFaultSite, IoFaultSpec};
+    use dsi_sim::shmem::CommConfig;
     use dsi_zero::offload::OffloadConfig;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -330,11 +331,11 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
-    /// A pass over the tier runs on one member even when a split is forced:
-    /// under a one-panel budget and a dead prefetcher, where a second
-    /// member would fetch every layer again, `pass_split(2, ..)` and
-    /// `pass_split(4, ..)` make exactly the fetches of `pass` — the same
-    /// hits, demand reads and evictions — and fail at the same read call.
+    /// A pass over the tier runs on one member even in a group: under a
+    /// one-panel budget and a dead prefetcher, where a second member would
+    /// fetch every layer again, groups of 2 and 4 members make exactly the
+    /// fetches of one member — the same hits, demand reads and evictions —
+    /// and fail at the same read call.
     #[test]
     fn a_pass_over_the_tier_never_splits() {
         let (m, path) = saved(2, 61, "solo");
@@ -349,10 +350,11 @@ mod tests {
             };
             let store = OffloadStore::open(&path, cfg).expect("open");
             store.kill_prefetcher();
-            let mut eng = Engine::new(store, 2, 16, 2);
+            let mut eng = Engine::group(store, members, CommConfig::default(), 2, 16, 2);
+            assert_eq!(eng.degree(), 1, "{members} members");
             let mut pass = |seats: &[(usize, &[usize])], advance: &[usize]| {
                 let mut out = Vec::new();
-                let r = eng.pass_split(members, seats, advance, &mut out).map_err(EngineError::from);
+                let r = eng.pass(seats, advance, &mut out).map_err(EngineError::from);
                 (r, out)
             };
             let runs = vec![
@@ -367,7 +369,7 @@ mod tests {
         let solo = run(1);
         assert!(solo.0.iter().any(|(r, _)| r.is_err()), "the armed read fails a pass");
         for members in [2, 4] {
-            assert_eq!(run(members), solo, "{members} members forced");
+            assert_eq!(run(members), solo, "{members} members");
         }
         let pm = PackedModel::pack(&m);
         assert_eq!(solo.0[0].1, [pm.session(3).generate(&[3, 1, 4], 1)[0], pm.session(2).generate(&[2, 7], 1)[0]]);

@@ -5,7 +5,7 @@
 //! offload tier (`StreamedEngine`; all panels resident, so the tier's own
 //! fetches stay out of the count).
 //!
-//! The paged engine also runs a split pass, forced to two members: the
+//! The paged engine also runs as a two-member group, every pass split: the
 //! helper thread its second member runs on must not allocate per pass
 //! either.
 //!
@@ -18,9 +18,10 @@
 use dsi_core::batch::BatchEngine;
 use dsi_core::streamed::StreamedEngine;
 use dsi_model::fast::PackedModel;
-use dsi_model::paged::PagedEngine;
+use dsi_model::paged::{Engine, PagedEngine};
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
+use dsi_sim::shmem::CommConfig;
 use dsi_zero::offload::{OffloadConfig, OffloadStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,17 +96,17 @@ fn steady_state_decode_does_not_allocate() {
     // A split pass on two members, whatever the host's core count:
     // the other threads (the pass member, and a harness thread parked on
     // its test) allocate nothing per pass either.
-    let mut split = PagedEngine::new(&pm, 4, 4, 32);
+    let mut split = Engine::group(&pm, 2, CommConfig::default(), 4, 4, 32);
     let (slots, mut out) = ([0usize, 1, 2, 3], Vec::with_capacity(4 * 20));
     for s in slots {
-        split.pass_split(2, &[(s, &[1 + s, 2, 3])], &[], &mut out).expect("seat");
+        split.pass(&[(s, &[1 + s, 2, 3])], &[], &mut out).expect("seat");
     }
     for _ in 0..2 {
-        split.pass_split(2, &[], &slots, &mut out).expect("warm-up pass");
+        split.pass(&[], &slots, &mut out).expect("warm-up pass");
     }
     let (mine, all) = (allocs(), ALL_ALLOCS.load(Ordering::Relaxed));
     for _ in 0..16 {
-        split.pass_split(2, &[], &slots, &mut out).expect("split pass");
+        split.pass(&[], &slots, &mut out).expect("split pass");
     }
     let others = ALL_ALLOCS.load(Ordering::Relaxed) - all - (allocs() - mine);
     assert_eq!(others, 0, "pass member thread");

@@ -483,6 +483,12 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
     let me = seam.share();
     // This member's columns of the residual stream (W_o and FF2 outputs).
     let xc = me.part(h);
+    // The layer widths, as `scratch_layout` has them: `a` attention
+    // columns (`heads` heads of `d`), `f` FF neurons; this member's heads
+    // `hs`, i.e. attention columns `ac`.
+    let (a, f, d) = (h, 4 * h, h / c.heads);
+    let hs = me.part(c.heads);
+    let ac = hs.start * d..hs.end * d;
     let normed = &mut s.normed[..m * h];
 
     // Embedding: token row + position row fused into one write of `s.x`.
@@ -503,13 +509,6 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
     for l in 0..c.layers {
         seam.at_layer(l, rows);
         let pl = w.layer(l)?;
-        // This layer's widths: `a` attention columns (`heads` heads of
-        // `d = h / c.heads`), `f` FF neurons; this member's heads `hs`,
-        // i.e. attention columns `ac`.
-        let (a, f) = (pl.w_qkv.n() / 3, pl.w_ff1.n());
-        let d = h / c.heads;
-        let hs = me.part(a / d);
-        let ac = hs.start * d..hs.end * d;
         // Region 1: layer-norm rows → one M-row QKV GEMM → bias, over the
         // q, k and v windows of this member's heads (one window when it
         // owns them all).

@@ -35,7 +35,12 @@
 //!   see [`Engine::pass`]. A pass of two or more rows over a resident model
 //!   splits across the calling thread and a helper thread the engine owns
 //!   ([`crate::team`]) when the host has a second core, bitwise the same
-//!   pass ([`Engine::pass_split`]).
+//!   pass.
+//! * A tensor-parallel group is this engine at a degree:
+//!   [`Engine::group`] runs every pass, one-row passes included, on `tp`
+//!   members under the group's [`CommConfig`]. A split pass that loses
+//!   members narrows the engine by them, down to one, and the
+//!   [`GroupReport`] logs it.
 //!
 //! ## Prefix sharing
 //!
@@ -87,6 +92,8 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
+
+use serde::Serialize;
 
 /// A page reservation failed: the pool has fewer free pages than the
 /// request needs. Nothing was allocated (reservations are all-or-nothing),
@@ -593,12 +600,32 @@ pub struct Engine<W> {
     scratch: Scratch,
     /// Reused row list of the current pass.
     rows: Vec<Row>,
-    /// Members a pass of two or more rows runs on: [`PASS_MEMBERS`] over a
-    /// resident source on a host with a core to spare, else 1.
-    split: usize,
+    /// Members a split pass runs on: a group's degree; for [`Engine::new`],
+    /// [`PASS_MEMBERS`] on a host with a core to spare, else 1; always 1
+    /// over a source that is not resident. A split pass that loses members
+    /// narrows it.
+    degree: usize,
+    /// The fewest rows a pass splits at: 1 in a group, 2 otherwise.
+    split_rows: usize,
     /// The helper threads a split pass runs its other members on, spawned
     /// by the first split pass.
     team: Team,
+    report: GroupReport,
+}
+
+/// Faults the [`GroupReport`] log keeps: the most recent ones.
+const FAULT_LOG: usize = 32;
+
+/// What an [`Engine`]'s split passes lost and how it served on.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct GroupReport {
+    /// Faults recovered: failed split passes after which the engine served
+    /// on. Each re-creates the member barrier the next split pass joins at.
+    pub rebuilds: u32,
+    /// Degradations as `(from_tp, to_tp)` pairs, in order.
+    pub degradations: Vec<(usize, usize)>,
+    /// The last 32 member failures, oldest first.
+    pub faults: Vec<String>,
 }
 
 /// Members a multi-row pass runs on when it splits: two, the count whose
@@ -611,34 +638,49 @@ pub type PagedEngine<'p, 'm, B = PackedB> = Engine<&'p PackedModel<'m, B>>;
 
 impl<W: WeightSource> Engine<W> {
     /// An engine with `max_slots` sequence slots over a pool of
-    /// `pages_total` pages of `page_tokens` tokens each.
+    /// `pages_total` pages of `page_tokens` tokens each. A pass of two or
+    /// more rows over a resident source runs on two members (`PASS_MEMBERS`)
+    /// when the host has a core to spare; every other pass runs solo.
     pub fn new(w: W, max_slots: usize, pages_total: usize, page_tokens: usize) -> Self {
-        Self::with_team(w, max_slots, pages_total, page_tokens, Team::default())
+        let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        let degree = if spare_core { PASS_MEMBERS.min(w.config().heads) } else { 1 };
+        Self::build(w, degree, 2, Team::default(), max_slots, pages_total, page_tokens)
     }
 
-    /// [`Engine::new`] whose split passes join under `comm`: its deadline
-    /// bounds every join, and its fault script fires at the members' joins
-    /// and layers. A tensor-parallel group is this engine, every pass split
-    /// across its degree ([`Engine::pass_split`]).
-    pub fn with_comm(w: W, max_slots: usize, pages_total: usize, page_tokens: usize, comm: CommConfig) -> Self {
-        Self::with_team(w, max_slots, pages_total, page_tokens, Team::new(comm))
+    /// A tensor-parallel group of `tp` members (`1..=heads`): the engine
+    /// of [`Engine::new`], every pass — one-row passes included — split
+    /// across its members, each join under `comm`'s deadline and fault
+    /// script. A source that is not [`WeightSource::RESIDENT`] still runs
+    /// every pass solo.
+    pub fn group(w: W, tp: usize, comm: CommConfig, max_slots: usize, pages_total: usize, page_tokens: usize) -> Self {
+        let heads = w.config().heads;
+        assert!((1..=heads).contains(&tp), "tp {tp} cannot split {heads} heads");
+        Self::build(w, tp, 1, Team::new(comm), max_slots, pages_total, page_tokens)
     }
 
-    fn with_team(w: W, max_slots: usize, pages_total: usize, page_tokens: usize, team: Team) -> Self {
+    fn build(
+        w: W,
+        degree: usize,
+        split_rows: usize,
+        team: Team,
+        max_slots: usize,
+        pages_total: usize,
+        page_tokens: usize,
+    ) -> Self {
         assert!(max_slots > 0);
         let c = w.config();
         let pool = PagePool::new(c.layers, c.hidden, pages_total, page_tokens).by_heads(c.heads);
         let scratch = Scratch::new(c, max_slots);
-        let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        let split = if W::RESIDENT && spare_core { PASS_MEMBERS.min(c.heads) } else { 1 };
         Engine {
             pool,
             seqs: vec![PagedSeq::new(); max_slots],
             last: vec![None; max_slots],
             scratch,
             rows: Vec::with_capacity(max_slots),
-            split,
+            degree: if W::RESIDENT { degree } else { 1 },
+            split_rows,
             team,
+            report: GroupReport::default(),
             w,
         }
     }
@@ -690,15 +732,14 @@ impl<W: WeightSource> Engine<W> {
         self.team.joins().collect()
     }
 
-    /// The member whose panic the last split pass re-raised, if one did.
-    pub fn panicked_member(&self) -> Option<usize> {
-        self.team.panicked()
+    /// The members the next split pass runs on.
+    pub fn degree(&self) -> usize {
+        self.degree
     }
 
-    /// Members the last split pass lost: those that exited by script or
-    /// panicked.
-    pub fn lost_members(&self) -> usize {
-        self.team.lost()
+    /// The failed split passes so far, and how the engine narrowed.
+    pub fn report(&self) -> &GroupReport {
+        &self.report
     }
 
     /// Every occupied slot's page table with its committed length (the
@@ -735,12 +776,17 @@ impl<W: WeightSource> Engine<W> {
     /// `step` writes every K/V row of a layer before any row attends, and
     /// each row attends only through its own slot's table.
     ///
-    /// A pass of two or more rows over a resident source
-    /// ([`WeightSource::RESIDENT`]) runs on two members — this thread and
-    /// the engine's helper thread — when the host has more than one core;
-    /// a one-row pass, a pass over the offload tier, or any pass on a
-    /// one-core host runs on this thread alone. Either way it is bitwise
-    /// the same pass ([`Engine::pass_split`]).
+    /// The pass runs on [`Engine::degree`] members when it has enough rows
+    /// to split (see [`Engine::new`] and [`Engine::group`]), else on this
+    /// thread alone; either way it is bitwise the same pass. Member `t`
+    /// owns its `Share::part` of the heads — their QKV columns, their K/V
+    /// of the one page pool (each page holds its rows head by head, so a
+    /// member's heads of a page are dense blocks), and their attention —
+    /// and of the output columns of W_o, FF1, FF2 and the logits. The
+    /// members write disjoint columns of the one scratch and join wherever
+    /// a region reads whole rows of what another member wrote
+    /// (`fast::step`), so every column keeps its one accumulator chain: no
+    /// all-reduce, no argmax combine.
     ///
     /// Every page is reserved before any compute, the seats' first and in
     /// order, so a later seat attaches the pages an earlier seat of the pass
@@ -753,6 +799,15 @@ impl<W: WeightSource> Engine<W> {
     /// is free again, while each advanced slot keeps its reserved pages, the
     /// rows at its frontier (a private tail page) unspecified until it is
     /// released or stepped again.
+    ///
+    /// A member of a split pass that leaves a join typed fails the pass
+    /// with `Err(Member)`; one that panics fails it with its panic, raised
+    /// here once every member is out and the seats are free. Either way the
+    /// failure is logged in [`Engine::report`], and the engine narrows by
+    /// each member the pass lost — each one that exited or panicked — down
+    /// to one. A pass with a token past the vocabulary or a position past
+    /// `max_seq` panics here before anything runs, so bad input never
+    /// counts as members lost.
     pub fn pass(
         &mut self,
         seats: &[(usize, &[usize])],
@@ -760,53 +815,52 @@ impl<W: WeightSource> Engine<W> {
         out: &mut Vec<usize>,
     ) -> Result<(), StepError<W::Error>> {
         self.reserve_pass(seats, advance)?;
-        let members = if self.rows.len() >= 2 { self.split } else { 1 };
+        let members = if self.rows.len() >= self.split_rows { self.degree } else { 1 };
         let r = self.run(members, seats);
         self.finish_pass(r, seats, advance, out)
     }
 
-    /// [`Engine::pass`] on exactly `members` members (`1..=heads`), whatever
-    /// the host and the row count: every pass of a tensor-parallel group
-    /// (`dsi_parallel::TpEngine`), and the hook through which tests hold a
-    /// split pass of any width, on any host, to the one-member pass.
-    /// A pass over a source that is not [`WeightSource::RESIDENT`] runs on
-    /// one member whatever `members` says: the offload tier's `layer` is
-    /// not a lookup several members may make at once.
-    ///
-    /// Member `t` owns its `Share::part` of the heads — their QKV
-    /// columns, their K/V of the one page pool (each page holds its rows
-    /// head by head, so a member's heads of a page are dense blocks), and
-    /// their attention — and of the output columns of W_o, FF1, FF2 and the
-    /// logits. The members write disjoint columns of the one scratch and
-    /// join wherever a region reads whole rows of what another member wrote
-    /// (`fast::step`), so every column keeps its one accumulator chain: no
-    /// all-reduce, no argmax combine. A member that panics fails the pass
-    /// with its panic, raised here once every member is out and the seats
-    /// are free; the engine is then as after any failed pass. A member that
-    /// leaves a join typed fails it with `Err(Member)`.
-    pub fn pass_split(
-        &mut self,
-        members: usize,
-        seats: &[(usize, &[usize])],
-        advance: &[usize],
-        out: &mut Vec<usize>,
-    ) -> Result<(), StepError<W::Error>> {
-        let heads = self.w.config().heads;
-        assert!((1..=heads).contains(&members), "pass_split: {members} members for {heads} heads");
-        self.reserve_pass(seats, advance)?;
-        let r = self.run(if W::RESIDENT { members } else { 1 }, seats);
-        self.finish_pass(r, seats, advance, out)
-    }
-
-    /// The pass's step and logits on `members` members. If one panics, the
-    /// seats are freed before the panic goes on up, so a caller that
-    /// catches it finds the pool as after any failed pass.
+    /// The pass's step and logits on `members` members. If a split pass
+    /// fails with a member's departure or panic, the engine logs it and
+    /// narrows; if it panics, the seats are freed before the panic goes on
+    /// up, so a caller that catches it finds the pool as after any failed
+    /// pass.
     fn run(&mut self, members: usize, seats: &[(usize, &[usize])]) -> Result<(), StepError<W::Error>> {
         let ran = catch_unwind(AssertUnwindSafe(|| if members == 1 { self.run_solo() } else { self.run_split(members) }));
-        ran.unwrap_or_else(|payload| {
-            self.unseat(seats);
-            resume_unwind(payload)
-        })
+        match ran {
+            Ok(Err(StepError::Member(e))) => {
+                self.narrow(members, e.to_string());
+                Err(StepError::Member(e))
+            }
+            Ok(r) => r,
+            Err(payload) => {
+                self.unseat(seats);
+                if members > 1 {
+                    let text = payload.downcast_ref::<String>().map(String::as_str);
+                    let text = text.or(payload.downcast_ref::<&str>().copied()).unwrap_or("a non-string payload");
+                    self.narrow(members, format!("a member panicked: {text}"));
+                }
+                resume_unwind(payload)
+            }
+        }
+    }
+
+    /// A split pass on `members` members failed with `fault`: log it, and
+    /// drop the members it lost.
+    fn narrow(&mut self, members: usize, fault: String) {
+        let report = &mut self.report;
+        if report.faults.len() == FAULT_LOG {
+            report.faults.remove(0);
+        }
+        report.faults.push(format!("tp={members}: {fault}"));
+        report.rebuilds += 1;
+        // A member that stalled, or left a join another's failure poisoned,
+        // is intact; one that exited or panicked is gone.
+        let to = members.saturating_sub(self.team.lost()).max(1);
+        if to < members {
+            report.degradations.push((members, to));
+            self.degree = to;
+        }
     }
 
     /// The pass's step and logits on `members` members: one job on the
@@ -850,6 +904,15 @@ impl<W: WeightSource> Engine<W> {
     fn reserve_pass(&mut self, seats: &[(usize, &[usize])], advance: &[usize]) -> Result<(), StepError<W::Error>> {
         assert!(!seats.is_empty() || !advance.is_empty(), "pass: nothing to run");
         assert!(advance.windows(2).all(|w| w[0] < w[1]), "pass: advanced slots must be ascending");
+        // Every member would reject a row outside the model's range at its
+        // embedding; rejecting it here, before the pass splits, keeps bad
+        // input from counting as members lost.
+        let c = self.w.config();
+        for &(_, ctx) in seats {
+            assert!(ctx.iter().all(|&t| t < c.vocab), "pass: token id out of vocab");
+            assert!(ctx.len() <= c.max_seq, "pass: sequence exceeds max_seq");
+        }
+        assert!(advance.iter().all(|&si| self.seqs[si].len < c.max_seq), "pass: sequence exceeds max_seq");
         // A slot is published (`last`) only once its pass commits; a pass
         // that panicked before then left its seats' tables behind.
         for (seq, last) in self.seqs.iter_mut().zip(&self.last) {
@@ -1425,15 +1488,14 @@ mod tests {
     /// is.
     #[test]
     fn a_panicked_pass_frees_its_seat_and_pending_pages() {
-        let m = model(1, 59);
+        let m = model(2, 59);
         let pm = PackedModel::pack(&m);
-        let mut eng = PagedEngine::new(&pm, 2, 4, 2);
-        let bad = m.config.vocab; // out of range: the embedding lookup panics
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eng.prefill(0, &[1, 2, bad]).ok()
-        }));
+        let w = FailsAtLayer1 { pm: &pm, spares: None, armed: true.into(), err: false };
+        let mut eng = Engine::new(&w, 2, 4, 2);
+        let panicked = catch_unwind(AssertUnwindSafe(|| eng.prefill(0, &[1, 2, 3]).ok()));
         assert!(panicked.is_err());
         assert_eq!(eng.pool_stats().pages_in_use, 0, "the panicked seat is free");
+        w.armed.store(false, std::sync::atomic::Ordering::Relaxed);
         let mut out = Vec::new();
         eng.pass(&[(1, &[1, 2, 3])], &[], &mut out).unwrap();
         assert_eq!(eng.attached_tokens(1), 0, "the unwritten page was un-indexed");
@@ -1451,6 +1513,27 @@ mod tests {
         eng.pass(&[(0, &[5, 6, 7])], &[], &mut out).unwrap();
         assert_eq!(eng.attached_tokens(0), 0, "the unwritten page was un-indexed");
         assert_eq!(out, pm.session(3).generate(&[5, 6, 7], 1));
+    }
+
+    /// A pass with a row outside the model's range — a token past the
+    /// vocabulary, a context past `max_seq`, a decode past it — is refused
+    /// on the caller before it splits or reserves anything: no member
+    /// counts as lost, and the group keeps its degree.
+    #[test]
+    fn an_out_of_range_pass_is_refused_before_it_splits() {
+        let m = model(1, 73);
+        let pm = PackedModel::pack(&m);
+        let c = &m.config;
+        let mut eng = Engine::group(&pm, 2, CommConfig::default(), 2, 40, 4);
+        eng.prefill(1, &vec![1; c.max_seq]).unwrap();
+        let long = vec![1; c.max_seq + 1];
+        let (bad_token, too_long) = ([(0, &[1, 2, c.vocab][..])], [(0, &long[..])]);
+        for (seats, advance) in [(&bad_token[..], &[][..]), (&too_long, &[]), (&[], &[1])] {
+            let refused = catch_unwind(AssertUnwindSafe(|| eng.pass(seats, advance, &mut Vec::new())));
+            assert!(refused.is_err(), "seats {seats:?}, advance {advance:?}");
+            assert_eq!((eng.degree(), eng.report().rebuilds), (2, 0));
+            assert_eq!((eng.pool_stats().pages_in_use, eng.context_len(1)), (16, c.max_seq));
+        }
     }
 
     #[test]
@@ -1498,12 +1581,13 @@ mod tests {
     #[test]
     fn split_passes_are_bitwise_the_one_member_pass() {
         fn check<B: dsi_kernels::blocked::PanelWeights>(pm: &PackedModel<'_, B>, members: usize) {
-            let (mut solo, mut split) = (PagedEngine::new(pm, 3, 32, 3), PagedEngine::new(pm, 3, 32, 3));
+            let group = |tp| Engine::group(pm, tp, CommConfig::default(), 3, 32, 3);
+            let (mut solo, mut split) = (group(1), group(members));
             let prompts = [vec![3usize, 1, 4, 1, 5], vec![3, 1, 4, 1, 7, 6], vec![11, 12, 13, 14]];
             let (mut a, mut b) = (Vec::new(), Vec::new());
             let mut both = |seats: &[(usize, &[usize])], advance: &[usize]| {
-                solo.pass_split(1, seats, advance, &mut a).unwrap();
-                split.pass_split(members, seats, advance, &mut b).unwrap();
+                solo.pass(seats, advance, &mut a).unwrap();
+                split.pass(seats, advance, &mut b).unwrap();
                 assert_eq!(logit_bits(&split), logit_bits(&solo), "{members} members: seats {seats:?}, advance {advance:?}");
             };
             both(&[(0, &prompts[0])], &[]);
@@ -1522,16 +1606,17 @@ mod tests {
         }
     }
 
-    /// A model whose layer 1 fails on a pass member's helper thread while
-    /// armed: with a panic, or (`err`) with a fetch error.
-    struct FailsOnAHelper<'a> {
+    /// A model whose layer 1 fails while armed, on every thread but
+    /// `spares` (the caller's, so only a pass member's helper fails; `None`:
+    /// every thread): with a panic, or (`err`) with a fetch error.
+    struct FailsAtLayer1<'a> {
         pm: &'a PackedModel<'a>,
-        caller: std::thread::ThreadId,
+        spares: Option<std::thread::ThreadId>,
         armed: std::sync::atomic::AtomicBool,
         err: bool,
     }
 
-    impl WeightSource for FailsOnAHelper<'_> {
+    impl WeightSource for FailsAtLayer1<'_> {
         type B = PackedB;
         type Layer<'a>
             = &'a crate::fast::PackedLayer
@@ -1552,8 +1637,8 @@ mod tests {
             self.pm.logits_w()
         }
         fn layer(&self, l: usize) -> Result<&crate::fast::PackedLayer, Self::Error> {
-            let helper = std::thread::current().id() != self.caller;
-            if helper && l == 1 && self.armed.load(std::sync::atomic::Ordering::Relaxed) {
+            let spared = self.spares == Some(std::thread::current().id());
+            if !spared && l == 1 && self.armed.load(std::sync::atomic::Ordering::Relaxed) {
                 if self.err {
                     return Err("member fetch failed");
                 }
@@ -1564,15 +1649,15 @@ mod tests {
         }
     }
 
-    /// After a failed split pass — `fail` runs it and checks how it
-    /// failed — the next split pass over the same seats is token-identical
-    /// to a clean engine and every page comes back.
-    fn next_pass_is_clean(err: bool, fail: impl FnOnce(&mut Engine<&FailsOnAHelper<'_>>, &[(usize, &[usize])])) {
+    /// After a failed pass of a two-member group — `fail` runs it and
+    /// checks how it failed — the next pass over the same seats is
+    /// token-identical to a clean engine and every page comes back.
+    fn next_pass_is_clean(err: bool, fail: impl FnOnce(&mut Engine<&FailsAtLayer1<'_>>, &[(usize, &[usize])])) {
         let m = model(2, 67);
         let pm = PackedModel::pack(&m);
-        let caller = std::thread::current().id();
-        let w = FailsOnAHelper { pm: &pm, caller, armed: true.into(), err };
-        let mut eng = Engine::new(&w, 2, 16, 4);
+        let spares = Some(std::thread::current().id());
+        let w = FailsAtLayer1 { pm: &pm, spares, armed: true.into(), err };
+        let mut eng = Engine::group(&w, 2, CommConfig::default(), 2, 16, 4);
         let prompts: [&[usize]; 2] = [&[1, 2, 3], &[4, 5]];
         let seats = [(0, prompts[0]), (1, prompts[1])];
         fail(&mut eng, &seats);
@@ -1580,7 +1665,7 @@ mod tests {
         let want: Vec<usize> = prompts.iter().map(|p| pm.session(p.len()).generate(p, 1)[0]).collect();
         for _ in 0..2 {
             let mut out = Vec::new();
-            eng.pass_split(2, &seats, &[], &mut out).unwrap();
+            eng.pass(&seats, &[], &mut out).unwrap();
             assert_eq!(out, want);
             eng.release(0);
             eng.release(1);
@@ -1590,30 +1675,338 @@ mod tests {
 
     /// A member whose weight fetch fails abandons the join: the pass
     /// returns the member's error, no panic reaches the caller, nothing
-    /// hangs, and no seat stays occupied.
+    /// hangs, no seat stays occupied, and — no member lost — the next pass
+    /// splits again.
     #[test]
     fn a_member_fetch_error_fails_the_pass_typed() {
         next_pass_is_clean(true, |eng, seats| {
             let mut out = Vec::new();
-            assert_eq!(eng.pass_split(2, seats, &[], &mut out), Err(StepError::Weights("member fetch failed")));
+            assert_eq!(eng.pass(seats, &[], &mut out), Err(StepError::Weights("member fetch failed")));
             assert!(out.is_empty() && !eng.slot_in_use(0) && !eng.slot_in_use(1));
+            assert_eq!(eng.degree(), 2);
         });
     }
 
     /// A member that panics mid-pass: the panic, with its own payload,
     /// surfaces on the caller once every member is out (the caller's
-    /// member is waiting at a join when it happens), nothing hangs, and the
-    /// next pass — split again — is token-identical to a clean engine.
+    /// member is waiting at a join when it happens), nothing hangs, the
+    /// group narrows to the member it kept, and the next pass is
+    /// token-identical to a clean engine.
     #[test]
     fn a_member_panic_surfaces_on_the_caller_and_the_next_pass_is_clean() {
         next_pass_is_clean(false, |eng, seats| {
             let mut out = Vec::new();
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eng.pass_split(2, seats, &[], &mut out)
-            }));
+            let panicked = catch_unwind(AssertUnwindSafe(|| eng.pass(seats, &[], &mut out)));
             let payload = panicked.expect_err("the member's panic reaches the caller");
             assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("member fault at layer 1"));
             assert!(out.is_empty());
+            assert_eq!((eng.degree(), &eng.report().degradations[..]), (1, &[(2, 1)][..]));
         });
+    }
+
+    /// [`Engine::new`]'s own split narrows when it loses a member: a
+    /// two-row pass whose helper member panics reaches the caller with
+    /// every seat free, the engine runs on one member from then on, and
+    /// its passes are bitwise a solo engine's. On a one-core host the pass
+    /// runs solo, so the helper's fault never fires.
+    #[test]
+    fn a_lost_member_narrows_the_split_of_engine_new() {
+        let m = model(2, 71);
+        let pm = PackedModel::pack(&m);
+        let spares = Some(std::thread::current().id());
+        let w = FailsAtLayer1 { pm: &pm, spares, armed: true.into(), err: false };
+        let mut eng = Engine::new(&w, 2, 16, 4);
+        let mut solo = Engine::group(&pm, 1, CommConfig::default(), 2, 16, 4);
+        let seats: [(usize, &[usize]); 2] = [(0, &[1, 2, 3]), (1, &[4, 5])];
+        let spare_core = std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let first = catch_unwind(AssertUnwindSafe(|| eng.pass(&seats, &[], &mut a)));
+        if spare_core {
+            let payload = first.expect_err("the helper's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("member fault at layer 1"));
+            assert_eq!(eng.pool_stats().pages_in_use, 0, "every seat is free");
+            assert_eq!((eng.degree(), &eng.report().degradations[..]), (1, &[(2, 1)][..]));
+            eng.pass(&seats, &[], &mut a).expect("one member");
+        } else {
+            first.expect("no panic").expect("a solo pass");
+            assert_eq!((eng.degree(), eng.report().rebuilds), (1, 0));
+        }
+        solo.pass(&seats, &[], &mut b).unwrap();
+        assert_eq!(logit_bits(&eng), logit_bits(&solo));
+        for _ in 0..3 {
+            eng.pass(&[], &[0, 1], &mut a).unwrap();
+            solo.pass(&[], &[0, 1], &mut b).unwrap();
+            assert_eq!(logit_bits(&eng), logit_bits(&solo));
+        }
+        assert_eq!(a, b);
+    }
+
+    /// A tensor-parallel group ([`Engine::group`]): its degree, its typed
+    /// member faults, and how it narrows and serves on.
+    mod group {
+        use super::*;
+        use crate::fast::QuantizedPackedModel;
+        use dsi_kernels::blocked::PanelWeights;
+        use dsi_sim::fault::{CollectiveErrorKind, FaultKind, FaultPlan, FaultSite, FaultSpec};
+        use std::time::{Duration, Instant};
+
+        fn oracle(m: &GptModel, prompt: &[usize], n: usize) -> Vec<usize> {
+            PackedModel::pack(m).session(prompt.len()).generate(prompt, n)
+        }
+
+        fn faulty(specs: Vec<FaultSpec>, timeout_ms: u64) -> CommConfig {
+            CommConfig { timeout: Duration::from_millis(timeout_ms), injector: Some(Arc::new(FaultPlan::new(specs).injector())) }
+        }
+
+        fn spec(rank: usize, site: FaultSite, kind: FaultKind) -> FaultSpec {
+            FaultSpec { rank, site, kind }
+        }
+
+        /// The text of a caught panic.
+        fn text(payload: &(dyn std::any::Any + Send)) -> &str {
+            payload.downcast_ref::<String>().map_or("", String::as_str)
+        }
+
+        /// Ragged multi-slot passes at every degree the tiny model's four
+        /// heads allow, three included: two seats in one pass, a
+        /// shared-prefix seat that attaches, a retirement, and a mixed pass
+        /// that reseats the retired slot while the others advance. Every
+        /// pass's logits are bitwise the one-member pass's, FP32 and INT8
+        /// alike.
+        #[test]
+        fn every_degree_is_bitwise_the_one_member_pass() {
+            type Eng<'p, B> = PagedEngine<'p, 'p, B>;
+            fn both<B: PanelWeights>(solo: &mut Eng<'_, B>, group: &mut Eng<'_, B>, seats: &[(usize, &[usize])], advance: &[usize]) {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                solo.pass(seats, advance, &mut a).unwrap();
+                group.pass(seats, advance, &mut b).unwrap();
+                let tp = group.degree();
+                assert_eq!((&b, logit_bits(group)), (&a, logit_bits(solo)), "tp {tp}: seats {seats:?}, advance {advance:?}");
+            }
+            fn check<B: PanelWeights>(pm: &PackedModel<'_, B>, tp: usize) {
+                let prompts = [vec![5usize, 6, 7, 8, 1], vec![9, 8], vec![5, 6, 7, 8, 2, 3], vec![4]];
+                let mut solo = Engine::group(pm, 1, CommConfig::default(), 3, 32, 2);
+                let mut group = Engine::group(pm, tp, CommConfig::default(), 3, 32, 2);
+                let (s, g) = (&mut solo, &mut group);
+                both(s, g, &[(0, &prompts[0]), (1, &prompts[1])], &[]);
+                both(s, g, &[(2, &prompts[2])], &[0, 1]);
+                assert_eq!(g.attached_tokens(2), 4, "tp {tp}: the shared prefix attaches");
+                s.release(1);
+                g.release(1);
+                both(s, g, &[(1, &prompts[3])], &[0, 2]);
+                for _ in 0..3 {
+                    both(s, g, &[], &[0, 1, 2]);
+                }
+                for slot in 0..3 {
+                    g.release(slot);
+                }
+                assert_eq!(g.pool_stats().pages_in_use, 0, "tp {tp}");
+                assert_eq!(g.report().rebuilds, 0);
+            }
+            let m = model(2, 7);
+            let (pm, qm) = (PackedModel::pack(&m), QuantizedPackedModel::quantize_pack(&m, 32));
+            for tp in 1..=4 {
+                check(&pm, tp);
+                check(&qm, tp);
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "tp 5 cannot split 4 heads")]
+        fn a_degree_past_the_heads_is_rejected() {
+            let m = model(1, 1);
+            let pm = PackedModel::pack(&m);
+            Engine::group(&pm, 5, CommConfig::default(), 1, 4, 4);
+        }
+
+        /// A member stalled past the deadline fails the pass with a timeout
+        /// that names it, the pass returns once the stall ends (the stalled
+        /// member cannot be detached: it borrows the caller's scratch), and
+        /// the group serves on at the same degree.
+        #[test]
+        fn a_stall_past_the_deadline_fails_typed_naming_the_member() {
+            let m = model(2, 23);
+            let pm = PackedModel::pack(&m);
+            for member in [0usize, 1] {
+                let stall = spec(member, FaultSite::Layer { token: 1, layer: 1 }, FaultKind::Stall { millis: 600 });
+                let mut eng = Engine::group(&pm, 2, faulty(vec![stall], 100), 2, 16, 4);
+                let start = Instant::now();
+                let err = eng.pass(&[(0, &[1, 2, 3])], &[], &mut Vec::new()).expect_err("the stall fails the pass");
+                let took = start.elapsed();
+                let StepError::Member(e) = err else { panic!("{err:?}") };
+                assert_eq!(e.kind, CollectiveErrorKind::Timeout { stalled: vec![member] }, "{e}");
+                assert!(took < Duration::from_millis(1600), "returned after {took:?}");
+                assert!(!eng.slot_in_use(0), "the seat is free again");
+                let mut out = Vec::new();
+                eng.pass(&[(0, &[1, 2, 3])], &[], &mut out).expect("the group serves on");
+                assert_eq!(out, oracle(&m, &[1, 2, 3], 1));
+                assert_eq!((eng.degree(), eng.report().rebuilds), (2, 1));
+            }
+        }
+
+        /// Generate `n` tokens for each prompt, one slot each, recovering
+        /// from every fault the way the serving scheduler does: release what
+        /// the failed pass advanced, then seat each committed context again.
+        /// A member's panic is a failed pass like its typed departure.
+        fn serve<B: PanelWeights>(eng: &mut PagedEngine<'_, '_, B>, prompts: &[&[usize]], n: usize) -> Vec<Vec<usize>> {
+            let mut toks: Vec<Vec<usize>> = vec![Vec::new(); prompts.len()];
+            let mut seated = vec![false; prompts.len()];
+            let (mut out, mut faults) = (Vec::new(), 0);
+            while toks.iter().any(|t| t.len() < n) {
+                let ctxs: Vec<(usize, Vec<usize>)> = (0..prompts.len())
+                    .filter(|&s| !seated[s])
+                    .map(|s| (s, [prompts[s], &toks[s][..toks[s].len().saturating_sub(1)]].concat()))
+                    .collect();
+                let seats: Vec<(usize, &[usize])> = ctxs.iter().map(|(s, c)| (*s, &c[..])).collect();
+                let advance: Vec<usize> = (0..prompts.len()).filter(|&s| seated[s] && toks[s].len() < n).collect();
+                out.clear();
+                match catch_unwind(AssertUnwindSafe(|| eng.pass(&seats, &advance, &mut out))) {
+                    Ok(Ok(())) => {
+                        for (&(s, _), &t) in seats.iter().zip(&out) {
+                            if toks[s].is_empty() {
+                                toks[s].push(t);
+                            } else {
+                                assert_eq!(toks[s].last(), Some(&t), "a replay reproduces the last token");
+                            }
+                            seated[s] = true;
+                        }
+                        for (&s, &t) in advance.iter().zip(&out[seats.len()..]) {
+                            toks[s].push(t);
+                        }
+                    }
+                    Ok(Err(StepError::Member(_))) | Err(_) => {
+                        for &s in &advance {
+                            eng.release(s);
+                            seated[s] = false;
+                        }
+                        faults += 1;
+                        assert!(faults < 16, "fault storm: {:?}", eng.report());
+                    }
+                    Ok(Err(e)) => panic!("{e:?}"),
+                }
+            }
+            for s in (0..prompts.len()).filter(|&s| seated[s]) {
+                eng.release(s);
+            }
+            assert_eq!(eng.pool_stats().pages_in_use, 0, "every slot came back");
+            toks
+        }
+
+        /// Serve two prompts at tp = 2 under `specs`; returns the report and
+        /// the final degree.
+        fn serve_two(seed: u64, specs: Vec<FaultSpec>, n: usize) -> (GroupReport, usize) {
+            let m = model(2, seed);
+            let pm = PackedModel::pack(&m);
+            let prompts: [&[usize]; 2] = [&[1, 2, 3], &[4, 2]];
+            let mut eng = Engine::group(&pm, 2, faulty(specs, 300), 2, 16, 4);
+            let got = serve(&mut eng, &prompts, n);
+            for (p, got) in prompts.iter().zip(&got) {
+                assert_eq!(got, &oracle(&m, p, n), "prompt {p:?}");
+            }
+            (eng.report().clone(), eng.degree())
+        }
+
+        #[test]
+        fn a_fault_free_group_recovers_nothing() {
+            let (report, tp) = serve_two(31, Vec::new(), 6);
+            assert_eq!((report.rebuilds, tp), (0, 2));
+        }
+
+        /// Member 1 drops its arrival at a join: member 0 times out naming
+        /// it, the pass fails with the exit, the group degrades to one
+        /// member, and the replay reproduces every stream.
+        #[test]
+        fn a_member_exit_degrades_and_replays_token_identically() {
+            let (report, tp) = serve_two(37, vec![spec(1, FaultSite::Barrier { epoch: 12 }, FaultKind::Exit)], 6);
+            assert_eq!((tp, report.rebuilds), (1, 1));
+            assert_eq!(report.degradations, [(2, 1)]);
+            assert!(report.faults[0].contains("dropped its barrier arrival"), "{:?}", report.faults);
+        }
+
+        #[test]
+        fn a_transient_stall_recovers_at_the_same_degree() {
+            let stall = spec(1, FaultSite::Barrier { epoch: 20 }, FaultKind::Stall { millis: 1000 });
+            let (report, tp) = serve_two(41, vec![stall], 5);
+            assert_eq!((tp, report.rebuilds), (2, 1), "{report:?}");
+        }
+
+        #[test]
+        fn a_member_panic_degrades_the_group() {
+            for member in [0usize, 1] {
+                let panic = spec(member, FaultSite::Layer { token: 3, layer: 1 }, FaultKind::Panic);
+                let (report, tp) = serve_two(47, vec![panic], 5);
+                assert_eq!((tp, &report.degradations[..]), (1, &[(2, 1)][..]));
+                assert!(report.faults[0].contains(&format!("member {member} panics")), "{:?}", report.faults);
+            }
+        }
+
+        /// A member panic fails the pass with its seats already free: the
+        /// pool counts no page for them before any other pass runs.
+        #[test]
+        fn a_member_panic_frees_the_seats_at_once() {
+            let m = model(1, 61);
+            let pm = PackedModel::pack(&m);
+            for member in [0usize, 1] {
+                let panic = spec(member, FaultSite::Layer { token: 2, layer: 0 }, FaultKind::Panic);
+                let mut eng = Engine::group(&pm, 2, faulty(vec![panic], 200), 2, 8, 2);
+                let seats: [(usize, &[usize]); 2] = [(0, &[1, 2, 3]), (1, &[4, 5])];
+                let caught = catch_unwind(AssertUnwindSafe(|| eng.pass(&seats, &[], &mut Vec::new())));
+                let payload = caught.expect_err("the member panics");
+                assert!(text(&*payload).contains(&format!("member {member} panics")), "{}", text(&*payload));
+                assert_eq!(eng.pool_stats().pages_in_use, 0, "member {member}: the seats are free");
+            }
+        }
+
+        /// Two members exit in one pass: the group narrows by both, and
+        /// serves on at the narrower degree.
+        #[test]
+        fn two_members_lost_in_one_pass_narrow_the_group_by_two() {
+            let m = model(2, 67);
+            let pm = PackedModel::pack(&m);
+            let exit = |member| spec(member, FaultSite::Barrier { epoch: 3 }, FaultKind::Exit);
+            let mut eng = Engine::group(&pm, 4, faulty(vec![exit(1), exit(3)], 300), 1, 8, 4);
+            eng.pass(&[(0, &[1, 2, 3])], &[], &mut Vec::new()).expect_err("two members exit");
+            assert_eq!((eng.degree(), &eng.report().degradations[..]), (2, &[(4, 2)][..]));
+            let mut out = Vec::new();
+            eng.pass(&[(0, &[1, 2, 3])], &[], &mut out).unwrap();
+            assert_eq!(out, oracle(&m, &[1, 2, 3], 1));
+        }
+
+        #[test]
+        fn multiple_faults_are_all_survived() {
+            // A transient stall *and* a later permanent exit in one run.
+            let specs = vec![
+                spec(0, FaultSite::Barrier { epoch: 3 }, FaultKind::Stall { millis: 1000 }),
+                spec(1, FaultSite::Layer { token: 6, layer: 0 }, FaultKind::Exit),
+            ];
+            let (report, tp) = serve_two(53, specs, 8);
+            assert_eq!((tp, report.rebuilds), (1, 2), "{report:?}");
+        }
+
+        /// After a failed pass the seats are free and the advanced slots
+        /// still hold their pages until the caller releases them: the pool,
+        /// on the caller's side, survives the fault with nothing orphaned.
+        #[test]
+        fn a_failed_pass_leaves_the_pool_to_the_caller() {
+            let m = model(1, 59);
+            let pm = PackedModel::pack(&m);
+            let exit = spec(1, FaultSite::Layer { token: 3, layer: 0 }, FaultKind::Exit);
+            let mut eng = Engine::group(&pm, 2, faulty(vec![exit], 200), 3, 8, 2);
+            let mut out = Vec::new();
+            eng.pass(&[(0, &[1, 2, 3]), (1, &[4, 5])], &[], &mut out).unwrap();
+            let held = eng.pool_stats();
+            let err = eng.pass(&[(2, &[6, 7, 8])], &[0, 1], &mut out).expect_err("member 1 exits");
+            assert!(matches!(err, StepError::Member(ref e) if e.rank == 1), "{err:?}");
+            assert_eq!(out.len(), 2, "the failed pass emits nothing");
+            // Slot 1 reserved its next page; slot 2's seat was freed again.
+            assert_eq!(eng.pool_stats().pages_in_use, held.pages_in_use + 1);
+            eng.release(0);
+            eng.release(1);
+            assert_eq!(eng.pool_stats().pages_in_use, 0);
+            out.clear();
+            eng.pass(&[(0, &[1, 2, 3])], &[], &mut out).unwrap();
+            assert_eq!(out, oracle(&m, &[1, 2, 3], 1));
+            assert_eq!((eng.degree(), eng.report().rebuilds), (1, 1));
+        }
     }
 }

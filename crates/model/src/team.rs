@@ -12,8 +12,8 @@
 //! the panic on the caller once all of them are out.
 //!
 //! A team runs under a [`CommConfig`]: the deadline of every join and an
-//! optional fault script. An engine that serves alone passes none and gets
-//! a 60 s wedge bound; a tensor-parallel group (`dsi_parallel::tp_exec`)
+//! optional fault script. An engine `Engine::new` builds passes none and
+//! gets a 60 s wedge bound; a tensor-parallel group (`Engine::group`)
 //! passes its own. [`Member::join`] consults the script at the member's
 //! join count and [`Member::at_layer`] at each layer: a stall sleeps, an
 //! exit leaves without arriving (the peers time out naming the member), and
@@ -165,8 +165,8 @@ struct Shared {
     slot: Mutex<(usize, Option<Published>)>,
     /// Helper members of the current job that have not finished it.
     pending: AtomicUsize,
-    /// The first panic of the current job, with the member that raised it.
-    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+    /// The first panic of the current job.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// The weightiest typed departure of the current job.
     left: Mutex<Option<CollectiveError>>,
     /// Members of the current job that exited by script or panicked.
@@ -175,11 +175,11 @@ struct Shared {
 }
 
 impl Shared {
-    /// Keep what member `t` unwound with: a typed departure if it outweighs
+    /// Keep what a member unwound with: a typed departure if it outweighs
     /// the one kept, any other payload if it is the job's first panic, and
     /// count the member lost if it exited or panicked. A panicking member
     /// poisons the barrier, so the others leave too.
-    fn keep(&self, t: usize, payload: Box<dyn Any + Send>, barrier: &SenseBarrier) {
+    fn keep(&self, payload: Box<dyn Any + Send>, barrier: &SenseBarrier) {
         match payload.downcast::<Left>() {
             Ok(left) => {
                 if left.0.kind == CollectiveErrorKind::InjectedExit {
@@ -193,7 +193,7 @@ impl Shared {
             Err(payload) => {
                 barrier.poison();
                 self.lost.fetch_add(1, Ordering::Relaxed);
-                lock(&self.panic).get_or_insert((t, payload));
+                lock(&self.panic).get_or_insert(payload);
             }
         }
     }
@@ -211,8 +211,6 @@ pub struct Team {
     seq: usize,
     /// Member 0's own rows.
     local: Vec<f32>,
-    /// The member whose panic the last job re-raised.
-    panicked: Option<usize>,
     /// Members the last job lost: they exited by script or panicked.
     lost: usize,
 }
@@ -245,7 +243,6 @@ impl Team {
             epoch: 0,
             seq: 0,
             local: Vec::new(),
-            panicked: None,
             lost: 0,
         }
     }
@@ -255,11 +252,6 @@ impl Team {
     /// count, or after a failed job).
     pub fn joins(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.barrier.parties()).map(|t| self.barrier.arrivals(t))
-    }
-
-    /// The member whose panic the last job re-raised, if it panicked.
-    pub fn panicked(&self) -> Option<usize> {
-        self.panicked
     }
 
     /// Members the last job lost: those its fault script made exit, and
@@ -309,7 +301,7 @@ impl Team {
         let mine = catch_unwind(AssertUnwindSafe(|| job(&mut me, &mut self.local)));
         let epoch = me.epoch;
         if let Err(payload) = mine {
-            self.shared.keep(0, payload, &self.barrier);
+            self.shared.keep(payload, &self.barrier);
         }
         // The helpers are done with the job: from here on nothing reads
         // the pointers it published, so its borrows may end.
@@ -326,9 +318,7 @@ impl Team {
         self.epoch = epoch;
         let left = lock(&self.shared.left).take();
         self.lost = self.shared.lost.load(Ordering::Relaxed);
-        self.panicked = None;
-        if let Some((t, payload)) = lock(&self.shared.panic).take() {
-            self.panicked = Some(t);
+        if let Some(payload) = lock(&self.shared.panic).take() {
             resume_unwind(payload);
         }
         // Poisoned joins alone mean a member abandoned the job.
@@ -358,7 +348,7 @@ fn helper_loop(shared: &Shared, t: usize) {
         let (job, barrier) = unsafe { (&*p.job, &*p.barrier) };
         let mut me = Member::new(Share { member: t, members: p.members }, barrier, &shared.comm, p.epoch);
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(&mut me, &mut local))) {
-            shared.keep(t, payload, barrier);
+            shared.keep(payload, barrier);
         }
         shared.pending.fetch_sub(1, Ordering::Release);
     }

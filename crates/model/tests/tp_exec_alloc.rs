@@ -1,6 +1,6 @@
-//! Allocation guard for the executed TP engine: a steady-state decode pass
-//! must not allocate on any thread of the group — the caller's or a helper
-//! member's — over FP32 or INT8 panels. The engine's scratch, page pool and
+//! Allocation guard for the executed TP group (`Engine::group`): a
+//! steady-state decode pass must not allocate on any thread of the group —
+//! the caller's or a helper member's — over FP32 or INT8 panels. The engine's scratch, page pool and
 //! every member's own rows reach their size in the first passes and are
 //! reused from then on.
 //!
@@ -10,9 +10,9 @@
 
 use dsi_kernels::blocked::PanelWeights;
 use dsi_model::fast::{PackedModel, QuantizedPackedModel};
+use dsi_model::paged::{Engine, PagedEngine};
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::tp_exec::TpEngine;
 use dsi_sim::shmem::CommConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,15 +52,15 @@ fn steady_state_decode_does_not_allocate() {
     let model = GptModel::random(zoo::tiny(2), 11);
     let (pm, qm) = (PackedModel::pack(&model), QuantizedPackedModel::quantize_pack(&model, 32));
     for tp in [2, 4] {
-        let allocs = decode_allocs(TpEngine::new(&pm, tp, CommConfig::default(), 4, 4, 32));
+        let allocs = decode_allocs(Engine::group(&pm, tp, CommConfig::default(), 4, 4, 32));
         assert_eq!(allocs, 0, "tp {tp}: 16 decode passes allocated {allocs} times across the group's threads");
-        let allocs = decode_allocs(TpEngine::new(&qm, tp, CommConfig::default(), 4, 4, 32));
+        let allocs = decode_allocs(Engine::group(&qm, tp, CommConfig::default(), 4, 4, 32));
         assert_eq!(allocs, 0, "tp {tp}: 16 INT8 decode passes allocated {allocs} times across the group's threads");
     }
 }
 
 /// Allocations of every thread over 16 steady-state decode passes of `eng`.
-fn decode_allocs<B: PanelWeights>(mut eng: TpEngine<'_, '_, B>) -> usize {
+fn decode_allocs<B: PanelWeights>(mut eng: PagedEngine<'_, '_, B>) -> usize {
     let slots = [0usize, 1, 2, 3];
     let prompts: Vec<Vec<usize>> = slots.iter().map(|&s| vec![1 + s, 2, 3]).collect();
     let seats: Vec<(usize, &[usize])> = slots.iter().map(|&s| (s, &prompts[s][..])).collect();

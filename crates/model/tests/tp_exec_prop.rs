@@ -1,18 +1,18 @@
-//! Property test for the executed tensor-parallel engine: over random model
-//! shapes (layer count, head count, random weights) and every degree
-//! `1..=4`, the group's every pass must compute **bitwise** the logits of
-//! the one-member pass, through ragged multi-slot passes: two seats in one
-//! pass, a seat beside advancing residents, then decode passes over every
-//! slot — and so emit exactly the fast path's greedy tokens. Member parts
+//! Property test for the executed tensor-parallel group (`Engine::group`):
+//! over random model shapes (layer count, head count, random weights) and
+//! every degree `1..=4`, the group's every pass must compute **bitwise**
+//! the logits of the one-member pass, through ragged multi-slot passes: two
+//! seats in one pass, a seat beside advancing residents, then decode passes
+//! over every slot — and so emit exactly the fast path's greedy tokens. Member parts
 //! of 16-column heads and of the 61-token vocabulary start inside a panel,
 //! and six heads split unevenly over four members; the INT8 case quantizes
 //! in groups of 16.
 
 use dsi_kernels::blocked::PanelWeights;
 use dsi_model::fast::{PackedModel, QuantizedPackedModel};
+use dsi_model::paged::{Engine, PagedEngine};
 use dsi_model::reference::GptModel;
 use dsi_model::GptConfig;
-use dsi_parallel::tp_exec::TpEngine;
 use dsi_sim::shmem::CommConfig;
 use proptest::prelude::*;
 
@@ -33,14 +33,14 @@ fn config(layers: usize, heads: usize) -> GptConfig {
 /// every slot until each stream has `n` tokens. Every pass's logits must be
 /// the one-member pass's, bit for bit. Returns the group's streams.
 fn serve<B: PanelWeights>(pm: &PackedModel<'_, B>, tp: usize, prompts: &[Vec<usize>], n: usize) -> Vec<Vec<usize>> {
-    let mut group = TpEngine::new(pm, tp, CommConfig::default(), 3, 24, 4);
-    let mut solo = TpEngine::new(pm, 1, CommConfig::default(), 3, 24, 4);
+    let mut group = Engine::group(pm, tp, CommConfig::default(), 3, 24, 4);
+    let mut solo = Engine::group(pm, 1, CommConfig::default(), 3, 24, 4);
     let mut streams: Vec<Vec<usize>> = vec![Vec::new(); prompts.len()];
     let mut pass = |seats: &[(usize, &[usize])], advance: &[usize]| -> Vec<usize> {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         group.pass(seats, advance, &mut a).unwrap();
         solo.pass(seats, advance, &mut b).unwrap();
-        let bits = |e: &TpEngine<'_, '_, B>| e.logits().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits = |e: &PagedEngine<'_, '_, B>| e.logits().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&group), bits(&solo), "tp {tp}: seats {seats:?}, advance {advance:?}");
         a
     };
@@ -71,7 +71,7 @@ fn prompts(seed: u64) -> Vec<Vec<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn tp_engine_is_bitwise_the_one_member_pass(
+    fn group_is_bitwise_the_one_member_pass(
         seed in 0u64..10_000,
         layers in 1usize..4,
         heads_sel in 0usize..2,
@@ -96,7 +96,7 @@ proptest! {
     /// one-member pass's logits and emits the resident INT8 session's
     /// greedy tokens.
     #[test]
-    fn int8_tp_engine_is_bitwise_the_one_member_pass(
+    fn int8_group_is_bitwise_the_one_member_pass(
         seed in 0u64..10_000,
         layers in 1usize..4,
         heads_sel in 0usize..2,

@@ -13,7 +13,7 @@
 //! and really sums the partials through an in-place
 //! [`allreduce_sum_slices`] all-reduce, and the test suite proves the result
 //! equals the unsharded reference. It remains the sequential correctness
-//! oracle; the *threaded* engine lives in [`tp_exec`](crate::tp_exec).
+//! oracle; the *executed* group is `dsi_model::paged::Engine::group`.
 
 use dsi_kernels::ops;
 use dsi_kernels::tensor::Tensor;
@@ -119,8 +119,8 @@ fn rank_ffn_partial(shard: &TpLayer, x: &Tensor) -> Tensor {
 /// rank `r`'s KV cache shard (each rank caches only its heads — the memory
 /// saving that lets TP hold longer contexts).
 ///
-/// This stays the slow *reference oracle* for the threaded engine
-/// (`tp_exec`): internally it still runs every rank sequentially through
+/// This stays the slow *reference oracle* for the executed group
+/// (`Engine::group`): internally it still runs every rank sequentially through
 /// the allocating reference ops.
 pub fn tp_layer_forward_into(shards: &[TpLayer], x: &Tensor, kvs: &mut [LayerKv], out: &mut Tensor) {
     assert_eq!(shards.len(), kvs.len());

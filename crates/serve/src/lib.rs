@@ -39,9 +39,10 @@
 //! worker loop, and the paged multi-slot
 //! [`Engine`](dsi_model::paged::Engine) the only slot lifecycle under it,
 //! sized by [`server::ContinuousConfig`]: over a resident packed model —
-//! with every pass split across a tensor-parallel group's members at
-//! `tp > 1` ([`TpEngine`](dsi_parallel::TpEngine)) — or over the offload
-//! tier ([`Server::start_streamed`]).
+//! at `tp > 1` as a tensor-parallel group, the same engine at that degree
+//! ([`Engine::group`](dsi_model::paged::Engine::group)), every pass split
+//! across its members — or over the offload tier
+//! ([`Server::start_streamed`]).
 
 pub mod breaker;
 pub mod scheduler;

@@ -252,7 +252,7 @@ impl Tracer {
 }
 
 /// The one worker loop: runs `eng` until the server drains, then hands it
-/// back (a TP group's fault report is read off it). `max_prompt` bounds the
+/// back (its fault report is read off it). `max_prompt` bounds the
 /// context a pass seats beyond its first seat; `progress_timeout` arms the
 /// watchdog.
 pub(crate) fn run_scheduler<E: BatchEngine>(
@@ -968,46 +968,28 @@ mod tests {
         }
     }
 
-    /// The paged engine with every pass on exactly `.1` members.
-    struct Members<'a>(dsi_model::paged::Engine<&'a PanicsAtLayer1<'a>>, usize);
-
-    impl BatchEngine for Members<'_> {
-        fn max_slots(&self) -> usize {
-            self.0.max_slots()
-        }
-        fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
-            let mut out = Vec::with_capacity(1);
-            self.0.pass_split(self.1, &[(slot, prompt)], &[], &mut out).map_err(EngineError::from)?;
-            Ok(out[0])
-        }
-        fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
-            self.0.pass_split(self.1, &[], slots, out).map_err(EngineError::from)
-        }
-        fn release(&mut self, slot: usize) {
-            self.0.release(slot);
-        }
-    }
-
-    /// A panic in a helper member of a split pass reaches the one guard as
-    /// the caller's own panic would: the same `Panic` fault with the same
-    /// message as that panic in a one-member pass, and the engine serves
-    /// the next pass.
+    /// A panic in a helper member of a group's pass reaches the one guard
+    /// as the caller's own panic would: the same `Panic` fault with the
+    /// same message as that panic in a one-member pass, and the group,
+    /// narrowed to the member it kept, serves the next pass.
     #[test]
     fn a_member_panic_maps_like_a_one_member_pass_panic() {
+        use dsi_model::paged::Engine;
+        use dsi_sim::shmem::CommConfig;
         let m = GptModel::random(dsi_model::zoo::tiny(2), 3);
         let pm = dsi_model::fast::PackedModel::pack(&m);
         let (clock, _time) = Clock::manual();
         let (member, solo) = (PanicsAtLayer1 { pm: &pm, anywhere: false }, PanicsAtLayer1 { pm: &pm, anywhere: true });
-        let mut split = Members(dsi_model::paged::Engine::new(&member, 1, 16, 4), 2);
-        let mut one = Members(dsi_model::paged::Engine::new(&solo, 1, 16, 4), 1);
-        let from_member = guarded(&mut split, &clock, None, |e| e.prefill(0, &[1, 2, 3]), |_| {});
-        let from_solo = guarded(&mut one, &clock, None, |e| e.prefill(0, &[1, 2, 3]), |_| {});
+        let mut split = Engine::group(&member, 2, CommConfig::default(), 1, 16, 4);
+        let mut one = Engine::group(&solo, 1, CommConfig::default(), 1, 16, 4);
+        let from_member = guarded(&mut split, &clock, None, |e| BatchEngine::prefill(e, 0, &[1, 2, 3]), |_| {});
+        let from_solo = guarded(&mut one, &clock, None, |e| BatchEngine::prefill(e, 0, &[1, 2, 3]), |_| {});
         let fault = EngineError::Fault { class: FaultClass::Panic, msg: "fault at layer 1".into() };
         assert_eq!((&from_member, &from_solo), (&Err(fault.clone()), &Err(fault)));
-        // One member: the fault never fires, and the slot the panicked pass
-        // left behind is free again.
-        split.1 = 1;
-        let tok = guarded(&mut split, &clock, None, |e| e.prefill(0, &[1, 2, 3]), |_| {});
+        // One member left: the fault never fires, and the slot the panicked
+        // pass left behind is free again.
+        assert_eq!(split.degree(), 1);
+        let tok = guarded(&mut split, &clock, None, |e| BatchEngine::prefill(e, 0, &[1, 2, 3]), |_| {});
         assert_eq!(tok, Ok(pm.session(3).generate(&[1, 2, 3], 1)[0]));
     }
 

@@ -14,9 +14,10 @@
 //! * [`Server::start`] at [`ServeConfig::tp`] = 1 — a resident packed
 //!   model;
 //! * [`Server::start`] at `tp > 1` — a tensor-parallel group
-//!   ([`TpEngine`]): the same engine over the same packed model and pool,
-//!   every pass split across the group's `tp` members; a member fault fails
-//!   the pass, and the group serves on, narrower by the members it lost;
+//!   ([`Engine::group`]): the same engine over the same packed model and
+//!   pool at degree `tp`, every pass split across its members; a member
+//!   fault fails the pass, and the group serves on, narrower by the members
+//!   it lost;
 //! * [`Server::start_streamed`] — an offload tier.
 //!
 //! * **Bounded admission** — [`Server::submit`] either admits a request
@@ -62,9 +63,8 @@ use std::time::Duration;
 
 use dsi_core::{BatchEngine, FaultClass, FaultyEngine};
 use dsi_model::fast::PackedModel;
-use dsi_model::paged::Engine;
+use dsi_model::paged::{Engine, GroupReport};
 use dsi_model::reference::GptModel;
-use dsi_parallel::{TpEngine, TpReport};
 use dsi_sim::clock::{CancelToken, Clock};
 use dsi_sim::fault::EngineFaultInjector;
 use dsi_sim::shmem::CommConfig;
@@ -139,12 +139,13 @@ impl ContinuousConfig {
 /// Serving runtime configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// TP degree of the group [`Server::start`] builds: the members every
-    /// pass splits across (`1..=heads`); 1 serves from the packed model on
-    /// the engine's own split, and [`Server::start_streamed`] ignores it. A
-    /// group narrows by each member that exits or panics. A group's
-    /// passes are bitwise the one-member pass, so the outputs are identical
-    /// at every degree.
+    /// TP degree of the engine [`Server::start`] builds: above 1, the
+    /// group ([`Engine::group`]) whose members every pass splits across
+    /// (`1..=heads`); 1 serves from the packed model on the split of
+    /// [`Engine::new`], and [`Server::start_streamed`] ignores it. The
+    /// engine narrows by each member that exits or panics. A split pass is
+    /// bitwise the one-member pass, so the outputs are identical at every
+    /// degree.
     pub tp: usize,
     /// Engine sizing; see [`EngineMode`].
     pub mode: EngineMode,
@@ -316,9 +317,9 @@ pub struct ServeReport {
     pub p50_latency_s: f64,
     pub p95_latency_s: f64,
     pub p99_latency_s: f64,
-    /// A TP group's recovered faults, degradations and recent faults (empty
-    /// at `tp = 1`).
-    pub ft: TpReport,
+    /// The engine's failed split passes: recovered faults, degradations
+    /// and recent faults (empty while no member failed).
+    pub ft: GroupReport,
     /// Batch-occupancy / tokens-per-step histograms and page-allocator
     /// statistics of the scheduler loop.
     pub scheduler: Option<SchedReport>,
@@ -386,7 +387,7 @@ pub(crate) struct State {
     pub(crate) breaker: BreakerSet,
     pub(crate) counters: Counters,
     pub(crate) latencies_s: Vec<f64>,
-    pub(crate) ft_report: TpReport,
+    pub(crate) ft_report: GroupReport,
     pub(crate) sched_report: Option<SchedReport>,
     pub(crate) next_id: u64,
 }
@@ -413,7 +414,7 @@ pub(crate) fn new_shared(cfg: &ServeConfig) -> Arc<Shared> {
             breaker: BreakerSet::new(cfg.breaker.clone()),
             counters: Counters::default(),
             latencies_s: Vec::new(),
-            ft_report: TpReport::default(),
+            ft_report: GroupReport::default(),
             sched_report: None,
             next_id: 0,
         }),
@@ -463,21 +464,21 @@ pub struct Server {
 
 impl Server {
     /// Spawn the runtime over `model`, resident in memory: packed once on
-    /// the worker thread, served by the paged engine at
-    /// [`ServeConfig::tp`] = 1 and by a TP group ([`TpEngine`]) over it
-    /// above. The engine lives across requests; a group's fault report is
-    /// read off it once the loop has drained, for the final
+    /// the worker thread, served by the paged engine of [`Engine::new`] at
+    /// [`ServeConfig::tp`] = 1 and by the group of [`Engine::group`] at
+    /// that degree above. The engine lives across requests; its fault
+    /// report is read off it once the loop has drained, for the final
     /// [`ServeReport`].
     pub fn start(model: Arc<GptModel>, cfg: ServeConfig) -> Server {
         let EngineMode::Continuous(cont) = cfg.mode;
         let (tp, comm) = (cfg.tp, cfg.comm.clone());
         Self::spawn(cfg, cont, move |w| {
             let pm = PackedModel::pack(&model);
-            if tp == 1 {
-                w.run(Engine::new(&pm, cont.max_slots, cont.pages_total, cont.page_tokens));
-                return;
-            }
-            let eng = TpEngine::new(&pm, tp, comm, cont.max_slots, cont.pages_total, cont.page_tokens);
+            let (slots, pages, page_tokens) = (cont.max_slots, cont.pages_total, cont.page_tokens);
+            let eng = match tp {
+                1 => Engine::new(&pm, slots, pages, page_tokens),
+                tp => Engine::group(&pm, tp, comm, slots, pages, page_tokens),
+            };
             let eng = w.run(eng);
             w.shared.state.lock().unwrap().ft_report = eng.report().clone();
         })

@@ -25,9 +25,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsi_model::fast::PackedModel;
+use dsi_model::paged::{Engine, PagedEngine};
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::TpEngine;
 use dsi_serve::{
     ContinuousConfig, EngineMode, EvictReason, Outcome, Rejected, Request, ServeConfig, Server,
 };
@@ -55,7 +55,7 @@ fn solo(pm: &PackedModel, prompt: &[usize], n: usize) -> Vec<usize> {
 
 /// The same generation, `n ≥ 1` tokens, from one slot of a fault-free
 /// tensor-parallel group: the prompt's pass, then one decode pass per token.
-fn tp_solo(eng: &mut TpEngine<'_, '_>, prompt: &[usize], n: usize) -> Vec<usize> {
+fn tp_solo(eng: &mut PagedEngine<'_, '_>, prompt: &[usize], n: usize) -> Vec<usize> {
     let mut out = Vec::new();
     eng.pass(&[(0, prompt)], &[], &mut out).unwrap();
     while out.len() < n {
@@ -354,7 +354,7 @@ fn continuous_chaos_token_identity_sweep() {
             requests[0].1 = 14;
         }
         let pm = PackedModel::pack(&model);
-        let mut oracle = TpEngine::new(&pm, sc.oracle_tp, CommConfig::default(), 1, 64, 4);
+        let mut oracle = Engine::group(&pm, sc.oracle_tp, CommConfig::default(), 1, 64, 4);
         let full_streams: Vec<Vec<usize>> =
             requests.iter().map(|(p, n)| tp_solo(&mut oracle, p, *n)).collect();
         // An EOS id that actually occurs in some stream makes early

@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsi_model::fast::PackedModel;
+use dsi_model::paged::Engine;
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::tp_exec::TpEngine;
 use dsi_serve::{ContinuousConfig, EngineMode, Outcome, Request, ServeConfig, ServeReport, Server};
 use dsi_sim::fault::{FaultKind, FaultPlan, FaultSite, FaultSpec};
 use dsi_sim::shmem::CommConfig;
@@ -137,9 +137,9 @@ fn chaos_runs_are_seed_deterministic() {
 }
 
 /// Dropping a group whose member panicked must not wedge: the panicked
-/// pass returns once every member is out, and dropping the group joins
-/// helpers that are parked again. (A hang here would trip the CI
-/// wall-clock guard.)
+/// pass unwinds to the caller once every member is out, and dropping the
+/// group joins helpers that are parked again. (A hang here would trip the
+/// CI wall-clock guard.)
 #[test]
 fn drop_after_worker_death_does_not_wedge() {
     let m = model(404);
@@ -150,9 +150,10 @@ fn drop_after_worker_death_does_not_wedge() {
         kind: FaultKind::Panic,
     }]);
     let cfg = CommConfig { timeout: Duration::from_millis(200), injector: Some(Arc::new(plan.injector())) };
-    let mut eng = TpEngine::new(&pm, 2, cfg, 1, 4, 4);
+    let mut eng = Engine::group(&pm, 2, cfg, 1, 4, 4);
     let start = std::time::Instant::now();
-    let _ = eng.pass(&[(0, &PROMPTS[0])], &[], &mut Vec::new()).expect_err("a member panic must fail the pass");
+    let pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.pass(&[(0, &PROMPTS[0])], &[], &mut Vec::new())));
+    assert!(pass.is_err(), "a member panic must fail the pass");
     drop(eng);
     assert!(start.elapsed() < Duration::from_secs(2), "took {:?}", start.elapsed());
 }

@@ -18,8 +18,8 @@
 //!   correctness, not just costed,
 //! * [`shmem`] — *executed* rendezvous for threads on one host: the
 //!   sense-reversing barrier the members of a split pass (and so a
-//!   tensor-parallel group, `dsi-parallel::tp_exec`) join at, and the
-//!   doorbell they park on between passes. Every rendezvous is bounded
+//!   tensor-parallel group, `dsi_model::paged::Engine::group`) join at,
+//!   and the doorbell they park on between passes. Every rendezvous is bounded
 //!   (spin, then yield with a deadline) and fails typed instead of hanging,
 //! * [`fault`] — deterministic, seed-driven fault injection
 //!   ([`fault::FaultPlan`]) and the typed [`fault::CollectiveError`] a

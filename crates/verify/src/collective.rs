@@ -28,12 +28,13 @@
 
 use crate::{Diagnostic, Pass};
 use dsi_model::fast::{PackedModel, Row};
-use dsi_model::paged::PagedEngine;
+use dsi_model::paged::Engine;
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
 use dsi_parallel::mapping::Mapping3D;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
 use dsi_sim::engine::{Resource, TaskGraph};
+use dsi_sim::shmem::CommConfig;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -421,14 +422,14 @@ const MEMBER_PASSES: [NamedPass; 3] = [
 /// tiny 2-layer model, through the seat, mixed and decode passes of
 /// `MEMBER_PASSES`: one barrier per join of `scratch::split_step_trace`
 /// (every phase of a pass but the last ends at one), which is what a
-/// tensor-parallel group's members execute. A live engine runs the same
-/// passes on `members` members, and each member's barrier crossings (the
+/// tensor-parallel group's members execute. A live group of `members`
+/// members runs the same passes, and each member's barrier crossings (the
 /// barrier's arrival heartbeat, so the hot path records nothing) must equal
 /// its program's joins: a `join-count` diagnostic otherwise.
 pub fn member_programs(members: usize) -> Result<Programs, Diagnostic> {
     let model = GptModel::random(zoo::tiny(2), 7);
     let pm = PackedModel::pack(&model);
-    let mut eng = PagedEngine::new(&pm, 2, 8, 4);
+    let mut eng = Engine::group(&pm, members, CommConfig::default(), 2, 8, 4);
     let (mut lens, mut ops) = ([0usize; 2], Vec::new());
     for (name, seats, advance) in MEMBER_PASSES {
         let mut rows: Vec<Row> = Vec::new();
@@ -442,7 +443,7 @@ pub fn member_programs(members: usize) -> Result<Programs, Diagnostic> {
         }
         let (_, phases, _) = crate::scratch::split_step_trace(&model.config, members, &rows);
         ops.extend(phases[..phases.len() - 1].iter().map(|p| format!("{name}.{}", p.name)));
-        eng.pass_split(members, seats, advance, &mut Vec::new()).expect("a fault-free pass");
+        eng.pass(seats, advance, &mut Vec::new()).expect("a fault-free pass");
     }
     let group: Vec<usize> = (0..members).collect();
     let joins = eng.member_joins();

@@ -223,18 +223,15 @@ fn intern(s: String) -> &'static str {
     }
 }
 
-/// Build the step trace of one `dsi_model::fast::step` pass over `rows` at
-/// one rank of a `tp`-way shard (`tp = 1`: the whole model), followed by
-/// the `fast::logits` head, mirroring its region sequence: embed; per layer
-/// one M-row region 1, a K/V write per row, an attention launch per row
-/// against that row's sequence's K/V (its query read in place from the QKV
-/// scratch at stride `3a`), then M-row regions 3–5 with the x/y
-/// double-buffer swap; final layer-norm + logits. The shard widths are
-/// those `step` reads from the panels: `a = h/tp` attention columns and
-/// `f = 4h/tp` FF neurons, with the residual stream full-width (a GPU's
-/// W_o/FF2 all-reduce runs in place on the projection's output). A prompt
-/// pass is rows of one `seq` at consecutive positions, a decode step one
-/// row for each of m `seq`s.
+/// Build the step trace of one `dsi_model::fast::step` pass over `rows`,
+/// followed by the `fast::logits` head, mirroring its region sequence:
+/// embed; per layer one M-row region 1, a K/V write per row, an attention
+/// launch per row against that row's sequence's K/V (its query read in
+/// place from the QKV scratch at stride `3a`), then M-row regions 3–5 with
+/// the x/y double-buffer swap; final layer-norm + logits. The widths are
+/// the model's: `a = h` attention columns and `f = 4h` FF neurons. A
+/// prompt pass is rows of one `seq` at consecutive positions, a decode step
+/// one row for each of m `seq`s.
 ///
 /// The arena combines the scratch buffers of [`scratch_layout`] with one K
 /// and one V tensor per layer per sequence (capacity `max_seq × a`,
@@ -242,11 +239,10 @@ fn intern(s: String) -> &'static str {
 /// tensor would be cross-sequence corruption. The third value is the KV
 /// rows earlier passes wrote: every sequence's rows below its first
 /// position in this pass.
-pub fn step_trace(c: &GptConfig, tp: usize, rows: &[Row]) -> (Arena, Vec<Step>, Vec<SliceRef>) {
+pub fn step_trace(c: &GptConfig, rows: &[Row]) -> (Arena, Vec<Step>, Vec<SliceRef>) {
     let (h, m) = (c.hidden, rows.len());
     assert!(m > 0, "a pass has at least one row");
-    assert!(c.heads.is_multiple_of(tp), "tp must divide the heads");
-    let (a, f) = (h / tp, 4 * h / tp);
+    let (a, f) = (h, 4 * h);
     let kv = |l: usize, seq: usize, side: &str| intern(format!("kv{l}.s{seq}.{side}"));
     let mut seqs: Vec<usize> = rows.iter().map(|r| r.seq).collect();
     seqs.sort_unstable();
@@ -315,19 +311,18 @@ pub fn step_trace(c: &GptConfig, tp: usize, rows: &[Row]) -> (Arena, Vec<Step>, 
 }
 
 /// Check one [`step_trace`] against its own arena.
-pub fn verify_step(c: &GptConfig, tp: usize, rows: &[Row]) -> Vec<Diagnostic> {
-    let (arena, steps, written) = step_trace(c, tp, rows);
+pub fn verify_step(c: &GptConfig, rows: &[Row]) -> Vec<Diagnostic> {
+    let (arena, steps, written) = step_trace(c, rows);
     check_trace(&arena, &steps, &written)
 }
 
-/// Verify the fast decode path of one model config, at one rank of a
-/// `tp`-way shard, for both phases: a `prompt_len`-row prompt pass and the
-/// single-row decode step after it.
-pub fn verify_decode_plan(c: &GptConfig, tp: usize, prompt_len: usize) -> Vec<Diagnostic> {
+/// Verify the fast decode path of one model config for both phases: a
+/// `prompt_len`-row prompt pass and the single-row decode step after it.
+pub fn verify_decode_plan(c: &GptConfig, prompt_len: usize) -> Vec<Diagnostic> {
     let n = prompt_len.max(1);
     let prompt: Vec<Row> = (0..n).map(|pos| Row { seq: 0, token: 0, pos }).collect();
-    let mut diags = verify_step(c, tp, &prompt);
-    diags.extend(verify_step(c, tp, &[Row { seq: 0, token: 0, pos: n }]));
+    let mut diags = verify_step(c, &prompt);
+    diags.extend(verify_step(c, &[Row { seq: 0, token: 0, pos: n }]));
     diags
 }
 
@@ -335,7 +330,7 @@ pub fn verify_decode_plan(c: &GptConfig, tp: usize, prompt_len: usize) -> Vec<Di
 /// at its own position `offsets[i]` (ragged contexts).
 pub fn verify_batched_decode_plan(c: &GptConfig, offsets: &[usize]) -> Vec<Diagnostic> {
     let rows: Vec<Row> = offsets.iter().enumerate().map(|(seq, &pos)| Row { seq, token: 0, pos }).collect();
-    verify_step(c, 1, &rows)
+    verify_step(c, &rows)
 }
 
 /// Seeded negative control for the batched layout: two M-row attention
@@ -426,7 +421,7 @@ pub fn split_step_trace(c: &GptConfig, members: usize, rows: &[Row]) -> (Arena, 
     let (h, m, f) = (c.hidden, rows.len(), 4 * c.hidden);
     assert!(m > 0 && (1..=c.heads).contains(&members), "a split pass has rows and at most one member per head");
     let d = h / c.heads;
-    let (base, _, written) = step_trace(c, 1, rows);
+    let (base, _, written) = step_trace(c, rows);
     let normed = |t: usize| intern(format!("normed.m{t}"));
     let mut buffers: Vec<(&'static str, usize)> = base.buffers.into_iter().filter(|(b, _)| *b != "normed").collect();
     buffers.extend((0..members).map(|t| (normed(t), m * h)));
@@ -601,16 +596,14 @@ mod tests {
     #[test]
     fn fast_path_trace_is_clean() {
         for (m, off) in [(1usize, 0usize), (4, 0), (1, 7), (8, 0), (3, 5)] {
-            for tp in [1, 2, 4] {
-                let d = verify_step(&zoo::tiny(3), tp, &pass(0, off, m));
-                assert!(d.is_empty(), "m={m} off={off} tp={tp}: {d:?}");
-            }
+            let d = verify_step(&zoo::tiny(3), &pass(0, off, m));
+            assert!(d.is_empty(), "m={m} off={off}: {d:?}");
         }
     }
 
     #[test]
     fn verify_decode_plan_clean_for_zoo_models() {
-        let d = verify_decode_plan(&zoo::tiny(2), 1, 8);
+        let d = verify_decode_plan(&zoo::tiny(2), 8);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -650,7 +643,7 @@ mod tests {
         // Two rows of the same layer must reference distinct KV buffers —
         // the trace-level statement of per-sequence cache isolation.
         let c = zoo::tiny(1);
-        let (arena, _, _) = step_trace(&c, 1, &[pass(0, 4, 1), pass(1, 7, 1)].concat());
+        let (arena, _, _) = step_trace(&c, &[pass(0, 4, 1), pass(1, 7, 1)].concat());
         let kv: Vec<&str> =
             arena.buffers.iter().map(|&(n, _)| n).filter(|n| n.starts_with("kv")).collect();
         let unique: std::collections::HashSet<&str> = kv.iter().copied().collect();
@@ -790,8 +783,8 @@ mod tests {
         // A prompt longer than the scratch arena was sized for: the trace
         // built with the *small* arena must flag the overflow statically.
         let c = zoo::tiny(1);
-        let (small_arena, _, _) = step_trace(&c, 1, &pass(0, 0, 2));
-        let (_, big_steps, _) = step_trace(&c, 1, &pass(0, 0, 8));
+        let (small_arena, _, _) = step_trace(&c, &pass(0, 0, 2));
+        let (_, big_steps, _) = step_trace(&c, &pass(0, 0, 8));
         let d = check_trace(&small_arena, &big_steps, &[]);
         assert!(d.iter().any(|x| x.code == "scratch-oob"), "{d:?}");
     }

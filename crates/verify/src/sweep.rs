@@ -196,9 +196,9 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
 
         // --- Pass 2: scratch arena of the fast decode path. ---
         // Trace a 16-row prompt pass (each row attending over its causal
-        // prefix) and the decode step after it, whole and at one rank of a
-        // 2- and 4-way shard (the paper's per-GPU widths): cheap enough to
-        // run for the 530B layer count. Then the
+        // prefix) and the decode step after it, over the whole model (a
+        // TP group runs the whole model's pass split; pass 2c checks the
+        // split): cheap enough to run for the 530B layer count. Then the
         // serving scheduler's mixed pass: the prompt rows of two sequences
         // at different offsets (a newcomer, and a replay past an attached
         // front) beside the decode rows of three others.
@@ -207,15 +207,13 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
             .flat_map(|(seq, ps)| ps.map(move |pos| Row { seq, token: 0, pos }))
             .chain((2..5).map(|seq| Row { seq, token: 0, pos: 3 * seq }))
             .collect();
-        for tp in [1usize, 2, 4].into_iter().filter(|&tp| c.heads.is_multiple_of(tp)) {
-            let mut d = crate::scratch::verify_decode_plan(c, tp, 16);
-            d.extend(crate::scratch::verify_step(c, tp, &mixed));
-            report.scratch_traces += 3; // prompt + decode + mixed trace
-            report.diagnostics.extend(d.into_iter().map(|mut x| {
-                x.site = format!("{}: {}", site(&format!("decode tp={tp}")), x.site);
-                x
-            }));
-        }
+        let mut d = crate::scratch::verify_decode_plan(c, 16);
+        d.extend(crate::scratch::verify_step(c, &mixed));
+        report.scratch_traces += 3; // prompt + decode + mixed trace
+        report.diagnostics.extend(d.into_iter().map(|mut x| {
+            x.site = format!("{}: {}", site("decode"), x.site);
+            x
+        }));
 
         // --- Pass 2b: batched ragged-offset decode (an M-row `fast::step`). ---
         // Each batch size the M-row dispatcher distinguishes, at staggered

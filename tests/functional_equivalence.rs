@@ -9,7 +9,6 @@ use deepspeed_inference::model::reference::{layer_forward, GptModel, KvCache, La
 use deepspeed_inference::model::zoo;
 use deepspeed_inference::moe::layer::{ep_forward, MoeLayer};
 use deepspeed_inference::parallel::tp::{shard_layer, tp_layer_forward, tp_layer_forward_into};
-use deepspeed_inference::parallel::tp_exec::TpEngine;
 
 /// Full-model tensor parallelism: shard every layer, run the whole stack
 /// with functional all-reduces, and compare logits with the reference.
@@ -60,13 +59,15 @@ fn tensor_parallel_full_model_equivalence() {
     assert_eq!(ops::argmax_rows(&got), ops::argmax_rows(&want));
 }
 
-/// The executed (threaded) TP engine decodes token-identically to the
+/// The executed (threaded) TP group decodes token-identically to the
 /// single-thread fast path, which itself matches the reference — closing
-/// the loop reference → fast → tp_exec at every TP degree, through ragged
-/// multi-slot passes: a second sequence seated while the first advances.
+/// the loop reference → fast → `Engine::group` at every TP degree, through
+/// ragged multi-slot passes: a second sequence seated while the first
+/// advances.
 #[test]
 fn tp_exec_session_matches_fast_session_tokens() {
     use deepspeed_inference::model::fast::PackedModel;
+    use deepspeed_inference::model::paged::Engine;
     use deepspeed_inference::sim::shmem::CommConfig;
 
     let model = GptModel::random(zoo::tiny(2), 123);
@@ -76,7 +77,7 @@ fn tp_exec_session_matches_fast_session_tokens() {
     assert_eq!(want, model.generate(&a, 12));
     let want_b = pm.session(2).generate(&b, 11);
     for tp in 1..=4 {
-        let mut eng = TpEngine::new(&pm, tp, CommConfig::default(), 2, 16, 4);
+        let mut eng = Engine::group(&pm, tp, CommConfig::default(), 2, 16, 4);
         let (mut got, mut got_b, mut out) = (Vec::new(), Vec::new(), Vec::new());
         eng.pass(&[(0, &a)], &[], &mut out).unwrap();
         got.push(out[0]);
