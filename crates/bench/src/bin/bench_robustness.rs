@@ -185,7 +185,8 @@ fn tp_section(full: bool) -> TpSection {
         assert!(landed, "tp: the storm must recover one fault and narrow once: {:?}", r.faults);
     }
     let dt = |runs: &[(f64, GroupReport)]| median_of(runs, |r| r.0);
-    let storm = assert_recovered_goodput("tp", dt(&runs[0]), dt(&runs[1]), stall_ms as f64 / 1e3);
+    let inputs = format!("{storm_reps} reps a side of {gen} tokens at tp {tp}");
+    let storm = assert_recovered_goodput("tp", dt(&runs[0]), dt(&runs[1]), stall_ms as f64 / 1e3, &inputs);
     TpSection { model: config.name, tp, gen_tokens: gen, reps, armed, storm }
 }
 
@@ -503,11 +504,16 @@ fn serve_section(full: bool) -> ServeSection {
         faulted.completed,
         recoveries(faulted),
     );
+    let inputs = format!(
+        "clean {:.2} req/s, storm {:.2} req/s, the storm arm completed {}/{} submitted, {injected_ms} ms injected",
+        cont.goodput_rps, faulted.goodput_rps, faulted.completed, faulted.submitted
+    );
     let storm = assert_recovered_goodput(
         "serve",
         1.0 / cont.goodput_rps,
         1.0 / faulted.goodput_rps,
         injected_ms as f64 / 1e3 / faulted.completed as f64,
+        &inputs,
     );
     let armed = engine_armed_idle(&emodel, armed_reps);
     assert_armed_idle("serve", &armed);
@@ -669,7 +675,8 @@ fn offload_section(full: bool) -> OffloadSection {
             assert!(stats.slow_reads > 0, "offload: the storm never landed");
             let clean_dt = median_of(&runs[depths.iter().position(|&d| d == depth).unwrap()], |r| r.0);
             let what = format!("offload (depth {depth}, {faults} x {stall_millis} ms)");
-            let storm = assert_recovered_goodput(&what, clean_dt, storm_dt, stats.stall_ms as f64 / 1e3);
+            let inputs = format!("{} slow reads", stats.slow_reads);
+            let storm = assert_recovered_goodput(&what, clean_dt, storm_dt, stats.stall_ms as f64 / 1e3, &inputs);
             DegradedCell { depth, stall_millis, faults, slow_reads: stats.slow_reads, storm }
         })
         .collect();

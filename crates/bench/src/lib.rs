@@ -176,8 +176,10 @@ pub struct Recovered {
 }
 
 /// The recovered-goodput gate: under a fault storm the system keeps at
-/// least a quarter of its clean goodput, net of the injected sleep.
-pub fn assert_recovered_goodput(what: &str, clean_s: f64, storm_s: f64, injected_s: f64) -> Recovered {
+/// least a quarter of its clean goodput, net of the injected sleep. A
+/// failure names its inputs: the three times and the caller's `inputs`
+/// (what the arms ran and what the storm left).
+pub fn assert_recovered_goodput(what: &str, clean_s: f64, storm_s: f64, injected_s: f64, inputs: &str) -> Recovered {
     let r = Recovered {
         clean_s,
         storm_s,
@@ -191,7 +193,15 @@ pub fn assert_recovered_goodput(what: &str, clean_s: f64, storm_s: f64, injected
         injected_s * 1e3,
         r.raw_ratio
     );
-    assert!(r.net_ratio >= 0.25, "{what}: recovered goodput {:.2} below the 0.25 gate", r.net_ratio);
+    assert!(
+        r.net_ratio >= 0.25,
+        "{what}: recovered goodput {:.2} below the 0.25 gate (clean {:.2} ms, storm {:.2} ms, {:.2} ms injected \
+         per unit of work; {inputs})",
+        r.net_ratio,
+        clean_s * 1e3,
+        storm_s * 1e3,
+        injected_s * 1e3
+    );
     r
 }
 

@@ -1844,6 +1844,38 @@ mod tests {
             }
         }
 
+        /// Each member of a tp 2 and a tp 4 group exits, one group each, at
+        /// the first, the second, a middle and the last join of a pass: the
+        /// pass fails typed with that member's exit, the group narrows by
+        /// one, and the next pass is bitwise the one-member pass.
+        #[test]
+        fn an_exit_at_any_join_fails_typed_and_narrows_by_one() {
+            let m = model(2, 71);
+            let pm = PackedModel::pack(&m);
+            let seat: [(usize, &[usize]); 1] = [(0, &[1, 2, 3])];
+            let run = |eng: &mut PagedEngine<'_, '_>| {
+                let mut out = Vec::new();
+                eng.pass(&seat, &[], &mut out).map(|()| (out, logit_bits(eng)))
+            };
+            let want = run(&mut Engine::group(&pm, 1, CommConfig::default(), 1, 8, 4)).unwrap();
+            for tp in [2usize, 4] {
+                let mut clean = Engine::group(&pm, tp, CommConfig::default(), 1, 8, 4);
+                run(&mut clean).unwrap();
+                let joins = clean.member_joins()[0];
+                for member in 0..tp {
+                    for at in [0, 1, joins / 2, joins - 1] {
+                        let exit = spec(member, FaultSite::Barrier { epoch: at }, FaultKind::Exit);
+                        let mut eng = Engine::group(&pm, tp, faulty(vec![exit], 100), 1, 8, 4);
+                        let case = format!("tp {tp}, member {member} exits at join {at} of {joins}");
+                        let Err(StepError::Member(e)) = run(&mut eng) else { panic!("{case}: the pass must fail typed") };
+                        assert_eq!((e.rank, e.epoch, &e.kind), (member, at, &CollectiveErrorKind::InjectedExit), "{case}");
+                        assert_eq!(eng.degree(), tp - 1, "{case}");
+                        assert_eq!(run(&mut eng).expect("the group serves on"), want, "{case}");
+                    }
+                }
+            }
+        }
+
         /// Generate `n` tokens for each prompt, one slot each, recovering
         /// from every fault the way the serving scheduler does: release what
         /// the failed pass advanced, then seat each committed context again.

@@ -65,6 +65,7 @@ use dsi_core::{BatchEngine, FaultClass, FaultyEngine};
 use dsi_model::fast::PackedModel;
 use dsi_model::paged::{Engine, GroupReport};
 use dsi_model::reference::GptModel;
+use dsi_model::GptConfig;
 use dsi_sim::clock::{CancelToken, Clock};
 use dsi_sim::fault::EngineFaultInjector;
 use dsi_sim::shmem::CommConfig;
@@ -458,6 +459,9 @@ pub struct Server {
     cfg: ServeConfig,
     /// The engine's slot count and page geometry, as admission sees them.
     cont: ContinuousConfig,
+    /// The model's vocabulary and longest sequence, which bound a request.
+    vocab: usize,
+    max_seq: usize,
     start_ns: u64,
     worker: Option<JoinHandle<()>>,
 }
@@ -471,8 +475,8 @@ impl Server {
     /// [`ServeReport`].
     pub fn start(model: Arc<GptModel>, cfg: ServeConfig) -> Server {
         let EngineMode::Continuous(cont) = cfg.mode;
-        let (tp, comm) = (cfg.tp, cfg.comm.clone());
-        Self::spawn(cfg, cont, move |w| {
+        let (tp, comm, config) = (cfg.tp, cfg.comm.clone(), model.config.clone());
+        Self::spawn(cfg, cont, &config, move |w| {
             let pm = PackedModel::pack(&model);
             let (slots, pages, page_tokens) = (cont.max_slots, cont.pages_total, cont.page_tokens);
             let eng = match tp {
@@ -500,17 +504,19 @@ impl Server {
     ) -> Result<Server, OffloadError> {
         let EngineMode::Continuous(cont) = cfg.mode;
         let store = OffloadStore::open(path, offload)?;
+        let model = store.config().clone();
         let eng = Engine::new(store, cont.max_slots, cont.pages_total, cont.page_tokens);
-        Ok(Self::spawn(cfg, cont, move |w| {
+        Ok(Self::spawn(cfg, cont, &model, move |w| {
             w.run(eng);
         }))
     }
 
-    /// The one spawn: `body` builds its engine on the worker thread and
-    /// runs it to drain through [`Worker::run`].
+    /// The one spawn: `body` builds its engine over `model` on the worker
+    /// thread and runs it to drain through [`Worker::run`].
     fn spawn(
         cfg: ServeConfig,
         cont: ContinuousConfig,
+        model: &GptConfig,
         body: impl FnOnce(Worker) + Send + 'static,
     ) -> Server {
         let shared = new_shared(&cfg);
@@ -527,16 +533,28 @@ impl Server {
             .name("dsi-serve-scheduler".into())
             .spawn(move || body(w))
             .expect("spawn serve scheduler");
-        Server { shared, cfg, cont, start_ns, worker: Some(worker) }
+        Server { shared, cfg, cont, vocab: model.vocab, max_seq: model.max_seq, start_ns, worker: Some(worker) }
     }
 
     /// Admit or reject `req`. Admission is O(1) under one lock: breaker
     /// check, queue-depth check, KV-budget check, enqueue.
+    ///
+    /// Panics on a malformed request — an empty prompt, one longer than
+    /// [`ServeConfig::max_prompt`], a token past the model's vocabulary, or
+    /// more positions than the model's `max_seq` — so it never reaches the
+    /// engine, where every pass it joined would fail. The last token is
+    /// sampled, never fed back, so a request holds at most
+    /// `prompt + n_tokens - 1` positions (the prompt's, for one token).
     pub fn submit(&self, req: Request) -> Result<Ticket, Rejected> {
         assert!(!req.prompt.is_empty(), "empty prompt");
         assert!(
             req.prompt.len() <= self.cfg.max_prompt,
             "prompt longer than ServeConfig::max_prompt"
+        );
+        assert!(req.prompt.iter().all(|&t| t < self.vocab), "prompt token out of the model's vocab");
+        assert!(
+            req.prompt.len() + req.n_tokens.saturating_sub(1) <= self.max_seq,
+            "prompt + n_tokens exceeds the model's max_seq"
         );
         let mut st = self.shared.state.lock().unwrap();
         st.counters.submitted += 1;
@@ -702,6 +720,7 @@ mod tests {
     use super::*;
     use dsi_model::zoo;
     use dsi_sim::fault::{FaultKind, FaultPlan, FaultSite, FaultSpec};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn tiny_model() -> Arc<GptModel> {
         Arc::new(GptModel::random(zoo::tiny(2), 11))
@@ -767,6 +786,35 @@ mod tests {
         let Outcome::Completed { tokens, .. } = t.wait() else { panic!("expected completion") };
         assert_eq!(tokens, expect);
         srv.drain(Duration::from_secs(5));
+    }
+
+    /// A request is bounded by the model on the caller: the longest ones
+    /// `max_seq` holds complete — a short prompt with the most tokens, a
+    /// whole-context prompt with one — while one token more, or a token
+    /// past the vocabulary, is refused before the queue sees it.
+    #[test]
+    fn requests_past_the_model_are_refused_on_the_caller() {
+        let model = tiny_model();
+        let (max_seq, vocab) = (model.config.max_seq, model.config.vocab);
+        let mut cfg = quiet_cfg(1);
+        cfg.max_prompt = max_seq;
+        let srv = Server::start(Arc::clone(&model), cfg);
+        let (short, whole) = (vec![1, 2, 3], vec![7; max_seq]);
+        let longest = max_seq + 1 - short.len();
+        let request = |prompt: &[usize], n_tokens| Request { prompt: prompt.to_vec(), n_tokens, deadline: None };
+        let refused = |req| catch_unwind(AssertUnwindSafe(|| srv.submit(req))).is_err();
+        assert!(refused(request(&short, longest + 1)));
+        assert!(refused(request(&whole, 2)));
+        assert!(refused(request(&[1, vocab, 2], 2)));
+        for (prompt, n) in [(&short, longest), (&whole, 1)] {
+            let Outcome::Completed { tokens, .. } = srv.submit(request(prompt, n)).unwrap().wait() else {
+                panic!("a {}-token prompt with {n} tokens completes", prompt.len())
+            };
+            assert_eq!(tokens, solo(&model, prompt, n));
+        }
+        let report = srv.drain(Duration::from_secs(5));
+        assert_eq!((report.submitted, report.completed, report.evicted), (2, 2, 0));
+        assert_eq!(report.scheduler.map(|s| s.recoveries), Some(0));
     }
 
     #[test]

@@ -184,32 +184,6 @@ impl Collectives {
     }
 }
 
-/// In-place all-reduce (sum) over caller-owned rank buffers: every slice
-/// ends with the element-wise sum, accumulated in rank order starting from
-/// `0.0` — bit-identical to [`CommGroup::allreduce_sum`], but with zero
-/// heap allocation and no buffer moves. This is the
-/// churn-free core the reference tensor-parallel path reduces through.
-pub fn allreduce_sum_slices(bufs: &mut [&mut [f32]]) {
-    let n = bufs.len();
-    if n <= 1 {
-        return;
-    }
-    let len = bufs[0].len();
-    assert!(
-        bufs.iter().all(|b| b.len() == len),
-        "allreduce requires equal buffer lengths"
-    );
-    for i in 0..len {
-        let mut s = 0.0f32;
-        for b in bufs.iter() {
-            s += b[i];
-        }
-        for b in bufs.iter_mut() {
-            b[i] = s;
-        }
-    }
-}
-
 /// Functional collectives over per-rank `f32` buffers. Used to *verify* that
 /// communication-schedule rewrites (PCC) preserve results.
 ///
@@ -359,23 +333,6 @@ mod tests {
         let flat = Collectives::alltoall(&t, &group, 1e6);
         let (pcc, _, _) = Collectives::pcc_alltoall(&t, &group, 1, 1e6);
         assert!((pcc.time - flat.time).abs() < 1e-12);
-    }
-
-    #[test]
-    fn allreduce_sum_slices_matches_comm_group() {
-        for world in [1usize, 2, 3, 5] {
-            let mut bufs: Vec<Vec<f32>> = (0..world)
-                .map(|r| (0..9).map(|i| ((r * 9 + i) as f32).sin()).collect())
-                .collect();
-            let mut oracle = CommGroup::new(bufs.clone());
-            oracle.allreduce_sum();
-            let mut views: Vec<&mut [f32]> =
-                bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-            allreduce_sum_slices(&mut views);
-            for (got, want) in bufs.iter().zip(&oracle.buffers) {
-                assert_eq!(got, want, "world {world}");
-            }
-        }
     }
 
     #[test]

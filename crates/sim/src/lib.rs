@@ -46,7 +46,7 @@ pub mod topology;
 pub mod trace;
 
 pub use clock::{CancelToken, Clock, ManualClock};
-pub use collectives::{allreduce_sum_slices, CollectiveCost, CommGroup};
+pub use collectives::{CollectiveCost, CommGroup};
 pub use fault::{CollectiveError, CollectiveErrorKind, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
 pub use fault::{EngineFaultInjector, EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec};
 pub use fault::{IoFaultInjector, IoFaultKind, IoFaultPlan, IoFaultSite, IoFaultSpec};

@@ -1,12 +1,13 @@
 //! # dsi-verify — static analysis over inference plans
 //!
 //! The performance argument of the paper rests on plans being *legal*:
-//! Deep-Fusion's tile-dependency rule (Sec. III-B), tensor-parallel sharding
-//! that keeps every rank's collective sequence in lock-step (Sec. IV-A), and
-//! pipeline schedules that never deadlock (Sec. IV-B). The rest of the
-//! workspace checks those invariants dynamically — at execution time, on the
-//! one configuration a test happens to run. This crate proves them
-//! *statically*, over every plan, without executing anything:
+//! Deep-Fusion's tile-dependency rule (Sec. III-B), tensor-slicing members
+//! that meet each other at the same joins (Sec. IV-A), and pipeline
+//! schedules that never deadlock (Sec. IV-B). The rest of the workspace
+//! checks those invariants dynamically — at execution time, on the one
+//! configuration a test happens to run. This crate checks them over every
+//! plan: statically where the plan is a cost model's, and against what the
+//! running code recorded where an executed runtime exists:
 //!
 //! * [`ir`] — shape/dtype inference over [`dsi_kernels::graph::OpDesc`] op
 //!   lists: inner-dimension mismatches, element-count breaks, weight-dtype
@@ -15,10 +16,9 @@
 //! * [`scratch`] — buffer aliasing / lifetime analysis of the
 //!   `FastSession` scratch arena (`dsi-model::fast`): overlapping
 //!   scratch-slice reuse is a verifier error, not a silent wrong answer.
-//! * [`collective`] — collective-order race detector: given a TP/PP/EP
-//!   mapping, check that every rank of each communication group issues the
-//!   same collective sequence with matching byte counts, that send/recv
-//!   pairs rendezvous, and that pipeline task graphs are acyclic.
+//! * [`collective`] — the joins of a split pass (what a tensor-parallel
+//!   group runs), held to a live group's barrier crossings, and pipeline
+//!   task graphs, which must be acyclic with matched inter-stage hops.
 //! * [`locks`] — lock-order / condvar-discipline audit of the serving
 //!   runtime's thread model (`dsi-serve`): the held-while-acquiring graph
 //!   must be acyclic and every condvar wait must hold exactly its mutex.
@@ -56,7 +56,7 @@ pub enum Pass {
     Ir,
     /// Scratch-arena aliasing and lifetime analysis.
     Scratch,
-    /// Collective-order / pipeline race detection.
+    /// Split-pass joins, pipeline structure and runtime protocols.
     Collective,
     /// Unsafe-block source audit.
     Audit,

@@ -4,10 +4,9 @@
 //! multiple *control* threads — submitters, the worker, the draining
 //! caller — contend on shared mutable state, so the classic
 //! deadlock shapes (AB/BA lock inversion, waiting on a condvar while
-//! holding an unrelated lock) become possible. This pass checks the same
-//! property the collective verifier checks for rank programs, one level
-//! up: model each thread's synchronization behaviour as a straight-line
-//! program of [`LockOp`]s and verify
+//! holding an unrelated lock) become possible. This pass models each
+//! thread's synchronization behaviour as a straight-line program of
+//! [`LockOp`]s and verifies
 //!
 //! 1. **acyclic lock order** — the "held-while-acquiring" relation over
 //!    all threads must have no cycle (reusing [`find_cycle`] from the

@@ -11,37 +11,28 @@
 //!   the batched ragged-offset step at every dispatcher batch size
 //!   M ∈ {1, 2, 4, 8, 16}, and that step split across 2 and 4 pass members
 //!   at M ∈ {1, 8} (disjoint member windows between joins);
-//! * **Collective** — tensor-parallel all-reduce programs for each Fig. 6
-//!   mapping, pipeline p2p programs and task-graph structure for the Fig. 8
-//!   mappings, expert-parallel all-to-all programs for each Table II model;
-//! * **Live** — what the running code did ([`record_live`]): the join
-//!   programs of a split pass's members at 2 and 4 members — what a
-//!   tensor-parallel group executes — read off the split trace and held to
-//!   a live engine's barrier crossings (lock-step, deadlock-freedom,
-//!   exit-safety), and the offload store's recorded events over a grid of
-//!   layers × prefetch depths × budgets;
+//! * **Collective** — task-graph structure for the Fig. 8 pipeline
+//!   mappings;
+//! * **Live** — what the running code did ([`record_live`]): each split-pass
+//!   member's barrier crossings at 2 and 4 members — what a tensor-parallel
+//!   group executes — held to the joins the split trace lays out, and the
+//!   offload store's recorded events over a grid of layers × prefetch
+//!   depths × budgets;
 //! * **Audit** — runs separately in xtask (it needs the source tree).
 //!
 //! [`negative_controls`] seeds one defect of each class the verifier claims
 //! to catch — a dtype-mixed region, a corrupted GEMM contraction, an illegal
 //! fusion boundary, an aliased scratch write, a pair of aliasing M-row
 //! attention regions in the batched layout, two split-pass members whose
-//! column windows overlap, two sequences mapped to one KV
-//! page in the paged allocator, a rank skipping an all-reduce, a split-pass
-//! member skipping a join, a cyclic task graph, an undocumented `unsafe`
-//! block, a member exiting mid-way through its join program (survivors
-//! must abort typed), a recv stranded by a dead
-//! sender, a survivor deadlock that an unrelated exit must not mask, a live
+//! column windows overlap, two sequences mapped to one KV page in the paged
+//! allocator, a live split-pass member crossing one join fewer than the
+//! trace, a cyclic task graph, an undocumented `unsafe` block, a live
 //! scheduler's recorded fault recovery with its page releases removed, and
 //! a recorded store run with a panel's first fetch removed — and returns
 //! the diagnostics each produced. CI fails if any control comes back clean:
 //! a verifier that stops detecting is worse than none.
 
-use crate::collective::{
-    check_exit_safety, check_pipeline, check_programs, ep_alltoall_programs, find_cycle,
-    member_programs, pp_p2p_programs, simulate_rendezvous, simulate_rendezvous_with_exits,
-    tp_allreduce_programs, DiGraph, ExitPlan, Op, Programs,
-};
+use crate::collective::{check_member_joins, check_pipeline, find_cycle, record_member_joins, DiGraph, MemberJoins};
 use crate::ir::verify_layer_plan;
 use crate::runtime::{check_prefetch_program, record_offload};
 use crate::scratch::{check_trace, Arena, SliceRef, Step};
@@ -50,7 +41,6 @@ use dsi_kernels::fusion::FusionPlan;
 use dsi_kernels::graph::{transformer_layer_ops_tp, OpKind};
 use dsi_model::fast::Row;
 use dsi_model::zoo;
-use dsi_parallel::mapping::Mapping3D;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
 use dsi_sim::hw::DType;
 use dsi_zero::offload::StoreEvent;
@@ -62,7 +52,8 @@ pub struct SweepReport {
     pub ir_plans: usize,
     /// Number of decode traces analysed.
     pub scratch_traces: usize,
-    /// Number of collective program sets / pipeline graphs checked.
+    /// Number of join records, pipeline graphs, lock models and offload
+    /// recordings checked.
     pub collective_programs: usize,
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -73,35 +64,22 @@ impl SweepReport {
     }
 }
 
-/// What the running code did: per member count, each member's join
-/// program (held to a live engine's joins); per offload run `(layers,
-/// depth, budget in panels)`, the store's events; and a diagnostic for each
-/// run that could not be checked — a recorder that wrapped, or members
-/// whose live joins miss their trace's (the run is left out).
+/// What the running code did: per member count, the split trace's joins
+/// and each live member's crossings; per offload run `(layers, depth,
+/// budget in panels)`, the store's events; and a diagnostic for each
+/// offload run that could not be checked because its recorder wrapped.
 #[derive(Debug, Clone, Default)]
 pub struct Recorded {
-    pub members: Vec<(usize, Programs)>,
+    pub members: Vec<MemberJoins>,
     pub offload: Vec<((usize, usize, usize), Vec<StoreEvent>)>,
     pub overflows: Vec<Diagnostic>,
-}
-
-impl Recorded {
-    fn members(&self, n: usize) -> Programs {
-        self.members.iter().find(|(m, _)| *m == n).map(|(_, p)| p.clone()).unwrap_or_default()
-    }
 }
 
 /// Trace and run split passes on 2 and 4 members, and the paged engine
 /// over an offload store for layers {2, 3, 5} × prefetch depth {0, 1, 2} ×
 /// a budget of {1, 2, 3} panels, and collect what each did.
 pub fn record_live() -> Recorded {
-    let mut r = Recorded::default();
-    for n in [2usize, 4] {
-        match member_programs(n) {
-            Ok(p) => r.members.push((n, p)),
-            Err(d) => r.overflows.push(d),
-        }
-    }
+    let mut r = Recorded { members: [2, 4].map(record_member_joins).into(), ..Recorded::default() };
     for layers in [2usize, 3, 5] {
         for depth in [0usize, 1, 2] {
             for budget in [1usize, 2, 3] {
@@ -244,29 +222,17 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
             }
         }
 
-        // --- Pass 3a: Fig. 6 tensor-parallel all-reduce programs. ---
-        if e.fig6_tp > 1 {
-            let m = Mapping3D::new(1, 1, e.fig6_tp);
-            let (groups, progs) = tp_allreduce_programs(&m, c.layers, 2 * c.hidden as u64);
-            report.collective_programs += 1;
-            report.diagnostics.extend(check_programs(&groups, &progs));
-        }
-
-        // --- Pass 3b: Fig. 8 pipeline structure + p2p rendezvous. ---
-        if let Some((tp, pp)) = e.fig8 {
+        // --- Pass 3a: Fig. 8 pipeline task-graph structure. ---
+        if let Some((_, pp)) = e.fig8 {
             let spec = fig8_spec(pp);
             for sched in [PipelineSchedule::TrainingStyle, PipelineSchedule::InferenceQueue] {
                 report.collective_programs += 1;
                 report.diagnostics.extend(check_pipeline(&spec, sched));
             }
-            let m = Mapping3D::new(1, pp, tp);
-            let progs = pp_p2p_programs(&m, spec.prompt_microbatches, 2 * c.hidden as u64);
-            report.collective_programs += 1;
-            report.diagnostics.extend(simulate_rendezvous(&progs));
         }
     }
 
-    // --- Pass 2c: paged-KV allocator page-sharing discipline. ---
+    // --- Pass 2d: paged-KV allocator page-sharing discipline. ---
     // Share/release/resurrect/re-reserve churn on a real `PagePool` (the
     // continuous scheduler's allocator), then prove every live table maps
     // in-range pages and shares them only as a common front wholly behind
@@ -318,21 +284,16 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         );
     }
 
-    // --- Pass 3c: the split pass members' join programs. ---
-    // Each member's joins through a seat, a mixed and a decode pass, as
-    // the split trace lays them out and a live engine crossed them, at 2
-    // and 4 members (a tensor-parallel group's degrees): lock-step across
-    // members and deadlock-free.
-    for (n, progs) in &recorded.members {
+    // --- Pass 3b: the split pass members' joins. ---
+    // Through a seat, a mixed and a decode pass at 2 and 4 members (a
+    // tensor-parallel group's degrees), every live member crossed as many
+    // joins as the split trace lays out.
+    for joins in &recorded.members {
         report.collective_programs += 1;
-        let group: Vec<usize> = (0..*n).collect();
-        report.diagnostics.extend(check_programs(&[group], progs).into_iter().map(|mut x| {
-            x.site = format!("split members={n}: {}", x.site);
-            x
-        }));
+        report.diagnostics.extend(check_member_joins(joins));
     }
 
-    // --- Pass 3c': serving-runtime lock model (dsi-serve). ---
+    // --- Pass 3c: serving-runtime lock model (dsi-serve). ---
     // The multi-threaded control plane in the workspace: submitters, the
     // one scheduler loop (its own watchdog), drain. The held-while-acquiring
     // graph must stay acyclic and every condvar wait disciplined. A future
@@ -347,7 +308,7 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         }),
     );
 
-    // --- Pass 3c'': the offload store's recorded events (dsi-zero). ---
+    // --- Pass 3d: the offload store's recorded events (dsi-zero). ---
     // No run may use a panel before it is resident, evict a pinned panel,
     // or exceed the resident budget, in whatever order the prefetch
     // worker's timing produced. (The serving breaker and recovery protocol
@@ -360,40 +321,6 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
                 x
             },
         ));
-    }
-
-    // --- Pass 3d: Table II expert-parallel all-to-all programs. ---
-    for moe in zoo::table2() {
-        let bytes = 2 * moe.base.hidden as u64;
-        let (groups, progs) =
-            ep_alltoall_programs(moe.gpus, moe.ep_degree, moe.moe_layers, bytes);
-        report.collective_programs += 1;
-        report.diagnostics.extend(check_programs(&groups, &progs).into_iter().map(|mut x| {
-            x.site = format!("{}: {}", moe.name, x.site);
-            x
-        }));
-    }
-
-    // --- Pass 3e: exit-safety of the members' join programs. ---
-    // Model "member t exits at join e" for every member × a sample of
-    // joins: the bounded join deadline must convert every such loss into a
-    // typed abort on the survivors — never a silent deadlock. The typed
-    // aborts are the expected outcome; `check_exit_safety` returns only what
-    // is left silently stuck.
-    for (n, progs) in &recorded.members {
-        let len = progs[&0].len();
-        for rank in 0..*n {
-            for at in [0usize, 1, len / 2, len - 1] {
-                let exits = ExitPlan::from([(rank, at)]);
-                report.collective_programs += 1;
-                report.diagnostics.extend(
-                    check_exit_safety(progs, &exits).into_iter().map(|mut x| {
-                        x.site = format!("split members={n}, member {rank} exits at join {at}: {}", x.site);
-                        x
-                    }),
-                );
-            }
-        }
     }
 
     report
@@ -418,7 +345,7 @@ impl Control {
 /// Seed one illegal plan per defect class and collect what the passes say.
 /// `recoveries` are recovery programs a live scheduler recorded
 /// ([`crate::runtime::recorded_recoveries`]); the recovery control removes
-/// their releases. The TP and offload controls mutate `recorded` runs
+/// their releases. The join and offload controls mutate `recorded` runs
 /// ([`record_live`]). Every control must fire; [`controls_all_fire`] is the
 /// CI gate.
 pub fn negative_controls(
@@ -527,35 +454,15 @@ pub fn negative_controls(
         ),
     });
 
-    // Collective: one rank skips its layer-0 FF2 all-reduce.
-    let m = Mapping3D::new(1, 1, 4);
-    let (groups, mut progs) = tp_allreduce_programs(&m, 2, 4096);
-    progs.get_mut(&2).unwrap().remove(1);
-    out.push(Control {
-        name: "unmatched collective (rank 2 skips an all-reduce)",
-        expect_code: "collective-mismatch",
-        diagnostics: check_programs(&groups, &progs),
+    // Joins: the live 4-member record with member 1 crossing one join
+    // fewer than the trace — it would read W_o inputs the other members
+    // are still writing.
+    let diagnostics = recorded.members.iter().find(|j| j.members == 4).map_or_else(Vec::new, |j| {
+        let mut bad = j.clone();
+        bad.live[1] -= 1;
+        check_member_joins(&bad)
     });
-
-    // Collective: the same defect must also be a deadlock under rendezvous.
-    out.push(Control {
-        name: "deadlock from skipped all-reduce",
-        expect_code: "deadlock",
-        diagnostics: check_programs(&groups, &progs),
-    });
-
-    // Collective: a 4-member split pass whose member 1 skips its join
-    // after the first attention region — it would read W_o inputs the
-    // other members are still writing.
-    let mut progs = recorded.members(4);
-    if let Some(ops) = progs.get_mut(&1) {
-        ops.remove(1);
-    }
-    out.push(Control {
-        name: "split-pass member 1 skips a join",
-        expect_code: "deadlock",
-        diagnostics: check_programs(&[(0..4).collect()], &progs),
-    });
+    out.push(Control { name: "split-pass member 1 skips a join", expect_code: "join-count", diagnostics });
 
     // Pipeline: a cyclic dependency graph.
     let cyclic = DiGraph { n: 4, edges: vec![(0, 1), (1, 2), (2, 0), (2, 3)] };
@@ -597,28 +504,6 @@ pub fn negative_controls(
             "seeded.rs",
             "fn f(x: &[f32]) -> f32 {\n    unsafe { *x.get_unchecked(0) }\n}\n",
         ),
-    });
-
-    // Exit modelling: member 1 exiting half-way through its 2-member join
-    // program must surface as a *typed* abort on member 0 (the join
-    // deadline), not a hang.
-    let progs = recorded.members(2);
-    let mid = progs.get(&1).map_or(0, |ops| ops.len() / 2);
-    out.push(Control {
-        name: "member exit mid-way through a join program (survivors abort typed)",
-        expect_code: "collective-abort",
-        diagnostics: simulate_rendezvous_with_exits(&progs, &ExitPlan::from([(1usize, mid)])),
-    });
-
-    // Exit modelling, p2p edge: a receiver stranded by a dead sender must
-    // time out typed as well.
-    let mut progs = Programs::new();
-    progs.insert(0, vec![Op::Recv { from: 1, bytes: 8, tag: "act".into() }]);
-    progs.insert(1, vec![Op::Send { to: 0, bytes: 8, tag: "act".into() }]);
-    out.push(Control {
-        name: "recv from exited sender (typed timeout)",
-        expect_code: "collective-abort",
-        diagnostics: simulate_rendezvous_with_exits(&progs, &ExitPlan::from([(1usize, 0)])),
     });
 
     // Recovery protocol: the live scheduler's recorded recoveries with
@@ -667,20 +552,6 @@ pub fn negative_controls(
         diagnostics,
     });
 
-    // Exit safety: a genuine deadlock among *survivors* (send/send cycle)
-    // must still be reported even when an unrelated rank exits — the abort
-    // semantics must not excuse real schedule bugs.
-    let mut progs = Programs::new();
-    progs.insert(0, vec![Op::Send { to: 1, bytes: 8, tag: "a".into() }]);
-    progs.insert(1, vec![Op::Send { to: 0, bytes: 8, tag: "b".into() }]);
-    progs.insert(2, vec![Op::Send { to: 3, bytes: 8, tag: "c".into() }]);
-    progs.insert(3, vec![Op::Recv { from: 2, bytes: 8, tag: "c".into() }]);
-    out.push(Control {
-        name: "survivor deadlock not masked by an exit elsewhere",
-        expect_code: "deadlock",
-        diagnostics: check_exit_safety(&progs, &ExitPlan::from([(2usize, 0)])),
-    });
-
     out
 }
 
@@ -713,7 +584,7 @@ mod tests {
         assert!(recorded.overflows.is_empty(), "{:?}", recorded.overflows);
         assert_eq!((recorded.members.len(), recorded.offload.len()), (2, 27));
         let controls = negative_controls(&recoveries, &recorded);
-        assert_eq!(controls.len(), 19);
+        assert_eq!(controls.len(), 14);
         for c in &controls {
             assert!(c.fired(), "control `{}` produced {:?}", c.name, c.diagnostics);
         }

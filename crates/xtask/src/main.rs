@@ -4,13 +4,14 @@
 //!
 //! Subcommands:
 //! * `verify` — run the full static sweep (`dsi_verify::sweep::verify_all`)
-//!   over every zoo model × figure configuration, over the split pass
-//!   members' join programs (held to a live engine's joins) and over what
-//!   the offload store recorded (printed per run; a recorder that wrapped,
-//!   or a live join count off its trace, fails the sweep), the serving fault path's checks on the live
-//!   code (the breaker explorer, the recorded scheduler traces and
-//!   recoveries), then the negative controls. Exit code 1 if a check finds
-//!   a defect **or** any seeded defect goes undetected.
+//!   over every zoo model × figure configuration, over a live split pass's
+//!   joins per member (held to the split trace's) and over what the offload
+//!   store recorded (both printed per run; a recorder that wrapped, or a
+//!   live join count off its trace, fails the sweep), the serving fault
+//!   path's checks on the live code (the breaker explorer, the recorded
+//!   scheduler traces and recoveries), then the negative controls. Exit
+//!   code 1 if a check finds a defect **or** any seeded defect goes
+//!   undetected.
 //! * `unsafe-audit` — walk every crate's sources and enforce the unsafe
 //!   hygiene contract (`// SAFETY:` on blocks, `# Safety` on fns).
 //! * `all` — both.
@@ -47,9 +48,11 @@ fn run_verify() -> ExitCode {
         "xtask verify: {} IR plans, {} scratch traces, {} collective programs checked",
         report.ir_plans, report.scratch_traces, report.collective_programs
     );
-    for (n, progs) in &recorded.members {
-        let joins: Vec<usize> = progs.values().map(Vec::len).collect();
-        println!("  split-pass join programs: {n} members, joins per member {joins:?} (the live members' crossings)");
+    for j in &recorded.members {
+        println!(
+            "  split-pass joins: {} members, joins per member {:?} (the live members' crossings; the trace lays out {})",
+            j.members, j.live, j.trace
+        );
     }
     let runs: Vec<String> =
         recorded.offload.iter().map(|((l, d, b), ev)| format!("{l}/{d}/{b}: {}", ev.len())).collect();

@@ -8,7 +8,6 @@ use deepspeed_inference::kernels::tensor::Tensor;
 use deepspeed_inference::model::reference::{GptModel, KvCache};
 use deepspeed_inference::model::zoo;
 use deepspeed_inference::moe::layer::{ep_forward, MoeLayer};
-use deepspeed_inference::parallel::tp::shard_layer;
 use deepspeed_inference::sim::collectives::CommGroup;
 use deepspeed_inference::sim::hw::DType;
 use deepspeed_inference::zero::engine::ZeroInference;
@@ -46,13 +45,6 @@ fn zero_inference_none_for_impossible_model() {
     assert!(z.run(1).is_none());
     assert!(z.gpu_only().is_none());
     assert!(z.cpu_only(1).is_none());
-}
-
-#[test]
-#[should_panic(expected = "divisible")]
-fn tensor_parallel_rejects_indivisible_heads() {
-    let lw = deepspeed_inference::model::reference::LayerWeights::random(64, 1);
-    shard_layer(&lw, 4, 8); // 4 heads cannot split 8 ways
 }
 
 #[test]

@@ -5,59 +5,9 @@
 use deepspeed_inference::kernels::quant::{matmul_quantized, QuantizedMatrix};
 use deepspeed_inference::kernels::tensor::Tensor;
 use deepspeed_inference::kernels::ops;
-use deepspeed_inference::model::reference::{layer_forward, GptModel, KvCache, LayerKv};
+use deepspeed_inference::model::reference::{GptModel, KvCache};
 use deepspeed_inference::model::zoo;
 use deepspeed_inference::moe::layer::{ep_forward, MoeLayer};
-use deepspeed_inference::parallel::tp::{shard_layer, tp_layer_forward, tp_layer_forward_into};
-
-/// Full-model tensor parallelism: shard every layer, run the whole stack
-/// with functional all-reduces, and compare logits with the reference.
-#[test]
-fn tensor_parallel_full_model_equivalence() {
-    let cfg = zoo::tiny(3);
-    let model = GptModel::random(cfg.clone(), 99);
-    let prompt = [3usize, 14, 15, 92];
-
-    // Reference.
-    let mut cache = KvCache::new(cfg.layers, cfg.hidden);
-    let want = model.forward(&prompt, &mut cache);
-
-    // TP=4: shard each layer, run embeddings replicated.
-    let tp = 4;
-    let shards: Vec<_> = model
-        .layers
-        .iter()
-        .map(|lw| shard_layer(lw, cfg.heads, tp))
-        .collect();
-    let mut kvs: Vec<Vec<LayerKv>> = (0..cfg.layers)
-        .map(|_| (0..tp).map(|_| LayerKv::empty(cfg.hidden / tp)).collect())
-        .collect();
-
-    let mut x = ops::embedding(&model.wte, &prompt);
-    for (i, row) in (0..prompt.len()).enumerate() {
-        let pos = model.wpe.row(row).to_vec();
-        for (a, b) in x.row_mut(i).iter_mut().zip(pos) {
-            *a += b;
-        }
-    }
-    // Ping-pong between `x` and one caller-owned output buffer: the layer
-    // reduces into `out` in place, no per-layer CommGroup or clone.
-    let mut out = Tensor::zeros(x.shape());
-    for l in 0..cfg.layers {
-        tp_layer_forward_into(&shards[l], &x, &mut kvs[l], &mut out);
-        std::mem::swap(&mut x, &mut out);
-    }
-    let x = ops::layernorm(&x, &model.lnf_g, &model.lnf_b, 1e-5);
-    let got = ops::matmul_transb(&x, &model.wte);
-
-    assert!(
-        got.allclose(&want, 2e-3),
-        "TP full-model logits diverge: {}",
-        got.max_abs_diff(&want)
-    );
-    // Greedy decisions must agree exactly.
-    assert_eq!(ops::argmax_rows(&got), ops::argmax_rows(&want));
-}
 
 /// The executed (threaded) TP group decodes token-identically to the
 /// single-thread fast path, which itself matches the reference — closing
@@ -116,23 +66,6 @@ fn kv_cache_multi_step_equivalence() {
         got.allclose(&want, 5e-3),
         "incremental diverges: {}",
         got.max_abs_diff(&want)
-    );
-}
-
-/// Sharded-layer KV caches jointly hold exactly the reference cache.
-#[test]
-fn tp_kv_cache_partitions_reference_cache() {
-    let lw = deepspeed_inference::model::reference::LayerWeights::random(64, 3);
-    let shards = shard_layer(&lw, 4, 2);
-    let x = Tensor::randn(&[3, 64], 1.0, 4);
-    let mut kv_ref = LayerKv::empty(64);
-    layer_forward(&lw, &x, &mut kv_ref, 4);
-    let mut kvs = vec![LayerKv::empty(32), LayerKv::empty(32)];
-    tp_layer_forward(&shards, &x, &mut kvs);
-    let joint_k = Tensor::cat_cols(&[&kvs[0].k, &kvs[1].k]);
-    assert!(
-        joint_k.allclose(&kv_ref.k, 1e-4),
-        "sharded K caches must concatenate to the reference"
     );
 }
 
