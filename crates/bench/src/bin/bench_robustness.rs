@@ -497,15 +497,29 @@ fn serve_section(full: bool) -> ServeSection {
     // Seconds per completed request: the arms complete different counts.
     let [single, cont, faulted] = [0, 1, 2].map(|i| median_by(&arms[i], |r| 1.0 / r.goodput_rps));
     let continuous_ratio = cont.goodput_rps / single.goodput_rps;
+    // Where the storm arm's uncompleted requests went: shed by an open
+    // breaker or otherwise, evicted (engine faults past the replay budget,
+    // page exhaustion, cancellation), or past their deadline.
+    let fsched = faulted.scheduler.as_ref().expect("continuous arms publish a scheduler report");
+    let (fault_evicted, page_evicted) = (fsched.engine_fault_evictions, fsched.page_evictions);
+    let split = format!(
+        "{} rejected by the breaker, {} otherwise, {} evicted ({fault_evicted} engine fault, {page_evicted} pages, \
+         {} cancelled), {} past their deadline",
+        faulted.rejected_breaker,
+        faulted.rejected_total() - faulted.rejected_breaker,
+        faulted.evicted,
+        faulted.evicted - fault_evicted - page_evicted,
+        faulted.deadline_expired,
+    );
     println!(
-        "serve: continuous {} done vs one slot {} done ({continuous_ratio:.2}x goodput); storm: {} done, {} recoveries",
+        "serve: continuous {} done vs one slot {} done ({continuous_ratio:.2}x goodput); storm: {} done, {} recoveries; {split}",
         cont.completed,
         single.completed,
         faulted.completed,
         recoveries(faulted),
     );
     let inputs = format!(
-        "clean {:.2} req/s, storm {:.2} req/s, the storm arm completed {}/{} submitted, {injected_ms} ms injected",
+        "clean {:.2} req/s, storm {:.2} req/s, the storm arm completed {}/{} submitted ({split}), {injected_ms} ms injected",
         cont.goodput_rps, faulted.goodput_rps, faulted.completed, faulted.submitted
     );
     let storm = assert_recovered_goodput(

@@ -75,7 +75,7 @@ pub enum BreakerAdmission {
 }
 
 /// The breaker itself. Not internally synchronized — it lives inside the
-/// server's single state mutex (see the lock audit in `dsi-verify`).
+/// server's single state mutex, so every transition is made holding it.
 #[derive(Debug, Clone)]
 pub struct Breaker {
     cfg: BreakerConfig,

@@ -52,7 +52,7 @@ pub use breaker::{
     breaker_explorer_check, Breaker, BreakerAdmission, BreakerConfig, BreakerSet, BreakerState,
     SetAdmission,
 };
-pub use scheduler::{live_trace_check, LiveCheck, PageReport, SchedReport};
+pub use scheduler::{PageReport, SchedReport};
 pub use server::{
     ContinuousConfig, EngineMode, EvictReason, Outcome, Rejected, Request,
     ServeConfig, ServeReport, Server, Ticket,

@@ -58,8 +58,10 @@
 //! replay — a seat like any other — re-attaches to it instead of
 //! recomputing it. Every faulted slot is released **before** any replay
 //! reserves, and admission promises every waiting resident its pages, so
-//! the replays fit — the protocol `dsi-verify`'s recovery-program checker
-//! proves, on the steps this loop records (see the tracer below). A
+//! the replays fit. The engine enforces the release-first half itself:
+//! [`Engine`](dsi_model::paged::Engine) asserts on every seat that its slot
+//! is free. The guard below turns that panic into a fault like any other,
+//! so the chaos sweeps fail on every panic no fault plan scripted. A
 //! resident that keeps faulting past [`ContinuousConfig::replay_budget`] is
 //! evicted with the typed [`EvictReason::EngineFault`]. Each fault's class
 //! feeds that class's circuit breaker ([`crate::breaker::BreakerSet`]).
@@ -68,22 +70,6 @@
 //! [`dsi_core::FaultyEngine`]): an injected panic fires *before* the inner
 //! engine runs (its state is untouched under `catch_unwind`), and `Err`
 //! from a pass means every seat is free.
-//!
-//! ## Debug tracer
-//!
-//! With [`ContinuousConfig::trace`] on (default in debug builds), the loop
-//! records its actual lock acquire/release and admit/execute/recover/retire
-//! ordering as [`SchedTraceOp`]s, and with them every recovery step it
-//! takes — poison, release, replay, evict, per slot, a replay whose pass
-//! fails recorded as a replay followed by a release — as
-//! [`SchedTraceOp::Recovery`]. It attaches the trace to the final
-//! [`SchedReport`] and self-checks it at exit: the lock and phase ordering
-//! against [`dsi_verify::locks::continuous_scheduler_model`] via
-//! [`check_sched_trace`], and each recorded recovery program
-//! ([`recorded_recoveries`]) with [`check_recovery_program`]. Neither can
-//! drift from the code, because the code writes them. `cargo xtask verify`
-//! runs [`live_trace_check`] as an end-to-end gate, over a resident, a
-//! tensor-parallel and a fault-scripted server.
 //!
 //! Because every engine's decode is bit-identical to a solo
 //! [`FastSession`](dsi_model::fast::FastSession) run (and a TP group's is
@@ -97,14 +83,10 @@ use std::time::Duration;
 
 use dsi_core::batch::{BatchEngine, EngineError, FaultClass};
 use dsi_model::paged::PageStats;
-use dsi_model::reference::GptModel;
 use dsi_sim::clock::Clock;
-use dsi_verify::locks::{check_sched_trace, SchedTraceOp};
-use dsi_verify::runtime::{check_recovery_program, recorded_recoveries, RecoveryOp};
-use dsi_verify::{Diagnostic, Pass};
 use serde::Serialize;
 
-use crate::server::{ContinuousConfig, EvictReason, Job, Outcome, Running, Server, Shared};
+use crate::server::{ContinuousConfig, EvictReason, Job, Outcome, Running, Shared};
 
 /// Page-allocator statistics at drain, for BENCH_robustness.json.
 #[derive(Debug, Clone, Serialize)]
@@ -150,10 +132,6 @@ pub struct SchedReport {
     /// Residents evicted with [`EvictReason::EngineFault`] after
     /// exhausting their replay budget.
     pub engine_fault_evictions: u64,
-    /// Debug-build scheduler trace (lock + phase ordering of the live
-    /// worker, and the recovery steps it took); empty when tracing is off.
-    /// Checked by [`check_sched_trace`] and [`check_recovery_program`].
-    pub trace: Vec<SchedTraceOp>,
     pub pages: PageReport,
 }
 
@@ -234,23 +212,6 @@ fn guarded<E: BatchEngine, T>(
     }
 }
 
-struct Tracer {
-    on: bool,
-    ops: Vec<SchedTraceOp>,
-}
-
-impl Tracer {
-    fn rec(&mut self, op: SchedTraceOp) {
-        if self.on {
-            self.ops.push(op);
-        }
-    }
-
-    fn recovery(&mut self, op: RecoveryOp) {
-        self.rec(SchedTraceOp::Recovery(op));
-    }
-}
-
 /// The one worker loop: runs `eng` until the server drains, then hands it
 /// back (its fault report is read off it). `max_prompt` bounds the
 /// context a pass seats beyond its first seat; `progress_timeout` arms the
@@ -274,7 +235,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     let mut faults: Vec<FaultClass> = Vec::new();
     let mut occupancy_hist = vec![0u64; cont.max_slots + 1];
     let mut tokens_per_step_hist = vec![0u64; cont.max_slots + 1];
-    let mut tracer = Tracer { on: cont.trace, ops: Vec::new() };
     let mut out = Vec::with_capacity(cont.max_slots);
     // Serve-clock ns of the last admission or successful pass, and the
     // watchdog's fires not yet added to the books.
@@ -283,10 +243,8 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
 
     loop {
         // ---- Phase 1: admit from the queue into free slots (under lock).
-        tracer.rec(SchedTraceOp::IterStart);
         {
             let mut st = shared.state.lock().unwrap();
-            tracer.rec(SchedTraceOp::Acquire);
             // Waiting residents seat in phase 2, so the engine's free count
             // does not show them yet: promise each its pages first.
             let promised: usize = residents
@@ -296,7 +254,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                 .map(|r| eng.pages_for(r.context_len() + 1))
                 .sum();
             let mut free = eng.kv_stats().map_or(usize::MAX, |s| s.pages_free.saturating_sub(promised));
-            let mut admitted = false;
             while let Some(slot) = residents.iter().position(Option::is_none) {
                 let Some(job) = st.queue.front() else { break };
                 // Seat the prompt only if the pool can take it *now*;
@@ -315,25 +272,15 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                 residents[slot] =
                     Some(Resident { job, tokens: Vec::new(), seated: false, replays: 0, admit_seq });
                 admit_seq += 1;
-                admitted = true;
-            }
-            if admitted {
-                tracer.rec(SchedTraceOp::Admit);
             }
             if residents.iter().all(Option::is_none) {
                 if st.draining && st.queue.is_empty() {
-                    drop(st);
-                    tracer.rec(SchedTraceOp::Release);
                     break;
                 }
-                tracer.rec(SchedTraceOp::Wait);
                 let st = shared.work.wait(st).unwrap();
                 drop(st);
-                tracer.rec(SchedTraceOp::Release);
                 continue;
             }
-            drop(st);
-            tracer.rec(SchedTraceOp::Release);
         }
 
         // ---- Phase 2: one pass (no lock held).
@@ -344,9 +291,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
         let (mut advance, mut waiting): (Vec<usize>, Vec<usize>) = (0..residents.len())
             .filter(|&s| residents[s].is_some() && !retired.iter().any(|(rs, _)| *rs == s))
             .partition(|&s| residents[s].as_ref().is_some_and(|r| r.seated));
-        if !(advance.is_empty() && waiting.is_empty()) {
-            tracer.rec(SchedTraceOp::Execute);
-        }
         while !(advance.is_empty() && waiting.is_empty()) {
             let resident = |s: usize| residents[s].as_ref().expect("pass slot occupied");
             // Seat the oldest waiting residents while their contexts fit
@@ -400,7 +344,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                             prefills += 1;
                         } else {
                             debug_assert_eq!(Some(&tok), r.tokens.last(), "prefix replay must be bit-exact");
-                            tracer.recovery(RecoveryOp::Replay { slot });
                         }
                         r.seated = true;
                     }
@@ -439,26 +382,15 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                 }
                 EngineError::Fault { class, msg } => {
                     faults.push(class);
-                    // The seats are free again: a replay among them failed.
-                    for slot in seated.clone() {
-                        if !resident(slot).tokens.is_empty() {
-                            tracer.recovery(RecoveryOp::Replay { slot });
-                            tracer.recovery(RecoveryOp::Release { slot });
-                        }
-                    }
-                    // Every resident the pass advanced is suspect. Release
-                    // each BEFORE any replay reserves — the release-first
-                    // protocol dsi-verify's recovery checker proves.
+                    // The seats are free again (`Err` frees them). Every
+                    // resident the pass advanced is suspect: release each
+                    // BEFORE any replay reserves — the engine asserts a
+                    // seat's slot is free.
                     if !advance.is_empty() {
-                        tracer.rec(SchedTraceOp::Recover);
                         recoveries += 1;
-                        for &slot in &advance {
-                            tracer.recovery(RecoveryOp::Fault { slot });
-                        }
                         for &slot in &advance {
                             eng.release(slot);
                             residents[slot].as_mut().expect("occupied").seated = false;
-                            tracer.recovery(RecoveryOp::Release { slot });
                         }
                     }
                     // Every resident of the pass is charged one replay and
@@ -473,9 +405,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                             waiting.push(slot);
                             continue;
                         }
-                        if !r.tokens.is_empty() {
-                            tracer.recovery(RecoveryOp::Evict { slot });
-                        }
                         let reason = EvictReason::EngineFault { class, msg: msg.clone() };
                         retired.push((slot, Retire::Evicted(reason)));
                     }
@@ -489,7 +418,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
         let mut deliveries: Vec<(Job, Outcome)> = Vec::new();
         {
             let mut st = shared.state.lock().unwrap();
-            tracer.rec(SchedTraceOp::Acquire);
             let now = shared.clock.now_ns();
             // Fault events feed the per-class breakers first, so a probe
             // evicted by a fault of its own class sees Open (not
@@ -498,9 +426,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                 st.breaker.on_failure(class, now);
             }
             st.counters.watchdog_fires += std::mem::take(&mut watchdog_fires);
-            if !retired.is_empty() {
-                tracer.rec(SchedTraceOp::Retire);
-            }
             for (slot, why) in retired {
                 let Resident { job, mut tokens, seated, .. } =
                     residents[slot].take().expect("retired slot occupied");
@@ -541,8 +466,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                 deliveries.push((job, outcome));
             }
             st.pool_pages = eng.kv_stats().map_or(0, |s| s.pages_in_use);
-            drop(st);
-            tracer.rec(SchedTraceOp::Release);
         }
         for (job, outcome) in deliveries {
             let _ = job.tx.send(outcome);
@@ -561,19 +484,7 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
         page_tokens: 0,
     });
     let total_occ: u64 = occupancy_hist.iter().enumerate().map(|(b, &n)| b as u64 * n).sum();
-    tracer.rec(SchedTraceOp::IterStart);
     let mut st = shared.state.lock().unwrap();
-    tracer.rec(SchedTraceOp::Acquire);
-    // The release below follows unconditionally once the report is
-    // published; record it now so the attached trace is complete.
-    tracer.rec(SchedTraceOp::Release);
-    if tracer.on {
-        let mut diags = check_sched_trace(&tracer.ops);
-        for prog in recorded_recoveries(&tracer.ops) {
-            diags.extend(check_recovery_program(&prog));
-        }
-        debug_assert!(diags.is_empty(), "live scheduler trace diverged from model: {diags:#?}");
-    }
     st.pool_pages = stats.pages_in_use;
     st.sched_report = Some(SchedReport {
         steps,
@@ -587,7 +498,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
         recoveries,
         replays,
         engine_fault_evictions,
-        trace: tracer.ops,
         pages: PageReport {
             pages_total: stats.pages_total,
             page_tokens: stats.page_tokens,
@@ -634,130 +544,20 @@ fn scan_retirements(
     }
 }
 
-/// What [`live_trace_check`] found.
-#[derive(Debug)]
-pub struct LiveCheck {
-    /// Every diagnostic (empty = clean).
-    pub diagnostics: Vec<Diagnostic>,
-    /// The recovery programs the fault-scripted server recorded, one per
-    /// recovery (the input of `dsi-verify`'s page-leak negative control).
-    pub recoveries: Vec<Vec<RecoveryOp>>,
-}
-
-impl LiveCheck {
-    /// Across [`LiveCheck::recoveries`]: replays that re-seated their
-    /// slot, replays whose pass failed (a replay, then a release), and
-    /// evictions.
-    pub fn recovery_shape(&self) -> (usize, usize, usize) {
-        // Each op, seen together with the ops after it in its program.
-        let count = |f: fn(&[RecoveryOp]) -> bool| {
-            let tails = self.recoveries.iter().flat_map(|p| (0..p.len()).map(move |i| &p[i..]));
-            tails.filter(|t| f(t)).count()
-        };
-        let failed = count(|t| match t {
-            [RecoveryOp::Replay { slot }, RecoveryOp::Release { slot: s }, ..] => s == slot,
-            _ => false,
-        });
-        let replays = count(|t| matches!(t, [RecoveryOp::Replay { .. }, ..]));
-        (replays - failed, failed, count(|t| matches!(t, [RecoveryOp::Evict { .. }, ..])))
-    }
-}
-
-/// Drain `srv` and check the trace its scheduler recorded: the lock and
-/// phase ordering, and every recovery program in it. Returns the programs.
-fn check_drained(srv: Server, diags: &mut Vec<Diagnostic>) -> Vec<Vec<RecoveryOp>> {
-    let report = srv.drain(Duration::from_secs(5));
-    let trace = report.scheduler.expect("the scheduler attaches its report").trace;
-    diags.extend(check_sched_trace(&trace));
-    let recoveries = recorded_recoveries(&trace);
-    for prog in &recoveries {
-        diags.extend(check_recovery_program(prog));
-    }
-    recoveries
-}
-
-/// End-to-end tracer gate for `cargo xtask verify`: run three short serves
-/// with tracing forced on and check what each scheduler recorded — its lock
-/// and phase trace against the verified lock model, its recoveries with the
-/// recovery-program checker. A resident and a tp = 2 server see batched
-/// completions, a cancel, an idle park and a drain; a resident server
-/// under scripted engine faults must record a recovery whose replay
-/// re-seats, a replay whose pass fails, and an eviction past the replay
-/// budget.
-pub fn live_trace_check() -> LiveCheck {
-    use crate::server::{EngineMode, Request, ServeConfig};
-    use dsi_sim::fault::{EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec};
-    let model = Arc::new(GptModel::random(dsi_model::zoo::tiny(2), 7));
-    let cont = ContinuousConfig {
-        max_slots: 2,
-        pages_total: 32,
-        page_tokens: 4,
-        trace: true,
-        ..ContinuousConfig::default()
-    };
-    let mut cfg = ServeConfig::new(1);
-    cfg.mode = EngineMode::Continuous(cont);
-    let resident = Server::start(Arc::clone(&model), cfg.clone());
-    let group = Server::start(Arc::clone(&model), ServeConfig { tp: 2, ..cfg.clone() });
-    let mut diags = Vec::new();
-    for srv in [resident, group] {
-        let tickets: Vec<_> = (0..3)
-            .map(|i| {
-                srv.submit(Request { prompt: vec![i + 1, i + 2], n_tokens: 4, deadline: None })
-                    .expect("admission")
-            })
-            .collect();
-        let cancelled = srv
-            .submit(Request { prompt: vec![9, 9], n_tokens: 16, deadline: None })
-            .expect("admission");
-        cancelled.cancel();
-        for t in tickets {
-            t.wait();
-        }
-        cancelled.wait();
-        // Let the scheduler park at least once before draining, so the
-        // trace contains the idle Wait shape too.
-        std::thread::sleep(Duration::from_millis(10));
-        check_drained(srv, &mut diags);
-    }
-
-    // The first request runs alone, so the first passes are its own: pass 0
-    // seats it, pass 1 advances it and is corrupted (a recovery), so is the
-    // replay's pass 2 (a replay, then a release); pass 3 re-seats it, and
-    // pass 4 faults it again with its two-replay budget spent (an eviction).
-    // Pass 7 faults whoever is resident by then. Corruption, not a panic,
-    // keeps the output quiet; this server exercises recovery, not the
-    // breaker.
-    let faults = [1, 2, 4, 7].map(|call| EngineFaultSpec {
-        site: EngineFaultSite::Pass { call },
-        kind: EngineFaultKind::Corrupt,
-    });
-    cfg.mode = EngineMode::Continuous(ContinuousConfig { replay_budget: 2, ..cont });
-    cfg.engine_faults = Some(Arc::new(EngineFaultPlan::new(faults.to_vec()).injector()));
-    cfg.breaker.enabled = false;
-    let faulted = Server::start(model, cfg);
-    let request = |i: usize| Request { prompt: vec![i + 1, i + 2], n_tokens: 6, deadline: None };
-    faulted.submit(request(0)).expect("admission").wait();
-    let rest: Vec<_> = (1..3).map(|i| faulted.submit(request(i)).expect("admission")).collect();
-    for t in rest {
-        t.wait();
-    }
-    let mut live = LiveCheck { recoveries: check_drained(faulted, &mut diags), diagnostics: diags };
-    let (seated, failed, evicted) = live.recovery_shape();
-    if seated == 0 || failed == 0 || evicted == 0 {
-        let (code, site) = ("live-recovery-incomplete", "fault-scripted server, each ≥ 1");
-        let recorded = &live.recoveries;
-        let msg = format!("{seated} replays, {failed} failed, {evicted} evicted: {recorded:?}");
-        live.diagnostics.push(Diagnostic::new(Pass::Collective, code, site, msg));
-    }
-    live
-}
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod panic_watch;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::{new_shared, ServeConfig, Shared};
+    use dsi_core::FaultyEngine;
+    use dsi_model::fast::PackedModel;
+    use dsi_model::paged::{Engine, PagedEngine};
+    use dsi_model::reference::GptModel;
     use dsi_sim::clock::{CancelToken, ManualClock};
+    use dsi_sim::fault::{EngineFaultKind, EngineFaultPlan, EngineFaultSite, EngineFaultSpec};
     use std::sync::mpsc::{self, Receiver};
 
     /// Stub engine that advances a manual clock by a fixed amount inside
@@ -867,7 +667,6 @@ mod tests {
             max_slots: 1,
             step_deadline: Some(Duration::from_millis(10)),
             replay_budget: 0,
-            trace: true,
             ..ContinuousConfig::default()
         };
 
@@ -974,10 +773,9 @@ mod tests {
     /// narrowed to the member it kept, serves the next pass.
     #[test]
     fn a_member_panic_maps_like_a_one_member_pass_panic() {
-        use dsi_model::paged::Engine;
         use dsi_sim::shmem::CommConfig;
         let m = GptModel::random(dsi_model::zoo::tiny(2), 3);
-        let pm = dsi_model::fast::PackedModel::pack(&m);
+        let pm = PackedModel::pack(&m);
         let (clock, _time) = Clock::manual();
         let (member, solo) = (PanicsAtLayer1 { pm: &pm, anywhere: false }, PanicsAtLayer1 { pm: &pm, anywhere: true });
         let mut split = Engine::group(&member, 2, CommConfig::default(), 1, 16, 4);
@@ -993,16 +791,128 @@ mod tests {
         assert_eq!(tok, Ok(pm.session(3).generate(&[1, 2, 3], 1)[0]));
     }
 
+    /// The paged engine over `pm`, sized by `cont`, with its passes
+    /// `corrupt` scripted to fail with `Corruption`.
+    fn corrupted_at<'p, 'm>(
+        pm: &'p PackedModel<'m>,
+        cont: ContinuousConfig,
+        corrupt: &[u64],
+    ) -> FaultyEngine<PagedEngine<'p, 'm>> {
+        let specs = corrupt.iter().map(|&call| EngineFaultSpec {
+            site: EngineFaultSite::Pass { call },
+            kind: EngineFaultKind::Corrupt,
+        });
+        let injector = Arc::new(EngineFaultPlan::new(specs.collect()).injector());
+        FaultyEngine::new(Engine::new(pm, cont.max_slots, cont.pages_total, cont.page_tokens), injector)
+    }
+
+    /// The fault-scripted serve: corruption at passes 1, 2, 4 and 7 of one
+    /// engine, a replay budget of 2, and requests `[i + 1, i + 2]` of six
+    /// tokens — request 0 alone, then requests 1 and 2 together. Two runs of
+    /// the loop over the one engine, each with its jobs queued before it
+    /// starts, so which pass carries which request does not depend on when
+    /// a client submits. (No breaker is involved: the jobs skip admission.)
     #[test]
-    fn live_recoveries_are_recorded_and_checked() {
-        let live = live_trace_check();
-        assert!(live.diagnostics.is_empty(), "{:#?}", live.diagnostics);
-        let (seated, failed, evicted) = live.recovery_shape();
-        assert!(seated >= 1 && failed >= 1 && evicted >= 1, "{:?}", live.recoveries);
-        // The live recording is what the page-leak control mutates.
-        let recorded = dsi_verify::sweep::record_live();
-        let controls = dsi_verify::sweep::negative_controls(&live.recoveries, &recorded);
-        assert!(dsi_verify::sweep::controls_all_fire(&controls));
+    fn scripted_corruption_recovers_replays_and_evicts_by_the_script() {
+        let m = GptModel::random(dsi_model::zoo::tiny(2), 7);
+        let pm = PackedModel::pack(&m);
+        let cont =
+            ContinuousConfig { max_slots: 2, pages_total: 32, page_tokens: 4, replay_budget: 2, ..ContinuousConfig::default() };
+        let request = |i: usize| (vec![i + 1, i + 2], 6);
+        let solo = |i: usize| pm.session(2).generate(&request(i).0, 6);
+        let counts = |shared: &Shared| {
+            let st = shared.state.lock().unwrap();
+            let r = st.sched_report.as_ref().expect("the scheduler attaches its report");
+            (r.recoveries, r.replays, r.engine_fault_evictions)
+        };
+
+        // Pass 0 seats request 0. Pass 1 advances it and is corrupted: a
+        // recovery releases it, and it is charged its first replay. Pass 2
+        // seats the replay and is corrupted: its second replay, and no
+        // recovery, since the pass advanced no one. Pass 3 re-seats it, its
+        // first token again. Pass 4 advances it and is corrupted: the third
+        // fault finds its budget spent, so the second recovery evicts it.
+        let eng = corrupted_at(&pm, cont, &[1, 2, 4, 7]);
+        let (outcomes, eng, shared) = serve(eng, cont, Clock::wall(), vec![request(0)]);
+        match &outcomes[0] {
+            Outcome::Evicted { partial, reason: EvictReason::EngineFault { class: FaultClass::Corruption, .. } } => {
+                assert_eq!(partial[..], solo(0)[..1], "request 0 keeps the one token it committed")
+            }
+            other => panic!("request 0 must be evicted by its third corruption, got {other:?}"),
+        }
+        assert_eq!(counts(&shared), (2, 2, 1), "(recoveries, replays, engine-fault evictions)");
+
+        // Pass 5 seats requests 1 and 2 together, pass 6 advances both, and
+        // pass 7 advances both and is corrupted: one recovery releases both,
+        // a replay each. Pass 8 re-seats both, and they run to completion.
+        let (outcomes, _, shared) = serve(eng, cont, Clock::wall(), vec![request(1), request(2)]);
+        for (i, outcome) in (1..).zip(&outcomes) {
+            assert!(
+                matches!(outcome, Outcome::Completed { tokens, .. } if *tokens == solo(i)),
+                "request {i} must complete token-identical to its solo run, got {outcome:?}"
+            );
+        }
+        assert_eq!(counts(&shared), (1, 2, 0), "(recoveries, replays, engine-fault evictions)");
+    }
+
+    /// Drops the first `release` after a `Corrupt` fault: a scheduler that
+    /// replays a faulted slot without releasing it first.
+    struct SkipsARelease<E> {
+        inner: E,
+        after_corrupt: bool,
+        skipped: bool,
+    }
+
+    impl<E: BatchEngine> BatchEngine for SkipsARelease<E> {
+        fn max_slots(&self) -> usize {
+            self.inner.max_slots()
+        }
+
+        fn prefill(&mut self, slot: usize, prompt: &[usize]) -> Result<usize, EngineError> {
+            self.inner.prefill(slot, prompt)
+        }
+
+        fn decode_step(&mut self, slots: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
+            self.inner.decode_step(slots, out)
+        }
+
+        fn pass(&mut self, seats: &[(usize, &[usize])], advance: &[usize], out: &mut Vec<usize>) -> Result<(), EngineError> {
+            let ran = self.inner.pass(seats, advance, out);
+            self.after_corrupt |= matches!(ran, Err(EngineError::Fault { class: FaultClass::Corruption, .. }));
+            ran
+        }
+
+        fn release(&mut self, slot: usize) {
+            if self.after_corrupt && !self.skipped {
+                self.skipped = true;
+            } else {
+                self.inner.release(slot);
+            }
+        }
+    }
+
+    /// The release-first control: with the release after a corrupted pass
+    /// dropped, the replay seats into a slot the engine still holds. The
+    /// engine's assertion fires, the guard turns it into a `Panic` fault,
+    /// and the request ends typed as after any fault: the chaos sweeps'
+    /// unscripted-panic check is what tells it from a scripted one.
+    #[test]
+    fn a_replay_before_its_release_is_an_unscripted_panic() {
+        let panics = panic_watch::watch();
+        let m = GptModel::random(dsi_model::zoo::tiny(2), 7);
+        let pm = PackedModel::pack(&m);
+        let cont =
+            ContinuousConfig { max_slots: 1, pages_total: 32, page_tokens: 4, replay_budget: 2, ..ContinuousConfig::default() };
+        let eng = SkipsARelease { inner: corrupted_at(&pm, cont, &[1]), after_corrupt: false, skipped: false };
+        let (outcomes, eng, _) = serve(eng, cont, Clock::wall(), vec![(vec![1, 2], 6)]);
+        assert!(eng.skipped, "the corrupted pass's release was dropped");
+        assert!(
+            matches!(&outcomes[0], Outcome::Evicted { reason: EvictReason::EngineFault { class: FaultClass::Panic, .. }, .. }),
+            "{outcomes:?}"
+        );
+        let fired = catch_unwind(|| panics.assert_none()).expect_err("the unscripted-panic check must fire");
+        let msg = panic_msg(fired);
+        assert!(msg.contains("seat into occupied slot 0"), "{msg}");
     }
 
     /// Stub engine over a pool of one-token pages: a prefill pins
@@ -1061,7 +971,6 @@ mod tests {
             max_slots: 2,
             pages_total: 4,
             page_tokens: 1,
-            trace: true,
             ..ContinuousConfig::default()
         };
         let eng = PoolEngine { total: 4, held: vec![0; 2] };

@@ -50,9 +50,11 @@
 //!   resolves exactly once, under every fault storm the chaos suite throws.
 //!
 //! Lock discipline: ONE mutex (over the private `State`) + two condvars
-//! (`work`, `idle`) both tied to it, plus lock-free cancel flags. A
-//! single-mutex design is trivially deadlock-free; the lock-order audit in
-//! `dsi-verify::locks` encodes this as a regression gate.
+//! (`work`, `idle`) both tied to it, plus lock-free cancel flags. With
+//! one mutex there is no lock order to get wrong, and the types hold the
+//! condvar discipline: `Condvar::wait` takes the `State` guard by value,
+//! so a thread waits only while it holds the state mutex, and there is no
+//! other lock for it to hold across the sleep.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -111,10 +113,6 @@ pub struct ContinuousConfig {
     /// adds `n ×` it, so long healthy prompts are not misread as stalls.
     /// `None` disables the check.
     pub step_deadline: Option<Duration>,
-    /// Record the scheduler's lock/phase trace and self-check it against
-    /// the verified model at exit (see `dsi_verify::locks`). Defaults on
-    /// in debug builds, off in release.
-    pub trace: bool,
 }
 
 impl Default for ContinuousConfig {
@@ -125,7 +123,6 @@ impl Default for ContinuousConfig {
             page_tokens: 16,
             replay_budget: 3,
             step_deadline: None,
-            trace: cfg!(debug_assertions),
         }
     }
 }

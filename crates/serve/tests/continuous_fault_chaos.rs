@@ -21,14 +21,18 @@
 //!   to a solo un-faulted session of the same prompt, and every partial
 //!   (evicted / expired) is an exact prefix of it: prefix replay never
 //!   commits a corrupted token.
-//! * **Recorded recovery is sound** — with tracing on, the lock trace the
-//!   scheduler recorded and every recovery program in it pass
-//!   `dsi-verify`'s checkers, in release builds too.
+//! * **No panic but the scripted ones** — the scheduler's guard turns an
+//!   engine assertion (a replay seated before its slot's release, a pool
+//!   identity, a write into a shared page, a double free) into a fault and
+//!   replays past it, so the sweep records every panic the fault plan did
+//!   not script and fails on any.
 //!
 //! Across the sweep we additionally require that recovery actually ran
 //! (recoveries > 0 and replays > 0 in the scheduler reports) — a sweep
 //! that never faults proves nothing — and that the shared-prefix seeds
 //! attached pages and replayed over them.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,11 +44,10 @@ use dsi_serve::{
     ContinuousConfig, EngineMode, EvictReason, Outcome, Request, ServeConfig, Server,
 };
 use dsi_sim::fault::{splitmix64, EngineFaultPlan};
-use dsi_verify::locks::check_sched_trace;
-use dsi_verify::runtime::{check_recovery_program, recorded_recoveries};
 
 #[test]
 fn continuous_fault_storms_recover_bit_exact() {
+    let panics = common::watch();
     let model = Arc::new(GptModel::random(zoo::tiny(2), 11));
     let pm = PackedModel::pack(&model);
     let mut total_recoveries = 0u64;
@@ -100,7 +103,6 @@ fn continuous_fault_storms_recover_bit_exact() {
             page_tokens: 2,
             replay_budget: 4,
             step_deadline: Some(Duration::from_millis(10)),
-            trace: true,
         });
         cfg.engine_faults = Some(Arc::new(plan.injector()));
         cfg.max_prompt = 8;
@@ -180,14 +182,6 @@ fn continuous_fault_storms_recover_bit_exact() {
 
         let sched = report.scheduler.expect("continuous scheduler report");
         assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: page fragmentation");
-        // What the scheduler recorded: its lock and phase ordering, and every
-        // recovery program the storm made it run.
-        let diags = check_sched_trace(&sched.trace);
-        assert!(diags.is_empty(), "seed {seed}: scheduler trace: {diags:#?}");
-        for prog in recorded_recoveries(&sched.trace) {
-            let diags = check_recovery_program(&prog);
-            assert!(diags.is_empty(), "seed {seed}: recovery {prog:?}: {diags:#?}");
-        }
         total_recoveries += sched.recoveries;
         total_replays += sched.replays;
         total_completed += completed;
@@ -209,4 +203,5 @@ fn continuous_fault_storms_recover_bit_exact() {
     // Fault evictions (budget exhaustion) are storm-dependent; log-style
     // assert only that the counter is consistent when present.
     let _ = total_fault_evictions;
+    panics.assert_none();
 }

@@ -26,6 +26,10 @@
 //!   eviction ever commits a wrong token.
 //! * **The pool's books hold** — `fragmentation == 0` at drain, and the
 //!   shared-prefix seeds did attach pages.
+//! * **No panic but the scripted ones** — an engine assertion the
+//!   scheduler's guard absorbed and replayed past fails the sweep.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,12 +41,11 @@ use dsi_serve::{
     ContinuousConfig, EngineMode, Outcome, Request, ServeConfig, Server,
 };
 use dsi_sim::fault::{splitmix64, IoFaultPlan};
-use dsi_verify::locks::check_sched_trace;
-use dsi_verify::runtime::{check_recovery_program, recorded_recoveries};
 use dsi_zero::offload::{OffloadConfig, OffloadStore};
 
 #[test]
 fn streamed_io_fault_storms_recover_bit_exact() {
+    let panics = common::watch();
     let model = GptModel::random(zoo::tiny(3), 17);
     let path = std::env::temp_dir()
         .join(format!("dsi_offload_chaos_{}.bin", std::process::id()));
@@ -114,7 +117,6 @@ fn streamed_io_fault_storms_recover_bit_exact() {
             page_tokens: 2,
             replay_budget: 4,
             step_deadline: Some(Duration::from_millis(50)),
-            trace: true,
         });
         cfg.max_prompt = 8;
         cfg.queue_capacity = n_requests; // contend on KV tokens, not the queue
@@ -192,14 +194,6 @@ fn streamed_io_fault_storms_recover_bit_exact() {
 
         let sched = report.scheduler.expect("streamed scheduler report");
         assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: page fragmentation");
-        // What the scheduler recorded: its lock and phase ordering, and every
-        // recovery program the storm made it run.
-        let diags = check_sched_trace(&sched.trace);
-        assert!(diags.is_empty(), "seed {seed}: scheduler trace: {diags:#?}");
-        for prog in recorded_recoveries(&sched.trace) {
-            let diags = check_recovery_program(&prog);
-            assert!(diags.is_empty(), "seed {seed}: recovery {prog:?}: {diags:#?}");
-        }
         if shared {
             shared_attached += sched.prompt_tokens_attached;
         }
@@ -221,4 +215,5 @@ fn streamed_io_fault_storms_recover_bit_exact() {
         total_completed > 20,
         "sweep too destructive to prove liveness: {total_completed} completions"
     );
+    panics.assert_none();
 }

@@ -19,7 +19,11 @@
 //!   exact prefix of, the same prompt's solo fault-free generation, at
 //!   every TP degree, under collective fault storms as under engine ones;
 //! * **bounded tail latency** — when deadlines are armed, completed
-//!   requests finished within deadline + recovery slack.
+//!   requests finished within deadline + recovery slack;
+//! * **no panic but the scripted ones** — an engine assertion the
+//!   scheduler's guard absorbed and replayed past fails the sweep.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,8 +37,6 @@ use dsi_serve::{
 };
 use dsi_sim::fault::{EngineFaultPlan, FaultPlan};
 use dsi_sim::shmem::CommConfig;
-use dsi_verify::locks::check_sched_trace;
-use dsi_verify::runtime::{check_recovery_program, recorded_recoveries};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -236,6 +238,7 @@ fn run_scenario(sc: &Scenario) -> (u64, u64, u64, u64) {
 /// client cancellations, impatient drains, and every TP degree.
 #[test]
 fn chaos_sweep_over_seeded_scenarios() {
+    let panics = common::watch();
     let mut total_completed = 0;
     let mut total_rejected = 0;
     for seed in 0..24u64 {
@@ -249,6 +252,7 @@ fn chaos_sweep_over_seeded_scenarios() {
     // requests served, plenty shed. (Per-scenario counts vary by seed.)
     assert!(total_completed > 50, "sweep too lenient: only {total_completed} completions");
     assert!(total_rejected > 0, "sweep never triggered load shedding");
+    panics.assert_none();
 }
 
 /// One seeded continuous-batching scenario: ragged joins/retires over the
@@ -305,6 +309,7 @@ impl ContinuousScenario {
 /// batching can make: the scheduler is invisible in the tokens.
 #[test]
 fn continuous_chaos_token_identity_sweep() {
+    let panics = common::watch();
     let mut total_completed = 0u64;
     let mut total_page_evictions = 0u64;
     let mut total_attached = 0u64;
@@ -373,7 +378,6 @@ fn continuous_chaos_token_identity_sweep() {
             max_slots: sc.max_slots,
             pages_total: sc.pages_total,
             page_tokens: sc.page_tokens,
-            trace: true,
             ..ContinuousConfig::default()
         });
         cfg.eos = eos;
@@ -442,14 +446,6 @@ fn continuous_chaos_token_identity_sweep() {
         assert_eq!(report.admitted, completed + evicted + expired, "seed {seed}");
         let sched = report.scheduler.expect("scheduler report");
         assert_eq!(sched.pages.fragmentation, 0, "seed {seed}: fragmentation");
-        // What the scheduler recorded: its lock and phase ordering, and every
-        // recovery program the storm made it run.
-        let diags = check_sched_trace(&sched.trace);
-        assert!(diags.is_empty(), "seed {seed}: scheduler trace: {diags:#?}");
-        for prog in recorded_recoveries(&sched.trace) {
-            let diags = check_recovery_program(&prog);
-            assert!(diags.is_empty(), "seed {seed}: recovery {prog:?}: {diags:#?}");
-        }
         assert_eq!(
             sched.occupancy_hist.iter().sum::<u64>(),
             sched.steps,
@@ -468,6 +464,7 @@ fn continuous_chaos_token_identity_sweep() {
     assert!(total_completed > 30, "sweep too lenient: {total_completed} completions");
     // At least one seed must have actually exercised page shedding.
     assert!(total_page_evictions > 0, "sweep never hit page exhaustion");
+    panics.assert_none();
 }
 
 /// Sustained overload against a tiny queue must shed with typed rejections
@@ -475,6 +472,7 @@ fn continuous_chaos_token_identity_sweep() {
 /// stay closed (overload is not a fault).
 #[test]
 fn overload_sheds_typed_and_keeps_serving() {
+    let panics = common::watch();
     let model = Arc::new(GptModel::random(zoo::tiny(2), 7));
     let mut cfg = ServeConfig::new(2);
     cfg.queue_capacity = 2;
@@ -507,6 +505,7 @@ fn overload_sheds_typed_and_keeps_serving() {
         );
     }
     assert_eq!(report.completed, report.admitted);
+    panics.assert_none();
 }
 
 /// A storm of permanent faults must open the breaker and fast-fail
@@ -514,6 +513,7 @@ fn overload_sheds_typed_and_keeps_serving() {
 /// drain cleanly with the invariants intact.
 #[test]
 fn fault_storm_fast_fails_through_breaker() {
+    let panics = common::watch();
     let model = Arc::new(GptModel::random(zoo::tiny(2), 13));
     let mut cfg = ServeConfig::new(2);
     cfg.comm.timeout = Duration::from_millis(100);
@@ -554,4 +554,5 @@ fn fault_storm_fast_fails_through_breaker() {
     assert!(report.breaker_opens >= 1, "a permanent-fault storm must open the breaker");
     assert!(breaker_rejections > 0, "an open breaker must fast-fail admissions");
     assert_eq!(report.submitted, 20);
+    panics.assert_none();
 }

@@ -7,8 +7,11 @@
 //! × victim member, every request **completes with the tokens of the
 //! fault-free solo run** — the scheduler replays what a fault lost, and the
 //! group serves on, narrower by each member that was lost — never a
-//! hang (CI runs this file under a wall-clock timeout) and never an
-//! unhandled panic.
+//! hang (CI runs this file under a wall-clock timeout), never an
+//! unhandled panic, and no panic at all but the scripted members' (an
+//! engine assertion the scheduler's guard absorbed fails the test).
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,6 +72,7 @@ fn serve(m: &Arc<GptModel>, tp: usize, prompts: &[[usize; 3]], plan: FaultPlan, 
 /// one; a fault that loses none recovers it at the same degree.
 #[test]
 fn sweep_fault_kinds_across_injection_sites() {
+    let panics = common::watch();
     let m = model(101);
     // Barrier epochs: a pass joins 1 + 4·layers = 9 times, so epoch 3 is
     // mid-way through the first pass and epoch 13 in the second.
@@ -103,6 +107,7 @@ fn sweep_fault_kinds_across_injection_sites() {
             }
         }
     }
+    panics.assert_none();
 }
 
 /// Seed-driven random fault storms at tp=4: whatever the script throws at
@@ -110,6 +115,7 @@ fn sweep_fault_kinds_across_injection_sites() {
 /// sized above any plan the sweep generates).
 #[test]
 fn sweep_random_fault_plans() {
+    let panics = common::watch();
     let m = model(202);
     for seed in [7u64, 19, 23, 31] {
         // Short stalls only matter if they cross the timeout; both happen
@@ -119,6 +125,7 @@ fn sweep_random_fault_plans() {
         let (report, _) = serve(&m, 4, &PROMPTS, plan, &format!("random seed {seed}"));
         assert_eq!(report.completed, 2);
     }
+    panics.assert_none();
 }
 
 /// Determinism of the harness itself: the same seed must produce the same
@@ -126,6 +133,7 @@ fn sweep_random_fault_plans() {
 /// the passes do not depend on when the second one arrives.
 #[test]
 fn chaos_runs_are_seed_deterministic() {
+    let panics = common::watch();
     let m = model(303);
     let run = |seed: u64| {
         let plan = FaultPlan::random(seed, 2, 2, 30, LAYERS, PROMPTS[0].len() + N_TOKENS);
@@ -134,6 +142,7 @@ fn chaos_runs_are_seed_deterministic() {
         (report.ft.rebuilds, report.ft.degradations, replays)
     };
     assert_eq!(run(11), run(11), "same seed must replay the same recovery");
+    panics.assert_none();
 }
 
 /// Dropping a group whose member panicked must not wedge: the panicked
@@ -142,6 +151,7 @@ fn chaos_runs_are_seed_deterministic() {
 /// CI wall-clock guard.)
 #[test]
 fn drop_after_worker_death_does_not_wedge() {
+    let panics = common::watch();
     let m = model(404);
     let pm = PackedModel::pack(&m);
     let plan = FaultPlan::new(vec![FaultSpec {
@@ -156,12 +166,14 @@ fn drop_after_worker_death_does_not_wedge() {
     assert!(pass.is_err(), "a member panic must fail the pass");
     drop(eng);
     assert!(start.elapsed() < Duration::from_secs(2), "took {:?}", start.elapsed());
+    panics.assert_none();
 }
 
 /// A fault in the *middle* of generation must preserve the already-emitted
 /// prefix and produce an identical suffix after recovery.
 #[test]
 fn mid_stream_fault_preserves_prefix_and_suffix() {
+    let panics = common::watch();
     let m = model(505);
     // Position PROMPT.len()+2 is fed well into the stream.
     let plan = FaultPlan::new(vec![FaultSpec {
@@ -173,4 +185,5 @@ fn mid_stream_fault_preserves_prefix_and_suffix() {
     assert_eq!(pending, 0);
     assert_eq!(report.ft.degradations, [(2, 1)], "a lost member narrows the group");
     assert!(report.scheduler.expect("scheduler report").replays >= 1, "the residents were replayed");
+    panics.assert_none();
 }

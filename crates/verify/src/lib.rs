@@ -19,16 +19,12 @@
 //! * [`collective`] — the joins of a split pass (what a tensor-parallel
 //!   group runs), held to a live group's barrier crossings, and pipeline
 //!   task graphs, which must be acyclic with matched inter-stage hops.
-//! * [`locks`] — lock-order / condvar-discipline audit of the serving
-//!   runtime's thread model (`dsi-serve`): the held-while-acquiring graph
-//!   must be acyclic and every condvar wait must hold exactly its mutex.
-//!   Also hosts [`locks::check_sched_trace`], which diffs the continuous
-//!   scheduler's *live* debug-build trace against the hand-written model.
-//! * [`runtime`] — runtime protocols as checked programs: the scheduler's
-//!   fault-recovery page protocol (release-before-replay), checked on the
-//!   recoveries the live scheduler records, and the offload tier's
-//!   prefetch protocol. (The serving circuit breaker is explored
-//!   exhaustively next to its code in `dsi-serve`.)
+//! * [`runtime`] — the offload tier's prefetch protocol, checked as a
+//!   program on the events a live store recorded. (The serving scheduler is
+//!   checked by running it: its recovery protocol — release a faulted slot
+//!   before it is replayed — is an assertion in the paged engine, and the
+//!   `dsi-serve` chaos sweeps fail on any panic no fault plan scripted; the
+//!   serving circuit breaker is explored exhaustively next to its code.)
 //! * [`audit`] — unsafe-kernel audit: every `unsafe` block must carry a
 //!   `// SAFETY:` comment and every `unsafe fn` a `# Safety` doc section.
 //! * [`sweep`] — the `cargo xtask verify` entry point: runs the passes over
@@ -44,7 +40,6 @@ use std::fmt;
 pub mod audit;
 pub mod collective;
 pub mod ir;
-pub mod locks;
 pub mod runtime;
 pub mod scratch;
 pub mod sweep;

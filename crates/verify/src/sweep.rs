@@ -26,9 +26,8 @@
 //! attention regions in the batched layout, two split-pass members whose
 //! column windows overlap, two sequences mapped to one KV page in the paged
 //! allocator, a live split-pass member crossing one join fewer than the
-//! trace, a cyclic task graph, an undocumented `unsafe` block, a live
-//! scheduler's recorded fault recovery with its page releases removed, and
-//! a recorded store run with a panel's first fetch removed — and returns
+//! trace, a cyclic task graph, an undocumented `unsafe` block, and a
+//! recorded store run with a panel's first fetch removed — and returns
 //! the diagnostics each produced. CI fails if any control comes back clean:
 //! a verifier that stops detecting is worse than none.
 
@@ -52,8 +51,8 @@ pub struct SweepReport {
     pub ir_plans: usize,
     /// Number of decode traces analysed.
     pub scratch_traces: usize,
-    /// Number of join records, pipeline graphs, lock models and offload
-    /// recordings checked.
+    /// Number of join records, pipeline graphs and offload recordings
+    /// checked.
     pub collective_programs: usize,
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -293,22 +292,7 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         report.diagnostics.extend(check_member_joins(joins));
     }
 
-    // --- Pass 3c: serving-runtime lock model (dsi-serve). ---
-    // The multi-threaded control plane in the workspace: submitters, the
-    // one scheduler loop (its own watchdog), drain. The held-while-acquiring
-    // graph must stay acyclic and every condvar wait disciplined. A future
-    // second lock ordered inconsistently against the state mutex fails the
-    // sweep here.
-    let (n_locks, threads) = crate::locks::continuous_scheduler_model();
-    report.collective_programs += 1;
-    report.diagnostics.extend(
-        crate::locks::check_lock_order(n_locks, &threads).into_iter().map(|mut x| {
-            x.site = format!("serve scheduler: {}", x.site);
-            x
-        }),
-    );
-
-    // --- Pass 3d: the offload store's recorded events (dsi-zero). ---
+    // --- Pass 3c: the offload store's recorded events (dsi-zero). ---
     // No run may use a panel before it is resident, evict a pinned panel,
     // or exceed the resident budget, in whatever order the prefetch
     // worker's timing produced. (The serving breaker and recovery protocol
@@ -343,15 +327,9 @@ impl Control {
 }
 
 /// Seed one illegal plan per defect class and collect what the passes say.
-/// `recoveries` are recovery programs a live scheduler recorded
-/// ([`crate::runtime::recorded_recoveries`]); the recovery control removes
-/// their releases. The join and offload controls mutate `recorded` runs
-/// ([`record_live`]). Every control must fire; [`controls_all_fire`] is the
-/// CI gate.
-pub fn negative_controls(
-    recoveries: &[Vec<crate::runtime::RecoveryOp>],
-    recorded: &Recorded,
-) -> Vec<Control> {
+/// The join and offload controls mutate `recorded` runs ([`record_live`]).
+/// Every control must fire; [`controls_all_fire`] is the CI gate.
+pub fn negative_controls(recorded: &Recorded) -> Vec<Control> {
     let mut out = Vec::new();
     let base = || transformer_layer_ops_tp(2, 4, 4, 64, 4, 1, DType::Fp16);
 
@@ -482,20 +460,6 @@ pub fn negative_controls(
         diagnostics: diag,
     });
 
-    // Locks: the canonical AB/BA inversion must be reported as a cycle.
-    {
-        use crate::locks::{check_lock_order, LockOp::*, ThreadModel};
-        let threads = vec![
-            ThreadModel::new("ab", vec![Acquire(0), Acquire(1), Release(1), Release(0)]),
-            ThreadModel::new("ba", vec![Acquire(1), Acquire(0), Release(0), Release(1)]),
-        ];
-        out.push(Control {
-            name: "AB/BA lock inversion (two-lock deadlock)",
-            expect_code: "lock-cycle",
-            diagnostics: check_lock_order(2, &threads),
-        });
-    }
-
     // Audit: an unsafe block with no SAFETY comment.
     out.push(Control {
         name: "undocumented unsafe block",
@@ -505,31 +469,6 @@ pub fn negative_controls(
             "fn f(x: &[f32]) -> f32 {\n    unsafe { *x.get_unchecked(0) }\n}\n",
         ),
     });
-
-    // Recovery protocol: the live scheduler's recorded recoveries with
-    // their release steps removed — a recovery that re-seats or evicts a
-    // victim without first releasing its poisoned pages would double-reserve
-    // (leak the old pages and break the replay-fits-by-construction
-    // argument); the recovery checker must flag the missing release.
-    {
-        use crate::runtime::{check_recovery_program, RecoveryOp};
-        let diagnostics = recoveries
-            .iter()
-            .flat_map(|prog| {
-                let bad: Vec<RecoveryOp> = prog
-                    .iter()
-                    .copied()
-                    .filter(|op| !matches!(op, RecoveryOp::Release { .. }))
-                    .collect();
-                check_recovery_program(&bad)
-            })
-            .collect();
-        out.push(Control {
-            name: "recorded recovery with its releases removed",
-            expect_code: "replay-page-leak",
-            diagnostics,
-        });
-    }
 
     // Prefetch protocol: a recorded store run with the first fetch of the
     // first acquired panel removed — the decode loop would compute on
@@ -577,14 +516,11 @@ mod tests {
 
     #[test]
     fn every_negative_control_fires() {
-        use crate::runtime::RecoveryOp::*;
-        // The shape a live recovery records: poison, release, replay.
-        let recoveries = [vec![Fault { slot: 1 }, Release { slot: 1 }, Replay { slot: 1 }]];
         let recorded = record_live();
         assert!(recorded.overflows.is_empty(), "{:?}", recorded.overflows);
         assert_eq!((recorded.members.len(), recorded.offload.len()), (2, 27));
-        let controls = negative_controls(&recoveries, &recorded);
-        assert_eq!(controls.len(), 14);
+        let controls = negative_controls(&recorded);
+        assert_eq!(controls.len(), 12);
         for c in &controls {
             assert!(c.fired(), "control `{}` produced {:?}", c.name, c.diagnostics);
         }

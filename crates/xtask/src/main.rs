@@ -7,9 +7,8 @@
 //!   over every zoo model × figure configuration, over a live split pass's
 //!   joins per member (held to the split trace's) and over what the offload
 //!   store recorded (both printed per run; a recorder that wrapped, or a
-//!   live join count off its trace, fails the sweep), the serving fault
-//!   path's checks on the live code (the breaker explorer, the recorded
-//!   scheduler traces and recoveries), then the negative controls. Exit
+//!   live join count off its trace, fails the sweep), the breaker explorer
+//!   over the real serving circuit breaker, then the negative controls. Exit
 //!   code 1 if a check finds a defect **or** any seeded defect goes
 //!   undetected.
 //! * `unsafe-audit` — walk every crate's sources and enforce the unsafe
@@ -65,9 +64,7 @@ fn run_verify() -> ExitCode {
             eprintln!("  {d}");
         }
     }
-    // The serving fault path, checked as it runs: the exhaustive explorer
-    // over the real circuit breaker, and three short serves whose
-    // schedulers record their lock/phase trace and every recovery step.
+    // The exhaustive explorer over the real serving circuit breaker.
     let breaker_diags = dsi_serve::breaker_explorer_check();
     if breaker_diags.is_empty() {
         println!("  breaker explorer: the real Breaker is clean at (1,1), (2,2), (3,1), depth 6");
@@ -78,23 +75,7 @@ fn run_verify() -> ExitCode {
             eprintln!("  {d}");
         }
     }
-    let live = dsi_serve::live_trace_check();
-    if live.diagnostics.is_empty() {
-        let (seated, failed, evicted) = live.recovery_shape();
-        println!("  live scheduler trace: clean against the lock model (3 servers)");
-        println!(
-            "  live recovery recording: {} recoveries ({seated} replays, {failed} failed \
-             replays, {evicted} evictions), clean",
-            live.recoveries.len()
-        );
-    } else {
-        ok = false;
-        eprintln!("live scheduler trace or recovery recording failed its check:");
-        for d in &live.diagnostics {
-            eprintln!("  {d}");
-        }
-    }
-    let controls = dsi_verify::sweep::negative_controls(&live.recoveries, &recorded);
+    let controls = dsi_verify::sweep::negative_controls(&recorded);
     for c in &controls {
         if c.fired() {
             println!("  control fired: {}", c.name);
