@@ -72,12 +72,15 @@ impl FusionPlan {
         }
     }
 
-    /// The DeepSpeed small-batch plan of Fig. 1(c): four fused regions
+    /// The DeepSpeed small-batch plan of Fig. 1(c): five fused regions
     /// around the GEMMs — (1) input layer-norm + QKV GEMM (+bias),
     /// (2) transposition + attention, (3) attention-output GEMM + bias +
     /// residual, (4) post-attention layer-norm + FF1 GEMM + GeLU, and
     /// (5) FF2 GEMM + bias + residual. Indices refer to
-    /// [`crate::graph::transformer_layer_ops`].
+    /// [`crate::graph::transformer_layer_ops`]. These are the regions
+    /// `dsi_model::fast::step` runs per layer at every batch size, with the
+    /// K/V write inside (2); `dsi-verify` holds a live pass's record to
+    /// this plan.
     pub fn deepspeed_small_batch() -> Self {
         FusionPlan {
             regions: vec![(0, 3), (3, 5), (5, 7), (7, 10), (10, 12)],

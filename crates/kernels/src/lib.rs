@@ -22,7 +22,7 @@
 //! The *executed* counterpart of the fusion planner is the fast functional
 //! path: [`blocked`] provides cache-blocked GEMM over panel-packed (pack
 //! once, reuse every token) weights with fused epilogues, and [`fused`]
-//! provides single-pass kernels for the four Fig. 1(c) small-batch fusion
+//! provides single-pass kernels for the Fig. 1(c) small-batch fusion
 //! regions, including a zero-allocation streaming-softmax attention. Both
 //! write into caller-provided scratch so steady-state decode allocates
 //! nothing per token. SBI-GeMM's ideas run here as that path's layout and
@@ -43,7 +43,6 @@ pub mod cost;
 #[cfg(test)]
 mod differential;
 pub mod dispatch;
-pub mod exec;
 pub mod fused;
 pub mod fusion;
 pub mod graph;

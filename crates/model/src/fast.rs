@@ -11,8 +11,10 @@
 //!    `dsi_kernels::blocked` at construction, including the tied embedding
 //!    (stored `[vocab, h]`, i.e. already transposed for the logits
 //!    projection — `PackedB::from_pre_transposed` only re-panels it).
-//! 2. **Fused region kernels** — each transformer layer executes as the four
-//!    Fig. 1(c) small-batch fused regions (`dsi_kernels::fused`): interior
+//! 2. **Fused region kernels** — each transformer layer executes as the five
+//!    Fig. 1(c) small-batch fused regions of
+//!    `dsi_kernels::fusion::FusionPlan::deepspeed_small_batch` (LN + QKV,
+//!    attention with its K/V write, W_o, LN + FF1 + GeLU, FF2): interior
 //!    activations live in scratch rows, never in fresh tensors.
 //! 3. **Amortized KV cache** — the session reserves the full
 //!    prompt+generation KV budget up front and appends rows in place
@@ -20,7 +22,9 @@
 //!    per-token `cat_rows` rebuild.
 //! 4. **Scratch reuse** — [`Scratch`] owns every intermediate buffer; the
 //!    steady-state one-token decode loop performs **zero heap allocations**
-//!    (asserted by `Scratch::alloc_guard` in tests).
+//!    (its buffers keep their addresses, [`FastSession::buffer_fingerprint`],
+//!    which `steady_state_decode_does_not_allocate` checks; the paged
+//!    engine's passes are counted by the `decode_alloc` test's allocator).
 //!
 //! Numerically the path tracks the reference within f32 reassociation noise
 //! (the packed GEMM sums in a different order); greedy decode is verified
@@ -383,13 +387,22 @@ impl Share {
     }
 }
 
+/// Whether a kernel reads what a `Buf` accessor hands it, or writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    Read,
+    Write,
+}
+
 /// The seam of a pass between its members: what runs at the top of each
-/// layer, which part of the pass the caller computes, and how its members
-/// meet. Like [`KvSink`] it is a monomorphised parameter of [`step`], not a
-/// branch inside it. Single-process engines pass [`Solo`]; a member of a
-/// split pass passes `team::Member`, whose share is its part, whose join is
-/// a barrier, and whose layer hook is its fault site. A member that fails
-/// at either leaves the pass by unwinding (see `team`).
+/// layer, which part of the pass the caller computes, how its members
+/// meet, and what each scratch access hands a kernel. Like [`KvSink`] it is
+/// a monomorphised parameter of [`step`], not a branch inside it.
+/// Single-process engines pass [`Solo`]; a member of a split pass passes
+/// `team::Member`, whose share is its part, whose join is a barrier, and
+/// whose layer hook is its fault site. A member that fails at either leaves
+/// the pass by unwinding (see `team`). Both keep [`RowParallel::touch`]'s
+/// no-op; `paged::Engine::record_pass` wraps them in a seam that logs it.
 pub trait RowParallel {
     /// Layer `layer` of the pass over `rows` is about to run.
     #[inline]
@@ -402,6 +415,12 @@ pub trait RowParallel {
     /// Wait until every member has finished the region before.
     #[inline]
     fn join(&mut self) {}
+    /// Scratch buffer `buf` (a [`scratch_layout`] name) is handed to a
+    /// kernel: columns `cols` of rows `rows`, `stride` floats apart, to
+    /// read or to write. Every slice a pass takes of its scratch is handed
+    /// out through `Buf`, which calls this as it does.
+    #[inline]
+    fn touch(&mut self, _buf: &'static str, _rows: Range<usize>, _stride: usize, _cols: Range<usize>, _access: Access) {}
 }
 
 /// `out = a·w[.., cols] + ep` over every row of `a`, into the window `out`
@@ -469,8 +488,10 @@ pub fn step<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
 /// attention, W_o, FF1 and FF2 — each before the first region that reads
 /// whole rows of what the one before wrote. Between two joins every member
 /// writes only its own columns, reads only buffers nobody writes in that
-/// span, and recomputes the layer norms into its own rows (`s.normed`);
-/// `dsi-verify`'s split trace checks exactly this.
+/// span, and recomputes the layer norms into its own rows (`s.normed`).
+/// Every slice is handed out by a [`Buf`] accessor, which reports it to the
+/// seam, so `paged::Engine::record_pass` records exactly these accesses
+/// and `dsi-verify` checks this protocol on that record.
 pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
     w: &W,
     kv: &mut K,
@@ -489,13 +510,14 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
     let (a, f, d) = (h, 4 * h, h / c.heads);
     let hs = me.part(c.heads);
     let ac = hs.start * d..hs.end * d;
-    let normed = &mut s.normed[..m * h];
+    // Columns `ac` of the q (`j` = 0), k (1) or v (2) third of a QKV row.
+    let third = |j: usize| j * a + ac.start..j * a + ac.end;
 
     // Embedding: token row + position row fused into one write of `s.x`.
     let (wte, wpe) = w.embeddings();
     // SAFETY: arena protocol (see `Arena`) — until the join below this
     // member alone writes columns `xc` of `x`, and nobody reads `x`.
-    let mut x = unsafe { s.x.window(m, h, xc.clone()) };
+    let mut x = unsafe { s.x.window(seam, 0..m, h, xc.clone()) };
     for (i, r) in rows.iter().enumerate() {
         assert!(r.token < c.vocab, "token id {} out of vocab", r.token);
         assert!(r.pos < c.max_seq, "sequence exceeds max_seq");
@@ -513,40 +535,46 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
         // q, k and v windows of this member's heads (one window when it
         // owns them all).
         // SAFETY: arena protocol — until the next join `x` is read by all
-        // and written by none, and this member alone writes its heads' q, k
-        // and v columns of `qkv` and their columns of `attn`.
-        let xr = unsafe { s.x.read(m * h) };
+        // and written by none, this member alone writes its heads' q, k
+        // and v columns of `qkv` and their columns of `attn`, and `normed`
+        // is its own.
+        let xr = unsafe { s.x.read(seam, 0..m, h, 0..h) };
+        let normed = normed_rows(s.normed, seam, m, h);
         layer_norm_rows(xr, &pl.ln1_g, &pl.ln1_b, normed);
         if ac.len() == a {
             // SAFETY: as above; this member owns every head.
-            let qkv = unsafe { s.qkv.window(m, 3 * a, 0..3 * a) };
+            let qkv = unsafe { s.qkv.window(seam, 0..m, 3 * a, 0..3 * a) };
             gemm_cols(&pl.w_qkv, normed, 0..3 * a, qkv, Epilogue::Bias(&pl.b_qkv));
         } else {
             for j in 0..3 {
-                let cols = j * a + ac.start..j * a + ac.end;
                 // SAFETY: as above.
-                let out = unsafe { s.qkv.window(m, 3 * a, cols.clone()) };
-                gemm_cols(&pl.w_qkv, normed, cols.clone(), out, Epilogue::Bias(&pl.b_qkv[cols]));
+                let out = unsafe { s.qkv.window(seam, 0..m, 3 * a, third(j)) };
+                gemm_cols(&pl.w_qkv, normed, third(j), out, Epilogue::Bias(&pl.b_qkv[third(j)]));
             }
         }
-        // SAFETY: as above — this member's q, k and v columns, and its
-        // columns of `attn`, now that the QKV GEMM is done with them.
-        let ([mut q, mut k, mut v], mut attn) =
-            unsafe { ([0, 1, 2].map(|j| s.qkv.window(m, 3 * a, j * a + ac.start..j * a + ac.end)), s.attn.window(m, a, ac.clone())) };
+        // Region 2: each row's K/V written, then streaming-softmax
+        // attention over this member's heads, its query read in place from
+        // the QKV block (stride 3a) — no gather.
         for (i, &r) in rows.iter().enumerate() {
-            kv.write(l, r, ac.clone(), k.row(i), v.row(i));
+            // SAFETY: as above — this member's k and v columns, which the
+            // QKV GEMM is done with.
+            let (k, v) = unsafe { (s.qkv.read(seam, i..i + 1, 3 * a, third(1)), s.qkv.read(seam, i..i + 1, 3 * a, third(2))) };
+            kv.write(l, r, ac.clone(), k, v);
         }
-        // Region 2: streaming-softmax attention over this member's heads,
-        // queries read in place from the QKV block (stride 3a) — no gather.
         for (i, &r) in rows.iter().enumerate() {
-            kv.attend(l, r, hs.clone(), d, q.row(i), attn.row(i));
+            // SAFETY: as above — this member's q columns, and its columns
+            // of `attn`.
+            let (q, mut out) = unsafe { (s.qkv.read(seam, i..i + 1, 3 * a, third(0)), s.attn.window(seam, i..i + 1, a, ac.clone())) };
+            kv.attend(l, r, hs.clone(), d, q, out.row(0));
         }
         seam.join();
         // Region 3: output projection GEMM + bias + residual.
         // SAFETY: arena protocol — `attn` and `x` are read by all and
         // written by none until the next join; this member alone writes
         // columns `xc` of `y`.
-        let (attn, xr, y) = unsafe { (s.attn.read(m * a), s.x.read(m * h), s.y.window(m, h, xc.clone())) };
+        let (attn, xr, y) = unsafe {
+            (s.attn.read(seam, 0..m, a, 0..a), s.x.read(seam, 0..m, h, 0..h), s.y.window(seam, 0..m, h, xc.clone()))
+        };
         project_local(attn, &pl.w_o, xc.clone(), &pl.b_o, &xr[xc.start..], y);
         seam.join();
         std::mem::swap(&mut s.x, &mut s.y);
@@ -554,8 +582,10 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
         // columns.
         let fc = me.part(f);
         // SAFETY: arena protocol — `x` is read by all and written by none
-        // until the next join; this member alone writes columns `fc` of `ff`.
-        let (xr, ff) = unsafe { (s.x.read(m * h), s.ff.window(m, f, fc.clone())) };
+        // until the next join; this member alone writes columns `fc` of
+        // `ff`, and `normed` is its own.
+        let (xr, ff) = unsafe { (s.x.read(seam, 0..m, h, 0..h), s.ff.window(seam, 0..m, f, fc.clone())) };
+        let normed = normed_rows(s.normed, seam, m, h);
         layer_norm_rows(xr, &pl.ln2_g, &pl.ln2_b, normed);
         gemm_cols(&pl.w_ff1, normed, fc.clone(), ff, Epilogue::BiasGelu(&pl.b_ff1[fc]));
         seam.join();
@@ -564,7 +594,9 @@ pub(crate) fn step_in<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
         // by none until the next join; this member alone writes columns
         // `xc` of `y` (the buffer regions 1 and 3 read as `x`, which no
         // member reads after the join that ended region 3).
-        let (ff, xr, y) = unsafe { (s.ff.read(m * f), s.x.read(m * h), s.y.window(m, h, xc.clone())) };
+        let (ff, xr, y) = unsafe {
+            (s.ff.read(seam, 0..m, f, 0..f), s.x.read(seam, 0..m, h, 0..h), s.y.window(seam, 0..m, h, xc.clone()))
+        };
         project_local(ff, &pl.w_ff2, xc.clone(), &pl.b_ff2, &xr[xc.start..], y);
         seam.join();
         std::mem::swap(&mut s.x, &mut s.y);
@@ -586,61 +618,87 @@ fn layer_norm_rows(x: &[f32], g: &[f32], b: &[f32], out: &mut [f32]) {
 /// `wteᵀ`, leaving `[m, vocab]` logits in `s`, row `i` belonging to the
 /// pass's row `i`.
 pub fn logits<W: WeightSource>(w: &W, s: &mut Scratch, m: usize) {
-    logits_in(w, &mut s.arena(), m, Share::WHOLE);
+    logits_in(w, &mut s.arena(), m, &mut Solo);
 }
 
-/// [`logits`] over an [`Arena`], computing `me`'s part of the vocabulary.
-pub(crate) fn logits_in<W: WeightSource>(w: &W, s: &mut Arena<'_>, m: usize, me: Share) {
+/// [`logits`] over an [`Arena`], computing the seam's part of the
+/// vocabulary.
+pub(crate) fn logits_in<W: WeightSource, R: RowParallel>(w: &W, s: &mut Arena<'_>, m: usize, seam: &mut R) {
     let (h, vocab) = (w.config().hidden, w.config().vocab);
     let (lnf_g, lnf_b) = w.lnf();
-    let vc = me.part(vocab);
+    let vc = seam.share().part(vocab);
     // SAFETY: arena protocol — `x` is read by all and written by none; this
-    // member alone writes columns `vc` of `logits`.
-    let (xr, out) = unsafe { (s.x.read(m * h), s.logits.window(m, vocab, vc.clone())) };
-    let normed = &mut s.normed[..m * h];
+    // member alone writes columns `vc` of `logits`, and `normed` is its own.
+    let (xr, out) = unsafe { (s.x.read(seam, 0..m, h, 0..h), s.logits.window(seam, 0..m, vocab, vc.clone())) };
+    let normed = normed_rows(s.normed, seam, m, h);
     layer_norm_rows(xr, lnf_g, lnf_b, normed);
     gemm_cols(w.logits_w(), normed, vc, out, Epilogue::None);
 }
 
-/// One buffer of a [`Scratch`], as a pass addresses it: base and length.
+/// One buffer of a [`Scratch`], as a pass addresses it: its
+/// [`scratch_layout`] name, base and length. The name travels with the
+/// buffer, so `x` and `y` keep theirs through the swap after each block.
+/// Every slice of it a pass takes goes through one of its accessors, which
+/// bounds-check it and report it to the pass's seam
+/// ([`RowParallel::touch`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Buf {
+    name: &'static str,
     ptr: *mut f32,
     len: usize,
 }
 
 impl Buf {
-    fn of(v: &mut [f32]) -> Buf {
-        Buf { ptr: v.as_mut_ptr(), len: v.len() }
+    fn of(name: &'static str, v: &mut [f32]) -> Buf {
+        Buf { name, ptr: v.as_mut_ptr(), len: v.len() }
     }
 
-    /// The first `len` floats, to read.
+    /// Columns `cols` of rows `rows`, `ldc` floats apart, to read: whole
+    /// rows, or part of one row (so the slice is contiguous).
     ///
     /// # Safety
     /// The buffer outlives `'a`, and until the reader's next join no member
-    /// writes any of the `len` floats.
-    unsafe fn read<'a>(self, len: usize) -> &'a [f32] {
-        assert!(len <= self.len, "scratch read past the buffer");
+    /// writes any float of the slice.
+    #[inline]
+    unsafe fn read<'a, R: RowParallel>(self, seam: &mut R, rows: Range<usize>, ldc: usize, cols: Range<usize>) -> &'a [f32] {
+        assert!(cols.start <= cols.end && cols.end <= ldc, "scratch read {cols:?} outside a {ldc}-wide row");
+        assert!(rows.len() == 1 || cols.len() == ldc, "scratch read of part rows is not contiguous");
+        let (lo, hi) = (rows.start * ldc + cols.start, rows.end.saturating_sub(1) * ldc + cols.end);
+        assert!(!rows.is_empty() && hi <= self.len, "scratch read past the buffer");
+        seam.touch(self.name, rows, ldc, cols, Access::Read);
         // SAFETY: in bounds (asserted), and nothing writes the range while
         // the slice is used (the caller's contract).
-        unsafe { std::slice::from_raw_parts(self.ptr, len) }
+        unsafe { std::slice::from_raw_parts(self.ptr.add(lo), hi - lo) }
     }
 
-    /// Columns `cols` of `m` rows `ldc` apart, to write and read back: an
-    /// [`OutRows`] window, which forms references to one row's window
-    /// columns at a time and never to the other members' columns between.
+    /// Columns `cols` of rows `rows`, `ldc` floats apart, to write and read
+    /// back: an [`OutRows`] window, which forms references to one row's
+    /// window columns at a time and never to the other members' columns
+    /// between.
     ///
     /// # Safety
     /// The buffer outlives `'a`, and until the writer's next join no other
     /// member accesses any element of the window.
-    unsafe fn window<'a>(self, m: usize, ldc: usize, cols: Range<usize>) -> OutRows<'a> {
+    #[inline]
+    unsafe fn window<'a, R: RowParallel>(self, seam: &mut R, rows: Range<usize>, ldc: usize, cols: Range<usize>) -> OutRows<'a> {
         assert!(cols.start <= cols.end && cols.end <= ldc, "scratch window {cols:?} outside a {ldc}-wide row");
-        assert!(m > 0 && (m - 1) * ldc + cols.end <= self.len, "scratch window past the buffer");
+        assert!(!rows.is_empty() && (rows.end - 1) * ldc + cols.end <= self.len, "scratch window past the buffer");
+        let at = rows.start * ldc + cols.start;
+        let (n, width) = (rows.len(), cols.len());
+        seam.touch(self.name, rows, ldc, cols, Access::Write);
         // SAFETY: every row's window is in bounds (asserted), and this
         // member alone accesses it until its next join (the caller's
         // contract).
-        unsafe { OutRows::from_raw(self.ptr.add(cols.start), m, ldc, cols.len()) }
+        unsafe { OutRows::from_raw(self.ptr.add(at), n, ldc, width) }
     }
+}
+
+/// The first `m` rows of a member's own layer-norm buffer, `width` floats
+/// each, to write and read back, reported to the seam as `normed`.
+#[inline]
+fn normed_rows<'a, R: RowParallel>(normed: &'a mut [f32], seam: &mut R, m: usize, width: usize) -> &'a mut [f32] {
+    seam.touch("normed", 0..m, width, 0..width, Access::Write);
+    &mut normed[..m * width]
 }
 
 /// The buffers of a [`Scratch`] that the members of a split pass share:
@@ -720,8 +778,9 @@ pub struct Scratch {
 
 /// The scratch arena's layout: `(buffer name, capacity in floats)` for `m`
 /// concurrent rows, in declaration order. [`Scratch::new`] allocates from
-/// this table and the static verifier (`dsi-verify::scratch`) analyses
-/// aliasing/lifetimes against it, so the two cannot drift apart.
+/// this table, `Buf` names each buffer by it, and `dsi-verify::scratch`
+/// checks a recorded pass's accesses against it, so the three cannot
+/// drift apart.
 pub fn scratch_layout(c: &GptConfig, m: usize) -> [(&'static str, usize); 7] {
     let h = c.hidden;
     [
@@ -764,12 +823,12 @@ impl Scratch {
     /// Every access through them is `unsafe` (see [`Arena`]).
     pub(crate) fn share(&mut self) -> ScratchShare {
         ScratchShare {
-            x: Buf::of(&mut self.x),
-            y: Buf::of(&mut self.y),
-            qkv: Buf::of(&mut self.qkv),
-            attn: Buf::of(&mut self.attn),
-            ff: Buf::of(&mut self.ff),
-            logits: Buf::of(&mut self.logits),
+            x: Buf::of("x", &mut self.x),
+            y: Buf::of("y", &mut self.y),
+            qkv: Buf::of("qkv", &mut self.qkv),
+            attn: Buf::of("attn", &mut self.attn),
+            ff: Buf::of("ff", &mut self.ff),
+            logits: Buf::of("logits", &mut self.logits),
         }
     }
 
@@ -911,7 +970,8 @@ impl<B: PanelWeights> FastSession<'_, '_, B> {
 }
 
 /// Greedy sampling over one logits row, shared by every session front-end
-/// (fast path, TP engine, benches) so tie-breaking cannot drift.
+/// (the fast path, the paged engine at every degree, the benches) so
+/// tie-breaking cannot drift.
 #[inline]
 pub fn argmax(row: &[f32]) -> usize {
     let mut best = 0;
@@ -1052,6 +1112,60 @@ mod tests {
             qm.weight_stream_bytes(),
             fp.weight_stream_bytes()
         );
+    }
+
+    /// Deep-Fusion's legality rule (Sec. III-B) on the executed step:
+    /// attention may not be tiled along the tokens of one sequence. A sink
+    /// that applies each row's K/V write only after that row attends — as a
+    /// token tile that ran attention before the tile holding its own keys
+    /// had written them — breaks the causal stair-step (a row no longer
+    /// sees its own key), and the prompt pass leaves the reference; the
+    /// same pass through the contiguous sink does not.
+    #[test]
+    fn attending_before_a_rows_kv_write_breaks_the_prompt_pass() {
+        use std::cell::RefCell;
+
+        /// Each row's K and V, in the order the step wrote them.
+        struct AfterAttend<'c> {
+            caches: RefCell<&'c mut [KvCache]>,
+            pending: RefCell<std::collections::VecDeque<[Vec<f32>; 2]>>,
+        }
+
+        impl KvSink for AfterAttend<'_> {
+            fn write(&mut self, _: usize, _: Row, _: Range<usize>, k: &[f32], v: &[f32]) {
+                self.pending.get_mut().push_back([k.to_vec(), v.to_vec()]);
+            }
+
+            fn attend(&self, layer: usize, row: Row, heads: Range<usize>, d: usize, q: &[f32], out: &mut [f32]) {
+                self.caches.borrow().attend(layer, row, heads, d, q, out);
+                let [k, v] = self.pending.borrow_mut().pop_front().expect("a row attends after its write");
+                self.caches.borrow_mut().write(layer, row, 0..k.len(), &k, &v);
+            }
+        }
+
+        let m = model(2, 13);
+        let (pm, c) = (PackedModel::pack(&m), &m.config);
+        let ids = [3, 1, 4, 1, 5, 9];
+        let want = m.forward_full(&ids).row_slice(2, 6);
+        // The first two tokens through the contiguous sink, then the other
+        // four as one prompt pass through `after` or the same sink.
+        let run = |after: bool| {
+            let (mut cache, mut s, mut rows) = ([KvCache::with_capacity(c.layers, c.hidden, c.max_seq)], Scratch::new(c, 4), Vec::new());
+            Row::prompt_pass(&mut rows, 0, 0, &ids[..2]);
+            let Ok(()) = step(&pm, &mut cache[..], &mut s, &rows, &mut Solo);
+            Row::prompt_pass(&mut rows, 0, 2, &ids[2..]);
+            let Ok(()) = if after {
+                let mut sink = AfterAttend { caches: RefCell::new(&mut cache[..]), pending: RefCell::default() };
+                step(&pm, &mut sink, &mut s, &rows, &mut Solo)
+            } else {
+                step(&pm, &mut cache[..], &mut s, &rows, &mut Solo)
+            };
+            logits(&pm, &mut s, 4);
+            Tensor::from_vec(&[4, c.vocab], s.logits[..4 * c.vocab].to_vec())
+        };
+        assert!(run(false).allclose(&want, 1e-3), "the stair-step pass tracks the reference");
+        let diff = run(true).max_abs_diff(&want);
+        assert!(diff > 1e-2, "a row that cannot see its own key must leave the reference, max diff {diff}");
     }
 
     #[test]

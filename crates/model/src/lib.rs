@@ -14,12 +14,13 @@
 //!   that tensor-parallel sharding, MoE routing rewrites, and fused kernels
 //!   are verified against.
 //! * [`fast`] — the executed Deep-Fusion path: the same decoder built from
-//!   packed-weight blocked GEMMs, the four Fig. 1(c) fused region kernels,
+//!   packed-weight blocked GEMMs, the five Fig. 1(c) fused region kernels,
 //!   an amortized in-place KV cache, and reusable scratch, so steady-state
 //!   decode allocates nothing per token. Verified token-for-token against
 //!   [`reference`](mod@reference).
 //! * [`paged`] — the paged KV pool and the multi-slot engine over any
-//!   [`WeightSource`], the execution surface of continuous batching.
+//!   [`WeightSource`], the execution surface of continuous batching; its
+//!   [`record`] of a pass is every slice the step handed a kernel.
 //! * [`io`] — the checksummed weight file the offload tier streams layer
 //!   panels from.
 
@@ -27,6 +28,7 @@ pub mod config;
 pub mod fast;
 pub mod io;
 pub mod paged;
+pub mod record;
 pub mod reference;
 pub mod team;
 pub mod zoo;

@@ -82,7 +82,8 @@
 //!
 //! [`reserve`]: PagePool::reserve
 
-use crate::fast::{self, argmax, Arena, KvSink, PackedModel, Row, Scratch, Solo, WeightSource};
+use crate::fast::{self, argmax, Arena, KvSink, PackedModel, Row, RowParallel, Scratch, Solo, WeightSource};
+use crate::record::{PassRecord, Recorder};
 use crate::team::{Member, Team};
 use dsi_kernels::blocked::PackedB;
 use dsi_kernels::fused::{self, KvArenas, PageTable};
@@ -587,6 +588,20 @@ impl KvSink for PagedKv<'_> {
     }
 }
 
+/// One member's part of a pass: the step over its share, then its part of
+/// the logits.
+fn member_pass<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
+    w: &W,
+    kv: &mut K,
+    s: &mut Arena<'_>,
+    rows: &[Row],
+    seam: &mut R,
+) -> Result<(), W::Error> {
+    fast::step_in(w, kv, s, rows, seam)?;
+    fast::logits_in(w, s, rows.len(), seam);
+    Ok(())
+}
+
 /// Multi-slot decode engine over one [`WeightSource`] and one [`PagePool`].
 /// See the module docs for the slot lifecycle.
 pub struct Engine<W> {
@@ -727,7 +742,8 @@ impl<W: WeightSource> Engine<W> {
 
     /// Joins each member of the last split pass's barrier has made since
     /// that barrier was created (a new member count, or a failed pass,
-    /// re-creates it): what `dsi-verify` holds to the split trace's joins.
+    /// re-creates it): what `dsi-verify` holds to the joins the recorded
+    /// passes lay out ([`Engine::record_pass`]).
     pub fn member_joins(&self) -> Vec<u64> {
         self.team.joins().collect()
     }
@@ -814,10 +830,38 @@ impl<W: WeightSource> Engine<W> {
         advance: &[usize],
         out: &mut Vec<usize>,
     ) -> Result<(), StepError<W::Error>> {
+        self.pass_with(seats, advance, out, None).map(drop)
+    }
+
+    /// `dsi-verify`'s entry: [`Engine::pass`], run by the same body with
+    /// each member's seam and K/V sink wrapped to record every scratch
+    /// slice, K/V write and attention read the step hands a kernel
+    /// ([`crate::record`]); returns the pass's record. It allocates the
+    /// record; no engine pass calls it.
+    pub fn record_pass(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+    ) -> Result<PassRecord, StepError<W::Error>> {
+        let recorder = Recorder::default();
+        let members = self.pass_with(seats, advance, out, Some(&recorder))?;
+        Ok(recorder.finish(&self.rows, members))
+    }
+
+    /// [`Engine::pass`] with an optional recorder; returns the members it
+    /// ran on.
+    fn pass_with(
+        &mut self,
+        seats: &[(usize, &[usize])],
+        advance: &[usize],
+        out: &mut Vec<usize>,
+        rec: Option<&Recorder>,
+    ) -> Result<usize, StepError<W::Error>> {
         self.reserve_pass(seats, advance)?;
         let members = if self.rows.len() >= self.split_rows { self.degree } else { 1 };
-        let r = self.run(members, seats);
-        self.finish_pass(r, seats, advance, out)
+        let r = self.run(members, seats, rec);
+        self.finish_pass(r, seats, advance, out).map(|()| members)
     }
 
     /// The pass's step and logits on `members` members. If a split pass
@@ -825,8 +869,8 @@ impl<W: WeightSource> Engine<W> {
     /// narrows; if it panics, the seats are freed before the panic goes on
     /// up, so a caller that catches it finds the pool as after any failed
     /// pass.
-    fn run(&mut self, members: usize, seats: &[(usize, &[usize])]) -> Result<(), StepError<W::Error>> {
-        let ran = catch_unwind(AssertUnwindSafe(|| if members == 1 { self.run_solo() } else { self.run_split(members) }));
+    fn run(&mut self, members: usize, seats: &[(usize, &[usize])], rec: Option<&Recorder>) -> Result<(), StepError<W::Error>> {
+        let ran = catch_unwind(AssertUnwindSafe(|| if members == 1 { self.run_solo(rec) } else { self.run_split(members, rec) }));
         match ran {
             Ok(Err(StepError::Member(e))) => {
                 self.narrow(members, e.to_string());
@@ -864,10 +908,10 @@ impl<W: WeightSource> Engine<W> {
     }
 
     /// The pass's step and logits on `members` members: one job on the
-    /// engine's team, each member running `fast::step` over its share with
-    /// its own view of the scratch and the pool. The join before sampling
-    /// is the job's end.
-    fn run_split(&mut self, members: usize) -> Result<(), StepError<W::Error>> {
+    /// engine's team, each member running [`member_pass`] over its share
+    /// with its own view of the scratch and the pool. The join before
+    /// sampling is the job's end.
+    fn run_split(&mut self, members: usize, rec: Option<&Recorder>) -> Result<(), StepError<W::Error>> {
         let c = self.w.config();
         let (h, m) = (c.hidden, self.rows.len());
         self.scratch.ensure(c, m);
@@ -883,13 +927,13 @@ impl<W: WeightSource> Engine<W> {
             // and `logits_in`, which keep the arena protocol.
             let mut s = unsafe { Arena::shared(share, local) };
             let mut kv = PagedKv { pool, len, seqs };
-            let ran = fast::step_in(w, &mut kv, &mut s, rows, me);
-            match ran {
-                Ok(()) => fast::logits_in(w, &mut s, m, me.share()),
-                Err(e) => {
-                    me.abandon();
-                    *failed.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
-                }
+            let ran = match rec {
+                None => member_pass(w, &mut kv, &mut s, rows, me),
+                Some(rec) => rec.member(me, &mut kv, h, |seam, kv| member_pass(w, kv, &mut s, rows, seam)),
+            };
+            if let Err(e) = ran {
+                me.abandon();
+                *failed.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
             }
         });
         match failed.into_inner().unwrap_or_else(PoisonError::into_inner) {
@@ -955,12 +999,16 @@ impl<W: WeightSource> Engine<W> {
     }
 
     /// The pass's step and logits on this thread alone.
-    fn run_solo(&mut self) -> Result<(), StepError<W::Error>> {
+    fn run_solo(&mut self, rec: Option<&Recorder>) -> Result<(), StepError<W::Error>> {
+        let c = self.w.config();
+        self.scratch.ensure(c, self.rows.len());
         let len = self.pool.bases();
-        let mut kv = PagedKv { pool: &self.pool, len, seqs: &self.seqs };
-        fast::step(&self.w, &mut kv, &mut self.scratch, &self.rows, &mut Solo).map_err(StepError::Weights)?;
-        fast::logits(&self.w, &mut self.scratch, self.rows.len());
-        Ok(())
+        let (mut kv, mut s) = (PagedKv { pool: &self.pool, len, seqs: &self.seqs }, self.scratch.arena());
+        let ran = match rec {
+            None => member_pass(&self.w, &mut kv, &mut s, &self.rows, &mut Solo),
+            Some(rec) => rec.member(&mut Solo, &mut kv, c.hidden, |seam, kv| member_pass(&self.w, kv, &mut s, &self.rows, seam)),
+        };
+        ran.map_err(StepError::Weights)
     }
 
     /// The back of every pass: on success sample every seat's first token

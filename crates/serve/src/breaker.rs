@@ -7,9 +7,10 @@
 //! doomed requests turns a component fault into a latency catastrophe for
 //! everyone behind it. The breaker is the standard production answer (and
 //! the robustness literature's: under saturation a server that admits
-//! everything degrades for everyone): every classed engine fault the
-//! scheduler sees (any engine's `EngineError::Fault`, a caught panic, a
-//! step past its deadline) counts against that class's breaker, repeated
+//! everything degrades for everyone): every request a classed engine fault
+//! ends (any engine's `EngineError::Fault`, a caught panic, a step past its
+//! deadline, once the request's replay budget is spent) counts against that
+//! class's breaker, as every completion resets it; repeated such
 //! failures **open** it, new admissions fast-fail with
 //! [`Rejected::BreakerOpen`] instead of queueing behind a broken engine,
 //! and after a cool-down window a single **half-open probe** request is
@@ -34,7 +35,8 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct BreakerConfig {
     pub enabled: bool,
-    /// Consecutive terminal-fault completions that open the breaker.
+    /// Consecutive terminal-fault completions that open the breaker: requests
+    /// evicted by an engine fault of the class, with no completion between.
     pub failure_threshold: u32,
     /// Cool-down window while open; after it, one probe is admitted.
     pub open_window: Duration,

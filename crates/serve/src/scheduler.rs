@@ -63,8 +63,12 @@
 //! is free. The guard below turns that panic into a fault like any other,
 //! so the chaos sweeps fail on every panic no fault plan scripted. A
 //! resident that keeps faulting past [`ContinuousConfig::replay_budget`] is
-//! evicted with the typed [`EvictReason::EngineFault`]. Each fault's class
-//! feeds that class's circuit breaker ([`crate::breaker::BreakerSet`]).
+//! evicted with the typed [`EvictReason::EngineFault`], and only that
+//! eviction — a request the engine's faults ended — counts against its
+//! class's circuit breaker ([`crate::breaker::BreakerSet`]), as a completion
+//! resets it. A fault a replay recovers from is counted in
+//! [`SchedReport::recoveries`] and [`SchedReport::replays`], not by the
+//! breaker.
 //!
 //! Recovery leans on two wrapper guarantees (see
 //! [`dsi_core::FaultyEngine`]): an injected panic fires *before* the inner
@@ -230,9 +234,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
     let (mut page_evictions, mut engine_fault_evictions) = (0u64, 0u64);
     let (mut recoveries, mut replays) = (0u64, 0u64);
     let (mut prompt_tokens_prefilled, mut prompt_tokens_attached) = (0u64, 0u64);
-    // Fault classes seen this iteration; phase 3 feeds them to the per-class
-    // breakers (one `on_failure` each).
-    let mut faults: Vec<FaultClass> = Vec::new();
     let mut occupancy_hist = vec![0u64; cont.max_slots + 1];
     let mut tokens_per_step_hist = vec![0u64; cont.max_slots + 1];
     let mut out = Vec::with_capacity(cont.max_slots);
@@ -381,7 +382,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                     waiting.retain(|&s| s != victim);
                 }
                 EngineError::Fault { class, msg } => {
-                    faults.push(class);
                     // The seats are free again (`Err` frees them). Every
                     // resident the pass advanced is suspect: release each
                     // BEFORE any replay reserves — the engine asserts a
@@ -419,12 +419,6 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
         {
             let mut st = shared.state.lock().unwrap();
             let now = shared.clock.now_ns();
-            // Fault events feed the per-class breakers first, so a probe
-            // evicted by a fault of its own class sees Open (not
-            // HalfOpen) when its abort is processed below.
-            for class in faults.drain(..) {
-                st.breaker.on_failure(class, now);
-            }
             st.counters.watchdog_fires += std::mem::take(&mut watchdog_fires);
             for (slot, why) in retired {
                 let Resident { job, mut tokens, seated, .. } =
@@ -450,7 +444,15 @@ pub(crate) fn run_scheduler<E: BatchEngine>(
                         st.counters.evicted += 1;
                         match reason {
                             EvictReason::PagesExhausted => page_evictions += 1,
-                            EvictReason::EngineFault { .. } => engine_fault_evictions += 1,
+                            // A request the engine's faults ended: the
+                            // mirror of `on_success`, fed before the abort
+                            // below, so a probe evicted by a fault of its
+                            // own class sees Open, not HalfOpen. A fault a
+                            // replay recovered from ends no request.
+                            EvictReason::EngineFault { class, .. } => {
+                                engine_fault_evictions += 1;
+                                st.breaker.on_failure(class, now);
+                            }
                             EvictReason::Cancelled => {}
                         }
                         Outcome::Evicted { partial: tokens, reason }
@@ -853,6 +855,43 @@ mod tests {
             );
         }
         assert_eq!(counts(&shared), (1, 2, 0), "(recoveries, replays, engine-fault evictions)");
+    }
+
+    /// The breaker counts requests, not passes. Four corrupted passes in a
+    /// row, each recovered by a replay, end no request: every breaker stays
+    /// closed and the request completes token-identical. When every pass is
+    /// corrupted and there is no replay budget, each request ends evicted
+    /// by the fault, and the Corruption breaker opens at the
+    /// `failure_threshold`-th such eviction, not before.
+    #[test]
+    fn the_breaker_counts_requests_the_engine_faults_ended() {
+        let m = GptModel::random(dsi_model::zoo::tiny(2), 7);
+        let pm = PackedModel::pack(&m);
+        let threshold = ServeConfig::new(1).breaker.failure_threshold as usize;
+        let cont = |max_slots, replay_budget| {
+            ContinuousConfig { max_slots, pages_total: 32, page_tokens: 4, replay_budget, ..ContinuousConfig::default() }
+        };
+        let opens = |shared: &Shared| shared.state.lock().unwrap().breaker.opens_by_class();
+        let corruption_opens =
+            |shared: &Shared| opens(shared).iter().find(|(c, _)| *c == FaultClass::Corruption).map_or(0, |&(_, n)| n);
+
+        let storm = cont(1, 8);
+        let (outcomes, _, shared) = serve(corrupted_at(&pm, storm, &[1, 2, 3, 4]), storm, Clock::wall(), vec![(vec![1, 2], 6)]);
+        let want = pm.session(2).generate(&[1, 2], 6);
+        assert!(matches!(&outcomes[0], Outcome::Completed { tokens, .. } if *tokens == want), "{:?}", outcomes[0]);
+        assert!(opens(&shared).iter().all(|&(_, n)| n == 0), "recovered faults opened a breaker: {:?}", opens(&shared));
+
+        let permanent = cont(1, 0);
+        let every_pass: Vec<u64> = (0..16).collect();
+        for (requests, want_opens) in [(threshold - 1, 0), (threshold, 1)] {
+            let jobs = (0..requests).map(|i| (vec![i + 1, i + 2], 4)).collect();
+            let (outcomes, _, shared) = serve(corrupted_at(&pm, permanent, &every_pass), permanent, Clock::wall(), jobs);
+            assert!(
+                outcomes.iter().all(|o| matches!(o, Outcome::Evicted { reason: EvictReason::EngineFault { .. }, .. })),
+                "{outcomes:?}"
+            );
+            assert_eq!(corruption_opens(&shared), want_opens, "after {requests} engine-fault evictions");
+        }
     }
 
     /// Drops the first `release` after a `Corrupt` fault: a scheduler that

@@ -7,10 +7,10 @@
 //! join at a barrier wherever a region reads whole rows another member
 //! wrote. The scratch pass checks what each member writes between joins
 //! (`scratch::check_split`); this pass checks that the live members join
-//! where the split trace says they do. [`record_member_joins`] traces and
-//! runs the same passes on a live group, and [`check_member_joins`] holds
-//! each member's barrier crossings to the trace's joins: a member that
-//! skips or adds a join is a `join-count` diagnostic.
+//! where the pass's record says they do. `sweep::record_group` records
+//! passes on a live group, and [`check_member_joins`] holds each member's
+//! barrier crossings to the joins the records lay out: a member that skips
+//! or adds a join is a `join-count` diagnostic.
 //!
 //! Pipeline task graphs (Sec. IV-B) get a structural check
 //! ([`check_pipeline`]): the graph must be acyclic ([`find_cycle`] over an
@@ -19,61 +19,24 @@
 //! compute→network→compute hop.
 
 use crate::{Diagnostic, Pass};
-use dsi_model::fast::{PackedModel, Row};
-use dsi_model::paged::Engine;
-use dsi_model::reference::GptModel;
-use dsi_model::zoo;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
 use dsi_sim::engine::{Resource, TaskGraph};
-use dsi_sim::shmem::CommConfig;
 use serde::Serialize;
 
-/// One pass as `(seats, advanced slots)`.
-type MemberPass = (&'static [(usize, &'static [usize])], &'static [usize]);
-
-/// The passes [`record_member_joins`] traces and runs: a seat pass, a mixed
-/// pass that seats a second sequence while the first advances, and a decode
-/// pass over both.
-const MEMBER_PASSES: [MemberPass; 3] = [(&[(0, &[1, 2, 3])], &[]), (&[(1, &[4, 5])], &[0]), (&[], &[0, 1])];
-
-/// The joins of a split pass at one member count, traced and live.
+/// The joins of a live group's passes at one member count, as the passes'
+/// records lay them out and as the barrier counted them.
 #[derive(Debug, Clone)]
 pub struct MemberJoins {
     pub members: usize,
-    /// The joins `scratch::split_step_trace` lays out for each member
-    /// through the passes: one per phase of a pass but the last.
+    /// The joins the records lay out for each member through the passes:
+    /// one fewer than each pass's phases (`PassRecord::phases`).
     pub trace: u64,
-    /// Each live member's barrier crossings through the same passes.
+    /// Each live member's barrier crossings through the same passes
+    /// (`Engine::member_joins`).
     pub live: Vec<u64>,
 }
 
-/// Trace the seat, mixed and decode passes of `MEMBER_PASSES` split over
-/// `members` members of a tiny 2-layer model, and run them on a live group
-/// of `members` members. The live crossings are the barrier's arrival
-/// heartbeat ([`Engine::member_joins`]), so the hot path records nothing.
-pub fn record_member_joins(members: usize) -> MemberJoins {
-    let model = GptModel::random(zoo::tiny(2), 7);
-    let pm = PackedModel::pack(&model);
-    let mut eng = Engine::group(&pm, members, CommConfig::default(), 2, 8, 4);
-    let (mut lens, mut trace) = ([0usize; 2], 0);
-    for (seats, advance) in MEMBER_PASSES {
-        let mut rows: Vec<Row> = Vec::new();
-        for &(slot, ctx) in seats {
-            rows.extend((0..ctx.len()).map(|pos| Row { seq: slot, token: 0, pos }));
-            lens[slot] = ctx.len();
-        }
-        for &slot in advance {
-            rows.push(Row { seq: slot, token: 0, pos: lens[slot] });
-            lens[slot] += 1;
-        }
-        let (_, phases, _) = crate::scratch::split_step_trace(&model.config, members, &rows);
-        trace += phases.len() as u64 - 1;
-        eng.pass(seats, advance, &mut Vec::new()).expect("a fault-free pass");
-    }
-    MemberJoins { members, trace, live: eng.member_joins() }
-}
-
-/// Hold each live member's crossings to the trace's joins: a `join-count`
+/// Hold each live member's crossings to the recorded joins: a `join-count`
 /// diagnostic for a member count other than the pass's, and one for each
 /// member that crossed more or fewer joins than the trace lays out.
 pub fn check_member_joins(j: &MemberJoins) -> Vec<Diagnostic> {
@@ -92,7 +55,7 @@ pub fn check_member_joins(j: &MemberJoins) -> Vec<Diagnostic> {
             Pass::Collective,
             "join-count",
             format!("{site}, member {t}"),
-            format!("crossed {n} joins; the split trace joins {} times a member", j.trace),
+            format!("crossed {n} joins; the recorded passes join {} times a member", j.trace),
         ));
     }
     diags
@@ -251,9 +214,9 @@ mod tests {
     /// Three passes of a 2-layer model: 1 + 4·2 joins each, for every
     /// member, the live crossings as many.
     #[test]
-    fn live_joins_match_the_trace() {
+    fn live_joins_match_the_record() {
         for n in [2usize, 4] {
-            let j = record_member_joins(n);
+            let j = crate::sweep::record_group(n, false, 2).joins;
             assert_eq!((j.trace, j.live.len()), (3 * (1 + 4 * 2), n), "{j:?}");
             let d = check_member_joins(&j);
             assert!(d.is_empty(), "{n} members: {d:?}");
@@ -264,7 +227,7 @@ mod tests {
     fn a_member_off_the_trace_is_detected() {
         // Member 1 crosses one join fewer, member 3 one more, and a member
         // is missing: each is its own diagnostic.
-        let mut j = record_member_joins(4);
+        let mut j = crate::sweep::record_group(4, false, 2).joins;
         j.live[1] -= 1;
         j.live[3] += 1;
         let d = check_member_joins(&j);

@@ -13,9 +13,10 @@
 //!   lists: inner-dimension mismatches, element-count breaks, weight-dtype
 //!   mixing inside a fused region, and fusion plans violating the
 //!   shared-tileable-axis rule all become diagnostics before any kernel runs.
-//! * [`scratch`] — buffer aliasing / lifetime analysis of the
-//!   `FastSession` scratch arena (`dsi-model::fast`): overlapping
-//!   scratch-slice reuse is a verifier error, not a silent wrong answer.
+//! * [`scratch`] — buffer aliasing / lifetime analysis of the scratch
+//!   arena (`dsi-model::fast`) on live pass records: overlapping
+//!   scratch-slice reuse, or a member touching another's columns between
+//!   joins, is a verifier error, not a silent wrong answer.
 //! * [`collective`] — the joins of a split pass (what a tensor-parallel
 //!   group runs), held to a live group's barrier crossings, and pipeline
 //!   task graphs, which must be acyclic with matched inter-stage hops.
@@ -29,7 +30,8 @@
 //!   `// SAFETY:` comment and every `unsafe fn` a `# Safety` doc section.
 //! * [`sweep`] — the `cargo xtask verify` entry point: runs the passes over
 //!   every zoo model × figure configuration used by the paper-reproduction
-//!   binaries, plus negative controls proving the detectors still detect.
+//!   binaries and over what live runtimes recorded, plus negative controls
+//!   proving the detectors still detect.
 //!
 //! Every pass returns a list of [`Diagnostic`]s; an empty list means the
 //! plan is proven legal under that pass's model.

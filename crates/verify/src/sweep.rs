@@ -1,47 +1,53 @@
 //! The `cargo xtask verify` entry point: run every static pass over every
-//! configuration the paper-reproduction binaries actually execute, plus
-//! negative controls proving the detectors still detect.
+//! configuration the paper-reproduction binaries actually execute, and over
+//! what live runtimes recorded, plus negative controls proving the
+//! detectors still detect.
 //!
 //! [`verify_all`] sweeps:
 //! * **IR** — every Table I model × {prompt, generation} phase × batch sizes
 //!   × the model's TP degrees (1, its Fig. 6 degree, its Fig. 8 degree) ×
 //!   all four canonical fusion plans;
-//! * **Scratch** — the fast decode path of each dense model (prompt
-//!   ingestion + steady-state decode against the real arena layout), plus
-//!   the batched ragged-offset step at every dispatcher batch size
-//!   M ∈ {1, 2, 4, 8, 16}, and that step split across 2 and 4 pass members
-//!   at M ∈ {1, 8} (disjoint member windows between joins);
+//! * **Scratch** — the arena protocol on live pass records
+//!   ([`record_live`]): a tiny 2-layer model's `Engine::group` at tp 1–4
+//!   (at tp 3 the head parts are uneven, at tp 4 the 16-column parts start
+//!   inside a 32-column panel), f32 and INT8, each recording a seat, a
+//!   mixed and a decode pass over M ∈ {1, 2, 4, 8, 16} sequences at ragged
+//!   offsets ([`record_group`]); and the page tables of a churned live
+//!   pool;
 //! * **Collective** — task-graph structure for the Fig. 8 pipeline
-//!   mappings;
-//! * **Live** — what the running code did ([`record_live`]): each split-pass
-//!   member's barrier crossings at 2 and 4 members — what a tensor-parallel
-//!   group executes — held to the joins the split trace lays out, and the
-//!   offload store's recorded events over a grid of layers × prefetch
-//!   depths × budgets;
+//!   mappings, each live member's barrier crossings through those passes
+//!   held to the joins their records lay out, and the offload store's
+//!   recorded events over a grid of layers × prefetch depths × budgets;
 //! * **Audit** — runs separately in xtask (it needs the source tree).
 //!
 //! [`negative_controls`] seeds one defect of each class the verifier claims
 //! to catch — a dtype-mixed region, a corrupted GEMM contraction, an illegal
-//! fusion boundary, an aliased scratch write, a pair of aliasing M-row
-//! attention regions in the batched layout, two split-pass members whose
-//! column windows overlap, two sequences mapped to one KV page in the paged
-//! allocator, a live split-pass member crossing one join fewer than the
-//! trace, a cyclic task graph, an undocumented `unsafe` block, and a
-//! recorded store run with a panel's first fetch removed — and returns
-//! the diagnostics each produced. CI fails if any control comes back clean:
-//! a verifier that stops detecting is worse than none.
+//! fusion boundary, a live record whose W_o launch writes over its residual
+//! input, one whose attention launch writes over its own query, one whose
+//! member 1 starts its FF1 window a column early, two sequences mapped to
+//! one KV page, a shared page at a holder's write frontier, a live member
+//! crossing one join fewer than its record, a cyclic task graph, an
+//! undocumented `unsafe` block, and a recorded store run with a panel's
+//! first fetch removed — and returns the diagnostics each produced. CI fails
+//! if any control comes back clean: a verifier that stops detecting is
+//! worse than none.
 
-use crate::collective::{check_member_joins, check_pipeline, find_cycle, record_member_joins, DiGraph, MemberJoins};
+use crate::collective::{check_member_joins, check_pipeline, find_cycle, DiGraph, MemberJoins};
 use crate::ir::verify_layer_plan;
 use crate::runtime::{check_prefetch_program, record_offload};
-use crate::scratch::{check_trace, Arena, SliceRef, Step};
+use crate::scratch::check_record;
 use crate::{Diagnostic, Pass};
+use dsi_kernels::blocked::PanelWeights;
 use dsi_kernels::fusion::FusionPlan;
 use dsi_kernels::graph::{transformer_layer_ops_tp, OpKind};
-use dsi_model::fast::Row;
+use dsi_model::fast::{Access, PackedModel, QuantizedPackedModel};
+use dsi_model::paged::Engine;
+use dsi_model::record::{Buffer, Kernel, Launch, PassRecord, Touch};
+use dsi_model::reference::GptModel;
 use dsi_model::zoo;
 use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
 use dsi_sim::hw::DType;
+use dsi_sim::shmem::CommConfig;
 use dsi_zero::offload::StoreEvent;
 
 /// Outcome of one sweep: how much was checked, and everything found.
@@ -49,8 +55,8 @@ use dsi_zero::offload::StoreEvent;
 pub struct SweepReport {
     /// Number of (model, phase, batch, tp, plan) IR combinations verified.
     pub ir_plans: usize,
-    /// Number of decode traces analysed.
-    pub scratch_traces: usize,
+    /// Number of live pass records checked.
+    pub records: usize,
     /// Number of join records, pipeline graphs and offload recordings
     /// checked.
     pub collective_programs: usize,
@@ -63,22 +69,95 @@ impl SweepReport {
     }
 }
 
-/// What the running code did: per member count, the split trace's joins
-/// and each live member's crossings; per offload run `(layers, depth,
-/// budget in panels)`, the store's events; and a diagnostic for each
-/// offload run that could not be checked because its recorder wrapped.
+/// A live group's recorded passes at one degree, weight type and sequence
+/// count.
+#[derive(Debug, Clone)]
+pub struct GroupRun {
+    pub tp: usize,
+    pub int8: bool,
+    /// Sequences each pass seats or advances.
+    pub m: usize,
+    /// Each pass's record by name: the seat, the mixed and the decode pass.
+    pub passes: Vec<(&'static str, PassRecord)>,
+    /// Each member's barrier crossings through the passes, beside the
+    /// joins their records lay out.
+    pub joins: MemberJoins,
+}
+
+impl GroupRun {
+    /// The group's degree and weight type.
+    pub fn label(&self) -> String {
+        format!("tp={} {}", self.tp, if self.int8 { "int8" } else { "f32" })
+    }
+
+    /// Where a diagnostic about `pass` was found.
+    pub fn site(&self, pass: &str) -> String {
+        format!("{} {pass} M={}", self.label(), self.m)
+    }
+}
+
+/// What the running code did: each live group's recorded passes; per
+/// offload run `(layers, depth, budget in panels)`, the store's events; and
+/// a diagnostic for each offload run that could not be checked because its
+/// recorder wrapped.
 #[derive(Debug, Clone, Default)]
 pub struct Recorded {
-    pub members: Vec<MemberJoins>,
+    pub groups: Vec<GroupRun>,
     pub offload: Vec<((usize, usize, usize), Vec<StoreEvent>)>,
     pub overflows: Vec<Diagnostic>,
 }
 
-/// Trace and run split passes on 2 and 4 members, and the paged engine
-/// over an offload store for layers {2, 3, 5} × prefetch depth {0, 1, 2} ×
-/// a budget of {1, 2, 3} panels, and collect what each did.
+/// Prompt `i` of a group's seat pass: 1 to 8 tokens, the longer ones
+/// sharing a first page, so a later seat attaches a page an earlier seat of
+/// the same pass reserved and computes from position 4.
+fn prompt(i: usize) -> Vec<usize> {
+    (0..1 + (5 * i + 5) % 8).map(|j| if j < 4 { 1 + j } else { (7 * i + j) % 101 }).collect()
+}
+
+/// Record a seat, a mixed and a decode pass on a live `Engine::group` of
+/// `tp` members over a tiny 2-layer model (INT8 panels when `int8`), with
+/// 4-token pages: the seat pass seats `m` ragged prompts (the first crosses
+/// a page boundary), the mixed pass advances them while seating one more
+/// that attaches their shared first page, and the decode pass advances the
+/// first `m` again, each at its own offset.
+pub fn record_group(tp: usize, int8: bool, m: usize) -> GroupRun {
+    let model = GptModel::random(zoo::tiny(2), 7);
+    let (passes, joins) = if int8 {
+        record_passes(&QuantizedPackedModel::quantize_pack(&model, 32), tp, m)
+    } else {
+        record_passes(&PackedModel::pack(&model), tp, m)
+    };
+    GroupRun { tp, int8, m, passes, joins }
+}
+
+fn record_passes<B: PanelWeights>(pm: &PackedModel<'_, B>, tp: usize, m: usize) -> (Vec<(&'static str, PassRecord)>, MemberJoins) {
+    let mut eng = Engine::group(pm, tp, CommConfig::default(), m + 1, 3 * (m + 1) + 2, 4);
+    let prompts: Vec<Vec<usize>> = (0..m).map(prompt).collect();
+    let seats: Vec<(usize, &[usize])> = prompts.iter().enumerate().map(|(i, p)| (i, &p[..])).collect();
+    let newcomer = [1, 2, 3, 4, 50, 51];
+    let slots: Vec<usize> = (0..m).collect();
+    let mut record = |name, seats: &[(usize, &[usize])], advance: &[usize]| {
+        let rec = eng.record_pass(seats, advance, &mut Vec::new());
+        (name, rec.unwrap_or_else(|e| panic!("a fault-free {name} pass: {e:?}")))
+    };
+    let passes = vec![record("seat", &seats, &[]), record("mixed", &[(m, &newcomer)], &slots), record("decode", &[], &slots)];
+    let trace = passes.iter().map(|(_, r)| r.phases() - 1).sum();
+    (passes, MemberJoins { members: tp, trace, live: eng.member_joins() })
+}
+
+/// Record every live group — tp 1–4 × f32 and INT8 × M ∈ {1, 2, 4, 8, 16} —
+/// and the paged engine over an offload store for layers {2, 3, 5} ×
+/// prefetch depth {0, 1, 2} × a budget of {1, 2, 3} panels, and collect
+/// what each did.
 pub fn record_live() -> Recorded {
-    let mut r = Recorded { members: [2, 4].map(record_member_joins).into(), ..Recorded::default() };
+    let mut r = Recorded::default();
+    for tp in 1..=4 {
+        for int8 in [false, true] {
+            for m in [1, 2, 4, 8, 16] {
+                r.groups.push(record_group(tp, int8, m));
+            }
+        }
+    }
     for layers in [2usize, 3, 5] {
         for depth in [0usize, 1, 2] {
             for budget in [1usize, 2, 3] {
@@ -136,7 +215,7 @@ fn fig8_spec(pp: usize) -> PipelineSpec {
 pub fn verify_all(recorded: &Recorded) -> SweepReport {
     let mut report = SweepReport {
         ir_plans: 0,
-        scratch_traces: 0,
+        records: 0,
         collective_programs: 0,
         diagnostics: recorded.overflows.clone(),
     };
@@ -146,7 +225,6 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
 
     for e in zoo::table1() {
         let c = &e.config;
-        let site = |what: &str| format!("{} {what}", c.name);
 
         // --- Pass 1: IR over both phases × batches × TP × plans. ---
         for tp in tp_degrees(&e) {
@@ -171,56 +249,6 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
             }
         }
 
-        // --- Pass 2: scratch arena of the fast decode path. ---
-        // Trace a 16-row prompt pass (each row attending over its causal
-        // prefix) and the decode step after it, over the whole model (a
-        // TP group runs the whole model's pass split; pass 2c checks the
-        // split): cheap enough to run for the 530B layer count. Then the
-        // serving scheduler's mixed pass: the prompt rows of two sequences
-        // at different offsets (a newcomer, and a replay past an attached
-        // front) beside the decode rows of three others.
-        let mixed: Vec<Row> = [(0, 0..5), (1, 8..12)]
-            .into_iter()
-            .flat_map(|(seq, ps)| ps.map(move |pos| Row { seq, token: 0, pos }))
-            .chain((2..5).map(|seq| Row { seq, token: 0, pos: 3 * seq }))
-            .collect();
-        let mut d = crate::scratch::verify_decode_plan(c, 16);
-        d.extend(crate::scratch::verify_step(c, &mixed));
-        report.scratch_traces += 3; // prompt + decode + mixed trace
-        report.diagnostics.extend(d.into_iter().map(|mut x| {
-            x.site = format!("{}: {}", site("decode"), x.site);
-            x
-        }));
-
-        // --- Pass 2b: batched ragged-offset decode (an M-row `fast::step`). ---
-        // Each batch size the M-row dispatcher distinguishes, at staggered
-        // per-row offsets so no two rows are at the same context length.
-        for m in [1usize, 2, 4, 8, 16] {
-            let offsets: Vec<usize> = (0..m).map(|i| 1 + (i * 3) % 13).collect();
-            let d = crate::scratch::verify_batched_decode_plan(c, &offsets);
-            report.scratch_traces += 1;
-            report.diagnostics.extend(d.into_iter().map(|mut x| {
-                x.site = format!("{}: {}", site(&format!("batched m={m}")), x.site);
-                x
-            }));
-        }
-
-        // --- Pass 2c: the one step split across pass members. ---
-        // Two and four members (at most one per head), over a one-row and
-        // an eight-row decode pass at staggered offsets: every member's
-        // windows disjoint from every other member's between joins.
-        for members in [2usize, 4].into_iter().filter(|&n| n <= c.heads) {
-            for m in [1usize, 8] {
-                let rows: Vec<Row> = (0..m).map(|seq| Row { seq, token: 0, pos: 1 + (seq * 3) % 13 }).collect();
-                let d = crate::scratch::verify_split_step(c, members, &rows);
-                report.scratch_traces += 1;
-                report.diagnostics.extend(d.into_iter().map(|mut x| {
-                    x.site = format!("{}: {}", site(&format!("split members={members} m={m}")), x.site);
-                    x
-                }));
-            }
-        }
-
         // --- Pass 3a: Fig. 8 pipeline task-graph structure. ---
         if let Some((_, pp)) = e.fig8 {
             let spec = fig8_spec(pp);
@@ -231,7 +259,22 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         }
     }
 
-    // --- Pass 2d: paged-KV allocator page-sharing discipline. ---
+    // --- Pass 2: the arena protocol on every live pass record. ---
+    // Between two joins each member writes only its own columns and reads
+    // only what nobody writes; within a launch no write overlaps another
+    // operand; nothing is read before a launch (or an earlier pass, for
+    // K/V rows) wrote it; nothing lies outside the pass's arena.
+    for run in &recorded.groups {
+        for (pass, rec) in &run.passes {
+            report.records += 1;
+            report.diagnostics.extend(check_record(&zoo::tiny(2), rec).into_iter().map(|mut x| {
+                x.site = format!("{}: {}", run.site(pass), x.site);
+                x
+            }));
+        }
+    }
+
+    // --- Pass 2b: paged-KV allocator page-sharing discipline. ---
     // Share/release/resurrect/re-reserve churn on a real `PagePool` (the
     // continuous scheduler's allocator), then prove every live table maps
     // in-range pages and shares them only as a common front wholly behind
@@ -272,7 +315,6 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
             pool.stats().pages_in_use < tables.iter().map(|(t, _)| t.len()).sum(),
             "the churn must leave shared pages to check"
         );
-        report.scratch_traces += 1;
         report.diagnostics.extend(
             crate::scratch::check_page_tables(24, pool.page_tokens(), &tables).into_iter().map(
                 |mut x| {
@@ -284,12 +326,15 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
     }
 
     // --- Pass 3b: the split pass members' joins. ---
-    // Through a seat, a mixed and a decode pass at 2 and 4 members (a
-    // tensor-parallel group's degrees), every live member crossed as many
-    // joins as the split trace lays out.
-    for joins in &recorded.members {
+    // Through each live group's recorded passes at 2 to 4 members, every
+    // member crossed as many barriers as the records lay out joins (a
+    // one-member pass crosses none).
+    for run in recorded.groups.iter().filter(|r| r.tp > 1) {
         report.collective_programs += 1;
-        report.diagnostics.extend(check_member_joins(joins));
+        report.diagnostics.extend(check_member_joins(&run.joins).into_iter().map(|mut x| {
+            x.site = format!("{}: {}", run.site("passes"), x.site);
+            x
+        }));
     }
 
     // --- Pass 3c: the offload store's recorded events (dsi-zero). ---
@@ -368,41 +413,43 @@ pub fn negative_controls(recorded: &Recorded) -> Vec<Control> {
         diagnostics: verify_layer_plan(&base(), &bad_fuse, None),
     });
 
-    // Scratch: a kernel writing over its own residual input.
-    let arena = Arena { buffers: vec![("x", 64), ("y", 64)] };
-    let steps = vec![
-        Step::new("init", vec![], vec![SliceRef::new("x", 0, 64)]),
-        Step::new(
-            "residual_in_place",
-            vec![SliceRef::new("x", 0, 64)],
-            vec![SliceRef::new("x", 0, 64)],
-        ),
-    ];
+    // Scratch: live records, each mutated in one launch. The W_o launch
+    // writes over the residual stream it reads (an x/y swap gone wrong); an
+    // attention launch writes its output over its own query; member 1
+    // starts its FF1 window one column early, so both members write that
+    // column of every row before the join.
+    let solo = live_pass(recorded, 1, "decode");
+    // Touch `write` of the launch at `launch` becomes a write of what its
+    // touch `to` reads. A W_o launch touches attn, the residual, then its
+    // output; an attention launch its query, its output, then K and V.
+    let retarget = |rec: &PassRecord, launch: usize, write: usize, to: usize| {
+        let mut bad = rec.clone();
+        let touches = &mut bad.launches[launch].touches;
+        touches[write] = Touch { access: Access::Write, ..touches[to].clone() };
+        check_record(&zoo::tiny(2), &bad)
+    };
+    let wo = solo.and_then(|r| first_launch(r, 0, |l| l.kernel == Kernel::Region && l.uses("attn", Access::Read)).map(|i| (r, i)));
     out.push(Control {
-        name: "aliased scratch write (in-place residual)",
+        name: "W_o written over its residual input (live record)",
         expect_code: "scratch-alias",
-        diagnostics: check_trace(&arena, &steps, &[]),
+        diagnostics: wo.map_or_else(Vec::new, |(r, i)| retarget(r, i, 2, 1)),
     });
-
-    // Scratch, batched layout: two M-row attention launches whose output
-    // rows alias (row pitch h, write width 2h) — the cross-row overwrite
-    // class the batched sweep exists to catch.
-    let (arena, steps) = crate::scratch::aliased_batched_rows_trace(16);
+    let attend = solo.and_then(|r| first_launch(r, 0, |l| l.kernel == Kernel::Attend).map(|i| (r, i)));
     out.push(Control {
-        name: "aliased M-row regions (attention rows overlap)",
+        name: "attention written over its own query (live record)",
         expect_code: "scratch-alias",
-        diagnostics: check_trace(&arena, &steps, &[]),
+        diagnostics: attend.map_or_else(Vec::new, |(r, i)| retarget(r, i, 1, 0)),
     });
-
-    // Scratch, split pass: two members whose FF1 windows overlap by one
-    // column — both write it before the join, the race the split sweep
-    // exists to catch.
-    let (arena, phases, written) = crate::scratch::overlapping_windows_trace(&zoo::tiny(1));
-    out.push(Control {
-        name: "overlapping member windows (split pass)",
-        expect_code: "member-overlap",
-        diagnostics: crate::scratch::check_split(&arena, &phases, &written),
+    let split = live_pass(recorded, 2, "decode");
+    let ff1 = split.and_then(|r| first_launch(r, 1, |l| l.kernel == Kernel::Region && l.uses("ff", Access::Write)).map(|i| (r, i)));
+    let diagnostics = ff1.map_or_else(Vec::new, |(r, i)| {
+        let mut bad = r.clone();
+        for t in bad.launches[i].touches.iter_mut().filter(|t| t.buf == Buffer::Scratch("ff")) {
+            t.cols = t.cols.start - 1..t.cols.end - 1;
+        }
+        check_record(&zoo::tiny(2), &bad)
     });
+    out.push(Control { name: "overlapping member windows (live split record)", expect_code: "member-overlap", diagnostics });
 
     // Paged KV: two sequences whose page tables cross — one page at two
     // different indices, i.e. read as two different runs of context rows.
@@ -432,11 +479,11 @@ pub fn negative_controls(recorded: &Recorded) -> Vec<Control> {
         ),
     });
 
-    // Joins: the live 4-member record with member 1 crossing one join
-    // fewer than the trace — it would read W_o inputs the other members
-    // are still writing.
-    let diagnostics = recorded.members.iter().find(|j| j.members == 4).map_or_else(Vec::new, |j| {
-        let mut bad = j.clone();
+    // Joins: a live 4-member group with member 1 crossing one join fewer
+    // than its records lay out — it would read W_o inputs the other
+    // members are still writing.
+    let diagnostics = recorded.groups.iter().find(|r| r.tp == 4).map_or_else(Vec::new, |r| {
+        let mut bad = r.joins.clone();
         bad.live[1] -= 1;
         check_member_joins(&bad)
     });
@@ -494,6 +541,17 @@ pub fn negative_controls(recorded: &Recorded) -> Vec<Control> {
     out
 }
 
+/// `pass` of the f32 two-sequence group at degree `tp`.
+fn live_pass<'r>(recorded: &'r Recorded, tp: usize, pass: &str) -> Option<&'r PassRecord> {
+    let run = recorded.groups.iter().find(|r| (r.tp, r.int8, r.m) == (tp, false, 2))?;
+    run.passes.iter().find(|(p, _)| *p == pass).map(|(_, r)| r)
+}
+
+/// The index of `member`'s first launch in `rec` that `is` picks.
+fn first_launch(rec: &PassRecord, member: usize, is: impl Fn(&Launch) -> bool) -> Option<usize> {
+    rec.launches.iter().position(|l| l.member == member && is(l))
+}
+
 /// CI gate: every seeded defect must be detected.
 pub fn controls_all_fire(controls: &[Control]) -> bool {
     controls.iter().all(Control::fired)
@@ -509,8 +567,8 @@ mod tests {
         assert!(r.is_clean(), "sweep found defects: {:#?}", r.diagnostics);
         // Sanity: the sweep actually covered things.
         assert!(r.ir_plans >= 9 * 2 * 3 * 4, "ir_plans = {}", r.ir_plans);
-        // Per Table-I model: prompt + decode + 5 batched M sweeps.
-        assert!(r.scratch_traces >= 9 * 7, "scratch_traces = {}", r.scratch_traces);
+        // tp 1-4 × f32 and INT8 × five M × seat, mixed and decode.
+        assert_eq!(r.records, 4 * 2 * 5 * 3, "records = {}", r.records);
         assert!(r.collective_programs >= 10);
     }
 
@@ -518,7 +576,7 @@ mod tests {
     fn every_negative_control_fires() {
         let recorded = record_live();
         assert!(recorded.overflows.is_empty(), "{:?}", recorded.overflows);
-        assert_eq!((recorded.members.len(), recorded.offload.len()), (2, 27));
+        assert_eq!((recorded.groups.len(), recorded.offload.len()), (40, 27));
         let controls = negative_controls(&recorded);
         assert_eq!(controls.len(), 12);
         for c in &controls {

@@ -4,13 +4,13 @@
 //!
 //! Subcommands:
 //! * `verify` — run the full static sweep (`dsi_verify::sweep::verify_all`)
-//!   over every zoo model × figure configuration, over a live split pass's
-//!   joins per member (held to the split trace's) and over what the offload
-//!   store recorded (both printed per run; a recorder that wrapped, or a
-//!   live join count off its trace, fails the sweep), the breaker explorer
-//!   over the real serving circuit breaker, then the negative controls. Exit
-//!   code 1 if a check finds a defect **or** any seeded defect goes
-//!   undetected.
+//!   over every zoo model × figure configuration, over the passes live
+//!   groups recorded (each record's launches and phases printed, its arena
+//!   protocol checked, each member's joins held to the records') and over
+//!   what the offload store recorded (printed per run; a recorder that
+//!   wrapped fails the sweep), the breaker explorer over the real serving
+//!   circuit breaker, then the negative controls. Exit code 1 if a check
+//!   finds a defect **or** any seeded defect goes undetected.
 //! * `unsafe-audit` — walk every crate's sources and enforce the unsafe
 //!   hygiene contract (`// SAFETY:` on blocks, `# Safety` on fns).
 //! * `all` — both.
@@ -44,14 +44,21 @@ fn run_verify() -> ExitCode {
     let recorded = dsi_verify::sweep::record_live();
     let report = dsi_verify::sweep::verify_all(&recorded);
     println!(
-        "xtask verify: {} IR plans, {} scratch traces, {} collective programs checked",
-        report.ir_plans, report.scratch_traces, report.collective_programs
+        "xtask verify: {} IR plans, {} live pass records, {} collective programs checked",
+        report.ir_plans, report.records, report.collective_programs
     );
-    for j in &recorded.members {
-        println!(
-            "  split-pass joins: {} members, joins per member {:?} (the live members' crossings; the trace lays out {})",
-            j.members, j.live, j.trace
-        );
+    println!("  live pass records, launches/phases per M:");
+    for (i, &(pass, _)) in recorded.groups.first().map_or(&[][..], |r| &r.passes[..]).iter().enumerate() {
+        for runs in recorded.groups.chunk_by(|a, b| (a.tp, a.int8) == (b.tp, b.int8)) {
+            let per_m: Vec<String> =
+                runs.iter().map(|r| format!("M={} {}/{}", r.m, r.passes[i].1.launches.len(), r.passes[i].1.phases())).collect();
+            println!("    {} {pass}: {}", runs[0].label(), per_m.join(", "));
+        }
+    }
+    println!("  live members' joins through a group's passes per M (the records' joins in brackets):");
+    for runs in recorded.groups.chunk_by(|a, b| (a.tp, a.int8) == (b.tp, b.int8)).filter(|runs| runs[0].tp > 1) {
+        let per_m: Vec<String> = runs.iter().map(|r| format!("M={} {:?} ({})", r.m, r.joins.live, r.joins.trace)).collect();
+        println!("    {}: {}", runs[0].label(), per_m.join(", "));
     }
     let runs: Vec<String> =
         recorded.offload.iter().map(|((l, d, b), ev)| format!("{l}/{d}/{b}: {}", ev.len())).collect();

@@ -1,10 +1,6 @@
-//! Property tests for the extension subsystems: tiled fused execution,
-//! pipeline-parallel functional execution,
-//! checkpoints, and the serving simulator.
+//! Property tests for the extension subsystems: pipeline-parallel
+//! functional execution, checkpoints, and the serving simulator.
 
-use deepspeed_inference::kernels::exec::{layer_forward_tiled, layer_forward_whole, LayerTensors};
-use deepspeed_inference::kernels::fusion::FusionPlan;
-use deepspeed_inference::kernels::tensor::Tensor;
 use deepspeed_inference::model::io;
 use deepspeed_inference::model::reference::GptModel;
 use deepspeed_inference::model::zoo;
@@ -14,34 +10,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Tiled execution of fused regions equals whole-tensor execution for
-    /// any legal plan, tile width, and layer geometry.
-    #[test]
-    fn tiled_fusion_equivalence(
-        tokens in 1usize..10,
-        heads_pow in 0u32..3,
-        tile in 1usize..6,
-        seed in 0u64..300,
-        plan_idx in 0usize..4,
-    ) {
-        let heads = 1usize << heads_pow;
-        let hidden = heads * 8;
-        let w = LayerTensors::random(hidden, heads, seed);
-        let x = Tensor::randn(&[tokens, hidden], 1.0, seed + 1);
-        let plan = match plan_idx {
-            0 => FusionPlan::unfused(12),
-            1 => FusionPlan::deepspeed_small_batch(),
-            2 => FusionPlan::deepspeed_large_batch(),
-            _ => FusionPlan::faster_transformer(),
-        };
-        let want = layer_forward_whole(&w, &x);
-        let got = layer_forward_tiled(&w, &x, &plan, tile, false);
-        prop_assert!(
-            got.allclose(&want, 1e-3),
-            "diff {}", got.max_abs_diff(&want)
-        );
-    }
 
     /// Pipeline-parallel scheduled execution equals unpipelined generation
     /// for any stage count / micro-batch mix.
