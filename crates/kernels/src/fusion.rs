@@ -259,6 +259,7 @@ pub fn fuse(
 mod tests {
     use super::*;
     use crate::graph::transformer_layer_ops;
+    use proptest::prelude::*;
 
     fn ops() -> Vec<OpDesc> {
         transformer_layer_ops(1, 1, 128, 512, 8, DType::Fp16)
@@ -390,5 +391,43 @@ mod tests {
         let eager: usize = fused.iter().map(|k| k.eager_launches).sum();
         let opt: usize = fused.iter().map(|k| k.launches).sum();
         assert!(eager > 2 * opt, "eager {eager} opt {opt}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `validate`'s verdict agrees with `fuse`'s `Result` on random
+        /// partitions of the canonical layer, some tampered into
+        /// non-partitions, and `fuse` fails with the first violation.
+        #[test]
+        fn fusion_verdict_agrees_with_fuse(
+            cuts in prop::collection::vec(0usize..2, 11..12),
+            tamper in 0usize..8,
+            shift in 1usize..3,
+        ) {
+            // Random contiguous partition of the 12-op canonical layer...
+            let ops = transformer_layer_ops(1, 2, 2, 64, 4, DType::Fp16);
+            let mut regions = Vec::new();
+            let mut lo = 0;
+            for (i, &cut) in cuts.iter().enumerate() {
+                if cut == 1 {
+                    regions.push((lo, i + 1));
+                    lo = i + 1;
+                }
+            }
+            regions.push((lo, 12));
+            // ...sometimes tampered into a non-partition.
+            if tamper == 0 {
+                let last = regions.len() - 1;
+                regions[last].1 += shift;
+            }
+            let plan = FusionPlan { regions };
+            let errs = validate(&ops, &plan);
+            let fused = fuse(&ops, &plan, DType::Fp16);
+            prop_assert_eq!(errs.is_empty(), fused.is_ok(), "validate {:?} vs fuse {:?}", &errs, fused.err());
+            if let Err(e) = fused {
+                prop_assert_eq!(e, errs[0].clone(), "fuse must fail with the first violation");
+            }
+        }
     }
 }

@@ -372,4 +372,48 @@ mod tests {
         let w8: f64 = ops8.iter().map(|o| o.cost(DType::Fp16).weight_bytes).sum();
         assert_eq!(w1, w8);
     }
+
+    /// The shape chain of a tensor-sliced layer at Table I's widths: every
+    /// op consumes the activation the op before it produced. Each GEMM
+    /// contracts over the incoming width, each element-wise or layout op
+    /// covers `batch · t_new` rows of it, each layer-norm normalises it, and
+    /// attention takes the transposed QKV block of its own heads.
+    #[test]
+    fn tp_layer_ops_chain_their_shapes() {
+        // (hidden, heads) of Table I's models, GPT-2 1.5B through LM-530B.
+        let widths: [(usize, usize); 8] = [(1600, 25), (2560, 20), (4096, 32), (5120, 40), (6144, 64), (8192, 64), (12288, 96), (20480, 128)];
+        for (hidden, heads) in widths {
+            for tp in [1, 2, 4, 8, 16].into_iter().filter(|&tp| heads.is_multiple_of(tp)) {
+                for batch in [1, 8, 32] {
+                    // Prompt ingestion and one decode step.
+                    for (t_new, t_ctx) in [(128, 128), (1, 136)] {
+                        let m = batch * t_new;
+                        let site = format!("hidden={hidden} heads={heads} tp={tp} batch={batch} t_new={t_new}");
+                        let mut width = hidden;
+                        for op in transformer_layer_ops_tp(batch, t_new, t_ctx, hidden, heads, tp, DType::Fp16) {
+                            width = match op.kind {
+                                OpKind::Gemm { m: rows, k, n, .. } => {
+                                    assert_eq!((rows, k), (m, width), "{site}: {}", op.name);
+                                    n
+                                }
+                                OpKind::Elementwise { elems, .. } | OpKind::DataLayout { elems } => {
+                                    assert_eq!(elems, m * width, "{site}: {}", op.name);
+                                    width
+                                }
+                                OpKind::Reduction { rows, cols } => {
+                                    assert_eq!((rows, cols), (m, width), "{site}: {}", op.name);
+                                    width
+                                }
+                                OpKind::Attention { batch: b, heads: hh, t_new: tn, head_dim, .. } => {
+                                    assert_eq!((b * tn, 3 * hh * head_dim), (m, width), "{site}: {}", op.name);
+                                    hh * head_dim
+                                }
+                            };
+                        }
+                        assert_eq!(width, hidden, "{site}: the layer's output width");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -1,4 +1,4 @@
-//! Pass 4 — unsafe-kernel source audit.
+//! Pass 3 — unsafe-kernel source audit.
 //!
 //! The SIMD kernels (`dsi-kernels::{blocked,fused,simd}`) earn their speed
 //! with `unsafe`: raw pointer arithmetic, `get_unchecked`, and

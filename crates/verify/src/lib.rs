@@ -1,25 +1,23 @@
-//! # dsi-verify — static analysis over inference plans
+//! # dsi-verify — checks over what the running code recorded
 //!
 //! The performance argument of the paper rests on plans being *legal*:
-//! Deep-Fusion's tile-dependency rule (Sec. III-B), tensor-slicing members
-//! that meet each other at the same joins (Sec. IV-A), and pipeline
-//! schedules that never deadlock (Sec. IV-B). The rest of the workspace
-//! checks those invariants dynamically — at execution time, on the one
-//! configuration a test happens to run. This crate checks them over every
-//! plan: statically where the plan is a cost model's, and against what the
-//! running code recorded where an executed runtime exists:
+//! Deep-Fusion's tile-dependency rule (Sec. III-B) and tensor-slicing
+//! members that meet each other at the same joins (Sec. IV-A). On a CPU
+//! the rule is the split pass's arena protocol: between two joins each
+//! member writes only its own columns and reads only what no member
+//! writes. This crate checks it on what live runtimes recorded, never on
+//! plans or programs it builds for itself. (A plan's fusion legality is
+//! `dsi_kernels::fusion::validate`, which `fusion::fuse` runs on every plan
+//! a figure prices; a pipeline task graph cannot hold a cycle, since
+//! `TaskGraph::add` asserts that every dependency names an earlier task.)
 //!
-//! * [`ir`] — shape/dtype inference over [`dsi_kernels::graph::OpDesc`] op
-//!   lists: inner-dimension mismatches, element-count breaks, weight-dtype
-//!   mixing inside a fused region, and fusion plans violating the
-//!   shared-tileable-axis rule all become diagnostics before any kernel runs.
 //! * [`scratch`] — buffer aliasing / lifetime analysis of the scratch
 //!   arena (`dsi-model::fast`) on live pass records: overlapping
 //!   scratch-slice reuse, or a member touching another's columns between
-//!   joins, is a verifier error, not a silent wrong answer.
+//!   joins, is a verifier error, not a silent wrong answer; and the page
+//!   tables of a live KV pool.
 //! * [`collective`] — the joins of a split pass (what a tensor-parallel
-//!   group runs), held to a live group's barrier crossings, and pipeline
-//!   task graphs, which must be acyclic with matched inter-stage hops.
+//!   group runs), held to a live group's barrier crossings.
 //! * [`runtime`] — the offload tier's prefetch protocol, checked as a
 //!   program on the events a live store recorded. (The serving scheduler is
 //!   checked by running it: its recovery protocol — release a faulted slot
@@ -28,20 +26,18 @@
 //!   serving circuit breaker is explored exhaustively next to its code.)
 //! * [`audit`] — unsafe-kernel audit: every `unsafe` block must carry a
 //!   `// SAFETY:` comment and every `unsafe fn` a `# Safety` doc section.
-//! * [`sweep`] — the `cargo xtask verify` entry point: runs the passes over
-//!   every zoo model × figure configuration used by the paper-reproduction
-//!   binaries and over what live runtimes recorded, plus negative controls
-//!   proving the detectors still detect.
+//! * [`sweep`] — the `cargo xtask verify` entry point: records live groups
+//!   and store runs, runs the passes over what they recorded, plus negative
+//!   controls proving the detectors still detect.
 //!
 //! Every pass returns a list of [`Diagnostic`]s; an empty list means the
-//! plan is proven legal under that pass's model.
+//! recording is legal under that pass's model.
 
 use serde::Serialize;
 use std::fmt;
 
 pub mod audit;
 pub mod collective;
-pub mod ir;
 pub mod runtime;
 pub mod scratch;
 pub mod sweep;
@@ -49,11 +45,9 @@ pub mod sweep;
 /// Which analysis produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Pass {
-    /// Shape/dtype/fusion-legality inference over op lists.
-    Ir,
     /// Scratch-arena aliasing and lifetime analysis.
     Scratch,
-    /// Split-pass joins, pipeline structure and runtime protocols.
+    /// Split-pass joins and the offload store's prefetch protocol.
     Collective,
     /// Unsafe-block source audit.
     Audit,
@@ -62,7 +56,6 @@ pub enum Pass {
 impl fmt::Display for Pass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Pass::Ir => write!(f, "ir"),
             Pass::Scratch => write!(f, "scratch"),
             Pass::Collective => write!(f, "collective"),
             Pass::Audit => write!(f, "audit"),
@@ -110,10 +103,9 @@ mod tests {
 
     #[test]
     fn diagnostic_display_carries_provenance() {
-        let d = Diagnostic::new(Pass::Ir, "inner-dim-mismatch", "qkv_gemm", "k=64 vs cols=32");
+        let d = Diagnostic::new(Pass::Scratch, "scratch-alias", "member 0 launch 5 (0 Region)", "write `x`[0..32] overlaps read `x`[16..48]");
         let s = d.to_string();
-        assert!(s.contains("ir"), "{s}");
-        assert!(s.contains("inner-dim-mismatch"), "{s}");
-        assert!(s.contains("qkv_gemm"), "{s}");
+        assert!(s.starts_with("[scratch:scratch-alias]"), "{s}");
+        assert!(s.contains("member 0 launch 5"), "{s}");
     }
 }

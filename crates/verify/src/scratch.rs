@@ -1,4 +1,4 @@
-//! Pass 2 — scratch-arena aliasing and lifetime analysis.
+//! Pass 1 — scratch-arena aliasing and lifetime analysis.
 //!
 //! The fast decode path (`dsi-model::fast`) runs every fused region out of a
 //! preallocated [`Scratch`](dsi_model::fast::Scratch) arena: seven named

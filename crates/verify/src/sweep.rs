@@ -1,12 +1,8 @@
-//! The `cargo xtask verify` entry point: run every static pass over every
-//! configuration the paper-reproduction binaries actually execute, and over
-//! what live runtimes recorded, plus negative controls proving the
-//! detectors still detect.
+//! The `cargo xtask verify` entry point: run every pass over what live
+//! runtimes recorded, plus negative controls proving the detectors still
+//! detect.
 //!
 //! [`verify_all`] sweeps:
-//! * **IR** — every Table I model × {prompt, generation} phase × batch sizes
-//!   × the model's TP degrees (1, its Fig. 6 degree, its Fig. 8 degree) ×
-//!   all four canonical fusion plans;
 //! * **Scratch** — the arena protocol on live pass records
 //!   ([`record_live`]): a tiny 2-layer model's `Engine::group` at tp 1–4
 //!   (at tp 3 the head parts are uneven, at tp 4 the 16-column parts start
@@ -14,51 +10,41 @@
 //!   mixed and a decode pass over M ∈ {1, 2, 4, 8, 16} sequences at ragged
 //!   offsets ([`record_group`]); and the page tables of a churned live
 //!   pool;
-//! * **Collective** — task-graph structure for the Fig. 8 pipeline
-//!   mappings, each live member's barrier crossings through those passes
-//!   held to the joins their records lay out, and the offload store's
-//!   recorded events over a grid of layers × prefetch depths × budgets;
+//! * **Collective** — each live member's barrier crossings through those
+//!   passes held to the joins their records lay out, and the offload
+//!   store's recorded events over a grid of layers × prefetch depths ×
+//!   budgets;
 //! * **Audit** — runs separately in xtask (it needs the source tree).
 //!
 //! [`negative_controls`] seeds one defect of each class the verifier claims
-//! to catch — a dtype-mixed region, a corrupted GEMM contraction, an illegal
-//! fusion boundary, a live record whose W_o launch writes over its residual
+//! to catch — a live record whose W_o launch writes over its residual
 //! input, one whose attention launch writes over its own query, one whose
 //! member 1 starts its FF1 window a column early, two sequences mapped to
 //! one KV page, a shared page at a holder's write frontier, a live member
-//! crossing one join fewer than its record, a cyclic task graph, an
-//! undocumented `unsafe` block, and a recorded store run with a panel's
-//! first fetch removed — and returns the diagnostics each produced. CI fails
-//! if any control comes back clean: a verifier that stops detecting is
-//! worse than none.
+//! crossing one join fewer than its record, an undocumented `unsafe`
+//! block, and a recorded store run with a panel's first fetch removed — and
+//! returns the diagnostics each produced. CI fails if any control comes
+//! back clean: a verifier that stops detecting is worse than none.
 
-use crate::collective::{check_member_joins, check_pipeline, find_cycle, DiGraph, MemberJoins};
-use crate::ir::verify_layer_plan;
+use crate::collective::{check_member_joins, MemberJoins};
 use crate::runtime::{check_prefetch_program, record_offload};
 use crate::scratch::check_record;
-use crate::{Diagnostic, Pass};
+use crate::Diagnostic;
 use dsi_kernels::blocked::PanelWeights;
-use dsi_kernels::fusion::FusionPlan;
-use dsi_kernels::graph::{transformer_layer_ops_tp, OpKind};
 use dsi_model::fast::{Access, PackedModel, QuantizedPackedModel};
 use dsi_model::paged::Engine;
 use dsi_model::record::{Buffer, Kernel, Launch, PassRecord, Touch};
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
-use dsi_parallel::pipeline::{PipelineSchedule, PipelineSpec};
-use dsi_sim::hw::DType;
 use dsi_sim::shmem::CommConfig;
 use dsi_zero::offload::StoreEvent;
 
 /// Outcome of one sweep: how much was checked, and everything found.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// Number of (model, phase, batch, tp, plan) IR combinations verified.
-    pub ir_plans: usize,
     /// Number of live pass records checked.
     pub records: usize,
-    /// Number of join records, pipeline graphs and offload recordings
-    /// checked.
+    /// Number of join records and offload recordings checked.
     pub collective_programs: usize,
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -171,95 +157,11 @@ pub fn record_live() -> Recorded {
     r
 }
 
-fn canonical_plans() -> Vec<(&'static str, FusionPlan)> {
-    vec![
-        ("unfused", FusionPlan::unfused(12)),
-        ("deepspeed_small_batch", FusionPlan::deepspeed_small_batch()),
-        ("deepspeed_large_batch", FusionPlan::deepspeed_large_batch()),
-        ("faster_transformer", FusionPlan::faster_transformer()),
-    ]
-}
-
-/// TP degrees this entry is actually run at by the figure binaries.
-fn tp_degrees(e: &zoo::DenseEntry) -> Vec<usize> {
-    let mut tps = vec![1];
-    if e.fig6_tp > 1 {
-        tps.push(e.fig6_tp);
-    }
-    if let Some((tp, _)) = e.fig8 {
-        if !tps.contains(&tp) {
-            tps.push(tp);
-        }
-    }
-    tps.retain(|&tp| e.config.hidden.is_multiple_of(tp) && e.config.heads.is_multiple_of(tp));
-    tps
-}
-
-/// Pipeline spec used for the Fig. 8 structural checks (representative
-/// timings; the structure, not the numbers, is what is verified).
-fn fig8_spec(pp: usize) -> PipelineSpec {
-    PipelineSpec {
-        stages: pp,
-        prompt_microbatches: 2 * pp,
-        gen_microbatches: pp,
-        gen_tokens: 8,
-        stage_prompt_time_full: 40e-3,
-        stage_gen_time: 2e-3,
-        microbatch_overhead: 0.1e-3,
-        p2p_time: 0.05e-3,
-    }
-}
-
-/// Run every static pass over every zoo model × figure configuration, and
-/// over what the runtimes `recorded` ([`record_live`]).
+/// Run every pass over what the runtimes `recorded` ([`record_live`]).
 pub fn verify_all(recorded: &Recorded) -> SweepReport {
-    let mut report = SweepReport {
-        ir_plans: 0,
-        records: 0,
-        collective_programs: 0,
-        diagnostics: recorded.overflows.clone(),
-    };
-    let plans = canonical_plans();
-    let prompt = 128usize;
-    let gen_ctx = prompt + 8;
+    let mut report = SweepReport { records: 0, collective_programs: 0, diagnostics: recorded.overflows.clone() };
 
-    for e in zoo::table1() {
-        let c = &e.config;
-
-        // --- Pass 1: IR over both phases × batches × TP × plans. ---
-        for tp in tp_degrees(&e) {
-            for batch in [1usize, 8, 32] {
-                // (t_new, t_ctx): prompt ingestion and steady-state decode.
-                for (t_new, t_ctx) in [(prompt, prompt), (1, gen_ctx)] {
-                    let ops = transformer_layer_ops_tp(
-                        batch, t_new, t_ctx, c.hidden, c.heads, tp, DType::Fp16,
-                    );
-                    for (pname, plan) in &plans {
-                        let d = verify_layer_plan(&ops, plan, None);
-                        report.ir_plans += 1;
-                        report.diagnostics.extend(d.into_iter().map(|mut x| {
-                            x.site = format!(
-                                "{} tp={tp} b={batch} t=({t_new},{t_ctx}) plan={pname}: {}",
-                                c.name, x.site
-                            );
-                            x
-                        }));
-                    }
-                }
-            }
-        }
-
-        // --- Pass 3a: Fig. 8 pipeline task-graph structure. ---
-        if let Some((_, pp)) = e.fig8 {
-            let spec = fig8_spec(pp);
-            for sched in [PipelineSchedule::TrainingStyle, PipelineSchedule::InferenceQueue] {
-                report.collective_programs += 1;
-                report.diagnostics.extend(check_pipeline(&spec, sched));
-            }
-        }
-    }
-
-    // --- Pass 2: the arena protocol on every live pass record. ---
+    // --- Pass 1: the arena protocol on every live pass record. ---
     // Between two joins each member writes only its own columns and reads
     // only what nobody writes; within a launch no write overlaps another
     // operand; nothing is read before a launch (or an earlier pass, for
@@ -274,7 +176,7 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         }
     }
 
-    // --- Pass 2b: paged-KV allocator page-sharing discipline. ---
+    // --- Pass 1b: paged-KV allocator page-sharing discipline. ---
     // Share/release/resurrect/re-reserve churn on a real `PagePool` (the
     // continuous scheduler's allocator), then prove every live table maps
     // in-range pages and shares them only as a common front wholly behind
@@ -325,7 +227,7 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         );
     }
 
-    // --- Pass 3b: the split pass members' joins. ---
+    // --- Pass 2a: the split pass members' joins. ---
     // Through each live group's recorded passes at 2 to 4 members, every
     // member crossed as many barriers as the records lay out joins (a
     // one-member pass crosses none).
@@ -337,7 +239,7 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
         }));
     }
 
-    // --- Pass 3c: the offload store's recorded events (dsi-zero). ---
+    // --- Pass 2b: the offload store's recorded events (dsi-zero). ---
     // No run may use a panel before it is resident, evict a pinned panel,
     // or exceed the resident budget, in whatever order the prefetch
     // worker's timing produced. (The serving breaker and recovery protocol
@@ -371,47 +273,11 @@ impl Control {
     }
 }
 
-/// Seed one illegal plan per defect class and collect what the passes say.
-/// The join and offload controls mutate `recorded` runs ([`record_live`]).
+/// Seed one defect per class and collect what the passes say. The scratch,
+/// join and offload controls mutate `recorded` runs ([`record_live`]).
 /// Every control must fire; [`controls_all_fire`] is the CI gate.
 pub fn negative_controls(recorded: &Recorded) -> Vec<Control> {
     let mut out = Vec::new();
-    let base = || transformer_layer_ops_tp(2, 4, 4, 64, 4, 1, DType::Fp16);
-
-    // IR: corrupted FF2 contraction width (a bad TP shard).
-    let mut ops = base();
-    if let OpKind::Gemm { k, .. } = &mut ops[10].kind {
-        *k += 8;
-    }
-    out.push(Control {
-        name: "inner-dim mismatch (corrupted ff2 k)",
-        expect_code: "inner-dim-mismatch",
-        diagnostics: verify_layer_plan(&ops, &FusionPlan::unfused(12), None),
-    });
-
-    // IR: INT8 and FP16 GEMMs fused into one region.
-    let mut ops = base();
-    if let OpKind::Gemm { weight_dtype, .. } = &mut ops[8].kind {
-        *weight_dtype = DType::Int8; // ff1 INT8, ff2 stays FP16
-    }
-    let ff_region = FusionPlan {
-        regions: vec![(0, 3), (3, 5), (5, 7), (7, 12)],
-    };
-    out.push(Control {
-        name: "dtype mix inside fused region (int8 ff1 + fp16 ff2)",
-        expect_code: "dtype-mix",
-        diagnostics: verify_layer_plan(&ops, &ff_region, None),
-    });
-
-    // IR: fusing attention (Head-tiled) with the output GEMM (Token/OutputCol).
-    let bad_fuse = FusionPlan {
-        regions: vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 6), (6, 12)],
-    };
-    out.push(Control {
-        name: "no shared tileable axis (attention+attn_out_gemm)",
-        expect_code: "no-shared-axis",
-        diagnostics: verify_layer_plan(&base(), &bad_fuse, None),
-    });
 
     // Scratch: live records, each mutated in one launch. The W_o launch
     // writes over the residual stream it reads (an x/y swap gone wrong); an
@@ -489,24 +355,6 @@ pub fn negative_controls(recorded: &Recorded) -> Vec<Control> {
     });
     out.push(Control { name: "split-pass member 1 skips a join", expect_code: "join-count", diagnostics });
 
-    // Pipeline: a cyclic dependency graph.
-    let cyclic = DiGraph { n: 4, edges: vec![(0, 1), (1, 2), (2, 0), (2, 3)] };
-    let diag = find_cycle(&cyclic)
-        .map(|cyc| {
-            vec![Diagnostic::new(
-                Pass::Collective,
-                "pipeline-cycle",
-                "seeded digraph",
-                format!("dependency cycle through tasks {cyc:?}"),
-            )]
-        })
-        .unwrap_or_default();
-    out.push(Control {
-        name: "cyclic pipeline task graph",
-        expect_code: "pipeline-cycle",
-        diagnostics: diag,
-    });
-
     // Audit: an unsafe block with no SAFETY comment.
     out.push(Control {
         name: "undocumented unsafe block",
@@ -565,11 +413,10 @@ mod tests {
     fn full_sweep_is_clean() {
         let r = verify_all(&record_live());
         assert!(r.is_clean(), "sweep found defects: {:#?}", r.diagnostics);
-        // Sanity: the sweep actually covered things.
-        assert!(r.ir_plans >= 9 * 2 * 3 * 4, "ir_plans = {}", r.ir_plans);
         // tp 1-4 × f32 and INT8 × five M × seat, mixed and decode.
         assert_eq!(r.records, 4 * 2 * 5 * 3, "records = {}", r.records);
-        assert!(r.collective_programs >= 10);
+        // The joins of tp 2-4 × f32 and INT8 × five M, and 27 offload runs.
+        assert_eq!(r.collective_programs, 3 * 2 * 5 + 27, "collective programs = {}", r.collective_programs);
     }
 
     #[test]
@@ -578,7 +425,7 @@ mod tests {
         assert!(recorded.overflows.is_empty(), "{:?}", recorded.overflows);
         assert_eq!((recorded.groups.len(), recorded.offload.len()), (40, 27));
         let controls = negative_controls(&recorded);
-        assert_eq!(controls.len(), 12);
+        assert_eq!(controls.len(), 8);
         for c in &controls {
             assert!(c.fired(), "control `{}` produced {:?}", c.name, c.diagnostics);
         }
