@@ -588,18 +588,32 @@ impl KvSink for PagedKv<'_> {
     }
 }
 
-/// One member's part of a pass: the step over its share, then its part of
-/// the logits.
-fn member_pass<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(
-    w: &W,
-    kv: &mut K,
-    s: &mut Arena<'_>,
-    rows: &[Row],
-    seam: &mut R,
-) -> Result<(), W::Error> {
-    fast::step_in(w, kv, s, rows, seam)?;
-    fast::logits_in(w, s, rows.len(), seam);
-    Ok(())
+/// How a pass runs each member's part: bare ([`Bare`], every engine pass)
+/// or logged into a [`Recorder`] ([`Engine::record_pass`]). It is a type
+/// parameter of the pass, not a branch in it, so only `record_pass`
+/// compiles the recorder.
+trait Runs: Sync {
+    /// One member's part of a pass: the step over its share, then its part
+    /// of the logits.
+    fn member_pass<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(&self, w: &W, kv: &mut K, s: &mut Arena<'_>, rows: &[Row], seam: &mut R) -> Result<(), W::Error>;
+}
+
+/// Every engine pass: each member runs its part as it is.
+struct Bare;
+
+impl Runs for Bare {
+    #[inline]
+    fn member_pass<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(&self, w: &W, kv: &mut K, s: &mut Arena<'_>, rows: &[Row], seam: &mut R) -> Result<(), W::Error> {
+        fast::step_in(w, kv, s, rows, seam)?;
+        fast::logits_in(w, s, rows.len(), seam);
+        Ok(())
+    }
+}
+
+impl Runs for Recorder {
+    fn member_pass<W: WeightSource, K: KvSink + ?Sized, R: RowParallel>(&self, w: &W, kv: &mut K, s: &mut Arena<'_>, rows: &[Row], seam: &mut R) -> Result<(), W::Error> {
+        self.member(seam, kv, w.config().hidden, |seam, kv| Bare.member_pass(w, kv, s, rows, seam))
+    }
 }
 
 /// Multi-slot decode engine over one [`WeightSource`] and one [`PagePool`].
@@ -830,7 +844,7 @@ impl<W: WeightSource> Engine<W> {
         advance: &[usize],
         out: &mut Vec<usize>,
     ) -> Result<(), StepError<W::Error>> {
-        self.pass_with(seats, advance, out, None).map(drop)
+        self.pass_with(seats, advance, out, &Bare).map(drop)
     }
 
     /// `dsi-verify`'s entry: [`Engine::pass`], run by the same body with
@@ -845,22 +859,22 @@ impl<W: WeightSource> Engine<W> {
         out: &mut Vec<usize>,
     ) -> Result<PassRecord, StepError<W::Error>> {
         let recorder = Recorder::default();
-        let members = self.pass_with(seats, advance, out, Some(&recorder))?;
+        let members = self.pass_with(seats, advance, out, &recorder)?;
         Ok(recorder.finish(&self.rows, members))
     }
 
-    /// [`Engine::pass`] with an optional recorder; returns the members it
-    /// ran on.
+    /// [`Engine::pass`] with each member's part run by `how`; returns the
+    /// members it ran on.
     fn pass_with(
         &mut self,
         seats: &[(usize, &[usize])],
         advance: &[usize],
         out: &mut Vec<usize>,
-        rec: Option<&Recorder>,
+        how: &impl Runs,
     ) -> Result<usize, StepError<W::Error>> {
         self.reserve_pass(seats, advance)?;
         let members = if self.rows.len() >= self.split_rows { self.degree } else { 1 };
-        let r = self.run(members, seats, rec);
+        let r = self.run(members, seats, how);
         self.finish_pass(r, seats, advance, out).map(|()| members)
     }
 
@@ -869,8 +883,8 @@ impl<W: WeightSource> Engine<W> {
     /// narrows; if it panics, the seats are freed before the panic goes on
     /// up, so a caller that catches it finds the pool as after any failed
     /// pass.
-    fn run(&mut self, members: usize, seats: &[(usize, &[usize])], rec: Option<&Recorder>) -> Result<(), StepError<W::Error>> {
-        let ran = catch_unwind(AssertUnwindSafe(|| if members == 1 { self.run_solo(rec) } else { self.run_split(members, rec) }));
+    fn run(&mut self, members: usize, seats: &[(usize, &[usize])], how: &impl Runs) -> Result<(), StepError<W::Error>> {
+        let ran = catch_unwind(AssertUnwindSafe(|| if members == 1 { self.run_solo(how) } else { self.run_split(members, how) }));
         match ran {
             Ok(Err(StepError::Member(e))) => {
                 self.narrow(members, e.to_string());
@@ -908,10 +922,10 @@ impl<W: WeightSource> Engine<W> {
     }
 
     /// The pass's step and logits on `members` members: one job on the
-    /// engine's team, each member running [`member_pass`] over its share
-    /// with its own view of the scratch and the pool. The join before
+    /// engine's team, each member running [`Runs::member_pass`] over its
+    /// share with its own view of the scratch and the pool. The join before
     /// sampling is the job's end.
-    fn run_split(&mut self, members: usize, rec: Option<&Recorder>) -> Result<(), StepError<W::Error>> {
+    fn run_split(&mut self, members: usize, how: &impl Runs) -> Result<(), StepError<W::Error>> {
         let c = self.w.config();
         let (h, m) = (c.hidden, self.rows.len());
         self.scratch.ensure(c, m);
@@ -927,11 +941,7 @@ impl<W: WeightSource> Engine<W> {
             // and `logits_in`, which keep the arena protocol.
             let mut s = unsafe { Arena::shared(share, local) };
             let mut kv = PagedKv { pool, len, seqs };
-            let ran = match rec {
-                None => member_pass(w, &mut kv, &mut s, rows, me),
-                Some(rec) => rec.member(me, &mut kv, h, |seam, kv| member_pass(w, kv, &mut s, rows, seam)),
-            };
-            if let Err(e) = ran {
+            if let Err(e) = how.member_pass(w, &mut kv, &mut s, rows, me) {
                 me.abandon();
                 *failed.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
             }
@@ -999,16 +1009,11 @@ impl<W: WeightSource> Engine<W> {
     }
 
     /// The pass's step and logits on this thread alone.
-    fn run_solo(&mut self, rec: Option<&Recorder>) -> Result<(), StepError<W::Error>> {
-        let c = self.w.config();
-        self.scratch.ensure(c, self.rows.len());
+    fn run_solo(&mut self, how: &impl Runs) -> Result<(), StepError<W::Error>> {
+        self.scratch.ensure(self.w.config(), self.rows.len());
         let len = self.pool.bases();
         let (mut kv, mut s) = (PagedKv { pool: &self.pool, len, seqs: &self.seqs }, self.scratch.arena());
-        let ran = match rec {
-            None => member_pass(&self.w, &mut kv, &mut s, &self.rows, &mut Solo),
-            Some(rec) => rec.member(&mut Solo, &mut kv, c.hidden, |seam, kv| member_pass(&self.w, kv, &mut s, &self.rows, seam)),
-        };
-        ran.map_err(StepError::Weights)
+        how.member_pass(&self.w, &mut kv, &mut s, &self.rows, &mut Solo).map_err(StepError::Weights)
     }
 
     /// The back of every pass: on success sample every seat's first token
@@ -1499,18 +1504,12 @@ mod tests {
         let first = eng.seqs[0].pages().to_vec();
         assert_eq!((eng.attached_tokens(1), &eng.seqs[1].pages()[..2]), (4, &first[..2]));
         assert_eq!(eng.pool_stats().pages_in_use, 4, "3 pages + 1 private tail");
-        let tables = |e: &PagedEngine| {
-            let st = e.pool_stats();
-            dsi_verify::scratch::check_page_tables(st.pages_total, st.page_tokens, &e.page_tables())
-        };
-        assert!(tables(&eng).is_empty(), "{:?}", tables(&eng));
         // A later prompt attaches the first seat's pages while both advance.
         outs[0].push(out[0]);
         outs[1].push(out[1]);
         out.clear();
         eng.pass(&[(2, &prompts[2])], &[0, 1], &mut out).unwrap();
         assert_eq!((eng.attached_tokens(2), &eng.seqs[2].pages()[..2]), (4, &first[..2]));
-        assert!(tables(&eng).is_empty(), "{:?}", tables(&eng));
         let order = [2, 0, 1];
         for (&s, &t) in order.iter().zip(&out) {
             outs[s].push(t);

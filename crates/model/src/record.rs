@@ -3,8 +3,10 @@
 //! [`RowParallel::touch`], and the [`KvSink`]. `paged::Engine::record_pass`
 //! wraps each member's seam and sink in a `Recording` and a `RecordingKv`;
 //! every other pass runs `Solo` or `team::Member` bare, whose `touch` is a
-//! no-op, so only `record_pass` allocates. `dsi-verify` checks the arena
-//! protocol and the fused regions on the record.
+//! no-op. The recorder is a type parameter of the pass (`paged`'s `Runs`),
+//! so only `record_pass` compiles or allocates it. `dsi-verify` checks
+//! the arena protocol and the fused regions on the record as it is: each
+//! [`Touch`] a row × column window of a [`Buffer`].
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -15,7 +17,7 @@ use crate::fast::{Access, KvSink, Row, RowParallel, Share};
 /// What an access names: a scratch buffer by its `fast::scratch_layout`
 /// name (`normed` is each member's own), or the K or V rows of sequence
 /// `seq`'s cache at layer `layer`, one row per position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Buffer {
     Scratch(&'static str),
     Kv { layer: usize, seq: usize, value: bool },

@@ -26,7 +26,7 @@
 //! [`Rejected::BreakerOpen`]: crate::server::Rejected::BreakerOpen
 
 use dsi_core::FaultClass;
-use dsi_verify::{Diagnostic, Pass};
+use std::fmt;
 use std::time::Duration;
 
 /// Breaker tuning. `enabled: false` turns the breaker into a pass-through
@@ -267,24 +267,39 @@ enum Event {
     Tick,
 }
 
+/// One safety invariant [`explore`] found broken: a stable code (tests and
+/// `cargo xtask verify` gate on it), the event trace that broke it, and
+/// what the breaker did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    pub code: &'static str,
+    pub site: String,
+    pub message: String,
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[breaker:{}] {}: {}", self.code, self.site, self.message)
+    }
+}
+
 /// Exhaustively drive clones of `start` through every event sequence of
 /// length `depth` (the clock starting at 0 and advancing one nanosecond per
 /// `Tick`) and check the safety invariants after each transition: rejects
 /// only while open or probing, probes only after the window, at most one
 /// probe in flight, `opens` counts exactly the failure-driven transitions
 /// into `Open`, nothing else opens it, and a closed breaker never holds
-/// `failure_threshold` failures. Returns one diagnostic per violated
+/// `failure_threshold` failures. Returns one violation per broken
 /// invariant (deduplicated by code); empty means the breaker is safe over
 /// the whole bounded behaviour space.
-pub fn explore(start: &Breaker, depth: usize) -> Vec<Diagnostic> {
+pub fn explore(start: &Breaker, depth: usize) -> Vec<Violation> {
     const EVENTS: [Event; 5] =
         [Event::Admit, Event::Success, Event::Failure, Event::AbortProbe, Event::Tick];
     let threshold = start.cfg.failure_threshold;
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut flag = |code: &'static str, trace: &[Event], msg: String| {
+    let mut diags: Vec<Violation> = Vec::new();
+    let mut flag = |code: &'static str, trace: &[Event], message: String| {
         if !diags.iter().any(|d| d.code == code) {
-            let site = format!("event trace {trace:?}");
-            diags.push(Diagnostic::new(Pass::Collective, code, site, msg));
+            diags.push(Violation { code, site: format!("event trace {trace:?}"), message });
         }
     };
     // Iterative DFS over event strings; the space is |EVENTS|^depth.
@@ -364,8 +379,8 @@ pub fn explore(start: &Breaker, depth: usize) -> Vec<Diagnostic> {
 
 /// The `cargo xtask verify` breaker gate: [`explore`] a fresh [`Breaker`]
 /// at the (threshold, window-in-ns) tunings (1, 1), (2, 2) and (3, 1), to
-/// depth 6. Returns the diagnostics (empty = clean).
-pub fn breaker_explorer_check() -> Vec<Diagnostic> {
+/// depth 6. Returns the violations (empty = clean).
+pub fn breaker_explorer_check() -> Vec<Violation> {
     let mut diags = Vec::new();
     for (threshold, window_ns) in [(1u32, 1u64), (2, 2), (3, 1)] {
         let b = Breaker::new(BreakerConfig {

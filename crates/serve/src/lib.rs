@@ -50,7 +50,7 @@ pub mod server;
 
 pub use breaker::{
     breaker_explorer_check, Breaker, BreakerAdmission, BreakerConfig, BreakerSet, BreakerState,
-    SetAdmission,
+    SetAdmission, Violation,
 };
 pub use scheduler::{PageReport, SchedReport};
 pub use server::{

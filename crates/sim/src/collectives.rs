@@ -146,20 +146,6 @@ impl Collectives {
         )
     }
 
-    /// Tree broadcast of `bytes` from the first rank of `group`.
-    pub fn broadcast(topo: &Topology, group: &[usize], bytes: f64) -> CollectiveCost {
-        let n = group.len();
-        if n <= 1 {
-            return CollectiveCost::ZERO;
-        }
-        let link = topo.ring_bottleneck(group);
-        let rounds = (n as f64).log2().ceil();
-        CollectiveCost {
-            time: rounds * (link.latency + bytes / link.bw),
-            bytes_on_wire: rounds * bytes,
-        }
-    }
-
     /// Point-to-point send of `bytes` (pipeline stage boundary, Sec. IV-B).
     pub fn p2p(topo: &Topology, from: usize, to: usize, bytes: f64) -> CollectiveCost {
         let link = topo.p2p_link(from, to);
@@ -266,14 +252,6 @@ impl CommGroup {
         }
         self.buffers = out;
     }
-
-    /// Rank 0's buffer replaces everyone's.
-    pub fn broadcast(&mut self) {
-        let src = self.buffers[0].clone();
-        for b in &mut self.buffers[1..] {
-            *b = src.clone();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -369,12 +347,5 @@ mod tests {
         g.alltoall();
         g.alltoall();
         assert_eq!(g.buffers, orig);
-    }
-
-    #[test]
-    fn broadcast_replicates_rank0() {
-        let mut g = CommGroup::new(vec![vec![7.0], vec![0.0], vec![1.0]]);
-        g.broadcast();
-        assert!(g.buffers.iter().all(|b| b == &vec![7.0]));
     }
 }

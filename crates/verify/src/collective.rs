@@ -6,11 +6,12 @@
 //! split across members that write disjoint columns of one scratch and
 //! join at a barrier wherever a region reads whole rows another member
 //! wrote. The scratch pass checks what each member writes between joins
-//! (`scratch::check_split`); this pass checks that the live members join
-//! where the pass's record says they do. `sweep::record_group` records
-//! passes on a live group, and [`check_member_joins`] holds each member's
-//! barrier crossings to the joins the records lay out: a member that skips
-//! or adds a join is a `join-count` diagnostic.
+//! on the pass's record (`scratch::check_record`); this pass checks that
+//! the live members join where that record says they do.
+//! `sweep::record_group` records passes on a live group, and
+//! [`check_member_joins`] holds each member's barrier crossings to the
+//! joins the records lay out: a member that skips or adds a join is a
+//! `join-count` diagnostic.
 
 use crate::{Diagnostic, Pass};
 

@@ -12,10 +12,10 @@
 //! `TaskGraph::add` asserts that every dependency names an earlier task.)
 //!
 //! * [`scratch`] — buffer aliasing / lifetime analysis of the scratch
-//!   arena (`dsi-model::fast`) on live pass records: overlapping
-//!   scratch-slice reuse, or a member touching another's columns between
-//!   joins, is a verifier error, not a silent wrong answer; and the page
-//!   tables of a live KV pool.
+//!   arena (`dsi-model::fast`) on live pass records, read as recorded:
+//!   overlapping scratch-slice reuse, or a member touching another's
+//!   columns between joins, is a verifier error, not a silent wrong
+//!   answer; and the page tables of live KV pools.
 //! * [`collective`] — the joins of a split pass (what a tensor-parallel
 //!   group runs), held to a live group's barrier crossings.
 //! * [`runtime`] — the offload tier's prefetch protocol, checked as a
@@ -23,7 +23,8 @@
 //!   checked by running it: its recovery protocol — release a faulted slot
 //!   before it is replayed — is an assertion in the paged engine, and the
 //!   `dsi-serve` chaos sweeps fail on any panic no fault plan scripted; the
-//!   serving circuit breaker is explored exhaustively next to its code.)
+//!   serving circuit breaker is explored exhaustively next to its code,
+//!   which reports its own violations and does not link this crate.)
 //! * [`audit`] — unsafe-kernel audit: every `unsafe` block must carry a
 //!   `// SAFETY:` comment and every `unsafe fn` a `# Safety` doc section.
 //! * [`sweep`] — the `cargo xtask verify` entry point: records live groups
@@ -33,7 +34,6 @@
 //! Every pass returns a list of [`Diagnostic`]s; an empty list means the
 //! recording is legal under that pass's model.
 
-use serde::Serialize;
 use std::fmt;
 
 pub mod audit;
@@ -43,7 +43,7 @@ pub mod scratch;
 pub mod sweep;
 
 /// Which analysis produced a diagnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     /// Scratch-arena aliasing and lifetime analysis.
     Scratch,
@@ -66,7 +66,7 @@ impl fmt::Display for Pass {
 /// One structured verifier finding. `code` is a stable machine-readable
 /// defect class (tests and CI gate on it); `site` carries provenance — the
 /// op name, rank, file:line, or plan region the defect was found at.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     pub pass: Pass,
     pub code: &'static str,

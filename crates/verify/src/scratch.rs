@@ -1,4 +1,5 @@
-//! Pass 1 — scratch-arena aliasing and lifetime analysis.
+//! Pass 1 — the arena protocol on live pass records, and the page tables of
+//! a live KV pool.
 //!
 //! The fast decode path (`dsi-model::fast`) runs every fused region out of a
 //! preallocated [`Scratch`](dsi_model::fast::Scratch) arena: seven named
@@ -8,77 +9,65 @@
 //! write slices of the same buffer computes a silently wrong answer, not a
 //! crash.
 //!
-//! This pass checks a *step trace* — the sequence of kernel launches with
-//! their buffer accesses — for three defect classes:
-//! * `scratch-alias` — one step's write range overlaps another operand
-//!   (read or write) of the same step on the same buffer;
-//! * `use-before-init` — a step reads a range no earlier step (nor the
-//!   assumed-initialized set) has fully written;
-//! * `scratch-oob` — an access extends past the buffer's reserved capacity
-//!   (the arena never reallocates mid-decode, so out-of-bounds here means a
-//!   panic — or, for a hand-built plan, a quiet neighbour overwrite).
-//!
-//! The traces it checks are what a live pass did: [`record_phases`] turns a
-//! [`PassRecord`] — every slice `fast::step` handed a kernel on each member
-//! of a pass, as `paged::Engine::record_pass` logged it — into [`Phase`]s,
-//! the spans between joins, each holding every member's launches, against
-//! the arena published by [`dsi_model::fast::scratch_layout`] for the pass's
+//! [`check_record`] checks a [`PassRecord`] — every slice `fast::step`
+//! handed a kernel on each member of a live pass, as
+//! `paged::Engine::record_pass` logged it — as it was recorded: each
+//! [`Touch`] is a row × column window of its [`Buffer`], checked against
+//! the arena [`dsi_model::fast::scratch_layout`] publishes for the pass's
 //! rows. Each member's layer-norm rows are its own buffer, and each
-//! sequence's K and V rows are one buffer per layer, addressed by position.
-//! [`check_split`] adds one defect class:
-//! * `member-overlap` — within one phase, a member writes a range another
+//! sequence's K and V rows are one buffer per layer, `max_seq` rows deep.
+//! It flags four defect classes:
+//! * `scratch-alias` — one launch's write window overlaps another operand
+//!   (read or write) of the same launch on the same buffer;
+//! * `use-before-init` — a launch reads a window no earlier launch (nor an
+//!   earlier pass, for a sequence's K/V rows below its first position in
+//!   this pass) has fully written;
+//! * `scratch-oob` — a window extends past its buffer's capacity, or names
+//!   a buffer the pass's arena does not have (the arena never reallocates
+//!   mid-pass, so out-of-bounds here means a panic or a quiet neighbour
+//!   overwrite);
+//! * `member-overlap` — between two joins, a member writes a window another
 //!   member reads or writes (two members' windows overlap, or a member
 //!   reads another's output before the join).
 
 use crate::{Diagnostic, Pass};
 use dsi_model::config::GptConfig;
 use dsi_model::fast::{scratch_layout, Access};
-use dsi_model::record::{Buffer, PassRecord, Touch};
-use serde::Serialize;
+use dsi_model::record::{Buffer, Launch, PassRecord, Touch};
+use std::collections::HashMap;
 use std::ops::Range;
 
-/// A half-open range of one named buffer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct SliceRef {
-    pub buf: String,
-    pub lo: usize,
-    pub hi: usize,
+/// A buffer of a pass's arena: what a touch names, with the member whose
+/// own rows `normed` is (0 for every shared buffer).
+type Key = (Buffer, usize);
+
+/// The buffer `member`'s touch `t` lands in.
+fn key(t: &Touch, member: usize) -> Key {
+    (t.buf, if t.buf == Buffer::Scratch("normed") { member } else { 0 })
 }
 
-impl SliceRef {
-    pub fn new(buf: impl Into<String>, lo: usize, hi: usize) -> Self {
-        SliceRef { buf: buf.into(), lo, hi }
-    }
-
-    fn overlaps(&self, other: &SliceRef) -> bool {
-        self.buf == other.buf && self.lo < other.hi && other.lo < self.hi
-    }
+/// Whether two ranges share an element.
+fn meet(a: &Range<usize>, b: &Range<usize>) -> bool {
+    a.start.max(b.start) < a.end.min(b.end)
 }
 
-/// One kernel launch: what it reads and what it writes.
-#[derive(Debug, Clone, Serialize)]
-pub struct Step {
-    pub name: String,
-    pub reads: Vec<SliceRef>,
-    pub writes: Vec<SliceRef>,
+/// Window `t` as element ranges of its buffer, one per row.
+fn spans(t: &Touch) -> impl Iterator<Item = Range<usize>> + '_ {
+    t.rows.clone().map(|r| r * t.stride + t.cols.start..r * t.stride + t.cols.end)
 }
 
-impl Step {
-    pub fn new(name: impl Into<String>, reads: Vec<SliceRef>, writes: Vec<SliceRef>) -> Self {
-        Step { name: name.into(), reads, writes }
-    }
+/// Whether windows `a` and `b` of one buffer share an element.
+fn overlaps(a: &Touch, b: &Touch) -> bool {
+    spans(a).any(|x| spans(b).any(|y| meet(&x, &y)))
 }
 
-/// The arena: named buffers with fixed capacities (in elements).
-#[derive(Debug, Clone, Serialize)]
-pub struct Arena {
-    pub buffers: Vec<(String, usize)>,
-}
-
-impl Arena {
-    fn capacity(&self, buf: &str) -> Option<usize> {
-        self.buffers.iter().find(|(n, _)| n == buf).map(|&(_, c)| c)
-    }
+/// `t` as a diagnostic names it.
+fn show(t: &Touch) -> String {
+    let buf = match t.buf {
+        Buffer::Scratch(name) => format!("`{name}`"),
+        Buffer::Kv { layer, seq, value } => format!("layer {layer} seq {seq} {}", if value { "V" } else { "K" }),
+    };
+    format!("{buf} rows {:?} cols {:?}", t.rows, t.cols)
 }
 
 /// Sorted, disjoint initialized intervals of one buffer.
@@ -112,216 +101,93 @@ impl IntervalSet {
     }
 }
 
-/// Check a step trace against an arena. `assume_init` names ranges that are
-/// live before the trace starts (e.g. KV rows appended by earlier forward
-/// calls). Returns all violations.
-pub fn check_trace(arena: &Arena, steps: &[Step], assume_init: &[SliceRef]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut init: std::collections::BTreeMap<&str, IntervalSet> =
-        std::collections::BTreeMap::new();
-    for s in assume_init {
-        init.entry(&s.buf).or_default().insert(s.lo, s.hi);
-    }
-
-    let bounds = |site: &str, s: &SliceRef, diags: &mut Vec<Diagnostic>| match arena.capacity(&s.buf) {
-        None => {
-            diags.push(Diagnostic::new(
-                Pass::Scratch,
-                "scratch-oob",
-                site.to_string(),
-                format!("references unknown buffer `{}`", s.buf),
-            ));
-            false
+/// Check one live pass record against the arena protocol: every launch in
+/// phase order (each member's own launches in its order) for the
+/// `scratch-oob`, `use-before-init` and `scratch-alias` classes, then, per
+/// phase, every pair of members for a `member-overlap`. Returns all
+/// violations.
+pub fn check_record(c: &GptConfig, rec: &PassRecord) -> Vec<Diagnostic> {
+    let (h, m) = (c.hidden, rec.rows.len());
+    let layout = scratch_layout(c, m);
+    let capacity = |buf: Buffer| match buf {
+        Buffer::Scratch(name) => layout.iter().find(|(n, _)| *n == name).map(|&(_, cap)| cap),
+        Buffer::Kv { layer, seq, .. } => {
+            (layer < c.layers && rec.rows.iter().any(|r| r.seq == seq)).then_some(c.max_seq * h)
         }
-        Some(cap) if s.hi > cap => {
-            diags.push(Diagnostic::new(
-                Pass::Scratch,
-                "scratch-oob",
-                site.to_string(),
-                format!("`{}`[{}..{}] exceeds reserved capacity {}", s.buf, s.lo, s.hi, cap),
-            ));
-            false
-        }
-        Some(_) => true,
     };
-
-    for step in steps {
-        for r in &step.reads {
-            if bounds(&step.name, r, &mut diags) {
-                let covered = init.get(r.buf.as_str()).map(|s| s.covers(r.lo, r.hi)).unwrap_or(false);
-                if !covered {
-                    diags.push(Diagnostic::new(
-                        Pass::Scratch,
-                        "use-before-init",
-                        step.name.clone(),
-                        format!("reads `{}`[{}..{}] before any step wrote it", r.buf, r.lo, r.hi),
-                    ));
-                }
+    // K/V rows earlier passes wrote: every sequence's rows below its first
+    // position in this pass.
+    let mut init: HashMap<Key, IntervalSet> = HashMap::new();
+    for r in &rec.rows {
+        let first = rec.rows.iter().filter(|q| q.seq == r.seq).map(|q| q.pos).min().unwrap_or(0);
+        for layer in 0..c.layers {
+            for value in [false, true] {
+                init.entry((Buffer::Kv { layer, seq: r.seq, value }, 0)).or_default().insert(0, first * h);
             }
-        }
-        for w in &step.writes {
-            bounds(&step.name, w, &mut diags);
-        }
-        // Intra-step aliasing: a kernel's write operand must not overlap any
-        // *other* operand — a fused kernel streams its inputs while writing
-        // its output, so overlap means reading half-updated data.
-        for (wi, w) in step.writes.iter().enumerate() {
-            for r in &step.reads {
-                if w.overlaps(r) {
-                    diags.push(Diagnostic::new(
-                        Pass::Scratch,
-                        "scratch-alias",
-                        step.name.clone(),
-                        format!(
-                            "write `{}`[{}..{}] overlaps read `{}`[{}..{}]",
-                            w.buf, w.lo, w.hi, r.buf, r.lo, r.hi
-                        ),
-                    ));
-                }
-            }
-            for w2 in &step.writes[wi + 1..] {
-                if w.overlaps(w2) {
-                    diags.push(Diagnostic::new(
-                        Pass::Scratch,
-                        "scratch-alias",
-                        step.name.clone(),
-                        format!(
-                            "writes `{}`[{}..{}] and `{}`[{}..{}] overlap",
-                            w.buf, w.lo, w.hi, w2.buf, w2.lo, w2.hi
-                        ),
-                    ));
-                }
-            }
-        }
-        for w in &step.writes {
-            init.entry(&w.buf).or_default().insert(w.lo, w.hi);
         }
     }
-    diags
-}
 
-/// Columns `cols` of `m` rows `ldc` apart in `buf`, from element `base`:
-/// a member's strided window (one range per row).
-pub fn strided(buf: &str, base: usize, m: usize, ldc: usize, cols: Range<usize>) -> Vec<SliceRef> {
-    (0..m).map(|i| SliceRef::new(buf, base + i * ldc + cols.start, base + i * ldc + cols.end)).collect()
-}
+    let mut diags = Vec::new();
+    let mut order: Vec<&Launch> = rec.launches.iter().collect();
+    order.sort_by_key(|l| (l.epoch, l.member));
+    let mut made = vec![0usize; rec.members];
+    for launch in order {
+        let t = launch.member;
+        let layer = launch.layer.map_or_else(|| "embed".to_string(), |l| format!("l{l}"));
+        let site = format!("member {t} launch {} ({layer} {:?})", made[t], launch.kernel);
+        made[t] += 1;
+        let flag = |diags: &mut Vec<Diagnostic>, code, msg| diags.push(Diagnostic::new(Pass::Scratch, code, site.clone(), msg));
+        let (reads, writes): (Vec<&Touch>, Vec<&Touch>) = launch.touches.iter().partition(|x| x.access == Access::Read);
+        for x in &launch.touches {
+            let end = if x.rows.is_empty() || x.cols.is_empty() { 0 } else { (x.rows.end - 1) * x.stride + x.cols.end };
+            match capacity(x.buf) {
+                None => flag(&mut diags, "scratch-oob", format!("{} names a buffer the pass's arena lacks", show(x))),
+                Some(cap) if end > cap => flag(&mut diags, "scratch-oob", format!("{} exceeds capacity {cap}", show(x))),
+                Some(_) if x.access == Access::Write => {}
+                Some(_) => {
+                    let set = init.get(&key(x, t));
+                    if !spans(x).all(|s| set.is_some_and(|set| set.covers(s.start, s.end))) {
+                        flag(&mut diags, "use-before-init", format!("reads {} before any launch wrote it", show(x)));
+                    }
+                }
+            }
+        }
+        // A fused kernel streams its inputs while writing its output, so a
+        // write overlapping another operand reads half-updated data.
+        for (i, w) in writes.iter().enumerate() {
+            for other in reads.iter().chain(&writes[i + 1..]) {
+                if w.buf == other.buf && overlaps(w, other) {
+                    flag(&mut diags, "scratch-alias", format!("write {} overlaps {}", show(w), show(other)));
+                }
+            }
+        }
+        for w in writes {
+            let set = init.entry(key(w, t)).or_default();
+            for s in spans(w) {
+                set.insert(s.start, s.end);
+            }
+        }
+    }
 
-/// The span of a split pass between two joins: each member's launches, in
-/// its own order. Members run concurrently, so no member may write what
-/// another member reads or writes in the same phase.
-#[derive(Debug, Clone, Serialize)]
-pub struct Phase {
-    pub name: String,
-    pub members: Vec<Vec<Step>>,
-}
-
-/// Check a split pass: every member's launches in order against the arena
-/// (as [`check_trace`] does, phase by phase), and, per phase, every pair of
-/// members for a `member-overlap` — one member writing a range another
-/// member reads or writes before the join that ends the phase.
-pub fn check_split(arena: &Arena, phases: &[Phase], assume_init: &[SliceRef]) -> Vec<Diagnostic> {
-    let sequential: Vec<Step> = phases.iter().flat_map(|p| p.members.iter().flatten().cloned()).collect();
-    let mut diags = check_trace(arena, &sequential, assume_init);
-    for phase in phases {
-        let accesses = |t: usize| {
-            let steps = &phase.members[t];
-            let writes: Vec<&SliceRef> = steps.iter().flat_map(|s| &s.writes).collect();
-            let all: Vec<&SliceRef> = steps.iter().flat_map(|s| s.reads.iter().chain(&s.writes)).collect();
-            (writes, all)
-        };
-        for t in 0..phase.members.len() {
-            let (writes, _) = accesses(t);
-            for u in (0..phase.members.len()).filter(|&u| u != t) {
-                let (_, theirs) = accesses(u);
-                if let Some((w, r)) = writes.iter().flat_map(|w| theirs.iter().map(move |r| (*w, *r))).find(|(w, r)| w.overlaps(r)) {
+    for e in 0..rec.phases() {
+        let of = |t: usize| rec.launches.iter().filter(move |l| l.epoch == e && l.member == t).flat_map(|l| &l.touches);
+        for t in 0..rec.members {
+            for u in (0..rec.members).filter(|&u| u != t) {
+                let clash = of(t)
+                    .filter(|w| w.access == Access::Write)
+                    .find_map(|w| of(u).find(|x| key(w, t) == key(x, u) && overlaps(w, x)).map(|x| (w, x)));
+                if let Some((w, x)) = clash {
                     diags.push(Diagnostic::new(
                         Pass::Scratch,
                         "member-overlap",
-                        phase.name.clone(),
-                        format!(
-                            "member {t} writes `{}`[{}..{}] while member {u} accesses `{}`[{}..{}] before the join",
-                            w.buf, w.lo, w.hi, r.buf, r.lo, r.hi
-                        ),
+                        format!("phase {e}"),
+                        format!("member {t} writes {} while member {u} accesses {} before the join", show(w), show(x)),
                     ));
                 }
             }
         }
     }
     diags
-}
-
-/// A buffer's name in a record's trace: a scratch buffer by its own name, a
-/// member's layer-norm rows as `normed.m{member}`, a K/V buffer as
-/// `kv{layer}.s{seq}.{k|v}`.
-fn buffer_name(buf: Buffer, member: usize) -> String {
-    match buf {
-        Buffer::Scratch("normed") => format!("normed.m{member}"),
-        Buffer::Scratch(name) => name.to_string(),
-        Buffer::Kv { layer, seq, value } => format!("kv{layer}.s{seq}.{}", if value { "v" } else { "k" }),
-    }
-}
-
-/// One recorded operand as ranges of its buffer: a range per row, or one
-/// range when it covers whole rows.
-fn slices(t: &Touch, member: usize) -> Vec<SliceRef> {
-    let buf = buffer_name(t.buf, member);
-    if t.cols.len() == t.stride {
-        vec![SliceRef::new(buf, t.rows.start * t.stride, t.rows.end * t.stride)]
-    } else {
-        strided(&buf, t.rows.start * t.stride, t.rows.len(), t.stride, t.cols.clone())
-    }
-}
-
-/// The trace of a live pass record for [`check_split`]: the arena of
-/// [`scratch_layout`] at the pass's rows, with each member's own `normed`
-/// rows and one K and one V buffer of `max_seq` rows per layer per
-/// sequence; a [`Phase`] per span between joins, each member's launches in
-/// its own order; and the K/V rows earlier passes wrote — every sequence's
-/// rows below its first position in this pass.
-pub fn record_phases(c: &GptConfig, rec: &PassRecord) -> (Arena, Vec<Phase>, Vec<SliceRef>) {
-    let (h, m) = (c.hidden, rec.rows.len());
-    let mut buffers: Vec<(String, usize)> =
-        scratch_layout(c, m).into_iter().filter(|(b, _)| *b != "normed").map(|(b, n)| (b.to_string(), n)).collect();
-    buffers.extend((0..rec.members).map(|t| (buffer_name(Buffer::Scratch("normed"), t), m * h)));
-    let mut written = Vec::new();
-    let mut seqs: Vec<usize> = rec.rows.iter().map(|r| r.seq).collect();
-    seqs.sort_unstable();
-    seqs.dedup();
-    for layer in 0..c.layers {
-        for &seq in &seqs {
-            let first = rec.rows.iter().filter(|r| r.seq == seq).map(|r| r.pos).min().unwrap_or(0);
-            for value in [false, true] {
-                let buf = buffer_name(Buffer::Kv { layer, seq, value }, 0);
-                if first > 0 {
-                    written.push(SliceRef::new(&buf, 0, first * h));
-                }
-                buffers.push((buf, c.max_seq * h));
-            }
-        }
-    }
-    let mut phases: Vec<Phase> = (0..rec.phases())
-        .map(|e| Phase { name: format!("phase {e}"), members: vec![Vec::new(); rec.members] })
-        .collect();
-    let mut made = vec![0usize; rec.members];
-    for launch in &rec.launches {
-        let t = launch.member;
-        let (mut reads, mut writes) = (Vec::new(), Vec::new());
-        for touch in &launch.touches {
-            let to = if touch.access == Access::Read { &mut reads } else { &mut writes };
-            to.extend(slices(touch, t));
-        }
-        let layer = launch.layer.map_or_else(|| "embed".to_string(), |l| format!("l{l}"));
-        let name = format!("member {t} launch {} ({layer} {:?})", made[t], launch.kernel);
-        made[t] += 1;
-        phases[launch.epoch as usize].members[t].push(Step { name, reads, writes });
-    }
-    (Arena { buffers }, phases, written)
-}
-
-/// Check one live pass record ([`record_phases`], [`check_split`]).
-pub fn check_record(c: &GptConfig, rec: &PassRecord) -> Vec<Diagnostic> {
-    let (arena, phases, written) = record_phases(c, rec);
-    check_split(&arena, &phases, &written)
 }
 
 /// Paged-KV sharing-discipline check over the page tables of all live
@@ -339,9 +205,10 @@ pub fn check_record(c: &GptConfig, rec: &PassRecord) -> Vec<Diagnostic> {
 ///   frontier** (`write-after-share` otherwise — the holder's next rows
 ///   would land in a page another sequence attends over).
 ///
-/// The sweep re-proves it over a live allocator's tables after
-/// share/release/resurrect churn; the negative controls seed a crossed
-/// table and a write-after-share table.
+/// The sweep re-proves it over each recording engine's tables after every
+/// pass and over a live allocator's tables after share/release/resurrect
+/// churn; the negative controls seed a crossed table and a write-after-share
+/// table.
 pub fn check_page_tables(
     pages_total: usize,
     page_tokens: usize,
@@ -416,7 +283,9 @@ mod tests {
     use super::*;
     use crate::sweep::record_group;
     use dsi_kernels::fusion::FusionPlan;
+    use dsi_model::fast::Row;
     use dsi_model::record::Kernel;
+    use dsi_model::zoo;
 
     /// The step's fused regions as `rec`'s member-0 launches ran them,
     /// layer by layer: each launch's region of
@@ -462,70 +331,73 @@ mod tests {
         }
     }
 
+    /// A one-member, one-phase record of `m` decode rows on the tiny
+    /// model whose launches touch `launches` in order.
+    fn hand_record(m: usize, launches: Vec<Vec<Touch>>) -> PassRecord {
+        let launch = |touches| Launch { member: 0, epoch: 0, layer: Some(0), kernel: Kernel::Region, touches };
+        PassRecord {
+            rows: (0..m).map(|seq| Row { seq, token: 1, pos: 3 }).collect(),
+            members: 1,
+            joins: vec![0],
+            launches: launches.into_iter().map(launch).collect(),
+        }
+    }
+
+    /// A write of columns `cols` of rows `rows`, `stride` floats apart, of
+    /// scratch buffer `buf`; `r` the same read.
+    fn w(buf: &'static str, rows: Range<usize>, stride: usize, cols: Range<usize>) -> Touch {
+        Touch { buf: Buffer::Scratch(buf), rows, stride, cols, access: Access::Write }
+    }
+
+    fn r(buf: &'static str, rows: Range<usize>, stride: usize, cols: Range<usize>) -> Touch {
+        Touch { access: Access::Read, ..w(buf, rows, stride, cols) }
+    }
+
+    fn codes(d: &[Diagnostic]) -> Vec<&'static str> {
+        d.iter().map(|x| x.code).collect()
+    }
+
     #[test]
     fn aliased_write_is_rejected() {
         // A kernel writing its own residual input: the classic scratch-reuse
         // bug the pass exists for.
-        let arena = Arena { buffers: vec![("x".into(), 64), ("y".into(), 64)] };
-        let steps = vec![
-            Step::new("init", vec![], vec![SliceRef::new("x", 0, 64)]),
-            Step::new(
-                "bad_residual",
-                vec![SliceRef::new("x", 0, 64)],
-                vec![SliceRef::new("x", 0, 64)],
-            ),
-        ];
-        let d = check_trace(&arena, &steps, &[]);
-        assert!(d.iter().any(|x| x.code == "scratch-alias" && x.site == "bad_residual"), "{d:?}");
+        let rec = hand_record(2, vec![vec![w("x", 0..2, 64, 0..64)], vec![r("x", 0..2, 64, 0..64), w("x", 0..2, 64, 0..64)]]);
+        let d = check_record(&zoo::tiny(2), &rec);
+        assert_eq!(codes(&d), ["scratch-alias"], "{d:?}");
+        assert!(d[0].site.starts_with("member 0 launch 1"), "{d:?}");
     }
 
     #[test]
     fn partial_overlap_is_rejected() {
-        let arena = Arena { buffers: vec![("buf".into(), 100)] };
-        let steps = vec![
-            Step::new("init", vec![], vec![SliceRef::new("buf", 0, 100)]),
-            Step::new(
-                "shifted",
-                vec![SliceRef::new("buf", 0, 60)],
-                vec![SliceRef::new("buf", 40, 100)],
-            ),
-        ];
-        let d = check_trace(&arena, &steps, &[]);
-        assert!(d.iter().any(|x| x.code == "scratch-alias"), "{d:?}");
+        // Row 1 of `qkv`: columns 0..120 read while 80..192 are written.
+        let rec = hand_record(2, vec![vec![w("qkv", 0..2, 192, 0..192)], vec![r("qkv", 1..2, 192, 0..120), w("qkv", 1..2, 192, 80..192)]]);
+        let d = check_record(&zoo::tiny(2), &rec);
+        assert_eq!(codes(&d), ["scratch-alias"], "{d:?}");
     }
 
     #[test]
     fn disjoint_reuse_is_legal() {
-        let arena = Arena { buffers: vec![("buf".into(), 100)] };
-        let steps = vec![
-            Step::new("init", vec![], vec![SliceRef::new("buf", 0, 50)]),
-            Step::new(
-                "pack",
-                vec![SliceRef::new("buf", 0, 50)],
-                vec![SliceRef::new("buf", 50, 100)],
-            ),
-        ];
-        let d = check_trace(&arena, &steps, &[]);
+        // One buffer, two disjoint column windows of the same rows: the
+        // left half written, then read while the right half is written.
+        let rec = hand_record(2, vec![vec![w("qkv", 0..2, 192, 0..96)], vec![r("qkv", 1..2, 192, 0..96), w("qkv", 0..2, 192, 96..192)]]);
+        let d = check_record(&zoo::tiny(2), &rec);
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn use_before_init_is_rejected() {
-        let arena = Arena { buffers: vec![("a".into(), 10), ("b".into(), 10)] };
-        let steps = vec![Step::new("consume", vec![SliceRef::new("a", 0, 10)], vec![SliceRef::new("b", 0, 10)])];
-        let d = check_trace(&arena, &steps, &[]);
-        assert!(d.iter().any(|x| x.code == "use-before-init"), "{d:?}");
+        let rec = hand_record(2, vec![vec![r("attn", 0..2, 64, 0..64), w("y", 0..2, 64, 0..64)]]);
+        let d = check_record(&zoo::tiny(2), &rec);
+        assert_eq!(codes(&d), ["use-before-init"], "{d:?}");
     }
 
     #[test]
     fn out_of_bounds_is_rejected() {
-        let arena = Arena { buffers: vec![("a".into(), 10)] };
-        let steps = vec![Step::new("w", vec![], vec![SliceRef::new("a", 0, 11)])];
-        let d = check_trace(&arena, &steps, &[]);
-        assert!(d.iter().any(|x| x.code == "scratch-oob"), "{d:?}");
-        let steps = vec![Step::new("w", vec![], vec![SliceRef::new("ghost", 0, 1)])];
-        let d = check_trace(&arena, &steps, &[]);
-        assert!(d.iter().any(|x| x.code == "scratch-oob"), "{d:?}");
+        // A third row of a two-row pass's `x`, and a buffer the arena lacks.
+        let d = check_record(&zoo::tiny(2), &hand_record(2, vec![vec![w("x", 0..3, 64, 0..64)]]));
+        assert_eq!(codes(&d), ["scratch-oob"], "{d:?}");
+        let d = check_record(&zoo::tiny(2), &hand_record(2, vec![vec![w("ghost", 0..1, 64, 0..64)]]));
+        assert_eq!(codes(&d), ["scratch-oob"], "{d:?}");
     }
 
     #[test]

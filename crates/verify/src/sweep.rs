@@ -8,8 +8,9 @@
 //!   (at tp 3 the head parts are uneven, at tp 4 the 16-column parts start
 //!   inside a 32-column panel), f32 and INT8, each recording a seat, a
 //!   mixed and a decode pass over M ∈ {1, 2, 4, 8, 16} sequences at ragged
-//!   offsets ([`record_group`]); and the page tables of a churned live
-//!   pool;
+//!   offsets ([`record_group`]); the page tables of each of those engines
+//!   after every recorded pass, whose seats share a first page inside one
+//!   pass; and the page tables of a churned live pool;
 //! * **Collective** — each live member's barrier crossings through those
 //!   passes held to the joins their records lay out, and the offload
 //!   store's recorded events over a grid of layers × prefetch depths ×
@@ -32,7 +33,7 @@ use crate::scratch::check_record;
 use crate::Diagnostic;
 use dsi_kernels::blocked::PanelWeights;
 use dsi_model::fast::{Access, PackedModel, QuantizedPackedModel};
-use dsi_model::paged::Engine;
+use dsi_model::paged::{Engine, PageStats};
 use dsi_model::record::{Buffer, Kernel, Launch, PassRecord, Touch};
 use dsi_model::reference::GptModel;
 use dsi_model::zoo;
@@ -44,6 +45,9 @@ use dsi_zero::offload::StoreEvent;
 pub struct SweepReport {
     /// Number of live pass records checked.
     pub records: usize,
+    /// Number of live page-table sets checked: each recording engine's
+    /// after every pass, and the churned pool's.
+    pub page_tables: usize,
     /// Number of join records and offload recordings checked.
     pub collective_programs: usize,
     pub diagnostics: Vec<Diagnostic>,
@@ -65,6 +69,8 @@ pub struct GroupRun {
     pub m: usize,
     /// Each pass's record by name: the seat, the mixed and the decode pass.
     pub passes: Vec<(&'static str, PassRecord)>,
+    /// The engine's page tables after each pass, in `passes` order.
+    pub tables: Vec<LiveTables>,
     /// Each member's barrier crossings through the passes, beside the
     /// joins their records lay out.
     pub joins: MemberJoins,
@@ -79,6 +85,27 @@ impl GroupRun {
     /// Where a diagnostic about `pass` was found.
     pub fn site(&self, pass: &str) -> String {
         format!("{} {pass} M={}", self.label(), self.m)
+    }
+}
+
+/// A live engine's page tables after one pass: its pool's statistics, and
+/// each occupied slot's table with its committed length
+/// (`Engine::page_tables`).
+#[derive(Debug, Clone)]
+pub struct LiveTables {
+    pub stats: PageStats,
+    pub tables: Vec<(Vec<u32>, usize)>,
+}
+
+impl LiveTables {
+    fn of<W: dsi_model::fast::WeightSource>(eng: &Engine<W>) -> Self {
+        LiveTables { stats: eng.pool_stats(), tables: eng.page_tables().into_iter().map(|(p, len)| (p.to_vec(), len)).collect() }
+    }
+
+    /// [`check_page_tables`](crate::scratch::check_page_tables) over them.
+    fn check(&self) -> Vec<Diagnostic> {
+        let tables: Vec<(&[u32], usize)> = self.tables.iter().map(|(p, len)| (&p[..], *len)).collect();
+        crate::scratch::check_page_tables(self.stats.pages_total, self.stats.page_tokens, &tables)
     }
 }
 
@@ -105,30 +132,32 @@ fn prompt(i: usize) -> Vec<usize> {
 /// 4-token pages: the seat pass seats `m` ragged prompts (the first crosses
 /// a page boundary), the mixed pass advances them while seating one more
 /// that attaches their shared first page, and the decode pass advances the
-/// first `m` again, each at its own offset.
+/// first `m` again, each at its own offset. The engine's page tables are
+/// taken after each pass.
 pub fn record_group(tp: usize, int8: bool, m: usize) -> GroupRun {
     let model = GptModel::random(zoo::tiny(2), 7);
-    let (passes, joins) = if int8 {
-        record_passes(&QuantizedPackedModel::quantize_pack(&model, 32), tp, m)
+    if int8 {
+        record_passes(&QuantizedPackedModel::quantize_pack(&model, 32), tp, true, m)
     } else {
-        record_passes(&PackedModel::pack(&model), tp, m)
-    };
-    GroupRun { tp, int8, m, passes, joins }
+        record_passes(&PackedModel::pack(&model), tp, false, m)
+    }
 }
 
-fn record_passes<B: PanelWeights>(pm: &PackedModel<'_, B>, tp: usize, m: usize) -> (Vec<(&'static str, PassRecord)>, MemberJoins) {
+fn record_passes<B: PanelWeights>(pm: &PackedModel<'_, B>, tp: usize, int8: bool, m: usize) -> GroupRun {
     let mut eng = Engine::group(pm, tp, CommConfig::default(), m + 1, 3 * (m + 1) + 2, 4);
     let prompts: Vec<Vec<usize>> = (0..m).map(prompt).collect();
     let seats: Vec<(usize, &[usize])> = prompts.iter().enumerate().map(|(i, p)| (i, &p[..])).collect();
     let newcomer = [1, 2, 3, 4, 50, 51];
     let slots: Vec<usize> = (0..m).collect();
+    let mut tables = Vec::new();
     let mut record = |name, seats: &[(usize, &[usize])], advance: &[usize]| {
         let rec = eng.record_pass(seats, advance, &mut Vec::new());
+        tables.push(LiveTables::of(&eng));
         (name, rec.unwrap_or_else(|e| panic!("a fault-free {name} pass: {e:?}")))
     };
     let passes = vec![record("seat", &seats, &[]), record("mixed", &[(m, &newcomer)], &slots), record("decode", &[], &slots)];
     let trace = passes.iter().map(|(_, r)| r.phases() - 1).sum();
-    (passes, MemberJoins { members: tp, trace, live: eng.member_joins() })
+    GroupRun { tp, int8, m, passes, tables, joins: MemberJoins { members: tp, trace, live: eng.member_joins() } }
 }
 
 /// Record every live group — tp 1–4 × f32 and INT8 × M ∈ {1, 2, 4, 8, 16} —
@@ -159,7 +188,8 @@ pub fn record_live() -> Recorded {
 
 /// Run every pass over what the runtimes `recorded` ([`record_live`]).
 pub fn verify_all(recorded: &Recorded) -> SweepReport {
-    let mut report = SweepReport { records: 0, collective_programs: 0, diagnostics: recorded.overflows.clone() };
+    let mut report =
+        SweepReport { records: 0, page_tables: 0, collective_programs: 0, diagnostics: recorded.overflows.clone() };
 
     // --- Pass 1: the arena protocol on every live pass record. ---
     // Between two joins each member writes only its own columns and reads
@@ -177,7 +207,9 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
     }
 
     // --- Pass 1b: paged-KV allocator page-sharing discipline. ---
-    // Share/release/resurrect/re-reserve churn on a real `PagePool` (the
+    // Every live group's page tables after each recorded pass: its seats
+    // attach a first page an earlier seat of the same pass reserved. Then
+    // share/release/resurrect/re-reserve churn on a real `PagePool` (the
     // continuous scheduler's allocator), then prove every live table maps
     // in-range pages and shares them only as a common front wholly behind
     // every holder's write frontier. Free-list recycling of pages that
@@ -185,6 +217,15 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
     // would creep in, so the churn retires the publisher of a shared front,
     // re-attaches to it from the free list, recycles a retired family's
     // pages under a new one, and grows every survivor before checking.
+    for run in &recorded.groups {
+        for ((pass, _), tables) in run.passes.iter().zip(&run.tables) {
+            report.page_tables += 1;
+            report.diagnostics.extend(tables.check().into_iter().map(|mut x| {
+                x.site = format!("{} page tables after {pass}: {}", run.label(), x.site);
+                x
+            }));
+        }
+    }
     {
         use dsi_model::paged::{PagePool, PagedSeq};
         let mut pool = PagePool::new(2, 16, 24, 4);
@@ -217,6 +258,7 @@ pub fn verify_all(recorded: &Recorded) -> SweepReport {
             pool.stats().pages_in_use < tables.iter().map(|(t, _)| t.len()).sum(),
             "the churn must leave shared pages to check"
         );
+        report.page_tables += 1;
         report.diagnostics.extend(
             crate::scratch::check_page_tables(24, pool.page_tokens(), &tables).into_iter().map(
                 |mut x| {
@@ -409,12 +451,28 @@ pub fn controls_all_fire(controls: &[Control]) -> bool {
 mod tests {
     use super::*;
 
+    /// Whether a page sits in more than one of `t`'s tables.
+    fn shares_a_page(t: &LiveTables) -> bool {
+        let mut pages: Vec<u32> = t.tables.iter().flat_map(|(p, _)| p.iter().copied()).collect();
+        let n = pages.len();
+        pages.sort_unstable();
+        pages.dedup();
+        pages.len() < n
+    }
+
     #[test]
     fn full_sweep_is_clean() {
-        let r = verify_all(&record_live());
+        let recorded = record_live();
+        // Every group's mixed pass seats a prompt on its seats' first page,
+        // and from M = 4 two seats of the seat pass share one.
+        let shared = |g: &GroupRun| shares_a_page(&g.tables[1]) && (g.m < 4 || shares_a_page(&g.tables[0]));
+        assert!(recorded.groups.iter().all(shared), "a group's passes share no page");
+        let r = verify_all(&recorded);
         assert!(r.is_clean(), "sweep found defects: {:#?}", r.diagnostics);
         // tp 1-4 × f32 and INT8 × five M × seat, mixed and decode.
         assert_eq!(r.records, 4 * 2 * 5 * 3, "records = {}", r.records);
+        // The same engines' tables after each pass, and the churned pool's.
+        assert_eq!(r.page_tables, 4 * 2 * 5 * 3 + 1, "page tables = {}", r.page_tables);
         // The joins of tp 2-4 × f32 and INT8 × five M, and 27 offload runs.
         assert_eq!(r.collective_programs, 3 * 2 * 5 + 27, "collective programs = {}", r.collective_programs);
     }

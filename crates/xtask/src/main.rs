@@ -5,12 +5,12 @@
 //! Subcommands:
 //! * `verify` — run the sweep (`dsi_verify::sweep::verify_all`) over the
 //!   passes live groups recorded (each record's launches and phases
-//!   printed, its arena protocol checked, each member's joins held to the
-//!   records') and over what the offload store recorded (printed per run;
-//!   a recorder that wrapped fails the sweep), the breaker explorer over
-//!   the real serving circuit breaker, then the negative controls. Exit
-//!   code 1 if a check finds a defect **or** any seeded defect goes
-//!   undetected.
+//!   printed, its arena protocol checked, the engine's page tables checked
+//!   after it, each member's joins held to the records') and over what the
+//!   offload store recorded (printed per run; a recorder that wrapped fails
+//!   the sweep), the breaker explorer over the real serving circuit
+//!   breaker, then the negative controls. Exit code 1 if a check finds a
+//!   defect **or** any seeded defect goes undetected.
 //! * `unsafe-audit` — walk every crate's sources and enforce the unsafe
 //!   hygiene contract (`// SAFETY:` on blocks, `# Safety` on fns).
 //! * `all` — both.
@@ -44,8 +44,8 @@ fn run_verify() -> ExitCode {
     let recorded = dsi_verify::sweep::record_live();
     let report = dsi_verify::sweep::verify_all(&recorded);
     println!(
-        "xtask verify: {} live pass records, {} collective programs checked",
-        report.records, report.collective_programs
+        "xtask verify: {} live pass records, {} live page-table sets, {} collective programs checked",
+        report.records, report.page_tables, report.collective_programs
     );
     println!("  live pass records, launches/phases per M:");
     for (i, &(pass, _)) in recorded.groups.first().map_or(&[][..], |r| &r.passes[..]).iter().enumerate() {
